@@ -17,7 +17,11 @@
 //!
 //! Rows are [`p_core::telemetry::RuntimeBenchRow`] wrapped in a
 //! [`p_core::telemetry::RuntimeBenchReport`] (`p-runtime-bench-v1`),
-//! the runtime analog of `BENCH_checker.json`.
+//! the runtime analog of `BENCH_checker.json`. The latency columns are
+//! quantiles of the executor's log2 histogram: each is the upper bound of
+//! the power-of-two bucket the quantile falls in (never below the true
+//! value, less than twice it), and they are closed-loop figures, taken
+//! while the producers saturate the executor.
 //!
 //! ```sh
 //! cargo run --release -p p-bench --bin runtime_report [OUT.json] [--quick] [--xl] [--gate]
@@ -211,6 +215,7 @@ fn row(
         .map(Runtime::runs_executed)
         .sum::<u64>()
         .saturating_sub(baseline);
+    // Histogram-resolved: the bucket's upper bound, see the module docs.
     let q = |q: f64| {
         report
             .latency_quantile(q)

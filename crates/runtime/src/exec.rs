@@ -8,10 +8,10 @@
 //! backpressure. A hashed timer wheel adds delayed injections
 //! ([`Executor::inject_after`]).
 //!
-//! **Semantics are unchanged.** Every delivery is one
-//! `Runtime::add_event` call — one enqueue through the paper's ⊕
-//! operator followed by a run-to-completion drain — executed by exactly
-//! one worker per machine at a time (the mailbox's single-drainer flag).
+//! **Semantics are unchanged.** Every delivery is the delivery step of
+//! `Runtime::add_event` — one enqueue through the paper's ⊕ operator
+//! followed by a run-to-completion drain — executed by exactly one
+//! worker per machine at a time (the mailbox's single-drainer flag).
 //! Batching happens strictly *between* deliveries: a worker drains up to
 //! one scheduling quantum of envelopes from a mailbox before moving on,
 //! which amortizes scheduling overhead without ever merging two events
@@ -31,20 +31,37 @@
 //! [`EventPump`](crate::EventPump) is a shards=1 facade over this module
 //! that adopts an existing runtime, preserving the PR 1 pump API.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use p_ast::Program;
 use p_semantics::{lower, LoweredProgram, MachineId, Value};
-use p_telemetry::Telemetry;
+use p_telemetry::{Histogram, Telemetry};
 
+use crate::runtime::Session;
 use crate::shard::{Envelope, Shard};
+use crate::slots::SlotTable;
 use crate::timer::TimerWheel;
 use crate::{MachineStatus, Runtime, RuntimeBuilder, RuntimeError};
+
+/// Idle polls (an atomic load per shard, then a yield) a worker makes
+/// after a round that found work, before it parks: tens of microseconds
+/// of processor time, bridging the gap to a busy producer's next
+/// injection, which would otherwise pay a wake-up system call and a
+/// scheduling delay. Earned by finding work: an idle executor never
+/// spins. (Why a constant: DESIGN.md §16.)
+const SPIN_ROUNDS: u32 = 100;
+/// How long a worker out of spin budget sleeps before it looks at the
+/// other shards and the stop flag again.
+const PARK: Duration = Duration::from_micros(500);
+/// Ready machines a worker claims from its own shard per visit, under
+/// one `ready` lock and one configuration lock. Bounded: a claimed
+/// machine cannot be stolen.
+const CLAIM: usize = 16;
 
 /// One event to deliver.
 #[derive(Debug, Clone)]
@@ -137,15 +154,6 @@ impl RetryPolicy {
         let half = backoff.as_nanos() as u64 / 2;
         backoff.saturating_add(Duration::from_nanos(if half == 0 { 0 } else { z % half }))
     }
-}
-
-/// How machine ids map to shards.
-enum Router {
-    /// Adopt mode (the `EventPump` facade): one shard wrapping a caller-
-    /// owned runtime; ids pass through unchanged.
-    Identity,
-    /// Executor-owned machines: global id → `(shard, local id)`.
-    Table(RwLock<Vec<(usize, MachineId)>>),
 }
 
 /// Per-shard rows inside an [`ExecStats`] snapshot.
@@ -243,27 +251,25 @@ impl ExecStats {
 }
 
 /// What a clean [`Executor::shutdown`] returns: totals plus the recorded
-/// latency samples.
+/// latencies.
 #[derive(Debug)]
 pub struct ExecReport {
     /// Injections delivered over the executor's lifetime.
     pub delivered: u64,
     /// Final counter snapshot.
     pub stats: ExecStats,
-    /// Injection-to-completion latencies in nanoseconds, sorted
-    /// ascending (empty unless latency recording was enabled).
-    pub latency_ns: Vec<u64>,
+    /// Injection-to-completion latencies in nanoseconds: the shards'
+    /// log2 histograms merged (empty unless recording was enabled).
+    pub latency: Histogram,
 }
 
 impl ExecReport {
-    /// The `q`-quantile (0.0–1.0) of recorded latencies, by
-    /// nearest-rank on the sorted samples.
+    /// The `q`-quantile (0.0–1.0) of recorded latencies; `None` when
+    /// none were recorded. Histogram-resolved: the upper bound of the
+    /// power-of-two bucket the quantile falls in — never below the true
+    /// sample quantile, less than twice it.
     pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
-        if self.latency_ns.is_empty() {
-            return None;
-        }
-        let idx = ((self.latency_ns.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(Duration::from_nanos(self.latency_ns[idx]))
+        (self.latency.count() > 0).then(|| Duration::from_nanos(self.latency.quantile_bound(q)))
     }
 }
 
@@ -355,9 +361,9 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Record per-injection completion latencies (returned sorted by
-    /// [`Executor::shutdown`]; default off — sampling costs one `Instant`
-    /// read per delivery plus the sample storage).
+    /// Record per-injection completion latencies (returned as a
+    /// histogram by [`Executor::shutdown`]; default off — recording costs
+    /// an `Instant` read per injection and one per delivery).
     pub fn record_latency(mut self, record: bool) -> ExecutorBuilder {
         self.record_latency = record;
         self
@@ -396,10 +402,10 @@ impl ExecutorBuilder {
     /// Builds the shards, spawns one worker thread per shard plus the
     /// timer thread, and returns the executor handle.
     pub fn start(self) -> Executor {
-        let (shards, router) = match self.source {
+        let (shards, routes) = match self.source {
             Source::Adopt(runtime) => (
                 vec![Shard::new(runtime, self.mailbox_capacity, self.credits)],
-                Router::Identity,
+                None,
             ),
             Source::Lowered(lowered) => {
                 let mut shards = Vec::with_capacity(self.shards);
@@ -418,12 +424,13 @@ impl ExecutorBuilder {
                         self.credits,
                     ));
                 }
-                (shards, Router::Table(RwLock::new(Vec::new())))
+                (shards, Some(SlotTable::new()))
             }
         };
         let inner = Arc::new(ExecInner {
             shards,
-            router,
+            routes,
+            next_global: AtomicU32::new(0),
             wheel: TimerWheel::new(self.timer_tick),
             overflow: self.overflow,
             quantum: self.quantum.max(1),
@@ -461,7 +468,12 @@ impl ExecutorBuilder {
 
 struct ExecInner {
     shards: Vec<Shard>,
-    router: Router,
+    /// How machine ids map to shards: global id → `(shard + 1) << 32 |
+    /// local id`, 0 for an id not handed out yet; read without a lock.
+    /// `None` in adopt mode (the `EventPump` facade): one shard wrapping
+    /// a caller-owned runtime, ids pass through unchanged.
+    routes: Option<SlotTable<AtomicU64>>,
+    next_global: AtomicU32,
     wheel: TimerWheel,
     overflow: OverflowPolicy,
     quantum: usize,
@@ -478,14 +490,29 @@ struct ExecInner {
 
 impl ExecInner {
     fn resolve(&self, id: MachineId) -> Result<(usize, MachineId), RuntimeError> {
-        match &self.router {
-            Router::Identity => Ok((0, id)),
-            Router::Table(table) => table
-                .read()
-                .get(id.0 as usize)
-                .copied()
-                .ok_or(RuntimeError::NoSuchMachine(id)),
+        let Some(routes) = &self.routes else {
+            return Ok((0, id));
+        };
+        let route = routes.get(id.0 as usize);
+        let route = route.map_or(0, |route| route.load(Ordering::Acquire));
+        match (route >> 32) as usize {
+            0 => Err(RuntimeError::NoSuchMachine(id)),
+            shard => Ok((shard - 1, MachineId(route as u32))),
         }
+    }
+
+    /// Routes an injection: its target's shard and the envelope for its
+    /// mailbox, event name resolved and payload translated. Nothing is
+    /// taken or queued yet: an undeliverable injection is refused here.
+    fn route(&self, injection: Injection) -> Result<(usize, Envelope), RuntimeError> {
+        let (shard, local) = self.resolve(injection.target)?;
+        let env = Envelope {
+            local,
+            event: self.shards[shard].runtime.event_id(&injection.event)?,
+            payload: self.translate_payload(injection.payload, shard)?,
+            at: self.record_latency.then(Instant::now),
+        };
+        Ok((shard, env))
     }
 
     /// Translates a `Value::Machine` payload into the target shard's
@@ -508,21 +535,20 @@ impl ExecInner {
     }
 
     fn queued_total(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.queued.load(Ordering::SeqCst))
-            .sum()
+        self.shards.iter().map(Shard::queued).sum()
     }
 
     /// True once every injection has been delivered: no armed timers, no
-    /// queued envelopes, no batch mid-run. Read order matters — work
-    /// moves wheel→mailbox (queued++ before pending--) and
-    /// mailbox→worker (active++ before queued--), so reading pending,
-    /// then queued, then active can never miss an in-flight event.
+    /// credits out (an envelope holds one from before it is queued until
+    /// it is popped), no batch mid-run. Read order matters — work moves
+    /// wheel→mailbox (credit taken before pending--) and mailbox→worker
+    /// (active++ before the credit's `SeqCst` release), so reading
+    /// pending, then the credits, then active (`Acquire`: it sees the
+    /// increment once the credit is seen back) never misses an event.
     fn drained(&self) -> bool {
         self.wheel.pending() == 0
             && self.queued_total() == 0
-            && self.active.load(Ordering::SeqCst) == 0
+            && self.active.load(Ordering::Acquire) == 0
     }
 
     fn record_error(&self, e: RuntimeError) {
@@ -533,67 +559,84 @@ impl ExecInner {
     }
 }
 
-/// Claims the next ready machine: own shard first (FIFO), then steal
-/// from the others (LIFO), rotated by worker index.
-fn next_work(inner: &ExecInner, me: usize) -> Option<(usize, MachineId)> {
-    if let Some(local) = inner.shards[me].pop_ready() {
-        return Some((me, local));
-    }
+/// One round of a worker's search for work: its own shard first, then
+/// the others, rotated by worker index. Opens a session on the shard,
+/// claims ready machines and drains a batch from each; false if nothing
+/// was ready. On its own shard the worker waits for the configuration
+/// lock and claims up to [`CLAIM`] machines. It steals one machine, and
+/// only from a shard whose configuration lock is free: a batch stolen
+/// while the shard's own worker runs would only queue behind it.
+fn work_round(inner: &ExecInner, me: usize, claimed: &mut Vec<MachineId>) -> bool {
     let n = inner.shards.len();
-    for k in 1..n {
-        let victim = (me + k) % n;
-        if let Some(local) = inner.shards[victim].steal_ready() {
-            inner.shards[me]
-                .counters
-                .steals
-                .fetch_add(1, Ordering::Relaxed);
-            return Some((victim, local));
+    for k in 0..n {
+        let shard_idx = (me + k) % n;
+        let shard = &inner.shards[shard_idx];
+        if !shard.has_ready() {
+            continue;
+        }
+        let thief = k > 0;
+        let session = if thief {
+            shard.runtime.try_session()
+        } else {
+            Some(shard.runtime.session())
+        };
+        let Some(mut session) = session else { continue };
+        // Before any envelope is popped, see `ExecInner::drained`.
+        inner.active.fetch_add(1, Ordering::AcqRel);
+        shard.claim_ready(claimed, if thief { 1 } else { CLAIM }, thief);
+        let found = !claimed.is_empty();
+        if thief && found {
+            let steals = &inner.shards[me].counters.steals;
+            steals.fetch_add(1, Ordering::Relaxed);
+        }
+        for local in claimed.drain(..) {
+            run_batch(inner, shard_idx, local, &mut session);
+        }
+        inner.active.fetch_sub(1, Ordering::AcqRel);
+        if found {
+            return true;
         }
     }
-    None
+    false
 }
 
 /// Drains up to one quantum of envelopes from `local`'s mailbox,
-/// delivering each through the owning shard's runtime.
-fn run_batch(inner: &ExecInner, shard_idx: usize, local: MachineId) {
+/// delivering each through `session`, which is over the owning shard's
+/// runtime.
+fn run_batch(inner: &ExecInner, shard_idx: usize, local: MachineId, session: &mut Session<'_>) {
     let shard = &inner.shards[shard_idx];
     let mb = shard.mailbox(local);
-    let mut processed = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
+    let (mut processed, mut failed) = (0u64, 0u64);
     while processed < inner.quantum as u64 {
-        let Some(env) = shard.pop_envelope(&mb) else {
+        let Some(env) = shard.pop_envelope(mb) else {
             break;
         };
-        let started = env.at;
-        match shard.runtime.add_event(env.local, &env.event, env.payload) {
+        processed += 1;
+        match session.deliver(env.local, env.event, env.payload) {
             Ok(()) => {
-                shard.counters.delivered.fetch_add(1, Ordering::Relaxed);
-                if inner.record_latency {
-                    latencies.push(started.elapsed().as_nanos() as u64);
+                if let Some(at) = env.at {
+                    shard.latency.observe(at.elapsed().as_nanos() as u64);
                 }
             }
             Err(e) => {
                 // A failed machine must not stall delivery to healthy
                 // ones: remember the first error, keep draining.
-                shard.counters.failed.fetch_add(1, Ordering::Relaxed);
+                failed += 1;
                 inner.record_error(e);
             }
         }
-        processed += 1;
     }
     if processed > 0 {
-        shard.counters.batches.fetch_add(1, Ordering::Relaxed);
-        if !latencies.is_empty() {
-            shard.latencies.lock().extend(latencies);
-        }
+        let (counters, ok) = (&shard.counters, processed - failed);
+        counters.batches.fetch_add(1, Ordering::Relaxed);
+        counters.delivered.fetch_add(ok, Ordering::Relaxed);
+        counters.failed.fetch_add(failed, Ordering::Relaxed);
     }
     #[cfg(feature = "telemetry")]
     if inner.telemetry.enabled() {
-        inner.telemetry.gauge(
-            shard_idx as u32,
-            "shard_queue_depth",
-            shard.queued.load(Ordering::Relaxed) as i64,
-        );
+        inner
+            .telemetry
+            .gauge(shard_idx as u32, "shard_queue_depth", shard.queued() as i64);
         if let Some(metrics) = inner.telemetry.metrics() {
             metrics.counter("exec.batches").inc();
             metrics.counter("exec.delivered").add(processed);
@@ -602,31 +645,27 @@ fn run_batch(inner: &ExecInner, shard_idx: usize, local: MachineId) {
                 .set(inner.queued_total() as u64);
         }
     }
-    shard.reschedule_after_batch(&mb, local);
+    shard.reschedule_after_batch(mb, local);
 }
 
-fn worker_loop(inner: &Arc<ExecInner>, me: usize) {
+fn worker_loop(inner: &ExecInner, me: usize) {
+    let mut claimed = Vec::with_capacity(CLAIM);
+    let mut spins = 0;
     loop {
-        match next_work(inner, me) {
-            Some((shard_idx, local)) => {
-                inner.active.fetch_add(1, Ordering::SeqCst);
-                run_batch(inner, shard_idx, local);
-                inner.active.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if inner.stop.load(Ordering::SeqCst)
-                    && inner.wheel.pending() == 0
-                    && inner.queued_total() == 0
-                {
-                    break;
-                }
-                inner.shards[me].park(Duration::from_micros(500));
-            }
+        if work_round(inner, me, &mut claimed) {
+            spins = SPIN_ROUNDS;
+        } else if spins > 0 {
+            spins -= 1;
+            std::thread::yield_now();
+        } else if inner.stop.load(Ordering::SeqCst) && inner.drained() {
+            break;
+        } else {
+            inner.shards[me].park(PARK);
         }
     }
 }
 
-fn timer_loop(inner: &Arc<ExecInner>) {
+fn timer_loop(inner: &ExecInner) {
     loop {
         if inner.stop.load(Ordering::SeqCst) && inner.wheel.pending() == 0 {
             break;
@@ -634,40 +673,27 @@ fn timer_loop(inner: &Arc<ExecInner>) {
         let now = inner.wheel.now_tick();
         for entry in inner.wheel.collect_due(now) {
             let shard = &inner.shards[entry.shard];
-            let (deadline_tick, seq, shard_idx) = (entry.deadline_tick, entry.seq, entry.shard);
             let env = Envelope {
                 local: entry.local,
                 event: entry.event,
                 payload: entry.payload,
-                at: Instant::now(),
+                at: inner.record_latency.then(Instant::now),
             };
-            match shard.try_push(env) {
-                Ok(()) => {
+            // No stop flag: armed timers still deliver during shutdown.
+            let refused = shard.try_push(env, None);
+            match refused.expect("only a stop flag refuses a push") {
+                None => {
                     shard.counters.timer_fired.fetch_add(1, Ordering::Relaxed);
                     inner.wheel.note_moved();
                 }
-                Err(env) => {
-                    if inner.overflow == OverflowPolicy::DropNewest {
-                        shard.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                        shard.runtime.note_dropped(env.local);
-                        inner.wheel.note_moved();
-                    } else {
-                        // Full mailbox under Block/Fail: fire again next
-                        // tick, keeping the original deadline order key.
-                        inner.wheel.rearm(
-                            crate::timer::TimerEntry {
-                                fire_tick: now + 1,
-                                deadline_tick,
-                                seq,
-                                shard: shard_idx,
-                                local: env.local,
-                                event: env.event,
-                                payload: env.payload,
-                            },
-                            now,
-                        );
-                    }
+                Some(_) if inner.overflow == OverflowPolicy::DropNewest => {
+                    shard.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                    shard.runtime.note_dropped(entry.local);
+                    inner.wheel.note_moved();
                 }
+                // Full mailbox under Block/Fail: fire again next tick,
+                // keeping the original deadline order key.
+                Some(_) => inner.wheel.rearm(entry, now),
             }
         }
         inner.wheel.park_thread();
@@ -807,12 +833,13 @@ impl Executor {
         let local = inner.shards[shard]
             .runtime
             .create_machine(type_name, &translated)?;
-        let global = match &inner.router {
-            Router::Identity => local,
-            Router::Table(table) => {
-                let mut table = table.write();
-                table.push((shard, local));
-                MachineId((table.len() - 1) as u32)
+        let global = match &inner.routes {
+            None => local,
+            Some(routes) => {
+                let global = inner.next_global.fetch_add(1, Ordering::Relaxed);
+                let route = (shard as u64 + 1) << 32 | u64::from(local.0);
+                routes.slot(global as usize).store(route, Ordering::Release);
+                MachineId(global)
             }
         };
         // Pre-size the mailbox table so first injection takes the read path.
@@ -829,18 +856,13 @@ impl Executor {
     /// [`RuntimeError::PumpStopped`] after shutdown has begun;
     /// [`RuntimeError::QueueFull`] under the `Fail` policy;
     /// [`RuntimeError::NoSuchMachine`] / [`RuntimeError::CrossShard`]
-    /// for unroutable targets or payloads.
+    /// for unroutable targets or payloads, and
+    /// [`RuntimeError::UnknownName`] for an event the program does not
+    /// declare — all three before anything is queued.
     pub fn inject(&self, injection: Injection) -> Result<(), RuntimeError> {
         let inner = &self.inner;
-        let (shard_idx, local) = inner.resolve(injection.target)?;
-        let payload = inner.translate_payload(injection.payload, shard_idx)?;
-        let env = Envelope {
-            local,
-            event: injection.event,
-            payload,
-            at: Instant::now(),
-        };
-        inner.shards[shard_idx].push(env, inner.overflow, None, &inner.stop)
+        let (shard, env) = inner.route(injection)?;
+        inner.shards[shard].push(env, inner.overflow, None, &inner.stop)
     }
 
     /// Queues one event, waiting at most `deadline` for space regardless
@@ -852,20 +874,9 @@ impl Executor {
     /// [`Executor::inject`].
     pub fn try_inject(&self, injection: Injection, deadline: Duration) -> Result<(), RuntimeError> {
         let inner = &self.inner;
-        let (shard_idx, local) = inner.resolve(injection.target)?;
-        let payload = inner.translate_payload(injection.payload, shard_idx)?;
-        let env = Envelope {
-            local,
-            event: injection.event,
-            payload,
-            at: Instant::now(),
-        };
-        inner.shards[shard_idx].push(
-            env,
-            OverflowPolicy::Block,
-            Some(Instant::now() + deadline),
-            &inner.stop,
-        )
+        let (shard, env) = inner.route(injection)?;
+        let deadline = Some(Instant::now() + deadline);
+        inner.shards[shard].push(env, OverflowPolicy::Block, deadline, &inner.stop)
     }
 
     /// Queues one event, retrying transient full-queue conditions with
@@ -881,27 +892,15 @@ impl Executor {
         policy: &RetryPolicy,
     ) -> Result<(), RuntimeError> {
         let inner = &self.inner;
-        let (shard_idx, local) = inner.resolve(injection.target)?;
-        let payload = inner.translate_payload(injection.payload, shard_idx)?;
-        let mut env = Envelope {
-            local,
-            event: injection.event,
-            payload,
-            at: Instant::now(),
-        };
+        let (shard, mut env) = inner.route(injection)?;
         let attempts = policy.max_attempts.max(1);
         for attempt in 0..attempts {
-            if inner.stop.load(Ordering::SeqCst) {
-                return Err(RuntimeError::PumpStopped);
+            match inner.shards[shard].try_push(env, Some(&inner.stop))? {
+                None => return Ok(()),
+                Some(back) => env = back,
             }
-            match inner.shards[shard_idx].try_push(env) {
-                Ok(()) => return Ok(()),
-                Err(back) => {
-                    env = back;
-                    if attempt + 1 < attempts {
-                        std::thread::sleep(policy.delay_for(attempt));
-                    }
-                }
+            if attempt + 1 < attempts {
+                std::thread::sleep(policy.delay_for(attempt));
             }
         }
         Err(RuntimeError::QueueFull)
@@ -918,16 +917,9 @@ impl Executor {
     /// errors as [`Executor::inject`].
     pub fn inject_after(&self, injection: Injection, delay: Duration) -> Result<(), RuntimeError> {
         let inner = &self.inner;
-        let (shard_idx, local) = inner.resolve(injection.target)?;
-        let payload = inner.translate_payload(injection.payload, shard_idx)?;
-        inner.wheel.schedule(
-            shard_idx,
-            local,
-            injection.event,
-            payload,
-            delay,
-            &inner.stop,
-        )
+        let (shard, env) = inner.route(injection)?;
+        let (wheel, stop) = (&inner.wheel, &inner.stop);
+        wheel.schedule(shard, env.local, env.event, env.payload, delay, stop)
     }
 
     /// Pending-mailbox depth of machine `id` (one atomic read; no
@@ -972,12 +964,21 @@ impl Executor {
         stats_of(&self.inner)
     }
 
-    fn begin_stop(&self) {
+    /// Stops intake and waits for the drain, until `end` if one is given;
+    /// false if time ran out first.
+    fn stop_and_drain(&self, end: Option<Instant>) -> bool {
         self.inner.stop.store(true, Ordering::SeqCst);
         for shard in &self.inner.shards {
-            shard.barrier();
+            shard.wake_producers();
         }
         self.inner.wheel.barrier();
+        while !self.inner.drained() {
+            if end.is_some_and(|end| Instant::now() >= end) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        true
     }
 
     fn finish(&mut self) -> Result<ExecReport, RuntimeError> {
@@ -986,13 +987,8 @@ impl Executor {
             shard.wake_worker();
         }
         self.inner.wheel.barrier();
-        for worker in self.workers.drain(..) {
-            if worker.join().is_err() {
-                return Err(RuntimeError::PumpPanicked);
-            }
-        }
-        if let Some(timer) = self.timer.take() {
-            if timer.join().is_err() {
+        for thread in self.workers.drain(..).chain(self.timer.take()) {
+            if thread.join().is_err() {
                 return Err(RuntimeError::PumpPanicked);
             }
         }
@@ -1000,15 +996,14 @@ impl Executor {
             return Err(e);
         }
         let stats = stats_of(&self.inner);
-        let mut latency_ns: Vec<u64> = Vec::new();
+        let latency = Histogram::default();
         for shard in &self.inner.shards {
-            latency_ns.extend(shard.latencies.lock().drain(..));
+            latency.absorb(&shard.latency);
         }
-        latency_ns.sort_unstable();
         Ok(ExecReport {
             delivered: stats.delivered,
             stats,
-            latency_ns,
+            latency,
         })
     }
 
@@ -1021,10 +1016,7 @@ impl Executor {
     /// Propagates the first machine error any shard encountered, or
     /// [`RuntimeError::PumpPanicked`] if a worker thread died.
     pub fn shutdown(mut self) -> Result<ExecReport, RuntimeError> {
-        self.begin_stop();
-        while !self.inner.drained() {
-            std::thread::sleep(Duration::from_micros(200));
-        }
+        self.stop_and_drain(None);
         self.finish()
     }
 
@@ -1040,24 +1032,18 @@ impl Executor {
         mut self,
         deadline: Duration,
     ) -> Result<ExecReport, RuntimeError> {
-        self.begin_stop();
-        let end = Instant::now() + deadline;
-        while !self.inner.drained() {
-            if Instant::now() >= end {
-                self.done = true;
-                let pending = (self.inner.queued_total()
-                    + self.inner.wheel.pending()
-                    + self.inner.active.load(Ordering::SeqCst))
-                    as u64;
-                self.workers.clear();
-                self.timer.take();
-                return Err(RuntimeError::ShutdownTimeout {
-                    pending: pending.max(1),
-                });
-            }
-            std::thread::sleep(Duration::from_micros(100));
+        if self.stop_and_drain(Some(Instant::now() + deadline)) {
+            return self.finish();
         }
-        self.finish()
+        self.done = true;
+        let inner = &self.inner;
+        let pending =
+            inner.queued_total() + inner.wheel.pending() + inner.active.load(Ordering::Acquire);
+        self.workers.clear();
+        self.timer.take();
+        Err(RuntimeError::ShutdownTimeout {
+            pending: (pending as u64).max(1),
+        })
     }
 }
 
@@ -1069,7 +1055,7 @@ fn stats_of(inner: &ExecInner) -> ExecStats {
         .map(|(i, s)| ShardStats {
             shard: i,
             machines: s.machine_count(),
-            queued: s.queued.load(Ordering::SeqCst) as u64,
+            queued: s.queued() as u64,
             credits_free: s.credits_free() as u64,
             delivered: s.counters.delivered.load(Ordering::Relaxed),
             failed: s.counters.failed.load(Ordering::Relaxed),
@@ -1102,17 +1088,9 @@ impl Drop for Executor {
         // Stop intake, give the drain a short grace period, then join —
         // a silently detached worker would leak the thread and lose any
         // recorded machine error.
-        self.begin_stop();
-        let grace = Instant::now() + Duration::from_millis(200);
-        while !self.inner.drained() && Instant::now() < grace {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        if self.inner.drained() {
-            for worker in self.workers.drain(..) {
-                let _ = worker.join();
-            }
-            if let Some(timer) = self.timer.take() {
-                let _ = timer.join();
+        if self.stop_and_drain(Some(Instant::now() + Duration::from_millis(200))) {
+            for thread in self.workers.drain(..).chain(self.timer.take()) {
+                let _ = thread.join();
             }
             if let Some(e) = self.inner.first_error.lock().take() {
                 eprintln!("Executor dropped with an unobserved machine error: {e}");

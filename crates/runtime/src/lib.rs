@@ -34,6 +34,7 @@ mod host;
 mod pump;
 mod runtime;
 mod shard;
+mod slots;
 mod timer;
 
 pub use error::RuntimeError;

@@ -29,8 +29,8 @@ use crate::{Executor, Injection, OverflowPolicy, RetryPolicy, Runtime, RuntimeEr
 pub struct PumpStats {
     /// Injections delivered into the runtime.
     pub delivered: u64,
-    /// Injections the runtime rejected (machine halted, quarantined,
-    /// unknown event, …).
+    /// Injections the runtime rejected at delivery (machine halted,
+    /// quarantined, deleted; an unknown event name is refused by `inject`).
     pub failed: u64,
     /// Injections dropped by the [`OverflowPolicy::DropNewest`] policy.
     pub dropped: u64,

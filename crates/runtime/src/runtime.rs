@@ -24,18 +24,19 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use p_ast::Program;
 use p_semantics::{
-    lower, Config, Engine, ExecOutcome, ForeignEnv, ForeignRegistry, Granularity, LoweredProgram,
-    MachineId, Value, YieldKind,
+    lower, Config, Engine, EventId, ExecOutcome, ForeignEnv, ForeignRegistry, Granularity,
+    LoweredProgram, MachineId, PError, Value, YieldKind,
 };
 use p_telemetry::Telemetry;
 
+use crate::slots::SlotTable;
 use crate::RuntimeError;
 
 type ContextMap = HashMap<MachineId, Box<dyn Any + Send>>;
@@ -119,7 +120,7 @@ impl RuntimeBuilder {
                     config: Config::default(),
                     work: Vec::new(),
                 }),
-                meta: Mutex::new(HashMap::new()),
+                meta: SlotTable::new(),
                 fuel: self.fuel,
                 events_processed: AtomicU64::new(0),
                 runs_executed: AtomicU64::new(0),
@@ -149,27 +150,47 @@ pub enum MachineStatus {
     Quarantined,
 }
 
-impl MachineStatus {
-    fn is_running(self) -> bool {
-        matches!(self, MachineStatus::Running)
+/// Why a machine stopped: the P error that halted it, or the panic
+/// message that quarantined it.
+enum Cause {
+    Error(PError),
+    Fault(String),
+}
+
+/// Supervision record of one machine instance: slot `id` of `Inner::meta`.
+///
+/// Outside the configuration lock: status, counters and the queue-depth
+/// snapshot (refreshed by `drain` after every enqueue and run) stay
+/// readable while a long atomic run holds the config. Whoever holds
+/// `shared` is the one writer of all but `dropped` (producers bump it):
+/// relaxed load/store pairs, as cheap as plain fields.
+#[derive(Default)]
+struct MetaSlot {
+    /// Created and not deleted (deleted machines are forgotten).
+    live: AtomicBool,
+    delivered: AtomicU64,
+    dropped: AtomicU64,
+    queue_depth: AtomicUsize,
+    /// Set once, when the machine halts or is quarantined.
+    cause: OnceLock<Box<Cause>>,
+}
+
+impl MetaSlot {
+    fn status(&self) -> Option<MachineStatus> {
+        if !self.live.load(Ordering::Relaxed) {
+            return None;
+        }
+        Some(match self.cause.get().map(|cause| &**cause) {
+            None => MachineStatus::Running,
+            Some(Cause::Error(_)) => MachineStatus::Halted,
+            Some(Cause::Fault(_)) => MachineStatus::Quarantined,
+        })
     }
 }
 
-/// Supervision metadata kept per machine instance.
-///
-/// Lives under its own mutex (`Inner::meta`), *not* under the
-/// configuration lock: status checks, counters and queue-depth gauges
-/// stay readable while a long atomic run holds the config. The
-/// `queue_depth` field is a snapshot maintained by `drain` after every
-/// enqueue and run, so introspection never touches the machine table.
-#[derive(Default)]
-struct MachineMeta {
-    status: MachineStatus,
-    delivered: u64,
-    dropped: u64,
-    queue_depth: usize,
-    error: Option<p_semantics::PError>,
-    fault: Option<String>,
+/// Adds one to a counter whose only writer holds `shared`.
+fn bump(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 /// Point-in-time snapshot of runtime counters (see [`Runtime::stats`]).
@@ -270,15 +291,191 @@ struct Inner {
     foreign: ForeignEnv,
     contexts: Arc<Mutex<ContextMap>>,
     shared: Mutex<Shared>,
-    /// Supervision status and delivery counters, keyed by machine.
-    /// Separate from `shared` so introspection (`queue_len`, `stats`,
-    /// `machine_status`) never blocks behind a running drain. Lock
-    /// order when both are held: `shared` before `meta`.
-    meta: Mutex<HashMap<MachineId, MachineMeta>>,
+    /// Supervision status and delivery counters, indexed by machine id.
+    /// Outside `shared` and lock-free to read, so introspection
+    /// (`queue_len`, `stats`, `machine_status`) never blocks behind a
+    /// running drain.
+    meta: SlotTable<MetaSlot>,
     fuel: usize,
     events_processed: AtomicU64,
     runs_executed: AtomicU64,
     telemetry: Telemetry,
+}
+
+/// The configuration lock of one runtime plus an engine over its
+/// program. `add_event` and `create_machine` open one per call; an
+/// executor worker opens one per round of batches.
+pub(crate) struct Session<'r> {
+    inner: &'r Inner,
+    shared: MutexGuard<'r, Shared>,
+    engine: Engine<'r>,
+}
+
+impl<'r> Session<'r> {
+    fn over(inner: &'r Inner, shared: MutexGuard<'r, Shared>) -> Session<'r> {
+        // Run logs (dequeue/raise/defer lists) cost an allocation per
+        // occurrence and only tracing reads them.
+        let tracing = cfg!(feature = "telemetry") && inner.telemetry.enabled();
+        let engine = Engine::new(&inner.program, inner.foreign.clone())
+            .with_fuel(inner.fuel)
+            .with_dequeue_log(tracing)
+            .with_event_log(tracing);
+        Session {
+            inner,
+            shared,
+            engine,
+        }
+    }
+
+    /// The delivery step of `SMAddEvent`: enqueues the resolved `event`
+    /// into machine `id` and runs to completion.
+    pub(crate) fn deliver(
+        &mut self,
+        id: MachineId,
+        event: EventId,
+        payload: Value,
+    ) -> Result<(), RuntimeError> {
+        let inner = self.inner;
+        let slot = inner.meta.get(id.0 as usize);
+        if let Some(cause) = slot.and_then(|s| s.cause.get()) {
+            return Err(match &**cause {
+                Cause::Error(saved) => RuntimeError::Machine(saved.clone()),
+                Cause::Fault(_) => RuntimeError::MachineQuarantined(id),
+            });
+        }
+        let machine = self
+            .shared
+            .config
+            .machine_mut(id)
+            .ok_or(RuntimeError::NoSuchMachine(id))?;
+        machine.enqueue(event, payload);
+        let depth = machine.queue.len();
+        bump(&inner.events_processed);
+        let slot = inner.meta.slot(id.0 as usize);
+        bump(&slot.delivered);
+        slot.queue_depth.store(depth, Ordering::Relaxed);
+        #[cfg(feature = "telemetry")]
+        inner.telemetry.instant(id.0, "inject", || {
+            vec![("event", inner.program.event_name(event).into())]
+        });
+        self.shared.work.push(id);
+        self.drain()
+    }
+
+    /// Runs the causal work stack to quiescence, under the
+    /// configuration lock this session holds; this is the "run to
+    /// completion on the calling thread" discipline of §4. Foreign
+    /// functions must not call back into the runtime (the paper
+    /// restricts them to their external memory for the same reason).
+    ///
+    /// Every machine run executes under `catch_unwind`: a panic (from a
+    /// foreign function, or a defect in the engine itself) quarantines
+    /// the offending machine and the drain keeps going, so one failure
+    /// never poisons the shared configuration or stalls other machines.
+    /// The first failure observed is reported to the caller after the
+    /// stack is quiescent.
+    fn drain(&mut self) -> Result<(), RuntimeError> {
+        let Session {
+            inner,
+            shared,
+            engine,
+        } = self;
+        let Shared { config, work } = &mut **shared;
+        let slot = |id: MachineId| inner.meta.slot(id.0 as usize);
+        let mut first_err: Option<RuntimeError> = None;
+        while let Some(id) = work.pop() {
+            if config.machine(id).is_none() || !engine.enabled(config, id) {
+                continue;
+            }
+            if slot(id).cause.get().is_some() {
+                continue;
+            }
+            #[cfg(feature = "telemetry")]
+            {
+                let program = &inner.program;
+                let ty = config.machine(id).expect("checked live above").ty;
+                inner.telemetry.span_begin(id.0, "run", || {
+                    vec![("machine", program.machine_name(ty).into())]
+                });
+            }
+            // Erased programs contain no `*`; the closure is never
+            // called on checked inputs, and returning an arbitrary
+            // value keeps the runtime total if one slips through.
+            let mut no_choices = || false;
+            // Panics and typed engine errors both quarantine the machine:
+            // the run either aborted mid-way (panic) or was rejected up
+            // front (typed error); neither may poison the configuration.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                engine.run_machine(config, id, &mut no_choices, Granularity::Atomic)
+            }))
+            .map_err(panic_message)
+            .and_then(|run| run.map_err(|e| e.to_string()));
+            bump(&inner.runs_executed);
+            let run = match run {
+                Ok(run) => run,
+                Err(message) => {
+                    #[cfg(feature = "telemetry")]
+                    {
+                        let reason = message.as_str();
+                        inner
+                            .telemetry
+                            .instant(id.0, "quarantine", || vec![("reason", reason.into())]);
+                        inner.telemetry.span_end(id.0, "run");
+                        if let Some(metrics) = inner.telemetry.metrics() {
+                            metrics.counter("runtime.quarantines").inc();
+                        }
+                    }
+                    let _ = slot(id).cause.set(Box::new(Cause::Fault(message)));
+                    first_err.get_or_insert(RuntimeError::MachineQuarantined(id));
+                    continue;
+                }
+            };
+            #[cfg(feature = "telemetry")]
+            inner.trace_run(id, config, &run);
+            // Refresh the queue-depth snapshots touched by this run (the
+            // runner's own queue, and the receiver's on a send) so
+            // `queue_len`/`stats` stay accurate without the config lock.
+            let refresh = |id: MachineId| {
+                if let Some(m) = config.machine(id) {
+                    slot(id).queue_depth.store(m.queue.len(), Ordering::Relaxed);
+                }
+            };
+            refresh(id);
+            match run.outcome {
+                ExecOutcome::Yield(YieldKind::Sent { to, .. }) => {
+                    refresh(to);
+                    // Causal order: the receiver processes next, then
+                    // the sender resumes.
+                    work.push(id);
+                    work.push(to);
+                }
+                ExecOutcome::Yield(YieldKind::Created { id: new_id, .. }) => {
+                    slot(new_id).live.store(true, Ordering::Relaxed);
+                    work.push(id);
+                    work.push(new_id);
+                }
+                ExecOutcome::Yield(YieldKind::Internal) => {
+                    work.push(id);
+                }
+                ExecOutcome::Blocked => {}
+                ExecOutcome::Deleted => {
+                    slot(id).live.store(false, Ordering::Relaxed);
+                    inner.contexts.lock().remove(&id);
+                }
+                ExecOutcome::Error(e) => {
+                    let _ = slot(id).cause.set(Box::new(Cause::Error(e.clone())));
+                    first_err.get_or_insert(RuntimeError::Machine(e));
+                }
+                ExecOutcome::NeedChoice => {
+                    unreachable!("erased programs are deterministic")
+                }
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The P runtime: hosts machine instances of one erased program.
@@ -336,14 +533,7 @@ impl Runtime {
     pub fn builder(program: &Program) -> Result<RuntimeBuilder, RuntimeError> {
         p_typecheck::check(program)?;
         let erased = p_typecheck::erase(program)?;
-        let lowered = lower(&erased)?;
-        Ok(RuntimeBuilder {
-            program: lowered,
-            registry: ForeignRegistry::new(),
-            contexts: Arc::new(Mutex::new(HashMap::new())),
-            fuel: 1_000_000,
-            telemetry: Telemetry::disabled(),
-        })
+        Ok(Runtime::from_lowered(lower(&erased)?))
     }
 
     /// Builds a runtime directly from an already-erased, lowered program.
@@ -397,15 +587,20 @@ impl Runtime {
             resolved.push((sym, *value));
         }
 
-        let mut shared = self.inner.shared.lock();
-        let id = shared.config.allocate(program, ty);
-        let machine = shared.config.machine_mut(id).expect("just allocated");
+        let mut session = self.session();
+        let id = session.shared.config.allocate(program, ty);
+        let machine = session
+            .shared
+            .config
+            .machine_mut(id)
+            .expect("just allocated");
         for (var, value) in resolved {
             machine.locals[var.0 as usize] = value;
         }
-        self.inner.meta.lock().insert(id, MachineMeta::default());
-        shared.work.push(id);
-        self.drain(&mut shared)?;
+        let slot = self.inner.meta.slot(id.0 as usize);
+        slot.live.store(true, Ordering::Relaxed);
+        session.shared.work.push(id);
+        session.drain()?;
         Ok(id)
     }
 
@@ -424,195 +619,30 @@ impl Runtime {
         event: &str,
         payload: Value,
     ) -> Result<(), RuntimeError> {
-        let ev =
-            self.inner
-                .program
-                .event_id_named(event)
-                .ok_or_else(|| RuntimeError::UnknownName {
-                    kind: "event",
-                    name: event.to_owned(),
-                })?;
-        let mut shared = self.inner.shared.lock();
-        {
-            let meta = self.inner.meta.lock();
-            match meta.get(&id).map(|m| m.status) {
-                Some(MachineStatus::Quarantined) => {
-                    return Err(RuntimeError::MachineQuarantined(id));
-                }
-                Some(MachineStatus::Halted) => {
-                    let saved = meta
-                        .get(&id)
-                        .and_then(|m| m.error.clone())
-                        .expect("halted machines record their error");
-                    return Err(RuntimeError::Machine(saved));
-                }
-                _ => {}
-            }
-        }
-        let machine = shared
-            .config
-            .machine_mut(id)
-            .ok_or(RuntimeError::NoSuchMachine(id))?;
-        machine.enqueue(ev, payload);
-        let depth = machine.queue.len();
-        self.inner.events_processed.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut meta = self.inner.meta.lock();
-            let m = meta.entry(id).or_default();
-            m.delivered += 1;
-            m.queue_depth = depth;
-        }
-        #[cfg(feature = "telemetry")]
-        {
-            let program = &self.inner.program;
-            self.inner.telemetry.instant(id.0, "inject", || {
-                vec![("event", program.event_name(ev).into())]
-            });
-        }
-        shared.work.push(id);
-        self.drain(&mut shared)?;
-        Ok(())
+        let event = self.event_id(event)?;
+        self.session().deliver(id, event, payload)
     }
 
-    /// Runs the causal work stack to quiescence. Called with the
-    /// configuration lock held; this is the "run to completion on the
-    /// calling thread" discipline of §4. Foreign functions must not call
-    /// back into the runtime (the paper restricts them to their external
-    /// memory for the same reason).
-    ///
-    /// Every machine run executes under `catch_unwind`: a panic (from a
-    /// foreign function, or a defect in the engine itself) quarantines
-    /// the offending machine and the drain keeps going, so one failure
-    /// never poisons the shared configuration or stalls other machines.
-    /// The first failure observed is reported to the caller after the
-    /// stack is quiescent.
-    fn drain(&self, shared: &mut Shared) -> Result<(), RuntimeError> {
-        #[allow(unused_mut)]
-        let mut engine =
-            Engine::new(&self.inner.program, self.inner.foreign.clone()).with_fuel(self.inner.fuel);
-        #[cfg(feature = "telemetry")]
-        {
-            // Extended run logs (raise/defer events) cost an allocation
-            // per occurrence; only pay for them when tracing.
-            engine = engine.with_event_log(self.inner.telemetry.enabled());
-        }
-        let Shared { config, work } = shared;
-        let mut first_err: Option<RuntimeError> = None;
-        while let Some(id) = work.pop() {
-            if config.machine(id).is_none() || !engine.enabled(config, id) {
-                continue;
-            }
-            if !self
-                .inner
-                .meta
-                .lock()
-                .entry(id)
-                .or_default()
-                .status
-                .is_running()
-            {
-                continue;
-            }
-            #[cfg(feature = "telemetry")]
-            {
-                let program = &self.inner.program;
-                let ty = config.machine(id).expect("checked live above").ty;
-                self.inner.telemetry.span_begin(id.0, "run", || {
-                    vec![("machine", program.machine_name(ty).into())]
-                });
-            }
-            // Erased programs contain no `*`; the closure is never
-            // called on checked inputs, and returning an arbitrary
-            // value keeps the runtime total if one slips through.
-            let mut no_choices = || false;
-            // Panics and typed engine errors both quarantine the machine:
-            // the run either aborted mid-way (panic) or was rejected up
-            // front (typed error); neither may poison the configuration.
-            let run = match catch_unwind(AssertUnwindSafe(|| {
-                engine.run_machine(config, id, &mut no_choices, Granularity::Atomic)
-            }))
-            .map_err(panic_message)
-            .and_then(|run| run.map_err(|e| e.to_string()))
-            {
-                Ok(run) => run,
-                Err(message) => {
-                    self.inner.runs_executed.fetch_add(1, Ordering::Relaxed);
-                    {
-                        let mut meta = self.inner.meta.lock();
-                        let m = meta.entry(id).or_default();
-                        m.status = MachineStatus::Quarantined;
-                        m.fault = Some(message.clone());
-                    }
-                    #[cfg(feature = "telemetry")]
-                    {
-                        let reason = message.as_str();
-                        self.inner
-                            .telemetry
-                            .instant(id.0, "quarantine", || vec![("reason", reason.into())]);
-                        self.inner.telemetry.span_end(id.0, "run");
-                        if let Some(metrics) = self.inner.telemetry.metrics() {
-                            metrics.counter("runtime.quarantines").inc();
-                        }
-                    }
-                    first_err.get_or_insert(RuntimeError::MachineQuarantined(id));
-                    continue;
-                }
-            };
-            self.inner.runs_executed.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
-            self.trace_run(id, config, &run);
-            // Refresh the queue-depth snapshots touched by this run (the
-            // runner's own queue, and the receiver's on a send) so
-            // `queue_len`/`stats` stay accurate without the config lock.
-            {
-                let mut meta = self.inner.meta.lock();
-                if let Some(m) = config.machine(id) {
-                    meta.entry(id).or_default().queue_depth = m.queue.len();
-                }
-                if let ExecOutcome::Yield(YieldKind::Sent { to, .. }) = run.outcome {
-                    if let Some(t) = config.machine(to) {
-                        meta.entry(to).or_default().queue_depth = t.queue.len();
-                    }
-                }
-            }
-            match run.outcome {
-                ExecOutcome::Yield(YieldKind::Sent { to, .. }) => {
-                    // Causal order: the receiver processes next, then
-                    // the sender resumes.
-                    work.push(id);
-                    work.push(to);
-                }
-                ExecOutcome::Yield(YieldKind::Created { id: new_id, .. }) => {
-                    self.inner.meta.lock().entry(new_id).or_default();
-                    work.push(id);
-                    work.push(new_id);
-                }
-                ExecOutcome::Yield(YieldKind::Internal) => {
-                    work.push(id);
-                }
-                ExecOutcome::Blocked => {}
-                ExecOutcome::Deleted => {
-                    self.inner.meta.lock().remove(&id);
-                    self.inner.contexts.lock().remove(&id);
-                }
-                ExecOutcome::Error(e) => {
-                    {
-                        let mut meta = self.inner.meta.lock();
-                        let m = meta.entry(id).or_default();
-                        m.status = MachineStatus::Halted;
-                        m.error = Some(e.clone());
-                    }
-                    first_err.get_or_insert(RuntimeError::Machine(e));
-                }
-                ExecOutcome::NeedChoice => {
-                    unreachable!("erased programs are deterministic")
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+    /// Resolves an event name against the program (no hash lookup).
+    pub(crate) fn event_id(&self, name: &str) -> Result<EventId, RuntimeError> {
+        let event = self.inner.program.event_id_named(name);
+        event.ok_or_else(|| RuntimeError::UnknownName {
+            kind: "event",
+            name: name.to_owned(),
+        })
+    }
+
+    /// Takes the configuration lock and builds the engine, once for as
+    /// many deliveries as the caller makes through the session.
+    pub(crate) fn session(&self) -> Session<'_> {
+        Session::over(&self.inner, self.inner.shared.lock())
+    }
+
+    /// [`Runtime::session`] unless another thread holds the
+    /// configuration lock.
+    pub(crate) fn try_session(&self) -> Option<Session<'_>> {
+        let shared = self.inner.shared.try_lock()?;
+        Some(Session::over(&self.inner, shared))
     }
 
     /// Attaches external memory to machine `id` (the per-machine `void*`
@@ -674,47 +704,49 @@ impl Runtime {
 
     /// Queue length of machine `id` (introspection).
     ///
-    /// Reads the depth snapshot maintained alongside the supervision
-    /// metadata, so it never waits for the configuration lock (and thus
-    /// never blocks behind an in-progress atomic run).
+    /// Reads the depth snapshot kept in the machine's supervision slot,
+    /// so it takes no lock (and thus never blocks behind an in-progress
+    /// atomic run).
     pub fn queue_len(&self, id: MachineId) -> Option<usize> {
-        self.inner.meta.lock().get(&id).map(|m| m.queue_depth)
+        let slot = self.inner.meta.get(id.0 as usize)?;
+        slot.status()?;
+        Some(slot.queue_depth.load(Ordering::Relaxed))
     }
 
     /// Supervision status of machine `id`, or `None` if it was never
     /// created (deleted machines are forgotten; halted and quarantined
     /// ones are remembered).
     pub fn machine_status(&self, id: MachineId) -> Option<MachineStatus> {
-        self.inner.meta.lock().get(&id).map(|m| m.status)
+        self.inner.meta.get(id.0 as usize)?.status()
     }
 
     /// The panic message that quarantined machine `id`, if any.
     pub fn quarantine_reason(&self, id: MachineId) -> Option<String> {
-        self.inner
-            .meta
-            .lock()
-            .get(&id)
-            .and_then(|m| m.fault.clone())
+        match &**self.inner.meta.get(id.0 as usize)?.cause.get()? {
+            Cause::Fault(message) => Some(message.clone()),
+            Cause::Error(_) => None,
+        }
     }
 
     /// Snapshot of the runtime's supervision counters.
     ///
-    /// Like [`Runtime::queue_len`], this reads only the metadata table —
-    /// a stats poll during a long drain returns immediately instead of
-    /// serializing behind the machine table.
+    /// Like [`Runtime::queue_len`], this reads only the supervision
+    /// slots — a stats poll during a long drain returns immediately
+    /// instead of serializing behind the machine table.
     pub fn stats(&self) -> RuntimeStats {
-        let meta = self.inner.meta.lock();
-        let mut machines: Vec<MachineStats> = meta
-            .iter()
-            .map(|(id, m)| MachineStats {
-                machine: *id,
-                status: m.status,
-                delivered: m.delivered,
-                dropped: m.dropped,
-                queue_len: m.queue_depth,
+        let meta = &self.inner.meta;
+        let machines: Vec<MachineStats> = (0..meta.len())
+            .filter_map(|i| {
+                let slot = meta.get(i)?;
+                Some(MachineStats {
+                    machine: MachineId(i as u32),
+                    status: slot.status()?,
+                    delivered: slot.delivered.load(Ordering::Relaxed),
+                    dropped: slot.dropped.load(Ordering::Relaxed),
+                    queue_len: slot.queue_depth.load(Ordering::Relaxed),
+                })
             })
             .collect();
-        machines.sort_by_key(|m| m.machine.0);
         RuntimeStats {
             events_processed: self.inner.events_processed.load(Ordering::Relaxed),
             runs_executed: self.inner.runs_executed.load(Ordering::Relaxed),
@@ -734,7 +766,8 @@ impl Runtime {
 
     /// Records an event dropped before delivery (pump overflow policy).
     pub(crate) fn note_dropped(&self, id: MachineId) {
-        self.inner.meta.lock().entry(id).or_default().dropped += 1;
+        let slot = self.inner.meta.slot(id.0 as usize);
+        slot.dropped.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "telemetry")]
         {
             self.inner.telemetry.instant(id.0, "drop", Vec::new);
@@ -749,17 +782,19 @@ impl Runtime {
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
+}
 
+impl Inner {
     /// Emits the trace records for one completed atomic run: the
     /// machine's events in run order, the closing span, a queue-depth
     /// gauge, and the aggregate counters/histograms.
     #[cfg(feature = "telemetry")]
     fn trace_run(&self, id: MachineId, config: &Config, run: &p_semantics::RunResult) {
-        let telemetry = &self.inner.telemetry;
+        let telemetry = &self.telemetry;
         if !telemetry.enabled() {
             return;
         }
-        let program = &self.inner.program;
+        let program = &self.program;
         let tid = id.0;
         for &ev in &run.dequeued {
             telemetry.instant(tid, "dequeue", || {

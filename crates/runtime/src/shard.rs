@@ -16,36 +16,42 @@
 //!   enters a mailbox and released when a worker *pops* it (not when the
 //!   run completes), mirroring the slot semantics of the bounded channel
 //!   this design replaces: a producer may claim the freed slot while the
-//!   popped event is still being processed.
+//!   popped event is still being processed. The credits out are thus
+//!   also the count of envelopes queued or being deposited.
 //!
-//! Lock order: `credits` before a mailbox `queue` (push side). The pop
-//! side drops the queue lock before touching credits, so the two paths
-//! never deadlock.
+//! Nobody is woken by a system call unless it sleeps: a producer wakes
+//! the worker only when its `parked` flag is set, a worker wakes
+//! producers only when one has registered as blocked, and then with
+//! hysteresis (DESIGN.md §16: the protocol, and why no wake-up is lost).
+//! The only lock held while another is taken is the configuration lock a
+//! worker holds around its batches.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
-use p_semantics::{MachineId, Value};
+use p_semantics::{EventId, MachineId, Value};
+use p_telemetry::Histogram;
 
+use crate::slots::SlotTable;
 use crate::{OverflowPolicy, Runtime, RuntimeError};
 
 /// One event waiting in a mailbox.
 pub(crate) struct Envelope {
     /// Target machine, in the owning shard's local id space.
     pub local: MachineId,
-    /// Event name (resolved against the shard runtime at delivery).
-    pub event: String,
+    /// The event, resolved by the injecting call.
+    pub event: EventId,
     /// Event payload, already translated into the shard's id space.
     pub payload: Value,
-    /// When the injection entered the mailbox, for latency accounting.
-    pub at: Instant,
+    /// When the injection was accepted, if the executor records latency.
+    pub at: Option<Instant>,
 }
 
 /// A per-machine bounded FIFO of pending injections.
+#[derive(Default)]
 pub(crate) struct Mailbox {
     queue: Mutex<VecDeque<Envelope>>,
     /// Cached `queue.len()`, readable without the queue lock.
@@ -56,17 +62,9 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    fn new() -> Mailbox {
-        Mailbox {
-            queue: Mutex::new(VecDeque::new()),
-            depth: AtomicUsize::new(0),
-            scheduled: AtomicBool::new(false),
-        }
-    }
-
     /// Events currently queued (lock-free snapshot).
     pub(crate) fn depth(&self) -> usize {
-        self.depth.load(Ordering::Acquire)
+        self.depth.load(Ordering::SeqCst)
     }
 }
 
@@ -83,28 +81,40 @@ pub(crate) struct ShardCounters {
     pub max_depth: AtomicU64,
 }
 
+/// Machines awaiting a worker, and whether this shard's worker sleeps.
+struct Ready {
+    queue: VecDeque<MachineId>,
+    /// Set by the worker before it waits on `wake`; whoever queues work
+    /// and finds it set clears it and notifies once.
+    parked: bool,
+}
+
 /// One executor shard: a runtime, its mailboxes, and its scheduling state.
 pub(crate) struct Shard {
     /// The runtime owning this shard's machines. Every delivery goes
-    /// through `Runtime::add_event`, so run-to-completion and the
+    /// through its `Session::deliver`, so run-to-completion and the
     /// supervision model (quarantine, halt, typed errors) apply per
     /// shard exactly as they do for a standalone runtime.
     pub runtime: Runtime,
-    mailboxes: RwLock<Vec<Arc<Mailbox>>>,
-    /// Machines whose scheduled flag is set, awaiting a worker.
-    ready: Mutex<VecDeque<MachineId>>,
+    mailboxes: SlotTable<Mailbox>,
+    ready: Mutex<Ready>,
+    /// `ready.queue.len()`, stored under the `ready` lock: what idle
+    /// workers poll instead of taking that lock.
+    ready_len: AtomicUsize,
     /// Worker parking spot, paired with `ready`.
     wake: Condvar,
     /// Injection credits remaining (shard-wide bound on queued events).
-    credits: Mutex<usize>,
-    /// Producers blocked for credits/mailbox space, paired with `credits`.
+    credits: AtomicUsize,
+    credit_cap: usize,
+    /// Producers blocked in [`Shard::push`], for a credit or for room.
+    waiters: AtomicUsize,
+    /// Wake-up epoch, paired with `space`: a producer that read it before
+    /// its last failed attempt never sleeps through a wake-up.
+    gate: Mutex<u64>,
     space: Condvar,
-    /// Envelopes currently queued across this shard's mailboxes.
-    pub queued: AtomicUsize,
     pub counters: ShardCounters,
-    /// Completed injection-to-completion latencies in nanoseconds
-    /// (recorded only when the executor enables latency sampling).
-    pub latencies: Mutex<Vec<u64>>,
+    /// Injection-to-completion latencies in nanoseconds, if recorded.
+    pub latency: Histogram,
     /// Per-mailbox queue bound.
     capacity: usize,
 }
@@ -113,43 +123,116 @@ impl Shard {
     pub(crate) fn new(runtime: Runtime, capacity: usize, credits: usize) -> Shard {
         Shard {
             runtime,
-            mailboxes: RwLock::new(Vec::new()),
-            ready: Mutex::new(VecDeque::new()),
+            mailboxes: SlotTable::new(),
+            ready: Mutex::new(Ready {
+                queue: VecDeque::new(),
+                parked: false,
+            }),
+            ready_len: AtomicUsize::new(0),
             wake: Condvar::new(),
-            credits: Mutex::new(credits.max(1)),
+            credits: AtomicUsize::new(credits.max(1)),
+            credit_cap: credits.max(1),
+            waiters: AtomicUsize::new(0),
+            gate: Mutex::new(0),
             space: Condvar::new(),
-            queued: AtomicUsize::new(0),
             counters: ShardCounters::default(),
-            latencies: Mutex::new(Vec::new()),
+            latency: Histogram::default(),
             capacity: capacity.max(1),
         }
     }
 
     /// Number of machines with a mailbox on this shard.
     pub(crate) fn machine_count(&self) -> usize {
-        self.mailboxes.read().len()
+        self.mailboxes.len()
     }
 
     /// Injection credits currently unclaimed.
     pub(crate) fn credits_free(&self) -> usize {
-        *self.credits.lock()
+        self.credits.load(Ordering::SeqCst)
+    }
+
+    /// Envelopes queued in this shard's mailboxes or being deposited:
+    /// the credits out.
+    pub(crate) fn queued(&self) -> usize {
+        self.credit_cap - self.credits_free()
     }
 
     /// The mailbox for `local`, growing the table on demand (machines
     /// created directly on an adopted runtime get theirs lazily).
-    pub(crate) fn mailbox(&self, local: MachineId) -> Arc<Mailbox> {
-        let idx = local.0 as usize;
-        {
-            let boxes = self.mailboxes.read();
-            if let Some(mb) = boxes.get(idx) {
-                return Arc::clone(mb);
+    pub(crate) fn mailbox(&self, local: MachineId) -> &Mailbox {
+        self.mailboxes.slot(local.0 as usize)
+    }
+
+    fn take_credit(&self) -> bool {
+        self.credits
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| c.checked_sub(1))
+            .is_ok()
+    }
+
+    /// Returns one credit, waking blocked producers when the free count
+    /// climbs through half the budget (at the first free credit, a
+    /// saturated producer would sleep and wake once per event). A
+    /// producer blocks only after seeing none free, so the count passes
+    /// the mark after it registered; `SeqCst` makes one side see the other.
+    fn release_credit(&self) {
+        let free = self.credits.fetch_add(1, Ordering::SeqCst) + 1;
+        if free == (self.credit_cap / 2).max(1) && self.waiters.load(Ordering::SeqCst) > 0 {
+            self.wake_producers();
+        }
+    }
+
+    /// Wakes every blocked producer to try again (or, at shutdown, to
+    /// see the stop flag).
+    pub(crate) fn wake_producers(&self) {
+        *self.gate.lock() += 1;
+        self.space.notify_all();
+    }
+
+    /// Deposits `env` if a credit and a mailbox slot are free, hands it
+    /// back otherwise; refuses it once `stop` is raised (the timer
+    /// thread, which still delivers during shutdown, passes none).
+    pub(crate) fn try_push(
+        &self,
+        env: Envelope,
+        stop: Option<&AtomicBool>,
+    ) -> Result<Option<Envelope>, RuntimeError> {
+        let stopped = || stop.is_some_and(|flag| flag.load(Ordering::SeqCst));
+        // The stop-flag barrier: the credit is taken before the flag is
+        // read, and shutdown raises the flag before it reads the credits
+        // (all `SeqCst`): either this producer sees the flag and backs
+        // out, or shutdown sees the credit out and waits for the envelope.
+        let credit = self.take_credit();
+        if stopped() {
+            if credit {
+                self.release_credit();
             }
+            return Err(RuntimeError::PumpStopped);
         }
-        let mut boxes = self.mailboxes.write();
-        while boxes.len() <= idx {
-            boxes.push(Arc::new(Mailbox::new()));
+        if !credit {
+            return Ok(Some(env));
         }
-        Arc::clone(&boxes[idx])
+        let local = env.local;
+        let mb = self.mailbox(local);
+        let mut queue = mb.queue.lock();
+        if queue.len() >= self.capacity {
+            drop(queue);
+            self.release_credit();
+            return Ok(Some(env));
+        }
+        queue.push_back(env);
+        let depth = queue.len();
+        // `SeqCst`, paired with `reschedule_after_batch`: the depth is
+        // stored before `scheduled` is read here, and `scheduled` is
+        // cleared before the depth is read there.
+        mb.depth.store(depth, Ordering::SeqCst);
+        drop(queue);
+        if depth as u64 > self.counters.max_depth.load(Ordering::Relaxed) {
+            self.counters
+                .max_depth
+                .fetch_max(depth as u64, Ordering::Relaxed);
+        }
+        self.schedule(mb, local);
+        Ok(None)
     }
 
     /// Delivers `env` into its mailbox under `policy`.
@@ -166,108 +249,86 @@ impl Shard {
         deadline: Option<Instant>,
         stop: &AtomicBool,
     ) -> Result<(), RuntimeError> {
-        let local = env.local;
-        let mb = self.mailbox(local);
-        let mut credits = self.credits.lock();
+        let Some(mut env) = self.try_push(env, Some(stop))? else {
+            return Ok(());
+        };
+        match policy {
+            OverflowPolicy::Block => {}
+            OverflowPolicy::DropNewest => {
+                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                self.runtime.note_dropped(env.local);
+                return Ok(());
+            }
+            OverflowPolicy::Fail => return Err(RuntimeError::QueueFull),
+        }
         loop {
-            if stop.load(Ordering::SeqCst) {
-                return Err(RuntimeError::PumpStopped);
-            }
-            if *credits > 0 {
-                let mut q = mb.queue.lock();
-                if q.len() < self.capacity {
-                    *credits -= 1;
-                    q.push_back(env);
-                    let depth = q.len();
-                    mb.depth.store(depth, Ordering::Release);
-                    drop(q);
-                    self.queued.fetch_add(1, Ordering::SeqCst);
-                    self.counters
-                        .max_depth
-                        .fetch_max(depth as u64, Ordering::Relaxed);
-                    drop(credits);
-                    self.schedule(&mb, local);
-                    return Ok(());
-                }
-            }
-            match policy {
-                OverflowPolicy::Block => match deadline {
-                    None => self.space.wait(&mut credits),
-                    Some(d) => {
-                        if self.space.wait_until(&mut credits, d).timed_out() {
-                            return Err(RuntimeError::QueueFull);
-                        }
+            // Register, note the wake-up epoch, then try again: whatever
+            // frees a credit or a slot after this attempt sees the
+            // registration and bumps the epoch.
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let ticket = *self.gate.lock();
+            let attempt = self.try_push(env, Some(stop));
+            let mut timed_out = false;
+            if let Ok(Some(_)) = attempt {
+                let mut epoch = self.gate.lock();
+                while *epoch == ticket && !timed_out {
+                    match deadline {
+                        None => self.space.wait(&mut epoch),
+                        Some(d) => timed_out = self.space.wait_until(&mut epoch, d).timed_out(),
                     }
-                },
-                OverflowPolicy::DropNewest => {
-                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    drop(credits);
-                    self.runtime.note_dropped(local);
-                    return Ok(());
                 }
-                OverflowPolicy::Fail => return Err(RuntimeError::QueueFull),
+            }
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+            match attempt? {
+                None => return Ok(()),
+                Some(_) if timed_out => return Err(RuntimeError::QueueFull),
+                Some(back) => env = back,
             }
         }
-    }
-
-    /// Non-blocking push (used by the timer thread and retry loops);
-    /// hands the envelope back when no credit or mailbox slot is free.
-    pub(crate) fn try_push(&self, env: Envelope) -> Result<(), Envelope> {
-        let local = env.local;
-        let mb = self.mailbox(local);
-        let mut credits = self.credits.lock();
-        if *credits == 0 {
-            return Err(env);
-        }
-        let mut q = mb.queue.lock();
-        if q.len() >= self.capacity {
-            return Err(env);
-        }
-        *credits -= 1;
-        q.push_back(env);
-        let depth = q.len();
-        mb.depth.store(depth, Ordering::Release);
-        drop(q);
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        self.counters
-            .max_depth
-            .fetch_max(depth as u64, Ordering::Relaxed);
-        drop(credits);
-        self.schedule(&mb, local);
-        Ok(())
     }
 
     /// Marks `local` ready if it is not already scheduled.
     fn schedule(&self, mb: &Mailbox, local: MachineId) {
-        if mb
-            .scheduled
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            self.ready.lock().push_back(local);
+        if !mb.scheduled.swap(true, Ordering::SeqCst) {
+            self.make_ready(local);
+        }
+    }
+
+    /// Queues `local` and wakes this shard's worker if it sleeps. The
+    /// worker sets `parked` and finds the queue empty under the lock this
+    /// push takes: the push comes first and is seen, or sees the flag.
+    fn make_ready(&self, local: MachineId) {
+        let wake = {
+            let mut ready = self.ready.lock();
+            ready.queue.push_back(local);
+            self.ready_len.store(ready.queue.len(), Ordering::Release);
+            std::mem::take(&mut ready.parked)
+        };
+        if wake {
             self.wake.notify_one();
         }
     }
 
-    /// Pops one envelope from `mb`, releasing its injection credit.
-    ///
-    /// The queue lock is dropped before credits are touched (see the
-    /// module-level lock order).
+    /// Pops one envelope from `mb`, releasing its injection credit. The
+    /// pop that makes room in a full mailbox wakes the blocked producers:
+    /// one that found it full registered before it looked.
     pub(crate) fn pop_envelope(&self, mb: &Mailbox) -> Option<Envelope> {
-        let env = {
-            let mut q = mb.queue.lock();
-            let env = q.pop_front();
-            if env.is_some() {
-                mb.depth.store(q.len(), Ordering::Release);
-            }
-            env
-        }?;
-        {
-            let mut credits = self.credits.lock();
-            *credits += 1;
+        // An empty mailbox ends the batch without its lock; a push this
+        // misses is caught by `reschedule_after_batch`.
+        if mb.depth() == 0 {
+            return None;
         }
-        self.space.notify_all();
-        self.queued.fetch_sub(1, Ordering::SeqCst);
+        let (env, was_full) = {
+            let mut queue = mb.queue.lock();
+            let was_full = queue.len() >= self.capacity;
+            let env = queue.pop_front()?;
+            mb.depth.store(queue.len(), Ordering::SeqCst);
+            (env, was_full)
+        };
+        self.release_credit();
+        if was_full && self.waiters.load(Ordering::SeqCst) > 0 {
+            self.wake_producers();
+        }
         Some(env)
     }
 
@@ -277,33 +338,42 @@ impl Shard {
     /// close the race against a push that saw the flag still set.
     pub(crate) fn reschedule_after_batch(&self, mb: &Mailbox, local: MachineId) {
         if mb.depth() > 0 {
-            self.ready.lock().push_back(local);
-            self.wake.notify_one();
+            self.make_ready(local);
             return;
         }
-        mb.scheduled.store(false, Ordering::Release);
+        mb.scheduled.store(false, Ordering::SeqCst);
         if mb.depth() > 0 {
             self.schedule(mb, local);
         }
     }
 
-    /// Next ready machine for this shard's own worker (FIFO end).
-    pub(crate) fn pop_ready(&self) -> Option<MachineId> {
-        self.ready.lock().pop_front()
+    /// Whether the ready queue holds a machine (what idle workers poll).
+    pub(crate) fn has_ready(&self) -> bool {
+        self.ready_len.load(Ordering::Acquire) > 0
     }
 
-    /// Steals a ready machine for a foreign worker (LIFO end, so the
-    /// victim's oldest work stays with its own worker).
-    pub(crate) fn steal_ready(&self) -> Option<MachineId> {
-        self.ready.lock().pop_back()
+    /// Moves up to `max` ready machines into `claimed`: from the FIFO end
+    /// for the shard's own worker, from the LIFO end for a thief, so the
+    /// victim's oldest work stays with its own worker.
+    pub(crate) fn claim_ready(&self, claimed: &mut Vec<MachineId>, max: usize, thief: bool) {
+        let mut ready = self.ready.lock();
+        let end = if thief {
+            VecDeque::pop_back
+        } else {
+            VecDeque::pop_front
+        };
+        claimed.extend(std::iter::from_fn(|| end(&mut ready.queue)).take(max));
+        self.ready_len.store(ready.queue.len(), Ordering::Release);
     }
 
     /// Parks the calling worker until readied work arrives or `timeout`
-    /// elapses (short, so stop-flag changes are observed promptly).
-    pub(crate) fn park(&self, timeout: std::time::Duration) {
+    /// elapses (short: work on other shards, and the stop flag).
+    pub(crate) fn park(&self, timeout: Duration) {
         let mut ready = self.ready.lock();
-        if ready.is_empty() {
+        if ready.queue.is_empty() {
+            ready.parked = true;
             self.wake.wait_for(&mut ready, timeout);
+            ready.parked = false;
         }
     }
 
@@ -312,14 +382,129 @@ impl Shard {
         let _ready = self.ready.lock();
         self.wake.notify_all();
     }
+}
 
-    /// Stop-flag barrier: any producer that read the stop flag as clear
-    /// and is already inside [`Shard::push`] holds (or queues on) the
-    /// credits lock; cycling it here guarantees that after this call no
-    /// new envelope can enter the shard. Waiters are woken to observe
-    /// the flag.
-    pub(crate) fn barrier(&self) {
-        drop(self.credits.lock());
-        self.space.notify_all();
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard over `machines` counters with no worker attached, and a
+    /// maker of envelopes for them.
+    fn bare_shard(
+        machines: usize,
+        capacity: usize,
+        credits: usize,
+    ) -> (Shard, impl Fn(usize) -> Envelope) {
+        let program = p_parser::parse(
+            "event inc; machine Counter { var n : int; state Run { on inc do bump; }
+             action bump { n := n + 1; } } main Counter();",
+        )
+        .unwrap();
+        let runtime = Runtime::builder(&program).unwrap().start();
+        let locals: Vec<MachineId> = (0..machines)
+            .map(|_| runtime.create_machine("Counter", &[]).unwrap())
+            .collect();
+        let event = runtime.event_id("inc").unwrap();
+        let envelope = move |k: usize| Envelope {
+            local: locals[k],
+            event,
+            payload: Value::Null,
+            at: None,
+        };
+        (Shard::new(runtime, capacity, credits), envelope)
+    }
+
+    /// The worker wake-up protocol with the park timeout taken away: the
+    /// worker parks for an hour whenever the ready queue is empty, and
+    /// every producer waits for its envelope to be popped before it
+    /// pushes the next, so nearly every push meets a worker that is
+    /// parked or about to be. One wake-up lost between `make_ready` and
+    /// `park` leaves the worker asleep for good; the watchdog then fails
+    /// the test instead of letting it hang.
+    #[test]
+    fn a_parking_worker_is_woken_for_every_push() {
+        const PRODUCERS: usize = 4;
+        const EACH: usize = 5_000;
+        let (shard, envelope) = bare_shard(PRODUCERS, 4, 64);
+        let stop = AtomicBool::new(false);
+        let gave_up = AtomicBool::new(false);
+        let popped = AtomicUsize::new(0);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut claimed = Vec::new();
+                while popped.load(Ordering::SeqCst) < PRODUCERS * EACH
+                    && !gave_up.load(Ordering::SeqCst)
+                {
+                    shard.claim_ready(&mut claimed, 16, false);
+                    if claimed.is_empty() {
+                        shard.park(Duration::from_secs(3600));
+                    }
+                    for local in claimed.drain(..) {
+                        let mb = shard.mailbox(local);
+                        while shard.pop_envelope(mb).is_some() {
+                            popped.fetch_add(1, Ordering::SeqCst);
+                        }
+                        shard.reschedule_after_batch(mb, local);
+                    }
+                }
+                done.send(()).unwrap();
+            });
+            for p in 0..PRODUCERS {
+                let (shard, envelope, stop, gave_up) = (&shard, &envelope, &stop, &gave_up);
+                scope.spawn(move || {
+                    for _ in 0..EACH {
+                        shard
+                            .push(envelope(p), OverflowPolicy::Block, None, stop)
+                            .unwrap();
+                        while shard.mailbox(envelope(p).local).depth() > 0 {
+                            if gave_up.load(Ordering::SeqCst) {
+                                return;
+                            }
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            if finished.recv_timeout(Duration::from_secs(60)).is_err() {
+                gave_up.store(true, Ordering::SeqCst);
+                while finished.recv_timeout(Duration::from_millis(10)).is_err() {
+                    shard.wake_worker();
+                }
+            }
+        });
+        assert!(
+            !gave_up.load(Ordering::SeqCst),
+            "the worker slept through a push: {} of {} envelopes popped",
+            popped.load(Ordering::SeqCst),
+            PRODUCERS * EACH
+        );
+        assert_eq!(shard.queued(), 0);
+    }
+
+    /// `Executor::shutdown` takes the executor by value, so safe code is
+    /// never inside `inject` when it runs; the stop-flag protocol is
+    /// checked here, where a shard can be driven directly.
+    #[test]
+    fn a_producer_blocked_when_the_stop_flag_rises_is_woken_and_refused() {
+        let (shard, envelope) = bare_shard(1, 4, 1);
+        let stop = AtomicBool::new(false);
+        let push = || shard.push(envelope(0), OverflowPolicy::Block, None, &stop);
+        // No worker pops: the first push keeps the only credit.
+        push().unwrap();
+        std::thread::scope(|scope| {
+            let blocked = scope.spawn(push);
+            while shard.waiters.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::SeqCst);
+            shard.wake_producers();
+            assert!(matches!(
+                blocked.join().unwrap(),
+                Err(RuntimeError::PumpStopped)
+            ));
+        });
+        assert!(matches!(push(), Err(RuntimeError::PumpStopped)));
+        assert_eq!(shard.queued(), 1, "nothing entered after the flag rose");
     }
 }

@@ -14,17 +14,17 @@
 //!   delivery without ever reordering it past a later-deadline timer.
 //!
 //! The `pending` count is decremented only after the entry has entered a
-//! mailbox (or been dropped), and mailbox pushes increment the shard's
-//! `queued` count first — so at every instant `pending + queued` covers
-//! all undelivered work, which is what lets workers use "stopped, no
-//! pending timers, nothing queued" as their exit condition.
+//! mailbox (or been dropped), and a mailbox push takes the shard's credit
+//! first — so at every instant `pending` plus the credits out covers all
+//! undelivered work, which is what lets workers use "stopped, no pending
+//! timers, nothing queued" as their exit condition.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use p_semantics::{MachineId, Value};
+use p_semantics::{EventId, MachineId, Value};
 
 use crate::RuntimeError;
 
@@ -44,8 +44,8 @@ pub(crate) struct TimerEntry {
     pub shard: usize,
     /// Target machine, shard-local.
     pub local: MachineId,
-    /// Event name.
-    pub event: String,
+    /// The event, resolved when the timer was armed.
+    pub event: EventId,
     /// Payload, already translated into the shard's id space.
     pub payload: Value,
 }
@@ -102,7 +102,7 @@ impl TimerWheel {
         &self,
         shard: usize,
         local: MachineId,
-        event: String,
+        event: EventId,
         payload: Value,
         delay: Duration,
         stop: &AtomicBool,

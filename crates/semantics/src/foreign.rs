@@ -122,7 +122,9 @@ impl ForeignRegistry {
                     .collect()
             })
             .collect();
-        ForeignEnv { tables }
+        ForeignEnv {
+            tables: Arc::new(tables),
+        }
     }
 }
 
@@ -137,10 +139,12 @@ impl fmt::Debug for ForeignRegistry {
 }
 
 /// Foreign implementations resolved against one program; consulted by the
-/// execution engine on every foreign call.
+/// execution engine on every foreign call. The tables are immutable and
+/// shared, so a clone — one per [`Engine`](crate::Engine) — is a
+/// reference-count increment.
 #[derive(Clone, Default)]
 pub struct ForeignEnv {
-    tables: Vec<Vec<Option<ForeignImpl>>>,
+    tables: Arc<Vec<Vec<Option<ForeignImpl>>>>,
 }
 
 impl ForeignEnv {

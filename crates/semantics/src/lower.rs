@@ -425,12 +425,14 @@ impl LoweredProgram {
             .map(|i| MachineTypeId(i as u32))
     }
 
-    /// Finds an event by its string name.
+    /// Finds an event by its string name. Compares the declared names in
+    /// turn — programs declare few events, and the runtime resolves one
+    /// name per injection, where a scan costs less than hashing the name
+    /// through the interner.
     pub fn event_id_named(&self, name: &str) -> Option<EventId> {
-        let sym = self.interner.get(name)?;
         self.events
             .iter()
-            .position(|e| e.name == sym)
+            .position(|e| self.interner.resolve(e.name) == name)
             .map(|i| EventId(i as u32))
     }
 }

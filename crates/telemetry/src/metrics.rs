@@ -85,6 +85,16 @@ impl Histogram {
         self.sum.fetch_add(sample, Ordering::Relaxed);
     }
 
+    /// Adds every sample of `other` to this histogram (merging per-thread
+    /// or per-shard histograms into one).
+    pub fn absorb(&self, other: &Histogram) {
+        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        self.count.fetch_add(other.count(), Ordering::Relaxed);
+        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
+    }
+
     /// Total number of samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

@@ -222,7 +222,9 @@ pub struct RuntimeBenchRow {
     pub events: u64,
     /// Wall-clock seconds from first injection to drained shutdown.
     pub seconds: f64,
-    /// p50 injection-to-completion latency in nanoseconds.
+    /// p50 injection-to-completion latency in nanoseconds (like p99, to
+    /// the resolution of the executor's log2 histogram: the upper bound
+    /// of a power-of-two bucket).
     pub p50_latency_ns: u64,
     /// p99 injection-to-completion latency in nanoseconds.
     pub p99_latency_ns: u64,

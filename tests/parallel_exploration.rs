@@ -83,41 +83,36 @@ fn parallel_state_bound_is_respected() {
 }
 
 /// A buggy program whose exploration is a single chain (the frontier
-/// never holds more than one configuration): the driver's entry run is
-/// the only choice at depth 0, and afterwards only the chain machine is
-/// enabled, consuming one queued event per atomic run until the assert
-/// trips. Because no interleaving choice exists, every worker count must
-/// explore exactly the same prefix before aborting on the
-/// counterexample — so the final counters must agree *exactly*, even
-/// though the parallel engine stops mid-flight. This pins the
-/// worker-local counter flush: totals are built from flushed deltas, and
-/// an abort path that skipped a flush would undercount (or a re-merge
-/// would double-count).
+/// never holds more than one configuration): there is one machine, it
+/// sends only to itself, and every atomic run ends with exactly one
+/// event queued, until the assert trips. Because no interleaving choice
+/// exists, every worker count must explore exactly the same prefix
+/// before aborting on the counterexample — so the final counters must
+/// agree *exactly*, even though the parallel engine stops mid-flight.
+/// This pins the worker-local counter flush: totals are built from
+/// flushed deltas, and an abort path that skipped a flush would
+/// undercount (or a re-merge would double-count).
+///
+/// (With a second machine the premise does not hold: after `new` both
+/// machines are enabled, the frontier branches, and which of the
+/// sibling states a second worker admits before it sees the stop flag
+/// depends on thread timing. An earlier version of this program had a
+/// driver machine, and failed about one run in six under load.)
 const SINGLE_CHAIN_BUGGY_SRC: &str = r#"
     event step;
     machine Chain {
         var n : int;
-        state Run { on step do bump; }
+        state Run {
+            entry { n := 0; send(this, step); }
+            on step do bump;
+        }
         action bump {
             n := n + 1;
             assert(n < 6);
+            send(this, step);
         }
     }
-    ghost machine Driver {
-        var c : id;
-        state Init {
-            entry {
-                c := new Chain();
-                send(c, step);
-                send(c, step);
-                send(c, step);
-                send(c, step);
-                send(c, step);
-                send(c, step);
-            }
-        }
-    }
-    main Driver();
+    main Chain();
 "#;
 
 #[test]

@@ -7,7 +7,7 @@
 //! across shards, the per-machine final state of a deterministic
 //! workload must be identical whether it runs on 1, 2 or 8 shards.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -393,4 +393,203 @@ fn shutdown_deadline_reports_typed_pending() {
         }
         other => panic!("expected a shutdown timeout, got {other:?}"),
     }
+}
+
+#[test]
+fn unknown_event_names_are_refused_by_the_injecting_call() {
+    let program = p_core::parser::parse(COUNTER).unwrap();
+    let exec = Executor::builder(&program)
+        .unwrap()
+        .shards(2)
+        .credits(4)
+        .start();
+    let id = exec
+        .create_machine("Counter", &[("n", Value::Int(0))])
+        .unwrap();
+    let zap = || Injection::new(id, "zap", Value::Null);
+    let policy = RetryPolicy::default();
+    let refusals = [
+        exec.inject(zap()),
+        exec.try_inject(zap(), Duration::from_millis(10)),
+        exec.inject_with_retry(zap(), &policy),
+        exec.inject_after(zap(), Duration::from_millis(1)),
+    ];
+    for refusal in refusals {
+        match refusal {
+            Err(RuntimeError::UnknownName {
+                kind: "event",
+                name,
+            }) => assert_eq!(name, "zap"),
+            other => panic!("expected an unknown-event refusal, got {other:?}"),
+        }
+    }
+    // Refused before anything was taken or queued: every credit is
+    // free, no timer is armed, and a declared event still goes through.
+    let stats = exec.stats();
+    assert_eq!((stats.queued, stats.timer_scheduled), (0, 0));
+    assert!(stats.shards.iter().all(|s| s.credits_free == 4));
+    exec.inject(Injection::new(id, "add", Value::Int(2)))
+        .unwrap();
+    let report = exec.shutdown().expect("nothing failed at delivery");
+    assert_eq!((report.delivered, report.stats.failed), (1, 0));
+}
+
+/// A sink checks in-program that its `note`s arrive in sequence, and
+/// acknowledges each through a foreign function so that the producer can
+/// pace itself. A payload is `sink index << 32 | sequence number`.
+const SEQUENCED: &str = r#"
+    event note : int;
+    machine Sink {
+        var last : int;
+        var gaps : int;
+        var t : int;
+        foreign fn ack(int) : int;
+        state Run { on note do log; }
+        action log {
+            if (arg != last + 1) { gaps := gaps + 1; }
+            last := arg;
+            t := ack(arg);
+        }
+    }
+    main Sink();
+"#;
+
+/// Wake-up stress through the whole executor. Four producers inject one
+/// event at a time, each waiting for the acknowledgement before the
+/// next, so every worker runs out of work after every event and is
+/// somewhere between finding work, polling and parking when the next
+/// injection lands; every 64th round the producer pauses long enough
+/// for the workers to be parked for certain. Checked: nothing is lost,
+/// every sink sees its notes in order whichever worker drains it, and
+/// the run ends well inside what a 500 µs park-timeout rescue per event
+/// would take (50 000 per producer are 25 s; the test allows 12). The
+/// test that turns a single lost wake-up into a failure, by taking the
+/// timeout away, sits next to the protocol in `p-runtime`'s `shard.rs`.
+#[test]
+fn paced_injections_never_wait_for_the_park_timeout() {
+    const PRODUCERS: usize = 4;
+    const SHARDS: usize = 4;
+    const ROUNDS: usize = 50_000;
+    let program = p_core::parser::parse(SEQUENCED).unwrap();
+    let acks: Arc<Vec<AtomicI64>> =
+        Arc::new((0..PRODUCERS * SHARDS).map(|_| AtomicI64::new(0)).collect());
+    let seen = Arc::clone(&acks);
+    let exec = Executor::builder(&program)
+        .unwrap()
+        .shards(SHARDS)
+        .foreign("ack", move |args| {
+            if let Some(&Value::Int(v)) = args.first() {
+                seen[(v >> 32) as usize].store(v & 0xffff_ffff, Ordering::Release);
+            }
+            Value::Int(0)
+        })
+        .start();
+    // Sink `p * SHARDS + s` belongs to producer `p` and lives on shard `s`.
+    let sinks: Vec<_> = (0..PRODUCERS * SHARDS)
+        .map(|i| {
+            let base = Value::Int((i as i64) << 32);
+            exec.create_machine_on(
+                i % SHARDS,
+                "Sink",
+                &[("last", base), ("gaps", Value::Int(0))],
+            )
+            .unwrap()
+        })
+        .collect();
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for p in 0..PRODUCERS {
+            let (exec, sinks, acks) = (&exec, &sinks, &acks);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let sink = p * SHARDS + round % SHARDS;
+                    let seq = (round / SHARDS + 1) as i64;
+                    let payload = Value::Int((sink as i64) << 32 | seq);
+                    exec.inject(Injection::new(sinks[sink], "note", payload))
+                        .unwrap();
+                    while acks[sink].load(Ordering::Acquire) != seq {
+                        std::thread::yield_now();
+                    }
+                    if round % 64 == 63 {
+                        std::thread::sleep(Duration::from_micros(300));
+                    }
+                }
+            });
+        }
+    });
+    let elapsed = started.elapsed();
+    let homes: Vec<_> = sinks
+        .iter()
+        .map(|&id| {
+            let (shard, local) = exec.locate(id).unwrap();
+            (exec.shard_runtime(shard).unwrap().clone(), local)
+        })
+        .collect();
+    let report = exec.shutdown().unwrap();
+    assert_eq!(report.delivered, (PRODUCERS * ROUNDS) as u64);
+    for (i, (rt, local)) in homes.iter().enumerate() {
+        let last = ((i as i64) << 32) + (ROUNDS / SHARDS) as i64;
+        assert_eq!(rt.read_var(*local, "last"), Some(Value::Int(last)));
+        assert_eq!(
+            rt.read_var(*local, "gaps"),
+            Some(Value::Int(0)),
+            "sink {i} saw its notes out of order"
+        );
+    }
+    assert!(
+        elapsed < Duration::from_secs(12),
+        "{} paced injections took {elapsed:?}: wake-ups are being lost",
+        PRODUCERS * ROUNDS
+    );
+}
+
+/// Credit exhaustion under `Block`: with two credits and a handler that
+/// naps, producers are blocked most of the time, and every one of them
+/// must be woken — by a worker's pop, not by a timeout — to finish. (That
+/// a producer still blocked when shutdown begins is refused is checked
+/// next to the mailboxes, in `p-runtime`: `shutdown` takes the executor
+/// by value, so safe code cannot be inside `inject` at the time.)
+#[test]
+fn blocked_producers_are_all_woken() {
+    const PRODUCERS: usize = 4;
+    const EACH: usize = 50;
+    let program = p_core::parser::parse(SLOW).unwrap();
+    let exec = Executor::builder(&program)
+        .unwrap()
+        .credits(2)
+        .overflow(OverflowPolicy::Block)
+        .foreign("nap", |_args| {
+            std::thread::sleep(Duration::from_millis(1));
+            Value::Int(1)
+        })
+        .start();
+    let id = exec
+        .create_machine("Slow", &[("n", Value::Int(0))])
+        .unwrap();
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..PRODUCERS {
+            let (exec, done) = (&exec, done.clone());
+            scope.spawn(move || {
+                for _ in 0..EACH {
+                    exec.inject(Injection::new(id, "tick", Value::Null))
+                        .unwrap();
+                }
+                done.send(()).unwrap();
+            });
+        }
+        // A producer that is never woken would hang the scope: fail
+        // first, with a message.
+        for _ in 0..PRODUCERS {
+            finished
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a blocked producer was never woken");
+        }
+    });
+    let (shard, local) = exec.locate(id).unwrap();
+    let rt = exec.shard_runtime(shard).unwrap().clone();
+    let report = exec.shutdown().unwrap();
+    let total = (PRODUCERS * EACH) as u64;
+    assert_eq!(report.delivered, total);
+    assert_eq!(rt.read_var(local, "n"), Some(Value::Int(total as i64)));
 }
