@@ -1,5 +1,5 @@
-//! Criterion bench comparing the sequential and parallel exhaustive
-//! engines (jobs = 1 vs jobs = 4) on the speedup benchmarks.
+//! Criterion bench comparing the exhaustive search at one and at four
+//! workers (jobs = 1 vs jobs = 4) on the speedup benchmarks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p_bench::figures::jobs_programs;

@@ -1,6 +1,6 @@
 //! Parallel-exploration report: exhaustive verification of the three
 //! largest corpus benchmarks at increasing worker counts, with the
-//! jobs=1 sequential engine as the baseline.
+//! jobs=1 run (one worker on the calling thread) as the baseline.
 //!
 //! The state counts and verdicts are asserted identical across worker
 //! counts (by `jobs_rows`); the table shows what parallelism buys in

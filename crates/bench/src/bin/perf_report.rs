@@ -51,7 +51,7 @@ fn main() {
         }
     }
 
-    println!("Checker throughput — exhaustive exploration, sequential engine\n");
+    println!("Checker throughput — exhaustive exploration, one worker\n");
     println!(
         "{:<12} {:<14} {:>8} {:>12} {:>10} {:>12} {:>11} {:>10} {:>12} {:>9}  \
          phase ms (exec/digest/clone/canon/table)",

@@ -193,7 +193,7 @@ pub fn drivers_agree(script: &[Event]) -> bool {
 pub struct JobsRow {
     /// Benchmark name.
     pub name: &'static str,
-    /// Worker threads (`1` = the sequential engine).
+    /// Workers (`1` = one worker on the calling thread).
     pub jobs: usize,
     /// Unique configurations explored.
     pub states: usize,
@@ -352,8 +352,8 @@ fn best_of_three(run: impl Fn() -> p_core::Report) -> p_core::Report {
     best
 }
 
-/// Explores every `corpus::all()` program exhaustively (sequential
-/// engine) in five modes — plain interpreter, the ahead-of-time
+/// Explores every `corpus::all()` program exhaustively (one worker)
+/// in five modes — plain interpreter, the ahead-of-time
 /// compiled backend, sleep-set POR, symmetry reduction, and
 /// POR+symmetry — asserting all agree on the verdict, that the
 /// compiled backend reproduces states and transitions bit-identically,

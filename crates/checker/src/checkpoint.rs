@@ -9,9 +9,8 @@
 //!   sleep set (POR) and canonical representative (symmetry),
 //! * compact parent records (child → parent + step seed), keeping
 //!   counterexample reconstruction concrete across a resume,
-//! * the frontier — for the sequential engine the DFS stack in order
-//!   (so a resumed run continues bit-identically), for the parallel
-//!   engine the drained work queues.
+//! * the frontier — the workers' queues in order; with one worker that
+//!   is the DFS stack, so a resumed run continues bit-identically.
 //!
 //! # File format
 //!
@@ -94,23 +93,24 @@ pub(crate) struct TaskEntry {
     pub fp: u128,
     pub depth: u64,
     pub sleep: u64,
-    /// The sequential engine's "first visit" stack flag (always true
-    /// for parallel tasks).
+    /// Whether this is the state's first visit (false for a
+    /// sleep-set-widening re-expansion).
     pub fresh: bool,
 }
 
 /// One parent-map edge as persisted: `(child, parent, seed)`.
 pub(crate) type ParentRecord = (u128, u128, StepSeed);
 
-/// Everything a checkpoint persists, engine-agnostic: a checkpoint
-/// written under `--jobs 4` resumes under `--jobs 1` and vice versa.
+/// Everything a checkpoint persists; the worker count is not part of
+/// it: a checkpoint written under `--jobs 4` resumes under `--jobs 1`
+/// and vice versa.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointData {
     pub stats: ExplorationStats,
     pub visited: Vec<VisitedEntry>,
     pub parents: Vec<ParentRecord>,
-    /// Pending work. For a sequential checkpoint this is the DFS stack
-    /// bottom-to-top; order is significant.
+    /// Pending work, each worker's queue oldest first. With one worker
+    /// this is the DFS stack bottom-to-top; order is significant.
     pub frontier: Vec<TaskEntry>,
 }
 

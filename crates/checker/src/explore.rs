@@ -1,14 +1,15 @@
 //! Exhaustive explicit-state search (the Zing-substrate analog) and the
 //! option/report types shared by all strategies.
 //!
-//! Two engines cover the exhaustive strategy: a sequential depth-first
-//! search, and a parallel work-stealing search over a sharded visited
-//! set ([`Verifier::check_exhaustive_parallel`]). Both deduplicate
-//! states by collision-safe 128-bit [`Fingerprint`]s and agree on
-//! `unique_states` and the verdict; only the particular counterexample
-//! trace may differ under parallelism (first violation found wins).
+//! One kernel covers the exhaustive strategy: workers pop tasks from a
+//! work-stealing frontier, expand them depth-first and offer every
+//! successor to one sharded visited table keyed by collision-safe
+//! 128-bit [`Fingerprint`]s. [`CheckerOptions::jobs`] only sets how
+//! many workers run that loop; `unique_states` and the verdict do not
+//! depend on it, only the particular counterexample trace may differ
+//! with more than one worker (first violation found wins).
 //!
-//! Both engines optionally run *crash-safe* and *memory-bounded* (see
+//! The search optionally runs *crash-safe* and *memory-bounded* (see
 //! DESIGN.md §13): [`CheckerOptions::checkpoint`] periodically persists
 //! the entire search state so a killed run resumes via
 //! [`CheckerOptions::resume`], and [`CheckerOptions::mem_limit`] spills
@@ -31,17 +32,14 @@ use p_semantics::{
 use p_telemetry::Telemetry;
 
 use crate::checkpoint::{self, CheckpointData, CheckpointPolicy, TaskEntry};
-use crate::engine::{
-    hot_budget_for, parent_cap_for, Admit, AdmitSleep, AdmitSleepSym, AdmitSym, Frontier,
-    SharedCounters, SharedTable, TieredParents, TieredSet,
-};
+use crate::engine::{hot_budget_for, Admit, Frontier, SharedCounters, SharedTable};
 use crate::error::CheckerError;
 use crate::fingerprint::{Fingerprint, FpHashMap};
 use crate::por::{Por, SleepSet};
 use crate::stats::ExplorationStats;
 use crate::trace::{Counterexample, TraceStep};
 
-/// How often the exploration loops offer a progress snapshot to the
+/// How often a worker offers a progress snapshot to the
 /// telemetry layer (further throttled there by wall-clock interval).
 #[cfg(feature = "telemetry")]
 const SNAPSHOT_EVERY_TASKS: usize = 256;
@@ -59,22 +57,27 @@ pub struct CheckerOptions {
     pub granularity: Granularity,
     /// Small-step budget per atomic run (detects private divergence).
     pub fuel: usize,
-    /// Worker threads for the exhaustive search. `0` or `1` selects the
-    /// sequential depth-first engine; `n > 1` selects the parallel
-    /// work-stealing engine with `n` workers.
+    /// Workers of the exhaustive search. `0` or `1`: one worker on the
+    /// calling thread, deterministic — same expansion order, same first
+    /// counterexample and same counters on every run. `n > 1`: `n`
+    /// spawned work-stealing workers; the totals of a completed run are
+    /// exact, `unique_states` and the verdict are independent of `n`
+    /// (so are `transitions` without a reduction; what `por` and
+    /// `symmetry` save depends on arrival order), and an aborted run
+    /// (violation, interrupt, abort-after) reports exact totals of a
+    /// timing-dependent prefix of the search.
     pub jobs: usize,
-    /// Sleep-set partial-order reduction for the exhaustive engines
-    /// (sequential and parallel). Sound for safety: it prunes redundant
-    /// *transitions* between independent machine runs, never states —
+    /// Sleep-set partial-order reduction for the exhaustive search.
+    /// Sound for safety: it prunes redundant *transitions* between independent machine runs, never states —
     /// every reachable state (and hence every reachable error) is still
     /// visited, so the verdict and `unique_states` match the unreduced
     /// search; only `transitions` shrinks. Ignored by the delay-bounded,
     /// fault, liveness and random strategies, whose node spaces are
     /// schedule-annotated. See DESIGN.md §10.
     pub por: bool,
-    /// Symmetry reduction for the exhaustive engines (sequential and
-    /// parallel): the visited set is keyed by a canonical fingerprint
-    /// invariant under permutations of same-type machine ids
+    /// Symmetry reduction for the exhaustive search: the visited set is
+    /// keyed by a canonical fingerprint invariant under permutations of
+    /// same-type machine ids
     /// ([`p_semantics::canonical_digest`]), so up to `k!` symmetric
     /// duplicates per group of `k` interchangeable machines collapse
     /// into one stored state. Sound for safety — two states merge only
@@ -85,9 +88,9 @@ pub struct CheckerOptions {
     /// [`CheckerOptions::por`]; ignored by the delay-bounded, fault,
     /// liveness and random strategies. See DESIGN.md §12.
     pub symmetry: bool,
-    /// Periodic crash-safe checkpointing for the exhaustive engines;
-    /// `None` (the default) disables it. The checkpoint is
-    /// engine-agnostic: a run checkpointed under `jobs = 4` resumes
+    /// Periodic crash-safe checkpointing for the exhaustive search;
+    /// `None` (the default) disables it. The checkpoint does not record
+    /// the worker count: a run checkpointed under `jobs = 4` resumes
     /// under `jobs = 1` and vice versa. See DESIGN.md §13.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Resume a previously checkpointed exhaustive run from this
@@ -97,14 +100,14 @@ pub struct CheckerOptions {
     /// [`CheckerOptions::checkpoint`] (typically the same directory) to
     /// keep checkpointing while resumed.
     pub resume: Option<PathBuf>,
-    /// Approximate RAM budget (bytes) for the exhaustive engines'
+    /// Approximate RAM budget (bytes) for the exhaustive search's
     /// visited set. When the hot (RAM) tier outgrows it, fingerprints
     /// and parent records spill to sorted disk runs with a bloom-filter
     /// front; the verdict, `unique_states` and traces are unaffected.
     /// `None` (the default) keeps everything in RAM.
     pub mem_limit: Option<usize>,
     /// Cooperative interruption (SIGINT/SIGTERM): when the flag turns
-    /// true the exhaustive engines stop at the next state boundary,
+    /// true the exhaustive search stops at the next state boundary,
     /// write a final checkpoint if [`CheckerOptions::checkpoint`] is
     /// set, and return with [`Report::interrupted`].
     pub interrupt: Option<Arc<AtomicBool>>,
@@ -194,9 +197,9 @@ impl<'p> Verifier<'p> {
     }
 
     /// Attaches an ahead-of-time compiled execution table. Every engine
-    /// the verifier constructs — for any strategy, sequential or
-    /// parallel — then takes the compiled fast path for atomic runs,
-    /// with the interpreter semantics as the specification. The table's
+    /// the verifier constructs — for any strategy and worker count —
+    /// then takes the compiled fast path for atomic runs, with the
+    /// interpreter semantics as the specification. The table's
     /// digest is validated here, eagerly, against the program under
     /// check; a mismatch is a [`CheckerError::CompiledBackend`] rather
     /// than a panic deep inside exploration.
@@ -224,10 +227,10 @@ impl<'p> Verifier<'p> {
         self
     }
 
-    /// Attaches a telemetry handle. The exhaustive engines then record
+    /// Attaches a telemetry handle. The exhaustive search then records
     /// periodic [`p_telemetry::ExplorationSnapshot`]s (states/sec,
     /// frontier size, dedup hit rate, POR prunes, depth) through it and
-    /// drive its progress meter. A disabled handle (the default) makes
+    /// drives its progress meter. A disabled handle (the default) makes
     /// every hook a single predictable branch; with the `telemetry`
     /// cargo feature off, the hook sites are compiled out entirely.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Verifier<'p> {
@@ -283,9 +286,7 @@ impl<'p> Verifier<'p> {
     ///
     /// This enumerates *all* interleavings at send/create scheduling
     /// points — the baseline the delay-bounded scheduler is measured
-    /// against. With [`CheckerOptions::jobs`] `> 1` the parallel
-    /// work-stealing engine is used; otherwise a sequential depth-first
-    /// search.
+    /// against. [`CheckerOptions::jobs`] sets the number of workers.
     ///
     /// # Panics
     ///
@@ -305,33 +306,25 @@ impl<'p> Verifier<'p> {
     /// mismatched checkpoint on resume, spill-store I/O under a memory
     /// limit — or in a fatal [`CheckerError::Semantics`] engine error.
     pub fn try_check_exhaustive(&self) -> Result<Report, CheckerError> {
-        if self.options.jobs > 1 {
-            self.try_check_parallel(self.options.jobs)
-        } else {
-            self.try_check_sequential()
-        }
+        self.search(self.options.jobs)
     }
 
-    /// Exhaustive search with `jobs` worker threads over a sharded
-    /// visited set (work-stealing expansion, first-counterexample-wins
-    /// shutdown). `jobs <= 1` falls back to the sequential engine.
+    /// [`Verifier::check_exhaustive`] with `jobs` workers, whatever
+    /// [`CheckerOptions::jobs`] says.
     ///
     /// For a complete (non-truncated) run, `unique_states`, the
-    /// verdict, and `transitions` are independent of `jobs`; the
-    /// specific counterexample returned for a buggy program may differ
-    /// between runs, but is always valid and replayable.
+    /// verdict, and `transitions` are independent of `jobs`; with more
+    /// than one worker the specific counterexample returned for a buggy
+    /// program may differ between runs, but is always valid and
+    /// replayable.
     ///
     /// # Panics
     ///
     /// As [`Verifier::check_exhaustive`]: only the fallible options can
     /// make the search fail.
     pub fn check_exhaustive_parallel(&self, jobs: usize) -> Report {
-        let report = if jobs > 1 {
-            self.try_check_parallel(jobs)
-        } else {
-            self.try_check_sequential()
-        };
-        report.expect("exhaustive search failed; use try_check_exhaustive to handle errors")
+        self.search(jobs)
+            .expect("exhaustive search failed; use try_check_exhaustive to handle errors")
     }
 
     /// Digest of everything a checkpoint must agree on to be resumable:
@@ -361,354 +354,20 @@ impl<'p> Verifier<'p> {
         Fingerprint::of(desc.as_bytes()).as_u128()
     }
 
-    /// Sequential depth-first engine.
-    fn try_check_sequential(&self) -> Result<Report, CheckerError> {
-        // The safety search never reads `RunResult::dequeued`; skip the
-        // per-run allocation.
-        let engine = self.engine().with_dequeue_log(false);
-        let start = Instant::now();
-        let options = &self.options;
-        let digest = self.config_digest();
-        let spill = SpillDir::prepare(options)?;
-        let spill_cfg = spill_config(options, &spill);
-        let por = options.por.then(|| Por::new(self.program));
-        let symmetry = options.symmetry;
-        // Per-engine intern table: identical machine slots across
-        // admitted configurations share one `Arc`, and each admit
-        // closure returns only the state's *marginal* bytes, so
-        // `stored_bytes` counts every distinct slot exactly once.
-        let mut interner = SlotInterner::new();
-
-        let resumed = match &options.resume {
-            Some(dir) => Some(checkpoint::load(dir, digest)?),
-            None => None,
-        };
-
-        let mut stats;
-        let mut base_duration = Duration::ZERO;
-        let mut visited;
-        let mut parents;
-        let mut stack: Vec<Task>;
-        match resumed {
-            None => {
-                let mut init = engine.initial_config();
-                let init_fp = Fingerprint::from_u128(init.digest());
-                visited = match spill_cfg {
-                    None => TieredSet::new(options.max_states),
-                    Some((dir, cap)) => TieredSet::with_spill(options.max_states, dir, cap)?,
-                };
-                if symmetry {
-                    let init_key = Fingerprint::from_u128(canonical_digest(&mut init));
-                    visited.admit_sym(init_key, init_fp, || init.intern_slots(&mut interner))?;
-                } else {
-                    visited.admit(init_fp, || init.intern_slots(&mut interner))?;
-                }
-                parents = match parent_spill_config(options, &spill) {
-                    None => TieredParents::new(),
-                    Some((dir, cap)) => TieredParents::with_spill(dir, cap)?,
-                };
-                stats = ExplorationStats::default();
-                stack = vec![(init, init_fp, 0, SleepSet::empty(), true)];
-            }
-            Some(ckpt) => {
-                visited = TieredSet::restore(
-                    options.max_states,
-                    spill_cfg,
-                    &ckpt.visited,
-                    ckpt.stats.stored_bytes,
-                )?;
-                parents =
-                    TieredParents::restore(parent_spill_config(options, &spill), ckpt.parents)?;
-                stack = decode_frontier(&ckpt.frontier, self.program)?;
-                stats = ckpt.stats;
-                base_duration = stats.duration;
-                // Spill counters describe *this process's* I/O activity;
-                // the finalized figures come from the live stores.
-                stats.spilled_states = 0;
-                stats.spill_bytes = 0;
-                stats.cold_hits = 0;
-            }
-        }
-
-        let policy = options.checkpoint.as_ref();
-        let mut last_ckpt = visited.len();
-        // Stack entries carry the sleep set the state is to be expanded
-        // with and whether this is its first visit (`fresh`); with POR
-        // off, the sleep set stays empty and every visit is fresh.
-        let mut succs = Vec::new();
-        let mut arena = crate::succ::SuccArena::new();
-        let mut enabled = Vec::new();
-        let mut task_index = 0u64;
-        // Concrete-fingerprint → canonical-key memo: most successors are
-        // revisits of a concrete state already canonicalized, and
-        // canonicalization costs far more than a hash lookup.
-        let mut canon_cache: FpHashMap<Fingerprint> = FpHashMap::default();
-        #[cfg(feature = "telemetry")]
-        let mut tasks_since_snapshot = 0usize;
-
-        loop {
-            // Control point, taken *before* popping so a checkpoint here
-            // captures the complete frontier.
-            let interrupt_hit = options
-                .interrupt
-                .as_ref()
-                .is_some_and(|flag| flag.load(Ordering::SeqCst));
-            let abort_hit = policy
-                .and_then(|p| p.abort_after_states)
-                .is_some_and(|n| visited.len() >= n);
-            if let Some(policy) = policy {
-                if interrupt_hit || abort_hit || visited.len() >= last_ckpt + policy.every_states {
-                    let mut ckpt_stats = stats.clone();
-                    ckpt_stats.unique_states = visited.len();
-                    ckpt_stats.stored_bytes = visited.stored_bytes();
-                    ckpt_stats.duration = base_duration + start.elapsed();
-                    ckpt_stats.spilled_states = 0;
-                    ckpt_stats.spill_bytes = 0;
-                    ckpt_stats.cold_hits = 0;
-                    let data = CheckpointData {
-                        stats: ckpt_stats,
-                        visited: visited.snapshot()?,
-                        parents: parents.snapshot()?,
-                        frontier: encode_frontier(&stack),
-                    };
-                    checkpoint::write(&policy.dir, digest, &data)?;
-                    last_ckpt = visited.len();
-                }
-            }
-            if interrupt_hit || abort_hit {
-                finalize_sequential(&mut stats, &visited, &parents, base_duration, start);
-                #[cfg(feature = "telemetry")]
-                self.final_snapshot(&stats, stack.len(), 1);
-                return Ok(Report {
-                    counterexample: None,
-                    stats,
-                    complete: false,
-                    interrupted: true,
-                });
-            }
-            let Some((config, fp, depth, sleep, fresh)) = stack.pop() else {
-                break;
-            };
-            #[cfg(feature = "telemetry")]
-            {
-                tasks_since_snapshot += 1;
-                if tasks_since_snapshot >= SNAPSHOT_EVERY_TASKS {
-                    tasks_since_snapshot = 0;
-                    stats.spilled_states = visited.spill_counters().records as usize;
-                    let (states, frontier) = (visited.len(), stack.len());
-                    self.telemetry.maybe_snapshot(0, |elapsed| {
-                        snapshot_from(&stats, states, frontier, 1, elapsed)
-                    });
-                }
-            }
-            arena.phases.begin_task(task_index);
-            task_index += 1;
-            stats.max_depth = stats.max_depth.max(depth);
-            if depth >= self.options.max_depth {
-                stats.truncated = true;
-                continue;
-            }
-            engine.enabled_machines_into(&config, &mut enabled);
-            if fresh {
-                // Diagnostics are per-state; a sleep-widening revisit
-                // must not double-count quiescence or queue peaks.
-                self.note_diagnostics(&config, &enabled, &mut stats);
-            }
-            // Machines explored at this state go to sleep for the ones
-            // after them (their interleavings are covered below the
-            // earlier siblings); `enabled_machines` returns ascending
-            // ids, so the accumulation order is deterministic.
-            let mut cur_sleep = sleep;
-            for &id in &enabled {
-                if cur_sleep.contains(id) {
-                    stats.sleep_pruned += 1;
-                    continue;
-                }
-                crate::succ::successors_into(
-                    &engine,
-                    &config,
-                    id,
-                    self.options.granularity,
-                    &mut succs,
-                    &mut arena,
-                )?;
-                for mut succ in succs.drain(..) {
-                    stats.transitions += 1;
-                    // Parent edges store compact step seeds; only an
-                    // error path renders human-readable summaries.
-                    let seed = |succ: &mut crate::succ::Successor| {
-                        let choices = std::mem::take(&mut succ.choices);
-                        crate::trace::StepSeed::from_run(succ.machine, &succ.result, choices)
-                    };
-                    if let ExecOutcome::Error(e) = &succ.result.outcome {
-                        let error = e.clone();
-                        let mut trace = parents.reconstruct(fp, self.program)?;
-                        let choices = std::mem::take(&mut succ.choices);
-                        trace.push(TraceStep::from_run(
-                            self.program,
-                            succ.machine,
-                            &succ.result,
-                            choices,
-                        ));
-                        finalize_sequential(&mut stats, &visited, &parents, base_duration, start);
-                        #[cfg(feature = "telemetry")]
-                        self.final_snapshot(&stats, stack.len(), 1);
-                        return Ok(Report {
-                            counterexample: Some(Counterexample { error, trace }),
-                            stats,
-                            complete: false,
-                            interrupted: false,
-                        });
-                    }
-                    let t = arena.phases.start();
-                    let succ_fp = Fingerprint::from_u128(succ.config.digest());
-                    arena.phases.stop(crate::phase::Phase::Digest, t);
-                    // With symmetry on, the visited set is keyed by the
-                    // canonical fingerprint; everything else (parent
-                    // edges, stack tasks, traces) stays concrete.
-                    let succ_key = symmetry.then(|| {
-                        *canon_cache.entry(succ_fp).or_insert_with(|| {
-                            let t = arena.phases.start();
-                            let key = Fingerprint::from_u128(canonical_digest(&mut succ.config));
-                            arena.phases.stop(crate::phase::Phase::Canon, t);
-                            key
-                        })
-                    });
-                    let table_t = arena.phases.start();
-                    match &por {
-                        None => {
-                            let admitted = match succ_key {
-                                Some(key) => match visited.admit_sym(key, succ_fp, || {
-                                    succ.config.intern_slots(&mut interner)
-                                })? {
-                                    AdmitSym::New => Admit::New,
-                                    AdmitSym::Seen { merged } => {
-                                        if merged {
-                                            stats.symmetry_merges += 1;
-                                        }
-                                        Admit::Seen
-                                    }
-                                    AdmitSym::OverBound => Admit::OverBound,
-                                },
-                                None => visited
-                                    .admit(succ_fp, || succ.config.intern_slots(&mut interner))?,
-                            };
-                            match admitted {
-                                Admit::New => {
-                                    parents.record(succ_fp, fp, seed(&mut succ))?;
-                                    stack.push((
-                                        std::mem::take(&mut succ.config),
-                                        succ_fp,
-                                        depth + 1,
-                                        SleepSet::empty(),
-                                        true,
-                                    ));
-                                }
-                                Admit::Seen => stats.dedup_hits += 1,
-                                Admit::OverBound => stats.truncated = true,
-                            }
-                        }
-                        Some(por) => {
-                            let taken = por.run_footprint(id, &succ.result);
-                            let child_sleep = por.filter_sleep(&config, cur_sleep, &taken);
-                            let admitted = match succ_key {
-                                Some(key) => visited.admit_sleep_sym(
-                                    key,
-                                    succ_fp,
-                                    || succ.config.intern_slots(&mut interner),
-                                    child_sleep,
-                                )?,
-                                None => {
-                                    match visited.admit_sleep(
-                                        succ_fp,
-                                        || succ.config.intern_slots(&mut interner),
-                                        child_sleep,
-                                    )? {
-                                        AdmitSleep::New => AdmitSleepSym::New,
-                                        AdmitSleep::Covered => {
-                                            AdmitSleepSym::Covered { merged: false }
-                                        }
-                                        AdmitSleep::Widen(sleep) => AdmitSleepSym::Widen {
-                                            sleep,
-                                            merged: false,
-                                        },
-                                        AdmitSleep::OverBound => AdmitSleepSym::OverBound,
-                                    }
-                                }
-                            };
-                            match admitted {
-                                AdmitSleepSym::New => {
-                                    let seed = seed(&mut succ);
-                                    parents.record(succ_fp, fp, seed)?;
-                                    stack.push((
-                                        std::mem::take(&mut succ.config),
-                                        succ_fp,
-                                        depth + 1,
-                                        child_sleep,
-                                        true,
-                                    ));
-                                }
-                                AdmitSleepSym::Covered { merged } => {
-                                    stats.dedup_hits += 1;
-                                    if merged {
-                                        stats.symmetry_merges += 1;
-                                    }
-                                }
-                                AdmitSleepSym::Widen { sleep, merged } => {
-                                    if merged {
-                                        // A sibling re-expansion needs its
-                                        // own (first-wins) parent edge: the
-                                        // orbit's edge belongs to the
-                                        // representative's concrete state.
-                                        stats.symmetry_merges += 1;
-                                        parents
-                                            .record_if_absent(succ_fp, fp, || seed(&mut succ))?;
-                                    }
-                                    stack.push((
-                                        std::mem::take(&mut succ.config),
-                                        succ_fp,
-                                        depth + 1,
-                                        sleep,
-                                        false,
-                                    ));
-                                }
-                                AdmitSleepSym::OverBound => stats.truncated = true,
-                            }
-                        }
-                    }
-                    arena.phases.stop(crate::phase::Phase::Table, table_t);
-                    arena.recycle(succ);
-                }
-                if por.is_some() {
-                    cur_sleep.insert(id);
-                }
-            }
-            arena.recycle_config(config);
-            arena.phases.drain_into(&mut stats.phases);
-        }
-
-        finalize_sequential(&mut stats, &visited, &parents, base_duration, start);
-        #[cfg(feature = "telemetry")]
-        self.final_snapshot(&stats, 0, 1);
-        Ok(Report {
-            counterexample: None,
-            complete: !stats.truncated,
-            stats,
-            interrupted: false,
-        })
-    }
-
     /// Records the end-of-run snapshot and closes the progress line.
     #[cfg(feature = "telemetry")]
     fn final_snapshot(&self, stats: &ExplorationStats, frontier: usize, workers: u64) {
         self.telemetry.snapshot_now(0, |elapsed| {
-            snapshot_from(stats, stats.unique_states, frontier, workers, elapsed)
+            snapshot_from(stats, frontier, workers, elapsed)
         });
         self.telemetry.finish_progress();
     }
 
-    /// Parallel work-stealing engine (see DESIGN.md §9).
-    fn try_check_parallel(&self, jobs: usize) -> Result<Report, CheckerError> {
+    /// The exhaustive search (see DESIGN.md §9): `jobs` workers expand
+    /// one frontier against one visited table. One worker (`jobs` 0 or
+    /// 1) runs on the calling thread; more are spawned and joined.
+    fn search(&self, jobs: usize) -> Result<Report, CheckerError> {
+        let jobs = jobs.max(1);
         let start = Instant::now();
         let options = &self.options;
         let digest = self.config_digest();
@@ -721,11 +380,11 @@ impl<'p> Verifier<'p> {
         };
 
         let counters = SharedCounters::default();
-        // One intern table shared by every worker (a mutex taken only on
-        // the New path, a minority of offers): with a single table the
+        // One intern table for every worker (a mutex taken only for a
+        // fresh state, a minority of offers): with a single table the
         // marginal byte accounting is insertion-order-independent —
         // every distinct slot counts exactly once globally — so
-        // `stored_bytes` agrees bit-for-bit with the sequential engine.
+        // `stored_bytes` does not depend on `jobs`.
         let interner = Mutex::new(SlotInterner::new());
         let mut base_duration = Duration::ZERO;
         let mut base_truncated = false;
@@ -733,21 +392,27 @@ impl<'p> Verifier<'p> {
             None => {
                 let table = match spill_cfg {
                     None => SharedTable::new(options.max_states),
-                    Some((dir, cap)) => SharedTable::with_spill(options.max_states, dir, cap)?,
+                    Some((dir, budget)) => {
+                        SharedTable::with_spill(options.max_states, dir, budget)?
+                    }
                 };
                 let mut init = self.engine().initial_config();
                 let init_fp = Fingerprint::from_u128(init.digest());
-                if options.symmetry {
-                    let init_key = Fingerprint::from_u128(canonical_digest(&mut init));
-                    table.admit_root_sym(init_key, init_fp, || {
-                        init.intern_slots(&mut interner.lock())
-                    });
+                let init_key = if options.symmetry {
+                    Fingerprint::from_u128(canonical_digest(&mut init))
                 } else {
-                    table.admit_root(init_fp, || init.intern_slots(&mut interner.lock()));
-                }
-                let frontier: Frontier<Task> =
-                    Frontier::new(jobs, (init, init_fp, 0, SleepSet::empty(), true));
-                (table, frontier)
+                    init_fp
+                };
+                table.admit(
+                    init_key,
+                    init_fp,
+                    SleepSet::empty(),
+                    || init.intern_slots(&mut interner.lock()),
+                    None,
+                    || unreachable!("the initial state has no parent edge"),
+                )?;
+                let root = (init, init_fp, 0, SleepSet::empty(), true);
+                (table, Frontier::new(jobs, root))
             }
             Some(ckpt) => {
                 let table = SharedTable::restore(
@@ -770,77 +435,60 @@ impl<'p> Verifier<'p> {
             }
         };
 
-        let ctl = ParallelControl {
+        let search = Search {
+            last_ckpt: AtomicUsize::new(table.unique()),
+            table,
+            frontier,
+            interner,
+            counters,
+            depth_truncated: AtomicBool::new(false),
+            violation: Mutex::new(None),
+            error: Mutex::new(None),
             policy: options.checkpoint.as_ref(),
-            interrupt: options.interrupt.clone(),
             digest,
             base_duration,
             base_truncated,
             start,
             claimed: AtomicBool::new(false),
-            last_ckpt: AtomicUsize::new(table.unique()),
-            error: Mutex::new(None),
             interrupted: AtomicBool::new(false),
         };
 
-        // First violation wins: (parent fingerprint, final step, error).
-        let first_error: Mutex<Option<(Fingerprint, TraceStep, PError)>> = Mutex::new(None);
-        let depth_truncated = AtomicBool::new(false);
-
-        let (worker_tasks, panic_msg) = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|w| {
-                    let frontier = &frontier;
-                    let table = &table;
-                    let first_error = &first_error;
-                    let depth_truncated = &depth_truncated;
-                    let counters = &counters;
-                    let ctl = &ctl;
-                    let interner = &interner;
-                    scope.spawn(move || {
-                        self.expand_worker(
-                            w,
-                            jobs,
-                            frontier,
-                            table,
-                            interner,
-                            first_error,
-                            depth_truncated,
-                            counters,
-                            ctl,
-                        )
+        let worker_tasks = if jobs == 1 {
+            vec![self.expand_worker(0, &search)]
+        } else {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..jobs)
+                    .map(|w| {
+                        let search = &search;
+                        scope.spawn(move || self.expand_worker(w, search))
                     })
-                })
-                .collect();
-            let mut worker_tasks = Vec::with_capacity(jobs);
-            let mut panic_msg: Option<String> = None;
-            for handle in workers {
-                match handle.join() {
-                    Ok(tasks) => worker_tasks.push(tasks),
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "worker panicked".to_string());
-                        panic_msg = Some(msg);
-                    }
-                }
-            }
-            (worker_tasks, panic_msg)
-        });
-        if let Some(msg) = panic_msg {
-            return Err(CheckerError::WorkerPanic(msg));
-        }
-        if let Some(error) = ctl.error.lock().take() {
+                    .collect();
+                // Join every worker before reporting a panic: the scope
+                // itself panics if it ends with an unjoined panicked thread.
+                let joined: Vec<_> = workers
+                    .into_iter()
+                    .map(|handle| handle.join().map_err(worker_panic))
+                    .collect();
+                joined
+                    .into_iter()
+                    .collect::<Result<Vec<u64>, CheckerError>>()
+            })?
+        };
+        let Search {
+            table,
+            frontier,
+            counters,
+            ..
+        } = &search;
+        if let Some(error) = search.error.lock().take() {
             return Err(error);
         }
 
         // Final totals come exclusively from the shared counters (every
         // worker flushes its remaining delta on exit, including the
-        // `break 'tasks` counterexample path) and the shared table —
-        // never from re-merging worker-local stats, so nothing can be
-        // counted twice and an aborted run still reports exact totals.
+        // `break 'tasks` paths) and the table — never from re-merging
+        // worker-local stats, so nothing can be counted twice and an
+        // aborted run still reports exact totals.
         let mut stats = counters.totals();
         #[cfg(feature = "telemetry")]
         if let Some(metrics) = self.telemetry.metrics() {
@@ -850,32 +498,27 @@ impl<'p> Verifier<'p> {
             }
         }
         #[cfg(not(feature = "telemetry"))]
-        let _ = worker_tasks;
+        let _ = (worker_tasks, frontier);
 
         stats.unique_states = table.unique();
         stats.stored_bytes = table.stored_bytes();
-        let (spilled_states, spill_bytes, cold_hits) = table.spill_stats();
-        stats.spilled_states = spilled_states;
-        stats.spill_bytes = spill_bytes;
-        stats.cold_hits = cold_hits;
-        stats.truncated |=
-            base_truncated || table.truncated() || depth_truncated.load(Ordering::SeqCst);
+        (stats.spilled_states, stats.spill_bytes, stats.cold_hits) = table.spill_stats();
+        stats.truncated |= search.truncated();
         stats.duration = base_duration + start.elapsed();
         #[cfg(feature = "telemetry")]
         self.final_snapshot(&stats, frontier.pending(), jobs as u64);
 
-        let counterexample = match first_error.lock().take() {
+        let counterexample = match search.violation.lock().take() {
             None => None,
             Some((parent_fp, step, error)) => {
-                // Workers have joined; the shared parents map is
-                // quiescent and holds a complete root path for every
-                // admitted state.
+                // The workers are done; the table is quiescent and
+                // holds a complete root path for every admitted state.
                 let mut trace = table.reconstruct(parent_fp, self.program)?;
                 trace.push(step);
                 Some(Counterexample { error, trace })
             }
         };
-        let interrupted = ctl.interrupted.load(Ordering::SeqCst) && counterexample.is_none();
+        let interrupted = search.interrupted.load(Ordering::SeqCst) && counterexample.is_none();
         let complete = counterexample.is_none() && !stats.truncated && !interrupted;
         Ok(Report {
             counterexample,
@@ -885,53 +528,55 @@ impl<'p> Verifier<'p> {
         })
     }
 
-    /// One parallel worker: expand tasks until the frontier drains or a
-    /// violation stops the search. Keeps thread-local stats and flushes
-    /// deltas to the shared [`SharedCounters`] after every expanded task
-    /// and unconditionally on exit, so the shared totals are exact on
-    /// every exit path. Returns the number of tasks this worker expanded
-    /// (the per-worker utilization sample).
-    #[allow(clippy::too_many_arguments)]
-    fn expand_worker(
-        &self,
-        worker: usize,
-        jobs: usize,
-        frontier: &Frontier<Task>,
-        table: &SharedTable,
-        interner: &Mutex<SlotInterner>,
-        first_error: &Mutex<Option<(Fingerprint, TraceStep, PError)>>,
-        depth_truncated: &AtomicBool,
-        counters: &SharedCounters,
-        ctl: &ParallelControl<'_>,
-    ) -> u64 {
+    /// One worker: expand tasks until the frontier drains or the search
+    /// stops. Keeps thread-local stats and flushes deltas to the shared
+    /// [`SharedCounters`] after every expanded task and unconditionally
+    /// on exit, so the shared totals are exact on every exit path.
+    /// Returns the number of tasks this worker expanded (the per-worker
+    /// utilization sample).
+    fn expand_worker(&self, worker: usize, search: &Search<'_>) -> u64 {
+        let Search {
+            table,
+            frontier,
+            interner,
+            counters,
+            ..
+        } = search;
+        // The safety search never reads `RunResult::dequeued`; skip the
+        // per-run allocation.
         let engine = self.engine().with_dequeue_log(false);
         let mut stats = ExplorationStats::default();
         let mut flushed = ExplorationStats::default();
         let mut tasks = 0u64;
-        #[cfg(not(feature = "telemetry"))]
-        let _ = jobs;
         let por = self.options.por.then(|| Por::new(self.program));
         let symmetry = self.options.symmetry;
         let mut succs = Vec::new();
         let mut arena = crate::succ::SuccArena::new();
         let mut enabled = Vec::new();
-        // Per-worker concrete → canonical memo (see `check_sequential`).
-        // Workers may canonicalize a state another worker has already
-        // seen, but never the same state twice themselves.
+        // Per-worker concrete → canonical memo: most successors are
+        // revisits of a concrete state this worker already
+        // canonicalized, and canonicalization costs far more than a
+        // hash lookup.
         let mut canon_cache: FpHashMap<Fingerprint> = FpHashMap::default();
         'tasks: while let Some((config, fp, depth, sleep, fresh)) = frontier.next(worker) {
             tasks += 1;
             arena.phases.begin_task(tasks);
             stats.max_depth = stats.max_depth.max(depth);
             if depth >= self.options.max_depth {
-                depth_truncated.store(true, Ordering::SeqCst);
+                search.depth_truncated.store(true, Ordering::SeqCst);
                 frontier.task_done();
                 continue;
             }
             engine.enabled_machines_into(&config, &mut enabled);
             if fresh {
+                // Diagnostics are per-state; a sleep-widening revisit
+                // must not double-count quiescence or queue peaks.
                 self.note_diagnostics(&config, &enabled, &mut stats);
             }
+            // Machines explored at this state go to sleep for the ones
+            // after them (their interleavings are covered below the
+            // earlier siblings); `enabled` is in ascending id order, so
+            // the accumulation order is deterministic.
             let mut cur_sleep = sleep;
             for &id in &enabled {
                 if cur_sleep.contains(id) {
@@ -946,7 +591,7 @@ impl<'p> Verifier<'p> {
                     &mut succs,
                     &mut arena,
                 ) {
-                    report_worker_error(ctl, frontier, error.into());
+                    search.stop_with(&search.error, error.into());
                     frontier.task_done();
                     break 'tasks;
                 }
@@ -956,143 +601,69 @@ impl<'p> Verifier<'p> {
                         let choices = std::mem::take(&mut succ.choices);
                         let step =
                             TraceStep::from_run(self.program, succ.machine, &succ.result, choices);
-                        let mut slot = first_error.lock();
-                        if slot.is_none() {
-                            *slot = Some((fp, step, e.clone()));
-                        }
-                        drop(slot);
-                        frontier.request_stop();
+                        search.stop_with(&search.violation, (fp, step, e.clone()));
                         frontier.task_done();
                         break 'tasks;
                     }
                     let t = arena.phases.start();
                     let succ_fp = Fingerprint::from_u128(succ.config.digest());
                     arena.phases.stop(crate::phase::Phase::Digest, t);
-                    let succ_key = symmetry.then(|| {
+                    // With symmetry on, the table is keyed by the
+                    // canonical fingerprint; everything else (parent
+                    // edges, tasks, traces) stays concrete.
+                    let key = if symmetry {
                         *canon_cache.entry(succ_fp).or_insert_with(|| {
                             let t = arena.phases.start();
                             let key = Fingerprint::from_u128(canonical_digest(&mut succ.config));
                             arena.phases.stop(crate::phase::Phase::Canon, t);
                             key
                         })
-                    });
+                    } else {
+                        succ_fp
+                    };
                     let table_t = arena.phases.start();
-                    let config_slots = &mut succ.config;
-                    let bytes = || config_slots.intern_slots(&mut interner.lock());
-                    let choices = &mut succ.choices;
-                    let result = &succ.result;
-                    let step =
-                        || crate::trace::StepSeed::from_run(id, result, std::mem::take(choices));
-                    match &por {
-                        None => {
-                            let admitted =
-                                match succ_key {
-                                    Some(key) => table
-                                        .admit_sym(key, succ_fp, bytes, fp, step)
-                                        .map(|admitted| match admitted {
-                                            AdmitSym::New => Admit::New,
-                                            AdmitSym::Seen { merged } => {
-                                                if merged {
-                                                    stats.symmetry_merges += 1;
-                                                }
-                                                Admit::Seen
-                                            }
-                                            AdmitSym::OverBound => Admit::OverBound,
-                                        }),
-                                    None => table.admit(succ_fp, bytes, fp, step),
-                                };
-                            let admitted = match admitted {
-                                Ok(admitted) => admitted,
-                                Err(error) => {
-                                    report_worker_error(ctl, frontier, error);
-                                    frontier.task_done();
-                                    break 'tasks;
-                                }
-                            };
-                            match admitted {
-                                Admit::New => frontier.push(
-                                    worker,
-                                    (
-                                        std::mem::take(&mut succ.config),
-                                        succ_fp,
-                                        depth + 1,
-                                        SleepSet::empty(),
-                                        true,
-                                    ),
-                                ),
-                                Admit::Seen => stats.dedup_hits += 1,
-                                Admit::OverBound => {}
-                            }
-                        }
+                    let child_sleep = match &por {
+                        None => SleepSet::empty(),
                         Some(por) => {
-                            let taken = por.run_footprint(id, result);
-                            let child_sleep = por.filter_sleep(&config, cur_sleep, &taken);
-                            let admitted = match succ_key {
-                                Some(key) => table.admit_sleep_sym(
-                                    key,
-                                    succ_fp,
-                                    bytes,
-                                    child_sleep,
-                                    fp,
-                                    step,
-                                ),
-                                None => table
-                                    .admit_sleep(succ_fp, bytes, child_sleep, fp, step)
-                                    .map(|admitted| match admitted {
-                                        AdmitSleep::New => AdmitSleepSym::New,
-                                        AdmitSleep::Covered => {
-                                            AdmitSleepSym::Covered { merged: false }
-                                        }
-                                        AdmitSleep::Widen(sleep) => AdmitSleepSym::Widen {
-                                            sleep,
-                                            merged: false,
-                                        },
-                                        AdmitSleep::OverBound => AdmitSleepSym::OverBound,
-                                    }),
-                            };
-                            let admitted = match admitted {
-                                Ok(admitted) => admitted,
-                                Err(error) => {
-                                    report_worker_error(ctl, frontier, error);
-                                    frontier.task_done();
-                                    break 'tasks;
-                                }
-                            };
-                            match admitted {
-                                AdmitSleepSym::New => frontier.push(
-                                    worker,
-                                    (
-                                        std::mem::take(&mut succ.config),
-                                        succ_fp,
-                                        depth + 1,
-                                        child_sleep,
-                                        true,
-                                    ),
-                                ),
-                                AdmitSleepSym::Covered { merged } => {
-                                    stats.dedup_hits += 1;
-                                    if merged {
-                                        stats.symmetry_merges += 1;
-                                    }
-                                }
-                                AdmitSleepSym::OverBound => {}
-                                AdmitSleepSym::Widen { sleep, merged } => {
-                                    if merged {
-                                        stats.symmetry_merges += 1;
-                                    }
-                                    frontier.push(
-                                        worker,
-                                        (
-                                            std::mem::take(&mut succ.config),
-                                            succ_fp,
-                                            depth + 1,
-                                            sleep,
-                                            false,
-                                        ),
-                                    );
-                                }
-                            }
+                            let taken = por.run_footprint(id, &succ.result);
+                            por.filter_sleep(&config, cur_sleep, &taken)
                         }
+                    };
+                    let (slots, choices, result) =
+                        (&mut succ.config, &mut succ.choices, &succ.result);
+                    // Parent edges store compact step seeds; only an
+                    // error path renders human-readable summaries.
+                    let admitted = table.admit(
+                        key,
+                        succ_fp,
+                        child_sleep,
+                        || slots.intern_slots(&mut interner.lock()),
+                        Some(fp),
+                        || crate::trace::StepSeed::from_run(id, result, std::mem::take(choices)),
+                    );
+                    // The sleep set to expand the successor with, and
+                    // whether this is its first visit.
+                    let expand = match admitted {
+                        Err(error) => {
+                            search.stop_with(&search.error, error);
+                            frontier.task_done();
+                            break 'tasks;
+                        }
+                        Ok(Admit::New) => Some((child_sleep, true)),
+                        Ok(Admit::Widen { sleep, merged }) => {
+                            stats.symmetry_merges += usize::from(merged);
+                            Some((sleep, false))
+                        }
+                        Ok(Admit::Covered { merged }) => {
+                            stats.dedup_hits += 1;
+                            stats.symmetry_merges += usize::from(merged);
+                            None
+                        }
+                        Ok(Admit::OverBound) => None,
+                    };
+                    if let Some((sleep, fresh)) = expand {
+                        let config = std::mem::take(&mut succ.config);
+                        frontier.push(worker, (config, succ_fp, depth + 1, sleep, fresh));
                     }
                     arena.phases.stop(crate::phase::Phase::Table, table_t);
                     arena.recycle(succ);
@@ -1105,7 +676,7 @@ impl<'p> Verifier<'p> {
             arena.phases.drain_into(&mut stats.phases);
             frontier.task_done();
             counters.flush(&stats, &mut flushed);
-            self.parallel_control(ctl, frontier, table, counters, depth_truncated);
+            self.control(search);
             #[cfg(feature = "telemetry")]
             if tasks.is_multiple_of(SNAPSHOT_EVERY_TASKS as u64) {
                 self.telemetry.maybe_snapshot(worker as u32, |elapsed| {
@@ -1114,9 +685,8 @@ impl<'p> Verifier<'p> {
                     totals.spilled_states = table.spill_stats().0;
                     snapshot_from(
                         &totals,
-                        totals.unique_states,
                         frontier.pending(),
-                        jobs as u64,
+                        frontier.workers() as u64,
                         elapsed,
                     )
                 });
@@ -1127,27 +697,27 @@ impl<'p> Verifier<'p> {
         tasks
     }
 
-    /// The parallel engines' checkpoint/interrupt control point, run by
-    /// every worker between tasks. When a checkpoint or stop is due, one
-    /// worker claims leadership, parks the others at the frontier
-    /// rendezvous (making the table, counters and queues quiescent),
-    /// serializes everything, and either resumes the fleet or shuts it
-    /// down (interrupt / abort-after).
-    fn parallel_control(
-        &self,
-        ctl: &ParallelControl<'_>,
-        frontier: &Frontier<Task>,
-        table: &SharedTable,
-        counters: &SharedCounters,
-        depth_truncated: &AtomicBool,
-    ) {
-        let interrupt_hit = ctl
+    /// The checkpoint/interrupt control point, run by every worker
+    /// between tasks. When a checkpoint or stop is due, one worker
+    /// claims leadership, parks the others at the frontier rendezvous
+    /// (making the table, counters and queues quiescent; immediate with
+    /// one worker), serializes everything, and either resumes the fleet
+    /// or shuts it down (interrupt / abort-after). A worker's deque is
+    /// serialized front to back, the order [`Frontier::from_tasks`]
+    /// refills it in, so a one-worker run resumes popping exactly where
+    /// it stopped.
+    fn control(&self, search: &Search<'_>) {
+        let Search {
+            table, frontier, ..
+        } = search;
+        let interrupt_hit = self
+            .options
             .interrupt
             .as_ref()
             .is_some_and(|flag| flag.load(Ordering::SeqCst));
-        let Some(policy) = ctl.policy else {
+        let Some(policy) = search.policy else {
             if interrupt_hit {
-                ctl.interrupted.store(true, Ordering::SeqCst);
+                search.interrupted.store(true, Ordering::SeqCst);
                 frontier.request_stop();
             }
             return;
@@ -1155,64 +725,55 @@ impl<'p> Verifier<'p> {
         let abort_hit = policy
             .abort_after_states
             .is_some_and(|n| table.unique() >= n);
-        let due = table.unique() >= ctl.last_ckpt.load(Ordering::SeqCst) + policy.every_states;
+        let due = table.unique() >= search.last_ckpt.load(Ordering::SeqCst) + policy.every_states;
         if !(interrupt_hit || abort_hit || due) {
             return;
         }
-        if ctl.claimed.swap(true, Ordering::SeqCst) {
+        if search.claimed.swap(true, Ordering::SeqCst) {
             return; // another worker is already checkpointing
         }
         frontier.pause_workers();
         frontier.await_rendezvous();
         let result = (|| {
             let (visited, parents) = table.snapshot()?;
-            let mut stats = counters.totals();
+            let mut stats = search.counters.totals();
             stats.unique_states = table.unique();
             stats.stored_bytes = table.stored_bytes();
-            stats.truncated =
-                ctl.base_truncated || table.truncated() || depth_truncated.load(Ordering::SeqCst);
-            stats.duration = ctl.base_duration + ctl.start.elapsed();
-            let frontier_tasks = encode_frontier(&frontier.snapshot_tasks());
-            checkpoint::write(
-                &policy.dir,
-                ctl.digest,
-                &CheckpointData {
-                    stats,
-                    visited,
-                    parents,
-                    frontier: frontier_tasks,
-                },
-            )
+            stats.truncated = search.truncated();
+            stats.duration = search.base_duration + search.start.elapsed();
+            let data = CheckpointData {
+                stats,
+                visited,
+                parents,
+                frontier: encode_frontier(&frontier.snapshot_tasks()),
+            };
+            checkpoint::write(&policy.dir, search.digest, &data)
         })();
         match result {
-            Err(error) => {
-                let mut slot = ctl.error.lock();
-                if slot.is_none() {
-                    *slot = Some(error);
-                }
-                drop(slot);
+            Err(error) => search.stop_with(&search.error, error),
+            Ok(()) if interrupt_hit || abort_hit => {
+                search.interrupted.store(true, Ordering::SeqCst);
                 frontier.request_stop();
             }
-            Ok(()) => {
-                if interrupt_hit || abort_hit {
-                    ctl.interrupted.store(true, Ordering::SeqCst);
-                    frontier.request_stop();
-                } else {
-                    ctl.last_ckpt.store(table.unique(), Ordering::SeqCst);
-                }
-            }
+            Ok(()) => search.last_ckpt.store(table.unique(), Ordering::SeqCst),
         }
         frontier.resume_workers();
-        ctl.claimed.store(false, Ordering::SeqCst);
+        search.claimed.store(false, Ordering::SeqCst);
     }
 }
 
-/// Shared control state for the parallel engine's checkpoint/interrupt
-/// protocol.
-#[derive(Debug)]
-struct ParallelControl<'a> {
+/// Everything the workers of one exhaustive run share.
+struct Search<'a> {
+    table: SharedTable,
+    frontier: Frontier<Task>,
+    interner: Mutex<SlotInterner>,
+    counters: SharedCounters,
+    depth_truncated: AtomicBool,
+    /// First violation: (parent fingerprint, final step, error).
+    violation: Mutex<Option<(Fingerprint, TraceStep, PError)>>,
+    /// First [`CheckerError`] from any worker or the checkpoint leader.
+    error: Mutex<Option<CheckerError>>,
     policy: Option<&'a CheckpointPolicy>,
-    interrupt: Option<Arc<AtomicBool>>,
     digest: u128,
     base_duration: Duration,
     base_truncated: bool,
@@ -1221,21 +782,33 @@ struct ParallelControl<'a> {
     claimed: AtomicBool,
     /// `unique()` at the last checkpoint (cadence reference).
     last_ckpt: AtomicUsize,
-    /// First I/O error from any worker or the checkpoint leader.
-    error: Mutex<Option<CheckerError>>,
     /// Set when the run stopped on interrupt or abort-after.
     interrupted: AtomicBool,
 }
 
-/// Records a worker-side [`CheckerError`] (first wins) and shuts the
-/// fleet down.
-fn report_worker_error(ctl: &ParallelControl<'_>, frontier: &Frontier<Task>, error: CheckerError) {
-    let mut slot = ctl.error.lock();
-    if slot.is_none() {
-        *slot = Some(error);
+impl Search<'_> {
+    /// First value wins its slot, then the fleet shuts down: all
+    /// workers drain on their next [`Frontier::next`] call.
+    fn stop_with<T>(&self, slot: &Mutex<Option<T>>, value: T) {
+        slot.lock().get_or_insert(value);
+        self.frontier.request_stop();
     }
-    drop(slot);
-    frontier.request_stop();
+
+    /// Whether a bound has cut the search short so far (in this process
+    /// or before the checkpoint it resumed from).
+    fn truncated(&self) -> bool {
+        self.base_truncated || self.table.truncated() || self.depth_truncated.load(Ordering::SeqCst)
+    }
+}
+
+/// The typed error for a spawned worker's panic payload.
+fn worker_panic(payload: Box<dyn std::any::Any + Send>) -> CheckerError {
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "worker panicked".to_string());
+    CheckerError::WorkerPanic(msg)
 }
 
 /// Where the spill (cold-tier) files live. Dropping the guard deletes
@@ -1272,7 +845,7 @@ impl Drop for SpillDir {
     }
 }
 
-/// The `(dir, hot_budget_bytes)` pair the tiered structures take,
+/// The `(dir, hot_budget_bytes)` pair [`SharedTable`] spills with,
 /// derived from the prepared spill directory and the memory limit.
 fn spill_config<'a>(
     options: &CheckerOptions,
@@ -1284,17 +857,8 @@ fn spill_config<'a>(
         .map(|dir| (dir.path.as_path(), hot_budget_for(limit)))
 }
 
-/// [`spill_config`] with the byte budget converted to the edge-count
-/// cap [`TieredParents`] takes.
-fn parent_spill_config<'a>(
-    options: &CheckerOptions,
-    spill: &'a Option<SpillDir>,
-) -> Option<(&'a Path, usize)> {
-    spill_config(options, spill).map(|(dir, budget)| (dir, parent_cap_for(budget)))
-}
-
-/// Serializes frontier tasks for a checkpoint (order-preserving: the
-/// sequential stack must pop identically after a resume).
+/// Serializes frontier tasks for a checkpoint (order-preserving: a
+/// one-worker run must pop identically after a resume).
 fn encode_frontier(tasks: &[Task]) -> Vec<TaskEntry> {
     tasks
         .iter()
@@ -1333,29 +897,8 @@ fn decode_frontier(
         .collect()
 }
 
-/// Finalizes the sequential engine's stats from the live tiered
-/// structures: authoritative state/byte counts, per-process spill
-/// activity, and accumulated wall-clock time across resumes.
-fn finalize_sequential(
-    stats: &mut ExplorationStats,
-    visited: &TieredSet,
-    parents: &TieredParents,
-    base_duration: Duration,
-    start: Instant,
-) {
-    stats.unique_states = visited.len();
-    stats.stored_bytes = visited.stored_bytes();
-    let vc = visited.spill_counters();
-    let pc = parents.spill_counters();
-    stats.spilled_states = vc.records as usize;
-    stats.spill_bytes = vc.bytes_written + pc.bytes_written;
-    stats.cold_hits = vc.hits + pc.hits;
-    stats.duration = base_duration + start.elapsed();
-}
-
-/// A unit of parallel work: the state, its fingerprint and depth, the
-/// sleep set to expand it with, and whether this is its first visit.
-/// (The sequential engine's stack entries share the shape.)
+/// A unit of work: the state, its fingerprint and depth, the sleep set
+/// to expand it with, and whether this is its first visit.
 type Task = (Config, Fingerprint, usize, SleepSet, bool);
 
 impl Verifier<'_> {
@@ -1392,19 +935,16 @@ pub(crate) fn initial_machine() -> MachineId {
 }
 
 /// Builds a telemetry snapshot from running exploration totals.
-/// `states` is passed separately because the sequential engine reads it
-/// from the visited set (stats.unique_states is only filled at the end).
 #[cfg(feature = "telemetry")]
 fn snapshot_from(
     stats: &ExplorationStats,
-    states: usize,
     frontier: usize,
     workers: u64,
     elapsed_micros: u64,
 ) -> p_telemetry::ExplorationSnapshot {
     p_telemetry::ExplorationSnapshot {
         elapsed_micros,
-        states: states as u64,
+        states: stats.unique_states as u64,
         transitions: stats.transitions as u64,
         frontier: frontier as u64,
         dedup_hits: stats.dedup_hits as u64,

@@ -16,10 +16,12 @@
 //! * [`Verifier::check_exhaustive`] — full depth-first search (with depth
 //!   and state bounds), optionally with sleep-set partial-order reduction
 //!   ([`CheckerOptions::por`]): same states and verdict, fewer redundant
-//!   transitions between independent machine runs;
-//! * [`Verifier::check_exhaustive_parallel`] — the same search with N
-//!   work-stealing worker threads over a sharded visited set; same
-//!   `unique_states` and verdict as the sequential engine;
+//!   transitions between independent machine runs. One kernel runs it
+//!   for every [`CheckerOptions::jobs`]: one worker on the calling
+//!   thread (deterministic), or N work-stealing workers over the same
+//!   sharded visited table — same `unique_states` and verdict;
+//! * [`Verifier::check_exhaustive_parallel`] — that search with the
+//!   worker count as an argument;
 //! * [`Verifier::check_delay_bounded`] — the paper's novel *delay-bounded
 //!   causal scheduler* (§5): with budget `d = 0` it explores exactly the
 //!   causal schedule the runtime executes, and increasing `d` adds

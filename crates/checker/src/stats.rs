@@ -31,6 +31,22 @@ pub struct PhaseNanos {
 }
 
 impl PhaseNanos {
+    /// The phases in the fixed order positional storage uses.
+    pub(crate) fn to_array(self) -> [u64; 5] {
+        [self.exec, self.digest, self.clone, self.canon, self.table]
+    }
+
+    /// Inverse of [`PhaseNanos::to_array`].
+    pub(crate) fn from_array([exec, digest, clone, canon, table]: [u64; 5]) -> PhaseNanos {
+        PhaseNanos {
+            exec,
+            digest,
+            clone,
+            canon,
+            table,
+        }
+    }
+
     /// Adds another sample's nanoseconds phase-wise.
     pub fn add(&mut self, other: &PhaseNanos) {
         self.exec += other.exec;

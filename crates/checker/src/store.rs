@@ -42,8 +42,7 @@ const MERGE_FANIN: usize = 8;
 
 /// Reads exactly `buf.len()` bytes at `offset` through a shared file
 /// handle (`&File` implements `Seek`/`Read`; callers serialize access —
-/// the sequential engine is single-threaded and the parallel engine
-/// keeps the store behind a mutex).
+/// the visited table keeps each store behind a mutex).
 fn read_exact_at(file: &File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
     let mut f = file;
     f.seek(SeekFrom::Start(offset))?;

@@ -729,3 +729,79 @@ fn por_parallel_matches_por_sequential() {
         assert_eq!(sequential.stats.stored_bytes, parallel.stats.stored_bytes);
     }
 }
+
+/// Reference reachability for the exhaustive engine: a breadth-first
+/// walk over `succ::successors_into` whose visited set holds the full
+/// canonical encodings — no fingerprints, no sleep sets, no
+/// canonicalisation, no table, no frontier. Returns whether the program
+/// is error-free and how many states were reached (all of them, when
+/// error-free), or `None` past `limit` states.
+fn naive_reachability(p: &LoweredProgram, limit: usize) -> Option<(bool, usize)> {
+    use std::collections::{BTreeSet, VecDeque};
+    let verifier = Verifier::new(p);
+    let engine = verifier.engine();
+    let init = engine.initial_config();
+    let mut seen = BTreeSet::from([init.canonical_bytes()]);
+    let mut queue = VecDeque::from([init]);
+    let mut arena = crate::succ::SuccArena::new();
+    let (mut succs, mut enabled) = (Vec::new(), Vec::new());
+    let granularity = verifier.options().granularity;
+    while let Some(config) = queue.pop_front() {
+        engine.enabled_machines_into(&config, &mut enabled);
+        for &id in &enabled {
+            crate::succ::successors_into(&engine, &config, id, granularity, &mut succs, &mut arena)
+                .unwrap();
+            for succ in succs.drain(..) {
+                if matches!(succ.result.outcome, p_semantics::ExecOutcome::Error(_)) {
+                    return Some((false, seen.len()));
+                }
+                if seen.insert(succ.config.canonical_bytes()) {
+                    if seen.len() > limit {
+                        return None;
+                    }
+                    queue.push_back(succ.config);
+                }
+            }
+        }
+    }
+    Some((true, seen.len()))
+}
+
+/// Every jobs/spill/reduction consistency suite compares the one kernel
+/// with itself; this compares it with [`naive_reachability`], which
+/// shares none of its bookkeeping. `--por` must not change the count.
+#[test]
+fn exhaustive_matches_the_naive_reachability_oracle() {
+    let buggy = [
+        ("elevator_buggy", p_corpus::elevator_buggy()),
+        ("switch_led_buggy", p_corpus::switch_led_buggy()),
+        ("german_buggy", p_corpus::german_buggy()),
+    ];
+    let mut compared = Vec::new();
+    for (name, program) in p_corpus::all().into_iter().chain(buggy) {
+        let p = lower(&program).unwrap();
+        let Some((error_free, states)) = naive_reachability(&p, 20_000) else {
+            continue;
+        };
+        compared.push(name);
+        for por in [false, true] {
+            let options = CheckerOptions {
+                por,
+                ..CheckerOptions::default()
+            };
+            let report = Verifier::new(&p).with_options(options).check_exhaustive();
+            assert_eq!(report.passed(), error_free, "{name} por={por}: verdict");
+            if error_free {
+                assert!(report.complete, "{name} por={por}");
+                assert_eq!(
+                    report.stats.unique_states, states,
+                    "{name} por={por}: unique_states"
+                );
+            }
+        }
+    }
+    assert!(
+        compared.len() >= 10 && compared.iter().filter(|n| n.ends_with("_buggy")).count() == 3,
+        "the state limit skipped too much of the corpus: {compared:?}"
+    );
+}

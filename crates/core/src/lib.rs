@@ -157,10 +157,10 @@ impl Compiled {
         self.verifier().check_exhaustive()
     }
 
-    /// Exhaustive systematic testing with `jobs` parallel worker
-    /// threads over a sharded visited set. Explores the same states and
-    /// returns the same verdict as [`Compiled::verify`]; `jobs <= 1`
-    /// runs the sequential engine.
+    /// Exhaustive systematic testing with `jobs` workers over one
+    /// sharded visited set. Explores the same states and returns the
+    /// same verdict as [`Compiled::verify`]; `jobs <= 1` is one worker
+    /// on the calling thread, which is what [`Compiled::verify`] runs.
     pub fn verify_parallel(&self, jobs: usize) -> Report {
         self.verifier().check_exhaustive_parallel(jobs)
     }

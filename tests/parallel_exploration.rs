@@ -154,3 +154,47 @@ fn jobs_one_through_options_matches_plain_verify() {
     assert_eq!(plain.stats.unique_states, one.stats.unique_states);
     assert_eq!(plain.stats.transitions, one.stats.transitions);
 }
+
+/// `CheckerOptions { jobs: 0, .. }` is one worker, not "no worker": a
+/// search that spawned nothing would report a one-state complete run.
+#[test]
+fn jobs_zero_is_one_worker() {
+    let compiled = Compiled::from_program(corpus::elevator()).unwrap();
+    let one = compiled.verify();
+    assert!(one.complete && one.stats.unique_states > 1);
+    let zero_options = CheckerOptions {
+        jobs: 0,
+        ..CheckerOptions::default()
+    };
+    let via_options = compiled
+        .verifier()
+        .with_options(zero_options)
+        .check_exhaustive();
+    for zero in [via_options, compiled.verify_parallel(0)] {
+        assert!(zero.complete);
+        assert_eq!(zero.stats.unique_states, one.stats.unique_states);
+        assert_eq!(zero.stats.transitions, one.stats.transitions);
+        assert_eq!(zero.stats.dedup_hits, one.stats.dedup_hits);
+    }
+}
+
+/// The `jobs = 1` contract: one worker on the calling thread explores in
+/// one fixed order, so even an aborted run — whose counts at `jobs > 1`
+/// are totals of a timing-dependent prefix — repeats exactly: the same
+/// counterexample and the same counters every time.
+#[test]
+fn one_worker_runs_are_deterministic() {
+    for (name, _correct, buggy) in corpus::figure7_benchmarks() {
+        let compiled = Compiled::from_program(buggy).unwrap();
+        let run = || {
+            let mut report = compiled.verify_parallel(1);
+            report.stats.duration = Default::default();
+            report.stats.phases = Default::default();
+            (report.counterexample.expect("seeded bug"), report.stats)
+        };
+        let first = run();
+        for _ in 0..4 {
+            assert_eq!(run(), first, "{name}: a jobs = 1 run did not repeat");
+        }
+    }
+}
