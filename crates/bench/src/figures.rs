@@ -316,6 +316,7 @@ pub fn report_to_metrics(
         transitions: report.stats.transitions as u64,
         seconds: report.stats.duration.as_secs_f64(),
         stored_bytes: report.stats.stored_bytes as u64,
+        index_bytes: report.stats.index_bytes as u64,
         max_depth: report.stats.max_depth as u64,
         dedup_hits: report.stats.dedup_hits as u64,
         sleep_pruned: report.stats.sleep_pruned as u64,

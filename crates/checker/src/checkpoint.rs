@@ -7,10 +7,12 @@
 //! * cumulative exploration statistics,
 //! * the visited-set summary — every admitted fingerprint with its
 //!   sleep set (POR) and canonical representative (symmetry),
-//! * compact parent records (child → parent + step seed), keeping
+//! * the edge log — one fixed-size record per task ever pushed, indexed
+//!   by task id, plus the choice scripts too long for a record — keeping
 //!   counterexample reconstruction concrete across a resume,
-//! * the frontier — the workers' queues in order; with one worker that
-//!   is the DFS stack, so a resumed run continues bit-identically.
+//! * the frontier — the workers' queues in order, each task with its
+//!   id; with one worker that is the DFS stack, so a resumed run
+//!   continues bit-identically.
 //!
 //! # File format
 //!
@@ -36,14 +38,15 @@ use p_semantics::hash::fingerprint128;
 
 use crate::error::CheckerError;
 use crate::stats::ExplorationStats;
-use crate::trace::StepSeed;
+use crate::trace::EdgeRecord;
 use crate::wire;
 
 /// File-format magic.
 const MAGIC: &[u8; 4] = b"PCHK";
 /// Bumped whenever the payload encoding changes: older checkpoints are
-/// rejected rather than misread.
-const VERSION: u32 = 1;
+/// rejected rather than misread. Version 2 replaced the fingerprint-
+/// keyed parent records of version 1 with the edge log.
+const VERSION: u32 = 2;
 /// The checkpoint file inside the checkpoint directory.
 const FILE: &str = "checkpoint.bin";
 /// The staging file the atomic rename publishes from.
@@ -90,16 +93,14 @@ pub(crate) struct VisitedEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TaskEntry {
     pub cfg: Vec<u8>,
-    pub fp: u128,
+    /// The task's record in the edge log.
+    pub id: u32,
     pub depth: u64,
     pub sleep: u64,
     /// Whether this is the state's first visit (false for a
     /// sleep-set-widening re-expansion).
     pub fresh: bool,
 }
-
-/// One parent-map edge as persisted: `(child, parent, seed)`.
-pub(crate) type ParentRecord = (u128, u128, StepSeed);
 
 /// Everything a checkpoint persists; the worker count is not part of
 /// it: a checkpoint written under `--jobs 4` resumes under `--jobs 1`
@@ -108,13 +109,16 @@ pub(crate) type ParentRecord = (u128, u128, StepSeed);
 pub(crate) struct CheckpointData {
     pub stats: ExplorationStats,
     pub visited: Vec<VisitedEntry>,
-    pub parents: Vec<ParentRecord>,
+    /// The edge log: the record of task `id` at index `id`.
+    pub parents: Vec<EdgeRecord>,
+    /// Choice scripts too long for their record, by task id.
+    pub scripts: crate::engine::Scripts,
     /// Pending work, each worker's queue oldest first. With one worker
     /// this is the DFS stack bottom-to-top; order is significant.
     pub frontier: Vec<TaskEntry>,
 }
 
-/// Serializes `data` into the version-1 payload.
+/// Serializes `data` into the version-2 payload.
 fn encode_payload(data: &CheckpointData) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + data.visited.len() * 25);
     let s = &data.stats;
@@ -149,19 +153,19 @@ fn encode_payload(data: &CheckpointData) -> Vec<u8> {
     }
 
     out.extend_from_slice(&(data.parents.len() as u64).to_le_bytes());
-    let mut seed_bytes = Vec::new();
-    for (child, parent, seed) in &data.parents {
-        out.extend_from_slice(&child.to_le_bytes());
-        out.extend_from_slice(&parent.to_le_bytes());
-        seed_bytes.clear();
-        seed.encode(&mut seed_bytes);
-        out.extend_from_slice(&(seed_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&seed_bytes);
+    for record in &data.parents {
+        out.extend_from_slice(&record.to_bytes());
+    }
+    out.extend_from_slice(&(data.scripts.len() as u64).to_le_bytes());
+    for (id, script) in &data.scripts {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(script.len() as u32).to_le_bytes());
+        out.extend(script.iter().map(|&c| c as u8));
     }
 
     out.extend_from_slice(&(data.frontier.len() as u64).to_le_bytes());
     for t in &data.frontier {
-        out.extend_from_slice(&t.fp.to_le_bytes());
+        out.extend_from_slice(&t.id.to_le_bytes());
         out.extend_from_slice(&t.depth.to_le_bytes());
         out.extend_from_slice(&t.sleep.to_le_bytes());
         out.push(t.fresh as u8);
@@ -171,7 +175,7 @@ fn encode_payload(data: &CheckpointData) -> Vec<u8> {
     out
 }
 
-/// Decodes a version-1 payload; `None` means malformed.
+/// Decodes a version-2 payload; `None` means malformed.
 fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
     let buf = &mut buf;
     let mut stats = ExplorationStats {
@@ -208,23 +212,24 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
     }
 
     let n_parents = wire::read_u64(buf)? as usize;
-    let mut parents = Vec::new();
-    for _ in 0..n_parents {
-        let child = wire::read_u128(buf)?;
-        let parent = wire::read_u128(buf)?;
-        let seed_len = wire::read_u32(buf)? as usize;
-        let mut seed_buf = wire::take(buf, seed_len)?;
-        let seed = StepSeed::decode(&mut seed_buf)?;
-        if !seed_buf.is_empty() {
-            return None;
-        }
-        parents.push((child, parent, seed));
+    let parents: Vec<EdgeRecord> = wire::take(buf, n_parents.checked_mul(EdgeRecord::BYTES)?)?
+        .chunks_exact(EdgeRecord::BYTES)
+        .map(|b| EdgeRecord::from_bytes(b.try_into().expect("one record")))
+        .collect();
+    let n_scripts = wire::read_u64(buf)? as usize;
+    let mut scripts = Vec::new();
+    for _ in 0..n_scripts {
+        let id = wire::read_u32(buf)?;
+        let len = wire::read_u32(buf)? as usize;
+        let script = wire::take(buf, len)?.iter().map(|&c| c != 0).collect();
+        scripts.push((id, script));
     }
 
     let n_frontier = wire::read_u64(buf)? as usize;
     let mut frontier = Vec::new();
     for _ in 0..n_frontier {
-        let fp = wire::read_u128(buf)?;
+        // A task without a record could not be traced back.
+        let id = wire::read_u32(buf).filter(|&id| (id as usize) < parents.len())?;
         let depth = wire::read_u64(buf)?;
         let sleep = wire::read_u64(buf)?;
         let fresh = match wire::read_u8(buf)? {
@@ -236,7 +241,7 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
         let cfg = wire::take(buf, cfg_len)?.to_vec();
         frontier.push(TaskEntry {
             cfg,
-            fp,
+            id,
             depth,
             sleep,
             fresh,
@@ -249,6 +254,7 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
         stats,
         visited,
         parents,
+        scripts,
         frontier,
     })
 }
@@ -352,6 +358,7 @@ mod tests {
             spill_bytes: 0,
             cold_hits: 0,
             phases: crate::PhaseNanos::default(),
+            ..ExplorationStats::default()
         };
         CheckpointData {
             stats,
@@ -367,10 +374,14 @@ mod tests {
                     rep: Some(11),
                 },
             ],
-            parents: vec![(9, 7, StepSeed::test_blocked(MachineId(2)))],
+            parents: vec![
+                EdgeRecord::root(),
+                EdgeRecord::test_blocked(0, MachineId(2)),
+            ],
+            scripts: vec![(1, vec![true, false, true])],
             frontier: vec![TaskEntry {
                 cfg: vec![1, 2, 3, 4],
-                fp: 9,
+                id: 1,
                 depth: 3,
                 sleep: 1,
                 fresh: true,

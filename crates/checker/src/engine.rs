@@ -1,5 +1,5 @@
-//! The exploration engine's bookkeeping: the visited store, the parent
-//! edges and the work frontier.
+//! The exploration engine's bookkeeping: the visited store, the edge
+//! log and the work frontier.
 //!
 //! The exhaustive search has one store, [`SharedTable`], with one admit
 //! rule, [`SharedTable::admit`]; symmetry, sleep sets, spilling and the
@@ -12,32 +12,33 @@
 //!
 //! * states are keyed by the collision-safe 128-bit [`Fingerprint`],
 //!   never by a 64-bit hash (a 64-bit collision silently prunes a
-//!   distinct state *and* corrupts trace reconstruction);
+//!   distinct state);
 //! * the `max_states` bound is checked **before** a state is inserted —
 //!   a state dropped for exceeding the bound is not remembered as
 //!   visited, and `unique_states`/`stored_bytes` count exactly the
 //!   states retained;
 //! * a stored sleep set only ever shrinks (so a state is re-expanded at
 //!   most 64 times and the search terminates);
-//! * the first parent edge of a concrete state wins, and it is recorded
-//!   before [`Admit::New`] or a sibling [`Admit::Widen`] returns — every
-//!   task ever pushed has a complete, acyclic path to the root;
-//! * visited keys are canonical; parent edges and tasks are concrete;
-//! * lock order is `shard → cold store`; the key's shard and the
-//!   concrete state's shard are never held together; a spill holds
-//!   *every* shard (taken in ascending order) and only then the cold
-//!   stores.
+//! * every task ever pushed has one record in the edge log, written
+//!   under the key's shard lock before [`Admit::New`] or
+//!   [`Admit::Widen`] returns, whose parent is the task that offered
+//!   it — a record's parent exists before the record does, so every
+//!   path ends at the root by construction;
+//! * visited keys are canonical; tasks and their records are concrete;
+//! * lock order is `shard → cold store` and `shard → edge log`; an
+//!   admit holds exactly one shard; a spill holds *every* shard (taken
+//!   in ascending order) and only then the cold store and the log.
 //!
 //! The decision table of the admit rule, for an offer `(key, concrete,
 //! sleep)`; `rep` is the concrete state first admitted under `key`:
 //!
-//! | the table holds | outcome | stored afterwards | edge |
+//! | the table holds | outcome | stored afterwards | record |
 //! |---|---|---|---|
 //! | nothing under `key` | `New` | `rep = concrete`, `S = sleep` | yes |
 //! | `rep = concrete`, `S ⊆ sleep` | `Covered { merged: false }` | unchanged | no |
-//! | `rep = concrete`, `S ⊄ sleep` | `Widen { S ∩ sleep, false }` | `S ∩ sleep` | no |
+//! | `rep = concrete`, `S ⊄ sleep` | `Widen { S ∩ sleep, false }` | `S ∩ sleep` | yes |
 //! | `rep ≠ concrete`, `S = ∅` | `Covered { merged: true }` | unchanged | no |
-//! | `rep ≠ concrete`, `S ≠ ∅` | `Widen { ∅, true }` | `∅` | first wins |
+//! | `rep ≠ concrete`, `S ≠ ∅` | `Widen { ∅, true }` | `∅` | yes |
 //! | nothing, `max` retained | `OverBound` | unchanged | no |
 //!
 //! Without symmetry the caller passes `key == concrete`, so `rep ≠
@@ -45,19 +46,23 @@
 //! `sleep = ∅`, so `S` is always `∅`, `∅ ⊆ ∅` makes every revisit
 //! `Covered`, and `Widen` is unreachable.
 
-use std::collections::VecDeque;
-use std::path::Path;
+use std::collections::{HashMap, VecDeque};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
-use crate::checkpoint::{ParentRecord, VisitedEntry};
+use crate::checkpoint::VisitedEntry;
 use crate::error::CheckerError;
 use crate::fingerprint::{Fingerprint, FpHashMap, FpHashSet};
 use crate::por::SleepSet;
 use crate::stats::PhaseNanos;
 use crate::store::RunStore;
-use crate::trace::{StepSeed, TraceStep};
+use crate::trace::{EdgeRecord, StepSeed, TraceStep};
 use crate::wire;
 
 /// Outcome of offering a state to a visited store (the module docs hold
@@ -177,12 +182,13 @@ pub(crate) fn hot_budget_for(mem_limit: usize) -> usize {
     (mem_limit / 4).max(64 << 10)
 }
 
-/// Hot-tier edge cap for a parent map sharing that `--mem-limit`, from
-/// the same quarter-of-the-limit budget: parent edges are fixed-size
-/// (two fingerprints plus a [`StepSeed`], ~64 bytes with hash-table
-/// overhead), so a count cap is exact for them.
+/// Hot-tier record cap for the edge log sharing that `--mem-limit`.
+/// Records are fixed-size ([`EdgeRecord::BYTES`]), so a count cap is
+/// exact for them; at one record per 64 budget bytes the complete
+/// chunks awaiting a spill take at most three eighths of the hot
+/// budget, and the floor is one chunk.
 pub(crate) fn parent_cap_for(hot_budget: usize) -> usize {
-    (hot_budget / 64).max(1024)
+    (hot_budget / 64).max(EDGE_CHUNK)
 }
 
 /// Spill payload for a symmetry-mode visited key: the orbit's concrete
@@ -210,31 +216,14 @@ fn decode_rep_payload(payload: &[u8]) -> Result<Option<Fingerprint>, CheckerErro
     Ok(Some(Fingerprint::from_u128(rep)))
 }
 
-/// Spill payload for a parent record: parent fingerprint + encoded
-/// [`StepSeed`].
-fn encode_parent_payload(parent: Fingerprint, seed: &StepSeed) -> Vec<u8> {
-    let mut out = parent.as_u128().to_le_bytes().to_vec();
-    seed.encode(&mut out);
-    out
-}
-
-fn decode_parent_payload(payload: &[u8]) -> Result<(Fingerprint, StepSeed), CheckerError> {
-    let mut buf = payload;
-    let parent = wire::read_u128(&mut buf).ok_or_else(|| corrupt_spill("parent"))?;
-    let seed = StepSeed::decode(&mut buf).ok_or_else(|| corrupt_spill("parent"))?;
-    if !buf.is_empty() {
-        return Err(corrupt_spill("parent"));
-    }
-    Ok((Fingerprint::from_u128(parent), seed))
-}
-
 /// Shared additive totals of one exhaustive run.
 ///
 /// Workers keep cheap thread-local [`crate::ExplorationStats`] and
-/// *flush deltas* here — once per expanded task and unconditionally on
-/// exit — so the final totals are exact regardless of how a worker
-/// leaves its loop (frontier drained, counterexample found elsewhere,
-/// or the worker found the violation itself and broke out mid-task).
+/// *flush deltas* here — every few dozen tasks, before parking at a
+/// checkpoint rendezvous and unconditionally on exit — so the final
+/// totals are exact regardless of how a worker leaves its loop
+/// (frontier drained, counterexample found elsewhere, or the worker
+/// found the violation itself and broke out mid-task).
 /// Reading these during the run gives monotone, slightly-stale values
 /// suitable for progress snapshots.
 ///
@@ -272,36 +261,39 @@ impl SharedCounters {
         local: &crate::ExplorationStats,
         flushed: &mut crate::ExplorationStats,
     ) {
-        let add = |cell: &AtomicUsize, now: usize, before: usize| {
-            if now > before {
-                cell.fetch_add(now - before, Ordering::Relaxed);
+        let (l, f) = (local, flushed);
+        for (cell, now, before) in [
+            (&self.transitions, l.transitions, &mut f.transitions),
+            (&self.dedup_hits, l.dedup_hits, &mut f.dedup_hits),
+            (&self.sleep_pruned, l.sleep_pruned, &mut f.sleep_pruned),
+            (
+                &self.quiescent_states,
+                l.quiescent_states,
+                &mut f.quiescent_states,
+            ),
+            (&self.stuck_states, l.stuck_states, &mut f.stuck_states),
+            (
+                &self.symmetry_merges,
+                l.symmetry_merges,
+                &mut f.symmetry_merges,
+            ),
+        ] {
+            if now > *before {
+                cell.fetch_add(now - *before, Ordering::Relaxed);
+                *before = now;
             }
-        };
-        add(&self.transitions, local.transitions, flushed.transitions);
-        add(&self.dedup_hits, local.dedup_hits, flushed.dedup_hits);
-        add(&self.sleep_pruned, local.sleep_pruned, flushed.sleep_pruned);
-        add(
-            &self.quiescent_states,
-            local.quiescent_states,
-            flushed.quiescent_states,
-        );
-        add(&self.stuck_states, local.stuck_states, flushed.stuck_states);
-        add(
-            &self.symmetry_merges,
-            local.symmetry_merges,
-            flushed.symmetry_merges,
-        );
-        self.max_depth.fetch_max(local.max_depth, Ordering::Relaxed);
+        }
+        self.max_depth.fetch_max(l.max_depth, Ordering::Relaxed);
         self.max_queue_seen
-            .fetch_max(local.max_queue_seen, Ordering::Relaxed);
-        let now = local.phases.to_array();
-        let before = flushed.phases.to_array();
+            .fetch_max(l.max_queue_seen, Ordering::Relaxed);
+        let now = l.phases.to_array();
+        let before = f.phases.to_array();
         for (cell, (now, before)) in self.phase_nanos.iter().zip(now.into_iter().zip(before)) {
             if now > before {
                 cell.fetch_add(now - before, Ordering::Relaxed);
             }
         }
-        *flushed = local.clone();
+        f.phases = l.phases;
     }
 
     /// The flushed totals as an [`crate::ExplorationStats`] skeleton
@@ -358,15 +350,313 @@ impl ParentMap {
     }
 }
 
+/// A dense id into the [`EdgeLog`]: one per task ever pushed.
+pub(crate) type TaskId = u32;
+
+/// The choice scripts too long for their record, by task id, as a
+/// checkpoint holds them.
+pub(crate) type Scripts = Vec<(TaskId, Vec<bool>)>;
+
+/// Records per chunk of the [`EdgeLog`] — and per block of ids a worker
+/// reserves at a time, so the shared directory is touched once per
+/// thousand records and a chunk has exactly one writer.
+const EDGE_CHUNK: usize = 1024;
+
+/// One never-moving chunk of the [`EdgeLog`]: [`EDGE_CHUNK`] records of
+/// three words each. The words are atomics only so that the one writer
+/// and the readers (a spill, a checkpoint, a trace walk — all of which
+/// synchronize with the writer through the shard locks) share the chunk
+/// without `unsafe`; every access is a plain load or store.
+#[derive(Debug)]
+struct EdgeChunk {
+    words: Box<[AtomicU64]>,
+    /// Records written so far. Stored by the reserving worker alone.
+    filled: AtomicUsize,
+}
+
+impl EdgeChunk {
+    fn new(filled: usize) -> EdgeChunk {
+        EdgeChunk {
+            words: (0..3 * EDGE_CHUNK).map(|_| AtomicU64::new(0)).collect(),
+            filled: AtomicUsize::new(filled),
+        }
+    }
+
+    fn record(&self, n: usize) -> EdgeRecord {
+        EdgeRecord(std::array::from_fn(|w| {
+            self.words[3 * n + w].load(Ordering::Relaxed)
+        }))
+    }
+
+    fn set(&self, n: usize, record: EdgeRecord) {
+        for (cell, word) in self.words[3 * n..3 * n + 3].iter().zip(record.0) {
+            cell.store(word, Ordering::Relaxed);
+        }
+    }
+
+    fn is_complete(&self) -> bool {
+        self.filled.load(Ordering::Acquire) == EDGE_CHUNK
+    }
+}
+
+/// A worker's cursor into the log: the chunk it reserved last.
+#[derive(Debug, Default)]
+pub(crate) struct EdgeWriter {
+    chunk: Option<Arc<EdgeChunk>>,
+    /// Id of the chunk's first record.
+    base: TaskId,
+}
+
+/// The `edges.log` file behind an [`EdgeLog`] under `--mem-limit`:
+/// record `id` lives at byte `id × `[`EdgeRecord::BYTES`]. Ids are
+/// dense, so the offset is the index — no bloom filter, no sorted runs,
+/// no merges.
+#[derive(Debug)]
+struct EdgeFile {
+    path: PathBuf,
+    file: Mutex<File>,
+    bytes_written: AtomicU64,
+    hits: AtomicU64,
+}
+
+impl EdgeFile {
+    fn create(dir: &Path) -> Result<EdgeFile, CheckerError> {
+        std::fs::create_dir_all(dir).map_err(|e| CheckerError::io(dir, e))?;
+        let path = dir.join("edges.log");
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .map_err(|e| CheckerError::io(&path, e))?;
+        Ok(EdgeFile {
+            path,
+            file: Mutex::new(file),
+            bytes_written: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+        })
+    }
+
+    /// Writes the records of ids `first..` in one piece.
+    fn write(
+        &self,
+        first: usize,
+        records: impl Iterator<Item = EdgeRecord>,
+    ) -> Result<(), CheckerError> {
+        let bytes: Vec<u8> = records.flat_map(EdgeRecord::to_bytes).collect();
+        let mut file = self.file.lock();
+        file.seek(SeekFrom::Start((first * EdgeRecord::BYTES) as u64))
+            .and_then(|_| file.write_all(&bytes))
+            .map_err(|e| CheckerError::io(&self.path, e))?;
+        self.bytes_written
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Reads the `count` records of ids `first..`.
+    fn read(&self, first: usize, count: usize) -> Result<Vec<EdgeRecord>, CheckerError> {
+        let mut bytes = vec![0; count * EdgeRecord::BYTES];
+        let mut file = self.file.lock();
+        file.seek(SeekFrom::Start((first * EdgeRecord::BYTES) as u64))
+            .and_then(|_| file.read_exact(&mut bytes))
+            .map_err(|e| CheckerError::io(&self.path, e))?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Ok(bytes
+            .chunks_exact(EdgeRecord::BYTES)
+            .map(|b| EdgeRecord::from_bytes(b.try_into().expect("one record")))
+            .collect())
+    }
+}
+
+/// The parent edges of the exhaustive search: an append-only log of
+/// fixed-size [`EdgeRecord`]s addressed by [`TaskId`]. A worker reserves
+/// a whole chunk of ids at a time and is its only writer, so appending
+/// touches nothing another worker writes; chunks never move, complete
+/// ones are written to `edges.log` and freed under `--mem-limit`.
+#[derive(Debug)]
+struct EdgeLog {
+    /// Chunk `k` holds ids `k × EDGE_CHUNK ..`; `None` once spilled.
+    chunks: Mutex<Vec<Option<Arc<EdgeChunk>>>>,
+    /// Records in complete RAM-resident chunks — what a spill frees.
+    complete: AtomicUsize,
+    /// Choice scripts longer than [`EdgeRecord::INLINE_CHOICES`].
+    scripts: Mutex<HashMap<TaskId, Box<[bool]>>>,
+    /// Chunks the id space has room for (every id stays below
+    /// [`EdgeRecord::NO_PARENT`]).
+    max_chunks: usize,
+    cold: Option<EdgeFile>,
+}
+
+impl EdgeLog {
+    fn new(cold: Option<EdgeFile>) -> EdgeLog {
+        EdgeLog {
+            chunks: Mutex::new(Vec::new()),
+            complete: AtomicUsize::new(0),
+            scripts: Mutex::new(HashMap::new()),
+            max_chunks: EdgeRecord::NO_PARENT as usize / EDGE_CHUNK,
+            cold,
+        }
+    }
+
+    /// A log holding `records` as ids `0..` (checkpoint resume): in
+    /// complete chunks without a file, straight on disk with one.
+    fn restore(
+        cold: Option<EdgeFile>,
+        records: &[EdgeRecord],
+        scripts: Scripts,
+    ) -> Result<EdgeLog, CheckerError> {
+        let log = EdgeLog::new(cold);
+        let mut chunks = Vec::new();
+        match &log.cold {
+            Some(cold) => {
+                cold.write(0, records.iter().copied())?;
+                chunks.resize(records.len().div_ceil(EDGE_CHUNK), None);
+            }
+            None => {
+                for records in records.chunks(EDGE_CHUNK) {
+                    let chunk = EdgeChunk::new(EDGE_CHUNK);
+                    for (n, &record) in records.iter().enumerate() {
+                        chunk.set(n, record);
+                    }
+                    chunks.push(Some(Arc::new(chunk)));
+                }
+                log.complete
+                    .store(chunks.len() * EDGE_CHUNK, Ordering::Relaxed);
+            }
+        }
+        *log.chunks.lock() = chunks;
+        *log.scripts.lock() = scripts
+            .into_iter()
+            .map(|(id, script)| (id, script.into()))
+            .collect();
+        Ok(log)
+    }
+
+    /// Appends `record` at the writer's cursor and returns its id, or
+    /// `None` when the id space is used up.
+    fn append(
+        &self,
+        writer: &mut EdgeWriter,
+        (record, script): (EdgeRecord, Option<Box<[bool]>>),
+    ) -> Option<TaskId> {
+        if writer.chunk.as_ref().is_none_or(|c| c.is_complete()) {
+            let mut chunks = self.chunks.lock();
+            if chunks.len() >= self.max_chunks {
+                return None;
+            }
+            let chunk = Arc::new(EdgeChunk::new(0));
+            writer.base = (chunks.len() * EDGE_CHUNK) as TaskId;
+            chunks.push(Some(Arc::clone(&chunk)));
+            writer.chunk = Some(chunk);
+        }
+        let chunk = writer.chunk.as_ref().expect("reserved above");
+        let n = chunk.filled.load(Ordering::Relaxed);
+        chunk.set(n, record);
+        chunk.filled.store(n + 1, Ordering::Release);
+        if n + 1 == EDGE_CHUNK {
+            self.complete.fetch_add(EDGE_CHUNK, Ordering::Relaxed);
+        }
+        let id = writer.base + n as TaskId;
+        if let Some(script) = script {
+            self.scripts.lock().insert(id, script);
+        }
+        Some(id)
+    }
+
+    /// Writes every complete chunk to `edges.log` and frees it. Call
+    /// with every shard lock held: no record is then half-written.
+    fn spill_complete(&self) -> Result<(), CheckerError> {
+        let Some(cold) = &self.cold else {
+            return Ok(());
+        };
+        for (k, slot) in self.chunks.lock().iter_mut().enumerate() {
+            if let Some(chunk) = slot.take_if(|c| c.is_complete()) {
+                cold.write(k * EDGE_CHUNK, (0..EDGE_CHUNK).map(|n| chunk.record(n)))?;
+                self.complete.fetch_sub(EDGE_CHUNK, Ordering::Relaxed);
+            }
+        }
+        Ok(())
+    }
+
+    /// Record `id`, from whichever tier holds it.
+    fn get(&self, id: TaskId) -> Result<EdgeRecord, CheckerError> {
+        let (k, n) = (id as usize / EDGE_CHUNK, id as usize % EDGE_CHUNK);
+        match (self.chunks.lock().get(k), &self.cold) {
+            (Some(Some(chunk)), _) => Ok(chunk.record(n)),
+            (Some(None), Some(cold)) => Ok(cold.read(id as usize, 1)?[0]),
+            _ => Err(corrupt_edge(id)),
+        }
+    }
+
+    /// The steps from the root task to task `id`, oldest first.
+    fn path_to(&self, mut id: TaskId) -> Result<Vec<StepSeed>, CheckerError> {
+        let ids = self.chunks.lock().len() * EDGE_CHUNK;
+        let mut steps = Vec::new();
+        loop {
+            let record = self.get(id)?;
+            if record.parent() == EdgeRecord::NO_PARENT {
+                break;
+            }
+            // A path visits an id at most once; a longer walk is a cycle.
+            if steps.len() >= ids {
+                return Err(corrupt_edge(id));
+            }
+            let scripts = self.scripts.lock();
+            let script = scripts.get(&id).map(|s| &s[..]);
+            steps.push(record.seed(script).ok_or_else(|| corrupt_edge(id))?);
+            id = record.parent();
+        }
+        steps.reverse();
+        Ok(steps)
+    }
+
+    /// Every record (ids `0..`, reserved-but-unwritten ones as zeros)
+    /// and every overflow script, for a checkpoint.
+    fn snapshot(&self) -> Result<(Vec<EdgeRecord>, Scripts), CheckerError> {
+        let chunks = self.chunks.lock();
+        let mut records = Vec::with_capacity(chunks.len() * EDGE_CHUNK);
+        for (k, slot) in chunks.iter().enumerate() {
+            match (slot, &self.cold) {
+                (Some(chunk), _) => records.extend((0..EDGE_CHUNK).map(|n| chunk.record(n))),
+                (None, Some(cold)) => records.extend(cold.read(k * EDGE_CHUNK, EDGE_CHUNK)?),
+                (None, None) => return Err(corrupt_edge((k * EDGE_CHUNK) as TaskId)),
+            }
+        }
+        let mut scripts: Vec<_> = self
+            .scripts
+            .lock()
+            .iter()
+            .map(|(&id, script)| (id, script.to_vec()))
+            .collect();
+        scripts.sort_unstable();
+        Ok((records, scripts))
+    }
+
+    /// Bytes of RAM the log holds: resident chunks and overflow scripts.
+    fn resident_bytes(&self) -> usize {
+        let chunks = self.chunks.lock().iter().flatten().count();
+        let scripts = self.scripts.lock();
+        chunks * EDGE_CHUNK * EdgeRecord::BYTES
+            + scripts.capacity() * std::mem::size_of::<(TaskId, Box<[bool]>)>()
+            + scripts.values().map(|s| s.len()).sum::<usize>()
+    }
+}
+
+fn corrupt_edge(id: TaskId) -> CheckerError {
+    CheckerError::CheckpointFormat(format!("edge record {id} is missing or malformed"))
+}
+
 /// Shard count of [`SharedTable`]. 64 shards keep lock contention low
 /// for any plausible worker count while costing only 64 mutexes.
 const SHARDS: usize = 64;
 
-/// The visited store + parent edges of the exhaustive search: sharded
-/// by fingerprint prefix, one mutex per shard, with global
+/// The visited store + edge log of the exhaustive search: the visited
+/// keys sharded by fingerprint prefix, one mutex per shard, with global
 /// retained-state accounting kept in atomics so the `max_states` bound
 /// holds across shards. Under `--mem-limit` a disk-backed cold tier
-/// ([`SharedCold`]) sits behind the shards.
+/// ([`SharedCold`] for the keys, `edges.log` for the records) sits
+/// behind them.
 #[derive(Debug)]
 pub(crate) struct SharedTable {
     shards: Vec<Mutex<Shard>>,
@@ -376,27 +666,25 @@ pub(crate) struct SharedTable {
     truncated: AtomicBool,
     max: usize,
     cold: Option<SharedCold>,
-    /// RAM-resident parent edges across all shards (maintained only
-    /// with a cold tier; compared against [`SharedCold::parent_cap`]).
-    hot_edges: AtomicUsize,
+    edges: EdgeLog,
 }
 
-/// The cold tier: two [`RunStore`]s, each drained from the shards on
-/// its own trigger inside the one stop-the-world
-/// [`SharedTable::maybe_spill`]. The triggers are independent because
-/// the two stores fill at unrelated rates — with hash-consed slots a
-/// state costs ~11 visited bytes but its edge ~64, so a byte trigger
-/// alone lets edges pile up far past their share of the limit, while
-/// draining both stores whenever either fills writes a visited run per
-/// few thousand edges and doubles the run time.
+/// The cold tier of the visited keys: one [`RunStore`], drained from the
+/// shards inside the stop-the-world [`SharedTable::maybe_spill`], which
+/// also moves the edge log's complete chunks to its flat file. The two
+/// triggers are independent because the two fill at unrelated rates —
+/// with hash-consed slots a state costs ~11 visited bytes but its record
+/// 24, so a byte trigger alone lets records pile up far past their share
+/// of the limit, while draining the keys whenever the records are due
+/// writes a visited run per few thousand states and doubles the run
+/// time.
 #[derive(Debug)]
 struct SharedCold {
     visited: Mutex<RunStore>,
-    parents: Mutex<RunStore>,
     /// Drain visited keys once `stored` reaches this many bytes.
     hot_budget: usize,
-    /// Drain parent edges once `hot_edges` reaches this.
-    parent_cap: usize,
+    /// Spill complete edge chunks once they hold this many records.
+    edge_cap: usize,
     /// Serializes spillers (`try_lock`: losers skip — the winner is
     /// already draining the hot tier they noticed was full).
     spilling: Mutex<()>,
@@ -405,7 +693,6 @@ struct SharedCold {
 #[derive(Debug, Default)]
 struct Shard {
     visited: FpHashSet,
-    parents: FpHashMap<(Fingerprint, StepSeed)>,
     /// Sleep set each state was last explored with (absent = ∅). Stays
     /// RAM-resident when the key itself is spilled, so the revisit rule
     /// needs no disk read beyond the visited lookup.
@@ -418,55 +705,74 @@ struct Shard {
     lens: FpHashMap<u32>,
 }
 
+/// Bytes a std hash table with room for `capacity` entries of `T`
+/// allocates: one bucket and one control byte per slot, seven slots in
+/// eight usable.
+fn table_bytes<T>(capacity: usize) -> usize {
+    capacity * 8 / 7 * (std::mem::size_of::<T>() + 1)
+}
+
 impl SharedTable {
     /// An empty RAM-only table admitting at most `max` states.
     pub(crate) fn new(max: usize) -> SharedTable {
+        SharedTable::build(max, None, EdgeLog::new(None))
+    }
+
+    fn build(max: usize, cold: Option<SharedCold>, edges: EdgeLog) -> SharedTable {
         SharedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             unique: AtomicUsize::new(0),
             stored: AtomicUsize::new(0),
             truncated: AtomicBool::new(false),
             max: max.max(1),
-            cold: None,
-            hot_edges: AtomicUsize::new(0),
+            cold,
+            edges,
         }
     }
 
+    fn cold_tier(dir: &Path, hot_budget: usize) -> Result<SharedCold, CheckerError> {
+        Ok(SharedCold {
+            visited: Mutex::new(RunStore::create(dir, "visited")?),
+            hot_budget: hot_budget.max(1),
+            edge_cap: parent_cap_for(hot_budget),
+            spilling: Mutex::new(()),
+        })
+    }
+
     /// An empty table spilling to `dir`: visited keys whenever the hot
-    /// tier reaches `hot_budget` bytes, parent edges whenever
-    /// [`parent_cap_for`]`(hot_budget)` of them are in RAM.
+    /// tier reaches `hot_budget` bytes, edge records whenever
+    /// [`parent_cap_for`]`(hot_budget)` of them sit in complete chunks.
     pub(crate) fn with_spill(
         max: usize,
         dir: &Path,
         hot_budget: usize,
     ) -> Result<SharedTable, CheckerError> {
-        let mut table = SharedTable::new(max);
-        table.cold = Some(SharedCold {
-            visited: Mutex::new(RunStore::create(dir, "visited")?),
-            parents: Mutex::new(RunStore::create(dir, "parents")?),
-            hot_budget: hot_budget.max(1),
-            parent_cap: parent_cap_for(hot_budget),
-            spilling: Mutex::new(()),
-        });
-        Ok(table)
+        let cold = SharedTable::cold_tier(dir, hot_budget)?;
+        let edges = EdgeLog::new(Some(EdgeFile::create(dir)?));
+        Ok(SharedTable::build(max, Some(cold), edges))
     }
 
     /// Rebuilds a table from checkpointed entries. Without spilling the
     /// entries become the hot tier and `stored_bytes` restores the
-    /// checkpointed figure; with spilling every restored record goes
-    /// straight to disk (the encoding lengths are no longer known, so
-    /// the hot tier restarts empty and RAM-honest at zero).
+    /// checkpointed figure; with spilling every restored key and record
+    /// goes straight to disk (the encoding lengths are no longer known,
+    /// so the hot tier restarts empty and RAM-honest at zero).
     pub(crate) fn restore(
         max: usize,
         spill: Option<(&Path, usize)>,
         entries: &[VisitedEntry],
-        parents: Vec<ParentRecord>,
+        parents: &[EdgeRecord],
+        scripts: Scripts,
         stored_bytes: usize,
     ) -> Result<SharedTable, CheckerError> {
-        let table = match spill {
-            None => SharedTable::new(max),
-            Some((dir, hot_budget)) => SharedTable::with_spill(max, dir, hot_budget)?,
+        let (cold, file) = match spill {
+            None => (None, None),
+            Some((dir, hot_budget)) => (
+                Some(SharedTable::cold_tier(dir, hot_budget)?),
+                Some(EdgeFile::create(dir)?),
+            ),
         };
+        let table = SharedTable::build(max, cold, EdgeLog::restore(file, parents, scripts)?);
         table.unique.store(entries.len(), Ordering::SeqCst);
         for e in entries.iter().filter(|e| e.sleep != 0) {
             let fp = Fingerprint::from_u128(e.fp);
@@ -483,13 +789,6 @@ impl SharedTable {
                         shard.reps.insert(fp, Fingerprint::from_u128(rep));
                     }
                 }
-                for (child, parent, seed) in parents {
-                    let child = Fingerprint::from_u128(child);
-                    let mut shard = table.shards[child.shard(SHARDS)].lock();
-                    shard
-                        .parents
-                        .insert(child, (Fingerprint::from_u128(parent), seed));
-                }
                 table.stored.store(stored_bytes, Ordering::SeqCst);
             }
             Some(cold) => {
@@ -498,16 +797,6 @@ impl SharedTable {
                     .map(|e| (e.fp, encode_rep_payload(e.rep.map(Fingerprint::from_u128))))
                     .collect();
                 cold.visited.lock().spill(visited_batch)?;
-                let parent_batch = parents
-                    .into_iter()
-                    .map(|(child, parent, seed)| {
-                        (
-                            child,
-                            encode_parent_payload(Fingerprint::from_u128(parent), &seed),
-                        )
-                    })
-                    .collect();
-                cold.parents.lock().spill(parent_batch)?;
             }
         }
         Ok(table)
@@ -515,29 +804,28 @@ impl SharedTable {
 
     /// Spill activity: `(spilled_states, spill_bytes, cold_hits)`,
     /// zeroed without a cold tier. `spill_bytes` and `cold_hits` cover
-    /// the visited and parent stores; `spilled_states` counts visited
-    /// fingerprints only.
+    /// the visited store and `edges.log`; `spilled_states` counts
+    /// visited fingerprints only.
     pub(crate) fn spill_stats(&self) -> (usize, u64, u64) {
-        match &self.cold {
-            None => (0, 0, 0),
-            Some(cold) => {
+        match (&self.cold, &self.edges.cold) {
+            (Some(cold), Some(edges)) => {
                 let v = cold.visited.lock().counters;
-                let p = cold.parents.lock().counters;
                 (
                     v.records as usize,
-                    v.bytes_written + p.bytes_written,
-                    v.hits + p.hits,
+                    v.bytes_written + edges.bytes_written.load(Ordering::Relaxed),
+                    v.hits + edges.hits.load(Ordering::Relaxed),
                 )
             }
+            _ => (0, 0, 0),
         }
     }
 
     /// Stop-the-world spill: when either hot tier is over its trigger,
     /// take every shard lock (ascending — admits hold exactly one, so
     /// the same order prevents deadlock), drain the tier(s) that are
-    /// due, and write them to the cold store while still holding the
-    /// shard locks, so no admit can observe a drained-but-not-yet-
-    /// spilled fingerprint as unvisited.
+    /// due, and write them out while still holding the shard locks, so
+    /// no admit can observe a drained-but-not-yet-spilled fingerprint
+    /// as unvisited or be half-way through writing a record.
     fn maybe_spill(&self) -> Result<(), CheckerError> {
         let Some(cold) = &self.cold else {
             return Ok(());
@@ -545,7 +833,7 @@ impl SharedTable {
         let due = || {
             (
                 self.stored.load(Ordering::Relaxed) >= cold.hot_budget,
-                self.hot_edges.load(Ordering::Relaxed) >= cold.parent_cap,
+                self.edges.complete.load(Ordering::Relaxed) >= cold.edge_cap,
             )
         };
         if due() == (false, false) {
@@ -554,8 +842,8 @@ impl SharedTable {
         let Some(_guard) = cold.spilling.try_lock() else {
             return Ok(());
         };
-        let (visited_due, parents_due) = due();
-        if !(visited_due || parents_due) {
+        let (visited_due, edges_due) = due();
+        if !(visited_due || edges_due) {
             return Ok(());
         }
         let mut shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
@@ -573,15 +861,8 @@ impl SharedTable {
             self.stored.fetch_sub(freed, Ordering::SeqCst);
             cold.visited.lock().spill(batch)?;
         }
-        if parents_due {
-            let mut batch = Vec::with_capacity(self.hot_edges.load(Ordering::Relaxed));
-            for shard in shards.iter_mut() {
-                for (child, (parent, seed)) in shard.parents.drain() {
-                    batch.push((child.as_u128(), encode_parent_payload(parent, &seed)));
-                }
-            }
-            self.hot_edges.store(0, Ordering::Relaxed);
-            cold.parents.lock().spill(batch)?;
+        if edges_due {
+            self.edges.spill_complete()?;
         }
         Ok(())
     }
@@ -603,26 +884,34 @@ impl SharedTable {
 
     /// Offers the state `concrete`, stored under `key` (its canonical
     /// fingerprint with symmetry reduction, `concrete` itself without),
-    /// to be expanded with `sleep` (∅ without partial-order reduction),
-    /// reached from `parent` by the step `step()` builds; the initial
-    /// state has no parent. The module docs hold the decision table.
+    /// to be expanded with `sleep` (∅ without partial-order reduction).
+    /// `edge()` builds the record of the step that reached it — for the
+    /// initial state, [`EdgeRecord::root`]. The module docs hold the
+    /// decision table.
     ///
-    /// The whole decision happens under the key's shard lock, so
-    /// concurrent offers of one key serialize: exactly one caller gets
-    /// [`Admit::New`] and must expand the state. `bytes` runs only for
-    /// that caller and `step` only when an edge is recorded, so the
-    /// `Covered` fast path — the overwhelming majority of offers —
-    /// builds neither.
+    /// [`Admit::New`] and [`Admit::Widen`] come with the id of the task
+    /// to push: its record is in the log, appended through the caller's
+    /// `writer`, before this returns. The whole decision happens under
+    /// the key's shard lock, so concurrent offers of one key serialize:
+    /// exactly one caller gets [`Admit::New`] and must expand the state.
+    /// `bytes` runs only for that caller and `edge` only when a task is
+    /// pushed, so the `Covered` fast path — the overwhelming majority of
+    /// offers — builds neither. An id space that is used up truncates
+    /// the search the way the state bound does.
     pub(crate) fn admit(
         &self,
         key: Fingerprint,
         concrete: Fingerprint,
         sleep: SleepSet,
         bytes: impl FnOnce() -> usize,
-        parent: Option<Fingerprint>,
-        step: impl FnOnce() -> StepSeed,
-    ) -> Result<Admit, CheckerError> {
-        let outcome = {
+        writer: &mut EdgeWriter,
+        edge: impl FnOnce() -> (EdgeRecord, Option<Box<[bool]>>),
+    ) -> Result<(Admit, Option<TaskId>), CheckerError> {
+        let over_bound = || {
+            self.truncated.store(true, Ordering::SeqCst);
+            Ok((Admit::OverBound, None))
+        };
+        let pushed = {
             let mut shard = self.shards[key.shard(SHARDS)].lock();
             let visited = if shard.visited.contains(&key) {
                 Some(shard.reps.get(&key).copied())
@@ -641,21 +930,18 @@ impl SharedTable {
                         (stored.is_subset_of(sleep), stored.intersect(sleep))
                     };
                     if covered {
-                        return Ok(Admit::Covered { merged });
+                        return Ok((Admit::Covered { merged }, None));
                     }
+                    let Some(id) = self.edges.append(writer, edge()) else {
+                        return over_bound();
+                    };
                     if widened == SleepSet::empty() {
                         shard.sleeps.remove(&key);
                     } else {
                         shard.sleeps.insert(key, widened);
                     }
-                    let outcome = Admit::Widen {
-                        sleep: widened,
-                        merged,
-                    };
-                    if !merged {
-                        return Ok(outcome);
-                    }
-                    outcome
+                    let sleep = widened;
+                    (Admit::Widen { sleep, merged }, Some(id))
                 }
                 None => {
                     // Reserve a slot under the global bound; undo on
@@ -663,11 +949,15 @@ impl SharedTable {
                     // duplicate of *this* key cannot slip in between
                     // the check and the insert.
                     let reserved = self.unique.fetch_add(1, Ordering::SeqCst);
-                    if reserved >= self.max {
+                    let id = if reserved < self.max {
+                        self.edges.append(writer, edge())
+                    } else {
+                        None
+                    };
+                    let Some(id) = id else {
                         self.unique.fetch_sub(1, Ordering::SeqCst);
-                        self.truncated.store(true, Ordering::SeqCst);
-                        return Ok(Admit::OverBound);
-                    }
+                        return over_bound();
+                    };
                     shard.visited.insert(key);
                     if concrete != key {
                         shard.reps.insert(key, concrete);
@@ -680,31 +970,12 @@ impl SharedTable {
                     if self.cold.is_some() {
                         shard.lens.insert(key, bytes_len as u32);
                     }
-                    Admit::New
+                    (Admit::New, Some(id))
                 }
             }
         };
-        // Only `New` and a sibling's `Widen` get here: the two outcomes
-        // that push a concrete state which may not have an edge yet.
-        if let Some(parent) = parent {
-            let mut shard = self.shards[concrete.shard(SHARDS)].lock();
-            // A fresh key's concrete state cannot have an edge; a
-            // sibling keeps the first one, wherever it lives.
-            let has_edge = outcome != Admit::New
-                && (shard.parents.contains_key(&concrete)
-                    || match &self.cold {
-                        Some(cold) => cold.parents.lock().contains(concrete.as_u128())?,
-                        None => false,
-                    });
-            if !has_edge {
-                shard.parents.insert(concrete, (parent, step()));
-                if self.cold.is_some() {
-                    self.hot_edges.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         self.maybe_spill()?;
-        Ok(outcome)
+        Ok(pushed)
     }
 
     /// Retained states across all shards and both tiers.
@@ -717,55 +988,48 @@ impl SharedTable {
         self.stored.load(Ordering::SeqCst)
     }
 
-    /// Whether the state bound dropped any state.
+    /// Bytes of RAM the bookkeeping around those states holds: the hash
+    /// tables of every shard (from their capacities), the resident edge
+    /// chunks and the overflow scripts.
+    pub(crate) fn index_bytes(&self) -> usize {
+        let shards: usize = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock();
+                table_bytes::<Fingerprint>(shard.visited.capacity())
+                    + table_bytes::<(Fingerprint, SleepSet)>(shard.sleeps.capacity())
+                    + table_bytes::<(Fingerprint, Fingerprint)>(shard.reps.capacity())
+                    + table_bytes::<(Fingerprint, u32)>(shard.lens.capacity())
+            })
+            .sum();
+        shards + self.edges.resident_bytes()
+    }
+
+    /// Whether a bound (states, or task ids) dropped any state.
     pub(crate) fn truncated(&self) -> bool {
         self.truncated.load(Ordering::SeqCst)
     }
 
-    /// RAM-resident parent edges (zero without a cold tier).
-    #[cfg(test)]
-    fn hot_edges(&self) -> usize {
-        self.hot_edges.load(Ordering::SeqCst)
-    }
-
-    /// Walks the parent edges from the initial state to `state` across
-    /// both tiers, rendering the stored seeds. Call after the workers
-    /// have quiesced; locks one shard per edge.
+    /// Walks the edge log from the root task to task `id` across both
+    /// tiers, rendering the stored steps. Call after the workers have
+    /// quiesced.
     pub(crate) fn reconstruct(
         &self,
-        mut state: Fingerprint,
+        id: TaskId,
         program: &p_semantics::LoweredProgram,
     ) -> Result<Vec<TraceStep>, CheckerError> {
-        let mut steps = Vec::new();
-        loop {
-            {
-                let shard = self.shards[state.shard(SHARDS)].lock();
-                if let Some((parent, step)) = shard.parents.get(&state) {
-                    steps.push(step.render(program));
-                    state = *parent;
-                    continue;
-                }
-            }
-            let Some(cold) = &self.cold else {
-                break;
-            };
-            let Some(payload) = cold.parents.lock().get(state.as_u128())? else {
-                break;
-            };
-            let (parent, seed) = decode_parent_payload(&payload)?;
-            steps.push(seed.render(program));
-            state = parent;
-        }
-        steps.reverse();
-        Ok(steps)
+        let steps = self.edges.path_to(id)?;
+        Ok(steps.iter().map(|step| step.render(program)).collect())
     }
 
-    /// Every visited entry and parent record (hot then cold) for
-    /// checkpointing. Call only while the workers are quiescent (at the
-    /// checkpoint rendezvous or after joining).
-    pub(crate) fn snapshot(&self) -> Result<(Vec<VisitedEntry>, Vec<ParentRecord>), CheckerError> {
+    /// Every visited entry (hot then cold), every edge record and every
+    /// overflow script, for checkpointing. Call only while the workers
+    /// are quiescent (at the checkpoint rendezvous or after joining).
+    pub(crate) fn snapshot(
+        &self,
+    ) -> Result<(Vec<VisitedEntry>, Vec<EdgeRecord>, Scripts), CheckerError> {
         let mut visited = Vec::with_capacity(self.unique());
-        let mut parents = Vec::new();
         // Sleep sets stay in the shards even for spilled fingerprints;
         // collect them all first so cold entries can look theirs up.
         let mut sleeps: FpHashMap<u64> = FpHashMap::default();
@@ -781,9 +1045,6 @@ impl SharedTable {
                     rep: shard.reps.get(&fp).map(|r| r.as_u128()),
                 });
             }
-            for (child, (parent, seed)) in &shard.parents {
-                parents.push((child.as_u128(), parent.as_u128(), seed.clone()));
-            }
         }
         if let Some(cold) = &self.cold {
             for (key, payload) in cold.visited.lock().iter_all()? {
@@ -796,20 +1057,27 @@ impl SharedTable {
                     rep: decode_rep_payload(&payload)?.map(|r| r.as_u128()),
                 });
             }
-            for (child, payload) in cold.parents.lock().iter_all()? {
-                let (parent, seed) = decode_parent_payload(&payload)?;
-                parents.push((child, parent.as_u128(), seed));
-            }
         }
-        Ok((visited, parents))
+        let (parents, scripts) = self.edges.snapshot()?;
+        Ok((visited, parents, scripts))
     }
 }
+
+/// Empty polls of every deque before an idle worker goes to sleep.
+const SPIN_POLLS: u32 = 100;
+
+/// How long a sleeping worker waits before it looks again by itself.
+/// Every event it waits for notifies it; the timeout only bounds what a
+/// missed notification could cost.
+const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// The work queue: one deque per worker plus work stealing. Workers
 /// push and pop depth-first on their own deque (cache-friendly; with
 /// one worker this *is* a DFS stack) and steal the *oldest* entry of another
 /// worker's deque when idle — oldest entries sit closest to the root and
-/// tend to head the largest unexplored subtrees.
+/// tend to head the largest unexplored subtrees. A worker that finds
+/// nothing for [`SPIN_POLLS`] polls sleeps until there is work to steal,
+/// the search ends, or a rendezvous is called.
 #[derive(Debug)]
 pub(crate) struct Frontier<T> {
     queues: Vec<Mutex<VecDeque<T>>>,
@@ -826,6 +1094,15 @@ pub(crate) struct Frontier<T> {
     /// workers neither take tasks nor park, so the rendezvous leader
     /// must not wait for them).
     active: AtomicUsize,
+    /// Workers asleep on `wake`, idle or at the rendezvous. Changed
+    /// under `sleep`; whoever makes work or changes `stop`/`pause` does
+    /// so first and then, holding `sleep`, notifies — a sleeper checks
+    /// its condition under `sleep` too, so it sees the change or is
+    /// already waiting when the notification comes.
+    sleeping: AtomicUsize,
+    sleep: Mutex<()>,
+    wake: Condvar,
+    park_timeout: Duration,
 }
 
 impl<T> Frontier<T> {
@@ -851,19 +1128,49 @@ impl<T> Frontier<T> {
             pause: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
             active: AtomicUsize::new(workers),
+            sleeping: AtomicUsize::new(0),
+            sleep: Mutex::new(()),
+            wake: Condvar::new(),
+            park_timeout: PARK_TIMEOUT,
         }
     }
 
-    /// Enqueues a task on `worker`'s own deque.
-    pub(crate) fn push(&self, worker: usize, task: T) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.queues[worker].lock().push_back(task);
+    /// Ends the task `worker` took last: its `children` (drained, in
+    /// order) go onto `worker`'s own deque under one lock, and `pending`
+    /// moves once, before they become visible — from then on it counts
+    /// them instead of their parent. A sleeping worker is woken only
+    /// when the deque holds more than the one task its owner pops next.
+    pub(crate) fn finish_task(&self, worker: usize, children: &mut Vec<T>) {
+        match children.len() {
+            0 => {
+                if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    self.wake_all();
+                }
+                return;
+            }
+            1 => {}
+            n => {
+                self.pending.fetch_add(n - 1, Ordering::SeqCst);
+            }
+        }
+        let surplus = {
+            let mut queue = self.queues[worker].lock();
+            queue.extend(children.drain(..));
+            queue.len() > 1
+        };
+        if surplus && self.sleeping.load(Ordering::SeqCst) > 0 {
+            let _sleep = self.sleep.lock();
+            self.wake.notify_one();
+        }
     }
 
     /// Takes the next task for `worker`: its own newest entry, else a
-    /// steal, else wait for in-flight work to produce some. Returns
-    /// `None` when the exploration is finished or stopping.
-    pub(crate) fn next(&self, worker: usize) -> Option<T> {
+    /// steal (flagged `true`), else wait for in-flight work to produce
+    /// some. Returns `None` when the exploration is finished or
+    /// stopping. `before_park` runs each time the worker is about to
+    /// park at a rendezvous, before the leader can see it parked.
+    pub(crate) fn next(&self, worker: usize, mut before_park: impl FnMut()) -> Option<(T, bool)> {
+        let mut polls = 0;
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return None;
@@ -872,27 +1179,54 @@ impl<T> Frontier<T> {
             // idle workers too, and they must stay parked (not exit)
             // until the leader finishes serializing the queues.
             if self.pause.load(Ordering::SeqCst) {
+                before_park();
                 self.parked.fetch_add(1, Ordering::SeqCst);
-                while self.pause.load(Ordering::SeqCst) && !self.stop.load(Ordering::SeqCst) {
-                    std::thread::yield_now();
-                }
+                self.sleep_while(|| {
+                    self.pause.load(Ordering::SeqCst) && !self.stop.load(Ordering::SeqCst)
+                });
                 self.parked.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
             if let Some(task) = self.queues[worker].lock().pop_back() {
-                return Some(task);
+                return Some((task, false));
             }
             for offset in 1..self.queues.len() {
                 let victim = (worker + offset) % self.queues.len();
                 if let Some(task) = self.queues[victim].lock().pop_front() {
-                    return Some(task);
+                    return Some((task, true));
                 }
             }
             if self.pending.load(Ordering::SeqCst) == 0 {
                 return None;
             }
-            std::thread::yield_now();
+            polls += 1;
+            if polls < SPIN_POLLS {
+                std::thread::yield_now();
+                continue;
+            }
+            polls = 0;
+            self.sleep_while(|| {
+                !self.stop.load(Ordering::SeqCst)
+                    && !self.pause.load(Ordering::SeqCst)
+                    && self.pending.load(Ordering::SeqCst) != 0
+                    && self.queues.iter().all(|q| q.lock().is_empty())
+            });
         }
+    }
+
+    /// Sleeps on `wake` for as long as `asleep` holds.
+    fn sleep_while(&self, asleep: impl Fn() -> bool) {
+        let mut sleep = self.sleep.lock();
+        self.sleeping.fetch_add(1, Ordering::SeqCst);
+        while asleep() {
+            self.wake.wait_for(&mut sleep, self.park_timeout);
+        }
+        self.sleeping.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn wake_all(&self) {
+        let _sleep = self.sleep.lock();
+        self.wake.notify_all();
     }
 
     /// Marks the calling worker done for good (its loop is exiting);
@@ -902,9 +1236,10 @@ impl<T> Frontier<T> {
     }
 
     /// Starts a rendezvous: workers park at their next
-    /// [`Frontier::next`] call until [`Frontier::resume`].
+    /// [`Frontier::next`] call until [`Frontier::resume_workers`].
     pub(crate) fn pause_workers(&self) {
         self.pause.store(true, Ordering::SeqCst);
+        self.wake_all();
     }
 
     /// Blocks until every non-retired worker but the caller is parked
@@ -920,11 +1255,7 @@ impl<T> Frontier<T> {
     /// Ends the rendezvous; parked workers resume taking tasks.
     pub(crate) fn resume_workers(&self) {
         self.pause.store(false, Ordering::SeqCst);
-    }
-
-    /// Marks one previously [`Frontier::next`]-ed task fully expanded.
-    pub(crate) fn task_done(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
+        self.wake_all();
     }
 
     /// Tasks queued or in flight — the frontier-size gauge.
@@ -957,6 +1288,7 @@ impl<T> Frontier<T> {
     /// next [`Frontier::next`] call.
     pub(crate) fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.wake_all();
     }
 
     /// Whether shutdown was requested.
@@ -974,8 +1306,13 @@ mod tests {
         Fingerprint::of(&n.to_le_bytes())
     }
 
-    /// A distinguishable parent edge: a quiescent run of machine `n`.
-    /// Rendered steps are told apart by their machine id.
+    /// A distinguishable edge out of task `parent`: a quiescent run of
+    /// machine `n`. Rendered steps are told apart by their machine id.
+    fn edge(parent: TaskId, n: u32) -> (EdgeRecord, Option<Box<[bool]>>) {
+        (EdgeRecord::test_blocked(parent, MachineId(n)), None)
+    }
+
+    /// A distinguishable reference edge: a quiescent run of machine `n`.
     fn step(n: u32) -> StepSeed {
         StepSeed::test_blocked(MachineId(n))
     }
@@ -985,6 +1322,8 @@ mod tests {
     /// runs never perform.
     fn program() -> p_semantics::LoweredProgram {
         let mut b = p_ast::ProgramBuilder::new();
+        b.event("e0");
+        b.event("e1");
         let mut m = b.machine("M");
         m.state("S").entry(p_ast::Stmt::block(vec![]));
         m.finish();
@@ -1005,32 +1344,46 @@ mod tests {
         dir
     }
 
-    /// The machines that ran along the reconstructed path to `state`.
-    fn path_to(table: &SharedTable, state: Fingerprint) -> Vec<MachineId> {
-        let trace = table.reconstruct(state, &program()).unwrap();
+    /// The machines that ran along the reconstructed path to task `id`.
+    fn path_to(table: &SharedTable, id: TaskId) -> Vec<MachineId> {
+        let trace = table.reconstruct(id, &program()).unwrap();
         trace.iter().map(|s| s.machine).collect()
     }
 
+    /// Records the log holds in RAM (written ones, in resident chunks).
+    fn resident_records(table: &SharedTable) -> usize {
+        let chunks = table.edges.chunks.lock();
+        let filled = |c: &Arc<EdgeChunk>| c.filled.load(Ordering::SeqCst);
+        chunks.iter().flatten().map(filled).sum()
+    }
+
     /// A plain offer (no symmetry, no sleep set) of `fp(n)` reached
-    /// from `fp(parent)` by `step(n)`.
-    fn offer(table: &SharedTable, n: u32, bytes: usize, parent: u32) -> Admit {
-        let seed = || step(n);
+    /// from task `parent` by a run of machine `n`.
+    fn offer(
+        table: &SharedTable,
+        writer: &mut EdgeWriter,
+        n: u32,
+        bytes: usize,
+        parent: TaskId,
+    ) -> (Admit, Option<TaskId>) {
+        let no_sleep = SleepSet::empty();
         table
-            .admit(
-                fp(n),
-                fp(n),
-                SleepSet::empty(),
-                || bytes,
-                Some(fp(parent)),
-                seed,
-            )
+            .admit(fp(n), fp(n), no_sleep, || bytes, writer, || edge(parent, n))
             .unwrap()
     }
 
-    fn offer_root(table: &SharedTable, key: Fingerprint, bytes: usize) {
-        let no_edge = || unreachable!("the root has no parent edge");
-        let admitted = table.admit(key, fp(0), SleepSet::empty(), || bytes, None, no_edge);
-        assert_eq!(admitted.unwrap(), Admit::New);
+    /// Admits the initial state `fp(0)` under `key`; returns its task.
+    fn offer_root(
+        table: &SharedTable,
+        writer: &mut EdgeWriter,
+        key: Fingerprint,
+        bytes: usize,
+    ) -> TaskId {
+        let root = || (EdgeRecord::root(), None);
+        let admitted = table.admit(key, fp(0), SleepSet::empty(), || bytes, writer, root);
+        let (outcome, id) = admitted.unwrap();
+        assert_eq!(outcome, Admit::New);
+        id.expect("a fresh state comes with its task")
     }
 
     #[test]
@@ -1079,61 +1432,78 @@ mod tests {
         // both are stored under the orbit key fp(100).
         let key = if symmetry { fp(100) } else { fp(1) };
         let s = |ids: &[u32]| if por { sleep(ids) } else { SleepSet::empty() };
-        let admit = |key, concrete, sleep, parent, seed: u32| {
+        let mut writer = EdgeWriter::default();
+        let root_key = if symmetry { fp(99) } else { fp(0) };
+        let root = offer_root(&table, &mut writer, root_key, 8);
+        let mut admit = |key, concrete, sleep, parent, seed: u32| {
             table
-                .admit(key, concrete, sleep, || 8, Some(parent), || step(seed))
+                .admit(
+                    key,
+                    concrete,
+                    sleep,
+                    || 8,
+                    &mut writer,
+                    || edge(parent, seed),
+                )
                 .unwrap()
         };
-        offer_root(&table, if symmetry { fp(99) } else { fp(0) }, 8);
 
         // Fresh.
-        assert_eq!(admit(key, fp(1), s(&[1, 2]), fp(0), 1), Admit::New);
+        let (outcome, a) = admit(key, fp(1), s(&[1, 2]), root, 1);
+        assert_eq!(outcome, Admit::New);
+        let a = a.expect("a fresh state comes with its task");
         if spilled {
             assert_eq!(table.spill_stats().0, 2, "root and A are on disk");
             assert_eq!(table.stored_bytes(), 0, "a spill frees the exact lens");
         }
         // Same representative, stored ⊆ offered.
-        let covered = Admit::Covered { merged: false };
-        assert_eq!(admit(key, fp(1), s(&[1, 2]), fp(0), 7), covered);
+        let covered = (Admit::Covered { merged: false }, None);
+        assert_eq!(admit(key, fp(1), s(&[1, 2]), root, 7), covered);
         if por {
-            // Same representative, stored {1,2} ⊄ offered {2,3}.
+            // Same representative, stored {1,2} ⊄ offered {2,3}: the
+            // re-pushed task has a record of its own.
+            let (outcome, again) = admit(key, fp(1), sleep(&[2, 3]), root, 7);
             let widen = Admit::Widen {
                 sleep: sleep(&[2]),
                 merged: false,
             };
-            assert_eq!(admit(key, fp(1), sleep(&[2, 3]), fp(0), 7), widen);
-            assert_eq!(admit(key, fp(1), sleep(&[2, 4]), fp(0), 7), covered);
+            assert_eq!(outcome, widen);
+            assert_eq!(path_to(&table, again.unwrap()), [MachineId(7)]);
+            assert_eq!(admit(key, fp(1), sleep(&[2, 4]), root, 7), covered);
         }
         if symmetry {
             if por {
                 // Sibling while the stored set is {2} ≠ ∅: one
-                // re-expansion with ∅, with the sibling's own edge.
+                // re-expansion with ∅, out of the task that offered it.
+                let (outcome, sibling) = admit(key, fp(2), sleep(&[4]), a, 2);
                 let widen = Admit::Widen {
                     sleep: SleepSet::empty(),
                     merged: true,
                 };
-                assert_eq!(admit(key, fp(2), sleep(&[4]), fp(1), 2), widen);
-                assert_eq!(path_to(&table, fp(2)), [MachineId(1), MachineId(2)]);
+                assert_eq!(outcome, widen);
+                assert_eq!(
+                    path_to(&table, sibling.unwrap()),
+                    [MachineId(1), MachineId(2)]
+                );
             }
-            // Sibling, stored ∅: covered, whatever it offers.
-            let merged = Admit::Covered { merged: true };
-            assert_eq!(admit(key, fp(2), s(&[6]), fp(0), 3), merged);
-            assert_eq!(admit(key, fp(1), s(&[5]), fp(0), 3), covered);
-            if !por {
-                assert!(path_to(&table, fp(2)).is_empty(), "a merge has no edge");
-            }
+            // Sibling, stored ∅: covered, whatever it offers — a merge
+            // pushes no task, so it has no record.
+            let merged = (Admit::Covered { merged: true }, None);
+            assert_eq!(admit(key, fp(2), s(&[6]), root, 3), merged);
+            assert_eq!(admit(key, fp(1), s(&[5]), root, 3), covered);
         }
-        // Revisits neither re-count the state nor replace its edge.
+        // Revisits neither re-count the state nor touch its record.
         assert_eq!(table.unique(), 2);
         assert_eq!(table.stored_bytes(), if spilled { 0 } else { 16 });
-        assert_eq!(path_to(&table, fp(1)), [MachineId(1)]);
+        assert_eq!(path_to(&table, a), [MachineId(1)]);
 
         // Over the bound (3, across both tiers): dropped, not poisoned.
-        assert_eq!(admit(fp(3), fp(3), s(&[]), fp(1), 3), Admit::New);
-        assert_eq!(admit(fp(4), fp(4), s(&[]), fp(1), 4), Admit::OverBound);
+        assert_eq!(admit(fp(3), fp(3), s(&[]), a, 3).0, Admit::New);
+        let over_bound = (Admit::OverBound, None);
+        assert_eq!(admit(fp(4), fp(4), s(&[]), a, 4), over_bound);
         assert!(table.truncated());
-        assert_eq!(admit(fp(4), fp(4), s(&[]), fp(3), 4), Admit::OverBound);
-        assert_eq!(admit(fp(3), fp(3), s(&[]), fp(1), 3), covered);
+        assert_eq!(admit(fp(4), fp(4), s(&[]), a, 4), over_bound);
+        assert_eq!(admit(fp(3), fp(3), s(&[]), a, 3), covered);
         assert_eq!(table.unique(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1174,13 +1544,14 @@ mod tests {
     #[test]
     fn shared_table_admits_exactly_once_across_threads() {
         let table = SharedTable::new(usize::MAX);
-        offer_root(&table, fp(0), 0);
+        let root = offer_root(&table, &mut EdgeWriter::default(), fp(0), 0);
         let wins = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
+                    let mut writer = EdgeWriter::default();
                     for n in 1..500u32 {
-                        if offer(&table, n, 1, 0) == Admit::New {
+                        if offer(&table, &mut writer, n, 1, root).0 == Admit::New {
                             wins.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -1195,10 +1566,237 @@ mod tests {
     #[test]
     fn shared_table_reconstructs_traces() {
         let table = SharedTable::new(usize::MAX);
-        offer_root(&table, fp(0), 0);
-        offer(&table, 1, 0, 0);
-        offer(&table, 2, 0, 1);
-        assert_eq!(path_to(&table, fp(2)), [MachineId(1), MachineId(2)]);
+        let mut writer = EdgeWriter::default();
+        let root = offer_root(&table, &mut writer, fp(0), 0);
+        let one = offer(&table, &mut writer, 1, 0, root).1.unwrap();
+        let two = offer(&table, &mut writer, 2, 0, one).1.unwrap();
+        assert_eq!(path_to(&table, two), [MachineId(1), MachineId(2)]);
+        assert!(path_to(&table, root).is_empty());
+    }
+
+    /// A small deterministic generator for the table-driven tests.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// The log against the store it replaces: random trees whose edges
+    /// cover every outcome the kernel records and choice scripts on both
+    /// sides of the inline budget go into the edge log and into the
+    /// reference [`ParentMap`]; every node's path renders identically,
+    /// in RAM and with every chunk spilled the moment it completes.
+    #[test]
+    fn edge_log_renders_what_the_parent_map_renders() {
+        use p_semantics::{EventId, ExecOutcome, MachineTypeId, RunResult, YieldKind};
+        let prog = program();
+        let inline = EdgeRecord::INLINE_CHOICES;
+        let outcomes = |rng: &mut u64| {
+            let to = MachineId(lcg(rng) as u32);
+            match lcg(rng) % 6 {
+                0 | 1 => ExecOutcome::Yield(YieldKind::Sent {
+                    to,
+                    event: EventId((lcg(rng) % 2) as u32),
+                    enqueued: lcg(rng).is_multiple_of(2),
+                }),
+                2 => ExecOutcome::Yield(YieldKind::Created {
+                    id: to,
+                    ty: MachineTypeId(0),
+                }),
+                3 => ExecOutcome::Yield(YieldKind::Internal),
+                4 => ExecOutcome::Blocked,
+                _ => ExecOutcome::Deleted,
+            }
+        };
+        for (seed, spilled) in [(1, false), (2, true), (3, false), (4, true)] {
+            let dir = temp_dir(&format!("edge-tree-{seed}"));
+            let log = EdgeLog::new(spilled.then(|| EdgeFile::create(&dir).unwrap()));
+            let mut rng = seed as u64;
+            let mut writer = EdgeWriter::default();
+            let mut reference = ParentMap::new();
+            let root = log.append(&mut writer, (EdgeRecord::root(), None)).unwrap();
+            let mut nodes = vec![root];
+            let edges = 2_000 + lcg(&mut rng) as usize % 8_000;
+            for _ in 0..edges {
+                let parent = nodes[lcg(&mut rng) as usize % nodes.len()];
+                let machine = MachineId(lcg(&mut rng) as u32);
+                let len = [0, 1, inline, inline + 1, 200][lcg(&mut rng) as usize % 5];
+                let choices: Vec<bool> =
+                    (0..len).map(|_| lcg(&mut rng).is_multiple_of(2)).collect();
+                let result = RunResult {
+                    outcome: outcomes(&mut rng),
+                    choices_used: len,
+                    steps: 1,
+                    dequeued: Vec::new(),
+                    raised: Vec::new(),
+                    deferred: Vec::new(),
+                };
+                let record = EdgeRecord::from_run(parent, machine, &result, &choices);
+                let id = log.append(&mut writer, record).unwrap();
+                reference.record(
+                    fp(id),
+                    fp(parent),
+                    StepSeed::from_run(machine, &result, choices),
+                );
+                nodes.push(id);
+                if spilled {
+                    log.spill_complete().unwrap();
+                }
+            }
+            if spilled {
+                let resident = log.chunks.lock().iter().flatten().count();
+                assert!(resident <= 1, "only the open chunk stays in RAM");
+            }
+            for &id in &nodes {
+                let rendered: Vec<TraceStep> = log
+                    .path_to(id)
+                    .unwrap()
+                    .iter()
+                    .map(|s| s.render(&prog))
+                    .collect();
+                assert_eq!(rendered, reference.reconstruct(fp(id), &prog), "node {id}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Eight writers, each reserving its ids a chunk at a time: every id
+    /// is written exactly once, holds what its writer put there, and
+    /// leads back to the root.
+    #[test]
+    fn edge_log_appends_exactly_once_across_threads() {
+        const WRITERS: u32 = 8;
+        const EACH: usize = 100_000;
+        let log = EdgeLog::new(None);
+        let root = log
+            .append(&mut EdgeWriter::default(), (EdgeRecord::root(), None))
+            .unwrap();
+        let written: Vec<Vec<TaskId>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    let log = &log;
+                    scope.spawn(move || {
+                        let mut writer = EdgeWriter::default();
+                        let mut rng = t as u64;
+                        let mut mine = vec![root];
+                        for _ in 0..EACH {
+                            let parent = mine[lcg(&mut rng) as usize % mine.len()];
+                            let id = log.append(&mut writer, edge(parent, t)).unwrap();
+                            mine.push(id);
+                        }
+                        mine.split_off(1)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let ids = log.chunks.lock().len() * EDGE_CHUNK;
+        let mut owner = vec![None; ids];
+        for (t, mine) in written.iter().enumerate() {
+            assert_eq!(mine.len(), EACH);
+            for &id in mine {
+                assert_eq!(
+                    owner[id as usize].replace(t),
+                    None,
+                    "id {id} handed out twice"
+                );
+            }
+        }
+        // A record's parent was written before it: depth by one pass in
+        // writing order, and every chain ends at the root.
+        let mut reaches_root = vec![false; ids];
+        reaches_root[root as usize] = true;
+        for (t, mine) in written.iter().enumerate() {
+            for &id in mine {
+                let record = log.get(id).unwrap();
+                assert_eq!(record, edge(record.parent(), t as u32).0, "id {id}");
+                assert!(reaches_root[record.parent() as usize], "id {id}");
+                reaches_root[id as usize] = true;
+            }
+        }
+        let last = *written[7].last().unwrap();
+        assert!(log.path_to(last).unwrap().iter().all(|s| *s == step(7)));
+    }
+
+    /// Choice scripts past the inline budget survive a checkpoint, on
+    /// both sides of a spill.
+    #[test]
+    fn edge_log_overflow_scripts_survive_snapshot_and_restore() {
+        use p_semantics::{ExecOutcome, RunResult};
+        let dir = temp_dir("edge-overflow");
+        let table = SharedTable::with_spill(usize::MAX, &dir, 64 << 10).unwrap();
+        let mut writer = EdgeWriter::default();
+        let mut parent = offer_root(&table, &mut writer, fp(0), 0);
+        let result = RunResult {
+            outcome: ExecOutcome::Blocked,
+            choices_used: 0,
+            steps: 1,
+            dequeued: Vec::new(),
+            raised: Vec::new(),
+            deferred: Vec::new(),
+        };
+        let script =
+            |n: u32| -> Vec<bool> { (0..n % 120).map(|i| (i + n).is_multiple_of(3)).collect() };
+        for n in 1..=2_500u32 {
+            let record = || EdgeRecord::from_run(parent, MachineId(n), &result, &script(n));
+            let admitted = table.admit(fp(n), fp(n), SleepSet::empty(), || 0, &mut writer, record);
+            parent = admitted.unwrap().1.unwrap();
+        }
+        assert!(table.index_bytes() > 0);
+        let expected: Vec<Vec<bool>> = (1..=2_500).map(script).collect();
+        let choices = |table: &SharedTable| -> Vec<Vec<bool>> {
+            let trace = table.reconstruct(parent, &program()).unwrap();
+            trace.into_iter().map(|s| s.choices).collect()
+        };
+        assert_eq!(choices(&table), expected);
+        let (visited, parents, scripts) = table.snapshot().unwrap();
+        assert_eq!(parents.len(), 3 * EDGE_CHUNK);
+        assert!(scripts.len() > 1_000, "{} overflow scripts", scripts.len());
+        let dir2 = temp_dir("edge-overflow-2");
+        for spill in [None, Some((dir2.as_path(), 64 << 10))] {
+            let restored =
+                SharedTable::restore(usize::MAX, spill, &visited, &parents, scripts.clone(), 0);
+            assert_eq!(choices(&restored.unwrap()), expected);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    /// A task-id space that is used up truncates the search the way the
+    /// state bound does: typed, counted, and without poisoning.
+    #[test]
+    fn exhausted_task_ids_truncate_without_poisoning() {
+        let mut table = SharedTable::new(usize::MAX);
+        table.edges.max_chunks = 1;
+        let mut writer = EdgeWriter::default();
+        let root = offer_root(&table, &mut writer, fp(0), 1);
+        let offer_x = |table: &SharedTable, writer: &mut EdgeWriter, sleep| {
+            let x = fp(9_000);
+            table
+                .admit(x, x, sleep, || 1, writer, || edge(root, 9))
+                .unwrap()
+        };
+        assert_eq!(offer_x(&table, &mut writer, sleep(&[1])).0, Admit::New);
+        for n in 2..EDGE_CHUNK as u32 {
+            assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
+        }
+        assert!(!table.truncated(), "the chunk is exactly full");
+        let over_bound = (Admit::OverBound, None);
+        assert_eq!(offer(&table, &mut writer, 5_000, 1, root), over_bound);
+        assert!(table.truncated());
+        assert_eq!(offer(&table, &mut writer, 5_000, 1, root), over_bound);
+        assert_eq!(table.unique(), EDGE_CHUNK);
+        assert_eq!(table.stored_bytes(), EDGE_CHUNK);
+        // A widening re-push needs an id too; without one the stored
+        // sleep set stays {1}, so the state is still owed the re-push.
+        assert_eq!(offer_x(&table, &mut writer, sleep(&[2])), over_bound);
+        table.edges.max_chunks = 2;
+        let widen = Admit::Widen {
+            sleep: SleepSet::empty(),
+            merged: false,
+        };
+        assert_eq!(offer_x(&table, &mut writer, sleep(&[2])).0, widen);
     }
 
     #[test]
@@ -1209,13 +1807,13 @@ mod tests {
             for w in 0..2 {
                 let (frontier, seen) = (&frontier, &seen);
                 scope.spawn(move || {
-                    while let Some(task) = frontier.next(w) {
+                    let mut children = Vec::new();
+                    while let Some((task, _stolen)) = frontier.next(w, || {}) {
                         seen.lock().push(task);
                         if task < 10 {
-                            frontier.push(w, task * 2 + 1);
-                            frontier.push(w, task * 2 + 2);
+                            children.extend([task * 2 + 1, task * 2 + 2]);
                         }
-                        frontier.task_done();
+                        frontier.finish_task(w, &mut children);
                     }
                 });
             }
@@ -1232,7 +1830,60 @@ mod tests {
         let frontier: Frontier<u32> = Frontier::new(1, 7);
         frontier.request_stop();
         assert!(frontier.stopping());
-        assert_eq!(frontier.next(0), None);
+        assert_eq!(frontier.next(0, || {}), None);
+    }
+
+    /// The idle-worker wake-up protocol with the park timeout taken
+    /// away: sleepers wait an hour, and the one worker with work holds
+    /// each batch back until the other three are asleep or about to be,
+    /// so nearly every push meets a sleeper. One wake-up lost between
+    /// `finish_task` and `sleep_while` — a push with surplus, or the last
+    /// task's completion — leaves a worker asleep for good; the watchdog
+    /// then fails the test instead of letting it hang.
+    #[test]
+    fn a_sleeping_worker_is_woken_for_every_surplus_push() {
+        const WORKERS: usize = 4;
+        const ROUNDS: u32 = 3_000;
+        let mut frontier: Frontier<u32> = Frontier::new(WORKERS, ROUNDS);
+        frontier.park_timeout = Duration::from_secs(3600);
+        let expanded = AtomicUsize::new(0);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            for w in 0..WORKERS {
+                let (frontier, expanded, done) = (&frontier, &expanded, done.clone());
+                scope.spawn(move || {
+                    let mut children = Vec::new();
+                    while let Some((task, _stolen)) = frontier.next(w, || {}) {
+                        expanded.fetch_add(1, Ordering::SeqCst);
+                        if task > 0 {
+                            // A spine task: the next one, and a leaf to
+                            // steal. Wait (boundedly) for the sleepers.
+                            children.extend([0, task - 1]);
+                            for _ in 0..10 * SPIN_POLLS {
+                                if frontier.sleeping.load(Ordering::SeqCst) == WORKERS - 1 {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                            }
+                        }
+                        frontier.finish_task(w, &mut children);
+                    }
+                    done.send(()).unwrap();
+                });
+            }
+            for _ in 0..WORKERS {
+                if finished.recv_timeout(Duration::from_secs(60)).is_err() {
+                    frontier.request_stop();
+                }
+            }
+        });
+        assert!(
+            !frontier.stopping(),
+            "a worker slept through a wake-up: {} of {} tasks expanded",
+            expanded.load(Ordering::SeqCst),
+            2 * ROUNDS + 1
+        );
+        assert_eq!(expanded.load(Ordering::SeqCst), 2 * ROUNDS as usize + 1);
     }
 
     /// Intern-aware accounting invariant: `bytes` closures run only on
@@ -1269,12 +1920,14 @@ mod tests {
         let dir = temp_dir("tiered-marginal");
         let table = SharedTable::with_spill(usize::MAX, &dir, usize::MAX).unwrap();
         let mut interner = SlotInterner::new();
+        let mut writer = EdgeWriter::default();
         let fp_a = Fingerprint::from_u128(a.digest());
         let fp_c = Fingerprint::from_u128(c.digest());
-        let admit = |fp, bytes: &mut dyn FnMut() -> usize| {
+        let mut admit = |fp, bytes: &mut dyn FnMut() -> usize| {
             table
-                .admit(fp, fp, SleepSet::empty(), bytes, Some(fp_a), || step(1))
+                .admit(fp, fp, SleepSet::empty(), bytes, &mut writer, || edge(0, 1))
                 .unwrap()
+                .0
         };
         assert_eq!(
             admit(fp_a, &mut || a.intern_slots(&mut interner)),
@@ -1308,8 +1961,9 @@ mod tests {
         // away from zero and `--mem-limit` triggers lose accuracy.
         let dir2 = temp_dir("tiered-marginal-spill");
         let spilly = SharedTable::with_spill(usize::MAX, &dir2, 1).unwrap();
+        let mut writer = EdgeWriter::default();
         for n in 0..4u32 {
-            assert_eq!(offer(&spilly, n, 10, 0), Admit::New);
+            assert_eq!(offer(&spilly, &mut writer, n, 10, 0).0, Admit::New);
             assert_eq!(spilly.stored_bytes(), 0, "spill freed the exact lens");
         }
         assert_eq!(spilly.spill_stats().0, 4);
@@ -1321,56 +1975,105 @@ mod tests {
     fn tiered_set_respects_bound_across_tiers() {
         let dir = temp_dir("tiered-bound");
         let table = SharedTable::with_spill(6, &dir, 2).unwrap();
+        let mut writer = EdgeWriter::default();
         for n in 0..6u32 {
-            assert_eq!(offer(&table, n, 1, 0), Admit::New);
+            assert_eq!(offer(&table, &mut writer, n, 1, 0).0, Admit::New);
         }
         assert_eq!(table.spill_stats().0, 6, "three spills of two states");
         // max_states counts both tiers, not just the (empty) hot one.
-        assert_eq!(offer(&table, 99, 1, 0), Admit::OverBound);
+        assert_eq!(offer(&table, &mut writer, 99, 1, 0).0, Admit::OverBound);
         assert_eq!(table.unique(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Parent edges spill on their own cap, whatever the visited bytes
+    /// Edge records spill on their own cap, whatever the visited bytes
     /// do: with `bytes() == 0` the visited trigger never fires, and the
-    /// RAM-resident edges must still stay under `parent_cap_for`.
+    /// RAM-resident records must still stay under `parent_cap_for`.
     #[test]
     fn tiered_parents_reconstruct_across_spill() {
         let dir = temp_dir("tiered-parents");
         let budget = 64 << 10;
         let cap = parent_cap_for(budget);
         let table = SharedTable::with_spill(usize::MAX, &dir, budget).unwrap();
-        offer_root(&table, fp(0), 0);
+        let mut writer = EdgeWriter::default();
+        let root = offer_root(&table, &mut writer, fp(0), 0);
         let states = 10 * cap as u32;
+        let mut ids = vec![root];
         for n in 1..=states {
-            assert_eq!(offer(&table, n, 0, n - 1), Admit::New);
-            assert!(table.hot_edges() <= cap, "{} hot edges", table.hot_edges());
+            let (outcome, id) = offer(&table, &mut writer, n, 0, ids[n as usize - 1]);
+            assert_eq!(outcome, Admit::New);
+            ids.push(id.unwrap());
+            assert!(
+                resident_records(&table) <= cap,
+                "{} resident records",
+                resident_records(&table)
+            );
         }
         assert_eq!(table.spill_stats().0, 0, "no visited byte was stored");
-        assert_eq!(table.hot_edges(), 0, "the last edge filled the tenth run");
+        assert_eq!(resident_records(&table), 1, "ten chunks are in edges.log");
+        let on_disk = std::fs::metadata(dir.join("edges.log")).unwrap().len();
+        assert_eq!(on_disk, (10 * cap * EdgeRecord::BYTES) as u64);
+        assert!(
+            std::fs::read_dir(&dir).unwrap().all(|entry| {
+                let name = entry.unwrap().file_name();
+                !name.to_string_lossy().starts_with("parents")
+            }),
+            "the edge log needs no run store"
+        );
         let expected: Vec<MachineId> = (1..=states).map(MachineId).collect();
-        assert_eq!(path_to(&table, fp(states)), expected, "root to leaf");
-        // First edge wins across tiers: fp(5)'s edge is on disk when it
-        // turns up as a sibling that would be re-expanded.
-        let sibling = |concrete, seed| {
-            let sleep = sleep(&[1]);
+        assert_eq!(
+            path_to(&table, ids[states as usize]),
+            expected,
+            "root to leaf"
+        );
+        assert!(table.spill_stats().2 >= 10 * cap as u64, "read from disk");
+        // A re-pushed task gets a record of its own, out of the task
+        // that offered it — whichever tier the state's first one is in.
+        let mut sibling = |concrete, parent, seed| {
             table
                 .admit(
                     fp(states + 1),
                     concrete,
-                    sleep,
+                    sleep(&[1]),
                     || 0,
-                    Some(fp(0)),
-                    || step(seed),
+                    &mut writer,
+                    || edge(parent, seed),
                 )
                 .unwrap()
         };
-        assert_eq!(sibling(fp(states + 1), 1), Admit::New);
+        assert_eq!(sibling(fp(states + 1), root, 1).0, Admit::New);
+        let (outcome, again) = sibling(fp(5), ids[3], 99);
+        assert!(matches!(outcome, Admit::Widen { merged: true, .. }));
+        let via_three = [1, 2, 3, 99].map(MachineId);
+        assert_eq!(path_to(&table, again.unwrap()), via_three);
+        assert_eq!(path_to(&table, ids[5]).len(), 5, "the first record stays");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A short or missing `edges.log` is an I/O error with the path in
+    /// it, from the trace walk and from a checkpoint alike.
+    #[test]
+    fn truncated_edge_file_is_a_typed_error() {
+        let dir = temp_dir("edges-truncated");
+        let table = SharedTable::with_spill(usize::MAX, &dir, 64 << 10).unwrap();
+        let mut writer = EdgeWriter::default();
+        let mut parent = offer_root(&table, &mut writer, fp(0), 0);
+        for n in 1..(2 * EDGE_CHUNK + 10) as u32 {
+            parent = offer(&table, &mut writer, n, 0, parent).1.unwrap();
+        }
+        let file = dir.join("edges.log");
+        let bytes = std::fs::read(&file).unwrap();
+        assert_eq!(bytes.len(), 2 * EDGE_CHUNK * EdgeRecord::BYTES);
+        std::fs::write(&file, &bytes[..EDGE_CHUNK * EdgeRecord::BYTES + 7]).unwrap();
+        let is_io = |e: CheckerError| matches!(&e, CheckerError::Io { path, .. } if *path == file);
+        assert!(table.reconstruct(parent, &program()).is_err_and(is_io));
+        assert!(table.snapshot().is_err_and(is_io));
+        // An id nobody wrote is refused too, not rendered.
+        let hole = (3 * EDGE_CHUNK - 1) as TaskId;
         assert!(matches!(
-            sibling(fp(5), 99),
-            Admit::Widen { merged: true, .. }
+            table.reconstruct(hole, &program()),
+            Err(CheckerError::CheckpointFormat(_))
         ));
-        assert_eq!(path_to(&table, fp(5)).len(), 5, "spilled edge was kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1379,17 +2082,20 @@ mod tests {
         let dir = temp_dir("tiered-snapshot");
         let table = SharedTable::with_spill(usize::MAX, &dir, 24).unwrap();
         let admit = |table: &SharedTable, key, concrete, sleep| {
+            let mut writer = EdgeWriter::default();
             table
-                .admit(key, concrete, sleep, || 8, Some(fp(0)), || step(1))
+                .admit(key, concrete, sleep, || 8, &mut writer, || edge(0, 1))
                 .unwrap()
+                .0
         };
         admit(&table, fp(1), fp(1), sleep(&[1]));
         admit(&table, fp(100), fp(2), SleepSet::empty());
+        let mut writer = EdgeWriter::default();
         for n in 10..16u32 {
-            offer(&table, n, 8, 0);
+            offer(&table, &mut writer, n, 8, 0);
         }
         assert!(table.spill_stats().0 >= 6, "both tiers hold entries");
-        let (mut entries, parents) = table.snapshot().unwrap();
+        let (mut entries, parents, scripts) = table.snapshot().unwrap();
         assert_eq!(entries.len(), table.unique());
         entries.sort_by_key(|e| e.fp);
 
@@ -1398,11 +2104,15 @@ mod tests {
         let dir2 = temp_dir("tiered-snapshot-2");
         for (spill, stored) in [(None, 64), (Some((dir2.as_path(), 4)), 0)] {
             let restored =
-                SharedTable::restore(usize::MAX, spill, &entries, parents.clone(), 64).unwrap();
+                SharedTable::restore(usize::MAX, spill, &entries, &parents, scripts.clone(), 64)
+                    .unwrap();
             assert_eq!(restored.unique(), entries.len());
             assert_eq!(restored.stored_bytes(), stored);
             let covered = Admit::Covered { merged: false };
-            assert_eq!(offer(&restored, 10, 8, 0), covered);
+            assert_eq!(
+                offer(&restored, &mut EdgeWriter::default(), 10, 8, 0).0,
+                covered
+            );
             assert_eq!(
                 admit(&restored, fp(1), fp(1), sleep(&[1])),
                 covered,
@@ -1413,7 +2123,7 @@ mod tests {
                 Admit::Covered { merged: true },
                 "representatives survive the round trip"
             );
-            let (mut again, _) = restored.snapshot().unwrap();
+            let (mut again, _, _) = restored.snapshot().unwrap();
             again.sort_by_key(|e| e.fp);
             assert_eq!(again, entries, "snapshot → restore → snapshot is lossless");
         }
@@ -1425,15 +2135,20 @@ mod tests {
     fn shared_table_spills_and_stays_exact_across_threads() {
         let dir = temp_dir("shared-spill");
         let table = SharedTable::with_spill(usize::MAX, &dir, 64).unwrap();
-        offer_root(&table, fp(0), 1);
+        let root = offer_root(&table, &mut EdgeWriter::default(), fp(0), 1);
         let wins = AtomicUsize::new(0);
+        let last = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let (table, wins) = (&table, &wins);
+                let (table, wins, last) = (&table, &wins, &last);
                 scope.spawn(move || {
+                    let mut writer = EdgeWriter::default();
                     for n in 1..500u32 {
-                        if offer(table, n, 1, 0) == Admit::New {
+                        if let (Admit::New, id) = offer(table, &mut writer, n, 1, root) {
                             wins.fetch_add(1, Ordering::SeqCst);
+                            if n == 499 {
+                                last.store(id.unwrap() as usize, Ordering::SeqCst);
+                            }
                         }
                     }
                 });
@@ -1448,7 +2163,8 @@ mod tests {
         let (spilled, bytes, _hits) = table.spill_stats();
         assert!(spilled >= 400, "hot cap 64 must have spilled: {spilled}");
         assert!(bytes > 0);
-        assert_eq!(path_to(&table, fp(499)), [MachineId(499)]);
+        let last = last.load(Ordering::SeqCst) as TaskId;
+        assert_eq!(path_to(&table, last), [MachineId(499)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1456,35 +2172,56 @@ mod tests {
     fn shared_table_snapshot_restore_round_trips() {
         let dir = temp_dir("shared-snapshot");
         let table = SharedTable::with_spill(usize::MAX, &dir, 4).unwrap();
-        offer_root(&table, fp(0), 1);
+        let mut writer = EdgeWriter::default();
+        let mut leaf = offer_root(&table, &mut writer, fp(0), 1);
         for n in 1..12u32 {
-            offer(&table, n, 1, n - 1);
+            leaf = offer(&table, &mut writer, n, 1, leaf).1.unwrap();
         }
-        let (mut visited, mut parents) = table.snapshot().unwrap();
+        let (mut visited, parents, scripts) = table.snapshot().unwrap();
         visited.sort_by_key(|e| e.fp);
-        parents.sort_by_key(|&(child, _, _)| child);
         assert_eq!(visited.len(), 12);
-        assert_eq!(parents.len(), 11);
+        assert_eq!(
+            parents.len(),
+            EDGE_CHUNK,
+            "whole chunks, unwritten ids zero"
+        );
+        assert!(scripts.is_empty());
 
         let restored =
-            SharedTable::restore(usize::MAX, None, &visited, parents.clone(), 12).unwrap();
+            SharedTable::restore(usize::MAX, None, &visited, &parents, Vec::new(), 12).unwrap();
         assert_eq!(restored.unique(), 12);
         assert_eq!(restored.stored_bytes(), 12);
-        assert_eq!(offer(&restored, 5, 1, 0), Admit::Covered { merged: false });
+        let mut writer = EdgeWriter::default();
+        let covered = Admit::Covered { merged: false };
+        assert_eq!(offer(&restored, &mut writer, 5, 1, leaf).0, covered);
         assert_eq!(
-            path_to(&restored, fp(11)).len(),
+            path_to(&restored, leaf).len(),
             11,
             "full chain survives a RAM restore"
         );
+        // New records go after the restored ones, never over them.
+        let fresh = offer(&restored, &mut writer, 50, 1, leaf).1.unwrap();
+        assert_eq!(fresh as usize, EDGE_CHUNK);
+        assert_eq!(path_to(&restored, fresh).len(), 12);
 
         let dir2 = temp_dir("shared-snapshot-2");
-        let respilled =
-            SharedTable::restore(usize::MAX, Some((&dir2, 4)), &visited, parents, 12).unwrap();
+        let respilled = SharedTable::restore(
+            usize::MAX,
+            Some((&dir2, 4)),
+            &visited,
+            &parents,
+            scripts,
+            12,
+        )
+        .unwrap();
         assert_eq!(respilled.unique(), 12);
         assert_eq!(respilled.stored_bytes(), 0);
-        assert_eq!(offer(&respilled, 5, 1, 0), Admit::Covered { merged: false });
         assert_eq!(
-            path_to(&respilled, fp(11)).len(),
+            offer(&respilled, &mut EdgeWriter::default(), 5, 1, leaf).0,
+            covered
+        );
+        assert_eq!(
+            path_to(&respilled, leaf).len(),
             11,
             "full chain survives a disk restore"
         );
@@ -1496,14 +2233,18 @@ mod tests {
     fn frontier_rendezvous_parks_workers_and_resumes() {
         let frontier: Frontier<u32> = Frontier::from_tasks(3, vec![1, 2, 3, 4, 5]);
         let processed = AtomicUsize::new(0);
+        let flushes = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             // Two follower workers; the test thread acts as the leader.
             for w in 0..2 {
-                let (frontier, processed) = (&frontier, &processed);
+                let (frontier, processed, flushes) = (&frontier, &processed, &flushes);
                 scope.spawn(move || {
-                    while let Some(_task) = frontier.next(w) {
+                    let before_park = || {
+                        flushes.fetch_add(1, Ordering::SeqCst);
+                    };
+                    while let Some(_task) = frontier.next(w, before_park) {
                         processed.fetch_add(1, Ordering::SeqCst);
-                        frontier.task_done();
+                        frontier.finish_task(w, &mut Vec::new());
                     }
                     frontier.retire();
                 });
@@ -1518,6 +2259,9 @@ mod tests {
                 5,
                 "every task is either processed or still queued"
             );
+            // A worker that exited before the pause never parks; one
+            // that parks has run its hook first.
+            assert!(flushes.load(Ordering::SeqCst) >= frontier.parked.load(Ordering::SeqCst));
             frontier.resume_workers();
             frontier.retire(); // the leader takes no tasks
         });

@@ -13,7 +13,7 @@
 //! DESIGN.md §13): [`CheckerOptions::checkpoint`] periodically persists
 //! the entire search state so a killed run resumes via
 //! [`CheckerOptions::resume`], and [`CheckerOptions::mem_limit`] spills
-//! the visited set and parent map to disk once their RAM share exceeds
+//! the visited set and the edge log to disk once their RAM share exceeds
 //! the budget.
 
 use std::fs;
@@ -32,17 +32,24 @@ use p_semantics::{
 use p_telemetry::Telemetry;
 
 use crate::checkpoint::{self, CheckpointData, CheckpointPolicy, TaskEntry};
-use crate::engine::{hot_budget_for, Admit, Frontier, SharedCounters, SharedTable};
+use crate::engine::{
+    hot_budget_for, Admit, EdgeWriter, Frontier, SharedCounters, SharedTable, TaskId,
+};
 use crate::error::CheckerError;
-use crate::fingerprint::{Fingerprint, FpHashMap};
+use crate::fingerprint::{Fingerprint, FpHashMap, FpHashSet};
 use crate::por::{Por, SleepSet};
 use crate::stats::ExplorationStats;
-use crate::trace::{Counterexample, TraceStep};
+use crate::trace::{Counterexample, EdgeRecord, TraceStep};
 
 /// How often a worker offers a progress snapshot to the
 /// telemetry layer (further throttled there by wall-clock interval).
 #[cfg(feature = "telemetry")]
 const SNAPSHOT_EVERY_TASKS: usize = 256;
+
+/// How many tasks a worker expands between flushes of its counters to
+/// the shared totals (it also flushes before parking at a checkpoint
+/// rendezvous and on exit, so no total ever misses a task).
+const FLUSH_EVERY_TASKS: u64 = 64;
 
 /// Bounds and knobs for exploration.
 #[derive(Debug, Clone)]
@@ -102,8 +109,9 @@ pub struct CheckerOptions {
     pub resume: Option<PathBuf>,
     /// Approximate RAM budget (bytes) for the exhaustive search's
     /// visited set. When the hot (RAM) tier outgrows it, fingerprints
-    /// and parent records spill to sorted disk runs with a bloom-filter
-    /// front; the verdict, `unique_states` and traces are unaffected.
+    /// spill to sorted disk runs with a bloom-filter front and edge
+    /// records to a flat file indexed by task id; the verdict,
+    /// `unique_states` and traces are unaffected.
     /// `None` (the default) keeps everything in RAM.
     pub mem_limit: Option<usize>,
     /// Cooperative interruption (SIGINT/SIGTERM): when the flag turns
@@ -306,7 +314,7 @@ impl<'p> Verifier<'p> {
     /// mismatched checkpoint on resume, spill-store I/O under a memory
     /// limit — or in a fatal [`CheckerError::Semantics`] engine error.
     pub fn try_check_exhaustive(&self) -> Result<Report, CheckerError> {
-        self.search(self.options.jobs)
+        self.search(self.options.jobs).map(|(report, _)| report)
     }
 
     /// [`Verifier::check_exhaustive`] with `jobs` workers, whatever
@@ -325,6 +333,7 @@ impl<'p> Verifier<'p> {
     pub fn check_exhaustive_parallel(&self, jobs: usize) -> Report {
         self.search(jobs)
             .expect("exhaustive search failed; use try_check_exhaustive to handle errors")
+            .0
     }
 
     /// Digest of everything a checkpoint must agree on to be resumable:
@@ -364,9 +373,11 @@ impl<'p> Verifier<'p> {
     }
 
     /// The exhaustive search (see DESIGN.md §9): `jobs` workers expand
-    /// one frontier against one visited table. One worker (`jobs` 0 or
-    /// 1) runs on the calling thread; more are spawned and joined.
-    fn search(&self, jobs: usize) -> Result<Report, CheckerError> {
+    /// one frontier against one visited table. A single worker (`jobs`
+    /// of 0 or 1) runs on the calling thread; more are spawned and
+    /// joined. The workers' intern tables come back with the report,
+    /// for the test that checks they share no allocation.
+    pub(crate) fn search(&self, jobs: usize) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
         let jobs = jobs.max(1);
         let start = Instant::now();
         let options = &self.options;
@@ -380,12 +391,12 @@ impl<'p> Verifier<'p> {
         };
 
         let counters = SharedCounters::default();
-        // One intern table for every worker (a mutex taken only for a
-        // fresh state, a minority of offers): with a single table the
-        // marginal byte accounting is insertion-order-independent —
-        // every distinct slot counts exactly once globally — so
-        // `stored_bytes` does not depend on `jobs`.
-        let interner = Mutex::new(SlotInterner::new());
+        // Every worker hash-conses into a table of its own and asks this
+        // one set, only when its table misses, whether a slot's bytes
+        // are new: every distinct slot counts exactly once globally, so
+        // `stored_bytes` depends on neither arrival order nor `jobs`.
+        let slot_digests = Mutex::new(FpHashSet::default());
+        let mut interners: Vec<SlotInterner> = (0..jobs).map(|_| SlotInterner::new()).collect();
         let mut base_duration = Duration::ZERO;
         let mut base_truncated = false;
         let (table, frontier) = match resumed {
@@ -396,22 +407,28 @@ impl<'p> Verifier<'p> {
                         SharedTable::with_spill(options.max_states, dir, budget)?
                     }
                 };
-                let mut init = self.engine().initial_config();
-                let init_fp = Fingerprint::from_u128(init.digest());
+                let mut config = self.engine().initial_config();
+                let init_fp = Fingerprint::from_u128(config.digest());
                 let init_key = if options.symmetry {
-                    Fingerprint::from_u128(canonical_digest(&mut init))
+                    Fingerprint::from_u128(canonical_digest(&mut config))
                 } else {
                     init_fp
                 };
-                table.admit(
+                let (_, id) = table.admit(
                     init_key,
                     init_fp,
                     SleepSet::empty(),
-                    || init.intern_slots(&mut interner.lock()),
-                    None,
-                    || unreachable!("the initial state has no parent edge"),
+                    || intern(&mut config, &mut interners[0], &slot_digests),
+                    &mut EdgeWriter::default(),
+                    || (EdgeRecord::root(), None),
                 )?;
-                let root = (init, init_fp, 0, SleepSet::empty(), true);
+                let root = Task {
+                    config,
+                    id: id.expect("an empty table admits the initial state"),
+                    depth: 0,
+                    sleep: SleepSet::empty(),
+                    fresh: true,
+                };
                 (table, Frontier::new(jobs, root))
             }
             Some(ckpt) => {
@@ -419,7 +436,8 @@ impl<'p> Verifier<'p> {
                     options.max_states,
                     spill_cfg,
                     &ckpt.visited,
-                    ckpt.parents,
+                    &ckpt.parents,
+                    ckpt.scripts,
                     ckpt.stats.stored_bytes,
                 )?;
                 let tasks = decode_frontier(&ckpt.frontier, self.program)?;
@@ -439,7 +457,7 @@ impl<'p> Verifier<'p> {
             last_ckpt: AtomicUsize::new(table.unique()),
             table,
             frontier,
-            interner,
+            slot_digests,
             counters,
             depth_truncated: AtomicBool::new(false),
             violation: Mutex::new(None),
@@ -454,13 +472,15 @@ impl<'p> Verifier<'p> {
         };
 
         let worker_tasks = if jobs == 1 {
-            vec![self.expand_worker(0, &search)]
+            vec![self.expand_worker(0, &mut interners[0], &search)]
         } else {
             std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..jobs)
-                    .map(|w| {
+                let workers: Vec<_> = interners
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(w, interner)| {
                         let search = &search;
-                        scope.spawn(move || self.expand_worker(w, search))
+                        scope.spawn(move || self.expand_worker(w, interner, search))
                     })
                     .collect();
                 // Join every worker before reporting a panic: the scope
@@ -502,6 +522,7 @@ impl<'p> Verifier<'p> {
 
         stats.unique_states = table.unique();
         stats.stored_bytes = table.stored_bytes();
+        stats.index_bytes = table.index_bytes();
         (stats.spilled_states, stats.spill_bytes, stats.cold_hits) = table.spill_stats();
         stats.truncated |= search.truncated();
         stats.duration = base_duration + start.elapsed();
@@ -510,35 +531,43 @@ impl<'p> Verifier<'p> {
 
         let counterexample = match search.violation.lock().take() {
             None => None,
-            Some((parent_fp, step, error)) => {
-                // The workers are done; the table is quiescent and
-                // holds a complete root path for every admitted state.
-                let mut trace = table.reconstruct(parent_fp, self.program)?;
+            Some((parent, step, error)) => {
+                // The workers are done; the log is quiescent and holds
+                // a complete root path for every task ever pushed.
+                let mut trace = table.reconstruct(parent, self.program)?;
                 trace.push(step);
                 Some(Counterexample { error, trace })
             }
         };
         let interrupted = search.interrupted.load(Ordering::SeqCst) && counterexample.is_none();
         let complete = counterexample.is_none() && !stats.truncated && !interrupted;
-        Ok(Report {
+        let report = Report {
             counterexample,
             stats,
             complete,
             interrupted,
-        })
+        };
+        Ok((report, interners))
     }
 
     /// One worker: expand tasks until the frontier drains or the search
-    /// stops. Keeps thread-local stats and flushes deltas to the shared
-    /// [`SharedCounters`] after every expanded task and unconditionally
-    /// on exit, so the shared totals are exact on every exit path.
-    /// Returns the number of tasks this worker expanded (the per-worker
-    /// utilization sample).
-    fn expand_worker(&self, worker: usize, search: &Search<'_>) -> u64 {
+    /// stops. Everything it writes per transition is its own — stats,
+    /// intern table, edge chunk, the children of the task in hand; the
+    /// deltas of its stats go to the shared [`SharedCounters`] every
+    /// [`FLUSH_EVERY_TASKS`] tasks, before it parks at a rendezvous and
+    /// unconditionally on exit, so the shared totals are exact at every
+    /// checkpoint and on every exit path. Returns the number of tasks
+    /// this worker expanded (the per-worker utilization sample).
+    fn expand_worker(
+        &self,
+        worker: usize,
+        interner: &mut SlotInterner,
+        search: &Search<'_>,
+    ) -> u64 {
         let Search {
             table,
             frontier,
-            interner,
+            slot_digests,
             counters,
             ..
         } = search;
@@ -553,18 +582,52 @@ impl<'p> Verifier<'p> {
         let mut succs = Vec::new();
         let mut arena = crate::succ::SuccArena::new();
         let mut enabled = Vec::new();
+        let mut writer = EdgeWriter::default();
+        let mut children = Vec::new();
         // Per-worker concrete → canonical memo: most successors are
         // revisits of a concrete state this worker already
         // canonicalized, and canonicalization costs far more than a
         // hash lookup.
         let mut canon_cache: FpHashMap<Fingerprint> = FpHashMap::default();
-        'tasks: while let Some((config, fp, depth, sleep, fresh)) = frontier.next(worker) {
+        // Leaves the fleet on every exit; a panic — which would otherwise
+        // leave the others waiting for this worker's task — stops it too.
+        struct Leave<'a>(&'a Frontier<Task>);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.request_stop();
+                }
+                self.0.retire();
+            }
+        }
+        let _leave = Leave(frontier);
+        // A violation or an error stops the whole search, so the paths
+        // that `break` out leave the frontier as it is.
+        'tasks: while let Some((task, stolen)) =
+            frontier.next(worker, || counters.flush(&stats, &mut flushed))
+        {
+            let Task {
+                mut config,
+                id: task_id,
+                depth,
+                sleep,
+                fresh,
+            } = task;
+            if stolen {
+                // The slots are the victim's allocations; keep no core
+                // counting references on another core's lines.
+                config.rehome_slots(interner);
+            }
+            debug_assert!(
+                config.is_interned_in(interner),
+                "a worker expands only configurations interned in its own table"
+            );
             tasks += 1;
             arena.phases.begin_task(tasks);
             stats.max_depth = stats.max_depth.max(depth);
             if depth >= self.options.max_depth {
                 search.depth_truncated.store(true, Ordering::SeqCst);
-                frontier.task_done();
+                frontier.finish_task(worker, &mut children);
                 continue;
             }
             engine.enabled_machines_into(&config, &mut enabled);
@@ -592,7 +655,6 @@ impl<'p> Verifier<'p> {
                     &mut arena,
                 ) {
                     search.stop_with(&search.error, error.into());
-                    frontier.task_done();
                     break 'tasks;
                 }
                 for mut succ in succs.drain(..) {
@@ -601,16 +663,15 @@ impl<'p> Verifier<'p> {
                         let choices = std::mem::take(&mut succ.choices);
                         let step =
                             TraceStep::from_run(self.program, succ.machine, &succ.result, choices);
-                        search.stop_with(&search.violation, (fp, step, e.clone()));
-                        frontier.task_done();
+                        search.stop_with(&search.violation, (task_id, step, e.clone()));
                         break 'tasks;
                     }
                     let t = arena.phases.start();
                     let succ_fp = Fingerprint::from_u128(succ.config.digest());
                     arena.phases.stop(crate::phase::Phase::Digest, t);
                     // With symmetry on, the table is keyed by the
-                    // canonical fingerprint; everything else (parent
-                    // edges, tasks, traces) stays concrete.
+                    // canonical fingerprint; everything else (tasks,
+                    // their records, traces) stays concrete.
                     let key = if symmetry {
                         *canon_cache.entry(succ_fp).or_insert_with(|| {
                             let t = arena.phases.start();
@@ -629,41 +690,45 @@ impl<'p> Verifier<'p> {
                             por.filter_sleep(&config, cur_sleep, &taken)
                         }
                     };
-                    let (slots, choices, result) =
-                        (&mut succ.config, &mut succ.choices, &succ.result);
-                    // Parent edges store compact step seeds; only an
-                    // error path renders human-readable summaries.
+                    let (slots, choices, result) = (&mut succ.config, &succ.choices, &succ.result);
+                    // The log stores packed records; only an error path
+                    // renders human-readable summaries.
                     let admitted = table.admit(
                         key,
                         succ_fp,
                         child_sleep,
-                        || slots.intern_slots(&mut interner.lock()),
-                        Some(fp),
-                        || crate::trace::StepSeed::from_run(id, result, std::mem::take(choices)),
+                        || intern(slots, interner, slot_digests),
+                        &mut writer,
+                        || EdgeRecord::from_run(task_id, id, result, choices),
                     );
-                    // The sleep set to expand the successor with, and
-                    // whether this is its first visit.
-                    let expand = match admitted {
+                    // The task to push for the successor, if any: its
+                    // id, the sleep set to expand it with, and whether
+                    // this is its first visit.
+                    let push = match admitted {
                         Err(error) => {
                             search.stop_with(&search.error, error);
-                            frontier.task_done();
                             break 'tasks;
                         }
-                        Ok(Admit::New) => Some((child_sleep, true)),
-                        Ok(Admit::Widen { sleep, merged }) => {
+                        Ok((Admit::New, id)) => id.map(|id| (id, child_sleep, true)),
+                        Ok((Admit::Widen { sleep, merged }, id)) => {
                             stats.symmetry_merges += usize::from(merged);
-                            Some((sleep, false))
+                            id.map(|id| (id, sleep, false))
                         }
-                        Ok(Admit::Covered { merged }) => {
+                        Ok((Admit::Covered { merged }, _)) => {
                             stats.dedup_hits += 1;
                             stats.symmetry_merges += usize::from(merged);
                             None
                         }
-                        Ok(Admit::OverBound) => None,
+                        Ok((Admit::OverBound, _)) => None,
                     };
-                    if let Some((sleep, fresh)) = expand {
-                        let config = std::mem::take(&mut succ.config);
-                        frontier.push(worker, (config, succ_fp, depth + 1, sleep, fresh));
+                    if let Some((id, sleep, fresh)) = push {
+                        children.push(Task {
+                            config: std::mem::take(&mut succ.config),
+                            id,
+                            depth: depth + 1,
+                            sleep,
+                            fresh,
+                        });
                     }
                     arena.phases.stop(crate::phase::Phase::Table, table_t);
                     arena.recycle(succ);
@@ -674,9 +739,11 @@ impl<'p> Verifier<'p> {
             }
             arena.recycle_config(config);
             arena.phases.drain_into(&mut stats.phases);
-            frontier.task_done();
-            counters.flush(&stats, &mut flushed);
-            self.control(search);
+            frontier.finish_task(worker, &mut children);
+            if tasks.is_multiple_of(FLUSH_EVERY_TASKS) {
+                counters.flush(&stats, &mut flushed);
+            }
+            self.control(search, || counters.flush(&stats, &mut flushed));
             #[cfg(feature = "telemetry")]
             if tasks.is_multiple_of(SNAPSHOT_EVERY_TASKS as u64) {
                 self.telemetry.maybe_snapshot(worker as u32, |elapsed| {
@@ -693,7 +760,6 @@ impl<'p> Verifier<'p> {
             }
         }
         counters.flush(&stats, &mut flushed);
-        frontier.retire();
         tasks
     }
 
@@ -705,8 +771,9 @@ impl<'p> Verifier<'p> {
     /// or shuts it down (interrupt / abort-after). A worker's deque is
     /// serialized front to back, the order [`Frontier::from_tasks`]
     /// refills it in, so a one-worker run resumes popping exactly where
-    /// it stopped.
-    fn control(&self, search: &Search<'_>) {
+    /// it stopped. `flush` folds the leader's own unflushed counters
+    /// into the shared totals (the parked workers have flushed theirs).
+    fn control(&self, search: &Search<'_>, flush: impl FnOnce()) {
         let Search {
             table, frontier, ..
         } = search;
@@ -732,10 +799,11 @@ impl<'p> Verifier<'p> {
         if search.claimed.swap(true, Ordering::SeqCst) {
             return; // another worker is already checkpointing
         }
+        flush();
         frontier.pause_workers();
         frontier.await_rendezvous();
         let result = (|| {
-            let (visited, parents) = table.snapshot()?;
+            let (visited, parents, scripts) = table.snapshot()?;
             let mut stats = search.counters.totals();
             stats.unique_states = table.unique();
             stats.stored_bytes = table.stored_bytes();
@@ -745,6 +813,7 @@ impl<'p> Verifier<'p> {
                 stats,
                 visited,
                 parents,
+                scripts,
                 frontier: encode_frontier(&frontier.snapshot_tasks()),
             };
             checkpoint::write(&policy.dir, search.digest, &data)
@@ -766,11 +835,12 @@ impl<'p> Verifier<'p> {
 struct Search<'a> {
     table: SharedTable,
     frontier: Frontier<Task>,
-    interner: Mutex<SlotInterner>,
+    /// Digest of every machine slot any worker has interned.
+    slot_digests: Mutex<FpHashSet>,
     counters: SharedCounters,
     depth_truncated: AtomicBool,
-    /// First violation: (parent fingerprint, final step, error).
-    violation: Mutex<Option<(Fingerprint, TraceStep, PError)>>,
+    /// First violation: (task it was found in, final step, error).
+    violation: Mutex<Option<(TaskId, TraceStep, PError)>>,
     /// First [`CheckerError`] from any worker or the checkpoint leader.
     error: Mutex<Option<CheckerError>>,
     policy: Option<&'a CheckpointPolicy>,
@@ -857,17 +927,35 @@ fn spill_config<'a>(
         .map(|dir| (dir.path.as_path(), hot_budget_for(limit)))
 }
 
+/// Hash-conses the slots of a freshly admitted `config` into the
+/// worker's own `interner` and returns its marginal stored size. The
+/// shared digest set is locked only for a slot the worker's table has
+/// not met — once per distinct slot per worker, not once per state —
+/// and it alone decides whether the slot's bytes are new, up to the
+/// interner's own capacity limit.
+fn intern(config: &mut Config, interner: &mut SlotInterner, digests: &Mutex<FpHashSet>) -> usize {
+    config.intern_slots_with(interner, |digest| {
+        let mut digests = digests.lock();
+        let digest = Fingerprint::from_u128(digest);
+        if digests.len() >= SlotInterner::DEFAULT_CAP {
+            !digests.contains(&digest)
+        } else {
+            digests.insert(digest)
+        }
+    })
+}
+
 /// Serializes frontier tasks for a checkpoint (order-preserving: a
 /// one-worker run must pop identically after a resume).
 fn encode_frontier(tasks: &[Task]) -> Vec<TaskEntry> {
     tasks
         .iter()
-        .map(|(config, fp, depth, sleep, fresh)| TaskEntry {
-            cfg: config.canonical_bytes(),
-            fp: fp.as_u128(),
-            depth: *depth as u64,
-            sleep: sleep.0,
-            fresh: *fresh,
+        .map(|task| TaskEntry {
+            cfg: task.config.canonical_bytes(),
+            id: task.id,
+            depth: task.depth as u64,
+            sleep: task.sleep.0,
+            fresh: task.fresh,
         })
         .collect()
 }
@@ -886,20 +974,28 @@ fn decode_frontier(
                     "undecodable frontier configuration in checkpoint: {e}"
                 ))
             })?;
-            Ok((
+            Ok(Task {
                 config,
-                Fingerprint::from_u128(t.fp),
-                t.depth as usize,
-                SleepSet(t.sleep),
-                t.fresh,
-            ))
+                id: t.id,
+                depth: t.depth as usize,
+                sleep: SleepSet(t.sleep),
+                fresh: t.fresh,
+            })
         })
         .collect()
 }
 
-/// A unit of work: the state, its fingerprint and depth, the sleep set
-/// to expand it with, and whether this is its first visit.
-type Task = (Config, Fingerprint, usize, SleepSet, bool);
+/// A unit of work: the state, the id of its record in the edge log (the
+/// way back to the root), its depth, the sleep set to expand it with,
+/// and whether this is its first visit.
+#[derive(Debug, Clone)]
+struct Task {
+    config: Config,
+    id: TaskId,
+    depth: usize,
+    sleep: SleepSet,
+    fresh: bool,
+}
 
 impl Verifier<'_> {
     /// Records queue-length and quiescence diagnostics for one visited

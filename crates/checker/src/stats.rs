@@ -77,6 +77,12 @@ pub struct ExplorationStats {
     /// Total bytes of canonical state encodings stored — the analog of the
     /// memory column in Figure 8.
     pub stored_bytes: usize,
+    /// Bytes of RAM the exhaustive search's bookkeeping around those
+    /// encodings holds at the end of the run: the visited tables'
+    /// buckets, the resident edge records and the overflow choice
+    /// scripts, computed from lengths and capacities. Zero for the
+    /// strategies that do not measure it.
+    pub index_bytes: usize,
     /// True if a bound (states, depth, delays) cut the exploration short.
     pub truncated: bool,
     /// Longest input queue observed in any visited configuration — a
@@ -107,11 +113,11 @@ pub struct ExplorationStats {
     /// share is `unique_states - spilled_states` and `stored_bytes`
     /// honestly reports RAM only.
     pub spilled_states: usize,
-    /// Bytes written to spill files over the run (visited + parent
-    /// runs, merges included). An I/O-activity counter: it describes
+    /// Bytes written to spill files over the run (visited runs, merges
+    /// included, and the edge file). An I/O-activity counter: it describes
     /// this process, so a resumed run reports its own spill traffic.
     pub spill_bytes: u64,
-    /// Visited/parent lookups answered from the cold tier.
+    /// Visited lookups and edge-record reads answered from the cold tier.
     pub cold_hits: u64,
     /// Sampled per-phase time attribution (all zero for engines that
     /// do not meter their hot loop).
@@ -133,6 +139,7 @@ impl ExplorationStats {
         self.unique_states += other.unique_states;
         self.transitions += other.transitions;
         self.stored_bytes += other.stored_bytes;
+        self.index_bytes += other.index_bytes;
         self.quiescent_states += other.quiescent_states;
         self.stuck_states += other.stuck_states;
         self.dedup_hits += other.dedup_hits;
@@ -163,14 +170,20 @@ impl fmt::Display for ExplorationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} states, {} transitions, depth {}, {:.2?}, {:.2} MiB{}",
+            "{} states, {} transitions, depth {}, {:.2?}, {:.2} MiB",
             self.unique_states,
             self.transitions,
             self.max_depth,
             self.duration,
             self.stored_mib(),
-            if self.truncated { " (truncated)" } else { "" }
         )?;
+        if self.index_bytes > 0 {
+            let index_mib = self.index_bytes as f64 / (1024.0 * 1024.0);
+            write!(f, " states + {index_mib:.2} MiB index")?;
+        }
+        if self.truncated {
+            write!(f, " (truncated)")?;
+        }
         if self.spilled_states > 0 {
             write!(f, ", {} spilled", self.spilled_states)?;
         }
@@ -213,11 +226,21 @@ mod tests {
             spill_bytes: 0,
             cold_hits: 0,
             phases: PhaseNanos::default(),
+            index_bytes: 0,
         };
         let text = s.to_string();
         assert!(text.contains("10 states"));
-        assert!(text.contains("truncated"));
+        assert!(text.contains("0.00 MiB (truncated)"), "{text}");
         assert!(!text.contains("spilled"), "{text}");
+        let indexed = ExplorationStats {
+            index_bytes: 3 << 20,
+            ..s.clone()
+        };
+        let text = indexed.to_string();
+        assert!(
+            text.contains("0.00 MiB states + 3.00 MiB index (truncated)"),
+            "{text}"
+        );
         let spilling = ExplorationStats {
             spilled_states: 7,
             ..s
@@ -243,6 +266,7 @@ mod tests {
             spilled_states: 10,
             spill_bytes: 160,
             cold_hits: 2,
+            index_bytes: 0,
             phases: PhaseNanos {
                 exec: 5,
                 digest: 4,
@@ -267,6 +291,7 @@ mod tests {
             spilled_states: 5,
             spill_bytes: 80,
             cold_hits: 1,
+            index_bytes: 0,
             phases: PhaseNanos {
                 exec: 10,
                 digest: 10,

@@ -1,4 +1,4 @@
-//! Disk-backed cold tier for the visited set and parent map.
+//! Disk-backed cold tier for the visited set.
 //!
 //! Under `--mem-limit`, the exploration engine keeps only a bounded hot
 //! tier of fingerprints in RAM and spills the rest here: sorted runs of
@@ -8,15 +8,10 @@
 //! distributed-Murphi/Spin lineage) adapted to the checker's 128-bit
 //! fingerprints.
 //!
-//! One [`RunStore`] abstraction serves both consumers:
-//!
-//! * the **visited set** stores keys with an empty payload (plain and
-//!   POR modes) or a 16-byte canonical-representative fingerprint
-//!   (symmetry mode);
-//! * the **parent map** stores keys with a variable-length payload
-//!   (parent fingerprint + encoded [`StepSeed`](crate::trace::StepSeed))
-//!   so counterexample reconstruction stays concrete even for spilled
-//!   states.
+//! The visited set stores keys with an empty payload (plain and POR
+//! modes) or a 16-byte canonical-representative fingerprint (symmetry
+//! mode). Parent edges need none of this: they are addressed by dense
+//! task ids, so their cold tier is a flat file (`crate::engine`).
 //!
 //! Each spilled batch becomes one *run*: an index file of sorted
 //! `(key: u128, offset: u64, len: u32)` records plus a heap file of
@@ -115,8 +110,7 @@ pub(crate) struct SpillCounters {
 /// A log-structured store of sorted fingerprint-keyed runs.
 pub(crate) struct RunStore {
     dir: PathBuf,
-    /// File-name prefix distinguishing co-located stores
-    /// (`visited-…`, `parents-…`).
+    /// File-name prefix of the store's run files (`visited-…`).
     tag: &'static str,
     runs: Vec<Run>,
     bloom: Bloom,
@@ -199,15 +193,6 @@ impl RunStore {
             self.merge_all()?;
         }
         Ok(())
-    }
-
-    /// Whether `key` is on disk, counting a hit. No heap I/O.
-    pub(crate) fn contains(&mut self, key: u128) -> Result<bool, CheckerError> {
-        let found = self.find(key)?.is_some();
-        if found {
-            self.counters.hits += 1;
-        }
-        Ok(found)
     }
 
     /// The payload stored for `key`, if present (empty payloads come
@@ -450,10 +435,8 @@ mod tests {
             .collect();
         store.spill(batch.clone()).unwrap();
         for (k, payload) in &batch {
-            assert!(store.contains(*k).unwrap());
             assert_eq!(store.get(*k).unwrap().as_deref(), Some(&payload[..]));
         }
-        assert!(!store.contains(key(9_999)).unwrap());
         assert_eq!(store.get(key(9_999)).unwrap(), None);
         assert_eq!(store.counters.records, 500);
         let _ = fs::remove_dir_all(&dir);
@@ -497,7 +480,6 @@ mod tests {
         let mut store = RunStore::create(&dir, "visited").unwrap();
         let batch: Vec<(u128, Vec<u8>)> = (0..100).map(|i| (key(i), Vec::new())).collect();
         store.spill(batch).unwrap();
-        assert!(store.contains(key(42)).unwrap());
         assert_eq!(store.get(key(42)).unwrap(), Some(Vec::new()));
         let heap_bytes: u64 = fs::read_dir(&dir)
             .unwrap()
@@ -521,7 +503,7 @@ mod tests {
             .unwrap();
         assert!(store.bloom.capacity_bits() > 1 << 16);
         for i in (0..n).step_by(97) {
-            assert!(store.contains(key(i)).unwrap(), "lost key {i}");
+            assert!(store.get(key(i)).unwrap().is_some(), "lost key {i}");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -730,6 +730,62 @@ fn por_parallel_matches_por_sequential() {
     }
 }
 
+/// A worker that panics (here: a foreign function does) takes the
+/// search down with a typed error; the other workers neither wait for
+/// its task for ever nor sleep through its exit.
+#[test]
+fn a_panicking_worker_stops_the_search_with_a_typed_error() {
+    let src = r#"
+        event tick : int;
+        machine Clock {
+            var n : int;
+            foreign fn risky(int) : int;
+            state Run {
+                entry { n := n + risky(n); if (n < 500) { send(this, tick, n); } }
+                on tick goto Run;
+            }
+        }
+        main Clock(n = 0);
+    "#;
+    let p = lowered(src);
+    let mut registry = p_semantics::ForeignRegistry::new();
+    registry.register("risky", |args| match args[0] {
+        p_semantics::Value::Int(n) if n >= 200 => panic!("simulated foreign-function crash"),
+        _ => p_semantics::Value::Int(1),
+    });
+    let verifier = Verifier::new(&p).with_foreign(registry.resolve(&p));
+    for jobs in [2, 4] {
+        match verifier.search(jobs) {
+            Err(crate::CheckerError::WorkerPanic(why)) => {
+                assert!(why.contains("simulated"), "{why}")
+            }
+            other => panic!("expected a worker panic, got {:?}", other.map(|r| r.0)),
+        }
+    }
+}
+
+/// A task changes workers whole: after a two-worker run the two intern
+/// tables hold no allocation in common, and (a debug assertion in the
+/// worker loop, live in this build) every configuration a worker
+/// expanded pointed into that worker's own table — so in steady state
+/// no `Arc` is reference-counted from two cores.
+#[test]
+fn stolen_tasks_share_no_arcs() {
+    let p = lower(&p_corpus::german4()).unwrap();
+    let verifier = Verifier::new(&p);
+    let (report, tables) = verifier.search(2).unwrap();
+    assert!(report.passed() && report.complete);
+    assert_eq!(tables.len(), 2);
+    assert!(
+        tables.iter().all(|table| !table.is_empty()),
+        "both workers expanded states, so a task was stolen"
+    );
+    assert!(!tables[0].shares_allocation_with(&tables[1]));
+    assert!(!tables[1].shares_allocation_with(&tables[0]));
+    let one_worker = verifier.check_exhaustive();
+    assert_eq!(report.stats.stored_bytes, one_worker.stats.stored_bytes);
+}
+
 /// Reference reachability for the exhaustive engine: a breadth-first
 /// walk over `succ::successors_into` whose visited set holds the full
 /// canonical encodings — no fingerprints, no sleep sets, no

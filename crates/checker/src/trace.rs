@@ -89,11 +89,13 @@ impl TraceStep {
 }
 
 /// Allocation-light record of how a state was first reached, stored per
-/// visited state in the parent maps. Rendering the human-readable
-/// [`TraceStep`] allocates a formatted summary string; a passing
-/// exploration records hundreds of thousands of these and renders none,
-/// so the maps keep this compact seed and [`StepSeed::render`] runs only
-/// along the single reconstructed counterexample path.
+/// visited state in the [`crate::engine::ParentMap`] of the delay-bounded
+/// and fault strategies. Rendering the human-readable [`TraceStep`]
+/// allocates a formatted summary string; a passing exploration records
+/// hundreds of thousands of these and renders none, so the map keeps
+/// this compact seed and [`StepSeed::render`] runs only along the single
+/// reconstructed counterexample path. The exhaustive kernel stores the
+/// same information packed into a 24-byte [`EdgeRecord`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct StepSeed {
     machine: MachineId,
@@ -120,13 +122,13 @@ enum StepKind {
     Fault(FaultDecision),
 }
 
-impl StepSeed {
-    /// Captures a non-error run result. Error and `NeedChoice` outcomes
-    /// never enter a parent map — the search returns (or retries) before
-    /// recording them — and are rendered eagerly via
+impl StepKind {
+    /// The kind of a non-error run. Error and `NeedChoice` outcomes
+    /// never become parent edges — the search returns (or retries)
+    /// before recording them — and are rendered eagerly via
     /// [`TraceStep::from_run`] instead.
-    pub(crate) fn from_run(machine: MachineId, result: &RunResult, choices: Vec<bool>) -> StepSeed {
-        let kind = match &result.outcome {
+    fn of(outcome: &ExecOutcome) -> StepKind {
+        match outcome {
             ExecOutcome::Yield(YieldKind::Sent {
                 to,
                 event,
@@ -145,10 +147,16 @@ impl StepSeed {
             ExecOutcome::Error(_) | ExecOutcome::NeedChoice => {
                 unreachable!("error/incomplete runs are never recorded as parent edges")
             }
-        };
+        }
+    }
+}
+
+impl StepSeed {
+    /// Captures a non-error run result.
+    pub(crate) fn from_run(machine: MachineId, result: &RunResult, choices: Vec<bool>) -> StepSeed {
         StepSeed {
             machine,
-            kind,
+            kind: StepKind::of(&result.outcome),
             choices,
         }
     }
@@ -171,94 +179,6 @@ impl StepSeed {
             kind: StepKind::Fault(*decision),
             choices: Vec::new(),
         }
-    }
-
-    /// Serializes the seed for checkpoint and parent-map spill records.
-    ///
-    /// Unlike the configuration encoding, this format *is* persisted
-    /// (inside checkpoint files), but only ever read back by the same
-    /// checkpoint version — the checkpoint header's version field gates
-    /// compatibility, so the encoding may change freely alongside it.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.machine.0.to_le_bytes());
-        match self.kind {
-            StepKind::Sent {
-                to,
-                event,
-                enqueued,
-            } => {
-                out.push(0);
-                out.extend_from_slice(&to.0.to_le_bytes());
-                out.extend_from_slice(&event.0.to_le_bytes());
-                out.push(enqueued as u8);
-            }
-            StepKind::Created { id, ty } => {
-                out.push(1);
-                out.extend_from_slice(&id.0.to_le_bytes());
-                out.extend_from_slice(&ty.0.to_le_bytes());
-            }
-            StepKind::Internal => out.push(2),
-            StepKind::Blocked => out.push(3),
-            StepKind::Deleted => out.push(4),
-            StepKind::Fault(d) => {
-                out.push(5);
-                out.push(match d.kind {
-                    FaultKind::Drop => 0,
-                    FaultKind::Dup => 1,
-                    FaultKind::Delay => 2,
-                });
-                out.extend_from_slice(&d.machine.0.to_le_bytes());
-                out.extend_from_slice(&(d.index as u32).to_le_bytes());
-                out.extend_from_slice(&d.event.0.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.choices.len() as u32).to_le_bytes());
-        out.extend(self.choices.iter().map(|&c| c as u8));
-    }
-
-    /// Inverse of [`StepSeed::encode`]; `None` on malformed input.
-    pub(crate) fn decode(buf: &mut &[u8]) -> Option<StepSeed> {
-        use crate::wire::{read_u32, read_u8};
-        let machine = MachineId(read_u32(buf)?);
-        let kind = match read_u8(buf)? {
-            0 => StepKind::Sent {
-                to: MachineId(read_u32(buf)?),
-                event: EventId(read_u32(buf)?),
-                enqueued: read_u8(buf)? != 0,
-            },
-            1 => StepKind::Created {
-                id: MachineId(read_u32(buf)?),
-                ty: MachineTypeId(read_u32(buf)?),
-            },
-            2 => StepKind::Internal,
-            3 => StepKind::Blocked,
-            4 => StepKind::Deleted,
-            5 => {
-                let kind = match read_u8(buf)? {
-                    0 => FaultKind::Drop,
-                    1 => FaultKind::Dup,
-                    2 => FaultKind::Delay,
-                    _ => return None,
-                };
-                StepKind::Fault(FaultDecision {
-                    kind,
-                    machine: MachineId(read_u32(buf)?),
-                    index: read_u32(buf)? as usize,
-                    event: EventId(read_u32(buf)?),
-                })
-            }
-            _ => return None,
-        };
-        let n_choices = read_u32(buf)? as usize;
-        let mut choices = Vec::new();
-        for _ in 0..n_choices {
-            choices.push(read_u8(buf)? != 0);
-        }
-        Some(StepSeed {
-            machine,
-            kind,
-            choices,
-        })
     }
 
     /// Renders the human-readable step. Summaries match what
@@ -294,6 +214,148 @@ impl StepSeed {
             choices: self.choices.clone(),
             fault: None,
         }
+    }
+}
+
+/// One edge of the exhaustive kernel's append-only log: the task that
+/// offered a state and the step that reached it — a [`StepSeed`] plus a
+/// parent id in three words, so a stored state costs 24 bytes of trace
+/// bookkeeping wherever it lives (RAM chunk, `edges.log`, checkpoint).
+///
+/// ```text
+/// word 0: parent id (low 32) · machine (high 32)
+/// word 1: first operand (low 32) · second operand (high 32)
+/// word 2: kind (bits 0–2) · enqueued (bit 3) · choice count (bits 8–15)
+///         · choice bits (bits 16–63)
+/// ```
+///
+/// The kernel records only machine runs, never [`StepKind::Fault`].
+/// Kind 0 is unassigned, so an all-zero record — an id reserved but
+/// never written — decodes to `None` instead of to a plausible step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EdgeRecord(pub(crate) [u64; 3]);
+
+impl EdgeRecord {
+    /// Encoded size, in RAM and on disk.
+    pub(crate) const BYTES: usize = 24;
+    /// Longest ghost-choice script stored in the record itself; longer
+    /// ones go to the log's overflow map.
+    pub(crate) const INLINE_CHOICES: usize = 48;
+    /// The parent id of the root task's record.
+    pub(crate) const NO_PARENT: u32 = u32::MAX;
+    /// Choice-count value marking a script kept in the overflow map.
+    const OVERFLOW: u64 = 0xff;
+
+    fn pack(parent: u32, machine: MachineId, kind: StepKind, choices: &[bool]) -> EdgeRecord {
+        let (tag, a, b, enqueued) = match kind {
+            StepKind::Sent {
+                to,
+                event,
+                enqueued,
+            } => (1, to.0, event.0, enqueued),
+            StepKind::Created { id, ty } => (2, id.0, ty.0, false),
+            StepKind::Internal => (3, 0, 0, false),
+            StepKind::Blocked => (4, 0, 0, false),
+            StepKind::Deleted => (5, 0, 0, false),
+            StepKind::Fault(_) => unreachable!("the exhaustive kernel injects no faults"),
+        };
+        let script = if choices.len() > EdgeRecord::INLINE_CHOICES {
+            EdgeRecord::OVERFLOW << 8
+        } else {
+            let bits = choices
+                .iter()
+                .enumerate()
+                .fold(0u64, |bits, (i, &c)| bits | (c as u64) << i);
+            (choices.len() as u64) << 8 | bits << 16
+        };
+        EdgeRecord([
+            parent as u64 | (machine.0 as u64) << 32,
+            a as u64 | (b as u64) << 32,
+            tag | (enqueued as u64) << 3 | script,
+        ])
+    }
+
+    /// The root task's record: it ends every path and renders nothing.
+    pub(crate) fn root() -> EdgeRecord {
+        EdgeRecord::pack(EdgeRecord::NO_PARENT, MachineId(0), StepKind::Blocked, &[])
+    }
+
+    /// A minimal record for table tests: a quiescent run of `machine`.
+    #[cfg(test)]
+    pub(crate) fn test_blocked(parent: u32, machine: MachineId) -> EdgeRecord {
+        EdgeRecord::pack(parent, machine, StepKind::Blocked, &[])
+    }
+
+    /// The record of a non-error run of `machine` out of task `parent`,
+    /// and the choice script when it is too long to live in the record.
+    pub(crate) fn from_run(
+        parent: u32,
+        machine: MachineId,
+        result: &RunResult,
+        choices: &[bool],
+    ) -> (EdgeRecord, Option<Box<[bool]>>) {
+        let record = EdgeRecord::pack(parent, machine, StepKind::of(&result.outcome), choices);
+        (record, record.overflows().then(|| choices.into()))
+    }
+
+    /// The task that offered this record's state.
+    pub(crate) fn parent(&self) -> u32 {
+        self.0[0] as u32
+    }
+
+    /// Whether the choice script lives in the log's overflow map.
+    pub(crate) fn overflows(&self) -> bool {
+        (self.0[2] >> 8) & 0xff == EdgeRecord::OVERFLOW
+    }
+
+    /// Unpacks the step (`overflow` is the script of a record that
+    /// [`EdgeRecord::overflows`]); `None` on a malformed record.
+    pub(crate) fn seed(&self, overflow: Option<&[bool]>) -> Option<StepSeed> {
+        let [w0, w1, w2] = self.0;
+        let (a, b) = (w1 as u32, (w1 >> 32) as u32);
+        let kind = match w2 & 0b111 {
+            1 => StepKind::Sent {
+                to: MachineId(a),
+                event: EventId(b),
+                enqueued: w2 & 0b1000 != 0,
+            },
+            2 => StepKind::Created {
+                id: MachineId(a),
+                ty: MachineTypeId(b),
+            },
+            3 => StepKind::Internal,
+            4 => StepKind::Blocked,
+            5 => StepKind::Deleted,
+            _ => return None,
+        };
+        let choices = match (w2 >> 8) & 0xff {
+            EdgeRecord::OVERFLOW => overflow?.to_vec(),
+            n if n as usize <= EdgeRecord::INLINE_CHOICES => {
+                (0..n).map(|i| w2 >> (16 + i) & 1 != 0).collect()
+            }
+            _ => return None,
+        };
+        Some(StepSeed {
+            machine: MachineId((w0 >> 32) as u32),
+            kind,
+            choices,
+        })
+    }
+
+    /// The little-endian encoding `edges.log` and checkpoints hold.
+    pub(crate) fn to_bytes(self) -> [u8; EdgeRecord::BYTES] {
+        let mut out = [0; EdgeRecord::BYTES];
+        for (chunk, word) in out.chunks_exact_mut(8).zip(self.0) {
+            chunk.copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    /// Inverse of [`EdgeRecord::to_bytes`].
+    pub(crate) fn from_bytes(bytes: &[u8; EdgeRecord::BYTES]) -> EdgeRecord {
+        EdgeRecord(std::array::from_fn(|i| {
+            u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+        }))
     }
 }
 
@@ -350,59 +412,56 @@ mod tests {
         );
     }
 
+    /// Every kind the exhaustive kernel records survives the 24-byte
+    /// packing, with scripts on both sides of the inline budget.
     #[test]
     fn step_seed_round_trips_every_kind() {
-        let seeds = [
-            StepSeed {
-                machine: MachineId(3),
-                kind: StepKind::Sent {
-                    to: MachineId(1),
-                    event: EventId(2),
-                    enqueued: false,
-                },
-                choices: vec![true, false, true],
+        assert_eq!(std::mem::size_of::<EdgeRecord>(), 24);
+        assert_eq!(EdgeRecord::BYTES, 24);
+        let kinds = [
+            StepKind::Sent {
+                to: MachineId(1),
+                event: EventId(u32::MAX),
+                enqueued: false,
             },
-            StepSeed {
-                machine: MachineId(0),
-                kind: StepKind::Created {
-                    id: MachineId(9),
-                    ty: MachineTypeId(4),
-                },
-                choices: vec![],
+            StepKind::Sent {
+                to: MachineId(u32::MAX),
+                event: EventId(2),
+                enqueued: true,
             },
-            StepSeed::test_blocked(MachineId(7)),
-            StepSeed {
-                machine: MachineId(1),
-                kind: StepKind::Internal,
-                choices: vec![false],
+            StepKind::Created {
+                id: MachineId(9),
+                ty: MachineTypeId(4),
             },
-            StepSeed {
-                machine: MachineId(2),
-                kind: StepKind::Deleted,
-                choices: vec![],
-            },
-            StepSeed::from_fault(&FaultDecision {
-                kind: FaultKind::Delay,
-                machine: MachineId(5),
-                index: 2,
-                event: EventId(1),
-            }),
+            StepKind::Internal,
+            StepKind::Blocked,
+            StepKind::Deleted,
         ];
-        for seed in &seeds {
-            let mut bytes = Vec::new();
-            seed.encode(&mut bytes);
-            let mut cur = &bytes[..];
-            let back = StepSeed::decode(&mut cur).expect("round trip");
-            assert_eq!(&back, seed);
-            assert!(cur.is_empty(), "trailing bytes after {seed:?}");
+        let inline = EdgeRecord::INLINE_CHOICES;
+        for (n, kind) in kinds.into_iter().enumerate() {
+            for len in [0, 3, inline, inline + 1, 200] {
+                let seed = StepSeed {
+                    machine: MachineId(n as u32 * 7),
+                    kind,
+                    choices: (0..len).map(|i| (i * i + n) % 3 == 0).collect(),
+                };
+                let record = EdgeRecord::pack(n as u32, seed.machine, kind, &seed.choices);
+                assert_eq!(record.parent(), n as u32);
+                assert_eq!(record.overflows(), len > inline);
+                let record = EdgeRecord::from_bytes(&record.to_bytes());
+                let script = record.overflows().then_some(&seed.choices[..]);
+                assert_eq!(record.seed(script), Some(seed));
+            }
         }
-        // Truncations are rejected, not panicked on.
-        let mut bytes = Vec::new();
-        seeds[0].encode(&mut bytes);
-        for cut in 0..bytes.len() {
-            let mut cur = &bytes[..cut];
-            assert!(StepSeed::decode(&mut cur).is_none(), "cut at {cut}");
-        }
+        // Reserved-but-unwritten ids and an overflowing record whose
+        // script is missing are malformed, not a step.
+        assert_eq!(EdgeRecord([0; 3]).seed(None), None);
+        let long = [true; 49];
+        assert_eq!(
+            EdgeRecord::pack(0, MachineId(0), StepKind::Blocked, &long).seed(None),
+            None
+        );
+        assert_eq!(EdgeRecord::root().parent(), EdgeRecord::NO_PARENT);
     }
 
     #[test]

@@ -558,6 +558,7 @@ fn stats_to_metrics(
         transitions: stats.transitions as u64,
         seconds: stats.duration.as_secs_f64(),
         stored_bytes: stats.stored_bytes as u64,
+        index_bytes: stats.index_bytes as u64,
         max_depth: stats.max_depth as u64,
         dedup_hits: stats.dedup_hits as u64,
         sleep_pruned: stats.sleep_pruned as u64,

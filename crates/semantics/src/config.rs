@@ -1292,30 +1292,95 @@ impl Config {
     /// slots with shared ones and defeat the successor buffer-reuse
     /// path.
     pub fn intern_slots(&mut self, interner: &mut SlotInterner) -> usize {
+        self.intern_slots_with(interner, |_| true)
+    }
+
+    /// [`Config::intern_slots`] for several tables that account as one:
+    /// when `interner` has not met a slot, `first_seen(digest)` says
+    /// whether any table has, and so whether its bytes are new. A slot
+    /// `interner` already holds was put to `first_seen` when it went in
+    /// and is not asked about again.
+    pub fn intern_slots_with(
+        &mut self,
+        interner: &mut SlotInterner,
+        mut first_seen: impl FnMut(u128) -> bool,
+    ) -> usize {
         self.fill_digests();
         let mut fresh = 4 + self.machines.len();
         let list = self.uninterned;
         if list.all {
             for i in 0..self.machines.len() {
-                fresh += self.intern_slot(i, interner);
+                fresh += self.intern_slot(i, interner, &mut first_seen);
             }
         } else {
             for &i in list.indices() {
-                fresh += self.intern_slot(i as usize, interner);
+                fresh += self.intern_slot(i as usize, interner, &mut first_seen);
             }
         }
         self.uninterned.clear();
         fresh
     }
 
+    /// Moves this configuration's interned slots into `interner`, the
+    /// table of the worker that has just taken the configuration over
+    /// from another: each slot is repointed at `interner`'s allocation
+    /// of the same content, made here by deep copy when there is none.
+    /// Afterwards the configuration shares no interned allocation with
+    /// the table it came from, so two workers never count references on
+    /// one allocation. Slots not interned yet are this configuration's
+    /// own and stay as they are; nothing is accounted — whoever interned
+    /// a slot first already has.
+    pub fn rehome_slots(&mut self, interner: &mut SlotInterner) {
+        self.fill_digests();
+        let pending = self.uninterned;
+        if pending.all {
+            return;
+        }
+        for (i, slot) in self.machines.iter_mut().enumerate() {
+            if let Some(state) = slot {
+                if !pending.indices().contains(&(i as u32)) {
+                    let (digest, _) = self.digests[i].expect("cache filled");
+                    interner.adopt(digest, state);
+                }
+            }
+        }
+    }
+
+    /// Whether every interned slot of this configuration is `interner`'s
+    /// own allocation of that content — what holds for a configuration
+    /// derived from ones interned there, or rehomed into it, and fails
+    /// for one still carrying another table's allocations. (A table at
+    /// its capacity limit holds no allocation for the slots it turned
+    /// away.)
+    pub fn is_interned_in(&mut self, interner: &SlotInterner) -> bool {
+        self.fill_digests();
+        let pending = self.uninterned;
+        let full = interner.table.len() >= interner.cap;
+        pending.all
+            || self.machines.iter().enumerate().all(|(i, slot)| {
+                let Some(state) = slot else { return true };
+                let (digest, _) = self.digests[i].expect("cache filled");
+                pending.indices().contains(&(i as u32))
+                    || match interner.table.get(&digest) {
+                        Some(own) => Arc::ptr_eq(state, own),
+                        None => full,
+                    }
+            })
+    }
+
     /// Interns slot `i` (live, digest cached), returning the bytes
     /// newly added to the table.
-    fn intern_slot(&mut self, i: usize, interner: &mut SlotInterner) -> usize {
+    fn intern_slot(
+        &mut self,
+        i: usize,
+        interner: &mut SlotInterner,
+        first_seen: &mut impl FnMut(u128) -> bool,
+    ) -> usize {
         let Some(state) = &mut self.machines[i] else {
             return 0;
         };
         let (digest, len) = self.digests[i].expect("cache filled");
-        let (fresh, displaced) = interner.intern(digest, state);
+        let (fresh, displaced) = interner.intern(digest, state, first_seen);
         if let Some(old) = displaced {
             // Keep the displaced buffer (usually this candidate's own
             // fresh copy) as a scratch spare: interned slots are never
@@ -1346,10 +1411,13 @@ impl Config {
 /// already a SipHash output, so the map hashes it by truncation
 /// (identity hashing).
 ///
-/// One table per exploration engine (per worker, in parallel mode):
-/// the table is not synchronized, and per-worker tables keep the
-/// admission hot path lock-free at the cost of some cross-worker
-/// duplication in the byte accounting.
+/// One table per worker of the exhaustive search: the table is not
+/// synchronized, so interning takes no lock and a slot's `Arc` is only
+/// ever reference-counted by the one core that owns the table. The
+/// byte accounting stays global through [`Config::intern_slots_with`],
+/// and a configuration that changes workers is moved over whole by
+/// [`Config::rehome_slots`]; the price is one copy of a slot per worker
+/// that meets it.
 #[derive(Debug)]
 pub struct SlotInterner {
     table: HashMap<u128, Arc<MachineState>, BuildDigestHasher>,
@@ -1368,7 +1436,7 @@ impl Default for SlotInterner {
 impl SlotInterner {
     /// Default entry cap (~48 MiB of table at worst, ignoring the
     /// interned states themselves, which the visited set accounts).
-    const DEFAULT_CAP: usize = 1 << 20;
+    pub const DEFAULT_CAP: usize = 1 << 20;
 
     /// An empty table with the default capacity limit.
     pub fn new() -> SlotInterner {
@@ -1391,11 +1459,13 @@ impl SlotInterner {
     /// displaced handle; on a miss, stores a clone of `state` (capacity
     /// permitting — at the cap the state simply stays unshared).
     /// Returns `(fresh, displaced)`: `fresh` is true iff the content
-    /// was not in the table, i.e. its bytes are newly accounted.
+    /// was not in the table and `first_seen` says no other table holds
+    /// it either, i.e. its bytes are newly accounted.
     fn intern(
         &mut self,
         digest: u128,
         state: &mut Arc<MachineState>,
+        first_seen: &mut impl FnMut(u128) -> bool,
     ) -> (bool, Option<Arc<MachineState>>) {
         let full = self.table.len() >= self.cap;
         match self.table.entry(digest) {
@@ -1413,9 +1483,41 @@ impl SlotInterner {
                 if !full {
                     entry.insert(Arc::clone(state));
                 }
-                (true, None)
+                (first_seen(digest), None)
             }
         }
+    }
+
+    /// Repoints `state`, an allocation interned in another table, at
+    /// this table's own allocation of the same content, deep-copying it
+    /// in when the table has none (capacity permitting — at the cap
+    /// the copy simply stays unshared).
+    fn adopt(&mut self, digest: u128, state: &mut Arc<MachineState>) {
+        let full = self.table.len() >= self.cap;
+        match self.table.entry(digest) {
+            std::collections::hash_map::Entry::Occupied(entry) => {
+                if !Arc::ptr_eq(state, entry.get()) {
+                    *state = Arc::clone(entry.get());
+                }
+            }
+            std::collections::hash_map::Entry::Vacant(entry) => {
+                *state = Arc::new(MachineState::clone(state));
+                if !full {
+                    entry.insert(Arc::clone(state));
+                }
+            }
+        }
+    }
+
+    /// Whether some allocation interned here is also interned in
+    /// `other` (tables of different workers never share one).
+    pub fn shares_allocation_with(&self, other: &SlotInterner) -> bool {
+        self.table.iter().any(|(digest, state)| {
+            other
+                .table
+                .get(digest)
+                .is_some_and(|o| Arc::ptr_eq(state, o))
+        })
     }
 
     /// Number of distinct machine states currently interned.
@@ -1789,6 +1891,62 @@ mod tests {
             a.machines[0].as_ref().unwrap(),
             c.machines[0].as_ref().unwrap()
         ));
+    }
+
+    /// Two tables that account through one `first_seen` set count a slot
+    /// once between them, and a configuration rehomed from one table to
+    /// the other keeps its content and digest, shares no interned
+    /// allocation with the table it left, and keeps the slots it has
+    /// not interned yet.
+    #[test]
+    fn tables_account_as_one_and_rehoming_shares_nothing() {
+        let p = tiny_program();
+        let mut seen = std::collections::HashSet::new();
+        let (mut mine, mut theirs) = (SlotInterner::new(), SlotInterner::new());
+        let mut a = Config::default();
+        let id = a.allocate(&p, p.main);
+        a.allocate(&p, p.main);
+        let overhead = 4 + 2;
+        let slot_len = (a.canonical_bytes().len() - overhead) / 2;
+        let fresh = a.intern_slots_with(&mut theirs, |d| seen.insert(d));
+        assert_eq!(fresh, overhead + slot_len);
+        // The same content through the other table: known to the set,
+        // so not counted again, though that table stores its own copy.
+        let mut b = Config::default();
+        b.allocate(&p, p.main);
+        assert_eq!(b.intern_slots_with(&mut mine, |d| seen.insert(d)), 4 + 1);
+        assert!(!mine.shares_allocation_with(&theirs));
+
+        // `a` moves to `mine` with one slot mutated since it was interned.
+        a.machine_mut(id).unwrap().locals[0] = Value::Int(3);
+        let digest = a.digest();
+        let own = Arc::clone(a.machines[0].as_ref().unwrap());
+        let before = a.clone();
+        assert!(!a.is_interned_in(&mine), "slot 1 is still `theirs`");
+        a.rehome_slots(&mut mine);
+        assert!(a.is_interned_in(&mine) && !a.is_interned_in(&theirs));
+        assert_eq!(a, before);
+        assert_eq!(a.digest(), digest);
+        assert!(Arc::ptr_eq(a.machines[0].as_ref().unwrap(), &own));
+        assert!(Arc::ptr_eq(
+            a.machines[1].as_ref().unwrap(),
+            b.machines[0].as_ref().unwrap()
+        ));
+        assert!(!mine.shares_allocation_with(&theirs));
+        // The mutated slot is still owed to the accounting.
+        let mutated_len = a.canonical_bytes().len() - overhead - slot_len;
+        let fresh = a.intern_slots_with(&mut mine, |d| seen.insert(d));
+        assert_eq!(fresh, overhead + mutated_len);
+
+        // A slot the new table has never met is copied in, not shared.
+        let mut c = before.clone();
+        c.intern_slots_with(&mut theirs, |d| seen.insert(d));
+        let mut third = SlotInterner::new();
+        c.rehome_slots(&mut third);
+        assert_eq!(c, a);
+        assert_eq!(third.len(), 2);
+        assert!(!third.shares_allocation_with(&theirs));
+        assert!(mine.shares_allocation_with(&mine));
     }
 
     /// The digest cache must never leak into equality.

@@ -23,6 +23,10 @@ pub struct ExplorationMetrics {
     pub seconds: f64,
     /// Bytes retained in the visited table.
     pub stored_bytes: u64,
+    /// Bytes of RAM the search's bookkeeping around those states held
+    /// at the end of the run (visited buckets, resident edge records,
+    /// overflow scripts).
+    pub index_bytes: u64,
     /// Deepest configuration reached.
     pub max_depth: u64,
     /// Transitions that re-reached a visited state.
@@ -86,6 +90,7 @@ impl ExplorationMetrics {
             ("seconds", num(self.seconds)),
             ("states_per_sec", num(self.states_per_sec())),
             ("stored_bytes", num(self.stored_bytes as f64)),
+            ("index_bytes", num(self.index_bytes as f64)),
             ("bytes_per_state", num(self.bytes_per_state())),
             ("max_depth", num(self.max_depth as f64)),
             ("dedup_hits", num(self.dedup_hits as f64)),
@@ -124,6 +129,7 @@ impl ExplorationMetrics {
             transitions: value.get("transitions")?.as_u64()?,
             seconds: value.get("seconds")?.as_f64()?,
             stored_bytes: field("stored_bytes"),
+            index_bytes: field("index_bytes"),
             max_depth: field("max_depth"),
             dedup_hits: field("dedup_hits"),
             sleep_pruned: field("sleep_pruned"),
@@ -336,6 +342,7 @@ mod tests {
             transitions: states * 3,
             seconds,
             stored_bytes: states * 40,
+            index_bytes: states * 41,
             max_depth: 12,
             dedup_hits: states,
             sleep_pruned: 0,

@@ -78,6 +78,20 @@ fn parse_stats(out: &Output) -> (u64, u64, u64) {
 /// Aborts a run mid-search, resumes it, and returns (uninterrupted
 /// baseline, resumed) outputs after checking the abort leg.
 fn abort_and_resume(file: &str, mode: &[&str], abort_after: &str, tag: &str) -> (Output, Output) {
+    abort_and_resume_across(file, mode, &[], &[], abort_after, tag)
+}
+
+/// [`abort_and_resume`] with flags only the aborted leg (`abort_only`)
+/// or only the resuming leg (`resume_only`) runs under — the worker
+/// count is not part of a checkpoint.
+fn abort_and_resume_across(
+    file: &str,
+    mode: &[&str],
+    abort_only: &[&str],
+    resume_only: &[&str],
+    abort_after: &str,
+    tag: &str,
+) -> (Output, Output) {
     let dir = temp_dir(tag);
     let dir_s = dir.to_str().unwrap();
 
@@ -85,6 +99,7 @@ fn abort_and_resume(file: &str, mode: &[&str], abort_after: &str, tag: &str) -> 
     assert_eq!(exit_code(&baseline), 0, "{}", stderr(&baseline));
 
     let mut abort_args = mode.to_vec();
+    abort_args.extend(abort_only);
     abort_args.extend(["--checkpoint", dir_s, "--abort-after", abort_after]);
     let aborted = verify(file, &abort_args);
     assert_eq!(
@@ -98,6 +113,7 @@ fn abort_and_resume(file: &str, mode: &[&str], abort_after: &str, tag: &str) -> 
     assert!(dir.join("checkpoint.bin").is_file());
 
     let mut resume_args = mode.to_vec();
+    resume_args.extend(resume_only);
     resume_args.extend(["--resume", dir_s]);
     let resumed = verify(file, &resume_args);
     assert_eq!(
@@ -140,6 +156,37 @@ fn parallel_resume_without_por_is_bit_identical() {
         parse_stats(&resumed),
         "parallel without POR expands each unique state once; totals are exact"
     );
+}
+
+/// A checkpoint holds task ids and the edge log, not a worker count: one
+/// written by one worker resumes under four and the other way round,
+/// in RAM and with the restored log going straight to `edges.log`.
+#[test]
+fn resume_crosses_worker_counts() {
+    let legs: [(&str, &[&str], &[&str]); 3] = [
+        ("1-to-4", &["--jobs", "1"], &["--jobs", "4"]),
+        ("4-to-1", &["--jobs", "4"], &["--jobs", "1"]),
+        (
+            "4-to-1-spilled",
+            &["--jobs", "4"],
+            &["--jobs", "1", "--mem-limit", "256k"],
+        ),
+    ];
+    for (tag, abort_only, resume_only) in legs {
+        let (baseline, resumed) = abort_and_resume_across(
+            "german4.p",
+            &[],
+            abort_only,
+            resume_only,
+            "12000",
+            &format!("jobs-{tag}"),
+        );
+        assert_eq!(
+            parse_stats(&baseline),
+            parse_stats(&resumed),
+            "{tag}: without POR every state is expanded once, whoever expands it"
+        );
+    }
 }
 
 #[test]
@@ -330,6 +377,37 @@ fn corrupted_checkpoint_is_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
     let missing = verify("german3.p", &["--resume", dir_s]);
     assert_eq!(exit_code(&missing), 2);
+}
+
+/// A checkpoint of the previous format (fingerprint-keyed parent
+/// records) is refused by its version field, before anything in it is
+/// interpreted.
+#[test]
+fn version_1_checkpoint_is_refused() {
+    let dir = temp_dir("version-1");
+    let dir_s = dir.to_str().unwrap();
+    let aborted = verify(
+        "german3.p",
+        &["--checkpoint", dir_s, "--abort-after", "2000"],
+    );
+    assert_eq!(exit_code(&aborted), 3, "{}", stderr(&aborted));
+    let file = dir.join("checkpoint.bin");
+    let mut bytes = std::fs::read(&file).unwrap();
+    assert_eq!(
+        bytes[4..8],
+        2u32.to_le_bytes(),
+        "this build writes version 2"
+    );
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&file, &bytes).unwrap();
+    let resumed = verify("german3.p", &["--resume", dir_s]);
+    assert_eq!(exit_code(&resumed), 2, "{}", stdout(&resumed));
+    assert!(
+        stderr(&resumed).contains("unsupported checkpoint version 1"),
+        "{}",
+        stderr(&resumed)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
