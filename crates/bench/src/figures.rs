@@ -321,6 +321,8 @@ pub fn report_to_metrics(
         dedup_hits: report.stats.dedup_hits as u64,
         sleep_pruned: report.stats.sleep_pruned as u64,
         symmetry_merges: report.stats.symmetry_merges as u64,
+        canon_calls: report.stats.canon_calls as u64,
+        canon_candidates: report.stats.canon_candidates as u64,
         workers,
         spilled_states: report.stats.spilled_states as u64,
         spill_bytes: report.stats.spill_bytes,

@@ -45,8 +45,12 @@ use crate::wire;
 const MAGIC: &[u8; 4] = b"PCHK";
 /// Bumped whenever the payload encoding changes: older checkpoints are
 /// rejected rather than misread. Version 2 replaced the fingerprint-
-/// keyed parent records of version 1 with the edge log.
-const VERSION: u32 = 2;
+/// keyed parent records of version 1 with the edge log. Version 3 has
+/// version 2's layout under a different key function: the visited keys
+/// of a `symmetry` run are [`p_semantics::canonical_digest`]s, and when
+/// that picks other representatives the restored keys would silently
+/// stop matching, so the files written before it changed are refused.
+const VERSION: u32 = 3;
 /// The checkpoint file inside the checkpoint directory.
 const FILE: &str = "checkpoint.bin";
 /// The staging file the atomic rename publishes from.
@@ -118,7 +122,7 @@ pub(crate) struct CheckpointData {
     pub frontier: Vec<TaskEntry>,
 }
 
-/// Serializes `data` into the version-2 payload.
+/// Serializes `data` into the payload.
 fn encode_payload(data: &CheckpointData) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + data.visited.len() * 25);
     let s = &data.stats;
@@ -175,7 +179,7 @@ fn encode_payload(data: &CheckpointData) -> Vec<u8> {
     out
 }
 
-/// Decodes a version-2 payload; `None` means malformed.
+/// Decodes a payload; `None` means malformed.
 fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
     let buf = &mut buf;
     let mut stats = ExplorationStats {

@@ -245,6 +245,8 @@ pub(crate) struct SharedCounters {
     quiescent_states: AtomicUsize,
     stuck_states: AtomicUsize,
     symmetry_merges: AtomicUsize,
+    canon_calls: AtomicUsize,
+    canon_candidates: AtomicUsize,
     max_depth: AtomicUsize,
     max_queue_seen: AtomicUsize,
     /// Sampled phase nanoseconds, in [`PhaseNanos::to_array`] order.
@@ -277,6 +279,12 @@ impl SharedCounters {
                 l.symmetry_merges,
                 &mut f.symmetry_merges,
             ),
+            (&self.canon_calls, l.canon_calls, &mut f.canon_calls),
+            (
+                &self.canon_candidates,
+                l.canon_candidates,
+                &mut f.canon_candidates,
+            ),
         ] {
             if now > *before {
                 cell.fetch_add(now - *before, Ordering::Relaxed);
@@ -306,6 +314,8 @@ impl SharedCounters {
             quiescent_states: self.quiescent_states.load(Ordering::Relaxed),
             stuck_states: self.stuck_states.load(Ordering::Relaxed),
             symmetry_merges: self.symmetry_merges.load(Ordering::Relaxed),
+            canon_calls: self.canon_calls.load(Ordering::Relaxed),
+            canon_candidates: self.canon_candidates.load(Ordering::Relaxed),
             max_depth: self.max_depth.load(Ordering::Relaxed),
             max_queue_seen: self.max_queue_seen.load(Ordering::Relaxed),
             phases: PhaseNanos::from_array(std::array::from_fn(|i| {

@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use p_semantics::{
-    canonical_digest, Config, Engine, ExecOutcome, ForeignEnv, Granularity, LoweredProgram,
-    MachineId, PError, SlotInterner,
+    canonical_digest, canonical_digest_counted, Config, Engine, ExecOutcome, ForeignEnv,
+    Granularity, LoweredProgram, MachineId, PError, SlotInterner,
 };
 
 use p_telemetry::Telemetry;
@@ -36,7 +36,7 @@ use crate::engine::{
     hot_budget_for, Admit, EdgeWriter, Frontier, SharedCounters, SharedTable, TaskId,
 };
 use crate::error::CheckerError;
-use crate::fingerprint::{Fingerprint, FpHashMap, FpHashSet};
+use crate::fingerprint::{Fingerprint, FpHashSet};
 use crate::por::{Por, SleepSet};
 use crate::stats::ExplorationStats;
 use crate::trace::{Counterexample, EdgeRecord, TraceStep};
@@ -50,6 +50,49 @@ const SNAPSHOT_EVERY_TASKS: usize = 256;
 /// the shared totals (it also flushes before parking at a checkpoint
 /// rendezvous and on exit, so no total ever misses a task).
 const FLUSH_EVERY_TASKS: u64 = 64;
+
+/// Entries of a worker's [`CanonMemo`] (2 MiB).
+const CANON_MEMO_ENTRIES: usize = 1 << 16;
+
+/// A worker's concrete → canonical fingerprint memo: most successors
+/// are revisits of a concrete state the worker canonicalized not long
+/// ago, and canonicalization costs more than a probe. Direct-mapped and
+/// fixed-size, so `symmetry` adds a constant to a run's memory whatever
+/// its state count (under `mem_limit` too); a collision overwrites, a
+/// hit compares the full concrete fingerprint, and the value is a pure
+/// function of the key, so a miss only costs a re-canonicalization.
+struct CanonMemo(Vec<(Fingerprint, Fingerprint)>);
+
+impl CanonMemo {
+    /// An empty memo; nothing is allocated with `symmetry` off.
+    fn new(symmetry: bool) -> CanonMemo {
+        let len = if symmetry { CANON_MEMO_ENTRIES } else { 0 };
+        // `!i` and `i` differ in every bit, so entry `i` starts with a
+        // concrete fingerprint that indexes elsewhere: no lookup can
+        // match an entry nobody wrote.
+        let unwritten = |i| {
+            (
+                Fingerprint::from_u128(!(i as u128)),
+                Fingerprint::from_u128(0),
+            )
+        };
+        CanonMemo((0..len).map(unwritten).collect())
+    }
+
+    /// The canonical fingerprint of `concrete`, from the memo or else
+    /// from `canon` (and then remembered).
+    fn get_or_insert_with(
+        &mut self,
+        concrete: Fingerprint,
+        canon: impl FnOnce() -> Fingerprint,
+    ) -> Fingerprint {
+        let entry = &mut self.0[concrete.as_u128() as usize & (CANON_MEMO_ENTRIES - 1)];
+        if entry.0 != concrete {
+            *entry = (concrete, canon());
+        }
+        entry.1
+    }
+}
 
 /// Bounds and knobs for exploration.
 #[derive(Debug, Clone)]
@@ -584,11 +627,7 @@ impl<'p> Verifier<'p> {
         let mut enabled = Vec::new();
         let mut writer = EdgeWriter::default();
         let mut children = Vec::new();
-        // Per-worker concrete → canonical memo: most successors are
-        // revisits of a concrete state this worker already
-        // canonicalized, and canonicalization costs far more than a
-        // hash lookup.
-        let mut canon_cache: FpHashMap<Fingerprint> = FpHashMap::default();
+        let mut canon_memo = CanonMemo::new(symmetry);
         // Leaves the fleet on every exit; a panic — which would otherwise
         // leave the others waiting for this worker's task — stops it too.
         struct Leave<'a>(&'a Frontier<Task>);
@@ -673,11 +712,13 @@ impl<'p> Verifier<'p> {
                     // canonical fingerprint; everything else (tasks,
                     // their records, traces) stays concrete.
                     let key = if symmetry {
-                        *canon_cache.entry(succ_fp).or_insert_with(|| {
+                        canon_memo.get_or_insert_with(succ_fp, || {
                             let t = arena.phases.start();
-                            let key = Fingerprint::from_u128(canonical_digest(&mut succ.config));
+                            let (key, candidates) = canonical_digest_counted(&mut succ.config);
                             arena.phases.stop(crate::phase::Phase::Canon, t);
-                            key
+                            stats.canon_calls += 1;
+                            stats.canon_candidates += candidates as usize;
+                            Fingerprint::from_u128(key)
                         })
                     } else {
                         succ_fp
@@ -1049,5 +1090,46 @@ fn snapshot_from(
         max_depth: stats.max_depth as u64,
         workers,
         spilled: stats.spilled_states as u64,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The memo is its constant however many states pass through it, a
+    /// collision overwrites (and is recomputed, never aliased), and
+    /// with symmetry off nothing is allocated.
+    #[test]
+    fn canon_memo_is_fixed_size_and_pure() {
+        assert_eq!(CanonMemo::new(false).0.capacity(), 0);
+        let mut memo = CanonMemo::new(true);
+        let canon = |concrete: u128| Fingerprint::from_u128(concrete.wrapping_mul(3));
+        let mut computed = 0usize;
+        // Ten keys per entry, every one looked up twice in a row: the
+        // first lookup computes, the second hits.
+        for concrete in 0..10 * CANON_MEMO_ENTRIES as u128 {
+            for _ in 0..2 {
+                let key = memo.get_or_insert_with(Fingerprint::from_u128(concrete), || {
+                    computed += 1;
+                    canon(concrete)
+                });
+                assert_eq!(key, canon(concrete));
+            }
+        }
+        assert_eq!(computed, 10 * CANON_MEMO_ENTRIES);
+        assert_eq!(memo.0.len(), CANON_MEMO_ENTRIES);
+        assert_eq!(memo.0.capacity(), CANON_MEMO_ENTRIES);
+        // An entry nobody wrote matches no fingerprint that indexes it,
+        // not even the all-zero and all-one ones.
+        let mut fresh = CanonMemo::new(true);
+        for concrete in [0, u128::MAX, CANON_MEMO_ENTRIES as u128 - 1] {
+            let mut missed = false;
+            fresh.get_or_insert_with(Fingerprint::from_u128(concrete), || {
+                missed = true;
+                canon(concrete)
+            });
+            assert!(missed, "{concrete:#x} hit an unwritten entry");
+        }
     }
 }

@@ -51,8 +51,14 @@ impl Fingerprint {
     }
 
     /// Shard index derived from the fingerprint's top bits (the prefix),
-    /// for `shards` equal-sized shards. Because SipHash output bits are
-    /// uniform, prefix sharding balances shards without a second hash.
+    /// for `shards` equal-sized shards. Prefix sharding balances shards
+    /// without a second hash only if every key is uniform in its top
+    /// bits. A [`p_semantics::Config::digest`] is (it ends in an
+    /// avalanche), and so is a canonical key that is the digest of one
+    /// renumbered configuration; the *minimum* of k candidate digests
+    /// is not — it falls into shard 0 with probability 1 − (63/64)ᵏ —
+    /// which is why [`p_semantics::canonical_digest`] re-mixes a key it
+    /// took a minimum for.
     pub(crate) fn shard(self, shards: usize) -> usize {
         debug_assert!(shards.is_power_of_two());
         (self.0 >> (128 - shards.trailing_zeros())) as usize
@@ -191,8 +197,12 @@ mod tests {
 
         // Revised when the digest fold became the position-weighted
         // linear (delta-maintainable) combine and slot digests moved to
-        // reduced-round SipHash-1-3; see DESIGN.md §15.
-        assert_eq!(canonical.to_string(), "206b689f61670f16b0040254c3229fd7");
+        // reduced-round SipHash-1-3 (DESIGN.md §15), and again when
+        // member digests took the slot tag byte and the codes of their
+        // own references only, which picks another rotation of this
+        // ring as its representative (DESIGN.md §12; checkpoint
+        // version 3).
+        assert_eq!(canonical.to_string(), "9284045b9c214a84c5cbe8d18bf8aa35");
     }
 
     #[test]

@@ -107,6 +107,16 @@ pub struct ExplorationStats {
     /// rather than an identical one — the extra dedup the canonical
     /// fingerprint buys (zero with symmetry reduction off).
     pub symmetry_merges: usize,
+    /// Canonicalizations run: successors whose concrete fingerprint
+    /// missed the worker's bounded concrete → canonical memo (zero with
+    /// symmetry reduction off). `phases.canon / canon_calls` is the cost
+    /// of one; like `phases` it describes this process and is not
+    /// carried through a checkpoint.
+    pub canon_calls: usize,
+    /// Candidate renumberings those canonicalizations digested; one per
+    /// call unless a configuration had a tangled remainder to enumerate
+    /// (see [`p_semantics::canonical_digest_counted`]).
+    pub canon_candidates: usize,
     /// Fingerprints resident in the disk-spilled cold tier at the end of
     /// the run (zero without `--mem-limit`). `unique_states` already
     /// includes these — this counts where they live, so the hot-tier
@@ -145,6 +155,8 @@ impl ExplorationStats {
         self.dedup_hits += other.dedup_hits;
         self.sleep_pruned += other.sleep_pruned;
         self.symmetry_merges += other.symmetry_merges;
+        self.canon_calls += other.canon_calls;
+        self.canon_candidates += other.canon_candidates;
         self.spilled_states += other.spilled_states;
         self.spill_bytes += other.spill_bytes;
         self.cold_hits += other.cold_hits;
@@ -222,6 +234,8 @@ mod tests {
             dedup_hits: 6,
             sleep_pruned: 2,
             symmetry_merges: 0,
+            canon_calls: 0,
+            canon_candidates: 0,
             spilled_states: 0,
             spill_bytes: 0,
             cold_hits: 0,
@@ -263,6 +277,8 @@ mod tests {
             dedup_hits: 4,
             sleep_pruned: 1,
             symmetry_merges: 2,
+            canon_calls: 3,
+            canon_candidates: 4,
             spilled_states: 10,
             spill_bytes: 160,
             cold_hits: 2,
@@ -288,6 +304,8 @@ mod tests {
             dedup_hits: 3,
             sleep_pruned: 2,
             symmetry_merges: 5,
+            canon_calls: 6,
+            canon_candidates: 6,
             spilled_states: 5,
             spill_bytes: 80,
             cold_hits: 1,
@@ -318,6 +336,7 @@ mod tests {
         assert_eq!(a.dedup_hits, 7);
         assert_eq!(a.sleep_pruned, 3);
         assert_eq!(a.symmetry_merges, 7);
+        assert_eq!((a.canon_calls, a.canon_candidates), (9, 10));
         assert_eq!(a.max_depth, 9);
         assert_eq!(a.max_queue_seen, 2);
         assert_eq!(a.quiescent_states, 3);

@@ -563,6 +563,8 @@ fn stats_to_metrics(
         dedup_hits: stats.dedup_hits as u64,
         sleep_pruned: stats.sleep_pruned as u64,
         symmetry_merges: stats.symmetry_merges as u64,
+        canon_calls: stats.canon_calls as u64,
+        canon_candidates: stats.canon_candidates as u64,
         workers,
         spilled_states: stats.spilled_states as u64,
         spill_bytes: stats.spill_bytes,

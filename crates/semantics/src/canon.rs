@@ -14,53 +14,67 @@
 //!
 //! # Algorithm
 //!
-//! [`canonical_digest`] picks the canonical renumbering by partition
-//! refinement (the classic colour-refinement scheme of graph
-//! canonizers, specialized to this encoding):
+//! [`canonical_digest`] picks one renumbering per orbit and digests the
+//! configuration renamed by it:
 //!
 //! 1. **Group** live slots by [`MachineTypeId`]; only groups of ≥ 2
 //!    members admit any symmetry. Tombstones and singleton types are
-//!    *fixed*: they keep their concrete slot index throughout.
-//! 2. **Refine**: maintain a partition of the grouped slots into
-//!    classes, initially one class per group. Each round hashes every
-//!    member under a *code map* that replaces machine-id references
-//!    with their referent's class code (fixed slots code as their own
-//!    index, the member itself as a reserved `SELF` marker), then
-//!    splits each class by digest, ordering the subclasses by digest
-//!    value. Codes, and hence digests, are functions of
-//!    permutation-invariant data only, so symmetric configurations
-//!    refine identically. The loop stops at a fixpoint; each non-final
-//!    round strictly grows the class count, so it terminates.
-//! 3. **Enumerate**: classes still holding ≥ 2 members are genuinely
-//!    ambiguous at this invariant's resolution. The cartesian product
-//!    of their member orderings is enumerated up to
-//!    [`MAX_CANDIDATES`]; oversized classes are frozen at their
-//!    current order (sound — it only costs merges). Every candidate
-//!    induces a full renumbering: each group's members, concatenated
-//!    in class order, are assigned the group's own sorted slot
-//!    indices, so the renumbering is type-preserving and fixes the
-//!    slot-count layout.
-//! 4. **Select**: every candidate renumbering is digested — the same
-//!    order-sensitive polynomial fold over per-slot digests as
-//!    [`Config::digest`], with slots taken in their renamed positions
-//!    and each slot hashed with its references rewritten — and the
-//!    numerically smallest candidate digest is the canonical digest.
+//!    *fixed*: they keep their slot index. A renumbering hands each
+//!    group's members the group's own sorted slot indices in some
+//!    order, so it is type-preserving and fixes the slot layout.
+//! 2. **Number by first mention.** Walk the fixed live slots in slot
+//!    order and, in each, the id-carrying positions in encoding order
+//!    (`MachineState::ids` — exactly what `encode_renamed` rewrites).
+//!    A grouped member takes the next free index of its group the first
+//!    time it is mentioned; numbered members are then walked the same
+//!    way in number order (breadth first). The walk reads
+//!    permutation-invariant data only — fixed slots do not move, and a
+//!    renumbering maps first mentions onto first mentions — so symmetric
+//!    configurations number corresponding members identically. Every
+//!    slot the walk visits mentions only fixed and numbered machines, so
+//!    its renamed digest is final the moment the walk leaves it.
+//! 3. **Sort the never-mentioned members.** Each is hashed under the map
+//!    {fixed and numbered → canonical index, unmentioned → its class
+//!    code, itself → [`SELF_CODE`]} and its class (initially: the
+//!    unmentioned members of one type) is sorted by that digest. When no
+//!    unmentioned member mentions *another* unmentioned member — the
+//!    *untangled* case — that one sort finishes the renumbering, with a
+//!    single candidate and no enumeration (see *Twins* below).
+//! 4. **Tangled remainders** (rings of otherwise unreferenced symmetric
+//!    machines) fall back to colour refinement: re-hash and split the
+//!    classes until a fixpoint, then enumerate the member orderings of
+//!    the classes still holding ≥ 2 members — up to [`MAX_CANDIDATES`];
+//!    oversized classes are frozen at their current order (sound: it
+//!    only costs merges) — digest every candidate and keep the
+//!    numerically smallest. A minimum of several digests is not uniform
+//!    in its top bits, which the visited table shards by, so it is
+//!    re-mixed once (a bijection) before it is returned.
+//!
+//! # Twins
+//!
+//! In the untangled case two unmentioned members with equal digests
+//! have equal content and equal outgoing references (to fixed machines,
+//! numbered machines or themselves), and nothing refers to either: not
+//! the fixed or numbered slots (or they would be numbered), not another
+//! unmentioned member (untangled). Swapping the two therefore renames
+//! the configuration to *the same* configuration, so every ordering of
+//! such a class yields one candidate and folding one of them is exact.
+//! Members with different digests are ordered by digest, which is
+//! invariant. Hence the one-pass path computes a complete invariant:
+//! `k` idle interchangeable machines cost one sort, not `k!` folds.
 //!
 //! # Performance
 //!
-//! The function runs once per fresh concrete state (the explorers memo
-//! concrete fingerprint → canonical key), so its constants matter. The
-//! whole working set lives in reusable thread-local scratch, and every
-//! per-slot hash — refinement member digests and final renamed slot
-//! digests alike — goes through a direct-mapped cache keyed by the
-//! slot's concrete digest plus a digest of the code map in force.
-//! Machine-local states recur across an exploration far more often
-//! than whole configurations do, so most canonicalizations reduce to
-//! cache probes and one polynomial fold. Configurations with no
-//! symmetry group at all short-circuit to the incremental concrete
-//! digest (a singleton orbit needs no renumbering), making
-//! `--symmetry` near-free for programs without interchangeable
-//! machines.
+//! The function runs once per concrete state missing from the
+//! explorer's bounded memo, so its constants matter. The working set
+//! lives in reusable thread-local scratch. A slot whose references the
+//! map leaves in place hashes to its cached concrete digest; any other
+//! goes through a direct-mapped cache keyed by the slot's concrete
+//! digest and the codes of *its own* references — not the whole map —
+//! so one machine-local state met under many renumberings of the others
+//! is one entry. Configurations with no symmetry group short-circuit to
+//! the incremental concrete digest, making `--symmetry` near-free for
+//! programs without interchangeable machines.
 //!
 //! # Soundness
 //!
@@ -68,141 +82,150 @@
 //! configuration, so — up to the ~2⁻¹²⁸ collision probability shared
 //! with all state hashing here — two configurations get the same
 //! canonical digest only if some type-preserving permutation maps one
-//! exactly onto the other. Isomorphic configurations refine to
-//! corresponding classes and enumerate pairwise-equal candidate sets,
-//! so the minimum is orbit-invariant. The refinement heuristic and the
-//! candidate cap only affect *which* representative is chosen — a
-//! missed merge explores a duplicate orbit, never skips a reachable
-//! behavior — so checker verdicts are unchanged. Conversely the digest
-//! is invariant under [`Config::apply_permutation`] whenever the full
-//! candidate set is enumerated (the property-based tests exercise
-//! exactly this).
+//! exactly onto the other. The numbering, the sort and the candidate
+//! cap only affect *which* representative is chosen — a missed merge
+//! explores a duplicate orbit, never skips a reachable behavior — so
+//! checker verdicts are unchanged. Conversely the digest is invariant
+//! under [`Config::apply_permutation`] whenever the cap is not hit (the
+//! property-based tests check it against a brute-force oracle, in both
+//! directions).
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
-use crate::config::{Config, MachineState};
+use crate::config::{mix_slot_digest, Config, MachineState};
 use crate::hash::fingerprint128_fast;
 
-/// Code for "the machine being hashed" in refinement rounds, so a
-/// machine that references itself is distinguished from one that
+/// Code for "the machine being hashed" while sorting the unmentioned, so
+/// a machine that references itself is distinguished from one that
 /// references a class sibling.
 const SELF_CODE: u32 = u32::MAX;
 
-/// Cache marker for final renamed-slot digests (which carry the live
-/// tag byte, mirroring [`Config::digest`]'s per-slot hashing), distinct
-/// from every refinement member marker (a slot index).
-const FINAL_MARK: u32 = u32::MAX - 1;
-
-/// Upper bound on candidate renumberings tried in step 3. Residual
-/// ambiguity after refinement is rare and small; classes that would
-/// blow this budget are frozen instead (fewer merges, same verdicts).
+/// Upper bound on candidate renumberings tried for a tangled remainder.
+/// Classes that would blow this budget are frozen instead (fewer
+/// merges, same verdicts).
 const MAX_CANDIDATES: usize = 1024;
 
-/// Entries in the direct-mapped per-slot digest cache (~0.9 MiB per
+/// Entries in the direct-mapped per-slot digest cache (~0.8 MiB per
 /// exploration thread). Collisions overwrite; a miss only costs the
 /// re-encode it would have saved.
 const CACHE_ENTRIES: usize = 1 << 14;
 
-/// One direct-mapped cache line: a per-slot renamed digest keyed by the
-/// slot's concrete digest, the code map in force, and the self/final
-/// marker. The stored value is a pure function of the key (up to the
-/// global 128-bit-collision assumption), so hits, misses and evictions
-/// can never change a result — only its cost.
+/// One direct-mapped cache line: a slot's renamed digest keyed by its
+/// concrete digest and a digest of the codes its references take. The
+/// stored value is a pure function of the key (up to the global
+/// 128-bit-collision assumption), so hits, misses and evictions can
+/// never change a result — only its cost.
 #[derive(Clone, Copy)]
 struct CacheEntry {
     slot_digest: u128,
-    map_sig: u128,
-    mark: u32,
+    codes_sig: u128,
     value: u128,
 }
 
-/// Reusable working set for [`canonical_digest`]. The function runs once
-/// per fresh concrete state of a symmetry-reduced exploration — millions
-/// of calls — so everything the common (unambiguous) path touches lives
-/// here and is reused; only the rare residual-ambiguity path allocates.
+/// The per-slot hashing state: encoding buffers and the digest cache.
 #[derive(Default)]
-struct Scratch {
+struct Hasher {
     /// Per-slot encoding buffer for digest-cache misses.
     member: Vec<u8>,
-    /// Byte view of a code map, for signing it.
-    sig_buf: Vec<u8>,
-    /// Refinement code map: slot → class code (fixed slots: own index).
+    /// The codes of one slot's references, for signing them.
+    codes: Vec<u8>,
+    /// The direct-mapped per-slot digest cache (lazily sized).
+    cache: Vec<Option<CacheEntry>>,
+}
+
+impl Hasher {
+    /// The slot digest `state` would have with every id reference
+    /// rewritten through `map` — the hash [`Config::digest`] takes of a
+    /// live slot, over `MachineState::encode_renamed` — and whether that
+    /// moves any reference. `code_of` reads the code of each reference
+    /// off `map` in encoding order (the numbering walk also writes it
+    /// there); a slot whose references all stay in place keeps
+    /// `slot_digest`, its concrete digest.
+    fn digest_under(
+        &mut self,
+        state: &MachineState,
+        slot_digest: u128,
+        map: &mut [u32],
+        mut code_of: impl FnMut(&mut [u32], usize) -> u32,
+    ) -> (u128, bool) {
+        self.codes.clear();
+        let mut moved = false;
+        state.ids().for_each(|id| {
+            let known = (id.0 as usize) < map.len();
+            let code = if known {
+                code_of(map, id.0 as usize)
+            } else {
+                id.0
+            };
+            moved |= code != id.0;
+            self.codes.extend_from_slice(&code.to_le_bytes());
+        });
+        if !moved {
+            return (slot_digest, false);
+        }
+        let codes_sig = fingerprint128_fast(&self.codes);
+        if self.cache.is_empty() {
+            self.cache.resize(CACHE_ENTRIES, None);
+        }
+        let folded = slot_digest ^ codes_sig;
+        let idx = (folded ^ (folded >> 64)) as usize & (CACHE_ENTRIES - 1);
+        if let Some(e) = &self.cache[idx] {
+            if e.slot_digest == slot_digest && e.codes_sig == codes_sig {
+                return (e.value, true);
+            }
+        }
+        self.member.clear();
+        self.member.push(1);
+        state.encode_renamed(&mut self.member, map);
+        let value = fingerprint128_fast(&self.member);
+        self.cache[idx] = Some(CacheEntry {
+            slot_digest,
+            codes_sig,
+            value,
+        });
+        (value, true)
+    }
+}
+
+/// Reusable working set for [`canonical_digest`]. The function runs
+/// millions of times in a symmetry-reduced exploration, so everything
+/// the one-pass path touches lives here and is reused; only the tangled
+/// path allocates.
+#[derive(Default)]
+struct Scratch {
+    hasher: Hasher,
+    /// Slot → canonical index once placed (fixed slots: their own); a
+    /// grouped member not placed yet holds `n +` its class's index.
     map: Vec<u32>,
-    /// Candidate renumbering: slot → canonical position.
-    rename: Vec<u32>,
-    /// Inverse of `rename`: canonical position → slot.
-    placed: Vec<u32>,
+    /// Slot → digest under the renumbering (tombstones and slots not
+    /// reached yet: the concrete digest).
+    finals: Vec<u128>,
     /// Live (type, slot) pairs, sorted, for grouping.
     grouped: Vec<(u32, u32)>,
-    /// Canonical position pool: the grouped slots in (type, slot) order —
+    /// Canonical index pool: the grouped slots in (type, slot) order —
     /// each group's members land on that group's own sorted indices.
     pools: Vec<u32>,
-    /// Current member order, type-segregated; refinement permutes within
-    /// class ranges only.
+    /// Members in canonical order, type-segregated: member `order[j]`
+    /// is renamed to `pools[j]`.
     order: Vec<u32>,
-    /// Current classes as `[start, end)` ranges into `order`.
+    /// One `(start, next, end)` range of `order` per group: numbered
+    /// members fill `start..next`, the unmentioned end up in `next..end`.
+    groups: Vec<(u32, u32, u32)>,
+    /// The slots to walk: the fixed live ones, then the numbered members
+    /// in number order.
+    walk: Vec<u32>,
+    /// Classes of unmentioned members as `[start, end)` ranges of `order`.
     bounds: Vec<(u32, u32)>,
     /// Next round's class ranges.
     next_bounds: Vec<(u32, u32)>,
     /// (digest, slot) pairs while splitting one class.
     keyed: Vec<(u128, u32)>,
-    /// The direct-mapped per-slot digest cache (lazily sized).
-    cache: Vec<Option<CacheEntry>>,
+    /// The unmentioned members whose digest depends on the renumbering.
+    pending: Vec<u32>,
 }
 
 thread_local! {
     static CANON_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-/// Digest of a code map, shared by every member hashed under it.
-fn map_sig(map: &[u32], buf: &mut Vec<u8>) -> u128 {
-    buf.clear();
-    for &x in map {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fingerprint128_fast(buf)
-}
-
-/// The digest of one machine encoded under code map `map`, through the
-/// direct-mapped cache. `mark` is the hashed member's own slot index
-/// during refinement (its map entry holds [`SELF_CODE`]) or
-/// [`FINAL_MARK`] for a final renamed-slot digest, which additionally
-/// carries the live tag byte so it matches the per-slot hashing of
-/// [`Config::digest`] exactly.
-#[allow(clippy::too_many_arguments)]
-fn renamed_digest(
-    cache: &mut Vec<Option<CacheEntry>>,
-    buf: &mut Vec<u8>,
-    state: &MachineState,
-    slot_digest: u128,
-    sig: u128,
-    mark: u32,
-    map: &[u32],
-) -> u128 {
-    if cache.is_empty() {
-        cache.resize(CACHE_ENTRIES, None);
-    }
-    let idx = (slot_digest ^ (slot_digest >> 64) ^ sig ^ (sig >> 64) ^ mark as u128) as usize
-        & (CACHE_ENTRIES - 1);
-    if let Some(e) = &cache[idx] {
-        if e.slot_digest == slot_digest && e.map_sig == sig && e.mark == mark {
-            return e.value;
-        }
-    }
-    buf.clear();
-    if mark == FINAL_MARK {
-        buf.push(1);
-    }
-    state.encode_renamed(buf, map);
-    let value = fingerprint128_fast(buf);
-    cache[idx] = Some(CacheEntry {
-        slot_digest,
-        map_sig: sig,
-        mark,
-        value,
-    });
-    value
 }
 
 /// All orderings of `items` (plain Heap's algorithm; class sizes here
@@ -237,31 +260,38 @@ fn permutations(items: &[u32]) -> Vec<Vec<u32>> {
 /// the checker keys sleep sets and counterexample traces by — and
 /// strictly sound for visited-set deduplication.
 pub fn canonical_digest(config: &mut Config) -> u128 {
-    CANON_SCRATCH.with(|scratch| canonical_digest_with(config, &mut scratch.borrow_mut()))
+    canonical_digest_counted(config).0
 }
 
-fn canonical_digest_with(config: &mut Config, scratch: &mut Scratch) -> u128 {
+/// [`canonical_digest`] and the number of candidate renumberings it
+/// digested to get there: 0 without a symmetry group, 1 on the one-pass
+/// path, more only for a tangled remainder.
+pub fn canonical_digest_counted(config: &mut Config) -> (u128, u32) {
+    CANON_SCRATCH.with(|scratch| canonicalize(config, &mut scratch.borrow_mut()))
+}
+
+fn canonicalize(config: &mut Config, scratch: &mut Scratch) -> (u128, u32) {
     let Scratch {
-        member,
-        sig_buf,
+        hasher,
         map,
-        rename,
-        placed,
+        finals,
         grouped,
         pools,
         order,
+        groups,
+        walk,
         bounds,
         next_bounds,
         keyed,
-        cache,
+        pending,
     } = scratch;
     let (slots, digests) = config.slots_and_digests();
-    let n = slots.len();
-    let slot_digest = |i: usize| digests[i].expect("digest cache filled").0;
+    let n = slots.len() as u32;
+    let slot_digest = |i: u32| digests[i as usize].expect("digest cache filled").0;
+    let state = |i: u32| slots[i as usize].as_deref().expect("walked slots are live");
 
-    // 1. Group live slots by type; singleton types and tombstones are
-    //    fixed points of every candidate renumbering. `order` holds the
-    //    grouped slots type-segregated, one initial class per type.
+    // 1. Group live slots by type. A grouped member starts unplaced, in
+    //    the class of its whole group; everything else maps to itself.
     grouped.clear();
     for (i, slot) in slots.iter().enumerate() {
         if let Some(state) = slot {
@@ -269,114 +299,150 @@ fn canonical_digest_with(config: &mut Config, scratch: &mut Scratch) -> u128 {
         }
     }
     grouped.sort_unstable();
+    map.clear();
+    map.extend(0..n);
     order.clear();
-    bounds.clear();
-    let mut i = 0;
-    while i < grouped.len() {
-        let ty = grouped[i].0;
-        let mut j = i + 1;
-        while j < grouped.len() && grouped[j].0 == ty {
-            j += 1;
-        }
-        if j - i >= 2 {
+    groups.clear();
+    for group in grouped.chunk_by(|a, b| a.0 == b.0) {
+        if group.len() >= 2 {
             let start = order.len() as u32;
-            order.extend(grouped[i..j].iter().map(|&(_, slot)| slot));
-            bounds.push((start, order.len() as u32));
+            for &(_, slot) in group {
+                map[slot as usize] = n + groups.len() as u32;
+                order.push(slot);
+            }
+            groups.push((start, start, order.len() as u32));
         }
-        i = j;
     }
-    // The canonical position pool: refinement permutes `order` within
-    // type segments only, so position `j` of the segment layout always
-    // belongs to the same group — member `order[j]` is renamed to
-    // `pools[j]`, keeping the renumbering type-preserving.
+    if groups.is_empty() {
+        // No symmetry to exploit: the orbit is a singleton, and its
+        // canonical digest is the (incrementally cached) concrete one.
+        return (config.digest(), 0);
+    }
     pools.clear();
     pools.extend_from_slice(order);
 
-    if bounds.is_empty() {
-        // No symmetry to exploit: the orbit is a singleton, and its
-        // canonical digest is the (incrementally cached) concrete one.
-        return Config::combine_digests(
-            slots
-                .iter()
-                .zip(digests)
-                .map(|(m, d)| (m.is_some(), d.expect("digest cache filled").0)),
-            n,
-        );
+    // 2. Number the grouped members by first mention, breadth first
+    //    from the fixed slots. Every walked slot mentions only placed
+    //    machines by the time the walk leaves it, so its digest is final.
+    finals.clear();
+    finals.extend((0..n).map(slot_digest));
+    walk.clear();
+    walk.extend((0..n).filter(|&i| slots[i as usize].is_some() && map[i as usize] < n));
+    let mut walked = 0;
+    while let Some(&slot) = walk.get(walked) {
+        walked += 1;
+        let number = |map: &mut [u32], id: usize| {
+            if let Some(class) = map[id].checked_sub(n) {
+                let next = &mut groups[class as usize].1;
+                order[*next as usize] = id as u32;
+                map[id] = pools[*next as usize];
+                *next += 1;
+                walk.push(id as u32);
+            }
+            map[id]
+        };
+        (finals[slot as usize], _) =
+            hasher.digest_under(state(slot), slot_digest(slot), map, number);
     }
 
-    rename.clear();
-    rename.extend(0..n as u32);
-
-    // 2. Partition refinement to a fixpoint. Classes are ordered
-    //    invariantly: initial order by type id, subclasses by digest.
-    loop {
-        map.clear();
-        map.extend(0..n as u32);
-        for (c, &(start, end)) in bounds.iter().enumerate() {
-            for &m in &order[start as usize..end as usize] {
-                map[m as usize] = n as u32 + c as u32;
+    // 3. The never-mentioned members of each group form its one
+    //    starting class, behind the numbered ones.
+    bounds.clear();
+    for &(start, next, end) in groups.iter() {
+        let mut at = next as usize;
+        for &m in &pools[start as usize..end as usize] {
+            if map[m as usize] >= n {
+                order[at] = m;
+                at += 1;
             }
         }
-        let round_sig = map_sig(map, sig_buf);
-        next_bounds.clear();
-        let mut split = false;
-        for &(start, end) in bounds.iter() {
-            if end - start == 1 {
-                next_bounds.push((start, end));
-                continue;
-            }
-            keyed.clear();
+        if next < end {
+            bounds.push((next, end));
+        }
+    }
+    // Split every class by member digest, subclasses ordered by digest
+    // value. The first round hashes every member and so learns which of
+    // them the renumbering touches at all (`pending`) and whether any
+    // mentions another unmentioned member (`tangled`). If none does,
+    // the digests depend on no other unmentioned member and one round
+    // is final; else refine to a fixpoint — each non-final round
+    // strictly grows the class count, so the loop terminates.
+    pending.clear();
+    let (mut tangled, mut first) = (false, true);
+    loop {
+        for (c, &(start, end)) in bounds.iter().enumerate() {
             for &m in &order[start as usize..end as usize] {
-                let saved = map[m as usize];
-                map[m as usize] = SELF_CODE;
-                let state = slots[m as usize]
-                    .as_deref()
-                    .expect("grouped slots are live");
-                let digest = renamed_digest(
-                    cache,
-                    member,
-                    state,
-                    slot_digest(m as usize),
-                    round_sig,
-                    m,
-                    map,
-                );
-                keyed.push((digest, m));
-                map[m as usize] = saved;
+                map[m as usize] = n + c as u32;
             }
-            keyed.sort_unstable();
+        }
+        next_bounds.clear();
+        for &(start, end) in bounds.iter() {
+            keyed.clear();
+            if first || end - start >= 2 {
+                for &m in &order[start as usize..end as usize] {
+                    let class = std::mem::replace(&mut map[m as usize], SELF_CODE);
+                    let code_of = |map: &mut [u32], id: usize| {
+                        tangled |= map[id] >= n && map[id] != SELF_CODE;
+                        map[id]
+                    };
+                    let (digest, moved) =
+                        hasher.digest_under(state(m), slot_digest(m), map, code_of);
+                    if first && moved {
+                        pending.push(m);
+                    }
+                    keyed.push((digest, m));
+                    map[m as usize] = class;
+                }
+                keyed.sort_unstable();
+            }
             let mut sub_start = start;
             for (k, &(digest, m)) in keyed.iter().enumerate() {
                 order[start as usize + k] = m;
                 if k > 0 && digest != keyed[k - 1].0 {
                     next_bounds.push((sub_start, start + k as u32));
                     sub_start = start + k as u32;
-                    split = true;
                 }
             }
             next_bounds.push((sub_start, end));
         }
+        let split = next_bounds.len() > bounds.len();
         std::mem::swap(bounds, next_bounds);
-        if !split {
+        first = false;
+        if !(tangled && split) {
             break;
         }
     }
-
-    // Base renumbering: member `order[j]` → position `pools[j]` (fixed
-    // slots keep their identity entries from above).
-    for (j, &m) in order.iter().enumerate() {
-        rename[m as usize] = pools[j];
+    for &(_, next, end) in groups.iter() {
+        for j in next as usize..end as usize {
+            map[order[j] as usize] = pools[j];
+        }
     }
 
-    // 3. Enumerate orderings of the residually ambiguous classes,
-    //    freezing the largest ones if the product exceeds the cap. The
-    //    common case — refinement separated everything — needs exactly
-    //    one candidate and allocates nothing.
+    // One candidate's digest: the [`Config::digest`] fold of the
+    // configuration renamed through `map`, which only the `pending`
+    // members' own digests still wait for. Equal for two candidates
+    // exactly when the renamed configurations are equal (up to hash
+    // collisions), which is what makes it a sound orbit key.
+    let mut candidate = |map: &mut [u32]| {
+        for &m in pending.iter() {
+            (finals[m as usize], _) =
+                hasher.digest_under(state(m), slot_digest(m), map, |map, id| map[id]);
+        }
+        Config::combine_digests(
+            (0..n as usize).map(|i| (map[i] as usize, finals[i])),
+            n as usize,
+        )
+    };
     let class_len = |c: usize| (bounds[c].1 - bounds[c].0) as usize;
     let mut ambiguous: Vec<usize> = (0..bounds.len()).filter(|&c| class_len(c) >= 2).collect();
-    if ambiguous.is_empty() {
-        return candidate_digest(slots, digests, rename, placed, cache, member, sig_buf);
+    if !tangled || ambiguous.is_empty() {
+        // Untangled: what is left in one class are twins, and every
+        // ordering of twins is this one candidate.
+        return (candidate(map), 1);
     }
+
+    // 4. Enumerate orderings of the residually ambiguous classes,
+    //    freezing the largest ones if the product exceeds the cap.
     loop {
         let mut product: usize = 1;
         for &c in &ambiguous {
@@ -394,28 +460,33 @@ fn canonical_digest_with(config: &mut Config, scratch: &mut Scratch) -> u128 {
         .iter()
         .map(|&c| permutations(&order[bounds[c].0 as usize..bounds[c].1 as usize]))
         .collect();
-
-    // 4. Try every candidate; the numerically smallest candidate digest
-    //    wins. Each round rewrites exactly the ambiguous classes'
-    //    entries of `rename` (a candidate permutes a class's members
-    //    over the same position range), so the base entries stay valid
-    //    throughout.
-    let mut best: Option<u128> = None;
+    // Each round rewrites exactly the ambiguous classes' entries of
+    // `map` (a candidate permutes a class's members over the same index
+    // range), so the other entries stay valid throughout.
+    let mut best = u128::MAX;
+    let mut folded = 0;
     let mut odometer = vec![0usize; ambiguous.len()];
     loop {
         for (k, &c) in ambiguous.iter().enumerate() {
             let start = bounds[c].0 as usize;
             for (t, &m) in orderings[k][odometer[k]].iter().enumerate() {
-                rename[m as usize] = pools[start + t];
+                map[m as usize] = pools[start + t];
             }
         }
-        let digest = candidate_digest(slots, digests, rename, placed, cache, member, sig_buf);
-        best = Some(best.map_or(digest, |b| b.min(digest)));
+        best = best.min(candidate(map));
+        folded += 1;
         // Advance the odometer over candidate orderings.
         let mut k = 0;
         loop {
             if k == odometer.len() {
-                return best.expect("at least one candidate");
+                // The smallest of several digests leans towards zero in
+                // its top bits; one more avalanche spreads it again.
+                let key = if folded > 1 {
+                    mix_slot_digest(best)
+                } else {
+                    best
+                };
+                return (key, folded);
             }
             odometer[k] += 1;
             if odometer[k] < orderings[k].len() {
@@ -425,46 +496,6 @@ fn canonical_digest_with(config: &mut Config, scratch: &mut Scratch) -> u128 {
             k += 1;
         }
     }
-}
-
-/// One candidate's digest: the [`Config::digest`] polynomial fold over
-/// per-slot digests taken in renamed (canonical) order, each slot
-/// hashed with its id references rewritten through `rename`. Equal for
-/// two candidates exactly when the renamed configurations are equal (up
-/// to hash collisions), which is what makes the minimum over candidates
-/// a sound orbit key.
-fn candidate_digest(
-    slots: &[Option<Arc<MachineState>>],
-    digests: &[Option<(u128, u32)>],
-    rename: &[u32],
-    placed: &mut Vec<u32>,
-    cache: &mut Vec<Option<CacheEntry>>,
-    member: &mut Vec<u8>,
-    sig_buf: &mut Vec<u8>,
-) -> u128 {
-    let n = slots.len();
-    let sig = map_sig(rename, sig_buf);
-    placed.clear();
-    placed.extend(0..n as u32);
-    for (i, &p) in rename.iter().enumerate() {
-        placed[p as usize] = i as u32;
-    }
-    Config::combine_digests(
-        (0..n).map(|p| {
-            let src = placed[p] as usize;
-            match &slots[src] {
-                None => (false, 0),
-                Some(state) => {
-                    let slot_digest = digests[src].expect("digest cache filled").0;
-                    (
-                        true,
-                        renamed_digest(cache, member, state, slot_digest, sig, FINAL_MARK, rename),
-                    )
-                }
-            }
-        }),
-        n,
-    )
 }
 
 #[cfg(test)]
@@ -585,5 +616,213 @@ mod tests {
             live.allocate(&p, p.main);
         }
         assert_ne!(canonical_digest(&mut c), canonical_digest(&mut live));
+    }
+
+    /// One fixed machine and `k` identical machines nobody mentions: the
+    /// twins of the module docs. One candidate whatever `k` — 12 idle
+    /// machines do not cost 12! of anything — and every relabeling is
+    /// the same key.
+    #[test]
+    fn identical_unmentioned_machines_fold_one_candidate() {
+        let p = three_type_program();
+        let ty = |name: &str| p.machine_type_named(name).unwrap();
+        for k in 2..=12u32 {
+            let mut c = Config::default();
+            let home = c.allocate(&p, ty("F"));
+            for _ in 0..k {
+                let id = c.allocate(&p, ty("A"));
+                c.machine_mut(id).unwrap().locals[0] = Value::Machine(home);
+            }
+            let (key, candidates) = canonical_digest_counted(&mut c);
+            assert_eq!(candidates, 1, "k = {k}");
+            // Identity renumbering: the key is the concrete digest.
+            assert_eq!(key, c.digest(), "k = {k}");
+            // One machine differs; wherever it sits, the key is the same.
+            let odd = |slot: u32| {
+                let mut d = c.clone();
+                d.machine_mut(MachineId(slot)).unwrap().locals[2] = Value::Int(1);
+                canonical_digest_counted(&mut d)
+            };
+            assert_eq!(odd(1), odd(k), "k = {k}");
+            assert_eq!(odd(1).1, 1, "k = {k}");
+            assert_ne!(odd(1).0, key, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn first_mention_separates_what_outgoing_references_cannot() {
+        // The fixed machine names two content-identical machines in
+        // different variables: no enumeration is needed to tell them
+        // apart, and swapping them is the same orbit.
+        let p = three_type_program();
+        let ty = |name: &str| p.machine_type_named(name).unwrap();
+        let mut c = Config::default();
+        let home = c.allocate(&p, ty("F"));
+        let a = c.allocate(&p, ty("A"));
+        let b = c.allocate(&p, ty("A"));
+        c.machine_mut(home).unwrap().locals[0] = Value::Machine(b);
+        c.machine_mut(home).unwrap().locals[1] = Value::Machine(a);
+        let mut sym = c.apply_permutation(&[0, 2, 1]);
+        assert_ne!(c.digest(), sym.digest());
+        let (key, candidates) = canonical_digest_counted(&mut c);
+        assert_eq!((key, 1), (canonical_digest(&mut sym), candidates));
+        // Naming only one of them is another orbit.
+        c.machine_mut(home).unwrap().locals[1] = Value::Null;
+        assert_ne!(canonical_digest(&mut c), key);
+    }
+
+    #[test]
+    fn a_tangled_ring_is_enumerated_and_its_key_remixed() {
+        let (_, mut c, ids) = fresh(4);
+        for i in 0..4 {
+            let next = ids[(i + 1) % 4];
+            c.machine_mut(ids[i]).unwrap().locals[0] = Value::Machine(next);
+        }
+        let (key, candidates) = canonical_digest_counted(&mut c);
+        assert_eq!(candidates, 24, "one class of four, all orderings");
+        let smallest = permutations(&[0, 1, 2, 3])
+            .iter()
+            .map(|perm| c.apply_permutation(perm).digest())
+            .min()
+            .unwrap();
+        assert_eq!(key, mix_slot_digest(smallest));
+    }
+
+    /// Types `F` (one instance at most: fixed), `A` and `B`, each with
+    /// two id locals and an int, plus an id-carrying event.
+    fn three_type_program() -> crate::lower::LoweredProgram {
+        let mut b = ProgramBuilder::new();
+        b.event_with("ping", Ty::Id);
+        for name in ["F", "A", "B"] {
+            let mut m = b.machine(name);
+            m.var("p", Ty::Id);
+            m.var("q", Ty::Id);
+            m.var("n", Ty::Int);
+            m.state("S");
+            m.finish();
+        }
+        lower(&b.finish("F")).unwrap()
+    }
+
+    /// A configuration of 2..=5 machines from a recipe of random words:
+    /// slot 0 is an `F`, an `A` or a `B`, the others `A` or `B`; every id
+    /// local and up to two queue payloads are ⊥ or any machine (itself,
+    /// a sibling, a tombstone); the int is 0 or 1; slots past 0 may be
+    /// deleted. Small ranges, so twins and tangles are common.
+    fn config_from(recipe: &[u64]) -> Config {
+        let p = three_type_program();
+        let mut words = recipe.iter().copied().cycle();
+        let mut next = |bound: u64| words.next().unwrap() % bound;
+        let n = 2 + next(4) as u32;
+        let mut c = Config::default();
+        for slot in 0..n {
+            let names: &[&str] = if slot == 0 {
+                &["F", "A", "B"]
+            } else {
+                &["A", "B"]
+            };
+            let name = names[next(names.len() as u64) as usize];
+            c.allocate(&p, p.machine_type_named(name).unwrap());
+        }
+        let id_or_null = |next: &mut dyn FnMut(u64) -> u64| match next(2 * n as u64) {
+            r if r < n as u64 => Value::Machine(MachineId(r as u32)),
+            _ => Value::Null,
+        };
+        for slot in 0..n {
+            let m = c.machine_mut(MachineId(slot)).unwrap();
+            m.locals[0] = id_or_null(&mut next);
+            m.locals[1] = id_or_null(&mut next);
+            m.locals[2] = Value::Int(next(2) as i64);
+            for _ in 0..next(3) {
+                m.enqueue(EventId(0), id_or_null(&mut next));
+            }
+        }
+        // Often, make one machine the mirror image of a sibling (same
+        // content, the two ids swapped): an automorphism, and a tangle
+        // only enumeration can order when the two mention each other.
+        let (i, j) = (next(n as u64) as u32, next(n as u64) as u32);
+        let (mi, mj) = (
+            c.machine(MachineId(i)).unwrap(),
+            c.machine(MachineId(j)).unwrap(),
+        );
+        if next(2) == 0 && mi.ty == mj.ty {
+            let mut swap: Vec<u32> = (0..n).collect();
+            swap.swap(i as usize, j as usize);
+            let mirrored = c.apply_permutation(&swap);
+            *c.machine_mut(MachineId(j)).unwrap() = mirrored.machine(MachineId(j)).unwrap().clone();
+        }
+        for slot in 1..n {
+            if next(6) == 0 {
+                c.delete(MachineId(slot));
+            }
+        }
+        c
+    }
+
+    /// Every permutation of the slots that maps each live machine onto a
+    /// slot of its own type and fixes tombstones.
+    fn type_preserving_permutations(c: &Config) -> Vec<Vec<u32>> {
+        let n = c.created_count() as u32;
+        let ty = |i: u32| c.machine(MachineId(i)).map(|m| m.ty);
+        permutations(&(0..n).collect::<Vec<_>>())
+            .into_iter()
+            .filter(|perm| {
+                (0..n).all(|i| {
+                    ty(perm[i as usize]) == ty(i) && (ty(i).is_some() || perm[i as usize] == i)
+                })
+            })
+            .collect()
+    }
+
+    /// The specification: the smallest concrete digest in the orbit.
+    fn oracle(c: &Config) -> u128 {
+        type_preserving_permutations(c)
+            .iter()
+            .map(|perm| c.apply_permutation(perm).digest())
+            .min()
+            .expect("the identity is type-preserving")
+    }
+
+    proptest::proptest! {
+        /// Exactness in both directions against the brute-force oracle:
+        /// two configurations get one canonical digest if and only if a
+        /// type-preserving permutation maps one onto the other — for a
+        /// relabeled copy (same orbit), for a relabeled copy with one
+        /// local changed (usually another orbit, sometimes the same),
+        /// and for an unrelated configuration.
+        #[test]
+        fn canonical_digest_equal_iff_same_orbit(
+            recipe in proptest::collection::vec(proptest::prelude::any::<u64>(), 24..=24),
+            other in proptest::collection::vec(proptest::prelude::any::<u64>(), 24..=24),
+            pick in proptest::prelude::any::<u64>(),
+            edit in proptest::prelude::any::<u64>(),
+        ) {
+            let mut a = config_from(&recipe);
+            let perms = type_preserving_permutations(&a);
+            let mut relabeled = a.apply_permutation(&perms[pick as usize % perms.len()]);
+            let mut edited = relabeled.clone();
+            let n = edited.created_count() as u64;
+            if let Some(m) = edited.machine_mut(MachineId((edit % n) as u32)) {
+                m.locals[(edit / n % 2) as usize] = match edit / (2 * n) % (n + 1) {
+                    r if r < n => Value::Machine(MachineId(r as u32)),
+                    _ => Value::Null,
+                };
+            }
+            let mut unrelated = config_from(&other);
+            let (key, candidates) = canonical_digest_counted(&mut a);
+            let orbit = oracle(&a);
+            // The key is the digest of an actually renumbered
+            // configuration (re-mixed if it was a minimum of several).
+            let mut renumbered = perms.iter().map(|perm| a.apply_permutation(perm).digest());
+            proptest::prop_assert!(if candidates > 1 {
+                renumbered.any(|digest| mix_slot_digest(digest) == key)
+            } else {
+                renumbered.any(|digest| digest == key)
+            });
+            proptest::prop_assert_eq!(canonical_digest(&mut relabeled), key);
+            for b in [&mut edited, &mut unrelated] {
+                proptest::prop_assert_eq!(canonical_digest(b) == key, oracle(b) == orbit);
+            }
+        }
     }
 }

@@ -80,7 +80,7 @@ fn slot_weight(i: usize) -> u128 {
 /// add-new maintenance possible), so each term must already be
 /// well-mixed; slot digests are SipHash outputs (uniform), and this
 /// permutation decouples the term from the raw digest value.
-fn mix_slot_digest(h: u128) -> u128 {
+pub(crate) fn mix_slot_digest(h: u128) -> u128 {
     let mut h = h ^ (h >> 67);
     h = h.wrapping_mul(DIGEST_P);
     h ^ (h >> 71)
@@ -488,41 +488,73 @@ impl MachineState {
         })
     }
 
+    /// Every [`Value`] position of the machine in encoding order: locals,
+    /// the `msg`/`arg` registers, the pending payload, queue payloads.
+    /// Machine ids occur nowhere else (frames and continuations hold
+    /// none), so this is the one list of id-carrying positions that
+    /// [`MachineState::encode_renamed`], [`Config::apply_permutation`]
+    /// and the canonical numbering all walk — they cannot drift apart.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Value> {
+        let regs = [&self.msg, &self.arg];
+        let pending = self.pending.iter().map(|(_, v)| v);
+        let queue = self.queue.iter().map(|(_, v)| v);
+        self.locals.iter().chain(regs).chain(pending).chain(queue)
+    }
+
+    /// [`MachineState::values`], mutably.
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut Value> {
+        let regs = [&mut self.msg, &mut self.arg];
+        let pending = self.pending.iter_mut().map(|(_, v)| v);
+        let queue = self.queue.iter_mut().map(|(_, v)| v);
+        self.locals
+            .iter_mut()
+            .chain(regs)
+            .chain(pending)
+            .chain(queue)
+    }
+
+    /// The machine ids the machine mentions, in encoding order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = MachineId> + '_ {
+        self.values().filter_map(|v| v.as_machine())
+    }
+
     /// [`MachineState::encode`] with every machine-id *reference*
-    /// rewritten through `map` (see [`Value::encode_renamed`]). Machine
-    /// ids occur only inside [`Value`]s — locals, the `msg`/`arg`
-    /// registers, the pending payload, and queue payloads — so those are
-    /// the exact positions that differ from the plain encoding; frames
-    /// and continuations contain no ids. The output length is identical
-    /// to the plain encoding's (every id is a fixed-width `u32`).
+    /// rewritten through `map` (see [`Value::encode_renamed`]): the
+    /// values are drawn from [`MachineState::values`] in order, the
+    /// structure around them is the plain encoding's. The output length
+    /// is identical to the plain encoding's (every id is a fixed-width
+    /// `u32`).
     pub(crate) fn encode_renamed(&self, out: &mut Vec<u8>, map: &[u32]) {
+        let mut values = self.values();
+        let mut value = |out: &mut Vec<u8>| {
+            let v = values.next().expect("one value per encoded position");
+            v.encode_renamed(out, map);
+        };
         out.extend_from_slice(&self.ty.0.to_le_bytes());
         out.extend_from_slice(&(self.stack.len() as u32).to_le_bytes());
         for f in &self.stack {
             f.encode(out);
         }
         out.extend_from_slice(&(self.locals.len() as u32).to_le_bytes());
-        for v in &self.locals {
-            v.encode_renamed(out, map);
+        for _ in 0..self.locals.len() + 2 {
+            value(out); // locals, then `msg` and `arg`
         }
-        self.msg.encode_renamed(out, map);
-        self.arg.encode_renamed(out, map);
         out.extend_from_slice(&(self.cont.len() as u32).to_le_bytes());
         for i in &self.cont {
             i.encode(out);
         }
         match &self.pending {
             None => out.push(0),
-            Some((e, v)) => {
+            Some((e, _)) => {
                 out.push(1);
                 out.extend_from_slice(&e.0.to_le_bytes());
-                v.encode_renamed(out, map);
+                value(out);
             }
         }
         out.extend_from_slice(&(self.queue.len() as u32).to_le_bytes());
-        for (e, v) in &self.queue {
+        for (e, _) in &self.queue {
             out.extend_from_slice(&e.0.to_le_bytes());
-            v.encode_renamed(out, map);
+            value(out);
         }
     }
 }
@@ -1163,19 +1195,21 @@ impl Config {
     /// (hence invertible mod 2¹²⁸) weight `wᵢ`: two same-length digest
     /// sequences collide only when the weighted difference vanishes,
     /// which for already-avalanched SipHash slot terms is the same
-    /// ~2⁻¹²⁸ event as a direct hash collision. Tombstones fold a fixed
-    /// tag digest so a deleted slot is distinguished from every live
-    /// one, and the count term separates sequences of different
-    /// lengths.
+    /// ~2⁻¹²⁸ event as a direct hash collision. A tombstone's slot
+    /// digest is the fixed [`TOMBSTONE_DIGEST`], so a deleted slot is
+    /// distinguished from every live one, and the count term separates
+    /// sequences of different lengths.
+    ///
+    /// The terms come as `(position, slot digest)` pairs in any order
+    /// (the fold is a sum), so the canonicalization layer can fold a
+    /// renumbered configuration straight from its slot → position map.
     pub(crate) fn combine_digests(
-        digests: impl Iterator<Item = (bool, u128)>,
+        terms: impl Iterator<Item = (usize, u128)>,
         count: usize,
     ) -> u128 {
-        let mut acc = 0u128;
-        for (i, (live, digest)) in digests.enumerate() {
-            let h = if live { digest } else { TOMBSTONE_DIGEST };
-            acc = acc.wrapping_add(slot_term(i, h));
-        }
+        let acc = terms.fold(0u128, |acc, (position, digest)| {
+            acc.wrapping_add(slot_term(position, digest))
+        });
         finalize_digest(acc, count)
     }
 
@@ -1210,7 +1244,8 @@ impl Config {
         Config::combine_digests(
             self.machines
                 .iter()
-                .map(|m| (m.is_some(), Config::slot_digest(m).0)),
+                .map(|m| Config::slot_digest(m).0)
+                .enumerate(),
             self.machines.len(),
         )
     }
@@ -1256,19 +1291,10 @@ impl Config {
                 continue;
             };
             let mut renamed = MachineState::clone(state);
-            let rewrite = |v: &mut Value| {
+            for v in renamed.values_mut() {
                 if let Value::Machine(m) = v {
                     *m = MachineId(perm[m.0 as usize]);
                 }
-            };
-            renamed.locals.iter_mut().for_each(rewrite);
-            rewrite(&mut renamed.msg);
-            rewrite(&mut renamed.arg);
-            if let Some((_, v)) = &mut renamed.pending {
-                rewrite(v);
-            }
-            for (_, v) in &mut renamed.queue {
-                rewrite(v);
             }
             let target = &mut machines[perm[i] as usize];
             assert!(target.is_none(), "perm is not a bijection");

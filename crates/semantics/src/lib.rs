@@ -70,7 +70,7 @@ mod proptests;
 #[cfg(test)]
 mod tests;
 
-pub use canon::canonical_digest;
+pub use canon::{canonical_digest, canonical_digest_counted};
 pub use config::{
     Config, ConfigDecodeError, Cont, Frame, Inherited, Instr, MachineId, MachineState, SlotInterner,
 };

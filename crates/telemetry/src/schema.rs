@@ -35,6 +35,13 @@ pub struct ExplorationMetrics {
     pub sleep_pruned: u64,
     /// Successors merged with a symmetric (id-permuted) visited state.
     pub symmetry_merges: u64,
+    /// Canonicalizations run (memo misses under symmetry reduction);
+    /// `canon_seconds / canon_calls` is the cost of one.
+    pub canon_calls: u64,
+    /// Candidate renumberings those canonicalizations digested
+    /// (`canon_candidates / canon_calls` is 1 unless tangled
+    /// configurations had to be enumerated).
+    pub canon_candidates: u64,
     /// Worker count used (1 = sequential).
     pub workers: u64,
     /// Visited fingerprints resident in the disk-spilled cold tier at
@@ -96,6 +103,8 @@ impl ExplorationMetrics {
             ("dedup_hits", num(self.dedup_hits as f64)),
             ("sleep_pruned", num(self.sleep_pruned as f64)),
             ("symmetry_merges", num(self.symmetry_merges as f64)),
+            ("canon_calls", num(self.canon_calls as f64)),
+            ("canon_candidates", num(self.canon_candidates as f64)),
             ("workers", num(self.workers as f64)),
             ("spilled_states", num(self.spilled_states as f64)),
             ("spill_bytes", num(self.spill_bytes as f64)),
@@ -134,6 +143,8 @@ impl ExplorationMetrics {
             dedup_hits: field("dedup_hits"),
             sleep_pruned: field("sleep_pruned"),
             symmetry_merges: field("symmetry_merges"),
+            canon_calls: field("canon_calls"),
+            canon_candidates: field("canon_candidates"),
             workers: field("workers").max(1),
             spilled_states: field("spilled_states"),
             spill_bytes: field("spill_bytes"),
@@ -347,6 +358,8 @@ mod tests {
             dedup_hits: states,
             sleep_pruned: 0,
             symmetry_merges: 0,
+            canon_calls: 3,
+            canon_candidates: 4,
             workers: 1,
             spilled_states: 0,
             spill_bytes: 0,

@@ -379,34 +379,37 @@ fn corrupted_checkpoint_is_rejected() {
     assert_eq!(exit_code(&missing), 2);
 }
 
-/// A checkpoint of the previous format (fingerprint-keyed parent
-/// records) is refused by its version field, before anything in it is
-/// interpreted.
+/// A checkpoint of an earlier format — version 1's fingerprint-keyed
+/// parent records, version 2's visited keys from the canonical digest
+/// as it was before it changed representatives — is refused by its
+/// version field, before anything in it is interpreted.
 #[test]
 fn version_1_checkpoint_is_refused() {
     let dir = temp_dir("version-1");
     let dir_s = dir.to_str().unwrap();
     let aborted = verify(
         "german3.p",
-        &["--checkpoint", dir_s, "--abort-after", "2000"],
+        &["--symmetry", "--checkpoint", dir_s, "--abort-after", "2000"],
     );
     assert_eq!(exit_code(&aborted), 3, "{}", stderr(&aborted));
     let file = dir.join("checkpoint.bin");
     let mut bytes = std::fs::read(&file).unwrap();
     assert_eq!(
         bytes[4..8],
-        2u32.to_le_bytes(),
-        "this build writes version 2"
+        3u32.to_le_bytes(),
+        "this build writes version 3"
     );
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&file, &bytes).unwrap();
-    let resumed = verify("german3.p", &["--resume", dir_s]);
-    assert_eq!(exit_code(&resumed), 2, "{}", stdout(&resumed));
-    assert!(
-        stderr(&resumed).contains("unsupported checkpoint version 1"),
-        "{}",
-        stderr(&resumed)
-    );
+    for old in [1u32, 2] {
+        bytes[4..8].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&file, &bytes).unwrap();
+        let resumed = verify("german3.p", &["--symmetry", "--resume", dir_s]);
+        assert_eq!(exit_code(&resumed), 2, "{}", stdout(&resumed));
+        assert!(
+            stderr(&resumed).contains(&format!("unsupported checkpoint version {old}")),
+            "{}",
+            stderr(&resumed)
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -189,6 +189,45 @@ fn verify_profile_round_trips_and_matches_plain_output() {
     let _ = std::fs::remove_file(&profile);
 }
 
+/// The cost of canonicalization is readable from the tool: under
+/// `--symmetry` the final metrics row counts the canonicalizations run
+/// and the candidate renumberings they digested (one each on German's
+/// protocol: no enumeration), next to the sampled `canon_seconds`; with
+/// the reduction off both are zero.
+#[test]
+fn verify_profile_counts_canonicalizations() {
+    let program = corpus_file("german3.p");
+    let row = |flags: &[&str], tag: &str| {
+        let profile = temp_path(tag);
+        let out = p_bin()
+            .args(["verify", program.to_str().unwrap(), "--profile"])
+            .arg(&profile)
+            .args(flags)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let doc = JsonValue::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&profile);
+        let count = |key: &str| {
+            let row = doc.get("exploration").expect("final metrics row");
+            row.get(key).and_then(JsonValue::as_u64).expect(key)
+        };
+        (
+            count("canon_calls"),
+            count("canon_candidates"),
+            count("states"),
+        )
+    };
+    assert_eq!(row(&[], "canon-off.json"), (0, 0, 13_255));
+    let (calls, candidates, states) = row(&["--symmetry"], "canon-on.json");
+    assert_eq!(states, 9_457);
+    assert!(calls >= states, "{calls} calls for {states} orbits");
+    assert!(
+        candidates <= calls && candidates + 10 >= calls,
+        "{candidates} candidates in {calls} calls"
+    );
+}
+
 // ---- runtime trace nesting ---------------------------------------------
 
 /// `p run --trace` must emit a Chrome document in which every `run` span
