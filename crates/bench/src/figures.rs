@@ -312,8 +312,12 @@ pub fn report_to_metrics(
     ExplorationMetrics {
         name: name.to_owned(),
         mode: mode.to_owned(),
+        strategy: "exhaustive".to_owned(),
+        bound: 0,
         states: report.stats.unique_states as u64,
         transitions: report.stats.transitions as u64,
+        scheduler_nodes: report.stats.scheduler_nodes as u64,
+        fault_transitions: report.stats.fault_transitions as u64,
         seconds: report.stats.duration.as_secs_f64(),
         stored_bytes: report.stats.stored_bytes as u64,
         index_bytes: report.stats.index_bytes as u64,

@@ -1,18 +1,19 @@
-//! Crash-safe checkpointing of exhaustive explorations.
+//! Crash-safe checkpointing of the search kernel, whatever its scheduler.
 //!
 //! A checkpoint is one self-contained binary file capturing everything
-//! the exhaustive engines need to continue a killed run and land on the
-//! same verdict and state counts an uninterrupted run produces:
+//! the kernel needs to continue a killed run and land on the same
+//! verdict and state counts an uninterrupted run produces:
 //!
 //! * cumulative exploration statistics,
 //! * the visited-set summary — every admitted fingerprint with its
-//!   sleep set (POR) and canonical representative (symmetry),
+//!   sleep set (POR) and canonical representative (symmetry), and how
+//!   many of them are markers,
 //! * the edge log — one fixed-size record per task ever pushed, indexed
 //!   by task id, plus the choice scripts too long for a record — keeping
 //!   counterexample reconstruction concrete across a resume,
 //! * the frontier — the workers' queues in order, each task with its
-//!   id; with one worker that is the DFS stack, so a resumed run
-//!   continues bit-identically.
+//!   id and its scheduler annotation; with one worker that is the DFS
+//!   stack, so a resumed run continues bit-identically.
 //!
 //! # File format
 //!
@@ -22,7 +23,7 @@
 //! ```
 //!
 //! The `config_digest` hashes the lowered program together with the
-//! semantic checker options, so resuming against a changed program or
+//! semantic checker options and the strategy, so resuming against a changed program or
 //! flags fails with [`CheckerError::CheckpointMismatch`] instead of
 //! silently producing nonsense; the trailing checksum (the same
 //! SipHash-2-4-128 the fingerprints use) turns file corruption into
@@ -50,13 +51,14 @@ const MAGIC: &[u8; 4] = b"PCHK";
 /// of a `symmetry` run are [`p_semantics::canonical_digest`]s, and when
 /// that picks other representatives the restored keys would silently
 /// stop matching, so the files written before it changed are refused.
-const VERSION: u32 = 3;
+/// Version 4 adds task annotations, the marker and injection counts.
+const VERSION: u32 = 4;
 /// The checkpoint file inside the checkpoint directory.
 const FILE: &str = "checkpoint.bin";
 /// The staging file the atomic rename publishes from.
 const TMP: &str = "checkpoint.tmp";
 
-/// When and where `check_exhaustive` writes checkpoints.
+/// When and where a search writes checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Directory the checkpoint file lives in (created if missing).
@@ -104,6 +106,8 @@ pub(crate) struct TaskEntry {
     /// Whether this is the state's first visit (false for a
     /// sleep-set-widening re-expansion).
     pub fresh: bool,
+    /// The scheduler's annotation, encoded (empty if exhaustive).
+    pub note: Vec<u8>,
 }
 
 /// Everything a checkpoint persists; the worker count is not part of
@@ -113,6 +117,8 @@ pub(crate) struct TaskEntry {
 pub(crate) struct CheckpointData {
     pub stats: ExplorationStats,
     pub visited: Vec<VisitedEntry>,
+    /// How many of `visited` are configuration markers, not nodes.
+    pub markers: usize,
     /// The edge log: the record of task `id` at index `id`.
     pub parents: Vec<EdgeRecord>,
     /// Choice scripts too long for their record, by task id.
@@ -138,11 +144,13 @@ fn encode_payload(data: &CheckpointData) -> Vec<u8> {
         s.dedup_hits as u64,
         s.sleep_pruned as u64,
         s.symmetry_merges as u64,
+        s.fault_transitions as u64,
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
     out.push(s.truncated as u8);
 
+    out.extend_from_slice(&(data.markers as u64).to_le_bytes());
     out.extend_from_slice(&(data.visited.len() as u64).to_le_bytes());
     for e in &data.visited {
         out.extend_from_slice(&e.fp.to_le_bytes());
@@ -173,8 +181,10 @@ fn encode_payload(data: &CheckpointData) -> Vec<u8> {
         out.extend_from_slice(&t.depth.to_le_bytes());
         out.extend_from_slice(&t.sleep.to_le_bytes());
         out.push(t.fresh as u8);
-        out.extend_from_slice(&(t.cfg.len() as u32).to_le_bytes());
-        out.extend_from_slice(&t.cfg);
+        for bytes in [&t.cfg, &t.note] {
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
+        }
     }
     out
 }
@@ -196,13 +206,15 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
     stats.dedup_hits = wire::read_u64(buf)? as usize;
     stats.sleep_pruned = wire::read_u64(buf)? as usize;
     stats.symmetry_merges = wire::read_u64(buf)? as usize;
+    stats.fault_transitions = wire::read_u64(buf)? as usize;
     stats.truncated = match wire::read_u8(buf)? {
         0 => false,
         1 => true,
         _ => return None,
     };
 
-    let n_visited = wire::read_u64(buf)? as usize;
+    let markers = wire::read_u64(buf)? as usize;
+    let n_visited = Some(wire::read_u64(buf)? as usize).filter(|&n| markers <= n)?;
     let mut visited = Vec::new();
     for _ in 0..n_visited {
         let fp = wire::read_u128(buf)?;
@@ -243,12 +255,15 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
         };
         let cfg_len = wire::read_u32(buf)? as usize;
         let cfg = wire::take(buf, cfg_len)?.to_vec();
+        let note_len = wire::read_u32(buf)? as usize;
+        let note = wire::take(buf, note_len)?.to_vec();
         frontier.push(TaskEntry {
             cfg,
             id,
             depth,
             sleep,
             fresh,
+            note,
         });
     }
     if !buf.is_empty() {
@@ -257,6 +272,7 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
     Some(CheckpointData {
         stats,
         visited,
+        markers,
         parents,
         scripts,
         frontier,
@@ -358,6 +374,7 @@ mod tests {
             dedup_hits: 4321,
             sleep_pruned: 17,
             symmetry_merges: 5,
+            fault_transitions: 9,
             spilled_states: 0,
             spill_bytes: 0,
             cold_hits: 0,
@@ -378,6 +395,7 @@ mod tests {
                     rep: Some(11),
                 },
             ],
+            markers: 1,
             parents: vec![
                 EdgeRecord::root(),
                 EdgeRecord::test_blocked(0, MachineId(2)),
@@ -389,6 +407,7 @@ mod tests {
                 depth: 3,
                 sleep: 1,
                 fresh: true,
+                note: vec![9, 8, 7],
             }],
         }
     }

@@ -15,16 +15,11 @@
 //! (§5); as `d → ∞` all schedules are covered.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use p_semantics::{Config, Engine, ExecOutcome, MachineId, YieldKind};
 
-use crate::engine::{Admit, BoundedSet, ParentMap};
 use crate::error::CheckerError;
-use crate::explore::{initial_machine, Report, Verifier};
-use crate::fingerprint::Fingerprint;
-use crate::stats::ExplorationStats;
-use crate::trace::{Counterexample, TraceStep};
+use crate::explore::{Report, Scheduler, Step, Verifier};
 
 /// The scheduler stack `S` plus the delay score, as one explorable node
 /// component.
@@ -37,10 +32,11 @@ pub struct SchedulerState {
 }
 
 impl SchedulerState {
-    /// The initial scheduler state: only the initial machine.
+    /// The initial scheduler state: only the initial machine (always
+    /// the first allocated).
     pub fn initial() -> SchedulerState {
         SchedulerState {
-            stack: VecDeque::from([initial_machine()]),
+            stack: VecDeque::from([MachineId(0)]),
             delays: 0,
         }
     }
@@ -48,13 +44,13 @@ impl SchedulerState {
     /// Removes machines that cannot currently run, keeping stack order.
     /// Sound because the only ways a waiting machine becomes runnable —
     /// receiving an event or being created — push it back on `S`.
-    fn normalize(&mut self, engine: &Engine<'_>, config: &Config) {
+    pub(crate) fn normalize(&mut self, engine: &Engine<'_>, config: &Config) {
         self.stack
             .retain(|&id| config.machine(id).is_some() && engine.enabled(config, id));
     }
 
     /// Applies `r` delay operations (each moves the top to the bottom).
-    fn rotated(&self, r: usize) -> SchedulerState {
+    pub(crate) fn rotated(&self, r: usize) -> SchedulerState {
         let mut s = self.clone();
         for _ in 0..r {
             if let Some(top) = s.stack.pop_front() {
@@ -65,12 +61,91 @@ impl SchedulerState {
         s
     }
 
+    /// Follows the causal order past the top machine's run: a receiver
+    /// not on `S` and a created machine go on top, a machine that blocked
+    /// or deleted itself leaves `S` until an event re-enables it, and a
+    /// fine-grained internal step keeps it on top.
+    pub(crate) fn advance(&mut self, outcome: &ExecOutcome) {
+        let &machine = self.stack.front().expect("a machine ran, so S held it");
+        match outcome {
+            ExecOutcome::Yield(YieldKind::Sent { to, .. }) => {
+                if !self.stack.contains(to) {
+                    self.stack.push_front(*to);
+                }
+            }
+            ExecOutcome::Yield(YieldKind::Created { id, .. }) => self.stack.push_front(*id),
+            ExecOutcome::Yield(YieldKind::Internal) => {}
+            ExecOutcome::Blocked | ExecOutcome::Deleted => self.stack.retain(|&id| id != machine),
+            ExecOutcome::Error(_) | ExecOutcome::NeedChoice => {
+                unreachable!("error/incomplete runs have no successor node")
+            }
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.stack.len() as u32).to_le_bytes());
         for id in &self.stack {
             out.extend_from_slice(&id.0.to_le_bytes());
         }
         out.extend_from_slice(&(self.delays as u64).to_le_bytes());
+    }
+}
+
+/// The causal scheduler with delay budget `d`: the top of the normalized
+/// stack runs, rotated as often as the budget still allows.
+#[derive(Debug)]
+pub(crate) struct DelayBounded(pub(crate) usize);
+
+impl Scheduler for DelayBounded {
+    type Note = SchedulerState;
+    /// The stack rotated for this move; its top is the machine to run.
+    type Move = SchedulerState;
+
+    fn root(&self) -> SchedulerState {
+        SchedulerState::initial()
+    }
+
+    fn moves(
+        &self,
+        engine: &Engine<'_>,
+        config: &Config,
+        note: &mut SchedulerState,
+        out: &mut Vec<SchedulerState>,
+    ) -> bool {
+        out.clear();
+        note.normalize(engine, config);
+        if !note.stack.is_empty() {
+            let remaining = self.0.saturating_sub(note.delays);
+            let max_rot = remaining.min(note.stack.len() - 1);
+            out.extend((0..=max_rot).map(|r| note.rotated(r)));
+        }
+        !config.live_ids().any(|id| engine.enabled(config, id))
+    }
+
+    fn step(mv: &SchedulerState) -> Step {
+        Step::Run(*mv.stack.front().expect("a move rotates a non-empty stack"))
+    }
+
+    fn child(&self, _: &Self::Note, mv: &Self::Move, outcome: &ExecOutcome) -> Self::Note {
+        let mut next = mv.clone();
+        next.advance(outcome);
+        next
+    }
+
+    fn encode(note: &SchedulerState, out: &mut Vec<u8>) {
+        note.encode(out);
+    }
+
+    fn decode(mut bytes: &[u8]) -> Option<SchedulerState> {
+        let buf = &mut bytes;
+        let len = crate::wire::read_u32(buf)? as usize;
+        let ids = crate::wire::take(buf, len.checked_mul(4)?)?;
+        let stack = ids
+            .chunks_exact(4)
+            .map(|id| MachineId(u32::from_le_bytes(id.try_into().expect("four bytes"))))
+            .collect();
+        let delays = crate::wire::read_u64(buf)? as usize;
+        buf.is_empty().then_some(SchedulerState { stack, delays })
     }
 }
 
@@ -89,168 +164,30 @@ pub struct DelayReport {
 
 impl Verifier<'_> {
     /// Delay-bounded systematic testing with the causal delaying scheduler
-    /// of §5.
+    /// of §5. Every [`crate::CheckerOptions`] field but `por`/`symmetry`
+    /// applies as to the exhaustive search.
     ///
     /// # Panics
     ///
-    /// Panics on a fatal [`CheckerError`] (a corrupt lowering — an engine
-    /// bug, not a property violation). Use
-    /// [`Verifier::try_check_delay_bounded`] to handle it.
+    /// Panics if the search fails with a [`CheckerError`], as
+    /// [`Verifier::check_exhaustive`] does. Use
+    /// [`Verifier::try_check_delay_bounded`] to handle those errors.
     pub fn check_delay_bounded(&self, delay_bound: usize) -> DelayReport {
         self.try_check_delay_bounded(delay_bound)
             .expect("delay-bounded search failed; use try_check_delay_bounded to handle errors")
     }
 
-    /// [`Verifier::check_delay_bounded`], surfacing fatal semantics
-    /// errors instead of panicking.
+    /// [`Verifier::check_delay_bounded`], surfacing errors instead of
+    /// panicking: those of [`Verifier::try_check_exhaustive`], and
+    /// [`CheckerError::Unsupported`] for `por` or `symmetry`.
     pub fn try_check_delay_bounded(&self, delay_bound: usize) -> Result<DelayReport, CheckerError> {
-        let engine = self.engine();
-        let start = Instant::now();
-        let mut stats = ExplorationStats::default();
-
-        let mut init = engine.initial_config();
-        let init_sched = SchedulerState::initial();
-
-        let mut config_states = BoundedSet::new(self.options().max_states);
-        let (init_digest, init_len) = init.digest_and_len();
-        config_states.admit(Fingerprint::from_u128(init_digest), || init_len);
-
-        // Scheduler nodes are a bounded configuration space times a
-        // finite scheduler annotation; the configuration bound above
-        // already caps them.
-        let mut node_seen = BoundedSet::unbounded();
-        let init_node_fp = node_fingerprint(init_digest, &init_sched);
-        node_seen.admit(init_node_fp, || 0);
-
-        let mut parents = ParentMap::new();
-        let mut stack: Vec<(Config, SchedulerState, Fingerprint, usize)> =
-            vec![(init, init_sched, init_node_fp, 0)];
-
-        while let Some((config, mut sched, nfp, depth)) = stack.pop() {
-            stats.max_depth = stats.max_depth.max(depth);
-            if depth >= self.options().max_depth {
-                stats.truncated = true;
-                continue;
-            }
-            let enabled = engine.enabled_machines(&config);
-            self.note_diagnostics(&config, &enabled, &mut stats);
-            sched.normalize(&engine, &config);
-            if sched.stack.is_empty() {
-                continue; // quiescent
-            }
-            let remaining = delay_bound.saturating_sub(sched.delays);
-            let max_rot = remaining.min(sched.stack.len().saturating_sub(1));
-            for r in 0..=max_rot {
-                let rotated = sched.rotated(r);
-                let &machine = rotated.stack.front().expect("normalized non-empty stack");
-                for mut succ in crate::succ::successors_for(
-                    &engine,
-                    &config,
-                    machine,
-                    self.options().granularity,
-                )? {
-                    stats.transitions += 1;
-                    // Parent edges store compact step seeds; only an
-                    // error path renders human-readable summaries.
-                    let seed = |succ: &mut crate::succ::Successor| {
-                        let choices = std::mem::take(&mut succ.choices);
-                        crate::trace::StepSeed::from_run(succ.machine, &succ.result, choices)
-                    };
-                    let mut next_sched = rotated.clone();
-                    match &succ.result.outcome {
-                        ExecOutcome::Error(e) => {
-                            let error = e.clone();
-                            let mut trace = parents.reconstruct(nfp, self.program());
-                            let choices = std::mem::take(&mut succ.choices);
-                            trace.push(TraceStep::from_run(
-                                self.program(),
-                                succ.machine,
-                                &succ.result,
-                                choices,
-                            ));
-                            stats.duration = start.elapsed();
-                            stats.unique_states = config_states.len();
-                            stats.stored_bytes = config_states.stored_bytes();
-                            return Ok(DelayReport {
-                                report: Report {
-                                    counterexample: Some(Counterexample { error, trace }),
-                                    stats,
-                                    complete: false,
-                                    interrupted: false,
-                                },
-                                delay_bound,
-                                scheduler_nodes: node_seen.len(),
-                            });
-                        }
-                        ExecOutcome::Yield(YieldKind::Sent { to, .. }) => {
-                            if !next_sched.stack.contains(to) {
-                                next_sched.stack.push_front(*to);
-                            }
-                        }
-                        ExecOutcome::Yield(YieldKind::Created { id, .. }) => {
-                            next_sched.stack.push_front(*id);
-                        }
-                        ExecOutcome::Yield(YieldKind::Internal) => {
-                            // Fine-grained runs keep the machine on top.
-                        }
-                        ExecOutcome::Blocked => {
-                            // The machine ran to quiescence; it leaves S
-                            // until an event re-enables it.
-                            next_sched.stack.retain(|&id| id != machine);
-                        }
-                        ExecOutcome::Deleted => {
-                            next_sched.stack.retain(|&id| id != machine);
-                        }
-                        ExecOutcome::NeedChoice => {
-                            unreachable!("successors_for resolves all choices")
-                        }
-                    }
-
-                    let (digest, len) = succ.config.digest_and_len();
-                    // Bound check BEFORE marking visited: a successor
-                    // dropped by `max_states` stays unvisited and
-                    // uncounted instead of being hidden forever.
-                    if config_states.admit(Fingerprint::from_u128(digest), || len)
-                        == Admit::OverBound
-                    {
-                        stats.truncated = true;
-                        continue;
-                    }
-                    let nfp2 = node_fingerprint(digest, &next_sched);
-                    if node_seen.admit(nfp2, || 0) == Admit::New {
-                        parents.record(nfp2, nfp, seed(&mut succ));
-                        stack.push((succ.config, next_sched, nfp2, depth + 1));
-                    }
-                }
-            }
-        }
-
-        stats.duration = start.elapsed();
-        stats.unique_states = config_states.len();
-        stats.stored_bytes = config_states.stored_bytes();
+        let (report, _) = self.search_with(&DelayBounded(delay_bound), self.options().jobs)?;
         Ok(DelayReport {
-            report: Report {
-                counterexample: None,
-                complete: !stats.truncated,
-                interrupted: false,
-                stats,
-            },
             delay_bound,
-            scheduler_nodes: node_seen.len(),
+            scheduler_nodes: report.stats.scheduler_nodes,
+            report,
         })
     }
-}
-
-/// Fingerprints a (configuration, scheduler) node by hashing the
-/// configuration's 128-bit digest together with the scheduler encoding —
-/// the digest stands in for the canonical bytes (it is a collision-safe
-/// function of them), so the node key costs 16 bytes plus the scheduler
-/// annotation instead of a full re-encoding of the configuration.
-fn node_fingerprint(config_digest: u128, sched: &SchedulerState) -> Fingerprint {
-    let mut bytes = Vec::with_capacity(16 + 2 + sched.stack.len() * 4);
-    bytes.extend_from_slice(&config_digest.to_le_bytes());
-    sched.encode(&mut bytes);
-    Fingerprint::of(&bytes)
 }
 
 #[cfg(test)]

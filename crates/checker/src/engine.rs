@@ -1,22 +1,23 @@
 //! The exploration engine's bookkeeping: the visited store, the edge
 //! log and the work frontier.
 //!
-//! The exhaustive search has one store, [`SharedTable`], with one admit
-//! rule, [`SharedTable::admit`]; symmetry, sleep sets, spilling and the
-//! worker count are inputs to that rule, not variants of it. The
-//! delay-bounded and fault strategies keep the small single-threaded
-//! [`BoundedSet`] + [`ParentMap`] pair, which the tests also use as the
-//! reference the exhaustive engine is compared against.
+//! The search kernel has one store, [`SharedTable`], with one admit
+//! rule, [`SharedTable::admit`]; symmetry, sleep sets, spilling, the
+//! worker count and the scheduler's annotation are inputs to that rule,
+//! not variants of it. An annotated search offers `key = concrete =`
+//! the fingerprint of (configuration digest ‖ annotation), `sleep = ∅`,
+//! and counts configurations with [`SharedTable::mark`]: raw digests in
+//! the same shards, which collide with node keys no more than states do.
 //!
 //! Invariants, each enforced in exactly one place below:
 //!
 //! * states are keyed by the collision-safe 128-bit [`Fingerprint`],
 //!   never by a 64-bit hash (a 64-bit collision silently prunes a
 //!   distinct state);
-//! * the `max_states` bound is checked **before** a state is inserted —
-//!   a state dropped for exceeding the bound is not remembered as
-//!   visited, and `unique_states`/`stored_bytes` count exactly the
-//!   states retained;
+//! * the `max_states` bound is checked **before** a state (or marker)
+//!   is inserted — a state dropped for exceeding the bound is not
+//!   remembered as visited, and `unique_states`/`stored_bytes` count
+//!   exactly the states retained;
 //! * a stored sleep set only ever shrinks (so a state is re-expanded at
 //!   most 64 times and the search terminates);
 //! * every task ever pushed has one record in the edge log, written
@@ -108,67 +109,6 @@ pub(crate) enum Admit {
     OverBound,
 }
 
-/// A single-threaded visited set with a state bound, counting only
-/// retained states: the store of the delay-bounded and fault strategies.
-#[derive(Debug)]
-pub(crate) struct BoundedSet {
-    seen: FpHashSet,
-    stored_bytes: usize,
-    max: usize,
-}
-
-impl BoundedSet {
-    /// An empty set admitting at most `max` states (at least one, so the
-    /// initial state is always representable).
-    pub(crate) fn new(max: usize) -> BoundedSet {
-        BoundedSet {
-            seen: FpHashSet::default(),
-            stored_bytes: 0,
-            max: max.max(1),
-        }
-    }
-
-    /// An unbounded set (for node spaces whose size is already bounded
-    /// by a bounded configuration space times a finite annotation).
-    pub(crate) fn unbounded() -> BoundedSet {
-        BoundedSet::new(usize::MAX)
-    }
-
-    /// Offers a state; `bytes` produces the state's stored byte cost,
-    /// and is invoked only when the state is actually retained. The
-    /// laziness is what makes intern-aware accounting possible: the
-    /// caller's closure interns the admitted configuration's slots and
-    /// returns only the *marginal* bytes (shared slots count once,
-    /// the first time any state stores them).
-    pub(crate) fn admit(&mut self, fp: Fingerprint, bytes: impl FnOnce() -> usize) -> Admit {
-        // Below the bound (the overwhelmingly common case) a single
-        // `insert` answers new-vs-seen in one lookup. At the bound, fall
-        // back to `contains` so a dropped state is never marked visited.
-        if self.seen.len() >= self.max {
-            if self.seen.contains(&fp) {
-                return Admit::Covered { merged: false };
-            }
-            return Admit::OverBound;
-        }
-        if self.seen.insert(fp) {
-            self.stored_bytes += bytes();
-            Admit::New
-        } else {
-            Admit::Covered { merged: false }
-        }
-    }
-
-    /// Retained states.
-    pub(crate) fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Canonical-encoding bytes of the retained states.
-    pub(crate) fn stored_bytes(&self) -> usize {
-        self.stored_bytes
-    }
-}
-
 /// Byte budget the hot visited tier may hold before spilling, for a
 /// `--mem-limit` of `mem_limit` bytes. States vary widely in canonical
 /// size (a handful of machines vs. hundreds), so the trigger compares
@@ -216,7 +156,7 @@ fn decode_rep_payload(payload: &[u8]) -> Result<Option<Fingerprint>, CheckerErro
     Ok(Some(Fingerprint::from_u128(rep)))
 }
 
-/// Shared additive totals of one exhaustive run.
+/// Shared additive totals of one search.
 ///
 /// Workers keep cheap thread-local [`crate::ExplorationStats`] and
 /// *flush deltas* here — every few dozen tasks, before parking at a
@@ -240,6 +180,7 @@ fn decode_rep_payload(payload: &[u8]) -> Result<Option<Fingerprint>, CheckerErro
 #[derive(Debug, Default)]
 pub(crate) struct SharedCounters {
     transitions: AtomicUsize,
+    fault_transitions: AtomicUsize,
     dedup_hits: AtomicUsize,
     sleep_pruned: AtomicUsize,
     quiescent_states: AtomicUsize,
@@ -266,6 +207,11 @@ impl SharedCounters {
         let (l, f) = (local, flushed);
         for (cell, now, before) in [
             (&self.transitions, l.transitions, &mut f.transitions),
+            (
+                &self.fault_transitions,
+                l.fault_transitions,
+                &mut f.fault_transitions,
+            ),
             (&self.dedup_hits, l.dedup_hits, &mut f.dedup_hits),
             (&self.sleep_pruned, l.sleep_pruned, &mut f.sleep_pruned),
             (
@@ -309,6 +255,7 @@ impl SharedCounters {
     pub(crate) fn totals(&self) -> crate::ExplorationStats {
         crate::ExplorationStats {
             transitions: self.transitions.load(Ordering::Relaxed),
+            fault_transitions: self.fault_transitions.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             sleep_pruned: self.sleep_pruned.load(Ordering::Relaxed),
             quiescent_states: self.quiescent_states.load(Ordering::Relaxed),
@@ -323,40 +270,6 @@ impl SharedCounters {
             })),
             ..crate::ExplorationStats::default()
         }
-    }
-}
-
-/// `child → (parent, step)` edges for counterexample reconstruction,
-/// keyed by fingerprint.
-#[derive(Debug, Default)]
-pub(crate) struct ParentMap {
-    map: FpHashMap<(Fingerprint, StepSeed)>,
-}
-
-impl ParentMap {
-    pub(crate) fn new() -> ParentMap {
-        ParentMap::default()
-    }
-
-    /// Records how `child` was first reached.
-    pub(crate) fn record(&mut self, child: Fingerprint, parent: Fingerprint, step: StepSeed) {
-        self.map.insert(child, (parent, step));
-    }
-
-    /// Walks the parent edges from the initial state to `state`,
-    /// rendering the stored seeds into human-readable steps.
-    pub(crate) fn reconstruct(
-        &self,
-        mut state: Fingerprint,
-        program: &p_semantics::LoweredProgram,
-    ) -> Vec<TraceStep> {
-        let mut steps = Vec::new();
-        while let Some((parent, step)) = self.map.get(&state) {
-            steps.push(step.render(program));
-            state = *parent;
-        }
-        steps.reverse();
-        steps
     }
 }
 
@@ -479,7 +392,7 @@ impl EdgeFile {
     }
 }
 
-/// The parent edges of the exhaustive search: an append-only log of
+/// The parent edges of the search: an append-only log of
 /// fixed-size [`EdgeRecord`]s addressed by [`TaskId`]. A worker reserves
 /// a whole chunk of ids at a time and is its only writer, so appending
 /// touches nothing another worker writes; chunks never move, complete
@@ -661,8 +574,8 @@ fn corrupt_edge(id: TaskId) -> CheckerError {
 /// for any plausible worker count while costing only 64 mutexes.
 const SHARDS: usize = 64;
 
-/// The visited store + edge log of the exhaustive search: the visited
-/// keys sharded by fingerprint prefix, one mutex per shard, with global
+/// The visited store + edge log of the search kernel: the visited keys
+/// sharded by fingerprint prefix, one mutex per shard, with global
 /// retained-state accounting kept in atomics so the `max_states` bound
 /// holds across shards. Under `--mem-limit` a disk-backed cold tier
 /// ([`SharedCold`] for the keys, `edges.log` for the records) sits
@@ -671,10 +584,13 @@ const SHARDS: usize = 64;
 pub(crate) struct SharedTable {
     shards: Vec<Mutex<Shard>>,
     unique: AtomicUsize,
+    /// Configurations [`SharedTable::mark`]ed, bounded by `max_marked`.
+    marked: AtomicUsize,
     /// Canonical-encoding bytes of the RAM-resident states.
     stored: AtomicUsize,
     truncated: AtomicBool,
     max: usize,
+    max_marked: usize,
     cold: Option<SharedCold>,
     edges: EdgeLog,
 }
@@ -732,9 +648,11 @@ impl SharedTable {
         SharedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             unique: AtomicUsize::new(0),
+            marked: AtomicUsize::new(0),
             stored: AtomicUsize::new(0),
             truncated: AtomicBool::new(false),
             max: max.max(1),
+            max_marked: 0,
             cold,
             edges,
         }
@@ -810,6 +728,17 @@ impl SharedTable {
             }
         }
         Ok(table)
+    }
+
+    /// Makes this the table of an annotated search: `max` now bounds
+    /// the configurations [`SharedTable::mark`] marks and node admits are
+    /// unbounded (a bounded configuration space times a finite
+    /// annotation). `marked` of a restored table's entries are markers.
+    pub(crate) fn annotated(mut self, marked: usize) -> SharedTable {
+        (self.max_marked, self.max) = (self.max, usize::MAX);
+        *self.marked.get_mut() = marked;
+        *self.unique.get_mut() -= marked;
+        self
     }
 
     /// Spill activity: `(spilled_states, spill_bytes, cold_hits)`,
@@ -988,7 +917,30 @@ impl SharedTable {
         Ok(pushed)
     }
 
-    /// Retained states across all shards and both tiers.
+    /// Marks `config` as reached by an annotated search: [`Admit::New`]
+    /// the first time, [`Admit::Covered`] after that, [`Admit::OverBound`]
+    /// — not marked, not counted, the search truncated — once the bound is
+    /// full. A marker has no record, task or bytes; its nodes have.
+    pub(crate) fn mark(&self, config: Fingerprint) -> Result<Admit, CheckerError> {
+        let mut shard = self.shards[config.shard(SHARDS)].lock();
+        if shard.visited.contains(&config) || self.cold_visited(config)?.is_some() {
+            return Ok(Admit::Covered { merged: false });
+        }
+        if self.marked.fetch_add(1, Ordering::SeqCst) >= self.max_marked {
+            self.marked.fetch_sub(1, Ordering::SeqCst);
+            self.truncated.store(true, Ordering::SeqCst);
+            return Ok(Admit::OverBound);
+        }
+        shard.visited.insert(config);
+        Ok(Admit::New)
+    }
+
+    /// Configurations marked, across all shards and both tiers.
+    pub(crate) fn marked(&self) -> usize {
+        self.marked.load(Ordering::SeqCst)
+    }
+
+    /// Retained states (nodes, if annotated) across all shards and tiers.
     pub(crate) fn unique(&self) -> usize {
         self.unique.load(Ordering::SeqCst)
     }
@@ -1310,6 +1262,7 @@ impl<T> Frontier<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{BoundedSet, ParentMap};
     use p_semantics::MachineId;
 
     fn fp(n: u32) -> Fingerprint {
@@ -1537,6 +1490,56 @@ mod tests {
         tiered_set_symmetry_rep_survives_spill: true, false, true;
         shared_table_admit_sleep_sym_sibling_gets_an_edge: true, true, false;
         sibling_rule_runs_on_cold_states: true, true, true;
+    }
+
+    /// The markers of an annotated search share the shards, the cold
+    /// tier and the snapshot with its nodes, but have the bound and a
+    /// counter of their own; nodes are admitted past the bound, and only
+    /// they account for bytes (so a spill frees exactly what it drains).
+    #[test]
+    fn markers_are_bounded_and_counted_apart_from_nodes() {
+        for spilled in [false, true] {
+            let dir = temp_dir(&format!("markers-{spilled}"));
+            let table = if spilled {
+                SharedTable::with_spill(2, &dir, 1).unwrap()
+            } else {
+                SharedTable::new(2)
+            };
+            let table = table.annotated(0);
+            let covered = Admit::Covered { merged: false };
+            let mut writer = EdgeWriter::default();
+            assert_eq!(table.mark(fp(100)).unwrap(), Admit::New);
+            let root = offer_root(&table, &mut writer, fp(0), 8);
+            assert_eq!(table.mark(fp(100)).unwrap(), covered);
+            assert_eq!(table.mark(fp(101)).unwrap(), Admit::New);
+            // Over the bound: not marked, not counted, not poisoned.
+            assert!(!table.truncated());
+            assert_eq!(table.mark(fp(102)).unwrap(), Admit::OverBound);
+            assert!(table.truncated());
+            assert_eq!(table.mark(fp(102)).unwrap(), Admit::OverBound);
+            assert_eq!(table.mark(fp(101)).unwrap(), covered);
+            for n in 1..=5 {
+                assert_eq!(offer(&table, &mut writer, n, 8, root).0, Admit::New);
+            }
+            assert_eq!((table.marked(), table.unique()), (2, 6));
+            assert_eq!(table.stored_bytes(), if spilled { 0 } else { 48 });
+            if spilled {
+                assert_eq!(table.spill_stats().0, 8, "markers spill with the nodes");
+            }
+
+            let (visited, parents, scripts) = table.snapshot().unwrap();
+            assert_eq!(visited.len(), 8);
+            let restored = SharedTable::restore(2, None, &visited, &parents, scripts, 48)
+                .unwrap()
+                .annotated(table.marked());
+            assert_eq!((restored.marked(), restored.unique()), (2, 6));
+            assert_eq!(restored.mark(fp(100)).unwrap(), covered);
+            assert_eq!(restored.mark(fp(102)).unwrap(), Admit::OverBound);
+            let mut writer = EdgeWriter::default();
+            assert_eq!(offer(&restored, &mut writer, 3, 8, root).0, covered);
+            assert_eq!(offer(&restored, &mut writer, 6, 8, root).0, Admit::New);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

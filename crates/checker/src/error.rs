@@ -15,9 +15,9 @@ use std::path::PathBuf;
 
 /// An error from the exploration engine's fallible paths.
 ///
-/// `Verifier::try_check_exhaustive` returns this; the plain
-/// `check_exhaustive` remains infallible because without checkpoint,
-/// resume, or mem-limit options none of these variants can arise.
+/// The `try_check_*` methods return this; the plain `check_*` ones
+/// panic on it, which without checkpoint, resume or mem-limit options
+/// and with a supported option pair cannot arise.
 #[derive(Debug)]
 pub enum CheckerError {
     /// An I/O operation on a checkpoint or spill file failed.
@@ -42,6 +42,9 @@ pub enum CheckerError {
     /// A compiled execution backend disagreed with the interpreter (wrong
     /// program digest, or an unsupported program shape for the fast path).
     CompiledBackend(String),
+    /// The options ask a strategy for a reduction that is not sound for
+    /// it (`por` or `symmetry` with a delay bound or a fault budget).
+    Unsupported(String),
 }
 
 impl CheckerError {
@@ -65,6 +68,7 @@ impl fmt::Display for CheckerError {
             CheckerError::WorkerPanic(why) => write!(f, "exploration worker panicked: {why}"),
             CheckerError::Semantics(e) => write!(f, "semantics error: {e}"),
             CheckerError::CompiledBackend(why) => write!(f, "compiled backend: {why}"),
+            CheckerError::Unsupported(why) => write!(f, "unsupported options: {why}"),
         }
     }
 }

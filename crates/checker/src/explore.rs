@@ -1,13 +1,14 @@
-//! Exhaustive explicit-state search (the Zing-substrate analog) and the
+//! The explicit-state search kernel (the Zing-substrate analog) and the
 //! option/report types shared by all strategies.
 //!
-//! One kernel covers the exhaustive strategy: workers pop tasks from a
-//! work-stealing frontier, expand them depth-first and offer every
-//! successor to one sharded visited table keyed by collision-safe
-//! 128-bit [`Fingerprint`]s. [`CheckerOptions::jobs`] only sets how
-//! many workers run that loop; `unique_states` and the verdict do not
-//! depend on it, only the particular counterexample trace may differ
-//! with more than one worker (first violation found wins).
+//! One kernel runs the exhaustive, delay-bounded and fault-injecting
+//! strategies, monomorphised on a [`Scheduler`] (DESIGN.md §9): workers
+//! pop tasks from a work-stealing frontier, expand them depth-first and
+//! offer every successor to one sharded visited table keyed by
+//! collision-safe 128-bit [`Fingerprint`]s. [`CheckerOptions::jobs`]
+//! only sets how many workers run that loop; `unique_states` and the
+//! verdict do not depend on it, only the particular counterexample
+//! trace may differ with more than one worker (first violation wins).
 //!
 //! The search optionally runs *crash-safe* and *memory-bounded* (see
 //! DESIGN.md §13): [`CheckerOptions::checkpoint`] periodically persists
@@ -36,9 +37,11 @@ use crate::engine::{
     hot_budget_for, Admit, EdgeWriter, Frontier, SharedCounters, SharedTable, TaskId,
 };
 use crate::error::CheckerError;
+use crate::fault::FaultDecision;
 use crate::fingerprint::{Fingerprint, FpHashSet};
 use crate::por::{Por, SleepSet};
 use crate::stats::ExplorationStats;
+use crate::succ::SuccArena;
 use crate::trace::{Counterexample, EdgeRecord, TraceStep};
 
 /// How often a worker offers a progress snapshot to the
@@ -94,6 +97,100 @@ impl CanonMemo {
     }
 }
 
+/// A search strategy, plugged into [`Verifier::search_with`]. It says
+/// which moves leave a node and what annotation the child of a move
+/// carries (and serialises that annotation); the rest is the kernel's,
+/// once, for every strategy. Its `Debug` form, parameters included,
+/// goes into the checkpoint digest.
+pub(crate) trait Scheduler: Sync + std::fmt::Debug {
+    /// What a node carries besides its configuration: part of its
+    /// visited key ([`node_key`]) and of its task.
+    type Note: Clone + Send + Sync + std::fmt::Debug;
+    /// One way out of a node.
+    type Move;
+    /// Whether nodes are annotated at all: then unique configurations are
+    /// counted by [`SharedTable::mark`] and `por`/`symmetry` are refused.
+    const ANNOTATED: bool = true;
+
+    /// The initial node's annotation.
+    fn root(&self) -> Self::Note;
+
+    /// The moves leaving `(config, note)` into `out` (cleared first), in
+    /// exploration order; `note` may be normalised on the way. Returns
+    /// whether `config` is quiescent (for the per-state diagnostics).
+    fn moves(
+        &self,
+        engine: &Engine<'_>,
+        config: &Config,
+        note: &mut Self::Note,
+        out: &mut Vec<Self::Move>,
+    ) -> bool;
+
+    /// What taking `mv` does to the configuration.
+    fn step(mv: &Self::Move) -> Step;
+
+    /// The annotation of the node `mv` leads to when it ends in `outcome`.
+    fn child(&self, note: &Self::Note, mv: &Self::Move, outcome: &ExecOutcome) -> Self::Note;
+
+    /// The annotation's bytes, as the node key and a checkpoint hold them.
+    fn encode(note: &Self::Note, out: &mut Vec<u8>);
+
+    /// Inverse of [`Scheduler::encode`]; `None` on malformed bytes.
+    fn decode(bytes: &[u8]) -> Option<Self::Note>;
+}
+
+/// What a move does: run a machine (one successor per resolution of its
+/// ghost choices) or tamper with a queue (one successor).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    Run(MachineId),
+    Inject(FaultDecision),
+}
+
+/// The exhaustive strategy: run each enabled machine; no annotation.
+#[derive(Debug)]
+struct Exhaustive;
+
+impl Scheduler for Exhaustive {
+    type Note = ();
+    type Move = MachineId;
+    const ANNOTATED: bool = false;
+
+    fn root(&self) {}
+
+    fn moves(
+        &self,
+        engine: &Engine<'_>,
+        config: &Config,
+        _: &mut (),
+        out: &mut Vec<MachineId>,
+    ) -> bool {
+        engine.enabled_machines_into(config, out);
+        out.is_empty()
+    }
+
+    fn step(mv: &MachineId) -> Step {
+        Step::Run(*mv)
+    }
+
+    fn child(&self, _: &(), _: &MachineId, _: &ExecOutcome) {}
+
+    fn encode(_: &(), _: &mut Vec<u8>) {}
+
+    fn decode(bytes: &[u8]) -> Option<()> {
+        bytes.is_empty().then_some(())
+    }
+}
+
+/// The visited key of an annotated node: the fingerprint of the
+/// configuration digest followed by the annotation's bytes.
+fn node_key<S: Scheduler>(config: Fingerprint, note: &S::Note, buf: &mut Vec<u8>) -> Fingerprint {
+    buf.clear();
+    buf.extend_from_slice(&config.as_u128().to_le_bytes());
+    S::encode(note, buf);
+    Fingerprint::of(buf)
+}
+
 /// Bounds and knobs for exploration.
 #[derive(Debug, Clone)]
 pub struct CheckerOptions {
@@ -107,7 +204,7 @@ pub struct CheckerOptions {
     pub granularity: Granularity,
     /// Small-step budget per atomic run (detects private divergence).
     pub fuel: usize,
-    /// Workers of the exhaustive search. `0` or `1`: one worker on the
+    /// Workers of the search. `0` or `1`: one worker on the
     /// calling thread, deterministic — same expansion order, same first
     /// counterexample and same counters on every run. `n > 1`: `n`
     /// spawned work-stealing workers; the totals of a completed run are
@@ -121,9 +218,10 @@ pub struct CheckerOptions {
     /// Sound for safety: it prunes redundant *transitions* between independent machine runs, never states —
     /// every reachable state (and hence every reachable error) is still
     /// visited, so the verdict and `unique_states` match the unreduced
-    /// search; only `transitions` shrinks. Ignored by the delay-bounded,
-    /// fault, liveness and random strategies, whose node spaces are
-    /// schedule-annotated. See DESIGN.md §10.
+    /// search; only `transitions` shrinks. Refused by the delay-bounded
+    /// and fault strategies ([`CheckerError::Unsupported`]: a run slept
+    /// under one budget is not covered under another), ignored by the
+    /// liveness and random ones. See DESIGN.md §10.
     pub por: bool,
     /// Symmetry reduction for the exhaustive search: the visited set is
     /// keyed by a canonical fingerprint invariant under permutations of
@@ -135,22 +233,23 @@ pub struct CheckerOptions {
     /// have isomorphic futures and identical verdicts; exploration and
     /// counterexample traces stay concrete. `unique_states` counts
     /// orbits (canonical classes) in this mode. Composes with
-    /// [`CheckerOptions::por`]; ignored by the delay-bounded, fault,
-    /// liveness and random strategies. See DESIGN.md §12.
+    /// [`CheckerOptions::por`]; refused by the delay-bounded and fault
+    /// strategies (their annotations name concrete machine ids), ignored
+    /// by the liveness and random ones. See DESIGN.md §12.
     pub symmetry: bool,
-    /// Periodic crash-safe checkpointing for the exhaustive search;
+    /// Periodic crash-safe checkpointing of a kernel search;
     /// `None` (the default) disables it. The checkpoint does not record
     /// the worker count: a run checkpointed under `jobs = 4` resumes
     /// under `jobs = 1` and vice versa. See DESIGN.md §13.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Resume a previously checkpointed exhaustive run from this
-    /// directory. The checkpoint's config digest must match the current
-    /// program and semantic options, else the run fails with
+    /// Resume a previously checkpointed run from this directory. The
+    /// checkpoint's config digest must match the current program,
+    /// semantic options and strategy, else the run fails with
     /// [`CheckerError::CheckpointMismatch`]. Combine with
     /// [`CheckerOptions::checkpoint`] (typically the same directory) to
     /// keep checkpointing while resumed.
     pub resume: Option<PathBuf>,
-    /// Approximate RAM budget (bytes) for the exhaustive search's
+    /// Approximate RAM budget (bytes) for the search kernel's
     /// visited set. When the hot (RAM) tier outgrows it, fingerprints
     /// spill to sorted disk runs with a bloom-filter front and edge
     /// records to a flat file indexed by task id; the verdict,
@@ -158,8 +257,8 @@ pub struct CheckerOptions {
     /// `None` (the default) keeps everything in RAM.
     pub mem_limit: Option<usize>,
     /// Cooperative interruption (SIGINT/SIGTERM): when the flag turns
-    /// true the exhaustive search stops at the next state boundary,
-    /// write a final checkpoint if [`CheckerOptions::checkpoint`] is
+    /// true the search stops at the next state boundary,
+    /// writes a final checkpoint if [`CheckerOptions::checkpoint`] is
     /// set, and return with [`Report::interrupted`].
     pub interrupt: Option<Arc<AtomicBool>>,
 }
@@ -380,11 +479,12 @@ impl<'p> Verifier<'p> {
     }
 
     /// Digest of everything a checkpoint must agree on to be resumable:
-    /// the lowered program and the semantics-relevant options. `jobs`
+    /// the lowered program, the semantics-relevant options and the
+    /// `strategy` with its bound (they key nodes differently). `jobs`
     /// and the robustness options themselves are deliberately excluded —
     /// a checkpoint taken under one worker count, memory limit or
     /// checkpoint cadence is valid under another.
-    fn config_digest(&self) -> u128 {
+    fn config_digest(&self, strategy: &str) -> u128 {
         use std::fmt::Write as _;
         // NB: field by field, not `{:?}` of the whole program — the
         // interner's lookup map is a HashMap whose Debug order differs
@@ -400,7 +500,7 @@ impl<'p> Verifier<'p> {
         let o = &self.options;
         let _ = write!(
             desc,
-            "|max_states={}|max_depth={}|granularity={:?}|fuel={}|por={}|symmetry={}",
+            "|max_states={}|max_depth={}|granularity={:?}|fuel={}|por={}|symmetry={}|{strategy}",
             o.max_states, o.max_depth, o.granularity, o.fuel, o.por, o.symmetry
         );
         Fingerprint::of(desc.as_bytes()).as_u128()
@@ -415,16 +515,30 @@ impl<'p> Verifier<'p> {
         self.telemetry.finish_progress();
     }
 
-    /// The exhaustive search (see DESIGN.md §9): `jobs` workers expand
-    /// one frontier against one visited table. A single worker (`jobs`
-    /// of 0 or 1) runs on the calling thread; more are spawned and
-    /// joined. The workers' intern tables come back with the report,
-    /// for the test that checks they share no allocation.
+    /// [`Verifier::search_with`] the [`Exhaustive`] scheduler.
     pub(crate) fn search(&self, jobs: usize) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
+        self.search_with(&Exhaustive, jobs)
+    }
+
+    /// The search kernel (see DESIGN.md §9): `jobs` workers expand one
+    /// frontier against one visited table by `sched`'s moves. A single
+    /// worker (`jobs` of 0 or 1) runs on the calling thread; more are
+    /// spawned and joined. The workers' intern tables come back with the
+    /// report, for the test that checks they share no allocation.
+    pub(crate) fn search_with<S: Scheduler>(
+        &self,
+        sched: &S,
+        jobs: usize,
+    ) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
         let jobs = jobs.max(1);
         let start = Instant::now();
         let options = &self.options;
-        let digest = self.config_digest();
+        if S::ANNOTATED && (options.por || options.symmetry) {
+            return Err(CheckerError::Unsupported(format!(
+                "por and symmetry reduce the exhaustive search only, not {sched:?}"
+            )));
+        }
+        let digest = self.config_digest(&format!("{sched:?}"));
         let spill = SpillDir::prepare(options)?;
         let spill_cfg = spill_config(options, &spill);
 
@@ -450,16 +564,25 @@ impl<'p> Verifier<'p> {
                         SharedTable::with_spill(options.max_states, dir, budget)?
                     }
                 };
+                let table = if S::ANNOTATED {
+                    table.annotated(0)
+                } else {
+                    table
+                };
                 let mut config = self.engine().initial_config();
+                let note = sched.root();
                 let init_fp = Fingerprint::from_u128(config.digest());
-                let init_key = if options.symmetry {
+                let init_key = if S::ANNOTATED {
+                    table.mark(init_fp)?;
+                    node_key::<S>(init_fp, &note, &mut Vec::new())
+                } else if options.symmetry {
                     Fingerprint::from_u128(canonical_digest(&mut config))
                 } else {
                     init_fp
                 };
                 let (_, id) = table.admit(
                     init_key,
-                    init_fp,
+                    if S::ANNOTATED { init_key } else { init_fp },
                     SleepSet::empty(),
                     || intern(&mut config, &mut interners[0], &slot_digests),
                     &mut EdgeWriter::default(),
@@ -471,6 +594,7 @@ impl<'p> Verifier<'p> {
                     depth: 0,
                     sleep: SleepSet::empty(),
                     fresh: true,
+                    note,
                 };
                 (table, Frontier::new(jobs, root))
             }
@@ -483,7 +607,12 @@ impl<'p> Verifier<'p> {
                     ckpt.scripts,
                     ckpt.stats.stored_bytes,
                 )?;
-                let tasks = decode_frontier(&ckpt.frontier, self.program)?;
+                let table = if S::ANNOTATED {
+                    table.annotated(ckpt.markers)
+                } else {
+                    table
+                };
+                let tasks = decode_frontier::<S>(&ckpt.frontier, self.program)?;
                 let mut base = ckpt.stats;
                 base_duration = base.duration;
                 base_truncated = base.truncated;
@@ -497,7 +626,7 @@ impl<'p> Verifier<'p> {
         };
 
         let search = Search {
-            last_ckpt: AtomicUsize::new(table.unique()),
+            last_ckpt: AtomicUsize::new(states::<S>(&table)),
             table,
             frontier,
             slot_digests,
@@ -515,7 +644,7 @@ impl<'p> Verifier<'p> {
         };
 
         let worker_tasks = if jobs == 1 {
-            vec![self.expand_worker(0, &mut interners[0], &search)]
+            vec![self.expand_worker(0, &mut interners[0], &search, sched)]
         } else {
             std::thread::scope(|scope| {
                 let workers: Vec<_> = interners
@@ -523,7 +652,7 @@ impl<'p> Verifier<'p> {
                     .enumerate()
                     .map(|(w, interner)| {
                         let search = &search;
-                        scope.spawn(move || self.expand_worker(w, interner, search))
+                        scope.spawn(move || self.expand_worker(w, interner, search, sched))
                     })
                     .collect();
                 // Join every worker before reporting a panic: the scope
@@ -563,7 +692,10 @@ impl<'p> Verifier<'p> {
         #[cfg(not(feature = "telemetry"))]
         let _ = (worker_tasks, frontier);
 
-        stats.unique_states = table.unique();
+        stats.unique_states = states::<S>(table);
+        if S::ANNOTATED {
+            stats.scheduler_nodes = table.unique();
+        }
         stats.stored_bytes = table.stored_bytes();
         stats.index_bytes = table.index_bytes();
         (stats.spilled_states, stats.spill_bytes, stats.cold_hits) = table.spill_stats();
@@ -601,11 +733,12 @@ impl<'p> Verifier<'p> {
     /// unconditionally on exit, so the shared totals are exact at every
     /// checkpoint and on every exit path. Returns the number of tasks
     /// this worker expanded (the per-worker utilization sample).
-    fn expand_worker(
+    fn expand_worker<S: Scheduler>(
         &self,
         worker: usize,
         interner: &mut SlotInterner,
-        search: &Search<'_>,
+        search: &Search<'_, S>,
+        sched: &S,
     ) -> u64 {
         let Search {
             table,
@@ -623,15 +756,16 @@ impl<'p> Verifier<'p> {
         let por = self.options.por.then(|| Por::new(self.program));
         let symmetry = self.options.symmetry;
         let mut succs = Vec::new();
-        let mut arena = crate::succ::SuccArena::new();
-        let mut enabled = Vec::new();
+        let mut arena = SuccArena::new();
+        let mut moves = Vec::new();
         let mut writer = EdgeWriter::default();
         let mut children = Vec::new();
         let mut canon_memo = CanonMemo::new(symmetry);
+        let mut key_buf = Vec::new();
         // Leaves the fleet on every exit; a panic — which would otherwise
         // leave the others waiting for this worker's task — stops it too.
-        struct Leave<'a>(&'a Frontier<Task>);
-        impl Drop for Leave<'_> {
+        struct Leave<'a, T>(&'a Frontier<T>);
+        impl<T> Drop for Leave<'_, T> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
                     self.0.request_stop();
@@ -651,6 +785,7 @@ impl<'p> Verifier<'p> {
                 depth,
                 sleep,
                 fresh,
+                mut note,
             } = task;
             if stolen {
                 // The slots are the victim's allocations; keep no core
@@ -669,33 +804,44 @@ impl<'p> Verifier<'p> {
                 frontier.finish_task(worker, &mut children);
                 continue;
             }
-            engine.enabled_machines_into(&config, &mut enabled);
+            let quiescent = sched.moves(&engine, &config, &mut note, &mut moves);
             if fresh {
                 // Diagnostics are per-state; a sleep-widening revisit
                 // must not double-count quiescence or queue peaks.
-                self.note_diagnostics(&config, &enabled, &mut stats);
+                note_diagnostics(&config, quiescent, &mut stats);
             }
             // Machines explored at this state go to sleep for the ones
             // after them (their interleavings are covered below the
-            // earlier siblings); `enabled` is in ascending id order, so
-            // the accumulation order is deterministic.
+            // earlier siblings); the exhaustive moves are in ascending
+            // id order, so the accumulation order is deterministic.
             let mut cur_sleep = sleep;
-            for &id in &enabled {
-                if cur_sleep.contains(id) {
-                    stats.sleep_pruned += 1;
-                    continue;
-                }
-                if let Err(error) = crate::succ::successors_into(
-                    &engine,
-                    &config,
-                    id,
-                    self.options.granularity,
-                    &mut succs,
-                    &mut arena,
-                ) {
-                    search.stop_with(&search.error, error.into());
-                    break 'tasks;
-                }
+            for mv in &moves {
+                let id = match S::step(mv) {
+                    Step::Run(id) if cur_sleep.contains(id) => {
+                        stats.sleep_pruned += 1;
+                        continue;
+                    }
+                    Step::Run(id) => {
+                        let ran = crate::succ::successors_into(
+                            &engine,
+                            &config,
+                            id,
+                            self.options.granularity,
+                            &mut succs,
+                            &mut arena,
+                        );
+                        if let Err(error) = ran {
+                            search.stop_with(&search.error, error.into());
+                            break 'tasks;
+                        }
+                        id
+                    }
+                    Step::Inject(fault) => {
+                        stats.fault_transitions += 1;
+                        succs.push(fault.successor(&config));
+                        fault.machine
+                    }
+                };
                 for mut succ in succs.drain(..) {
                     stats.transitions += 1;
                     if let ExecOutcome::Error(e) = &succ.result.outcome {
@@ -708,10 +854,13 @@ impl<'p> Verifier<'p> {
                     let t = arena.phases.start();
                     let succ_fp = Fingerprint::from_u128(succ.config.digest());
                     arena.phases.stop(crate::phase::Phase::Digest, t);
-                    // With symmetry on, the table is keyed by the
-                    // canonical fingerprint; everything else (tasks,
-                    // their records, traces) stays concrete.
-                    let key = if symmetry {
+                    let child_note = sched.child(&note, mv, &succ.result.outcome);
+                    // The table is keyed by the annotated fingerprint, or
+                    // with symmetry on by the canonical one; everything
+                    // else (tasks, their records, traces) stays concrete.
+                    let key = if S::ANNOTATED {
+                        node_key::<S>(succ_fp, &child_note, &mut key_buf)
+                    } else if symmetry {
                         canon_memo.get_or_insert_with(succ_fp, || {
                             let t = arena.phases.start();
                             let (key, candidates) = canonical_digest_counted(&mut succ.config);
@@ -731,17 +880,36 @@ impl<'p> Verifier<'p> {
                             por.filter_sleep(&config, cur_sleep, &taken)
                         }
                     };
+                    // A configuration over the bound is neither marked
+                    // nor pushed.
+                    let in_bound = !S::ANNOTATED
+                        || match table.mark(succ_fp) {
+                            Ok(marked) => marked != Admit::OverBound,
+                            Err(error) => {
+                                search.stop_with(&search.error, error);
+                                break 'tasks;
+                            }
+                        };
                     let (slots, choices, result) = (&mut succ.config, &succ.choices, &succ.result);
                     // The log stores packed records; only an error path
                     // renders human-readable summaries.
-                    let admitted = table.admit(
-                        key,
-                        succ_fp,
-                        child_sleep,
-                        || intern(slots, interner, slot_digests),
-                        &mut writer,
-                        || EdgeRecord::from_run(task_id, id, result, choices),
-                    );
+                    let admitted = if in_bound {
+                        table.admit(
+                            key,
+                            if S::ANNOTATED { key } else { succ_fp },
+                            child_sleep,
+                            || intern(slots, interner, slot_digests),
+                            &mut writer,
+                            || match S::step(mv) {
+                                Step::Run(id) => EdgeRecord::from_run(task_id, id, result, choices),
+                                Step::Inject(fault) => {
+                                    (EdgeRecord::from_fault(task_id, &fault), None)
+                                }
+                            },
+                        )
+                    } else {
+                        Ok((Admit::OverBound, None))
+                    };
                     // The task to push for the successor, if any: its
                     // id, the sleep set to expand it with, and whether
                     // this is its first visit.
@@ -769,6 +937,7 @@ impl<'p> Verifier<'p> {
                             depth: depth + 1,
                             sleep,
                             fresh,
+                            note: child_note,
                         });
                     }
                     arena.phases.stop(crate::phase::Phase::Table, table_t);
@@ -789,7 +958,7 @@ impl<'p> Verifier<'p> {
             if tasks.is_multiple_of(SNAPSHOT_EVERY_TASKS as u64) {
                 self.telemetry.maybe_snapshot(worker as u32, |elapsed| {
                     let mut totals = counters.totals();
-                    totals.unique_states = table.unique();
+                    totals.unique_states = states::<S>(table);
                     totals.spilled_states = table.spill_stats().0;
                     snapshot_from(
                         &totals,
@@ -814,7 +983,7 @@ impl<'p> Verifier<'p> {
     /// refills it in, so a one-worker run resumes popping exactly where
     /// it stopped. `flush` folds the leader's own unflushed counters
     /// into the shared totals (the parked workers have flushed theirs).
-    fn control(&self, search: &Search<'_>, flush: impl FnOnce()) {
+    fn control<S: Scheduler>(&self, search: &Search<'_, S>, flush: impl FnOnce()) {
         let Search {
             table, frontier, ..
         } = search;
@@ -830,10 +999,9 @@ impl<'p> Verifier<'p> {
             }
             return;
         };
-        let abort_hit = policy
-            .abort_after_states
-            .is_some_and(|n| table.unique() >= n);
-        let due = table.unique() >= search.last_ckpt.load(Ordering::SeqCst) + policy.every_states;
+        let reached = states::<S>(table);
+        let abort_hit = policy.abort_after_states.is_some_and(|n| reached >= n);
+        let due = reached >= search.last_ckpt.load(Ordering::SeqCst) + policy.every_states;
         if !(interrupt_hit || abort_hit || due) {
             return;
         }
@@ -843,39 +1011,23 @@ impl<'p> Verifier<'p> {
         flush();
         frontier.pause_workers();
         frontier.await_rendezvous();
-        let result = (|| {
-            let (visited, parents, scripts) = table.snapshot()?;
-            let mut stats = search.counters.totals();
-            stats.unique_states = table.unique();
-            stats.stored_bytes = table.stored_bytes();
-            stats.truncated = search.truncated();
-            stats.duration = search.base_duration + search.start.elapsed();
-            let data = CheckpointData {
-                stats,
-                visited,
-                parents,
-                scripts,
-                frontier: encode_frontier(&frontier.snapshot_tasks()),
-            };
-            checkpoint::write(&policy.dir, search.digest, &data)
-        })();
-        match result {
+        match search.write_checkpoint(policy) {
             Err(error) => search.stop_with(&search.error, error),
             Ok(()) if interrupt_hit || abort_hit => {
                 search.interrupted.store(true, Ordering::SeqCst);
                 frontier.request_stop();
             }
-            Ok(()) => search.last_ckpt.store(table.unique(), Ordering::SeqCst),
+            Ok(()) => search.last_ckpt.store(states::<S>(table), Ordering::SeqCst),
         }
         frontier.resume_workers();
         search.claimed.store(false, Ordering::SeqCst);
     }
 }
 
-/// Everything the workers of one exhaustive run share.
-struct Search<'a> {
+/// Everything the workers of one search share.
+struct Search<'a, S: Scheduler> {
     table: SharedTable,
-    frontier: Frontier<Task>,
+    frontier: Frontier<Task<S::Note>>,
     /// Digest of every machine slot any worker has interned.
     slot_digests: Mutex<FpHashSet>,
     counters: SharedCounters,
@@ -891,13 +1043,13 @@ struct Search<'a> {
     start: Instant,
     /// One checkpoint leader at a time.
     claimed: AtomicBool,
-    /// `unique()` at the last checkpoint (cadence reference).
+    /// [`states`] at the last checkpoint (cadence reference).
     last_ckpt: AtomicUsize,
     /// Set when the run stopped on interrupt or abort-after.
     interrupted: AtomicBool,
 }
 
-impl Search<'_> {
+impl<S: Scheduler> Search<'_, S> {
     /// First value wins its slot, then the fleet shuts down: all
     /// workers drain on their next [`Frontier::next`] call.
     fn stop_with<T>(&self, slot: &Mutex<Option<T>>, value: T) {
@@ -905,10 +1057,41 @@ impl Search<'_> {
         self.frontier.request_stop();
     }
 
+    /// Serializes the quiescent search into `policy`'s directory. Out of
+    /// line: `control` is inlined into the worker loop, which three
+    /// instantiations now share the optimizer's inlining budget for.
+    #[inline(never)]
+    fn write_checkpoint(&self, policy: &CheckpointPolicy) -> Result<(), CheckerError> {
+        let (visited, parents, scripts) = self.table.snapshot()?;
+        let mut stats = self.counters.totals();
+        stats.unique_states = states::<S>(&self.table);
+        stats.stored_bytes = self.table.stored_bytes();
+        stats.truncated = self.truncated();
+        stats.duration = self.base_duration + self.start.elapsed();
+        let data = CheckpointData {
+            stats,
+            visited,
+            markers: self.table.marked(),
+            parents,
+            scripts,
+            frontier: encode_frontier::<S>(&self.frontier.snapshot_tasks()),
+        };
+        checkpoint::write(&policy.dir, self.digest, &data)
+    }
+
     /// Whether a bound has cut the search short so far (in this process
     /// or before the checkpoint it resumed from).
     fn truncated(&self) -> bool {
         self.base_truncated || self.table.truncated() || self.depth_truncated.load(Ordering::SeqCst)
+    }
+}
+
+/// What `unique_states`, the checkpoint cadence and `abort-after` count:
+/// retained states, or an annotated search's marked configurations.
+fn states<S: Scheduler>(table: &SharedTable) -> usize {
+    match S::ANNOTATED {
+        true => table.marked(),
+        false => table.unique(),
     }
 }
 
@@ -988,24 +1171,29 @@ fn intern(config: &mut Config, interner: &mut SlotInterner, digests: &Mutex<FpHa
 
 /// Serializes frontier tasks for a checkpoint (order-preserving: a
 /// one-worker run must pop identically after a resume).
-fn encode_frontier(tasks: &[Task]) -> Vec<TaskEntry> {
+fn encode_frontier<S: Scheduler>(tasks: &[Task<S::Note>]) -> Vec<TaskEntry> {
     tasks
         .iter()
-        .map(|task| TaskEntry {
-            cfg: task.config.canonical_bytes(),
-            id: task.id,
-            depth: task.depth as u64,
-            sleep: task.sleep.0,
-            fresh: task.fresh,
+        .map(|task| {
+            let mut note = Vec::new();
+            S::encode(&task.note, &mut note);
+            TaskEntry {
+                cfg: task.config.canonical_bytes(),
+                id: task.id,
+                depth: task.depth as u64,
+                sleep: task.sleep.0,
+                fresh: task.fresh,
+                note,
+            }
         })
         .collect()
 }
 
 /// Decodes checkpointed frontier tasks back into live configurations.
-fn decode_frontier(
+fn decode_frontier<S: Scheduler>(
     entries: &[TaskEntry],
     program: &LoweredProgram,
-) -> Result<Vec<Task>, CheckerError> {
+) -> Result<Vec<Task<S::Note>>, CheckerError> {
     let n_events = program.event_count();
     entries
         .iter()
@@ -1015,12 +1203,18 @@ fn decode_frontier(
                     "undecodable frontier configuration in checkpoint: {e}"
                 ))
             })?;
+            let note = S::decode(&t.note).ok_or_else(|| {
+                CheckerError::CheckpointFormat(
+                    "undecodable scheduler annotation in checkpoint".to_owned(),
+                )
+            })?;
             Ok(Task {
                 config,
                 id: t.id,
                 depth: t.depth as usize,
                 sleep: SleepSet(t.sleep),
                 fresh: t.fresh,
+                note,
             })
         })
         .collect()
@@ -1028,47 +1222,34 @@ fn decode_frontier(
 
 /// A unit of work: the state, the id of its record in the edge log (the
 /// way back to the root), its depth, the sleep set to expand it with,
-/// and whether this is its first visit.
+/// whether this is its first visit, and the scheduler's annotation.
 #[derive(Debug, Clone)]
-struct Task {
+struct Task<N> {
     config: Config,
     id: TaskId,
     depth: usize,
     sleep: SleepSet,
     fresh: bool,
+    note: N,
 }
 
-impl Verifier<'_> {
-    /// Records queue-length and quiescence diagnostics for one visited
-    /// configuration. `enabled` is the precomputed
-    /// [`Engine::enabled_machines`] list for `config`, so expansion and
-    /// diagnostics share one enabledness scan per state.
-    pub(crate) fn note_diagnostics(
-        &self,
-        config: &Config,
-        enabled: &[MachineId],
-        stats: &mut ExplorationStats,
-    ) {
-        let mut pending = 0usize;
-        for id in config.live_ids() {
-            if let Some(m) = config.machine(id) {
-                stats.max_queue_seen = stats.max_queue_seen.max(m.queue.len());
-                pending += m.queue.len();
-            }
-        }
-        if enabled.is_empty() {
-            stats.quiescent_states += 1;
-            if pending > 0 {
-                stats.stuck_states += 1;
-            }
+/// Records queue-length and quiescence diagnostics for one visited
+/// configuration; `quiescent` comes out of the scheduler's enabledness
+/// scan, so expansion and diagnostics share one scan per state.
+fn note_diagnostics(config: &Config, quiescent: bool, stats: &mut ExplorationStats) {
+    let mut pending = 0usize;
+    for id in config.live_ids() {
+        if let Some(m) = config.machine(id) {
+            stats.max_queue_seen = stats.max_queue_seen.max(m.queue.len());
+            pending += m.queue.len();
         }
     }
-}
-
-/// Convenience: the id of the initial machine in a fresh configuration
-/// (always the first allocated).
-pub(crate) fn initial_machine() -> MachineId {
-    MachineId(0)
+    if quiescent {
+        stats.quiescent_states += 1;
+        if pending > 0 {
+            stats.stuck_states += 1;
+        }
+    }
 }
 
 /// Builds a telemetry snapshot from running exploration totals.

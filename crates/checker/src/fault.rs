@@ -14,16 +14,12 @@
 //! budget 0 degenerates to the fault-free search.
 
 use std::fmt;
-use std::time::Instant;
 
-use p_semantics::{Config, EventId, ExecOutcome, MachineId};
+use p_semantics::{Config, Engine, EventId, ExecOutcome, MachineId, RunResult, YieldKind};
 
-use crate::engine::{Admit, BoundedSet, ParentMap};
 use crate::error::CheckerError;
-use crate::explore::{Report, Verifier};
-use crate::fingerprint::Fingerprint;
-use crate::stats::ExplorationStats;
-use crate::trace::{Counterexample, TraceStep};
+use crate::explore::{Report, Scheduler, Step, Verifier};
+use crate::succ::Successor;
 
 /// One kind of environment fault the scheduler may inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,6 +196,72 @@ impl FaultScheduler {
     }
 }
 
+impl FaultDecision {
+    /// The one successor of injecting this fault in `config`. No machine
+    /// ran: the result is a placeholder (edge and child go by the move).
+    pub(crate) fn successor(&self, config: &Config) -> Successor {
+        let mut faulted = config.clone();
+        FaultScheduler::apply(self, &mut faulted)
+            .expect("enumerated fault applies to its own configuration");
+        Successor {
+            config: faulted,
+            machine: self.machine,
+            choices: Vec::new(),
+            result: RunResult {
+                outcome: ExecOutcome::Yield(YieldKind::Internal),
+                choices_used: 0,
+                steps: 0,
+                dequeued: Vec::new(),
+                raised: Vec::new(),
+                deferred: Vec::new(),
+            },
+        }
+    }
+}
+
+/// The exhaustive moves, then one per injectable fault while the budget
+/// lasts (errors surface at machine steps); a node carries the faults spent.
+impl Scheduler for FaultScheduler {
+    type Note = usize;
+    type Move = Step;
+
+    fn root(&self) -> usize {
+        0
+    }
+
+    fn moves(
+        &self,
+        engine: &Engine<'_>,
+        config: &Config,
+        used: &mut usize,
+        out: &mut Vec<Step>,
+    ) -> bool {
+        out.clear();
+        let enabled = config.live_ids().filter(|&id| engine.enabled(config, id));
+        out.extend(enabled.map(Step::Run));
+        let quiescent = out.is_empty();
+        out.extend(self.faults_for(config, *used).into_iter().map(Step::Inject));
+        quiescent
+    }
+
+    fn step(mv: &Step) -> Step {
+        *mv
+    }
+
+    fn child(&self, used: &usize, mv: &Step, _: &ExecOutcome) -> usize {
+        used + usize::from(matches!(mv, Step::Inject(_)))
+    }
+
+    fn encode(used: &usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(*used as u64).to_le_bytes());
+    }
+
+    fn decode(mut bytes: &[u8]) -> Option<usize> {
+        let used = crate::wire::read_u64(&mut bytes)?;
+        bytes.is_empty().then_some(used as usize)
+    }
+}
+
 /// Report of a fault-injecting exploration.
 #[derive(Debug, Clone)]
 pub struct FaultReport {
@@ -225,163 +287,37 @@ impl Verifier<'_> {
     ///
     /// With `budget = 0` this coincides with [`Verifier::check_exhaustive`].
     /// Fault injections appear in counterexample traces as dedicated
-    /// steps and replay deterministically.
+    /// steps and replay deterministically. Every [`crate::CheckerOptions`]
+    /// field but `por`/`symmetry` applies as to the exhaustive search.
     ///
     /// # Panics
     ///
-    /// Panics on a fatal [`CheckerError`] (a corrupt lowering — an engine
-    /// bug, not a property violation). Use
-    /// [`Verifier::try_check_with_faults`] to handle it.
+    /// Panics if the search fails with a [`CheckerError`], as
+    /// [`Verifier::check_exhaustive`] does. Use
+    /// [`Verifier::try_check_with_faults`] to handle those errors.
     pub fn check_with_faults(&self, budget: usize, kinds: &[FaultKind]) -> FaultReport {
         self.try_check_with_faults(budget, kinds)
             .expect("fault-injecting search failed; use try_check_with_faults to handle errors")
     }
 
-    /// [`Verifier::check_with_faults`], surfacing fatal semantics errors
-    /// instead of panicking.
+    /// [`Verifier::check_with_faults`], surfacing errors instead of
+    /// panicking: those of [`Verifier::try_check_exhaustive`], and
+    /// [`CheckerError::Unsupported`] for `por` or `symmetry`.
     pub fn try_check_with_faults(
         &self,
         budget: usize,
         kinds: &[FaultKind],
     ) -> Result<FaultReport, CheckerError> {
         let scheduler = FaultScheduler::new(budget, kinds);
-        let engine = self.engine();
-        let start = Instant::now();
-        let mut stats = ExplorationStats::default();
-        let mut fault_transitions = 0usize;
-
-        let mut init = engine.initial_config();
-        let (init_digest, init_len) = init.digest_and_len();
-
-        let mut config_states = BoundedSet::new(self.options().max_states);
-        config_states.admit(Fingerprint::from_u128(init_digest), || init_len);
-
-        // Node space = bounded configurations × budget+1 fault counts.
-        let mut node_seen = BoundedSet::unbounded();
-        let init_node = node_fingerprint(init_digest, 0);
-        node_seen.admit(init_node, || 0);
-
-        let mut parents = ParentMap::new();
-        // (configuration, faults used, node fingerprint, depth)
-        let mut stack: Vec<(Config, usize, Fingerprint, usize)> = vec![(init, 0, init_node, 0)];
-
-        let finish = |stats: &mut ExplorationStats,
-                      counterexample: Option<Counterexample>,
-                      node_seen: &BoundedSet,
-                      config_states: &BoundedSet,
-                      fault_transitions: usize| {
-            stats.duration = start.elapsed();
-            stats.unique_states = config_states.len();
-            stats.stored_bytes = config_states.stored_bytes();
-            let complete = counterexample.is_none() && !stats.truncated;
-            FaultReport {
-                report: Report {
-                    counterexample,
-                    stats: stats.clone(),
-                    complete,
-                    interrupted: false,
-                },
-                fault_budget: budget,
-                kinds: scheduler.kinds().to_vec(),
-                fault_nodes: node_seen.len(),
-                fault_transitions,
-            }
-        };
-
-        while let Some((config, used, nfp, depth)) = stack.pop() {
-            stats.max_depth = stats.max_depth.max(depth);
-            if depth >= self.options().max_depth {
-                stats.truncated = true;
-                continue;
-            }
-            let enabled = engine.enabled_machines(&config);
-            self.note_diagnostics(&config, &enabled, &mut stats);
-
-            // Machine transitions (fault count unchanged).
-            for id in enabled {
-                for mut succ in
-                    crate::succ::successors_for(&engine, &config, id, self.options().granularity)?
-                {
-                    stats.transitions += 1;
-                    // Parent edges store compact step seeds; only an
-                    // error path renders human-readable summaries.
-                    let seed = |succ: &mut crate::succ::Successor| {
-                        let choices = std::mem::take(&mut succ.choices);
-                        crate::trace::StepSeed::from_run(succ.machine, &succ.result, choices)
-                    };
-                    if let ExecOutcome::Error(e) = &succ.result.outcome {
-                        let error = e.clone();
-                        let mut trace = parents.reconstruct(nfp, self.program());
-                        let choices = std::mem::take(&mut succ.choices);
-                        trace.push(TraceStep::from_run(
-                            self.program(),
-                            succ.machine,
-                            &succ.result,
-                            choices,
-                        ));
-                        return Ok(finish(
-                            &mut stats,
-                            Some(Counterexample { error, trace }),
-                            &node_seen,
-                            &config_states,
-                            fault_transitions,
-                        ));
-                    }
-                    let (digest, len) = succ.config.digest_and_len();
-                    // Bound check BEFORE marking visited (see engine.rs).
-                    if config_states.admit(Fingerprint::from_u128(digest), || len)
-                        == Admit::OverBound
-                    {
-                        stats.truncated = true;
-                        continue;
-                    }
-                    let nfp2 = node_fingerprint(digest, used);
-                    if node_seen.admit(nfp2, || 0) == Admit::New {
-                        parents.record(nfp2, nfp, seed(&mut succ));
-                        stack.push((succ.config, used, nfp2, depth + 1));
-                    }
-                }
-            }
-
-            // Fault transitions (consume one unit of budget; faults
-            // themselves cannot err — errors surface at machine steps).
-            for decision in scheduler.faults_for(&config, used) {
-                stats.transitions += 1;
-                fault_transitions += 1;
-                let mut faulted = config.clone();
-                FaultScheduler::apply(&decision, &mut faulted)
-                    .expect("enumerated fault applies to its own configuration");
-                let (digest, len) = faulted.digest_and_len();
-                if config_states.admit(Fingerprint::from_u128(digest), || len) == Admit::OverBound {
-                    stats.truncated = true;
-                    continue;
-                }
-                let nfp2 = node_fingerprint(digest, used + 1);
-                if node_seen.admit(nfp2, || 0) == Admit::New {
-                    parents.record(nfp2, nfp, crate::trace::StepSeed::from_fault(&decision));
-                    stack.push((faulted, used + 1, nfp2, depth + 1));
-                }
-            }
-        }
-
-        Ok(finish(
-            &mut stats,
-            None,
-            &node_seen,
-            &config_states,
-            fault_transitions,
-        ))
+        let (report, _) = self.search_with(&scheduler, self.options().jobs)?;
+        Ok(FaultReport {
+            fault_budget: budget,
+            kinds: scheduler.kinds,
+            fault_nodes: report.stats.scheduler_nodes,
+            fault_transitions: report.stats.fault_transitions,
+            report,
+        })
     }
-}
-
-/// Fingerprints a (configuration, faults-used) node from the
-/// configuration's 128-bit incremental digest — 24 bytes hashed per node
-/// instead of a full canonical re-encoding.
-fn node_fingerprint(config_digest: u128, used: usize) -> Fingerprint {
-    let mut bytes = [0u8; 24];
-    bytes[..16].copy_from_slice(&config_digest.to_le_bytes());
-    bytes[16..].copy_from_slice(&(used as u64).to_le_bytes());
-    Fingerprint::of(&bytes)
 }
 
 #[cfg(test)]

@@ -16,10 +16,7 @@
 //! * [`Verifier::check_exhaustive`] — full depth-first search (with depth
 //!   and state bounds), optionally with sleep-set partial-order reduction
 //!   ([`CheckerOptions::por`]): same states and verdict, fewer redundant
-//!   transitions between independent machine runs. One kernel runs it
-//!   for every [`CheckerOptions::jobs`]: one worker on the calling
-//!   thread (deterministic), or N work-stealing workers over the same
-//!   sharded visited table — same `unique_states` and verdict;
+//!   transitions between independent machine runs;
 //! * [`Verifier::check_exhaustive_parallel`] — that search with the
 //!   worker count as an argument;
 //! * [`Verifier::check_delay_bounded`] — the paper's novel *delay-bounded
@@ -34,6 +31,12 @@
 //! * [`Verifier::check_liveness`] — a bounded check of the two liveness
 //!   properties of §3.2 (this reproduction's extension; the paper lists
 //!   liveness verification as future work).
+//!
+//! The exhaustive, delay-bounded and fault strategies are schedulers of
+//! one search kernel: for every [`CheckerOptions::jobs`] one worker on
+//! the calling thread (deterministic) or N work-stealing workers over one
+//! sharded visited table — same `unique_states` and verdict — with
+//! checkpoints, a memory limit and interruption.
 //!
 //! # Examples
 //!

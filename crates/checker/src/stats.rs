@@ -6,7 +6,7 @@ use std::time::Duration;
 
 /// Sampled per-phase attribution of exploration time, in nanoseconds.
 ///
-/// Filled by the exhaustive explorers from a 1-in-N task sample scaled
+/// Filled by the search kernel from a 1-in-N task sample scaled
 /// back to the whole run (see `crate::phase`), so each figure is an
 /// estimate of where wall-clock time went rather than an exact meter:
 /// `exec` is the interpreter/compiled machine runs, `digest` the
@@ -67,9 +67,14 @@ impl PhaseNanos {
 pub struct ExplorationStats {
     /// Unique global configurations visited.
     pub unique_states: usize,
+    /// Unique (configuration, annotation) nodes of a delay-bounded or
+    /// fault-injecting search (zero for the exhaustive one).
+    pub scheduler_nodes: usize,
     /// Atomic machine runs executed (edges of the exploration graph,
     /// including re-visits).
     pub transitions: usize,
+    /// Fault injections among those transitions.
+    pub fault_transitions: usize,
     /// Deepest path (in atomic runs) reached from the initial state.
     pub max_depth: usize,
     /// Wall-clock exploration time.
@@ -77,11 +82,11 @@ pub struct ExplorationStats {
     /// Total bytes of canonical state encodings stored — the analog of the
     /// memory column in Figure 8.
     pub stored_bytes: usize,
-    /// Bytes of RAM the exhaustive search's bookkeeping around those
+    /// Bytes of RAM the search kernel's bookkeeping around those
     /// encodings holds at the end of the run: the visited tables'
     /// buckets, the resident edge records and the overflow choice
     /// scripts, computed from lengths and capacities. Zero for the
-    /// strategies that do not measure it.
+    /// liveness and random strategies, which do not run on the kernel.
     pub index_bytes: usize,
     /// True if a bound (states, depth, delays) cut the exploration short.
     pub truncated: bool,
@@ -129,7 +134,7 @@ pub struct ExplorationStats {
     pub spill_bytes: u64,
     /// Visited lookups and edge-record reads answered from the cold tier.
     pub cold_hits: u64,
-    /// Sampled per-phase time attribution (all zero for engines that
+    /// Sampled per-phase time attribution (all zero for strategies that
     /// do not meter their hot loop).
     pub phases: PhaseNanos,
 }
@@ -138,33 +143,6 @@ impl ExplorationStats {
     /// Approximate memory in mebibytes.
     pub fn stored_mib(&self) -> f64 {
         self.stored_bytes as f64 / (1024.0 * 1024.0)
-    }
-
-    /// Folds another worker's statistics into this one (parallel
-    /// engine): additive counters sum, path/queue maxima take the max,
-    /// truncation flags OR. `unique_states`/`stored_bytes` sum too, but
-    /// parallel workers report those as zero — the shared visited table
-    /// owns the authoritative counts, assigned after the merge.
-    pub fn merge(&mut self, other: &ExplorationStats) {
-        self.unique_states += other.unique_states;
-        self.transitions += other.transitions;
-        self.stored_bytes += other.stored_bytes;
-        self.index_bytes += other.index_bytes;
-        self.quiescent_states += other.quiescent_states;
-        self.stuck_states += other.stuck_states;
-        self.dedup_hits += other.dedup_hits;
-        self.sleep_pruned += other.sleep_pruned;
-        self.symmetry_merges += other.symmetry_merges;
-        self.canon_calls += other.canon_calls;
-        self.canon_candidates += other.canon_candidates;
-        self.spilled_states += other.spilled_states;
-        self.spill_bytes += other.spill_bytes;
-        self.cold_hits += other.cold_hits;
-        self.phases.add(&other.phases);
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.max_queue_seen = self.max_queue_seen.max(other.max_queue_seen);
-        self.duration = self.duration.max(other.duration);
-        self.truncated |= other.truncated;
     }
 
     /// States visited per second.
@@ -223,7 +201,9 @@ mod tests {
     fn display_includes_counts() {
         let s = ExplorationStats {
             unique_states: 10,
+            scheduler_nodes: 0,
             transitions: 20,
+            fault_transitions: 0,
             max_depth: 5,
             duration: Duration::from_millis(3),
             stored_bytes: 2048,
@@ -260,89 +240,6 @@ mod tests {
             ..s
         };
         assert!(spilling.to_string().ends_with(", 7 spilled"));
-    }
-
-    #[test]
-    fn merge_sums_counters_and_maxes_maxima() {
-        let mut a = ExplorationStats {
-            unique_states: 0,
-            transitions: 7,
-            max_depth: 3,
-            duration: Duration::from_millis(5),
-            stored_bytes: 0,
-            truncated: false,
-            max_queue_seen: 2,
-            quiescent_states: 1,
-            stuck_states: 0,
-            dedup_hits: 4,
-            sleep_pruned: 1,
-            symmetry_merges: 2,
-            canon_calls: 3,
-            canon_candidates: 4,
-            spilled_states: 10,
-            spill_bytes: 160,
-            cold_hits: 2,
-            index_bytes: 0,
-            phases: PhaseNanos {
-                exec: 5,
-                digest: 4,
-                clone: 3,
-                canon: 2,
-                table: 1,
-            },
-        };
-        let b = ExplorationStats {
-            unique_states: 0,
-            transitions: 5,
-            max_depth: 9,
-            duration: Duration::from_millis(2),
-            stored_bytes: 0,
-            truncated: true,
-            max_queue_seen: 1,
-            quiescent_states: 2,
-            stuck_states: 1,
-            dedup_hits: 3,
-            sleep_pruned: 2,
-            symmetry_merges: 5,
-            canon_calls: 6,
-            canon_candidates: 6,
-            spilled_states: 5,
-            spill_bytes: 80,
-            cold_hits: 1,
-            index_bytes: 0,
-            phases: PhaseNanos {
-                exec: 10,
-                digest: 10,
-                clone: 10,
-                canon: 10,
-                table: 10,
-            },
-        };
-        a.merge(&b);
-        assert_eq!(a.transitions, 12);
-        assert_eq!(a.spilled_states, 15);
-        assert_eq!(a.spill_bytes, 240);
-        assert_eq!(a.cold_hits, 3);
-        assert_eq!(
-            a.phases,
-            PhaseNanos {
-                exec: 15,
-                digest: 14,
-                clone: 13,
-                canon: 12,
-                table: 11,
-            }
-        );
-        assert_eq!(a.dedup_hits, 7);
-        assert_eq!(a.sleep_pruned, 3);
-        assert_eq!(a.symmetry_merges, 7);
-        assert_eq!((a.canon_calls, a.canon_candidates), (9, 10));
-        assert_eq!(a.max_depth, 9);
-        assert_eq!(a.max_queue_seen, 2);
-        assert_eq!(a.quiescent_states, 3);
-        assert_eq!(a.stuck_states, 1);
-        assert_eq!(a.duration, Duration::from_millis(5));
-        assert!(a.truncated);
     }
 
     #[test]

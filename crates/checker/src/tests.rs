@@ -2,6 +2,9 @@
 
 use p_semantics::{lower, ErrorKind, LoweredProgram};
 
+use crate::engine::Admit;
+use crate::fingerprint::{Fingerprint, FpHashMap, FpHashSet};
+use crate::trace::{StepSeed, TraceStep};
 use crate::{CheckerOptions, LivenessViolation, Verifier};
 
 fn lowered(src: &str) -> LoweredProgram {
@@ -895,4 +898,385 @@ fn canonical_keys_fill_the_shards_evenly() {
         fill.iter().all(|&n| 3 * mean <= 4 * n && 4 * n <= 5 * mean),
         "mean {mean}: {fill:?}"
     );
+}
+
+/// A single-threaded visited set with a state bound, counting only
+/// retained states: the store the delay-bounded and fault strategies had
+/// before they ran on the kernel, kept as the reference's.
+#[derive(Debug)]
+pub(crate) struct BoundedSet {
+    seen: FpHashSet,
+    stored_bytes: usize,
+    max: usize,
+}
+
+impl BoundedSet {
+    /// An empty set admitting at most `max` states (at least one, so the
+    /// initial state is always representable).
+    pub(crate) fn new(max: usize) -> BoundedSet {
+        BoundedSet {
+            seen: FpHashSet::default(),
+            stored_bytes: 0,
+            max: max.max(1),
+        }
+    }
+
+    /// An unbounded set (for node spaces whose size is already bounded
+    /// by a bounded configuration space times a finite annotation).
+    pub(crate) fn unbounded() -> BoundedSet {
+        BoundedSet::new(usize::MAX)
+    }
+
+    /// Offers a state; `bytes` produces the state's stored byte cost,
+    /// and is invoked only when the state is actually retained. The
+    /// laziness is what makes intern-aware accounting possible: the
+    /// caller's closure interns the admitted configuration's slots and
+    /// returns only the *marginal* bytes (shared slots count once,
+    /// the first time any state stores them).
+    pub(crate) fn admit(&mut self, fp: Fingerprint, bytes: impl FnOnce() -> usize) -> Admit {
+        // Below the bound (the overwhelmingly common case) a single
+        // `insert` answers new-vs-seen in one lookup. At the bound, fall
+        // back to `contains` so a dropped state is never marked visited.
+        if self.seen.len() >= self.max {
+            if self.seen.contains(&fp) {
+                return Admit::Covered { merged: false };
+            }
+            return Admit::OverBound;
+        }
+        if self.seen.insert(fp) {
+            self.stored_bytes += bytes();
+            Admit::New
+        } else {
+            Admit::Covered { merged: false }
+        }
+    }
+
+    /// Retained states.
+    pub(crate) fn len(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Canonical-encoding bytes of the retained states.
+    pub(crate) fn stored_bytes(&self) -> usize {
+        self.stored_bytes
+    }
+}
+
+/// `child → (parent, step)` edges for counterexample reconstruction,
+/// keyed by fingerprint: the reference the edge log is compared against.
+#[derive(Debug, Default)]
+pub(crate) struct ParentMap {
+    map: FpHashMap<(Fingerprint, StepSeed)>,
+}
+
+impl ParentMap {
+    pub(crate) fn new() -> ParentMap {
+        ParentMap::default()
+    }
+
+    /// Records how `child` was first reached.
+    pub(crate) fn record(&mut self, child: Fingerprint, parent: Fingerprint, step: StepSeed) {
+        self.map.insert(child, (parent, step));
+    }
+
+    /// Walks the parent edges from the initial state to `state`,
+    /// rendering the stored seeds into human-readable steps.
+    pub(crate) fn reconstruct(
+        &self,
+        mut state: Fingerprint,
+        program: &p_semantics::LoweredProgram,
+    ) -> Vec<TraceStep> {
+        let mut steps = Vec::new();
+        while let Some((parent, step)) = self.map.get(&state) {
+            steps.push(step.render(program));
+            state = *parent;
+        }
+        steps.reverse();
+        steps
+    }
+}
+
+/// What the kernel and the reference loops are compared on.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    states: usize,
+    transitions: usize,
+    nodes: usize,
+    fault_transitions: usize,
+    counterexample: Option<crate::Counterexample>,
+}
+
+impl Outcome {
+    fn of(report: crate::Report) -> Outcome {
+        Outcome {
+            states: report.stats.unique_states,
+            transitions: report.stats.transitions,
+            nodes: report.stats.scheduler_nodes,
+            fault_transitions: report.stats.fault_transitions,
+            counterexample: report.counterexample,
+        }
+    }
+}
+
+/// The key both reference loops give a (configuration, annotation) node.
+fn reference_key(config_digest: u128, annotation: impl FnOnce(&mut Vec<u8>)) -> Fingerprint {
+    let mut bytes = config_digest.to_le_bytes().to_vec();
+    annotation(&mut bytes);
+    Fingerprint::of(&bytes)
+}
+
+/// The delay-bounded search as it was before it ran on the kernel: its
+/// own depth-first loop over a [`BoundedSet`] of configurations, a
+/// second one of nodes and a [`ParentMap`].
+fn reference_delay_bounded(verifier: &Verifier<'_>, delay_bound: usize) -> Outcome {
+    use crate::delay::SchedulerState;
+    use crate::explore::Scheduler as _;
+    let engine = verifier.engine();
+    let options = verifier.options();
+    let node_fingerprint = |digest, sched: &SchedulerState| {
+        reference_key(digest, |out| crate::delay::DelayBounded::encode(sched, out))
+    };
+    let mut transitions = 0;
+
+    let mut init = engine.initial_config();
+    let init_sched = SchedulerState::initial();
+    let mut config_states = BoundedSet::new(options.max_states);
+    let (init_digest, init_len) = init.digest_and_len();
+    config_states.admit(Fingerprint::from_u128(init_digest), || init_len);
+    let mut node_seen = BoundedSet::unbounded();
+    let init_node_fp = node_fingerprint(init_digest, &init_sched);
+    node_seen.admit(init_node_fp, || 0);
+
+    let mut parents = ParentMap::new();
+    let mut stack = vec![(init, init_sched, init_node_fp, 0)];
+    let mut counterexample = None;
+    'search: while let Some((config, mut sched, nfp, depth)) = stack.pop() {
+        if depth >= options.max_depth {
+            continue;
+        }
+        sched.normalize(&engine, &config);
+        if sched.stack.is_empty() {
+            continue; // quiescent
+        }
+        let remaining = delay_bound.saturating_sub(sched.delays);
+        let max_rot = remaining.min(sched.stack.len().saturating_sub(1));
+        for r in 0..=max_rot {
+            let rotated = sched.rotated(r);
+            let &machine = rotated.stack.front().expect("normalized non-empty stack");
+            let succs = crate::succ::successors_for(&engine, &config, machine, options.granularity);
+            for mut succ in succs.unwrap() {
+                transitions += 1;
+                let choices = std::mem::take(&mut succ.choices);
+                if let p_semantics::ExecOutcome::Error(e) = &succ.result.outcome {
+                    let mut trace = parents.reconstruct(nfp, verifier.program());
+                    let program = verifier.program();
+                    trace.push(TraceStep::from_run(program, machine, &succ.result, choices));
+                    let error = e.clone();
+                    counterexample = Some(crate::Counterexample { error, trace });
+                    break 'search;
+                }
+                let mut next_sched = rotated.clone();
+                next_sched.advance(&succ.result.outcome);
+                let (digest, len) = succ.config.digest_and_len();
+                // Bound check BEFORE marking visited.
+                if config_states.admit(Fingerprint::from_u128(digest), || len) == Admit::OverBound {
+                    continue;
+                }
+                let nfp2 = node_fingerprint(digest, &next_sched);
+                if node_seen.admit(nfp2, || 0) == Admit::New {
+                    let seed = StepSeed::from_run(machine, &succ.result, choices);
+                    parents.record(nfp2, nfp, seed);
+                    stack.push((succ.config, next_sched, nfp2, depth + 1));
+                }
+            }
+        }
+    }
+    Outcome {
+        states: config_states.len(),
+        transitions,
+        nodes: node_seen.len(),
+        fault_transitions: 0,
+        counterexample,
+    }
+}
+
+/// The fault-injecting search as it was before it ran on the kernel.
+fn reference_with_faults(
+    verifier: &Verifier<'_>,
+    budget: usize,
+    kinds: &[crate::FaultKind],
+) -> Outcome {
+    use crate::FaultScheduler;
+    let scheduler = FaultScheduler::new(budget, kinds);
+    let engine = verifier.engine();
+    let options = verifier.options();
+    let node_fingerprint =
+        |digest, used: usize| reference_key(digest, |out| out.extend((used as u64).to_le_bytes()));
+    let (mut transitions, mut fault_transitions) = (0, 0);
+
+    let mut init = engine.initial_config();
+    let (init_digest, init_len) = init.digest_and_len();
+    let mut config_states = BoundedSet::new(options.max_states);
+    config_states.admit(Fingerprint::from_u128(init_digest), || init_len);
+    let mut node_seen = BoundedSet::unbounded();
+    let init_node = node_fingerprint(init_digest, 0);
+    node_seen.admit(init_node, || 0);
+
+    let mut parents = ParentMap::new();
+    // (configuration, faults used, node fingerprint, depth)
+    let mut stack = vec![(init, 0, init_node, 0)];
+    let mut counterexample = None;
+    'search: while let Some((config, used, nfp, depth)) = stack.pop() {
+        if depth >= options.max_depth {
+            continue;
+        }
+        // Machine transitions (fault count unchanged).
+        for id in engine.enabled_machines(&config) {
+            let succs = crate::succ::successors_for(&engine, &config, id, options.granularity);
+            for mut succ in succs.unwrap() {
+                transitions += 1;
+                let choices = std::mem::take(&mut succ.choices);
+                if let p_semantics::ExecOutcome::Error(e) = &succ.result.outcome {
+                    let program = verifier.program();
+                    let mut trace = parents.reconstruct(nfp, program);
+                    trace.push(TraceStep::from_run(program, id, &succ.result, choices));
+                    let error = e.clone();
+                    counterexample = Some(crate::Counterexample { error, trace });
+                    break 'search;
+                }
+                let (digest, len) = succ.config.digest_and_len();
+                if config_states.admit(Fingerprint::from_u128(digest), || len) == Admit::OverBound {
+                    continue;
+                }
+                let nfp2 = node_fingerprint(digest, used);
+                if node_seen.admit(nfp2, || 0) == Admit::New {
+                    parents.record(nfp2, nfp, StepSeed::from_run(id, &succ.result, choices));
+                    stack.push((succ.config, used, nfp2, depth + 1));
+                }
+            }
+        }
+        // Fault transitions (consume one unit of budget).
+        for decision in scheduler.faults_for(&config, used) {
+            transitions += 1;
+            fault_transitions += 1;
+            let mut faulted = config.clone();
+            FaultScheduler::apply(&decision, &mut faulted).unwrap();
+            let (digest, len) = faulted.digest_and_len();
+            if config_states.admit(Fingerprint::from_u128(digest), || len) == Admit::OverBound {
+                continue;
+            }
+            let nfp2 = node_fingerprint(digest, used + 1);
+            if node_seen.admit(nfp2, || 0) == Admit::New {
+                parents.record(nfp2, nfp, StepSeed::from_fault(&decision));
+                stack.push((faulted, used + 1, nfp2, depth + 1));
+            }
+        }
+    }
+    Outcome {
+        states: config_states.len(),
+        transitions,
+        nodes: node_seen.len(),
+        fault_transitions,
+        counterexample,
+    }
+}
+
+/// The folded strategies against the loops they replaced, on every
+/// corpus program of at most 20 000 configurations: states, transitions,
+/// nodes, injections, verdict and — one worker is deterministic — the
+/// first counterexample, step for step.
+#[test]
+fn kernel_matches_the_reference_loops() {
+    let buggy = [
+        ("elevator_buggy", p_corpus::elevator_buggy()),
+        ("switch_led_buggy", p_corpus::switch_led_buggy()),
+        ("german_buggy", p_corpus::german_buggy()),
+    ];
+    let mut compared = 0;
+    for (name, program) in p_corpus::all().into_iter().chain(buggy) {
+        let p = lower(&program).unwrap();
+        if naive_reachability(&p, 20_000).is_none() {
+            continue;
+        }
+        compared += 1;
+        let verifier = Verifier::new(&p);
+        for d in 0..=3 {
+            let kernel = verifier.check_delay_bounded(d);
+            assert_eq!(kernel.scheduler_nodes, kernel.report.stats.scheduler_nodes);
+            let reference = reference_delay_bounded(&verifier, d);
+            assert_eq!(Outcome::of(kernel.report), reference, "{name} --delay {d}");
+        }
+        for budget in 0..=1 {
+            let kernel = verifier.check_with_faults(budget, &[]);
+            assert_eq!(
+                kernel.fault_transitions,
+                kernel.report.stats.fault_transitions
+            );
+            let reference = reference_with_faults(&verifier, budget, &[]);
+            assert_eq!(
+                Outcome::of(kernel.report),
+                reference,
+                "{name} --faults {budget}"
+            );
+        }
+    }
+    assert!(
+        compared >= 10,
+        "the state limit skipped too much: {compared}"
+    );
+}
+
+/// The bound is on configurations, before the insert, for the annotated
+/// strategies as for the exhaustive one: the reference and the kernel
+/// truncate at the same counts, and no worker count retains more.
+#[test]
+fn annotated_searches_respect_the_state_bound() {
+    let p = lower(&p_corpus::german3()).unwrap();
+    let options = |jobs| CheckerOptions {
+        max_states: 500,
+        jobs,
+        ..CheckerOptions::default()
+    };
+    let verifier = Verifier::new(&p).with_options(options(1));
+    let delayed = verifier.check_delay_bounded(2);
+    assert!(delayed.report.stats.truncated && !delayed.report.complete);
+    assert_eq!(delayed.report.stats.unique_states, 500);
+    assert_eq!(
+        Outcome::of(delayed.report),
+        reference_delay_bounded(&verifier, 2)
+    );
+    let faulty = verifier.check_with_faults(1, &[crate::FaultKind::Dup]);
+    assert!(faulty.report.stats.truncated);
+    assert_eq!(
+        Outcome::of(faulty.report),
+        reference_with_faults(&verifier, 1, &[crate::FaultKind::Dup])
+    );
+    let parallel = Verifier::new(&p).with_options(options(4));
+    let delayed = parallel.check_delay_bounded(2);
+    assert!(delayed.report.stats.truncated && delayed.report.passed());
+    assert_eq!(delayed.report.stats.unique_states, 500);
+}
+
+/// `por` and `symmetry` are refused for the annotated strategies, by the
+/// kernel and with a typed error — not applied, and not ignored.
+#[test]
+fn annotated_searches_refuse_por_and_symmetry() {
+    let p = lowered(RACE);
+    for (por, symmetry) in [(true, false), (false, true)] {
+        let options = CheckerOptions {
+            por,
+            symmetry,
+            ..CheckerOptions::default()
+        };
+        let verifier = Verifier::new(&p).with_options(options);
+        assert!(matches!(
+            verifier.try_check_delay_bounded(1),
+            Err(crate::CheckerError::Unsupported(_))
+        ));
+        assert!(matches!(
+            verifier.try_check_with_faults(1, &[]),
+            Err(crate::CheckerError::Unsupported(_))
+        ));
+        assert!(verifier.try_check_exhaustive().is_ok());
+    }
 }

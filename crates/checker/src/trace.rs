@@ -34,28 +34,9 @@ impl TraceStep {
         choices: Vec<bool>,
     ) -> TraceStep {
         let summary = match &result.outcome {
-            ExecOutcome::Yield(YieldKind::Sent {
-                to,
-                event,
-                enqueued,
-            }) => format!(
-                "sent {} to {}{}",
-                program.event_name(*event),
-                to,
-                if *enqueued {
-                    ""
-                } else {
-                    " (duplicate, dropped)"
-                }
-            ),
-            ExecOutcome::Yield(YieldKind::Created { id, ty }) => {
-                format!("created {} of type {}", id, program.machine_name(*ty))
-            }
-            ExecOutcome::Yield(YieldKind::Internal) => "internal step".to_owned(),
-            ExecOutcome::Blocked => "ran to quiescence".to_owned(),
-            ExecOutcome::Deleted => "deleted itself".to_owned(),
             ExecOutcome::Error(e) => format!("ERROR: {e}"),
             ExecOutcome::NeedChoice => "needs more choices (internal)".to_owned(),
+            outcome => StepKind::of(outcome).summary(program),
         };
         TraceStep {
             machine,
@@ -67,35 +48,20 @@ impl TraceStep {
 
     /// Builds the step recording an injected environment fault.
     pub fn from_fault(program: &LoweredProgram, decision: &FaultDecision) -> TraceStep {
-        let event = program.event_name(decision.event);
-        let summary = match decision.kind {
-            FaultKind::Drop => format!("FAULT: dropped {event} from queue[{}]", decision.index),
-            FaultKind::Dup => format!(
-                "FAULT: re-delivered {event} from queue[{}] (bypassing dedup)",
-                decision.index
-            ),
-            FaultKind::Delay => format!(
-                "FAULT: delayed {event} from queue[{}] to the back",
-                decision.index
-            ),
-        };
         TraceStep {
             machine: decision.machine,
-            summary,
+            summary: StepKind::Fault(*decision).summary(program),
             choices: Vec::new(),
             fault: Some(*decision),
         }
     }
 }
 
-/// Allocation-light record of how a state was first reached, stored per
-/// visited state in the [`crate::engine::ParentMap`] of the delay-bounded
-/// and fault strategies. Rendering the human-readable [`TraceStep`]
-/// allocates a formatted summary string; a passing exploration records
-/// hundreds of thousands of these and renders none, so the map keeps
-/// this compact seed and [`StepSeed::render`] runs only along the single
-/// reconstructed counterexample path. The exhaustive kernel stores the
-/// same information packed into a 24-byte [`EdgeRecord`].
+/// How a task was first reached, unpacked from its 24-byte
+/// [`EdgeRecord`]. Rendering the human-readable [`TraceStep`] allocates a
+/// formatted summary string; a passing exploration records hundreds of
+/// thousands of edges and renders none, so [`StepSeed::render`] runs
+/// only along the single reconstructed counterexample path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct StepSeed {
     machine: MachineId,
@@ -149,43 +115,10 @@ impl StepKind {
             }
         }
     }
-}
 
-impl StepSeed {
-    /// Captures a non-error run result.
-    pub(crate) fn from_run(machine: MachineId, result: &RunResult, choices: Vec<bool>) -> StepSeed {
-        StepSeed {
-            machine,
-            kind: StepKind::of(&result.outcome),
-            choices,
-        }
-    }
-
-    /// A minimal seed for table tests: a quiescent run of `machine`,
-    /// distinguishable by machine id after rendering.
-    #[cfg(test)]
-    pub(crate) fn test_blocked(machine: MachineId) -> StepSeed {
-        StepSeed {
-            machine,
-            kind: StepKind::Blocked,
-            choices: Vec::new(),
-        }
-    }
-
-    /// Captures an injected environment fault.
-    pub(crate) fn from_fault(decision: &FaultDecision) -> StepSeed {
-        StepSeed {
-            machine: decision.machine,
-            kind: StepKind::Fault(*decision),
-            choices: Vec::new(),
-        }
-    }
-
-    /// Renders the human-readable step. Summaries match what
-    /// [`TraceStep::from_run`]/[`TraceStep::from_fault`] produce for the
-    /// same outcome.
-    pub(crate) fn render(&self, program: &LoweredProgram) -> TraceStep {
-        let summary = match self.kind {
+    /// The human-readable summary of a step of this kind.
+    fn summary(self, program: &LoweredProgram) -> String {
+        match self {
             StepKind::Sent {
                 to,
                 event,
@@ -206,18 +139,49 @@ impl StepSeed {
             StepKind::Internal => "internal step".to_owned(),
             StepKind::Blocked => "ran to quiescence".to_owned(),
             StepKind::Deleted => "deleted itself".to_owned(),
-            StepKind::Fault(decision) => return TraceStep::from_fault(program, &decision),
-        };
-        TraceStep {
-            machine: self.machine,
-            summary,
-            choices: self.choices.clone(),
-            fault: None,
+            StepKind::Fault(fault) => {
+                let (event, index) = (program.event_name(fault.event), fault.index);
+                match fault.kind {
+                    FaultKind::Drop => format!("FAULT: dropped {event} from queue[{index}]"),
+                    FaultKind::Dup => {
+                        format!("FAULT: re-delivered {event} from queue[{index}] (bypassing dedup)")
+                    }
+                    FaultKind::Delay => {
+                        format!("FAULT: delayed {event} from queue[{index}] to the back")
+                    }
+                }
+            }
         }
     }
 }
 
-/// One edge of the exhaustive kernel's append-only log: the task that
+impl StepSeed {
+    /// A minimal seed for table tests: a quiescent run of `machine`,
+    /// distinguishable by machine id after rendering.
+    #[cfg(test)]
+    pub(crate) fn test_blocked(machine: MachineId) -> StepSeed {
+        StepSeed {
+            machine,
+            kind: StepKind::Blocked,
+            choices: Vec::new(),
+        }
+    }
+
+    /// Renders the human-readable step.
+    pub(crate) fn render(&self, program: &LoweredProgram) -> TraceStep {
+        TraceStep {
+            machine: self.machine,
+            summary: self.kind.summary(program),
+            choices: self.choices.clone(),
+            fault: match self.kind {
+                StepKind::Fault(decision) => Some(decision),
+                _ => None,
+            },
+        }
+    }
+}
+
+/// One edge of the search kernel's append-only log: the task that
 /// offered a state and the step that reached it — a [`StepSeed`] plus a
 /// parent id in three words, so a stored state costs 24 bytes of trace
 /// bookkeeping wherever it lives (RAM chunk, `edges.log`, checkpoint).
@@ -225,13 +189,15 @@ impl StepSeed {
 /// ```text
 /// word 0: parent id (low 32) · machine (high 32)
 /// word 1: first operand (low 32) · second operand (high 32)
-/// word 2: kind (bits 0–2) · enqueued (bit 3) · choice count (bits 8–15)
+/// word 2: kind (bits 0–2) · flag (bit 3) · choice count (bits 8–15)
 ///         · choice bits (bits 16–63)
 /// ```
 ///
-/// The kernel records only machine runs, never [`StepKind::Fault`].
-/// Kind 0 is unassigned, so an all-zero record — an id reserved but
-/// never written — decodes to `None` instead of to a plausible step.
+/// Kinds 1–5 are machine runs (the flag is `enqueued`); 6 is a dropped
+/// event and 7 a re-delivered (flag clear) or delayed (flag set) one,
+/// with the queue index and the event as operands. Kind 0 is
+/// unassigned, so an all-zero record — an id reserved but never
+/// written — decodes to `None` instead of to a plausible step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EdgeRecord(pub(crate) [u64; 3]);
 
@@ -247,7 +213,7 @@ impl EdgeRecord {
     const OVERFLOW: u64 = 0xff;
 
     fn pack(parent: u32, machine: MachineId, kind: StepKind, choices: &[bool]) -> EdgeRecord {
-        let (tag, a, b, enqueued) = match kind {
+        let (tag, a, b, flag) = match kind {
             StepKind::Sent {
                 to,
                 event,
@@ -257,7 +223,14 @@ impl EdgeRecord {
             StepKind::Internal => (3, 0, 0, false),
             StepKind::Blocked => (4, 0, 0, false),
             StepKind::Deleted => (5, 0, 0, false),
-            StepKind::Fault(_) => unreachable!("the exhaustive kernel injects no faults"),
+            StepKind::Fault(fault) => {
+                let index = u32::try_from(fault.index).expect("a queue index fits 32 bits");
+                match fault.kind {
+                    FaultKind::Drop => (6, index, fault.event.0, false),
+                    FaultKind::Dup => (7, index, fault.event.0, false),
+                    FaultKind::Delay => (7, index, fault.event.0, true),
+                }
+            }
         };
         let script = if choices.len() > EdgeRecord::INLINE_CHOICES {
             EdgeRecord::OVERFLOW << 8
@@ -271,7 +244,7 @@ impl EdgeRecord {
         EdgeRecord([
             parent as u64 | (machine.0 as u64) << 32,
             a as u64 | (b as u64) << 32,
-            tag | (enqueued as u64) << 3 | script,
+            tag | (flag as u64) << 3 | script,
         ])
     }
 
@@ -298,6 +271,12 @@ impl EdgeRecord {
         (record, record.overflows().then(|| choices.into()))
     }
 
+    /// The record of injecting `fault` in the configuration of task
+    /// `parent`.
+    pub(crate) fn from_fault(parent: u32, fault: &FaultDecision) -> EdgeRecord {
+        EdgeRecord::pack(parent, fault.machine, StepKind::Fault(*fault), &[])
+    }
+
     /// The task that offered this record's state.
     pub(crate) fn parent(&self) -> u32 {
         self.0[0] as u32
@@ -313,11 +292,21 @@ impl EdgeRecord {
     pub(crate) fn seed(&self, overflow: Option<&[bool]>) -> Option<StepSeed> {
         let [w0, w1, w2] = self.0;
         let (a, b) = (w1 as u32, (w1 >> 32) as u32);
+        let machine = MachineId((w0 >> 32) as u32);
+        let flag = w2 & 0b1000 != 0;
+        let fault = |kind| {
+            StepKind::Fault(FaultDecision {
+                kind,
+                machine,
+                index: a as usize,
+                event: EventId(b),
+            })
+        };
         let kind = match w2 & 0b111 {
             1 => StepKind::Sent {
                 to: MachineId(a),
                 event: EventId(b),
-                enqueued: w2 & 0b1000 != 0,
+                enqueued: flag,
             },
             2 => StepKind::Created {
                 id: MachineId(a),
@@ -326,6 +315,9 @@ impl EdgeRecord {
             3 => StepKind::Internal,
             4 => StepKind::Blocked,
             5 => StepKind::Deleted,
+            6 => fault(FaultKind::Drop),
+            7 if flag => fault(FaultKind::Delay),
+            7 => fault(FaultKind::Dup),
             _ => return None,
         };
         let choices = match (w2 >> 8) & 0xff {
@@ -336,7 +328,7 @@ impl EdgeRecord {
             _ => return None,
         };
         Some(StepSeed {
-            machine: MachineId((w0 >> 32) as u32),
+            machine,
             kind,
             choices,
         })
@@ -397,6 +389,32 @@ impl fmt::Display for Counterexample {
 mod tests {
     use super::*;
     use p_semantics::ErrorKind;
+
+    /// The seeds the reference stores ([`crate::tests::ParentMap`]) keep
+    /// and the edge log is compared against.
+    impl StepSeed {
+        /// Captures a non-error run result.
+        pub(crate) fn from_run(
+            machine: MachineId,
+            result: &RunResult,
+            choices: Vec<bool>,
+        ) -> StepSeed {
+            StepSeed {
+                machine,
+                kind: StepKind::of(&result.outcome),
+                choices,
+            }
+        }
+
+        /// Captures an injected environment fault.
+        pub(crate) fn from_fault(decision: &FaultDecision) -> StepSeed {
+            StepSeed {
+                machine: decision.machine,
+                kind: StepKind::Fault(*decision),
+                choices: Vec::new(),
+            }
+        }
+    }
 
     #[test]
     fn step_display_shows_choices() {
@@ -462,6 +480,28 @@ mod tests {
             None
         );
         assert_eq!(EdgeRecord::root().parent(), EdgeRecord::NO_PARENT);
+    }
+
+    /// The three fault kinds survive the packing too, with the queue
+    /// index, the event and the machine at their extremes.
+    #[test]
+    fn fault_records_round_trip_every_kind() {
+        for kind in FaultKind::ALL {
+            for (index, event) in [(0, 0), (7, 3), (u32::MAX as usize, u32::MAX)] {
+                let fault = FaultDecision {
+                    kind,
+                    machine: MachineId(u32::MAX - index as u32),
+                    index,
+                    event: EventId(event),
+                };
+                let record = EdgeRecord::from_fault(9, &fault);
+                assert_eq!(record.parent(), 9);
+                assert!(!record.overflows());
+                let record = EdgeRecord::from_bytes(&record.to_bytes());
+                assert_eq!(record.seed(None), Some(StepSeed::from_fault(&fault)));
+            }
+        }
+        assert_eq!(EdgeRecord([0; 3]).seed(None), None);
     }
 
     #[test]

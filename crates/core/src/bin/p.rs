@@ -307,11 +307,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     if delay.is_some() && faults.is_some() {
         return Err("--delay and --faults cannot be combined".to_owned());
     }
-    if options.jobs > 1 && (delay.is_some() || faults.is_some()) {
-        return Err(
-            "--jobs applies to the exhaustive search only (not --delay/--faults)".to_owned(),
-        );
-    }
     if faults.is_none() && !fault_kinds.is_empty() {
         return Err("--fault-kinds needs --faults N".to_owned());
     }
@@ -328,24 +323,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     if use_compiled && matches!(options.granularity, p_core::semantics::Granularity::Fine) {
         return Err(
             "--compiled accelerates atomic runs and cannot be combined with --fine".to_owned(),
-        );
-    }
-    if (profile.is_some() || progress) && (delay.is_some() || faults.is_some()) {
-        return Err(
-            "--profile/--progress apply to the exhaustive search only (not --delay/--faults)"
-                .to_owned(),
-        );
-    }
-    let robustness = checkpoint_dir.is_some()
-        || checkpoint_every.is_some()
-        || abort_after.is_some()
-        || options.resume.is_some()
-        || options.mem_limit.is_some();
-    if robustness && (delay.is_some() || faults.is_some()) {
-        return Err(
-            "--checkpoint/--resume/--mem-limit/--abort-after apply to the \
-                    exhaustive search only (not --delay/--faults)"
-                .to_owned(),
         );
     }
     if checkpoint_every.is_some() && checkpoint_dir.is_none() && options.resume.is_none() {
@@ -381,9 +358,12 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
 
     let mode = checker_mode(&options);
     let workers = options.jobs.max(1) as u64;
-    if delay.is_none() && faults.is_none() {
-        options.interrupt = Some(signals::install_interrupt());
-    }
+    let (strategy, bound) = match (delay, faults) {
+        (Some(d), _) => ("delay", d),
+        (None, Some(budget)) => ("faults", budget),
+        (None, None) => ("exhaustive", 0),
+    };
+    options.interrupt = Some(signals::install_interrupt());
     let ckpt_dir = options.checkpoint.as_ref().map(|p| p.dir.clone());
     let mut verifier = compiled
         .verifier()
@@ -401,24 +381,14 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
         verifier = verifier.with_compiled(table).map_err(|e| e.to_string())?;
         println!("backend: compiled (digest {digest:032x})");
     }
-    let mut interrupted = false;
-    let (passed, stats, counterexample, complete) = match (delay, faults) {
-        (None, None) => {
-            let r = verifier.try_check_exhaustive().map_err(|e| e.to_string())?;
-            interrupted = r.interrupted;
-            (r.passed(), r.stats, r.counterexample, r.complete)
-        }
+    let report = match (delay, faults) {
+        (None, None) => verifier.try_check_exhaustive().map_err(|e| e.to_string())?,
         (Some(d), _) => {
             let r = verifier
                 .try_check_delay_bounded(d)
                 .map_err(|e| e.to_string())?;
             println!("delay bound {d}, {} scheduler node(s)", r.scheduler_nodes);
-            (
-                r.report.passed(),
-                r.report.stats,
-                r.report.counterexample,
-                r.report.complete,
-            )
+            r.report
         }
         (None, Some(budget)) => {
             let r = verifier
@@ -434,20 +404,18 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 r.fault_nodes,
                 r.fault_transitions
             );
-            (
-                r.report.passed(),
-                r.report.stats,
-                r.report.counterexample,
-                r.report.complete,
-            )
+            r.report
         }
     };
+    let (passed, complete, interrupted) = (report.passed(), report.complete, report.interrupted);
+    let (stats, counterexample) = (report.stats, report.counterexample);
 
     if let Some(target) = &profile {
         write_profile(
             target,
             path,
             mode,
+            (strategy, bound as u64),
             workers,
             &telemetry,
             ring.as_deref(),
@@ -546,6 +514,7 @@ fn file_stem(path: &str) -> String {
 fn stats_to_metrics(
     name: &str,
     mode: &str,
+    (strategy, bound): (&str, u64),
     stats: &p_core::checker::ExplorationStats,
     workers: u64,
     passed: bool,
@@ -554,8 +523,12 @@ fn stats_to_metrics(
     p_core::telemetry::ExplorationMetrics {
         name: name.to_owned(),
         mode: mode.to_owned(),
+        strategy: strategy.to_owned(),
+        bound,
         states: stats.unique_states as u64,
         transitions: stats.transitions as u64,
+        scheduler_nodes: stats.scheduler_nodes as u64,
+        fault_transitions: stats.fault_transitions as u64,
         seconds: stats.duration.as_secs_f64(),
         stored_bytes: stats.stored_bytes as u64,
         index_bytes: stats.index_bytes as u64,
@@ -587,6 +560,7 @@ fn write_profile(
     target: &str,
     source_path: &str,
     mode: &str,
+    strategy: (&str, u64),
     workers: u64,
     telemetry: &p_core::Telemetry,
     ring: Option<&p_core::telemetry::RingRecorder>,
@@ -601,6 +575,7 @@ fn write_profile(
     let metrics = stats_to_metrics(
         &file_stem(source_path),
         mode,
+        strategy,
         stats,
         workers,
         passed,

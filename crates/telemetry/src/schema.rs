@@ -15,10 +15,20 @@ pub struct ExplorationMetrics {
     pub name: String,
     /// Exploration mode tag: `"exhaustive"`, `"por"`, `"parallel"`, ...
     pub mode: String,
+    /// The scheduler the search kernel ran: `"exhaustive"`, `"delay"`
+    /// or `"faults"`.
+    pub strategy: String,
+    /// The delay bound or the fault budget (zero for `"exhaustive"`).
+    pub bound: u64,
     /// Unique states admitted.
     pub states: u64,
     /// Transitions executed.
     pub transitions: u64,
+    /// Unique (configuration, annotation) nodes of a delay-bounded or
+    /// fault-injecting search (zero for `"exhaustive"`).
+    pub scheduler_nodes: u64,
+    /// Fault injections among the transitions.
+    pub fault_transitions: u64,
     /// Wall-clock seconds.
     pub seconds: f64,
     /// Bytes retained in the visited table.
@@ -92,8 +102,12 @@ impl ExplorationMetrics {
         obj(vec![
             ("name", jstr(&self.name)),
             ("mode", jstr(&self.mode)),
+            ("strategy", jstr(&self.strategy)),
+            ("bound", num(self.bound as f64)),
             ("states", num(self.states as f64)),
             ("transitions", num(self.transitions as f64)),
+            ("scheduler_nodes", num(self.scheduler_nodes as f64)),
+            ("fault_transitions", num(self.fault_transitions as f64)),
             ("seconds", num(self.seconds)),
             ("states_per_sec", num(self.states_per_sec())),
             ("stored_bytes", num(self.stored_bytes as f64)),
@@ -127,15 +141,21 @@ impl ExplorationMetrics {
     pub fn from_json(value: &JsonValue) -> Option<ExplorationMetrics> {
         let field = |k: &str| value.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
         let secs = |k: &str| value.get(k).and_then(JsonValue::as_f64).unwrap_or(0.0);
-        Some(ExplorationMetrics {
-            name: value.get("name")?.as_str()?.to_owned(),
-            mode: value
-                .get("mode")
+        let tag = |k: &str| {
+            value
+                .get(k)
                 .and_then(JsonValue::as_str)
                 .unwrap_or("exhaustive")
-                .to_owned(),
+        };
+        Some(ExplorationMetrics {
+            name: value.get("name")?.as_str()?.to_owned(),
+            mode: tag("mode").to_owned(),
+            strategy: tag("strategy").to_owned(),
+            bound: field("bound"),
             states: value.get("states")?.as_u64()?,
             transitions: value.get("transitions")?.as_u64()?,
+            scheduler_nodes: field("scheduler_nodes"),
+            fault_transitions: field("fault_transitions"),
             seconds: value.get("seconds")?.as_f64()?,
             stored_bytes: field("stored_bytes"),
             index_bytes: field("index_bytes"),
@@ -349,8 +369,12 @@ mod tests {
         ExplorationMetrics {
             name: name.to_owned(),
             mode: "exhaustive".to_owned(),
+            strategy: "delay".to_owned(),
+            bound: 2,
             states,
             transitions: states * 3,
+            scheduler_nodes: states * 2,
+            fault_transitions: 1,
             seconds,
             stored_bytes: states * 40,
             index_bytes: states * 41,

@@ -75,6 +75,15 @@ fn parse_stats(out: &Output) -> (u64, u64, u64) {
     (states, transitions, depth)
 }
 
+/// The line a `--delay`/`--faults` run prints above its stats line:
+/// bound or budget, nodes and (for faults) injections.
+fn node_line(out: &Output) -> String {
+    let text = stdout(out);
+    let line = text.lines().find(|l| l.contains(" node(s)"));
+    line.unwrap_or_else(|| panic!("no node line in output:\n{text}"))
+        .to_owned()
+}
+
 /// Aborts a run mid-search, resumes it, and returns (uninterrupted
 /// baseline, resumed) outputs after checking the abort leg.
 fn abort_and_resume(file: &str, mode: &[&str], abort_after: &str, tag: &str) -> (Output, Output) {
@@ -146,6 +155,43 @@ fn sequential_resume_is_bit_identical_across_modes() {
             "sequential {tag}: resumed run must match uninterrupted bit for bit"
         );
     }
+}
+
+/// The delay-bounded and the fault-injecting search run on the same
+/// kernel, so they stop at `--abort-after` (counted in configurations)
+/// and resume the same way: a one-worker resume reports the
+/// uninterrupted run's states, transitions, depth, nodes and injections.
+#[test]
+fn annotated_strategies_resume_bit_identically() {
+    let legs: [(&str, &str, &[&str], &str); 2] = [
+        ("delay", "german4.p", &["--delay", "3"], "2000"),
+        (
+            "faults",
+            "elevator.p",
+            &["--faults", "1", "--fault-kinds", "drop"],
+            "2000",
+        ),
+    ];
+    for (tag, file, mode, abort_after) in legs {
+        let (baseline, resumed) =
+            abort_and_resume(file, mode, abort_after, &format!("annotated-{tag}"));
+        assert_eq!(parse_stats(&baseline), parse_stats(&resumed), "{tag}");
+        assert_eq!(node_line(&baseline), node_line(&resumed), "{tag}");
+    }
+    // Four workers expand every node once too, whoever expands it; only
+    // the depth a node is first reached at depends on their order.
+    let (baseline, resumed) = abort_and_resume_across(
+        "german4.p",
+        &["--delay", "3"],
+        &["--jobs", "4"],
+        &["--jobs", "4", "--mem-limit", "256k"],
+        "2000",
+        "annotated-delay-jobs4",
+    );
+    let (states, transitions, _) = parse_stats(&baseline);
+    let (resumed_states, resumed_transitions, _) = parse_stats(&resumed);
+    assert_eq!((states, transitions), (resumed_states, resumed_transitions));
+    assert_eq!(node_line(&baseline), node_line(&resumed));
 }
 
 #[test]
@@ -347,6 +393,45 @@ fn stale_checkpoint_is_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The strategy, its bound or budget and the fault kinds are part of
+/// what a checkpoint was written for: node keys of one are not node
+/// keys of another, so resuming across them is refused, not mixed.
+#[test]
+fn checkpoint_does_not_resume_under_another_strategy() {
+    let dir = temp_dir("strategy");
+    let dir_s = dir.to_str().unwrap();
+    let written: [&[&str]; 3] = [
+        &["--delay", "2"],
+        &["--faults", "1", "--fault-kinds", "drop"],
+        &[],
+    ];
+    let resumed_as: [&[&str]; 5] = [
+        &["--delay", "2"],
+        &["--delay", "3"],
+        &["--faults", "1", "--fault-kinds", "drop"],
+        &["--faults", "1", "--fault-kinds", "drop,dup"],
+        &[],
+    ];
+    for mode in written {
+        let mut args = mode.to_vec();
+        args.extend(["--checkpoint", dir_s, "--abort-after", "500"]);
+        let aborted = verify("elevator.p", &args);
+        assert_eq!(exit_code(&aborted), 3, "{mode:?}: {}", stderr(&aborted));
+        for other in resumed_as {
+            let mut args = other.to_vec();
+            args.extend(["--resume", dir_s, "--abort-after", "1"]);
+            let resumed = verify("elevator.p", &args);
+            if other == mode {
+                assert_eq!(exit_code(&resumed), 3, "{mode:?}: {}", stderr(&resumed));
+            } else {
+                assert_eq!(exit_code(&resumed), 2, "{mode:?} as {other:?}");
+                assert!(stderr(&resumed).contains("stale checkpoint"));
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupted_checkpoint_is_rejected() {
     let dir = temp_dir("corrupt");
@@ -381,8 +466,9 @@ fn corrupted_checkpoint_is_rejected() {
 
 /// A checkpoint of an earlier format — version 1's fingerprint-keyed
 /// parent records, version 2's visited keys from the canonical digest
-/// as it was before it changed representatives — is refused by its
-/// version field, before anything in it is interpreted.
+/// as it was before it changed representatives, version 3's tasks
+/// without a scheduler annotation — is refused by its version field,
+/// before anything in it is interpreted.
 #[test]
 fn version_1_checkpoint_is_refused() {
     let dir = temp_dir("version-1");
@@ -396,10 +482,10 @@ fn version_1_checkpoint_is_refused() {
     let mut bytes = std::fs::read(&file).unwrap();
     assert_eq!(
         bytes[4..8],
-        3u32.to_le_bytes(),
-        "this build writes version 3"
+        4u32.to_le_bytes(),
+        "this build writes version 4"
     );
-    for old in [1u32, 2] {
+    for old in [1u32, 2, 3] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&file, &bytes).unwrap();
         let resumed = verify("german3.p", &["--symmetry", "--resume", dir_s]);
@@ -487,9 +573,16 @@ fn flag_validation_rejects_bad_combinations() {
     assert_eq!(exit_code(&abort_alone), 2);
     assert!(stderr(&abort_alone).contains("--abort-after needs --checkpoint"));
 
-    let with_delay = verify("german3.p", &["--delay", "1", "--mem-limit", "1m"]);
+    // The reductions stay with the exhaustive search; everything the
+    // kernel does for every scheduler composes with `--delay`.
+    let with_delay = verify("german3.p", &["--delay", "1", "--por"]);
     assert_eq!(exit_code(&with_delay), 2);
     assert!(stderr(&with_delay).contains("exhaustive search only"));
+    let bounded = verify("german3.p", &["--delay", "1", "--mem-limit", "1m"]);
+    assert_eq!(exit_code(&bounded), 0, "{}", stderr(&bounded));
+    let unbounded = verify("german3.p", &["--delay", "1"]);
+    assert_eq!(parse_stats(&bounded), parse_stats(&unbounded));
+    assert_eq!(node_line(&bounded), node_line(&unbounded));
 
     let bad_limit = verify("german3.p", &["--mem-limit", "lots"]);
     assert_eq!(exit_code(&bad_limit), 2);
@@ -502,14 +595,30 @@ fn flag_validation_rejects_bad_combinations() {
 #[cfg(unix)]
 #[test]
 fn sigint_writes_a_loadable_checkpoint() {
+    sigint_then_probe("german4.p", &[], "sigint");
+}
+
+/// The kernel's control point serves every scheduler: Ctrl-C on a
+/// delay-bounded run ends it with a checkpoint, not with nothing.
+#[cfg(unix)]
+#[test]
+fn sigint_interrupts_a_delay_bounded_run() {
+    sigint_then_probe("switch_led.p", &["--delay", "8"], "sigint-delay");
+}
+
+/// Interrupts `p verify FILE <mode> --checkpoint DIR` and checks that
+/// the checkpoint it leaves loads.
+#[cfg(unix)]
+fn sigint_then_probe(file: &str, mode: &[&str], tag: &str) {
     use std::io::Read as _;
 
-    let dir = temp_dir("sigint");
+    let dir = temp_dir(tag);
     let dir_s = dir.to_str().unwrap();
-    let path = corpus_file("german4.p");
+    let path = corpus_file(file);
     let mut child = p_bin()
         .arg("verify")
         .arg(&path)
+        .args(mode)
         .args(["--checkpoint", dir_s])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
@@ -537,7 +646,9 @@ fn sigint_writes_a_loadable_checkpoint() {
         Some(3) => {
             assert!(out.contains("INTERRUPTED"), "{out}");
             assert!(dir.join("checkpoint.bin").is_file());
-            let probe = verify("german4.p", &["--resume", dir_s, "--abort-after", "1"]);
+            let mut probe_args = mode.to_vec();
+            probe_args.extend(["--resume", dir_s, "--abort-after", "1"]);
+            let probe = verify(file, &probe_args);
             assert_eq!(exit_code(&probe), 3, "{}", stderr(&probe));
         }
         // The search won the race and finished first — legitimate on a

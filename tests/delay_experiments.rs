@@ -1,7 +1,93 @@
 //! Integration-level checks of the §5 delay-bounding claims, across the
 //! Figure 7 benchmarks (small budgets so the suite stays fast).
 
-use p_core::{corpus, Compiled};
+use p_core::{corpus, CheckerOptions, Compiled};
+
+/// `(d, states, transitions, scheduler nodes)` per program, as the
+/// delay-bounded search reported them while it still had a loop, a
+/// visited set and a parent map of its own. The kernel must not move
+/// them: not at one worker, not at four, not with the visited set and
+/// the edge log on disk.
+type Pinned = (usize, usize, usize, usize);
+const GERMAN: &[Pinned] = &[
+    (0, 129, 128, 129),
+    (1, 825, 1_002, 841),
+    (2, 1_773, 3_245, 2_380),
+    (3, 2_425, 7_447, 4_907),
+    (4, 2_695, 14_061, 8_331),
+    (6, 2_789, 33_556, 16_575),
+    (8, 2_795, 57_783, 25_831),
+];
+const ELEVATOR: &[Pinned] = &[
+    (0, 176, 192, 176),
+    (1, 965, 1_277, 977),
+    (2, 1_798, 4_089, 2_679),
+    (3, 2_228, 9_538, 5_593),
+    (4, 2_406, 18_133, 9_421),
+    (6, 2_460, 43_970, 19_195),
+];
+const SWITCH_LED: &[Pinned] = &[
+    (0, 311, 335, 311),
+    (1, 2_955, 3_491, 2_969),
+    (2, 11_638, 18_306, 14_011),
+    (3, 27_853, 68_072, 46_805),
+    (4, 50_915, 194_485, 120_890),
+];
+
+#[test]
+fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
+    let programs = [
+        ("german", corpus::german(), GERMAN),
+        ("elevator", corpus::elevator(), ELEVATOR),
+        ("switch_led", corpus::switch_led(), SWITCH_LED),
+    ];
+    for (name, program, pinned) in programs {
+        let compiled = Compiled::from_program(program).unwrap();
+        for &(d, states, transitions, nodes) in pinned {
+            // The spilled leg probes the disk for every offer; keep it
+            // to the rows it finishes in seconds (CI's `low-memory` job
+            // runs switch_led at d = 4 on the release binary).
+            let limits: &[Option<usize>] = match nodes {
+                0..=20_000 => &[None, Some(256 << 10)],
+                _ => &[None],
+            };
+            for jobs in [1, 4] {
+                for &mem_limit in limits {
+                    let options = CheckerOptions {
+                        jobs,
+                        mem_limit,
+                        ..CheckerOptions::default()
+                    };
+                    let r = compiled
+                        .verifier()
+                        .with_options(options)
+                        .check_delay_bounded(d);
+                    let cell = format!("{name} d={d} jobs={jobs} mem_limit={mem_limit:?}");
+                    assert!(r.report.passed() && r.report.complete, "{cell}");
+                    let stats = &r.report.stats;
+                    assert_eq!(
+                        (stats.unique_states, stats.transitions, r.scheduler_nodes),
+                        (states, transitions, nodes),
+                        "{cell}"
+                    );
+                    // Hash-consed, a node costs about ten visited bytes:
+                    // ten thousand outgrow the 64 KiB hot tier.
+                    if mem_limit.is_some() && nodes > 10_000 {
+                        assert!(stats.spilled_states > 0, "{cell}: nothing spilled");
+                    }
+                }
+            }
+        }
+        // The last pinned bound of german and elevator saturates: it
+        // covers what the exhaustive search covers.
+        if name != "switch_led" {
+            let exhaustive = compiled.verify();
+            assert!(exhaustive.passed() && exhaustive.complete);
+            let saturated = pinned.last().unwrap().1;
+            assert_eq!(saturated, exhaustive.stats.unique_states, "{name}");
+        }
+    }
+}
 
 #[test]
 fn coverage_grows_with_delay_bound_on_elevator() {

@@ -97,3 +97,99 @@ fn correct_corpus_programs_pass_one_dropped_stimulus() {
         report.report.counterexample
     );
 }
+
+/// What the fault-injecting search reported while it still had a loop, a
+/// visited set and a parent map of its own: `(states, transitions, fault
+/// nodes, injections)`. The kernel must not move them — at one worker,
+/// at four (so `fault_transitions` is an exact, flushed counter), and
+/// with the visited set and the edge log on disk.
+#[test]
+fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
+    use p_core::corpus;
+    let rows = [
+        (
+            "elevator",
+            corpus::elevator(),
+            (1, FaultKind::Drop),
+            (5_115, 25_190, 7_153, 4_297),
+        ),
+        (
+            "ping_pong",
+            corpus::ping_pong(),
+            (2, FaultKind::Dup),
+            (111, 392, 187, 112),
+        ),
+        (
+            "lossy_link",
+            corpus::lossy_link(),
+            (2, FaultKind::Dup),
+            (222, 556, 261, 178),
+        ),
+    ];
+    for (name, program, (budget, kind), pinned) in rows {
+        let compiled = Compiled::from_program(program).unwrap();
+        for jobs in [1, 4] {
+            for mem_limit in [None, Some(256 << 10)] {
+                let options = p_core::CheckerOptions {
+                    jobs,
+                    mem_limit,
+                    ..p_core::CheckerOptions::default()
+                };
+                let verifier = compiled.verifier().with_options(options);
+                let r = verifier.check_with_faults(budget, &[kind]);
+                let cell = format!("{name} jobs={jobs} mem_limit={mem_limit:?}");
+                assert!(r.report.passed() && r.report.complete, "{cell}");
+                let stats = &r.report.stats;
+                assert_eq!(
+                    (
+                        stats.unique_states,
+                        stats.transitions,
+                        r.fault_nodes,
+                        r.fault_transitions
+                    ),
+                    pinned,
+                    "{cell}"
+                );
+            }
+        }
+    }
+}
+
+/// The budget-1 counterexample of lossy_link, reconstructed through the
+/// edge log — in RAM, from `edges.log`, and whichever of four workers
+/// finds it — is the six steps it always was, with the dropped `cfg` as
+/// step 4, and replays on the interpreter.
+#[test]
+fn fault_counterexample_is_reconstructed_through_the_edge_log() {
+    let compiled = lossy_link();
+    let expected = "error: machine #1: unhandled event #1\n\
+        trace (6 steps):\n    \
+          1. machine #0: created #1 of type Sink\n    \
+          2. machine #1: ran to quiescence\n    \
+          3. machine #0: sent cfg to #1\n    \
+          4. machine #1: FAULT: dropped cfg from queue[0]\n    \
+          5. machine #0: sent data to #1\n    \
+          6. machine #1: ERROR: machine #1: unhandled event #1\n";
+    for jobs in [1, 4] {
+        for mem_limit in [None, Some(256 << 10)] {
+            let options = p_core::CheckerOptions {
+                jobs,
+                mem_limit,
+                ..p_core::CheckerOptions::default()
+            };
+            let verifier = compiled.verifier().with_options(options);
+            let report = verifier.check_with_faults(1, &[FaultKind::Drop]);
+            let cx = report.report.counterexample.expect("one drop breaks it");
+            if jobs == 1 {
+                assert_eq!(cx.to_string(), expected, "mem_limit={mem_limit:?}");
+                assert_eq!(report.report.stats.unique_states, 10);
+                assert_eq!((report.fault_nodes, report.fault_transitions), (10, 1));
+            }
+            assert!(cx.trace.iter().any(|s| s.fault.is_some()), "{cx}");
+            match compiled.verifier().replay(&cx) {
+                ReplayOutcome::Reproduced(e) => assert_eq!(e, cx.error),
+                other => panic!("jobs={jobs} mem_limit={mem_limit:?}: {other:?}\n{cx}"),
+            }
+        }
+    }
+}

@@ -228,6 +228,60 @@ fn verify_profile_counts_canonicalizations() {
     );
 }
 
+/// `--profile` serves every strategy the kernel runs: the final row names
+/// the scheduler and its bound, carries the node and injection counts the
+/// CLI prints, and has the phase split and the snapshots of the run.
+#[test]
+fn verify_profile_names_the_strategy() {
+    let row = |file: &str, flags: &[&str], tag: &str| {
+        let profile = temp_path(tag);
+        let out = p_bin()
+            .args(["verify", corpus_file(file).to_str().unwrap(), "--profile"])
+            .arg(&profile)
+            .args(flags)
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let doc = JsonValue::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&profile);
+        let row = doc.get("exploration").expect("final metrics row").clone();
+        let count = |key: &str| row.get(key).and_then(JsonValue::as_u64).expect(key);
+        let strategy = row.get("strategy").and_then(JsonValue::as_str).unwrap();
+        (
+            strategy.to_owned(),
+            count("bound"),
+            [
+                count("states"),
+                count("transitions"),
+                count("scheduler_nodes"),
+                count("fault_transitions"),
+            ],
+            count("workers"),
+        )
+    };
+    let plain = row("german.p", &[], "strategy-plain.json");
+    assert_eq!(plain.0, "exhaustive");
+    assert_eq!((plain.1, plain.2[2], plain.2[3]), (0, 0, 0));
+    let delayed = row(
+        "german.p",
+        &["--delay", "3", "--jobs", "2"],
+        "strategy-delay.json",
+    );
+    assert_eq!(
+        delayed,
+        ("delay".to_owned(), 3, [2_425, 7_447, 4_907, 0], 2)
+    );
+    let faulty = row(
+        "elevator.p",
+        &["--faults", "1", "--fault-kinds", "drop"],
+        "strategy-faults.json",
+    );
+    assert_eq!(
+        faulty,
+        ("faults".to_owned(), 1, [5_115, 25_190, 7_153, 4_297], 1)
+    );
+}
+
 // ---- runtime trace nesting ---------------------------------------------
 
 /// `p run --trace` must emit a Chrome document in which every `run` span
