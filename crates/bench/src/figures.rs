@@ -331,6 +331,9 @@ pub fn report_to_metrics(
         spilled_states: report.stats.spilled_states as u64,
         spill_bytes: report.stats.spill_bytes,
         cold_hits: report.stats.cold_hits,
+        cold_lookups: report.stats.cold_lookups,
+        cold_run_probes: report.stats.cold_run_probes,
+        cold_reads: report.stats.cold_reads,
         passed: report.passed(),
         complete: report.complete,
         exec_seconds: report.stats.phases.exec as f64 / 1e9,

@@ -26,9 +26,11 @@
 //!   it — a record's parent exists before the record does, so every
 //!   path ends at the root by construction;
 //! * visited keys are canonical; tasks and their records are concrete;
-//! * lock order is `shard → cold store` and `shard → edge log`; an
-//!   admit holds exactly one shard; a spill holds *every* shard (taken
-//!   in ascending order) and only then the cold store and the log.
+//! * lock order is `shard → edge log`; an admit holds exactly one
+//!   shard and looks cold keys up in that shard's [`Runs`], which takes
+//!   no lock; a spill holds *every* shard (taken in ascending order) and
+//!   only then the run store and the log, and hands every shard the new
+//!   runs before it lets go.
 //!
 //! The decision table of the admit rule, for an offer `(key, concrete,
 //! sleep)`; `rep` is the concrete state first admitted under `key`:
@@ -49,22 +51,21 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::checkpoint::VisitedEntry;
 use crate::error::CheckerError;
 use crate::fingerprint::{Fingerprint, FpHashMap, FpHashSet};
 use crate::por::SleepSet;
 use crate::stats::PhaseNanos;
-use crate::store::RunStore;
+use crate::store::{RunStore, Runs, SpillCounters};
 use crate::trace::{EdgeRecord, StepSeed, TraceStep};
-use crate::wire;
 
 /// Outcome of offering a state to a visited store (the module docs hold
 /// the decision table).
@@ -115,8 +116,9 @@ pub(crate) enum Admit {
 /// actual `stored_bytes` against this budget rather than counting
 /// states. A quarter of the limit goes to the hot tier; the rest covers
 /// the structures that stay RAM-resident across spills (sleep sets,
-/// parent edges between spills, bloom filters, run indexes) plus the
-/// frontier itself. The floor keeps tiny limits from degenerating into
+/// edge records between spills, the blooms and fences of the runs — two
+/// bytes and an eighth of one per spilled state) plus the frontier
+/// itself. The floor keeps tiny limits from degenerating into
 /// a spill per handful of states.
 pub(crate) fn hot_budget_for(mem_limit: usize) -> usize {
     (mem_limit / 4).max(64 << 10)
@@ -129,31 +131,6 @@ pub(crate) fn hot_budget_for(mem_limit: usize) -> usize {
 /// budget, and the floor is one chunk.
 pub(crate) fn parent_cap_for(hot_budget: usize) -> usize {
     (hot_budget / 64).max(EDGE_CHUNK)
-}
-
-/// Spill payload for a symmetry-mode visited key: the orbit's concrete
-/// representative.
-fn encode_rep_payload(rep: Option<Fingerprint>) -> Vec<u8> {
-    match rep {
-        None => Vec::new(),
-        Some(rep) => rep.as_u128().to_le_bytes().to_vec(),
-    }
-}
-
-fn corrupt_spill(what: &str) -> CheckerError {
-    CheckerError::CheckpointFormat(format!("corrupt {what} spill record"))
-}
-
-fn decode_rep_payload(payload: &[u8]) -> Result<Option<Fingerprint>, CheckerError> {
-    if payload.is_empty() {
-        return Ok(None);
-    }
-    let mut buf = payload;
-    let rep = wire::read_u128(&mut buf).ok_or_else(|| corrupt_spill("visited"))?;
-    if !buf.is_empty() {
-        return Err(corrupt_spill("visited"));
-    }
-    Ok(Some(Fingerprint::from_u128(rep)))
 }
 
 /// Shared additive totals of one search.
@@ -337,7 +314,7 @@ pub(crate) struct EdgeWriter {
 #[derive(Debug)]
 struct EdgeFile {
     path: PathBuf,
-    file: Mutex<File>,
+    file: File,
     bytes_written: AtomicU64,
     hits: AtomicU64,
 }
@@ -355,7 +332,7 @@ impl EdgeFile {
             .map_err(|e| CheckerError::io(&path, e))?;
         Ok(EdgeFile {
             path,
-            file: Mutex::new(file),
+            file,
             bytes_written: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         })
@@ -368,9 +345,8 @@ impl EdgeFile {
         records: impl Iterator<Item = EdgeRecord>,
     ) -> Result<(), CheckerError> {
         let bytes: Vec<u8> = records.flat_map(EdgeRecord::to_bytes).collect();
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start((first * EdgeRecord::BYTES) as u64))
-            .and_then(|_| file.write_all(&bytes))
+        self.file
+            .write_all_at(&bytes, (first * EdgeRecord::BYTES) as u64)
             .map_err(|e| CheckerError::io(&self.path, e))?;
         self.bytes_written
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -380,9 +356,8 @@ impl EdgeFile {
     /// Reads the `count` records of ids `first..`.
     fn read(&self, first: usize, count: usize) -> Result<Vec<EdgeRecord>, CheckerError> {
         let mut bytes = vec![0; count * EdgeRecord::BYTES];
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start((first * EdgeRecord::BYTES) as u64))
-            .and_then(|_| file.read_exact(&mut bytes))
+        self.file
+            .read_exact_at(&mut bytes, (first * EdgeRecord::BYTES) as u64)
             .map_err(|e| CheckerError::io(&self.path, e))?;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Ok(bytes
@@ -597,7 +572,9 @@ pub(crate) struct SharedTable {
 
 /// The cold tier of the visited keys: one [`RunStore`], drained from the
 /// shards inside the stop-the-world [`SharedTable::maybe_spill`], which
-/// also moves the edge log's complete chunks to its flat file. The two
+/// also moves the edge log's complete chunks to its flat file. The store
+/// is the write side only — a lookup goes through its shard's
+/// [`Shard::runs`] and never takes this mutex. The two
 /// triggers are independent because the two fill at unrelated rates —
 /// with hash-consed slots a state costs ~11 visited bytes but its record
 /// 24, so a byte trigger alone lets records pile up far past their share
@@ -616,6 +593,23 @@ struct SharedCold {
     spilling: Mutex<()>,
 }
 
+impl SharedCold {
+    /// Writes `batch` out as a run and hands every shard the new runs.
+    /// `shards` is every shard, locked: no lookup runs meanwhile.
+    fn spill(
+        &self,
+        shards: &mut [MutexGuard<'_, Shard>],
+        batch: Vec<(u128, u128)>,
+    ) -> Result<(), CheckerError> {
+        let mut store = self.visited.lock();
+        store.spill(batch)?;
+        for shard in shards {
+            shard.runs = Some(store.runs());
+        }
+        Ok(())
+    }
+}
+
 #[derive(Debug, Default)]
 struct Shard {
     visited: FpHashSet,
@@ -629,6 +623,25 @@ struct Shard {
     /// Encoding length per hot fingerprint (cold tier only), so spills
     /// keep `stored_bytes` an honest RAM figure.
     lens: FpHashMap<u32>,
+    /// The cold runs as of the last spill — the same list in every
+    /// shard, replaced in all of them by whoever spills, under all
+    /// their locks. `None` without a cold tier.
+    runs: Option<Runs>,
+}
+
+impl Shard {
+    /// The representative stored for `key` in the cold tier (`None` =
+    /// not visited there; `Some(None)` = visited, its own
+    /// representative). The caller holds this shard's lock and needs no
+    /// other: spills take all shard locks, so holding one makes the
+    /// hot-miss + cold-miss check atomic.
+    fn cold_visited(&self, key: Fingerprint) -> Result<Option<Option<Fingerprint>>, CheckerError> {
+        let Some(runs) = &self.runs else {
+            return Ok(None);
+        };
+        let rep = runs.get(key.as_u128())?;
+        Ok(rep.map(|rep| (rep != key.as_u128()).then(|| Fingerprint::from_u128(rep))))
+    }
 }
 
 /// Bytes a std hash table with room for `capacity` entries of `T`
@@ -645,8 +658,13 @@ impl SharedTable {
     }
 
     fn build(max: usize, cold: Option<SharedCold>, edges: EdgeLog) -> SharedTable {
+        let runs = cold.as_ref().map(|cold| cold.visited.lock().runs());
+        let shard = || Shard {
+            runs: runs.clone(),
+            ..Shard::default()
+        };
         SharedTable {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(shard())).collect(),
             unique: AtomicUsize::new(0),
             marked: AtomicUsize::new(0),
             stored: AtomicUsize::new(0),
@@ -660,7 +678,7 @@ impl SharedTable {
 
     fn cold_tier(dir: &Path, hot_budget: usize) -> Result<SharedCold, CheckerError> {
         Ok(SharedCold {
-            visited: Mutex::new(RunStore::create(dir, "visited")?),
+            visited: Mutex::new(RunStore::create(dir)?),
             hot_budget: hot_budget.max(1),
             edge_cap: parent_cap_for(hot_budget),
             spilling: Mutex::new(()),
@@ -720,11 +738,9 @@ impl SharedTable {
                 table.stored.store(stored_bytes, Ordering::SeqCst);
             }
             Some(cold) => {
-                let visited_batch = entries
-                    .iter()
-                    .map(|e| (e.fp, encode_rep_payload(e.rep.map(Fingerprint::from_u128))))
-                    .collect();
-                cold.visited.lock().spill(visited_batch)?;
+                let batch = entries.iter().map(|e| (e.fp, e.rep.unwrap_or(e.fp)));
+                let mut shards: Vec<_> = table.shards.iter().map(|s| s.lock()).collect();
+                cold.spill(&mut shards, batch.collect())?;
             }
         }
         Ok(table)
@@ -741,21 +757,22 @@ impl SharedTable {
         self
     }
 
-    /// Spill activity: `(spilled_states, spill_bytes, cold_hits)`,
-    /// zeroed without a cold tier. `spill_bytes` and `cold_hits` cover
-    /// the visited store and `edges.log`; `spilled_states` counts
-    /// visited fingerprints only.
-    pub(crate) fn spill_stats(&self) -> (usize, u64, u64) {
+    /// Activity of the cold tier, zeroed without one. `records` counts
+    /// visited fingerprints only; `bytes_written`, `reads` and `hits`
+    /// cover the visited store and `edges.log`.
+    pub(crate) fn spill_stats(&self) -> SpillCounters {
         match (&self.cold, &self.edges.cold) {
             (Some(cold), Some(edges)) => {
-                let v = cold.visited.lock().counters;
-                (
-                    v.records as usize,
-                    v.bytes_written + edges.bytes_written.load(Ordering::Relaxed),
-                    v.hits + edges.hits.load(Ordering::Relaxed),
-                )
+                let reads = edges.hits.load(Ordering::Relaxed);
+                let v = cold.visited.lock().counters();
+                SpillCounters {
+                    bytes_written: v.bytes_written + edges.bytes_written.load(Ordering::Relaxed),
+                    reads: v.reads + reads,
+                    hits: v.hits + reads,
+                    ..v
+                }
             }
-            _ => (0, 0, 0),
+            _ => SpillCounters::default(),
         }
     }
 
@@ -793,32 +810,18 @@ impl SharedTable {
                 let shard = &mut **shard;
                 for fp in shard.visited.drain() {
                     freed += shard.lens.remove(&fp).unwrap_or(0) as usize;
-                    batch.push((fp.as_u128(), encode_rep_payload(shard.reps.remove(&fp))));
+                    let rep = shard.reps.remove(&fp).unwrap_or(fp);
+                    batch.push((fp.as_u128(), rep.as_u128()));
                 }
             }
             let freed = freed.min(self.stored.load(Ordering::SeqCst));
             self.stored.fetch_sub(freed, Ordering::SeqCst);
-            cold.visited.lock().spill(batch)?;
+            cold.spill(&mut shards, batch)?;
         }
         if edges_due {
             self.edges.spill_complete()?;
         }
         Ok(())
-    }
-
-    /// The representative stored for `key` in the cold tier (`None` =
-    /// not visited there; `Some(None)` = visited, its own
-    /// representative). Call with `key`'s shard lock held: spills take
-    /// all shard locks, so holding one makes the hot-miss + cold-miss
-    /// check atomic.
-    fn cold_visited(&self, key: Fingerprint) -> Result<Option<Option<Fingerprint>>, CheckerError> {
-        let Some(cold) = &self.cold else {
-            return Ok(None);
-        };
-        match cold.visited.lock().get(key.as_u128())? {
-            None => Ok(None),
-            Some(payload) => Ok(Some(decode_rep_payload(&payload)?)),
-        }
     }
 
     /// Offers the state `concrete`, stored under `key` (its canonical
@@ -855,7 +858,7 @@ impl SharedTable {
             let visited = if shard.visited.contains(&key) {
                 Some(shard.reps.get(&key).copied())
             } else {
-                self.cold_visited(key)?
+                shard.cold_visited(key)?
             };
             match visited {
                 Some(rep) => {
@@ -923,7 +926,7 @@ impl SharedTable {
     /// full. A marker has no record, task or bytes; its nodes have.
     pub(crate) fn mark(&self, config: Fingerprint) -> Result<Admit, CheckerError> {
         let mut shard = self.shards[config.shard(SHARDS)].lock();
-        if shard.visited.contains(&config) || self.cold_visited(config)?.is_some() {
+        if shard.visited.contains(&config) || shard.cold_visited(config)?.is_some() {
             return Ok(Admit::Covered { merged: false });
         }
         if self.marked.fetch_add(1, Ordering::SeqCst) >= self.max_marked {
@@ -952,7 +955,8 @@ impl SharedTable {
 
     /// Bytes of RAM the bookkeeping around those states holds: the hash
     /// tables of every shard (from their capacities), the resident edge
-    /// chunks and the overflow scripts.
+    /// chunks, the overflow scripts, and the blooms and fences of the
+    /// cold runs.
     pub(crate) fn index_bytes(&self) -> usize {
         let shards: usize = self
             .shards
@@ -965,7 +969,8 @@ impl SharedTable {
                     + table_bytes::<(Fingerprint, u32)>(shard.lens.capacity())
             })
             .sum();
-        shards + self.edges.resident_bytes()
+        let runs = |cold: &SharedCold| cold.visited.lock().resident_bytes();
+        shards + self.edges.resident_bytes() + self.cold.as_ref().map_or(0, runs)
     }
 
     /// Whether a bound (states, or task ids) dropped any state.
@@ -1009,14 +1014,14 @@ impl SharedTable {
             }
         }
         if let Some(cold) = &self.cold {
-            for (key, payload) in cold.visited.lock().iter_all()? {
+            for (key, rep) in cold.visited.lock().iter_all()? {
                 visited.push(VisitedEntry {
                     fp: key,
                     sleep: sleeps
                         .get(&Fingerprint::from_u128(key))
                         .copied()
                         .unwrap_or(0),
-                    rep: decode_rep_payload(&payload)?.map(|r| r.as_u128()),
+                    rep: (rep != key).then_some(rep),
                 });
             }
         }
@@ -1416,7 +1421,7 @@ mod tests {
         assert_eq!(outcome, Admit::New);
         let a = a.expect("a fresh state comes with its task");
         if spilled {
-            assert_eq!(table.spill_stats().0, 2, "root and A are on disk");
+            assert_eq!(table.spill_stats().records, 2, "root and A are on disk");
             assert_eq!(table.stored_bytes(), 0, "a spill frees the exact lens");
         }
         // Same representative, stored ⊆ offered.
@@ -1524,7 +1529,11 @@ mod tests {
             assert_eq!((table.marked(), table.unique()), (2, 6));
             assert_eq!(table.stored_bytes(), if spilled { 0 } else { 48 });
             if spilled {
-                assert_eq!(table.spill_stats().0, 8, "markers spill with the nodes");
+                assert_eq!(
+                    table.spill_stats().records,
+                    8,
+                    "markers spill with the nodes"
+                );
             }
 
             let (visited, parents, scripts) = table.snapshot().unwrap();
@@ -1979,7 +1988,7 @@ mod tests {
             assert_eq!(offer(&spilly, &mut writer, n, 10, 0).0, Admit::New);
             assert_eq!(spilly.stored_bytes(), 0, "spill freed the exact lens");
         }
-        assert_eq!(spilly.spill_stats().0, 4);
+        assert_eq!(spilly.spill_stats().records, 4);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
     }
@@ -1992,7 +2001,7 @@ mod tests {
         for n in 0..6u32 {
             assert_eq!(offer(&table, &mut writer, n, 1, 0).0, Admit::New);
         }
-        assert_eq!(table.spill_stats().0, 6, "three spills of two states");
+        assert_eq!(table.spill_stats().records, 6, "three spills of two states");
         // max_states counts both tiers, not just the (empty) hot one.
         assert_eq!(offer(&table, &mut writer, 99, 1, 0).0, Admit::OverBound);
         assert_eq!(table.unique(), 6);
@@ -2022,7 +2031,7 @@ mod tests {
                 resident_records(&table)
             );
         }
-        assert_eq!(table.spill_stats().0, 0, "no visited byte was stored");
+        assert_eq!(table.spill_stats().records, 0, "no visited byte was stored");
         assert_eq!(resident_records(&table), 1, "ten chunks are in edges.log");
         let on_disk = std::fs::metadata(dir.join("edges.log")).unwrap().len();
         assert_eq!(on_disk, (10 * cap * EdgeRecord::BYTES) as u64);
@@ -2039,7 +2048,10 @@ mod tests {
             expected,
             "root to leaf"
         );
-        assert!(table.spill_stats().2 >= 10 * cap as u64, "read from disk");
+        assert!(
+            table.spill_stats().reads >= 10 * cap as u64,
+            "read from disk"
+        );
         // A re-pushed task gets a record of its own, out of the task
         // that offered it — whichever tier the state's first one is in.
         let mut sibling = |concrete, parent, seed| {
@@ -2107,7 +2119,7 @@ mod tests {
         for n in 10..16u32 {
             offer(&table, &mut writer, n, 8, 0);
         }
-        assert!(table.spill_stats().0 >= 6, "both tiers hold entries");
+        assert!(table.spill_stats().records >= 6, "both tiers hold entries");
         let (mut entries, parents, scripts) = table.snapshot().unwrap();
         assert_eq!(entries.len(), table.unique());
         entries.sort_by_key(|e| e.fp);
@@ -2173,11 +2185,63 @@ mod tests {
             "exactly-once across spills"
         );
         assert_eq!(table.unique(), 500);
-        let (spilled, bytes, _hits) = table.spill_stats();
+        let counters = table.spill_stats();
+        let spilled = counters.records;
         assert!(spilled >= 400, "hot cap 64 must have spilled: {spilled}");
-        assert!(bytes > 0);
+        assert!(counters.bytes_written > 0);
         let last = last.load(Ordering::SeqCst) as TaskId;
         assert_eq!(path_to(&table, last), [MachineId(499)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Lookups take the key's shard lock and nothing else, while a spill
+    /// swaps the runs under all of them: eight threads keep offering
+    /// keys that are already on disk while a ninth admits fresh ones —
+    /// a spill every 64, a merge every eighth spill — and every offer of
+    /// an admitted key comes back `Covered`, before, during and after.
+    #[test]
+    fn cold_lookups_stay_covered_while_another_thread_spills() {
+        let dir = temp_dir("cold-probes");
+        let table = SharedTable::with_spill(usize::MAX, &dir, 64).unwrap();
+        let mut writer = EdgeWriter::default();
+        let root = offer_root(&table, &mut writer, fp(0), 1);
+        for n in 1..2_000u32 {
+            assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
+        }
+        assert!(table.spill_stats().records >= 1_900);
+        let covered = Admit::Covered { merged: false };
+        let (start, spiller_done) = (std::sync::Barrier::new(9), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            for t in 0..8u32 {
+                let (table, start, spiller_done) = (&table, &start, &spiller_done);
+                scope.spawn(move || {
+                    let mut writer = EdgeWriter::default();
+                    start.wait();
+                    let mut done = false;
+                    // One more full pass after the spiller has finished.
+                    while !std::mem::replace(&mut done, spiller_done.load(Ordering::SeqCst)) {
+                        for n in (0..2_000).map(|n| (n + 250 * t) % 2_000) {
+                            assert_eq!(offer(table, &mut writer, n, 1, root).0, covered, "{n}");
+                        }
+                    }
+                });
+            }
+            start.wait();
+            for n in 2_000..6_000u32 {
+                assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
+            }
+            spiller_done.store(true, Ordering::SeqCst);
+        });
+        let counters = table.spill_stats();
+        assert!(counters.runs_created > 60 + 60 / 8, "spills and merges ran");
+        assert!(
+            counters.hits >= 8 * 1_900,
+            "the offers were answered from disk"
+        );
+        for n in 0..6_000 {
+            assert_eq!(offer(&table, &mut writer, n, 1, root).0, covered, "{n}");
+        }
+        assert_eq!(table.unique(), 6_000);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -698,7 +698,7 @@ impl<'p> Verifier<'p> {
         }
         stats.stored_bytes = table.stored_bytes();
         stats.index_bytes = table.index_bytes();
-        (stats.spilled_states, stats.spill_bytes, stats.cold_hits) = table.spill_stats();
+        table.spill_stats().write_to(&mut stats);
         stats.truncated |= search.truncated();
         stats.duration = base_duration + start.elapsed();
         #[cfg(feature = "telemetry")]
@@ -959,7 +959,7 @@ impl<'p> Verifier<'p> {
                 self.telemetry.maybe_snapshot(worker as u32, |elapsed| {
                     let mut totals = counters.totals();
                     totals.unique_states = states::<S>(table);
-                    totals.spilled_states = table.spill_stats().0;
+                    table.spill_stats().write_to(&mut totals);
                     snapshot_from(
                         &totals,
                         frontier.pending(),
@@ -1271,6 +1271,7 @@ fn snapshot_from(
         max_depth: stats.max_depth as u64,
         workers,
         spilled: stats.spilled_states as u64,
+        cold_reads: stats.cold_reads,
     }
 }
 

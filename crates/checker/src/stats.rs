@@ -134,6 +134,15 @@ pub struct ExplorationStats {
     pub spill_bytes: u64,
     /// Visited lookups and edge-record reads answered from the cold tier.
     pub cold_hits: u64,
+    /// Visited lookups that got past the hot tier and asked the cold one.
+    /// This and the two counters below describe this process, like
+    /// `spill_bytes`, and repeat exactly at one worker.
+    pub cold_lookups: u64,
+    /// Runs those lookups searched, their bloom having said maybe.
+    pub cold_run_probes: u64,
+    /// Positional reads issued against spill files: one per run searched
+    /// within its key range, one per edge-record read.
+    pub cold_reads: u64,
     /// Sampled per-phase time attribution (all zero for strategies that
     /// do not meter their hot loop).
     pub phases: PhaseNanos,
@@ -219,6 +228,9 @@ mod tests {
             spilled_states: 0,
             spill_bytes: 0,
             cold_hits: 0,
+            cold_lookups: 0,
+            cold_run_probes: 0,
+            cold_reads: 0,
             phases: PhaseNanos::default(),
             index_bytes: 0,
         };

@@ -2,414 +2,409 @@
 //!
 //! Under `--mem-limit`, the exploration engine keeps only a bounded hot
 //! tier of fingerprints in RAM and spills the rest here: sorted runs of
-//! fixed-width keys on disk, fronted by a bloom filter so the common
-//! case — a genuinely new state — costs zero I/O. This is the classic
-//! explicit-state recipe (disk-tiered visited stores in the
-//! distributed-Murphi/Spin lineage) adapted to the checker's 128-bit
-//! fingerprints.
+//! fixed-width records on disk. This is the classic explicit-state
+//! recipe (disk-tiered visited stores in the distributed-Murphi/Spin
+//! lineage) adapted to the checker's 128-bit fingerprints. Parent edges
+//! need none of this: they are addressed by dense task ids, so their
+//! cold tier is a flat file (`crate::engine`).
 //!
-//! The visited set stores keys with an empty payload (plain and POR
-//! modes) or a 16-byte canonical-representative fingerprint (symmetry
-//! mode). Parent edges need none of this: they are addressed by dense
-//! task ids, so their cold tier is a flat file (`crate::engine`).
+//! Each spilled batch becomes one *run*: one file of sorted records, a
+//! 16-byte key each, followed by the 16-byte orbit representative when
+//! any record of the run has one of its own (symmetry mode; a record
+//! that has none then repeats its key). What a lookup needs of a run
+//! stays in RAM, built while the run is written: a bloom filter sized
+//! to the run ([`BLOOM_BITS_PER_KEY`] bits a record) and a *fence* —
+//! the first key of every block of [`BLOCK`] records. A lookup is
+//! therefore RAM probes, then at most one positional read per run
+//! whose bloom says maybe: binary-search the fences, read the block,
+//! finish in the buffer. A genuinely new state — the common case —
+//! costs no I/O.
 //!
-//! Each spilled batch becomes one *run*: an index file of sorted
-//! `(key: u128, offset: u64, len: u32)` records plus a heap file of
-//! concatenated payloads. Lookup is a bloom probe, then a seek-based
-//! binary search per run (newest first). When the run count reaches
-//! [`MERGE_FANIN`], all runs are streamed through a k-way merge into
-//! one, keeping per-lookup cost logarithmic instead of linear in the
-//! number of spills.
+//! When the run count reaches [`MERGE_FANIN`], all runs are streamed
+//! through a k-way merge into one, keeping the blooms a lookup passes
+//! bounded instead of linear in the number of spills.
+//!
+//! The write side ([`RunStore`]) and the read side ([`Runs`]) are two
+//! types: a `Runs` is an immutable list of the runs as of one spill,
+//! cheap to clone, whose lookups take `&self` and no lock — reads are
+//! positional, so the files have no cursor to share.
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::error::CheckerError;
-use crate::wire;
 
-/// Bytes of one index record: key `u128` + heap offset `u64` + payload
-/// length `u32`.
-const INDEX_RECORD: usize = 16 + 8 + 4;
+/// Bytes of a key, and of a representative.
+const KEY: usize = 16;
+
+/// Records per fenced block: one fence (16 B of RAM) and at most one
+/// read of `BLOCK` records (2 or 4 KiB) per run probed.
+const BLOCK: usize = 128;
 
 /// Run count that triggers a full k-way merge back to one run.
 const MERGE_FANIN: usize = 8;
 
-/// Reads exactly `buf.len()` bytes at `offset` through a shared file
-/// handle (`&File` implements `Seek`/`Read`; callers serialize access —
-/// the visited table keeps each store behind a mutex).
-fn read_exact_at(file: &File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
+/// Bloom bits per record of a run. With [`BLOOM_PROBES`] probes ≈ 0.24 %
+/// of absent keys pass — per run, and a new key passes every run's.
+const BLOOM_BITS_PER_KEY: u64 = 16;
+const BLOOM_PROBES: u64 = 4;
+
+fn le_u128(bytes: &[u8]) -> u128 {
+    let mut key = [0; KEY];
+    key.copy_from_slice(&bytes[..KEY]);
+    u128::from_le_bytes(key)
 }
 
-/// A blocked bloom filter front: two probes per key derived from the
-/// key's two 64-bit halves. Sized at ~16 bits per record (≈1.4% false
-/// positives with two probes), rebuilt from the run indexes when the
-/// record count outgrows it.
+/// A bloom filter sized exactly to its run: probe positions come from a
+/// multiply-shift reduction onto the bit count, so the count need not be
+/// a power of two.
+#[derive(Debug)]
 struct Bloom {
-    bits: Vec<u64>,
+    bits: Box<[u64]>,
 }
 
 impl Bloom {
-    fn with_bit_count(bits: usize) -> Bloom {
+    fn for_records(records: u64) -> Bloom {
+        let words = (records * BLOOM_BITS_PER_KEY).div_ceil(64).max(1);
         Bloom {
-            bits: vec![0; bits.div_ceil(64)],
+            bits: vec![0; words as usize].into(),
         }
     }
 
-    fn capacity_bits(&self) -> usize {
-        self.bits.len() * 64
-    }
-
-    fn probes(&self, key: u128) -> (usize, usize) {
+    fn probes(&self, key: u128) -> impl Iterator<Item = (usize, u64)> {
         // The fingerprints are already uniform SipHash outputs; fold the
-        // halves with distinct odd multipliers to decorrelate the probes.
-        let mask = self.capacity_bits() - 1; // capacity is a power of two
+        // halves with distinct odd multipliers and step from one by the
+        // other to decorrelate the probes.
+        let bit_count = self.bits.len() as u128 * 64;
         let a = (key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let b = ((key >> 64) as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-        (a as usize & mask, b as usize & mask)
-    }
-
-    fn insert(&mut self, key: u128) {
-        let (a, b) = self.probes(key);
-        self.bits[a / 64] |= 1 << (a % 64);
-        self.bits[b / 64] |= 1 << (b % 64);
-    }
-
-    fn may_contain(&self, key: u128) -> bool {
-        let (a, b) = self.probes(key);
-        self.bits[a / 64] & (1 << (a % 64)) != 0 && self.bits[b / 64] & (1 << (b % 64)) != 0
-    }
-}
-
-/// One sorted run on disk.
-struct Run {
-    index_path: PathBuf,
-    heap_path: PathBuf,
-    index: File,
-    heap: File,
-    entries: u64,
-}
-
-/// Counters describing a store's spill activity, surfaced through
-/// exploration stats and telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct SpillCounters {
-    /// Records currently resident on disk.
-    pub records: u64,
-    /// Runs written over the store's lifetime (merges included).
-    pub runs_created: u64,
-    /// Bytes written over the store's lifetime (index + heap).
-    pub bytes_written: u64,
-    /// Lookups answered from disk (key found in a run).
-    pub hits: u64,
-}
-
-/// A log-structured store of sorted fingerprint-keyed runs.
-pub(crate) struct RunStore {
-    dir: PathBuf,
-    /// File-name prefix of the store's run files (`visited-…`).
-    tag: &'static str,
-    runs: Vec<Run>,
-    bloom: Bloom,
-    next_run_id: u64,
-    pub(crate) counters: SpillCounters,
-}
-
-impl std::fmt::Debug for RunStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunStore")
-            .field("tag", &self.tag)
-            .field("runs", &self.runs.len())
-            .field("counters", &self.counters)
-            .finish()
-    }
-}
-
-impl RunStore {
-    /// Creates an empty store rooted at `dir` (created if missing).
-    pub(crate) fn create(dir: &Path, tag: &'static str) -> Result<RunStore, CheckerError> {
-        fs::create_dir_all(dir).map_err(|e| CheckerError::io(dir, e))?;
-        Ok(RunStore {
-            dir: dir.to_path_buf(),
-            tag,
-            runs: Vec::new(),
-            bloom: Bloom::with_bit_count(1 << 16),
-            next_run_id: 0,
-            counters: SpillCounters::default(),
+        let b = ((key >> 64) as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f) | 1;
+        (0..BLOOM_PROBES).map(move |i| {
+            let bit = ((a.wrapping_add(b.wrapping_mul(i)) as u128 * bit_count) >> 64) as usize;
+            (bit / 64, 1 << (bit % 64))
         })
     }
 
-    /// Spills `batch` as one new run, then merges if the run count hit
-    /// the fan-in. Keys must be unique (the hot tiers guarantee a key
-    /// is spilled at most once); order is irrelevant.
-    pub(crate) fn spill(&mut self, mut batch: Vec<(u128, Vec<u8>)>) -> Result<(), CheckerError> {
-        if batch.is_empty() {
-            return Ok(());
+    fn insert(&mut self, key: u128) {
+        for (word, mask) in self.probes(key) {
+            self.bits[word] |= mask;
         }
-        batch.sort_unstable_by_key(|&(key, _)| key);
-        self.grow_bloom_for(self.counters.records + batch.len() as u64)?;
-        let run_id = self.next_run_id;
-        self.next_run_id += 1;
-        let index_path = self.dir.join(format!("{}-{run_id:06}.idx", self.tag));
-        let heap_path = self.dir.join(format!("{}-{run_id:06}.heap", self.tag));
-        {
-            let index_file =
-                File::create(&index_path).map_err(|e| CheckerError::io(&index_path, e))?;
-            let heap_file =
-                File::create(&heap_path).map_err(|e| CheckerError::io(&heap_path, e))?;
-            let mut index = BufWriter::new(index_file);
-            let mut heap = BufWriter::new(heap_file);
-            let mut offset = 0u64;
-            for (key, payload) in &batch {
-                index
-                    .write_all(&key.to_le_bytes())
-                    .and_then(|()| index.write_all(&offset.to_le_bytes()))
-                    .and_then(|()| index.write_all(&(payload.len() as u32).to_le_bytes()))
-                    .map_err(|e| CheckerError::io(&index_path, e))?;
-                heap.write_all(payload)
-                    .map_err(|e| CheckerError::io(&heap_path, e))?;
-                offset += payload.len() as u64;
-                self.bloom.insert(*key);
-            }
-            index
-                .flush()
-                .map_err(|e| CheckerError::io(&index_path, e))?;
-            heap.flush().map_err(|e| CheckerError::io(&heap_path, e))?;
-            self.counters.bytes_written += batch.len() as u64 * INDEX_RECORD as u64 + offset;
-        }
-        self.runs.push(Run {
-            index: File::open(&index_path).map_err(|e| CheckerError::io(&index_path, e))?,
-            heap: File::open(&heap_path).map_err(|e| CheckerError::io(&heap_path, e))?,
-            index_path,
-            heap_path,
-            entries: batch.len() as u64,
-        });
-        self.counters.records += batch.len() as u64;
-        self.counters.runs_created += 1;
-        if self.runs.len() >= MERGE_FANIN {
-            self.merge_all()?;
-        }
-        Ok(())
     }
 
-    /// The payload stored for `key`, if present (empty payloads come
-    /// back as an empty vec). Counts a hit when found.
-    pub(crate) fn get(&mut self, key: u128) -> Result<Option<Vec<u8>>, CheckerError> {
-        let Some((run_ix, offset, len)) = self.find(key)? else {
+    fn may_contain(&self, key: u128) -> bool {
+        self.probes(key)
+            .all(|(word, mask)| self.bits[word] & mask != 0)
+    }
+}
+
+/// One sorted run: its file, and the bloom and fences that stay in RAM.
+#[derive(Debug)]
+struct Run {
+    path: PathBuf,
+    file: File,
+    records: u64,
+    /// Bytes per record: [`KEY`], or twice that with representatives.
+    width: usize,
+    /// First key of every block of [`BLOCK`] records.
+    fences: Vec<u128>,
+    bloom: Bloom,
+}
+
+impl Run {
+    /// The representative stored for `key`: RAM probes, then one read.
+    fn get(&self, key: u128, probes: &Probes) -> Result<Option<u128>, CheckerError> {
+        if !self.bloom.may_contain(key) {
+            return Ok(None);
+        }
+        probes.run_probes.fetch_add(1, Ordering::Relaxed);
+        let Some(block) = self.fences.partition_point(|&f| f <= key).checked_sub(1) else {
             return Ok(None);
         };
-        self.counters.hits += 1;
-        let mut payload = vec![0u8; len as usize];
-        let run = &self.runs[run_ix];
-        read_exact_at(&run.heap, offset, &mut payload)
-            .map_err(|e| CheckerError::io(&run.heap_path, e))?;
-        Ok(Some(payload))
-    }
-
-    /// Locates `key`: bloom probe, then per-run binary search over the
-    /// index records, newest run first.
-    fn find(&self, key: u128) -> Result<Option<(usize, u64, u32)>, CheckerError> {
-        if self.runs.is_empty() || !self.bloom.may_contain(key) {
-            return Ok(None);
-        }
-        let mut record = [0u8; INDEX_RECORD];
-        for (run_ix, run) in self.runs.iter().enumerate().rev() {
-            let (mut lo, mut hi) = (0u64, run.entries);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                read_exact_at(&run.index, mid * INDEX_RECORD as u64, &mut record)
-                    .map_err(|e| CheckerError::io(&run.index_path, e))?;
-                let mut cur = &record[..];
-                let found = wire::read_u128(&mut cur).expect("index record");
-                match found.cmp(&key) {
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                    std::cmp::Ordering::Equal => {
-                        let offset = wire::read_u64(&mut cur).expect("index record");
-                        let len = wire::read_u32(&mut cur).expect("index record");
-                        return Ok(Some((run_ix, offset, len)));
-                    }
+        let first = block * BLOCK;
+        let count = BLOCK.min(self.records as usize - first);
+        let mut buf = [0u8; BLOCK * 2 * KEY];
+        let buf = &mut buf[..count * self.width];
+        probes.reads.fetch_add(1, Ordering::Relaxed);
+        self.file
+            .read_exact_at(buf, (first * self.width) as u64)
+            .map_err(|e| CheckerError::io(&self.path, e))?;
+        let (mut lo, mut hi) = (0, count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let record = &buf[mid * self.width..][..self.width];
+            match le_u128(record).cmp(&key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => {
+                    return Ok(Some(le_u128(&record[self.width - KEY..])));
                 }
             }
         }
         Ok(None)
     }
 
-    /// Streams every run through a k-way merge into a single run.
-    /// Payload bytes are copied run-sequentially (each run's heap was
-    /// written in index order), so the merge is pure streaming I/O.
-    fn merge_all(&mut self) -> Result<(), CheckerError> {
-        struct Head {
-            key: u128,
-            len: u32,
-            index: BufReader<File>,
-            heap: BufReader<File>,
-            remaining: u64,
-        }
-        fn advance(head: &mut Head, path: &Path) -> Result<bool, CheckerError> {
-            if head.remaining == 0 {
-                return Ok(false);
-            }
-            head.remaining -= 1;
-            let mut record = [0u8; INDEX_RECORD];
-            head.index
-                .read_exact(&mut record)
-                .map_err(|e| CheckerError::io(path, e))?;
-            let mut cur = &record[..];
-            head.key = wire::read_u128(&mut cur).expect("index record");
-            let _offset = wire::read_u64(&mut cur).expect("index record");
-            head.len = wire::read_u32(&mut cur).expect("index record");
-            Ok(true)
-        }
+    /// A sequential reader over the run's records, as `(key, rep)`.
+    fn stream(
+        &self,
+    ) -> Result<impl FnMut() -> Result<(u128, u128), CheckerError> + '_, CheckerError> {
+        let file = File::open(&self.path).map_err(|e| CheckerError::io(&self.path, e))?;
+        let mut reader = BufReader::new(file);
+        Ok(move || {
+            let mut record = [0u8; 2 * KEY];
+            let record = &mut record[..self.width];
+            reader
+                .read_exact(record)
+                .map_err(|e| CheckerError::io(&self.path, e))?;
+            Ok((le_u128(record), le_u128(&record[self.width - KEY..])))
+        })
+    }
 
-        let old_runs = std::mem::take(&mut self.runs);
-        let mut heads = Vec::new();
-        for run in &old_runs {
-            let index = BufReader::new(
-                File::open(&run.index_path).map_err(|e| CheckerError::io(&run.index_path, e))?,
-            );
-            let heap = BufReader::new(
-                File::open(&run.heap_path).map_err(|e| CheckerError::io(&run.heap_path, e))?,
-            );
-            let mut head = Head {
-                key: 0,
-                len: 0,
-                index,
-                heap,
-                remaining: run.entries,
-            };
-            if advance(&mut head, &run.index_path)? {
-                heads.push((head, run.index_path.clone(), run.heap_path.clone()));
-            }
-        }
+    fn resident_bytes(&self) -> usize {
+        self.fences.capacity() * KEY + self.bloom.bits.len() * 8
+    }
+}
 
-        let run_id = self.next_run_id;
-        self.next_run_id += 1;
-        let index_path = self.dir.join(format!("{}-{run_id:06}.idx", self.tag));
-        let heap_path = self.dir.join(format!("{}-{run_id:06}.heap", self.tag));
-        let mut entries = 0u64;
-        {
-            let mut index = BufWriter::new(
-                File::create(&index_path).map_err(|e| CheckerError::io(&index_path, e))?,
-            );
-            let mut heap = BufWriter::new(
-                File::create(&heap_path).map_err(|e| CheckerError::io(&heap_path, e))?,
-            );
-            let mut offset = 0u64;
-            let mut payload = Vec::new();
-            while !heads.is_empty() {
-                let min_ix = heads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, (h, _, _))| h.key)
-                    .map(|(i, _)| i)
-                    .expect("heads nonempty");
-                let (head, idx_path, hp_path) = &mut heads[min_ix];
-                payload.resize(head.len as usize, 0);
-                head.heap
-                    .read_exact(&mut payload)
-                    .map_err(|e| CheckerError::io(&*hp_path, e))?;
-                index
-                    .write_all(&head.key.to_le_bytes())
-                    .and_then(|()| index.write_all(&offset.to_le_bytes()))
-                    .and_then(|()| index.write_all(&(payload.len() as u32).to_le_bytes()))
-                    .map_err(|e| CheckerError::io(&index_path, e))?;
-                heap.write_all(&payload)
-                    .map_err(|e| CheckerError::io(&heap_path, e))?;
-                offset += payload.len() as u64;
-                entries += 1;
-                let idx_path = idx_path.clone();
-                if !advance(head, &idx_path)? {
-                    heads.swap_remove(min_ix);
-                }
+/// Lookup activity of a store, counted where it happens. Statistics
+/// only: they publish nothing, hence `Relaxed`.
+#[derive(Debug, Default)]
+struct Probes {
+    lookups: AtomicU64,
+    run_probes: AtomicU64,
+    reads: AtomicU64,
+    hits: AtomicU64,
+}
+
+/// Counters describing a store's activity, surfaced through exploration
+/// stats and telemetry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SpillCounters {
+    /// Records currently resident on disk.
+    pub records: u64,
+    /// Runs written over the store's lifetime (merges included).
+    pub runs_created: u64,
+    /// Bytes written over the store's lifetime.
+    pub bytes_written: u64,
+    /// Lookups made.
+    pub lookups: u64,
+    /// Runs searched for a key because their bloom said maybe.
+    pub run_probes: u64,
+    /// Positional reads those searches issued.
+    pub reads: u64,
+    /// Lookups answered from disk (key found in a run).
+    pub hits: u64,
+}
+
+impl SpillCounters {
+    /// Copies the counters into the stats fields that report them.
+    pub(crate) fn write_to(&self, stats: &mut crate::ExplorationStats) {
+        stats.spilled_states = self.records as usize;
+        stats.spill_bytes = self.bytes_written;
+        stats.cold_hits = self.hits;
+        stats.cold_lookups = self.lookups;
+        stats.cold_run_probes = self.run_probes;
+        stats.cold_reads = self.reads;
+    }
+}
+
+/// The runs of a store as of one spill: what a lookup needs, and all it
+/// touches. Immutable, so lookups take no lock; a clone is two
+/// reference-count bumps.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Runs {
+    runs: Arc<[Arc<Run>]>,
+    probes: Arc<Probes>,
+}
+
+impl Runs {
+    /// The representative stored for `key`, if the key is present (a
+    /// key that is its own representative comes back as itself). Keys
+    /// are unique across runs, so the first run that has it answers.
+    pub(crate) fn get(&self, key: u128) -> Result<Option<u128>, CheckerError> {
+        self.probes.lookups.fetch_add(1, Ordering::Relaxed);
+        for run in self.runs.iter().rev() {
+            if let Some(rep) = run.get(key, &self.probes)? {
+                self.probes.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Some(rep));
             }
-            index
-                .flush()
-                .map_err(|e| CheckerError::io(&index_path, e))?;
-            heap.flush().map_err(|e| CheckerError::io(&heap_path, e))?;
-            self.counters.bytes_written += entries * INDEX_RECORD as u64 + offset;
         }
-        for run in old_runs {
-            // Best-effort cleanup; a leftover file is dead weight, not
-            // a correctness problem.
-            let _ = fs::remove_file(&run.index_path);
-            let _ = fs::remove_file(&run.heap_path);
+        Ok(None)
+    }
+}
+
+/// A log-structured store of sorted fingerprint-keyed runs: the write
+/// side. [`RunStore::runs`] is the read side.
+#[derive(Debug)]
+pub(crate) struct RunStore {
+    dir: PathBuf,
+    current: Runs,
+    /// Runs written so far, merges included; the next run's file name.
+    runs_created: u64,
+    bytes_written: u64,
+}
+
+impl RunStore {
+    /// Creates an empty store rooted at `dir` (created if missing).
+    pub(crate) fn create(dir: &Path) -> Result<RunStore, CheckerError> {
+        fs::create_dir_all(dir).map_err(|e| CheckerError::io(dir, e))?;
+        Ok(RunStore {
+            dir: dir.to_path_buf(),
+            current: Runs::default(),
+            runs_created: 0,
+            bytes_written: 0,
+        })
+    }
+
+    /// The current runs, for lookups. Stale after the next
+    /// [`RunStore::spill`]: whoever spills hands out the new list before
+    /// anyone looks a key up again.
+    pub(crate) fn runs(&self) -> Runs {
+        self.current.clone()
+    }
+
+    pub(crate) fn counters(&self) -> SpillCounters {
+        let probes = &self.current.probes;
+        SpillCounters {
+            records: self.current.runs.iter().map(|run| run.records).sum(),
+            runs_created: self.runs_created,
+            bytes_written: self.bytes_written,
+            lookups: probes.lookups.load(Ordering::Relaxed),
+            run_probes: probes.run_probes.load(Ordering::Relaxed),
+            reads: probes.reads.load(Ordering::Relaxed),
+            hits: probes.hits.load(Ordering::Relaxed),
         }
-        self.runs.push(Run {
-            index: File::open(&index_path).map_err(|e| CheckerError::io(&index_path, e))?,
-            heap: File::open(&heap_path).map_err(|e| CheckerError::io(&heap_path, e))?,
-            index_path,
-            heap_path,
-            entries,
-        });
-        self.counters.runs_created += 1;
+    }
+
+    /// Bytes of RAM the runs hold: their blooms and fences.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.current
+            .runs
+            .iter()
+            .map(|run| run.resident_bytes())
+            .sum()
+    }
+
+    /// Writes the `records` records `next` yields in key order as a new
+    /// run, building its bloom and fences on the way, and makes `kept`
+    /// plus that run the current list.
+    fn write_run(
+        &mut self,
+        kept: &[Arc<Run>],
+        records: u64,
+        with_reps: bool,
+        mut next: impl FnMut() -> Result<(u128, u128), CheckerError>,
+    ) -> Result<(), CheckerError> {
+        let name = format!("visited-{:06}.run", self.runs_created);
+        let path = self.dir.join(name);
+        let io = |e| CheckerError::io(&path, e);
+        // Opened for reading too: the lookups' handle. The directory is
+        // this store's own, so the name is free.
+        let file = File::create_new(&path).map_err(io)?;
+        let width = if with_reps { 2 * KEY } else { KEY };
+        let mut fences = Vec::with_capacity((records as usize).div_ceil(BLOCK));
+        let mut bloom = Bloom::for_records(records);
+        let mut out = BufWriter::new(&file);
+        for n in 0..records {
+            let (key, rep) = next()?;
+            if n.is_multiple_of(BLOCK as u64) {
+                fences.push(key);
+            }
+            bloom.insert(key);
+            let record = [key.to_le_bytes(), rep.to_le_bytes()];
+            out.write_all(&record.as_flattened()[..width]).map_err(io)?;
+        }
+        out.flush().map_err(io)?;
+        drop(out);
+        self.runs_created += 1;
+        self.bytes_written += records * width as u64;
+        let run = Run {
+            path,
+            file,
+            records,
+            width,
+            fences,
+            bloom,
+        };
+        self.current.runs = kept.iter().cloned().chain([Arc::new(run)]).collect();
         Ok(())
     }
 
-    /// Every `(key, payload)` on disk, for checkpoint serialization.
-    /// Materializes the whole cold tier; checkpoints already hold the
-    /// full visited summary in memory while writing.
-    pub(crate) fn iter_all(&self) -> Result<Vec<(u128, Vec<u8>)>, CheckerError> {
+    /// Spills `batch` — `(key, representative)` pairs, a key that is its
+    /// own representative paired with itself — as one new run, then
+    /// merges if the run count hit the fan-in. Keys must be unique (the
+    /// hot tiers guarantee a key is spilled at most once); order is
+    /// irrelevant.
+    pub(crate) fn spill(&mut self, mut batch: Vec<(u128, u128)>) -> Result<(), CheckerError> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        batch.sort_unstable_by_key(|&(key, _)| key);
+        let with_reps = batch.iter().any(|&(key, rep)| rep != key);
+        let mut records = batch.iter().copied();
+        let kept = Arc::clone(&self.current.runs);
+        self.write_run(&kept, batch.len() as u64, with_reps, || {
+            Ok(records.next().expect("one per record of the batch"))
+        })?;
+        if self.current.runs.len() >= MERGE_FANIN {
+            self.merge_all()?;
+        }
+        Ok(())
+    }
+
+    /// Streams every run through a k-way merge into a single run.
+    fn merge_all(&mut self) -> Result<(), CheckerError> {
+        let old = Arc::clone(&self.current.runs);
+        let mut heads = Vec::new();
+        for run in old.iter() {
+            let mut next = run.stream()?;
+            heads.push((next()?, run.records - 1, next));
+        }
+        let records = old.iter().map(|run| run.records).sum();
+        let with_reps = old.iter().any(|run| run.width > KEY);
+        self.write_run(&[], records, with_reps, || {
+            let (min_ix, _) = heads
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, ((key, _), _, _))| *key)
+                .expect("a head per record left");
+            let (record, left, next) = &mut heads[min_ix];
+            let out = *record;
+            if *left == 0 {
+                drop(heads.swap_remove(min_ix));
+            } else {
+                (*record, *left) = (next()?, *left - 1);
+            }
+            Ok(out)
+        })?;
+        for run in old.iter() {
+            // Best-effort cleanup; a leftover file is dead weight, not
+            // a correctness problem.
+            let _ = fs::remove_file(&run.path);
+        }
+        Ok(())
+    }
+
+    /// Every `(key, representative)` on disk, for checkpoint
+    /// serialization. Materializes the whole cold tier; checkpoints
+    /// already hold the full visited summary in memory while writing.
+    pub(crate) fn iter_all(&self) -> Result<Vec<(u128, u128)>, CheckerError> {
         let mut all = Vec::new();
-        let mut record = [0u8; INDEX_RECORD];
-        for run in &self.runs {
-            let mut index = BufReader::new(
-                File::open(&run.index_path).map_err(|e| CheckerError::io(&run.index_path, e))?,
-            );
-            let mut heap = BufReader::new(
-                File::open(&run.heap_path).map_err(|e| CheckerError::io(&run.heap_path, e))?,
-            );
-            for _ in 0..run.entries {
-                index
-                    .read_exact(&mut record)
-                    .map_err(|e| CheckerError::io(&run.index_path, e))?;
-                let mut cur = &record[..];
-                let key = wire::read_u128(&mut cur).expect("index record");
-                let _offset = wire::read_u64(&mut cur).expect("index record");
-                let len = wire::read_u32(&mut cur).expect("index record");
-                let mut payload = vec![0u8; len as usize];
-                heap.read_exact(&mut payload)
-                    .map_err(|e| CheckerError::io(&run.heap_path, e))?;
-                all.push((key, payload));
+        for run in self.current.runs.iter() {
+            let mut next = run.stream()?;
+            for _ in 0..run.records {
+                all.push(next()?);
             }
         }
         Ok(all)
-    }
-
-    /// Grows (and rebuilds) the bloom filter when `target` records
-    /// would exceed ~16 bits per record of capacity.
-    fn grow_bloom_for(&mut self, target: u64) -> Result<(), CheckerError> {
-        let wanted = (target.saturating_mul(16) as usize)
-            .next_power_of_two()
-            .max(1 << 16);
-        if wanted <= self.bloom.capacity_bits() {
-            return Ok(());
-        }
-        let mut bloom = Bloom::with_bit_count(wanted);
-        let mut record = [0u8; INDEX_RECORD];
-        for run in &self.runs {
-            let mut index = BufReader::new(
-                File::open(&run.index_path).map_err(|e| CheckerError::io(&run.index_path, e))?,
-            );
-            for _ in 0..run.entries {
-                index
-                    .read_exact(&mut record)
-                    .map_err(|e| CheckerError::io(&run.index_path, e))?;
-                let mut cur = &record[..];
-                bloom.insert(wire::read_u128(&mut cur).expect("index record"));
-            }
-        }
-        self.bloom = bloom;
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("p-store-test-{name}-{}", std::process::id()));
@@ -426,84 +421,245 @@ mod tests {
         ((z as u128) << 64) | (z ^ (z >> 31)) as u128
     }
 
+    fn get(store: &RunStore, key: u128) -> Option<u128> {
+        store.runs().get(key).unwrap()
+    }
+
     #[test]
     fn spill_lookup_and_payload_round_trip() {
         let dir = temp_dir("roundtrip");
-        let mut store = RunStore::create(&dir, "visited").unwrap();
-        let batch: Vec<(u128, Vec<u8>)> = (0..500)
-            .map(|i| (key(i), key(i + 1000).to_le_bytes()[..7].to_vec()))
-            .collect();
+        let mut store = RunStore::create(&dir).unwrap();
+        let batch: Vec<(u128, u128)> = (0..500).map(|i| (key(i), key(i + 1000))).collect();
         store.spill(batch.clone()).unwrap();
-        for (k, payload) in &batch {
-            assert_eq!(store.get(*k).unwrap().as_deref(), Some(&payload[..]));
+        for &(k, rep) in &batch {
+            assert_eq!(get(&store, k), Some(rep));
         }
-        assert_eq!(store.get(key(9_999)).unwrap(), None);
-        assert_eq!(store.counters.records, 500);
+        assert_eq!(get(&store, key(9_999)), None);
+        let counters = store.counters();
+        assert_eq!((counters.records, counters.lookups), (500, 501));
+        assert_eq!((counters.hits, counters.reads), (500, 500), "a read a hit");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn many_spills_merge_and_stay_complete() {
         let dir = temp_dir("merge");
-        let mut store = RunStore::create(&dir, "visited").unwrap();
+        let mut store = RunStore::create(&dir).unwrap();
         // 20 batches of 64: crosses the merge fan-in twice.
         for b in 0..20u64 {
-            let batch: Vec<(u128, Vec<u8>)> =
-                (0..64).map(|i| (key(b * 64 + i), vec![b as u8])).collect();
+            let batch = (0..64).map(|i| (key(b * 64 + i), b as u128)).collect();
             store.spill(batch).unwrap();
         }
-        assert!(
-            store.runs.len() < MERGE_FANIN,
-            "merge must bound the run count, have {}",
-            store.runs.len()
-        );
-        assert_eq!(store.counters.records, 20 * 64);
+        let runs = store.current.runs.len();
+        assert!(runs < MERGE_FANIN, "merge must bound the run count: {runs}");
+        assert_eq!(store.counters().records, 20 * 64);
         for b in 0..20u64 {
             for i in 0..64 {
-                assert_eq!(
-                    store.get(key(b * 64 + i)).unwrap(),
-                    Some(vec![b as u8]),
-                    "key {b}/{i} lost"
-                );
+                assert_eq!(get(&store, key(b * 64 + i)), Some(b as u128), "{b}/{i}");
             }
         }
         let mut all = store.iter_all().unwrap();
         all.sort_unstable_by_key(|&(k, _)| k);
         assert_eq!(all.len(), 20 * 64);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "duplicate keys");
+        let files = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, runs, "a merge removes the runs it read");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn empty_payloads_cost_no_heap() {
-        let dir = temp_dir("empty");
-        let mut store = RunStore::create(&dir, "visited").unwrap();
-        let batch: Vec<(u128, Vec<u8>)> = (0..100).map(|i| (key(i), Vec::new())).collect();
-        store.spill(batch).unwrap();
-        assert_eq!(store.get(key(42)).unwrap(), Some(Vec::new()));
-        let heap_bytes: u64 = fs::read_dir(&dir)
+    fn a_spill_directory_holds_no_heap_file_and_keys_only_runs_are_16_bytes_a_record() {
+        let dir = temp_dir("layout");
+        let mut store = RunStore::create(&dir).unwrap();
+        store
+            .spill((0..100).map(|i| (key(i), key(i))).collect())
+            .unwrap();
+        store
+            .spill((100..150).map(|i| (key(i), key(i) ^ 1)).collect())
+            .unwrap();
+        assert_eq!(get(&store, key(42)), Some(key(42)));
+        assert_eq!(get(&store, key(142)), Some(key(142) ^ 1));
+        let mut files: Vec<(String, u64)> = fs::read_dir(&dir)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "heap"))
-            .map(|e| e.metadata().unwrap().len())
-            .sum();
-        assert_eq!(heap_bytes, 0);
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (
+                    e.file_name().into_string().unwrap(),
+                    e.metadata().unwrap().len(),
+                )
+            })
+            .collect();
+        files.sort();
+        let expected = [
+            ("visited-000000.run", 100 * 16),
+            ("visited-000001.run", 50 * 32),
+        ];
+        assert_eq!(files.len(), 2, "one file a run: {files:?}");
+        for ((name, len), expected) in files.iter().zip(expected) {
+            assert_eq!((name.as_str(), *len), expected);
+        }
+        assert_eq!(store.counters().bytes_written, 100 * 16 + 50 * 32);
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every run has a bloom of its own, sized to the run when it is
+    /// written — a big spill, a small one and the merged run alike — and
+    /// none loses a member or lets many strangers through.
     #[test]
     fn bloom_grows_without_losing_members() {
         let dir = temp_dir("bloom");
-        let mut store = RunStore::create(&dir, "visited").unwrap();
-        // Enough records to force at least one bloom rebuild past the
-        // 2^16-bit floor.
+        let mut store = RunStore::create(&dir).unwrap();
+        let exact = |store: &RunStore| {
+            for run in store.current.runs.iter() {
+                let bits = run.bloom.bits.len() as u64 * 64;
+                let wanted = run.records * BLOOM_BITS_PER_KEY;
+                assert!((wanted..wanted + 64).contains(&bits), "{bits} for {wanted}");
+            }
+            store.resident_bytes() as u64
+        };
         let n = 8_000u64;
         store
-            .spill((0..n).map(|i| (key(i), Vec::new())).collect())
+            .spill((0..n).map(|i| (key(i), key(i))).collect())
             .unwrap();
-        assert!(store.bloom.capacity_bits() > 1 << 16);
-        for i in (0..n).step_by(97) {
-            assert!(store.get(key(i)).unwrap().is_some(), "lost key {i}");
+        store
+            .spill((n..n + 10).map(|i| (key(i), key(i))).collect())
+            .unwrap();
+        assert_eq!(store.current.runs.len(), 2);
+        let two_runs = exact(&store);
+        for b in 1..MERGE_FANIN as u64 - 1 {
+            let batch = (n + 10 * b..n + 10 * (b + 1)).map(|i| (key(i), key(i)));
+            store.spill(batch.collect()).unwrap();
+        }
+        assert_eq!(store.current.runs.len(), 1, "merged");
+        let total = n + 10 * (MERGE_FANIN as u64 - 1);
+        assert_eq!(store.current.runs[0].records, total);
+        assert!(exact(&store) >= two_runs);
+        assert!(
+            exact(&store) <= total * 17 / 8 + 24,
+            "2 B bloom + 1/8 B fence"
+        );
+        for i in 0..total {
+            assert!(get(&store, key(i)).is_some(), "lost key {i}");
+        }
+        let before = store.counters().run_probes;
+        for i in 0..10_000 {
+            assert_eq!(get(&store, key(1_000_000 + i)), None);
+        }
+        let passed = store.counters().run_probes - before;
+        assert!(passed < 100, "{passed} of 10000 strangers passed the bloom");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Random spills (and the merges they trigger) against a `BTreeMap`
+    /// oracle: keys only, every record with a representative, and
+    /// batches of either kind in turn, so merges mix the two widths.
+    /// Batch sizes sit around the block size and span several fan-ins.
+    /// After every spill each key ever spilled is looked up together
+    /// with its two neighbours — which covers the first and last record
+    /// of every block, one below each run's first fence and one above
+    /// its last key.
+    #[test]
+    fn store_agrees_with_a_btreemap_across_spills_and_merges() {
+        let sizes = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 2];
+        for (mode, reps_in) in [
+            ("keys", [false, false]),
+            ("reps", [true, true]),
+            ("mixed", [false, true]),
+        ] {
+            let dir = temp_dir(&format!("model-{mode}"));
+            let mut store = RunStore::create(&dir).unwrap();
+            let mut oracle = BTreeMap::new();
+            let mut next = 0u64;
+            let mut rng = 0x2545_f491_4f6c_dd1du64;
+            for spill in 0..2 * MERGE_FANIN + 3 {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let size = sizes[(rng >> 33) as usize % sizes.len()];
+                let batch: Vec<(u128, u128)> = (0..size)
+                    .map(|n| {
+                        next += 1;
+                        let k = key(next);
+                        // Every third record of a batch with
+                        // representatives is its own.
+                        let own = !reps_in[spill % 2] || n % 3 == 0;
+                        (k, if own { k } else { k.rotate_left(7) })
+                    })
+                    .collect();
+                oracle.extend(batch.iter().copied());
+                store.spill(batch).unwrap();
+                assert_eq!(store.counters().records, oracle.len() as u64);
+                for &k in oracle.keys() {
+                    for probe in [k - 1, k, k + 1] {
+                        assert_eq!(
+                            get(&store, probe),
+                            oracle.get(&probe).copied(),
+                            "{mode} {spill}"
+                        );
+                    }
+                }
+            }
+            assert!(store.runs_created > 2 * MERGE_FANIN as u64, "merged twice");
+            let mut all = store.iter_all().unwrap();
+            all.sort_unstable();
+            assert_eq!(all, oracle.into_iter().collect::<Vec<_>>());
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A run file cut short is an I/O error naming the file — from a
+    /// lookup that needs the missing part, from a checkpoint and from a
+    /// merge — and lookups the remaining part answers still work.
+    #[test]
+    fn truncated_run_is_a_typed_error() {
+        let dir = temp_dir("truncated");
+        let mut store = RunStore::create(&dir).unwrap();
+        let mut keys: Vec<u128> = (0..1_000).map(key).collect();
+        store.spill(keys.iter().map(|&k| (k, k)).collect()).unwrap();
+        keys.sort_unstable();
+        let path = store.current.runs[0].path.clone();
+        let file = File::options().write(true).open(&path).unwrap();
+        file.set_len(500 * 16 + 7).unwrap();
+        let is_io = |e: &CheckerError| matches!(e, CheckerError::Io { path: p, .. } if *p == path);
+        let runs = store.runs();
+        assert_eq!(runs.get(keys[100]).unwrap(), Some(keys[100]));
+        // Record 500 is whole, its block is not.
+        for k in [keys[500], keys[501], keys[999]] {
+            assert!(runs.get(k).is_err_and(|e| is_io(&e)), "{k:#x}");
+        }
+        assert!(store.iter_all().is_err_and(|e| is_io(&e)));
+        for b in 1..MERGE_FANIN as u64 {
+            let merged = store.spill(vec![(key(5_000 + b), 0)]);
+            assert_eq!(
+                merged.is_err_and(|e| is_io(&e)),
+                b == MERGE_FANIN as u64 - 1
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flipped bits in a run file can hide a key that was spilled; they
+    /// cannot make the store answer for a key that never was, and
+    /// nothing panics on what it reads.
+    #[test]
+    fn bit_flipped_run_is_never_a_wrong_hit_on_an_absent_key() {
+        let dir = temp_dir("flipped");
+        let mut store = RunStore::create(&dir).unwrap();
+        let n = 2_000u64;
+        store
+            .spill((0..n).map(|i| (key(i), key(i) ^ 1)).collect())
+            .unwrap();
+        let path = store.current.runs[0].path.clone();
+        let mut bytes = fs::read(&path).unwrap();
+        for flip in 0..400u64 {
+            let bit = key(77_000 + flip) as usize % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        fs::write(&path, &bytes).unwrap();
+        let found = (0..n).filter(|&i| get(&store, key(i)).is_some()).count();
+        assert!(found > 1_000, "most records are intact: {found}");
+        for i in n..n + 20_000 {
+            assert_eq!(get(&store, key(i)), None, "key {i} was never spilled");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -542,6 +542,9 @@ fn stats_to_metrics(
         spilled_states: stats.spilled_states as u64,
         spill_bytes: stats.spill_bytes,
         cold_hits: stats.cold_hits,
+        cold_lookups: stats.cold_lookups,
+        cold_run_probes: stats.cold_run_probes,
+        cold_reads: stats.cold_reads,
         passed,
         complete,
         exec_seconds: stats.phases.exec as f64 / 1e9,

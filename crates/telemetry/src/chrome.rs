@@ -57,6 +57,7 @@ fn snapshot_counters(snap: &ExplorationSnapshot, tid: u32) -> JsonValue {
                 ("max_depth", num(snap.max_depth as f64)),
                 ("workers", num(snap.workers as f64)),
                 ("spilled", num(snap.spilled as f64)),
+                ("cold_reads", num(snap.cold_reads as f64)),
                 ("states_per_sec", num(snap.states_per_sec())),
             ]),
         )],

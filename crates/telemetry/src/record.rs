@@ -81,6 +81,8 @@ pub struct ExplorationSnapshot {
     /// Visited fingerprints resident in the disk-spilled cold tier
     /// (zero without `--mem-limit`).
     pub spilled: u64,
+    /// Positional reads issued against the spill files so far.
+    pub cold_reads: u64,
 }
 
 impl ExplorationSnapshot {

@@ -61,6 +61,15 @@ pub struct ExplorationMetrics {
     pub spill_bytes: u64,
     /// Visited/parent lookups answered from the cold tier.
     pub cold_hits: u64,
+    /// Visited lookups that missed the hot tier and asked the cold one
+    /// (zero without a memory limit, like the two below).
+    pub cold_lookups: u64,
+    /// Runs those lookups searched because the run's bloom filter said
+    /// maybe; `cold_run_probes / cold_hits` is the runs a hit costs.
+    pub cold_run_probes: u64,
+    /// Positional reads issued against spill files (at most one per run
+    /// searched, one per parent-edge read): the cold tier's system calls.
+    pub cold_reads: u64,
     /// Whether the safety verdict was "no counterexample".
     pub passed: bool,
     /// Whether the state space was fully explored (no bound hit).
@@ -123,6 +132,9 @@ impl ExplorationMetrics {
             ("spilled_states", num(self.spilled_states as f64)),
             ("spill_bytes", num(self.spill_bytes as f64)),
             ("cold_hits", num(self.cold_hits as f64)),
+            ("cold_lookups", num(self.cold_lookups as f64)),
+            ("cold_run_probes", num(self.cold_run_probes as f64)),
+            ("cold_reads", num(self.cold_reads as f64)),
             ("passed", JsonValue::Bool(self.passed)),
             ("complete", JsonValue::Bool(self.complete)),
             ("exec_seconds", num(self.exec_seconds)),
@@ -169,6 +181,9 @@ impl ExplorationMetrics {
             spilled_states: field("spilled_states"),
             spill_bytes: field("spill_bytes"),
             cold_hits: field("cold_hits"),
+            cold_lookups: field("cold_lookups"),
+            cold_run_probes: field("cold_run_probes"),
+            cold_reads: field("cold_reads"),
             passed: value
                 .get("passed")
                 .and_then(JsonValue::as_bool)
@@ -388,6 +403,9 @@ mod tests {
             spilled_states: 0,
             spill_bytes: 0,
             cold_hits: 0,
+            cold_lookups: 0,
+            cold_run_probes: 0,
+            cold_reads: 0,
             passed: true,
             complete: true,
             exec_seconds: seconds * 0.25,

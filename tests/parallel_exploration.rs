@@ -198,3 +198,49 @@ fn one_worker_runs_are_deterministic() {
         }
     }
 }
+
+/// What the cold tier did is reported by counts that repeat exactly at
+/// one worker, and a key that is on disk costs one read: the runs'
+/// blooms and fences stay in RAM, so only a run that very probably
+/// holds the key is read, and it is read once.
+#[test]
+fn cold_tier_counters_repeat_and_a_cold_hit_costs_one_read() {
+    let compiled = Compiled::from_program(corpus::german3()).unwrap();
+    let spilled = |jobs| {
+        let options = CheckerOptions {
+            jobs,
+            mem_limit: Some(256 << 10),
+            ..CheckerOptions::default()
+        };
+        let report = compiled.verifier().with_options(options).check_exhaustive();
+        assert!(report.passed() && report.complete, "jobs={jobs}");
+        report.stats
+    };
+    let (first, again) = (spilled(1), spilled(1));
+    let counters = |s: &p_core::checker::ExplorationStats| {
+        let (lookups, probes) = (s.cold_lookups, s.cold_run_probes);
+        (
+            s.spilled_states,
+            s.spill_bytes,
+            lookups,
+            probes,
+            s.cold_reads,
+            s.cold_hits,
+        )
+    };
+    assert_eq!(counters(&first), counters(&again));
+    for stats in [first, spilled(4)] {
+        assert_eq!(stats.unique_states, again.unique_states);
+        assert!(
+            stats.spilled_states > 0 && stats.cold_hits > 1_000,
+            "{stats:?}"
+        );
+        assert!(stats.cold_hits <= stats.cold_lookups);
+        // No trace was walked, so every read is a visited lookup's.
+        assert!(stats.cold_hits <= stats.cold_reads && stats.cold_reads <= stats.cold_run_probes);
+        assert!(
+            stats.cold_reads <= stats.cold_hits + stats.cold_hits / 20,
+            "{stats:?}"
+        );
+    }
+}
