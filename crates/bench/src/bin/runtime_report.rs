@@ -33,7 +33,7 @@
 //! on 4 shards clears a generous floor relative to 1 shard (see the gate
 //! constant below for why the floor is below 1.0).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use p_core::runtime::{Executor, Injection, OverflowPolicy, Runtime};
 use p_core::telemetry::{RuntimeBenchReport, RuntimeBenchRow};
@@ -174,9 +174,12 @@ fn ping_ring_cell(machines: usize, shards: usize) -> RuntimeBenchRow {
         .map(|s| exec.shard_runtime(s).unwrap().clone())
         .collect();
     // Creation entry runs and the `wire` deliveries are setup, not the
-    // timed cascade; snapshot them so `events` is hops-only. The wire
-    // injections may still be in flight here, which only shifts a ring's
-    // first hops into the timed window — never double-counts.
+    // timed cascade: wait them out, then snapshot, so `events` is
+    // hops-only whatever the shard count.
+    assert!(
+        exec.quiesce(Duration::from_secs(60)),
+        "wiring never settled"
+    );
     let baseline: u64 = runtimes.iter().map(Runtime::runs_executed).sum();
     let started = Instant::now();
     for &head in &heads {
@@ -264,7 +267,7 @@ fn main() {
     };
     let shard_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
 
-    println!("Runtime executor throughput — sharded mailboxes, work stealing\n");
+    println!("Runtime executor throughput — one inbox per shard, work stealing\n");
     println!(
         "{:<10} {:>9} {:>7} {:>10} {:>10} {:>8} {:>12} {:>10} {:>10} {:>8} {:>9} {:>6}",
         "workload",
@@ -304,9 +307,10 @@ fn main() {
             }
         }
     }
-    let report = RuntimeBenchReport { rows };
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from) as u64;
+    let report = RuntimeBenchReport { nproc, rows };
     std::fs::write(&out_path, report.to_json().render_pretty()).expect("write report");
-    println!("\nwrote {out_path}");
+    println!("\nwrote {out_path} (nproc {nproc})");
 
     if gate {
         let one = report

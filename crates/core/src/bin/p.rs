@@ -786,15 +786,12 @@ fn run_sharded(
     );
     for spec in positional.iter().skip(2) {
         let (event, payload) = parse_event_spec(spec)?;
-        let before = exec.events_processed();
         exec.inject(Injection::new(id, event, payload))
             .map_err(|e| e.to_string())?;
-        // Await the delivery so the printed state reflects this event.
-        // Bounded wait: a quarantined machine never processes it.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while exec.events_processed() <= before && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
+        // Await the delivery, the runs it causes included, so the printed
+        // state reflects this event. Bounded wait: a machine stuck in a
+        // foreign call never finishes it.
+        exec.quiesce(std::time::Duration::from_secs(5));
         println!(
             "  {spec:<24} -> state = {}, queue = {}",
             exec.current_state(id).unwrap_or_else(|| "<deleted>".into()),

@@ -1,24 +1,24 @@
-//! The sharded executor: N worker shards over per-machine mailboxes.
+//! The sharded executor: N worker shards, one bounded inbox each.
 //!
-//! This is the production-shaped runtime core (ROADMAP item 2). A
-//! [`Runtime`] alone processes events on the calling thread; an
+//! A [`Runtime`] alone processes events on the calling thread; an
 //! [`Executor`] owns `N` shards, each with its own runtime (and thus its
-//! own machine table — shards share nothing but the program), a worker
-//! thread, bounded per-machine mailboxes, and credit-based injection
-//! backpressure. A hashed timer wheel adds delayed injections
+//! own machines — shards share nothing but the program), a worker
+//! thread, one FIFO inbox bounded per machine and by a shard-wide credit
+//! budget, and a hashed timer wheel for delayed injections
 //! ([`Executor::inject_after`]).
 //!
 //! **Semantics are unchanged.** Every delivery is the delivery step of
 //! `Runtime::add_event` — one enqueue through the paper's ⊕ operator
-//! followed by a run-to-completion drain — executed by exactly one
-//! worker per machine at a time (the mailbox's single-drainer flag).
-//! Batching happens strictly *between* deliveries: a worker drains up to
-//! one scheduling quantum of envelopes from a mailbox before moving on,
-//! which amortizes scheduling overhead without ever merging two events
-//! into one enqueue (that would change ⊕-dedup behavior). Work stealing
-//! moves *scheduling* of a ready machine to an idle worker; the stolen
-//! machine still runs against its owning shard's runtime, so supervision
-//! (quarantine, halt, typed errors) and ordering are untouched.
+//! followed by a run-to-completion drain — executed by whichever worker
+//! holds the shard's token (its runtime's lock). Batching happens
+//! strictly *between* deliveries: a worker takes up to one quantum of
+//! envelopes from the front of the inbox and delivers them in order
+//! under one token hold, which amortizes the hand-off without ever
+//! merging two events into one enqueue (that would change ⊕-dedup
+//! behavior). Work stealing moves a *batch* to an idle worker that finds
+//! another shard's token free; the batch still runs against the owning
+//! shard's runtime, so supervision (quarantine, halt, typed errors) and
+//! ordering are untouched.
 //!
 //! **Sharding boundary.** Machines created through the executor get a
 //! *global* id mapped to a `(shard, local id)` pair. In-program machine
@@ -42,7 +42,6 @@ use p_ast::Program;
 use p_semantics::{lower, LoweredProgram, MachineId, Value};
 use p_telemetry::{Histogram, Telemetry};
 
-use crate::runtime::Session;
 use crate::shard::{Envelope, Shard};
 use crate::slots::SlotTable;
 use crate::timer::TimerWheel;
@@ -58,10 +57,6 @@ const SPIN_ROUNDS: u32 = 100;
 /// How long a worker out of spin budget sleeps before it looks at the
 /// other shards and the stop flag again.
 const PARK: Duration = Duration::from_micros(500);
-/// Ready machines a worker claims from its own shard per visit, under
-/// one `ready` lock and one configuration lock. Bounded: a claimed
-/// machine cannot be stolen.
-const CLAIM: usize = 16;
 
 /// One event to deliver.
 #[derive(Debug, Clone)]
@@ -86,8 +81,9 @@ impl Injection {
 }
 
 /// What [`Executor::inject`] (and [`EventPump::inject`]
-/// (crate::EventPump::inject)) does when the target mailbox is full or
-/// the shard is out of injection credits.
+/// (crate::EventPump::inject)) does when the target machine already has
+/// `mailbox_capacity` events waiting or the shard is out of injection
+/// credits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Block the producer until space frees up (backpressure, like a
@@ -161,10 +157,10 @@ impl RetryPolicy {
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
-    /// Machines with a mailbox on this shard.
+    /// Machines on this shard.
     pub machines: usize,
-    /// Envelopes currently queued across its mailboxes (the queue-depth
-    /// gauge; reads one atomic, no locks).
+    /// Envelopes currently queued in its inbox (the queue-depth gauge;
+    /// reads one atomic, no locks).
     pub queued: u64,
     /// Injection credits currently unclaimed.
     pub credits_free: u64,
@@ -174,14 +170,13 @@ pub struct ShardStats {
     pub failed: u64,
     /// Injections dropped by the `DropNewest` policy.
     pub dropped: u64,
-    /// Batches this shard's worker executed that it stole from another
-    /// shard's ready queue.
+    /// Batches this shard's worker took from another shard's inbox.
     pub steals: u64,
-    /// Mailbox batches this shard's worker drained.
+    /// Batches taken from this shard's inbox.
     pub batches: u64,
-    /// Timer-wheel entries delivered into this shard's mailboxes.
+    /// Timer-wheel entries delivered into this shard's inbox.
     pub timer_fired: u64,
-    /// High-water mark over its mailbox depths.
+    /// High-water mark over its machines' waiting-event counts.
     pub max_mailbox_depth: u64,
 }
 
@@ -196,7 +191,7 @@ pub struct ExecStats {
     pub dropped: u64,
     /// Cross-shard batch steals, summed.
     pub steals: u64,
-    /// Mailbox batches drained, summed.
+    /// Inbox batches delivered, summed.
     pub batches: u64,
     /// Envelopes currently queued, summed.
     pub queued: u64,
@@ -204,7 +199,7 @@ pub struct ExecStats {
     pub timer_scheduled: u64,
     /// Timers armed but not yet delivered.
     pub timer_pending: u64,
-    /// Timers delivered into mailboxes.
+    /// Timers delivered into inboxes.
     pub timer_fired: u64,
     /// Per-shard breakdown.
     pub shards: Vec<ShardStats>,
@@ -328,7 +323,8 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Per-machine mailbox bound (default 64).
+    /// Bound on the events one machine may have waiting in its shard's
+    /// inbox (default 64).
     pub fn mailbox_capacity(mut self, capacity: usize) -> ExecutorBuilder {
         self.mailbox_capacity = capacity.max(1);
         self
@@ -348,8 +344,8 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Scheduling quantum: max envelopes a worker drains from one
-    /// mailbox before requeueing the machine (default 32).
+    /// Scheduling quantum: max envelopes a worker takes from an inbox,
+    /// and delivers, per hold of the shard's token (default 32).
     pub fn quantum(mut self, quantum: usize) -> ExecutorBuilder {
         self.quantum = quantum.max(1);
         self
@@ -480,7 +476,7 @@ struct ExecInner {
     record_latency: bool,
     /// No new injections or timers once set (shutdown or drop).
     stop: AtomicBool,
-    /// Workers currently executing a batch.
+    /// Workers currently holding a token for a batch.
     active: AtomicUsize,
     first_error: Mutex<Option<RuntimeError>>,
     next_shard: AtomicUsize,
@@ -501,8 +497,8 @@ impl ExecInner {
         }
     }
 
-    /// Routes an injection: its target's shard and the envelope for its
-    /// mailbox, event name resolved and payload translated. Nothing is
+    /// Routes an injection: its target's shard and the envelope for that
+    /// shard's inbox, event name resolved and payload translated. Nothing is
     /// taken or queued yet: an undeliverable injection is refused here.
     fn route(&self, injection: Injection) -> Result<(usize, Envelope), RuntimeError> {
         let (shard, local) = self.resolve(injection.target)?;
@@ -540,9 +536,9 @@ impl ExecInner {
 
     /// True once every injection has been delivered: no armed timers, no
     /// credits out (an envelope holds one from before it is queued until
-    /// it is popped), no batch mid-run. Read order matters — work moves
-    /// wheel→mailbox (credit taken before pending--) and mailbox→worker
-    /// (active++ before the credit's `SeqCst` release), so reading
+    /// it is taken), no batch mid-run. Read order matters — work moves
+    /// wheel→inbox (credit taken before pending--) and inbox→worker
+    /// (active++ before the credits' `SeqCst` release), so reading
     /// pending, then the credits, then active (`Acquire`: it sees the
     /// increment once the credit is seen back) never misses an event.
     fn drained(&self) -> bool {
@@ -560,18 +556,18 @@ impl ExecInner {
 }
 
 /// One round of a worker's search for work: its own shard first, then
-/// the others, rotated by worker index. Opens a session on the shard,
-/// claims ready machines and drains a batch from each; false if nothing
-/// was ready. On its own shard the worker waits for the configuration
-/// lock and claims up to [`CLAIM`] machines. It steals one machine, and
-/// only from a shard whose configuration lock is free: a batch stolen
-/// while the shard's own worker runs would only queue behind it.
-fn work_round(inner: &ExecInner, me: usize, claimed: &mut Vec<MachineId>) -> bool {
+/// the others, rotated by worker index. Takes the shard's token (a
+/// session on its runtime), then a batch from the front of its inbox,
+/// and delivers the batch in order; false if nothing was waiting. On its
+/// own shard the worker waits for the token. It steals only from a shard
+/// whose token is free: a batch taken while the shard's own worker runs
+/// would only queue behind it.
+fn work_round(inner: &ExecInner, me: usize, batch: &mut Vec<Envelope>) -> bool {
     let n = inner.shards.len();
     for k in 0..n {
         let shard_idx = (me + k) % n;
         let shard = &inner.shards[shard_idx];
-        if !shard.has_ready() {
+        if !shard.has_work() {
             continue;
         }
         let thief = k > 0;
@@ -581,78 +577,65 @@ fn work_round(inner: &ExecInner, me: usize, claimed: &mut Vec<MachineId>) -> boo
             Some(shard.runtime.session())
         };
         let Some(mut session) = session else { continue };
-        // Before any envelope is popped, see `ExecInner::drained`.
+        // Before any envelope is taken, see `ExecInner::drained`.
         inner.active.fetch_add(1, Ordering::AcqRel);
-        shard.claim_ready(claimed, if thief { 1 } else { CLAIM }, thief);
-        let found = !claimed.is_empty();
-        if thief && found {
-            let steals = &inner.shards[me].counters.steals;
-            steals.fetch_add(1, Ordering::Relaxed);
+        shard.take_batch(batch, inner.quantum);
+        let taken = batch.len() as u64;
+        let mut failed = 0;
+        for env in batch.drain(..) {
+            match session.deliver(env.local, env.event, env.payload) {
+                Ok(()) => {
+                    if let Some(at) = env.at {
+                        shard.latency.observe(at.elapsed().as_nanos() as u64);
+                    }
+                }
+                Err(e) => {
+                    // A failed machine must not stall delivery to healthy
+                    // ones: remember the first error, keep delivering.
+                    failed += 1;
+                    inner.record_error(e);
+                }
+            }
         }
-        for local in claimed.drain(..) {
-            run_batch(inner, shard_idx, local, &mut session);
+        drop(session);
+        if taken > 0 {
+            let counters = &shard.counters;
+            counters.batches.fetch_add(1, Ordering::Relaxed);
+            counters
+                .delivered
+                .fetch_add(taken - failed, Ordering::Relaxed);
+            counters.failed.fetch_add(failed, Ordering::Relaxed);
+            if thief {
+                let steals = &inner.shards[me].counters.steals;
+                steals.fetch_add(1, Ordering::Relaxed);
+            }
+            #[cfg(feature = "telemetry")]
+            if inner.telemetry.enabled() {
+                inner
+                    .telemetry
+                    .gauge(shard_idx as u32, "shard_queue_depth", shard.queued() as i64);
+                if let Some(metrics) = inner.telemetry.metrics() {
+                    metrics.counter("exec.batches").inc();
+                    metrics.counter("exec.delivered").add(taken);
+                    metrics
+                        .gauge("exec.queue.depth")
+                        .set(inner.queued_total() as u64);
+                }
+            }
         }
         inner.active.fetch_sub(1, Ordering::AcqRel);
-        if found {
+        if taken > 0 {
             return true;
         }
     }
     false
 }
 
-/// Drains up to one quantum of envelopes from `local`'s mailbox,
-/// delivering each through `session`, which is over the owning shard's
-/// runtime.
-fn run_batch(inner: &ExecInner, shard_idx: usize, local: MachineId, session: &mut Session<'_>) {
-    let shard = &inner.shards[shard_idx];
-    let mb = shard.mailbox(local);
-    let (mut processed, mut failed) = (0u64, 0u64);
-    while processed < inner.quantum as u64 {
-        let Some(env) = shard.pop_envelope(mb) else {
-            break;
-        };
-        processed += 1;
-        match session.deliver(env.local, env.event, env.payload) {
-            Ok(()) => {
-                if let Some(at) = env.at {
-                    shard.latency.observe(at.elapsed().as_nanos() as u64);
-                }
-            }
-            Err(e) => {
-                // A failed machine must not stall delivery to healthy
-                // ones: remember the first error, keep draining.
-                failed += 1;
-                inner.record_error(e);
-            }
-        }
-    }
-    if processed > 0 {
-        let (counters, ok) = (&shard.counters, processed - failed);
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters.delivered.fetch_add(ok, Ordering::Relaxed);
-        counters.failed.fetch_add(failed, Ordering::Relaxed);
-    }
-    #[cfg(feature = "telemetry")]
-    if inner.telemetry.enabled() {
-        inner
-            .telemetry
-            .gauge(shard_idx as u32, "shard_queue_depth", shard.queued() as i64);
-        if let Some(metrics) = inner.telemetry.metrics() {
-            metrics.counter("exec.batches").inc();
-            metrics.counter("exec.delivered").add(processed);
-            metrics
-                .gauge("exec.queue.depth")
-                .set(inner.queued_total() as u64);
-        }
-    }
-    shard.reschedule_after_batch(mb, local);
-}
-
 fn worker_loop(inner: &ExecInner, me: usize) {
-    let mut claimed = Vec::with_capacity(CLAIM);
+    let mut batch = Vec::new();
     let mut spins = 0;
     loop {
-        if work_round(inner, me, &mut claimed) {
+        if work_round(inner, me, &mut batch) {
             spins = SPIN_ROUNDS;
         } else if spins > 0 {
             spins -= 1;
@@ -687,11 +670,10 @@ fn timer_loop(inner: &ExecInner) {
                     inner.wheel.note_moved();
                 }
                 Some(_) if inner.overflow == OverflowPolicy::DropNewest => {
-                    shard.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    shard.runtime.note_dropped(entry.local);
+                    shard.note_dropped(entry.local);
                     inner.wheel.note_moved();
                 }
-                // Full mailbox under Block/Fail: fire again next tick,
+                // No room under Block/Fail: fire again next tick,
                 // keeping the original deadline order key.
                 Some(_) => inner.wheel.rearm(entry, now),
             }
@@ -764,7 +746,7 @@ impl Executor {
     /// Builder that adopts an existing runtime as a single shard (the
     /// [`EventPump`](crate::EventPump) facade). Machine ids pass through
     /// unchanged; machines created directly on the runtime get their
-    /// mailbox lazily on first injection.
+    /// depth counter lazily on first injection.
     pub fn adopt(runtime: Runtime) -> ExecutorBuilder {
         ExecutorBuilder::new(Source::Adopt(runtime))
     }
@@ -842,13 +824,14 @@ impl Executor {
                 MachineId(global)
             }
         };
-        // Pre-size the mailbox table so first injection takes the read path.
-        let _ = inner.shards[shard].mailbox(local);
+        // Pre-size the depth table so first injection takes the read path.
+        let _ = inner.shards[shard].depth(local);
         Ok(global)
     }
 
-    /// Queues one event for asynchronous delivery. A full mailbox (or an
-    /// exhausted credit budget) is handled per the executor's
+    /// Queues one event for asynchronous delivery. A target at its
+    /// `mailbox_capacity` (or an exhausted credit budget) is handled per
+    /// the executor's
     /// [`OverflowPolicy`].
     ///
     /// # Errors
@@ -909,7 +892,7 @@ impl Executor {
     /// Arms a delayed injection: `injection` is delivered through the
     /// timer wheel once `delay` has elapsed. Delayed sends to one
     /// machine fire in deadline order (arm order breaking ties), even
-    /// when mailbox backpressure postpones actual delivery.
+    /// when backpressure postpones actual delivery.
     ///
     /// # Errors
     ///
@@ -922,11 +905,11 @@ impl Executor {
         wheel.schedule(shard, env.local, env.event, env.payload, delay, stop)
     }
 
-    /// Pending-mailbox depth of machine `id` (one atomic read; no
-    /// locks). `None` for unroutable ids.
+    /// Injections for machine `id` still waiting in its shard's inbox
+    /// (one atomic read; no locks). `None` for unroutable ids.
     pub fn queue_len(&self, id: MachineId) -> Option<usize> {
         let (shard, local) = self.inner.resolve(id).ok()?;
-        Some(self.inner.shards[shard].mailbox(local).depth())
+        Some(self.inner.shards[shard].depth(local).load(Ordering::SeqCst))
     }
 
     /// Supervision status of machine `id` (see
@@ -964,6 +947,26 @@ impl Executor {
         stats_of(&self.inner)
     }
 
+    /// Waits until every accepted injection has been delivered — no armed
+    /// timer, no envelope queued, no batch mid-run — without stopping
+    /// intake, for at most `deadline`; false if time ran out first. What
+    /// other threads inject meanwhile is theirs to account for.
+    pub fn quiesce(&self, deadline: Duration) -> bool {
+        self.wait_drained(Some(Instant::now() + deadline))
+    }
+
+    /// Polls [`ExecInner::drained`], until `end` if one is given; false
+    /// if time ran out first.
+    fn wait_drained(&self, end: Option<Instant>) -> bool {
+        while !self.inner.drained() {
+            if end.is_some_and(|end| Instant::now() >= end) {
+                return false;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        true
+    }
+
     /// Stops intake and waits for the drain, until `end` if one is given;
     /// false if time ran out first.
     fn stop_and_drain(&self, end: Option<Instant>) -> bool {
@@ -972,13 +975,7 @@ impl Executor {
             shard.wake_producers();
         }
         self.inner.wheel.barrier();
-        while !self.inner.drained() {
-            if end.is_some_and(|end| Instant::now() >= end) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        true
+        self.wait_drained(end)
     }
 
     fn finish(&mut self) -> Result<ExecReport, RuntimeError> {
@@ -1073,7 +1070,7 @@ fn stats_of(inner: &ExecInner) -> ExecStats {
         steals: shards.iter().map(|s| s.steals).sum(),
         batches: shards.iter().map(|s| s.batches).sum(),
         queued: shards.iter().map(|s| s.queued).sum(),
-        timer_scheduled: inner.wheel.scheduled_total(),
+        timer_scheduled: inner.wheel.armed_total(),
         timer_pending: inner.wheel.pending() as u64,
         timer_fired: shards.iter().map(|s| s.timer_fired).sum(),
         shards,

@@ -11,10 +11,11 @@
 //!    run-to-completion on the calling thread, exactly like the paper's
 //!    driver runtime with its `SMCreateMachine` / `SMAddEvent` /
 //!    `SMGetContext` API;
-//! 5. an [`Executor`] scales that out: N worker shards over per-machine
-//!    bounded mailboxes with work stealing, credit-based injection
-//!    backpressure, and a timer wheel for delayed injections — every
-//!    delivery still one run-to-completion `add_event`;
+//! 5. an [`Executor`] scales that out: N worker shards, each with one
+//!    FIFO inbox bounded per machine and by a credit budget, batches
+//!    delivered under the shard's token by its worker or a thief, and a
+//!    timer wheel for delayed injections — every delivery still one
+//!    run-to-completion `add_event`;
 //! 6. [`DriverHost`] plays the role of the skeletal KMDF interface code,
 //!    translating simulated OS callbacks into P events, and
 //!    [`EventPump`] is the single-shard executor facade for

@@ -14,8 +14,11 @@
 //!   Windows drivers "use calling threads to do all the work";
 //! * multiple host threads may call in concurrently; machine state is
 //!   protected by locking (the paper locks per machine instance; this
-//!   reproduction serializes on one configuration lock, which preserves
-//!   the observable run-to-completion semantics — see DESIGN.md).
+//!   reproduction serializes on one lock per runtime, which preserves
+//!   the observable run-to-completion semantics — see DESIGN.md). The
+//!   lock guards the machines themselves: plain `MachineState`s the
+//!   runtime owns, run by the one interpreter through its `MachineStore`
+//!   seam, the machine that runs taken out for its run and put back.
 //!
 //! Foreign functions may carry per-machine *external memory*, mirroring
 //! the `void*` context of §4, via [`RuntimeBuilder::foreign_with_context`]
@@ -31,8 +34,8 @@ use parking_lot::{Mutex, MutexGuard};
 
 use p_ast::Program;
 use p_semantics::{
-    lower, Config, Engine, EventId, ExecOutcome, ForeignEnv, ForeignRegistry, Granularity,
-    LoweredProgram, MachineId, PError, Value, YieldKind,
+    lower, Engine, EventId, ExecOutcome, ForeignEnv, ForeignRegistry, Granularity, LoweredProgram,
+    MachineId, MachineState, MachineStore, MachineTypeId, PError, Value, YieldKind,
 };
 use p_telemetry::Telemetry;
 
@@ -116,10 +119,7 @@ impl RuntimeBuilder {
                 program: self.program,
                 foreign,
                 contexts: self.contexts,
-                shared: Mutex::new(Shared {
-                    config: Config::default(),
-                    work: Vec::new(),
-                }),
+                shared: Mutex::new(Shared::default()),
                 meta: SlotTable::new(),
                 fuel: self.fuel,
                 events_processed: AtomicU64::new(0),
@@ -159,9 +159,9 @@ enum Cause {
 
 /// Supervision record of one machine instance: slot `id` of `Inner::meta`.
 ///
-/// Outside the configuration lock: status, counters and the queue-depth
+/// Outside the runtime's lock: status, counters and the queue-depth
 /// snapshot (refreshed by `drain` after every enqueue and run) stay
-/// readable while a long atomic run holds the config. Whoever holds
+/// readable while a long atomic run holds it. Whoever holds
 /// `shared` is the one writer of all but `dropped` (producers bump it):
 /// relaxed load/store pairs, as cheap as plain fields.
 #[derive(Default)]
@@ -269,10 +269,36 @@ impl RuntimeStats {
     }
 }
 
+/// What the runtime's lock — an executor shard's token — guards: the
+/// machines themselves, owned outright, and the causal work stack.
+#[derive(Default)]
 struct Shared {
-    config: Config,
+    machines: Machines,
     /// Causal work stack: machines with pending work, top last.
     work: Vec<MachineId>,
+}
+
+/// Every machine created so far, indexed by id: `None` once deleted (so
+/// that sends to it are detected, rule SEND-FAIL2) and while the machine
+/// is out for its own run.
+#[derive(Default)]
+struct Machines(Vec<Option<MachineState>>);
+
+impl Machines {
+    fn get(&self, id: MachineId) -> Option<&MachineState> {
+        self.0.get(id.0 as usize)?.as_ref()
+    }
+}
+
+impl MachineStore for Machines {
+    fn machine_mut(&mut self, id: MachineId) -> Option<&mut MachineState> {
+        self.0.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    fn allocate(&mut self, program: &LoweredProgram, ty: MachineTypeId) -> MachineId {
+        self.0.push(Some(MachineState::initial(program, ty)));
+        MachineId((self.0.len() - 1) as u32)
+    }
 }
 
 /// Renders a `catch_unwind` payload for the quarantine record.
@@ -302,9 +328,9 @@ struct Inner {
     telemetry: Telemetry,
 }
 
-/// The configuration lock of one runtime plus an engine over its
-/// program. `add_event` and `create_machine` open one per call; an
-/// executor worker opens one per round of batches.
+/// The lock of one runtime — an executor shard's token — plus an engine
+/// over its program. `add_event` and `create_machine` open one per call;
+/// an executor worker opens one per batch.
 pub(crate) struct Session<'r> {
     inner: &'r Inner,
     shared: MutexGuard<'r, Shared>,
@@ -345,7 +371,7 @@ impl<'r> Session<'r> {
         }
         let machine = self
             .shared
-            .config
+            .machines
             .machine_mut(id)
             .ok_or(RuntimeError::NoSuchMachine(id))?;
         machine.enqueue(event, payload);
@@ -362,55 +388,64 @@ impl<'r> Session<'r> {
         self.drain()
     }
 
-    /// Runs the causal work stack to quiescence, under the
-    /// configuration lock this session holds; this is the "run to
-    /// completion on the calling thread" discipline of §4. Foreign
-    /// functions must not call back into the runtime (the paper
-    /// restricts them to their external memory for the same reason).
+    /// Runs the causal work stack to quiescence, under the lock this
+    /// session holds; this is the "run to completion on the calling
+    /// thread" discipline of §4. Foreign functions must not call back
+    /// into the runtime (the paper restricts them to their external
+    /// memory for the same reason).
     ///
-    /// Every machine run executes under `catch_unwind`: a panic (from a
+    /// The running machine is taken out of the store for its run and
+    /// put back on every outcome but `delete`. The run executes under
+    /// `catch_unwind`, the machine held outside it: a panic (from a
     /// foreign function, or a defect in the engine itself) quarantines
-    /// the offending machine and the drain keeps going, so one failure
-    /// never poisons the shared configuration or stalls other machines.
-    /// The first failure observed is reported to the caller after the
-    /// stack is quiescent.
+    /// the machine with the state it had reached and the drain keeps
+    /// going, so one failure never poisons the store or stalls other
+    /// machines. The first failure observed is reported to the caller
+    /// after the stack is quiescent.
     fn drain(&mut self) -> Result<(), RuntimeError> {
         let Session {
             inner,
             shared,
             engine,
         } = self;
-        let Shared { config, work } = &mut **shared;
+        let Shared { machines, work } = &mut **shared;
         let slot = |id: MachineId| inner.meta.slot(id.0 as usize);
         let mut first_err: Option<RuntimeError> = None;
         while let Some(id) = work.pop() {
-            if config.machine(id).is_none() || !engine.enabled(config, id) {
+            let runnable = |m: &MachineState| m.enabled(&inner.program);
+            if !machines.get(id).is_some_and(runnable) || slot(id).cause.get().is_some() {
                 continue;
             }
-            if slot(id).cause.get().is_some() {
-                continue;
-            }
+            let mut machine = machines.0[id.0 as usize]
+                .take()
+                .expect("checked live above");
             #[cfg(feature = "telemetry")]
-            {
-                let program = &inner.program;
-                let ty = config.machine(id).expect("checked live above").ty;
-                inner.telemetry.span_begin(id.0, "run", || {
-                    vec![("machine", program.machine_name(ty).into())]
-                });
-            }
+            inner.telemetry.span_begin(id.0, "run", || {
+                vec![("machine", inner.program.machine_name(machine.ty).into())]
+            });
             // Erased programs contain no `*`; the closure is never
             // called on checked inputs, and returning an arbitrary
             // value keeps the runtime total if one slips through.
             let mut no_choices = || false;
             // Panics and typed engine errors both quarantine the machine:
             // the run either aborted mid-way (panic) or was rejected up
-            // front (typed error); neither may poison the configuration.
+            // front (typed error); neither may poison the store.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                engine.run_machine(config, id, &mut no_choices, Granularity::Atomic)
+                let atomic = Granularity::Atomic;
+                engine.run_owned(machines, &mut machine, id, &mut no_choices, atomic)
             }))
             .map_err(panic_message)
             .and_then(|run| run.map_err(|e| e.to_string()));
             bump(&inner.runs_executed);
+            // Refresh the queue-depth snapshots touched by this run (the
+            // runner's own queue, and the receiver's on a send) so
+            // `queue_len`/`stats` stay accurate without the lock.
+            let depth = machine.queue.len();
+            slot(id).queue_depth.store(depth, Ordering::Relaxed);
+            let deleted = matches!(&run, Ok(run) if matches!(run.outcome, ExecOutcome::Deleted));
+            if !deleted {
+                machines.0[id.0 as usize] = Some(machine);
+            }
             let run = match run {
                 Ok(run) => run,
                 Err(message) => {
@@ -431,19 +466,13 @@ impl<'r> Session<'r> {
                 }
             };
             #[cfg(feature = "telemetry")]
-            inner.trace_run(id, config, &run);
-            // Refresh the queue-depth snapshots touched by this run (the
-            // runner's own queue, and the receiver's on a send) so
-            // `queue_len`/`stats` stay accurate without the config lock.
-            let refresh = |id: MachineId| {
-                if let Some(m) = config.machine(id) {
-                    slot(id).queue_depth.store(m.queue.len(), Ordering::Relaxed);
-                }
-            };
-            refresh(id);
+            inner.trace_run(id, (!deleted).then_some(depth), &run);
             match run.outcome {
                 ExecOutcome::Yield(YieldKind::Sent { to, .. }) => {
-                    refresh(to);
+                    if let Some(receiver) = machines.get(to) {
+                        let depth = receiver.queue.len();
+                        slot(to).queue_depth.store(depth, Ordering::Relaxed);
+                    }
                     // Causal order: the receiver processes next, then
                     // the sender resumes.
                     work.push(id);
@@ -588,12 +617,9 @@ impl Runtime {
         }
 
         let mut session = self.session();
-        let id = session.shared.config.allocate(program, ty);
-        let machine = session
-            .shared
-            .config
-            .machine_mut(id)
-            .expect("just allocated");
+        let machines = &mut session.shared.machines;
+        let id = machines.allocate(program, ty);
+        let machine = machines.machine_mut(id).expect("just allocated");
         for (var, value) in resolved {
             machine.locals[var.0 as usize] = value;
         }
@@ -632,14 +658,13 @@ impl Runtime {
         })
     }
 
-    /// Takes the configuration lock and builds the engine, once for as
-    /// many deliveries as the caller makes through the session.
+    /// Takes the runtime's lock and builds the engine, once for as many
+    /// deliveries as the caller makes through the session.
     pub(crate) fn session(&self) -> Session<'_> {
         Session::over(&self.inner, self.inner.shared.lock())
     }
 
-    /// [`Runtime::session`] unless another thread holds the
-    /// configuration lock.
+    /// [`Runtime::session`] unless another thread holds the lock.
     pub(crate) fn try_session(&self) -> Option<Session<'_>> {
         let shared = self.inner.shared.try_lock()?;
         Some(Session::over(&self.inner, shared))
@@ -664,32 +689,44 @@ impl Runtime {
         map.get_mut(&id)?.downcast_mut::<T>().map(f)
     }
 
+    /// Runs `f` over machine `id`, if it is alive, under the runtime's
+    /// lock (so between runs, never inside one).
+    fn inspect<R>(&self, id: MachineId, f: impl FnOnce(&MachineState) -> R) -> Option<R> {
+        self.inner.shared.lock().machines.get(id).map(f)
+    }
+
     /// Reads a machine variable by name (introspection for tests and
     /// examples).
     pub fn read_var(&self, id: MachineId, name: &str) -> Option<Value> {
         let program = &self.inner.program;
-        let shared = self.inner.shared.lock();
-        let machine = shared.config.machine(id)?;
-        let mt = program.machine(machine.ty);
-        let var = program.interner.get(name).and_then(|s| mt.var_named(s))?;
-        Some(machine.locals[var.0 as usize])
+        self.inspect(id, |machine| {
+            let mt = program.machine(machine.ty);
+            let var = program.interner.get(name).and_then(|s| mt.var_named(s))?;
+            Some(machine.locals[var.0 as usize])
+        })?
     }
 
     /// The source name of machine `id`'s current control state.
     pub fn current_state(&self, id: MachineId) -> Option<String> {
         let program = &self.inner.program;
-        let shared = self.inner.shared.lock();
-        let machine = shared.config.machine(id)?;
-        Some(
+        self.inspect(id, |machine| {
             program
                 .state_name(machine.ty, machine.current_state())
-                .to_owned(),
-        )
+                .to_owned()
+        })
+    }
+
+    /// A copy of machine `id`'s whole state — call stack, locals,
+    /// registers, continuation, queue — or `None` once it is deleted:
+    /// what a differential test compares against the checker's
+    /// configuration of the same schedule.
+    pub fn machine_state(&self, id: MachineId) -> Option<MachineState> {
+        self.inspect(id, MachineState::clone)
     }
 
     /// Whether machine `id` is alive.
     pub fn is_alive(&self, id: MachineId) -> bool {
-        self.inner.shared.lock().config.machine(id).is_some()
+        self.inspect(id, |_| ()).is_some()
     }
 
     /// Number of events delivered through [`Runtime::add_event`].
@@ -787,9 +824,10 @@ impl Runtime {
 impl Inner {
     /// Emits the trace records for one completed atomic run: the
     /// machine's events in run order, the closing span, a queue-depth
-    /// gauge, and the aggregate counters/histograms.
+    /// gauge (`queue`: what is left in its queue, `None` once deleted),
+    /// and the aggregate counters/histograms.
     #[cfg(feature = "telemetry")]
-    fn trace_run(&self, id: MachineId, config: &Config, run: &p_semantics::RunResult) {
+    fn trace_run(&self, id: MachineId, queue: Option<usize>, run: &p_semantics::RunResult) {
         let telemetry = &self.telemetry;
         if !telemetry.enabled() {
             return;
@@ -840,8 +878,8 @@ impl Inner {
             _ => {}
         }
         telemetry.span_end(tid, "run");
-        if let Some(m) = config.machine(id) {
-            telemetry.gauge(tid, "queue_depth", m.queue.len() as i64);
+        if let Some(depth) = queue {
+            telemetry.gauge(tid, "queue_depth", depth as i64);
         }
         if let Some(metrics) = telemetry.metrics() {
             metrics.counter("runtime.runs").inc();
@@ -869,10 +907,8 @@ impl Inner {
                 }
                 _ => {}
             }
-            if let Some(m) = config.machine(id) {
-                metrics
-                    .gauge("runtime.queue.depth")
-                    .set(m.queue.len() as u64);
+            if let Some(depth) = queue {
+                metrics.gauge("runtime.queue.depth").set(depth as u64);
             }
         }
     }

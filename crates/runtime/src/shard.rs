@@ -1,30 +1,32 @@
-//! Shard-local executor state: per-machine bounded mailboxes, the ready
-//! queue, and credit-based injection backpressure.
+//! Shard-local executor state: one bounded FIFO inbox per shard,
+//! per-machine depth counters, and credit-based injection backpressure.
 //!
-//! A shard owns one [`Runtime`] (its own configuration — shards never
-//! share a machine table, which is what makes them parallel) plus one
-//! bounded [`Mailbox`] per local machine. Producers deposit envelopes
-//! under a shard-wide credit budget; workers drain mailboxes in batches.
+//! A shard owns one [`Runtime`] (its own machines — shards never share a
+//! machine table, which is what makes them parallel) and one [`Inbox`]:
+//! every envelope for any of its machines enters at the back, under a
+//! shard-wide credit budget and a per-machine depth bound, and leaves
+//! from the front in a batch, taken by whichever worker holds the
+//! shard's token (the runtime's lock). One hand-off per injected event:
+//! the inbox is the only structure a producer and a worker both write.
 //! Two invariants carry the executor's correctness:
 //!
-//! * **Single drainer.** A machine's `scheduled` flag is set by whichever
-//!   producer transitions its mailbox from unscheduled to scheduled, and
-//!   cleared only by the worker that drained it. At most one worker ever
-//!   pops a given mailbox at a time, so per-machine FIFO order and
-//!   run-to-completion are preserved no matter how many workers steal.
-//! * **Credit-on-pop.** An injection credit is consumed when an envelope
-//!   enters a mailbox and released when a worker *pops* it (not when the
-//!   run completes), mirroring the slot semantics of the bounded channel
-//!   this design replaces: a producer may claim the freed slot while the
-//!   popped event is still being processed. The credits out are thus
+//! * **Batches leave the front, only under the token.** The worker that
+//!   holds the token takes the oldest envelopes and delivers them in
+//!   order before it gives the token up, so the shard delivers in the
+//!   order it accepted — per-machine FIFO and run-to-completion follow,
+//!   whichever worker (the shard's own or a thief) holds the token.
+//! * **Credit-on-take.** An injection credit is consumed before an
+//!   envelope enters the inbox and returned when a worker *takes* it
+//!   (not when its run completes): a producer may claim the freed slot
+//!   while the batch is still being delivered. The credits out are thus
 //!   also the count of envelopes queued or being deposited.
 //!
 //! Nobody is woken by a system call unless it sleeps: a producer wakes
 //! the worker only when its `parked` flag is set, a worker wakes
 //! producers only when one has registered as blocked, and then with
 //! hysteresis (DESIGN.md §16: the protocol, and why no wake-up is lost).
-//! The only lock held while another is taken is the configuration lock a
-//! worker holds around its batches.
+//! Under the token a worker takes the inbox lock or the producers'
+//! `gate`, one at a time; producers never take the token.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -38,7 +40,7 @@ use p_telemetry::Histogram;
 use crate::slots::SlotTable;
 use crate::{OverflowPolicy, Runtime, RuntimeError};
 
-/// One event waiting in a mailbox.
+/// One event waiting in the inbox.
 pub(crate) struct Envelope {
     /// Target machine, in the owning shard's local id space.
     pub local: MachineId,
@@ -50,24 +52,6 @@ pub(crate) struct Envelope {
     pub at: Option<Instant>,
 }
 
-/// A per-machine bounded FIFO of pending injections.
-#[derive(Default)]
-pub(crate) struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
-    /// Cached `queue.len()`, readable without the queue lock.
-    depth: AtomicUsize,
-    /// True while the machine sits in a ready queue or a worker is
-    /// draining its batch (the single-drainer flag).
-    scheduled: AtomicBool,
-}
-
-impl Mailbox {
-    /// Events currently queued (lock-free snapshot).
-    pub(crate) fn depth(&self) -> usize {
-        self.depth.load(Ordering::SeqCst)
-    }
-}
-
 /// Monotonic per-shard counters, updated with relaxed atomics.
 #[derive(Default)]
 pub(crate) struct ShardCounters {
@@ -77,35 +61,39 @@ pub(crate) struct ShardCounters {
     pub steals: AtomicU64,
     pub batches: AtomicU64,
     pub timer_fired: AtomicU64,
-    /// High-water mark over every mailbox depth seen on this shard.
+    /// High-water mark over every per-machine depth seen on this shard.
     pub max_depth: AtomicU64,
 }
 
-/// Machines awaiting a worker, and whether this shard's worker sleeps.
-struct Ready {
-    queue: VecDeque<MachineId>,
+/// Envelopes awaiting a worker, oldest first, and whether this shard's
+/// worker sleeps.
+struct Inbox {
+    queue: VecDeque<Envelope>,
     /// Set by the worker before it waits on `wake`; whoever queues work
     /// and finds it set clears it and notifies once.
     parked: bool,
 }
 
-/// One executor shard: a runtime, its mailboxes, and its scheduling state.
+/// One executor shard: a runtime, its inbox, and its backpressure state.
 pub(crate) struct Shard {
-    /// The runtime owning this shard's machines. Every delivery goes
-    /// through its `Session::deliver`, so run-to-completion and the
-    /// supervision model (quarantine, halt, typed errors) apply per
-    /// shard exactly as they do for a standalone runtime.
+    /// The runtime owning this shard's machines; its lock is the shard's
+    /// token. Every delivery goes through its `Session::deliver`, so
+    /// run-to-completion and the supervision model (quarantine, halt,
+    /// typed errors) apply per shard exactly as they do for a standalone
+    /// runtime.
     pub runtime: Runtime,
-    mailboxes: SlotTable<Mailbox>,
-    ready: Mutex<Ready>,
-    /// `ready.queue.len()`, stored under the `ready` lock: what idle
-    /// workers poll instead of taking that lock.
-    ready_len: AtomicUsize,
-    /// Worker parking spot, paired with `ready`.
+    inbox: Mutex<Inbox>,
+    /// Worker parking spot, paired with `inbox`.
     wake: Condvar,
-    /// Injection credits remaining (shard-wide bound on queued events).
-    credits: AtomicUsize,
+    /// Injection credits out: envelopes in the inbox or being deposited
+    /// (the shard-wide bound on queued events, and what idle workers
+    /// poll instead of taking the inbox lock).
+    out: AtomicUsize,
     credit_cap: usize,
+    /// Envelopes in the inbox (or being deposited) per target machine.
+    depths: SlotTable<AtomicUsize>,
+    /// Bound on one machine's depth.
+    capacity: usize,
     /// Producers blocked in [`Shard::push`], for a credit or for room.
     waiters: AtomicUsize,
     /// Wake-up epoch, paired with `space`: a producer that read it before
@@ -115,68 +103,68 @@ pub(crate) struct Shard {
     pub counters: ShardCounters,
     /// Injection-to-completion latencies in nanoseconds, if recorded.
     pub latency: Histogram,
-    /// Per-mailbox queue bound.
-    capacity: usize,
 }
 
 impl Shard {
     pub(crate) fn new(runtime: Runtime, capacity: usize, credits: usize) -> Shard {
         Shard {
             runtime,
-            mailboxes: SlotTable::new(),
-            ready: Mutex::new(Ready {
+            inbox: Mutex::new(Inbox {
                 queue: VecDeque::new(),
                 parked: false,
             }),
-            ready_len: AtomicUsize::new(0),
             wake: Condvar::new(),
-            credits: AtomicUsize::new(credits.max(1)),
+            out: AtomicUsize::new(0),
             credit_cap: credits.max(1),
+            depths: SlotTable::new(),
+            capacity: capacity.max(1),
             waiters: AtomicUsize::new(0),
             gate: Mutex::new(0),
             space: Condvar::new(),
             counters: ShardCounters::default(),
             latency: Histogram::default(),
-            capacity: capacity.max(1),
         }
     }
 
-    /// Number of machines with a mailbox on this shard.
+    /// Number of machines with a depth counter on this shard.
     pub(crate) fn machine_count(&self) -> usize {
-        self.mailboxes.len()
+        self.depths.len()
+    }
+
+    /// Envelopes queued in this shard's inbox or being deposited: the
+    /// credits out.
+    pub(crate) fn queued(&self) -> usize {
+        self.out.load(Ordering::SeqCst)
     }
 
     /// Injection credits currently unclaimed.
     pub(crate) fn credits_free(&self) -> usize {
-        self.credits.load(Ordering::SeqCst)
+        self.credit_cap - self.queued()
     }
 
-    /// Envelopes queued in this shard's mailboxes or being deposited:
-    /// the credits out.
-    pub(crate) fn queued(&self) -> usize {
-        self.credit_cap - self.credits_free()
+    /// The depth counter of `local`, growing the table on demand
+    /// (machines created directly on an adopted runtime get theirs
+    /// lazily).
+    pub(crate) fn depth(&self, local: MachineId) -> &AtomicUsize {
+        self.depths.slot(local.0 as usize)
     }
 
-    /// The mailbox for `local`, growing the table on demand (machines
-    /// created directly on an adopted runtime get theirs lazily).
-    pub(crate) fn mailbox(&self, local: MachineId) -> &Mailbox {
-        self.mailboxes.slot(local.0 as usize)
+    /// Adds one to `counter` unless it has reached `bound`; the new count.
+    fn take_below(counter: &AtomicUsize, bound: usize) -> Option<usize> {
+        let below = |n: usize| (n < bound).then_some(n + 1);
+        let before = counter.fetch_update(Ordering::SeqCst, Ordering::SeqCst, below);
+        before.ok().map(|n| n + 1)
     }
 
-    fn take_credit(&self) -> bool {
-        self.credits
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| c.checked_sub(1))
-            .is_ok()
-    }
-
-    /// Returns one credit, waking blocked producers when the free count
+    /// Returns `n` credits, waking blocked producers when the free count
     /// climbs through half the budget (at the first free credit, a
     /// saturated producer would sleep and wake once per event). A
     /// producer blocks only after seeing none free, so the count passes
     /// the mark after it registered; `SeqCst` makes one side see the other.
-    fn release_credit(&self) {
-        let free = self.credits.fetch_add(1, Ordering::SeqCst) + 1;
-        if free == (self.credit_cap / 2).max(1) && self.waiters.load(Ordering::SeqCst) > 0 {
+    fn release_credits(&self, n: usize) {
+        let free = self.credit_cap - self.out.fetch_sub(n, Ordering::SeqCst);
+        let mark = (self.credit_cap / 2).max(1);
+        if free < mark && mark <= free + n && self.waiters.load(Ordering::SeqCst) > 0 {
             self.wake_producers();
         }
     }
@@ -188,9 +176,10 @@ impl Shard {
         self.space.notify_all();
     }
 
-    /// Deposits `env` if a credit and a mailbox slot are free, hands it
-    /// back otherwise; refuses it once `stop` is raised (the timer
-    /// thread, which still delivers during shutdown, passes none).
+    /// Deposits `env` if a credit is free and its machine's depth is
+    /// under the bound, hands it back otherwise; refuses it once `stop`
+    /// is raised (the timer thread, which still delivers during
+    /// shutdown, passes none).
     pub(crate) fn try_push(
         &self,
         env: Envelope,
@@ -201,44 +190,43 @@ impl Shard {
         // read, and shutdown raises the flag before it reads the credits
         // (all `SeqCst`): either this producer sees the flag and backs
         // out, or shutdown sees the credit out and waits for the envelope.
-        let credit = self.take_credit();
+        let credit = Shard::take_below(&self.out, self.credit_cap).is_some();
         if stopped() {
             if credit {
-                self.release_credit();
+                self.release_credits(1);
             }
             return Err(RuntimeError::PumpStopped);
         }
         if !credit {
             return Ok(Some(env));
         }
-        let local = env.local;
-        let mb = self.mailbox(local);
-        let mut queue = mb.queue.lock();
-        if queue.len() >= self.capacity {
-            drop(queue);
-            self.release_credit();
+        let Some(depth) = Shard::take_below(self.depth(env.local), self.capacity) else {
+            self.release_credits(1);
             return Ok(Some(env));
-        }
-        queue.push_back(env);
-        let depth = queue.len();
-        // `SeqCst`, paired with `reschedule_after_batch`: the depth is
-        // stored before `scheduled` is read here, and `scheduled` is
-        // cleared before the depth is read there.
-        mb.depth.store(depth, Ordering::SeqCst);
-        drop(queue);
+        };
         if depth as u64 > self.counters.max_depth.load(Ordering::Relaxed) {
             self.counters
                 .max_depth
                 .fetch_max(depth as u64, Ordering::Relaxed);
         }
-        self.schedule(mb, local);
+        // The worker sets `parked` and finds the queue empty under the
+        // lock this push takes: the push comes first and is seen, or
+        // sees the flag.
+        let wake = {
+            let mut inbox = self.inbox.lock();
+            inbox.queue.push_back(env);
+            std::mem::take(&mut inbox.parked)
+        };
+        if wake {
+            self.wake.notify_one();
+        }
         Ok(None)
     }
 
-    /// Delivers `env` into its mailbox under `policy`.
+    /// Delivers `env` into the inbox under `policy`.
     ///
-    /// `Block` waits for a credit and mailbox space (bounded by
-    /// `deadline` when given, surfacing `QueueFull` on expiry);
+    /// `Block` waits for a credit and room under its machine's bound
+    /// (until `deadline` when given, surfacing `QueueFull` on expiry);
     /// `DropNewest` counts the overflow against the target machine and
     /// reports success; `Fail` returns `QueueFull` immediately. A raised
     /// stop flag aborts the wait with `PumpStopped`.
@@ -255,8 +243,7 @@ impl Shard {
         match policy {
             OverflowPolicy::Block => {}
             OverflowPolicy::DropNewest => {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-                self.runtime.note_dropped(env.local);
+                self.note_dropped(env.local);
                 return Ok(());
             }
             OverflowPolicy::Fail => return Err(RuntimeError::QueueFull),
@@ -287,99 +274,57 @@ impl Shard {
         }
     }
 
-    /// Marks `local` ready if it is not already scheduled.
-    fn schedule(&self, mb: &Mailbox, local: MachineId) {
-        if !mb.scheduled.swap(true, Ordering::SeqCst) {
-            self.make_ready(local);
-        }
+    /// Counts an envelope for `local` dropped by the `DropNewest` policy.
+    pub(crate) fn note_dropped(&self, local: MachineId) {
+        self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        self.runtime.note_dropped(local);
     }
 
-    /// Queues `local` and wakes this shard's worker if it sleeps. The
-    /// worker sets `parked` and finds the queue empty under the lock this
-    /// push takes: the push comes first and is seen, or sees the flag.
-    fn make_ready(&self, local: MachineId) {
-        let wake = {
-            let mut ready = self.ready.lock();
-            ready.queue.push_back(local);
-            self.ready_len.store(ready.queue.len(), Ordering::Release);
-            std::mem::take(&mut ready.parked)
-        };
-        if wake {
-            self.wake.notify_one();
-        }
+    /// Whether a credit is out (what idle workers poll): an envelope is
+    /// in the inbox, or about to be.
+    pub(crate) fn has_work(&self) -> bool {
+        self.queued() > 0
     }
 
-    /// Pops one envelope from `mb`, releasing its injection credit. The
-    /// pop that makes room in a full mailbox wakes the blocked producers:
-    /// one that found it full registered before it looked.
-    pub(crate) fn pop_envelope(&self, mb: &Mailbox) -> Option<Envelope> {
-        // An empty mailbox ends the batch without its lock; a push this
-        // misses is caught by `reschedule_after_batch`.
-        if mb.depth() == 0 {
-            return None;
+    /// Moves up to `max` envelopes, oldest first, from the inbox into
+    /// `batch` and returns their credits. The caller holds the shard's
+    /// token and delivers the batch in order before giving it up. A take
+    /// that makes room under a full machine's bound wakes the blocked
+    /// producers: one that found it full registered before it looked.
+    pub(crate) fn take_batch(&self, batch: &mut Vec<Envelope>, max: usize) {
+        {
+            let mut inbox = self.inbox.lock();
+            let n = max.min(inbox.queue.len());
+            batch.extend(inbox.queue.drain(..n));
         }
-        let (env, was_full) = {
-            let mut queue = mb.queue.lock();
-            let was_full = queue.len() >= self.capacity;
-            let env = queue.pop_front()?;
-            mb.depth.store(queue.len(), Ordering::SeqCst);
-            (env, was_full)
-        };
-        self.release_credit();
-        if was_full && self.waiters.load(Ordering::SeqCst) > 0 {
-            self.wake_producers();
-        }
-        Some(env)
-    }
-
-    /// Called by a worker after draining a batch from `local`: requeues
-    /// the machine if more work arrived mid-batch (round-robin fairness),
-    /// otherwise clears the scheduled flag — then re-checks the depth to
-    /// close the race against a push that saw the flag still set.
-    pub(crate) fn reschedule_after_batch(&self, mb: &Mailbox, local: MachineId) {
-        if mb.depth() > 0 {
-            self.make_ready(local);
+        if batch.is_empty() {
             return;
         }
-        mb.scheduled.store(false, Ordering::SeqCst);
-        if mb.depth() > 0 {
-            self.schedule(mb, local);
+        let mut made_room = false;
+        for env in batch.iter() {
+            let depth = self.depth(env.local).fetch_sub(1, Ordering::SeqCst);
+            made_room |= depth >= self.capacity;
+        }
+        self.release_credits(batch.len());
+        if made_room && self.waiters.load(Ordering::SeqCst) > 0 {
+            self.wake_producers();
         }
     }
 
-    /// Whether the ready queue holds a machine (what idle workers poll).
-    pub(crate) fn has_ready(&self) -> bool {
-        self.ready_len.load(Ordering::Acquire) > 0
-    }
-
-    /// Moves up to `max` ready machines into `claimed`: from the FIFO end
-    /// for the shard's own worker, from the LIFO end for a thief, so the
-    /// victim's oldest work stays with its own worker.
-    pub(crate) fn claim_ready(&self, claimed: &mut Vec<MachineId>, max: usize, thief: bool) {
-        let mut ready = self.ready.lock();
-        let end = if thief {
-            VecDeque::pop_back
-        } else {
-            VecDeque::pop_front
-        };
-        claimed.extend(std::iter::from_fn(|| end(&mut ready.queue)).take(max));
-        self.ready_len.store(ready.queue.len(), Ordering::Release);
-    }
-
-    /// Parks the calling worker until readied work arrives or `timeout`
+    /// Parks the calling worker until an envelope arrives or `timeout`
     /// elapses (short: work on other shards, and the stop flag).
     pub(crate) fn park(&self, timeout: Duration) {
-        let mut ready = self.ready.lock();
-        if ready.queue.is_empty() {
-            ready.parked = true;
-            self.wake.wait_for(&mut ready, timeout);
-            ready.parked = false;
+        let mut inbox = self.inbox.lock();
+        if inbox.queue.is_empty() {
+            inbox.parked = true;
+            self.wake.wait_for(&mut inbox, timeout);
+            inbox.parked = false;
         }
     }
 
     /// Wakes the shard's worker (used at shutdown).
     pub(crate) fn wake_worker(&self) {
-        let _ready = self.ready.lock();
+        let _inbox = self.inbox.lock();
         self.wake.notify_all();
     }
 }
@@ -415,12 +360,12 @@ mod tests {
     }
 
     /// The worker wake-up protocol with the park timeout taken away: the
-    /// worker parks for an hour whenever the ready queue is empty, and
-    /// every producer waits for its envelope to be popped before it
-    /// pushes the next, so nearly every push meets a worker that is
-    /// parked or about to be. One wake-up lost between `make_ready` and
-    /// `park` leaves the worker asleep for good; the watchdog then fails
-    /// the test instead of letting it hang.
+    /// worker parks for an hour whenever the inbox is empty, and every
+    /// producer waits for its envelope to be taken before it pushes the
+    /// next, so nearly every push meets a worker that is parked or about
+    /// to be. One wake-up lost between `try_push` and `park` leaves the
+    /// worker asleep for good; the watchdog then fails the test instead
+    /// of letting it hang.
     #[test]
     fn a_parking_worker_is_woken_for_every_push() {
         const PRODUCERS: usize = 4;
@@ -428,25 +373,19 @@ mod tests {
         let (shard, envelope) = bare_shard(PRODUCERS, 4, 64);
         let stop = AtomicBool::new(false);
         let gave_up = AtomicBool::new(false);
-        let popped = AtomicUsize::new(0);
+        let taken = AtomicUsize::new(0);
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let mut claimed = Vec::new();
-                while popped.load(Ordering::SeqCst) < PRODUCERS * EACH
+                let mut batch = Vec::new();
+                while taken.load(Ordering::SeqCst) < PRODUCERS * EACH
                     && !gave_up.load(Ordering::SeqCst)
                 {
-                    shard.claim_ready(&mut claimed, 16, false);
-                    if claimed.is_empty() {
+                    shard.take_batch(&mut batch, 16);
+                    if batch.is_empty() {
                         shard.park(Duration::from_secs(3600));
                     }
-                    for local in claimed.drain(..) {
-                        let mb = shard.mailbox(local);
-                        while shard.pop_envelope(mb).is_some() {
-                            popped.fetch_add(1, Ordering::SeqCst);
-                        }
-                        shard.reschedule_after_batch(mb, local);
-                    }
+                    taken.fetch_add(batch.drain(..).count(), Ordering::SeqCst);
                 }
                 done.send(()).unwrap();
             });
@@ -457,7 +396,7 @@ mod tests {
                         shard
                             .push(envelope(p), OverflowPolicy::Block, None, stop)
                             .unwrap();
-                        while shard.mailbox(envelope(p).local).depth() > 0 {
+                        while shard.depth(envelope(p).local).load(Ordering::SeqCst) > 0 {
                             if gave_up.load(Ordering::SeqCst) {
                                 return;
                             }
@@ -475,8 +414,8 @@ mod tests {
         });
         assert!(
             !gave_up.load(Ordering::SeqCst),
-            "the worker slept through a push: {} of {} envelopes popped",
-            popped.load(Ordering::SeqCst),
+            "the worker slept through a push: {} of {} envelopes taken",
+            taken.load(Ordering::SeqCst),
             PRODUCERS * EACH
         );
         assert_eq!(shard.queued(), 0);
@@ -490,7 +429,7 @@ mod tests {
         let (shard, envelope) = bare_shard(1, 4, 1);
         let stop = AtomicBool::new(false);
         let push = || shard.push(envelope(0), OverflowPolicy::Block, None, &stop);
-        // No worker pops: the first push keeps the only credit.
+        // No worker takes a batch: the first push keeps the only credit.
         push().unwrap();
         std::thread::scope(|scope| {
             let blocked = scope.spawn(push);
@@ -506,5 +445,81 @@ mod tests {
         });
         assert!(matches!(push(), Err(RuntimeError::PumpStopped)));
         assert_eq!(shard.queued(), 1, "nothing entered after the flag rose");
+        let mut batch = Vec::new();
+        shard.take_batch(&mut batch, 16);
+        assert_eq!((batch.len(), shard.queued()), (1, 0));
+    }
+
+    /// Conservation under a multi-producer storm, for each policy, with
+    /// bounds tight enough to overflow: every attempted push is taken by
+    /// the worker, counted dropped, or refused — exactly one of the
+    /// three — and afterwards no credit is out and every depth is zero.
+    #[test]
+    fn a_storm_conserves_envelopes_credits_and_depths() {
+        const PRODUCERS: usize = 4;
+        const MACHINES: usize = 3;
+        const EACH: usize = 4_000;
+        for policy in [
+            OverflowPolicy::Block,
+            OverflowPolicy::DropNewest,
+            OverflowPolicy::Fail,
+        ] {
+            let (shard, envelope) = bare_shard(MACHINES, 2, 4);
+            let stop = AtomicBool::new(false);
+            let producing = AtomicUsize::new(PRODUCERS);
+            let refused = AtomicUsize::new(0);
+            let mut taken = 0;
+            std::thread::scope(|scope| {
+                for p in 0..PRODUCERS {
+                    let (shard, envelope, stop) = (&shard, &envelope, &stop);
+                    let (producing, refused) = (&producing, &refused);
+                    scope.spawn(move || {
+                        for i in 0..EACH {
+                            match shard.push(envelope((p + i) % MACHINES), policy, None, stop) {
+                                Ok(()) => {}
+                                Err(RuntimeError::QueueFull) => {
+                                    refused.fetch_add(1, Ordering::SeqCst);
+                                }
+                                Err(e) => panic!("unexpected refusal: {e}"),
+                            }
+                        }
+                        producing.fetch_sub(1, Ordering::SeqCst);
+                        shard.wake_worker();
+                    });
+                }
+                // The worker, on this thread. `producing` is read before
+                // the take that finds nothing, so nothing is pushed after.
+                let mut batch = Vec::new();
+                loop {
+                    let last = producing.load(Ordering::SeqCst) == 0;
+                    shard.take_batch(&mut batch, 3);
+                    match (batch.is_empty(), last) {
+                        (true, true) => break,
+                        (true, false) => shard.park(Duration::from_millis(1)),
+                        (false, _) => taken += batch.drain(..).count(),
+                    }
+                }
+            });
+            let dropped = shard.counters.dropped.load(Ordering::Relaxed) as usize;
+            let refused = refused.load(Ordering::SeqCst);
+            assert_eq!(
+                taken + dropped + refused,
+                PRODUCERS * EACH,
+                "{policy:?}: {taken} taken, {dropped} dropped, {refused} refused"
+            );
+            match policy {
+                OverflowPolicy::Block => assert_eq!((dropped, refused), (0, 0)),
+                OverflowPolicy::DropNewest => assert_eq!(refused, 0),
+                OverflowPolicy::Fail => assert_eq!(dropped, 0),
+            }
+            assert_eq!(shard.queued(), 0, "{policy:?}: a credit is still out");
+            assert_eq!(shard.credits_free(), 4);
+            for k in 0..MACHINES {
+                let depth = shard.depth(envelope(k).local).load(Ordering::SeqCst);
+                assert_eq!(depth, 0, "{policy:?}: machine {k}");
+            }
+            let max = shard.counters.max_depth.load(Ordering::Relaxed);
+            assert!((1..=2).contains(&max), "{policy:?}: max depth {max}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! A dense, append-only table indexed by machine id, read without a lock.
 //!
 //! Machine ids are handed out densely and never reused, so per-machine
-//! records (mailboxes, supervision counters, routes) live in a table
+//! records (inbox depths, supervision counters, routes) live in a table
 //! indexed by id. It grows in chunks that double in size and never move,
 //! so a reader keeps a plain `&T` while another thread grows the table:
 //! indexing is two shifts and an `Acquire` load, no lock and no hash.

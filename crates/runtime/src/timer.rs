@@ -2,19 +2,19 @@
 //!
 //! Entries hash into `SLOTS` buckets by deadline tick (`deadline %
 //! SLOTS`); the executor's timer thread sweeps due buckets once per tick
-//! and moves expired entries into their target mailboxes through the
-//! shard's non-blocking push. Two details matter for ordering under
+//! and moves expired entries into their target shard's inbox through its
+//! non-blocking push. Two details matter for ordering under
 //! load:
 //!
 //! * Expired entries are delivered sorted by `(deadline_tick, seq)`, so
 //!   two timers armed for the same machine fire in deadline order even
 //!   when a coarse tick expires them together.
-//! * A full mailbox re-arms the entry for the *next* tick but keeps its
+//! * A refused push re-arms the entry for the *next* tick but keeps its
 //!   original `(deadline_tick, seq)` sort key, so backpressure delays a
 //!   delivery without ever reordering it past a later-deadline timer.
 //!
-//! The `pending` count is decremented only after the entry has entered a
-//! mailbox (or been dropped), and a mailbox push takes the shard's credit
+//! The `pending` count is decremented only after the entry has entered
+//! an inbox (or been dropped), and an inbox push takes the shard's credit
 //! first — so at every instant `pending` plus the credits out covers all
 //! undelivered work, which is what lets workers use "stopped, no pending
 //! timers, nothing queued" as their exit condition.
@@ -56,10 +56,10 @@ pub(crate) struct TimerWheel {
     slots: Vec<Mutex<Vec<TimerEntry>>>,
     tick: Duration,
     start: Instant,
-    /// Entries armed but not yet moved into a mailbox (or dropped).
+    /// Entries armed but not yet moved into an inbox (or dropped).
     pending: AtomicUsize,
     seq: AtomicU64,
-    scheduled_total: AtomicU64,
+    armed_total: AtomicU64,
     /// Parking spot for the timer thread; `schedule` nudges it. Also the
     /// stop-flag barrier for arming (see [`TimerWheel::schedule`]).
     park: Mutex<()>,
@@ -74,7 +74,7 @@ impl TimerWheel {
             start: Instant::now(),
             pending: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
-            scheduled_total: AtomicU64::new(0),
+            armed_total: AtomicU64::new(0),
             park: Mutex::new(()),
             alarm: Condvar::new(),
         }
@@ -85,14 +85,14 @@ impl TimerWheel {
         (self.start.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64
     }
 
-    /// Entries armed but not yet delivered into a mailbox.
+    /// Entries armed but not yet delivered into an inbox.
     pub(crate) fn pending(&self) -> usize {
         self.pending.load(Ordering::SeqCst)
     }
 
     /// Timers armed over the wheel's lifetime.
-    pub(crate) fn scheduled_total(&self) -> u64 {
-        self.scheduled_total.load(Ordering::Relaxed)
+    pub(crate) fn armed_total(&self) -> u64 {
+        self.armed_total.load(Ordering::Relaxed)
     }
 
     /// Arms a timer `delay` from now. Checks `stop` under the park lock:
@@ -125,7 +125,7 @@ impl TimerWheel {
             payload,
         };
         self.pending.fetch_add(1, Ordering::SeqCst);
-        self.scheduled_total.fetch_add(1, Ordering::Relaxed);
+        self.armed_total.fetch_add(1, Ordering::Relaxed);
         self.slots[(deadline % SLOTS as u64) as usize]
             .lock()
             .push(entry);
@@ -156,7 +156,7 @@ impl TimerWheel {
         due
     }
 
-    /// Puts back an entry whose mailbox was full, to fire again next
+    /// Puts back an entry whose push was refused, to fire again next
     /// tick. Its `(deadline_tick, seq)` key is untouched, so deadline
     /// order survives the re-arm; it never left `pending`.
     pub(crate) fn rearm(&self, mut entry: TimerEntry, now_tick: u64) {
@@ -182,7 +182,7 @@ impl TimerWheel {
         }
     }
 
-    /// Stop-flag barrier, mirroring `Shard::barrier`: cycling the park
+    /// Stop-flag barrier: cycling the park
     /// lock after raising the stop flag guarantees no further arming.
     pub(crate) fn barrier(&self) {
         drop(self.park.lock());

@@ -45,7 +45,7 @@
 
 use std::fmt;
 
-use crate::config::{Config, Instr, MachineState};
+use crate::config::{Instr, MachineState, MachineStore};
 use crate::error::ErrorKind;
 use crate::exec::{ChoiceSource, Engine, ModelAbort, RunLog, YieldKind};
 use crate::hash;
@@ -115,7 +115,7 @@ pub trait CompiledProgram: Sync + fmt::Debug {
 /// with the interpreter.
 pub struct Ctx<'r, 'p> {
     pub(crate) engine: &'r Engine<'p>,
-    pub(crate) config: &'r mut Config,
+    pub(crate) store: &'r mut dyn MachineStore,
     pub(crate) m: &'r mut MachineState,
     pub(crate) id: MachineId,
     pub(crate) choices: &'r mut dyn ChoiceSource,
@@ -222,7 +222,7 @@ impl Ctx<'_, '_> {
         let receiver = if target_id == self.id {
             &mut *self.m
         } else {
-            match self.config.machine_mut(target_id) {
+            match self.store.machine_mut(target_id) {
                 Some(r) => r,
                 None => {
                     return Flow::End(RunEnd::Error(ErrorKind::SendToDeleted {
@@ -243,9 +243,9 @@ impl Ctx<'_, '_> {
     /// pre-evaluated initializers, stores the id in `dst`. Always ends
     /// the run (creation is a scheduling point).
     pub fn new_machine(&mut self, dst: u32, ty: MachineTypeId, inits: &[(u32, Value)]) -> Flow {
-        let new_id = self.config.allocate(self.engine.program(), ty);
+        let new_id = self.store.allocate(self.engine.program(), ty);
         {
-            let created = self.config.machine_mut(new_id).expect("just allocated");
+            let created = self.store.machine_mut(new_id).expect("just allocated");
             for &(var, v) in inits {
                 created.locals[var as usize] = v;
             }

@@ -386,6 +386,51 @@ impl Clone for MachineState {
 }
 
 impl MachineState {
+    /// A fresh machine of type `ty`: ⊥-initialized locals, an initial
+    /// frame, and the init state's entry statement as its continuation.
+    pub fn initial(program: &LoweredProgram, ty: MachineTypeId) -> MachineState {
+        let mt = program.machine(ty);
+        let init = mt.init_state();
+        let entry = mt.states[init.0 as usize].entry;
+        MachineState {
+            ty,
+            stack: vec![Frame::initial(init, program.event_count())],
+            locals: vec![Value::Null; mt.vars.len()],
+            msg: Value::Null,
+            arg: Value::Null,
+            cont: vec![Instr::Stmt(entry)],
+            pending: None,
+            queue: Vec::new(),
+        }
+    }
+
+    /// Whether the machine can take a step: it is mid-execution, holds a
+    /// raised event, or has a dequeuable event in its queue (the `en(m)`
+    /// predicate of §3.2, for a live machine).
+    pub fn enabled(&self, program: &LoweredProgram) -> bool {
+        !self.cont.is_empty() || self.pending.is_some() || self.dequeuable_index(program).is_some()
+    }
+
+    /// The queue index of the first event the machine could dequeue in
+    /// its current state, following the DEQUEUE rule: skip events that
+    /// are deferred (by the state or inherited) unless a transition or
+    /// action of the current state handles them.
+    pub fn dequeuable_index(&self, program: &LoweredProgram) -> Option<usize> {
+        let mt = program.machine(self.ty);
+        let frame = self.top();
+        let state = &mt.states[frame.state.0 as usize];
+        self.queue.iter().position(|&(e, _)| {
+            // t: handled directly by the current state.
+            if state.handles(e) {
+                return true;
+            }
+            // d': deferred here or inherited as deferred.
+            let deferred =
+                state.deferred.contains(e) || frame.inherited[e.0 as usize] == Inherited::Deferred;
+            !deferred
+        })
+    }
+
     /// The top call-stack frame.
     ///
     /// # Panics
@@ -657,6 +702,33 @@ impl fmt::Display for ConfigDecodeError {
 
 impl std::error::Error for ConfigDecodeError {}
 
+/// What an atomic run needs of the machines other than the one running:
+/// the receiver of a `send` and a slot for a `new`. [`Config`] is the
+/// checker's store (copy-on-write slots, cached digests); a runtime that
+/// owns its machines outright implements the same two methods over plain
+/// [`MachineState`]s, and [`Engine::run_owned`](crate::Engine::run_owned)
+/// runs the one interpreter over either.
+pub trait MachineStore {
+    /// The live machine `id`, for an enqueue. `None` for a deleted (or
+    /// never created) machine: rule SEND-FAIL2. Never asked for the
+    /// running machine itself.
+    fn machine_mut(&mut self, id: MachineId) -> Option<&mut MachineState>;
+
+    /// Stores a fresh [`MachineState::initial`] machine of type `ty` and
+    /// returns its id; ids are dense and never reused.
+    fn allocate(&mut self, program: &LoweredProgram, ty: MachineTypeId) -> MachineId;
+}
+
+impl MachineStore for Config {
+    fn machine_mut(&mut self, id: MachineId) -> Option<&mut MachineState> {
+        Config::machine_mut(self, id)
+    }
+
+    fn allocate(&mut self, program: &LoweredProgram, ty: MachineTypeId) -> MachineId {
+        Config::allocate(self, program, ty)
+    }
+}
+
 /// A global configuration: every machine created so far, with deleted
 /// machines remembered as `None` (so that sends to them are detected as
 /// errors, rule SEND-FAIL2).
@@ -880,20 +952,7 @@ impl Config {
     /// an initial frame, and the init state's entry statement as its
     /// continuation. Returns the new id.
     pub fn allocate(&mut self, program: &LoweredProgram, ty: MachineTypeId) -> MachineId {
-        let mt = program.machine(ty);
-        let n_events = program.event_count();
-        let init = mt.init_state();
-        let entry = mt.states[init.0 as usize].entry;
-        let state = MachineState {
-            ty,
-            stack: vec![Frame::initial(init, n_events)],
-            locals: vec![Value::Null; mt.vars.len()],
-            msg: Value::Null,
-            arg: Value::Null,
-            cont: vec![Instr::Stmt(entry)],
-            pending: None,
-            queue: Vec::new(),
-        };
+        let state = MachineState::initial(program, ty);
         self.machines.push(Some(Arc::new(state)));
         self.digests.push(None);
         self.dirty.push(self.machines.len() - 1);
@@ -1006,33 +1065,7 @@ impl Config {
     /// mid-execution, holding a raised event, or has a dequeuable event in
     /// its queue (the `en(m)` predicate of §3.2).
     pub fn enabled(&self, id: MachineId, program: &LoweredProgram) -> bool {
-        let Some(m) = self.machine(id) else {
-            return false;
-        };
-        if !m.cont.is_empty() || m.pending.is_some() {
-            return true;
-        }
-        self.dequeuable_index(m, program).is_some()
-    }
-
-    /// The queue index of the first event machine `m` could dequeue in its
-    /// current state, following the DEQUEUE rule: skip events that are
-    /// deferred (by the state or inherited) unless a transition or action
-    /// of the current state handles them.
-    pub fn dequeuable_index(&self, m: &MachineState, program: &LoweredProgram) -> Option<usize> {
-        let mt = program.machine(m.ty);
-        let frame = m.top();
-        let state = &mt.states[frame.state.0 as usize];
-        m.queue.iter().position(|&(e, _)| {
-            let i = e.0 as usize;
-            // t: handled directly by the current state.
-            if state.handles(e) {
-                return true;
-            }
-            // d': deferred here or inherited as deferred.
-            let deferred = state.deferred.contains(e) || frame.inherited[i] == Inherited::Deferred;
-            !deferred
-        })
+        self.machine(id).is_some_and(|m| m.enabled(program))
     }
 
     /// Serializes the configuration to a canonical byte string for
@@ -1660,7 +1693,7 @@ mod tests {
         }
         let m = c.machine(id).unwrap();
         // `d` is deferred in state A, `e` has a transition: index 1.
-        assert_eq!(c.dequeuable_index(m, &p), Some(1));
+        assert_eq!(m.dequeuable_index(&p), Some(1));
     }
 
     #[test]

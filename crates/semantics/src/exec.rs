@@ -13,7 +13,7 @@
 //! the simulator passes a random source.
 
 use crate::compiled::{CompiledProgram, Ctx, Flow, RunEnd};
-use crate::config::{Config, Frame, Inherited, Instr, MachineState};
+use crate::config::{Config, Frame, Inherited, Instr, MachineState, MachineStore};
 use crate::error::{ErrorKind, ExecError, PError};
 use crate::foreign::ForeignEnv;
 use crate::lower::{
@@ -329,11 +329,46 @@ impl<'p> Engine<'p> {
         // step then works on a direct `&mut MachineState` instead of
         // re-resolving the slot (bounds + liveness check, refcount
         // inspection, digest invalidation) two or three times per step.
-        // While taken, the slot is a tombstone; `exec_stmt` special-cases
-        // sends to the running machine itself.
         let Some(mut taken) = config.take_machine(id) else {
             return Err(ExecError::DeadMachine { machine: id });
         };
+        let m = config.cow_unshare(&mut taken);
+        let result = self.run_owned(config, m, id, choices, granularity);
+        if !matches!(
+            &result,
+            Ok(RunResult {
+                outcome: ExecOutcome::Deleted,
+                ..
+            })
+        ) {
+            // A deleted machine leaves its tombstone in place (the
+            // `delete` statement); every other outcome, an interpreter
+            // fault included, puts the state back so the configuration
+            // stays structurally valid.
+            config.restore_machine(id, taken);
+        }
+        result
+    }
+
+    /// [`Engine::run_machine`] for a caller that holds the running
+    /// machine itself: `m` is machine `id`, taken out of `store` for the
+    /// run (its slot must read as dead meanwhile — the interpreter
+    /// special-cases sends to the running machine). Putting `m` back
+    /// afterwards, on every outcome but [`ExecOutcome::Deleted`], is the
+    /// caller's job.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::CorruptContinuation`], as [`Engine::run_machine`].
+    #[inline]
+    pub fn run_owned<S: MachineStore>(
+        &self,
+        store: &mut S,
+        m: &mut MachineState,
+        id: MachineId,
+        choices: &mut dyn ChoiceSource,
+        granularity: Granularity,
+    ) -> Result<RunResult, ExecError> {
         let mut counting = CountingChoices {
             inner: choices,
             used: 0,
@@ -347,62 +382,50 @@ impl<'p> Engine<'p> {
             extended: self.event_log,
         };
         let mut fatal = None;
-        let outcome = {
-            let m = config.cow_unshare(&mut taken);
-            if let (Some(table), Granularity::Atomic) = (self.compiled, granularity) {
-                self.run_compiled(
-                    table,
-                    config,
-                    m,
-                    id,
-                    &mut counting,
-                    &mut log,
-                    &mut steps,
-                    &mut fatal,
-                )
-            } else {
-                loop {
-                    if steps >= self.fuel {
-                        break ExecOutcome::Error(PError::new(ErrorKind::FuelExhausted, id));
+        let outcome = if let (Some(table), Granularity::Atomic) = (self.compiled, granularity) {
+            self.run_compiled(
+                table,
+                store,
+                m,
+                id,
+                &mut counting,
+                &mut log,
+                &mut steps,
+                &mut fatal,
+            )
+        } else {
+            loop {
+                if steps >= self.fuel {
+                    break ExecOutcome::Error(PError::new(ErrorKind::FuelExhausted, id));
+                }
+                steps += 1;
+                let step = self.small_step(store, m, id, &mut counting, &mut log);
+                match step {
+                    SmallStep::Continue => {
+                        if granularity == Granularity::Fine {
+                            // Blocked/terminated conditions are detected on
+                            // the next entry, so a fine step is always
+                            // resumable.
+                            break ExecOutcome::Yield(YieldKind::Internal);
+                        }
                     }
-                    steps += 1;
-                    let step = self.small_step(config, m, id, &mut counting, &mut log);
-                    match step {
-                        SmallStep::Continue => {
-                            if granularity == Granularity::Fine {
-                                // Blocked/terminated conditions are detected on
-                                // the next entry, so a fine step is always
-                                // resumable.
-                                break ExecOutcome::Yield(YieldKind::Internal);
-                            }
-                        }
-                        SmallStep::Yield(kind) => break ExecOutcome::Yield(kind),
-                        SmallStep::Blocked => break ExecOutcome::Blocked,
-                        SmallStep::Deleted => break ExecOutcome::Deleted,
-                        SmallStep::Error(kind) => break ExecOutcome::Error(PError::new(kind, id)),
-                        SmallStep::NeedChoice => break ExecOutcome::NeedChoice,
-                        SmallStep::Fatal(detail) => {
-                            fatal = Some(detail);
-                            break ExecOutcome::NeedChoice; // placeholder, unused
-                        }
+                    SmallStep::Yield(kind) => break ExecOutcome::Yield(kind),
+                    SmallStep::Blocked => break ExecOutcome::Blocked,
+                    SmallStep::Deleted => break ExecOutcome::Deleted,
+                    SmallStep::Error(kind) => break ExecOutcome::Error(PError::new(kind, id)),
+                    SmallStep::NeedChoice => break ExecOutcome::NeedChoice,
+                    SmallStep::Fatal(detail) => {
+                        fatal = Some(detail);
+                        break ExecOutcome::NeedChoice; // placeholder, unused
                     }
                 }
             }
         };
         if let Some(detail) = fatal {
-            // Put the machine back so the configuration stays structurally
-            // valid for the caller's error reporting.
-            config.restore_machine(id, taken);
             return Err(ExecError::CorruptContinuation {
                 machine: id,
                 detail,
             });
-        }
-        if !matches!(outcome, ExecOutcome::Deleted) {
-            // A deleted machine leaves its tombstone in place (the
-            // `delete` statement); every other outcome puts the mutated
-            // state back.
-            config.restore_machine(id, taken);
         }
         Ok(RunResult {
             outcome,
@@ -424,10 +447,10 @@ impl<'p> Engine<'p> {
     /// charges the pops it performs itself, so fuel runs out at the same
     /// point on both backends.
     #[allow(clippy::too_many_arguments)]
-    fn run_compiled(
+    fn run_compiled<S: MachineStore>(
         &self,
         table: &dyn CompiledProgram,
-        config: &mut Config,
+        store: &mut S,
         m: &mut MachineState,
         id: MachineId,
         choices: &mut CountingChoices<'_>,
@@ -444,7 +467,7 @@ impl<'p> Engine<'p> {
                 let cont_base = m.cont.len();
                 let mut cx = Ctx {
                     engine: self,
-                    config,
+                    store: &mut *store,
                     m,
                     id,
                     choices,
@@ -488,7 +511,7 @@ impl<'p> Engine<'p> {
                 break ExecOutcome::Error(PError::new(ErrorKind::FuelExhausted, id));
             }
             *steps += 1;
-            match self.small_step(config, m, id, choices, log) {
+            match self.small_step(store, m, id, choices, log) {
                 SmallStep::Continue => {}
                 SmallStep::Yield(kind) => break ExecOutcome::Yield(kind),
                 SmallStep::Blocked => break ExecOutcome::Blocked,
@@ -542,10 +565,10 @@ impl<'p> Engine<'p> {
     }
 
     /// Executes one small step of machine `id`, already taken out of
-    /// `config` as `m`.
-    fn small_step(
+    /// `store` as `m`.
+    fn small_step<S: MachineStore>(
         &self,
-        config: &mut Config,
+        store: &mut S,
         m: &mut MachineState,
         id: MachineId,
         choices: &mut CountingChoices<'_>,
@@ -553,7 +576,7 @@ impl<'p> Engine<'p> {
     ) -> SmallStep {
         // 1. Remaining statement execution.
         if let Some(instr) = m.cont.pop() {
-            return self.exec_instr(config, m, id, instr, choices, log);
+            return self.exec_instr(store, m, id, instr, choices, log);
         }
 
         // 2. A raised event awaiting dispatch.
@@ -672,9 +695,9 @@ impl<'p> Engine<'p> {
         SmallStep::Continue
     }
 
-    fn exec_instr(
+    fn exec_instr<S: MachineStore>(
         &self,
-        config: &mut Config,
+        store: &mut S,
         m: &mut MachineState,
         id: MachineId,
         instr: Instr,
@@ -685,7 +708,7 @@ impl<'p> Engine<'p> {
             Instr::Stmt(sid) => {
                 // The code arena outlives the run; no clone needed.
                 let stmt = self.program.code.stmt(sid);
-                self.exec_stmt(config, m, id, sid, stmt, choices, log)
+                self.exec_stmt(store, m, id, sid, stmt, choices, log)
             }
             Instr::Seq(block, idx) => {
                 let LStmt::Block(children) = self.program.code.stmt(block) else {
@@ -741,9 +764,9 @@ impl<'p> Engine<'p> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn exec_stmt(
+    fn exec_stmt<S: MachineStore>(
         &self,
-        config: &mut Config,
+        store: &mut S,
         m: &mut MachineState,
         id: MachineId,
         sid: crate::lower::StmtId,
@@ -772,9 +795,9 @@ impl<'p> Engine<'p> {
                 for (var, expr) in inits {
                     values.push((*var, eval!(*expr)));
                 }
-                let new_id = config.allocate(self.program, *ty);
+                let new_id = store.allocate(self.program, *ty);
                 {
-                    let created = config.machine_mut(new_id).expect("just allocated");
+                    let created = store.machine_mut(new_id).expect("just allocated");
                     for (var, v) in values {
                         created.locals[var.0 as usize] = v;
                     }
@@ -809,7 +832,7 @@ impl<'p> Engine<'p> {
                 let receiver = if target_id == id {
                     &mut *m
                 } else {
-                    match config.machine_mut(target_id) {
+                    match store.machine_mut(target_id) {
                         Some(r) => r,
                         None => {
                             return SmallStep::Error(ErrorKind::SendToDeleted { target: target_id })

@@ -72,7 +72,8 @@ mod tests;
 
 pub use canon::{canonical_digest, canonical_digest_counted};
 pub use config::{
-    Config, ConfigDecodeError, Cont, Frame, Inherited, Instr, MachineId, MachineState, SlotInterner,
+    Config, ConfigDecodeError, Cont, Frame, Inherited, Instr, MachineId, MachineState,
+    MachineStore, SlotInterner,
 };
 pub use error::{ErrorKind, ExecError, PError};
 pub use exec::{ChoiceSource, Engine, ExecOutcome, Granularity, RunResult, Script, YieldKind};

@@ -340,6 +340,10 @@ impl RuntimeBenchRow {
 /// under a schema tag.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeBenchReport {
+    /// Cores the measuring box offered (`available_parallelism`): shard
+    /// counts above it buy no parallelism. 0 in a report written before
+    /// the stamp existed.
+    pub nproc: u64,
     /// One row per (workload, machines, shards) measurement.
     pub rows: Vec<RuntimeBenchRow>,
 }
@@ -349,6 +353,7 @@ impl RuntimeBenchReport {
     pub fn to_json(&self) -> JsonValue {
         obj(vec![
             ("schema", jstr("p-runtime-bench-v1")),
+            ("nproc", num(self.nproc as f64)),
             (
                 "rows",
                 JsonValue::Arr(self.rows.iter().map(RuntimeBenchRow::to_json).collect()),
@@ -360,6 +365,7 @@ impl RuntimeBenchReport {
     pub fn from_json(value: &JsonValue) -> Option<RuntimeBenchReport> {
         let rows = value.get("rows")?.as_array()?;
         Some(RuntimeBenchReport {
+            nproc: value.get("nproc").and_then(JsonValue::as_u64).unwrap_or(0),
             rows: rows.iter().filter_map(RuntimeBenchRow::from_json).collect(),
         })
     }
@@ -451,6 +457,7 @@ mod tests {
             max_mailbox_depth: 64,
         };
         let report = RuntimeBenchReport {
+            nproc: 2,
             rows: vec![
                 cell("fan_out", 1, 100_000, 1.0),
                 cell("fan_out", 4, 100_000, 0.5),

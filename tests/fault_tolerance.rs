@@ -89,6 +89,92 @@ fn panicking_machine_is_quarantined_others_keep_processing() {
     assert!(row.delivered >= 150);
 }
 
+/// A quarantined machine is still there to be looked at: the state it had
+/// reached when the panic unwound — here `poke` already dequeued, the
+/// deferred `hold` still queued, `m` not yet assigned — stays readable
+/// through a `Runtime` and through an `Executor`.
+#[test]
+fn a_quarantined_machine_keeps_its_last_state() {
+    use p_core::runtime::Executor;
+    use std::time::Duration;
+
+    const HOLDING: &str = r#"
+        event hold;
+        event poke;
+        machine Fragile {
+            var m : int;
+            foreign fn risky() : int;
+            state Run {
+                defer hold;
+                on poke do hit;
+            }
+            action hit { m := m + risky(); }
+        }
+        main Fragile();
+    "#;
+    let program = p_core::parser::parse(HOLDING).unwrap();
+    let risky = |blow_up: Arc<AtomicBool>| {
+        move |_args: &[Value]| {
+            if blow_up.load(Ordering::SeqCst) {
+                panic!("simulated foreign-function crash");
+            }
+            Value::Int(1)
+        }
+    };
+
+    let blow_up = Arc::new(AtomicBool::new(false));
+    let mut builder = Runtime::builder(&program).unwrap();
+    builder.foreign("risky", risky(blow_up.clone()));
+    let runtime = builder.start();
+    let id = runtime
+        .create_machine("Fragile", &[("m", Value::Int(0))])
+        .unwrap();
+    runtime.add_event(id, "poke", Value::Null).unwrap();
+    runtime.add_event(id, "hold", Value::Null).unwrap();
+    blow_up.store(true, Ordering::SeqCst);
+    assert!(matches!(
+        runtime.add_event(id, "poke", Value::Null),
+        Err(RuntimeError::MachineQuarantined(_))
+    ));
+    assert_eq!(runtime.machine_status(id), Some(MachineStatus::Quarantined));
+    assert!(runtime.is_alive(id));
+    assert_eq!(runtime.current_state(id).as_deref(), Some("Run"));
+    assert_eq!(runtime.read_var(id, "m"), Some(Value::Int(1)));
+    assert_eq!(runtime.queue_len(id), Some(1), "`hold`, and only `hold`");
+    assert_eq!(runtime.machine_state(id).unwrap().queue.len(), 1);
+
+    let blow_up = Arc::new(AtomicBool::new(false));
+    let exec = Executor::builder(&program)
+        .unwrap()
+        .shards(2)
+        .foreign("risky", risky(blow_up.clone()))
+        .start();
+    let id = exec
+        .create_machine("Fragile", &[("m", Value::Int(0))])
+        .unwrap();
+    let inject = |event: &str| {
+        exec.inject(Injection::new(id, event, Value::Null)).unwrap();
+        assert!(exec.quiesce(Duration::from_secs(30)), "{event} never ran");
+    };
+    inject("poke");
+    inject("hold");
+    blow_up.store(true, Ordering::SeqCst);
+    inject("poke");
+    assert_eq!(exec.machine_status(id), Some(MachineStatus::Quarantined));
+    assert_eq!(exec.current_state(id).as_deref(), Some("Run"));
+    assert_eq!(exec.read_var(id, "m"), Some(Value::Int(1)));
+    assert_eq!(exec.queue_len(id), Some(0), "nothing waits in the inbox");
+    let (shard, local) = exec.locate(id).unwrap();
+    let home = exec.shard_runtime(shard).unwrap().clone();
+    assert!(home.is_alive(local));
+    assert_eq!(home.queue_len(local), Some(1), "`hold`, and only `hold`");
+    assert!(matches!(
+        exec.shutdown(),
+        Err(RuntimeError::MachineQuarantined(_))
+    ));
+    assert_eq!(home.read_var(local, "m"), Some(Value::Int(1)));
+}
+
 #[test]
 fn concurrent_producers_survive_a_mid_stream_failure() {
     // N producer threads race a machine that starts failing mid-stream;
