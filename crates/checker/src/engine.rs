@@ -795,7 +795,7 @@ impl SharedTable {
         if due() == (false, false) {
             return Ok(());
         }
-        let Some(_guard) = cold.spilling.try_lock() else {
+        let Some(spilling) = cold.spilling.try_lock() else {
             return Ok(());
         };
         let (visited_due, edges_due) = due();
@@ -821,6 +821,10 @@ impl SharedTable {
         if edges_due {
             self.edges.spill_complete()?;
         }
+        // Given up before the shard locks, not after: a spiller preempted
+        // in between would otherwise have every admit that gets in skip
+        // its spill, and the hot tier grow for as long as it sleeps.
+        drop(spilling);
         Ok(())
     }
 

@@ -695,13 +695,8 @@ fn run_program(args: &[String]) -> Result<(), String> {
         runtime
             .add_event(id, event, payload)
             .map_err(|e| e.to_string())?;
-        println!(
-            "  {spec:<24} -> state = {}, queue = {}",
-            runtime
-                .current_state(id)
-                .unwrap_or_else(|| "<deleted>".into()),
-            runtime.queue_len(id).unwrap_or(0)
-        );
+        let state = runtime.current_state(id);
+        println!("{}", state_line(spec, state, runtime.queue_len(id), true));
     }
 
     if stats {
@@ -752,6 +747,18 @@ fn parse_event_spec(spec: &str) -> Result<(&str, Value), String> {
     }
 }
 
+/// The line `p run` prints after an event: where the machine stands, and
+/// `(still running)` when the wait for its runs timed out, in which case
+/// state and queue are a snapshot of a delivery in progress.
+fn state_line(spec: &str, state: Option<String>, queue: Option<usize>, settled: bool) -> String {
+    format!(
+        "  {spec:<24} -> state = {}, queue = {}{}",
+        state.unwrap_or_else(|| "<deleted>".into()),
+        queue.unwrap_or(0),
+        if settled { "" } else { " (still running)" }
+    )
+}
+
 /// `p run --shards N` with N > 1: the same create-and-feed loop driven
 /// through the sharded executor. Each injection is awaited (the executor
 /// delivers asynchronously) before its state line prints, so the output
@@ -791,12 +798,9 @@ fn run_sharded(
         // Await the delivery, the runs it causes included, so the printed
         // state reflects this event. Bounded wait: a machine stuck in a
         // foreign call never finishes it.
-        exec.quiesce(std::time::Duration::from_secs(5));
-        println!(
-            "  {spec:<24} -> state = {}, queue = {}",
-            exec.current_state(id).unwrap_or_else(|| "<deleted>".into()),
-            exec.queue_len(id).unwrap_or(0)
-        );
+        let settled = exec.quiesce(std::time::Duration::from_secs(5));
+        let state = exec.current_state(id);
+        println!("{}", state_line(spec, state, exec.queue_len(id), settled));
     }
 
     let exec_stats = exec.stats();
@@ -881,5 +885,26 @@ fn output_flag(args: &[String]) -> Result<Option<String>, String> {
             .cloned()
             .map(Some)
             .ok_or("-o needs a path".to_owned()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::state_line;
+
+    #[test]
+    fn a_state_line_says_when_the_event_is_still_being_handled() {
+        assert_eq!(
+            state_line("PowerOn", Some("Ready".into()), Some(2), true),
+            "  PowerOn                  -> state = Ready, queue = 2"
+        );
+        assert_eq!(
+            state_line("SetAddress:5", Some("Busy".into()), Some(1), false),
+            "  SetAddress:5             -> state = Busy, queue = 1 (still running)"
+        );
+        assert_eq!(
+            state_line("Detach", None, None, true),
+            "  Detach                   -> state = <deleted>, queue = 0"
+        );
     }
 }

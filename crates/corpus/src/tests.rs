@@ -285,3 +285,70 @@ fn compiled_modules_match_checked_in_files() {
         );
     }
 }
+
+/// What `Engine::eval` is shaped for: of the expressions statements
+/// evaluate (every `ExprId` a statement holds, over the corpus with the
+/// German family represented by its six-client member), almost all are a
+/// leaf or one operator over leaves. Prints the census under
+/// `--nocapture` (EXPERIMENTS.md E22).
+#[test]
+fn statement_expressions_are_leaves_or_one_operator_over_leaves() {
+    use p_semantics::lower::{ExprId, LExpr, LStmt, StmtId};
+    let german6 = parse(&german_family_src(6, 2), "german6");
+    let programs = all()
+        .into_iter()
+        .filter(|(name, _)| !matches!(*name, "german3" | "german4" | "german5"))
+        .chain([("german6", german6)]);
+    let (mut leaf, mut one_operator, mut nondet, mut deeper, mut foreign) = (0, 0, 0, 0, 0);
+    let mut programs_counted = 0;
+    for (_, program) in programs {
+        programs_counted += 1;
+        let code = lower(&program).unwrap().code;
+        let is_leaf = |e: ExprId| {
+            !matches!(
+                code.expr(e),
+                LExpr::Nondet | LExpr::Unary(..) | LExpr::Binary(..) | LExpr::Foreign(..)
+            )
+        };
+        let mut count = |e: ExprId| match code.expr(e) {
+            LExpr::Nondet => nondet += 1,
+            LExpr::Foreign(..) => foreign += 1,
+            LExpr::Unary(_, a) if is_leaf(*a) => one_operator += 1,
+            LExpr::Binary(_, a, b) if is_leaf(*a) && is_leaf(*b) => one_operator += 1,
+            LExpr::Unary(..) | LExpr::Binary(..) => deeper += 1,
+            _ => leaf += 1,
+        };
+        for s in 0..code.stmt_count() {
+            match code.stmt(StmtId(s as u32)) {
+                LStmt::Assign(_, e) | LStmt::Assert(e) => count(*e),
+                LStmt::If { cond, .. } | LStmt::While { cond, .. } => count(*cond),
+                LStmt::New { inits, .. } => inits.iter().for_each(|(_, e)| count(*e)),
+                LStmt::Send {
+                    target, payload, ..
+                } => {
+                    count(*target);
+                    payload.iter().for_each(|e| count(*e));
+                }
+                LStmt::Raise { payload, .. } => payload.iter().for_each(|e| count(*e)),
+                LStmt::Foreign { args, .. } => args.iter().for_each(|e| count(*e)),
+                LStmt::Skip
+                | LStmt::Delete
+                | LStmt::Leave
+                | LStmt::Return
+                | LStmt::Block(_)
+                | LStmt::CallState(_) => {}
+            }
+        }
+    }
+    let total = leaf + one_operator + nondet + deeper + foreign;
+    println!(
+        "{programs_counted} programs, {total} statement expressions: {leaf} leaf, \
+         {one_operator} one operator over leaves, {nondet} bare `*`, {deeper} deeper, \
+         {foreign} foreign call"
+    );
+    assert_eq!(programs_counted, 10);
+    assert!(
+        (leaf + one_operator + nondet) * 100 >= total * 99,
+        "{deeper} + {foreign} of {total}"
+    );
+}

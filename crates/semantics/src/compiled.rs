@@ -47,7 +47,7 @@ use std::fmt;
 
 use crate::config::{Instr, MachineState, MachineStore};
 use crate::error::ErrorKind;
-use crate::exec::{ChoiceSource, Engine, ModelAbort, RunLog, YieldKind};
+use crate::exec::{ChoiceSource, Engine, Env, ModelAbort, RunLog, YieldKind};
 use crate::hash;
 use crate::lower::{EventId, FnId, LoweredProgram, MachineTypeId, StateId, StmtId};
 use crate::value::Value;
@@ -290,7 +290,7 @@ impl Ctx<'_, '_> {
     pub fn foreign_call(&mut self, func: FnId, args: &[Value]) -> Result<Value, Flow> {
         match self
             .engine
-            .call_foreign(self.m, self.id, func, args, &mut *self.choices)
+            .call_foreign(&Env::of(self.m, self.id), func, args, &mut *self.choices)
         {
             Ok(v) => Ok(v),
             Err(ModelAbort::NeedChoice) => Err(Flow::End(RunEnd::NeedChoice)),
@@ -305,7 +305,7 @@ impl Ctx<'_, '_> {
     pub fn foreign_expr(&mut self, func: FnId, args: &[Value]) -> Result<Value, Flow> {
         match self
             .engine
-            .call_foreign(self.m, self.id, func, args, &mut *self.choices)
+            .call_foreign(&Env::of(self.m, self.id), func, args, &mut *self.choices)
         {
             Ok(v) => Ok(v),
             Err(ModelAbort::NeedChoice) => Err(Flow::End(RunEnd::NeedChoice)),

@@ -13,7 +13,7 @@
 //! the simulator passes a random source.
 
 use crate::compiled::{CompiledProgram, Ctx, Flow, RunEnd};
-use crate::config::{Config, Frame, Inherited, Instr, MachineState, MachineStore};
+use crate::config::{Config, Cont, Frame, Inherited, Instr, MachineState, MachineStore};
 use crate::error::{ErrorKind, ExecError, PError};
 use crate::foreign::ForeignEnv;
 use crate::lower::{
@@ -21,6 +21,9 @@ use crate::lower::{
 };
 use crate::value::Value;
 use crate::MachineId;
+
+#[cfg(test)]
+mod reference;
 
 /// How a machine's atomic run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,7 +296,9 @@ impl<'p> Engine<'p> {
             // in main initializers, and any that slips through becomes ⊥.
             let mut empty = Script::new(&[]);
             for (var, expr) in &inits {
-                let v = self.eval(m, id, *expr, &mut empty).unwrap_or(Value::Null);
+                let v = self
+                    .eval(&Env::of(m, id), *expr, &mut empty)
+                    .unwrap_or(Value::Null);
                 values.push((*var, v));
             }
         }
@@ -532,36 +537,40 @@ impl<'p> Engine<'p> {
     /// Shared by the interpreter's `CallState` arm and the compiled
     /// driver's [`Flow::Call`] handling.
     pub(crate) fn finish_call_state(&self, m: &mut MachineState, target: StateId) {
-        let mt = self.program.machine(m.ty);
-        let current = m.current_state();
-        let state = &mt.states[current.0 as usize];
-        let n_events = self.program.event_count();
-        let old = m.top().inherited.clone();
-        let mut inherited = Vec::with_capacity(n_events);
-        #[allow(clippy::needless_range_loop)] // x indexes four tables
-        for x in 0..n_events {
-            let ev = EventId(x as u32);
-            let entry = if state.steps[x].is_some() || state.calls[x].is_some() {
-                Inherited::None
-            } else if let Some(a) = state.actions[x] {
-                Inherited::Action(a)
-            } else if state.deferred.contains(ev) {
-                Inherited::Deferred
-            } else {
-                old[x]
-            };
-            inherited.push(entry);
-        }
         // The continuation after this statement becomes the saved
         // resume point; it is restored when the callee returns.
         let resume = std::mem::take(&mut m.cont);
-        let entry = mt.states[target.0 as usize].entry;
+        self.push_callee(m, target, Some(resume));
+    }
+
+    /// Rule CALL: pushes the frame (n', a') and queues n''s entry
+    /// statement. a' takes, per event, what the current state says — a
+    /// transition hides whatever was inherited, an action binding or a
+    /// deferral replaces it — and otherwise what the caller's frame
+    /// inherited itself.
+    fn push_callee(&self, m: &mut MachineState, target: StateId, resume: Option<Cont>) {
+        let mt = self.program.machine(m.ty);
+        let caller = m.top();
+        let state = &mt.states[caller.state.0 as usize];
+        let inherited = (0..self.program.event_count())
+            .map(|x| {
+                if state.steps[x].is_some() || state.calls[x].is_some() {
+                    Inherited::None
+                } else if let Some(a) = state.actions[x] {
+                    Inherited::Action(a)
+                } else if state.deferred.contains(EventId(x as u32)) {
+                    Inherited::Deferred
+                } else {
+                    caller.inherited[x]
+                }
+            })
+            .collect();
         m.stack.push(Frame {
             state: target,
             inherited,
-            resume: Some(resume),
+            resume,
         });
-        m.cont.push(Instr::Stmt(entry));
+        m.cont.push(Instr::Stmt(mt.states[target.0 as usize].entry));
     }
 
     /// Executes one small step of machine `id`, already taken out of
@@ -645,31 +654,8 @@ impl<'p> Engine<'p> {
         // CALL: push (n', a') where a' inherits from the current state.
         if let Some(target) = state.calls[e] {
             m.pending = None;
-            let n_events = self.program.event_count();
-            let old = m.top().inherited.clone();
-            let mut inherited = Vec::with_capacity(n_events);
-            #[allow(clippy::needless_range_loop)] // x indexes four tables
-            for x in 0..n_events {
-                let ev = EventId(x as u32);
-                let entry = if state.steps[x].is_some() || state.calls[x].is_some() {
-                    Inherited::None
-                } else if let Some(a) = state.actions[x] {
-                    Inherited::Action(a)
-                } else if state.deferred.contains(ev) {
-                    Inherited::Deferred
-                } else {
-                    old[x]
-                };
-                inherited.push(entry);
-            }
-            let entry_stmt = mt.states[target.0 as usize].entry;
-            m.stack.push(Frame {
-                state: target,
-                inherited,
-                resume: None,
-            });
             m.cont.clear();
-            m.cont.push(Instr::Stmt(entry_stmt));
+            self.push_callee(m, target, None);
             return SmallStep::Continue;
         }
 
@@ -776,7 +762,7 @@ impl<'p> Engine<'p> {
     ) -> SmallStep {
         macro_rules! eval {
             ($expr:expr) => {{
-                match self.eval(m, id, $expr, choices) {
+                match self.eval(&Env::of(m, id), $expr, choices) {
                     Ok(v) => v,
                     Err(NeedChoiceMarker) => return SmallStep::NeedChoice,
                 }
@@ -907,7 +893,7 @@ impl<'p> Engine<'p> {
                 for a in args {
                     arg_values.push(eval!(*a));
                 }
-                let result = match self.call_foreign(m, id, *func, &arg_values, choices) {
+                let result = match self.call_foreign(&Env::of(m, id), *func, &arg_values, choices) {
                     Ok(v) => v,
                     Err(ModelAbort::NeedChoice) => return SmallStep::NeedChoice,
                     Err(ModelAbort::Error(kind)) => return SmallStep::Error(kind),
@@ -921,52 +907,75 @@ impl<'p> Engine<'p> {
     }
 
     /// Big-step expression evaluation (the paper's ⇓ relation) with ⊥
-    /// propagation and external resolution of `*`.
+    /// propagation and external resolution of `*`, over a machine's frame
+    /// or a model body's.
+    ///
+    /// Nearly every expression a statement evaluates is a leaf or one
+    /// operator over leaves, so this is one match with the operands read
+    /// in place: straight-line code that touches `choices` only at a `*`.
+    /// Only an operand that is itself an operator, a `*` or a call
+    /// recurses.
     fn eval(
         &self,
-        m: &MachineState,
-        self_id: MachineId,
+        env: &Env<'_>,
         expr: ExprId,
         choices: &mut dyn ChoiceSource,
     ) -> Result<Value, NeedChoiceMarker> {
-        Ok(match self.program.code.expr(expr) {
-            LExpr::This => Value::Machine(self_id),
-            LExpr::Msg => m.msg,
-            LExpr::Arg => m.arg,
-            LExpr::Null => Value::Null,
-            LExpr::Bool(b) => Value::Bool(*b),
-            LExpr::Int(i) => Value::Int(*i),
-            LExpr::Var(v) => m.locals[v.0 as usize],
-            LExpr::Event(e) => Value::Event(*e),
-            LExpr::Nondet => Value::Bool(choices.next_choice().ok_or(NeedChoiceMarker)?),
-            LExpr::Unary(op, inner) => {
-                let v = self.eval(m, self_id, *inner, choices)?;
-                Value::unary(*op, &v)
-            }
+        let code = &self.program.code;
+        macro_rules! operand {
+            ($e:expr) => {
+                match env.leaf(code.expr($e)) {
+                    Some(v) => v,
+                    None => self.eval(env, $e, choices)?,
+                }
+            };
+        }
+        Ok(match code.expr(expr) {
+            LExpr::Unary(op, inner) => Value::unary(*op, &operand!(*inner)),
             LExpr::Binary(op, a, b) => {
                 // Note: both operands are always evaluated (no short
                 // circuit), matching the paper's strict operator semantics.
-                let va = self.eval(m, self_id, *a, choices)?;
-                let vb = self.eval(m, self_id, *b, choices)?;
+                let va = operand!(*a);
+                let vb = operand!(*b);
                 Value::binary(*op, &va, &vb)
             }
-            LExpr::Foreign(func, args) => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval(m, self_id, *a, choices)?);
-                }
-                match self.call_foreign(m, self_id, *func, &values, choices) {
-                    Ok(v) => v,
-                    Err(ModelAbort::NeedChoice) => return Err(NeedChoiceMarker),
-                    // A failing assert inside a model body in expression
-                    // position surfaces as ⊥ — the enclosing statement's
-                    // dynamic checks then report the error; this keeps the
-                    // expression layer total, matching the paper's
-                    // ⊥-propagating discipline.
-                    Err(ModelAbort::Error(_)) => Value::Null,
-                }
-            }
+            LExpr::Nondet => Value::Bool(choices.next_choice().ok_or(NeedChoiceMarker)?),
+            LExpr::Foreign(func, args) => self.eval_foreign(env, *func, args, choices)?,
+            leaf => env.leaf(leaf).expect("every other form is a leaf"),
         })
+    }
+
+    /// A foreign call in expression position.
+    fn eval_foreign(
+        &self,
+        env: &Env<'_>,
+        func: FnId,
+        args: &[ExprId],
+        choices: &mut dyn ChoiceSource,
+    ) -> Result<Value, NeedChoiceMarker> {
+        let mut values = Vec::with_capacity(args.len());
+        for a in args {
+            values.push(self.eval(env, *a, choices)?);
+        }
+        if env.in_model {
+            // Nested foreign calls inside model bodies resolve through the
+            // native registry only (no recursive model interpretation).
+            return Ok(if self.foreign.has_impl(env.ty, func) {
+                self.foreign.call(env.self_id, env.ty, func, &values)
+            } else {
+                Value::Null
+            });
+        }
+        match self.call_foreign(env, func, &values, choices) {
+            Ok(v) => Ok(v),
+            Err(ModelAbort::NeedChoice) => Err(NeedChoiceMarker),
+            // A failing assert inside a model body in expression
+            // position surfaces as ⊥ — the enclosing statement's
+            // dynamic checks then report the error; this keeps the
+            // expression layer total, matching the paper's
+            // ⊥-propagating discipline.
+            Err(ModelAbort::Error(_)) => Ok(Value::Null),
+        }
     }
 
     /// The `en(m)` predicate: whether machine `id` can take a step.
@@ -1001,22 +1010,21 @@ impl Engine<'_> {
     /// conservative ⊥ is returned.
     pub(crate) fn call_foreign(
         &self,
-        m: &MachineState,
-        self_id: MachineId,
+        env: &Env<'_>,
         func: FnId,
         args: &[Value],
         choices: &mut dyn ChoiceSource,
     ) -> Result<Value, ModelAbort> {
-        if self.foreign.has_impl(m.ty, func) {
-            return Ok(self.foreign.call(self_id, m.ty, func, args));
+        if self.foreign.has_impl(env.ty, func) {
+            return Ok(self.foreign.call(env.self_id, env.ty, func, args));
         }
-        let mt = self.program.machine(m.ty);
+        let mt = self.program.machine(env.ty);
         let Some(model) = mt.foreign[func.0 as usize].model else {
             return Ok(Value::Null);
         };
         // Extended frame: machine locals (read-only for well-checked
         // programs), then parameters, then the `result` slot.
-        let mut locals = m.locals.clone();
+        let mut locals = env.locals.to_vec();
         locals.resize(model.param_base as usize, Value::Null);
         for i in 0..model.param_count as usize {
             locals.push(args.get(i).copied().unwrap_or(Value::Null));
@@ -1024,23 +1032,26 @@ impl Engine<'_> {
         locals.push(Value::Null); // result
         let mut frame = ModelFrame {
             locals,
-            msg: m.msg,
-            arg: m.arg,
-            self_id,
-            ty: m.ty,
-            fuel: 100_000,
+            fuel: self.fuel,
         };
-        self.model_stmt(&mut frame, model.body, choices)?;
+        self.model_stmt(env, &mut frame, model.body, choices)?;
         Ok(frame.locals[model.result_slot as usize])
     }
 
     /// Big-step interpretation of a (statement-restricted) model body.
     fn model_stmt(
         &self,
+        caller: &Env<'_>,
         frame: &mut ModelFrame,
         stmt: StmtId,
         choices: &mut dyn ChoiceSource,
     ) -> Result<(), ModelAbort> {
+        macro_rules! eval {
+            ($expr:expr) => {
+                self.eval(&frame.env(caller), $expr, choices)
+                    .map_err(|NeedChoiceMarker| ModelAbort::NeedChoice)?
+            };
+        }
         if frame.fuel == 0 {
             return Err(ModelAbort::Error(ErrorKind::FuelExhausted));
         }
@@ -1048,24 +1059,24 @@ impl Engine<'_> {
         match self.program.code.stmt(stmt) {
             LStmt::Skip => Ok(()),
             LStmt::Assign(var, value) => {
-                let v = self.model_expr(frame, *value, choices)?;
+                let v = eval!(*value);
                 frame.locals[var.0 as usize] = v;
                 Ok(())
             }
-            LStmt::Assert(cond) => match self.model_expr(frame, *cond, choices)? {
+            LStmt::Assert(cond) => match eval!(*cond) {
                 Value::Bool(true) => Ok(()),
                 Value::Bool(false) => Err(ModelAbort::Error(ErrorKind::AssertionFailure)),
                 _ => Err(ModelAbort::Error(ErrorKind::AssertionUndefined)),
             },
             LStmt::Block(children) => {
                 for child in children.clone() {
-                    self.model_stmt(frame, child, choices)?;
+                    self.model_stmt(caller, frame, child, choices)?;
                 }
                 Ok(())
             }
-            LStmt::If { cond, then, els } => match self.model_expr(frame, *cond, choices)? {
-                Value::Bool(true) => self.model_stmt(frame, *then, choices),
-                Value::Bool(false) => self.model_stmt(frame, *els, choices),
+            LStmt::If { cond, then, els } => match eval!(*cond) {
+                Value::Bool(true) => self.model_stmt(caller, frame, *then, choices),
+                Value::Bool(false) => self.model_stmt(caller, frame, *els, choices),
                 _ => Err(ModelAbort::Error(ErrorKind::UndefinedCondition)),
             },
             LStmt::While { cond, body } => loop {
@@ -1073,8 +1084,8 @@ impl Engine<'_> {
                     return Err(ModelAbort::Error(ErrorKind::FuelExhausted));
                 }
                 frame.fuel -= 1;
-                match self.model_expr(frame, *cond, choices)? {
-                    Value::Bool(true) => self.model_stmt(frame, *body, choices)?,
+                match eval!(*cond) {
+                    Value::Bool(true) => self.model_stmt(caller, frame, *body, choices)?,
                     Value::Bool(false) => return Ok(()),
                     _ => return Err(ModelAbort::Error(ErrorKind::UndefinedCondition)),
                 }
@@ -1083,60 +1094,72 @@ impl Engine<'_> {
             _ => Err(ModelAbort::Error(ErrorKind::UndefinedCondition)),
         }
     }
+}
 
-    fn model_expr(
-        &self,
-        frame: &mut ModelFrame,
-        expr: ExprId,
-        choices: &mut dyn ChoiceSource,
-    ) -> Result<Value, ModelAbort> {
-        Ok(match self.program.code.expr(expr) {
-            LExpr::This => Value::Machine(frame.self_id),
-            LExpr::Msg => frame.msg,
-            LExpr::Arg => frame.arg,
+/// What an expression reads: the frame of the running machine, or the
+/// extended frame of a model body called from it.
+pub(crate) struct Env<'a> {
+    locals: &'a [Value],
+    msg: Value,
+    arg: Value,
+    self_id: MachineId,
+    ty: MachineTypeId,
+    /// Evaluating inside a model body (the one policy that differs: a
+    /// nested foreign call is not interpreted).
+    in_model: bool,
+}
+
+impl<'a> Env<'a> {
+    /// The frame of machine `self_id`, whose state is `m`.
+    #[inline]
+    pub(crate) fn of(m: &'a MachineState, self_id: MachineId) -> Env<'a> {
+        Env {
+            locals: &m.locals,
+            msg: m.msg,
+            arg: m.arg,
+            self_id,
+            ty: m.ty,
+            in_model: false,
+        }
+    }
+
+    /// The value of `expr` if it reads no other expression.
+    #[inline(always)]
+    fn leaf(&self, expr: &LExpr) -> Option<Value> {
+        Some(match expr {
+            LExpr::This => Value::Machine(self.self_id),
+            LExpr::Msg => self.msg,
+            LExpr::Arg => self.arg,
             LExpr::Null => Value::Null,
             LExpr::Bool(b) => Value::Bool(*b),
             LExpr::Int(i) => Value::Int(*i),
-            LExpr::Var(v) => frame
-                .locals
-                .get(v.0 as usize)
-                .copied()
-                .unwrap_or(Value::Null),
+            LExpr::Var(v) => self.locals[v.0 as usize],
             LExpr::Event(e) => Value::Event(*e),
-            LExpr::Nondet => Value::Bool(choices.next_choice().ok_or(ModelAbort::NeedChoice)?),
-            LExpr::Unary(op, inner) => {
-                let v = self.model_expr(frame, *inner, choices)?;
-                Value::unary(*op, &v)
-            }
-            LExpr::Binary(op, a, b) => {
-                let va = self.model_expr(frame, *a, choices)?;
-                let vb = self.model_expr(frame, *b, choices)?;
-                Value::binary(*op, &va, &vb)
-            }
-            // Nested foreign calls inside model bodies resolve through the
-            // native registry only (no recursive model interpretation).
-            LExpr::Foreign(func, args) => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.model_expr(frame, *a, choices)?);
-                }
-                if self.foreign.has_impl(frame.ty, *func) {
-                    self.foreign.call(frame.self_id, frame.ty, *func, &values)
-                } else {
-                    Value::Null
-                }
+            LExpr::Nondet | LExpr::Unary(..) | LExpr::Binary(..) | LExpr::Foreign(..) => {
+                return None
             }
         })
     }
 }
 
+/// The locals of a model body — the calling machine's, then the
+/// parameters, then `result` — and the steps it may still take.
 struct ModelFrame {
     locals: Vec<Value>,
-    msg: Value,
-    arg: Value,
-    self_id: MachineId,
-    ty: MachineTypeId,
     fuel: usize,
+}
+
+impl ModelFrame {
+    fn env<'a>(&'a self, caller: &Env<'_>) -> Env<'a> {
+        Env {
+            locals: &self.locals,
+            msg: caller.msg,
+            arg: caller.arg,
+            self_id: caller.self_id,
+            ty: caller.ty,
+            in_model: true,
+        }
+    }
 }
 
 struct CountingChoices<'a> {

@@ -861,6 +861,48 @@ fn model_body_while_loop_computes() {
 }
 
 #[test]
+fn model_body_runs_on_the_engines_fuel() {
+    let src = r#"
+        machine M {
+            var x : int;
+            foreign fn spin() : int { while (true) { skip; } }
+            foreign fn count() : int {
+                result := 0;
+                while (result < 20000) { result := result + 1; }
+            }
+            state S { entry { x := count(); x := spin(); } }
+        }
+        main M();
+    "#;
+    let program = lower(&p_parser::parse(src).unwrap()).unwrap();
+    let run = |engine: Engine<'_>| {
+        let mut config = engine.initial_config();
+        let r = engine
+            .run_machine(
+                &mut config,
+                MachineId(0),
+                &mut no_choices(),
+                Granularity::Atomic,
+            )
+            .unwrap();
+        let x = config.machine(MachineId(0)).unwrap().locals[0];
+        (r.outcome, r.steps, x)
+    };
+    let exhausted = ExecOutcome::Error(crate::PError::new(ErrorKind::FuelExhausted, MachineId(0)));
+    // 50 steps do not finish `count`, let alone `spin`; the machine's own
+    // steps (block, two calls) are nowhere near 50.
+    let (outcome, steps, x) = run(Engine::new(&program, ForeignEnv::empty()).with_fuel(50));
+    assert_eq!(outcome, exhausted);
+    assert!(steps < 10, "{steps}");
+    assert_eq!(x, Value::Null);
+    // The default budget is 100 000 per model call: `count` (60 001
+    // steps) completes, `spin` is cut off.
+    let (outcome, _, x) = run(Engine::new(&program, ForeignEnv::empty()));
+    assert_eq!(outcome, exhausted);
+    assert_eq!(x, Value::Int(20000));
+}
+
+#[test]
 fn dead_machine_step_is_a_typed_error_not_a_panic() {
     // Asking the engine to run a machine that was never allocated (or
     // was deleted) must surface as `ExecError::DeadMachine`, not abort
