@@ -187,74 +187,6 @@ pub fn drivers_agree(script: &[Event]) -> bool {
     led_match && switch_match
 }
 
-/// One row of the parallel-exploration report: one program verified
-/// exhaustively at one worker count.
-#[derive(Debug, Clone)]
-pub struct JobsRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Workers (`1` = one worker on the calling thread).
-    pub jobs: usize,
-    /// Unique configurations explored.
-    pub states: usize,
-    /// Transitions executed.
-    pub transitions: usize,
-    /// Exploration wall time.
-    pub duration: Duration,
-    /// Whether the program verified.
-    pub passed: bool,
-}
-
-/// The corpus programs of the parallel-speedup comparison: the largest
-/// protocol (German with three clients), the largest USB machine, and
-/// the lossy-link benchmark.
-pub fn jobs_programs() -> Vec<(&'static str, Compiled)> {
-    vec![
-        (
-            "German-3",
-            Compiled::from_program(corpus::german3()).unwrap(),
-        ),
-        (
-            "USB HSM",
-            Compiled::from_program(corpus::usb_hsm()).unwrap(),
-        ),
-        (
-            "Lossy link",
-            Compiled::from_program(corpus::lossy_link()).unwrap(),
-        ),
-    ]
-}
-
-/// Verifies each [`jobs_programs`] benchmark at every worker count in
-/// `job_counts`, asserting that state counts and verdicts agree across
-/// counts (the soundness claim the speedup rests on).
-pub fn jobs_rows(job_counts: &[usize]) -> Vec<JobsRow> {
-    let mut rows = Vec::new();
-    for (name, compiled) in jobs_programs() {
-        let mut baseline: Option<(usize, bool)> = None;
-        for &jobs in job_counts {
-            let report = compiled.verify_parallel(jobs);
-            let row = JobsRow {
-                name,
-                jobs,
-                states: report.stats.unique_states,
-                transitions: report.stats.transitions,
-                duration: report.stats.duration,
-                passed: report.passed(),
-            };
-            match baseline {
-                None => baseline = Some((row.states, row.passed)),
-                Some((states, passed)) => {
-                    assert_eq!(states, row.states, "{name}: state count depends on jobs");
-                    assert_eq!(passed, row.passed, "{name}: verdict depends on jobs");
-                }
-            }
-            rows.push(row);
-        }
-    }
-    rows
-}
-
 /// One row of the atomicity-reduction ablation (E5).
 #[derive(Debug, Clone)]
 pub struct AblationRow {
@@ -407,8 +339,8 @@ pub fn perf_rows_for(only: Option<&[String]>) -> Vec<ExplorationMetrics> {
             continue;
         }
         let compiled = Compiled::from_program(program).unwrap();
-        let table = corpus::compiled::compiled_program(name)
-            .unwrap_or_else(|| panic!("{name}: no checked-in compiled table"));
+        let table = p_core::tables::compiled_program(name)
+            .unwrap_or_else(|| panic!("{name}: no compiled table"));
         let full = best_of_three(|| compiled.verify());
         let fast = best_of_three(|| {
             compiled
@@ -494,16 +426,6 @@ mod tests {
         for rounds in [1, 5, 20] {
             assert!(drivers_agree(&efficiency_script(rounds)), "rounds={rounds}");
         }
-    }
-
-    #[test]
-    fn jobs_rows_agree_across_worker_counts() {
-        // jobs_rows asserts state-count/verdict agreement internally;
-        // this exercises it on the smallest benchmark pair.
-        let rows = jobs_rows(&[1, 2]);
-        assert_eq!(rows.len(), jobs_programs().len() * 2);
-        assert!(rows.iter().all(|r| r.passed));
-        assert!(rows.iter().all(|r| r.states > 0));
     }
 
     #[test]

@@ -176,6 +176,9 @@ mod tests {
         let out = generate_rust(&lowered, "elevator_like");
         assert!(out.code.contains("pub struct Compiled"));
         assert!(out.code.contains("impl CompiledProgram for Compiled"));
+        // Nothing that is only legal at the top of a file: the text is
+        // `include!`d inside a `mod`.
+        assert!(!out.code.contains("//!") && !out.code.contains("#!["));
         assert!(out
             .code
             .contains(&format!("pub const DIGEST: u128 = 0x{:032x};", out.digest)));

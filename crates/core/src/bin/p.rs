@@ -163,8 +163,32 @@ fn load(path: &str) -> Result<(String, Compiled), String> {
     Ok((source, compiled))
 }
 
+/// What follows FILE for a subcommand with no flag loop of its own: at
+/// most `max_plain` plain arguments and, where `output`, `-o PATH`.
+fn tail_args(
+    args: &[String],
+    output: bool,
+    max_plain: usize,
+) -> Result<(Vec<&str>, Option<&str>), String> {
+    let (mut plain, mut target) = (Vec::new(), None);
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if output && arg == "-o" {
+            target = Some(rest.next().ok_or("-o needs a path")?);
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag `{arg}`"));
+        } else if plain.len() == max_plain {
+            return Err(format!("unexpected argument `{arg}`"));
+        } else {
+            plain.push(arg);
+        }
+    }
+    Ok((plain, target))
+}
+
 fn check(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    tail_args(args, false, 0)?;
     let (_, compiled) = load(path)?;
     for w in compiled.warnings() {
         println!("{w}");
@@ -180,6 +204,7 @@ fn check(args: &[String]) -> Result<(), String> {
 
 fn fmt(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    tail_args(args, false, 0)?;
     let (_, compiled) = load(path)?;
     print!("{}", p_core::ast::print_program(compiled.program()));
     Ok(())
@@ -187,6 +212,7 @@ fn fmt(args: &[String]) -> Result<(), String> {
 
 fn info(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    tail_args(args, false, 0)?;
     let (_, compiled) = load(path)?;
     let p = compiled.program();
     println!("{path}:");
@@ -371,11 +397,12 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
         .with_telemetry(telemetry.clone());
     if use_compiled {
         let digest = p_core::semantics::compiled::program_digest(compiled.lowered());
-        let table = p_core::corpus::compiled::compiled_for_digest(digest).ok_or_else(|| {
+        let table = p_core::tables::compiled_for_digest(digest).ok_or_else(|| {
             format!(
                 "--compiled: no ahead-of-time compiled module matches this program \
-                 (digest {digest:032x}); only corpus programs ship checked-in tables \
-                 — regenerate them with CORPUS_REGEN=1 cargo test -p p-corpus"
+                 (digest {digest:032x}); the set of tables is fixed when `p` is built, \
+                 one per program of the corpus (crates/corpus/programs/*.p and the \
+                 three seeded-bug variants)"
             )
         })?;
         verifier = verifier.with_compiled(table).map_err(|e| e.to_string())?;
@@ -600,6 +627,7 @@ fn write_profile(
 
 fn liveness(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or_else(usage)?;
+    tail_args(args, false, 0)?;
     let (_, compiled) = load(path)?;
     let report = compiled.verify_liveness();
     println!(
@@ -841,11 +869,12 @@ fn run_sharded(
 
 fn compile(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    let (_, target) = tail_args(args, true, 0)?;
     let (_, compiled) = load(path)?;
     let out = compiled.emit_c().map_err(|e| e.to_string())?;
-    match output_flag(args)? {
+    match target {
         Some(target) => {
-            fs::write(&target, &out.code).map_err(|e| format!("cannot write {target}: {e}"))?;
+            fs::write(target, &out.code).map_err(|e| format!("cannot write {target}: {e}"))?;
             println!(
                 "wrote {target}: {} lines, {} functions, {} states",
                 out.stats.lines, out.stats.functions, out.stats.states
@@ -858,34 +887,23 @@ fn compile(args: &[String]) -> Result<(), String> {
 
 fn dot(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or_else(usage)?;
+    // Optional machine name: the one plain argument after FILE.
+    let (machine, target) = tail_args(args, true, 1)?;
     let (_, compiled) = load(path)?;
-    // Optional machine name (any non-flag second argument).
-    let machine = args.get(1).filter(|a| !a.starts_with('-'));
-    let rendered = match machine {
+    let rendered = match machine.first() {
         Some(name) => {
             p_core::codegen::machine_to_dot(compiled.program(), name).map_err(|e| e.to_string())?
         }
         None => p_core::codegen::program_to_dot(compiled.program()),
     };
-    match output_flag(args)? {
+    match target {
         Some(target) => {
-            fs::write(&target, &rendered).map_err(|e| format!("cannot write {target}: {e}"))?;
+            fs::write(target, &rendered).map_err(|e| format!("cannot write {target}: {e}"))?;
             println!("wrote {target}");
         }
         None => print!("{rendered}"),
     }
     Ok(())
-}
-
-fn output_flag(args: &[String]) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == "-o") {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or("-o needs a path".to_owned()),
-    }
 }
 
 #[cfg(test)]

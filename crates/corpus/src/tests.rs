@@ -241,51 +241,6 @@ fn programs_print_and_reparse() {
     }
 }
 
-#[test]
-fn compiled_modules_match_checked_in_files() {
-    let mut programs = all();
-    programs.push(("elevator_buggy", elevator_buggy()));
-    programs.push(("switch_led_buggy", switch_led_buggy()));
-    programs.push(("german_buggy", german_buggy()));
-
-    let names: Vec<&str> = programs.iter().map(|&(n, _)| n).collect();
-    let mut registered = compiled::compiled_names();
-    registered.sort_unstable();
-    let mut expected = names.clone();
-    expected.sort_unstable();
-    assert_eq!(
-        registered, expected,
-        "src/compiled/mod.rs registry out of sync with the corpus"
-    );
-
-    let regen = std::env::var_os("CORPUS_REGEN").is_some();
-    for (name, program) in &programs {
-        let lowered = lower(program).unwrap_or_else(|e| panic!("{name} fails to lower: {e}"));
-        let out = p_codegen::generate_rust(&lowered, name);
-        let path = format!("src/compiled/{name}.rs");
-        if regen {
-            let target = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(&path);
-            std::fs::write(&target, &out.code)
-                .unwrap_or_else(|e| panic!("cannot regenerate {path}: {e}"));
-            continue;
-        }
-        let table = compiled::compiled_program(name)
-            .unwrap_or_else(|| panic!("{name} missing from the compiled registry"));
-        assert_eq!(
-            table.digest(),
-            out.digest,
-            "{path} is stale; regenerate with CORPUS_REGEN=1 cargo test -p p-corpus"
-        );
-        let checked_in =
-            std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(&path))
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        assert_eq!(
-            checked_in, out.code,
-            "{path} is stale; regenerate with CORPUS_REGEN=1 cargo test -p p-corpus"
-        );
-    }
-}
-
 /// What `Engine::eval` is shaped for: of the expressions statements
 /// evaluate (every `ExprId` a statement holds, over the corpus with the
 /// German family represented by its six-client member), almost all are a

@@ -393,6 +393,44 @@ fn unknown_command_shows_usage() {
     assert!(stderr(&out).contains("usage:"));
 }
 
+/// `verify` and `run` always refused an unknown flag; the other six used
+/// to run as if it had not been typed (`p liveness f.p --jobs 4`).
+#[test]
+fn every_subcommand_refuses_flags_it_does_not_take() {
+    let file = corpus_file("ping_pong.p");
+    let file = file.to_str().unwrap();
+    let run = |args: &[&str]| p_bin().args(args).output().unwrap();
+    for command in ["check", "fmt", "info", "liveness", "compile", "dot"] {
+        for stray in [&["--bogus"][..], &["--jobs", "4"], &["-x"]] {
+            let out = run(&[&[command, file], stray].concat());
+            assert_eq!(out.status.code(), Some(2), "p {command} FILE {stray:?}");
+            let expected = format!("unknown flag `{}`", stray[0]);
+            assert!(stderr(&out).contains(&expected), "{}", stderr(&out));
+            assert!(stdout(&out).is_empty(), "p {command} FILE {stray:?} ran");
+        }
+    }
+    // A second plain argument is refused too, except `dot`'s machine name.
+    let out = run(&["check", file, file]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unexpected argument"));
+    assert_eq!(
+        run(&["dot", file, "Client", "Server"]).status.code(),
+        Some(2)
+    );
+    let out = run(&["compile", file, "-o"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("-o needs a path"));
+    // What `dot` takes, it still takes, in either order.
+    let target = std::env::temp_dir().join("p-cli-test-flags.dot");
+    let target = target.to_str().unwrap();
+    for args in [["Client", "-o", target], ["-o", target, "Client"]] {
+        let _ = std::fs::remove_file(target);
+        let out = run(&[&["dot", file], &args[..]].concat());
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(std::fs::read_to_string(target).unwrap().contains("Client"));
+    }
+}
+
 #[test]
 fn mem_limit_rejects_overflow_and_zero() {
     // `99999999999999999999k` overflows even a 64-bit byte count; the
@@ -437,7 +475,7 @@ fn verify_compiled_uses_corpus_table() {
 #[test]
 fn verify_compiled_rejects_unknown_programs_with_exit_2() {
     // Any program that does not lower bit-identically to a corpus entry
-    // has no checked-in table; `--compiled` must fail up front.
+    // has no table; `--compiled` must fail up front.
     let path = write_temp(
         "not-in-corpus.p",
         "event e; machine M { state S { on e goto S; } } main M();",

@@ -6,7 +6,8 @@
 //! parallel engine. The interpreter is the specification; the compiled
 //! tables are an optimization that may never change an answer.
 
-use p_core::corpus::{self, compiled};
+use p_core::corpus;
+use p_core::tables as compiled;
 use p_core::{CheckerOptions, Compiled, Report};
 
 fn modes() -> Vec<(&'static str, CheckerOptions)> {
@@ -35,7 +36,7 @@ fn check(program: &Compiled, options: &CheckerOptions, use_table: bool, name: &s
     let mut verifier = program.verifier().with_options(options.clone());
     if use_table {
         let table = compiled::compiled_program(name)
-            .unwrap_or_else(|| panic!("{name}: no compiled table in the corpus registry"));
+            .unwrap_or_else(|| panic!("{name}: no compiled table in the registry"));
         verifier = verifier
             .with_compiled(table)
             .unwrap_or_else(|e| panic!("{name}: compiled table rejected: {e}"));
