@@ -3,14 +3,11 @@
 //! (states/sec, unique states, peak stored bytes, and the sleep-set POR
 //! and symmetry-reduction comparisons per program).
 //!
-//! Each program is explored five times — plain interpreter, the
-//! `--compiled` ahead-of-time backend, `--por`, `--symmetry`, and
-//! `--por --symmetry` — and the runs are asserted to agree on the
-//! verdict, with the compiled backend bit-identical on states and
-//! transitions, POR preserving unique states exactly and symmetry never
+//! Each program is explored four times — plain, `--por`, `--symmetry`,
+//! and `--por --symmetry` — and the runs are asserted to agree on the
+//! verdict, with POR preserving unique states exactly and symmetry never
 //! increasing them, so the JSON doubles as a soundness witness for the
-//! numbers it reports. The `exhaustive`/`compiled` row pairs give the
-//! compiled backend's speedup program by program.
+//! numbers it reports.
 //!
 //! The rows are [`p_core::telemetry::ExplorationMetrics`] — the same
 //! schema `p verify --profile` embeds in profile JSON — wrapped in a
@@ -95,9 +92,9 @@ fn main() {
     let json = report.to_json().render_pretty();
     std::fs::write(&out_path, json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!(
-        "\nWrote {out_path}; compiled backend, POR and symmetry agreed with full \
-         exploration on the verdict for all {} program(s).",
-        report.programs.len() / 5
+        "\nWrote {out_path}; POR and symmetry agreed with full exploration on \
+         the verdict for all {} program(s).",
+        report.programs.len() / 4
     );
     if only.is_some() {
         println!("(--only subset — do not commit this file as the benchmark baseline)");

@@ -295,16 +295,14 @@ fn best_of_three(run: impl Fn() -> p_core::Report) -> p_core::Report {
 }
 
 /// Explores every `corpus::all()` program exhaustively (one worker)
-/// in five modes — plain interpreter, the ahead-of-time
-/// compiled backend, sleep-set POR, symmetry reduction, and
-/// POR+symmetry — asserting all agree on the verdict, that the
-/// compiled backend reproduces states and transitions bit-identically,
-/// that POR preserves the unique-state count exactly (it prunes
-/// transitions, never states), and that symmetry never *increases* it
-/// (it merges id-permuted duplicates). Returns five rows per program,
-/// tagged `"exhaustive"`, `"compiled"`, `"por"`, `"symmetry"` and
-/// `"por+symmetry"`, in the shared [`ExplorationMetrics`] schema. Each
-/// measurement is the fastest of three runs.
+/// in four modes — plain, sleep-set POR, symmetry reduction, and
+/// POR+symmetry — asserting all agree on the verdict, that POR
+/// preserves the unique-state count exactly (it prunes transitions,
+/// never states), and that symmetry never *increases* it (it merges
+/// id-permuted duplicates). Returns four rows per program, tagged
+/// `"exhaustive"`, `"por"`, `"symmetry"` and `"por+symmetry"`, in the
+/// shared [`ExplorationMetrics`] schema. Each measurement is the
+/// fastest of three runs.
 pub fn perf_rows() -> Vec<ExplorationMetrics> {
     perf_rows_for(None)
 }
@@ -339,32 +337,10 @@ pub fn perf_rows_for(only: Option<&[String]>) -> Vec<ExplorationMetrics> {
             continue;
         }
         let compiled = Compiled::from_program(program).unwrap();
-        let table = p_core::tables::compiled_program(name)
-            .unwrap_or_else(|| panic!("{name}: no compiled table"));
         let full = best_of_three(|| compiled.verify());
-        let fast = best_of_three(|| {
-            compiled
-                .verifier()
-                .with_compiled(table)
-                .expect("corpus table digest matches its own program")
-                .check_exhaustive()
-        });
         let por = run_mode(&compiled, true, false);
         let sym = run_mode(&compiled, false, true);
         let por_sym = run_mode(&compiled, true, true);
-        assert_eq!(
-            (
-                full.passed(),
-                full.stats.unique_states,
-                full.stats.transitions
-            ),
-            (
-                fast.passed(),
-                fast.stats.unique_states,
-                fast.stats.transitions
-            ),
-            "{name}: compiled backend changed the answer"
-        );
         assert_eq!(
             full.passed(),
             por.passed(),
@@ -390,7 +366,6 @@ pub fn perf_rows_for(only: Option<&[String]>) -> Vec<ExplorationMetrics> {
             );
         }
         rows.push(report_to_metrics(name, "exhaustive", 1, &full));
-        rows.push(report_to_metrics(name, "compiled", 1, &fast));
         rows.push(report_to_metrics(name, "por", 1, &por));
         rows.push(report_to_metrics(name, "symmetry", 1, &sym));
         rows.push(report_to_metrics(name, "por+symmetry", 1, &por_sym));

@@ -39,9 +39,6 @@ pub enum CheckerError {
     /// step or a corrupt continuation/lowering. These indicate a checker or
     /// lowering bug, not a property violation of the program under test.
     Semantics(p_semantics::ExecError),
-    /// A compiled execution backend disagreed with the interpreter (wrong
-    /// program digest, or an unsupported program shape for the fast path).
-    CompiledBackend(String),
     /// The options ask a strategy for a reduction that is not sound for
     /// it (`por` or `symmetry` with a delay bound or a fault budget).
     Unsupported(String),
@@ -67,7 +64,6 @@ impl fmt::Display for CheckerError {
             CheckerError::CheckpointMismatch(why) => write!(f, "stale checkpoint: {why}"),
             CheckerError::WorkerPanic(why) => write!(f, "exploration worker panicked: {why}"),
             CheckerError::Semantics(e) => write!(f, "semantics error: {e}"),
-            CheckerError::CompiledBackend(why) => write!(f, "compiled backend: {why}"),
             CheckerError::Unsupported(why) => write!(f, "unsupported options: {why}"),
         }
     }

@@ -331,7 +331,6 @@ pub struct Verifier<'p> {
     foreign: ForeignEnv,
     options: CheckerOptions,
     telemetry: Telemetry,
-    compiled: Option<&'p dyn p_semantics::compiled::CompiledProgram>,
 }
 
 impl<'p> Verifier<'p> {
@@ -342,26 +341,7 @@ impl<'p> Verifier<'p> {
             foreign: ForeignEnv::empty(),
             options: CheckerOptions::default(),
             telemetry: Telemetry::disabled(),
-            compiled: None,
         }
-    }
-
-    /// Attaches an ahead-of-time compiled execution table. Every engine
-    /// the verifier constructs — for any strategy and worker count —
-    /// then takes the compiled fast path for atomic runs, with the
-    /// interpreter semantics as the specification. The table's
-    /// digest is validated here, eagerly, against the program under
-    /// check; a mismatch is a [`CheckerError::CompiledBackend`] rather
-    /// than a panic deep inside exploration.
-    pub fn with_compiled(
-        mut self,
-        table: &'p dyn p_semantics::compiled::CompiledProgram,
-    ) -> Result<Verifier<'p>, CheckerError> {
-        Engine::new(self.program, self.foreign.clone())
-            .with_compiled(table)
-            .map_err(|e| CheckerError::CompiledBackend(e.to_string()))?;
-        self.compiled = Some(table);
-        Ok(self)
     }
 
     /// Supplies foreign-function implementations (which must be
@@ -404,13 +384,7 @@ impl<'p> Verifier<'p> {
     }
 
     pub(crate) fn engine(&self) -> Engine<'p> {
-        let engine = Engine::new(self.program, self.foreign.clone()).with_fuel(self.options.fuel);
-        match self.compiled {
-            Some(table) => engine
-                .with_compiled(table)
-                .expect("digest validated in with_compiled"),
-            None => engine,
-        }
+        Engine::new(self.program, self.foreign.clone()).with_fuel(self.options.fuel)
     }
 
     /// Exhaustive search truncated at `max_depth` scheduler decisions —
@@ -426,7 +400,6 @@ impl<'p> Verifier<'p> {
             foreign: self.foreign.clone(),
             options,
             telemetry: self.telemetry.clone(),
-            compiled: self.compiled,
         }
         .check_exhaustive()
     }

@@ -23,7 +23,7 @@ const SAMPLE_EVERY: u64 = 32;
 /// An attributable phase of one exploration step.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
-    /// Machine execution (interpreter or compiled stepper).
+    /// Machine execution (the interpreter's runs).
     Exec,
     /// Incremental digest / fingerprint maintenance.
     Digest,

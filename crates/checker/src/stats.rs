@@ -9,7 +9,7 @@ use std::time::Duration;
 /// Filled by the search kernel from a 1-in-N task sample scaled
 /// back to the whole run (see `crate::phase`), so each figure is an
 /// estimate of where wall-clock time went rather than an exact meter:
-/// `exec` is the interpreter/compiled machine runs, `digest` the
+/// `exec` is the interpreter's machine runs, `digest` the
 /// incremental fingerprint maintenance, `clone` the candidate
 /// configuration derivation (arena priming), `canon` the symmetry
 /// canonicalization, and `table` the visited-set/parent-map admission.
@@ -17,7 +17,7 @@ use std::time::Duration;
 /// computation, scheduling and bookkeeping are unattributed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
-    /// Machine execution (interpreter or compiled stepper).
+    /// Machine execution (the interpreter's runs).
     pub exec: u64,
     /// Incremental digest/fingerprint maintenance.
     pub digest: u64,

@@ -15,25 +15,15 @@
 //! and the function bodies. The output is structured, compilable C; it
 //! links against a `p_runtime.h` ABI whose declarations are included in
 //! the prelude.
-//!
-//! [`generate_rust`] is the second backend, with the opposite audience:
-//! it compiles the *unerased* program — ghosts and `*`-choices included
-//! — into a Rust statement-level jump table implementing
-//! `p_semantics::compiled::CompiledProgram`, for the model checker's
-//! `--compiled` fast path. Where the C backend serves deployment and
-//! must never see a ghost, the Rust backend serves verification and
-//! must reproduce the interpreter bit for bit.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod dot;
 mod emit;
-mod rust;
 
 pub use dot::{machine_to_dot, program_to_dot};
 pub use emit::{generate_c, generate_c_from_lowered, COutput, CodegenError, CodegenStats};
-pub use rust::{generate_rust, RustOutput};
 
 #[cfg(test)]
 mod tests {
@@ -166,41 +156,6 @@ mod tests {
         let err = generate_c_from_lowered(&lowered).unwrap_err();
         assert!(matches!(err, CodegenError::Ghost { ref machine } if machine == "Env"));
         assert!(err.to_string().contains("ghost machine `Env`"));
-    }
-
-    #[test]
-    fn rust_emitter_compiles_the_full_program() {
-        // The Rust emitter targets the checker: ghosts and `*` included.
-        let program = p_parser::parse(ELEVATOR).unwrap();
-        let lowered = p_semantics::lower(&program).unwrap();
-        let out = generate_rust(&lowered, "elevator_like");
-        assert!(out.code.contains("pub struct Compiled"));
-        assert!(out.code.contains("impl CompiledProgram for Compiled"));
-        // Nothing that is only legal at the top of a file: the text is
-        // `include!`d inside a `mod`.
-        assert!(!out.code.contains("//!") && !out.code.contains("#!["));
-        assert!(out
-            .code
-            .contains(&format!("pub const DIGEST: u128 = 0x{:032x};", out.digest)));
-        assert_eq!(
-            out.digest,
-            p_semantics::compiled::program_digest(&lowered),
-            "embedded digest must match the lowered program"
-        );
-        // One statement function per arena entry, all dispatched.
-        assert!(out.code.matches("fn s").count() >= lowered.code.stmt_count());
-        assert_eq!(out.code.matches('{').count(), out.code.matches('}').count());
-        assert!(out.stats.machines == 2, "ghost Env is compiled too");
-    }
-
-    #[test]
-    fn rust_emitter_is_deterministic() {
-        let program = p_parser::parse(ELEVATOR).unwrap();
-        let lowered = p_semantics::lower(&program).unwrap();
-        let a = generate_rust(&lowered, "x");
-        let b = generate_rust(&lowered, "x");
-        assert_eq!(a.code, b.code);
-        assert_eq!(a.digest, b.digest);
     }
 
     #[test]

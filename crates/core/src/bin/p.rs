@@ -5,8 +5,7 @@
 //! p fmt FILE                        print the normalized program
 //! p info FILE                       machines / states / transitions
 //! p verify FILE [--delay N] [--max-states N] [--fine] [--jobs N] [--por]
-//!              [--symmetry] [--compiled]
-//!              [--faults N] [--fault-kinds drop,dup,delay]
+//!              [--symmetry] [--faults N] [--fault-kinds drop,dup,delay]
 //!              [--profile OUT.json] [--progress]
 //!              [--checkpoint DIR] [--checkpoint-every N] [--resume DIR]
 //!              [--mem-limit BYTES] [--abort-after N]
@@ -131,8 +130,7 @@ fn usage() -> String {
      p fmt FILE                        print the normalized program\n\
      p info FILE                       machines / states / transitions\n\
      p verify FILE [--delay N] [--max-states N] [--fine] [--jobs N] [--por]\n\
-                   [--symmetry] [--compiled]\n\
-                   [--faults N] [--fault-kinds drop,dup,delay]\n\
+                   [--symmetry] [--faults N] [--fault-kinds drop,dup,delay]\n\
                    [--profile OUT.json] [--progress]\n\
                    [--checkpoint DIR] [--checkpoint-every N] [--resume DIR]\n\
                    [--mem-limit BYTES[k|m|g]] [--abort-after N]\n\
@@ -253,7 +251,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut checkpoint_dir: Option<String> = None;
     let mut checkpoint_every: Option<usize> = None;
     let mut abort_after: Option<usize> = None;
-    let mut use_compiled = false;
     let mut options = CheckerOptions::default();
     let mut i = 1;
     while i < args.len() {
@@ -323,10 +320,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 options.symmetry = true;
                 i += 1;
             }
-            "--compiled" => {
-                use_compiled = true;
-                i += 1;
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -344,11 +337,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     if options.symmetry && (delay.is_some() || faults.is_some()) {
         return Err(
             "--symmetry applies to the exhaustive search only (not --delay/--faults)".to_owned(),
-        );
-    }
-    if use_compiled && matches!(options.granularity, p_core::semantics::Granularity::Fine) {
-        return Err(
-            "--compiled accelerates atomic runs and cannot be combined with --fine".to_owned(),
         );
     }
     if checkpoint_every.is_some() && checkpoint_dir.is_none() && options.resume.is_none() {
@@ -391,23 +379,10 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     };
     options.interrupt = Some(signals::install_interrupt());
     let ckpt_dir = options.checkpoint.as_ref().map(|p| p.dir.clone());
-    let mut verifier = compiled
+    let verifier = compiled
         .verifier()
         .with_options(options)
         .with_telemetry(telemetry.clone());
-    if use_compiled {
-        let digest = p_core::semantics::compiled::program_digest(compiled.lowered());
-        let table = p_core::tables::compiled_for_digest(digest).ok_or_else(|| {
-            format!(
-                "--compiled: no ahead-of-time compiled module matches this program \
-                 (digest {digest:032x}); the set of tables is fixed when `p` is built, \
-                 one per program of the corpus (crates/corpus/programs/*.p and the \
-                 three seeded-bug variants)"
-            )
-        })?;
-        verifier = verifier.with_compiled(table).map_err(|e| e.to_string())?;
-        println!("backend: compiled (digest {digest:032x})");
-    }
     let report = match (delay, faults) {
         (None, None) => verifier.try_check_exhaustive().map_err(|e| e.to_string())?,
         (Some(d), _) => {
@@ -465,6 +440,18 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 None => println!("{path}: INTERRUPTED (no --checkpoint configured)"),
             }
             Ok(ExitCode::from(EXIT_INTERRUPTED))
+        }
+        None if !complete => {
+            // The depth bound has no flag and stays at its default; the
+            // deepest task seen reaches it only when it cut the search.
+            let options = verifier.options();
+            let bound = if stats.max_depth >= options.max_depth {
+                format!("depth {}", options.max_depth)
+            } else {
+                format!("--max-states {}", options.max_states)
+            };
+            println!("{path}: PASSED (incomplete: stopped at {bound})");
+            Ok(ExitCode::SUCCESS)
         }
         None => {
             println!("{path}: PASSED");

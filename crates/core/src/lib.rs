@@ -14,7 +14,6 @@
 //! | execution runtime | [`runtime`] | §4 |
 //! | C code generation | [`codegen`] | §4 |
 //! | benchmark corpus | [`corpus`] | §2, §4.1, §5, §6 |
-//! | corpus compiled at build time | [`tables`] | §4 |
 //! | tracing + profiling | [`telemetry`] | §6 (measurement) |
 //!
 //! # Examples
@@ -53,8 +52,6 @@
 
 use std::error::Error;
 use std::fmt;
-
-pub mod tables;
 
 pub use p_ast as ast;
 pub use p_checker as checker;

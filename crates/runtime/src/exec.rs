@@ -27,9 +27,6 @@
 //! with [`RuntimeError::CrossShard`] — while executor-level injections
 //! route to any shard. Co-locate machines that talk to each other with
 //! [`Executor::create_machine_on`].
-//!
-//! [`EventPump`](crate::EventPump) is a shards=1 facade over this module
-//! that adopts an existing runtime, preserving the PR 1 pump API.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -80,8 +77,7 @@ impl Injection {
     }
 }
 
-/// What [`Executor::inject`] (and [`EventPump::inject`]
-/// (crate::EventPump::inject)) does when the target machine already has
+/// What [`Executor::inject`] does when the target machine already has
 /// `mailbox_capacity` events waiting or the shard is out of injection
 /// credits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -466,8 +462,8 @@ struct ExecInner {
     shards: Vec<Shard>,
     /// How machine ids map to shards: global id → `(shard + 1) << 32 |
     /// local id`, 0 for an id not handed out yet; read without a lock.
-    /// `None` in adopt mode (the `EventPump` facade): one shard wrapping
-    /// a caller-owned runtime, ids pass through unchanged.
+    /// `None` in adopt mode: one shard wrapping a caller-owned runtime,
+    /// ids pass through unchanged.
     routes: Option<SlotTable<AtomicU64>>,
     next_global: AtomicU32,
     wheel: TimerWheel,
@@ -684,6 +680,11 @@ fn timer_loop(inner: &ExecInner) {
 
 /// A sharded multi-threaded executor over P machine runtimes.
 ///
+/// Windows calls into a driver from many contexts — application
+/// requests, interrupts, deferred procedure calls (§4): this is that
+/// interface code injecting from many threads, each delivery one
+/// run-to-completion `SMAddEvent`.
+///
 /// # Examples
 ///
 /// ```
@@ -743,10 +744,34 @@ impl Executor {
         ExecutorBuilder::new(Source::Lowered(Box::new(program)))
     }
 
-    /// Builder that adopts an existing runtime as a single shard (the
-    /// [`EventPump`](crate::EventPump) facade). Machine ids pass through
-    /// unchanged; machines created directly on the runtime get their
-    /// depth counter lazily on first injection.
+    /// Builder that adopts an existing runtime as a single shard: an
+    /// asynchronous front for a runtime the caller keeps using. Machine
+    /// ids pass through unchanged; machines created directly on the
+    /// runtime get their depth counter lazily on first injection.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// let src = r#"
+    ///     event inc;
+    ///     machine Counter {
+    ///         var n : int;
+    ///         state Run { on inc do bump; }
+    ///         action bump { n := n + 1; }
+    ///     }
+    ///     main Counter();
+    /// "#;
+    /// let program = p_parser::parse(src).unwrap();
+    /// let runtime = p_runtime::Runtime::builder(&program).unwrap().start();
+    /// let id = runtime.create_machine("Counter", &[("n", p_semantics::Value::Int(0))]).unwrap();
+    ///
+    /// let exec = p_runtime::Executor::adopt(runtime.clone()).credits(16).start();
+    /// for _ in 0..10 {
+    ///     exec.inject(p_runtime::Injection::new(id, "inc", p_semantics::Value::Null)).unwrap();
+    /// }
+    /// exec.shutdown().unwrap();
+    /// assert_eq!(runtime.read_var(id, "n"), Some(p_semantics::Value::Int(10)));
+    /// ```
     pub fn adopt(runtime: Runtime) -> ExecutorBuilder {
         ExecutorBuilder::new(Source::Adopt(runtime))
     }

@@ -17,9 +17,7 @@
 //!    timer wheel for delayed injections — every delivery still one
 //!    run-to-completion `add_event`;
 //! 6. [`DriverHost`] plays the role of the skeletal KMDF interface code,
-//!    translating simulated OS callbacks into P events, and
-//!    [`EventPump`] is the single-shard executor facade for
-//!    asynchronous producers.
+//!    translating simulated OS callbacks into P events.
 //!
 //! Because the runtime drives the *same* operational-semantics engine the
 //! model checker explores, the schedule it executes is the delay-0 causal
@@ -32,6 +30,7 @@
 mod error;
 mod exec;
 mod host;
+#[cfg(test)]
 mod pump;
 mod runtime;
 mod shard;
@@ -44,7 +43,6 @@ pub use exec::{
     ShardStats,
 };
 pub use host::{DeviceHandle, DriverHost};
-pub use pump::{EventPump, PumpBuilder, PumpStats};
 pub use runtime::{MachineStats, MachineStatus, Runtime, RuntimeBuilder, RuntimeStats};
 
 #[cfg(test)]

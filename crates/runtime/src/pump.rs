@@ -1,214 +1,28 @@
-//! Asynchronous event injection: the single-shard facade over the
-//! sharded executor.
-//!
-//! Windows calls into a driver from many contexts — application requests,
-//! interrupts, deferred procedure calls (§4). [`EventPump`] models those
-//! asynchronous sources: producers send [`Injection`]s from any thread;
-//! the executor delivers them through `SMAddEvent` (run-to-completion),
-//! exactly like interface code running on an OS worker thread.
-//!
-//! Since the sharded executor landed (ROADMAP item 2), the pump is a thin
-//! wrapper over [`Executor`] in adopt mode: one shard wrapping the
-//! caller's runtime, injection credits standing in for the old bounded
-//! channel's capacity. The public API and failure model are unchanged —
-//! the bounded queue overflows per [`OverflowPolicy`]; transient
-//! backpressure can be ridden out with [`EventPump::try_inject`]
-//! (deadline) or [`EventPump::inject_with_retry`] (exponential backoff
-//! via [`RetryPolicy`]); machine errors do **not** kill the pump (the
-//! worker records the first failure, keeps delivering to healthy
-//! machines, and the error surfaces on [`EventPump::shutdown`]) — and
-//! the pump gains [`EventPump::inject_after`] from the executor's timer
-//! wheel for free.
-
-use std::time::Duration;
-
-use crate::{Executor, Injection, OverflowPolicy, RetryPolicy, Runtime, RuntimeError};
-
-/// Delivery counters for one pump (see [`EventPump::stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PumpStats {
-    /// Injections delivered into the runtime.
-    pub delivered: u64,
-    /// Injections the runtime rejected at delivery (machine halted,
-    /// quarantined, deleted; an unknown event name is refused by `inject`).
-    pub failed: u64,
-    /// Injections dropped by the [`OverflowPolicy::DropNewest`] policy.
-    pub dropped: u64,
-}
-
-/// Configures an [`EventPump`] (see [`EventPump::builder`]).
-#[derive(Debug)]
-pub struct PumpBuilder {
-    runtime: Runtime,
-    capacity: usize,
-    overflow: OverflowPolicy,
-}
-
-impl PumpBuilder {
-    /// Queue capacity (default 64).
-    pub fn capacity(mut self, capacity: usize) -> PumpBuilder {
-        self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Overflow policy for [`EventPump::inject`] (default
-    /// [`OverflowPolicy::Block`]).
-    pub fn overflow(mut self, policy: OverflowPolicy) -> PumpBuilder {
-        self.overflow = policy;
-        self
-    }
-
-    /// Spawns the worker thread and returns the pump handle.
-    pub fn start(self) -> EventPump {
-        EventPump {
-            exec: Executor::adopt(self.runtime)
-                // The old bounded channel's capacity maps onto the
-                // shard's credit budget: at most `capacity` injections
-                // queued at once, pump-wide.
-                .mailbox_capacity(self.capacity)
-                .credits(self.capacity)
-                .overflow(self.overflow)
-                .start(),
-        }
-    }
-}
-
-/// A background event-delivery worker over a bounded queue.
-///
-/// # Examples
-///
-/// ```
-/// let src = r#"
-///     event inc;
-///     machine Counter {
-///         var n : int;
-///         state Run { on inc do bump; }
-///         action bump { n := n + 1; }
-///     }
-///     main Counter();
-/// "#;
-/// let program = p_parser::parse(src).unwrap();
-/// let runtime = p_runtime::Runtime::builder(&program).unwrap().start();
-/// let id = runtime.create_machine("Counter", &[("n", p_semantics::Value::Int(0))]).unwrap();
-///
-/// let pump = p_runtime::EventPump::start(runtime.clone(), 16);
-/// for _ in 0..10 {
-///     pump.inject(p_runtime::Injection::new(id, "inc", p_semantics::Value::Null)).unwrap();
-/// }
-/// pump.shutdown().unwrap();
-/// assert_eq!(runtime.read_var(id, "n"), Some(p_semantics::Value::Int(10)));
-/// ```
-#[derive(Debug)]
-pub struct EventPump {
-    exec: Executor,
-}
-
-impl EventPump {
-    /// Starts configuring a pump (capacity, overflow policy).
-    pub fn builder(runtime: Runtime) -> PumpBuilder {
-        PumpBuilder {
-            runtime,
-            capacity: 64,
-            overflow: OverflowPolicy::default(),
-        }
-    }
-
-    /// Spawns a pump with a queue of the given capacity and the default
-    /// [`OverflowPolicy::Block`] policy.
-    pub fn start(runtime: Runtime, capacity: usize) -> EventPump {
-        EventPump::builder(runtime).capacity(capacity).start()
-    }
-
-    /// Queues one event for delivery. A full queue is handled per the
-    /// pump's [`OverflowPolicy`]: `Block` waits, `DropNewest` counts the
-    /// event as dropped and succeeds, `Fail` returns
-    /// [`RuntimeError::QueueFull`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::PumpStopped`] if the pump has stopped;
-    /// [`RuntimeError::QueueFull`] under the `Fail` policy.
-    pub fn inject(&self, injection: Injection) -> Result<(), RuntimeError> {
-        self.exec.inject(injection)
-    }
-
-    /// Queues one event, waiting at most `deadline` for queue space.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::QueueFull`] if the deadline expires;
-    /// [`RuntimeError::PumpStopped`] if the pump has stopped.
-    pub fn try_inject(&self, injection: Injection, deadline: Duration) -> Result<(), RuntimeError> {
-        self.exec.try_inject(injection, deadline)
-    }
-
-    /// Queues one event, retrying transient [`RuntimeError::QueueFull`]
-    /// conditions with exponential backoff per `policy`.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::QueueFull`] once `policy.max_attempts` attempts
-    /// are exhausted; [`RuntimeError::PumpStopped`] if the pump stops.
-    pub fn inject_with_retry(
-        &self,
-        injection: Injection,
-        policy: &RetryPolicy,
-    ) -> Result<(), RuntimeError> {
-        self.exec.inject_with_retry(injection, policy)
-    }
-
-    /// Arms a delayed injection on the executor's timer wheel: the event
-    /// is delivered once `delay` has elapsed. Delayed sends to one
-    /// machine fire in deadline order.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::PumpStopped`] after shutdown has begun.
-    pub fn inject_after(&self, injection: Injection, delay: Duration) -> Result<(), RuntimeError> {
-        self.exec.inject_after(injection, delay)
-    }
-
-    /// This pump's delivery counters.
-    pub fn stats(&self) -> PumpStats {
-        let stats = self.exec.stats();
-        PumpStats {
-            delivered: stats.delivered,
-            failed: stats.failed,
-            dropped: stats.dropped,
-        }
-    }
-
-    /// Stops intake and waits for the pump to drain; returns the number
-    /// of events delivered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first machine error the pump encountered, or
-    /// [`RuntimeError::PumpPanicked`] if the worker thread died.
-    pub fn shutdown(self) -> Result<u64, RuntimeError> {
-        self.exec.shutdown().map(|report| report.delivered)
-    }
-
-    /// Like [`EventPump::shutdown`], but waits at most `deadline` for
-    /// in-flight injections to drain.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ShutdownTimeout`] — carrying the in-flight count —
-    /// if the queue does not drain in time (the worker is detached and
-    /// keeps draining in the background); otherwise as
-    /// [`EventPump::shutdown`].
-    pub fn shutdown_with_deadline(self, deadline: Duration) -> Result<u64, RuntimeError> {
-        self.exec
-            .shutdown_with_deadline(deadline)
-            .map(|report| report.delivered)
-    }
-}
+//! The executor as §4's event pump: one adopted shard over the caller's
+//! runtime, holding at most `capacity` injections at once, fed from any
+//! thread. Tests only — [`Executor::adopt`] is the whole mechanism.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::time::Duration;
+
     use p_semantics::{MachineId, Value};
+
+    use crate::{Executor, Injection, OverflowPolicy, RetryPolicy, Runtime, RuntimeError};
+
+    /// One queue bound: `capacity` is the shard's credit budget and every
+    /// machine's mailbox bound.
+    fn adopt(runtime: Runtime, capacity: usize, overflow: OverflowPolicy) -> Executor {
+        Executor::adopt(runtime)
+            .mailbox_capacity(capacity)
+            .credits(capacity)
+            .overflow(overflow)
+            .start()
+    }
+
+    fn start(runtime: Runtime, capacity: usize) -> Executor {
+        adopt(runtime, capacity, OverflowPolicy::Block)
+    }
 
     fn counter_runtime() -> (Runtime, MachineId) {
         let src = r#"
@@ -257,11 +71,11 @@ mod tests {
     #[test]
     fn pump_delivers_in_order_and_drains_on_shutdown() {
         let (runtime, id) = counter_runtime();
-        let pump = EventPump::start(runtime.clone(), 4);
+        let pump = start(runtime.clone(), 4);
         for _ in 0..100 {
             pump.inject(Injection::new(id, "inc", Value::Null)).unwrap();
         }
-        let delivered = pump.shutdown().unwrap();
+        let delivered = pump.shutdown().unwrap().delivered;
         assert_eq!(delivered, 100);
         assert_eq!(runtime.read_var(id, "n"), Some(Value::Int(100)));
     }
@@ -269,7 +83,7 @@ mod tests {
     #[test]
     fn multiple_producers_one_pump() {
         let (runtime, id) = counter_runtime();
-        let pump = std::sync::Arc::new(EventPump::start(runtime.clone(), 32));
+        let pump = std::sync::Arc::new(start(runtime.clone(), 32));
         let producers: Vec<_> = (0..4)
             .map(|_| {
                 let pump = std::sync::Arc::clone(&pump);
@@ -284,7 +98,7 @@ mod tests {
             p.join().unwrap();
         }
         let pump = std::sync::Arc::into_inner(pump).expect("sole owner");
-        let delivered = pump.shutdown().unwrap();
+        let delivered = pump.shutdown().unwrap().delivered;
         assert_eq!(delivered, 200);
         assert_eq!(runtime.read_var(id, "n"), Some(Value::Int(200)));
     }
@@ -302,7 +116,7 @@ mod tests {
         let program = p_parser::parse(src).unwrap();
         let runtime = Runtime::builder(&program).unwrap().start();
         let id = runtime.create_machine("M", &[]).unwrap();
-        let pump = EventPump::start(runtime, 4);
+        let pump = start(runtime, 4);
         pump.inject(Injection::new(id, "boom", Value::Null))
             .unwrap();
         match pump.shutdown() {
@@ -316,10 +130,7 @@ mod tests {
     #[test]
     fn drop_newest_drops_exactly_the_excess_and_stats_count_it() {
         let (runtime, id) = slow_runtime(Duration::from_millis(300));
-        let pump = EventPump::builder(runtime.clone())
-            .capacity(1)
-            .overflow(OverflowPolicy::DropNewest)
-            .start();
+        let pump = adopt(runtime.clone(), 1, OverflowPolicy::DropNewest);
         // #1 occupies the worker (asleep in the foreign call); the rest
         // race a full 1-slot buffer, so at least one must be dropped.
         pump.inject(Injection::new(id, "tick", Value::Null))
@@ -331,7 +142,7 @@ mod tests {
         }
         let dropped = pump.stats().dropped;
         assert!(dropped >= 2, "expected at least two drops, got {dropped}");
-        let delivered = pump.shutdown().unwrap();
+        let delivered = pump.shutdown().unwrap().delivered;
         // Exactly the excess is dropped: every injection is either
         // delivered or counted as dropped, never both, never lost.
         assert_eq!(delivered + dropped, 5);
@@ -353,10 +164,7 @@ mod tests {
     #[test]
     fn fail_policy_and_try_inject_report_queue_full() {
         let (runtime, id) = slow_runtime(Duration::from_millis(300));
-        let pump = EventPump::builder(runtime)
-            .capacity(1)
-            .overflow(OverflowPolicy::Fail)
-            .start();
+        let pump = adopt(runtime, 1, OverflowPolicy::Fail);
         pump.inject(Injection::new(id, "tick", Value::Null))
             .unwrap();
         std::thread::sleep(Duration::from_millis(50));
@@ -387,10 +195,7 @@ mod tests {
     #[test]
     fn retry_rides_out_transient_backpressure() {
         let (runtime, id) = slow_runtime(Duration::from_millis(100));
-        let pump = EventPump::builder(runtime.clone())
-            .capacity(1)
-            .overflow(OverflowPolicy::Fail)
-            .start();
+        let pump = adopt(runtime.clone(), 1, OverflowPolicy::Fail);
         pump.inject(Injection::new(id, "tick", Value::Null))
             .unwrap();
         std::thread::sleep(Duration::from_millis(20));
@@ -406,7 +211,7 @@ mod tests {
         };
         pump.inject_with_retry(Injection::new(id, "tick", Value::Null), &policy)
             .unwrap();
-        let delivered = pump.shutdown().unwrap();
+        let delivered = pump.shutdown().unwrap().delivered;
         assert_eq!(delivered, 3);
         assert_eq!(runtime.read_var(id, "n"), Some(Value::Int(3)));
     }
@@ -414,7 +219,7 @@ mod tests {
     #[test]
     fn shutdown_with_deadline_times_out_on_a_stuck_worker() {
         let (runtime, id) = slow_runtime(Duration::from_millis(500));
-        let pump = EventPump::start(runtime, 4);
+        let pump = start(runtime, 4);
         pump.inject(Injection::new(id, "tick", Value::Null))
             .unwrap();
         std::thread::sleep(Duration::from_millis(20));
@@ -429,11 +234,14 @@ mod tests {
     #[test]
     fn shutdown_with_deadline_drains_a_healthy_pump() {
         let (runtime, id) = counter_runtime();
-        let pump = EventPump::start(runtime.clone(), 16);
+        let pump = start(runtime.clone(), 16);
         for _ in 0..10 {
             pump.inject(Injection::new(id, "inc", Value::Null)).unwrap();
         }
-        let delivered = pump.shutdown_with_deadline(Duration::from_secs(5)).unwrap();
+        let delivered = pump
+            .shutdown_with_deadline(Duration::from_secs(5))
+            .unwrap()
+            .delivered;
         assert_eq!(delivered, 10);
         assert_eq!(runtime.read_var(id, "n"), Some(Value::Int(10)));
     }
@@ -442,7 +250,7 @@ mod tests {
     fn dropping_a_pump_joins_the_worker_and_drains() {
         let (runtime, id) = counter_runtime();
         {
-            let pump = EventPump::start(runtime.clone(), 16);
+            let pump = start(runtime.clone(), 16);
             for _ in 0..20 {
                 pump.inject(Injection::new(id, "inc", Value::Null)).unwrap();
             }
@@ -454,7 +262,7 @@ mod tests {
     #[test]
     fn inject_after_delivers_through_the_timer_wheel() {
         let (runtime, id) = counter_runtime();
-        let pump = EventPump::start(runtime.clone(), 16);
+        let pump = start(runtime.clone(), 16);
         pump.inject_after(
             Injection::new(id, "inc", Value::Null),
             Duration::from_millis(30),
@@ -463,7 +271,7 @@ mod tests {
         // Not yet delivered (the timer is still armed)…
         assert_eq!(runtime.read_var(id, "n"), Some(Value::Int(0)));
         // …but shutdown waits for armed timers before draining.
-        let delivered = pump.shutdown().unwrap();
+        let delivered = pump.shutdown().unwrap().delivered;
         assert_eq!(delivered, 1);
         assert_eq!(runtime.read_var(id, "n"), Some(Value::Int(1)));
     }

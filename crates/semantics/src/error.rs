@@ -84,14 +84,6 @@ pub enum ExecError {
         /// Which invariant was violated.
         detail: &'static str,
     },
-    /// A compiled execution backend was attached for a different program
-    /// than the one the engine interprets (program digest mismatch).
-    CompiledMismatch {
-        /// Digest of the interpreter's lowered program.
-        expected: u128,
-        /// Digest baked into the compiled backend.
-        found: u128,
-    },
 }
 
 impl fmt::Display for ExecError {
@@ -103,11 +95,6 @@ impl fmt::Display for ExecError {
             ExecError::CorruptContinuation { machine, detail } => {
                 write!(f, "machine {machine}: corrupt continuation: {detail}")
             }
-            ExecError::CompiledMismatch { expected, found } => write!(
-                f,
-                "compiled backend was generated from a different program \
-                 (expected digest {expected:032x}, found {found:032x})"
-            ),
         }
     }
 }

@@ -12,7 +12,6 @@
 //! script and re-executes with extended scripts to enumerate both branches;
 //! the simulator passes a random source.
 
-use crate::compiled::{CompiledProgram, Ctx, Flow, RunEnd};
 use crate::config::{Config, Cont, Frame, Inherited, Instr, MachineState, MachineStore};
 use crate::error::{ErrorKind, ExecError, PError};
 use crate::foreign::ForeignEnv;
@@ -178,20 +177,19 @@ pub struct Engine<'p> {
     fuel: usize,
     event_log: bool,
     dequeue_log: bool,
-    compiled: Option<&'p dyn CompiledProgram>,
 }
 
 /// What one atomic run observed (internal accumulator for
 /// [`RunResult`]'s event lists).
-pub(crate) struct RunLog {
-    pub(crate) dequeued: Vec<EventId>,
-    pub(crate) raised: Vec<EventId>,
-    pub(crate) deferred: Vec<EventId>,
+struct RunLog {
+    dequeued: Vec<EventId>,
+    raised: Vec<EventId>,
+    deferred: Vec<EventId>,
     /// Record `dequeued`? (On by default — the liveness analysis and the
     /// runtime depend on it; the safety checker turns it off.)
-    pub(crate) dequeue: bool,
+    dequeue: bool,
     /// Record `raised`/`deferred` too?
-    pub(crate) extended: bool,
+    extended: bool,
 }
 
 /// Result of one small step (internal).
@@ -221,32 +219,7 @@ impl<'p> Engine<'p> {
             fuel: 100_000,
             event_log: false,
             dequeue_log: true,
-            compiled: None,
         }
-    }
-
-    /// Attaches a compiled execution backend: atomic runs then execute
-    /// statements through `table`'s generated functions instead of the
-    /// interpreter (fine-grained runs still interpret — the ablation
-    /// baseline measures the interpreter). The interpreter remains the
-    /// differential oracle; both backends are bit-identical in outcomes,
-    /// step counts, choice consumption and machine state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::CompiledMismatch`] when `table` was generated
-    /// from a different program than this engine interprets.
-    pub fn with_compiled(
-        mut self,
-        table: &'p dyn CompiledProgram,
-    ) -> Result<Engine<'p>, ExecError> {
-        let expected = crate::compiled::program_digest(self.program);
-        let found = table.digest();
-        if found != expected {
-            return Err(ExecError::CompiledMismatch { expected, found });
-        }
-        self.compiled = Some(table);
-        Ok(self)
     }
 
     /// Also records `raise`d and deferred events in [`RunResult`] (the
@@ -386,52 +359,33 @@ impl<'p> Engine<'p> {
             dequeue: self.dequeue_log,
             extended: self.event_log,
         };
-        let mut fatal = None;
-        let outcome = if let (Some(table), Granularity::Atomic) = (self.compiled, granularity) {
-            self.run_compiled(
-                table,
-                store,
-                m,
-                id,
-                &mut counting,
-                &mut log,
-                &mut steps,
-                &mut fatal,
-            )
-        } else {
-            loop {
-                if steps >= self.fuel {
-                    break ExecOutcome::Error(PError::new(ErrorKind::FuelExhausted, id));
+        let outcome = loop {
+            if steps >= self.fuel {
+                break ExecOutcome::Error(PError::new(ErrorKind::FuelExhausted, id));
+            }
+            steps += 1;
+            match self.small_step(store, m, id, &mut counting, &mut log) {
+                SmallStep::Continue => {
+                    if granularity == Granularity::Fine {
+                        // Blocked/terminated conditions are detected on
+                        // the next entry, so a fine step is always
+                        // resumable.
+                        break ExecOutcome::Yield(YieldKind::Internal);
+                    }
                 }
-                steps += 1;
-                let step = self.small_step(store, m, id, &mut counting, &mut log);
-                match step {
-                    SmallStep::Continue => {
-                        if granularity == Granularity::Fine {
-                            // Blocked/terminated conditions are detected on
-                            // the next entry, so a fine step is always
-                            // resumable.
-                            break ExecOutcome::Yield(YieldKind::Internal);
-                        }
-                    }
-                    SmallStep::Yield(kind) => break ExecOutcome::Yield(kind),
-                    SmallStep::Blocked => break ExecOutcome::Blocked,
-                    SmallStep::Deleted => break ExecOutcome::Deleted,
-                    SmallStep::Error(kind) => break ExecOutcome::Error(PError::new(kind, id)),
-                    SmallStep::NeedChoice => break ExecOutcome::NeedChoice,
-                    SmallStep::Fatal(detail) => {
-                        fatal = Some(detail);
-                        break ExecOutcome::NeedChoice; // placeholder, unused
-                    }
+                SmallStep::Yield(kind) => break ExecOutcome::Yield(kind),
+                SmallStep::Blocked => break ExecOutcome::Blocked,
+                SmallStep::Deleted => break ExecOutcome::Deleted,
+                SmallStep::Error(kind) => break ExecOutcome::Error(PError::new(kind, id)),
+                SmallStep::NeedChoice => break ExecOutcome::NeedChoice,
+                SmallStep::Fatal(detail) => {
+                    return Err(ExecError::CorruptContinuation {
+                        machine: id,
+                        detail,
+                    })
                 }
             }
         };
-        if let Some(detail) = fatal {
-            return Err(ExecError::CorruptContinuation {
-                machine: id,
-                detail,
-            });
-        }
         Ok(RunResult {
             outcome,
             choices_used: counting.used,
@@ -440,107 +394,6 @@ impl<'p> Engine<'p> {
             raised: log.raised,
             deferred: log.deferred,
         })
-    }
-
-    /// The compiled driver loop: statement-shaped instructions (`Stmt`,
-    /// `Seq`, `Loop`) run as generated code; dispatch, dequeueing and the
-    /// stack instructions take the interpreter path (they are identical
-    /// table walks in both backends and never dominate a profile).
-    ///
-    /// Step accounting is exact: generated statement functions charge one
-    /// step per interpreter instruction pop they fuse away, and this loop
-    /// charges the pops it performs itself, so fuel runs out at the same
-    /// point on both backends.
-    #[allow(clippy::too_many_arguments)]
-    fn run_compiled<S: MachineStore>(
-        &self,
-        table: &dyn CompiledProgram,
-        store: &mut S,
-        m: &mut MachineState,
-        id: MachineId,
-        choices: &mut CountingChoices<'_>,
-        log: &mut RunLog,
-        steps: &mut usize,
-        fatal: &mut Option<&'static str>,
-    ) -> ExecOutcome {
-        loop {
-            if matches!(
-                m.cont.last(),
-                Some(Instr::Stmt(_) | Instr::Seq(..) | Instr::Loop(_))
-            ) {
-                let instr = m.cont.pop().expect("just matched Some");
-                let cont_base = m.cont.len();
-                let mut cx = Ctx {
-                    engine: self,
-                    store: &mut *store,
-                    m,
-                    id,
-                    choices,
-                    log,
-                    steps,
-                    fuel: self.fuel,
-                    cont_base,
-                };
-                let flow = match instr {
-                    Instr::Stmt(sid) => table.stmt(&mut cx, sid),
-                    Instr::Seq(block, idx) => table.seq(&mut cx, block, idx),
-                    Instr::Loop(while_stmt) => {
-                        // The interpreter charges one step to pop `Loop`
-                        // (which re-pushes the `while`), then the `while`
-                        // statement charges its own.
-                        if cx.step() {
-                            Flow::End(RunEnd::Error(ErrorKind::FuelExhausted))
-                        } else {
-                            table.stmt(&mut cx, while_stmt)
-                        }
-                    }
-                    _ => unreachable!("matched statement-shaped instruction above"),
-                };
-                match flow {
-                    Flow::Done | Flow::Transfer => {}
-                    Flow::Call(target) => self.finish_call_state(m, target),
-                    Flow::End(RunEnd::Yield(kind)) => break ExecOutcome::Yield(kind),
-                    Flow::End(RunEnd::Deleted) => break ExecOutcome::Deleted,
-                    Flow::End(RunEnd::Error(kind)) => {
-                        break ExecOutcome::Error(PError::new(kind, id))
-                    }
-                    Flow::End(RunEnd::NeedChoice) => break ExecOutcome::NeedChoice,
-                    Flow::End(RunEnd::Fatal(detail)) => {
-                        *fatal = Some(detail);
-                        break ExecOutcome::NeedChoice; // placeholder, unused
-                    }
-                }
-                continue;
-            }
-            if *steps >= self.fuel {
-                break ExecOutcome::Error(PError::new(ErrorKind::FuelExhausted, id));
-            }
-            *steps += 1;
-            match self.small_step(store, m, id, choices, log) {
-                SmallStep::Continue => {}
-                SmallStep::Yield(kind) => break ExecOutcome::Yield(kind),
-                SmallStep::Blocked => break ExecOutcome::Blocked,
-                SmallStep::Deleted => break ExecOutcome::Deleted,
-                SmallStep::Error(kind) => break ExecOutcome::Error(PError::new(kind, id)),
-                SmallStep::NeedChoice => break ExecOutcome::NeedChoice,
-                SmallStep::Fatal(detail) => {
-                    *fatal = Some(detail);
-                    break ExecOutcome::NeedChoice; // placeholder, unused
-                }
-            }
-        }
-    }
-
-    /// Completes a `call n` statement: computes the inherited table from
-    /// the current state, saves the statement continuation as the resume
-    /// point, pushes the callee frame and queues its entry statement.
-    /// Shared by the interpreter's `CallState` arm and the compiled
-    /// driver's [`Flow::Call`] handling.
-    pub(crate) fn finish_call_state(&self, m: &mut MachineState, target: StateId) {
-        // The continuation after this statement becomes the saved
-        // resume point; it is restored when the callee returns.
-        let resume = std::mem::take(&mut m.cont);
-        self.push_callee(m, target, Some(resume));
     }
 
     /// Rule CALL: pushes the frame (n', a') and queues n''s entry
@@ -885,7 +738,10 @@ impl<'p> Engine<'p> {
                 _ => SmallStep::Error(ErrorKind::UndefinedCondition),
             },
             LStmt::CallState(target) => {
-                self.finish_call_state(m, *target);
+                // The continuation after this statement becomes the saved
+                // resume point; it is restored when the callee returns.
+                let resume = std::mem::take(&mut m.cont);
+                self.push_callee(m, *target, Some(resume));
                 SmallStep::Continue
             }
             LStmt::Foreign { dst, func, args } => {
@@ -999,7 +855,7 @@ impl<'p> Engine<'p> {
 }
 
 /// Why a model-body interpretation stopped early.
-pub(crate) enum ModelAbort {
+enum ModelAbort {
     NeedChoice,
     Error(ErrorKind),
 }
@@ -1008,7 +864,7 @@ impl Engine<'_> {
     /// Calls a foreign function: a registered native implementation wins;
     /// otherwise an erasable model body (§3) is interpreted; otherwise the
     /// conservative ⊥ is returned.
-    pub(crate) fn call_foreign(
+    fn call_foreign(
         &self,
         env: &Env<'_>,
         func: FnId,
@@ -1098,7 +954,7 @@ impl Engine<'_> {
 
 /// What an expression reads: the frame of the running machine, or the
 /// extended frame of a model body called from it.
-pub(crate) struct Env<'a> {
+struct Env<'a> {
     locals: &'a [Value],
     msg: Value,
     arg: Value,
@@ -1112,7 +968,7 @@ pub(crate) struct Env<'a> {
 impl<'a> Env<'a> {
     /// The frame of machine `self_id`, whose state is `m`.
     #[inline]
-    pub(crate) fn of(m: &'a MachineState, self_id: MachineId) -> Env<'a> {
+    fn of(m: &'a MachineState, self_id: MachineId) -> Env<'a> {
         Env {
             locals: &m.locals,
             msg: m.msg,

@@ -55,7 +55,6 @@
 #![warn(missing_debug_implementations)]
 
 mod canon;
-pub mod compiled;
 mod config;
 mod error;
 mod exec;

@@ -74,8 +74,8 @@ pub struct ExplorationMetrics {
     pub passed: bool,
     /// Whether the state space was fully explored (no bound hit).
     pub complete: bool,
-    /// Sampled seconds attributed to machine execution (interpreter or
-    /// compiled stepper). Zero for engines that do not meter phases.
+    /// Sampled seconds attributed to machine execution (the
+    /// interpreter's runs). Zero for engines that do not meter phases.
     pub exec_seconds: f64,
     /// Sampled seconds attributed to digest/fingerprint maintenance.
     pub digest_seconds: f64,

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use p_core::runtime::{EventPump, Injection, OverflowPolicy, RetryPolicy, RuntimeError};
+use p_core::runtime::{Executor, Injection, RetryPolicy, RuntimeError};
 use p_core::runtime::{MachineStatus, Runtime};
 use p_core::Value;
 
@@ -234,8 +234,9 @@ fn concurrent_producers_survive_a_mid_stream_failure() {
 
 #[test]
 fn pump_keeps_draining_around_a_quarantined_target() {
-    // Injections to a quarantined machine fail inside the pump worker,
-    // but the worker survives and keeps delivering to healthy machines.
+    // Injections to a quarantined machine fail inside the executor's
+    // worker, but the worker survives and keeps delivering to healthy
+    // machines.
     let blow_up = Arc::new(AtomicBool::new(true));
     let runtime = mixed_runtime(blow_up);
     let steady = runtime
@@ -245,9 +246,9 @@ fn pump_keeps_draining_around_a_quarantined_target() {
         .create_machine("Fragile", &[("m", Value::Int(0))])
         .unwrap();
 
-    let pump = EventPump::builder(runtime.clone())
-        .capacity(32)
-        .overflow(OverflowPolicy::Block)
+    let pump = Executor::adopt(runtime.clone())
+        .mailbox_capacity(32)
+        .credits(32)
         .start();
     pump.inject(Injection {
         target: fragile,

@@ -9,7 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 use proptest::test_runner::{seed_for, TestRng};
 
-use p_core::semantics::compiled::program_digest;
+use p_core::ast::print_program;
 use p_core::{corpus, CheckerOptions, Compiled};
 
 const SOURCES: [&str; 6] = [
@@ -70,7 +70,7 @@ fn mutate(source: &str, (lines, kind, at, len, pick): Mutation) -> String {
 fn mutated_corpus_sources_never_panic() {
     let originals = SOURCES.map(|source| {
         assert_eq!(tokens(source).concat(), source);
-        program_digest(Compiled::from_source(source).unwrap().lowered())
+        print_program(Compiled::from_source(source).unwrap().program())
     });
     let n = any::<usize>;
     let case = (
@@ -82,13 +82,13 @@ fn mutated_corpus_sources_never_panic() {
     for _ in 0..MUTANTS {
         let (which, mutation) = case.generate(&mut rng);
         let mutant = mutate(SOURCES[which], mutation);
-        // `None`: refused by the front end. `Some(false)`: after lowering
+        // `None`: refused by the front end. `Some(false)`: printed back,
         // still the program it came from (a mutated comment), not searched
         // again. `Some(true)`: a new program, searched twice.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let compiled = Compiled::from_source(&mutant).ok()?;
             let _ = compiled.emit_c();
-            if program_digest(compiled.lowered()) == originals[which] {
+            if print_program(compiled.program()) == originals[which] {
                 return Some(false);
             }
             for reduced in [false, true] {

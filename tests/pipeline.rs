@@ -102,3 +102,42 @@ fn exhaustive_and_random_agree_on_corpus_verdicts() {
     let random = buggy.verifier().check_random(7, 500, 400);
     assert!(!random.passed(), "german bug should be findable randomly");
 }
+
+/// What the plain one-worker search counts on each corpus program:
+/// `(states, transitions)`. Every reduction's test compares itself with
+/// this run; these are the numbers the run itself must keep.
+const EXHAUSTIVE: [(&str, usize, usize); 12] = [
+    ("ping_pong", 29, 41),
+    ("elevator", 2460, 7441),
+    ("switch_led", 180625, 633343),
+    ("german", 2795, 7726),
+    ("german3", 13255, 44128),
+    ("german4", 48863, 188112),
+    ("german5", 155967, 680224),
+    ("usb_hsm", 1051, 2515),
+    ("usb_psm30", 1486, 3686),
+    ("usb_psm20", 967, 2143),
+    ("usb_dsm", 1625, 2972),
+    ("lossy_link", 20, 29),
+];
+
+#[test]
+fn plain_search_keeps_its_counts_and_its_counterexamples_replay() {
+    let counted: Vec<_> = corpus::all()
+        .into_iter()
+        .map(|(name, program)| {
+            let report = Compiled::from_program(program).unwrap().verify();
+            assert!(report.passed() && report.complete, "{name}");
+            (name, report.stats.unique_states, report.stats.transitions)
+        })
+        .collect();
+    assert_eq!(counted, EXHAUSTIVE);
+    for (name, _correct, buggy) in corpus::figure7_benchmarks() {
+        let compiled = Compiled::from_program(buggy).unwrap();
+        let cx = compiled
+            .verify()
+            .counterexample
+            .unwrap_or_else(|| panic!("{name}: seeded bug not found"));
+        assert!(compiled.verifier().replay(&cx).reproduced(), "{name}");
+    }
+}
