@@ -1,4 +1,4 @@
-//! Data producers for each figure/table, shared by benches and reports.
+//! Data producers for each figure/table, used by the report binaries.
 
 use std::time::{Duration, Instant};
 

@@ -3,9 +3,10 @@
 //! A [`Runtime`] alone processes events on the calling thread; an
 //! [`Executor`] owns `N` shards, each with its own runtime (and thus its
 //! own machines — shards share nothing but the program), a worker
-//! thread, one FIFO inbox bounded per machine and by a shard-wide credit
-//! budget, and a hashed timer wheel for delayed injections
-//! ([`Executor::inject_after`]).
+//! thread, and one FIFO inbox bounded per machine and by a shard-wide
+//! credit budget. Delayed injections ([`Executor::inject_after`]) wait in
+//! one deadline heap that the workers sweep: the executor runs no thread
+//! but its `N` workers.
 //!
 //! **Semantics are unchanged.** Every delivery is the delivery step of
 //! `Runtime::add_event` — one enqueue through the paper's ⊕ operator
@@ -41,7 +42,7 @@ use p_telemetry::{Histogram, Telemetry};
 
 use crate::shard::{Envelope, Shard};
 use crate::slots::SlotTable;
-use crate::timer::TimerWheel;
+use crate::timer::Timers;
 use crate::{MachineStatus, Runtime, RuntimeBuilder, RuntimeError};
 
 /// Idle polls (an atomic load per shard, then a yield) a worker makes
@@ -94,60 +95,6 @@ pub enum OverflowPolicy {
     Fail,
 }
 
-/// Exponential-backoff schedule for [`Executor::inject_with_retry`].
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Total send attempts before giving up with
-    /// [`RuntimeError::QueueFull`].
-    pub max_attempts: u32,
-    /// Delay after the first failed attempt; doubles per attempt.
-    pub base_delay: Duration,
-    /// Ceiling on the exponential backoff: delays saturate here instead
-    /// of overflowing at high attempt counts.
-    pub max_delay: Duration,
-    /// Add up to +50% random jitter per delay, decorrelating producers
-    /// that fail in lockstep.
-    pub jitter: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 5,
-            base_delay: Duration::from_millis(1),
-            max_delay: Duration::from_secs(30),
-            jitter: true,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (0-based): the base
-    /// delay doubled per attempt — saturating, never overflowing — and
-    /// capped at `max_delay`, plus up to +50% jitter when enabled.
-    pub fn delay_for(&self, attempt: u32) -> Duration {
-        // 2^attempt as a saturating u32 factor: checked_shl rejects
-        // shifts ≥ 64, and the factor clamps to u32::MAX beyond 2^32.
-        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        let factor = u32::try_from(factor).unwrap_or(u32::MAX);
-        let backoff = self.base_delay.saturating_mul(factor).min(self.max_delay);
-        if !self.jitter {
-            return backoff;
-        }
-        // Deterministic per-call jitter without a rand dependency: hash
-        // a process-wide counter (SplitMix64).
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER
-            .fetch_add(1, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = n;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 31;
-        let half = backoff.as_nanos() as u64 / 2;
-        backoff.saturating_add(Duration::from_nanos(if half == 0 { 0 } else { z % half }))
-    }
-}
-
 /// Per-shard rows inside an [`ExecStats`] snapshot.
 #[derive(Clone, Debug)]
 pub struct ShardStats {
@@ -170,7 +117,7 @@ pub struct ShardStats {
     pub steals: u64,
     /// Batches taken from this shard's inbox.
     pub batches: u64,
-    /// Timer-wheel entries delivered into this shard's inbox.
+    /// Timers delivered into this shard's inbox.
     pub timer_fired: u64,
     /// High-water mark over its machines' waiting-event counts.
     pub max_mailbox_depth: u64,
@@ -266,20 +213,14 @@ impl ExecReport {
 
 type ForeignThunk = Box<dyn Fn(&mut RuntimeBuilder) + Send + Sync>;
 
-enum Source {
-    Lowered(Box<LoweredProgram>),
-    Adopt(Runtime),
-}
-
 /// Configures and builds an [`Executor`].
 pub struct ExecutorBuilder {
-    source: Source,
+    program: LoweredProgram,
     shards: usize,
     mailbox_capacity: usize,
     credits: usize,
     overflow: OverflowPolicy,
     quantum: usize,
-    timer_tick: Duration,
     record_latency: bool,
     fuel: Option<usize>,
     telemetry: Telemetry,
@@ -296,15 +237,14 @@ impl std::fmt::Debug for ExecutorBuilder {
 }
 
 impl ExecutorBuilder {
-    fn new(source: Source) -> ExecutorBuilder {
+    fn new(program: LoweredProgram) -> ExecutorBuilder {
         ExecutorBuilder {
-            source,
+            program,
             shards: 1,
             mailbox_capacity: 64,
             credits: 4096,
             overflow: OverflowPolicy::default(),
             quantum: 32,
-            timer_tick: Duration::from_millis(1),
             record_latency: false,
             fuel: None,
             telemetry: Telemetry::disabled(),
@@ -312,8 +252,7 @@ impl ExecutorBuilder {
         }
     }
 
-    /// Number of worker shards (default 1; ignored in adopt mode, which
-    /// is always a single shard over the adopted runtime).
+    /// Number of worker shards (default 1).
     pub fn shards(mut self, shards: usize) -> ExecutorBuilder {
         self.shards = shards.max(1);
         self
@@ -347,12 +286,6 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Timer-wheel tick (default 1ms; floor 100µs).
-    pub fn timer_tick(mut self, tick: Duration) -> ExecutorBuilder {
-        self.timer_tick = tick;
-        self
-    }
-
     /// Record per-injection completion latencies (returned as a
     /// histogram by [`Executor::shutdown`]; default off — recording costs
     /// an `Instant` read per injection and one per delivery).
@@ -376,8 +309,6 @@ impl ExecutorBuilder {
     }
 
     /// Registers a pure foreign function on every shard runtime.
-    /// Ignored in adopt mode (the adopted runtime already has its
-    /// foreign environment).
     pub fn foreign<F>(mut self, name: &str, f: F) -> ExecutorBuilder
     where
         F: Fn(&[Value]) -> Value + Send + Sync + 'static,
@@ -391,39 +322,27 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Builds the shards, spawns one worker thread per shard plus the
-    /// timer thread, and returns the executor handle.
+    /// Builds the shards, spawns one worker thread per shard, and returns
+    /// the executor handle.
     pub fn start(self) -> Executor {
-        let (shards, routes) = match self.source {
-            Source::Adopt(runtime) => (
-                vec![Shard::new(runtime, self.mailbox_capacity, self.credits)],
-                None,
-            ),
-            Source::Lowered(lowered) => {
-                let mut shards = Vec::with_capacity(self.shards);
-                for _ in 0..self.shards {
-                    let mut builder = Runtime::from_lowered((*lowered).clone());
-                    for register in &self.foreigns {
-                        register(&mut builder);
-                    }
-                    if let Some(fuel) = self.fuel {
-                        builder.fuel(fuel);
-                    }
-                    builder.telemetry(self.telemetry.clone());
-                    shards.push(Shard::new(
-                        builder.start(),
-                        self.mailbox_capacity,
-                        self.credits,
-                    ));
+        let shards = (0..self.shards)
+            .map(|_| {
+                let mut builder = Runtime::from_lowered(self.program.clone());
+                for register in &self.foreigns {
+                    register(&mut builder);
                 }
-                (shards, Some(SlotTable::new()))
-            }
-        };
+                if let Some(fuel) = self.fuel {
+                    builder.fuel(fuel);
+                }
+                builder.telemetry(self.telemetry.clone());
+                Shard::new(builder.start(), self.mailbox_capacity, self.credits)
+            })
+            .collect();
         let inner = Arc::new(ExecInner {
             shards,
-            routes,
+            routes: SlotTable::new(),
             next_global: AtomicU32::new(0),
-            wheel: TimerWheel::new(self.timer_tick),
+            timers: Timers::default(),
             overflow: self.overflow,
             quantum: self.quantum.max(1),
             record_latency: self.record_latency,
@@ -442,19 +361,7 @@ impl ExecutorBuilder {
                     .expect("spawn shard worker")
             })
             .collect();
-        let timer = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("p-exec-timer".to_owned())
-                .spawn(move || timer_loop(&inner))
-                .expect("spawn timer thread")
-        };
-        Executor {
-            inner,
-            workers,
-            timer: Some(timer),
-            done: false,
-        }
+        Executor { inner, workers }
     }
 }
 
@@ -462,11 +369,9 @@ struct ExecInner {
     shards: Vec<Shard>,
     /// How machine ids map to shards: global id → `(shard + 1) << 32 |
     /// local id`, 0 for an id not handed out yet; read without a lock.
-    /// `None` in adopt mode: one shard wrapping a caller-owned runtime,
-    /// ids pass through unchanged.
-    routes: Option<SlotTable<AtomicU64>>,
+    routes: SlotTable<AtomicU64>,
     next_global: AtomicU32,
-    wheel: TimerWheel,
+    timers: Timers,
     overflow: OverflowPolicy,
     quantum: usize,
     record_latency: bool,
@@ -482,10 +387,7 @@ struct ExecInner {
 
 impl ExecInner {
     fn resolve(&self, id: MachineId) -> Result<(usize, MachineId), RuntimeError> {
-        let Some(routes) = &self.routes else {
-            return Ok((0, id));
-        };
-        let route = routes.get(id.0 as usize);
+        let route = self.routes.get(id.0 as usize);
         let route = route.map_or(0, |route| route.load(Ordering::Acquire));
         match (route >> 32) as usize {
             0 => Err(RuntimeError::NoSuchMachine(id)),
@@ -533,14 +435,36 @@ impl ExecInner {
     /// True once every injection has been delivered: no armed timers, no
     /// credits out (an envelope holds one from before it is queued until
     /// it is taken), no batch mid-run. Read order matters — work moves
-    /// wheel→inbox (credit taken before pending--) and inbox→worker
+    /// heap→inbox (credit taken before pending--) and inbox→worker
     /// (active++ before the credits' `SeqCst` release), so reading
     /// pending, then the credits, then active (`Acquire`: it sees the
     /// increment once the credit is seen back) never misses an event.
     fn drained(&self) -> bool {
-        self.wheel.pending() == 0
+        self.timers.pending() == 0
             && self.queued_total() == 0
             && self.active.load(Ordering::Acquire) == 0
+    }
+
+    /// Moves due timers into their shards' inboxes (see [`Timers::sweep`]).
+    /// No stop flag: armed timers still deliver during shutdown.
+    fn sweep_timers(&self) {
+        self.timers.sweep(|i, mut env| {
+            let shard = &self.shards[i];
+            env.at = self.record_latency.then(Instant::now);
+            let refused = shard.try_push(env, None);
+            match refused.expect("only a stop flag refuses a push") {
+                None => {
+                    shard.counters.timer_fired.fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+                Some(env) if self.overflow == OverflowPolicy::DropNewest => {
+                    shard.note_dropped(env.local);
+                    None
+                }
+                // No room under Block/Fail: stays armed, key untouched.
+                refused => refused,
+            }
+        });
     }
 
     fn record_error(&self, e: RuntimeError) {
@@ -563,7 +487,8 @@ fn work_round(inner: &ExecInner, me: usize, batch: &mut Vec<Envelope>) -> bool {
     for k in 0..n {
         let shard_idx = (me + k) % n;
         let shard = &inner.shards[shard_idx];
-        if !shard.has_work() {
+        // No credit out: nothing in the inbox, nor about to be.
+        if shard.queued() == 0 {
             continue;
         }
         let thief = k > 0;
@@ -627,10 +552,13 @@ fn work_round(inner: &ExecInner, me: usize, batch: &mut Vec<Envelope>) -> bool {
     false
 }
 
+/// A worker: sweep the timers (outside any token hold — lock order
+/// timers → inbox | gate), then one round; spin, park or exit.
 fn worker_loop(inner: &ExecInner, me: usize) {
     let mut batch = Vec::new();
     let mut spins = 0;
     loop {
+        inner.sweep_timers();
         if work_round(inner, me, &mut batch) {
             spins = SPIN_ROUNDS;
         } else if spins > 0 {
@@ -641,40 +569,6 @@ fn worker_loop(inner: &ExecInner, me: usize) {
         } else {
             inner.shards[me].park(PARK);
         }
-    }
-}
-
-fn timer_loop(inner: &ExecInner) {
-    loop {
-        if inner.stop.load(Ordering::SeqCst) && inner.wheel.pending() == 0 {
-            break;
-        }
-        let now = inner.wheel.now_tick();
-        for entry in inner.wheel.collect_due(now) {
-            let shard = &inner.shards[entry.shard];
-            let env = Envelope {
-                local: entry.local,
-                event: entry.event,
-                payload: entry.payload,
-                at: inner.record_latency.then(Instant::now),
-            };
-            // No stop flag: armed timers still deliver during shutdown.
-            let refused = shard.try_push(env, None);
-            match refused.expect("only a stop flag refuses a push") {
-                None => {
-                    shard.counters.timer_fired.fetch_add(1, Ordering::Relaxed);
-                    inner.wheel.note_moved();
-                }
-                Some(_) if inner.overflow == OverflowPolicy::DropNewest => {
-                    shard.note_dropped(entry.local);
-                    inner.wheel.note_moved();
-                }
-                // No room under Block/Fail: fire again next tick,
-                // keeping the original deadline order key.
-                Some(_) => inner.wheel.rearm(entry, now),
-            }
-        }
-        inner.wheel.park_thread();
     }
 }
 
@@ -710,9 +604,8 @@ fn timer_loop(inner: &ExecInner) {
 /// ```
 pub struct Executor {
     inner: Arc<ExecInner>,
+    /// Empty once shut down: joined, or detached after a timeout.
     workers: Vec<JoinHandle<()>>,
-    timer: Option<JoinHandle<()>>,
-    done: bool,
 }
 
 impl std::fmt::Debug for Executor {
@@ -735,45 +628,12 @@ impl Executor {
     pub fn builder(program: &Program) -> Result<ExecutorBuilder, RuntimeError> {
         p_typecheck::check(program)?;
         let erased = p_typecheck::erase(program)?;
-        let lowered = lower(&erased)?;
-        Ok(ExecutorBuilder::new(Source::Lowered(Box::new(lowered))))
+        Ok(ExecutorBuilder::new(lower(&erased)?))
     }
 
     /// Builder over an already-erased, lowered program.
     pub fn from_lowered(program: LoweredProgram) -> ExecutorBuilder {
-        ExecutorBuilder::new(Source::Lowered(Box::new(program)))
-    }
-
-    /// Builder that adopts an existing runtime as a single shard: an
-    /// asynchronous front for a runtime the caller keeps using. Machine
-    /// ids pass through unchanged; machines created directly on the
-    /// runtime get their depth counter lazily on first injection.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let src = r#"
-    ///     event inc;
-    ///     machine Counter {
-    ///         var n : int;
-    ///         state Run { on inc do bump; }
-    ///         action bump { n := n + 1; }
-    ///     }
-    ///     main Counter();
-    /// "#;
-    /// let program = p_parser::parse(src).unwrap();
-    /// let runtime = p_runtime::Runtime::builder(&program).unwrap().start();
-    /// let id = runtime.create_machine("Counter", &[("n", p_semantics::Value::Int(0))]).unwrap();
-    ///
-    /// let exec = p_runtime::Executor::adopt(runtime.clone()).credits(16).start();
-    /// for _ in 0..10 {
-    ///     exec.inject(p_runtime::Injection::new(id, "inc", p_semantics::Value::Null)).unwrap();
-    /// }
-    /// exec.shutdown().unwrap();
-    /// assert_eq!(runtime.read_var(id, "n"), Some(p_semantics::Value::Int(10)));
-    /// ```
-    pub fn adopt(runtime: Runtime) -> ExecutorBuilder {
-        ExecutorBuilder::new(Source::Adopt(runtime))
+        ExecutorBuilder::new(program)
     }
 
     /// Number of shards.
@@ -840,18 +700,13 @@ impl Executor {
         let local = inner.shards[shard]
             .runtime
             .create_machine(type_name, &translated)?;
-        let global = match &inner.routes {
-            None => local,
-            Some(routes) => {
-                let global = inner.next_global.fetch_add(1, Ordering::Relaxed);
-                let route = (shard as u64 + 1) << 32 | u64::from(local.0);
-                routes.slot(global as usize).store(route, Ordering::Release);
-                MachineId(global)
-            }
-        };
+        let global = inner.next_global.fetch_add(1, Ordering::Relaxed);
+        let route = (shard as u64 + 1) << 32 | u64::from(local.0);
+        let slot = inner.routes.slot(global as usize);
+        slot.store(route, Ordering::Release);
         // Pre-size the depth table so first injection takes the read path.
         let _ = inner.shards[shard].depth(local);
-        Ok(global)
+        Ok(MachineId(global))
     }
 
     /// Queues one event for asynchronous delivery. A target at its
@@ -874,7 +729,8 @@ impl Executor {
     }
 
     /// Queues one event, waiting at most `deadline` for space regardless
-    /// of the configured overflow policy.
+    /// of the configured overflow policy: the bounded wait, woken the
+    /// moment a worker frees room.
     ///
     /// # Errors
     ///
@@ -887,37 +743,11 @@ impl Executor {
         inner.shards[shard].push(env, OverflowPolicy::Block, deadline, &inner.stop)
     }
 
-    /// Queues one event, retrying transient full-queue conditions with
-    /// exponential backoff per `policy`.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::QueueFull`] once `policy.max_attempts` attempts
-    /// are exhausted; otherwise as [`Executor::inject`].
-    pub fn inject_with_retry(
-        &self,
-        injection: Injection,
-        policy: &RetryPolicy,
-    ) -> Result<(), RuntimeError> {
-        let inner = &self.inner;
-        let (shard, mut env) = inner.route(injection)?;
-        let attempts = policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            match inner.shards[shard].try_push(env, Some(&inner.stop))? {
-                None => return Ok(()),
-                Some(back) => env = back,
-            }
-            if attempt + 1 < attempts {
-                std::thread::sleep(policy.delay_for(attempt));
-            }
-        }
-        Err(RuntimeError::QueueFull)
-    }
-
-    /// Arms a delayed injection: `injection` is delivered through the
-    /// timer wheel once `delay` has elapsed. Delayed sends to one
-    /// machine fire in deadline order (arm order breaking ties), even
-    /// when backpressure postpones actual delivery.
+    /// Arms a delayed injection: once `delay` has elapsed, the next
+    /// worker sweep (parked workers sweep at least every 500 µs) moves it
+    /// into its shard's inbox. Delayed sends to one machine fire in deadline
+    /// order (arm order breaking ties), even when backpressure postpones
+    /// actual delivery.
     ///
     /// # Errors
     ///
@@ -926,8 +756,7 @@ impl Executor {
     pub fn inject_after(&self, injection: Injection, delay: Duration) -> Result<(), RuntimeError> {
         let inner = &self.inner;
         let (shard, env) = inner.route(injection)?;
-        let (wheel, stop) = (&inner.wheel, &inner.stop);
-        wheel.schedule(shard, env.local, env.event, env.payload, delay, stop)
+        inner.timers.arm(shard, env, delay, &inner.stop)
     }
 
     /// Injections for machine `id` still waiting in its shard's inbox
@@ -969,7 +798,37 @@ impl Executor {
     /// Counter snapshot: totals plus per-shard queue depths, credits,
     /// steal/batch/timer counters.
     pub fn stats(&self) -> ExecStats {
-        stats_of(&self.inner)
+        let inner = &self.inner;
+        let shards: Vec<ShardStats> = inner
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ShardStats {
+                shard: i,
+                machines: s.machine_count(),
+                queued: s.queued() as u64,
+                credits_free: s.credits_free() as u64,
+                delivered: s.counters.delivered.load(Ordering::Relaxed),
+                failed: s.counters.failed.load(Ordering::Relaxed),
+                dropped: s.counters.dropped.load(Ordering::Relaxed),
+                steals: s.counters.steals.load(Ordering::Relaxed),
+                batches: s.counters.batches.load(Ordering::Relaxed),
+                timer_fired: s.counters.timer_fired.load(Ordering::Relaxed),
+                max_mailbox_depth: s.counters.max_depth.load(Ordering::Relaxed),
+            })
+            .collect();
+        ExecStats {
+            delivered: shards.iter().map(|s| s.delivered).sum(),
+            failed: shards.iter().map(|s| s.failed).sum(),
+            dropped: shards.iter().map(|s| s.dropped).sum(),
+            steals: shards.iter().map(|s| s.steals).sum(),
+            batches: shards.iter().map(|s| s.batches).sum(),
+            queued: shards.iter().map(|s| s.queued).sum(),
+            timer_scheduled: inner.timers.armed_total(),
+            timer_pending: inner.timers.pending() as u64,
+            timer_fired: shards.iter().map(|s| s.timer_fired).sum(),
+            shards,
+        }
     }
 
     /// Waits until every accepted injection has been delivered — no armed
@@ -999,17 +858,17 @@ impl Executor {
         for shard in &self.inner.shards {
             shard.wake_producers();
         }
-        self.inner.wheel.barrier();
+        self.inner.timers.barrier();
         self.wait_drained(end)
     }
 
+    /// Joins the workers (which empties `workers`: nothing is left for
+    /// `Drop`) and returns the report.
     fn finish(&mut self) -> Result<ExecReport, RuntimeError> {
-        self.done = true;
         for shard in &self.inner.shards {
             shard.wake_worker();
         }
-        self.inner.wheel.barrier();
-        for thread in self.workers.drain(..).chain(self.timer.take()) {
+        for thread in self.workers.drain(..) {
             if thread.join().is_err() {
                 return Err(RuntimeError::PumpPanicked);
             }
@@ -1017,7 +876,7 @@ impl Executor {
         if let Some(e) = self.inner.first_error.lock().take() {
             return Err(e);
         }
-        let stats = stats_of(&self.inner);
+        let stats = self.stats();
         let latency = Histogram::default();
         for shard in &self.inner.shards {
             latency.absorb(&shard.latency);
@@ -1057,61 +916,26 @@ impl Executor {
         if self.stop_and_drain(Some(Instant::now() + deadline)) {
             return self.finish();
         }
-        self.done = true;
         let inner = &self.inner;
         let pending =
-            inner.queued_total() + inner.wheel.pending() + inner.active.load(Ordering::Acquire);
+            inner.queued_total() + inner.timers.pending() + inner.active.load(Ordering::Acquire);
         self.workers.clear();
-        self.timer.take();
         Err(RuntimeError::ShutdownTimeout {
             pending: (pending as u64).max(1),
         })
     }
 }
 
-fn stats_of(inner: &ExecInner) -> ExecStats {
-    let shards: Vec<ShardStats> = inner
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| ShardStats {
-            shard: i,
-            machines: s.machine_count(),
-            queued: s.queued() as u64,
-            credits_free: s.credits_free() as u64,
-            delivered: s.counters.delivered.load(Ordering::Relaxed),
-            failed: s.counters.failed.load(Ordering::Relaxed),
-            dropped: s.counters.dropped.load(Ordering::Relaxed),
-            steals: s.counters.steals.load(Ordering::Relaxed),
-            batches: s.counters.batches.load(Ordering::Relaxed),
-            timer_fired: s.counters.timer_fired.load(Ordering::Relaxed),
-            max_mailbox_depth: s.counters.max_depth.load(Ordering::Relaxed),
-        })
-        .collect();
-    ExecStats {
-        delivered: shards.iter().map(|s| s.delivered).sum(),
-        failed: shards.iter().map(|s| s.failed).sum(),
-        dropped: shards.iter().map(|s| s.dropped).sum(),
-        steals: shards.iter().map(|s| s.steals).sum(),
-        batches: shards.iter().map(|s| s.batches).sum(),
-        queued: shards.iter().map(|s| s.queued).sum(),
-        timer_scheduled: inner.wheel.armed_total(),
-        timer_pending: inner.wheel.pending() as u64,
-        timer_fired: shards.iter().map(|s| s.timer_fired).sum(),
-        shards,
-    }
-}
-
 impl Drop for Executor {
     fn drop(&mut self) {
-        if self.done {
+        if self.workers.is_empty() {
             return;
         }
         // Stop intake, give the drain a short grace period, then join —
         // a silently detached worker would leak the thread and lose any
         // recorded machine error.
         if self.stop_and_drain(Some(Instant::now() + Duration::from_millis(200))) {
-            for thread in self.workers.drain(..).chain(self.timer.take()) {
+            for thread in self.workers.drain(..) {
                 let _ = thread.join();
             }
             if let Some(e) = self.inner.first_error.lock().take() {

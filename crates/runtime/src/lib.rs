@@ -14,8 +14,8 @@
 //! 5. an [`Executor`] scales that out: N worker shards, each with one
 //!    FIFO inbox bounded per machine and by a credit budget, batches
 //!    delivered under the shard's token by its worker or a thief, and a
-//!    timer wheel for delayed injections — every delivery still one
-//!    run-to-completion `add_event`;
+//!    deadline heap for delayed injections that the workers sweep —
+//!    every delivery still one run-to-completion `add_event`;
 //! 6. [`DriverHost`] plays the role of the skeletal KMDF interface code,
 //!    translating simulated OS callbacks into P events.
 //!
@@ -39,8 +39,7 @@ mod timer;
 
 pub use error::RuntimeError;
 pub use exec::{
-    ExecReport, ExecStats, Executor, ExecutorBuilder, Injection, OverflowPolicy, RetryPolicy,
-    ShardStats,
+    ExecReport, ExecStats, Executor, ExecutorBuilder, Injection, OverflowPolicy, ShardStats,
 };
 pub use host::{DeviceHandle, DriverHost};
 pub use runtime::{MachineStats, MachineStatus, Runtime, RuntimeBuilder, RuntimeStats};

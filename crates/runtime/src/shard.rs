@@ -142,9 +142,7 @@ impl Shard {
         self.credit_cap - self.queued()
     }
 
-    /// The depth counter of `local`, growing the table on demand
-    /// (machines created directly on an adopted runtime get theirs
-    /// lazily).
+    /// The depth counter of `local`, growing the table on demand.
     pub(crate) fn depth(&self, local: MachineId) -> &AtomicUsize {
         self.depths.slot(local.0 as usize)
     }
@@ -178,8 +176,8 @@ impl Shard {
 
     /// Deposits `env` if a credit is free and its machine's depth is
     /// under the bound, hands it back otherwise; refuses it once `stop`
-    /// is raised (the timer thread, which still delivers during
-    /// shutdown, passes none).
+    /// is raised (the timer sweep, which still delivers during shutdown,
+    /// passes none).
     pub(crate) fn try_push(
         &self,
         env: Envelope,
@@ -278,12 +276,6 @@ impl Shard {
     pub(crate) fn note_dropped(&self, local: MachineId) {
         self.counters.dropped.fetch_add(1, Ordering::Relaxed);
         self.runtime.note_dropped(local);
-    }
-
-    /// Whether a credit is out (what idle workers poll): an envelope is
-    /// in the inbox, or about to be.
-    pub(crate) fn has_work(&self) -> bool {
-        self.queued() > 0
     }
 
     /// Moves up to `max` envelopes, oldest first, from the inbox into

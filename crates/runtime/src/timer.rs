@@ -1,191 +1,202 @@
-//! Hashed timer wheel for delayed injections (`inject_after`).
-//!
-//! Entries hash into `SLOTS` buckets by deadline tick (`deadline %
-//! SLOTS`); the executor's timer thread sweeps due buckets once per tick
-//! and moves expired entries into their target shard's inbox through its
-//! non-blocking push. Two details matter for ordering under
-//! load:
-//!
-//! * Expired entries are delivered sorted by `(deadline_tick, seq)`, so
-//!   two timers armed for the same machine fire in deadline order even
-//!   when a coarse tick expires them together.
-//! * A refused push re-arms the entry for the *next* tick but keeps its
-//!   original `(deadline_tick, seq)` sort key, so backpressure delays a
-//!   delivery without ever reordering it past a later-deadline timer.
-//!
-//! The `pending` count is decremented only after the entry has entered
-//! an inbox (or been dropped), and an inbox push takes the shard's credit
-//! first — so at every instant `pending` plus the credits out covers all
-//! undelivered work, which is what lets workers use "stopped, no pending
-//! timers, nothing queued" as their exit condition.
+//! Delayed injections (`inject_after`): one heap of armed timers keyed
+//! `(deadline, seq)`, whose top is the next deadline, swept by the shard
+//! workers before each round. A refused timer stays armed with its key,
+//! and so does every later timer of its shard in that sweep: room freed
+//! between two pushes cannot let a later deadline for a machine into the
+//! inbox ahead of an earlier one. `pending` drops only once a timer has
+//! entered an inbox (which takes a credit first) or been dropped, so
+//! `pending` plus the credits out always covers the undelivered work.
 
+use std::cmp::Ordering as Order;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use p_semantics::{EventId, MachineId, Value};
-
+use crate::shard::Envelope;
 use crate::RuntimeError;
 
-/// Bucket count; power of two so the modulo is a mask.
-const SLOTS: usize = 256;
-
 /// One armed timer.
-pub(crate) struct TimerEntry {
-    /// Tick at which the entry next fires (advanced on re-arm).
-    pub fire_tick: u64,
-    /// Original deadline tick — the ordering key, preserved across
-    /// backpressure re-arms.
-    pub deadline_tick: u64,
-    /// Arm-order tie-breaker within one tick.
-    pub seq: u64,
-    /// Target shard index.
-    pub shard: usize,
-    /// Target machine, shard-local.
-    pub local: MachineId,
-    /// The event, resolved when the timer was armed.
-    pub event: EventId,
-    /// Payload, already translated into the shard's id space.
-    pub payload: Value,
+struct Armed {
+    deadline: Instant,
+    /// Arm order: breaks deadline ties.
+    seq: u64,
+    shard: usize,
+    env: Envelope,
 }
 
-/// The wheel itself. Shared between `inject_after` callers and the
-/// executor's timer thread.
-pub(crate) struct TimerWheel {
-    slots: Vec<Mutex<Vec<TimerEntry>>>,
-    tick: Duration,
-    start: Instant,
-    /// Entries armed but not yet moved into an inbox (or dropped).
+impl Ord for Armed {
+    /// By `(deadline, seq)`, reversed: the heap's top is the earliest.
+    fn cmp(&self, other: &Armed) -> Order {
+        (other.deadline, other.seq).cmp(&(self.deadline, self.seq))
+    }
+}
+
+impl PartialOrd for Armed {
+    fn partial_cmp(&self, other: &Armed) -> Option<Order> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Armed {
+    fn eq(&self, other: &Armed) -> bool {
+        self.cmp(other) == Order::Equal
+    }
+}
+
+impl Eq for Armed {}
+
+/// The armed timers of one executor.
+#[derive(Default)]
+pub(crate) struct Timers {
+    /// Its lock is also the stop-flag barrier for arming.
+    heap: Mutex<BinaryHeap<Armed>>,
+    /// Timers armed but not yet moved into an inbox (or dropped).
     pending: AtomicUsize,
-    seq: AtomicU64,
+    /// Timers armed over the executor's lifetime; also the next `seq`.
     armed_total: AtomicU64,
-    /// Parking spot for the timer thread; `schedule` nudges it. Also the
-    /// stop-flag barrier for arming (see [`TimerWheel::schedule`]).
-    park: Mutex<()>,
-    alarm: Condvar,
 }
 
-impl TimerWheel {
-    pub(crate) fn new(tick: Duration) -> TimerWheel {
-        TimerWheel {
-            slots: (0..SLOTS).map(|_| Mutex::new(Vec::new())).collect(),
-            tick: tick.max(Duration::from_micros(100)),
-            start: Instant::now(),
-            pending: AtomicUsize::new(0),
-            seq: AtomicU64::new(0),
-            armed_total: AtomicU64::new(0),
-            park: Mutex::new(()),
-            alarm: Condvar::new(),
-        }
-    }
-
-    /// Elapsed ticks since the wheel was built.
-    pub(crate) fn now_tick(&self) -> u64 {
-        (self.start.elapsed().as_nanos() / self.tick.as_nanos().max(1)) as u64
-    }
-
-    /// Entries armed but not yet delivered into an inbox.
+impl Timers {
+    /// Timers armed but not yet delivered into an inbox.
     pub(crate) fn pending(&self) -> usize {
         self.pending.load(Ordering::SeqCst)
     }
 
-    /// Timers armed over the wheel's lifetime.
+    /// Timers armed over the executor's lifetime.
     pub(crate) fn armed_total(&self) -> u64 {
         self.armed_total.load(Ordering::Relaxed)
     }
 
-    /// Arms a timer `delay` from now. Checks `stop` under the park lock:
-    /// the shutdown barrier cycles that lock after raising the flag, so
-    /// no timer can be armed once the barrier has passed.
-    pub(crate) fn schedule(
+    /// Arms `env` for `shard`, due `delay` from now. Reads `stop` under
+    /// the heap lock, which shutdown cycles after raising the flag
+    /// ([`Timers::barrier`]): no timer is armed once that has passed.
+    pub(crate) fn arm(
         &self,
         shard: usize,
-        local: MachineId,
-        event: EventId,
-        payload: Value,
+        env: Envelope,
         delay: Duration,
         stop: &AtomicBool,
     ) -> Result<(), RuntimeError> {
-        let _guard = self.park.lock();
+        let mut heap = self.heap.lock();
         if stop.load(Ordering::SeqCst) {
             return Err(RuntimeError::PumpStopped);
         }
-        let now = self.now_tick();
-        let tick_ns = self.tick.as_nanos().max(1);
-        let ticks = delay.as_nanos().div_ceil(tick_ns) as u64;
-        let deadline = now + ticks.max(1);
-        let entry = TimerEntry {
-            fire_tick: deadline,
-            deadline_tick: deadline,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            shard,
-            local,
-            event,
-            payload,
-        };
+        let deadline = Instant::now() + delay;
+        let seq = self.armed_total.fetch_add(1, Ordering::Relaxed);
         self.pending.fetch_add(1, Ordering::SeqCst);
-        self.armed_total.fetch_add(1, Ordering::Relaxed);
-        self.slots[(deadline % SLOTS as u64) as usize]
-            .lock()
-            .push(entry);
-        self.alarm.notify_one();
+        heap.push(Armed {
+            deadline,
+            seq,
+            shard,
+            env,
+        });
         Ok(())
     }
 
-    /// Removes every entry due at or before `now_tick`, sorted by
-    /// `(deadline_tick, seq)`. Entries stay `pending` until the caller
-    /// reports them moved or dropped.
-    pub(crate) fn collect_due(&self, now_tick: u64) -> Vec<TimerEntry> {
-        let mut due = Vec::new();
+    /// Offers every due timer, in key order, to `push(shard, envelope)`,
+    /// which hands the envelope back when its shard refuses it; the
+    /// hold-back rule above applies. One load of `pending` when nothing
+    /// is armed; a no-op while another worker sweeps.
+    pub(crate) fn sweep(&self, mut push: impl FnMut(usize, Envelope) -> Option<Envelope>) {
         if self.pending() == 0 {
-            return due;
+            return;
         }
-        for slot in &self.slots {
-            let mut entries = slot.lock();
-            let mut i = 0;
-            while i < entries.len() {
-                if entries[i].fire_tick <= now_tick {
-                    due.push(entries.swap_remove(i));
-                } else {
-                    i += 1;
-                }
+        let Some(mut heap) = self.heap.try_lock() else {
+            return;
+        };
+        let (now, mut held, mut blocked) = (Instant::now(), Vec::new(), Vec::new());
+        while let Some(top) = heap.peek_mut() {
+            if top.deadline > now {
+                break;
             }
+            let mut timer = PeekMut::pop(top);
+            if !blocked.contains(&timer.shard) {
+                let Some(env) = push(timer.shard, timer.env) else {
+                    self.pending.fetch_sub(1, Ordering::SeqCst);
+                    continue;
+                };
+                timer.env = env;
+                blocked.push(timer.shard);
+            }
+            held.push(timer);
         }
-        due.sort_by_key(|e| (e.deadline_tick, e.seq));
-        due
+        heap.extend(held);
     }
 
-    /// Puts back an entry whose push was refused, to fire again next
-    /// tick. Its `(deadline_tick, seq)` key is untouched, so deadline
-    /// order survives the re-arm; it never left `pending`.
-    pub(crate) fn rearm(&self, mut entry: TimerEntry, now_tick: u64) {
-        entry.fire_tick = now_tick + 1;
-        self.slots[(entry.fire_tick % SLOTS as u64) as usize]
-            .lock()
-            .push(entry);
-    }
-
-    /// Reports one collected entry as delivered or dropped.
-    pub(crate) fn note_moved(&self) {
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Parks the timer thread: at tick cadence while timers are armed,
-    /// loosely otherwise (an arm or shutdown nudges the alarm).
-    pub(crate) fn park_thread(&self) {
-        let mut guard = self.park.lock();
-        if self.pending() > 0 {
-            self.alarm.wait_for(&mut guard, self.tick);
-        } else {
-            self.alarm.wait_for(&mut guard, Duration::from_millis(50));
-        }
-    }
-
-    /// Stop-flag barrier: cycling the park
-    /// lock after raising the stop flag guarantees no further arming.
+    /// Stop-flag barrier: cycling the heap lock after raising the stop
+    /// flag guarantees no further arming.
     pub(crate) fn barrier(&self) {
-        drop(self.park.lock());
-        self.alarm.notify_all();
+        drop(self.heap.lock());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use p_semantics::{EventId, MachineId, Value};
+
+    use super::*;
+
+    fn envelope(k: i64) -> Envelope {
+        Envelope {
+            local: MachineId(0),
+            event: EventId(0),
+            payload: Value::Int(k),
+            at: None,
+        }
+    }
+
+    /// The hold-back rule: shard 0 refuses its first push, so its
+    /// later-deadline timer stays armed behind it while shard 1's due
+    /// timer is delivered; the next sweep delivers shard 0's two in
+    /// deadline order.
+    #[test]
+    fn a_refused_timer_holds_back_the_rest_of_its_shard() {
+        let timers = Timers::default();
+        let stop = AtomicBool::new(false);
+        // Armed out of deadline order: payload 1 is due first.
+        let ms = Duration::from_millis;
+        timers.arm(0, envelope(2), ms(40), &stop).unwrap();
+        timers.arm(0, envelope(1), ms(0), &stop).unwrap();
+        timers.arm(1, envelope(3), ms(20), &stop).unwrap();
+        std::thread::sleep(ms(50));
+
+        let mut delivered = Vec::new();
+        let mut refused_once = false;
+        let mut push = |shard: usize, env: Envelope| {
+            if shard == 0 && !std::mem::replace(&mut refused_once, true) {
+                return Some(env);
+            }
+            delivered.push((shard, env.payload));
+            None
+        };
+        timers.sweep(&mut push);
+        assert_eq!(timers.pending(), 2, "shard 0's two timers stay armed");
+        timers.sweep(&mut push);
+        assert_eq!(timers.pending(), 0);
+        assert_eq!(
+            delivered,
+            [(1, Value::Int(3)), (0, Value::Int(1)), (0, Value::Int(2))]
+        );
+        assert_eq!(timers.armed_total(), 3);
+    }
+
+    /// A timer that is not yet due is left armed, and a raised stop flag
+    /// refuses arming.
+    #[test]
+    fn a_timer_waits_for_its_deadline_and_stop_refuses_arming() {
+        let timers = Timers::default();
+        let stop = AtomicBool::new(false);
+        timers
+            .arm(0, envelope(1), Duration::from_secs(3600), &stop)
+            .unwrap();
+        timers.sweep(|_, _| panic!("not due"));
+        assert_eq!(timers.pending(), 1);
+        stop.store(true, Ordering::SeqCst);
+        timers.barrier();
+        let refused = timers.arm(0, envelope(2), Duration::ZERO, &stop);
+        assert!(matches!(refused, Err(RuntimeError::PumpStopped)));
+        assert_eq!((timers.pending(), timers.armed_total()), (1, 1));
     }
 }

@@ -6,8 +6,9 @@
 //! the interesting ramp-up is at the start). Each slot carries its own
 //! `ready` flag so a reader never observes a half-written record.
 //!
-//! Draining is intended after quiescence (the run has finished), but is
-//! safe at any time: slots still being written are simply skipped.
+//! Draining is final and safe at any time: it takes the records that are
+//! ready and closes the ring, so a record made afterwards is counted as
+//! dropped. Slots still being written are left to their writers.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -21,9 +22,10 @@ struct Slot {
 }
 
 // Safety: a slot's `value` is written exactly once, by the unique
-// claimant of its index (claim indices from `fetch_add` are never
-// reused), and only read after `ready` is observed `true` with Acquire
-// ordering, which synchronizes with the writer's Release store.
+// claimant of its index (`claimed` never moves back below the capacity
+// once it reaches it, so an index below it is handed out once), and only
+// read after `ready` is observed `true` with Acquire ordering, which
+// synchronizes with the writer's Release store.
 unsafe impl Sync for Slot {}
 
 /// A bounded, lock-free, multi-producer record buffer.
@@ -55,22 +57,14 @@ impl RingRecorder {
         self.slots.len()
     }
 
-    /// Number of records stored so far (saturating at capacity).
-    pub fn len(&self) -> usize {
-        self.claimed.load(Ordering::Acquire).min(self.slots.len())
-    }
-
-    /// Whether no record has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Takes the stored records in claim order, resetting the buffer.
+    /// Takes the ready records in claim order and closes the ring: every
+    /// slot counts as claimed from here on, so later records are dropped.
     ///
-    /// Call after the instrumented run has quiesced; concurrent writers
-    /// racing with a drain lose their slot (skipped, not torn).
+    /// Call after the instrumented run has quiesced; a record still being
+    /// written when the drain passes its slot is not returned.
     pub fn drain(&self) -> Vec<Record> {
-        let claimed = self.claimed.load(Ordering::Acquire).min(self.slots.len());
+        let capacity = self.slots.len();
+        let claimed = self.claimed.swap(capacity, Ordering::AcqRel).min(capacity);
         let mut out = Vec::with_capacity(claimed);
         for slot in &self.slots[..claimed] {
             if slot.ready.swap(false, Ordering::AcqRel) {
@@ -82,7 +76,6 @@ impl RingRecorder {
                 }
             }
         }
-        self.claimed.store(0, Ordering::Release);
         out
     }
 }
@@ -128,8 +121,10 @@ mod tests {
         }
     }
 
+    /// A drain is final: a record made after it is counted as dropped
+    /// and never returned, although the ring had room for it.
     #[test]
-    fn stores_in_claim_order_and_resets() {
+    fn stores_in_claim_order_until_drained() {
         let ring = RingRecorder::new(8);
         for i in 0..5 {
             ring.record(gauge(i));
@@ -139,9 +134,10 @@ mod tests {
         for (i, r) in drained.iter().enumerate() {
             assert_eq!(r.ts_micros, i as u64);
         }
-        assert!(ring.drain().is_empty());
+        assert_eq!(ring.dropped(), 0);
         ring.record(gauge(9));
-        assert_eq!(ring.drain().len(), 1);
+        assert_eq!(ring.dropped(), 1);
+        assert!(ring.drain().is_empty());
     }
 
     #[test]

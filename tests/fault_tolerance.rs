@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use p_core::runtime::{Executor, Injection, RetryPolicy, RuntimeError};
+use p_core::runtime::{Executor, Injection, RuntimeError};
 use p_core::runtime::{MachineStatus, Runtime};
 use p_core::Value;
 
@@ -237,19 +237,23 @@ fn pump_keeps_draining_around_a_quarantined_target() {
     // Injections to a quarantined machine fail inside the executor's
     // worker, but the worker survives and keeps delivering to healthy
     // machines.
-    let blow_up = Arc::new(AtomicBool::new(true));
-    let runtime = mixed_runtime(blow_up);
-    let steady = runtime
-        .create_machine("Steady", &[("n", Value::Int(0))])
-        .unwrap();
-    let fragile = runtime
-        .create_machine("Fragile", &[("m", Value::Int(0))])
-        .unwrap();
-
-    let pump = Executor::adopt(runtime.clone())
+    let program = p_core::parser::parse(MIXED).unwrap();
+    let pump = Executor::builder(&program)
+        .unwrap()
+        .shards(1)
         .mailbox_capacity(32)
         .credits(32)
+        .foreign("risky", |_args| panic!("simulated foreign-function crash"))
         .start();
+    let steady = pump
+        .create_machine("Steady", &[("n", Value::Int(0))])
+        .unwrap();
+    let fragile = pump
+        .create_machine("Fragile", &[("m", Value::Int(0))])
+        .unwrap();
+    let runtime = pump.shard_runtime(0).unwrap().clone();
+    let (_, steady_local) = pump.locate(steady).unwrap();
+    let (_, fragile_local) = pump.locate(fragile).unwrap();
     pump.inject(Injection {
         target: fragile,
         event: "poke".into(),
@@ -268,16 +272,9 @@ fn pump_keeps_draining_around_a_quarantined_target() {
     // delivered everything else.
     let result = pump.shutdown();
     assert!(matches!(result, Err(RuntimeError::MachineQuarantined(_))));
-    assert_eq!(runtime.read_var(steady, "n"), Some(Value::Int(100)));
+    assert_eq!(runtime.read_var(steady_local, "n"), Some(Value::Int(100)));
     assert_eq!(
-        runtime.machine_status(fragile),
+        runtime.machine_status(fragile_local),
         Some(MachineStatus::Quarantined)
     );
-}
-
-#[test]
-fn retry_policy_is_usable_from_the_facade() {
-    let policy = RetryPolicy::default();
-    assert!(policy.max_attempts >= 1);
-    assert!(policy.delay_for(2) >= policy.delay_for(0));
 }

@@ -5,10 +5,11 @@
 
 #![cfg(target_os = "linux")]
 
+use std::sync::Mutex;
 use std::time::Duration;
 
 use p_core::runtime::{Executor, Injection};
-use p_core::Value;
+use p_core::{MachineId, Value};
 
 const COUNTER: &str = r#"
     event add;
@@ -33,14 +34,13 @@ fn cpu_ticks() -> u64 {
     tick(11) + tick(12)
 }
 
-/// Workers earn their spin budget by finding work, so after the last
-/// delivery they poll for some tens of microseconds and then sleep: an
-/// idle executor must cost next to nothing, however eager it is while
-/// busy. Two workers polling would use 200 % of a core here (60 ticks);
-/// the test allows 10 % of one, about four times what their 500 µs park
-/// timeouts cost.
-#[test]
-fn an_idle_executor_uses_under_a_tenth_of_a_core() {
+/// The tests measure the whole process, so they take turns.
+static ALONE: Mutex<()> = Mutex::new(());
+
+/// A two-shard executor over eight counters that has delivered 64
+/// events: every worker found work, so every worker has a spin budget
+/// to burn.
+fn busy_then_idle() -> (Executor, Vec<MachineId>) {
     let program = p_core::parser::parse(COUNTER).unwrap();
     let exec = Executor::builder(&program).unwrap().shards(2).start();
     let ids: Vec<_> = (0..8)
@@ -49,7 +49,6 @@ fn an_idle_executor_uses_under_a_tenth_of_a_core() {
                 .unwrap()
         })
         .collect();
-    // Every worker finds work once, so every worker has a budget to burn.
     for (i, &id) in ids.iter().cycle().take(64).enumerate() {
         exec.inject(Injection::new(id, "add", Value::Int(i as i64)))
             .unwrap();
@@ -57,13 +56,58 @@ fn an_idle_executor_uses_under_a_tenth_of_a_core() {
     while exec.stats().delivered < 64 {
         std::thread::yield_now();
     }
-    let idle = Duration::from_millis(300);
+    (exec, ids)
+}
+
+/// Processor ticks used while the process sleeps for 300 ms; two
+/// workers polling would use 200 % of a core (60 ticks). The tests allow
+/// 3, 10 % of one core, about four times what the 500 µs park timeouts
+/// cost.
+fn idle_ticks() -> u64 {
     let before = cpu_ticks();
-    std::thread::sleep(idle);
-    let used = cpu_ticks() - before;
+    std::thread::sleep(Duration::from_millis(300));
+    cpu_ticks() - before
+}
+
+/// Workers earn their spin budget by finding work, so after the last
+/// delivery they poll for some tens of microseconds and then sleep: an
+/// idle executor must cost next to nothing, however eager it is while
+/// busy.
+#[test]
+fn an_idle_executor_uses_under_a_tenth_of_a_core() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (exec, _) = busy_then_idle();
+    let used = idle_ticks();
     assert!(
         used <= 3,
-        "an idle executor used {used} ticks (10 ms each) of processor time in {idle:?}"
+        "an idle executor used {used} ticks (10 ms each) in 300 ms"
     );
     assert_eq!(exec.shutdown().unwrap().delivered, 64);
+}
+
+/// The workers sweep the timer heap before each round: a timer armed
+/// but not due must not keep one of them polling. The executor runs no
+/// thread but its shard workers.
+#[test]
+fn an_armed_timer_does_not_keep_the_workers_busy() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (exec, ids) = busy_then_idle();
+    let mut threads: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("procfs is mounted")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_owned())
+        .filter(|name| name.starts_with("p-exec"))
+        .collect();
+    threads.sort();
+    assert_eq!(threads, ["p-exec-shard-0", "p-exec-shard-1"]);
+    let later = Injection::new(ids[0], "add", Value::Int(1));
+    exec.inject_after(later, Duration::from_secs(2)).unwrap();
+    let used = idle_ticks();
+    assert!(
+        used <= 3,
+        "an armed timer cost {used} ticks (10 ms each) in 300 ms"
+    );
+    // Shutdown waits for the timer.
+    let report = exec.shutdown().unwrap();
+    assert_eq!((report.delivered, report.stats.timer_fired), (65, 1));
 }

@@ -1,6 +1,6 @@
 //! Sharded-executor tests: shard-count invariance of program outcomes,
-//! supervision and backpressure under shards > 1, timer-wheel ordering,
-//! and the cross-shard reference boundary.
+//! supervision and backpressure under shards > 1, delayed-injection
+//! ordering, and the cross-shard reference boundary.
 //!
 //! The load-bearing claim is the first one: because every delivery is
 //! one run-to-completion `add_event` and machines never share state
@@ -11,9 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use p_core::runtime::{
-    Executor, Injection, MachineStatus, OverflowPolicy, RetryPolicy, Runtime, RuntimeError,
-};
+use p_core::runtime::{Executor, Injection, MachineStatus, OverflowPolicy, Runtime, RuntimeError};
 use p_core::Value;
 
 const COUNTER: &str = r#"
@@ -204,15 +202,13 @@ fn executor_overflow_fail_and_retry() {
         ),
         Err(RuntimeError::QueueFull)
     ));
-    // A patient retry schedule rides out the backpressure.
-    let policy = RetryPolicy {
-        max_attempts: 12,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_secs(30),
-        jitter: true,
-    };
-    exec.inject_with_retry(Injection::new(id, "tick", Value::Null), &policy)
-        .unwrap();
+    // A deadline longer than the nap rides out the backpressure: the
+    // waiting producer is woken when the worker takes the queued one.
+    exec.try_inject(
+        Injection::new(id, "tick", Value::Null),
+        Duration::from_secs(5),
+    )
+    .unwrap();
     let (shard, local) = exec.locate(id).unwrap();
     let rt = exec.shard_runtime(shard).unwrap().clone();
     let report = exec.shutdown().unwrap();
@@ -232,10 +228,28 @@ fn executor_drop_newest_counts_every_overflow() {
     }
     let dropped = exec.stats().dropped;
     assert!(dropped >= 2, "expected at least two drops, got {dropped}");
+    let (shard, local) = exec.locate(id).unwrap();
+    let rt = exec.shard_runtime(shard).unwrap().clone();
     let report = exec.shutdown().unwrap();
     // Every injection is either delivered or counted dropped — never
     // both, never lost.
     assert_eq!(report.delivered + report.stats.dropped, 5);
+    assert_eq!(
+        rt.read_var(local, "n"),
+        Some(Value::Int(report.delivered as i64))
+    );
+    // The machine's own stats row agrees with the executor's counters.
+    let rt_stats = rt.stats();
+    assert_eq!(rt_stats.dropped, report.stats.dropped);
+    let row = rt_stats
+        .machines
+        .iter()
+        .find(|m| m.machine == local)
+        .expect("target machine has a stats row");
+    assert_eq!(
+        (row.dropped, row.delivered),
+        (report.stats.dropped, report.delivered)
+    );
 }
 
 const RECORDER: &str = r#"
@@ -251,11 +265,7 @@ const RECORDER: &str = r#"
 #[test]
 fn timer_wheel_fires_in_deadline_order() {
     let program = p_core::parser::parse(RECORDER).unwrap();
-    let exec = Executor::builder(&program)
-        .unwrap()
-        .shards(2)
-        .timer_tick(Duration::from_millis(1))
-        .start();
+    let exec = Executor::builder(&program).unwrap().shards(2).start();
     let recorders = [
         exec.create_machine_on(0, "Recorder", &[("order", Value::Int(0))])
             .unwrap(),
@@ -407,11 +417,9 @@ fn unknown_event_names_are_refused_by_the_injecting_call() {
         .create_machine("Counter", &[("n", Value::Int(0))])
         .unwrap();
     let zap = || Injection::new(id, "zap", Value::Null);
-    let policy = RetryPolicy::default();
     let refusals = [
         exec.inject(zap()),
         exec.try_inject(zap(), Duration::from_millis(10)),
-        exec.inject_with_retry(zap(), &policy),
         exec.inject_after(zap(), Duration::from_millis(1)),
     ];
     for refusal in refusals {
