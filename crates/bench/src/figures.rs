@@ -248,6 +248,7 @@ pub fn report_to_metrics(
         bound: 0,
         states: report.stats.unique_states as u64,
         transitions: report.stats.transitions as u64,
+        replayed_runs: report.stats.replayed_runs as u64,
         scheduler_nodes: report.stats.scheduler_nodes as u64,
         fault_transitions: report.stats.fault_transitions as u64,
         seconds: report.stats.duration.as_secs_f64(),

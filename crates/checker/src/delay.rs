@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use p_semantics::{Config, Engine, ExecOutcome, MachineId, YieldKind};
 
 use crate::error::CheckerError;
-use crate::explore::{Report, Scheduler, Step, Verifier};
+use crate::explore::{Report, Scheduler, Step, Verifier, SLOT_MEMO_ENTRIES};
 
 /// The scheduler stack `S` plus the delay score, as one explorable node
 /// component.
@@ -181,7 +181,8 @@ impl Verifier<'_> {
     /// panicking: those of [`Verifier::try_check_exhaustive`], and
     /// [`CheckerError::Unsupported`] for `por` or `symmetry`.
     pub fn try_check_delay_bounded(&self, delay_bound: usize) -> Result<DelayReport, CheckerError> {
-        let (report, _) = self.search_with(&DelayBounded(delay_bound), self.options().jobs)?;
+        let jobs = self.options().jobs;
+        let (report, _) = self.search_with(&DelayBounded(delay_bound), jobs, SLOT_MEMO_ENTRIES)?;
         Ok(DelayReport {
             delay_bound,
             scheduler_nodes: report.stats.scheduler_nodes,

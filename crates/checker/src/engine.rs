@@ -157,6 +157,7 @@ pub(crate) fn parent_cap_for(hot_budget: usize) -> usize {
 #[derive(Debug, Default)]
 pub(crate) struct SharedCounters {
     transitions: AtomicUsize,
+    replayed_runs: AtomicUsize,
     fault_transitions: AtomicUsize,
     dedup_hits: AtomicUsize,
     sleep_pruned: AtomicUsize,
@@ -184,6 +185,7 @@ impl SharedCounters {
         let (l, f) = (local, flushed);
         for (cell, now, before) in [
             (&self.transitions, l.transitions, &mut f.transitions),
+            (&self.replayed_runs, l.replayed_runs, &mut f.replayed_runs),
             (
                 &self.fault_transitions,
                 l.fault_transitions,
@@ -232,6 +234,7 @@ impl SharedCounters {
     pub(crate) fn totals(&self) -> crate::ExplorationStats {
         crate::ExplorationStats {
             transitions: self.transitions.load(Ordering::Relaxed),
+            replayed_runs: self.replayed_runs.load(Ordering::Relaxed),
             fault_transitions: self.fault_transitions.load(Ordering::Relaxed),
             dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
             sleep_pruned: self.sleep_pruned.load(Ordering::Relaxed),

@@ -57,6 +57,10 @@ const FLUSH_EVERY_TASKS: u64 = 64;
 /// Entries of a worker's [`CanonMemo`] (2 MiB).
 const CANON_MEMO_ENTRIES: usize = 1 << 16;
 
+/// (runs, appends) entries of a worker's slot-transition memo
+/// ([`crate::memo`]); a smaller memo answers fewer runs, never others.
+pub(crate) const SLOT_MEMO_ENTRIES: Option<(usize, usize)> = Some((1 << 10, 1 << 10));
+
 /// A worker's concrete → canonical fingerprint memo: most successors
 /// are revisits of a concrete state the worker canonicalized not long
 /// ago, and canonicalization costs more than a probe. Direct-mapped and
@@ -149,7 +153,7 @@ pub(crate) enum Step {
 
 /// The exhaustive strategy: run each enabled machine; no annotation.
 #[derive(Debug)]
-struct Exhaustive;
+pub(crate) struct Exhaustive;
 
 impl Scheduler for Exhaustive {
     type Note = ();
@@ -490,18 +494,21 @@ impl<'p> Verifier<'p> {
 
     /// [`Verifier::search_with`] the [`Exhaustive`] scheduler.
     pub(crate) fn search(&self, jobs: usize) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
-        self.search_with(&Exhaustive, jobs)
+        self.search_with(&Exhaustive, jobs, SLOT_MEMO_ENTRIES)
     }
 
     /// The search kernel (see DESIGN.md §9): `jobs` workers expand one
     /// frontier against one visited table by `sched`'s moves. A single
     /// worker (`jobs` of 0 or 1) runs on the calling thread; more are
     /// spawned and joined. The workers' intern tables come back with the
-    /// report, for the test that checks they share no allocation.
+    /// report, for the test that checks they share no allocation. `memo`
+    /// sizes each worker's slot-transition memo as (runs, appends):
+    /// [`SLOT_MEMO_ENTRIES`], or `None` for none.
     pub(crate) fn search_with<S: Scheduler>(
         &self,
         sched: &S,
         jobs: usize,
+        memo: Option<(usize, usize)>,
     ) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
         let jobs = jobs.max(1);
         let start = Instant::now();
@@ -604,6 +611,7 @@ impl<'p> Verifier<'p> {
             frontier,
             slot_digests,
             counters,
+            memo,
             depth_truncated: AtomicBool::new(false),
             violation: Mutex::new(None),
             error: Mutex::new(None),
@@ -718,10 +726,11 @@ impl<'p> Verifier<'p> {
             frontier,
             slot_digests,
             counters,
+            memo,
             ..
         } = search;
-        // The safety search never reads `RunResult::dequeued`; skip the
-        // per-run allocation.
+        // The safety search never reads `RunResult::dequeued` (which a
+        // replayed run leaves empty); skip the per-run allocation.
         let engine = self.engine().with_dequeue_log(false);
         let mut stats = ExplorationStats::default();
         let mut flushed = ExplorationStats::default();
@@ -729,7 +738,9 @@ impl<'p> Verifier<'p> {
         let por = self.options.por.then(|| Por::new(self.program));
         let symmetry = self.options.symmetry;
         let mut succs = Vec::new();
-        let mut arena = SuccArena::new();
+        // A `Fine` run stops after every small step: nothing to remember.
+        let atomic = self.options.granularity == Granularity::Atomic;
+        let mut arena = SuccArena::with_memo(memo.filter(|_| atomic));
         let mut moves = Vec::new();
         let mut writer = EdgeWriter::default();
         let mut children = Vec::new();
@@ -817,6 +828,7 @@ impl<'p> Verifier<'p> {
                 };
                 for mut succ in succs.drain(..) {
                     stats.transitions += 1;
+                    stats.replayed_runs += usize::from(succ.replay.is_some());
                     if let ExecOutcome::Error(e) = &succ.result.outcome {
                         let choices = std::mem::take(&mut succ.choices);
                         let step =
@@ -825,9 +837,14 @@ impl<'p> Verifier<'p> {
                         break 'tasks;
                     }
                     let t = arena.phases.start();
-                    let succ_fp = Fingerprint::from_u128(succ.config.digest());
+                    let succ_fp = Fingerprint::from_u128(match succ.replay {
+                        Some(replay) => replay.digest,
+                        None => succ.config.digest(),
+                    });
                     arena.phases.stop(crate::phase::Phase::Digest, t);
                     let child_note = sched.child(&note, mv, &succ.result.outcome);
+                    // A replayed child is built only where it is needed:
+                    // to canonicalize it, to store it, to expand it.
                     // The table is keyed by the annotated fingerprint, or
                     // with symmetry on by the canonical one; everything
                     // else (tasks, their records, traces) stays concrete.
@@ -835,8 +852,10 @@ impl<'p> Verifier<'p> {
                         node_key::<S>(succ_fp, &child_note, &mut key_buf)
                     } else if symmetry {
                         canon_memo.get_or_insert_with(succ_fp, || {
+                            let s = &mut succ;
+                            arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
                             let t = arena.phases.start();
-                            let (key, candidates) = canonical_digest_counted(&mut succ.config);
+                            let (key, candidates) = canonical_digest_counted(&mut s.config);
                             arena.phases.stop(crate::phase::Phase::Canon, t);
                             stats.canon_calls += 1;
                             stats.canon_candidates += candidates as usize;
@@ -871,7 +890,10 @@ impl<'p> Verifier<'p> {
                             key,
                             if S::ANNOTATED { key } else { succ_fp },
                             child_sleep,
-                            || intern(slots, interner, slot_digests),
+                            || {
+                                arena.build(slots, &mut succ.replay, &config, &engine, interner);
+                                intern(slots, interner, slot_digests)
+                            },
                             &mut writer,
                             || match S::step(mv) {
                                 Step::Run(id) => EdgeRecord::from_run(task_id, id, result, choices),
@@ -904,6 +926,8 @@ impl<'p> Verifier<'p> {
                         Ok((Admit::OverBound, _)) => None,
                     };
                     if let Some((id, sleep, fresh)) = push {
+                        let s = &mut succ;
+                        arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
                         children.push(Task {
                             config: std::mem::take(&mut succ.config),
                             id,
@@ -1004,6 +1028,8 @@ struct Search<'a, S: Scheduler> {
     /// Digest of every machine slot any worker has interned.
     slot_digests: Mutex<FpHashSet>,
     counters: SharedCounters,
+    /// Run and append entries of each worker's slot-transition memo.
+    memo: Option<(usize, usize)>,
     depth_truncated: AtomicBool,
     /// First violation: (task it was found in, final step, error).
     violation: Mutex<Option<(TaskId, TraceStep, PError)>>,
@@ -1251,6 +1277,38 @@ fn snapshot_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A memo that can hold two runs answers fewer of them, never other
+    /// ones: every count is the full-sized memo's, and the interpreter's
+    /// without a memo.
+    #[test]
+    fn a_two_entry_memo_changes_no_count() {
+        for (name, program) in [
+            ("german4", p_corpus::german4()),
+            ("switch_led", p_corpus::switch_led()),
+        ] {
+            let p = p_semantics::lower(&program).unwrap();
+            let verifier = Verifier::new(&p);
+            let run = |memo| {
+                let (report, _) = verifier.search_with(&Exhaustive, 1, memo).unwrap();
+                assert!(report.passed() && report.complete, "{name}");
+                let s = report.stats;
+                (
+                    (s.unique_states, s.transitions, s.stored_bytes),
+                    s.replayed_runs,
+                )
+            };
+            let (full, full_replayed) = run(SLOT_MEMO_ENTRIES);
+            let (tiny, tiny_replayed) = run(Some((2, 2)));
+            let (none, _) = run(None);
+            assert_eq!(full, tiny, "{name}");
+            assert_eq!(full, none, "{name}");
+            assert!(
+                tiny_replayed < full_replayed,
+                "{name}: {tiny_replayed} !< {full_replayed}"
+            );
+        }
+    }
 
     /// The memo is its constant however many states pass through it, a
     /// collision overwrites (and is recomputed, never aliased), and

@@ -18,7 +18,7 @@ use std::fmt;
 use p_semantics::{Config, Engine, EventId, ExecOutcome, MachineId, RunResult, YieldKind};
 
 use crate::error::CheckerError;
-use crate::explore::{Report, Scheduler, Step, Verifier};
+use crate::explore::{Report, Scheduler, Step, Verifier, SLOT_MEMO_ENTRIES};
 use crate::succ::Successor;
 
 /// One kind of environment fault the scheduler may inject.
@@ -215,6 +215,7 @@ impl FaultDecision {
                 raised: Vec::new(),
                 deferred: Vec::new(),
             },
+            replay: None,
         }
     }
 }
@@ -309,7 +310,7 @@ impl Verifier<'_> {
         kinds: &[FaultKind],
     ) -> Result<FaultReport, CheckerError> {
         let scheduler = FaultScheduler::new(budget, kinds);
-        let (report, _) = self.search_with(&scheduler, self.options().jobs)?;
+        let (report, _) = self.search_with(&scheduler, self.options().jobs, SLOT_MEMO_ENTRIES)?;
         Ok(FaultReport {
             fault_budget: budget,
             kinds: scheduler.kinds,

@@ -74,6 +74,7 @@ mod explore;
 mod fault;
 mod fingerprint;
 mod liveness;
+mod memo;
 mod phase;
 mod por;
 mod random;

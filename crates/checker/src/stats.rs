@@ -9,7 +9,8 @@ use std::time::Duration;
 /// Filled by the search kernel from a 1-in-N task sample scaled
 /// back to the whole run (see `crate::phase`), so each figure is an
 /// estimate of where wall-clock time went rather than an exact meter:
-/// `exec` is the interpreter's machine runs, `digest` the
+/// `exec` is the interpreter's machine runs (a replayed one runs no
+/// interpreter), `digest` the
 /// incremental fingerprint maintenance, `clone` the candidate
 /// configuration derivation (arena priming), `canon` the symmetry
 /// canonicalization, and `table` the visited-set/parent-map admission.
@@ -70,9 +71,12 @@ pub struct ExplorationStats {
     /// Unique (configuration, annotation) nodes of a delay-bounded or
     /// fault-injecting search (zero for the exhaustive one).
     pub scheduler_nodes: usize,
-    /// Atomic machine runs executed (edges of the exploration graph,
-    /// including re-visits).
+    /// Edges of the exploration graph, re-visits included: atomic
+    /// machine runs, interpreted or replayed, and fault injections.
     pub transitions: usize,
+    /// Transitions answered from the kernel's slot-transition memo, not
+    /// the interpreter (DESIGN.md §15); per process, like `canon_calls`.
+    pub replayed_runs: usize,
     /// Fault injections among those transitions.
     pub fault_transitions: usize,
     /// Deepest path (in atomic runs) reached from the initial state.
@@ -198,6 +202,10 @@ impl fmt::Display for ExplorationStats {
                 ms(self.phases.table),
             )?;
         }
+        if self.replayed_runs > 0 {
+            let share = 100.0 * self.replayed_runs as f64 / self.transitions as f64;
+            write!(f, ", {share:.1} % replayed")?;
+        }
         Ok(())
     }
 }
@@ -212,6 +220,7 @@ mod tests {
             unique_states: 10,
             scheduler_nodes: 0,
             transitions: 20,
+            replayed_runs: 0,
             fault_transitions: 0,
             max_depth: 5,
             duration: Duration::from_millis(3),
@@ -252,6 +261,13 @@ mod tests {
             ..s
         };
         assert!(spilling.to_string().ends_with(", 7 spilled"));
+        let replayed = ExplorationStats {
+            replayed_runs: 19,
+            ..spilling
+        };
+        assert!(replayed
+            .to_string()
+            .ends_with(", 7 spilled, 95.0 % replayed"));
     }
 
     #[test]

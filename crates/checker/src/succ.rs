@@ -1,18 +1,26 @@
 //! Successor generation: all outcomes of running one machine from one
 //! configuration, across every resolution of its ghost `*` choices.
 
+use std::sync::Arc;
+
 use p_semantics::{
     ChoiceSource, Config, Engine, ExecError, ExecOutcome, Granularity, MachineId, RunResult,
+    SlotInterner,
 };
+
+use crate::memo::{Replay, SlotMemo};
 
 /// One successor: the configuration after running `machine` with choice
 /// script `choices`.
 #[derive(Debug, Clone)]
 pub(crate) struct Successor {
+    /// Empty while `replay` is set (see [`SuccArena::build`]).
     pub config: Config,
     pub machine: MachineId,
     pub choices: Vec<bool>,
     pub result: RunResult,
+    /// Set when the slot-transition memo answered the run.
+    pub replay: Option<Replay>,
 }
 
 /// Recycling pool for the successor hot path: rejected candidates'
@@ -37,6 +45,9 @@ pub(crate) struct SuccArena {
     /// arena is already threaded through the hot path, so the sampler
     /// rides along instead of widening every signature).
     pub(crate) phases: crate::phase::PhaseTimes,
+    /// The search kernel's slot-transition memo; `None` for every other
+    /// caller, whose runs are all interpreted.
+    memo: Option<SlotMemo>,
 }
 
 /// Pool growth cap: the pool only needs to cover one expansion's worth
@@ -49,9 +60,21 @@ impl SuccArena {
         SuccArena::default()
     }
 
+    /// An arena with a [`SlotMemo`] of `memo` = (runs, appends) entries,
+    /// for atomic runs of an engine with its event logs off.
+    pub(crate) fn with_memo(memo: Option<(usize, usize)>) -> SuccArena {
+        let memo = memo.map(|(runs, appends)| SlotMemo::new(runs, appends));
+        SuccArena {
+            memo,
+            ..SuccArena::default()
+        }
+    }
+
     /// Returns a rejected successor's buffers to the pool.
     pub(crate) fn recycle(&mut self, succ: Successor) {
-        self.recycle_config(succ.config);
+        if succ.replay.is_none() {
+            self.recycle_config(succ.config);
+        }
         if self.scripts.len() < ARENA_CAP {
             self.scripts.push(succ.choices);
         }
@@ -82,6 +105,45 @@ impl SuccArena {
         v.clear();
         v.extend_from_slice(bits);
         v
+    }
+
+    /// Builds the configuration of a replayed successor (a no-op for one
+    /// the interpreter built): `parent` with the changed slots' states
+    /// taken from `interner`, or, where `interner` lacks one, made by the
+    /// interpreter after all.
+    pub(crate) fn build(
+        &mut self,
+        config: &mut Config,
+        replay: &mut Option<Replay>,
+        parent: &Config,
+        engine: &Engine<'_>,
+        interner: &SlotInterner,
+    ) {
+        let Some(replay) = replay.take() else {
+            return;
+        };
+        let t = self.phases.start();
+        let mut child = self.configs.pop().unwrap_or_default();
+        child.clone_from(parent);
+        for &(id, digest, len) in replay.slots() {
+            let Some(state) = interner.get(digest) else {
+                // The run again: it returned `Ok` when it was remembered,
+                // from this machine, state and script (`false` past its end).
+                let ((machine, _, bits, _), mut next) = (replay.key, 0);
+                let mut script = || {
+                    next += 1;
+                    next <= 64 && bits >> (next - 1) & 1 == 1
+                };
+                child.prepare_candidate(parent, machine, &mut self.slots);
+                let ran = engine.run_machine(&mut child, machine, &mut script, Granularity::Atomic);
+                ran.expect("a remembered run runs again");
+                break;
+            };
+            child.install_slot(id, Arc::clone(state), (digest, len));
+        }
+        *config = child;
+        self.phases.stop(crate::phase::Phase::Clone, t);
+        debug_assert_eq!(config.digest_uncached(), replay.digest);
     }
 }
 
@@ -115,9 +177,12 @@ impl ChoiceSource for PaddedScript<'_> {
 /// last `false` to `true`. Determinism makes this sound: two runs from
 /// the same configuration consume identical prefixes, so the flipped bit
 /// is reached again, and `used` only ever grows past the buffer. The
-/// enumeration thus costs exactly one `run_machine`, one config clone
-/// and one script allocation per successor, and emits in lexicographic
-/// (`false < true`) order.
+/// successors come out in lexicographic (`false < true`) order.
+///
+/// Each successor costs one `run_machine` and one config clone, or, for
+/// a run the memo of `arena` knows (DESIGN.md §15), two table probes:
+/// the successor then carries a [`Replay`] instead of a configuration,
+/// for [`SuccArena::build`] to make if the caller needs it.
 pub(crate) fn successors_for(
     engine: &Engine<'_>,
     config: &Config,
@@ -166,31 +231,48 @@ fn successors_loop(
     script: &mut Vec<bool>,
 ) -> Result<(), ExecError> {
     loop {
-        let t = arena.phases.start();
-        let mut candidate = arena.candidate(config, machine);
-        arena.phases.stop(crate::phase::Phase::Clone, t);
-        let mut source = PaddedScript {
-            bits: script.as_slice(),
-            used: 0,
+        let memo = arena.memo.as_ref();
+        let key = memo.and(SlotMemo::key(config, machine, script));
+        let replayed = key.and_then(|key| memo?.replay(&key, config));
+        let (candidate, result, replay) = match replayed {
+            Some((result, replay)) => (Config::default(), result, Some(replay)),
+            None => {
+                let t = arena.phases.start();
+                let mut candidate = arena.candidate(config, machine);
+                arena.phases.stop(crate::phase::Phase::Clone, t);
+                let mut source = PaddedScript {
+                    bits: script.as_slice(),
+                    used: 0,
+                };
+                let t = arena.phases.start();
+                let result =
+                    engine.run_machine(&mut candidate, machine, &mut source, granularity)?;
+                arena.phases.stop(crate::phase::Phase::Exec, t);
+                debug_assert!(
+                    !matches!(result.outcome, ExecOutcome::NeedChoice),
+                    "a padded script never exhausts"
+                );
+                debug_assert_eq!(source.used, result.choices_used);
+                if let (Some(key), Some(memo)) = (&key, &mut arena.memo) {
+                    let t = arena.phases.start();
+                    candidate.digest();
+                    arena.phases.stop(crate::phase::Phase::Digest, t);
+                    memo.record(key, config, &candidate, &result);
+                }
+                (candidate, result, None)
+            }
         };
-        let t = arena.phases.start();
-        let result = engine.run_machine(&mut candidate, machine, &mut source, granularity)?;
-        arena.phases.stop(crate::phase::Phase::Exec, t);
-        let used = source.used;
         debug_assert!(
-            !matches!(result.outcome, ExecOutcome::NeedChoice),
-            "a padded script never exhausts"
-        );
-        debug_assert!(
-            used >= script.len(),
+            result.choices_used >= script.len(),
             "prefix replay must consume the script"
         );
-        script.resize(used, false);
+        script.resize(result.choices_used, false);
         out.push(Successor {
             config: candidate,
             machine,
             choices: arena.choices(script),
             result,
+            replay,
         });
         // Backtrack to the next unexplored branch.
         loop {

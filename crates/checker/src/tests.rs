@@ -876,6 +876,399 @@ fn exhaustive_matches_the_naive_reachability_oracle() {
     );
 }
 
+/// The kernel, whose workers replay runs from their slot-transition
+/// memo, against [`naive_reachability`], which interprets every run:
+/// the same verdict and, for an error-free program, the same unique
+/// states, plain, under `por` and at two workers (and the verdict under
+/// `symmetry`). At one worker the kernel without a memo is a second
+/// oracle: every counter and the counterexample must be its. `None`
+/// past `limit` states.
+fn kernel_agrees_with_the_reference(
+    name: &str,
+    program: &p_ast::Program,
+    limit: usize,
+) -> Option<usize> {
+    let p = lower(program).unwrap();
+    let (error_free, states) = naive_reachability(&p, limit)?;
+    let text = || p_ast::print_program(program);
+    let counts = |report: crate::Report| {
+        let s = report.stats;
+        let counters = (s.unique_states, s.transitions, s.dedup_hits, s.sleep_pruned);
+        let bytes = (s.symmetry_merges, s.stored_bytes, s.index_bytes);
+        (
+            counters,
+            bytes,
+            report.counterexample.map(|cx| cx.to_string()),
+        )
+    };
+    for (por, symmetry, jobs) in [
+        (false, false, 1),
+        (true, false, 1),
+        (false, false, 2),
+        (false, true, 1),
+        (true, true, 1),
+    ] {
+        let options = CheckerOptions {
+            por,
+            symmetry,
+            ..CheckerOptions::default()
+        };
+        let mode = format!("{name} por={por} symmetry={symmetry} jobs={jobs}");
+        let verifier = Verifier::new(&p).with_options(options);
+        let (report, _) = verifier.search(jobs).unwrap();
+        assert_eq!(report.passed(), error_free, "{mode}: verdict\n{}", text());
+        if error_free && !symmetry {
+            assert!(report.complete, "{mode}");
+            let found = report.stats.unique_states;
+            assert_eq!(found, states, "{mode}: unique states\n{}", text());
+        }
+        if jobs == 1 {
+            let exhaustive = &crate::explore::Exhaustive;
+            let (bare, _) = verifier.search_with(exhaustive, 1, None).unwrap();
+            let (with, without) = (counts(report), counts(bare));
+            assert_eq!(
+                with,
+                without,
+                "{mode}: the memo changed the search\n{}",
+                text()
+            );
+        }
+    }
+    Some(states)
+}
+
+/// Generated programs of two to four machines (`p_corpus::generated_src`):
+/// 256 of them in a debug build, 2 000 in a release one.
+#[test]
+fn generated_programs_agree_with_the_reference() {
+    let cases = if cfg!(debug_assertions) { 256 } else { 2_000 };
+    let mut compared = 0;
+    for seed in 0..cases {
+        let program = p_corpus::generated_program(seed);
+        let name = format!("generated_src({seed})");
+        compared +=
+            usize::from(kernel_agrees_with_the_reference(&name, &program, 10_000).is_some());
+    }
+    assert!(
+        compared * 50 >= cases as usize * 49,
+        "{compared} of {cases} within 10⁴ states"
+    );
+}
+
+/// SplitMix64, for the seeded walks.
+struct Walk(u64);
+
+impl Walk {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// What [`compare_replays`] saw: successors the memo answered, and of
+/// those the ones built from `interner`'s states rather than by running
+/// the interpreter again.
+#[derive(Debug, Default)]
+struct Replays {
+    answered: usize,
+    installed: usize,
+}
+
+/// Expands `machine` at `config` through `memo` and through a plain
+/// arena, and checks every successor the memo answered against the
+/// interpreter's: the same `RunResult` (outcome with `enqueued`, steps,
+/// choices) and script, a fold digest equal to the built child's
+/// `digest_uncached`, and a built child `==` the interpreter's.
+/// Returns the interpreter's successors.
+fn compare_replays(
+    engine: &p_semantics::Engine<'_>,
+    config: &p_semantics::Config,
+    machine: p_semantics::MachineId,
+    memo: &mut crate::succ::SuccArena,
+    interner: &p_semantics::SlotInterner,
+    seen: &mut Replays,
+) -> Vec<crate::succ::Successor> {
+    use crate::succ::{successors_into, SuccArena};
+    let atomic = p_semantics::Granularity::Atomic;
+    let (mut replayed, mut interpreted) = (Vec::new(), Vec::new());
+    successors_into(engine, config, machine, atomic, &mut replayed, memo).unwrap();
+    successors_into(
+        engine,
+        config,
+        machine,
+        atomic,
+        &mut interpreted,
+        &mut SuccArena::new(),
+    )
+    .unwrap();
+    assert_eq!(replayed.len(), interpreted.len());
+    for (mut r, i) in replayed.into_iter().zip(&interpreted) {
+        assert_eq!((&r.result, &r.choices), (&i.result, &i.choices));
+        let Some(replay) = r.replay else { continue };
+        seen.answered += 1;
+        let installs = replay
+            .slots()
+            .iter()
+            .all(|&(_, d, _)| interner.get(d).is_some());
+        seen.installed += usize::from(installs);
+        let fold = replay.digest;
+        memo.build(&mut r.config, &mut r.replay, config, engine, interner);
+        assert_eq!(fold, r.config.digest_uncached());
+        assert_eq!(r.config, i.config);
+    }
+    interpreted
+}
+
+/// A seeded walk through every corpus program and the three buggy
+/// variants: wherever the memo answers, its answer is the run it
+/// stands for, whether the child is built from interned states or
+/// (where the interner lacks one) by the interpreter.
+#[test]
+fn a_replayed_run_is_the_run_it_stands_for() {
+    let buggy = [
+        ("elevator_buggy", p_corpus::elevator_buggy()),
+        ("switch_led_buggy", p_corpus::switch_led_buggy()),
+        ("german_buggy", p_corpus::german_buggy()),
+    ];
+    let mut total = Replays::default();
+    for (n, (name, program)) in p_corpus::all().into_iter().chain(buggy).enumerate() {
+        let p = lower(&program).unwrap();
+        let engine = Verifier::new(&p).engine().with_dequeue_log(false);
+        let mut memo = crate::succ::SuccArena::with_memo(Some((1 << 10, 1 << 10)));
+        let mut interner = p_semantics::SlotInterner::new();
+        let mut walk = Walk(n as u64);
+        let init = engine.initial_config();
+        let mut config = init.clone();
+        let mut seen = Replays::default();
+        for _ in 0..1_500 {
+            config.intern_slots(&mut interner);
+            let mut next = Vec::new();
+            for id in engine.enabled_machines(&config) {
+                let succs = compare_replays(&engine, &config, id, &mut memo, &interner, &mut seen);
+                let ok = |s: &crate::succ::Successor| {
+                    !matches!(s.result.outcome, p_semantics::ExecOutcome::Error(_))
+                };
+                next.extend(succs.into_iter().filter(ok));
+            }
+            config = match next.len() {
+                0 => init.clone(),
+                n => next.swap_remove(walk.below(n)).config,
+            };
+        }
+        assert!(seen.answered > 0, "{name}: the memo answered nothing");
+        total.answered += seen.answered;
+        total.installed += seen.installed;
+    }
+    // Both ways of building a replayed child were taken.
+    assert!(
+        0 < total.installed && total.installed < total.answered,
+        "{total:?}"
+    );
+}
+
+/// Each of the runs the memo must leave to the interpreter, and the
+/// ones it answers only after seeing the target's queue, driven by hand
+/// from a configuration the memo has seen: `(program, machines to run
+/// first, the machine whose run is compared, the configurations before
+/// it)`. Each program is also checked whole against the reference.
+#[test]
+fn memo_bypasses_match_the_interpreter() {
+    use p_semantics::{ExecOutcome, MachineId, YieldKind};
+    // Env sends `die`, then `job`, to a Worker that deletes itself on
+    // `die`: Env's second run is the same run whether or not the Worker
+    // is still there, and only the interpreter may report SEND-FAIL2.
+    const SEND_FAIL: &str = r#"
+        event job;
+        event die;
+        machine Worker {
+            state Idle { on job goto Idle; on die goto Dying; }
+            state Dying { entry { delete; } }
+        }
+        ghost machine Env {
+            var w : id;
+            state Init { entry { w := new Worker(); send(w, die); send(w, job); } }
+        }
+        main Env();
+    "#;
+    // Two senders in one state put `e` with payloads 1 and 1 (or 2) on a
+    // target that defers `e`: the second send finds the first's pair
+    // queued (⊕ drops it) or another pair, depending on the order.
+    const TWO_SENDERS: &str = r#"
+        event e : int;
+        ghost machine Target { state T { defer e; } }
+        ghost machine Sender {
+            var t : id;
+            var v : int;
+            state S { entry { send(t, e, v); send(this, e, v); } defer e; }
+        }
+        ghost machine Main {
+            var t : id;
+            var s : id;
+            state Init {
+                entry { t := new Target(); s := new Sender(t = t, v = 1); s := new Sender(t = t, v = PAYLOAD); }
+            }
+        }
+        main Main();
+    "#;
+    let run = |engine: &p_semantics::Engine<'_>, config: &mut p_semantics::Config, id: u32| {
+        engine
+            .run_machine(
+                config,
+                MachineId(id),
+                &mut || false,
+                p_semantics::Granularity::Atomic,
+            )
+            .unwrap()
+            .outcome
+    };
+    let suppressed = TWO_SENDERS.replace("PAYLOAD", "1");
+    let differing = TWO_SENDERS.replace("PAYLOAD", "2");
+    for (name, src) in [
+        ("send_fail", SEND_FAIL),
+        ("suppressed", &suppressed),
+        ("differing", &differing),
+    ] {
+        let program = p_parser::parse(src).unwrap();
+        p_typecheck::check(&program).unwrap();
+        assert!(kernel_agrees_with_the_reference(name, &program, 1_000).is_some());
+    }
+
+    let memo_arena = || crate::succ::SuccArena::with_memo(Some((16, 16)));
+    let mut interner = p_semantics::SlotInterner::new();
+    let mut seen = Replays::default();
+
+    // SEND-FAIL2: the run is remembered with the Worker alive, and with
+    // it deleted the memo passes the run to the interpreter.
+    let p = lowered(SEND_FAIL);
+    let engine = Verifier::new(&p).engine().with_dequeue_log(false);
+    let mut memo = memo_arena();
+    let mut alive = engine.initial_config();
+    for id in [0, 1, 0] {
+        run(&engine, &mut alive, id);
+    }
+    alive.intern_slots(&mut interner);
+    let mut dead = alive.clone();
+    assert_eq!(run(&engine, &mut dead, 1), ExecOutcome::Deleted);
+    dead.intern_slots(&mut interner);
+    let mut init = engine.initial_config();
+    init.intern_slots(&mut interner);
+    for _ in 0..2 {
+        let new_run = compare_replays(
+            &engine,
+            &init,
+            MachineId(0),
+            &mut memo,
+            &interner,
+            &mut seen,
+        );
+        assert!(matches!(
+            new_run[0].result.outcome,
+            ExecOutcome::Yield(YieldKind::Created { .. })
+        ));
+    }
+    assert_eq!(seen.answered, 0, "`new` is never remembered");
+    for _ in 0..2 {
+        compare_replays(
+            &engine,
+            &alive,
+            MachineId(0),
+            &mut memo,
+            &interner,
+            &mut seen,
+        );
+    }
+    assert_eq!(seen.answered, 1, "a send to a live machine is");
+    let failed = compare_replays(
+        &engine,
+        &dead,
+        MachineId(0),
+        &mut memo,
+        &interner,
+        &mut seen,
+    );
+    assert_eq!(seen.answered, 1, "SEND-FAIL2 is the interpreter's");
+    assert!(
+        matches!(&failed[0].result.outcome, ExecOutcome::Error(e) if matches!(e.kind, ErrorKind::SendToDeleted { .. }))
+    );
+    // And the counterexample is the one the interpreter alone gave.
+    let cx = Verifier::new(&p).check_exhaustive().counterexample.unwrap();
+    assert_eq!(
+        cx.to_string(),
+        "error: machine #0: send to deleted machine #1\ntrace (5 steps):\n    1. machine #0: created #1 of type Worker\n    2. machine #1: ran to quiescence\n    3. machine #0: sent die to #1\n    4. machine #1: deleted itself\n    5. machine #0: ERROR: machine #0: send to deleted machine #1\n"
+    );
+
+    for (src, first_enqueued) in [(&suppressed, false), (&differing, true)] {
+        // Sender #2 sends first, then sender #3 from the same state
+        // finds the target's queue changed; a self-send follows.
+        let p = lowered(src);
+        let engine = Verifier::new(&p).engine().with_dequeue_log(false);
+        let mut memo = memo_arena();
+        let mut seen = Replays::default();
+        let mut fresh = engine.initial_config();
+        for _ in 0..3 {
+            run(&engine, &mut fresh, 0);
+        }
+        fresh.intern_slots(&mut interner);
+        let mut after = fresh.clone();
+        run(&engine, &mut after, 2);
+        after.intern_slots(&mut interner);
+        compare_replays(
+            &engine,
+            &fresh,
+            MachineId(3),
+            &mut memo,
+            &interner,
+            &mut seen,
+        );
+        compare_replays(
+            &engine,
+            &after,
+            MachineId(3),
+            &mut memo,
+            &interner,
+            &mut seen,
+        );
+        assert_eq!(seen.answered, 0, "another target queue is another append");
+        let again = compare_replays(
+            &engine,
+            &after,
+            MachineId(3),
+            &mut memo,
+            &interner,
+            &mut seen,
+        );
+        assert_eq!(seen.answered, 1);
+        let ExecOutcome::Yield(YieldKind::Sent { enqueued, .. }) = again[0].result.outcome else {
+            panic!("{:?}", again[0].result.outcome)
+        };
+        assert_eq!(enqueued, first_enqueued);
+        // The self-send from the child.
+        let mut sent = after.clone();
+        run(&engine, &mut sent, 3);
+        sent.intern_slots(&mut interner);
+        compare_replays(
+            &engine,
+            &sent,
+            MachineId(3),
+            &mut memo,
+            &interner,
+            &mut seen,
+        );
+        compare_replays(
+            &engine,
+            &sent,
+            MachineId(3),
+            &mut memo,
+            &interner,
+            &mut seen,
+        );
+        assert_eq!(seen.answered, 2, "a self-send is remembered");
+    }
+}
+
 /// The visited table routes a key to one of 64 shards by its top six
 /// bits, which balances only if canonical keys are uniform there. Over
 /// the reachable orbits of german4 (518 a shard; uniform keys put the

@@ -541,6 +541,7 @@ fn stats_to_metrics(
         bound,
         states: stats.unique_states as u64,
         transitions: stats.transitions as u64,
+        replayed_runs: stats.replayed_runs as u64,
         scheduler_nodes: stats.scheduler_nodes as u64,
         fault_transitions: stats.fault_transitions as u64,
         seconds: stats.duration.as_secs_f64(),

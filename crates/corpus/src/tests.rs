@@ -307,3 +307,38 @@ fn statement_expressions_are_leaves_or_one_operator_over_leaves() {
         "{deeper} + {foreign} of {total}"
     );
 }
+
+/// Generated programs are well-typed, lower, print back to themselves,
+/// and are small: most of them verify within 10⁴ states.
+#[test]
+fn generated_programs_check_lower_and_stay_small() {
+    let mut small = 0;
+    for seed in 0..200 {
+        let program = generated_program(seed);
+        p_typecheck::check(&program)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{}", generated_src(seed)));
+        let printed = p_ast::print_program(&program);
+        assert_eq!(
+            p_ast::print_program(&p_parser::parse(&printed).unwrap()),
+            printed
+        );
+        let machines = program.machines.len();
+        assert!(
+            (2..=4).contains(&machines),
+            "seed {seed}: {machines} machines"
+        );
+        let lowered = lower(&program).unwrap();
+        let options = CheckerOptions {
+            max_states: 10_000,
+            ..CheckerOptions::default()
+        };
+        let report = Verifier::new(&lowered)
+            .with_options(options)
+            .check_exhaustive();
+        small += usize::from(!report.stats.truncated);
+    }
+    assert!(
+        small >= 190,
+        "{small} of 200 generated programs within 10⁴ states"
+    );
+}

@@ -1283,6 +1283,43 @@ impl Config {
         )
     }
 
+    /// Slot `id`'s cached (slot digest, encoded length), the pair
+    /// [`Config::digest`] folds; `None` for an id never created and for a
+    /// slot not hashed since it last changed (or since decoding).
+    pub fn cached_slot_digest(&self, id: MachineId) -> Option<(u128, u32)> {
+        *self.digests.get(id.0 as usize)?
+    }
+
+    /// The [`Config::digest`] this configuration would have with the
+    /// listed (distinct) slots' digests replaced, from the fold alone;
+    /// `None` unless every slot's digest is cached.
+    pub fn digest_with(&self, slots: &[(MachineId, u128)]) -> Option<u128> {
+        if !self.dirty.is_empty() {
+            return None;
+        }
+        let mut acc = self.acc;
+        for &(id, digest) in slots {
+            let (old, _) = self.cached_slot_digest(id)?;
+            let i = id.0 as usize;
+            acc = acc.wrapping_add(slot_term(i, digest).wrapping_sub(slot_term(i, old)));
+        }
+        Some(finalize_digest(acc, self.machines.len()))
+    }
+
+    /// Puts `state`, a [`SlotInterner`]'s allocation, into live slot `id`
+    /// with its `cached` (slot digest, encoded length), so that neither
+    /// digesting nor interning the configuration visits the slot again.
+    pub fn install_slot(&mut self, id: MachineId, state: Arc<MachineState>, cached: (u128, u32)) {
+        let i = id.0 as usize;
+        if let Some((old, old_len)) = self.digests[i].replace(cached) {
+            self.acc = self.acc.wrapping_sub(slot_term(i, old));
+            self.len_acc -= 1 + old_len as usize;
+        }
+        self.acc = self.acc.wrapping_add(slot_term(i, cached.0));
+        self.len_acc += 1 + cached.1 as usize;
+        self.machines[i] = Some(state);
+    }
+
     /// The length of [`Config::canonical_bytes`] without materializing
     /// it, from the same per-slot cache as [`Config::digest`]. The
     /// checker accounts this as the stored-bytes statistic (the memory
@@ -1566,6 +1603,12 @@ impl SlotInterner {
                 }
             }
         }
+    }
+
+    /// This table's allocation of the slot content with digest
+    /// `digest`, if it holds one.
+    pub fn get(&self, digest: u128) -> Option<&Arc<MachineState>> {
+        self.table.get(&digest)
     }
 
     /// Whether some allocation interned here is also interned in

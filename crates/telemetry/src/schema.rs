@@ -22,8 +22,12 @@ pub struct ExplorationMetrics {
     pub bound: u64,
     /// Unique states admitted.
     pub states: u64,
-    /// Transitions executed.
+    /// Transitions taken: machine runs, interpreted or replayed, and
+    /// fault injections.
     pub transitions: u64,
+    /// Transitions answered from the kernel's slot-transition memo
+    /// instead of the interpreter (per process, like `canon_calls`).
+    pub replayed_runs: u64,
     /// Unique (configuration, annotation) nodes of a delay-bounded or
     /// fault-injecting search (zero for `"exhaustive"`).
     pub scheduler_nodes: u64,
@@ -115,6 +119,7 @@ impl ExplorationMetrics {
             ("bound", num(self.bound as f64)),
             ("states", num(self.states as f64)),
             ("transitions", num(self.transitions as f64)),
+            ("replayed_runs", num(self.replayed_runs as f64)),
             ("scheduler_nodes", num(self.scheduler_nodes as f64)),
             ("fault_transitions", num(self.fault_transitions as f64)),
             ("seconds", num(self.seconds)),
@@ -166,6 +171,7 @@ impl ExplorationMetrics {
             bound: field("bound"),
             states: value.get("states")?.as_u64()?,
             transitions: value.get("transitions")?.as_u64()?,
+            replayed_runs: field("replayed_runs"),
             scheduler_nodes: field("scheduler_nodes"),
             fault_transitions: field("fault_transitions"),
             seconds: value.get("seconds")?.as_f64()?,
@@ -394,6 +400,7 @@ mod tests {
             bound: 2,
             states,
             transitions: states * 3,
+            replayed_runs: states * 2,
             scheduler_nodes: states * 2,
             fault_transitions: 1,
             seconds,
