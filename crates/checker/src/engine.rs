@@ -61,7 +61,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::checkpoint::VisitedEntry;
 use crate::error::CheckerError;
-use crate::fingerprint::{Fingerprint, FpHashMap, FpHashSet};
+use crate::fingerprint::{Fingerprint, FpHashMap, VisitedSet};
 use crate::por::SleepSet;
 use crate::stats::PhaseNanos;
 use crate::store::{RunStore, Runs, SpillCounters};
@@ -561,6 +561,9 @@ const SHARDS: usize = 64;
 #[derive(Debug)]
 pub(crate) struct SharedTable {
     shards: Vec<Mutex<Shard>>,
+    /// Per shard, the [`VisitedSet::hint`] of its visited keys, which
+    /// [`SharedTable::prefetch`] reads without the lock.
+    hints: Vec<AtomicUsize>,
     unique: AtomicUsize,
     /// Configurations [`SharedTable::mark`]ed, bounded by `max_marked`.
     marked: AtomicUsize,
@@ -601,7 +604,7 @@ impl SharedCold {
     /// `shards` is every shard, locked: no lookup runs meanwhile.
     fn spill(
         &self,
-        shards: &mut [MutexGuard<'_, Shard>],
+        shards: &mut [Locked<'_>],
         batch: Vec<(u128, u128)>,
     ) -> Result<(), CheckerError> {
         let mut store = self.visited.lock();
@@ -613,9 +616,38 @@ impl SharedCold {
     }
 }
 
+/// A locked shard. The one place the hint is published: on release, if
+/// the visited keys moved (grown, drained by a spill, or restored).
+struct Locked<'a> {
+    shard: MutexGuard<'a, Shard>,
+    hint: &'a AtomicUsize,
+}
+
+impl std::ops::Deref for Locked<'_> {
+    type Target = Shard;
+    fn deref(&self) -> &Shard {
+        &self.shard
+    }
+}
+
+impl std::ops::DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Shard {
+        &mut self.shard
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        let hint = self.shard.visited.hint();
+        if self.hint.load(Ordering::Relaxed) != hint {
+            self.hint.store(hint, Ordering::Relaxed);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Shard {
-    visited: FpHashSet,
+    visited: VisitedSet,
     /// Sleep set each state was last explored with (absent = ∅). Stays
     /// RAM-resident when the key itself is spilled, so the revisit rule
     /// needs no disk read beyond the visited lookup.
@@ -668,6 +700,7 @@ impl SharedTable {
         };
         SharedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(shard())).collect(),
+            hints: (0..SHARDS).map(|_| AtomicUsize::new(0)).collect(),
             unique: AtomicUsize::new(0),
             marked: AtomicUsize::new(0),
             stored: AtomicUsize::new(0),
@@ -677,6 +710,19 @@ impl SharedTable {
             cold,
             edges,
         }
+    }
+
+    fn lock(&self, shard: usize) -> Locked<'_> {
+        Locked {
+            shard: self.shards[shard].lock(),
+            hint: &self.hints[shard],
+        }
+    }
+
+    /// Starts loading the visited bucket an offer of `key` probes first.
+    pub(crate) fn prefetch(&self, key: Fingerprint) {
+        let hint = self.hints[key.shard(SHARDS)].load(Ordering::Relaxed);
+        VisitedSet::prefetch(hint, key);
     }
 
     fn cold_tier(dir: &Path, hot_budget: usize) -> Result<SharedCold, CheckerError> {
@@ -725,14 +771,14 @@ impl SharedTable {
         table.unique.store(entries.len(), Ordering::SeqCst);
         for e in entries.iter().filter(|e| e.sleep != 0) {
             let fp = Fingerprint::from_u128(e.fp);
-            let mut shard = table.shards[fp.shard(SHARDS)].lock();
+            let mut shard = table.lock(fp.shard(SHARDS));
             shard.sleeps.insert(fp, SleepSet(e.sleep));
         }
         match &table.cold {
             None => {
                 for e in entries {
                     let fp = Fingerprint::from_u128(e.fp);
-                    let mut shard = table.shards[fp.shard(SHARDS)].lock();
+                    let mut shard = table.lock(fp.shard(SHARDS));
                     shard.visited.insert(fp);
                     if let Some(rep) = e.rep {
                         shard.reps.insert(fp, Fingerprint::from_u128(rep));
@@ -742,7 +788,7 @@ impl SharedTable {
             }
             Some(cold) => {
                 let batch = entries.iter().map(|e| (e.fp, e.rep.unwrap_or(e.fp)));
-                let mut shards: Vec<_> = table.shards.iter().map(|s| s.lock()).collect();
+                let mut shards: Vec<_> = (0..SHARDS).map(|i| table.lock(i)).collect();
                 cold.spill(&mut shards, batch.collect())?;
             }
         }
@@ -805,7 +851,7 @@ impl SharedTable {
         if !(visited_due || edges_due) {
             return Ok(());
         }
-        let mut shards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let mut shards: Vec<_> = (0..SHARDS).map(|i| self.lock(i)).collect();
         if visited_due {
             let mut batch = Vec::new();
             let mut freed = 0usize;
@@ -861,8 +907,8 @@ impl SharedTable {
             Ok((Admit::OverBound, None))
         };
         let pushed = {
-            let mut shard = self.shards[key.shard(SHARDS)].lock();
-            let visited = if shard.visited.contains(&key) {
+            let mut shard = self.lock(key.shard(SHARDS));
+            let visited = if shard.visited.contains(key) {
                 Some(shard.reps.get(&key).copied())
             } else {
                 shard.cold_visited(key)?
@@ -932,8 +978,8 @@ impl SharedTable {
     /// — not marked, not counted, the search truncated — once the bound is
     /// full. A marker has no record, task or bytes; its nodes have.
     pub(crate) fn mark(&self, config: Fingerprint) -> Result<Admit, CheckerError> {
-        let mut shard = self.shards[config.shard(SHARDS)].lock();
-        if shard.visited.contains(&config) || shard.cold_visited(config)?.is_some() {
+        let mut shard = self.lock(config.shard(SHARDS));
+        if shard.visited.contains(config) || shard.cold_visited(config)?.is_some() {
             return Ok(Admit::Covered { merged: false });
         }
         if self.marked.fetch_add(1, Ordering::SeqCst) >= self.max_marked {
@@ -960,17 +1006,17 @@ impl SharedTable {
         self.stored.load(Ordering::SeqCst)
     }
 
-    /// Bytes of RAM the bookkeeping around those states holds: the hash
-    /// tables of every shard (from their capacities), the resident edge
-    /// chunks, the overflow scripts, and the blooms and fences of the
-    /// cold runs.
+    /// Bytes of RAM the bookkeeping around those states holds: the
+    /// visited buckets and the hash tables of every shard (from their
+    /// capacities), the resident edge chunks, the overflow scripts, and
+    /// the blooms and fences of the cold runs.
     pub(crate) fn index_bytes(&self) -> usize {
         let shards: usize = self
             .shards
             .iter()
             .map(|shard| {
                 let shard = shard.lock();
-                table_bytes::<Fingerprint>(shard.visited.capacity())
+                shard.visited.bytes()
                     + table_bytes::<(Fingerprint, SleepSet)>(shard.sleeps.capacity())
                     + table_bytes::<(Fingerprint, Fingerprint)>(shard.reps.capacity())
                     + table_bytes::<(Fingerprint, u32)>(shard.lens.capacity())
@@ -1012,7 +1058,7 @@ impl SharedTable {
             for (&fp, s) in &shard.sleeps {
                 sleeps.insert(fp, s.0);
             }
-            for &fp in &shard.visited {
+            for fp in shard.visited.iter() {
                 visited.push(VisitedEntry {
                     fp: fp.as_u128(),
                     sleep: shard.sleeps.get(&fp).map_or(0, |s| s.0),
@@ -2311,6 +2357,87 @@ mod tests {
         );
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    /// Whether every shard's published hint is its visited keys' own.
+    fn hints_published(table: &SharedTable) -> bool {
+        let published = |i: usize| table.hints[i].load(Ordering::Relaxed);
+        let own = |i: usize| table.shards[i].lock().visited.hint();
+        (0..SHARDS).all(|i| published(i) == own(i))
+    }
+
+    /// The hint follows the visited keys wherever they move: growth
+    /// under admits and marks, the drain of a spill, and a restore.
+    #[test]
+    fn visited_hints_are_republished_on_growth_spill_and_restore() {
+        let table = SharedTable::new(usize::MAX);
+        let mut writer = EdgeWriter::default();
+        let root = offer_root(&table, &mut writer, fp(0), 1);
+        for n in 1..5_000u32 {
+            offer(&table, &mut writer, n, 1, root);
+            if n % 500 == 0 {
+                assert!(hints_published(&table), "after {n} admits");
+            }
+        }
+        let annotated = SharedTable::new(usize::MAX).annotated(0);
+        for n in 0..2_000u32 {
+            annotated.mark(fp(n)).unwrap();
+        }
+        assert!(hints_published(&annotated), "after marks");
+
+        let dir = temp_dir("hints-spill");
+        let spilling = SharedTable::with_spill(usize::MAX, &dir, 1 << 10).unwrap();
+        for n in 0..3_000u32 {
+            offer(&spilling, &mut writer, n, 1, root);
+        }
+        assert!(spilling.spill_stats().records > 0);
+        assert!(hints_published(&spilling), "after spills");
+
+        let (visited, parents, scripts) = table.snapshot().unwrap();
+        let restored =
+            SharedTable::restore(usize::MAX, None, &visited, &parents, scripts, 0).unwrap();
+        assert!(hints_published(&restored), "after a restore");
+        assert!(restored
+            .hints
+            .iter()
+            .all(|h| h.load(Ordering::Relaxed) != 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A prefetch through a hint taken before the buckets moved — grown
+    /// over and over, and freed by the drains of spills — fetches a
+    /// useless line and nothing else: every lookup is still right.
+    #[test]
+    fn visited_prefetch_through_a_stale_hint_is_harmless() {
+        let dir = temp_dir("hints-stale");
+        let table = SharedTable::with_spill(usize::MAX, &dir, 1 << 10).unwrap();
+        let mut writer = EdgeWriter::default();
+        let root = offer_root(&table, &mut writer, fp(0), 1);
+        for n in 1..100u32 {
+            offer(&table, &mut writer, n, 1, root);
+        }
+        let stale: Vec<usize> = table
+            .hints
+            .iter()
+            .map(|h| h.load(Ordering::Relaxed))
+            .collect();
+        let prefetch_stale = |keys: std::ops::Range<u32>| {
+            for n in keys {
+                VisitedSet::prefetch(stale[fp(n).shard(SHARDS)], fp(n));
+            }
+        };
+        for n in 100..4_000u32 {
+            prefetch_stale(n..n + 8);
+            table.prefetch(fp(n));
+            assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
+        }
+        assert!(table.spill_stats().records > 0, "the buckets were drained");
+        prefetch_stale(0..8_000);
+        let covered = Admit::Covered { merged: false };
+        for n in 0..4_000u32 {
+            assert_eq!(offer(&table, &mut writer, n, 1, root).0, covered, "{n}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

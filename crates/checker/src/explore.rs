@@ -39,9 +39,10 @@ use crate::engine::{
 use crate::error::CheckerError;
 use crate::fault::FaultDecision;
 use crate::fingerprint::{Fingerprint, FpHashSet};
+use crate::phase::Phase;
 use crate::por::{Por, SleepSet};
 use crate::stats::ExplorationStats;
-use crate::succ::SuccArena;
+use crate::succ::{successors_into, SuccArena, Successor};
 use crate::trace::{Counterexample, EdgeRecord, TraceStep};
 
 /// How often a worker offers a progress snapshot to the
@@ -569,7 +570,7 @@ impl<'p> Verifier<'p> {
                     || (EdgeRecord::root(), None),
                 )?;
                 let root = Task {
-                    config,
+                    config: Box::new(config),
                     id: id.expect("an empty table admits the initial state"),
                     depth: 0,
                     sleep: SleepSet::empty(),
@@ -737,9 +738,16 @@ impl<'p> Verifier<'p> {
         let mut tasks = 0u64;
         let por = self.options.por.then(|| Por::new(self.program));
         let symmetry = self.options.symmetry;
-        let mut succs = Vec::new();
+        let granularity = self.options.granularity;
+        // One task's batch: its successors, and per successor the move
+        // that made it with the sleep set that move ran under (expand
+        // pass), then its concrete fingerprint, table key and annotation
+        // (key pass).
+        let mut succs: Vec<Successor> = Vec::new();
+        let mut tags: Vec<(usize, SleepSet)> = Vec::new();
+        let mut keys: Vec<(Fingerprint, Fingerprint, S::Note)> = Vec::new();
         // A `Fine` run stops after every small step: nothing to remember.
-        let atomic = self.options.granularity == Granularity::Atomic;
+        let atomic = granularity == Granularity::Atomic;
         let mut arena = SuccArena::with_memo(memo.filter(|_| atomic));
         let mut moves = Vec::new();
         let mut writer = EdgeWriter::default();
@@ -794,29 +802,30 @@ impl<'p> Verifier<'p> {
                 // must not double-count quiescence or queue peaks.
                 note_diagnostics(&config, quiescent, &mut stats);
             }
-            // Machines explored at this state go to sleep for the ones
-            // after them (their interleavings are covered below the
-            // earlier siblings); the exhaustive moves are in ascending
-            // id order, so the accumulation order is deterministic.
+            // Expand (DESIGN.md §9): the successors of every move not
+            // asleep, in move order, into one batch. Machines explored at
+            // this state go to sleep for the ones after them (their
+            // interleavings are covered below the earlier siblings); the
+            // exhaustive moves are in ascending id order, so the
+            // accumulation order is deterministic. The pass stops after a
+            // move whose run failed or ended in an error: the search does
+            // not get past it.
             let mut cur_sleep = sleep;
-            for mv in &moves {
+            let mut failed = None;
+            for (m, mv) in moves.iter().enumerate() {
+                let start = succs.len();
                 let id = match S::step(mv) {
                     Step::Run(id) if cur_sleep.contains(id) => {
                         stats.sleep_pruned += 1;
                         continue;
                     }
                     Step::Run(id) => {
-                        let ran = crate::succ::successors_into(
-                            &engine,
-                            &config,
-                            id,
-                            self.options.granularity,
-                            &mut succs,
-                            &mut arena,
-                        );
+                        let (succs, arena) = (&mut succs, &mut arena);
+                        let ran = successors_into(&engine, &config, id, granularity, succs, arena);
                         if let Err(error) = ran {
-                            search.stop_with(&search.error, error.into());
-                            break 'tasks;
+                            succs.truncate(start);
+                            failed = Some(error);
+                            break;
                         }
                         id
                     }
@@ -826,123 +835,149 @@ impl<'p> Verifier<'p> {
                         fault.machine
                     }
                 };
-                for mut succ in succs.drain(..) {
-                    stats.transitions += 1;
-                    stats.replayed_runs += usize::from(succ.replay.is_some());
-                    if let ExecOutcome::Error(e) = &succ.result.outcome {
-                        let choices = std::mem::take(&mut succ.choices);
-                        let step =
-                            TraceStep::from_run(self.program, succ.machine, &succ.result, choices);
-                        search.stop_with(&search.violation, (task_id, step, e.clone()));
-                        break 'tasks;
-                    }
-                    let t = arena.phases.start();
-                    let succ_fp = Fingerprint::from_u128(match succ.replay {
-                        Some(replay) => replay.digest,
-                        None => succ.config.digest(),
-                    });
-                    arena.phases.stop(crate::phase::Phase::Digest, t);
-                    let child_note = sched.child(&note, mv, &succ.result.outcome);
-                    // A replayed child is built only where it is needed:
-                    // to canonicalize it, to store it, to expand it.
-                    // The table is keyed by the annotated fingerprint, or
-                    // with symmetry on by the canonical one; everything
-                    // else (tasks, their records, traces) stays concrete.
-                    let key = if S::ANNOTATED {
-                        node_key::<S>(succ_fp, &child_note, &mut key_buf)
-                    } else if symmetry {
-                        canon_memo.get_or_insert_with(succ_fp, || {
-                            let s = &mut succ;
-                            arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
-                            let t = arena.phases.start();
-                            let (key, candidates) = canonical_digest_counted(&mut s.config);
-                            arena.phases.stop(crate::phase::Phase::Canon, t);
-                            stats.canon_calls += 1;
-                            stats.canon_candidates += candidates as usize;
-                            Fingerprint::from_u128(key)
-                        })
-                    } else {
-                        succ_fp
-                    };
-                    let table_t = arena.phases.start();
-                    let child_sleep = match &por {
-                        None => SleepSet::empty(),
-                        Some(por) => {
-                            let taken = por.run_footprint(id, &succ.result);
-                            por.filter_sleep(&config, cur_sleep, &taken)
-                        }
-                    };
-                    // A configuration over the bound is neither marked
-                    // nor pushed.
-                    let in_bound = !S::ANNOTATED
-                        || match table.mark(succ_fp) {
-                            Ok(marked) => marked != Admit::OverBound,
-                            Err(error) => {
-                                search.stop_with(&search.error, error);
-                                break 'tasks;
-                            }
-                        };
-                    let (slots, choices, result) = (&mut succ.config, &succ.choices, &succ.result);
-                    // The log stores packed records; only an error path
-                    // renders human-readable summaries.
-                    let admitted = if in_bound {
-                        table.admit(
-                            key,
-                            if S::ANNOTATED { key } else { succ_fp },
-                            child_sleep,
-                            || {
-                                arena.build(slots, &mut succ.replay, &config, &engine, interner);
-                                intern(slots, interner, slot_digests)
-                            },
-                            &mut writer,
-                            || match S::step(mv) {
-                                Step::Run(id) => EdgeRecord::from_run(task_id, id, result, choices),
-                                Step::Inject(fault) => {
-                                    (EdgeRecord::from_fault(task_id, &fault), None)
-                                }
-                            },
-                        )
-                    } else {
-                        Ok((Admit::OverBound, None))
-                    };
-                    // The task to push for the successor, if any: its
-                    // id, the sleep set to expand it with, and whether
-                    // this is its first visit.
-                    let push = match admitted {
-                        Err(error) => {
-                            search.stop_with(&search.error, error);
-                            break 'tasks;
-                        }
-                        Ok((Admit::New, id)) => id.map(|id| (id, child_sleep, true)),
-                        Ok((Admit::Widen { sleep, merged }, id)) => {
-                            stats.symmetry_merges += usize::from(merged);
-                            id.map(|id| (id, sleep, false))
-                        }
-                        Ok((Admit::Covered { merged }, _)) => {
-                            stats.dedup_hits += 1;
-                            stats.symmetry_merges += usize::from(merged);
-                            None
-                        }
-                        Ok((Admit::OverBound, _)) => None,
-                    };
-                    if let Some((id, sleep, fresh)) = push {
-                        let s = &mut succ;
-                        arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
-                        children.push(Task {
-                            config: std::mem::take(&mut succ.config),
-                            id,
-                            depth: depth + 1,
-                            sleep,
-                            fresh,
-                            note: child_note,
-                        });
-                    }
-                    arena.phases.stop(crate::phase::Phase::Table, table_t);
-                    arena.recycle(succ);
+                tags.resize(succs.len(), (m, cur_sleep));
+                if succs[start..].iter().any(Successor::is_error) {
+                    break;
                 }
                 if por.is_some() {
                     cur_sleep.insert(id);
                 }
+            }
+            // Key: each successor's table key, up to the first error,
+            // with the bucket its offer will probe prefetched. The table
+            // is keyed by the annotated fingerprint, or with symmetry on
+            // by the canonical one; everything else (tasks, their
+            // records, traces) stays concrete. A replayed child is built
+            // only where it is needed: to canonicalize it, to store it,
+            // to expand it.
+            for (succ, &(m, _)) in succs.iter_mut().zip(&tags) {
+                if succ.is_error() {
+                    break;
+                }
+                // Counted before a build takes the replay (an error
+                // outcome is never replayed).
+                stats.replayed_runs += usize::from(succ.replay.is_some());
+                let child_note = sched.child(&note, &moves[m], &succ.result.outcome);
+                arena.phases.enter(Phase::Digest);
+                let succ_fp = Fingerprint::from_u128(succ.digest());
+                arena.phases.enter(Phase::Other);
+                let key = if S::ANNOTATED {
+                    table.prefetch(succ_fp);
+                    node_key::<S>(succ_fp, &child_note, &mut key_buf)
+                } else if symmetry {
+                    canon_memo.get_or_insert_with(succ_fp, || {
+                        let s = &mut *succ;
+                        arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
+                        let built = s.config.as_mut().expect("built above");
+                        arena.phases.enter(Phase::Canon);
+                        let (key, candidates) = canonical_digest_counted(built);
+                        arena.phases.enter(Phase::Other);
+                        stats.canon_calls += 1;
+                        stats.canon_candidates += candidates as usize;
+                        Fingerprint::from_u128(key)
+                    })
+                } else {
+                    succ_fp
+                };
+                table.prefetch(key);
+                keys.push((succ_fp, key, child_note));
+            }
+            // Offer, in order, walking the batch where it lies. A
+            // violation stops the search here, ahead of a failed run the
+            // expand pass recorded.
+            let mut keyed = keys.drain(..);
+            for (succ, &(m, ran_sleep)) in succs.iter_mut().zip(&tags) {
+                stats.transitions += 1;
+                if let ExecOutcome::Error(e) = &succ.result.outcome {
+                    let choices = std::mem::take(&mut succ.choices);
+                    let step =
+                        TraceStep::from_run(self.program, succ.machine, &succ.result, choices);
+                    search.stop_with(&search.violation, (task_id, step, e.clone()));
+                    break 'tasks;
+                }
+                let (succ_fp, key, child_note) = keyed.next().expect("keyed up to the error");
+                let mv = &moves[m];
+                arena.phases.enter(Phase::Table);
+                let child_sleep = match &por {
+                    None => SleepSet::empty(),
+                    Some(por) => {
+                        let taken = por.run_footprint(succ.machine, &succ.result);
+                        por.filter_sleep(&config, ran_sleep, &taken)
+                    }
+                };
+                // A configuration over the bound is neither marked
+                // nor pushed.
+                let in_bound = !S::ANNOTATED
+                    || match table.mark(succ_fp) {
+                        Ok(marked) => marked != Admit::OverBound,
+                        Err(error) => {
+                            search.stop_with(&search.error, error);
+                            break 'tasks;
+                        }
+                    };
+                let (slots, replay) = (&mut succ.config, &mut succ.replay);
+                let (choices, result) = (&succ.choices, &succ.result);
+                // The log stores packed records; only an error path
+                // renders human-readable summaries.
+                let admitted = if in_bound {
+                    table.admit(
+                        key,
+                        if S::ANNOTATED { key } else { succ_fp },
+                        child_sleep,
+                        || {
+                            arena.build(slots, replay, &config, &engine, interner);
+                            let built = slots.as_mut().expect("built above");
+                            intern(built, interner, slot_digests)
+                        },
+                        &mut writer,
+                        || match S::step(mv) {
+                            Step::Run(id) => EdgeRecord::from_run(task_id, id, result, choices),
+                            Step::Inject(fault) => (EdgeRecord::from_fault(task_id, &fault), None),
+                        },
+                    )
+                } else {
+                    Ok((Admit::OverBound, None))
+                };
+                // The task to push for the successor, if any: its
+                // id, the sleep set to expand it with, and whether
+                // this is its first visit.
+                let push = match admitted {
+                    Err(error) => {
+                        search.stop_with(&search.error, error);
+                        break 'tasks;
+                    }
+                    Ok((Admit::New, id)) => id.map(|id| (id, child_sleep, true)),
+                    Ok((Admit::Widen { sleep, merged }, id)) => {
+                        stats.symmetry_merges += usize::from(merged);
+                        id.map(|id| (id, sleep, false))
+                    }
+                    Ok((Admit::Covered { merged }, _)) => {
+                        stats.dedup_hits += 1;
+                        stats.symmetry_merges += usize::from(merged);
+                        None
+                    }
+                    Ok((Admit::OverBound, _)) => None,
+                };
+                if let Some((id, sleep, fresh)) = push {
+                    let s = &mut *succ;
+                    arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
+                    children.push(Task {
+                        config: succ.config.take().expect("built above"),
+                        id,
+                        depth: depth + 1,
+                        sleep,
+                        fresh,
+                        note: child_note,
+                    });
+                }
+                arena.phases.enter(Phase::Other);
+                arena.recycle(succ);
+            }
+            succs.clear();
+            tags.clear();
+            if let Some(error) = failed {
+                search.stop_with(&search.error, error.into());
+                break 'tasks;
             }
             arena.recycle_config(config);
             arena.phases.drain_into(&mut stats.phases);
@@ -1144,10 +1179,10 @@ fn spill_config<'a>(
     options: &CheckerOptions,
     spill: &'a Option<SpillDir>,
 ) -> Option<(&'a Path, usize)> {
-    let limit = options.mem_limit?;
-    spill
-        .as_ref()
-        .map(|dir| (dir.path.as_path(), hot_budget_for(limit)))
+    let budget = hot_budget_for(options.mem_limit?);
+    #[cfg(test)]
+    let budget = TEST_HOT_BUDGET.get().unwrap_or(budget);
+    spill.as_ref().map(|dir| (dir.path.as_path(), budget))
 }
 
 /// Hash-conses the slots of a freshly admitted `config` into the
@@ -1208,7 +1243,7 @@ fn decode_frontier<S: Scheduler>(
                 )
             })?;
             Ok(Task {
-                config,
+                config: Box::new(config),
                 id: t.id,
                 depth: t.depth as usize,
                 sleep: SleepSet(t.sleep),
@@ -1221,10 +1256,11 @@ fn decode_frontier<S: Scheduler>(
 
 /// A unit of work: the state, the id of its record in the edge log (the
 /// way back to the root), its depth, the sleep set to expand it with,
-/// whether this is its first visit, and the scheduler's annotation.
+/// whether this is its first visit, and the scheduler's annotation. The
+/// state is the box its successor was built in, never copied.
 #[derive(Debug, Clone)]
 struct Task<N> {
-    config: Config,
+    config: Box<Config>,
     id: TaskId,
     depth: usize,
     sleep: SleepSet,
@@ -1272,6 +1308,15 @@ fn snapshot_from(
         spilled: stats.spilled_states as u64,
         cold_reads: stats.cold_reads,
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A hot-tier budget below [`hot_budget_for`]'s floor for the
+    /// searches this thread starts ([`spill_config`]), so that a test
+    /// spills programs of a thousand states.
+    pub(crate) static TEST_HOT_BUDGET: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
 }
 
 #[cfg(test)]

@@ -204,7 +204,7 @@ impl FaultDecision {
         FaultScheduler::apply(self, &mut faulted)
             .expect("enumerated fault applies to its own configuration");
         Successor {
-            config: faulted,
+            config: Some(Box::new(faulted)),
             machine: self.machine,
             choices: Vec::new(),
             result: RunResult {

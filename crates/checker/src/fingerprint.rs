@@ -97,6 +97,147 @@ pub(crate) type FpHashMap<V> = std::collections::HashMap<Fingerprint, V, FpBuild
 /// A `HashSet` of fingerprints, skipping the redundant re-hash.
 pub(crate) type FpHashSet = std::collections::HashSet<Fingerprint, FpBuildHasher>;
 
+/// Keys per [`VisitedSet`] bucket: four 16-byte keys fill one line.
+const BUCKET_KEYS: usize = 4;
+
+/// One cache line of keys; `0` marks an empty slot.
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(64))]
+struct Bucket([u128; BUCKET_KEYS]);
+
+const _: () = assert!(std::mem::size_of::<Bucket>() == 64);
+
+/// A set of fingerprints whose probe reads one cache line (DESIGN.md
+/// §13): open addressing over 64-byte buckets of four keys, probed
+/// linearly from the bucket the key's low bits name (the shard router
+/// takes its top bits), doubled at 7/8 load. `0` marks an empty slot, so
+/// the fingerprint 0 is held apart. Nothing is removed but by
+/// [`VisitedSet::drain`], so a probe ends at the first empty slot.
+#[derive(Default)]
+pub(crate) struct VisitedSet {
+    buckets: Box<[Bucket]>,
+    /// Keys in `buckets`.
+    len: usize,
+    zero: bool,
+}
+
+impl VisitedSet {
+    pub(crate) fn len(&self) -> usize {
+        self.len + usize::from(self.zero)
+    }
+
+    /// Bytes of the buckets.
+    pub(crate) fn bytes(&self) -> usize {
+        self.buckets.len() * std::mem::size_of::<Bucket>()
+    }
+
+    pub(crate) fn contains(&self, key: Fingerprint) -> bool {
+        match key.0 {
+            0 => self.zero,
+            key => !self.buckets.is_empty() && self.probe(key).is_ok(),
+        }
+    }
+
+    /// Adds `key`; whether it was new.
+    pub(crate) fn insert(&mut self, key: Fingerprint) -> bool {
+        if key.0 == 0 {
+            return !std::mem::replace(&mut self.zero, true);
+        }
+        if (self.len + 1) * 8 > self.buckets.len() * BUCKET_KEYS * 7 {
+            self.grow();
+        }
+        let Err((b, s)) = self.probe(key.0) else {
+            return false;
+        };
+        self.buckets[b].0[s] = key.0;
+        self.len += 1;
+        true
+    }
+
+    /// `Ok` if the non-zero `key` is held, else the empty slot it goes
+    /// to as (bucket, slot). The load bound leaves one slot empty.
+    fn probe(&self, key: u128) -> Result<(), (usize, usize)> {
+        let mask = self.buckets.len() - 1;
+        let mut b = key as usize & mask;
+        loop {
+            for (s, &held) in self.buckets[b].0.iter().enumerate() {
+                if held == key {
+                    return Ok(());
+                }
+                if held == 0 {
+                    return Err((b, s));
+                }
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self) {
+        let buckets = (2 * self.buckets.len()).max(1);
+        let old = std::mem::replace(&mut self.buckets, vec![Bucket::default(); buckets].into());
+        for key in old.iter().flat_map(|b| b.0).filter(|&k| k != 0) {
+            let Err((b, s)) = self.probe(key) else {
+                unreachable!("the keys of a set are distinct")
+            };
+            self.buckets[b].0[s] = key;
+        }
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Fingerprint> + '_ {
+        let zero = self.zero.then_some(Fingerprint(0));
+        let held = self.buckets.iter().flat_map(|b| b.0).filter(|&k| k != 0);
+        zero.into_iter().chain(held.map(Fingerprint))
+    }
+
+    /// Every key, leaving the set empty and its buckets freed.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = Fingerprint> {
+        let set = std::mem::take(self);
+        let zero = set.zero.then_some(Fingerprint(0));
+        let held = Vec::from(set.buckets).into_iter().flat_map(|b| b.0);
+        zero.into_iter()
+            .chain(held.filter(|&k| k != 0).map(Fingerprint))
+    }
+
+    /// Where the buckets are, for [`VisitedSet::prefetch`]: their base
+    /// address (64-byte aligned) with log₂ of their number in the low six
+    /// bits, or 0 for none.
+    pub(crate) fn hint(&self) -> usize {
+        match self.buckets.len() {
+            0 => 0,
+            n => self.buckets.as_ptr() as usize | n.trailing_zeros() as usize,
+        }
+    }
+
+    /// Starts loading the bucket a probe for `key` reads first, in the
+    /// buckets `hint` describes. The hint may be stale — the set grown or
+    /// drained since — and the line fetched useless then, never wrong.
+    #[inline]
+    pub(crate) fn prefetch(hint: usize, key: Fingerprint) {
+        if hint == 0 {
+            return;
+        }
+        let mask = (1usize << (hint & 63)) - 1;
+        let line = (hint & !63) + (key.0 as usize & mask) * std::mem::size_of::<Bucket>();
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a prefetch is a hint that reads no memory of the
+        // abstract machine and cannot fault, whatever the address, so
+        // one through a freed or out-of-range line is harmless.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(line as *const i8)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = line;
+    }
+}
+
+impl fmt::Debug for VisitedSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let buckets = self.buckets.len();
+        write!(f, "VisitedSet({} keys, {buckets} buckets)", self.len())
+    }
+}
+
 impl fmt::Debug for Fingerprint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Fingerprint({self})")
@@ -203,6 +344,58 @@ mod tests {
         // ring as its representative (DESIGN.md §12; checkpoint
         // version 3).
         assert_eq!(canonical.to_string(), "9284045b9c214a84c5cbe8d18bf8aa35");
+    }
+
+    /// The one-line-bucket set against a `BTreeSet`: random inserts and
+    /// lookups from a key mix that holds 0, keys that all name bucket 0,
+    /// keys that name the last bucket (so their probes wrap around), and
+    /// spread keys; through growth, iteration, a drain and reuse after
+    /// it. Every key is yielded once.
+    #[test]
+    fn visited_set_matches_a_btree_set() {
+        use std::collections::BTreeSet;
+        let mut rng = 0x243f_6a88_85a3_08d3u64;
+        let mut next = || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 16
+        };
+        let mut set = VisitedSet::default();
+        let mut model = BTreeSet::new();
+        for round in 0..4 {
+            for _ in 0..20_000 {
+                let n = u128::from(next() % 300 + 1);
+                let key = match next() % 8 {
+                    0 => 0,
+                    1 => n << 64,
+                    2 => n << 64 | u128::from(u64::MAX),
+                    _ => Fingerprint::of(&(next() % 6_000).to_le_bytes()).0,
+                };
+                if next() % 3 == 0 {
+                    let fp = Fingerprint(key);
+                    assert_eq!(set.contains(fp), model.contains(&key), "{key:#x}");
+                } else {
+                    assert_eq!(set.insert(Fingerprint(key)), model.insert(key), "{key:#x}");
+                }
+                assert_eq!(set.len(), model.len());
+            }
+            let mut listed: Vec<u128> = set.iter().map(Fingerprint::as_u128).collect();
+            listed.sort_unstable();
+            assert!(listed.iter().eq(&model), "round {round}: iter");
+            assert!(
+                set.len * 8 <= set.buckets.len() * BUCKET_KEYS * 7,
+                "over 7/8 load"
+            );
+            if round % 2 == 1 {
+                let mut drained: Vec<u128> = set.drain().map(Fingerprint::as_u128).collect();
+                drained.sort_unstable();
+                assert!(drained.iter().eq(&model), "round {round}: drain");
+                assert_eq!((set.len(), set.bytes(), set.hint()), (0, 0, 0));
+                assert!(!set.contains(Fingerprint(0)));
+                model.clear();
+            }
+        }
     }
 
     #[test]

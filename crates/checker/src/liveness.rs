@@ -279,19 +279,20 @@ impl Verifier<'_> {
             }
             let config = graph.configs[n].clone();
             for id in engine.enabled_machines(&config) {
-                for mut succ in successors_for(&engine, &config, id, self.options().granularity)? {
+                for succ in successors_for(&engine, &config, id, self.options().granularity)? {
                     stats.transitions += 1;
                     if matches!(succ.result.outcome, ExecOutcome::Error(_)) {
                         continue; // terminal for liveness purposes
                     }
-                    let h = Fingerprint::from_u128(succ.config.digest());
+                    let mut child = *succ.config.expect("no memo: every successor is built");
+                    let h = Fingerprint::from_u128(child.digest());
                     let to = match index.get(&h) {
                         Some(&i) => i,
                         None => {
                             let i = graph.configs.len();
                             index.insert(h, i);
-                            stats.stored_bytes += succ.config.encoded_len();
-                            graph.configs.push(succ.config);
+                            stats.stored_bytes += child.encoded_len();
+                            graph.configs.push(child);
                             graph.edges.push(Vec::new());
                             worklist.push(i);
                             i

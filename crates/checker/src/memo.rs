@@ -29,21 +29,26 @@ type Sent = (MachineId, EventId, Value);
 type AppendKey = (MachineId, u128, EventId, Value);
 type Append = (AppendKey, (u128, u32, bool));
 
-/// A replayed run's child, not built: its digest, the run, and the one
-/// or two (slot, slot digest, encoded length) in which it differs from
-/// the parent.
+/// A replayed run's child, not built: its digest, the run's script bits,
+/// and the one or two (slot, slot digest, encoded length) in which it
+/// differs from the parent — the runner's, then a ⊕ target's.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Replay {
     pub(crate) digest: u128,
-    pub(crate) key: RunKey,
+    pub(crate) bits: u64,
     slots: [(MachineId, u128, u32); 2],
-    changed: usize,
+    sent: bool,
 }
 
 impl Replay {
     /// The slots the run changed.
     pub(crate) fn slots(&self) -> &[(MachineId, u128, u32)] {
-        &self.slots[..self.changed]
+        &self.slots[..1 + usize::from(self.sent)]
+    }
+
+    /// The machine that ran.
+    pub(crate) fn machine(&self) -> MachineId {
+        self.slots[0].0
     }
 }
 
@@ -111,7 +116,6 @@ impl SlotMemo {
     pub(crate) fn replay(&self, key: &RunKey, parent: &Config) -> Option<(RunResult, Replay)> {
         let (_, (after, len), (mut outcome, steps, choices_used), sent) = self.run(key)?.clone();
         let mut slots = [(key.0, after, len); 2];
-        let mut changed = 1;
         if let Some((to, event, payload)) = sent {
             let append = (to, parent.cached_slot_digest(to)?.0, event, payload);
             let entry = self.appends[self.append_slot(&append)].filter(|e| e.0 == append);
@@ -119,10 +123,10 @@ impl SlotMemo {
             if let ExecOutcome::Yield(YieldKind::Sent { enqueued, .. }) = &mut outcome {
                 *enqueued = appended;
             }
-            (slots[1], changed) = ((to, after, len), 2);
+            slots[1] = (to, after, len);
         }
         let digests = slots.map(|(id, digest, _)| (id, digest));
-        let digest = parent.digest_with(&digests[..changed])?;
+        let digest = parent.digest_with(&digests[..1 + usize::from(sent.is_some())])?;
         let result = RunResult {
             outcome,
             choices_used,
@@ -133,9 +137,9 @@ impl SlotMemo {
         };
         let replay = Replay {
             digest,
-            key: *key,
+            bits: key.2,
             slots,
-            changed,
+            sent: sent.is_some(),
         };
         Some((result, replay))
     }

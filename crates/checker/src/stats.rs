@@ -12,9 +12,10 @@ use std::time::Duration;
 /// `exec` is the interpreter's machine runs (a replayed one runs no
 /// interpreter), `digest` the
 /// incremental fingerprint maintenance, `clone` the candidate
-/// configuration derivation (arena priming), `canon` the symmetry
-/// canonicalization, and `table` the visited-set/parent-map admission.
-/// The phases deliberately do not sum to the run duration — enabled-set
+/// configuration derivation (arena priming) and child builds, `canon`
+/// the symmetry canonicalization, and `table` the visited-set/edge-log
+/// admission. The phases are laps of one clock, so no interval counts
+/// twice and their sum stays below the run duration — enabled-set
 /// computation, scheduling and bookkeeping are unattributed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
@@ -22,12 +23,12 @@ pub struct PhaseNanos {
     pub exec: u64,
     /// Incremental digest/fingerprint maintenance.
     pub digest: u64,
-    /// Candidate configuration cloning/priming.
+    /// Candidate configuration cloning/priming and replayed-child builds.
     pub clone: u64,
     /// Symmetry canonicalization.
     pub canon: u64,
-    /// Visited-table/parent-map admission and the bookkeeping it
-    /// triggers (parent edges, frontier pushes).
+    /// Visited-table admission and the bookkeeping it triggers (edge
+    /// records, interning, frontier pushes), child builds excluded.
     pub table: u64,
 }
 

@@ -9,18 +9,36 @@ use p_semantics::{
 };
 
 use crate::memo::{Replay, SlotMemo};
+use crate::phase::Phase;
 
 /// One successor: the configuration after running `machine` with choice
-/// script `choices`.
+/// script `choices`. The configuration is a pooled box, so a batch of
+/// successors is moved and walked as records of at most 256 bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct Successor {
-    /// Empty while `replay` is set (see [`SuccArena::build`]).
-    pub config: Config,
+    /// `None` while `replay` is set (see [`SuccArena::build`]), and once
+    /// taken for a task or recycled.
+    pub config: Option<Box<Config>>,
     pub machine: MachineId,
     pub choices: Vec<bool>,
     pub result: RunResult,
     /// Set when the slot-transition memo answered the run.
     pub replay: Option<Replay>,
+}
+
+impl Successor {
+    pub(crate) fn is_error(&self) -> bool {
+        matches!(self.result.outcome, ExecOutcome::Error(_))
+    }
+
+    /// The child's digest: the memo's fold for a replayed run.
+    pub(crate) fn digest(&mut self) -> u128 {
+        match (&self.replay, &mut self.config) {
+            (Some(replay), _) => replay.digest,
+            (None, Some(config)) => config.digest(),
+            (None, None) => unreachable!("an interpreted successor holds its configuration"),
+        }
+    }
 }
 
 /// Recycling pool for the successor hot path: rejected candidates'
@@ -33,7 +51,10 @@ pub(crate) struct Successor {
 /// reuses a pooled buffer.
 #[derive(Debug, Default)]
 pub(crate) struct SuccArena {
-    configs: Vec<Config>,
+    /// Boxed, for a box moves between pool, successor and task without
+    /// copying the configuration.
+    #[allow(clippy::vec_box)]
+    configs: Vec<Box<Config>>,
     scripts: Vec<Vec<bool>>,
     /// Sole-owned machine buffers harvested from retired candidates;
     /// [`Config::prepare_candidate`] primes the next runner slot from
@@ -70,20 +91,21 @@ impl SuccArena {
         }
     }
 
-    /// Returns a rejected successor's buffers to the pool.
-    pub(crate) fn recycle(&mut self, succ: Successor) {
-        if succ.replay.is_none() {
-            self.recycle_config(succ.config);
+    /// Takes a successor's buffers back into the pool, leaving it empty
+    /// where it lies.
+    pub(crate) fn recycle(&mut self, succ: &mut Successor) {
+        if let Some(config) = succ.config.take() {
+            self.recycle_config(config);
         }
         if self.scripts.len() < ARENA_CAP {
-            self.scripts.push(succ.choices);
+            self.scripts.push(std::mem::take(&mut succ.choices));
         }
     }
 
     /// Returns a retired configuration (rejected successor or expanded
     /// task) to the pool, harvesting its sole-owned machine buffers for
     /// runner-slot priming.
-    pub(crate) fn recycle_config(&mut self, mut config: Config) {
+    pub(crate) fn recycle_config(&mut self, mut config: Box<Config>) {
         config.harvest_unique_slots(&mut self.slots, ARENA_CAP);
         if self.configs.len() < ARENA_CAP {
             self.configs.push(config);
@@ -93,7 +115,7 @@ impl SuccArena {
     /// A candidate configuration primed from `config` for running
     /// `machine`: pooled buffers when available, fresh allocations
     /// otherwise.
-    fn candidate(&mut self, config: &Config, machine: MachineId) -> Config {
+    fn candidate(&mut self, config: &Config, machine: MachineId) -> Box<Config> {
         let mut c = self.configs.pop().unwrap_or_default();
         c.prepare_candidate(config, machine, &mut self.slots);
         c
@@ -113,7 +135,7 @@ impl SuccArena {
     /// interpreter after all.
     pub(crate) fn build(
         &mut self,
-        config: &mut Config,
+        config: &mut Option<Box<Config>>,
         replay: &mut Option<Replay>,
         parent: &Config,
         engine: &Engine<'_>,
@@ -122,14 +144,14 @@ impl SuccArena {
         let Some(replay) = replay.take() else {
             return;
         };
-        let t = self.phases.start();
+        let was = self.phases.enter(Phase::Clone);
         let mut child = self.configs.pop().unwrap_or_default();
-        child.clone_from(parent);
+        (*child).clone_from(parent);
         for &(id, digest, len) in replay.slots() {
             let Some(state) = interner.get(digest) else {
                 // The run again: it returned `Ok` when it was remembered,
                 // from this machine, state and script (`false` past its end).
-                let ((machine, _, bits, _), mut next) = (replay.key, 0);
+                let (machine, bits, mut next) = (replay.machine(), replay.bits, 0);
                 let mut script = || {
                     next += 1;
                     next <= 64 && bits >> (next - 1) & 1 == 1
@@ -141,9 +163,9 @@ impl SuccArena {
             };
             child.install_slot(id, Arc::clone(state), (digest, len));
         }
-        *config = child;
-        self.phases.stop(crate::phase::Phase::Clone, t);
-        debug_assert_eq!(config.digest_uncached(), replay.digest);
+        debug_assert_eq!(child.digest_uncached(), replay.digest);
+        *config = Some(child);
+        self.phases.enter(was);
     }
 }
 
@@ -235,31 +257,29 @@ fn successors_loop(
         let key = memo.and(SlotMemo::key(config, machine, script));
         let replayed = key.and_then(|key| memo?.replay(&key, config));
         let (candidate, result, replay) = match replayed {
-            Some((result, replay)) => (Config::default(), result, Some(replay)),
+            Some((result, replay)) => (None, result, Some(replay)),
             None => {
-                let t = arena.phases.start();
+                let was = arena.phases.enter(Phase::Clone);
                 let mut candidate = arena.candidate(config, machine);
-                arena.phases.stop(crate::phase::Phase::Clone, t);
                 let mut source = PaddedScript {
                     bits: script.as_slice(),
                     used: 0,
                 };
-                let t = arena.phases.start();
+                arena.phases.enter(Phase::Exec);
                 let result =
                     engine.run_machine(&mut candidate, machine, &mut source, granularity)?;
-                arena.phases.stop(crate::phase::Phase::Exec, t);
                 debug_assert!(
                     !matches!(result.outcome, ExecOutcome::NeedChoice),
                     "a padded script never exhausts"
                 );
                 debug_assert_eq!(source.used, result.choices_used);
                 if let (Some(key), Some(memo)) = (&key, &mut arena.memo) {
-                    let t = arena.phases.start();
+                    arena.phases.enter(Phase::Digest);
                     candidate.digest();
-                    arena.phases.stop(crate::phase::Phase::Digest, t);
                     memo.record(key, config, &candidate, &result);
                 }
-                (candidate, result, None)
+                arena.phases.enter(was);
+                (Some(candidate), result, None)
             }
         };
         debug_assert!(
@@ -332,7 +352,8 @@ mod tests {
         let mut values: Vec<i64> = succs
             .iter()
             .map(|s| {
-                s.config.machine(MachineId(0)).unwrap().locals[0]
+                let config = s.config.as_ref().unwrap();
+                config.machine(MachineId(0)).unwrap().locals[0]
                     .as_int()
                     .unwrap()
             })
@@ -356,9 +377,23 @@ mod tests {
         assert_eq!(succs.len(), 1);
         assert!(succs[0].choices.is_empty());
         assert_eq!(
-            succs[0].config.machine(MachineId(0)).unwrap().locals[0],
+            succs[0]
+                .config
+                .as_ref()
+                .unwrap()
+                .machine(MachineId(0))
+                .unwrap()
+                .locals[0],
             Value::Int(9)
         );
+    }
+
+    /// A batch of successors is walked and moved as records of at most
+    /// four cache lines.
+    #[test]
+    fn successor_is_at_most_256_bytes() {
+        let size = std::mem::size_of::<Successor>();
+        assert!(size <= 256, "{size} bytes");
     }
 
     #[test]

@@ -549,10 +549,11 @@ fn fingerprints_never_merge_distinct_canonical_bytes() {
                 if matches!(succ.result.outcome, p_semantics::ExecOutcome::Error(_)) {
                     continue;
                 }
-                let bytes = succ.config.canonical_bytes();
+                let child = *succ.config.unwrap();
+                let bytes = child.canonical_bytes();
                 by_fingerprint.insert(crate::Fingerprint::of(&bytes));
                 if by_bytes.insert(bytes) {
-                    stack.push(succ.config);
+                    stack.push(child);
                 }
             }
         }
@@ -813,15 +814,16 @@ fn reachable_keys<K: Ord>(
         for &id in &enabled {
             crate::succ::successors_into(&engine, &config, id, granularity, &mut succs, &mut arena)
                 .unwrap();
-            for mut succ in succs.drain(..) {
+            for succ in succs.drain(..) {
                 if matches!(succ.result.outcome, p_semantics::ExecOutcome::Error(_)) {
                     return Some((false, seen));
                 }
-                if seen.insert(key(&mut succ.config)) {
+                let mut child = *succ.config.expect("no memo: every successor is built");
+                if seen.insert(key(&mut child)) {
                     if seen.len() > limit {
                         return None;
                     }
-                    queue.push_back(succ.config);
+                    queue.push_back(child);
                 }
             }
         }
@@ -879,10 +881,11 @@ fn exhaustive_matches_the_naive_reachability_oracle() {
 /// The kernel, whose workers replay runs from their slot-transition
 /// memo, against [`naive_reachability`], which interprets every run:
 /// the same verdict and, for an error-free program, the same unique
-/// states, plain, under `por` and at two workers (and the verdict under
-/// `symmetry`). At one worker the kernel without a memo is a second
-/// oracle: every counter and the counterexample must be its. `None`
-/// past `limit` states.
+/// states, plain, under `por`, at two and four workers, and spilled (and
+/// the verdict under `symmetry`). At one worker the kernel without a
+/// memo is a second oracle: every counter and the counterexample must be
+/// its; and an error-free run aborted halfway and resumed counts what
+/// the uninterrupted one does. `None` past `limit` states.
 fn kernel_agrees_with_the_reference(
     name: &str,
     program: &p_ast::Program,
@@ -891,41 +894,58 @@ fn kernel_agrees_with_the_reference(
     let p = lower(program).unwrap();
     let (error_free, states) = naive_reachability(&p, limit)?;
     let text = || p_ast::print_program(program);
-    let counts = |report: crate::Report| {
-        let s = report.stats;
+    let counts = |report: &crate::Report| {
+        let s = &report.stats;
         let counters = (s.unique_states, s.transitions, s.dedup_hits, s.sleep_pruned);
         let bytes = (s.symmetry_merges, s.stored_bytes, s.index_bytes);
-        (
-            counters,
-            bytes,
-            report.counterexample.map(|cx| cx.to_string()),
-        )
+        let cx = report.counterexample.as_ref().map(|cx| cx.to_string());
+        (counters, bytes, cx)
     };
-    for (por, symmetry, jobs) in [
-        (false, false, 1),
-        (true, false, 1),
-        (false, false, 2),
-        (false, true, 1),
-        (true, true, 1),
+    let mut plain = None;
+    for (por, symmetry, jobs, spill) in [
+        (false, false, 1, false),
+        (true, false, 1, false),
+        (false, false, 2, false),
+        (false, false, 4, false),
+        (false, false, 1, true),
+        (false, true, 1, false),
+        (true, true, 1, false),
     ] {
+        // The spill files go under a checkpoint directory of this
+        // thread's (a checkpoint never due), not the process's.
+        let never = crate::CheckpointPolicy {
+            every_states: 1 << 40,
+            ..crate::CheckpointPolicy::new(scratch_dir("spill"))
+        };
         let options = CheckerOptions {
             por,
             symmetry,
+            mem_limit: spill.then_some(64 << 10),
+            checkpoint: spill.then_some(never),
             ..CheckerOptions::default()
         };
-        let mode = format!("{name} por={por} symmetry={symmetry} jobs={jobs}");
+        let mode = format!("{name} por={por} symmetry={symmetry} jobs={jobs} spill={spill}");
         let verifier = Verifier::new(&p).with_options(options);
+        // A hot tier of 4 KiB holds a few hundred states: every program
+        // of a thousand spills (`--mem-limit` floors its budget at 64 KiB).
+        crate::explore::TEST_HOT_BUDGET.set(spill.then_some(4 << 10));
         let (report, _) = verifier.search(jobs).unwrap();
+        crate::explore::TEST_HOT_BUDGET.set(None);
+        let _ = std::fs::remove_dir_all(scratch_dir("spill"));
         assert_eq!(report.passed(), error_free, "{mode}: verdict\n{}", text());
         if error_free && !symmetry {
             assert!(report.complete, "{mode}");
             let found = report.stats.unique_states;
             assert_eq!(found, states, "{mode}: unique states\n{}", text());
         }
-        if jobs == 1 {
+        if spill && error_free && states >= 1_000 {
+            let spilled = report.stats.spilled_states;
+            assert!(spilled > 0, "{mode}: nothing spilled\n{}", text());
+        }
+        if jobs == 1 && !spill {
             let exhaustive = &crate::explore::Exhaustive;
             let (bare, _) = verifier.search_with(exhaustive, 1, None).unwrap();
-            let (with, without) = (counts(report), counts(bare));
+            let (with, without) = (counts(&report), counts(&bare));
             assert_eq!(
                 with,
                 without,
@@ -933,8 +953,62 @@ fn kernel_agrees_with_the_reference(
                 text()
             );
         }
+        plain.get_or_insert(report);
+    }
+    if error_free && states >= 2 {
+        let resumed = abort_and_resume(&p, states / 2);
+        let whole = plain.expect("the plain leg ran").stats;
+        let exploration = |s: &crate::ExplorationStats| {
+            let reductions = (s.sleep_pruned, s.symmetry_merges);
+            (
+                s.unique_states,
+                s.transitions,
+                s.dedup_hits,
+                s.max_depth,
+                reductions,
+            )
+        };
+        assert_eq!(
+            exploration(&resumed.stats),
+            exploration(&whole),
+            "{name}: aborted at {} states and resumed\n{}",
+            states / 2,
+            text()
+        );
     }
     Some(states)
+}
+
+/// A directory for this test thread's files.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let thread = std::thread::current().id();
+    let name = format!("p-checker-{tag}-{}-{thread:?}", std::process::id());
+    std::env::temp_dir().join(name)
+}
+
+/// One worker's plain search of `p`, stopped with a checkpoint once
+/// `abort_after` states are retained, then resumed from it to the end.
+fn abort_and_resume(p: &LoweredProgram, abort_after: usize) -> crate::Report {
+    let dir = scratch_dir("resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    let policy = crate::CheckpointPolicy {
+        abort_after_states: Some(abort_after),
+        ..crate::CheckpointPolicy::new(&dir)
+    };
+    let aborting = CheckerOptions {
+        checkpoint: Some(policy),
+        ..CheckerOptions::default()
+    };
+    let aborted = Verifier::new(p).with_options(aborting).check_exhaustive();
+    assert!(aborted.interrupted, "no abort at {abort_after} states");
+    let resuming = CheckerOptions {
+        resume: Some(dir.clone()),
+        ..CheckerOptions::default()
+    };
+    let resumed = Verifier::new(p).with_options(resuming).check_exhaustive();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(resumed.passed() && resumed.complete);
+    resumed
 }
 
 /// Generated programs of two to four machines (`p_corpus::generated_src`):
@@ -1016,8 +1090,9 @@ fn compare_replays(
         seen.installed += usize::from(installs);
         let fold = replay.digest;
         memo.build(&mut r.config, &mut r.replay, config, engine, interner);
-        assert_eq!(fold, r.config.digest_uncached());
-        assert_eq!(r.config, i.config);
+        let built = r.config.expect("built above");
+        assert_eq!(fold, built.digest_uncached());
+        assert_eq!(Some(built), i.config);
     }
     interpreted
 }
@@ -1055,7 +1130,7 @@ fn a_replayed_run_is_the_run_it_stands_for() {
             }
             config = match next.len() {
                 0 => init.clone(),
-                n => next.swap_remove(walk.below(n)).config,
+                n => *next.swap_remove(walk.below(n)).config.unwrap(),
             };
         }
         assert!(seen.answered > 0, "{name}: the memo answered nothing");
@@ -1470,7 +1545,11 @@ fn reference_delay_bounded(verifier: &Verifier<'_>, delay_bound: usize) -> Outco
                 }
                 let mut next_sched = rotated.clone();
                 next_sched.advance(&succ.result.outcome);
-                let (digest, len) = succ.config.digest_and_len();
+                let mut child = *succ
+                    .config
+                    .take()
+                    .expect("no memo: every successor is built");
+                let (digest, len) = child.digest_and_len();
                 // Bound check BEFORE marking visited.
                 if config_states.admit(Fingerprint::from_u128(digest), || len) == Admit::OverBound {
                     continue;
@@ -1479,7 +1558,7 @@ fn reference_delay_bounded(verifier: &Verifier<'_>, delay_bound: usize) -> Outco
                 if node_seen.admit(nfp2, || 0) == Admit::New {
                     let seed = StepSeed::from_run(machine, &succ.result, choices);
                     parents.record(nfp2, nfp, seed);
-                    stack.push((succ.config, next_sched, nfp2, depth + 1));
+                    stack.push((child, next_sched, nfp2, depth + 1));
                 }
             }
         }
@@ -1537,14 +1616,18 @@ fn reference_with_faults(
                     counterexample = Some(crate::Counterexample { error, trace });
                     break 'search;
                 }
-                let (digest, len) = succ.config.digest_and_len();
+                let mut child = *succ
+                    .config
+                    .take()
+                    .expect("no memo: every successor is built");
+                let (digest, len) = child.digest_and_len();
                 if config_states.admit(Fingerprint::from_u128(digest), || len) == Admit::OverBound {
                     continue;
                 }
                 let nfp2 = node_fingerprint(digest, used);
                 if node_seen.admit(nfp2, || 0) == Admit::New {
                     parents.record(nfp2, nfp, StepSeed::from_run(id, &succ.result, choices));
-                    stack.push((succ.config, used, nfp2, depth + 1));
+                    stack.push((child, used, nfp2, depth + 1));
                 }
             }
         }

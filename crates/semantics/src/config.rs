@@ -940,8 +940,10 @@ impl Config {
             if pool.len() >= cap {
                 return;
             }
+            // `Arc::get_mut` is a compare-and-swap on the weak count;
+            // an interned slot is never unique, so test the count first.
             if let Some(arc) = slot {
-                if Arc::get_mut(arc).is_some() {
+                if Arc::strong_count(arc) == 1 && Arc::get_mut(arc).is_some() {
                     pool.push(slot.take().expect("slot checked live above"));
                 }
             }

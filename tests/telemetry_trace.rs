@@ -228,6 +228,35 @@ fn verify_profile_counts_canonicalizations() {
     );
 }
 
+/// The phase columns are laps of one clock, so they add up: each
+/// interval of a sampled task is charged to one phase at most, and
+/// their sum stays within the search's own time.
+#[test]
+fn verify_profile_phases_add_up_to_at_most_the_search() {
+    let profile = temp_path("german4-phases.json");
+    let out = p_bin()
+        .args(["verify", corpus_file("german4.p").to_str().unwrap()])
+        .args(["--jobs", "1", "--profile"])
+        .arg(&profile)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let doc = JsonValue::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&profile);
+    let row = doc.get("exploration").expect("final metrics row");
+    let secs = |key: &str| row.get(key).and_then(JsonValue::as_f64).expect(key);
+    let phases: f64 = ["exec", "digest", "clone", "canon", "table"]
+        .iter()
+        .map(|phase| secs(&format!("{phase}_seconds")))
+        .sum();
+    assert!(phases > 0.0, "no phase was sampled");
+    assert!(
+        phases <= secs("seconds"),
+        "phases {phases:.4}s over a {:.4}s search",
+        secs("seconds")
+    );
+}
+
 /// `--profile` serves every strategy the kernel runs: the final row names
 /// the scheduler and its bound, carries the node and injection counts the
 /// CLI prints, and has the phase split and the snapshots of the run.
