@@ -260,6 +260,7 @@ pub fn report_to_metrics(
         symmetry_merges: report.stats.symmetry_merges as u64,
         canon_calls: report.stats.canon_calls as u64,
         canon_candidates: report.stats.canon_candidates as u64,
+        canon_pinned: report.stats.canon_pinned as u64,
         workers,
         spilled_states: report.stats.spilled_states as u64,
         spill_bytes: report.stats.spill_bytes,

@@ -166,6 +166,7 @@ pub(crate) struct SharedCounters {
     symmetry_merges: AtomicUsize,
     canon_calls: AtomicUsize,
     canon_candidates: AtomicUsize,
+    canon_pinned: AtomicUsize,
     max_depth: AtomicUsize,
     max_queue_seen: AtomicUsize,
     /// Sampled phase nanoseconds, in [`PhaseNanos::to_array`] order.
@@ -210,6 +211,7 @@ impl SharedCounters {
                 l.canon_candidates,
                 &mut f.canon_candidates,
             ),
+            (&self.canon_pinned, l.canon_pinned, &mut f.canon_pinned),
         ] {
             if now > *before {
                 cell.fetch_add(now - *before, Ordering::Relaxed);
@@ -243,6 +245,7 @@ impl SharedCounters {
             symmetry_merges: self.symmetry_merges.load(Ordering::Relaxed),
             canon_calls: self.canon_calls.load(Ordering::Relaxed),
             canon_candidates: self.canon_candidates.load(Ordering::Relaxed),
+            canon_pinned: self.canon_pinned.load(Ordering::Relaxed),
             max_depth: self.max_depth.load(Ordering::Relaxed),
             max_queue_seen: self.max_queue_seen.load(Ordering::Relaxed),
             phases: PhaseNanos::from_array(std::array::from_fn(|i| {

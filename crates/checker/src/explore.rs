@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use p_semantics::{
-    canonical_digest, canonical_digest_counted, Config, Engine, ExecOutcome, ForeignEnv,
-    Granularity, LoweredProgram, MachineId, PError, SlotInterner,
+    canonical_digest, canonical_digest_counted, canonical_digest_replayed, canonical_pin, Config,
+    Engine, ExecOutcome, ForeignEnv, Granularity, LoweredProgram, MachineId, PError, SlotInterner,
 };
 
 use p_telemetry::Telemetry;
@@ -38,7 +38,8 @@ use crate::engine::{
 };
 use crate::error::CheckerError;
 use crate::fault::FaultDecision;
-use crate::fingerprint::{Fingerprint, FpHashSet};
+use crate::fingerprint::{prefetch_line, Fingerprint, FpHashSet};
+use crate::memo::Replay;
 use crate::phase::Phase;
 use crate::por::{Por, SleepSet};
 use crate::stats::ExplorationStats;
@@ -55,8 +56,9 @@ const SNAPSHOT_EVERY_TASKS: usize = 256;
 /// rendezvous and on exit, so no total ever misses a task).
 const FLUSH_EVERY_TASKS: u64 = 64;
 
-/// Entries of a worker's [`CanonMemo`] (2 MiB).
-const CANON_MEMO_ENTRIES: usize = 1 << 16;
+/// Entries of a worker's [`CanonMemo`] (512 KiB): the children a pin
+/// settles never reach it.
+const CANON_MEMO_ENTRIES: usize = 1 << 14;
 
 /// (runs, appends) entries of a worker's slot-transition memo
 /// ([`crate::memo`]); a smaller memo answers fewer runs, never others.
@@ -87,6 +89,16 @@ impl CanonMemo {
         CanonMemo((0..len).map(unwritten).collect())
     }
 
+    fn index(concrete: Fingerprint) -> usize {
+        concrete.as_u128() as usize & (CANON_MEMO_ENTRIES - 1)
+    }
+
+    /// Starts loading the entry a lookup of `concrete` reads.
+    fn prefetch(&self, concrete: Fingerprint) {
+        let entry = std::mem::size_of::<(Fingerprint, Fingerprint)>() * CanonMemo::index(concrete);
+        prefetch_line(self.0.as_ptr() as usize + entry);
+    }
+
     /// The canonical fingerprint of `concrete`, from the memo or else
     /// from `canon` (and then remembered).
     fn get_or_insert_with(
@@ -94,7 +106,7 @@ impl CanonMemo {
         concrete: Fingerprint,
         canon: impl FnOnce() -> Fingerprint,
     ) -> Fingerprint {
-        let entry = &mut self.0[concrete.as_u128() as usize & (CANON_MEMO_ENTRIES - 1)];
+        let entry = &mut self.0[CanonMemo::index(concrete)];
         if entry.0 != concrete {
             *entry = (concrete, canon());
         }
@@ -753,6 +765,8 @@ impl<'p> Verifier<'p> {
         let mut writer = EdgeWriter::default();
         let mut children = Vec::new();
         let mut canon_memo = CanonMemo::new(symmetry);
+        // The task's pin, and the successors that wait for the canon memo.
+        let (mut pin, mut unkeyed) = (Vec::new(), Vec::new());
         let mut key_buf = Vec::new();
         // Leaves the fleet on every exit; a panic — which would otherwise
         // leave the others waiting for this worker's task — stops it too.
@@ -847,9 +861,19 @@ impl<'p> Verifier<'p> {
             // with the bucket its offer will probe prefetched. The table
             // is keyed by the annotated fingerprint, or with symmetry on
             // by the canonical one; everything else (tasks, their
-            // records, traces) stays concrete. A replayed child is built
-            // only where it is needed: to canonicalize it, to store it,
-            // to expand it.
+            // records, traces) stays concrete. Under symmetry a replayed
+            // child whose changed slots avoid its parent's pin keys by its
+            // concrete digest (DESIGN.md §12); any other child waits for
+            // the canon memo, whose entry this loop prefetches and the
+            // next one reads. A replayed child is built only where it is
+            // needed: to canonicalize it when the interner lacks one of
+            // its slots, to store it, to expand it.
+            let pinned = symmetry && succs.iter().any(|s| s.replay.is_some()) && {
+                arena.phases.enter(Phase::Canon);
+                let pinned = canonical_pin(&mut config, &mut pin);
+                arena.phases.enter(Phase::Other);
+                pinned
+            };
             for (succ, &(m, _)) in succs.iter_mut().zip(&tags) {
                 if succ.is_error() {
                     break;
@@ -864,24 +888,32 @@ impl<'p> Verifier<'p> {
                 let key = if S::ANNOTATED {
                     table.prefetch(succ_fp);
                     node_key::<S>(succ_fp, &child_note, &mut key_buf)
-                } else if symmetry {
-                    canon_memo.get_or_insert_with(succ_fp, || {
-                        let s = &mut *succ;
-                        arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
-                        let built = s.config.as_mut().expect("built above");
-                        arena.phases.enter(Phase::Canon);
-                        let (key, candidates) = canonical_digest_counted(built);
-                        arena.phases.enter(Phase::Other);
-                        stats.canon_calls += 1;
-                        stats.canon_candidates += candidates as usize;
-                        Fingerprint::from_u128(key)
-                    })
                 } else {
                     succ_fp
                 };
-                table.prefetch(key);
+                let unpinned = |r: &Replay| r.slots().iter().all(|s| !pin.contains(&s.0 .0));
+                let settled = pinned && succ.replay.as_ref().is_some_and(unpinned);
+                if symmetry && !settled {
+                    canon_memo.prefetch(succ_fp);
+                    unkeyed.push(keys.len());
+                } else {
+                    stats.canon_pinned += usize::from(settled);
+                    #[cfg(test)]
+                    if settled {
+                        check_key(succ, &config, &engine, interner, &mut arena, key, 0);
+                    }
+                    table.prefetch(key);
+                }
                 keys.push((succ_fp, key, child_note));
             }
+            for &i in &unkeyed {
+                let (succ, (succ_fp, key, _)) = (&mut succs[i], &mut keys[i]);
+                *key = canon_memo.get_or_insert_with(*succ_fp, || {
+                    canonical_key(succ, &config, &engine, interner, &mut arena, &mut stats)
+                });
+                table.prefetch(*key);
+            }
+            unkeyed.clear();
             // Offer, in order, walking the batch where it lies. A
             // violation stops the search here, ahead of a failed run the
             // expand pass recorded.
@@ -1203,6 +1235,47 @@ fn intern(config: &mut Config, interner: &mut SlotInterner, digests: &Mutex<FpHa
     })
 }
 
+/// The canonical key of `succ`, a child of `parent` that its parent's
+/// pin does not settle: read through a view of `parent` when the run was
+/// replayed and `interner` holds the slots it changed, else off the
+/// built child.
+fn canonical_key(
+    succ: &mut Successor,
+    parent: &Config,
+    engine: &Engine<'_>,
+    interner: &SlotInterner,
+    arena: &mut SuccArena,
+    stats: &mut ExplorationStats,
+) -> Fingerprint {
+    arena.phases.enter(Phase::Canon);
+    let viewed = succ.replay.as_ref().and_then(|replay| {
+        let slots = replay.slots();
+        let changed = |&(id, digest, _): &(MachineId, u128, u32)| {
+            Some((id, &**interner.get(digest)?, digest))
+        };
+        let first = changed(&slots[0])?;
+        let second = slots.get(1).map_or(Some(first), changed)?;
+        let changed = &[first, second][..slots.len()];
+        Some(canonical_digest_replayed(parent, changed, replay.digest))
+    });
+    let (key, candidates) = match viewed {
+        Some(viewed) => viewed,
+        None => {
+            arena.build(&mut succ.config, &mut succ.replay, parent, engine, interner);
+            canonical_digest_counted(succ.config.as_mut().expect("built above"))
+        }
+    };
+    arena.phases.enter(Phase::Other);
+    stats.canon_calls += 1;
+    stats.canon_candidates += candidates as usize;
+    let key = Fingerprint::from_u128(key);
+    #[cfg(test)]
+    if succ.replay.is_some() {
+        check_key(succ, parent, engine, interner, arena, key, 1);
+    }
+    key
+}
+
 /// Serializes frontier tasks for a checkpoint (order-preserving: a
 /// one-worker run must pop identically after a resume).
 fn encode_frontier<S: Scheduler>(tasks: &[Task<S::Note>]) -> Vec<TaskEntry> {
@@ -1320,6 +1393,37 @@ thread_local! {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// The keys [`check_key`] confirmed on this thread: [pinned, viewed].
+    pub(crate) static CHECKED_KEYS: std::cell::Cell<[usize; 2]> =
+        const { std::cell::Cell::new([0; 2]) };
+}
+
+/// Test builds confirm every key a pin (`route` 0) or a view (1) gave
+/// against the canonical digest of the child built after all.
+#[cfg(test)]
+fn check_key(
+    succ: &Successor,
+    parent: &Config,
+    engine: &Engine<'_>,
+    interner: &SlotInterner,
+    arena: &mut SuccArena,
+    key: Fingerprint,
+    route: usize,
+) {
+    let (mut built, mut replay) = (None, succ.replay);
+    arena.build(&mut built, &mut replay, parent, engine, interner);
+    let mut built = built.expect("a replayed child builds");
+    assert_eq!(Fingerprint::from_u128(canonical_digest(&mut built)), key);
+    arena.recycle_config(built);
+    CHECKED_KEYS.with(|checked| {
+        let mut counts = checked.get();
+        counts[route] += 1;
+        checked.set(counts);
+    });
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1353,6 +1457,26 @@ mod tests {
                 "{name}: {tiny_replayed} !< {full_replayed}"
             );
         }
+    }
+
+    /// Test builds confirm every key a pin or a view gives against the
+    /// built child's canonical digest ([`check_key`]); german4 under
+    /// `symmetry` takes both routes, and the pinned one for every child
+    /// `canon_pinned` counts.
+    #[test]
+    fn pinned_and_viewed_keys_are_canonical() {
+        let p = p_semantics::lower(&p_corpus::german4()).unwrap();
+        let options = CheckerOptions {
+            symmetry: true,
+            ..CheckerOptions::default()
+        };
+        let before = CHECKED_KEYS.get();
+        let report = Verifier::new(&p).with_options(options).check_exhaustive();
+        assert!(report.passed() && report.complete);
+        let after = CHECKED_KEYS.get();
+        assert_eq!(after[0] - before[0], report.stats.canon_pinned);
+        assert!(after[1] > before[1], "{before:?} → {after:?}");
+        assert!(report.stats.canon_pinned > report.stats.canon_calls);
     }
 
     /// The memo is its constant however many states pass through it, a

@@ -217,18 +217,24 @@ impl VisitedSet {
             return;
         }
         let mask = (1usize << (hint & 63)) - 1;
-        let line = (hint & !63) + (key.0 as usize & mask) * std::mem::size_of::<Bucket>();
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: a prefetch is a hint that reads no memory of the
-        // abstract machine and cannot fault, whatever the address, so
-        // one through a freed or out-of-range line is harmless.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(line as *const i8)
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = line;
+        prefetch_line((hint & !63) + (key.0 as usize & mask) * std::mem::size_of::<Bucket>());
     }
+}
+
+/// Starts loading the cache line at address `line` (the crate's one
+/// prefetch, for the visited buckets and the canon memo).
+#[inline]
+pub(crate) fn prefetch_line(line: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that reads no memory of the abstract
+    // machine and cannot fault, whatever the address, so one through a
+    // freed or out-of-range line is harmless.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(line as *const i8)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = line;
 }
 
 impl fmt::Debug for VisitedSet {

@@ -117,16 +117,20 @@ pub struct ExplorationStats {
     /// rather than an identical one — the extra dedup the canonical
     /// fingerprint buys (zero with symmetry reduction off).
     pub symmetry_merges: usize,
-    /// Canonicalizations run: successors whose concrete fingerprint
-    /// missed the worker's bounded concrete → canonical memo (zero with
-    /// symmetry reduction off). `phases.canon / canon_calls` is the cost
-    /// of one; like `phases` it describes this process and is not
-    /// carried through a checkpoint.
+    /// Canonicalizations run: successors that neither their parent's pin
+    /// nor the worker's bounded concrete → canonical memo settled (zero
+    /// with symmetry reduction off). Like `phases` it describes this
+    /// process and is not carried through a checkpoint.
     pub canon_calls: usize,
     /// Candidate renumberings those canonicalizations digested; one per
     /// call unless a configuration had a tangled remainder to enumerate
     /// (see [`p_semantics::canonical_digest_counted`]).
     pub canon_candidates: usize,
+    /// Replayed successors keyed by their concrete digest because their
+    /// parent's pin settles their renumbering ([`p_semantics::canonical_pin`]):
+    /// no memo probe, no build, no canonicalization. Per process, like
+    /// `canon_calls`.
+    pub canon_pinned: usize,
     /// Fingerprints resident in the disk-spilled cold tier at the end of
     /// the run (zero without `--mem-limit`). `unique_states` already
     /// includes these — this counts where they live, so the hot-tier
@@ -235,6 +239,7 @@ mod tests {
             symmetry_merges: 0,
             canon_calls: 0,
             canon_candidates: 0,
+            canon_pinned: 0,
             spilled_states: 0,
             spill_bytes: 0,
             cold_hits: 0,

@@ -159,6 +159,9 @@ impl SuccArena {
                 child.prepare_candidate(parent, machine, &mut self.slots);
                 let ran = engine.run_machine(&mut child, machine, &mut script, Granularity::Atomic);
                 ran.expect("a remembered run runs again");
+                // Digested, as an installed child is, so its own runs can
+                // be replayed whether or not it is ever interned.
+                child.digest();
                 break;
             };
             child.install_slot(id, Arc::clone(state), (digest, len));

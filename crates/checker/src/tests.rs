@@ -1029,6 +1029,102 @@ fn generated_programs_agree_with_the_reference() {
     );
 }
 
+/// The brute-force orbit key of a configuration: the smallest concrete
+/// digest over every permutation of its slots that maps each live
+/// machine onto a slot of its own type and fixes tombstones.
+fn orbit_key(config: &mut p_semantics::Config) -> u128 {
+    fn extend(
+        config: &p_semantics::Config,
+        perm: &mut Vec<u32>,
+        used: &mut Vec<bool>,
+        best: &mut u128,
+    ) {
+        let ty = |i: usize| {
+            config
+                .machine(p_semantics::MachineId(i as u32))
+                .map(|m| m.ty)
+        };
+        let i = perm.len();
+        if i == used.len() {
+            *best = (*best).min(config.apply_permutation(perm).digest());
+            return;
+        }
+        for j in 0..used.len() {
+            if !used[j] && ty(j) == ty(i) && (ty(i).is_some() || i == j) {
+                used[j] = true;
+                perm.push(j as u32);
+                extend(config, perm, used, best);
+                perm.pop();
+                used[j] = false;
+            }
+        }
+    }
+    let mut best = u128::MAX;
+    let slots = config.created_count();
+    extend(config, &mut Vec::new(), &mut vec![false; slots], &mut best);
+    best
+}
+
+/// Generated symmetric families (`p_corpus::generated_family_src`) against
+/// the brute-force orbit oracle: under `symmetry` — alone, with `por` and
+/// at four workers — the kernel keeps one state per orbit of the
+/// configurations [`reachable_keys`] reaches, and agrees on the verdict.
+/// At least half of the families merge symmetric states, and on this
+/// thread's one-worker runs the kernel's cross-check confirmed keys of
+/// both routes that skip the built child. 256 families in a debug build,
+/// 2 000 in a release one.
+#[test]
+fn generated_families_match_the_orbit_oracle() {
+    let cases = if cfg!(debug_assertions) { 256 } else { 2_000 };
+    let (mut compared, mut merged) = (0, 0);
+    let checked_before = crate::explore::CHECKED_KEYS.get();
+    for seed in 0..cases {
+        let program = p_corpus::generated_family_program(seed);
+        let p = lower(&program).unwrap();
+        // A configuration is met once per transition into it: its
+        // orbit key is worked out once, by concrete digest.
+        let mut known = std::collections::HashMap::new();
+        let orbit =
+            |c: &mut p_semantics::Config| *known.entry(c.digest()).or_insert_with(|| orbit_key(c));
+        let Some((error_free, orbits)) = reachable_keys(&p, 10_000, orbit) else {
+            continue;
+        };
+        compared += 1;
+        let text = || p_ast::print_program(&program);
+        let mut merges = 0;
+        for (por, jobs) in [(false, 1), (true, 1), (false, 4)] {
+            let options = CheckerOptions {
+                por,
+                symmetry: true,
+                ..CheckerOptions::default()
+            };
+            let (report, _) = Verifier::new(&p)
+                .with_options(options)
+                .search(jobs)
+                .unwrap();
+            let mode = format!("generated_family_src({seed}) por={por} jobs={jobs}");
+            assert_eq!(report.passed(), error_free, "{mode}: verdict\n{}", text());
+            if error_free {
+                assert!(report.complete, "{mode}");
+                let found = report.stats.unique_states;
+                assert_eq!(found, orbits.len(), "{mode}: orbits\n{}", text());
+            }
+            merges += report.stats.symmetry_merges;
+        }
+        merged += usize::from(merges > 0);
+    }
+    assert!(
+        compared * 50 >= cases as usize * 49,
+        "{compared} of {cases} within 10⁴ states"
+    );
+    assert!(merged * 2 >= compared, "{merged} of {compared} merged");
+    let checked = crate::explore::CHECKED_KEYS.get();
+    assert!(
+        (0..2).all(|route| checked[route] > checked_before[route]),
+        "{checked_before:?} → {checked:?}"
+    );
+}
+
 /// SplitMix64, for the seeded walks.
 struct Walk(u64);
 

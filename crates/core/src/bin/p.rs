@@ -553,6 +553,7 @@ fn stats_to_metrics(
         symmetry_merges: stats.symmetry_merges as u64,
         canon_calls: stats.canon_calls as u64,
         canon_candidates: stats.canon_candidates as u64,
+        canon_pinned: stats.canon_pinned as u64,
         workers,
         spilled_states: stats.spilled_states as u64,
         spill_bytes: stats.spill_bytes,

@@ -342,3 +342,23 @@ fn generated_programs_check_lower_and_stay_small() {
         "{small} of 200 generated programs within 10⁴ states"
     );
 }
+
+/// Generated symmetric families are well-typed, lower, print back to
+/// themselves, and are main plus two or three instances of one type.
+#[test]
+fn generated_families_check_and_have_one_instance_type() {
+    for seed in 0..200 {
+        let src = generated_family_src(seed);
+        let program = generated_family_program(seed);
+        p_typecheck::check(&program).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
+        lower(&program).unwrap();
+        let printed = p_ast::print_program(&program);
+        assert_eq!(
+            p_ast::print_program(&p_parser::parse(&printed).unwrap()),
+            printed
+        );
+        assert_eq!(program.machines.len(), 2, "seed {seed}");
+        let instances = src.matches("new M1(").count();
+        assert!((2..=3).contains(&instances), "seed {seed}: {instances}");
+    }
+}

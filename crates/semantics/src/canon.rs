@@ -33,6 +33,11 @@
 //!    configurations number corresponding members identically. Every
 //!    slot the walk visits mentions only fixed and numbered machines, so
 //!    its renamed digest is final the moment the walk leaves it.
+//!    *Identity exit:* once every grouped member is numbered, and each
+//!    took its own slot index, the renumbering is the identity: no later
+//!    slot hash would see a moved reference, every slot's final digest is
+//!    its concrete one, and the fold over (index, slot digest) is the
+//!    concrete digest. The walk stops and returns it, one candidate.
 //! 3. **Sort the never-mentioned members.** Each is hashed under the map
 //!    {fixed and numbered → canonical index, unmentioned → its class
 //!    code, itself → [`SELF_CODE`]} and its class (initially: the
@@ -63,13 +68,34 @@
 //! invariant. Hence the one-pass path computes a complete invariant:
 //! `k` idle interchangeable machines cost one sort, not `k!` folds.
 //!
+//! # Pins and views
+//!
+//! The explorer asks once per parent whether its walk takes the identity
+//! exit ([`canonical_pin`]); if it does, the slots walked until then are
+//! the parent's *pin* (no slots at all without a symmetry group). The
+//! walk reads only the layout (which slots are live, and their types)
+//! and the content of the slots it walks, and that content decides the
+//! order of the walk. So a child with the parent's layout whose pinned
+//! slots hold the parent's content walks them identically, takes the
+//! same exit, and its canonical digest is its concrete digest. A
+//! replayed run never creates or deletes a machine (the slot-transition
+//! memo does not remember one that does), so its child has the parent's
+//! layout, and it changes only the runner's slot and a ⊕ target's: when
+//! neither is pinned, the child's key is the digest its replay already
+//! carries, without building or walking it.
+//!
+//! Any other replayed child is canonicalized from a *view*
+//! ([`canonical_digest_replayed`]): the parent's slots and slot digests
+//! with the changed ones read from elsewhere, so the child need not be
+//! built to be keyed.
+//!
 //! # Performance
 //!
-//! The function runs once per concrete state missing from the
-//! explorer's bounded memo, so its constants matter. The working set
-//! lives in reusable thread-local scratch. A slot whose references the
-//! map leaves in place hashes to its cached concrete digest; any other
-//! goes through a direct-mapped cache keyed by the slot's concrete
+//! The function runs once per concrete state that neither a pin nor the
+//! explorer's bounded memo settles, so its constants matter. The working
+//! set lives in reusable thread-local scratch. A slot whose references
+//! the map leaves in place hashes to its cached concrete digest; any
+//! other goes through a direct-mapped cache keyed by the slot's concrete
 //! digest and the codes of *its own* references — not the whole map —
 //! so one machine-local state met under many renumberings of the others
 //! is one entry. Configurations with no symmetry group short-circuit to
@@ -91,8 +117,9 @@
 //! directions).
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
-use crate::config::{mix_slot_digest, Config, MachineState};
+use crate::config::{mix_slot_digest, Config, MachineId, MachineState};
 use crate::hash::fingerprint128_fast;
 
 /// Code for "the machine being hashed" while sorting the unmentioned, so
@@ -105,9 +132,9 @@ const SELF_CODE: u32 = u32::MAX;
 /// merges, same verdicts).
 const MAX_CANDIDATES: usize = 1024;
 
-/// Entries in the direct-mapped per-slot digest cache (~0.8 MiB per
-/// exploration thread). Collisions overwrite; a miss only costs the
-/// re-encode it would have saved.
+/// Entries in the direct-mapped per-slot digest cache (48 bytes each,
+/// 768 KiB per canonicalizing thread). Collisions overwrite; a miss only
+/// costs the re-encode it would have saved.
 const CACHE_ENTRIES: usize = 1 << 14;
 
 /// One direct-mapped cache line: a slot's renamed digest keyed by its
@@ -130,7 +157,7 @@ struct Hasher {
     /// The codes of one slot's references, for signing them.
     codes: Vec<u8>,
     /// The direct-mapped per-slot digest cache (lazily sized).
-    cache: Vec<Option<CacheEntry>>,
+    cache: Vec<CacheEntry>,
 }
 
 impl Hasher {
@@ -165,24 +192,30 @@ impl Hasher {
         }
         let codes_sig = fingerprint128_fast(&self.codes);
         if self.cache.is_empty() {
-            self.cache.resize(CACHE_ENTRIES, None);
+            // Entry `i` starts with a key that indexes `i ^ 1`: no lookup
+            // can match an entry nobody wrote.
+            let unwritten = |i: usize| CacheEntry {
+                slot_digest: 0,
+                codes_sig: (i ^ 1) as u128,
+                value: 0,
+            };
+            self.cache = (0..CACHE_ENTRIES).map(unwritten).collect();
         }
         let folded = slot_digest ^ codes_sig;
         let idx = (folded ^ (folded >> 64)) as usize & (CACHE_ENTRIES - 1);
-        if let Some(e) = &self.cache[idx] {
-            if e.slot_digest == slot_digest && e.codes_sig == codes_sig {
-                return (e.value, true);
-            }
+        let e = &self.cache[idx];
+        if e.slot_digest == slot_digest && e.codes_sig == codes_sig {
+            return (e.value, true);
         }
         self.member.clear();
         self.member.push(1);
         state.encode_renamed(&mut self.member, map);
         let value = fingerprint128_fast(&self.member);
-        self.cache[idx] = Some(CacheEntry {
+        self.cache[idx] = CacheEntry {
             slot_digest,
             codes_sig,
             value,
-        });
+        };
         (value, true)
     }
 }
@@ -267,10 +300,100 @@ pub fn canonical_digest(config: &mut Config) -> u128 {
 /// digested to get there: 0 without a symmetry group, 1 on the one-pass
 /// path, more only for a tangled remainder.
 pub fn canonical_digest_counted(config: &mut Config) -> (u128, u32) {
-    CANON_SCRATCH.with(|scratch| canonicalize(config, &mut scratch.borrow_mut()))
+    let concrete = config.digest();
+    let (slots, digests) = config.slots_and_digests();
+    let view = View {
+        slots,
+        digests,
+        changed: &[],
+    };
+    CANON_SCRATCH.with(|scratch| canonicalize(&view, concrete, &mut scratch.borrow_mut()))
 }
 
-fn canonicalize(config: &mut Config, scratch: &mut Scratch) -> (u128, u32) {
+/// [`canonical_digest_counted`] of the child of a replayed run, read
+/// through its parent: `parent` with each listed (slot, state, slot
+/// digest) in place of its own, whose digest is `digest`. The child has
+/// the parent's layout (the listed slots are live in both), and
+/// `parent`'s slot digests are cached, as a replayed parent's are.
+pub fn canonical_digest_replayed(
+    parent: &Config,
+    changed: &[(MachineId, &MachineState, u128)],
+    digest: u128,
+) -> (u128, u32) {
+    let (slots, digests) = parent.slots_and_cached_digests();
+    let view = View {
+        slots,
+        digests,
+        changed,
+    };
+    CANON_SCRATCH.with(|scratch| canonicalize(&view, digest, &mut scratch.borrow_mut()))
+}
+
+/// Whether `config`'s first-mention walk takes the identity exit (or
+/// finds no symmetry group at all); if so, `pin` gets the slots walked
+/// until then. A child with `config`'s layout whose pinned slots hold
+/// `config`'s content has its concrete digest as its canonical one (the
+/// module docs' *Pins and views*).
+pub fn canonical_pin(config: &mut Config, pin: &mut Vec<u32>) -> bool {
+    let (slots, digests) = config.slots_and_digests();
+    let view = View {
+        slots,
+        digests,
+        changed: &[],
+    };
+    CANON_SCRATCH.with(|scratch| {
+        let scratch = &mut scratch.borrow_mut();
+        let walked = match number(&view, scratch, true) {
+            Numbering::Trivial => 0,
+            Numbering::Identity(walked) => walked,
+            Numbering::Renamed => return false,
+        };
+        pin.clear();
+        pin.extend_from_slice(&scratch.walk[..walked]);
+        true
+    })
+}
+
+/// What canonicalization reads of a configuration: its slots and their
+/// cached digests, with the `changed` slots' states and digests taken
+/// from there instead.
+struct View<'a> {
+    slots: &'a [Option<Arc<MachineState>>],
+    digests: &'a [Option<(u128, u32)>],
+    changed: &'a [(MachineId, &'a MachineState, u128)],
+}
+
+impl<'a> View<'a> {
+    fn state(&self, i: u32) -> &'a MachineState {
+        match self.changed.iter().find(|c| c.0 .0 == i) {
+            Some(&(_, state, _)) => state,
+            None => self.slots[i as usize]
+                .as_deref()
+                .expect("walked slots are live"),
+        }
+    }
+
+    fn digest(&self, i: u32) -> u128 {
+        match self.changed.iter().find(|c| c.0 .0 == i) {
+            Some(&(_, _, digest)) => digest,
+            None => self.digests[i as usize].expect("digest cache filled").0,
+        }
+    }
+}
+
+/// How steps 1–2 ended.
+enum Numbering {
+    /// No symmetry group: the concrete digest is canonical.
+    Trivial,
+    /// The identity exit, after walking this many slots.
+    Identity(usize),
+    /// Some member took another index (or is never mentioned).
+    Renamed,
+}
+
+/// Steps 1 and 2 of the module docs into `scratch`. With `pin_only`,
+/// stops as soon as the renumbering cannot be the identity.
+fn number(view: &View<'_>, scratch: &mut Scratch, pin_only: bool) -> Numbering {
     let Scratch {
         hasher,
         map,
@@ -280,20 +403,14 @@ fn canonicalize(config: &mut Config, scratch: &mut Scratch) -> (u128, u32) {
         order,
         groups,
         walk,
-        bounds,
-        next_bounds,
-        keyed,
-        pending,
+        ..
     } = scratch;
-    let (slots, digests) = config.slots_and_digests();
-    let n = slots.len() as u32;
-    let slot_digest = |i: u32| digests[i as usize].expect("digest cache filled").0;
-    let state = |i: u32| slots[i as usize].as_deref().expect("walked slots are live");
+    let n = view.slots.len() as u32;
 
     // 1. Group live slots by type. A grouped member starts unplaced, in
     //    the class of its whole group; everything else maps to itself.
     grouped.clear();
-    for (i, slot) in slots.iter().enumerate() {
+    for (i, slot) in view.slots.iter().enumerate() {
         if let Some(state) = slot {
             grouped.push((state.ty.0, i as u32));
         }
@@ -314,9 +431,7 @@ fn canonicalize(config: &mut Config, scratch: &mut Scratch) -> (u128, u32) {
         }
     }
     if groups.is_empty() {
-        // No symmetry to exploit: the orbit is a singleton, and its
-        // canonical digest is the (incrementally cached) concrete one.
-        return (config.digest(), 0);
+        return Numbering::Trivial;
     }
     pools.clear();
     pools.extend_from_slice(order);
@@ -325,10 +440,10 @@ fn canonicalize(config: &mut Config, scratch: &mut Scratch) -> (u128, u32) {
     //    from the fixed slots. Every walked slot mentions only placed
     //    machines by the time the walk leaves it, so its digest is final.
     finals.clear();
-    finals.extend((0..n).map(slot_digest));
+    finals.extend((0..n).map(|i| view.digest(i)));
     walk.clear();
-    walk.extend((0..n).filter(|&i| slots[i as usize].is_some() && map[i as usize] < n));
-    let mut walked = 0;
+    walk.extend((0..n).filter(|&i| view.slots[i as usize].is_some() && map[i as usize] < n));
+    let (mut walked, mut numbered, mut identity) = (0, 0, true);
     while let Some(&slot) = walk.get(walked) {
         walked += 1;
         let number = |map: &mut [u32], id: usize| {
@@ -336,14 +451,48 @@ fn canonicalize(config: &mut Config, scratch: &mut Scratch) -> (u128, u32) {
                 let next = &mut groups[class as usize].1;
                 order[*next as usize] = id as u32;
                 map[id] = pools[*next as usize];
+                identity &= map[id] == id as u32;
+                numbered += 1;
                 *next += 1;
                 walk.push(id as u32);
             }
             map[id]
         };
         (finals[slot as usize], _) =
-            hasher.digest_under(state(slot), slot_digest(slot), map, number);
+            hasher.digest_under(view.state(slot), view.digest(slot), map, number);
+        if identity && numbered == order.len() {
+            return Numbering::Identity(walked);
+        }
+        if pin_only && !identity {
+            break;
+        }
     }
+    Numbering::Renamed
+}
+
+fn canonicalize(view: &View<'_>, concrete: u128, scratch: &mut Scratch) -> (u128, u32) {
+    match number(view, scratch, false) {
+        // No symmetry to exploit: the orbit is a singleton.
+        Numbering::Trivial => return (concrete, 0),
+        Numbering::Identity(_) => return (concrete, 1),
+        Numbering::Renamed => {}
+    }
+    let Scratch {
+        hasher,
+        map,
+        finals,
+        pools,
+        order,
+        groups,
+        bounds,
+        next_bounds,
+        keyed,
+        pending,
+        ..
+    } = scratch;
+    let n = view.slots.len() as u32;
+    let slot_digest = |i: u32| view.digest(i);
+    let state = |i: u32| view.state(i);
 
     // 3. The never-mentioned members of each group form its one
     //    starting class, behind the numbered ones.
@@ -781,6 +930,74 @@ mod tests {
             .map(|perm| c.apply_permutation(perm).digest())
             .min()
             .expect("the identity is type-preserving")
+    }
+
+    /// The three key routes agree, over `config_from` recipes with one or
+    /// two live slots of the parent edited in place (the layout kept): a
+    /// view of the parent keys the child exactly as canonicalizing the
+    /// built child does, and when the parent's pin settles it and the
+    /// edited slots avoid the pin, that key is the child's concrete
+    /// digest. Both the pinned case with a symmetry group and a tangled
+    /// view come up.
+    #[test]
+    fn view_and_pin_agree_with_the_built_child() {
+        let mut rng = 0x5eed_u64;
+        let mut next = move || {
+            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let (mut pinned, mut tangled) = (0, 0);
+        let mut pin = Vec::new();
+        for _ in 0..4_000 {
+            let recipe: Vec<u64> = (0..24).map(|_| next()).collect();
+            let mut parent = config_from(&recipe);
+            parent.digest();
+            let n = parent.created_count() as u64;
+            let live: Vec<u32> = parent.live_ids().map(|id| id.0).collect();
+            let mut child = parent.clone();
+            let mut edited = vec![live[next() as usize % live.len()]];
+            let other = live[next() as usize % live.len()];
+            if next() % 2 == 0 && other != edited[0] {
+                edited.push(other);
+            }
+            for &slot in &edited {
+                let word = next();
+                let m = child.machine_mut(MachineId(slot)).unwrap();
+                match word % 3 {
+                    2 => m.locals[2] = Value::Int((word >> 8) as i64 & 1),
+                    local => {
+                        m.locals[local as usize] = match (word >> 8) % (n + 1) {
+                            r if r < n => Value::Machine(MachineId(r as u32)),
+                            _ => Value::Null,
+                        }
+                    }
+                }
+            }
+            let concrete = child.digest();
+            let changed: Vec<_> = edited
+                .iter()
+                .map(|&slot| {
+                    let id = MachineId(slot);
+                    let digest = child.cached_slot_digest(id).unwrap().0;
+                    (id, child.machine(id).unwrap(), digest)
+                })
+                .collect();
+            let viewed = canonical_digest_replayed(&parent, &changed, concrete);
+            let built = canonical_digest_counted(&mut child.clone());
+            assert_eq!(viewed, built, "{recipe:?}");
+            tangled += usize::from(built.1 > 1);
+            if canonical_pin(&mut parent, &mut pin) && edited.iter().all(|s| !pin.contains(s)) {
+                assert_eq!(viewed.0, concrete, "{recipe:?}: pinned by {pin:?}");
+                pinned += usize::from(built.1 > 0);
+            }
+        }
+        assert!(
+            pinned > 0 && tangled > 0,
+            "{pinned} pinned, {tangled} tangled"
+        );
     }
 
     proptest::proptest! {

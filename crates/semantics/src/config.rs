@@ -1340,6 +1340,15 @@ impl Config {
         &mut self,
     ) -> (&[Option<Arc<MachineState>>], &[Option<(u128, u32)>]) {
         self.fill_digests();
+        self.slots_and_cached_digests()
+    }
+
+    /// [`Config::slots_and_digests`] as the cache stands: an entry is
+    /// `None` for a slot changed since its last digest.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn slots_and_cached_digests(
+        &self,
+    ) -> (&[Option<Arc<MachineState>>], &[Option<(u128, u32)>]) {
         (&self.machines, &self.digests)
     }
 

@@ -69,7 +69,9 @@ mod proptests;
 #[cfg(test)]
 mod tests;
 
-pub use canon::{canonical_digest, canonical_digest_counted};
+pub use canon::{
+    canonical_digest, canonical_digest_counted, canonical_digest_replayed, canonical_pin,
+};
 pub use config::{
     Config, ConfigDecodeError, Cont, Frame, Inherited, Instr, MachineId, MachineState,
     MachineStore, SlotInterner,

@@ -49,13 +49,16 @@ pub struct ExplorationMetrics {
     pub sleep_pruned: u64,
     /// Successors merged with a symmetric (id-permuted) visited state.
     pub symmetry_merges: u64,
-    /// Canonicalizations run (memo misses under symmetry reduction);
-    /// `canon_seconds / canon_calls` is the cost of one.
+    /// Canonicalizations run under symmetry reduction: successors that
+    /// neither their parent's pin nor the memo settled.
     pub canon_calls: u64,
     /// Candidate renumberings those canonicalizations digested
     /// (`canon_candidates / canon_calls` is 1 unless tangled
     /// configurations had to be enumerated).
     pub canon_candidates: u64,
+    /// Replayed successors keyed by their concrete digest through their
+    /// parent's pin, with no canonicalization.
+    pub canon_pinned: u64,
     /// Worker count used (1 = sequential).
     pub workers: u64,
     /// Visited fingerprints resident in the disk-spilled cold tier at
@@ -133,6 +136,7 @@ impl ExplorationMetrics {
             ("symmetry_merges", num(self.symmetry_merges as f64)),
             ("canon_calls", num(self.canon_calls as f64)),
             ("canon_candidates", num(self.canon_candidates as f64)),
+            ("canon_pinned", num(self.canon_pinned as f64)),
             ("workers", num(self.workers as f64)),
             ("spilled_states", num(self.spilled_states as f64)),
             ("spill_bytes", num(self.spill_bytes as f64)),
@@ -183,6 +187,7 @@ impl ExplorationMetrics {
             symmetry_merges: field("symmetry_merges"),
             canon_calls: field("canon_calls"),
             canon_candidates: field("canon_candidates"),
+            canon_pinned: field("canon_pinned"),
             workers: field("workers").max(1),
             spilled_states: field("spilled_states"),
             spill_bytes: field("spill_bytes"),
@@ -412,6 +417,7 @@ mod tests {
             symmetry_merges: 0,
             canon_calls: 3,
             canon_candidates: 4,
+            canon_pinned: 5,
             workers: 1,
             spilled_states: 0,
             spill_bytes: 0,

@@ -190,10 +190,11 @@ fn verify_profile_round_trips_and_matches_plain_output() {
 }
 
 /// The cost of canonicalization is readable from the tool: under
-/// `--symmetry` the final metrics row counts the canonicalizations run
-/// and the candidate renumberings they digested (one each on German's
-/// protocol: no enumeration), next to the sampled `canon_seconds`; with
-/// the reduction off both are zero.
+/// `--symmetry` the final metrics row counts the canonicalizations run,
+/// the candidate renumberings they digested (one each on German's
+/// protocol: no enumeration) and the children their parent's pin keyed
+/// without one, next to the sampled `canon_seconds`; every stored orbit
+/// was keyed one of the two ways. With the reduction off all are zero.
 #[test]
 fn verify_profile_counts_canonicalizations() {
     let program = corpus_file("german3.p");
@@ -215,13 +216,17 @@ fn verify_profile_counts_canonicalizations() {
         (
             count("canon_calls"),
             count("canon_candidates"),
+            count("canon_pinned"),
             count("states"),
         )
     };
-    assert_eq!(row(&[], "canon-off.json"), (0, 0, 13_255));
-    let (calls, candidates, states) = row(&["--symmetry"], "canon-on.json");
+    assert_eq!(row(&[], "canon-off.json"), (0, 0, 0, 13_255));
+    let (calls, candidates, pinned, states) = row(&["--symmetry"], "canon-on.json");
     assert_eq!(states, 9_457);
-    assert!(calls >= states, "{calls} calls for {states} orbits");
+    assert!(
+        calls + pinned >= states && pinned > 0,
+        "{calls} calls and {pinned} pinned for {states} orbits"
+    );
     assert!(
         candidates <= calls && candidates + 10 >= calls,
         "{candidates} candidates in {calls} calls"
