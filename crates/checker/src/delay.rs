@@ -100,6 +100,7 @@ impl Scheduler for DelayBounded {
     type Note = SchedulerState;
     /// The stack rotated for this move; its top is the machine to run.
     type Move = SchedulerState;
+    type Graph = ();
 
     fn root(&self) -> SchedulerState {
         SchedulerState::initial()
@@ -182,7 +183,7 @@ impl Verifier<'_> {
     /// [`CheckerError::Unsupported`] for `por` or `symmetry`.
     pub fn try_check_delay_bounded(&self, delay_bound: usize) -> Result<DelayReport, CheckerError> {
         let jobs = self.options().jobs;
-        let (report, _) = self.search_with(&DelayBounded(delay_bound), jobs, SLOT_MEMO_ENTRIES)?;
+        let (report, ..) = self.search_with(&DelayBounded(delay_bound), jobs, SLOT_MEMO_ENTRIES)?;
         Ok(DelayReport {
             delay_bound,
             scheduler_nodes: report.stats.scheduler_nodes,

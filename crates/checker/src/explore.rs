@@ -1,8 +1,8 @@
 //! The explicit-state search kernel (the Zing-substrate analog) and the
 //! option/report types shared by all strategies.
 //!
-//! One kernel runs the exhaustive, delay-bounded and fault-injecting
-//! strategies, monomorphised on a [`Scheduler`] (DESIGN.md §9): workers
+//! One kernel runs the exhaustive, delay-bounded, fault-injecting and
+//! liveness strategies, monomorphised on a [`Scheduler`] (DESIGN.md §9): workers
 //! pop tasks from a work-stealing frontier, expand them depth-first and
 //! offer every successor to one sharded visited table keyed by
 //! collision-safe 128-bit [`Fingerprint`]s. [`CheckerOptions::jobs`]
@@ -128,6 +128,12 @@ pub(crate) trait Scheduler: Sync + std::fmt::Debug {
     /// Whether nodes are annotated at all: then unique configurations are
     /// counted by [`SharedTable::mark`] and `por`/`symmetry` are refused.
     const ANNOTATED: bool = true;
+    /// What a worker keeps of the graph it expands (`()`: nothing).
+    type Graph: Default + Send;
+    /// The liveness search: an error outcome is a terminal edge, not a
+    /// violation; runs keep their dequeue log (so no slot memo answers
+    /// them); `por`, `symmetry`, `checkpoint` and `resume` are refused.
+    const LIVENESS: bool = false;
 
     /// The initial node's annotation.
     fn root(&self) -> Self::Note;
@@ -154,6 +160,13 @@ pub(crate) trait Scheduler: Sync + std::fmt::Debug {
 
     /// Inverse of [`Scheduler::encode`]; `None` on malformed bytes.
     fn decode(bytes: &[u8]) -> Option<Self::Note>;
+
+    /// Keeps expanded node `id`, whose edges were offered just before.
+    fn keep_node(_: &mut Self::Graph, _id: TaskId, _config: &mut Config) {}
+
+    /// Keeps an edge offered to the configuration of concrete fingerprint
+    /// `to` (its machine run and dequeued events are `succ`'s).
+    fn keep_edge(_: &mut Self::Graph, _to: Fingerprint, _succ: &Successor) {}
 }
 
 /// What a move does: run a machine (one successor per resolution of its
@@ -172,6 +185,7 @@ impl Scheduler for Exhaustive {
     type Note = ();
     type Move = MachineId;
     const ANNOTATED: bool = false;
+    type Graph = ();
 
     fn root(&self) {}
 
@@ -235,10 +249,10 @@ pub struct CheckerOptions {
     /// Sound for safety: it prunes redundant *transitions* between independent machine runs, never states —
     /// every reachable state (and hence every reachable error) is still
     /// visited, so the verdict and `unique_states` match the unreduced
-    /// search; only `transitions` shrinks. Refused by the delay-bounded
-    /// and fault strategies ([`CheckerError::Unsupported`]: a run slept
-    /// under one budget is not covered under another), ignored by the
-    /// liveness and random ones. See DESIGN.md §10.
+    /// search; only `transitions` shrinks. Refused by the other kernel
+    /// strategies ([`CheckerError::Unsupported`]: a run slept under one
+    /// budget is not covered under another, nor is an edge a cycle needs),
+    /// ignored by the random one. See DESIGN.md §10.
     pub por: bool,
     /// Symmetry reduction for the exhaustive search: the visited set is
     /// keyed by a canonical fingerprint invariant under permutations of
@@ -250,14 +264,15 @@ pub struct CheckerOptions {
     /// have isomorphic futures and identical verdicts; exploration and
     /// counterexample traces stay concrete. `unique_states` counts
     /// orbits (canonical classes) in this mode. Composes with
-    /// [`CheckerOptions::por`]; refused by the delay-bounded and fault
-    /// strategies (their annotations name concrete machine ids), ignored
-    /// by the liveness and random ones. See DESIGN.md §12.
+    /// [`CheckerOptions::por`]; refused by the other kernel strategies
+    /// (their annotations and liveness verdicts name concrete machine
+    /// ids), ignored by the random one. See DESIGN.md §12.
     pub symmetry: bool,
     /// Periodic crash-safe checkpointing of a kernel search;
     /// `None` (the default) disables it. The checkpoint does not record
     /// the worker count: a run checkpointed under `jobs = 4` resumes
-    /// under `jobs = 1` and vice versa. See DESIGN.md §13.
+    /// under `jobs = 1` and vice versa; liveness refuses it and `resume`
+    /// (it would not hold the graph). See DESIGN.md §13.
     pub checkpoint: Option<CheckpointPolicy>,
     /// Resume a previously checkpointed run from this directory. The
     /// checkpoint's config digest must match the current program,
@@ -270,8 +285,8 @@ pub struct CheckerOptions {
     /// visited set. When the hot (RAM) tier outgrows it, fingerprints
     /// spill to sorted disk runs with a bloom-filter front and edge
     /// records to a flat file indexed by task id; the verdict,
-    /// `unique_states` and traces are unaffected.
-    /// `None` (the default) keeps everything in RAM.
+    /// `unique_states` and traces are unaffected (a liveness graph stays
+    /// in RAM). `None` (the default) keeps everything in RAM.
     pub mem_limit: Option<usize>,
     /// Cooperative interruption (SIGINT/SIGTERM): when the flag turns
     /// true the search stops at the next state boundary,
@@ -507,29 +522,36 @@ impl<'p> Verifier<'p> {
 
     /// [`Verifier::search_with`] the [`Exhaustive`] scheduler.
     pub(crate) fn search(&self, jobs: usize) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
-        self.search_with(&Exhaustive, jobs, SLOT_MEMO_ENTRIES)
+        let searched = self.search_with(&Exhaustive, jobs, SLOT_MEMO_ENTRIES);
+        searched.map(|(report, interners, _)| (report, interners))
     }
 
     /// The search kernel (see DESIGN.md §9): `jobs` workers expand one
     /// frontier against one visited table by `sched`'s moves. A single
     /// worker (`jobs` of 0 or 1) runs on the calling thread; more are
-    /// spawned and joined. The workers' intern tables come back with the
-    /// report, for the test that checks they share no allocation. `memo`
-    /// sizes each worker's slot-transition memo as (runs, appends):
-    /// [`SLOT_MEMO_ENTRIES`], or `None` for none.
+    /// spawned and joined. The workers' intern tables and graphs come
+    /// back with the report (the tables for the test that checks they
+    /// share no allocation). `memo` sizes each worker's slot-transition
+    /// memo as (runs, appends): [`SLOT_MEMO_ENTRIES`], or `None` for none.
+    #[allow(clippy::type_complexity)]
     pub(crate) fn search_with<S: Scheduler>(
         &self,
         sched: &S,
         jobs: usize,
         memo: Option<(usize, usize)>,
-    ) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
+    ) -> Result<(Report, Vec<SlotInterner>, Vec<S::Graph>), CheckerError> {
         let jobs = jobs.max(1);
         let start = Instant::now();
         let options = &self.options;
-        if S::ANNOTATED && (options.por || options.symmetry) {
+        if (S::ANNOTATED || S::LIVENESS) && (options.por || options.symmetry) {
             return Err(CheckerError::Unsupported(format!(
                 "por and symmetry reduce the exhaustive search only, not {sched:?}"
             )));
+        }
+        if S::LIVENESS && (options.checkpoint.is_some() || options.resume.is_some()) {
+            return Err(CheckerError::Unsupported(
+                "no checkpoint holds a liveness graph".into(),
+            ));
         }
         let digest = self.config_digest(&format!("{sched:?}"));
         let spill = SpillDir::prepare(options)?;
@@ -637,7 +659,7 @@ impl<'p> Verifier<'p> {
             interrupted: AtomicBool::new(false),
         };
 
-        let worker_tasks = if jobs == 1 {
+        let workers = if jobs == 1 {
             vec![self.expand_worker(0, &mut interners[0], &search, sched)]
         } else {
             std::thread::scope(|scope| {
@@ -655,11 +677,10 @@ impl<'p> Verifier<'p> {
                     .into_iter()
                     .map(|handle| handle.join().map_err(worker_panic))
                     .collect();
-                joined
-                    .into_iter()
-                    .collect::<Result<Vec<u64>, CheckerError>>()
+                joined.into_iter().collect::<Result<Vec<_>, CheckerError>>()
             })?
         };
+        let (worker_tasks, graphs): (Vec<u64>, Vec<S::Graph>) = workers.into_iter().unzip();
         let Search {
             table,
             frontier,
@@ -716,7 +737,7 @@ impl<'p> Verifier<'p> {
             complete,
             interrupted,
         };
-        Ok((report, interners))
+        Ok((report, interners, graphs))
     }
 
     /// One worker: expand tasks until the frontier drains or the search
@@ -726,14 +747,14 @@ impl<'p> Verifier<'p> {
     /// [`FLUSH_EVERY_TASKS`] tasks, before it parks at a rendezvous and
     /// unconditionally on exit, so the shared totals are exact at every
     /// checkpoint and on every exit path. Returns the number of tasks
-    /// this worker expanded (the per-worker utilization sample).
+    /// this worker expanded (the per-worker utilization sample), and its graph.
     fn expand_worker<S: Scheduler>(
         &self,
         worker: usize,
         interner: &mut SlotInterner,
         search: &Search<'_, S>,
         sched: &S,
-    ) -> u64 {
+    ) -> (u64, S::Graph) {
         let Search {
             table,
             frontier,
@@ -742,9 +763,10 @@ impl<'p> Verifier<'p> {
             memo,
             ..
         } = search;
-        // The safety search never reads `RunResult::dequeued` (which a
-        // replayed run leaves empty); skip the per-run allocation.
-        let engine = self.engine().with_dequeue_log(false);
+        // Only liveness reads `RunResult::dequeued` (which a replayed run
+        // leaves empty); the safety search skips the per-run allocation.
+        let engine = self.engine().with_dequeue_log(S::LIVENESS);
+        let mut graph = S::Graph::default();
         let mut stats = ExplorationStats::default();
         let mut flushed = ExplorationStats::default();
         let mut tasks = 0u64;
@@ -823,7 +845,8 @@ impl<'p> Verifier<'p> {
             // exhaustive moves are in ascending id order, so the
             // accumulation order is deterministic. The pass stops after a
             // move whose run failed or ended in an error: the search does
-            // not get past it.
+            // not get past it. For liveness an error is a terminal edge:
+            // counted here, and dropped from the batch.
             let mut cur_sleep = sleep;
             let mut failed = None;
             for (m, mv) in moves.iter().enumerate() {
@@ -849,6 +872,10 @@ impl<'p> Verifier<'p> {
                         fault.machine
                     }
                 };
+                if S::LIVENESS {
+                    stats.transitions += succs.iter().filter(|s| s.is_error()).count();
+                    succs.retain(|succ| !succ.is_error());
+                }
                 tags.resize(succs.len(), (m, cur_sleep));
                 if succs[start..].iter().any(Successor::is_error) {
                     break;
@@ -928,6 +955,7 @@ impl<'p> Verifier<'p> {
                     break 'tasks;
                 }
                 let (succ_fp, key, child_note) = keyed.next().expect("keyed up to the error");
+                S::keep_edge(&mut graph, succ_fp, succ);
                 let mv = &moves[m];
                 arena.phases.enter(Phase::Table);
                 let child_sleep = match &por {
@@ -1011,6 +1039,7 @@ impl<'p> Verifier<'p> {
                 search.stop_with(&search.error, error.into());
                 break 'tasks;
             }
+            S::keep_node(&mut graph, task_id, &mut config);
             arena.recycle_config(config);
             arena.phases.drain_into(&mut stats.phases);
             frontier.finish_task(worker, &mut children);
@@ -1034,7 +1063,7 @@ impl<'p> Verifier<'p> {
             }
         }
         counters.flush(&stats, &mut flushed);
-        tasks
+        (tasks, graph)
     }
 
     /// The checkpoint/interrupt control point, run by every worker
@@ -1439,7 +1468,7 @@ mod tests {
             let p = p_semantics::lower(&program).unwrap();
             let verifier = Verifier::new(&p);
             let run = |memo| {
-                let (report, _) = verifier.search_with(&Exhaustive, 1, memo).unwrap();
+                let (report, ..) = verifier.search_with(&Exhaustive, 1, memo).unwrap();
                 assert!(report.passed() && report.complete, "{name}");
                 let s = report.stats;
                 (

@@ -225,6 +225,7 @@ impl FaultDecision {
 impl Scheduler for FaultScheduler {
     type Note = usize;
     type Move = Step;
+    type Graph = ();
 
     fn root(&self) -> usize {
         0
@@ -310,7 +311,7 @@ impl Verifier<'_> {
         kinds: &[FaultKind],
     ) -> Result<FaultReport, CheckerError> {
         let scheduler = FaultScheduler::new(budget, kinds);
-        let (report, _) = self.search_with(&scheduler, self.options().jobs, SLOT_MEMO_ENTRIES)?;
+        let (report, ..) = self.search_with(&scheduler, self.options().jobs, SLOT_MEMO_ENTRIES)?;
         Ok(FaultReport {
             fault_budget: budget,
             kinds: scheduler.kinds,

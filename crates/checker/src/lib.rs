@@ -32,11 +32,11 @@
 //!   properties of §3.2 (this reproduction's extension; the paper lists
 //!   liveness verification as future work).
 //!
-//! The exhaustive, delay-bounded and fault strategies are schedulers of
-//! one search kernel: for every [`CheckerOptions::jobs`] one worker on
-//! the calling thread (deterministic) or N work-stealing workers over one
-//! sharded visited table — same `unique_states` and verdict — with
-//! checkpoints, a memory limit and interruption.
+//! The exhaustive, delay-bounded, fault and liveness strategies are
+//! schedulers of one search kernel: for every [`CheckerOptions::jobs`]
+//! one worker on the calling thread (deterministic) or N work-stealing
+//! workers over one sharded visited table — same `unique_states` and
+//! verdict — with checkpoints, a memory limit and interruption.
 //!
 //! # Examples
 //!

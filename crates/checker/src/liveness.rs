@@ -2,10 +2,10 @@
 //!
 //! The paper specifies two liveness properties in LTL and leaves their
 //! verification to future work; this module implements a bounded check as
-//! the reproduction's extension. The explorer builds the (bounded)
-//! reachable state graph, decomposes it into strongly connected
-//! components, and inspects each SCC that can sustain an infinite fair
-//! execution:
+//! the reproduction's extension. The search kernel, under the
+//! [`Liveness`] scheduler, keeps the (bounded) reachable state graph; this
+//! module decomposes it into strongly connected components and inspects
+//! each SCC that can sustain an infinite fair execution:
 //!
 //! 1. **A machine runs forever** (`∃m. ◇□ sched(m)`): some machine's own
 //!    edges form a cycle inside the SCC — it can be scheduled from some
@@ -20,17 +20,19 @@
 //! the SCC but never scheduled inside it makes the SCC unreachable by fair
 //! executions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 use std::time::Instant;
 
-use p_semantics::{Config, EventId, ExecOutcome, MachineId};
+use p_semantics::{Config, Engine, EventId, ExecOutcome, MachineId};
 
+use crate::engine::TaskId;
 use crate::error::CheckerError;
-use crate::explore::Verifier;
-use crate::fingerprint::Fingerprint;
+use crate::explore::{Exhaustive, Scheduler, Step, Verifier};
+use crate::fingerprint::{Fingerprint, FpHashMap};
 use crate::stats::ExplorationStats;
-use crate::succ::successors_for;
+use crate::succ::Successor;
 
 /// A liveness violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,142 +100,240 @@ impl LivenessReport {
     }
 }
 
-struct Graph {
-    configs: Vec<Config>,
-    edges: Vec<Vec<Edge>>,
+/// The exhaustive moves, with every expanded node and offered edge kept
+/// in the worker's [`Graph`].
+#[derive(Debug)]
+pub(crate) struct Liveness;
+
+/// One worker's share of the state graph, and after the search all of it.
+#[derive(Default)]
+pub(crate) struct Graph {
+    /// Expanded nodes: task id, configuration and the range of `edges`
+    /// offered from it.
+    nodes: Vec<(TaskId, Box<Config>, Range<usize>)>,
+    /// Offered edges: machine run, target, range of `dequeued`.
+    edges: Vec<(MachineId, Fingerprint, Range<u32>)>,
+    dequeued: Vec<EventId>,
+    /// Per edge, the index in `nodes` of its target, or [`OUTSIDE`] when
+    /// the target was never expanded (over a bound).
+    targets: Vec<u32>,
 }
 
-#[derive(Debug, Clone)]
-struct Edge {
-    to: usize,
-    machine: MachineId,
-    dequeued: Vec<EventId>,
+/// No node: an edge out of the graph, or outside the SCC under inspection.
+const OUTSIDE: u32 = u32::MAX;
+
+impl Scheduler for Liveness {
+    type Note = ();
+    type Move = MachineId;
+    const ANNOTATED: bool = false;
+    type Graph = Graph;
+    const LIVENESS: bool = true;
+
+    fn root(&self) {}
+
+    fn moves(
+        &self,
+        engine: &Engine<'_>,
+        config: &Config,
+        _: &mut (),
+        out: &mut Vec<MachineId>,
+    ) -> bool {
+        Exhaustive.moves(engine, config, &mut (), out)
+    }
+
+    fn step(mv: &MachineId) -> Step {
+        Step::Run(*mv)
+    }
+
+    fn child(&self, _: &(), _: &MachineId, _: &ExecOutcome) {}
+
+    fn encode(_: &(), _: &mut Vec<u8>) {}
+
+    fn decode(bytes: &[u8]) -> Option<()> {
+        bytes.is_empty().then_some(())
+    }
+
+    /// Keeps a copy, which holds the interned slots but not the spare
+    /// machine buffers of the pooled original. The node's edges are the
+    /// ones offered since the last node was kept.
+    fn keep_node(graph: &mut Graph, id: TaskId, config: &mut Config) {
+        let edges = graph.nodes.last().map_or(0, |n| n.2.end)..graph.edges.len();
+        graph.nodes.push((id, Box::new(config.clone()), edges));
+    }
+
+    fn keep_edge(graph: &mut Graph, to: Fingerprint, succ: &Successor) {
+        let first = graph.dequeued.len() as u32;
+        graph.dequeued.extend_from_slice(&succ.result.dequeued);
+        let dequeued = first..graph.dequeued.len() as u32;
+        graph.edges.push((succ.machine, to, dequeued));
+    }
+}
+
+impl Graph {
+    /// Joins the workers' graphs, nodes in task id order, and resolves
+    /// each edge's target through the fingerprints of the expanded nodes.
+    fn assemble(graphs: Vec<Graph>) -> Graph {
+        let mut graphs = graphs.into_iter();
+        let mut all = graphs.next().unwrap_or_default();
+        for g in graphs {
+            let (e, d) = (all.edges.len(), all.dequeued.len() as u32);
+            let shift =
+                |(id, config, r): (_, _, Range<usize>)| (id, config, r.start + e..r.end + e);
+            all.nodes.extend(g.nodes.into_iter().map(shift));
+            let shift = |(m, to, r): (_, _, Range<u32>)| (m, to, r.start + d..r.end + d);
+            all.edges.extend(g.edges.into_iter().map(shift));
+            all.dequeued.extend(g.dequeued);
+        }
+        all.nodes.sort_unstable_by_key(|node| node.0);
+        let digest = |n: &mut (_, Box<Config>, _)| Fingerprint::from_u128(n.1.digest());
+        let index: FpHashMap<u32> = all.nodes.iter_mut().map(digest).zip(0..).collect();
+        let target = |e: &(_, Fingerprint, _)| index.get(&e.1).copied().unwrap_or(OUTSIDE);
+        all.targets = all.edges.iter().map(target).collect();
+        all
+    }
+
+    /// The node edge `e` leads to, if `local` (node → index in the SCC
+    /// under inspection, else [`OUTSIDE`]; `None`: the whole graph)
+    /// holds it, by its index there.
+    fn target(&self, e: usize, local: Option<&[u32]>) -> Option<usize> {
+        let to = match (self.targets[e], local) {
+            (to, Some(local)) if to != OUTSIDE => local[to as usize],
+            (to, _) => to,
+        };
+        (to != OUTSIDE).then_some(to as usize)
+    }
 }
 
 impl Verifier<'_> {
-    /// Builds the bounded reachable state graph and checks both liveness
-    /// properties of §3.2 on its strongly connected components.
+    /// Explores the bounded reachable state graph on the search kernel
+    /// and checks both liveness properties of §3.2 on its strongly
+    /// connected components. [`crate::CheckerOptions::jobs`], the state
+    /// and depth bounds, `mem_limit` (which bounds the visited tier, not
+    /// the graph) and the interrupt flag apply as to the exhaustive search.
     ///
     /// Safety errors encountered while building the graph are treated as
     /// terminal states (run a safety check first).
     ///
     /// # Panics
     ///
-    /// Panics on a fatal [`CheckerError`] (a corrupt lowering — an engine
-    /// bug, not a property violation). Use
-    /// [`Verifier::try_check_liveness`] to handle it.
+    /// Panics on a [`CheckerError`]: see [`Verifier::try_check_liveness`].
     pub fn check_liveness(&self) -> LivenessReport {
         self.try_check_liveness()
             .expect("liveness search failed; use try_check_liveness to handle errors")
     }
 
-    /// [`Verifier::check_liveness`], surfacing fatal semantics errors
-    /// instead of panicking.
+    /// [`Verifier::check_liveness`], surfacing errors instead of
+    /// panicking: those of [`Verifier::try_check_exhaustive`], and
+    /// [`CheckerError::Unsupported`] for `por`, `symmetry`, `checkpoint`
+    /// or `resume`.
     pub fn try_check_liveness(&self) -> Result<LivenessReport, CheckerError> {
         let start = Instant::now();
-        let (graph, mut stats) = self.build_graph()?;
-        let sccs = tarjan(&graph);
-
-        let mut violations = Vec::new();
-        let mut seen = HashSet::new();
-
-        for scc in &sccs {
-            let scc_set: HashSet<usize> = scc.iter().copied().collect();
-            // Internal edges of this SCC.
-            let internal: Vec<(usize, &Edge)> = scc
-                .iter()
-                .flat_map(|&n| graph.edges[n].iter().map(move |e| (n, e)))
-                .filter(|(_, e)| scc_set.contains(&e.to))
-                .collect();
-            if internal.is_empty() {
-                continue; // trivial SCC, no cycle
+        let (report, _, graphs) = self.search_with(&Liveness, self.options().jobs, None)?;
+        let graph = Graph::assemble(graphs);
+        let n = graph.nodes.len();
+        let (mut violations, mut seen) = (Vec::new(), HashSet::new());
+        let mut local = vec![OUTSIDE; n];
+        for scc in tarjan(n, |v| graph.nodes[v].2.clone(), |e| graph.target(e, None)) {
+            for (i, &v) in scc.iter().enumerate() {
+                local[v] = i as u32;
             }
-
-            self.check_scc(&graph, scc, &internal, &mut violations, &mut seen);
+            // (node, edge) of every edge inside the SCC.
+            let internal: Vec<(usize, usize)> = scc
+                .iter()
+                .flat_map(|&v| graph.nodes[v].2.clone().map(move |e| (v, e)))
+                .filter(|&(_, e)| graph.target(e, Some(&local)).is_some())
+                .collect();
+            // A trivial SCC has no cycle.
+            if !internal.is_empty() {
+                self.check_scc(&graph, &scc, &internal, &local, &mut violations, &mut seen);
+            }
+            for &v in &scc {
+                local[v] = OUTSIDE;
+            }
         }
-
+        let mut stats = report.stats;
         stats.duration = start.elapsed();
         Ok(LivenessReport {
             violations,
-            complete: !stats.truncated,
+            complete: report.complete,
             stats,
         })
     }
 
+    /// Reports the violations of one SCC with an internal edge, each
+    /// (kind, machine, event) once per run, machines and events in
+    /// ascending order.
     fn check_scc(
         &self,
         graph: &Graph,
         scc: &[usize],
-        internal: &[(usize, &Edge)],
+        internal: &[(usize, usize)],
+        local: &[u32],
         violations: &mut Vec<LivenessViolation>,
-        seen: &mut HashSet<String>,
+        seen: &mut HashSet<(MachineId, Option<EventId>)>,
     ) {
         let engine = self.engine();
         let program = self.program();
+        let config = |n: usize| &*graph.nodes[n].1;
+        let machine = |e: usize| graph.edges[e].0;
+        let dequeued = |e: usize| {
+            let events = &graph.edges[e].2;
+            &graph.dequeued[events.start as usize..events.end as usize]
+        };
 
         // Machines alive somewhere in the SCC.
-        let mut machines: HashSet<MachineId> = HashSet::new();
-        for &n in scc {
-            machines.extend(graph.configs[n].live_ids());
-        }
+        let mut machines: Vec<MachineId> = scc.iter().flat_map(|&n| config(n).live_ids()).collect();
+        machines.sort_unstable();
+        machines.dedup();
 
-        // Property 1: a machine whose own edges form a cycle.
+        // Property 1: a machine whose own edges form a cycle — a
+        // self-loop, or a component of two or more nodes of the SCC's
+        // subgraph of that machine's edges.
         for &m in &machines {
-            if has_single_machine_cycle(graph, scc, m) {
-                let key = format!("p1:{}", m.0);
-                if seen.insert(key) {
-                    violations.push(LivenessViolation::MachineRunsForever {
-                        machine: m,
-                        scc_size: scc.len(),
-                    });
-                }
+            let own = |e| graph.target(e, Some(local)).filter(|_| machine(e) == m);
+            let cycle = internal
+                .iter()
+                .any(|&(n, e)| own(e) == Some(local[n] as usize))
+                || tarjan(scc.len(), |i| graph.nodes[scc[i]].2.clone(), own)
+                    .iter()
+                    .any(|c| c.len() >= 2);
+            if cycle && seen.insert((m, None)) {
+                violations.push(LivenessViolation::MachineRunsForever {
+                    machine: m,
+                    scc_size: scc.len(),
+                });
             }
         }
 
         // Fairness feasibility: every machine enabled throughout the SCC
         // must be scheduled by some internal edge; otherwise no fair
         // execution stays in this SCC and property 2 is vacuous here.
-        let scheduled: HashSet<MachineId> = internal.iter().map(|(_, e)| e.machine).collect();
         for &m in &machines {
-            let enabled_everywhere = scc.iter().all(|&n| engine.enabled(&graph.configs[n], m));
-            if enabled_everywhere && !scheduled.contains(&m) {
+            let enabled_everywhere = scc.iter().all(|&n| engine.enabled(config(n), m));
+            if enabled_everywhere && !internal.iter().any(|&(_, e)| machine(e) == m) {
                 return; // unfair SCC
             }
         }
 
-        // Property 2: an event pinned in some queue across the whole SCC.
+        // Property 2: an event pinned in some queue across the whole SCC,
+        // which no internal edge dequeues at m and no control state of m
+        // inside the SCC postpones (the refined specification of §3.2).
         for &m in &machines {
-            // Candidate events: queued at m in every state of the SCC.
-            let mut candidates: Option<HashSet<EventId>> = None;
-            for &n in scc {
-                let events: HashSet<EventId> = graph.configs[n]
-                    .machine(m)
-                    .map(|ms| ms.queue.iter().map(|&(e, _)| e).collect())
-                    .unwrap_or_default();
-                candidates = Some(match candidates {
-                    None => events,
-                    Some(prev) => prev.intersection(&events).copied().collect(),
-                });
-                if candidates.as_ref().is_some_and(HashSet::is_empty) {
-                    break;
-                }
+            let queued = |n: usize| config(n).machine(m).map_or(&[][..], |ms| &ms.queue[..]);
+            let mut candidates: Vec<EventId> = queued(scc[0]).iter().map(|&(e, _)| e).collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            for &n in &scc[1..] {
+                candidates.retain(|ev| queued(n).iter().any(|(e, _)| e == ev));
             }
-            let Some(mut candidates) = candidates else {
-                continue;
-            };
-            // Remove events some internal edge dequeues at m.
-            for (_, e) in internal {
-                if e.machine == m {
-                    for ev in &e.dequeued {
-                        candidates.remove(ev);
-                    }
-                }
-            }
-            // Remove events postponed in any control state of m inside the
-            // SCC (the refined specification of §3.2).
+            candidates.retain(|ev| {
+                !internal
+                    .iter()
+                    .any(|&(_, e)| machine(e) == m && dequeued(e).contains(ev))
+            });
             candidates.retain(|&ev| {
                 !scc.iter().any(|&n| {
-                    graph.configs[n].machine(m).is_some_and(|ms| {
+                    config(n).machine(m).is_some_and(|ms| {
                         let mt = program.machine(ms.ty);
                         mt.states[ms.current_state().0 as usize]
                             .postponed
@@ -242,8 +342,7 @@ impl Verifier<'_> {
                 })
             });
             for ev in candidates {
-                let key = format!("p2:{}:{}", m.0, ev.0);
-                if seen.insert(key) {
+                if seen.insert((m, Some(ev))) {
                     violations.push(LivenessViolation::EventNeverDequeued {
                         machine: m,
                         event: ev,
@@ -254,146 +353,38 @@ impl Verifier<'_> {
             }
         }
     }
-
-    /// Full exploration that materializes the state graph.
-    fn build_graph(&self) -> Result<(Graph, ExplorationStats), CheckerError> {
-        let engine = self.engine();
-        let mut stats = ExplorationStats::default();
-
-        let mut init = engine.initial_config();
-        let mut index: HashMap<Fingerprint, usize> = HashMap::new();
-        let (init_digest, init_len) = init.digest_and_len();
-        index.insert(Fingerprint::from_u128(init_digest), 0);
-        stats.stored_bytes += init_len;
-
-        let mut graph = Graph {
-            configs: vec![init],
-            edges: vec![Vec::new()],
-        };
-        let mut worklist = vec![0usize];
-
-        while let Some(n) = worklist.pop() {
-            if graph.configs.len() > self.options().max_states {
-                stats.truncated = true;
-                break;
-            }
-            let config = graph.configs[n].clone();
-            for id in engine.enabled_machines(&config) {
-                for succ in successors_for(&engine, &config, id, self.options().granularity)? {
-                    stats.transitions += 1;
-                    if matches!(succ.result.outcome, ExecOutcome::Error(_)) {
-                        continue; // terminal for liveness purposes
-                    }
-                    let mut child = *succ.config.expect("no memo: every successor is built");
-                    let h = Fingerprint::from_u128(child.digest());
-                    let to = match index.get(&h) {
-                        Some(&i) => i,
-                        None => {
-                            let i = graph.configs.len();
-                            index.insert(h, i);
-                            stats.stored_bytes += child.encoded_len();
-                            graph.configs.push(child);
-                            graph.edges.push(Vec::new());
-                            worklist.push(i);
-                            i
-                        }
-                    };
-                    graph.edges[n].push(Edge {
-                        to,
-                        machine: id,
-                        dequeued: succ.result.dequeued.clone(),
-                    });
-                }
-            }
-        }
-
-        stats.unique_states = graph.configs.len();
-        Ok((graph, stats))
-    }
 }
 
-/// Whether machine `m`'s own edges contain a cycle within `scc`.
-fn has_single_machine_cycle(graph: &Graph, scc: &[usize], m: MachineId) -> bool {
-    let scc_set: HashSet<usize> = scc.iter().copied().collect();
-    // Self-loops are immediate cycles.
-    for &n in scc {
-        for e in &graph.edges[n] {
-            if e.machine == m && e.to == n {
-                return true;
-            }
-        }
-    }
-    // Otherwise look for a cycle in the m-only subgraph via DFS with
-    // colors.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color: HashMap<usize, Color> = scc.iter().map(|&n| (n, Color::White)).collect();
-    for &start in scc {
-        if color[&start] != Color::White {
-            continue;
-        }
-        // Iterative DFS: (node, next edge index).
-        let mut stack = vec![(start, 0usize)];
-        color.insert(start, Color::Gray);
-        while let Some(&mut (n, ref mut i)) = stack.last_mut() {
-            let edges: Vec<usize> = graph.edges[n]
-                .iter()
-                .filter(|e| e.machine == m && scc_set.contains(&e.to))
-                .map(|e| e.to)
-                .collect();
-            if *i < edges.len() {
-                let to = edges[*i];
-                *i += 1;
-                match color[&to] {
-                    Color::Gray => return true,
-                    Color::White => {
-                        color.insert(to, Color::Gray);
-                        stack.push((to, 0));
-                    }
-                    Color::Black => {}
-                }
-            } else {
-                color.insert(n, Color::Black);
-                stack.pop();
-            }
-        }
-    }
-    false
-}
+/// Iterative Tarjan over nodes `0..n`, where `out(v)` is the range of
+/// `v`'s edges and `to(e)` the node edge `e` leads to (`None`: leave it
+/// out). Each component comes out after every component it reaches.
+fn tarjan(
+    n: usize,
+    out: impl Fn(usize) -> Range<usize>,
+    to: impl Fn(usize) -> Option<usize>,
+) -> Vec<Vec<usize>> {
+    let (mut counter, mut indices, mut lowlink) = (0, vec![usize::MAX; n], vec![0; n]);
+    let (mut on_stack, mut stack, mut sccs) = (vec![false; n], Vec::new(), Vec::new());
 
-/// Iterative Tarjan SCC.
-fn tarjan(graph: &Graph) -> Vec<Vec<usize>> {
-    let n = graph.configs.len();
-    let mut index_counter = 0usize;
-    let mut indices = vec![usize::MAX; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit call stack: (node, edge cursor).
+    // Explicit call stack: (node, its edges not yet followed).
     for root in 0..n {
         if indices[root] != usize::MAX {
             continue;
         }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
-            if *cursor == 0 {
-                indices[v] = index_counter;
-                lowlink[v] = index_counter;
-                index_counter += 1;
+        let mut call = vec![(root, out(root))];
+        while let Some((v, edges)) = call.last_mut() {
+            let v = *v;
+            if indices[v] == usize::MAX {
+                indices[v] = counter;
+                lowlink[v] = counter;
+                counter += 1;
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if *cursor < graph.edges[v].len() {
-                let w = graph.edges[v][*cursor].to;
-                *cursor += 1;
+            if let Some(e) = edges.next() {
+                let Some(w) = to(e) else { continue };
                 if indices[w] == usize::MAX {
-                    call.push((w, 0));
+                    call.push((w, out(w)));
                 } else if on_stack[w] {
                     lowlink[v] = lowlink[v].min(indices[w]);
                 }
@@ -403,15 +394,9 @@ fn tarjan(graph: &Graph) -> Vec<Vec<usize>> {
                     lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
                 if lowlink[v] == indices[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
+                    let root_at = stack.iter().rposition(|&w| w == v).expect("v is stacked");
+                    let scc: Vec<usize> = stack.drain(root_at..).rev().collect();
+                    scc.iter().for_each(|&w| on_stack[w] = false);
                     sccs.push(scc);
                 }
             }

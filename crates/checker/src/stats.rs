@@ -90,8 +90,8 @@ pub struct ExplorationStats {
     /// Bytes of RAM the search kernel's bookkeeping around those
     /// encodings holds at the end of the run: the visited tables'
     /// buckets, the resident edge records and the overflow choice
-    /// scripts, computed from lengths and capacities. Zero for the
-    /// liveness and random strategies, which do not run on the kernel.
+    /// scripts, computed from lengths and capacities (not the liveness
+    /// graph). Zero for the random walk, which does not run on the kernel.
     pub index_bytes: usize,
     /// True if a bound (states, depth, delays) cut the exploration short.
     pub truncated: bool,

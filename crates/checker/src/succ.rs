@@ -77,10 +77,6 @@ pub(crate) struct SuccArena {
 const ARENA_CAP: usize = 64;
 
 impl SuccArena {
-    pub(crate) fn new() -> SuccArena {
-        SuccArena::default()
-    }
-
     /// An arena with a [`SlotMemo`] of `memo` = (runs, appends) entries,
     /// for atomic runs of an engine with its event logs off.
     pub(crate) fn with_memo(memo: Option<(usize, usize)>) -> SuccArena {
@@ -189,8 +185,10 @@ impl ChoiceSource for PaddedScript<'_> {
     }
 }
 
-/// Enumerates all atomic runs of `machine` from `config`: one successor
-/// per complete ghost-choice script.
+/// Enumerates all atomic runs of `machine` from `config` into `out`: one
+/// successor per complete ghost-choice script, drawing candidate
+/// configurations and script buffers from `arena`, so the search reuses
+/// allocations across every state.
 ///
 /// The enumeration backtracks over a single reusable script buffer
 /// instead of keeping a worklist of cloned scripts. Each run is driven
@@ -208,21 +206,6 @@ impl ChoiceSource for PaddedScript<'_> {
 /// a run the memo of `arena` knows (DESIGN.md §15), two table probes:
 /// the successor then carries a [`Replay`] instead of a configuration,
 /// for [`SuccArena::build`] to make if the caller needs it.
-pub(crate) fn successors_for(
-    engine: &Engine<'_>,
-    config: &Config,
-    machine: MachineId,
-    granularity: Granularity,
-) -> Result<Vec<Successor>, ExecError> {
-    let mut out = Vec::new();
-    let mut arena = SuccArena::new();
-    successors_into(engine, config, machine, granularity, &mut out, &mut arena)?;
-    Ok(out)
-}
-
-/// [`successors_for`] into a caller-owned buffer, drawing candidate
-/// configurations and script buffers from `arena`, so the per-state
-/// expansion loops reuse allocations across the whole search.
 pub(crate) fn successors_into(
     engine: &Engine<'_>,
     config: &Config,
@@ -314,6 +297,7 @@ fn successors_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::successors_for;
     use p_ast::{Expr, ProgramBuilder, Stmt, Ty};
     use p_semantics::{lower, ForeignEnv, Value};
 

@@ -543,8 +543,7 @@ fn fingerprints_never_merge_distinct_canonical_bytes() {
     while let Some(config) = stack.pop() {
         for id in engine.enabled_machines(&config) {
             for succ in
-                crate::succ::successors_for(&engine, &config, id, p_semantics::Granularity::Atomic)
-                    .unwrap()
+                successors_for(&engine, &config, id, p_semantics::Granularity::Atomic).unwrap()
             {
                 if matches!(succ.result.outcome, p_semantics::ExecOutcome::Error(_)) {
                     continue;
@@ -806,7 +805,7 @@ fn reachable_keys<K: Ord>(
     let mut init = engine.initial_config();
     let mut seen = BTreeSet::from([key(&mut init)]);
     let mut queue = VecDeque::from([init]);
-    let mut arena = crate::succ::SuccArena::new();
+    let mut arena = crate::succ::SuccArena::default();
     let (mut succs, mut enabled) = (Vec::new(), Vec::new());
     let granularity = verifier.options().granularity;
     while let Some(config) = queue.pop_front() {
@@ -944,7 +943,7 @@ fn kernel_agrees_with_the_reference(
         }
         if jobs == 1 && !spill {
             let exhaustive = &crate::explore::Exhaustive;
-            let (bare, _) = verifier.search_with(exhaustive, 1, None).unwrap();
+            let (bare, ..) = verifier.search_with(exhaustive, 1, None).unwrap();
             let (with, without) = (counts(&report), counts(&bare));
             assert_eq!(
                 with,
@@ -1171,7 +1170,7 @@ fn compare_replays(
         machine,
         atomic,
         &mut interpreted,
-        &mut SuccArena::new(),
+        &mut SuccArena::default(),
     )
     .unwrap();
     assert_eq!(replayed.len(), interpreted.len());
@@ -1627,7 +1626,7 @@ fn reference_delay_bounded(verifier: &Verifier<'_>, delay_bound: usize) -> Outco
         for r in 0..=max_rot {
             let rotated = sched.rotated(r);
             let &machine = rotated.stack.front().expect("normalized non-empty stack");
-            let succs = crate::succ::successors_for(&engine, &config, machine, options.granularity);
+            let succs = successors_for(&engine, &config, machine, options.granularity);
             for mut succ in succs.unwrap() {
                 transitions += 1;
                 let choices = std::mem::take(&mut succ.choices);
@@ -1700,7 +1699,7 @@ fn reference_with_faults(
         }
         // Machine transitions (fault count unchanged).
         for id in engine.enabled_machines(&config) {
-            let succs = crate::succ::successors_for(&engine, &config, id, options.granularity);
+            let succs = successors_for(&engine, &config, id, options.granularity);
             for mut succ in succs.unwrap() {
                 transitions += 1;
                 let choices = std::mem::take(&mut succ.choices);
@@ -1851,4 +1850,409 @@ fn annotated_searches_refuse_por_and_symmetry() {
         ));
         assert!(verifier.try_check_exhaustive().is_ok());
     }
+}
+
+/// Every successor of running `machine` from `config`, each interpreted
+/// into a configuration of its own (no memo): the reference loops' and
+/// the unit tests' way of expanding a state.
+pub(crate) fn successors_for(
+    engine: &p_semantics::Engine<'_>,
+    config: &p_semantics::Config,
+    machine: p_semantics::MachineId,
+    granularity: p_semantics::Granularity,
+) -> Result<Vec<crate::succ::Successor>, p_semantics::ExecError> {
+    let mut out = Vec::new();
+    let mut arena = crate::succ::SuccArena::default();
+    crate::succ::successors_into(engine, config, machine, granularity, &mut out, &mut arena)?;
+    Ok(out)
+}
+
+/// The liveness check as it was before it ran on the kernel: its own
+/// depth-first loop builds the graph over a map of fingerprints to
+/// discovery indices, keeping every configuration and edge; a colour DFS
+/// finds each machine's cycles. Machines and events are visited in
+/// ascending order (the loop once walked hash sets, in no fixed order).
+fn reference_liveness(verifier: &Verifier<'_>) -> crate::LivenessReport {
+    use std::collections::{BTreeSet, HashMap, HashSet};
+    struct Edge {
+        to: usize,
+        machine: p_semantics::MachineId,
+        dequeued: Vec<p_semantics::EventId>,
+    }
+    let engine = verifier.engine();
+    let program = verifier.program();
+    let mut stats = crate::ExplorationStats::default();
+
+    let mut init = engine.initial_config();
+    let mut index: HashMap<Fingerprint, usize> = HashMap::new();
+    index.insert(Fingerprint::from_u128(init.digest()), 0);
+    let mut configs = vec![init];
+    let mut edges: Vec<Vec<Edge>> = vec![Vec::new()];
+    let mut worklist = vec![0usize];
+    while let Some(n) = worklist.pop() {
+        if configs.len() > verifier.options().max_states {
+            stats.truncated = true;
+            break;
+        }
+        let config = configs[n].clone();
+        for id in engine.enabled_machines(&config) {
+            let granularity = verifier.options().granularity;
+            for succ in successors_for(&engine, &config, id, granularity).unwrap() {
+                stats.transitions += 1;
+                if matches!(succ.result.outcome, p_semantics::ExecOutcome::Error(_)) {
+                    continue; // terminal for liveness purposes
+                }
+                let mut child = *succ.config.expect("no memo: every successor is built");
+                let h = Fingerprint::from_u128(child.digest());
+                let to = *index.entry(h).or_insert_with(|| {
+                    configs.push(child);
+                    edges.push(Vec::new());
+                    worklist.push(configs.len() - 1);
+                    configs.len() - 1
+                });
+                let dequeued = succ.result.dequeued.clone();
+                edges[n].push(Edge {
+                    to,
+                    machine: id,
+                    dequeued,
+                });
+            }
+        }
+    }
+    stats.unique_states = configs.len();
+
+    // Iterative Tarjan over the whole graph.
+    let n = configs.len();
+    let (mut counter, mut indices, mut lowlink) = (0, vec![usize::MAX; n], vec![0; n]);
+    let (mut on_stack, mut stack, mut sccs) = (vec![false; n], Vec::new(), Vec::new());
+    for root in 0..n {
+        if indices[root] != usize::MAX {
+            continue;
+        }
+        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
+        while let Some(&mut (v, ref mut cursor)) = call.last_mut() {
+            if *cursor == 0 {
+                indices[v] = counter;
+                lowlink[v] = counter;
+                counter += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if *cursor < edges[v].len() {
+                let w = edges[v][*cursor].to;
+                *cursor += 1;
+                if indices[w] == usize::MAX {
+                    call.push((w, 0));
+                } else if on_stack[w] {
+                    lowlink[v] = lowlink[v].min(indices[w]);
+                }
+            } else {
+                call.pop();
+                if let Some(&mut (parent, _)) = call.last_mut() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                }
+                if lowlink[v] == indices[v] {
+                    let mut scc = Vec::new();
+                    loop {
+                        let w = stack.pop().unwrap();
+                        on_stack[w] = false;
+                        scc.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    sccs.push(scc);
+                }
+            }
+        }
+    }
+
+    // Whether machine `m`'s own edges contain a cycle within `scc`.
+    let single_machine_cycle = |scc: &[usize], m| {
+        let in_scc: HashSet<usize> = scc.iter().copied().collect();
+        let own = |n: usize| -> Vec<usize> {
+            let own = edges[n]
+                .iter()
+                .filter(|e| e.machine == m && in_scc.contains(&e.to));
+            own.map(|e| e.to).collect()
+        };
+        if scc.iter().any(|&n| own(n).contains(&n)) {
+            return true;
+        }
+        // 0 white, 1 grey, 2 black.
+        let mut colour: HashMap<usize, u8> = scc.iter().map(|&n| (n, 0)).collect();
+        for &start in scc {
+            if colour[&start] != 0 {
+                continue;
+            }
+            let mut dfs = vec![(start, 0usize)];
+            colour.insert(start, 1);
+            while let Some(&mut (n, ref mut i)) = dfs.last_mut() {
+                let next = own(n);
+                if *i < next.len() {
+                    let to = next[*i];
+                    *i += 1;
+                    match colour[&to] {
+                        1 => return true,
+                        0 => {
+                            colour.insert(to, 1);
+                            dfs.push((to, 0));
+                        }
+                        _ => {}
+                    }
+                } else {
+                    colour.insert(n, 2);
+                    dfs.pop();
+                }
+            }
+        }
+        false
+    };
+
+    let mut violations = Vec::new();
+    let mut seen = HashSet::new();
+    for scc in &sccs {
+        let scc_set: HashSet<usize> = scc.iter().copied().collect();
+        let internal: Vec<&Edge> = scc
+            .iter()
+            .flat_map(|&n| &edges[n])
+            .filter(|e| scc_set.contains(&e.to))
+            .collect();
+        if internal.is_empty() {
+            continue; // trivial SCC, no cycle
+        }
+        let machines: BTreeSet<_> = scc.iter().flat_map(|&n| configs[n].live_ids()).collect();
+        for &m in &machines {
+            if single_machine_cycle(scc, m) && seen.insert(format!("p1:{}", m.0)) {
+                let scc_size = scc.len();
+                violations.push(LivenessViolation::MachineRunsForever {
+                    machine: m,
+                    scc_size,
+                });
+            }
+        }
+        let scheduled: HashSet<_> = internal.iter().map(|e| e.machine).collect();
+        let unfair = machines.iter().any(|&m| {
+            scc.iter().all(|&n| engine.enabled(&configs[n], m)) && !scheduled.contains(&m)
+        });
+        if unfair {
+            continue;
+        }
+        for &m in &machines {
+            let mut candidates: Option<BTreeSet<p_semantics::EventId>> = None;
+            for &n in scc {
+                let events: BTreeSet<_> = configs[n]
+                    .machine(m)
+                    .map(|ms| ms.queue.iter().map(|&(e, _)| e).collect())
+                    .unwrap_or_default();
+                candidates = Some(match candidates {
+                    None => events,
+                    Some(prev) => prev.intersection(&events).copied().collect(),
+                });
+            }
+            let mut candidates = candidates.unwrap_or_default();
+            for e in internal.iter().filter(|e| e.machine == m) {
+                for ev in &e.dequeued {
+                    candidates.remove(ev);
+                }
+            }
+            candidates.retain(|&ev| {
+                !scc.iter().any(|&n| {
+                    configs[n].machine(m).is_some_and(|ms| {
+                        let state = &program.machine(ms.ty).states[ms.current_state().0 as usize];
+                        state.postponed.contains(ev)
+                    })
+                })
+            });
+            for ev in candidates {
+                if seen.insert(format!("p2:{}:{}", m.0, ev.0)) {
+                    violations.push(LivenessViolation::EventNeverDequeued {
+                        machine: m,
+                        event: ev,
+                        event_name: program.event_name(ev).to_owned(),
+                        scc_size: scc.len(),
+                    });
+                }
+            }
+        }
+    }
+    crate::LivenessReport {
+        violations,
+        complete: !stats.truncated,
+        stats,
+    }
+}
+
+/// A violation's (kind, machine, event), without its witness's size.
+fn violation_key(v: &LivenessViolation) -> (p_semantics::MachineId, Option<p_semantics::EventId>) {
+    match v {
+        LivenessViolation::MachineRunsForever { machine, .. } => (*machine, None),
+        LivenessViolation::EventNeverDequeued { machine, event, .. } => (*machine, Some(*event)),
+    }
+}
+
+/// The kernel's liveness check of `p` against [`reference_liveness`]:
+/// at one worker the same violations in the same order, with the same
+/// witness sizes, states, transitions and completeness; at four the same
+/// (kind, machine, event) set, states and transitions. `None` when the
+/// reference stops at `max_states`, else the kernel's one-worker report.
+fn liveness_agrees(
+    name: &str,
+    p: &LoweredProgram,
+    max_states: usize,
+) -> Option<crate::LivenessReport> {
+    let options = |jobs| CheckerOptions {
+        max_states,
+        jobs,
+        ..CheckerOptions::default()
+    };
+    let reference = reference_liveness(&Verifier::new(p).with_options(options(1)));
+    if !reference.complete {
+        return None;
+    }
+    let counts = |r: &crate::LivenessReport| (r.stats.unique_states, r.stats.transitions);
+    let kernel = Verifier::new(p).with_options(options(1)).check_liveness();
+    assert_eq!(
+        kernel.violations, reference.violations,
+        "{name}: violations"
+    );
+    assert_eq!(
+        counts(&kernel),
+        counts(&reference),
+        "{name}: states, transitions"
+    );
+    assert!(kernel.complete, "{name}");
+    let parallel = Verifier::new(p).with_options(options(4)).check_liveness();
+    let keys = |r: &crate::LivenessReport| {
+        let keys: std::collections::BTreeSet<_> = r.violations.iter().map(violation_key).collect();
+        assert_eq!(keys.len(), r.violations.len(), "{name}: a violation twice");
+        keys
+    };
+    assert_eq!(
+        keys(&parallel),
+        keys(&reference),
+        "{name}: jobs 4 violations"
+    );
+    assert_eq!(
+        counts(&parallel),
+        counts(&reference),
+        "{name}: jobs 4 counts"
+    );
+    assert!(parallel.complete, "{name}");
+    Some(kernel)
+}
+
+/// Generated programs with cycles (`p_corpus::generated_live_src`),
+/// through [`liveness_agrees`]: 256 in a debug build, 2 000 in a release
+/// one, each capped at 20 000 states; at most 5 % may hit the cap. Each
+/// violation kind occurs in at least 2 % of the programs compared, and
+/// in some program a `postpone` silences a starvation that the same
+/// program without its `postpone`s reports. The corpus programs within
+/// the cap (all twelve in a release build) and the inline programs of
+/// `tests/liveness_experiments.rs` go through the comparison too.
+#[test]
+fn generated_programs_agree_on_liveness() {
+    let cases = if cfg!(debug_assertions) { 256 } else { 2_000 };
+    let (mut compared, mut runs_forever, mut starved, mut silenced) = (0, 0, 0, 0);
+    let no_postpone = |src: &str| {
+        (0..4).fold(src.to_owned(), |src, e| {
+            src.replace(&format!(" postpone e{e};"), "")
+        })
+    };
+    for seed in 0..cases {
+        let src = p_corpus::generated_live_src(seed);
+        let name = format!("generated_live_src({seed})\n{src}");
+        let Some(report) = liveness_agrees(&name, &lowered(&src), 20_000) else {
+            continue;
+        };
+        compared += 1;
+        let starves = |r: &crate::LivenessReport| {
+            let starving = r
+                .violations
+                .iter()
+                .map(violation_key)
+                .filter(|k| k.1.is_some());
+            starving.collect::<std::collections::BTreeSet<_>>()
+        };
+        runs_forever += usize::from(starves(&report).len() < report.violations.len());
+        starved += usize::from(!starves(&report).is_empty());
+        let bare = no_postpone(&src);
+        if bare != src {
+            let without = Verifier::new(&lowered(&bare)).check_liveness();
+            silenced += usize::from(!starves(&without).is_subset(&starves(&report)));
+        }
+    }
+    let summary = format!(
+        "{compared} of {cases} compared, {runs_forever} run forever, {starved} starve, \
+         {silenced} silenced by postpone"
+    );
+    assert!(compared * 20 >= cases as usize * 19, "{summary}");
+    assert!(
+        runs_forever * 50 >= compared && starved * 50 >= compared,
+        "{summary}"
+    );
+    assert!(silenced > 0, "{summary}");
+
+    let limit = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        1_000_000
+    };
+    let mut corpus = 0;
+    for (name, program) in p_corpus::all() {
+        let p = lower(&program).unwrap();
+        corpus += usize::from(liveness_agrees(name, &p, limit).is_some());
+    }
+    assert!(
+        corpus >= 8,
+        "{corpus} corpus programs within {limit} states"
+    );
+    let experiments = include_str!("../../../tests/liveness_experiments.rs");
+    let inline: Vec<&str> = experiments
+        .split("r#\"")
+        .skip(1)
+        .map(|rest| rest.split("\"#").next().unwrap())
+        .collect();
+    assert!(inline.len() >= 4);
+    for src in inline {
+        assert!(
+            liveness_agrees(src, &lowered(src), 20_000).is_some(),
+            "{src}"
+        );
+    }
+}
+
+/// `por` and `symmetry` drop edges and rename machines a liveness
+/// verdict needs, and a checkpoint does not hold its graph: the liveness
+/// search refuses each with a typed error.
+#[test]
+fn liveness_refuses_por_symmetry_checkpoint_and_resume() {
+    let p = lowered(STARVATION);
+    let dir = scratch_dir("liveness");
+    for options in [
+        CheckerOptions {
+            por: true,
+            ..CheckerOptions::default()
+        },
+        CheckerOptions {
+            symmetry: true,
+            ..CheckerOptions::default()
+        },
+        CheckerOptions {
+            checkpoint: Some(crate::CheckpointPolicy::new(&dir)),
+            ..CheckerOptions::default()
+        },
+        CheckerOptions {
+            resume: Some(dir.clone()),
+            ..CheckerOptions::default()
+        },
+    ] {
+        let refused = Verifier::new(&p).with_options(options).try_check_liveness();
+        assert!(
+            matches!(refused, Err(crate::CheckerError::Unsupported(_))),
+            "{:?}",
+            refused.map(|r| r.violations)
+        );
+    }
+    assert!(!dir.exists());
 }

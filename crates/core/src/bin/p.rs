@@ -618,12 +618,24 @@ fn liveness(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or_else(usage)?;
     tail_args(args, false, 0)?;
     let (_, compiled) = load(path)?;
-    let report = compiled.verify_liveness();
+    let interrupt = signals::install_interrupt();
+    let options = CheckerOptions {
+        interrupt: Some(interrupt.clone()),
+        ..CheckerOptions::default()
+    };
+    let verifier = compiled.verifier().with_options(options);
+    let report = verifier.try_check_liveness().map_err(|e| e.to_string())?;
     println!(
         "{} state(s), complete = {}",
         report.stats.unique_states, report.complete
     );
-    if report.passed() {
+    if interrupt.load(std::sync::atomic::Ordering::SeqCst) && !report.complete {
+        for v in &report.violations {
+            println!("violation: {v}");
+        }
+        println!("{path}: INTERRUPTED (the graph is partial)");
+        Ok(ExitCode::from(EXIT_INTERRUPTED))
+    } else if report.passed() {
         println!("{path}: no liveness violations");
         Ok(ExitCode::SUCCESS)
     } else {

@@ -606,6 +606,40 @@ fn sigint_interrupts_a_delay_bounded_run() {
     sigint_then_probe("switch_led.p", &["--delay", "8"], "sigint-delay");
 }
 
+/// Ctrl-C on `p liveness` stops the search at the kernel's control
+/// point: the report says the graph is incomplete and the run exits 3.
+/// Finishing first (exit 0) is allowed, as above.
+#[cfg(unix)]
+#[test]
+fn sigint_interrupts_a_liveness_run() {
+    use std::io::Read as _;
+
+    let mut child = p_bin()
+        .arg("liveness")
+        .arg(corpus_file("switch_led.p"))
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let _ = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status()
+        .unwrap();
+    let status = child.wait().unwrap();
+    let mut out = String::new();
+    let mut pipe = child.stdout.take().unwrap();
+    pipe.read_to_string(&mut out).unwrap();
+    match status.code() {
+        Some(3) => assert!(
+            out.contains("complete = false") && out.contains("INTERRUPTED"),
+            "{out}"
+        ),
+        Some(0) => assert!(out.contains("180625 state(s), complete = true"), "{out}"),
+        other => panic!("unexpected exit {other:?}:\n{out}"),
+    }
+}
+
 /// Interrupts `p verify FILE <mode> --checkpoint DIR` and checks that
 /// the checkpoint it leaves loads.
 #[cfg(unix)]
