@@ -35,7 +35,7 @@
 //! ```
 
 use crate::{
-    ActionBinding, ActionDecl, EventDecl, Expr, ForeignFnDecl, ForeignParam, Initializer, Interner,
+    ActionBinding, ActionDecl, EventDecl, ForeignFnDecl, ForeignParam, Initializer, Interner,
     MachineDecl, MainDecl, Program, Span, StateDecl, Stmt, Symbol, TransitionDecl, TransitionKind,
     Ty, VarDecl,
 };
@@ -246,22 +246,6 @@ impl<'a> MachineBuilder<'a> {
         self.foreign_fn_decl(name, params, ret, None)
     }
 
-    /// Declares a foreign function with named parameters and an erasable
-    /// model body for verification (§3's "P body" for foreign code).
-    pub fn foreign_fn_modeled(
-        &mut self,
-        name: &str,
-        params: &[(&str, Ty)],
-        ret: Ty,
-        model_body: Stmt,
-    ) -> Symbol {
-        let params = params
-            .iter()
-            .map(|(n, ty)| ForeignParam::named(self.builder.interner.intern(n), *ty))
-            .collect();
-        self.foreign_fn_decl(name, params, ret, Some(model_body))
-    }
-
     /// Declares a foreign function from already-built parameters.
     pub fn foreign_fn_decl(
         &mut self,
@@ -336,13 +320,6 @@ impl StateBuilder<'_, '_> {
     pub fn entry_raise(mut self, event: &str) -> Self {
         let s = self.machine.builder.interner.intern(event);
         self.state_mut().entry = Stmt::raise(s);
-        self
-    }
-
-    /// Shortcut: entry statement `send(target, event);`.
-    pub fn entry_send(mut self, target: Expr, event: &str) -> Self {
-        let s = self.machine.builder.interner.intern(event);
-        self.state_mut().entry = Stmt::send(target, s);
         self
     }
 }

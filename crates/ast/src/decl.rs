@@ -238,14 +238,6 @@ impl MachineDecl {
             .map(|t| t.to)
     }
 
-    /// `Action(m, n, e)`: the action bound to `(n, e)`, if any.
-    pub fn bound_action(&self, state: Symbol, event: Symbol) -> Option<Symbol> {
-        self.bindings
-            .iter()
-            .find(|b| b.state == state && b.event == event)
-            .map(|b| b.action)
-    }
-
     /// Total number of declared transitions plus action bindings — the
     /// "P transitions" count reported in Figure 8.
     pub fn transition_count(&self) -> usize {

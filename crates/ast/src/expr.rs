@@ -217,11 +217,6 @@ impl Expr {
         Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)))
     }
 
-    /// A foreign-function call expression.
-    pub fn foreign_call(name: Symbol, args: Vec<Expr>) -> Expr {
-        Expr::new(ExprKind::ForeignCall(name, args))
-    }
-
     /// Whether any subexpression is the nondeterministic choice `*`.
     ///
     /// Used by the type checker: `*` is legal only inside ghost machines.

@@ -182,14 +182,6 @@ impl Stmt {
         })
     }
 
-    /// `raise(event, payload);`
-    pub fn raise_with(event: Symbol, payload: Expr) -> Stmt {
-        Stmt::new(StmtKind::Raise {
-            event,
-            payload: Some(payload),
-        })
-    }
-
     /// `leave;`
     pub fn leave() -> Stmt {
         Stmt::new(StmtKind::Leave)

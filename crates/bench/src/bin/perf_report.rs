@@ -9,8 +9,8 @@
 //! increasing them, so the JSON doubles as a soundness witness for the
 //! numbers it reports.
 //!
-//! The rows are [`p_core::telemetry::ExplorationMetrics`] — the same
-//! schema `p verify --profile` embeds in profile JSON — wrapped in a
+//! The rows are [`p_core::exploration_row`]s — the same row `p verify
+//! --profile` embeds in profile JSON — wrapped in a
 //! [`p_core::telemetry::BenchReport`], which is what the CI
 //! `telemetry_gate` parses back to compare throughput.
 //!
@@ -24,6 +24,7 @@
 //! CI job uses to guard the throughput trajectory on every PR.
 
 use p_bench::figures::perf_rows_for;
+use p_core::telemetry::json::JsonValue;
 use p_core::telemetry::BenchReport;
 
 fn main() {
@@ -68,24 +69,26 @@ fn main() {
         programs: perf_rows_for(only.as_deref()),
     };
     for row in &report.programs {
+        let text = |key: &str| row.get(key).and_then(JsonValue::as_str).unwrap_or("");
+        let n = |key: &str| row.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
         println!(
             "{:<12} {:<14} {:>8} {:>12} {:>9.1}ms {:>12.0} {:>11.1} {:>10} {:>12} {:>9}  \
              {:.0}/{:.0}/{:.0}/{:.0}/{:.0}",
-            row.name,
-            row.mode,
-            row.states,
-            row.transitions,
-            row.seconds * 1e3,
-            row.states_per_sec(),
-            row.bytes_per_state(),
-            row.dedup_hits,
-            row.sleep_pruned,
-            row.symmetry_merges,
-            row.exec_seconds * 1e3,
-            row.digest_seconds * 1e3,
-            row.clone_seconds * 1e3,
-            row.canon_seconds * 1e3,
-            row.table_seconds * 1e3,
+            text("name"),
+            text("mode"),
+            n("states"),
+            n("transitions"),
+            n("seconds") * 1e3,
+            n("states_per_sec"),
+            n("bytes_per_state"),
+            n("dedup_hits"),
+            n("sleep_pruned"),
+            n("symmetry_merges"),
+            n("exec_seconds") * 1e3,
+            n("digest_seconds") * 1e3,
+            n("clone_seconds") * 1e3,
+            n("canon_seconds") * 1e3,
+            n("table_seconds") * 1e3,
         );
     }
 

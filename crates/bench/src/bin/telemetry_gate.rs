@@ -79,7 +79,10 @@ fn run() -> Result<(), String> {
     let mut baseline = load(baseline_path)?;
     if let Some(names) = &only {
         for report in [&mut fresh, &mut baseline] {
-            report.programs.retain(|r| names.contains(&r.name));
+            report.programs.retain(|row| {
+                let name = row.get("name").and_then(JsonValue::as_str);
+                name.is_some_and(|name| names.iter().any(|n| n == name))
+            });
         }
         if fresh.programs.is_empty() || baseline.programs.is_empty() {
             return Err("--only filtered out every row of one report".to_owned());

@@ -3,8 +3,8 @@
 use std::time::{Duration, Instant};
 
 use p_core::semantics::Granularity;
-use p_core::telemetry::ExplorationMetrics;
-use p_core::{corpus, CheckerOptions, Compiled, Runtime, Value, Verifier};
+use p_core::telemetry::json::JsonValue;
+use p_core::{corpus, exploration_row, CheckerOptions, Compiled, Runtime, Value, Verifier};
 
 use crate::baseline::{Event, HandwrittenDriver};
 
@@ -42,12 +42,12 @@ pub fn fig7_series(compiled: &Compiled, max_delay: usize) -> Vec<Fig7Point> {
     (0..=max_delay)
         .map(|d| {
             let r = compiled.verify_delay_bounded(d);
-            assert!(r.report.passed(), "fig7 programs are bug-free");
+            assert!(r.passed(), "fig7 programs are bug-free");
             Fig7Point {
                 delay_bound: d,
-                states: r.report.stats.unique_states,
-                scheduler_nodes: r.scheduler_nodes,
-                duration: r.report.stats.duration,
+                states: r.stats.unique_states,
+                scheduler_nodes: r.stats.scheduler_nodes,
+                duration: r.stats.duration,
             }
         })
         .collect()
@@ -71,7 +71,7 @@ pub fn bug_bounds(max_delay: usize) -> Vec<(&'static str, Option<usize>, usize)>
             let mut trace_len = 0;
             for d in 0..=max_delay {
                 let r = compiled.verify_delay_bounded(d);
-                if let Some(cx) = r.report.counterexample {
+                if let Some(cx) = r.counterexample {
                     found = Some(d);
                     trace_len = cx.trace.len();
                     break;
@@ -233,51 +233,6 @@ pub fn ablation_rows() -> Vec<AblationRow> {
         .collect()
 }
 
-/// Converts a checker report into the shared metrics schema row used by
-/// `BENCH_checker.json`, `p verify --profile`, and the CI overhead gate.
-pub fn report_to_metrics(
-    name: &str,
-    mode: &str,
-    workers: u64,
-    report: &p_core::Report,
-) -> ExplorationMetrics {
-    ExplorationMetrics {
-        name: name.to_owned(),
-        mode: mode.to_owned(),
-        strategy: "exhaustive".to_owned(),
-        bound: 0,
-        states: report.stats.unique_states as u64,
-        transitions: report.stats.transitions as u64,
-        replayed_runs: report.stats.replayed_runs as u64,
-        scheduler_nodes: report.stats.scheduler_nodes as u64,
-        fault_transitions: report.stats.fault_transitions as u64,
-        seconds: report.stats.duration.as_secs_f64(),
-        stored_bytes: report.stats.stored_bytes as u64,
-        index_bytes: report.stats.index_bytes as u64,
-        max_depth: report.stats.max_depth as u64,
-        dedup_hits: report.stats.dedup_hits as u64,
-        sleep_pruned: report.stats.sleep_pruned as u64,
-        symmetry_merges: report.stats.symmetry_merges as u64,
-        canon_calls: report.stats.canon_calls as u64,
-        canon_candidates: report.stats.canon_candidates as u64,
-        canon_pinned: report.stats.canon_pinned as u64,
-        workers,
-        spilled_states: report.stats.spilled_states as u64,
-        spill_bytes: report.stats.spill_bytes,
-        cold_hits: report.stats.cold_hits,
-        cold_lookups: report.stats.cold_lookups,
-        cold_run_probes: report.stats.cold_run_probes,
-        cold_reads: report.stats.cold_reads,
-        passed: report.passed(),
-        complete: report.complete,
-        exec_seconds: report.stats.phases.exec as f64 / 1e9,
-        digest_seconds: report.stats.phases.digest as f64 / 1e9,
-        clone_seconds: report.stats.phases.clone as f64 / 1e9,
-        canon_seconds: report.stats.phases.canon as f64 / 1e9,
-        table_seconds: report.stats.phases.table as f64 / 1e9,
-    }
-}
-
 /// Runs a (deterministic) exploration three times and keeps the fastest
 /// run — state counts cannot differ, so this only de-noises the wall
 /// time, which the CI overhead gate compares across builds.
@@ -302,17 +257,16 @@ fn best_of_three(run: impl Fn() -> p_core::Report) -> p_core::Report {
 /// preserves the unique-state count exactly (it prunes transitions,
 /// never states), and that symmetry never *increases* it (it merges
 /// id-permuted duplicates). Returns four rows per program, tagged
-/// `"exhaustive"`, `"por"`, `"symmetry"` and `"por+symmetry"`, in the
-/// shared [`ExplorationMetrics`] schema. Each measurement is the
-/// fastest of three runs.
-pub fn perf_rows() -> Vec<ExplorationMetrics> {
+/// `"exhaustive"`, `"por"`, `"symmetry"` and `"por+symmetry"`, built by
+/// [`exploration_row`]. Each measurement is the fastest of three runs.
+pub fn perf_rows() -> Vec<JsonValue> {
     perf_rows_for(None)
 }
 
 /// [`perf_rows`] restricted to the corpus programs named in `only`
 /// (all of them when `None`). Unknown names panic rather than silently
 /// measuring nothing — a typo in a CI job must fail loudly.
-pub fn perf_rows_for(only: Option<&[String]>) -> Vec<ExplorationMetrics> {
+pub fn perf_rows_for(only: Option<&[String]>) -> Vec<JsonValue> {
     if let Some(names) = only {
         for name in names {
             assert!(
@@ -367,10 +321,14 @@ pub fn perf_rows_for(only: Option<&[String]>) -> Vec<ExplorationMetrics> {
                 "{name}: {mode} increased the state count"
             );
         }
-        rows.push(report_to_metrics(name, "exhaustive", 1, &full));
-        rows.push(report_to_metrics(name, "por", 1, &por));
-        rows.push(report_to_metrics(name, "symmetry", 1, &sym));
-        rows.push(report_to_metrics(name, "por+symmetry", 1, &por_sym));
+        for (mode, report) in [
+            ("exhaustive", &full),
+            ("por", &por),
+            ("symmetry", &sym),
+            ("por+symmetry", &por_sym),
+        ] {
+            rows.push(exploration_row(name, mode, ("exhaustive", 0), 1, report));
+        }
     }
     rows
 }

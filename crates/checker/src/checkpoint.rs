@@ -40,7 +40,7 @@ use p_semantics::hash::fingerprint128;
 use crate::error::CheckerError;
 use crate::stats::ExplorationStats;
 use crate::trace::EdgeRecord;
-use crate::wire;
+use p_semantics::wire;
 
 /// File-format magic.
 const MAGIC: &[u8; 4] = b"PCHK";

@@ -139,41 +139,30 @@ impl Scheduler for DelayBounded {
 
     fn decode(mut bytes: &[u8]) -> Option<SchedulerState> {
         let buf = &mut bytes;
-        let len = crate::wire::read_u32(buf)? as usize;
-        let ids = crate::wire::take(buf, len.checked_mul(4)?)?;
+        let len = p_semantics::wire::read_u32(buf)? as usize;
+        let ids = p_semantics::wire::take(buf, len.checked_mul(4)?)?;
         let stack = ids
             .chunks_exact(4)
             .map(|id| MachineId(u32::from_le_bytes(id.try_into().expect("four bytes"))))
             .collect();
-        let delays = crate::wire::read_u64(buf)? as usize;
+        let delays = p_semantics::wire::read_u64(buf)? as usize;
         buf.is_empty().then_some(SchedulerState { stack, delays })
     }
-}
-
-/// Report of a delay-bounded exploration.
-#[derive(Debug, Clone)]
-pub struct DelayReport {
-    /// The safety result and statistics. `stats.unique_states` counts
-    /// unique *configurations* (the Figure 7 quantity); scheduler nodes
-    /// are reported separately.
-    pub report: Report,
-    /// The delay budget used.
-    pub delay_bound: usize,
-    /// Unique (configuration, scheduler state) pairs visited.
-    pub scheduler_nodes: usize,
 }
 
 impl Verifier<'_> {
     /// Delay-bounded systematic testing with the causal delaying scheduler
     /// of §5. Every [`crate::CheckerOptions`] field but `por`/`symmetry`
-    /// applies as to the exhaustive search.
+    /// applies as to the exhaustive search. `stats.unique_states` counts
+    /// unique *configurations* (the Figure 7 quantity) and
+    /// `stats.scheduler_nodes` the (configuration, scheduler state) pairs.
     ///
     /// # Panics
     ///
     /// Panics if the search fails with a [`CheckerError`], as
     /// [`Verifier::check_exhaustive`] does. Use
     /// [`Verifier::try_check_delay_bounded`] to handle those errors.
-    pub fn check_delay_bounded(&self, delay_bound: usize) -> DelayReport {
+    pub fn check_delay_bounded(&self, delay_bound: usize) -> Report {
         self.try_check_delay_bounded(delay_bound)
             .expect("delay-bounded search failed; use try_check_delay_bounded to handle errors")
     }
@@ -181,14 +170,10 @@ impl Verifier<'_> {
     /// [`Verifier::check_delay_bounded`], surfacing errors instead of
     /// panicking: those of [`Verifier::try_check_exhaustive`], and
     /// [`CheckerError::Unsupported`] for `por` or `symmetry`.
-    pub fn try_check_delay_bounded(&self, delay_bound: usize) -> Result<DelayReport, CheckerError> {
+    pub fn try_check_delay_bounded(&self, delay_bound: usize) -> Result<Report, CheckerError> {
         let jobs = self.options().jobs;
         let (report, ..) = self.search_with(&DelayBounded(delay_bound), jobs, SLOT_MEMO_ENTRIES)?;
-        Ok(DelayReport {
-            delay_bound,
-            scheduler_nodes: report.stats.scheduler_nodes,
-            report,
-        })
+        Ok(report)
     }
 }
 

@@ -63,7 +63,7 @@ use crate::checkpoint::VisitedEntry;
 use crate::error::CheckerError;
 use crate::fingerprint::{Fingerprint, FpHashMap, VisitedSet};
 use crate::por::SleepSet;
-use crate::stats::PhaseNanos;
+use crate::stats::{ExplorationStats, PhaseNanos, SUMS};
 use crate::store::{RunStore, Runs, SpillCounters};
 use crate::trace::{EdgeRecord, StepSeed, TraceStep};
 
@@ -135,7 +135,7 @@ pub(crate) fn parent_cap_for(hot_budget: usize) -> usize {
 
 /// Shared additive totals of one search.
 ///
-/// Workers keep cheap thread-local [`crate::ExplorationStats`] and
+/// Workers keep cheap thread-local [`ExplorationStats`] and
 /// *flush deltas* here — every few dozen tasks, before parking at a
 /// checkpoint rendezvous and unconditionally on exit — so the final
 /// totals are exact regardless of how a worker leaves its loop
@@ -156,17 +156,8 @@ pub(crate) fn parent_cap_for(hot_budget: usize) -> usize {
 /// search.
 #[derive(Debug, Default)]
 pub(crate) struct SharedCounters {
-    transitions: AtomicUsize,
-    replayed_runs: AtomicUsize,
-    fault_transitions: AtomicUsize,
-    dedup_hits: AtomicUsize,
-    sleep_pruned: AtomicUsize,
-    quiescent_states: AtomicUsize,
-    stuck_states: AtomicUsize,
-    symmetry_merges: AtomicUsize,
-    canon_calls: AtomicUsize,
-    canon_candidates: AtomicUsize,
-    canon_pinned: AtomicUsize,
+    /// The additive counters, in [`ExplorationStats::sums_mut`] order.
+    sums: [AtomicUsize; SUMS],
     max_depth: AtomicUsize,
     max_queue_seen: AtomicUsize,
     /// Sampled phase nanoseconds, in [`PhaseNanos::to_array`] order.
@@ -178,81 +169,42 @@ impl SharedCounters {
     /// portion it already flushed into the shared totals, then advances
     /// the flushed watermark. Additive counters add their delta; maxima
     /// race via `fetch_max`.
-    pub(crate) fn flush(
-        &self,
-        local: &crate::ExplorationStats,
-        flushed: &mut crate::ExplorationStats,
-    ) {
-        let (l, f) = (local, flushed);
-        for (cell, now, before) in [
-            (&self.transitions, l.transitions, &mut f.transitions),
-            (&self.replayed_runs, l.replayed_runs, &mut f.replayed_runs),
-            (
-                &self.fault_transitions,
-                l.fault_transitions,
-                &mut f.fault_transitions,
-            ),
-            (&self.dedup_hits, l.dedup_hits, &mut f.dedup_hits),
-            (&self.sleep_pruned, l.sleep_pruned, &mut f.sleep_pruned),
-            (
-                &self.quiescent_states,
-                l.quiescent_states,
-                &mut f.quiescent_states,
-            ),
-            (&self.stuck_states, l.stuck_states, &mut f.stuck_states),
-            (
-                &self.symmetry_merges,
-                l.symmetry_merges,
-                &mut f.symmetry_merges,
-            ),
-            (&self.canon_calls, l.canon_calls, &mut f.canon_calls),
-            (
-                &self.canon_candidates,
-                l.canon_candidates,
-                &mut f.canon_candidates,
-            ),
-            (&self.canon_pinned, l.canon_pinned, &mut f.canon_pinned),
-        ] {
-            if now > *before {
-                cell.fetch_add(now - *before, Ordering::Relaxed);
-                *before = now;
+    pub(crate) fn flush(&self, local: &ExplorationStats, flushed: &mut ExplorationStats) {
+        let mut now = local.clone();
+        for ((cell, now), before) in self.sums.iter().zip(now.sums_mut()).zip(flushed.sums_mut()) {
+            if *now > *before {
+                cell.fetch_add(*now - *before, Ordering::Relaxed);
+                *before = *now;
             }
         }
-        self.max_depth.fetch_max(l.max_depth, Ordering::Relaxed);
+        self.max_depth.fetch_max(local.max_depth, Ordering::Relaxed);
         self.max_queue_seen
-            .fetch_max(l.max_queue_seen, Ordering::Relaxed);
-        let now = l.phases.to_array();
-        let before = f.phases.to_array();
+            .fetch_max(local.max_queue_seen, Ordering::Relaxed);
+        let now = local.phases.to_array();
+        let before = flushed.phases.to_array();
         for (cell, (now, before)) in self.phase_nanos.iter().zip(now.into_iter().zip(before)) {
             if now > before {
                 cell.fetch_add(now - before, Ordering::Relaxed);
             }
         }
-        f.phases = l.phases;
+        flushed.phases = local.phases;
     }
 
-    /// The flushed totals as an [`crate::ExplorationStats`] skeleton
+    /// The flushed totals as an [`ExplorationStats`] skeleton
     /// (state/byte counts and duration are owned elsewhere).
-    pub(crate) fn totals(&self) -> crate::ExplorationStats {
-        crate::ExplorationStats {
-            transitions: self.transitions.load(Ordering::Relaxed),
-            replayed_runs: self.replayed_runs.load(Ordering::Relaxed),
-            fault_transitions: self.fault_transitions.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            sleep_pruned: self.sleep_pruned.load(Ordering::Relaxed),
-            quiescent_states: self.quiescent_states.load(Ordering::Relaxed),
-            stuck_states: self.stuck_states.load(Ordering::Relaxed),
-            symmetry_merges: self.symmetry_merges.load(Ordering::Relaxed),
-            canon_calls: self.canon_calls.load(Ordering::Relaxed),
-            canon_candidates: self.canon_candidates.load(Ordering::Relaxed),
-            canon_pinned: self.canon_pinned.load(Ordering::Relaxed),
+    pub(crate) fn totals(&self) -> ExplorationStats {
+        let mut stats = ExplorationStats {
             max_depth: self.max_depth.load(Ordering::Relaxed),
             max_queue_seen: self.max_queue_seen.load(Ordering::Relaxed),
             phases: PhaseNanos::from_array(std::array::from_fn(|i| {
                 self.phase_nanos[i].load(Ordering::Relaxed)
             })),
-            ..crate::ExplorationStats::default()
+            ..ExplorationStats::default()
+        };
+        for (total, cell) in stats.sums_mut().into_iter().zip(&self.sums) {
+            *total = cell.load(Ordering::Relaxed);
         }
+        stats
     }
 }
 

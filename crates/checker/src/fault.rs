@@ -259,26 +259,9 @@ impl Scheduler for FaultScheduler {
     }
 
     fn decode(mut bytes: &[u8]) -> Option<usize> {
-        let used = crate::wire::read_u64(&mut bytes)?;
+        let used = p_semantics::wire::read_u64(&mut bytes)?;
         bytes.is_empty().then_some(used as usize)
     }
-}
-
-/// Report of a fault-injecting exploration.
-#[derive(Debug, Clone)]
-pub struct FaultReport {
-    /// The safety result and statistics. `stats.unique_states` counts
-    /// unique *configurations*; (configuration, faults-used) nodes are
-    /// reported separately.
-    pub report: Report,
-    /// The fault budget used.
-    pub fault_budget: usize,
-    /// The fault kinds that were in play.
-    pub kinds: Vec<FaultKind>,
-    /// Unique (configuration, faults-used) pairs visited.
-    pub fault_nodes: usize,
-    /// Fault injections explored (edges, not unique nodes).
-    pub fault_transitions: usize,
 }
 
 impl Verifier<'_> {
@@ -291,13 +274,16 @@ impl Verifier<'_> {
     /// Fault injections appear in counterexample traces as dedicated
     /// steps and replay deterministically. Every [`crate::CheckerOptions`]
     /// field but `por`/`symmetry` applies as to the exhaustive search.
+    /// `stats.unique_states` counts unique *configurations*,
+    /// `stats.scheduler_nodes` the (configuration, faults-used) pairs and
+    /// `stats.fault_transitions` the injections explored.
     ///
     /// # Panics
     ///
     /// Panics if the search fails with a [`CheckerError`], as
     /// [`Verifier::check_exhaustive`] does. Use
     /// [`Verifier::try_check_with_faults`] to handle those errors.
-    pub fn check_with_faults(&self, budget: usize, kinds: &[FaultKind]) -> FaultReport {
+    pub fn check_with_faults(&self, budget: usize, kinds: &[FaultKind]) -> Report {
         self.try_check_with_faults(budget, kinds)
             .expect("fault-injecting search failed; use try_check_with_faults to handle errors")
     }
@@ -309,16 +295,10 @@ impl Verifier<'_> {
         &self,
         budget: usize,
         kinds: &[FaultKind],
-    ) -> Result<FaultReport, CheckerError> {
+    ) -> Result<Report, CheckerError> {
         let scheduler = FaultScheduler::new(budget, kinds);
         let (report, ..) = self.search_with(&scheduler, self.options().jobs, SLOT_MEMO_ENTRIES)?;
-        Ok(FaultReport {
-            fault_budget: budget,
-            kinds: scheduler.kinds,
-            fault_nodes: report.stats.scheduler_nodes,
-            fault_transitions: report.stats.fault_transitions,
-            report,
-        })
+        Ok(report)
     }
 }
 
@@ -521,18 +501,15 @@ mod tests {
         let verifier = Verifier::new(&p);
         // Fault-free search (budget 0) sees only FIFO delivery: correct.
         let clean = verifier.check_with_faults(0, &[]);
-        assert!(clean.report.passed(), "{:?}", clean.report.counterexample);
-        assert!(clean.report.complete);
-        assert_eq!(clean.fault_transitions, 0);
+        assert!(clean.passed(), "{:?}", clean.counterexample);
+        assert!(clean.complete);
+        assert_eq!(clean.stats.fault_transitions, 0);
         // One dropped event breaks it.
         let faulty = verifier.check_with_faults(1, &[FaultKind::Drop]);
-        let cx = faulty
-            .report
-            .counterexample
-            .expect("drop fault finds the bug");
+        let cx = faulty.counterexample.expect("drop fault finds the bug");
         assert!(matches!(cx.error.kind, ErrorKind::UnhandledEvent { .. }));
         assert!(cx.trace.iter().any(|s| s.fault.is_some()));
-        assert!(faulty.fault_transitions > 0);
+        assert!(faulty.stats.fault_transitions > 0);
     }
 
     #[test]
@@ -540,10 +517,7 @@ mod tests {
         let p = compiled(LOSSY);
         let verifier = Verifier::new(&p);
         let report = verifier.check_with_faults(1, &[FaultKind::Delay]);
-        let cx = report
-            .report
-            .counterexample
-            .expect("delay fault finds the bug");
+        let cx = report.counterexample.expect("delay fault finds the bug");
         assert!(matches!(cx.error.kind, ErrorKind::UnhandledEvent { .. }));
         let fault = cx
             .trace
@@ -558,16 +532,10 @@ mod tests {
         let p = compiled(AT_MOST_ONCE);
         let verifier = Verifier::new(&p);
         // Dropping the only event cannot violate the ≤1 assertion.
-        assert!(verifier
-            .check_with_faults(3, &[FaultKind::Drop])
-            .report
-            .passed());
+        assert!(verifier.check_with_faults(3, &[FaultKind::Drop]).passed());
         // Re-delivery does.
         let report = verifier.check_with_faults(1, &[FaultKind::Dup]);
-        let cx = report
-            .report
-            .counterexample
-            .expect("dup fault finds the bug");
+        let cx = report.counterexample.expect("dup fault finds the bug");
         assert_eq!(cx.error.kind, ErrorKind::AssertionFailure);
     }
 
@@ -576,7 +544,7 @@ mod tests {
         let p = compiled(LOSSY);
         let verifier = Verifier::new(&p);
         let report = verifier.check_with_faults(1, &[]);
-        let cx = report.report.counterexample.expect("bug found");
+        let cx = report.counterexample.expect("bug found");
         assert!(verifier.replay(&cx).reproduced());
         // The last-good state replays the fault prefix too.
         let config = verifier.replay_to_last_good(&cx).expect("prefix replays");
@@ -589,7 +557,6 @@ mod tests {
         let verifier = Verifier::new(&p);
         let cx = verifier
             .check_with_faults(1, &[FaultKind::Drop])
-            .report
             .counterexample
             .unwrap();
         let fault_at = cx.trace.iter().position(|s| s.fault.is_some()).unwrap();
@@ -607,10 +574,7 @@ mod tests {
         let verifier = Verifier::new(&p);
         let plain = verifier.check_exhaustive();
         let faultless = verifier.check_with_faults(0, &[]);
-        assert_eq!(plain.passed(), faultless.report.passed());
-        assert_eq!(
-            plain.stats.unique_states,
-            faultless.report.stats.unique_states
-        );
+        assert_eq!(plain.passed(), faultless.passed());
+        assert_eq!(plain.stats.unique_states, faultless.stats.unique_states);
     }
 }

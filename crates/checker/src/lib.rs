@@ -83,13 +83,12 @@ mod stats;
 mod store;
 mod succ;
 mod trace;
-mod wire;
 
 pub use checkpoint::CheckpointPolicy;
-pub use delay::{DelayReport, SchedulerState};
+pub use delay::SchedulerState;
 pub use error::CheckerError;
 pub use explore::{CheckerOptions, Report, Verifier};
-pub use fault::{FaultDecision, FaultKind, FaultReport, FaultScheduler};
+pub use fault::{FaultDecision, FaultKind, FaultScheduler};
 pub use fingerprint::Fingerprint;
 pub use liveness::{LivenessReport, LivenessViolation};
 pub use replay::ReplayOutcome;

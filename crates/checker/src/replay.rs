@@ -224,7 +224,7 @@ mod tests {
         let p = compiled(RACY);
         let verifier = Verifier::new(&p);
         let report = verifier.check_delay_bounded(2);
-        let cx = report.report.counterexample.expect("bug found");
+        let cx = report.counterexample.expect("bug found");
         assert!(verifier.replay(&cx).reproduced());
     }
 

@@ -4,6 +4,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use p_telemetry::json::{num, obj, JsonValue};
+
 /// Sampled per-phase attribution of exploration time, in nanoseconds.
 ///
 /// Filled by the search kernel from a 1-in-N task sample scaled
@@ -157,7 +159,76 @@ pub struct ExplorationStats {
     pub phases: PhaseNanos,
 }
 
+/// How many counters [`ExplorationStats::sums_mut`] yields.
+pub(crate) const SUMS: usize = 11;
+
 impl ExplorationStats {
+    /// The counters that add up across workers, in a fixed order: the
+    /// search kernel keeps one atomic per entry (`engine::SharedCounters`).
+    /// The maxima, the phases and the counts the visited table owns are
+    /// not among them.
+    pub(crate) fn sums_mut(&mut self) -> [&mut usize; SUMS] {
+        [
+            &mut self.transitions,
+            &mut self.replayed_runs,
+            &mut self.fault_transitions,
+            &mut self.dedup_hits,
+            &mut self.sleep_pruned,
+            &mut self.quiescent_states,
+            &mut self.stuck_states,
+            &mut self.symmetry_merges,
+            &mut self.canon_calls,
+            &mut self.canon_candidates,
+            &mut self.canon_pinned,
+        ]
+    }
+
+    /// The run's counters as one JSON object: the counters of the
+    /// `exploration` object of `p verify --profile` and of a
+    /// `BENCH_checker.json` row. Times are in seconds; `states_per_sec`
+    /// and `bytes_per_state` are derived here. The diagnostics
+    /// `max_queue_seen`, `quiescent_states`, `stuck_states` and
+    /// `truncated` are left out.
+    pub fn to_json(&self) -> JsonValue {
+        let n = |v: usize| num(v as f64);
+        let secs = |nanos: u64| num(nanos as f64 / 1e9);
+        let bytes_per_state = if self.unique_states > 0 {
+            self.stored_bytes as f64 / self.unique_states as f64
+        } else {
+            0.0
+        };
+        obj(vec![
+            ("states", n(self.unique_states)),
+            ("transitions", n(self.transitions)),
+            ("replayed_runs", n(self.replayed_runs)),
+            ("scheduler_nodes", n(self.scheduler_nodes)),
+            ("fault_transitions", n(self.fault_transitions)),
+            ("seconds", num(self.duration.as_secs_f64())),
+            ("states_per_sec", num(self.states_per_second())),
+            ("stored_bytes", n(self.stored_bytes)),
+            ("index_bytes", n(self.index_bytes)),
+            ("bytes_per_state", num(bytes_per_state)),
+            ("max_depth", n(self.max_depth)),
+            ("dedup_hits", n(self.dedup_hits)),
+            ("sleep_pruned", n(self.sleep_pruned)),
+            ("symmetry_merges", n(self.symmetry_merges)),
+            ("canon_calls", n(self.canon_calls)),
+            ("canon_candidates", n(self.canon_candidates)),
+            ("canon_pinned", n(self.canon_pinned)),
+            ("spilled_states", n(self.spilled_states)),
+            ("spill_bytes", num(self.spill_bytes as f64)),
+            ("cold_hits", num(self.cold_hits as f64)),
+            ("cold_lookups", num(self.cold_lookups as f64)),
+            ("cold_run_probes", num(self.cold_run_probes as f64)),
+            ("cold_reads", num(self.cold_reads as f64)),
+            ("exec_seconds", secs(self.phases.exec)),
+            ("digest_seconds", secs(self.phases.digest)),
+            ("clone_seconds", secs(self.phases.clone)),
+            ("canon_seconds", secs(self.phases.canon)),
+            ("table_seconds", secs(self.phases.table)),
+        ])
+    }
+
     /// Approximate memory in mebibytes.
     pub fn stored_mib(&self) -> f64 {
         self.stored_bytes as f64 / (1024.0 * 1024.0)
@@ -281,5 +352,9 @@ mod tests {
         let s = ExplorationStats::default();
         assert_eq!(s.states_per_second(), 0.0);
         assert_eq!(s.stored_mib(), 0.0);
+        let json = s.to_json();
+        for derived in ["states_per_sec", "bytes_per_state"] {
+            assert_eq!(json.get(derived).and_then(JsonValue::as_f64), Some(0.0));
+        }
     }
 }

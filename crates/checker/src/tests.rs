@@ -63,21 +63,18 @@ fn delay_zero_is_causal_and_misses_the_race() {
     let p = lowered(RACE);
     let report = Verifier::new(&p).check_delay_bounded(0);
     assert!(
-        report.report.passed(),
+        report.passed(),
         "d=0 must follow the causal schedule: {:?}",
-        report.report.counterexample
+        report.counterexample
     );
-    assert!(report.report.complete);
+    assert!(report.complete);
 }
 
 #[test]
 fn delay_one_finds_the_race() {
     let p = lowered(RACE);
     let report = Verifier::new(&p).check_delay_bounded(1);
-    let cx = report
-        .report
-        .counterexample
-        .expect("d=1 must find the race");
+    let cx = report.counterexample.expect("d=1 must find the race");
     assert_eq!(cx.error.kind, ErrorKind::AssertionFailure);
 }
 
@@ -90,8 +87,8 @@ fn delay_bound_coverage_is_monotone() {
     let mut last = 0;
     for d in 0..6 {
         let report = verifier.check_delay_bounded(d);
-        assert!(report.report.passed());
-        let states = report.report.stats.unique_states;
+        assert!(report.passed());
+        let states = report.stats.unique_states;
         assert!(
             states >= last,
             "coverage shrank at d={d}: {states} < {last}"
@@ -110,7 +107,7 @@ fn high_delay_bound_matches_exhaustive_coverage() {
     assert!(exhaustive.complete);
     let delayed = verifier.check_delay_bounded(16);
     assert_eq!(
-        delayed.report.stats.unique_states, exhaustive.stats.unique_states,
+        delayed.stats.unique_states, exhaustive.stats.unique_states,
         "a large delay budget must cover the full state space"
     );
 }
@@ -575,7 +572,7 @@ fn replayed_delay_traces_match_recorded_length() {
     let p = lowered(RACE);
     let verifier = Verifier::new(&p);
     let r = verifier.check_delay_bounded(2);
-    let cx = r.report.counterexample.expect("race found at d<=2");
+    let cx = r.counterexample.expect("race found at d<=2");
     // replay() must accept traces produced by the delay-bounded explorer.
     assert!(verifier.replay(&cx).reproduced());
     // And the last-good prefix is reachable.
@@ -1025,6 +1022,98 @@ fn generated_programs_agree_with_the_reference() {
     assert!(
         compared * 50 >= cases as usize * 49,
         "{compared} of {cases} within 10⁴ states"
+    );
+}
+
+/// The `--delay`/`--faults` oracle over generated programs
+/// (`p_corpus::generated_src`), against the exhaustive search of the same
+/// program: `--faults 0` is that search; `--delay d` finds a violation
+/// only where it finds one, and on an error-free program covers no more
+/// configurations, more as `d` grows, and all of them at the saturating
+/// bound `(n - 1) · max_depth` (DESIGN.md §9), where `n` bounds the
+/// machines a run holds (main creates one of each type) and `max_depth`
+/// is the exhaustive run's. Programs of more than 300 exhaustive states
+/// are skipped and counted: of 256 seeds in a debug build at least 32
+/// are compared, of 2 000 in a release one at least 128.
+#[test]
+fn generated_programs_agree_under_delay_and_faults() {
+    let (cases, needed) = if cfg!(debug_assertions) {
+        (256, 32)
+    } else {
+        (2_000, 128)
+    };
+    let (mut compared, mut skipped) = (0, 0);
+    for seed in 0..cases {
+        let program = p_corpus::generated_program(seed);
+        let p = lower(&program).unwrap();
+        let verifier = Verifier::new(&p);
+        let full = verifier.check_exhaustive();
+        if full.stats.unique_states > 300 {
+            skipped += 1;
+            continue;
+        }
+        compared += 1;
+        let text = || p_ast::print_program(&program);
+        let name = format!("generated_src({seed})");
+        let counts = |r: &crate::Report| (r.passed(), r.stats.unique_states, r.stats.transitions);
+        let faultless = verifier.check_with_faults(0, &[]);
+        assert_eq!(
+            counts(&faultless),
+            counts(&full),
+            "{name} --faults 0\n{}",
+            text()
+        );
+
+        let saturating = (p.machines.len() - 1) * full.stats.max_depth;
+        let mut bounds = vec![0, 1, 2, 3, saturating];
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut last = 0;
+        for d in bounds {
+            let delayed = verifier.check_delay_bounded(d);
+            let mode = format!("{name} --delay {d}");
+            assert!(
+                delayed.passed() || !full.passed(),
+                "{mode}: a violation exhaustive search misses\n{}",
+                text()
+            );
+            if d == saturating {
+                assert_eq!(
+                    delayed.passed(),
+                    full.passed(),
+                    "{mode}: verdict\n{}",
+                    text()
+                );
+            }
+            if !full.passed() {
+                continue;
+            }
+            let states = delayed.stats.unique_states;
+            assert!(delayed.complete, "{mode}");
+            assert!(
+                states >= last,
+                "{mode}: {states} < {last} configurations\n{}",
+                text()
+            );
+            assert!(
+                states <= full.stats.unique_states,
+                "{mode}: {states} configurations\n{}",
+                text()
+            );
+            if d == saturating {
+                assert_eq!(
+                    states,
+                    full.stats.unique_states,
+                    "{mode}: configurations\n{}",
+                    text()
+                );
+            }
+            last = states;
+        }
+    }
+    assert!(
+        compared >= needed,
+        "{compared} of {cases} programs compared, {skipped} over 300 states"
     );
 }
 
@@ -1773,22 +1862,13 @@ fn kernel_matches_the_reference_loops() {
         let verifier = Verifier::new(&p);
         for d in 0..=3 {
             let kernel = verifier.check_delay_bounded(d);
-            assert_eq!(kernel.scheduler_nodes, kernel.report.stats.scheduler_nodes);
             let reference = reference_delay_bounded(&verifier, d);
-            assert_eq!(Outcome::of(kernel.report), reference, "{name} --delay {d}");
+            assert_eq!(Outcome::of(kernel), reference, "{name} --delay {d}");
         }
         for budget in 0..=1 {
             let kernel = verifier.check_with_faults(budget, &[]);
-            assert_eq!(
-                kernel.fault_transitions,
-                kernel.report.stats.fault_transitions
-            );
             let reference = reference_with_faults(&verifier, budget, &[]);
-            assert_eq!(
-                Outcome::of(kernel.report),
-                reference,
-                "{name} --faults {budget}"
-            );
+            assert_eq!(Outcome::of(kernel), reference, "{name} --faults {budget}");
         }
     }
     assert!(
@@ -1810,22 +1890,19 @@ fn annotated_searches_respect_the_state_bound() {
     };
     let verifier = Verifier::new(&p).with_options(options(1));
     let delayed = verifier.check_delay_bounded(2);
-    assert!(delayed.report.stats.truncated && !delayed.report.complete);
-    assert_eq!(delayed.report.stats.unique_states, 500);
-    assert_eq!(
-        Outcome::of(delayed.report),
-        reference_delay_bounded(&verifier, 2)
-    );
+    assert!(delayed.stats.truncated && !delayed.complete);
+    assert_eq!(delayed.stats.unique_states, 500);
+    assert_eq!(Outcome::of(delayed), reference_delay_bounded(&verifier, 2));
     let faulty = verifier.check_with_faults(1, &[crate::FaultKind::Dup]);
-    assert!(faulty.report.stats.truncated);
+    assert!(faulty.stats.truncated);
     assert_eq!(
-        Outcome::of(faulty.report),
+        Outcome::of(faulty),
         reference_with_faults(&verifier, 1, &[crate::FaultKind::Dup])
     );
     let parallel = Verifier::new(&p).with_options(options(4));
     let delayed = parallel.check_delay_bounded(2);
-    assert!(delayed.report.stats.truncated && delayed.report.passed());
-    assert_eq!(delayed.report.stats.unique_states, 500);
+    assert!(delayed.stats.truncated && delayed.passed());
+    assert_eq!(delayed.stats.unique_states, 500);
 }
 
 /// `por` and `symmetry` are refused for the annotated strategies, by the

@@ -19,6 +19,7 @@
 use std::fs;
 use std::process::ExitCode;
 
+use p_core::checker::FaultScheduler;
 use p_core::{CheckerOptions, Compiled, Value};
 
 /// Exit code for a property violation (counterexample found).
@@ -365,7 +366,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
             builder = builder.progress(std::time::Duration::from_millis(100));
         }
         let (t, ring) = builder.build();
-        (t, ring)
+        (t, Some(ring))
     } else {
         (p_core::Telemetry::disabled(), None)
     };
@@ -384,53 +385,45 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
         .with_options(options)
         .with_telemetry(telemetry.clone());
     let report = match (delay, faults) {
-        (None, None) => verifier.try_check_exhaustive().map_err(|e| e.to_string())?,
-        (Some(d), _) => {
-            let r = verifier
-                .try_check_delay_bounded(d)
-                .map_err(|e| e.to_string())?;
-            println!("delay bound {d}, {} scheduler node(s)", r.scheduler_nodes);
-            r.report
-        }
-        (None, Some(budget)) => {
-            let r = verifier
-                .try_check_with_faults(budget, &fault_kinds)
-                .map_err(|e| e.to_string())?;
-            println!(
-                "fault budget {budget} ({}), {} fault node(s), {} injection(s) explored",
-                r.kinds
-                    .iter()
-                    .map(|k| k.tag())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                r.fault_nodes,
-                r.fault_transitions
-            );
-            r.report
-        }
-    };
-    let (passed, complete, interrupted) = (report.passed(), report.complete, report.interrupted);
-    let (stats, counterexample) = (report.stats, report.counterexample);
+        (None, None) => verifier.try_check_exhaustive(),
+        (Some(d), _) => verifier.try_check_delay_bounded(d),
+        (None, Some(budget)) => verifier.try_check_with_faults(budget, &fault_kinds),
+    }
+    .map_err(|e| e.to_string())?;
+    match (delay, faults) {
+        (Some(d), _) => println!(
+            "delay bound {d}, {} scheduler node(s)",
+            report.stats.scheduler_nodes
+        ),
+        (None, Some(budget)) => println!(
+            "fault budget {budget} ({}), {} fault node(s), {} injection(s) explored",
+            FaultScheduler::new(budget, &fault_kinds)
+                .kinds()
+                .iter()
+                .map(|k| k.tag())
+                .collect::<Vec<_>>()
+                .join(","),
+            report.stats.scheduler_nodes,
+            report.stats.fault_transitions
+        ),
+        (None, None) => {}
+    }
 
     if let Some(target) = &profile {
-        write_profile(
-            target,
-            path,
+        let row = p_core::exploration_row(
+            &file_stem(path),
             mode,
             (strategy, bound as u64),
             workers,
-            &telemetry,
-            ring.as_deref(),
-            &stats,
-            passed,
-            complete,
-        )?;
+            &report,
+        );
+        write_profile(target, path, row, &telemetry, ring.as_deref())?;
         println!("wrote {target}");
     }
 
-    println!("{stats}");
-    match counterexample {
-        None if interrupted => {
+    println!("{}", report.stats);
+    match report.counterexample {
+        None if report.interrupted => {
             match &ckpt_dir {
                 Some(dir) => println!(
                     "{path}: INTERRUPTED (checkpoint written to {}; continue with \
@@ -441,11 +434,11 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::from(EXIT_INTERRUPTED))
         }
-        None if !complete => {
+        None if !report.complete => {
             // The depth bound has no flag and stays at its default; the
             // deepest task seen reaches it only when it cut the search.
             let options = verifier.options();
-            let bound = if stats.max_depth >= options.max_depth {
+            let bound = if report.stats.max_depth >= options.max_depth {
                 format!("depth {}", options.max_depth)
             } else {
                 format!("--max-states {}", options.max_states)
@@ -525,88 +518,27 @@ fn file_stem(path: &str) -> String {
         .unwrap_or_else(|| path.to_owned())
 }
 
-fn stats_to_metrics(
-    name: &str,
-    mode: &str,
-    (strategy, bound): (&str, u64),
-    stats: &p_core::checker::ExplorationStats,
-    workers: u64,
-    passed: bool,
-    complete: bool,
-) -> p_core::telemetry::ExplorationMetrics {
-    p_core::telemetry::ExplorationMetrics {
-        name: name.to_owned(),
-        mode: mode.to_owned(),
-        strategy: strategy.to_owned(),
-        bound,
-        states: stats.unique_states as u64,
-        transitions: stats.transitions as u64,
-        replayed_runs: stats.replayed_runs as u64,
-        scheduler_nodes: stats.scheduler_nodes as u64,
-        fault_transitions: stats.fault_transitions as u64,
-        seconds: stats.duration.as_secs_f64(),
-        stored_bytes: stats.stored_bytes as u64,
-        index_bytes: stats.index_bytes as u64,
-        max_depth: stats.max_depth as u64,
-        dedup_hits: stats.dedup_hits as u64,
-        sleep_pruned: stats.sleep_pruned as u64,
-        symmetry_merges: stats.symmetry_merges as u64,
-        canon_calls: stats.canon_calls as u64,
-        canon_candidates: stats.canon_candidates as u64,
-        canon_pinned: stats.canon_pinned as u64,
-        workers,
-        spilled_states: stats.spilled_states as u64,
-        spill_bytes: stats.spill_bytes,
-        cold_hits: stats.cold_hits,
-        cold_lookups: stats.cold_lookups,
-        cold_run_probes: stats.cold_run_probes,
-        cold_reads: stats.cold_reads,
-        passed,
-        complete,
-        exec_seconds: stats.phases.exec as f64 / 1e9,
-        digest_seconds: stats.phases.digest as f64 / 1e9,
-        clone_seconds: stats.phases.clone as f64 / 1e9,
-        canon_seconds: stats.phases.canon as f64 / 1e9,
-        table_seconds: stats.phases.table as f64 / 1e9,
-    }
-}
-
 /// Writes the `--profile` document: a Chrome-loadable trace with the
-/// exploration snapshots, the metrics report, and the final metrics row
-/// riding along as extra top-level keys.
-#[allow(clippy::too_many_arguments)]
+/// exploration snapshots, the metrics report, and the run's row of the
+/// exploration schema riding along as extra top-level keys.
 fn write_profile(
     target: &str,
     source_path: &str,
-    mode: &str,
-    strategy: (&str, u64),
-    workers: u64,
+    row: p_core::telemetry::json::JsonValue,
     telemetry: &p_core::Telemetry,
     ring: Option<&p_core::telemetry::RingRecorder>,
-    stats: &p_core::checker::ExplorationStats,
-    passed: bool,
-    complete: bool,
 ) -> Result<(), String> {
     use p_core::telemetry::json::{num, str as jstr};
     let records = ring
         .map(p_core::telemetry::RingRecorder::drain)
         .unwrap_or_default();
-    let metrics = stats_to_metrics(
-        &file_stem(source_path),
-        mode,
-        strategy,
-        stats,
-        workers,
-        passed,
-        complete,
-    );
     let doc = p_core::telemetry::chrome::chrome_document(
         &records,
         telemetry
             .metrics()
             .map(p_core::telemetry::MetricsRegistry::report),
         vec![
-            ("exploration", metrics.to_json()),
+            ("exploration", row),
             ("source", jstr(source_path)),
             ("dropped_records", num(telemetry.dropped_records() as f64)),
         ],
@@ -688,7 +620,7 @@ fn run_program(args: &[String]) -> Result<(), String> {
 
     let (telemetry, ring) = if trace.is_some() || metrics.is_some() {
         let (t, ring) = p_core::Telemetry::builder().build();
-        (t, ring)
+        (t, Some(ring))
     } else {
         (p_core::Telemetry::disabled(), None)
     };
@@ -731,13 +663,33 @@ fn run_program(args: &[String]) -> Result<(), String> {
     if stats {
         println!("{}", runtime.stats().to_json().render_pretty());
     }
+    write_run_exports(
+        path,
+        runtime.stats().to_json(),
+        &trace,
+        &metrics,
+        &telemetry,
+        ring.as_deref(),
+    )
+}
+
+/// Writes what `p run --trace T --metrics M` asked for: at `T` a
+/// Chrome-loadable trace carrying the run's `stats`, at `M` the metrics
+/// registry's report.
+fn write_run_exports(
+    path: &str,
+    stats: p_core::telemetry::json::JsonValue,
+    trace: &Option<String>,
+    metrics: &Option<String>,
+    telemetry: &p_core::Telemetry,
+    ring: Option<&p_core::telemetry::RingRecorder>,
+) -> Result<(), String> {
+    use p_core::telemetry::json::{num, obj, str as jstr};
     let metrics_report = telemetry
         .metrics()
         .map(p_core::telemetry::MetricsRegistry::report);
-    if let Some(target) = &trace {
-        use p_core::telemetry::json::{num, str as jstr};
+    if let Some(target) = trace {
         let records = ring
-            .as_deref()
             .map(p_core::telemetry::RingRecorder::drain)
             .unwrap_or_default();
         let doc = p_core::telemetry::chrome::chrome_document(
@@ -745,7 +697,7 @@ fn run_program(args: &[String]) -> Result<(), String> {
             metrics_report.clone(),
             vec![
                 ("source", jstr(path)),
-                ("stats", runtime.stats().to_json()),
+                ("stats", stats),
                 ("dropped_records", num(telemetry.dropped_records() as f64)),
             ],
         );
@@ -753,8 +705,8 @@ fn run_program(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write {target}: {e}"))?;
         println!("wrote {target}");
     }
-    if let Some(target) = &metrics {
-        let report = metrics_report.unwrap_or_else(|| p_core::telemetry::json::obj(vec![]));
+    if let Some(target) = metrics {
+        let report = metrics_report.unwrap_or_else(|| obj(vec![]));
         fs::write(target, report.render_pretty())
             .map_err(|e| format!("cannot write {target}: {e}"))?;
         println!("wrote {target}");
@@ -837,35 +789,14 @@ fn run_sharded(
         println!("{}", exec_stats.to_json().render_pretty());
     }
     exec.shutdown().map_err(|e| e.to_string())?;
-    let metrics_report = telemetry
-        .metrics()
-        .map(p_core::telemetry::MetricsRegistry::report);
-    if let Some(target) = trace {
-        use p_core::telemetry::json::{num, str as jstr};
-        let records = ring
-            .as_deref()
-            .map(p_core::telemetry::RingRecorder::drain)
-            .unwrap_or_default();
-        let doc = p_core::telemetry::chrome::chrome_document(
-            &records,
-            metrics_report.clone(),
-            vec![
-                ("source", jstr(path)),
-                ("stats", exec_stats.to_json()),
-                ("dropped_records", num(telemetry.dropped_records() as f64)),
-            ],
-        );
-        fs::write(target, doc.render_pretty())
-            .map_err(|e| format!("cannot write {target}: {e}"))?;
-        println!("wrote {target}");
-    }
-    if let Some(target) = metrics {
-        let report = metrics_report.unwrap_or_else(|| p_core::telemetry::json::obj(vec![]));
-        fs::write(target, report.render_pretty())
-            .map_err(|e| format!("cannot write {target}: {e}"))?;
-        println!("wrote {target}");
-    }
-    Ok(())
+    write_run_exports(
+        path,
+        exec_stats.to_json(),
+        trace,
+        metrics,
+        &telemetry,
+        ring.as_deref(),
+    )
 }
 
 fn compile(args: &[String]) -> Result<(), String> {

@@ -64,13 +64,44 @@ pub use p_telemetry as telemetry;
 pub use p_typecheck as typecheck;
 
 pub use p_ast::Program;
-pub use p_checker::{
-    CheckerOptions, DelayReport, FaultKind, FaultReport, LivenessReport, Report, Verifier,
-};
+pub use p_checker::{CheckerOptions, FaultKind, LivenessReport, Report, Verifier};
 pub use p_codegen::COutput;
 pub use p_runtime::{DriverHost, Runtime, RuntimeBuilder};
 pub use p_semantics::{ForeignRegistry, LoweredProgram, MachineId, Value};
 pub use p_telemetry::Telemetry;
+
+/// One run's row of the exploration schema: the `exploration` object of
+/// `p verify --profile` and one entry of `BENCH_checker.json`'s
+/// `programs`. `name` labels the program, `mode` the reductions
+/// (`"exhaustive"`, `"por"`, `"parallel"`, ...), `strategy` and `bound`
+/// the scheduler (`"exhaustive"` with 0, `"delay"` with its bound,
+/// `"faults"` with its budget); every counter comes from
+/// [`p_checker::ExplorationStats::to_json`].
+pub fn exploration_row(
+    name: &str,
+    mode: &str,
+    (strategy, bound): (&str, u64),
+    workers: u64,
+    report: &Report,
+) -> p_telemetry::json::JsonValue {
+    use p_telemetry::json::{num, obj, str as jstr, JsonValue};
+    let row = obj(vec![
+        ("name", jstr(name)),
+        ("mode", jstr(mode)),
+        ("strategy", jstr(strategy)),
+        ("bound", num(bound as f64)),
+        ("workers", num(workers as f64)),
+        ("passed", JsonValue::Bool(report.passed())),
+        ("complete", JsonValue::Bool(report.complete)),
+    ]);
+    match (row, report.stats.to_json()) {
+        (JsonValue::Obj(mut fields), JsonValue::Obj(counters)) => {
+            fields.extend(counters);
+            JsonValue::Obj(fields)
+        }
+        _ => unreachable!("`obj` and `to_json` build objects"),
+    }
+}
 
 /// Any failure along the compilation pipeline.
 #[derive(Debug)]
@@ -166,7 +197,7 @@ impl Compiled {
     }
 
     /// Delay-bounded systematic testing with the causal scheduler (§5).
-    pub fn verify_delay_bounded(&self, delay_bound: usize) -> DelayReport {
+    pub fn verify_delay_bounded(&self, delay_bound: usize) -> Report {
         self.verifier().check_delay_bounded(delay_bound)
     }
 
@@ -179,7 +210,7 @@ impl Compiled {
     /// may drop, duplicate, or delay queued events, at most `budget`
     /// times per path (empty `kinds` = all fault kinds). Budget 0
     /// coincides with [`Compiled::verify`].
-    pub fn verify_with_faults(&self, budget: usize, kinds: &[FaultKind]) -> FaultReport {
+    pub fn verify_with_faults(&self, budget: usize, kinds: &[FaultKind]) -> Report {
         self.verifier().check_with_faults(budget, kinds)
     }
 
@@ -236,14 +267,11 @@ mod tests {
     #[test]
     fn fault_injection_via_facade() {
         let compiled = Compiled::from_source(p_corpus::LOSSY_LINK_SRC).unwrap();
-        assert!(compiled.verify_with_faults(0, &[]).report.passed());
+        assert!(compiled.verify_with_faults(0, &[]).passed());
         let faulty = compiled.verify_with_faults(1, &[FaultKind::Drop]);
-        assert!(
-            !faulty.report.passed(),
-            "dropping cfg must break the handshake"
-        );
+        assert!(!faulty.passed(), "dropping cfg must break the handshake");
         // The fault trace replays on a fresh verifier.
-        let cx = faulty.report.counterexample.unwrap();
+        let cx = faulty.counterexample.unwrap();
         assert!(compiled.verifier().replay(&cx).reproduced());
     }
 
@@ -252,6 +280,6 @@ mod tests {
         let program = corpus::elevator();
         let compiled = Compiled::from_program(program).unwrap();
         let d0 = compiled.verify_delay_bounded(0);
-        assert!(d0.report.passed());
+        assert!(d0.passed());
     }
 }

@@ -130,11 +130,6 @@ pub fn switch_led() -> Program {
     parse(SWITCH_LED_SRC, "switch_led")
 }
 
-/// The switch-and-LED driver with `budget` OS/hardware stimuli.
-pub fn switch_led_with_budget(budget: i64) -> Program {
-    parse(&with_budget(SWITCH_LED_SRC, budget), "switch_led")
-}
-
 /// The switch-and-LED driver with a seeded bug: the driver forgets to
 /// defer `SwitchStateChange` while a LED transfer is in flight, so a
 /// switch flip racing the transfer is an unhandled event.
@@ -157,11 +152,6 @@ pub fn german_with_budget(budget: i64) -> Program {
 /// German's protocol with three clients (multi-sharer invalidation).
 pub fn german3() -> Program {
     parse(GERMAN3_SRC, "german3")
-}
-
-/// Three-client German with `budget` requests.
-pub fn german3_with_budget(budget: i64) -> Program {
-    parse(&with_budget(GERMAN3_SRC, budget), "german3")
 }
 
 /// German's protocol with four symmetric clients.
@@ -570,11 +560,6 @@ pub fn usb_dsm() -> Program {
 /// drop/reorder-sensitive under fault injection.
 pub fn lossy_link() -> Program {
     parse(LOSSY_LINK_SRC, "lossy_link")
-}
-
-/// The lossy-link handshake with `budget` data messages.
-pub fn lossy_link_with_budget(budget: i64) -> Program {
-    parse(&with_budget(LOSSY_LINK_SRC, budget), "lossy_link")
 }
 
 /// Every corpus program with its name (buggy variants excluded).

@@ -71,10 +71,10 @@ fn lossy_link_verifies_fault_free_but_breaks_under_faults() {
     verify_ok(&program, "lossy_link");
     let lowered = lower(&program).unwrap();
     let verifier = Verifier::new(&lowered);
-    assert!(verifier.check_with_faults(0, &[]).report.passed());
+    assert!(verifier.check_with_faults(0, &[]).passed());
     let faulty = verifier.check_with_faults(1, &[]);
     assert!(
-        !faulty.report.passed(),
+        !faulty.passed(),
         "one environment fault must break the handshake"
     );
 }
@@ -104,7 +104,7 @@ fn bugs_found_within_delay_bound_two() {
     for (name, _, buggy) in figure7_benchmarks() {
         let lowered = lower(&buggy).unwrap();
         let verifier = Verifier::new(&lowered);
-        let found_at = (0..=2).find(|&d| !verifier.check_delay_bounded(d).report.passed());
+        let found_at = (0..=2).find(|&d| !verifier.check_delay_bounded(d).passed());
         assert!(
             found_at.is_some(),
             "{name} bug not found within delay bound 2"
@@ -120,9 +120,9 @@ fn correct_programs_pass_delay_bounded_checking() {
         for d in 0..=2 {
             let report = verifier.check_delay_bounded(d);
             assert!(
-                report.report.passed(),
+                report.passed(),
                 "{name} false positive at delay bound {d}: {:?}",
-                report.report.counterexample
+                report.counterexample
             );
         }
     }

@@ -62,7 +62,7 @@ mod foreign;
 pub mod hash;
 pub mod lower;
 mod value;
-mod wire;
+pub mod wire;
 
 #[cfg(test)]
 mod proptests;

@@ -182,11 +182,6 @@ impl Code {
     pub fn stmt_count(&self) -> usize {
         self.stmts.len()
     }
-
-    /// Number of expressions in the arena.
-    pub fn expr_count(&self) -> usize {
-        self.exprs.len()
-    }
 }
 
 /// A set of events, densely indexed.
@@ -347,14 +342,6 @@ impl MachineType {
     /// The initial state id.
     pub fn init_state(&self) -> StateId {
         StateId(0)
-    }
-
-    /// Looks up a state by source name.
-    pub fn state_named(&self, name: Symbol) -> Option<StateId> {
-        self.states
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| StateId(i as u32))
     }
 
     /// Looks up a variable by source name.

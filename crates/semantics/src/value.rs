@@ -70,14 +70,6 @@ impl Value {
         }
     }
 
-    /// Extracts an event value, or `None`.
-    pub fn as_event(self) -> Option<EventId> {
-        match self {
-            Value::Event(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// Applies a unary operator with ⊥ propagation.
     ///
     /// Type mismatches (e.g. `!3`) also yield ⊥; the static type checker

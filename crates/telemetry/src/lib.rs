@@ -5,22 +5,23 @@
 //!
 //! The central type is [`Telemetry`], a cheap clonable handle that is
 //! either *disabled* (a `None` inside — every hook is one predictable
-//! branch and returns immediately) or *enabled* (an `Arc` to a sink,
-//! a metrics registry, and an epoch clock). Instrumented code holds a
-//! `Telemetry` and calls hooks unconditionally; the attribute closures
-//! only run when enabled, so the disabled path allocates nothing.
+//! branch and returns immediately) or *enabled* (an `Arc` to the ring
+//! recorder, a metrics registry, and an epoch clock). Instrumented code
+//! holds a `Telemetry` and calls hooks unconditionally; the attribute
+//! closures only run when enabled, so the disabled path allocates
+//! nothing.
 //!
 //! Consumers that want the hooks compiled out entirely (overhead
 //! measurement, embedded builds) disable the `telemetry` cargo feature
 //! on `p-checker`/`p-runtime`; those crates `#[cfg]`-gate their hook
 //! sites on it. This crate itself is always buildable.
 //!
-//! Pipeline: hooks → [`TelemetrySink`] (usually a [`RingRecorder`]) →
-//! drain after quiescence → [`chrome::chrome_document`] for a
-//! Chrome/Perfetto-loadable trace, and [`MetricsRegistry::report`] for
-//! the compact metrics JSON. Checker profiling additionally records
-//! [`ExplorationSnapshot`]s and renders final [`ExplorationMetrics`]
-//! (the schema shared with `BENCH_checker.json`).
+//! Pipeline: hooks → [`RingRecorder`] → drain after quiescence →
+//! [`chrome::chrome_document`] for a Chrome/Perfetto-loadable trace, and
+//! [`MetricsRegistry::report`] for the compact metrics JSON. Checker
+//! profiling additionally records [`ExplorationSnapshot`]s; the final
+//! exploration row, the row format of `BENCH_checker.json`
+//! ([`BenchReport`]), is rendered from the checker's `ExplorationStats`.
 
 #![warn(missing_docs)]
 
@@ -31,7 +32,6 @@ mod progress;
 mod record;
 mod ring;
 mod schema;
-mod sink;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,11 +41,10 @@ pub use metrics::{Counter, GaugeCell, Histogram, MetricsRegistry, HISTOGRAM_BUCK
 pub use progress::Progress;
 pub use record::{AttrValue, Attrs, ExplorationSnapshot, Record, RecordKind};
 pub use ring::RingRecorder;
-pub use schema::{BenchReport, ExplorationMetrics, RuntimeBenchReport, RuntimeBenchRow};
-pub use sink::{NullSink, TelemetrySink};
+pub use schema::{BenchReport, RuntimeBenchReport, RuntimeBenchRow};
 
 struct Inner {
-    sink: Arc<dyn TelemetrySink>,
+    ring: Arc<RingRecorder>,
     metrics: MetricsRegistry,
     epoch: Instant,
     progress: Option<Progress>,
@@ -110,7 +109,7 @@ impl Telemetry {
     #[inline]
     pub fn instant(&self, tid: u32, name: &'static str, attrs: impl FnOnce() -> Attrs) {
         if let Some(inner) = &self.inner {
-            inner.sink.record(Record {
+            inner.ring.record(Record {
                 ts_micros: inner.epoch.elapsed().as_micros() as u64,
                 tid,
                 kind: RecordKind::Instant {
@@ -125,7 +124,7 @@ impl Telemetry {
     #[inline]
     pub fn span_begin(&self, tid: u32, name: &'static str, attrs: impl FnOnce() -> Attrs) {
         if let Some(inner) = &self.inner {
-            inner.sink.record(Record {
+            inner.ring.record(Record {
                 ts_micros: inner.epoch.elapsed().as_micros() as u64,
                 tid,
                 kind: RecordKind::SpanBegin {
@@ -140,7 +139,7 @@ impl Telemetry {
     #[inline]
     pub fn span_end(&self, tid: u32, name: &'static str) {
         if let Some(inner) = &self.inner {
-            inner.sink.record(Record {
+            inner.ring.record(Record {
                 ts_micros: inner.epoch.elapsed().as_micros() as u64,
                 tid,
                 kind: RecordKind::SpanEnd { name },
@@ -152,7 +151,7 @@ impl Telemetry {
     #[inline]
     pub fn gauge(&self, tid: u32, name: &'static str, value: i64) {
         if let Some(inner) = &self.inner {
-            inner.sink.record(Record {
+            inner.ring.record(Record {
                 ts_micros: inner.epoch.elapsed().as_micros() as u64,
                 tid,
                 kind: RecordKind::Gauge { name, value },
@@ -188,7 +187,7 @@ impl Telemetry {
         if let Some(inner) = &self.inner {
             let now = inner.epoch.elapsed().as_micros() as u64;
             let snap = build(now);
-            inner.sink.record(Record {
+            inner.ring.record(Record {
                 ts_micros: now,
                 tid,
                 kind: RecordKind::Snapshot(snap),
@@ -201,7 +200,7 @@ impl Telemetry {
 
     fn record_snapshot(&self, tid: u32, snap: ExplorationSnapshot) {
         if let Some(inner) = &self.inner {
-            inner.sink.record(Record {
+            inner.ring.record(Record {
                 ts_micros: snap.elapsed_micros,
                 tid,
                 kind: RecordKind::Snapshot(snap),
@@ -226,10 +225,10 @@ impl Telemetry {
         self.inner.as_deref().map(|inner| &inner.metrics)
     }
 
-    /// Records count of records dropped by the sink (capacity).
+    /// Records count of records dropped by the ring (capacity).
     pub fn dropped_records(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.sink.dropped(),
+            Some(inner) => inner.ring.dropped(),
             None => 0,
         }
     }
@@ -240,7 +239,6 @@ pub struct TelemetryBuilder {
     ring_capacity: usize,
     progress_interval: Option<Duration>,
     snapshot_interval: Duration,
-    sink: Option<Arc<dyn TelemetrySink>>,
 }
 
 impl Default for TelemetryBuilder {
@@ -249,13 +247,12 @@ impl Default for TelemetryBuilder {
             ring_capacity: 1 << 18,
             progress_interval: None,
             snapshot_interval: Duration::from_millis(25),
-            sink: None,
         }
     }
 }
 
 impl TelemetryBuilder {
-    /// Capacity of the default ring recorder (records beyond it are
+    /// Capacity of the ring recorder (records beyond it are
     /// dropped newest-first and counted). Default: 262144.
     pub fn ring(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
@@ -275,26 +272,13 @@ impl TelemetryBuilder {
         self
     }
 
-    /// Uses a custom sink instead of the default ring recorder. The
-    /// returned recorder handle will then be `None`.
-    pub fn sink(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
     /// Builds the handle. The second value is the ring recorder to
-    /// drain after the run (absent when a custom sink was supplied).
-    pub fn build(self) -> (Telemetry, Option<Arc<RingRecorder>>) {
-        let (sink, ring): (Arc<dyn TelemetrySink>, Option<Arc<RingRecorder>>) = match self.sink {
-            Some(sink) => (sink, None),
-            None => {
-                let ring = Arc::new(RingRecorder::new(self.ring_capacity));
-                (Arc::clone(&ring) as Arc<dyn TelemetrySink>, Some(ring))
-            }
-        };
+    /// drain after the run.
+    pub fn build(self) -> (Telemetry, Arc<RingRecorder>) {
+        let ring = Arc::new(RingRecorder::new(self.ring_capacity));
         let telemetry = Telemetry {
             inner: Some(Arc::new(Inner {
-                sink,
+                ring: Arc::clone(&ring),
                 metrics: MetricsRegistry::default(),
                 epoch: Instant::now(),
                 progress: self.progress_interval.map(Progress::new),
@@ -326,7 +310,6 @@ mod tests {
     #[test]
     fn enabled_handle_records_through_the_ring() {
         let (t, ring) = Telemetry::builder().ring(16).build();
-        let ring = ring.unwrap();
         assert!(t.enabled());
         t.span_begin(3, "run", || vec![("machine", AttrValue::from("M"))]);
         t.instant(3, "send", || vec![("event", AttrValue::from(7u64))]);
@@ -367,7 +350,7 @@ mod tests {
         // Only the first call (interval measured from epoch 0 has
         // elapsed=0 ≥ 0+interval? No: 0 < 0+interval) — so none fire.
         assert_eq!(built, 0);
-        assert!(ring.unwrap().drain().is_empty());
+        assert!(ring.drain().is_empty());
     }
 
     #[test]

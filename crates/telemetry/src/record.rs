@@ -1,4 +1,4 @@
-//! The record model: what a sink receives.
+//! The record model: what the ring recorder stores.
 //!
 //! Records are cheap to construct (names are `&'static str`, attribute
 //! lists are small vecs built only when telemetry is enabled) and carry

@@ -14,7 +14,6 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use crate::record::Record;
-use crate::sink::TelemetrySink;
 
 struct Slot {
     ready: AtomicBool,
@@ -78,10 +77,11 @@ impl RingRecorder {
         }
         out
     }
-}
 
-impl TelemetrySink for RingRecorder {
-    fn record(&self, record: Record) {
+    /// Stores one record, or counts it as dropped when the ring is full
+    /// or drained. Never blocks: the checker's and the runtime's hooks
+    /// call it from their hot loops.
+    pub fn record(&self, record: Record) {
         let index = self.claimed.fetch_add(1, Ordering::AcqRel);
         if let Some(slot) = self.slots.get(index) {
             // Safety: `index` was claimed uniquely by this call; no other
@@ -103,7 +103,8 @@ impl TelemetrySink for RingRecorder {
         }
     }
 
-    fn dropped(&self) -> u64 {
+    /// Records dropped so far because the ring was full or drained.
+    pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }

@@ -30,7 +30,7 @@ fn main() {
         let r = compiled.verify_delay_bounded(d);
         println!(
             "{d:>6} {:>12} {:>14}",
-            r.report.stats.unique_states, r.scheduler_nodes
+            r.stats.unique_states, r.stats.scheduler_nodes
         );
     }
 
@@ -38,7 +38,7 @@ fn main() {
     let buggy = Compiled::from_program(corpus::elevator_buggy()).expect("buggy compiles");
     for d in 0..=2 {
         let r = buggy.verify_delay_bounded(d);
-        match r.report.counterexample {
+        match r.counterexample {
             None => println!("\nbuggy elevator, delay bound {d}: no violation"),
             Some(cx) => {
                 println!("\nbuggy elevator, delay bound {d}: VIOLATION\n{cx}");

@@ -57,7 +57,7 @@ fn main() {
         let r = buggy.verify_delay_bounded(d);
         println!(
             "buggy german at delay bound {d}: {}",
-            match &r.report.counterexample {
+            match &r.counterexample {
                 None => "no violation".to_owned(),
                 Some(cx) => format!("VIOLATION ({} trace steps)", cx.trace.len()),
             }

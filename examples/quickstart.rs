@@ -64,7 +64,7 @@ fn main() {
         let r = compiled.verify_delay_bounded(d);
         println!(
             "  delay bound {d}: {} states explored",
-            r.report.stats.unique_states
+            r.stats.unique_states
         );
     }
 

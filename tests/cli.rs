@@ -368,6 +368,58 @@ fn run_shards_drives_the_sharded_executor() {
     assert!(stderr(&out).contains("--shards must be at least 1"));
 }
 
+/// The sharded path writes `--trace` and `--metrics` as the
+/// single-runtime path does: a Chrome document carrying the executor's
+/// stats, per-shard rows included, and a metrics report that parses.
+#[test]
+fn run_shards_writes_trace_and_metrics() {
+    use p_core::telemetry::json::JsonValue;
+    let dir = std::env::temp_dir().join(format!("p-cli-shard-export-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (trace, metrics) = (dir.join("trace.json"), dir.join("metrics.json"));
+    let out = p_bin()
+        .args([
+            "run",
+            corpus_file("usb_dsm.p").to_str().unwrap(),
+            "DeviceSm",
+            "Attach",
+            "PowerOn",
+            "--shards",
+            "2",
+            "--trace",
+            trace.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains(&format!("wrote {}", trace.display())),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!("wrote {}", metrics.display())),
+        "{text}"
+    );
+
+    let doc = JsonValue::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    assert!(doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .is_some());
+    let shards = doc
+        .get("stats")
+        .and_then(|stats| stats.get("shards"))
+        .and_then(JsonValue::as_array)
+        .expect("the trace carries the executor's per-shard stats");
+    assert_eq!(shards.len(), 2);
+    let report = JsonValue::parse(&std::fs::read_to_string(&metrics).unwrap());
+    assert!(report.is_ok(), "the metrics file parses");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn liveness_flags_spinner() {
     let spinner = write_temp(

@@ -63,10 +63,14 @@ fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
                         .with_options(options)
                         .check_delay_bounded(d);
                     let cell = format!("{name} d={d} jobs={jobs} mem_limit={mem_limit:?}");
-                    assert!(r.report.passed() && r.report.complete, "{cell}");
-                    let stats = &r.report.stats;
+                    assert!(r.passed() && r.complete, "{cell}");
+                    let stats = &r.stats;
                     assert_eq!(
-                        (stats.unique_states, stats.transitions, r.scheduler_nodes),
+                        (
+                            stats.unique_states,
+                            stats.transitions,
+                            stats.scheduler_nodes
+                        ),
                         (states, transitions, nodes),
                         "{cell}"
                     );
@@ -99,8 +103,8 @@ fn coverage_grows_with_delay_bound_on_elevator() {
     let mut reached_full = false;
     for d in 0..=12 {
         let r = compiled.verify_delay_bounded(d);
-        assert!(r.report.passed());
-        let states = r.report.stats.unique_states;
+        assert!(r.passed());
+        let states = r.stats.unique_states;
         assert!(states >= last, "coverage shrank at d={d}");
         last = states;
         if states == exhaustive.stats.unique_states {
@@ -134,10 +138,10 @@ fn delay_zero_matches_runtime_schedule_count() {
     let compiled = Compiled::from_source(src).unwrap();
     let r1 = compiled.verify_delay_bounded(0);
     let r2 = compiled.verify_delay_bounded(0);
-    assert!(r1.report.passed());
-    assert_eq!(r1.scheduler_nodes, r2.scheduler_nodes);
+    assert!(r1.passed());
+    assert_eq!(r1.stats.scheduler_nodes, r2.stats.scheduler_nodes);
     assert_eq!(
-        r1.report.stats.unique_states, r1.scheduler_nodes,
+        r1.stats.unique_states, r1.stats.scheduler_nodes,
         "one schedule: every node is a distinct point on the single path"
     );
 }
@@ -160,7 +164,7 @@ fn delayed_coverage_dominates_depth_bounded_at_same_transition_budget() {
 
     let delayed = compiled.verify_delay_bounded(2);
     assert!(
-        !delayed.report.passed(),
+        !delayed.passed(),
         "delay bound 2 reaches the bug at arbitrary depth"
     );
 }
@@ -170,8 +174,8 @@ fn all_figure7_bugs_found_by_delay_two_with_larger_budgets() {
     for (name, _, buggy) in corpus::figure7_benchmarks() {
         let compiled = Compiled::from_program(buggy).unwrap();
         let r = compiled.verify_delay_bounded(2);
-        assert!(!r.report.passed(), "{name}: bug not found at d=2");
-        let cx = r.report.counterexample.unwrap();
+        assert!(!r.passed(), "{name}: bug not found at d=2");
+        let cx = r.counterexample.unwrap();
         assert!(!cx.trace.is_empty(), "{name}: counterexample has a trace");
     }
 }

@@ -16,14 +16,13 @@ fn drop_sensitive_bug_found_at_budget_one_missed_at_zero() {
 
     // Fault-free exploration covers every schedule and passes.
     let clean = compiled.verify_with_faults(0, &[]);
-    assert!(clean.report.passed(), "{:?}", clean.report.counterexample);
-    assert!(clean.report.complete, "fault-free exploration truncated");
-    assert_eq!(clean.fault_transitions, 0);
+    assert!(clean.passed(), "{:?}", clean.counterexample);
+    assert!(clean.complete, "fault-free exploration truncated");
+    assert_eq!(clean.stats.fault_transitions, 0);
 
     // Budget 1 exposes the lost configuration message.
     let faulty = compiled.verify_with_faults(1, &[FaultKind::Drop]);
     let cx = faulty
-        .report
         .counterexample
         .as_ref()
         .expect("a single drop fault must break the handshake");
@@ -43,7 +42,6 @@ fn fault_traces_replay_round_trip() {
     ] {
         let report = compiled.verify_with_faults(1, &kinds);
         let cx = report
-            .report
             .counterexample
             .expect("one fault breaks the handshake");
         match compiled.verifier().replay(&cx) {
@@ -67,11 +65,14 @@ fn dup_tolerant_program_passes_dup_faults() {
     let compiled = lossy_link();
     let report = compiled.verify_with_faults(2, &[FaultKind::Dup]);
     assert!(
-        report.report.passed(),
+        report.passed(),
         "dup faults are tolerated by design: {:?}",
-        report.report.counterexample
+        report.counterexample
     );
-    assert!(report.fault_transitions > 0, "dup faults were explored");
+    assert!(
+        report.stats.fault_transitions > 0,
+        "dup faults were explored"
+    );
 }
 
 #[test]
@@ -80,8 +81,8 @@ fn fault_budget_scales_exploration() {
     let b0 = compiled.verify_with_faults(0, &[FaultKind::Dup]);
     let b1 = compiled.verify_with_faults(1, &[FaultKind::Dup]);
     let b2 = compiled.verify_with_faults(2, &[FaultKind::Dup]);
-    assert!(b1.fault_nodes > b0.fault_nodes);
-    assert!(b2.fault_nodes > b1.fault_nodes);
+    assert!(b1.stats.scheduler_nodes > b0.stats.scheduler_nodes);
+    assert!(b2.stats.scheduler_nodes > b1.stats.scheduler_nodes);
 }
 
 #[test]
@@ -92,9 +93,9 @@ fn correct_corpus_programs_pass_one_dropped_stimulus() {
     let compiled = Compiled::from_source(p_core::corpus::PING_PONG_SRC).unwrap();
     let report = compiled.verify_with_faults(1, &[FaultKind::Drop]);
     assert!(
-        report.report.passed(),
+        report.passed(),
         "dropping one message must not violate ping_pong safety: {:?}",
-        report.report.counterexample
+        report.counterexample
     );
 }
 
@@ -138,14 +139,14 @@ fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
                 let verifier = compiled.verifier().with_options(options);
                 let r = verifier.check_with_faults(budget, &[kind]);
                 let cell = format!("{name} jobs={jobs} mem_limit={mem_limit:?}");
-                assert!(r.report.passed() && r.report.complete, "{cell}");
-                let stats = &r.report.stats;
+                assert!(r.passed() && r.complete, "{cell}");
+                let stats = &r.stats;
                 assert_eq!(
                     (
                         stats.unique_states,
                         stats.transitions,
-                        r.fault_nodes,
-                        r.fault_transitions
+                        stats.scheduler_nodes,
+                        stats.fault_transitions
                     ),
                     pinned,
                     "{cell}"
@@ -179,11 +180,14 @@ fn fault_counterexample_is_reconstructed_through_the_edge_log() {
             };
             let verifier = compiled.verifier().with_options(options);
             let report = verifier.check_with_faults(1, &[FaultKind::Drop]);
-            let cx = report.report.counterexample.expect("one drop breaks it");
+            let cx = report.counterexample.expect("one drop breaks it");
             if jobs == 1 {
                 assert_eq!(cx.to_string(), expected, "mem_limit={mem_limit:?}");
-                assert_eq!(report.report.stats.unique_states, 10);
-                assert_eq!((report.fault_nodes, report.fault_transitions), (10, 1));
+                assert_eq!(report.stats.unique_states, 10);
+                assert_eq!(
+                    (report.stats.scheduler_nodes, report.stats.fault_transitions),
+                    (10, 1)
+                );
             }
             assert!(cx.trace.iter().any(|s| s.fault.is_some()), "{cx}");
             match compiled.verifier().replay(&cx) {

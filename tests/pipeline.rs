@@ -19,9 +19,9 @@ fn every_corpus_program_flows_through_the_whole_pipeline() {
         // The delay-0 causal schedule must be clean for all of them.
         let d0 = compiled.verify_delay_bounded(0);
         assert!(
-            d0.report.passed(),
+            d0.passed(),
             "{name} fails at delay bound 0: {:?}",
-            d0.report.counterexample
+            d0.counterexample
         );
 
         // Erasure must produce a valid program that lowers and generates.

@@ -262,6 +262,70 @@ fn verify_profile_phases_add_up_to_at_most_the_search() {
     );
 }
 
+/// The `exploration` object of `--profile` is the schema
+/// `BENCH_checker.json`'s rows share, and downstream readers (the CI
+/// jobs, `telemetry_gate`) look its keys up by name: this is its exact
+/// key set, so adding, renaming or dropping a key is a deliberate edit
+/// here.
+#[test]
+fn verify_profile_exploration_keys_are_pinned() {
+    let profile = temp_path("german-keys.json");
+    let out = p_bin()
+        .args(["verify", corpus_file("german.p").to_str().unwrap()])
+        .arg("--profile")
+        .arg(&profile)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let doc = JsonValue::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+    let _ = std::fs::remove_file(&profile);
+    let Some(JsonValue::Obj(fields)) = doc.get("exploration") else {
+        panic!("no exploration object");
+    };
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    assert_eq!(
+        keys,
+        [
+            "bound",
+            "bytes_per_state",
+            "canon_calls",
+            "canon_candidates",
+            "canon_pinned",
+            "canon_seconds",
+            "clone_seconds",
+            "cold_hits",
+            "cold_lookups",
+            "cold_reads",
+            "cold_run_probes",
+            "complete",
+            "dedup_hits",
+            "digest_seconds",
+            "exec_seconds",
+            "fault_transitions",
+            "index_bytes",
+            "max_depth",
+            "mode",
+            "name",
+            "passed",
+            "replayed_runs",
+            "scheduler_nodes",
+            "seconds",
+            "sleep_pruned",
+            "spill_bytes",
+            "spilled_states",
+            "states",
+            "states_per_sec",
+            "stored_bytes",
+            "strategy",
+            "symmetry_merges",
+            "table_seconds",
+            "transitions",
+            "workers",
+        ]
+    );
+}
+
 /// `--profile` serves every strategy the kernel runs: the final row names
 /// the scheduler and its bound, carries the node and injection counts the
 /// CLI prints, and has the phase split and the snapshots of the run.
