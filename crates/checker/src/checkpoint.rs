@@ -8,11 +8,11 @@
 //! * the visited-set summary — every admitted fingerprint with its
 //!   sleep set (POR) and canonical representative (symmetry), and how
 //!   many of them are markers,
-//! * the edge log — one fixed-size record per task ever pushed, indexed
-//!   by task id, plus the choice scripts too long for a record — keeping
+//! * the frontier's paths as one forest — every step shared by several
+//!   queued tasks written once, after the step before it — keeping
 //!   counterexample reconstruction concrete across a resume,
 //! * the frontier — the workers' queues in order, each task with its
-//!   id and its scheduler annotation; with one worker that is the DFS
+//!   path and its scheduler annotation; with one worker that is the DFS
 //!   stack, so a resumed run continues bit-identically.
 //!
 //! # File format
@@ -39,7 +39,7 @@ use p_semantics::hash::fingerprint128;
 
 use crate::error::CheckerError;
 use crate::stats::ExplorationStats;
-use crate::trace::EdgeRecord;
+use crate::trace::{PathNode, StepRecord, NO_NODE};
 use p_semantics::wire;
 
 /// File-format magic.
@@ -52,7 +52,8 @@ const MAGIC: &[u8; 4] = b"PCHK";
 /// that picks other representatives the restored keys would silently
 /// stop matching, so the files written before it changed are refused.
 /// Version 4 adds task annotations, the marker and injection counts.
-const VERSION: u32 = 4;
+/// Version 5 replaces the edge log and the task ids with the path forest.
+const VERSION: u32 = 5;
 /// The checkpoint file inside the checkpoint directory.
 const FILE: &str = "checkpoint.bin";
 /// The staging file the atomic rename publishes from.
@@ -99,8 +100,9 @@ pub(crate) struct VisitedEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct TaskEntry {
     pub cfg: Vec<u8>,
-    /// The task's record in the edge log.
-    pub id: u32,
+    /// The newest step of the task's path in the forest, or [`NO_NODE`]
+    /// for the root's empty path.
+    pub path: u32,
     pub depth: u64,
     pub sleep: u64,
     /// Whether this is the state's first visit (false for a
@@ -119,10 +121,8 @@ pub(crate) struct CheckpointData {
     pub visited: Vec<VisitedEntry>,
     /// How many of `visited` are configuration markers, not nodes.
     pub markers: usize,
-    /// The edge log: the record of task `id` at index `id`.
-    pub parents: Vec<EdgeRecord>,
-    /// Choice scripts too long for their record, by task id.
-    pub scripts: crate::engine::Scripts,
+    /// The frontier's paths: every step once, after its parent.
+    pub paths: Vec<PathNode>,
     /// Pending work, each worker's queue oldest first. With one worker
     /// this is the DFS stack bottom-to-top; order is significant.
     pub frontier: Vec<TaskEntry>,
@@ -164,20 +164,18 @@ fn encode_payload(data: &CheckpointData) -> Vec<u8> {
         }
     }
 
-    out.extend_from_slice(&(data.parents.len() as u64).to_le_bytes());
-    for record in &data.parents {
-        out.extend_from_slice(&record.to_bytes());
-    }
-    out.extend_from_slice(&(data.scripts.len() as u64).to_le_bytes());
-    for (id, script) in &data.scripts {
-        out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&(data.paths.len() as u64).to_le_bytes());
+    for node in &data.paths {
+        out.extend_from_slice(&node.parent.to_le_bytes());
+        out.extend_from_slice(&node.record.to_bytes());
+        let script = node.script.as_deref().unwrap_or_default();
         out.extend_from_slice(&(script.len() as u32).to_le_bytes());
         out.extend(script.iter().map(|&c| c as u8));
     }
 
     out.extend_from_slice(&(data.frontier.len() as u64).to_le_bytes());
     for t in &data.frontier {
-        out.extend_from_slice(&t.id.to_le_bytes());
+        out.extend_from_slice(&t.path.to_le_bytes());
         out.extend_from_slice(&t.depth.to_le_bytes());
         out.extend_from_slice(&t.sleep.to_le_bytes());
         out.push(t.fresh as u8);
@@ -227,25 +225,28 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
         visited.push(VisitedEntry { fp, sleep, rep });
     }
 
-    let n_parents = wire::read_u64(buf)? as usize;
-    let parents: Vec<EdgeRecord> = wire::take(buf, n_parents.checked_mul(EdgeRecord::BYTES)?)?
-        .chunks_exact(EdgeRecord::BYTES)
-        .map(|b| EdgeRecord::from_bytes(b.try_into().expect("one record")))
-        .collect();
-    let n_scripts = wire::read_u64(buf)? as usize;
-    let mut scripts = Vec::new();
-    for _ in 0..n_scripts {
-        let id = wire::read_u32(buf)?;
+    let n_paths = wire::read_u64(buf)? as usize;
+    let mut paths = Vec::new();
+    for _ in 0..n_paths {
+        let parent = wire::read_u32(buf)?;
+        let record = StepRecord::from_bytes(wire::take(buf, StepRecord::BYTES)?.try_into().ok()?);
         let len = wire::read_u32(buf)? as usize;
-        let script = wire::take(buf, len)?.iter().map(|&c| c != 0).collect();
-        scripts.push((id, script));
+        let script = wire::take(buf, len)?
+            .iter()
+            .map(|&c| c != 0)
+            .collect::<Box<[bool]>>();
+        paths.push(PathNode {
+            parent,
+            record,
+            script: (len > 0).then_some(script),
+        });
     }
 
     let n_frontier = wire::read_u64(buf)? as usize;
     let mut frontier = Vec::new();
     for _ in 0..n_frontier {
-        // A task without a record could not be traced back.
-        let id = wire::read_u32(buf).filter(|&id| (id as usize) < parents.len())?;
+        // A task whose path is not in the forest could not be traced back.
+        let path = wire::read_u32(buf).filter(|&i| i == NO_NODE || (i as usize) < paths.len())?;
         let depth = wire::read_u64(buf)?;
         let sleep = wire::read_u64(buf)?;
         let fresh = match wire::read_u8(buf)? {
@@ -259,7 +260,7 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
         let note = wire::take(buf, note_len)?.to_vec();
         frontier.push(TaskEntry {
             cfg,
-            id,
+            path,
             depth,
             sleep,
             fresh,
@@ -273,8 +274,7 @@ fn decode_payload(mut buf: &[u8]) -> Option<CheckpointData> {
         stats,
         visited,
         markers,
-        parents,
-        scripts,
+        paths,
         frontier,
     })
 }
@@ -352,12 +352,45 @@ pub(crate) fn load(dir: &Path, config_digest: u128) -> Result<CheckpointData, Ch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p_semantics::MachineId;
+    use crate::fault::{FaultDecision, FaultKind};
+    use crate::trace::TaskPath;
+    use p_semantics::{EventId, ExecOutcome, MachineId, RunResult};
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("p-ckpt-test-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A choice script past the inline budget.
+    fn long_script() -> Vec<bool> {
+        (0..70).map(|i| i % 3 == 0).collect()
+    }
+
+    /// Three tasks' paths: two share their first step, one of them ends
+    /// in a run with a long script and the other in a fault; the third
+    /// is the root's.
+    fn sample_paths() -> [TaskPath; 3] {
+        let run = RunResult {
+            outcome: ExecOutcome::Blocked,
+            choices_used: 0,
+            steps: 1,
+            dequeued: Vec::new(),
+            raised: Vec::new(),
+            deferred: Vec::new(),
+        };
+        let first = TaskPath::default().then_run(MachineId(2), &run, &[true, false]);
+        let fault = FaultDecision {
+            kind: FaultKind::Delay,
+            machine: MachineId(1),
+            index: 0,
+            event: EventId(1),
+        };
+        [
+            first.then_run(MachineId(3), &run, &long_script()),
+            first.then_fault(&fault),
+            TaskPath::default(),
+        ]
     }
 
     fn sample() -> CheckpointData {
@@ -381,6 +414,8 @@ mod tests {
             phases: crate::PhaseNanos::default(),
             ..ExplorationStats::default()
         };
+        let (paths, ends) = TaskPath::flatten(sample_paths().iter());
+        assert_eq!(paths.len(), 3, "the shared first step is written once");
         CheckpointData {
             stats,
             visited: vec![
@@ -396,19 +431,18 @@ mod tests {
                 },
             ],
             markers: 1,
-            parents: vec![
-                EdgeRecord::root(),
-                EdgeRecord::test_blocked(0, MachineId(2)),
-            ],
-            scripts: vec![(1, vec![true, false, true])],
-            frontier: vec![TaskEntry {
-                cfg: vec![1, 2, 3, 4],
-                id: 1,
-                depth: 3,
-                sleep: 1,
-                fresh: true,
-                note: vec![9, 8, 7],
-            }],
+            paths,
+            frontier: ends
+                .into_iter()
+                .map(|path| TaskEntry {
+                    cfg: vec![1, 2, 3, 4],
+                    path,
+                    depth: 3,
+                    sleep: 1,
+                    fresh: true,
+                    note: vec![9, 8, 7],
+                })
+                .collect(),
         }
     }
 
@@ -420,6 +454,60 @@ mod tests {
         let back = load(&dir, 0xABCD).unwrap();
         assert_eq!(back, data);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A choice script too long for its record survives a checkpoint:
+    /// the paths rebuilt from the loaded forest render what the frontier's
+    /// own paths render.
+    #[test]
+    fn overflow_scripts_survive_write_and_load() {
+        let dir = temp_dir("overflow");
+        write(&dir, 7, &sample()).unwrap();
+        let back = load(&dir, 7).unwrap();
+        let rebuilt = TaskPath::rebuild(back.paths).unwrap();
+        let program = p_semantics::lower(&p_corpus::lossy_link()).unwrap();
+        for (task, path) in back.frontier.iter().zip(sample_paths()) {
+            let again = match task.path {
+                NO_NODE => TaskPath::default(),
+                end => rebuilt[end as usize].clone(),
+            };
+            assert_eq!(again.render(&program), path.render(&program));
+        }
+        let steps = rebuilt[1].render(&program);
+        assert_eq!(steps[1].choices, long_script());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile payloads behind a valid checksum: seeded byte flips,
+    /// truncations and spliced ranges of a sample payload decode into
+    /// `None` or into a checkpoint whose forest rebuilds or is refused —
+    /// never a panic. A failure names its seed.
+    #[test]
+    fn hostile_payloads_decode_or_are_refused() {
+        let pristine = encode_payload(&sample());
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        for seed in 0..2_000 {
+            let mut bytes = pristine.clone();
+            match seed % 3 {
+                0 => bytes[below(pristine.len())] ^= 1 << below(8),
+                1 => bytes.truncate(below(pristine.len())),
+                _ => {
+                    let (from, to) = (below(bytes.len()), below(bytes.len()));
+                    let len = below(bytes.len() - from.max(to)).min(64);
+                    bytes.copy_within(from..from + len, to);
+                }
+            }
+            let decoded = std::panic::catch_unwind(|| {
+                decode_payload(&bytes).map(|data| TaskPath::rebuild(data.paths).is_some())
+            });
+            assert!(decoded.is_ok(), "seed {seed}: decoding panicked");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The exploration engine's bookkeeping: the visited store, the edge
-//! log and the work frontier.
+//! The exploration engine's bookkeeping: the visited store, the task
+//! ids and the work frontier.
 //!
 //! The search kernel has one store, [`SharedTable`], with one admit
 //! rule, [`SharedTable::admit`]; symmetry, sleep sets, spilling, the
@@ -20,22 +20,16 @@
 //!   exactly the states retained;
 //! * a stored sleep set only ever shrinks (so a state is re-expanded at
 //!   most 64 times and the search terminates);
-//! * every task ever pushed has one record in the edge log, written
-//!   under the key's shard lock before [`Admit::New`] or
-//!   [`Admit::Widen`] returns, whose parent is the task that offered
-//!   it — a record's parent exists before the record does, so every
-//!   path ends at the root by construction;
-//! * visited keys are canonical; tasks and their records are concrete;
-//! * lock order is `shard → edge log`; an admit holds exactly one
-//!   shard and looks cold keys up in that shard's [`Runs`], which takes
-//!   no lock; a spill holds *every* shard (taken in ascending order) and
-//!   only then the run store and the log, and hands every shard the new
-//!   runs before it lets go.
+//! * visited keys are canonical; tasks and their paths are concrete;
+//! * an admit holds exactly one shard and looks cold keys up in that
+//!   shard's [`Runs`], which takes no lock; a spill holds *every* shard
+//!   (taken in ascending order) and only then the run store, and hands
+//!   every shard the new runs before it lets go.
 //!
 //! The decision table of the admit rule, for an offer `(key, concrete,
 //! sleep)`; `rep` is the concrete state first admitted under `key`:
 //!
-//! | the table holds | outcome | stored afterwards | record |
+//! | the table holds | outcome | stored afterwards | task pushed |
 //! |---|---|---|---|
 //! | nothing under `key` | `New` | `rep = concrete`, `S = sleep` | yes |
 //! | `rep = concrete`, `S ⊆ sleep` | `Covered { merged: false }` | unchanged | no |
@@ -49,12 +43,9 @@
 //! `sleep = ∅`, so `S` is always `∅`, `∅ ⊆ ∅` makes every revisit
 //! `Covered`, and `Widen` is unreachable.
 
-use std::collections::{HashMap, VecDeque};
-use std::fs::File;
-use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::collections::VecDeque;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -65,7 +56,6 @@ use crate::fingerprint::{Fingerprint, FpHashMap, VisitedSet};
 use crate::por::SleepSet;
 use crate::stats::{ExplorationStats, PhaseNanos, SUMS};
 use crate::store::{RunStore, Runs, SpillCounters};
-use crate::trace::{EdgeRecord, StepSeed, TraceStep};
 
 /// Outcome of offering a state to a visited store (the module docs hold
 /// the decision table).
@@ -115,22 +105,12 @@ pub(crate) enum Admit {
 /// size (a handful of machines vs. hundreds), so the trigger compares
 /// actual `stored_bytes` against this budget rather than counting
 /// states. A quarter of the limit goes to the hot tier; the rest covers
-/// the structures that stay RAM-resident across spills (sleep sets,
-/// edge records between spills, the blooms and fences of the runs — two
-/// bytes and an eighth of one per spilled state) plus the frontier
-/// itself. The floor keeps tiny limits from degenerating into
-/// a spill per handful of states.
+/// the structures that stay RAM-resident across spills (sleep sets, the
+/// blooms and fences of the runs — two bytes and an eighth of one per
+/// spilled state) plus the frontier and its paths. The floor keeps tiny
+/// limits from degenerating into a spill per handful of states.
 pub(crate) fn hot_budget_for(mem_limit: usize) -> usize {
     (mem_limit / 4).max(64 << 10)
-}
-
-/// Hot-tier record cap for the edge log sharing that `--mem-limit`.
-/// Records are fixed-size ([`EdgeRecord::BYTES`]), so a count cap is
-/// exact for them; at one record per 64 budget bytes the complete
-/// chunks awaiting a spill take at most three eighths of the hot
-/// budget, and the floor is one chunk.
-pub(crate) fn parent_cap_for(hot_budget: usize) -> usize {
-    (hot_budget / 64).max(EDGE_CHUNK)
 }
 
 /// Shared additive totals of one search.
@@ -208,311 +188,47 @@ impl SharedCounters {
     }
 }
 
-/// A dense id into the [`EdgeLog`]: one per task ever pushed.
-pub(crate) type TaskId = u32;
+/// A task's number: tasks are numbered in the order they are pushed,
+/// per worker in blocks of [`ID_BLOCK`]. The liveness graph orders its
+/// nodes by it.
+pub(crate) type TaskId = u64;
 
-/// The choice scripts too long for their record, by task id, as a
-/// checkpoint holds them.
-pub(crate) type Scripts = Vec<(TaskId, Vec<bool>)>;
+/// Ids a worker takes from [`TaskIds`] at a time, so the shared counter
+/// is touched once per thousand pushes.
+const ID_BLOCK: TaskId = 1024;
 
-/// Records per chunk of the [`EdgeLog`] — and per block of ids a worker
-/// reserves at a time, so the shared directory is touched once per
-/// thousand records and a chunk has exactly one writer.
-const EDGE_CHUNK: usize = 1024;
-
-/// One never-moving chunk of the [`EdgeLog`]: [`EDGE_CHUNK`] records of
-/// three words each. The words are atomics only so that the one writer
-/// and the readers (a spill, a checkpoint, a trace walk — all of which
-/// synchronize with the writer through the shard locks) share the chunk
-/// without `unsafe`; every access is a plain load or store.
-#[derive(Debug)]
-struct EdgeChunk {
-    words: Box<[AtomicU64]>,
-    /// Records written so far. Stored by the reserving worker alone.
-    filled: AtomicUsize,
-}
-
-impl EdgeChunk {
-    fn new(filled: usize) -> EdgeChunk {
-        EdgeChunk {
-            words: (0..3 * EDGE_CHUNK).map(|_| AtomicU64::new(0)).collect(),
-            filled: AtomicUsize::new(filled),
-        }
-    }
-
-    fn record(&self, n: usize) -> EdgeRecord {
-        EdgeRecord(std::array::from_fn(|w| {
-            self.words[3 * n + w].load(Ordering::Relaxed)
-        }))
-    }
-
-    fn set(&self, n: usize, record: EdgeRecord) {
-        for (cell, word) in self.words[3 * n..3 * n + 3].iter().zip(record.0) {
-            cell.store(word, Ordering::Relaxed);
-        }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.filled.load(Ordering::Acquire) == EDGE_CHUNK
-    }
-}
-
-/// A worker's cursor into the log: the chunk it reserved last.
+/// The source of task ids.
 #[derive(Debug, Default)]
-pub(crate) struct EdgeWriter {
-    chunk: Option<Arc<EdgeChunk>>,
-    /// Id of the chunk's first record.
-    base: TaskId,
+pub(crate) struct TaskIds(AtomicU64);
+
+/// A worker's unused ids: `next..end`.
+#[derive(Debug, Default)]
+pub(crate) struct IdBlock {
+    next: TaskId,
+    end: TaskId,
 }
 
-/// The `edges.log` file behind an [`EdgeLog`] under `--mem-limit`:
-/// record `id` lives at byte `id × `[`EdgeRecord::BYTES`]. Ids are
-/// dense, so the offset is the index — no bloom filter, no sorted runs,
-/// no merges.
-#[derive(Debug)]
-struct EdgeFile {
-    path: PathBuf,
-    file: File,
-    bytes_written: AtomicU64,
-    hits: AtomicU64,
-}
-
-impl EdgeFile {
-    fn create(dir: &Path) -> Result<EdgeFile, CheckerError> {
-        std::fs::create_dir_all(dir).map_err(|e| CheckerError::io(dir, e))?;
-        let path = dir.join("edges.log");
-        let file = File::options()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| CheckerError::io(&path, e))?;
-        Ok(EdgeFile {
-            path,
-            file,
-            bytes_written: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-        })
-    }
-
-    /// Writes the records of ids `first..` in one piece.
-    fn write(
-        &self,
-        first: usize,
-        records: impl Iterator<Item = EdgeRecord>,
-    ) -> Result<(), CheckerError> {
-        let bytes: Vec<u8> = records.flat_map(EdgeRecord::to_bytes).collect();
-        self.file
-            .write_all_at(&bytes, (first * EdgeRecord::BYTES) as u64)
-            .map_err(|e| CheckerError::io(&self.path, e))?;
-        self.bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Reads the `count` records of ids `first..`.
-    fn read(&self, first: usize, count: usize) -> Result<Vec<EdgeRecord>, CheckerError> {
-        let mut bytes = vec![0; count * EdgeRecord::BYTES];
-        self.file
-            .read_exact_at(&mut bytes, (first * EdgeRecord::BYTES) as u64)
-            .map_err(|e| CheckerError::io(&self.path, e))?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Ok(bytes
-            .chunks_exact(EdgeRecord::BYTES)
-            .map(|b| EdgeRecord::from_bytes(b.try_into().expect("one record")))
-            .collect())
-    }
-}
-
-/// The parent edges of the search: an append-only log of
-/// fixed-size [`EdgeRecord`]s addressed by [`TaskId`]. A worker reserves
-/// a whole chunk of ids at a time and is its only writer, so appending
-/// touches nothing another worker writes; chunks never move, complete
-/// ones are written to `edges.log` and freed under `--mem-limit`.
-#[derive(Debug)]
-struct EdgeLog {
-    /// Chunk `k` holds ids `k × EDGE_CHUNK ..`; `None` once spilled.
-    chunks: Mutex<Vec<Option<Arc<EdgeChunk>>>>,
-    /// Records in complete RAM-resident chunks — what a spill frees.
-    complete: AtomicUsize,
-    /// Choice scripts longer than [`EdgeRecord::INLINE_CHOICES`].
-    scripts: Mutex<HashMap<TaskId, Box<[bool]>>>,
-    /// Chunks the id space has room for (every id stays below
-    /// [`EdgeRecord::NO_PARENT`]).
-    max_chunks: usize,
-    cold: Option<EdgeFile>,
-}
-
-impl EdgeLog {
-    fn new(cold: Option<EdgeFile>) -> EdgeLog {
-        EdgeLog {
-            chunks: Mutex::new(Vec::new()),
-            complete: AtomicUsize::new(0),
-            scripts: Mutex::new(HashMap::new()),
-            max_chunks: EdgeRecord::NO_PARENT as usize / EDGE_CHUNK,
-            cold,
+impl TaskIds {
+    /// The id of the next task `block`'s worker pushes.
+    pub(crate) fn next(&self, block: &mut IdBlock) -> TaskId {
+        if block.next == block.end {
+            block.next = self.0.fetch_add(ID_BLOCK, Ordering::Relaxed);
+            block.end = block.next + ID_BLOCK;
         }
+        block.next += 1;
+        block.next - 1
     }
-
-    /// A log holding `records` as ids `0..` (checkpoint resume): in
-    /// complete chunks without a file, straight on disk with one.
-    fn restore(
-        cold: Option<EdgeFile>,
-        records: &[EdgeRecord],
-        scripts: Scripts,
-    ) -> Result<EdgeLog, CheckerError> {
-        let log = EdgeLog::new(cold);
-        let mut chunks = Vec::new();
-        match &log.cold {
-            Some(cold) => {
-                cold.write(0, records.iter().copied())?;
-                chunks.resize(records.len().div_ceil(EDGE_CHUNK), None);
-            }
-            None => {
-                for records in records.chunks(EDGE_CHUNK) {
-                    let chunk = EdgeChunk::new(EDGE_CHUNK);
-                    for (n, &record) in records.iter().enumerate() {
-                        chunk.set(n, record);
-                    }
-                    chunks.push(Some(Arc::new(chunk)));
-                }
-                log.complete
-                    .store(chunks.len() * EDGE_CHUNK, Ordering::Relaxed);
-            }
-        }
-        *log.chunks.lock() = chunks;
-        *log.scripts.lock() = scripts
-            .into_iter()
-            .map(|(id, script)| (id, script.into()))
-            .collect();
-        Ok(log)
-    }
-
-    /// Appends `record` at the writer's cursor and returns its id, or
-    /// `None` when the id space is used up.
-    fn append(
-        &self,
-        writer: &mut EdgeWriter,
-        (record, script): (EdgeRecord, Option<Box<[bool]>>),
-    ) -> Option<TaskId> {
-        if writer.chunk.as_ref().is_none_or(|c| c.is_complete()) {
-            let mut chunks = self.chunks.lock();
-            if chunks.len() >= self.max_chunks {
-                return None;
-            }
-            let chunk = Arc::new(EdgeChunk::new(0));
-            writer.base = (chunks.len() * EDGE_CHUNK) as TaskId;
-            chunks.push(Some(Arc::clone(&chunk)));
-            writer.chunk = Some(chunk);
-        }
-        let chunk = writer.chunk.as_ref().expect("reserved above");
-        let n = chunk.filled.load(Ordering::Relaxed);
-        chunk.set(n, record);
-        chunk.filled.store(n + 1, Ordering::Release);
-        if n + 1 == EDGE_CHUNK {
-            self.complete.fetch_add(EDGE_CHUNK, Ordering::Relaxed);
-        }
-        let id = writer.base + n as TaskId;
-        if let Some(script) = script {
-            self.scripts.lock().insert(id, script);
-        }
-        Some(id)
-    }
-
-    /// Writes every complete chunk to `edges.log` and frees it. Call
-    /// with every shard lock held: no record is then half-written.
-    fn spill_complete(&self) -> Result<(), CheckerError> {
-        let Some(cold) = &self.cold else {
-            return Ok(());
-        };
-        for (k, slot) in self.chunks.lock().iter_mut().enumerate() {
-            if let Some(chunk) = slot.take_if(|c| c.is_complete()) {
-                cold.write(k * EDGE_CHUNK, (0..EDGE_CHUNK).map(|n| chunk.record(n)))?;
-                self.complete.fetch_sub(EDGE_CHUNK, Ordering::Relaxed);
-            }
-        }
-        Ok(())
-    }
-
-    /// Record `id`, from whichever tier holds it.
-    fn get(&self, id: TaskId) -> Result<EdgeRecord, CheckerError> {
-        let (k, n) = (id as usize / EDGE_CHUNK, id as usize % EDGE_CHUNK);
-        match (self.chunks.lock().get(k), &self.cold) {
-            (Some(Some(chunk)), _) => Ok(chunk.record(n)),
-            (Some(None), Some(cold)) => Ok(cold.read(id as usize, 1)?[0]),
-            _ => Err(corrupt_edge(id)),
-        }
-    }
-
-    /// The steps from the root task to task `id`, oldest first.
-    fn path_to(&self, mut id: TaskId) -> Result<Vec<StepSeed>, CheckerError> {
-        let ids = self.chunks.lock().len() * EDGE_CHUNK;
-        let mut steps = Vec::new();
-        loop {
-            let record = self.get(id)?;
-            if record.parent() == EdgeRecord::NO_PARENT {
-                break;
-            }
-            // A path visits an id at most once; a longer walk is a cycle.
-            if steps.len() >= ids {
-                return Err(corrupt_edge(id));
-            }
-            let scripts = self.scripts.lock();
-            let script = scripts.get(&id).map(|s| &s[..]);
-            steps.push(record.seed(script).ok_or_else(|| corrupt_edge(id))?);
-            id = record.parent();
-        }
-        steps.reverse();
-        Ok(steps)
-    }
-
-    /// Every record (ids `0..`, reserved-but-unwritten ones as zeros)
-    /// and every overflow script, for a checkpoint.
-    fn snapshot(&self) -> Result<(Vec<EdgeRecord>, Scripts), CheckerError> {
-        let chunks = self.chunks.lock();
-        let mut records = Vec::with_capacity(chunks.len() * EDGE_CHUNK);
-        for (k, slot) in chunks.iter().enumerate() {
-            match (slot, &self.cold) {
-                (Some(chunk), _) => records.extend((0..EDGE_CHUNK).map(|n| chunk.record(n))),
-                (None, Some(cold)) => records.extend(cold.read(k * EDGE_CHUNK, EDGE_CHUNK)?),
-                (None, None) => return Err(corrupt_edge((k * EDGE_CHUNK) as TaskId)),
-            }
-        }
-        let mut scripts: Vec<_> = self
-            .scripts
-            .lock()
-            .iter()
-            .map(|(&id, script)| (id, script.to_vec()))
-            .collect();
-        scripts.sort_unstable();
-        Ok((records, scripts))
-    }
-
-    /// Bytes of RAM the log holds: resident chunks and overflow scripts.
-    fn resident_bytes(&self) -> usize {
-        let chunks = self.chunks.lock().iter().flatten().count();
-        let scripts = self.scripts.lock();
-        chunks * EDGE_CHUNK * EdgeRecord::BYTES
-            + scripts.capacity() * std::mem::size_of::<(TaskId, Box<[bool]>)>()
-            + scripts.values().map(|s| s.len()).sum::<usize>()
-    }
-}
-
-fn corrupt_edge(id: TaskId) -> CheckerError {
-    CheckerError::CheckpointFormat(format!("edge record {id} is missing or malformed"))
 }
 
 /// Shard count of [`SharedTable`]. 64 shards keep lock contention low
 /// for any plausible worker count while costing only 64 mutexes.
 const SHARDS: usize = 64;
 
-/// The visited store + edge log of the search kernel: the visited keys
-/// sharded by fingerprint prefix, one mutex per shard, with global
-/// retained-state accounting kept in atomics so the `max_states` bound
-/// holds across shards. Under `--mem-limit` a disk-backed cold tier
-/// ([`SharedCold`] for the keys, `edges.log` for the records) sits
-/// behind them.
+/// The visited store of the search kernel: the visited keys sharded by
+/// fingerprint prefix, one mutex per shard, with global retained-state
+/// accounting kept in atomics so the `max_states` bound holds across
+/// shards. Under `--mem-limit` a disk-backed cold tier ([`SharedCold`])
+/// sits behind them.
 #[derive(Debug)]
 pub(crate) struct SharedTable {
     shards: Vec<Mutex<Shard>>,
@@ -528,27 +244,17 @@ pub(crate) struct SharedTable {
     max: usize,
     max_marked: usize,
     cold: Option<SharedCold>,
-    edges: EdgeLog,
 }
 
 /// The cold tier of the visited keys: one [`RunStore`], drained from the
-/// shards inside the stop-the-world [`SharedTable::maybe_spill`], which
-/// also moves the edge log's complete chunks to its flat file. The store
-/// is the write side only — a lookup goes through its shard's
-/// [`Shard::runs`] and never takes this mutex. The two
-/// triggers are independent because the two fill at unrelated rates —
-/// with hash-consed slots a state costs ~11 visited bytes but its record
-/// 24, so a byte trigger alone lets records pile up far past their share
-/// of the limit, while draining the keys whenever the records are due
-/// writes a visited run per few thousand states and doubles the run
-/// time.
+/// shards inside the stop-the-world [`SharedTable::maybe_spill`]. The
+/// store is the write side only — a lookup goes through its shard's
+/// [`Shard::runs`] and never takes this mutex.
 #[derive(Debug)]
 struct SharedCold {
     visited: Mutex<RunStore>,
     /// Drain visited keys once `stored` reaches this many bytes.
     hot_budget: usize,
-    /// Spill complete edge chunks once they hold this many records.
-    edge_cap: usize,
     /// Serializes spillers (`try_lock`: losers skip — the winner is
     /// already draining the hot tier they noticed was full).
     spilling: Mutex<()>,
@@ -644,10 +350,10 @@ fn table_bytes<T>(capacity: usize) -> usize {
 impl SharedTable {
     /// An empty RAM-only table admitting at most `max` states.
     pub(crate) fn new(max: usize) -> SharedTable {
-        SharedTable::build(max, None, EdgeLog::new(None))
+        SharedTable::build(max, None)
     }
 
-    fn build(max: usize, cold: Option<SharedCold>, edges: EdgeLog) -> SharedTable {
+    fn build(max: usize, cold: Option<SharedCold>) -> SharedTable {
         let runs = cold.as_ref().map(|cold| cold.visited.lock().runs());
         let shard = || Shard {
             runs: runs.clone(),
@@ -663,7 +369,6 @@ impl SharedTable {
             max: max.max(1),
             max_marked: 0,
             cold,
-            edges,
         }
     }
 
@@ -684,45 +389,37 @@ impl SharedTable {
         Ok(SharedCold {
             visited: Mutex::new(RunStore::create(dir)?),
             hot_budget: hot_budget.max(1),
-            edge_cap: parent_cap_for(hot_budget),
             spilling: Mutex::new(()),
         })
     }
 
-    /// An empty table spilling to `dir`: visited keys whenever the hot
-    /// tier reaches `hot_budget` bytes, edge records whenever
-    /// [`parent_cap_for`]`(hot_budget)` of them sit in complete chunks.
+    /// An empty table spilling its visited keys to `dir` whenever the
+    /// hot tier reaches `hot_budget` bytes.
     pub(crate) fn with_spill(
         max: usize,
         dir: &Path,
         hot_budget: usize,
     ) -> Result<SharedTable, CheckerError> {
         let cold = SharedTable::cold_tier(dir, hot_budget)?;
-        let edges = EdgeLog::new(Some(EdgeFile::create(dir)?));
-        Ok(SharedTable::build(max, Some(cold), edges))
+        Ok(SharedTable::build(max, Some(cold)))
     }
 
     /// Rebuilds a table from checkpointed entries. Without spilling the
     /// entries become the hot tier and `stored_bytes` restores the
-    /// checkpointed figure; with spilling every restored key and record
-    /// goes straight to disk (the encoding lengths are no longer known,
-    /// so the hot tier restarts empty and RAM-honest at zero).
+    /// checkpointed figure; with spilling every restored key goes
+    /// straight to disk (the encoding lengths are no longer known, so the
+    /// hot tier restarts empty and RAM-honest at zero).
     pub(crate) fn restore(
         max: usize,
         spill: Option<(&Path, usize)>,
         entries: &[VisitedEntry],
-        parents: &[EdgeRecord],
-        scripts: Scripts,
         stored_bytes: usize,
     ) -> Result<SharedTable, CheckerError> {
-        let (cold, file) = match spill {
-            None => (None, None),
-            Some((dir, hot_budget)) => (
-                Some(SharedTable::cold_tier(dir, hot_budget)?),
-                Some(EdgeFile::create(dir)?),
-            ),
+        let cold = match spill {
+            None => None,
+            Some((dir, hot_budget)) => Some(SharedTable::cold_tier(dir, hot_budget)?),
         };
-        let table = SharedTable::build(max, cold, EdgeLog::restore(file, parents, scripts)?);
+        let table = SharedTable::build(max, cold);
         table.unique.store(entries.len(), Ordering::SeqCst);
         for e in entries.iter().filter(|e| e.sleep != 0) {
             let fp = Fingerprint::from_u128(e.fp);
@@ -761,70 +458,45 @@ impl SharedTable {
         self
     }
 
-    /// Activity of the cold tier, zeroed without one. `records` counts
-    /// visited fingerprints only; `bytes_written`, `reads` and `hits`
-    /// cover the visited store and `edges.log`.
+    /// Activity of the cold tier, zeroed without one.
     pub(crate) fn spill_stats(&self) -> SpillCounters {
-        match (&self.cold, &self.edges.cold) {
-            (Some(cold), Some(edges)) => {
-                let reads = edges.hits.load(Ordering::Relaxed);
-                let v = cold.visited.lock().counters();
-                SpillCounters {
-                    bytes_written: v.bytes_written + edges.bytes_written.load(Ordering::Relaxed),
-                    reads: v.reads + reads,
-                    hits: v.hits + reads,
-                    ..v
-                }
-            }
-            _ => SpillCounters::default(),
-        }
+        let counters = |cold: &SharedCold| cold.visited.lock().counters();
+        self.cold.as_ref().map(counters).unwrap_or_default()
     }
 
-    /// Stop-the-world spill: when either hot tier is over its trigger,
-    /// take every shard lock (ascending — admits hold exactly one, so
-    /// the same order prevents deadlock), drain the tier(s) that are
-    /// due, and write them out while still holding the shard locks, so
-    /// no admit can observe a drained-but-not-yet-spilled fingerprint
-    /// as unvisited or be half-way through writing a record.
+    /// Stop-the-world spill: when the hot tier is over its budget, take
+    /// every shard lock (ascending — admits hold exactly one, so the same
+    /// order prevents deadlock), drain the tier, and write it out while
+    /// still holding the shard locks, so no admit can observe a
+    /// drained-but-not-yet-spilled fingerprint as unvisited.
     fn maybe_spill(&self) -> Result<(), CheckerError> {
         let Some(cold) = &self.cold else {
             return Ok(());
         };
-        let due = || {
-            (
-                self.stored.load(Ordering::Relaxed) >= cold.hot_budget,
-                self.edges.complete.load(Ordering::Relaxed) >= cold.edge_cap,
-            )
-        };
-        if due() == (false, false) {
+        let due = || self.stored.load(Ordering::Relaxed) >= cold.hot_budget;
+        if !due() {
             return Ok(());
         }
         let Some(spilling) = cold.spilling.try_lock() else {
             return Ok(());
         };
-        let (visited_due, edges_due) = due();
-        if !(visited_due || edges_due) {
+        if !due() {
             return Ok(());
         }
         let mut shards: Vec<_> = (0..SHARDS).map(|i| self.lock(i)).collect();
-        if visited_due {
-            let mut batch = Vec::new();
-            let mut freed = 0usize;
-            for shard in shards.iter_mut() {
-                let shard = &mut **shard;
-                for fp in shard.visited.drain() {
-                    freed += shard.lens.remove(&fp).unwrap_or(0) as usize;
-                    let rep = shard.reps.remove(&fp).unwrap_or(fp);
-                    batch.push((fp.as_u128(), rep.as_u128()));
-                }
+        let mut batch = Vec::new();
+        let mut freed = 0usize;
+        for shard in shards.iter_mut() {
+            let shard = &mut **shard;
+            for fp in shard.visited.drain() {
+                freed += shard.lens.remove(&fp).unwrap_or(0) as usize;
+                let rep = shard.reps.remove(&fp).unwrap_or(fp);
+                batch.push((fp.as_u128(), rep.as_u128()));
             }
-            let freed = freed.min(self.stored.load(Ordering::SeqCst));
-            self.stored.fetch_sub(freed, Ordering::SeqCst);
-            cold.spill(&mut shards, batch)?;
         }
-        if edges_due {
-            self.edges.spill_complete()?;
-        }
+        let freed = freed.min(self.stored.load(Ordering::SeqCst));
+        self.stored.fetch_sub(freed, Ordering::SeqCst);
+        cold.spill(&mut shards, batch)?;
         // Given up before the shard locks, not after: a spiller preempted
         // in between would otherwise have every admit that gets in skip
         // its spill, and the hot tier grow for as long as it sleeps.
@@ -835,33 +507,22 @@ impl SharedTable {
     /// Offers the state `concrete`, stored under `key` (its canonical
     /// fingerprint with symmetry reduction, `concrete` itself without),
     /// to be expanded with `sleep` (∅ without partial-order reduction).
-    /// `edge()` builds the record of the step that reached it — for the
-    /// initial state, [`EdgeRecord::root`]. The module docs hold the
-    /// decision table.
+    /// The module docs hold the decision table; the caller pushes a task
+    /// for [`Admit::New`] and [`Admit::Widen`].
     ///
-    /// [`Admit::New`] and [`Admit::Widen`] come with the id of the task
-    /// to push: its record is in the log, appended through the caller's
-    /// `writer`, before this returns. The whole decision happens under
-    /// the key's shard lock, so concurrent offers of one key serialize:
-    /// exactly one caller gets [`Admit::New`] and must expand the state.
-    /// `bytes` runs only for that caller and `edge` only when a task is
-    /// pushed, so the `Covered` fast path — the overwhelming majority of
-    /// offers — builds neither. An id space that is used up truncates
-    /// the search the way the state bound does.
+    /// The whole decision happens under the key's shard lock, so
+    /// concurrent offers of one key serialize: exactly one caller gets
+    /// [`Admit::New`] and must expand the state. `bytes` runs only for
+    /// that caller, so the `Covered` fast path — the overwhelming
+    /// majority of offers — builds nothing.
     pub(crate) fn admit(
         &self,
         key: Fingerprint,
         concrete: Fingerprint,
         sleep: SleepSet,
         bytes: impl FnOnce() -> usize,
-        writer: &mut EdgeWriter,
-        edge: impl FnOnce() -> (EdgeRecord, Option<Box<[bool]>>),
-    ) -> Result<(Admit, Option<TaskId>), CheckerError> {
-        let over_bound = || {
-            self.truncated.store(true, Ordering::SeqCst);
-            Ok((Admit::OverBound, None))
-        };
-        let pushed = {
+    ) -> Result<Admit, CheckerError> {
+        let admitted = {
             let mut shard = self.lock(key.shard(SHARDS));
             let visited = if shard.visited.contains(key) {
                 Some(shard.reps.get(&key).copied())
@@ -880,34 +541,26 @@ impl SharedTable {
                         (stored.is_subset_of(sleep), stored.intersect(sleep))
                     };
                     if covered {
-                        return Ok((Admit::Covered { merged }, None));
+                        return Ok(Admit::Covered { merged });
                     }
-                    let Some(id) = self.edges.append(writer, edge()) else {
-                        return over_bound();
-                    };
                     if widened == SleepSet::empty() {
                         shard.sleeps.remove(&key);
                     } else {
                         shard.sleeps.insert(key, widened);
                     }
                     let sleep = widened;
-                    (Admit::Widen { sleep, merged }, Some(id))
+                    Admit::Widen { sleep, merged }
                 }
                 None => {
                     // Reserve a slot under the global bound; undo on
                     // overflow. The shard lock is held, so a concurrent
                     // duplicate of *this* key cannot slip in between
                     // the check and the insert.
-                    let reserved = self.unique.fetch_add(1, Ordering::SeqCst);
-                    let id = if reserved < self.max {
-                        self.edges.append(writer, edge())
-                    } else {
-                        None
-                    };
-                    let Some(id) = id else {
+                    if self.unique.fetch_add(1, Ordering::SeqCst) >= self.max {
                         self.unique.fetch_sub(1, Ordering::SeqCst);
-                        return over_bound();
-                    };
+                        self.truncated.store(true, Ordering::SeqCst);
+                        return Ok(Admit::OverBound);
+                    }
                     shard.visited.insert(key);
                     if concrete != key {
                         shard.reps.insert(key, concrete);
@@ -920,18 +573,18 @@ impl SharedTable {
                     if self.cold.is_some() {
                         shard.lens.insert(key, bytes_len as u32);
                     }
-                    (Admit::New, Some(id))
+                    Admit::New
                 }
             }
         };
         self.maybe_spill()?;
-        Ok(pushed)
+        Ok(admitted)
     }
 
     /// Marks `config` as reached by an annotated search: [`Admit::New`]
     /// the first time, [`Admit::Covered`] after that, [`Admit::OverBound`]
     /// — not marked, not counted, the search truncated — once the bound is
-    /// full. A marker has no record, task or bytes; its nodes have.
+    /// full. A marker has no task or bytes; its nodes have.
     pub(crate) fn mark(&self, config: Fingerprint) -> Result<Admit, CheckerError> {
         let mut shard = self.lock(config.shard(SHARDS));
         if shard.visited.contains(config) || shard.cold_visited(config)?.is_some() {
@@ -963,8 +616,7 @@ impl SharedTable {
 
     /// Bytes of RAM the bookkeeping around those states holds: the
     /// visited buckets and the hash tables of every shard (from their
-    /// capacities), the resident edge chunks, the overflow scripts, and
-    /// the blooms and fences of the cold runs.
+    /// capacities) and the blooms and fences of the cold runs.
     pub(crate) fn index_bytes(&self) -> usize {
         let shards: usize = self
             .shards
@@ -978,32 +630,18 @@ impl SharedTable {
             })
             .sum();
         let runs = |cold: &SharedCold| cold.visited.lock().resident_bytes();
-        shards + self.edges.resident_bytes() + self.cold.as_ref().map_or(0, runs)
+        shards + self.cold.as_ref().map_or(0, runs)
     }
 
-    /// Whether a bound (states, or task ids) dropped any state.
+    /// Whether the state bound dropped any state.
     pub(crate) fn truncated(&self) -> bool {
         self.truncated.load(Ordering::SeqCst)
     }
 
-    /// Walks the edge log from the root task to task `id` across both
-    /// tiers, rendering the stored steps. Call after the workers have
-    /// quiesced.
-    pub(crate) fn reconstruct(
-        &self,
-        id: TaskId,
-        program: &p_semantics::LoweredProgram,
-    ) -> Result<Vec<TraceStep>, CheckerError> {
-        let steps = self.edges.path_to(id)?;
-        Ok(steps.iter().map(|step| step.render(program)).collect())
-    }
-
-    /// Every visited entry (hot then cold), every edge record and every
-    /// overflow script, for checkpointing. Call only while the workers
-    /// are quiescent (at the checkpoint rendezvous or after joining).
-    pub(crate) fn snapshot(
-        &self,
-    ) -> Result<(Vec<VisitedEntry>, Vec<EdgeRecord>, Scripts), CheckerError> {
+    /// Every visited entry (hot then cold), for checkpointing. Call only
+    /// while the workers are quiescent (at the checkpoint rendezvous or
+    /// after joining).
+    pub(crate) fn snapshot(&self) -> Result<Vec<VisitedEntry>, CheckerError> {
         let mut visited = Vec::with_capacity(self.unique());
         // Sleep sets stay in the shards even for spilled fingerprints;
         // collect them all first so cold entries can look theirs up.
@@ -1033,8 +671,7 @@ impl SharedTable {
                 });
             }
         }
-        let (parents, scripts) = self.edges.snapshot()?;
-        Ok((visited, parents, scripts))
+        Ok(visited)
     }
 }
 
@@ -1275,27 +912,33 @@ impl<T> Frontier<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultDecision;
     use crate::tests::{BoundedSet, ParentMap};
+    use crate::trace::{StepSeed, TaskPath};
     use p_semantics::MachineId;
 
     fn fp(n: u32) -> Fingerprint {
         Fingerprint::of(&n.to_le_bytes())
     }
 
-    /// A distinguishable edge out of task `parent`: a quiescent run of
-    /// machine `n`. Rendered steps are told apart by their machine id.
-    fn edge(parent: TaskId, n: u32) -> (EdgeRecord, Option<Box<[bool]>>) {
-        (EdgeRecord::test_blocked(parent, MachineId(n)), None)
+    /// A distinguishable step: a drop from machine `n`'s queue. Rendered
+    /// steps are told apart by their machine id.
+    fn then(path: &TaskPath, n: u32) -> TaskPath {
+        path.then_fault(&FaultDecision {
+            kind: crate::fault::FaultKind::Drop,
+            machine: MachineId(n),
+            index: 0,
+            event: p_semantics::EventId(0),
+        })
     }
 
-    /// A distinguishable reference edge: a quiescent run of machine `n`.
+    /// A distinguishable reference step: a quiescent run of machine `n`.
     fn step(n: u32) -> StepSeed {
         StepSeed::test_blocked(MachineId(n))
     }
 
-    /// Any program works for rendering machine-run steps; reconstruction
-    /// only needs names for event/machine-type lookups, which quiescent
-    /// runs never perform.
+    /// Any program works for rendering the steps of [`then`]: it names
+    /// its events.
     fn program() -> p_semantics::LoweredProgram {
         let mut b = p_ast::ProgramBuilder::new();
         b.event("e0");
@@ -1304,6 +947,11 @@ mod tests {
         m.state("S").entry(p_ast::Stmt::block(vec![]));
         m.finish();
         p_semantics::lower(&b.finish("M")).unwrap()
+    }
+
+    /// The machines along `path`, from the root.
+    fn machines(path: &TaskPath) -> Vec<MachineId> {
+        path.render(&program()).iter().map(|s| s.machine).collect()
     }
 
     fn sleep(ids: &[u32]) -> SleepSet {
@@ -1320,46 +968,16 @@ mod tests {
         dir
     }
 
-    /// The machines that ran along the reconstructed path to task `id`.
-    fn path_to(table: &SharedTable, id: TaskId) -> Vec<MachineId> {
-        let trace = table.reconstruct(id, &program()).unwrap();
-        trace.iter().map(|s| s.machine).collect()
-    }
-
-    /// Records the log holds in RAM (written ones, in resident chunks).
-    fn resident_records(table: &SharedTable) -> usize {
-        let chunks = table.edges.chunks.lock();
-        let filled = |c: &Arc<EdgeChunk>| c.filled.load(Ordering::SeqCst);
-        chunks.iter().flatten().map(filled).sum()
-    }
-
-    /// A plain offer (no symmetry, no sleep set) of `fp(n)` reached
-    /// from task `parent` by a run of machine `n`.
-    fn offer(
-        table: &SharedTable,
-        writer: &mut EdgeWriter,
-        n: u32,
-        bytes: usize,
-        parent: TaskId,
-    ) -> (Admit, Option<TaskId>) {
+    /// A plain offer (no symmetry, no sleep set) of `fp(n)`.
+    fn offer(table: &SharedTable, n: u32, bytes: usize) -> Admit {
         let no_sleep = SleepSet::empty();
-        table
-            .admit(fp(n), fp(n), no_sleep, || bytes, writer, || edge(parent, n))
-            .unwrap()
+        table.admit(fp(n), fp(n), no_sleep, || bytes).unwrap()
     }
 
-    /// Admits the initial state `fp(0)` under `key`; returns its task.
-    fn offer_root(
-        table: &SharedTable,
-        writer: &mut EdgeWriter,
-        key: Fingerprint,
-        bytes: usize,
-    ) -> TaskId {
-        let root = || (EdgeRecord::root(), None);
-        let admitted = table.admit(key, fp(0), SleepSet::empty(), || bytes, writer, root);
-        let (outcome, id) = admitted.unwrap();
-        assert_eq!(outcome, Admit::New);
-        id.expect("a fresh state comes with its task")
+    /// Admits the initial state `fp(0)` under `key`.
+    fn offer_root(table: &SharedTable, key: Fingerprint, bytes: usize) {
+        let admitted = table.admit(key, fp(0), SleepSet::empty(), || bytes);
+        assert_eq!(admitted.unwrap(), Admit::New);
     }
 
     #[test]
@@ -1408,78 +1026,53 @@ mod tests {
         // both are stored under the orbit key fp(100).
         let key = if symmetry { fp(100) } else { fp(1) };
         let s = |ids: &[u32]| if por { sleep(ids) } else { SleepSet::empty() };
-        let mut writer = EdgeWriter::default();
-        let root_key = if symmetry { fp(99) } else { fp(0) };
-        let root = offer_root(&table, &mut writer, root_key, 8);
-        let mut admit = |key, concrete, sleep, parent, seed: u32| {
-            table
-                .admit(
-                    key,
-                    concrete,
-                    sleep,
-                    || 8,
-                    &mut writer,
-                    || edge(parent, seed),
-                )
-                .unwrap()
-        };
+        offer_root(&table, if symmetry { fp(99) } else { fp(0) }, 8);
+        let admit = |key, concrete, sleep| table.admit(key, concrete, sleep, || 8).unwrap();
 
         // Fresh.
-        let (outcome, a) = admit(key, fp(1), s(&[1, 2]), root, 1);
-        assert_eq!(outcome, Admit::New);
-        let a = a.expect("a fresh state comes with its task");
+        assert_eq!(admit(key, fp(1), s(&[1, 2])), Admit::New);
         if spilled {
             assert_eq!(table.spill_stats().records, 2, "root and A are on disk");
             assert_eq!(table.stored_bytes(), 0, "a spill frees the exact lens");
         }
         // Same representative, stored ⊆ offered.
-        let covered = (Admit::Covered { merged: false }, None);
-        assert_eq!(admit(key, fp(1), s(&[1, 2]), root, 7), covered);
+        let covered = Admit::Covered { merged: false };
+        assert_eq!(admit(key, fp(1), s(&[1, 2])), covered);
         if por {
             // Same representative, stored {1,2} ⊄ offered {2,3}: the
-            // re-pushed task has a record of its own.
-            let (outcome, again) = admit(key, fp(1), sleep(&[2, 3]), root, 7);
+            // state is re-pushed with the intersection.
             let widen = Admit::Widen {
                 sleep: sleep(&[2]),
                 merged: false,
             };
-            assert_eq!(outcome, widen);
-            assert_eq!(path_to(&table, again.unwrap()), [MachineId(7)]);
-            assert_eq!(admit(key, fp(1), sleep(&[2, 4]), root, 7), covered);
+            assert_eq!(admit(key, fp(1), sleep(&[2, 3])), widen);
+            assert_eq!(admit(key, fp(1), sleep(&[2, 4])), covered);
         }
         if symmetry {
             if por {
                 // Sibling while the stored set is {2} ≠ ∅: one
-                // re-expansion with ∅, out of the task that offered it.
-                let (outcome, sibling) = admit(key, fp(2), sleep(&[4]), a, 2);
+                // re-expansion with ∅.
                 let widen = Admit::Widen {
                     sleep: SleepSet::empty(),
                     merged: true,
                 };
-                assert_eq!(outcome, widen);
-                assert_eq!(
-                    path_to(&table, sibling.unwrap()),
-                    [MachineId(1), MachineId(2)]
-                );
+                assert_eq!(admit(key, fp(2), sleep(&[4])), widen);
             }
             // Sibling, stored ∅: covered, whatever it offers — a merge
-            // pushes no task, so it has no record.
-            let merged = (Admit::Covered { merged: true }, None);
-            assert_eq!(admit(key, fp(2), s(&[6]), root, 3), merged);
-            assert_eq!(admit(key, fp(1), s(&[5]), root, 3), covered);
+            // pushes no task.
+            assert_eq!(admit(key, fp(2), s(&[6])), Admit::Covered { merged: true });
+            assert_eq!(admit(key, fp(1), s(&[5])), covered);
         }
-        // Revisits neither re-count the state nor touch its record.
+        // Revisits do not re-count the state.
         assert_eq!(table.unique(), 2);
         assert_eq!(table.stored_bytes(), if spilled { 0 } else { 16 });
-        assert_eq!(path_to(&table, a), [MachineId(1)]);
 
         // Over the bound (3, across both tiers): dropped, not poisoned.
-        assert_eq!(admit(fp(3), fp(3), s(&[]), a, 3).0, Admit::New);
-        let over_bound = (Admit::OverBound, None);
-        assert_eq!(admit(fp(4), fp(4), s(&[]), a, 4), over_bound);
+        assert_eq!(admit(fp(3), fp(3), s(&[])), Admit::New);
+        assert_eq!(admit(fp(4), fp(4), s(&[])), Admit::OverBound);
         assert!(table.truncated());
-        assert_eq!(admit(fp(4), fp(4), s(&[]), a, 4), over_bound);
-        assert_eq!(admit(fp(3), fp(3), s(&[]), a, 3), covered);
+        assert_eq!(admit(fp(4), fp(4), s(&[])), Admit::OverBound);
+        assert_eq!(admit(fp(3), fp(3), s(&[])), covered);
         assert_eq!(table.unique(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1520,9 +1113,8 @@ mod tests {
             };
             let table = table.annotated(0);
             let covered = Admit::Covered { merged: false };
-            let mut writer = EdgeWriter::default();
             assert_eq!(table.mark(fp(100)).unwrap(), Admit::New);
-            let root = offer_root(&table, &mut writer, fp(0), 8);
+            offer_root(&table, fp(0), 8);
             assert_eq!(table.mark(fp(100)).unwrap(), covered);
             assert_eq!(table.mark(fp(101)).unwrap(), Admit::New);
             // Over the bound: not marked, not counted, not poisoned.
@@ -1532,7 +1124,7 @@ mod tests {
             assert_eq!(table.mark(fp(102)).unwrap(), Admit::OverBound);
             assert_eq!(table.mark(fp(101)).unwrap(), covered);
             for n in 1..=5 {
-                assert_eq!(offer(&table, &mut writer, n, 8, root).0, Admit::New);
+                assert_eq!(offer(&table, n, 8), Admit::New);
             }
             assert_eq!((table.marked(), table.unique()), (2, 6));
             assert_eq!(table.stored_bytes(), if spilled { 0 } else { 48 });
@@ -1544,17 +1136,16 @@ mod tests {
                 );
             }
 
-            let (visited, parents, scripts) = table.snapshot().unwrap();
+            let visited = table.snapshot().unwrap();
             assert_eq!(visited.len(), 8);
-            let restored = SharedTable::restore(2, None, &visited, &parents, scripts, 48)
+            let restored = SharedTable::restore(2, None, &visited, 48)
                 .unwrap()
                 .annotated(table.marked());
             assert_eq!((restored.marked(), restored.unique()), (2, 6));
             assert_eq!(restored.mark(fp(100)).unwrap(), covered);
             assert_eq!(restored.mark(fp(102)).unwrap(), Admit::OverBound);
-            let mut writer = EdgeWriter::default();
-            assert_eq!(offer(&restored, &mut writer, 3, 8, root).0, covered);
-            assert_eq!(offer(&restored, &mut writer, 6, 8, root).0, Admit::New);
+            assert_eq!(offer(&restored, 3, 8), covered);
+            assert_eq!(offer(&restored, 6, 8), Admit::New);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -1574,14 +1165,13 @@ mod tests {
     #[test]
     fn shared_table_admits_exactly_once_across_threads() {
         let table = SharedTable::new(usize::MAX);
-        let root = offer_root(&table, &mut EdgeWriter::default(), fp(0), 0);
+        offer_root(&table, fp(0), 0);
         let wins = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let mut writer = EdgeWriter::default();
                     for n in 1..500u32 {
-                        if offer(&table, &mut writer, n, 1, root).0 == Admit::New {
+                        if offer(&table, n, 1) == Admit::New {
                             wins.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -1593,240 +1183,56 @@ mod tests {
         assert_eq!(table.stored_bytes(), 499);
     }
 
+    /// A pushed task's path is its parent's plus the step that reached
+    /// it, whatever else the table holds: root to leaf.
     #[test]
     fn shared_table_reconstructs_traces() {
         let table = SharedTable::new(usize::MAX);
-        let mut writer = EdgeWriter::default();
-        let root = offer_root(&table, &mut writer, fp(0), 0);
-        let one = offer(&table, &mut writer, 1, 0, root).1.unwrap();
-        let two = offer(&table, &mut writer, 2, 0, one).1.unwrap();
-        assert_eq!(path_to(&table, two), [MachineId(1), MachineId(2)]);
-        assert!(path_to(&table, root).is_empty());
+        offer_root(&table, fp(0), 0);
+        let root = TaskPath::default();
+        assert_eq!(offer(&table, 1, 0), Admit::New);
+        let one = then(&root, 1);
+        assert_eq!(offer(&table, 2, 0), Admit::New);
+        let two = then(&one, 2);
+        assert_eq!(machines(&two), [MachineId(1), MachineId(2)]);
+        assert_eq!(machines(&one), [MachineId(1)]);
+        assert!(machines(&root).is_empty());
     }
 
-    /// A small deterministic generator for the table-driven tests.
-    fn lcg(state: &mut u64) -> u64 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *state >> 33
-    }
-
-    /// The log against the store it replaces: random trees whose edges
-    /// cover every outcome the kernel records and choice scripts on both
-    /// sides of the inline budget go into the edge log and into the
-    /// reference [`ParentMap`]; every node's path renders identically,
-    /// in RAM and with every chunk spilled the moment it completes.
+    /// Eight workers, each taking its ids a block at a time: every id is
+    /// handed out exactly once, and each worker's ids increase.
     #[test]
-    fn edge_log_renders_what_the_parent_map_renders() {
-        use p_semantics::{EventId, ExecOutcome, MachineTypeId, RunResult, YieldKind};
-        let prog = program();
-        let inline = EdgeRecord::INLINE_CHOICES;
-        let outcomes = |rng: &mut u64| {
-            let to = MachineId(lcg(rng) as u32);
-            match lcg(rng) % 6 {
-                0 | 1 => ExecOutcome::Yield(YieldKind::Sent {
-                    to,
-                    event: EventId((lcg(rng) % 2) as u32),
-                    enqueued: lcg(rng).is_multiple_of(2),
-                }),
-                2 => ExecOutcome::Yield(YieldKind::Created {
-                    id: to,
-                    ty: MachineTypeId(0),
-                }),
-                3 => ExecOutcome::Yield(YieldKind::Internal),
-                4 => ExecOutcome::Blocked,
-                _ => ExecOutcome::Deleted,
-            }
-        };
-        for (seed, spilled) in [(1, false), (2, true), (3, false), (4, true)] {
-            let dir = temp_dir(&format!("edge-tree-{seed}"));
-            let log = EdgeLog::new(spilled.then(|| EdgeFile::create(&dir).unwrap()));
-            let mut rng = seed as u64;
-            let mut writer = EdgeWriter::default();
-            let mut reference = ParentMap::new();
-            let root = log.append(&mut writer, (EdgeRecord::root(), None)).unwrap();
-            let mut nodes = vec![root];
-            let edges = 2_000 + lcg(&mut rng) as usize % 8_000;
-            for _ in 0..edges {
-                let parent = nodes[lcg(&mut rng) as usize % nodes.len()];
-                let machine = MachineId(lcg(&mut rng) as u32);
-                let len = [0, 1, inline, inline + 1, 200][lcg(&mut rng) as usize % 5];
-                let choices: Vec<bool> =
-                    (0..len).map(|_| lcg(&mut rng).is_multiple_of(2)).collect();
-                let result = RunResult {
-                    outcome: outcomes(&mut rng),
-                    choices_used: len,
-                    steps: 1,
-                    dequeued: Vec::new(),
-                    raised: Vec::new(),
-                    deferred: Vec::new(),
-                };
-                let record = EdgeRecord::from_run(parent, machine, &result, &choices);
-                let id = log.append(&mut writer, record).unwrap();
-                reference.record(
-                    fp(id),
-                    fp(parent),
-                    StepSeed::from_run(machine, &result, choices),
-                );
-                nodes.push(id);
-                if spilled {
-                    log.spill_complete().unwrap();
-                }
-            }
-            if spilled {
-                let resident = log.chunks.lock().iter().flatten().count();
-                assert!(resident <= 1, "only the open chunk stays in RAM");
-            }
-            for &id in &nodes {
-                let rendered: Vec<TraceStep> = log
-                    .path_to(id)
-                    .unwrap()
-                    .iter()
-                    .map(|s| s.render(&prog))
-                    .collect();
-                assert_eq!(rendered, reference.reconstruct(fp(id), &prog), "node {id}");
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    /// Eight writers, each reserving its ids a chunk at a time: every id
-    /// is written exactly once, holds what its writer put there, and
-    /// leads back to the root.
-    #[test]
-    fn edge_log_appends_exactly_once_across_threads() {
-        const WRITERS: u32 = 8;
+    fn task_ids_are_handed_out_exactly_once_across_threads() {
+        const WORKERS: usize = 8;
         const EACH: usize = 100_000;
-        let log = EdgeLog::new(None);
-        let root = log
-            .append(&mut EdgeWriter::default(), (EdgeRecord::root(), None))
-            .unwrap();
-        let written: Vec<Vec<TaskId>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..WRITERS)
-                .map(|t| {
-                    let log = &log;
+        let ids = TaskIds::default();
+        let taken: Vec<Vec<TaskId>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    let ids = &ids;
                     scope.spawn(move || {
-                        let mut writer = EdgeWriter::default();
-                        let mut rng = t as u64;
-                        let mut mine = vec![root];
-                        for _ in 0..EACH {
-                            let parent = mine[lcg(&mut rng) as usize % mine.len()];
-                            let id = log.append(&mut writer, edge(parent, t)).unwrap();
-                            mine.push(id);
-                        }
-                        mine.split_off(1)
+                        let mut block = IdBlock::default();
+                        (0..EACH).map(|_| ids.next(&mut block)).collect()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        let ids = log.chunks.lock().len() * EDGE_CHUNK;
-        let mut owner = vec![None; ids];
-        for (t, mine) in written.iter().enumerate() {
-            assert_eq!(mine.len(), EACH);
-            for &id in mine {
-                assert_eq!(
-                    owner[id as usize].replace(t),
-                    None,
-                    "id {id} handed out twice"
-                );
-            }
+        let mut all: Vec<TaskId> = taken.iter().flatten().copied().collect();
+        for mine in &taken {
+            assert!(
+                mine.windows(2).all(|w| w[0] < w[1]),
+                "a worker's ids increase"
+            );
         }
-        // A record's parent was written before it: depth by one pass in
-        // writing order, and every chain ends at the root.
-        let mut reaches_root = vec![false; ids];
-        reaches_root[root as usize] = true;
-        for (t, mine) in written.iter().enumerate() {
-            for &id in mine {
-                let record = log.get(id).unwrap();
-                assert_eq!(record, edge(record.parent(), t as u32).0, "id {id}");
-                assert!(reaches_root[record.parent() as usize], "id {id}");
-                reaches_root[id as usize] = true;
-            }
-        }
-        let last = *written[7].last().unwrap();
-        assert!(log.path_to(last).unwrap().iter().all(|s| *s == step(7)));
-    }
-
-    /// Choice scripts past the inline budget survive a checkpoint, on
-    /// both sides of a spill.
-    #[test]
-    fn edge_log_overflow_scripts_survive_snapshot_and_restore() {
-        use p_semantics::{ExecOutcome, RunResult};
-        let dir = temp_dir("edge-overflow");
-        let table = SharedTable::with_spill(usize::MAX, &dir, 64 << 10).unwrap();
-        let mut writer = EdgeWriter::default();
-        let mut parent = offer_root(&table, &mut writer, fp(0), 0);
-        let result = RunResult {
-            outcome: ExecOutcome::Blocked,
-            choices_used: 0,
-            steps: 1,
-            dequeued: Vec::new(),
-            raised: Vec::new(),
-            deferred: Vec::new(),
-        };
-        let script =
-            |n: u32| -> Vec<bool> { (0..n % 120).map(|i| (i + n).is_multiple_of(3)).collect() };
-        for n in 1..=2_500u32 {
-            let record = || EdgeRecord::from_run(parent, MachineId(n), &result, &script(n));
-            let admitted = table.admit(fp(n), fp(n), SleepSet::empty(), || 0, &mut writer, record);
-            parent = admitted.unwrap().1.unwrap();
-        }
-        assert!(table.index_bytes() > 0);
-        let expected: Vec<Vec<bool>> = (1..=2_500).map(script).collect();
-        let choices = |table: &SharedTable| -> Vec<Vec<bool>> {
-            let trace = table.reconstruct(parent, &program()).unwrap();
-            trace.into_iter().map(|s| s.choices).collect()
-        };
-        assert_eq!(choices(&table), expected);
-        let (visited, parents, scripts) = table.snapshot().unwrap();
-        assert_eq!(parents.len(), 3 * EDGE_CHUNK);
-        assert!(scripts.len() > 1_000, "{} overflow scripts", scripts.len());
-        let dir2 = temp_dir("edge-overflow-2");
-        for spill in [None, Some((dir2.as_path(), 64 << 10))] {
-            let restored =
-                SharedTable::restore(usize::MAX, spill, &visited, &parents, scripts.clone(), 0);
-            assert_eq!(choices(&restored.unwrap()), expected);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&dir2);
-    }
-
-    /// A task-id space that is used up truncates the search the way the
-    /// state bound does: typed, counted, and without poisoning.
-    #[test]
-    fn exhausted_task_ids_truncate_without_poisoning() {
-        let mut table = SharedTable::new(usize::MAX);
-        table.edges.max_chunks = 1;
-        let mut writer = EdgeWriter::default();
-        let root = offer_root(&table, &mut writer, fp(0), 1);
-        let offer_x = |table: &SharedTable, writer: &mut EdgeWriter, sleep| {
-            let x = fp(9_000);
-            table
-                .admit(x, x, sleep, || 1, writer, || edge(root, 9))
-                .unwrap()
-        };
-        assert_eq!(offer_x(&table, &mut writer, sleep(&[1])).0, Admit::New);
-        for n in 2..EDGE_CHUNK as u32 {
-            assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
-        }
-        assert!(!table.truncated(), "the chunk is exactly full");
-        let over_bound = (Admit::OverBound, None);
-        assert_eq!(offer(&table, &mut writer, 5_000, 1, root), over_bound);
-        assert!(table.truncated());
-        assert_eq!(offer(&table, &mut writer, 5_000, 1, root), over_bound);
-        assert_eq!(table.unique(), EDGE_CHUNK);
-        assert_eq!(table.stored_bytes(), EDGE_CHUNK);
-        // A widening re-push needs an id too; without one the stored
-        // sleep set stays {1}, so the state is still owed the re-push.
-        assert_eq!(offer_x(&table, &mut writer, sleep(&[2])), over_bound);
-        table.edges.max_chunks = 2;
-        let widen = Admit::Widen {
-            sleep: SleepSet::empty(),
-            merged: false,
-        };
-        assert_eq!(offer_x(&table, &mut writer, sleep(&[2])).0, widen);
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), WORKERS * EACH, "an id handed out twice");
+        let blocks = WORKERS as TaskId * (EACH as TaskId).div_ceil(ID_BLOCK);
+        assert!(
+            *all.last().unwrap() < blocks * ID_BLOCK,
+            "no block is skipped"
+        );
     }
 
     #[test]
@@ -1950,14 +1356,10 @@ mod tests {
         let dir = temp_dir("tiered-marginal");
         let table = SharedTable::with_spill(usize::MAX, &dir, usize::MAX).unwrap();
         let mut interner = SlotInterner::new();
-        let mut writer = EdgeWriter::default();
         let fp_a = Fingerprint::from_u128(a.digest());
         let fp_c = Fingerprint::from_u128(c.digest());
-        let mut admit = |fp, bytes: &mut dyn FnMut() -> usize| {
-            table
-                .admit(fp, fp, SleepSet::empty(), bytes, &mut writer, || edge(0, 1))
-                .unwrap()
-                .0
+        let admit = |fp, bytes: &mut dyn FnMut() -> usize| {
+            table.admit(fp, fp, SleepSet::empty(), bytes).unwrap()
         };
         assert_eq!(
             admit(fp_a, &mut || a.intern_slots(&mut interner)),
@@ -1991,9 +1393,8 @@ mod tests {
         // away from zero and `--mem-limit` triggers lose accuracy.
         let dir2 = temp_dir("tiered-marginal-spill");
         let spilly = SharedTable::with_spill(usize::MAX, &dir2, 1).unwrap();
-        let mut writer = EdgeWriter::default();
         for n in 0..4u32 {
-            assert_eq!(offer(&spilly, &mut writer, n, 10, 0).0, Admit::New);
+            assert_eq!(offer(&spilly, n, 10), Admit::New);
             assert_eq!(spilly.stored_bytes(), 0, "spill freed the exact lens");
         }
         assert_eq!(spilly.spill_stats().records, 4);
@@ -2005,108 +1406,42 @@ mod tests {
     fn tiered_set_respects_bound_across_tiers() {
         let dir = temp_dir("tiered-bound");
         let table = SharedTable::with_spill(6, &dir, 2).unwrap();
-        let mut writer = EdgeWriter::default();
         for n in 0..6u32 {
-            assert_eq!(offer(&table, &mut writer, n, 1, 0).0, Admit::New);
+            assert_eq!(offer(&table, n, 1), Admit::New);
         }
         assert_eq!(table.spill_stats().records, 6, "three spills of two states");
         // max_states counts both tiers, not just the (empty) hot one.
-        assert_eq!(offer(&table, &mut writer, 99, 1, 0).0, Admit::OverBound);
+        assert_eq!(offer(&table, 99, 1), Admit::OverBound);
         assert_eq!(table.unique(), 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Edge records spill on their own cap, whatever the visited bytes
-    /// do: with `bytes() == 0` the visited trigger never fires, and the
-    /// RAM-resident records must still stay under `parent_cap_for`.
+    /// Paths never touch the cold tier: with every admit spilling, a
+    /// chain of pushed tasks still renders root to leaf without a read,
+    /// and the spill directory holds visited runs only — no edge file,
+    /// no parent run.
     #[test]
     fn tiered_parents_reconstruct_across_spill() {
         let dir = temp_dir("tiered-parents");
-        let budget = 64 << 10;
-        let cap = parent_cap_for(budget);
-        let table = SharedTable::with_spill(usize::MAX, &dir, budget).unwrap();
-        let mut writer = EdgeWriter::default();
-        let root = offer_root(&table, &mut writer, fp(0), 0);
-        let states = 10 * cap as u32;
-        let mut ids = vec![root];
-        for n in 1..=states {
-            let (outcome, id) = offer(&table, &mut writer, n, 0, ids[n as usize - 1]);
-            assert_eq!(outcome, Admit::New);
-            ids.push(id.unwrap());
+        let table = SharedTable::with_spill(usize::MAX, &dir, 1).unwrap();
+        offer_root(&table, fp(0), 1);
+        let mut leaf = TaskPath::default();
+        for n in 1..=2_000u32 {
+            assert_eq!(offer(&table, n, 1), Admit::New);
+            leaf = then(&leaf, n);
+        }
+        assert_eq!(table.spill_stats().records, 2_001, "every state is on disk");
+        let reads = table.spill_stats().reads;
+        let expected: Vec<MachineId> = (1..=2_000).map(MachineId).collect();
+        assert_eq!(machines(&leaf), expected, "root to leaf");
+        assert_eq!(table.spill_stats().reads, reads, "a path reads no disk");
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
             assert!(
-                resident_records(&table) <= cap,
-                "{} resident records",
-                resident_records(&table)
+                name.starts_with("visited-"),
+                "{name} in the spill directory"
             );
         }
-        assert_eq!(table.spill_stats().records, 0, "no visited byte was stored");
-        assert_eq!(resident_records(&table), 1, "ten chunks are in edges.log");
-        let on_disk = std::fs::metadata(dir.join("edges.log")).unwrap().len();
-        assert_eq!(on_disk, (10 * cap * EdgeRecord::BYTES) as u64);
-        assert!(
-            std::fs::read_dir(&dir).unwrap().all(|entry| {
-                let name = entry.unwrap().file_name();
-                !name.to_string_lossy().starts_with("parents")
-            }),
-            "the edge log needs no run store"
-        );
-        let expected: Vec<MachineId> = (1..=states).map(MachineId).collect();
-        assert_eq!(
-            path_to(&table, ids[states as usize]),
-            expected,
-            "root to leaf"
-        );
-        assert!(
-            table.spill_stats().reads >= 10 * cap as u64,
-            "read from disk"
-        );
-        // A re-pushed task gets a record of its own, out of the task
-        // that offered it — whichever tier the state's first one is in.
-        let mut sibling = |concrete, parent, seed| {
-            table
-                .admit(
-                    fp(states + 1),
-                    concrete,
-                    sleep(&[1]),
-                    || 0,
-                    &mut writer,
-                    || edge(parent, seed),
-                )
-                .unwrap()
-        };
-        assert_eq!(sibling(fp(states + 1), root, 1).0, Admit::New);
-        let (outcome, again) = sibling(fp(5), ids[3], 99);
-        assert!(matches!(outcome, Admit::Widen { merged: true, .. }));
-        let via_three = [1, 2, 3, 99].map(MachineId);
-        assert_eq!(path_to(&table, again.unwrap()), via_three);
-        assert_eq!(path_to(&table, ids[5]).len(), 5, "the first record stays");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A short or missing `edges.log` is an I/O error with the path in
-    /// it, from the trace walk and from a checkpoint alike.
-    #[test]
-    fn truncated_edge_file_is_a_typed_error() {
-        let dir = temp_dir("edges-truncated");
-        let table = SharedTable::with_spill(usize::MAX, &dir, 64 << 10).unwrap();
-        let mut writer = EdgeWriter::default();
-        let mut parent = offer_root(&table, &mut writer, fp(0), 0);
-        for n in 1..(2 * EDGE_CHUNK + 10) as u32 {
-            parent = offer(&table, &mut writer, n, 0, parent).1.unwrap();
-        }
-        let file = dir.join("edges.log");
-        let bytes = std::fs::read(&file).unwrap();
-        assert_eq!(bytes.len(), 2 * EDGE_CHUNK * EdgeRecord::BYTES);
-        std::fs::write(&file, &bytes[..EDGE_CHUNK * EdgeRecord::BYTES + 7]).unwrap();
-        let is_io = |e: CheckerError| matches!(&e, CheckerError::Io { path, .. } if *path == file);
-        assert!(table.reconstruct(parent, &program()).is_err_and(is_io));
-        assert!(table.snapshot().is_err_and(is_io));
-        // An id nobody wrote is refused too, not rendered.
-        let hole = (3 * EDGE_CHUNK - 1) as TaskId;
-        assert!(matches!(
-            table.reconstruct(hole, &program()),
-            Err(CheckerError::CheckpointFormat(_))
-        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2115,20 +1450,15 @@ mod tests {
         let dir = temp_dir("tiered-snapshot");
         let table = SharedTable::with_spill(usize::MAX, &dir, 24).unwrap();
         let admit = |table: &SharedTable, key, concrete, sleep| {
-            let mut writer = EdgeWriter::default();
-            table
-                .admit(key, concrete, sleep, || 8, &mut writer, || edge(0, 1))
-                .unwrap()
-                .0
+            table.admit(key, concrete, sleep, || 8).unwrap()
         };
         admit(&table, fp(1), fp(1), sleep(&[1]));
         admit(&table, fp(100), fp(2), SleepSet::empty());
-        let mut writer = EdgeWriter::default();
         for n in 10..16u32 {
-            offer(&table, &mut writer, n, 8, 0);
+            offer(&table, n, 8);
         }
         assert!(table.spill_stats().records >= 6, "both tiers hold entries");
-        let (mut entries, parents, scripts) = table.snapshot().unwrap();
+        let mut entries = table.snapshot().unwrap();
         assert_eq!(entries.len(), table.unique());
         entries.sort_by_key(|e| e.fp);
 
@@ -2136,16 +1466,11 @@ mod tests {
         // memory limit everything lands on disk. Same behavior.
         let dir2 = temp_dir("tiered-snapshot-2");
         for (spill, stored) in [(None, 64), (Some((dir2.as_path(), 4)), 0)] {
-            let restored =
-                SharedTable::restore(usize::MAX, spill, &entries, &parents, scripts.clone(), 64)
-                    .unwrap();
+            let restored = SharedTable::restore(usize::MAX, spill, &entries, 64).unwrap();
             assert_eq!(restored.unique(), entries.len());
             assert_eq!(restored.stored_bytes(), stored);
             let covered = Admit::Covered { merged: false };
-            assert_eq!(
-                offer(&restored, &mut EdgeWriter::default(), 10, 8, 0).0,
-                covered
-            );
+            assert_eq!(offer(&restored, 10, 8), covered);
             assert_eq!(
                 admit(&restored, fp(1), fp(1), sleep(&[1])),
                 covered,
@@ -2156,7 +1481,7 @@ mod tests {
                 Admit::Covered { merged: true },
                 "representatives survive the round trip"
             );
-            let (mut again, _, _) = restored.snapshot().unwrap();
+            let mut again = restored.snapshot().unwrap();
             again.sort_by_key(|e| e.fp);
             assert_eq!(again, entries, "snapshot → restore → snapshot is lossless");
         }
@@ -2168,20 +1493,15 @@ mod tests {
     fn shared_table_spills_and_stays_exact_across_threads() {
         let dir = temp_dir("shared-spill");
         let table = SharedTable::with_spill(usize::MAX, &dir, 64).unwrap();
-        let root = offer_root(&table, &mut EdgeWriter::default(), fp(0), 1);
+        offer_root(&table, fp(0), 1);
         let wins = AtomicUsize::new(0);
-        let last = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let (table, wins, last) = (&table, &wins, &last);
+                let (table, wins) = (&table, &wins);
                 scope.spawn(move || {
-                    let mut writer = EdgeWriter::default();
                     for n in 1..500u32 {
-                        if let (Admit::New, id) = offer(table, &mut writer, n, 1, root) {
+                        if offer(table, n, 1) == Admit::New {
                             wins.fetch_add(1, Ordering::SeqCst);
-                            if n == 499 {
-                                last.store(id.unwrap() as usize, Ordering::SeqCst);
-                            }
                         }
                     }
                 });
@@ -2197,8 +1517,6 @@ mod tests {
         let spilled = counters.records;
         assert!(spilled >= 400, "hot cap 64 must have spilled: {spilled}");
         assert!(counters.bytes_written > 0);
-        let last = last.load(Ordering::SeqCst) as TaskId;
-        assert_eq!(path_to(&table, last), [MachineId(499)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2211,10 +1529,9 @@ mod tests {
     fn cold_lookups_stay_covered_while_another_thread_spills() {
         let dir = temp_dir("cold-probes");
         let table = SharedTable::with_spill(usize::MAX, &dir, 64).unwrap();
-        let mut writer = EdgeWriter::default();
-        let root = offer_root(&table, &mut writer, fp(0), 1);
+        offer_root(&table, fp(0), 1);
         for n in 1..2_000u32 {
-            assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
+            assert_eq!(offer(&table, n, 1), Admit::New);
         }
         assert!(table.spill_stats().records >= 1_900);
         let covered = Admit::Covered { merged: false };
@@ -2223,20 +1540,19 @@ mod tests {
             for t in 0..8u32 {
                 let (table, start, spiller_done) = (&table, &start, &spiller_done);
                 scope.spawn(move || {
-                    let mut writer = EdgeWriter::default();
                     start.wait();
                     let mut done = false;
                     // One more full pass after the spiller has finished.
                     while !std::mem::replace(&mut done, spiller_done.load(Ordering::SeqCst)) {
                         for n in (0..2_000).map(|n| (n + 250 * t) % 2_000) {
-                            assert_eq!(offer(table, &mut writer, n, 1, root).0, covered, "{n}");
+                            assert_eq!(offer(table, n, 1), covered, "{n}");
                         }
                     }
                 });
             }
             start.wait();
             for n in 2_000..6_000u32 {
-                assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
+                assert_eq!(offer(&table, n, 1), Admit::New);
             }
             spiller_done.store(true, Ordering::SeqCst);
         });
@@ -2247,7 +1563,7 @@ mod tests {
             "the offers were answered from disk"
         );
         for n in 0..6_000 {
-            assert_eq!(offer(&table, &mut writer, n, 1, root).0, covered, "{n}");
+            assert_eq!(offer(&table, n, 1), covered, "{n}");
         }
         assert_eq!(table.unique(), 6_000);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2257,59 +1573,26 @@ mod tests {
     fn shared_table_snapshot_restore_round_trips() {
         let dir = temp_dir("shared-snapshot");
         let table = SharedTable::with_spill(usize::MAX, &dir, 4).unwrap();
-        let mut writer = EdgeWriter::default();
-        let mut leaf = offer_root(&table, &mut writer, fp(0), 1);
+        offer_root(&table, fp(0), 1);
         for n in 1..12u32 {
-            leaf = offer(&table, &mut writer, n, 1, leaf).1.unwrap();
+            assert_eq!(offer(&table, n, 1), Admit::New);
         }
-        let (mut visited, parents, scripts) = table.snapshot().unwrap();
+        let mut visited = table.snapshot().unwrap();
         visited.sort_by_key(|e| e.fp);
         assert_eq!(visited.len(), 12);
-        assert_eq!(
-            parents.len(),
-            EDGE_CHUNK,
-            "whole chunks, unwritten ids zero"
-        );
-        assert!(scripts.is_empty());
 
-        let restored =
-            SharedTable::restore(usize::MAX, None, &visited, &parents, Vec::new(), 12).unwrap();
+        let restored = SharedTable::restore(usize::MAX, None, &visited, 12).unwrap();
         assert_eq!(restored.unique(), 12);
         assert_eq!(restored.stored_bytes(), 12);
-        let mut writer = EdgeWriter::default();
         let covered = Admit::Covered { merged: false };
-        assert_eq!(offer(&restored, &mut writer, 5, 1, leaf).0, covered);
-        assert_eq!(
-            path_to(&restored, leaf).len(),
-            11,
-            "full chain survives a RAM restore"
-        );
-        // New records go after the restored ones, never over them.
-        let fresh = offer(&restored, &mut writer, 50, 1, leaf).1.unwrap();
-        assert_eq!(fresh as usize, EDGE_CHUNK);
-        assert_eq!(path_to(&restored, fresh).len(), 12);
+        assert_eq!(offer(&restored, 5, 1), covered);
+        assert_eq!(offer(&restored, 50, 1), Admit::New);
 
         let dir2 = temp_dir("shared-snapshot-2");
-        let respilled = SharedTable::restore(
-            usize::MAX,
-            Some((&dir2, 4)),
-            &visited,
-            &parents,
-            scripts,
-            12,
-        )
-        .unwrap();
+        let respilled = SharedTable::restore(usize::MAX, Some((&dir2, 4)), &visited, 12).unwrap();
         assert_eq!(respilled.unique(), 12);
         assert_eq!(respilled.stored_bytes(), 0);
-        assert_eq!(
-            offer(&respilled, &mut EdgeWriter::default(), 5, 1, leaf).0,
-            covered
-        );
-        assert_eq!(
-            path_to(&respilled, leaf).len(),
-            11,
-            "full chain survives a disk restore"
-        );
+        assert_eq!(offer(&respilled, 5, 1), covered);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
     }
@@ -2326,10 +1609,9 @@ mod tests {
     #[test]
     fn visited_hints_are_republished_on_growth_spill_and_restore() {
         let table = SharedTable::new(usize::MAX);
-        let mut writer = EdgeWriter::default();
-        let root = offer_root(&table, &mut writer, fp(0), 1);
+        offer_root(&table, fp(0), 1);
         for n in 1..5_000u32 {
-            offer(&table, &mut writer, n, 1, root);
+            offer(&table, n, 1);
             if n % 500 == 0 {
                 assert!(hints_published(&table), "after {n} admits");
             }
@@ -2343,14 +1625,13 @@ mod tests {
         let dir = temp_dir("hints-spill");
         let spilling = SharedTable::with_spill(usize::MAX, &dir, 1 << 10).unwrap();
         for n in 0..3_000u32 {
-            offer(&spilling, &mut writer, n, 1, root);
+            offer(&spilling, n, 1);
         }
         assert!(spilling.spill_stats().records > 0);
         assert!(hints_published(&spilling), "after spills");
 
-        let (visited, parents, scripts) = table.snapshot().unwrap();
-        let restored =
-            SharedTable::restore(usize::MAX, None, &visited, &parents, scripts, 0).unwrap();
+        let visited = table.snapshot().unwrap();
+        let restored = SharedTable::restore(usize::MAX, None, &visited, 0).unwrap();
         assert!(hints_published(&restored), "after a restore");
         assert!(restored
             .hints
@@ -2366,10 +1647,9 @@ mod tests {
     fn visited_prefetch_through_a_stale_hint_is_harmless() {
         let dir = temp_dir("hints-stale");
         let table = SharedTable::with_spill(usize::MAX, &dir, 1 << 10).unwrap();
-        let mut writer = EdgeWriter::default();
-        let root = offer_root(&table, &mut writer, fp(0), 1);
+        offer_root(&table, fp(0), 1);
         for n in 1..100u32 {
-            offer(&table, &mut writer, n, 1, root);
+            offer(&table, n, 1);
         }
         let stale: Vec<usize> = table
             .hints
@@ -2384,13 +1664,13 @@ mod tests {
         for n in 100..4_000u32 {
             prefetch_stale(n..n + 8);
             table.prefetch(fp(n));
-            assert_eq!(offer(&table, &mut writer, n, 1, root).0, Admit::New);
+            assert_eq!(offer(&table, n, 1), Admit::New);
         }
         assert!(table.spill_stats().records > 0, "the buckets were drained");
         prefetch_stale(0..8_000);
         let covered = Admit::Covered { merged: false };
         for n in 0..4_000u32 {
-            assert_eq!(offer(&table, &mut writer, n, 1, root).0, covered, "{n}");
+            assert_eq!(offer(&table, n, 1), covered, "{n}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -14,8 +14,7 @@
 //! DESIGN.md §13): [`CheckerOptions::checkpoint`] periodically persists
 //! the entire search state so a killed run resumes via
 //! [`CheckerOptions::resume`], and [`CheckerOptions::mem_limit`] spills
-//! the visited set and the edge log to disk once their RAM share exceeds
-//! the budget.
+//! the visited set to disk once its RAM share exceeds the budget.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -34,7 +33,7 @@ use p_telemetry::Telemetry;
 
 use crate::checkpoint::{self, CheckpointData, CheckpointPolicy, TaskEntry};
 use crate::engine::{
-    hot_budget_for, Admit, EdgeWriter, Frontier, SharedCounters, SharedTable, TaskId,
+    hot_budget_for, Admit, Frontier, IdBlock, SharedCounters, SharedTable, TaskId, TaskIds,
 };
 use crate::error::CheckerError;
 use crate::fault::FaultDecision;
@@ -44,7 +43,7 @@ use crate::phase::Phase;
 use crate::por::{Por, SleepSet};
 use crate::stats::ExplorationStats;
 use crate::succ::{successors_into, SuccArena, Successor};
-use crate::trace::{Counterexample, EdgeRecord, TraceStep};
+use crate::trace::{Counterexample, TaskPath, TraceStep, NO_NODE};
 
 /// How often a worker offers a progress snapshot to the
 /// telemetry layer (further throttled there by wall-clock interval).
@@ -283,10 +282,10 @@ pub struct CheckerOptions {
     pub resume: Option<PathBuf>,
     /// Approximate RAM budget (bytes) for the search kernel's
     /// visited set. When the hot (RAM) tier outgrows it, fingerprints
-    /// spill to sorted disk runs with a bloom-filter front and edge
-    /// records to a flat file indexed by task id; the verdict,
-    /// `unique_states` and traces are unaffected (a liveness graph stays
-    /// in RAM). `None` (the default) keeps everything in RAM.
+    /// spill to sorted disk runs with a bloom-filter front; the verdict,
+    /// `unique_states` and traces are unaffected (a liveness graph and
+    /// the frontier's paths stay in RAM). `None` (the default) keeps
+    /// everything in RAM.
     pub mem_limit: Option<usize>,
     /// Cooperative interruption (SIGINT/SIGTERM): when the flag turns
     /// true the search stops at the next state boundary,
@@ -571,6 +570,7 @@ impl<'p> Verifier<'p> {
         let mut interners: Vec<SlotInterner> = (0..jobs).map(|_| SlotInterner::new()).collect();
         let mut base_duration = Duration::ZERO;
         let mut base_truncated = false;
+        let ids = TaskIds::default();
         let (table, frontier) = match resumed {
             None => {
                 let table = match spill_cfg {
@@ -595,17 +595,21 @@ impl<'p> Verifier<'p> {
                 } else {
                     init_fp
                 };
-                let (_, id) = table.admit(
+                let admitted = table.admit(
                     init_key,
                     if S::ANNOTATED { init_key } else { init_fp },
                     SleepSet::empty(),
                     || intern(&mut config, &mut interners[0], &slot_digests),
-                    &mut EdgeWriter::default(),
-                    || (EdgeRecord::root(), None),
                 )?;
+                debug_assert_eq!(
+                    admitted,
+                    Admit::New,
+                    "an empty table admits the initial state"
+                );
                 let root = Task {
                     config: Box::new(config),
-                    id: id.expect("an empty table admits the initial state"),
+                    id: ids.next(&mut IdBlock::default()),
+                    path: TaskPath::default(),
                     depth: 0,
                     sleep: SleepSet::empty(),
                     fresh: true,
@@ -618,8 +622,6 @@ impl<'p> Verifier<'p> {
                     options.max_states,
                     spill_cfg,
                     &ckpt.visited,
-                    &ckpt.parents,
-                    ckpt.scripts,
                     ckpt.stats.stored_bytes,
                 )?;
                 let table = if S::ANNOTATED {
@@ -627,7 +629,7 @@ impl<'p> Verifier<'p> {
                 } else {
                     table
                 };
-                let tasks = decode_frontier::<S>(&ckpt.frontier, self.program)?;
+                let tasks = decode_frontier::<S>(ckpt.paths, &ckpt.frontier, &ids, self.program)?;
                 let mut base = ckpt.stats;
                 base_duration = base.duration;
                 base_truncated = base.truncated;
@@ -644,6 +646,7 @@ impl<'p> Verifier<'p> {
             last_ckpt: AtomicUsize::new(states::<S>(&table)),
             table,
             frontier,
+            ids,
             slot_digests,
             counters,
             memo,
@@ -719,16 +722,11 @@ impl<'p> Verifier<'p> {
         #[cfg(feature = "telemetry")]
         self.final_snapshot(&stats, frontier.pending(), jobs as u64);
 
-        let counterexample = match search.violation.lock().take() {
-            None => None,
-            Some((parent, step, error)) => {
-                // The workers are done; the log is quiescent and holds
-                // a complete root path for every task ever pushed.
-                let mut trace = table.reconstruct(parent, self.program)?;
-                trace.push(step);
-                Some(Counterexample { error, trace })
-            }
-        };
+        let counterexample = search.violation.lock().take().map(|(path, step, error)| {
+            let mut trace = path.render(self.program);
+            trace.push(step);
+            Counterexample { error, trace }
+        });
         let interrupted = search.interrupted.load(Ordering::SeqCst) && counterexample.is_none();
         let complete = counterexample.is_none() && !stats.truncated && !interrupted;
         let report = Report {
@@ -742,7 +740,7 @@ impl<'p> Verifier<'p> {
 
     /// One worker: expand tasks until the frontier drains or the search
     /// stops. Everything it writes per transition is its own — stats,
-    /// intern table, edge chunk, the children of the task in hand; the
+    /// intern table, id block, the children of the task in hand; the
     /// deltas of its stats go to the shared [`SharedCounters`] every
     /// [`FLUSH_EVERY_TASKS`] tasks, before it parks at a rendezvous and
     /// unconditionally on exit, so the shared totals are exact at every
@@ -758,6 +756,7 @@ impl<'p> Verifier<'p> {
         let Search {
             table,
             frontier,
+            ids,
             slot_digests,
             counters,
             memo,
@@ -784,7 +783,7 @@ impl<'p> Verifier<'p> {
         let atomic = granularity == Granularity::Atomic;
         let mut arena = SuccArena::with_memo(memo.filter(|_| atomic));
         let mut moves = Vec::new();
-        let mut writer = EdgeWriter::default();
+        let mut id_block = IdBlock::default();
         let mut children = Vec::new();
         let mut canon_memo = CanonMemo::new(symmetry);
         // The task's pin, and the successors that wait for the canon memo.
@@ -810,6 +809,7 @@ impl<'p> Verifier<'p> {
             let Task {
                 mut config,
                 id: task_id,
+                path,
                 depth,
                 sleep,
                 fresh,
@@ -951,7 +951,7 @@ impl<'p> Verifier<'p> {
                     let choices = std::mem::take(&mut succ.choices);
                     let step =
                         TraceStep::from_run(self.program, succ.machine, &succ.result, choices);
-                    search.stop_with(&search.violation, (task_id, step, e.clone()));
+                    search.stop_with(&search.violation, (path, step, e.clone()));
                     break 'tasks;
                 }
                 let (succ_fp, key, child_note) = keyed.next().expect("keyed up to the error");
@@ -976,9 +976,6 @@ impl<'p> Verifier<'p> {
                         }
                     };
                 let (slots, replay) = (&mut succ.config, &mut succ.replay);
-                let (choices, result) = (&succ.choices, &succ.result);
-                // The log stores packed records; only an error path
-                // renders human-readable summaries.
                 let admitted = if in_bound {
                     table.admit(
                         key,
@@ -989,41 +986,43 @@ impl<'p> Verifier<'p> {
                             let built = slots.as_mut().expect("built above");
                             intern(built, interner, slot_digests)
                         },
-                        &mut writer,
-                        || match S::step(mv) {
-                            Step::Run(id) => EdgeRecord::from_run(task_id, id, result, choices),
-                            Step::Inject(fault) => (EdgeRecord::from_fault(task_id, &fault), None),
-                        },
                     )
                 } else {
-                    Ok((Admit::OverBound, None))
+                    Ok(Admit::OverBound)
                 };
-                // The task to push for the successor, if any: its
-                // id, the sleep set to expand it with, and whether
-                // this is its first visit.
+                // The task to push for the successor, if any: the sleep
+                // set to expand it with, and whether this is its first
+                // visit.
                 let push = match admitted {
                     Err(error) => {
                         search.stop_with(&search.error, error);
                         break 'tasks;
                     }
-                    Ok((Admit::New, id)) => id.map(|id| (id, child_sleep, true)),
-                    Ok((Admit::Widen { sleep, merged }, id)) => {
+                    Ok(Admit::New) => Some((child_sleep, true)),
+                    Ok(Admit::Widen { sleep, merged }) => {
                         stats.symmetry_merges += usize::from(merged);
-                        id.map(|id| (id, sleep, false))
+                        Some((sleep, false))
                     }
-                    Ok((Admit::Covered { merged }, _)) => {
+                    Ok(Admit::Covered { merged }) => {
                         stats.dedup_hits += 1;
                         stats.symmetry_merges += usize::from(merged);
                         None
                     }
-                    Ok((Admit::OverBound, _)) => None,
+                    Ok(Admit::OverBound) => None,
                 };
-                if let Some((id, sleep, fresh)) = push {
+                if let Some((sleep, fresh)) = push {
                     let s = &mut *succ;
                     arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
+                    // Steps are stored packed; only an error path renders
+                    // human-readable summaries.
+                    let path = match S::step(mv) {
+                        Step::Run(id) => path.then_run(id, &s.result, &s.choices),
+                        Step::Inject(fault) => path.then_fault(&fault),
+                    };
                     children.push(Task {
-                        config: succ.config.take().expect("built above"),
-                        id,
+                        config: s.config.take().expect("built above"),
+                        id: ids.next(&mut id_block),
+                        path,
                         depth: depth + 1,
                         sleep,
                         fresh,
@@ -1121,14 +1120,16 @@ impl<'p> Verifier<'p> {
 struct Search<'a, S: Scheduler> {
     table: SharedTable,
     frontier: Frontier<Task<S::Note>>,
+    ids: TaskIds,
     /// Digest of every machine slot any worker has interned.
     slot_digests: Mutex<FpHashSet>,
     counters: SharedCounters,
     /// Run and append entries of each worker's slot-transition memo.
     memo: Option<(usize, usize)>,
     depth_truncated: AtomicBool,
-    /// First violation: (task it was found in, final step, error).
-    violation: Mutex<Option<(TaskId, TraceStep, PError)>>,
+    /// First violation: (path of the task it was found in, final step,
+    /// error).
+    violation: Mutex<Option<(TaskPath, TraceStep, PError)>>,
     /// First [`CheckerError`] from any worker or the checkpoint leader.
     error: Mutex<Option<CheckerError>>,
     policy: Option<&'a CheckpointPolicy>,
@@ -1157,7 +1158,9 @@ impl<S: Scheduler> Search<'_, S> {
     /// instantiations now share the optimizer's inlining budget for.
     #[inline(never)]
     fn write_checkpoint(&self, policy: &CheckpointPolicy) -> Result<(), CheckerError> {
-        let (visited, parents, scripts) = self.table.snapshot()?;
+        let visited = self.table.snapshot()?;
+        let tasks = self.frontier.snapshot_tasks();
+        let (paths, ends) = TaskPath::flatten(tasks.iter().map(|task| &task.path));
         let mut stats = self.counters.totals();
         stats.unique_states = states::<S>(&self.table);
         stats.stored_bytes = self.table.stored_bytes();
@@ -1167,9 +1170,8 @@ impl<S: Scheduler> Search<'_, S> {
             stats,
             visited,
             markers: self.table.marked(),
-            parents,
-            scripts,
-            frontier: encode_frontier::<S>(&self.frontier.snapshot_tasks()),
+            paths,
+            frontier: encode_frontier::<S>(&tasks, ends),
         };
         checkpoint::write(&policy.dir, self.digest, &data)
     }
@@ -1306,16 +1308,18 @@ fn canonical_key(
 }
 
 /// Serializes frontier tasks for a checkpoint (order-preserving: a
-/// one-worker run must pop identically after a resume).
-fn encode_frontier<S: Scheduler>(tasks: &[Task<S::Note>]) -> Vec<TaskEntry> {
+/// one-worker run must pop identically after a resume); `ends` names each
+/// task's path in the checkpoint's forest.
+fn encode_frontier<S: Scheduler>(tasks: &[Task<S::Note>], ends: Vec<u32>) -> Vec<TaskEntry> {
     tasks
         .iter()
-        .map(|task| {
+        .zip(ends)
+        .map(|(task, path)| {
             let mut note = Vec::new();
             S::encode(&task.note, &mut note);
             TaskEntry {
                 cfg: task.config.canonical_bytes(),
-                id: task.id,
+                path,
                 depth: task.depth as u64,
                 sleep: task.sleep.0,
                 fresh: task.fresh,
@@ -1325,12 +1329,19 @@ fn encode_frontier<S: Scheduler>(tasks: &[Task<S::Note>]) -> Vec<TaskEntry> {
         .collect()
 }
 
-/// Decodes checkpointed frontier tasks back into live configurations.
+/// Decodes checkpointed frontier tasks back into live configurations
+/// on the paths rebuilt from `forest`, numbered afresh from `ids`.
 fn decode_frontier<S: Scheduler>(
+    forest: Vec<crate::trace::PathNode>,
     entries: &[TaskEntry],
+    ids: &TaskIds,
     program: &LoweredProgram,
 ) -> Result<Vec<Task<S::Note>>, CheckerError> {
     let n_events = program.event_count();
+    let paths = TaskPath::rebuild(forest).ok_or_else(|| {
+        CheckerError::CheckpointFormat("malformed path forest in checkpoint".to_owned())
+    })?;
+    let mut block = IdBlock::default();
     entries
         .iter()
         .map(|t| {
@@ -1346,7 +1357,11 @@ fn decode_frontier<S: Scheduler>(
             })?;
             Ok(Task {
                 config: Box::new(config),
-                id: t.id,
+                id: ids.next(&mut block),
+                path: match t.path {
+                    NO_NODE => TaskPath::default(),
+                    end => paths[end as usize].clone(),
+                },
                 depth: t.depth as usize,
                 sleep: SleepSet(t.sleep),
                 fresh: t.fresh,
@@ -1356,14 +1371,15 @@ fn decode_frontier<S: Scheduler>(
         .collect()
 }
 
-/// A unit of work: the state, the id of its record in the edge log (the
-/// way back to the root), its depth, the sleep set to expand it with,
-/// whether this is its first visit, and the scheduler's annotation. The
-/// state is the box its successor was built in, never copied.
+/// A unit of work: the state, its id, its path (the way back to the
+/// root), its depth, the sleep set to expand it with, whether this is its
+/// first visit, and the scheduler's annotation. The state is the box its
+/// successor was built in, never copied.
 #[derive(Debug, Clone)]
 struct Task<N> {
     config: Box<Config>,
     id: TaskId,
+    path: TaskPath,
     depth: usize,
     sleep: SleepSet,
     fresh: bool,
@@ -1486,6 +1502,29 @@ mod tests {
                 "{name}: {tiny_replayed} !< {full_replayed}"
             );
         }
+    }
+
+    /// A path link lives as long as a queued or running task descends
+    /// from it: a completed german4 search leaves none alive, and at its
+    /// peak the live links are the frontier and its ancestors — a sliver
+    /// of the tasks pushed, one per state.
+    #[test]
+    fn no_path_link_outlives_its_tasks() {
+        use crate::trace::LIVE_LINKS;
+        let p = p_semantics::lower(&p_corpus::german4()).unwrap();
+        let (before, _) = LIVE_LINKS.get();
+        LIVE_LINKS.set((before, before));
+        let report = Verifier::new(&p).check_exhaustive();
+        assert!(report.passed() && report.complete);
+        let (after, peak) = LIVE_LINKS.get();
+        assert_eq!(after, before, "links alive after the search");
+        let states = report.stats.unique_states as isize;
+        assert!(
+            peak - before < 1_000,
+            "{} links alive at once",
+            peak - before
+        );
+        assert!(states > 40_000, "{states} states");
     }
 
     /// Test builds confirm every key a pin or a view gives against the

@@ -204,9 +204,9 @@ fn parallel_resume_without_por_is_bit_identical() {
     );
 }
 
-/// A checkpoint holds task ids and the edge log, not a worker count: one
-/// written by one worker resumes under four and the other way round,
-/// in RAM and with the restored log going straight to `edges.log`.
+/// A checkpoint holds the frontier and its paths, not a worker count: one
+/// written by one worker resumes under four and the other way round, in
+/// RAM and with the restored visited keys going straight to disk.
 #[test]
 fn resume_crosses_worker_counts() {
     let legs: [(&str, &[&str], &[&str]); 3] = [
@@ -283,8 +283,8 @@ fn resume_across_checkpoint_cadences_is_identical() {
 /// all eight rounds routed to `b`, the else branch). Sequential DFS
 /// visits ~900 states before finding it, so an abort at 400 reliably
 /// lands first and the counterexample is discovered by the resumed run
-/// — its trace reconstructed from parent records that partly predate
-/// the checkpoint.
+/// — its trace rendered from a path that partly predates the
+/// checkpoint.
 const DEEP_BUG: &str = r#"
 event inc;
 event unit;
@@ -467,8 +467,8 @@ fn corrupted_checkpoint_is_rejected() {
 /// A checkpoint of an earlier format — version 1's fingerprint-keyed
 /// parent records, version 2's visited keys from the canonical digest
 /// as it was before it changed representatives, version 3's tasks
-/// without a scheduler annotation — is refused by its version field,
-/// before anything in it is interpreted.
+/// without a scheduler annotation, version 4's edge log — is refused by
+/// its version field, before anything in it is interpreted.
 #[test]
 fn version_1_checkpoint_is_refused() {
     let dir = temp_dir("version-1");
@@ -482,10 +482,10 @@ fn version_1_checkpoint_is_refused() {
     let mut bytes = std::fs::read(&file).unwrap();
     assert_eq!(
         bytes[4..8],
-        4u32.to_le_bytes(),
-        "this build writes version 4"
+        5u32.to_le_bytes(),
+        "this build writes version 5"
     );
-    for old in [1u32, 2, 3] {
+    for old in [1u32, 2, 3, 4] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&file, &bytes).unwrap();
         let resumed = verify("german3.p", &["--symmetry", "--resume", dir_s]);
@@ -497,6 +497,127 @@ fn version_1_checkpoint_is_refused() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Seeded hostile bytes over a german4 checkpoint: byte flips,
+/// truncations and ranges spliced over others. Every resume ends in a
+/// typed checkpoint error and exit 2 — never a panic, never a verdict. A
+/// failure names the case's seed.
+#[test]
+fn hostile_checkpoints_end_in_a_typed_error() {
+    let dir = temp_dir("hostile");
+    let dir_s = dir.to_str().unwrap();
+    let aborted = verify(
+        "german4.p",
+        &["--checkpoint", dir_s, "--abort-after", "1000"],
+    );
+    assert_eq!(exit_code(&aborted), 3, "{}", stderr(&aborted));
+    let file = dir.join("checkpoint.bin");
+    let pristine = std::fs::read(&file).unwrap();
+    let mut cases = 0;
+    for seed in 0u64.. {
+        if cases == 240 {
+            break;
+        }
+        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut below = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let mut bytes = pristine.clone();
+        match seed % 3 {
+            0 => bytes[below(pristine.len())] ^= 1 << below(8),
+            1 => bytes.truncate(below(pristine.len())),
+            _ => {
+                let (from, to) = (below(bytes.len()), below(bytes.len()));
+                let len = 1 + below(bytes.len() - from.max(to));
+                bytes.copy_within(from..from + len, to);
+            }
+        }
+        if bytes == pristine {
+            continue;
+        }
+        cases += 1;
+        std::fs::write(&file, &bytes).unwrap();
+        let resumed = verify("german4.p", &["--resume", dir_s]);
+        let err = stderr(&resumed);
+        assert_eq!(
+            exit_code(&resumed),
+            2,
+            "seed {seed}: {}{err}",
+            stdout(&resumed)
+        );
+        assert!(
+            err.contains("invalid checkpoint") || err.contains("stale checkpoint"),
+            "seed {seed}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The counterexamples of the three buggy corpus variants, as the checker
+/// printed them when a trace was still read back from a log of every
+/// state (checked in under `tests/counterexamples/`): a one-worker run
+/// prints them byte for byte — in RAM, under a memory limit, and resumed
+/// from a checkpoint written halfway.
+#[test]
+fn buggy_counterexamples_match_the_checked_in_text() {
+    use p_core::corpus;
+    let programs = [
+        ("german_buggy", corpus::german_buggy()),
+        ("elevator_buggy", corpus::elevator_buggy()),
+        ("switch_led_buggy", corpus::switch_led_buggy()),
+    ];
+    let counterexample = |out: &Output| -> String {
+        let text = stdout(out);
+        let lines = text.lines().skip_while(|l| !l.starts_with("error:"));
+        lines
+            .take_while(|l| !l.is_empty())
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    for (name, program) in programs {
+        let want = std::fs::read_to_string(
+            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+                .join("../../tests/counterexamples")
+                .join(format!("{name}.txt")),
+        )
+        .unwrap();
+        let file = temp_dir(&format!("{name}.p"));
+        std::fs::write(&file, p_core::ast::print_program(&program)).unwrap();
+        let file_s = file.to_str().unwrap();
+        let run = |args: &[&str]| {
+            let out = p_bin()
+                .arg("verify")
+                .arg(file_s)
+                .args(args)
+                .output()
+                .unwrap();
+            assert_eq!(exit_code(&out), 1, "{name} {args:?}: {}", stdout(&out));
+            out
+        };
+        let plain = run(&["--jobs", "1"]);
+        assert_eq!(counterexample(&plain), want, "{name}");
+        let low = run(&["--jobs", "1", "--mem-limit", "256k"]);
+        assert_eq!(counterexample(&low), want, "{name} --mem-limit 256k");
+
+        let dir = temp_dir(&format!("{name}-golden"));
+        let dir_s = dir.to_str().unwrap();
+        let half = (parse_stats(&plain).0 / 2).to_string();
+        let aborted = p_bin()
+            .arg("verify")
+            .arg(file_s)
+            .args(["--jobs", "1", "--checkpoint", dir_s, "--abort-after", &half])
+            .output()
+            .unwrap();
+        assert_eq!(exit_code(&aborted), 3, "{name}: {}", stdout(&aborted));
+        let resumed = run(&["--jobs", "1", "--resume", dir_s]);
+        assert_eq!(counterexample(&resumed), want, "{name} resumed");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_file(&file);
+    }
 }
 
 #[test]

@@ -6,8 +6,8 @@ use p_core::{corpus, CheckerOptions, Compiled};
 /// `(d, states, transitions, scheduler nodes)` per program, as the
 /// delay-bounded search reported them while it still had a loop, a
 /// visited set and a parent map of its own. The kernel must not move
-/// them: not at one worker, not at four, not with the visited set and
-/// the edge log on disk.
+/// them: not at one worker, not at four, not with the visited set on
+/// disk.
 type Pinned = (usize, usize, usize, usize);
 const GERMAN: &[Pinned] = &[
     (0, 129, 128, 129),

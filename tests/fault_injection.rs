@@ -103,7 +103,7 @@ fn correct_corpus_programs_pass_one_dropped_stimulus() {
 /// visited set and a parent map of its own: `(states, transitions, fault
 /// nodes, injections)`. The kernel must not move them — at one worker,
 /// at four (so `fault_transitions` is an exact, flushed counter), and
-/// with the visited set and the edge log on disk.
+/// with the visited set on disk.
 #[test]
 fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
     use p_core::corpus;
@@ -156,12 +156,12 @@ fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
     }
 }
 
-/// The budget-1 counterexample of lossy_link, reconstructed through the
-/// edge log — in RAM, from `edges.log`, and whichever of four workers
-/// finds it — is the six steps it always was, with the dropped `cfg` as
-/// step 4, and replays on the interpreter.
+/// The budget-1 counterexample of lossy_link, rendered from the path its
+/// task carries — in RAM, under a memory limit, and whichever of four
+/// workers finds it — is the six steps it always was, with the dropped
+/// `cfg` as step 4, and replays on the interpreter.
 #[test]
-fn fault_counterexample_is_reconstructed_through_the_edge_log() {
+fn fault_counterexample_is_reconstructed_through_its_path() {
     let compiled = lossy_link();
     let expected = "error: machine #1: unhandled event #1\n\
         trace (6 steps):\n    \

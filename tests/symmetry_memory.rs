@@ -1,43 +1,18 @@
 //! What `--symmetry` adds to the memory of a run under `--mem-limit`.
 //! A test binary of its own: it reads each child's peak resident set
-//! from `wait4`, and wants no sibling test's children in between.
-//! `wait4` is declared here (the repository vendors no `libc` crate),
-//! so Linux only.
+//! from `wait4` (`support/peak_rss.rs`), and wants no sibling test's
+//! children in between. Linux only.
 
 #![cfg(target_os = "linux")]
 
 use std::io::Read;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 
-/// `struct rusage` on 64-bit Linux: two `timeval`s, then fourteen longs
-/// of which `ru_maxrss` (KiB) is the first.
-#[repr(C)]
-#[derive(Default)]
-struct Rusage {
-    utime: [i64; 2],
-    stime: [i64; 2],
-    maxrss: i64,
-    rest: [i64; 13],
-}
+#[path = "support/peak_rss.rs"]
+mod peak_rss;
 
-extern "C" {
-    fn wait4(pid: i32, status: *mut i32, options: i32, usage: *mut Rusage) -> i32;
-}
-
-/// Reaps `child` through `wait4`: its wait status and its own peak
-/// resident set in MiB (`getrusage(RUSAGE_CHILDREN)` would give the
-/// maximum over every child reaped so far).
-fn wait_with_peak_mib(child: &mut Child) -> (i32, f64) {
-    let pid = child.id() as i32;
-    let (mut usage, mut status) = (Rusage::default(), 0i32);
-    // SAFETY: `status` and `usage` are live and writable for the call;
-    // `pid` is a child of this process that nothing else waits for, as
-    // `child` is borrowed mutably and only reaped here.
-    let reaped = unsafe { wait4(pid, &mut status, 0, &mut usage) };
-    assert_eq!(reaped, pid, "{}", std::io::Error::last_os_error());
-    (status, usage.maxrss as f64 / 1024.0)
-}
+use peak_rss::wait_with_peak_mib;
 
 /// Runs `p verify german5.p <flags> --mem-limit 2m` to completion and
 /// returns its stdout and its peak resident set in MiB.
