@@ -26,14 +26,16 @@ use parking_lot::Mutex;
 
 use p_semantics::{
     canonical_digest, canonical_digest_counted, canonical_digest_replayed, canonical_pin, Config,
-    Engine, ExecOutcome, ForeignEnv, Granularity, LoweredProgram, MachineId, PError, SlotInterner,
+    Engine, ExecOutcome, ForeignEnv, Granularity, LoweredProgram, MachineId, MachineState, PError,
+    SlotInterner,
 };
 
 use p_telemetry::Telemetry;
 
 use crate::checkpoint::{self, CheckpointData, CheckpointPolicy, TaskEntry};
 use crate::engine::{
-    hot_budget_for, Admit, Frontier, IdBlock, SharedCounters, SharedTable, TaskId, TaskIds,
+    hot_budget_for, table_bytes, Admit, Frontier, IdBlock, SharedCounters, SharedTable, TaskId,
+    TaskIds,
 };
 use crate::error::CheckerError;
 use crate::fault::FaultDecision;
@@ -716,6 +718,11 @@ impl<'p> Verifier<'p> {
         }
         stats.stored_bytes = table.stored_bytes();
         stats.index_bytes = table.index_bytes();
+        stats.slot_bytes = interners
+            .iter()
+            .map(|i| i.state_bytes() + table_bytes::<(u128, Arc<MachineState>)>(i.capacity()))
+            .sum::<usize>()
+            + table_bytes::<Fingerprint>(search.slot_digests.lock().capacity());
         table.spill_stats().write_to(&mut stats);
         stats.truncated |= search.truncated();
         stats.duration = base_duration + start.elapsed();

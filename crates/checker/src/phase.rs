@@ -38,7 +38,7 @@ pub(crate) enum Phase {
     Clone,
     /// Symmetry canonicalization.
     Canon,
-    /// Visited-table and edge-log admission.
+    /// Visited-table admission, slot interning and frontier pushes.
     Table,
     /// Everything else; not reported.
     #[default]

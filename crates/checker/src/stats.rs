@@ -15,10 +15,11 @@ use p_telemetry::json::{num, obj, JsonValue};
 /// interpreter), `digest` the
 /// incremental fingerprint maintenance, `clone` the candidate
 /// configuration derivation (arena priming) and child builds, `canon`
-/// the symmetry canonicalization, and `table` the visited-set/edge-log
-/// admission. The phases are laps of one clock, so no interval counts
-/// twice and their sum stays below the run duration — enabled-set
-/// computation, scheduling and bookkeeping are unattributed.
+/// the symmetry canonicalization, and `table` the visited-set admission
+/// (with the slot interning and frontier pushes it triggers). The
+/// phases are laps of one clock, so no interval counts twice and their
+/// sum stays below the run duration — enabled-set computation,
+/// scheduling and bookkeeping are unattributed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
     /// Machine execution (the interpreter's runs).
@@ -29,8 +30,8 @@ pub struct PhaseNanos {
     pub clone: u64,
     /// Symmetry canonicalization.
     pub canon: u64,
-    /// Visited-table admission and the bookkeeping it triggers (edge
-    /// records, interning, frontier pushes), child builds excluded.
+    /// Visited-table admission and the bookkeeping it triggers (slot
+    /// interning, task paths, frontier pushes), child builds excluded.
     pub table: u64,
 }
 
@@ -91,10 +92,16 @@ pub struct ExplorationStats {
     pub stored_bytes: usize,
     /// Bytes of RAM the search kernel's bookkeeping around those
     /// encodings holds at the end of the run: the visited tables'
-    /// buckets, the resident edge records and the overflow choice
-    /// scripts, computed from lengths and capacities (not the liveness
-    /// graph). Zero for the random walk, which does not run on the kernel.
+    /// buckets and side tables and the cold runs' blooms and fences,
+    /// computed from capacities (not the liveness graph). Zero for the
+    /// random walk, which does not run on the kernel.
     pub index_bytes: usize,
+    /// Bytes of RAM the hash-consed machine slots hold at the end of the
+    /// run: every worker's interned states with their buffers, the
+    /// workers' intern tables and the shared set of slot digests,
+    /// computed from capacities as `index_bytes` is. Zero for the random
+    /// walk.
+    pub slot_bytes: usize,
     /// True if a bound (states, depth, delays) cut the exploration short.
     pub truncated: bool,
     /// Longest input queue observed in any visited configuration — a
@@ -140,10 +147,10 @@ pub struct ExplorationStats {
     /// honestly reports RAM only.
     pub spilled_states: usize,
     /// Bytes written to spill files over the run (visited runs, merges
-    /// included, and the edge file). An I/O-activity counter: it describes
-    /// this process, so a resumed run reports its own spill traffic.
+    /// included). An I/O-activity counter: it describes this process, so
+    /// a resumed run reports its own spill traffic.
     pub spill_bytes: u64,
-    /// Visited lookups and edge-record reads answered from the cold tier.
+    /// Visited lookups answered from the cold tier.
     pub cold_hits: u64,
     /// Visited lookups that got past the hot tier and asked the cold one.
     /// This and the two counters below describe this process, like
@@ -152,7 +159,7 @@ pub struct ExplorationStats {
     /// Runs those lookups searched, their bloom having said maybe.
     pub cold_run_probes: u64,
     /// Positional reads issued against spill files: one per run searched
-    /// within its key range, one per edge-record read.
+    /// within its key range.
     pub cold_reads: u64,
     /// Sampled per-phase time attribution (all zero for strategies that
     /// do not meter their hot loop).
@@ -207,6 +214,7 @@ impl ExplorationStats {
             ("states_per_sec", num(self.states_per_second())),
             ("stored_bytes", n(self.stored_bytes)),
             ("index_bytes", n(self.index_bytes)),
+            ("slot_bytes", n(self.slot_bytes)),
             ("bytes_per_state", num(bytes_per_state)),
             ("max_depth", n(self.max_depth)),
             ("dedup_hits", n(self.dedup_hits)),
@@ -319,6 +327,7 @@ mod tests {
             cold_reads: 0,
             phases: PhaseNanos::default(),
             index_bytes: 0,
+            slot_bytes: 0,
         };
         let text = s.to_string();
         assert!(text.contains("10 states"));

@@ -4,9 +4,9 @@
 //! tier of fingerprints in RAM and spills the rest here: sorted runs of
 //! fixed-width records on disk. This is the classic explicit-state
 //! recipe (disk-tiered visited stores in the distributed-Murphi/Spin
-//! lineage) adapted to the checker's 128-bit fingerprints. Parent edges
-//! need none of this: they are addressed by dense task ids, so their
-//! cold tier is a flat file (`crate::engine`).
+//! lineage) adapted to the checker's 128-bit fingerprints. Nothing else
+//! spills: the way back to the root of a queued state is its task's
+//! path, in RAM (`crate::trace`).
 //!
 //! Each spilled batch becomes one *run*: one file of sorted records, a
 //! 16-byte key each, followed by the 16-byte orbit representative when

@@ -829,10 +829,19 @@ fn reachable_keys<K: Ord>(
 
 /// [`reachable_keys`] over the full canonical encodings — no
 /// fingerprints, no canonicalisation: whether the program is error-free
-/// and how many states were reached.
+/// and how many states were reached. Every configuration reached must
+/// also decode from its encoding to an equal one; decoding stores a
+/// frame's inherited map only when some entry is not ⊥, so this holds
+/// the search's frames to that normal form.
 fn naive_reachability(p: &LoweredProgram, limit: usize) -> Option<(bool, usize)> {
-    reachable_keys(p, limit, |config| config.canonical_bytes())
-        .map(|(error_free, seen)| (error_free, seen.len()))
+    let n_events = p.event_count();
+    reachable_keys(p, limit, |config| {
+        let bytes = config.canonical_bytes();
+        let back = p_semantics::Config::from_canonical_bytes(&bytes, n_events);
+        assert_eq!(back.as_ref().ok(), Some(&*config), "decodes to itself");
+        bytes
+    })
+    .map(|(error_free, seen)| (error_free, seen.len()))
 }
 
 /// Every jobs/spill/reduction consistency suite compares the one kernel
@@ -1615,7 +1624,8 @@ impl BoundedSet {
 }
 
 /// `child → (parent, step)` edges for counterexample reconstruction,
-/// keyed by fingerprint: the reference the edge log is compared against.
+/// keyed by fingerprint: the reference the task paths are compared
+/// against.
 #[derive(Debug, Default)]
 pub(crate) struct ParentMap {
     map: FpHashMap<(Fingerprint, StepSeed)>,

@@ -252,8 +252,11 @@ pub type Cont = Vec<Instr>;
 pub struct Frame {
     /// The frame's control state.
     pub state: StateId,
-    /// Inherited handler map, indexed by event id.
-    pub inherited: Vec<Inherited>,
+    /// Inherited handler map, indexed by event id — or empty when every
+    /// entry is ⊥, so a frame below no call holds no map. It is never an
+    /// all-⊥ map of full length (every constructor normalizes), so `==`
+    /// stays content equality. Read it through [`Frame::inherited`].
+    inherited: Vec<Inherited>,
     /// Saved caller continuation (only for `call n;` statements).
     pub resume: Option<Cont>,
 }
@@ -282,19 +285,51 @@ impl Clone for Frame {
 }
 
 impl Frame {
-    /// A frame with an empty inherited map (used for initial states).
-    pub fn initial(state: StateId, n_events: usize) -> Frame {
+    /// A frame with an all-⊥ inherited map (used for initial states); it
+    /// allocates nothing.
+    pub fn initial(state: StateId) -> Frame {
+        Frame::new(state, Vec::new(), None)
+    }
+
+    /// A frame over `inherited`, a full map indexed by event id or empty
+    /// for all ⊥; an all-⊥ full map is dropped for the empty one.
+    pub(crate) fn new(state: StateId, inherited: Vec<Inherited>, resume: Option<Cont>) -> Frame {
+        let inherited = if inherited.iter().all(|&h| h == Inherited::None) {
+            Vec::new()
+        } else {
+            inherited
+        };
         Frame {
             state,
-            inherited: vec![Inherited::None; n_events],
-            resume: None,
+            inherited,
+            resume,
         }
     }
 
-    fn encode(&self, out: &mut Vec<u8>) {
+    /// The inherited handler of `event`: ⊥ past the end of the stored
+    /// map, so for every event of a frame that stores none.
+    pub fn inherited(&self, event: EventId) -> Inherited {
+        self.inherited
+            .get(event.0 as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Encodes the frame with its map spelled out over all `n_events`
+    /// events, one byte per ⊥ whether or not the map is stored.
+    fn encode(&self, n_events: usize, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.state.0.to_le_bytes());
-        for h in &self.inherited {
-            h.encode(out);
+        if self.inherited.is_empty() {
+            out.resize(out.len() + n_events, 0);
+        } else {
+            debug_assert_eq!(
+                self.inherited.len(),
+                n_events,
+                "a stored map spans every event"
+            );
+            for h in &self.inherited {
+                h.encode(out);
+            }
         }
         match &self.resume {
             None => out.push(0),
@@ -322,11 +357,15 @@ impl Frame {
             1 => Some(decode_cont(buf)?),
             _ => return None,
         };
-        Some(Frame {
-            state,
-            inherited,
-            resume,
-        })
+        Some(Frame::new(state, inherited, resume))
+    }
+
+    /// Drops spare capacity of the frame's buffers.
+    fn shrink_to_fit(&mut self) {
+        self.inherited.shrink_to_fit();
+        if let Some(resume) = &mut self.resume {
+            resume.shrink_to_fit();
+        }
     }
 }
 
@@ -335,6 +374,11 @@ impl Frame {
 pub struct MachineState {
     /// The machine's type.
     pub ty: MachineTypeId,
+    /// The program's event count: the span of every frame's inherited
+    /// map, which the encoding writes out in full even where a frame
+    /// stores none. The same for every machine of a program; it sits in
+    /// what would be padding after `ty`.
+    event_count: u32,
     /// Call stack; the last frame is the top.
     pub stack: Vec<Frame>,
     /// Local variable store, indexed by `VarId`.
@@ -357,6 +401,7 @@ impl Clone for MachineState {
     fn clone(&self) -> MachineState {
         MachineState {
             ty: self.ty,
+            event_count: self.event_count,
             stack: self.stack.clone(),
             locals: self.locals.clone(),
             msg: self.msg,
@@ -375,6 +420,7 @@ impl Clone for MachineState {
     /// `Arc::make_mut` on a uniquely-owned recycled slot never copies.
     fn clone_from(&mut self, src: &MachineState) {
         self.ty = src.ty;
+        self.event_count = src.event_count;
         self.stack.clone_from(&src.stack);
         self.locals.clone_from(&src.locals);
         self.msg = src.msg;
@@ -394,7 +440,8 @@ impl MachineState {
         let entry = mt.states[init.0 as usize].entry;
         MachineState {
             ty,
-            stack: vec![Frame::initial(init, program.event_count())],
+            event_count: program.event_count() as u32,
+            stack: vec![Frame::initial(init)],
             locals: vec![Value::Null; mt.vars.len()],
             msg: Value::Null,
             arg: Value::Null,
@@ -425,8 +472,7 @@ impl MachineState {
                 return true;
             }
             // d': deferred here or inherited as deferred.
-            let deferred =
-                state.deferred.contains(e) || frame.inherited[e.0 as usize] == Inherited::Deferred;
+            let deferred = state.deferred.contains(e) || frame.inherited(e) == Inherited::Deferred;
             !deferred
         })
     }
@@ -459,11 +505,46 @@ impl MachineState {
         true
     }
 
+    /// Drops the spare capacity of every buffer, so the state costs what
+    /// it holds: what a slot entering a [`SlotInterner`] is given.
+    fn shrink_to_fit(&mut self) {
+        self.stack.shrink_to_fit();
+        for frame in &mut self.stack {
+            frame.shrink_to_fit();
+        }
+        self.locals.shrink_to_fit();
+        self.cont.shrink_to_fit();
+        self.queue.shrink_to_fit();
+    }
+
+    /// Bytes of RAM the state takes behind an `Arc`, from capacities: the
+    /// allocation holding it and every buffer it owns.
+    fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let frames: usize = self
+            .stack
+            .iter()
+            .map(|f| {
+                f.inherited.capacity() * size_of::<Inherited>()
+                    + f.resume
+                        .as_ref()
+                        .map_or(0, |r| r.capacity() * size_of::<Instr>())
+            })
+            .sum();
+        2 * size_of::<usize>() // the `Arc`'s two counts
+            + size_of::<MachineState>()
+            + self.stack.capacity() * size_of::<Frame>()
+            + frames
+            + self.locals.capacity() * size_of::<Value>()
+            + self.cont.capacity() * size_of::<Instr>()
+            + self.queue.capacity() * size_of::<(EventId, Value)>()
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.ty.0.to_le_bytes());
         out.extend_from_slice(&(self.stack.len() as u32).to_le_bytes());
         for f in &self.stack {
-            f.encode(out);
+            f.encode(self.event_count as usize, out);
         }
         out.extend_from_slice(&(self.locals.len() as u32).to_le_bytes());
         for v in &self.locals {
@@ -523,6 +604,7 @@ impl MachineState {
         }
         Some(MachineState {
             ty,
+            event_count: n_events as u32,
             stack,
             locals,
             msg,
@@ -578,7 +660,7 @@ impl MachineState {
         out.extend_from_slice(&self.ty.0.to_le_bytes());
         out.extend_from_slice(&(self.stack.len() as u32).to_le_bytes());
         for f in &self.stack {
-            f.encode(out);
+            f.encode(self.event_count as usize, out);
         }
         out.extend_from_slice(&(self.locals.len() as u32).to_le_bytes());
         for _ in 0..self.locals.len() + 2 {
@@ -1564,10 +1646,12 @@ impl SlotInterner {
     /// Interns `state` by content digest in one table probe. On a hit,
     /// repoints `state` at the canonical `Arc` and returns the
     /// displaced handle; on a miss, stores a clone of `state` (capacity
-    /// permitting — at the cap the state simply stays unshared).
-    /// Returns `(fresh, displaced)`: `fresh` is true iff the content
-    /// was not in the table and `first_seen` says no other table holds
-    /// it either, i.e. its bytes are newly accounted.
+    /// permitting — at the cap the state simply stays unshared), shrunk
+    /// to its exact size first when `state` is the only handle — as every
+    /// candidate the search interns is. Returns `(fresh, displaced)`:
+    /// `fresh` is true iff the content was not in the table and
+    /// `first_seen` says no other table holds it either, i.e. its bytes
+    /// are newly accounted.
     fn intern(
         &mut self,
         digest: u128,
@@ -1588,6 +1672,9 @@ impl SlotInterner {
             }
             std::collections::hash_map::Entry::Vacant(entry) => {
                 if !full {
+                    if let Some(owned) = Arc::get_mut(state) {
+                        owned.shrink_to_fit();
+                    }
                     entry.insert(Arc::clone(state));
                 }
                 (first_seen(digest), None)
@@ -1633,6 +1720,18 @@ impl SlotInterner {
         })
     }
 
+    /// Bytes of RAM the interned states hold, from capacities: each
+    /// state's allocation and the buffers it owns. The table's own
+    /// buckets are sized from [`SlotInterner::capacity`].
+    pub fn state_bytes(&self) -> usize {
+        self.table.values().map(|s| s.resident_bytes()).sum()
+    }
+
+    /// Entries the table has room for without growing.
+    pub fn capacity(&self) -> usize {
+        self.table.capacity()
+    }
+
     /// Number of distinct machine states currently interned.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -1675,6 +1774,39 @@ mod tests {
     use super::*;
     use crate::lower::lower;
     use p_ast::{ProgramBuilder, Ty};
+
+    impl Config {
+        /// A copy whose every frame stores its inherited map in full, ⊥
+        /// entries spelled out: the form every frame had before an all-⊥ map
+        /// was stored as none, which must encode to the same bytes.
+        fn with_maps_spelled_out(&self) -> Config {
+            let machines = self.machines.iter().map(|slot| {
+                slot.as_ref().map(|state| {
+                    let mut state = MachineState::clone(state);
+                    for frame in &mut state.stack {
+                        frame.inherited = (0..state.event_count)
+                            .map(|e| frame.inherited(EventId(e)))
+                            .collect();
+                    }
+                    Arc::new(state)
+                })
+            });
+            Config::from_machines(machines.collect())
+        }
+
+        /// Whether every frame of every machine is in the normal form: it
+        /// stores an inherited map iff some entry is not ⊥.
+        fn frames_in_normal_form(&self) -> bool {
+            self.machines.iter().flatten().all(|state| {
+                state.stack.iter().all(|frame| {
+                    let map = &frame.inherited;
+                    map.is_empty()
+                        || (map.len() == state.event_count as usize
+                            && map.iter().any(|&h| h != Inherited::None))
+                })
+            })
+        }
+    }
 
     fn tiny_program() -> LoweredProgram {
         let mut b = ProgramBuilder::new();
@@ -2071,5 +2203,102 @@ mod tests {
         let b = a.clone();
         let _ = a.digest(); // fill a's cache only
         assert_eq!(a, b);
+    }
+
+    /// A slot costs what it holds: the bottom frame's all-⊥ map is not
+    /// stored, and the event count rides in what was padding.
+    #[test]
+    fn initial_frames_allocate_nothing_and_a_slot_stays_160_bytes() {
+        let p = tiny_program();
+        let frame = Frame::initial(StateId(0));
+        assert!(frame.inherited.is_empty());
+        assert_eq!(frame.inherited.capacity(), 0);
+        assert_eq!(frame.inherited(EventId(1)), Inherited::None);
+        let m = MachineState::initial(&p, p.main);
+        assert_eq!(m.stack[0].inherited.capacity(), 0);
+        assert!(std::mem::size_of::<MachineState>() <= 160);
+    }
+
+    /// A stored map is never all ⊥, an empty one encodes as the ⊥
+    /// entries spelled out, and decoding restores the normal form.
+    #[test]
+    fn an_all_bottom_map_is_stored_as_none_and_encodes_in_full() {
+        let p = tiny_program();
+        let n_events = p.event_count();
+        let mut c = Config::default();
+        let id = c.allocate(&p, p.main);
+        {
+            let m = c.machine_mut(id).unwrap();
+            let mut map = vec![Inherited::None; n_events];
+            map[1] = Inherited::Deferred;
+            m.stack.push(Frame::new(
+                StateId(1),
+                map,
+                Some(vec![Instr::Loop(StmtId(0))]),
+            ));
+            m.stack.push(Frame::new(
+                StateId(0),
+                vec![Inherited::None; n_events],
+                None,
+            ));
+            assert_eq!(m.stack[1].inherited.len(), n_events);
+            assert_eq!(m.stack[1].inherited(EventId(1)), Inherited::Deferred);
+            assert!(m.stack[2].inherited.is_empty());
+        }
+        assert!(c.frames_in_normal_form());
+        let spelled = c.with_maps_spelled_out();
+        assert!(!spelled.frames_in_normal_form());
+        let bytes = c.canonical_bytes();
+        assert_eq!(spelled.canonical_bytes(), bytes);
+        assert_eq!(spelled.digest_uncached(), c.digest_uncached());
+        let back = Config::from_canonical_bytes(&bytes, n_events).unwrap();
+        assert!(back.frames_in_normal_form());
+        assert_eq!(back, c);
+        assert_ne!(back, spelled, "a spelled-out map is not the normal form");
+    }
+
+    /// Every buffer of an interned slot has no spare capacity: the
+    /// candidate, its only handle, is shrunk in place.
+    #[test]
+    fn interned_slots_are_stored_at_their_exact_size() {
+        let p = tiny_program();
+        let n_events = p.event_count();
+        let exact = |m: &MachineState| {
+            m.stack.capacity() == m.stack.len()
+                && m.stack.iter().all(|f| {
+                    f.inherited.capacity() == f.inherited.len()
+                        && f.resume.as_ref().is_none_or(|r| r.capacity() == r.len())
+                })
+                && m.locals.capacity() == m.locals.len()
+                && m.cont.capacity() == m.cont.len()
+                && m.queue.capacity() == m.queue.len()
+        };
+        let mut interner = SlotInterner::new();
+        let mut c = Config::default();
+        let id = c.allocate(&p, p.main);
+        {
+            let m = c.machine_mut(id).unwrap();
+            m.cont.clear();
+            m.cont.reserve(9);
+            m.queue.reserve(7);
+            m.enqueue(EventId(1), Value::Int(4));
+            m.locals.reserve(5);
+            let mut map = Vec::with_capacity(3 * n_events);
+            map.extend([Inherited::Deferred, Inherited::None]);
+            let mut resume = Vec::with_capacity(6);
+            resume.push(Instr::PopViaReturn);
+            m.stack.reserve(4);
+            m.stack.push(Frame::new(StateId(1), map, Some(resume)));
+            assert!(!exact(m));
+        }
+        let before = Arc::as_ptr(c.machine_arc(id).unwrap());
+        let digest = c.digest();
+        c.intern_slots(&mut interner);
+        let slot = c.machine_arc(id).unwrap();
+        assert!(exact(slot));
+        assert_eq!(Arc::as_ptr(slot), before, "shrunk in place, not copied");
+        assert_eq!(interner.state_bytes(), slot.resident_bytes());
+        assert_eq!(c.digest(), digest);
+        assert_eq!(c.digest_uncached(), digest);
     }
 }

@@ -400,7 +400,8 @@ impl<'p> Engine<'p> {
     /// statement. a' takes, per event, what the current state says — a
     /// transition hides whatever was inherited, an action binding or a
     /// deferral replaces it — and otherwise what the caller's frame
-    /// inherited itself.
+    /// inherited itself. An all-⊥ a' is stored as no map
+    /// ([`Frame::new`]).
     fn push_callee(&self, m: &mut MachineState, target: StateId, resume: Option<Cont>) {
         let mt = self.program.machine(m.ty);
         let caller = m.top();
@@ -414,15 +415,11 @@ impl<'p> Engine<'p> {
                 } else if state.deferred.contains(EventId(x as u32)) {
                     Inherited::Deferred
                 } else {
-                    caller.inherited[x]
+                    caller.inherited(EventId(x as u32))
                 }
             })
             .collect();
-        m.stack.push(Frame {
-            state: target,
-            inherited,
-            resume,
-        });
+        m.stack.push(Frame::new(target, inherited, resume));
         m.cont.push(Instr::Stmt(mt.states[target.0 as usize].entry));
     }
 
@@ -454,8 +451,7 @@ impl<'p> Engine<'p> {
             if state.handles(e) {
                 return true;
             }
-            let deferred =
-                state.deferred.contains(e) || frame.inherited[e.0 as usize] == Inherited::Deferred;
+            let deferred = state.deferred.contains(e) || frame.inherited(e) == Inherited::Deferred;
             !deferred
         });
         match index {
@@ -490,7 +486,7 @@ impl<'p> Engine<'p> {
         {
             let frame = m.top();
             frame_state = frame.state;
-            inherited_entry = frame.inherited[event.0 as usize];
+            inherited_entry = frame.inherited(event);
         }
         let state = &mt.states[frame_state.0 as usize];
         let e = event.0 as usize;

@@ -312,6 +312,7 @@ fn verify_profile_exploration_keys_are_pinned() {
             "scheduler_nodes",
             "seconds",
             "sleep_pruned",
+            "slot_bytes",
             "spill_bytes",
             "spilled_states",
             "states",

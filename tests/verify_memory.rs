@@ -1,7 +1,7 @@
-//! The memory of `p verify` on `german5.p`. A test binary of its own:
-//! it reads the child's peak resident set from `wait4`
-//! (`support/peak_rss.rs`), and wants no sibling test's children in
-//! between. Linux only.
+//! The memory of `p verify` on `german5.p` and on `switch_led.p` under
+//! `--mem-limit 1m`. A test binary of its own: it reads each child's
+//! peak resident set from `wait4` (`support/peak_rss.rs`), and wants no
+//! sibling test's children in between. Linux only.
 
 #![cfg(target_os = "linux")]
 
@@ -14,24 +14,19 @@ mod peak_rss;
 
 use peak_rss::wait_with_peak_mib;
 
-/// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
-/// 8.8 MiB in a release build and 10.7 MiB in a debug one (whose larger
-/// binary and unoptimised code the process maps and touches too).
-const PEAK_MIB: f64 = if cfg!(debug_assertions) { 11.7 } else { 9.7 };
-
-/// The search's trace bookkeeping is the frontier's paths, not a record
-/// per state: `german5.p` (155 967 states) peaked at 12.2 MiB (release)
-/// while an edge log held 24 bytes for every pushed task until exit, and
-/// peaks near 8.8 MiB without it.
-#[test]
-fn verify_on_german5_stays_under_its_measured_peak() {
-    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../corpus/programs/german5.p");
+/// Runs `p verify` on the corpus program `name` with `args`, checks that
+/// it passes with each of `expect` in its report, and returns its peak
+/// in MiB.
+fn verify_peak_mib(name: &str, args: &[&str], expect: &[&str]) -> f64 {
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../corpus/programs")
+        .join(name);
     // The report is two lines: it fits the pipe, so the child never
     // blocks on a reader that only comes after it is reaped.
     let mut child = Command::new(env!("CARGO_BIN_EXE_p"))
         .arg("verify")
         .arg(file)
-        .args(["--jobs", "1"])
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -40,13 +35,46 @@ fn verify_on_german5_stays_under_its_measured_peak() {
     let mut stdout = String::new();
     let mut pipe = child.stdout.take().expect("stdout was piped");
     pipe.read_to_string(&mut stdout).unwrap();
-    assert_eq!(status, 0, "p verify german5.p did not exit 0:\n{stdout}");
+    assert_eq!(status, 0, "p verify {name} did not exit 0:\n{stdout}");
+    assert!(expect.iter().all(|e| stdout.contains(e)), "{stdout}");
+    peak
+}
+
+/// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
+/// 8.8 MiB in a release build and 10.7 MiB in a debug one (whose larger
+/// binary and unoptimised code the process maps and touches too).
+const GERMAN5_PEAK_MIB: f64 = if cfg!(debug_assertions) { 11.7 } else { 9.7 };
+
+/// The search's trace bookkeeping is the frontier's paths, not a record
+/// per state: `german5.p` (155 967 states) peaked at 12.2 MiB (release)
+/// while an edge log held 24 bytes for every pushed task until exit, and
+/// peaks near 8.8 MiB without it.
+#[test]
+fn verify_on_german5_stays_under_its_measured_peak() {
+    let counts = ["155967 states, 680224 transitions"];
+    let peak = verify_peak_mib("german5.p", &["--jobs", "1"], &counts);
     assert!(
-        stdout.contains("155967 states, 680224 transitions"),
-        "{stdout}"
+        peak <= GERMAN5_PEAK_MIB,
+        "p verify german5.p peaked at {peak:.1} MiB, above {GERMAN5_PEAK_MIB} MiB"
     );
+}
+
+/// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
+/// 10.6 MiB in a release build and 12.5 MiB in a debug one.
+const SWITCH_LED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 13.8 } else { 11.7 };
+
+/// `--mem-limit` sizes the hot visited tier only, so under `1m` most of
+/// what `switch_led.p` holds is its interned machine slots: they peaked
+/// at 11.8 MiB (release) while every slot kept a 128-byte all-⊥ handler
+/// map and the spare capacity of the candidate it came from, and peak
+/// near 10.6 MiB stored at their exact size.
+#[test]
+fn verify_on_switch_led_under_a_1m_limit_stays_under_its_measured_peak() {
+    let args = ["--jobs", "1", "--mem-limit", "1m"];
+    let counts = ["180625 states, 633343 transitions", "158860 spilled"];
+    let peak = verify_peak_mib("switch_led.p", &args, &counts);
     assert!(
-        peak <= PEAK_MIB,
-        "p verify german5.p peaked at {peak:.1} MiB, above {PEAK_MIB} MiB"
+        peak <= SWITCH_LED_SPILL_PEAK_MIB,
+        "p verify switch_led.p --mem-limit 1m peaked at {peak:.1} MiB, above {SWITCH_LED_SPILL_PEAK_MIB} MiB"
     );
 }
