@@ -41,6 +41,7 @@
 
 mod builder;
 mod decl;
+mod draws;
 mod expr;
 mod intern;
 mod print;
@@ -53,6 +54,7 @@ pub use decl::{
     ActionBinding, ActionDecl, EventDecl, ForeignFnDecl, ForeignParam, MachineDecl, MainDecl,
     Program, StateDecl, TransitionDecl, TransitionKind, VarDecl,
 };
+pub use draws::Draws;
 pub use expr::{BinOp, Expr, ExprKind, UnOp};
 pub use intern::{Interner, Symbol};
 pub use print::{print_expr, print_program, print_stmt};

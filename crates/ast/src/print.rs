@@ -459,6 +459,9 @@ mod tests {
             Expr::binary(BinOp::Mul, Expr::int(1), Expr::int(2)),
         );
         assert_eq!(print_expr(&e2, b.interner()), "x + 1 * 2");
+        // A negative literal prints as the subtraction it parses back as.
+        let e3 = Expr::binary(BinOp::Sub, Expr::name(x), Expr::int(-1));
+        assert_eq!(print_expr(&e3, b.interner()), "x - (0 - 1)");
     }
 
     #[test]

@@ -485,21 +485,15 @@ mod tests {
     #[test]
     fn hostile_payloads_decode_or_are_refused() {
         let pristine = encode_payload(&sample());
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        let mut below = |n: usize| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng % n as u64) as usize
-        };
         for seed in 0..2_000 {
+            let mut draws = p_ast::Draws::new(seed);
             let mut bytes = pristine.clone();
             match seed % 3 {
-                0 => bytes[below(pristine.len())] ^= 1 << below(8),
-                1 => bytes.truncate(below(pristine.len())),
+                0 => bytes[draws.below(pristine.len())] ^= 1 << draws.below(8),
+                1 => bytes.truncate(draws.below(pristine.len())),
                 _ => {
-                    let (from, to) = (below(bytes.len()), below(bytes.len()));
-                    let len = below(bytes.len() - from.max(to)).min(64);
+                    let (from, to) = (draws.below(bytes.len()), draws.below(bytes.len()));
+                    let len = draws.below(bytes.len() - from.max(to)).min(64);
                     bytes.copy_within(from..from + len, to);
                 }
             }

@@ -412,13 +412,10 @@ mod tests {
         dir
     }
 
-    /// A deterministic pseudo-fingerprint stream (splitmix-style), so
-    /// tests exercise sparse 128-bit keys without a RNG dependency.
+    /// A sparse 128-bit pseudo-fingerprint, distinct for each `i`.
     fn key(i: u64) -> u128 {
-        let mut z = (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z as u128) << 64) | (z ^ (z >> 31)) as u128
+        let mut draws = p_ast::Draws::new(i);
+        (u128::from(draws.next()) << 64) | u128::from(draws.next())
     }
 
     fn get(store: &RunStore, key: u128) -> Option<u128> {

@@ -1017,21 +1017,59 @@ fn abort_and_resume(p: &LoweredProgram, abort_after: usize) -> crate::Report {
 }
 
 /// Generated programs of two to four machines (`p_corpus::generated_src`):
-/// 256 of them in a debug build, 2 000 in a release one.
+/// 256 of them in a debug build, 2 000 in a release one. A disagreement
+/// is shrunk (`p_corpus::shrink`) and the failure prints the smaller
+/// program, a `.p` file for `tests/regressions/`.
 #[test]
 fn generated_programs_agree_with_the_reference() {
     let cases = if cfg!(debug_assertions) { 256 } else { 2_000 };
     let mut compared = 0;
     for seed in 0..cases {
-        let program = p_corpus::generated_program(seed);
         let name = format!("generated_src({seed})");
-        compared +=
-            usize::from(kernel_agrees_with_the_reference(&name, &program, 10_000).is_some());
+        let agrees = |program: &p_ast::Program| {
+            let check = || kernel_agrees_with_the_reference(&name, program, 10_000);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(check))
+        };
+        let Ok(within) = agrees(&p_corpus::generated_program(seed)) else {
+            let shrunk = p_corpus::shrink(seed, |program| {
+                p_typecheck::check(program).is_ok() && agrees(program).is_err()
+            });
+            let text = p_ast::print_program(&shrunk);
+            panic!("{name} disagrees with the reference; shrunk:\n{text}");
+        };
+        compared += usize::from(within.is_some());
     }
     assert!(
         compared * 50 >= cases as usize * 49,
         "{compared} of {cases} within 10⁴ states"
     );
+}
+
+/// Every `.p` file under `tests/regressions/`, a shrunk case some
+/// generated test once failed on: it prints back to itself, typechecks,
+/// lowers, and the kernel agrees with the reference on it.
+#[test]
+fn regression_programs_agree_with_the_reference() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/regressions");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "p"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no .p file under {dir}");
+    for path in &files {
+        let name = path.file_name().unwrap().to_string_lossy();
+        let source = std::fs::read_to_string(path).unwrap();
+        let program = p_parser::parse(&source).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let printed = p_ast::print_program(&program);
+        let reparsed = p_parser::parse(&printed).unwrap();
+        assert_eq!(p_ast::print_program(&reparsed), printed, "{name}");
+        p_typecheck::check(&program).unwrap_or_else(|e| panic!("{name}: {e}"));
+        lower(&program).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        let states = kernel_agrees_with_the_reference(&name, &program, 10_000);
+        assert!(states.is_some(), "{name}: over 10⁴ states");
+    }
 }
 
 /// The `--delay`/`--faults` oracle over generated programs
@@ -1222,19 +1260,6 @@ fn generated_families_match_the_orbit_oracle() {
     );
 }
 
-/// SplitMix64, for the seeded walks.
-struct Walk(u64);
-
-impl Walk {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        ((z ^ (z >> 31)) % n as u64) as usize
-    }
-}
-
 /// What [`compare_replays`] saw: successors the memo answered, and of
 /// those the ones built from `interner`'s states rather than by running
 /// the interpreter again.
@@ -1307,7 +1332,7 @@ fn a_replayed_run_is_the_run_it_stands_for() {
         let engine = Verifier::new(&p).engine().with_dequeue_log(false);
         let mut memo = crate::succ::SuccArena::with_memo(Some((1 << 10, 1 << 10)));
         let mut interner = p_semantics::SlotInterner::new();
-        let mut walk = Walk(n as u64);
+        let mut walk = p_ast::Draws::new(n as u64);
         let init = engine.initial_config();
         let mut config = init.clone();
         let mut seen = Replays::default();

@@ -80,33 +80,47 @@ pub use parser::parse;
 
 #[cfg(test)]
 mod fuzz {
-    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+    use p_ast::Draws;
 
-        /// The front end is total: arbitrary input produces `Ok` or a
-        /// positioned error, never a panic.
-        #[test]
-        fn parser_never_panics(input in ".{0,200}") {
-            let _ = crate::parse(&input);
+    const CASES: u64 = 128;
+
+    /// Parses `input`; a panic fails the test naming the seed.
+    fn parse_or_name(seed: u64, input: &str) {
+        let parsed = catch_unwind(AssertUnwindSafe(|| crate::parse(input)));
+        assert!(
+            parsed.is_ok(),
+            "seed {seed}: the parser panicked on {input:?}"
+        );
+    }
+
+    /// The front end is total: arbitrary input produces `Ok` or a
+    /// positioned error, never a panic.
+    #[test]
+    fn parser_never_panics() {
+        for seed in 0..CASES {
+            let d = &mut Draws::new(seed);
+            let input: String = (0..d.below(201))
+                .map(|_| char::from(b' ' + d.below(95) as u8))
+                .collect();
+            parse_or_name(seed, &input);
         }
+    }
 
-        /// Arbitrary ASCII keyword soup also parses or errors cleanly.
-        #[test]
-        fn keyword_soup_never_panics(
-            words in proptest::collection::vec(
-                prop_oneof![
-                    Just("machine"), Just("state"), Just("event"), Just("on"),
-                    Just("goto"), Just("push"), Just("entry"), Just("{"),
-                    Just("}"), Just("("), Just(")"), Just(";"), Just(":="),
-                    Just("x"), Just("M"), Just("main"), Just("*"), Just("defer"),
-                ],
-                0..40,
-            )
-        ) {
-            let input = words.join(" ");
-            let _ = crate::parse(&input);
+    /// Arbitrary ASCII keyword soup also parses or errors cleanly.
+    #[test]
+    fn keyword_soup_never_panics() {
+        const WORDS: [&str; 18] = [
+            "machine", "state", "event", "on", "goto", "push", "entry", "{", "}", "(", ")", ";",
+            ":=", "x", "M", "main", "*", "defer",
+        ];
+        for seed in 0..CASES {
+            let d = &mut Draws::new(seed);
+            let words: Vec<&str> = (0..d.below(40))
+                .map(|_| WORDS[d.below(WORDS.len())])
+                .collect();
+            parse_or_name(seed, &words.join(" "));
         }
     }
 }

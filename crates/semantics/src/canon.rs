@@ -941,30 +941,23 @@ mod tests {
     /// view come up.
     #[test]
     fn view_and_pin_agree_with_the_built_child() {
-        let mut rng = 0x5eed_u64;
-        let mut next = move || {
-            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut draws = p_ast::Draws::new(0x5eed);
         let (mut pinned, mut tangled) = (0, 0);
         let mut pin = Vec::new();
         for _ in 0..4_000 {
-            let recipe: Vec<u64> = (0..24).map(|_| next()).collect();
+            let recipe: Vec<u64> = (0..24).map(|_| draws.next()).collect();
             let mut parent = config_from(&recipe);
             parent.digest();
             let n = parent.created_count() as u64;
             let live: Vec<u32> = parent.live_ids().map(|id| id.0).collect();
             let mut child = parent.clone();
-            let mut edited = vec![live[next() as usize % live.len()]];
-            let other = live[next() as usize % live.len()];
-            if next() % 2 == 0 && other != edited[0] {
+            let mut edited = vec![live[draws.next() as usize % live.len()]];
+            let other = live[draws.next() as usize % live.len()];
+            if draws.one_in(2) && other != edited[0] {
                 edited.push(other);
             }
             for &slot in &edited {
-                let word = next();
+                let word = draws.next();
                 let m = child.machine_mut(MachineId(slot)).unwrap();
                 match word % 3 {
                     2 => m.locals[2] = Value::Int((word >> 8) as i64 & 1),
@@ -1000,20 +993,19 @@ mod tests {
         );
     }
 
-    proptest::proptest! {
-        /// Exactness in both directions against the brute-force oracle:
-        /// two configurations get one canonical digest if and only if a
-        /// type-preserving permutation maps one onto the other — for a
-        /// relabeled copy (same orbit), for a relabeled copy with one
-        /// local changed (usually another orbit, sometimes the same),
-        /// and for an unrelated configuration.
-        #[test]
-        fn canonical_digest_equal_iff_same_orbit(
-            recipe in proptest::collection::vec(proptest::prelude::any::<u64>(), 24..=24),
-            other in proptest::collection::vec(proptest::prelude::any::<u64>(), 24..=24),
-            pick in proptest::prelude::any::<u64>(),
-            edit in proptest::prelude::any::<u64>(),
-        ) {
+    /// Exactness in both directions against the brute-force oracle:
+    /// two configurations get one canonical digest if and only if a
+    /// type-preserving permutation maps one onto the other — for a
+    /// relabeled copy (same orbit), for a relabeled copy with one local
+    /// changed (usually another orbit, sometimes the same), and for an
+    /// unrelated configuration.
+    #[test]
+    fn canonical_digest_equal_iff_same_orbit() {
+        for seed in 0..256 {
+            let d = &mut p_ast::Draws::new(seed);
+            let recipe: Vec<u64> = (0..24).map(|_| d.next()).collect();
+            let other: Vec<u64> = (0..24).map(|_| d.next()).collect();
+            let (pick, edit) = (d.next(), d.next());
             let mut a = config_from(&recipe);
             let perms = type_preserving_permutations(&a);
             let mut relabeled = a.apply_permutation(&perms[pick as usize % perms.len()]);
@@ -1031,14 +1023,18 @@ mod tests {
             // The key is the digest of an actually renumbered
             // configuration (re-mixed if it was a minimum of several).
             let mut renumbered = perms.iter().map(|perm| a.apply_permutation(perm).digest());
-            proptest::prop_assert!(if candidates > 1 {
-                renumbered.any(|digest| mix_slot_digest(digest) == key)
-            } else {
-                renumbered.any(|digest| digest == key)
-            });
-            proptest::prop_assert_eq!(canonical_digest(&mut relabeled), key);
+            assert!(
+                if candidates > 1 {
+                    renumbered.any(|digest| mix_slot_digest(digest) == key)
+                } else {
+                    renumbered.any(|digest| digest == key)
+                },
+                "seed {seed}"
+            );
+            assert_eq!(canonical_digest(&mut relabeled), key, "seed {seed}");
             for b in [&mut edited, &mut unrelated] {
-                proptest::prop_assert_eq!(canonical_digest(b) == key, oracle(b) == orbit);
+                let same_orbit = oracle(b) == orbit;
+                assert_eq!(canonical_digest(b) == key, same_orbit, "seed {seed}");
             }
         }
     }

@@ -8,9 +8,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use p_ast::{BinOp, UnOp};
-use proptest::prelude::*;
-use proptest::test_runner::TestRng;
+use p_ast::{BinOp, Draws, UnOp};
 
 use super::*;
 use crate::foreign::ForeignRegistry;
@@ -144,25 +142,25 @@ const MAX_DEPTH: u32 = 4;
 /// and 15 calls of `modelled`, one bit each.
 const SCRIPT_BITS: usize = 40;
 
-fn pick<T: Copy>(rng: &mut TestRng, options: &[T]) -> T {
-    options[rng.below(options.len() as u64) as usize]
+fn pick<T: Copy>(rng: &mut Draws, options: &[T]) -> T {
+    options[rng.below(options.len())]
 }
 
 /// A value of any kind, ⊥ and the integers operators trip over included.
-fn arb_value(rng: &mut TestRng) -> Value {
+fn arb_value(rng: &mut Draws) -> Value {
     match rng.below(6) {
         0 => Value::Null,
-        1 => Value::Bool(rng.flip()),
+        1 => Value::Bool(rng.one_in(2)),
         2 => Value::Int(pick(rng, &[0, 1, -1, 2, 7, i64::MAX, i64::MIN])),
         3 => Value::Int(rng.below(9) as i64 - 4),
-        4 => Value::Event(EventId(rng.below(EVENTS as u64) as u32)),
+        4 => Value::Event(EventId(rng.below(EVENTS as usize) as u32)),
         _ => Value::Machine(MachineId(rng.below(3) as u32)),
     }
 }
 
 /// A tree of at most `depth` operators over leaves reading `slots` locals.
 /// Operands are untyped on purpose: mixed-type and ⊥ operands are cases.
-fn arb_expr(rng: &mut TestRng, code: &mut crate::lower::Code, depth: u32, slots: u32) -> ExprId {
+fn arb_expr(rng: &mut Draws, code: &mut crate::lower::Code, depth: u32, slots: u32) -> ExprId {
     let operator = depth > 0 && rng.below(4) > 0;
     let expr = if !operator {
         match rng.below(10) {
@@ -170,10 +168,10 @@ fn arb_expr(rng: &mut TestRng, code: &mut crate::lower::Code, depth: u32, slots:
             1 => LExpr::Msg,
             2 => LExpr::Arg,
             3 => LExpr::Null,
-            4 => LExpr::Bool(rng.flip()),
+            4 => LExpr::Bool(rng.one_in(2)),
             5 => LExpr::Int(pick(rng, &[0, 1, -1, 3, i64::MAX, i64::MIN])),
-            6 | 7 => LExpr::Var(VarId(rng.below(slots as u64) as u32)),
-            8 => LExpr::Event(EventId(rng.below(EVENTS as u64) as u32)),
+            6 | 7 => LExpr::Var(VarId(rng.below(slots as usize) as u32)),
+            8 => LExpr::Event(EventId(rng.below(EVENTS as usize) as u32)),
             _ => LExpr::Nondet,
         }
     } else {
@@ -186,7 +184,7 @@ fn arb_expr(rng: &mut TestRng, code: &mut crate::lower::Code, depth: u32, slots:
                 let args = (0..rng.below(3))
                     .map(|_| arb_expr(rng, code, depth - 1, slots))
                     .collect();
-                LExpr::Foreign(FnId(rng.below(FNS as u64) as u32), args)
+                LExpr::Foreign(FnId(rng.below(FNS as usize) as u32), args)
             }
             _ => {
                 const OPS: [BinOp; 12] = [
@@ -218,15 +216,13 @@ type Observed = (Option<Value>, usize, Vec<Vec<Value>>);
 /// One evaluator over one frame and tree, given the script to draw from.
 type Run<'a> = &'a dyn Fn(&mut Script<'_>) -> Option<Value>;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn eval_matches_the_recursive_reference(seed in any::<u64>()) {
-        let mut rng = TestRng::seed_from_u64(seed);
+#[test]
+fn eval_matches_the_recursive_reference() {
+    for seed in 0..256 {
+        let mut rng = Draws::new(seed);
         let mut program = lower(&p_parser::parse(HOST).unwrap()).unwrap();
-        prop_assert_eq!(program.machine(program.main).vars.len() as u32, VARS);
-        prop_assert_eq!(program.machine(program.main).foreign.len() as u32, FNS);
+        assert_eq!(program.machine(program.main).vars.len() as u32, VARS);
+        assert_eq!(program.machine(program.main).foreign.len() as u32, FNS);
         let on_machine = arb_expr(&mut rng, &mut program.code, MAX_DEPTH, VARS);
         let in_model = arb_expr(&mut rng, &mut program.code, MAX_DEPTH, MODEL_SLOTS);
 
@@ -264,13 +260,17 @@ proptest! {
             ty: frame.ty,
             in_model: true,
         };
-        let bits: Vec<bool> = (0..SCRIPT_BITS).map(|_| rng.flip()).collect();
+        let bits: Vec<bool> = (0..SCRIPT_BITS).map(|_| rng.one_in(2)).collect();
 
         let observe = |run: Run<'_>, bits: &[bool]| -> Observed {
             calls.lock().unwrap().clear();
             let mut script = Script::new(bits);
             let value = run(&mut script);
-            (value, script.used(), std::mem::take(&mut *calls.lock().unwrap()))
+            (
+                value,
+                script.used(),
+                std::mem::take(&mut *calls.lock().unwrap()),
+            )
         };
         let pairs: [(Run<'_>, Run<'_>); 2] = [
             (
@@ -282,20 +282,22 @@ proptest! {
                 &|s| match engine.reference_model_expr(&frame, in_model, s) {
                     Ok(v) => Some(v),
                     Err(ModelAbort::NeedChoice) => None,
-                    Err(ModelAbort::Error(kind)) => panic!("a model expression raised {kind:?}"),
+                    Err(ModelAbort::Error(kind)) => {
+                        panic!("seed {seed}: a model expression raised {kind:?}")
+                    }
                 },
             ),
         ];
         for (eval, reference) in pairs {
             let full = observe(reference, &bits);
-            prop_assert!(full.0.is_some(), "the script is long enough for any tree");
-            prop_assert_eq!(&observe(eval, &bits), &full);
+            assert!(full.0.is_some(), "seed {seed}: the script is too short");
+            assert_eq!(observe(eval, &bits), full, "seed {seed}");
             // Cut short at every length: `NeedChoice` at the same bit,
             // after the same native calls.
             for cut in 0..full.1 {
                 let expected = observe(reference, &bits[..cut]);
-                prop_assert_eq!(&expected, &(None, cut, expected.2.clone()));
-                prop_assert_eq!(&observe(eval, &bits[..cut]), &expected);
+                assert_eq!(expected, (None, cut, expected.2.clone()), "seed {seed}");
+                assert_eq!(observe(eval, &bits[..cut]), expected, "seed {seed}");
             }
         }
     }

@@ -1,6 +1,7 @@
-//! Property-based tests over the execution engine.
+//! Property-based tests over the execution engine: each property runs
+//! on the seeds `0..CASES`, and a failure names its seed.
 
-use proptest::prelude::*;
+use p_ast::Draws;
 
 use crate::{lower, Config, Engine, ExecOutcome, ForeignEnv, Granularity, MachineId, Script};
 
@@ -60,47 +61,58 @@ fn run_schedule(program: &crate::LoweredProgram, bits: &[bool]) -> Option<Vec<u8
     Some(config.canonical_bytes())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: u64 = 48;
 
-    /// The engine is deterministic: the same program, schedule policy and
-    /// choice script always produce the identical canonical state.
-    #[test]
-    fn engine_is_deterministic(bits in proptest::collection::vec(any::<bool>(), 0..12)) {
-        let program = choosy_program(4);
+/// `lo..hi` bits, the length uniform too.
+fn bits(d: &mut Draws, lo: usize, hi: usize) -> Vec<bool> {
+    (0..lo + d.below(hi - lo)).map(|_| d.one_in(2)).collect()
+}
+
+/// The engine is deterministic: the same program, schedule policy and
+/// choice script always produce the identical canonical state.
+#[test]
+fn engine_is_deterministic() {
+    let program = choosy_program(4);
+    for seed in 0..CASES {
+        let bits = bits(&mut Draws::new(seed), 0, 12);
         let first = run_schedule(&program, &bits);
-        let second = run_schedule(&program, &bits);
-        prop_assert_eq!(first, second);
+        assert_eq!(first, run_schedule(&program, &bits), "seed {seed}");
     }
+}
 
-    /// Extending a script beyond what a run consumes never changes the
-    /// outcome (scripts are consumed strictly left to right).
-    #[test]
-    fn unused_script_suffix_is_inert(
-        bits in proptest::collection::vec(any::<bool>(), 4..8),
-        suffix in proptest::collection::vec(any::<bool>(), 0..6),
-    ) {
-        let program = choosy_program(2);
-        let base = run_schedule(&program, &bits);
-        prop_assume!(base.is_some());
-        let mut extended = bits.clone();
-        extended.extend(suffix);
-        prop_assert_eq!(base, run_schedule(&program, &extended));
+/// Extending a script beyond what a run consumes never changes the
+/// outcome (scripts are consumed strictly left to right).
+#[test]
+fn unused_script_suffix_is_inert() {
+    let program = choosy_program(2);
+    for seed in 0..CASES {
+        let d = &mut Draws::new(seed);
+        let mut extended = bits(d, 4, 8);
+        let base = run_schedule(&program, &extended);
+        assert!(base.is_some(), "seed {seed}: four bits cover two choices");
+        extended.extend(bits(d, 0, 6));
+        assert_eq!(base, run_schedule(&program, &extended), "seed {seed}");
     }
+}
 
-    /// The sink's final total is exactly the sum selected by the true
-    /// bits — the engine faithfully routes payloads.
-    #[test]
-    fn payload_routing_matches_choices(bits in proptest::collection::vec(any::<bool>(), 3..=3)) {
-        let program = choosy_program(3);
-        let engine = Engine::new(&program, ForeignEnv::empty());
+/// The sink's final total is exactly the sum selected by the true
+/// bits — the engine faithfully routes payloads.
+#[test]
+fn payload_routing_matches_choices() {
+    let program = choosy_program(3);
+    let engine = Engine::new(&program, ForeignEnv::empty());
+    for seed in 0..CASES {
+        let bits = bits(&mut Draws::new(seed), 3, 4);
         let mut config = engine.initial_config();
         let mut script = Script::new(&bits);
         for _ in 0..100 {
             let enabled = engine.enabled_machines(&config);
             let Some(&id) = enabled.first() else { break };
-            let r = engine.run_machine(&mut config, id, &mut script, Granularity::Atomic).unwrap();
-            prop_assert!(!matches!(r.outcome, ExecOutcome::Error(_) | ExecOutcome::NeedChoice));
+            let r = engine
+                .run_machine(&mut config, id, &mut script, Granularity::Atomic)
+                .unwrap();
+            let failed = matches!(r.outcome, ExecOutcome::Error(_) | ExecOutcome::NeedChoice);
+            assert!(!failed, "seed {seed}: {:?}", r.outcome);
         }
         // Env counts n = 2,1,0 sending n+1 ∈ {3,2,1} when the bit is true.
         let expected: i64 = bits
@@ -109,121 +121,129 @@ proptest! {
             .filter(|(_, &b)| b)
             .map(|(i, _)| 3 - i as i64)
             .sum();
-        let sink = MachineId(1);
-        let total = config.machine(sink).map(|m| m.locals[0]);
-        prop_assert_eq!(total, Some(crate::Value::Int(expected)));
+        let total = config.machine(MachineId(1)).map(|m| m.locals[0]);
+        assert_eq!(total, Some(crate::Value::Int(expected)), "seed {seed}");
     }
+}
 
-    /// The incremental digest tracks the canonical encoding exactly:
-    /// along a random mutation walk, two configurations digest equal iff
-    /// their canonical byte encodings are equal, and the incremental
-    /// (cached) digest always agrees with a from-scratch recomputation.
-    #[test]
-    fn digest_equal_iff_canonical_bytes_equal(
-        bits_a in proptest::collection::vec(any::<bool>(), 0..10),
-        bits_b in proptest::collection::vec(any::<bool>(), 0..10),
-        steps_a in 0usize..6,
-        steps_b in 0usize..6,
-    ) {
-        let program = choosy_program(4);
-        let a = walk(&program, &bits_a, steps_a);
-        let b = walk(&program, &bits_b, steps_b);
-        let (mut a, mut b) = match (a, b) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return Ok(()),
+/// The incremental digest tracks the canonical encoding exactly:
+/// along a random mutation walk, two configurations digest equal iff
+/// their canonical byte encodings are equal, and the incremental
+/// (cached) digest always agrees with a from-scratch recomputation.
+#[test]
+fn digest_equal_iff_canonical_bytes_equal() {
+    let program = choosy_program(4);
+    for seed in 0..CASES {
+        let d = &mut Draws::new(seed);
+        let (bits_a, bits_b) = (bits(d, 0, 10), bits(d, 0, 10));
+        let a = walk(&program, &bits_a, d.below(6));
+        let b = walk(&program, &bits_b, d.below(6));
+        let (Some(mut a), Some(mut b)) = (a, b) else {
+            continue;
         };
-        prop_assert_eq!(a.digest(), a.digest_uncached());
-        prop_assert_eq!(b.digest(), b.digest_uncached());
-        prop_assert_eq!(a.encoded_len(), a.canonical_bytes().len());
+        assert_eq!(a.digest(), a.digest_uncached(), "seed {seed}");
+        assert_eq!(b.digest(), b.digest_uncached(), "seed {seed}");
+        assert_eq!(a.encoded_len(), a.canonical_bytes().len(), "seed {seed}");
         let bytes_equal = a.canonical_bytes() == b.canonical_bytes();
-        let digests_equal = a.digest() == b.digest();
-        prop_assert_eq!(bytes_equal, digests_equal);
+        assert_eq!(bytes_equal, a.digest() == b.digest(), "seed {seed}");
     }
+}
 
-    /// The per-slot digest cache survives arbitrary interleavings of
-    /// mutation and digest queries: re-digesting after every single run
-    /// matches digesting only at the end.
-    #[test]
-    fn incremental_digest_matches_uncached_along_walks(
-        bits in proptest::collection::vec(any::<bool>(), 0..12),
-        queries in proptest::collection::vec(any::<bool>(), 8..=8),
-    ) {
-        let program = choosy_program(4);
-        let engine = Engine::new(&program, ForeignEnv::empty());
+/// The per-slot digest cache survives arbitrary interleavings of
+/// mutation and digest queries: re-digesting after every single run
+/// matches digesting only at the end.
+#[test]
+fn incremental_digest_matches_uncached_along_walks() {
+    let program = choosy_program(4);
+    let engine = Engine::new(&program, ForeignEnv::empty());
+    'seeds: for seed in 0..CASES {
+        let d = &mut Draws::new(seed);
+        let (bits, queries) = (bits(d, 0, 12), bits(d, 8, 9));
         let mut config = engine.initial_config();
         let mut script = Script::new(&bits);
         for &query in &queries {
             if query {
-                prop_assert_eq!(config.digest(), config.digest_uncached());
+                assert_eq!(config.digest(), config.digest_uncached(), "seed {seed}");
             }
             let enabled = engine.enabled_machines(&config);
             let Some(&id) = enabled.first() else { break };
-            let r = engine.run_machine(&mut config, id, &mut script, Granularity::Atomic).unwrap();
+            let r = engine
+                .run_machine(&mut config, id, &mut script, Granularity::Atomic)
+                .unwrap();
             if matches!(r.outcome, ExecOutcome::NeedChoice) {
-                return Ok(());
+                continue 'seeds;
             }
         }
-        prop_assert_eq!(config.digest(), config.digest_uncached());
+        assert_eq!(config.digest(), config.digest_uncached(), "seed {seed}");
     }
+}
 
-    /// The canonical (symmetry-reduced) digest is invariant under every
-    /// permutation of the interchangeable `Sink` machines, at every
-    /// reachable configuration — the soundness contract of
-    /// `canonical_digest`.
-    #[test]
-    fn canonical_digest_invariant_under_sink_permutation(
-        bits in proptest::collection::vec(any::<bool>(), 0..12),
-        steps in 0usize..8,
-        perm_idx in 0usize..6,
-    ) {
-        let program = symmetric_sinks_program(4);
-        let Some(config) = walk(&program, &bits, steps) else { return Ok(()) };
-        // Env is slot 0; the three Sinks (when created) are slots 1–3.
-        const PERMS: [[u32; 3]; 6] = [
-            [1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1],
-        ];
+/// The canonical (symmetry-reduced) digest is invariant under every
+/// permutation of the interchangeable `Sink` machines, at every
+/// reachable configuration — the soundness contract of
+/// `canonical_digest`.
+#[test]
+fn canonical_digest_invariant_under_sink_permutation() {
+    // Env is slot 0; the three Sinks (when created) are slots 1–3.
+    const PERMS: [[u32; 3]; 6] = [
+        [1, 2, 3],
+        [1, 3, 2],
+        [2, 1, 3],
+        [2, 3, 1],
+        [3, 1, 2],
+        [3, 2, 1],
+    ];
+    let program = symmetric_sinks_program(4);
+    for seed in 0..CASES {
+        let d = &mut Draws::new(seed);
+        let bits = bits(d, 0, 12);
+        let Some(mut config) = walk(&program, &bits, d.below(8)) else {
+            continue;
+        };
         let n = config.created_count();
         let mut perm: Vec<u32> = (0..n as u32).collect();
         if n >= 4 {
-            perm[1..4].copy_from_slice(&PERMS[perm_idx]);
+            perm[1..4].copy_from_slice(&PERMS[d.below(6)]);
         }
         let mut sym = config.apply_permutation(&perm);
-        let mut config = config;
-        prop_assert_eq!(crate::canonical_digest(&mut config), crate::canonical_digest(&mut sym));
+        let canonical = crate::canonical_digest(&mut config);
+        assert_eq!(canonical, crate::canonical_digest(&mut sym), "seed {seed}");
         // And the concrete digest of the permuted configuration still
         // matches its own canonical bytes (apply_permutation produces a
         // well-formed configuration).
-        prop_assert_eq!(sym.digest_uncached(), sym.clone().digest());
+        assert_eq!(sym.digest_uncached(), sym.clone().digest(), "seed {seed}");
     }
+}
 
-    /// The delta-maintained digest equals the from-scratch reference
-    /// under *arbitrary* slot-level mutation sequences — mutate, delete
-    /// (tombstones), allocate, take/restore (the self-send path), and
-    /// interning — with digest queries interleaved at every prefix, so
-    /// the subtract-old/add-new accumulator can never drift from
-    /// `digest_uncached`.
-    #[test]
-    fn delta_digest_matches_reference_under_op_sequences(
-        ops in proptest::collection::vec((0u8..6, any::<u16>(), any::<bool>()), 0..24),
-    ) {
-        let program = choosy_program(2);
-        let engine = Engine::new(&program, ForeignEnv::empty());
+/// The delta-maintained digest equals the from-scratch reference
+/// under *arbitrary* slot-level mutation sequences — mutate, delete
+/// (tombstones), allocate, take/restore (the self-send path), and
+/// interning — with digest queries interleaved at every prefix, so
+/// the subtract-old/add-new accumulator can never drift from
+/// `digest_uncached`.
+#[test]
+fn delta_digest_matches_reference_under_op_sequences() {
+    let program = choosy_program(2);
+    let engine = Engine::new(&program, ForeignEnv::empty());
+    for seed in 0..CASES {
+        let d = &mut Draws::new(seed);
         let mut config = engine.initial_config();
         let mut interner = crate::SlotInterner::new();
-        for &(op, seed, query) in &ops {
+        for _ in 0..d.below(24) {
+            let (op, word, query) = (d.below(6), d.next() as u16, d.one_in(2));
             let n = config.created_count();
-            let id = MachineId(seed as u32 % n.max(1) as u32);
+            let id = MachineId(word as u32 % n.max(1) as u32);
             match op {
                 // Mutate one live machine's locals in place.
                 0 => {
                     if let Some(m) = config.machine_mut(id) {
-                        m.locals[0] = crate::Value::Int(seed as i64);
+                        m.locals[0] = crate::Value::Int(word as i64);
                     }
                 }
                 // Enqueue into one live machine (queue dedups).
                 1 => {
                     if let Some(m) = config.machine_mut(id) {
-                        m.enqueue(crate::lower::EventId(0), crate::Value::Int(seed as i64 % 4));
+                        m.enqueue(crate::lower::EventId(0), crate::Value::Int(word as i64 % 4));
                     }
                 }
                 // Delete: leaves a tombstone slot.
@@ -238,10 +258,10 @@ proptest! {
                     if let Some(mut taken) = config.take_machine(id) {
                         if query {
                             // Digest the tombstoned view before restore.
-                            prop_assert_eq!(config.digest(), config.digest_uncached());
+                            assert_eq!(config.digest(), config.digest_uncached(), "seed {seed}");
                         }
                         std::sync::Arc::make_mut(&mut taken).locals[0] =
-                            crate::Value::Int(-(seed as i64));
+                            crate::Value::Int(-(word as i64));
                         config.restore_machine(id, taken);
                     }
                 }
@@ -251,33 +271,45 @@ proptest! {
                 }
             }
             if query {
-                prop_assert_eq!(config.digest(), config.digest_uncached());
-                prop_assert_eq!(config.encoded_len(), config.canonical_bytes().len());
+                assert_eq!(config.digest(), config.digest_uncached(), "seed {seed}");
+                assert_eq!(
+                    config.encoded_len(),
+                    config.canonical_bytes().len(),
+                    "seed {seed}"
+                );
             }
         }
-        prop_assert_eq!(config.digest(), config.digest_uncached());
-        prop_assert_eq!(config.encoded_len(), config.canonical_bytes().len());
+        assert_eq!(config.digest(), config.digest_uncached(), "seed {seed}");
+        assert_eq!(
+            config.encoded_len(),
+            config.canonical_bytes().len(),
+            "seed {seed}"
+        );
         // And the digest round-trips through the canonical encoding.
-        let mut back = Config::from_canonical_bytes(
-            &config.canonical_bytes(),
-            program.event_count(),
-        ).expect("canonical bytes round trip");
-        prop_assert_eq!(back.digest(), config.digest());
+        let mut back =
+            Config::from_canonical_bytes(&config.canonical_bytes(), program.event_count())
+                .expect("canonical bytes round trip");
+        assert_eq!(back.digest(), config.digest(), "seed {seed}");
     }
+}
 
-    /// Queues never hold duplicate (event, payload) pairs in any reachable
-    /// configuration.
-    #[test]
-    fn no_queue_duplicates_anywhere(bits in proptest::collection::vec(any::<bool>(), 0..10)) {
-        let program = choosy_program(4);
-        let engine = Engine::new(&program, ForeignEnv::empty());
+/// Queues never hold duplicate (event, payload) pairs in any reachable
+/// configuration.
+#[test]
+fn no_queue_duplicates_anywhere() {
+    let program = choosy_program(4);
+    let engine = Engine::new(&program, ForeignEnv::empty());
+    for seed in 0..CASES {
+        let bits = bits(&mut Draws::new(seed), 0, 10);
         let mut config = engine.initial_config();
         let mut script = Script::new(&bits);
         for _ in 0..200 {
-            check_no_dups(&config);
+            check_no_dups(seed, &config);
             let enabled = engine.enabled_machines(&config);
             let Some(&id) = enabled.first() else { break };
-            let r = engine.run_machine(&mut config, id, &mut script, Granularity::Atomic).unwrap();
+            let r = engine
+                .run_machine(&mut config, id, &mut script, Granularity::Atomic)
+                .unwrap();
             if matches!(r.outcome, ExecOutcome::NeedChoice) {
                 break;
             }
@@ -287,7 +319,7 @@ proptest! {
 
 /// Like [`choosy_program`], but the driver spreads its sends over three
 /// interchangeable `Sink` machines — the orbit structure the symmetry
-/// proptest permutes.
+/// property permutes.
 fn symmetric_sinks_program(rounds: i64) -> crate::LoweredProgram {
     let src = format!(
         r#"
@@ -349,12 +381,12 @@ fn walk(program: &crate::LoweredProgram, bits: &[bool], steps: usize) -> Option<
     Some(config)
 }
 
-fn check_no_dups(config: &Config) {
+fn check_no_dups(seed: u64, config: &Config) {
     for id in config.live_ids() {
         let m = config.machine(id).unwrap();
         for (i, a) in m.queue.iter().enumerate() {
             for b in &m.queue[i + 1..] {
-                assert_ne!(a, b, "duplicate queue entry at {id}");
+                assert_ne!(a, b, "seed {seed}: duplicate queue entry at {id}");
             }
         }
     }

@@ -519,20 +519,14 @@ fn hostile_checkpoints_end_in_a_typed_error() {
         if cases == 240 {
             break;
         }
-        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut below = |n: usize| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng % n as u64) as usize
-        };
+        let mut draws = p_core::ast::Draws::new(seed);
         let mut bytes = pristine.clone();
         match seed % 3 {
-            0 => bytes[below(pristine.len())] ^= 1 << below(8),
-            1 => bytes.truncate(below(pristine.len())),
+            0 => bytes[draws.below(pristine.len())] ^= 1 << draws.below(8),
+            1 => bytes.truncate(draws.below(pristine.len())),
             _ => {
-                let (from, to) = (below(bytes.len()), below(bytes.len()));
-                let len = 1 + below(bytes.len() - from.max(to));
+                let (from, to) = (draws.below(bytes.len()), draws.below(bytes.len()));
+                let len = 1 + draws.below(bytes.len() - from.max(to));
                 bytes.copy_within(from..from + len, to);
             }
         }

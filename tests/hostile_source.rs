@@ -6,10 +6,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use proptest::prelude::*;
-use proptest::test_runner::{seed_for, TestRng};
-
-use p_core::ast::print_program;
+use p_core::ast::{print_program, Draws};
 use p_core::{corpus, CheckerOptions, Compiled};
 
 const SOURCES: [&str; 6] = [
@@ -72,15 +69,18 @@ fn mutated_corpus_sources_never_panic() {
         assert_eq!(tokens(source).concat(), source);
         print_program(Compiled::from_source(source).unwrap().program())
     });
-    let n = any::<usize>;
-    let case = (
-        0..SOURCES.len(),
-        (any::<bool>(), 0..KINDS.len(), n(), n(), n()),
-    );
-    let mut rng = TestRng::seed_from_u64(seed_for("hostile_source"));
     let (mut well_typed, mut new_programs) = (0, 0);
-    for _ in 0..MUTANTS {
-        let (which, mutation) = case.generate(&mut rng);
+    for seed in 0..MUTANTS as u64 {
+        let d = &mut Draws::new(seed);
+        let which = d.below(SOURCES.len());
+        let (lines, kind) = (d.one_in(2), d.below(KINDS.len()));
+        let mutation = (
+            lines,
+            kind,
+            d.next() as usize,
+            d.next() as usize,
+            d.next() as usize,
+        );
         let mutant = mutate(SOURCES[which], mutation);
         // `None`: refused by the front end. `Some(false)`: printed back,
         // still the program it came from (a mutated comment), not searched
@@ -103,7 +103,9 @@ fn mutated_corpus_sources_never_panic() {
             }
             Some(true)
         }))
-        .unwrap_or_else(|_| panic!("source {which} panicked under {mutation:?}:\n{mutant}"));
+        .unwrap_or_else(|_| {
+            panic!("seed {seed}: source {which} panicked under {mutation:?}:\n{mutant}")
+        });
         well_typed += usize::from(outcome.is_some());
         new_programs += usize::from(outcome == Some(true));
     }

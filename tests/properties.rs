@@ -1,163 +1,63 @@
-//! Property-based tests (proptest) over core invariants: the
-//! printer/parser round trip on randomly generated machines, the ⊕ queue
-//! discipline, and runtime execution against a reference model.
+//! Seeded properties over core invariants: generated programs typecheck
+//! and lower with every transition in the table, the ⊕ queue discipline,
+//! and runtime execution against a reference fold. Each runs on the seeds
+//! `0..CASES`, and a failure names its seed.
 
-use proptest::prelude::*;
-
-use p_core::ast::{print_program, Expr, Program, ProgramBuilder, Stmt, Ty};
+use p_core::ast::{Draws, ProgramBuilder, Ty};
+use p_core::corpus::{generated_family_program, generated_program};
 use p_core::semantics::{lower, Config, EventId, Value};
 use p_core::{Runtime, Value as V};
 
-// ---------- random program generation ----------------------------------
+const CASES: u64 = 64;
 
-#[derive(Debug, Clone)]
-struct ProgSpec {
-    n_events: usize,
-    n_states: usize,
-    // (from, event, to, is_call)
-    transitions: Vec<(usize, usize, usize, bool)>,
-    // (state, events deferred)
-    deferred: Vec<(usize, usize)>,
-    // per-state entry constant assignment
-    entries: Vec<Option<i64>>,
-}
-
-fn arb_spec() -> impl Strategy<Value = ProgSpec> {
-    (1usize..4, 1usize..5)
-        .prop_flat_map(|(n_events, n_states)| {
-            let transitions = proptest::collection::vec(
-                (0..n_states, 0..n_events, 0..n_states, any::<bool>()),
-                0..6,
-            );
-            let deferred = proptest::collection::vec((0..n_states, 0..n_events), 0..4);
-            let entries =
-                proptest::collection::vec(proptest::option::of(-100i64..100), n_states..=n_states);
-            (
-                Just(n_events),
-                Just(n_states),
-                transitions,
-                deferred,
-                entries,
-            )
-        })
-        .prop_map(
-            |(n_events, n_states, transitions, deferred, entries)| ProgSpec {
-                n_events,
-                n_states,
-                transitions,
-                deferred,
-                entries,
-            },
-        )
-}
-
-fn build_program(spec: &ProgSpec) -> Program {
-    let mut b = ProgramBuilder::new();
-    for e in 0..spec.n_events {
-        b.event(&format!("ev{e}"));
-    }
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    // Deduplicate (from, event) pairs to keep transitions deterministic.
-    let mut seen = std::collections::HashSet::new();
-    let transitions: Vec<_> = spec
-        .transitions
-        .iter()
-        .filter(|(from, ev, _, _)| seen.insert((*from, *ev)))
-        .cloned()
-        .collect();
-    for s in 0..spec.n_states {
-        let deferred: Vec<String> = spec
-            .deferred
+#[test]
+fn generated_programs_typecheck_and_lower() {
+    let families = (0..CASES).map(|seed| (seed, "family", generated_family_program(seed)));
+    for (seed, kind, program) in (0..CASES)
+        .map(|seed| (seed, "src", generated_program(seed)))
+        .chain(families)
+    {
+        p_core::typecheck::check(&program)
+            .unwrap_or_else(|e| panic!("{kind} seed {seed}: not well-formed: {e}"));
+        let lowered = lower(&program).unwrap_or_else(|e| panic!("{kind} seed {seed}: {e:?}"));
+        // Every transition survives lowering into the tables.
+        let table_transitions: usize = lowered
+            .machines
             .iter()
-            .filter(|(state, _)| *state == s)
-            .map(|(_, e)| format!("ev{e}"))
-            .collect();
-        let deferred_refs: Vec<&str> = deferred.iter().map(String::as_str).collect();
-        let sb = m.state(&format!("s{s}"));
-        let sb = if deferred_refs.is_empty() {
-            sb
-        } else {
-            sb.defer(&deferred_refs)
-        };
-        if let Some(v) = spec.entries.get(s).copied().flatten() {
-            sb.entry(Stmt::assign(x, Expr::int(v)));
-        }
-    }
-    for (from, ev, to, is_call) in &transitions {
-        let from = format!("s{from}");
-        let ev = format!("ev{ev}");
-        let to = format!("s{to}");
-        if *is_call {
-            m.call(&from, &ev, &to);
-        } else {
-            m.step(&from, &ev, &to);
-        }
-    }
-    m.finish();
-    b.finish("M")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn print_parse_print_is_a_fixpoint(spec in arb_spec()) {
-        let program = build_program(&spec);
-        let text1 = print_program(&program);
-        let reparsed = p_core::parser::parse(&text1).expect("printed programs parse");
-        let text2 = print_program(&reparsed);
-        prop_assert_eq!(text1, text2);
-    }
-
-    #[test]
-    fn generated_programs_typecheck_and_lower(spec in arb_spec()) {
-        let program = build_program(&spec);
-        p_core::typecheck::check(&program).expect("generated programs are well-formed");
-        let lowered = lower(&program).expect("and lower");
-        // Transition counts survive lowering.
-        let mt = lowered.machine(lowered.machine_type_named("M").unwrap());
-        let table_transitions: usize = mt
-            .states
-            .iter()
+            .flat_map(|m| &m.states)
             .map(|s| {
                 s.steps.iter().filter(|t| t.is_some()).count()
                     + s.calls.iter().filter(|t| t.is_some()).count()
             })
             .sum();
-        let mut seen = std::collections::HashSet::new();
-        let expected = spec
-            .transitions
-            .iter()
-            .filter(|(from, ev, _, _)| seen.insert((*from, *ev)))
-            .count();
-        prop_assert_eq!(table_transitions, expected);
+        let declared: usize = program.machines.iter().map(|m| m.transitions.len()).sum();
+        assert_eq!(table_transitions, declared, "{kind} seed {seed}");
     }
+}
 
-    #[test]
-    fn queue_append_deduplicates_and_preserves_order(
-        ops in proptest::collection::vec((0u32..4, -3i64..3), 0..40)
-    ) {
-        // Build a tiny machine to host a queue.
-        let mut b = ProgramBuilder::new();
-        for e in 0..4 {
-            b.event_with(&format!("q{e}"), Ty::Int);
-        }
-        let mut m = b.machine("M");
-        m.state("S");
-        m.finish();
-        let lowered = lower(&b.finish("M")).unwrap();
+#[test]
+fn queue_append_deduplicates_and_preserves_order() {
+    // A tiny machine to host a queue.
+    let mut b = ProgramBuilder::new();
+    for e in 0..4 {
+        b.event_with(&format!("q{e}"), Ty::Int);
+    }
+    let mut m = b.machine("M");
+    m.state("S");
+    m.finish();
+    let lowered = lower(&b.finish("M")).unwrap();
+    for seed in 0..CASES {
+        let d = &mut Draws::new(seed);
         let mut config = Config::default();
         let id = config.allocate(&lowered, lowered.main);
         let machine = config.machine_mut(id).unwrap();
-
         // Reference model: first occurrence wins, order preserved.
         let mut model: Vec<(u32, i64)> = Vec::new();
-        for (e, v) in &ops {
-            machine.enqueue(EventId(*e), Value::Int(*v));
-            if !model.contains(&(*e, *v)) {
-                model.push((*e, *v));
+        for _ in 0..d.below(40) {
+            let (e, v) = (d.below(4) as u32, d.below(6) as i64 - 3);
+            machine.enqueue(EventId(e), Value::Int(v));
+            if !model.contains(&(e, v)) {
+                model.push((e, v));
             }
         }
         let actual: Vec<(u32, i64)> = machine
@@ -165,35 +65,40 @@ proptest! {
             .iter()
             .map(|(e, v)| (e.0, v.as_int().unwrap()))
             .collect();
-        prop_assert_eq!(actual, model);
+        assert_eq!(actual, model, "seed {seed}");
     }
+}
 
-    #[test]
-    fn runtime_counter_matches_reference_fold(
-        deltas in proptest::collection::vec(-5i64..5, 0..30)
-    ) {
-        let src = r#"
-            event delta : int;
-            machine Counter {
-                var n : int;
-                state Run { on delta do apply; }
-                action apply { n := n + arg; }
-            }
-            main Counter();
-        "#;
-        let program = p_core::parser::parse(src).unwrap();
+#[test]
+fn runtime_counter_matches_reference_fold() {
+    let src = r#"
+        event delta : int;
+        machine Counter {
+            var n : int;
+            state Run { on delta do apply; }
+            action apply { n := n + arg; }
+        }
+        main Counter();
+    "#;
+    let program = p_core::parser::parse(src).unwrap();
+    for seed in 0..CASES {
+        let d = &mut Draws::new(seed);
         let runtime = Runtime::builder(&program).unwrap().start();
-        let id = runtime.create_machine("Counter", &[("n", V::Int(0))]).unwrap();
+        let id = runtime
+            .create_machine("Counter", &[("n", V::Int(0))])
+            .unwrap();
         let mut expected = 0i64;
-        let mut last_sent: Option<i64> = None;
-        for d in &deltas {
-            runtime.add_event(id, "delta", V::Int(*d)).unwrap();
+        for _ in 0..d.below(30) {
+            let delta = d.below(10) as i64 - 5;
+            runtime.add_event(id, "delta", V::Int(delta)).unwrap();
             // Run-to-completion: the event is consumed immediately, so ⊕
             // dedup never drops anything here.
-            expected += d;
-            last_sent = Some(*d);
+            expected += delta;
         }
-        let _ = last_sent;
-        prop_assert_eq!(runtime.read_var(id, "n"), Some(V::Int(expected)));
+        assert_eq!(
+            runtime.read_var(id, "n"),
+            Some(V::Int(expected)),
+            "seed {seed}"
+        );
     }
 }
