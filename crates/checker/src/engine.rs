@@ -105,10 +105,13 @@ pub(crate) enum Admit {
 /// size (a handful of machines vs. hundreds), so the trigger compares
 /// actual `stored_bytes` against this budget rather than counting
 /// states. A quarter of the limit goes to the hot tier; the rest covers
-/// the structures that stay RAM-resident across spills (sleep sets, the
-/// blooms and fences of the runs — two bytes and an eighth of one per
-/// spilled state) plus the frontier and its paths. The floor keeps tiny
-/// limits from degenerating into a spill per handful of states.
+/// the structures that stay RAM-resident across spills (the sleep sets:
+/// a hot key's is a code in its visited slot, and a drained key's moves
+/// to its shard's `sleeps` map, where it stays in RAM after the key is
+/// spilled; the blooms and fences of the runs — two bytes and an eighth
+/// of one per spilled state) plus the frontier and its paths. The floor
+/// keeps tiny limits from degenerating into a spill per handful of
+/// states.
 ///
 /// This sizes the hot visited tier and nothing else: the interned
 /// machine slots (`slot_bytes`), the per-worker slot and canonical
@@ -311,12 +314,30 @@ impl Drop for Locked<'_> {
     }
 }
 
+/// The code of a hot key whose sleep set is kept in [`Shard::sleeps`]:
+/// its shard's dictionary was full when the set was stored.
+const ESCAPE: u8 = u8::MAX;
+
+/// Where a visited key is, for [`Shard::sleep`] and [`Shard::set_sleep`]:
+/// in the hot tier with the code of its visited slot, or spilled.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    Hot(u8),
+    Cold,
+}
+
 #[derive(Debug, Default)]
 struct Shard {
+    /// The hot keys, each with the code of the sleep set its state was
+    /// last explored with (DESIGN.md §10): 0 is ∅, `c` in 1..=254 is
+    /// `dict[c - 1]`, [`ESCAPE`] is the key's entry in `sleeps`.
     visited: VisitedSet,
-    /// Sleep set each state was last explored with (absent = ∅). Stays
-    /// RAM-resident when the key itself is spilled, so the revisit rule
-    /// needs no disk read beyond the visited lookup.
+    /// The distinct non-empty sleep sets the hot keys have been given
+    /// codes for since the last spill.
+    dict: Vec<SleepSet>,
+    /// The sleep set of a key that is spilled or coded [`ESCAPE`]
+    /// (absent = ∅). A spilled key's set stays here, in RAM, so the
+    /// revisit rule needs no disk read beyond the visited lookup.
     sleeps: FpHashMap<SleepSet>,
     /// Concrete representative per canonical key (absent = the key is
     /// its own representative, which is every key without symmetry).
@@ -342,6 +363,51 @@ impl Shard {
         };
         let rep = runs.get(key.as_u128())?;
         Ok(rep.map(|rep| (rep != key.as_u128()).then(|| Fingerprint::from_u128(rep))))
+    }
+
+    /// The sleep set stored for the visited `key`.
+    fn sleep(&self, key: Fingerprint, tier: Tier) -> SleepSet {
+        match tier {
+            Tier::Hot(0) => SleepSet::empty(),
+            Tier::Hot(ESCAPE) | Tier::Cold => self.sleeps.get(&key).copied().unwrap_or_default(),
+            Tier::Hot(code) => self.dict[usize::from(code) - 1],
+        }
+    }
+
+    /// Stores `sleep` as the sleep set of the visited `key`: a hot key
+    /// as a code (a new set takes the next free one, and `sleeps` once
+    /// they are used up), a spilled key in `sleeps`.
+    fn set_sleep(&mut self, key: Fingerprint, tier: Tier, sleep: SleepSet) {
+        let code = match tier {
+            Tier::Cold => ESCAPE,
+            Tier::Hot(_) if sleep == SleepSet::empty() => 0,
+            Tier::Hot(_) => match self.dict.iter().position(|&s| s == sleep) {
+                Some(i) => i as u8 + 1,
+                None if self.dict.len() < usize::from(ESCAPE) - 1 => {
+                    self.dict.push(sleep);
+                    self.dict.len() as u8
+                }
+                None => ESCAPE,
+            },
+        };
+        if code == ESCAPE && sleep != SleepSet::empty() {
+            self.sleeps.insert(key, sleep);
+        } else if matches!(tier, Tier::Cold | Tier::Hot(ESCAPE)) {
+            self.sleeps.remove(&key);
+        }
+        if matches!(tier, Tier::Hot(old) if old != code) {
+            self.visited.set_code(key, code);
+        }
+    }
+
+    /// Bytes of the visited keys and their codes, the dictionary and the
+    /// hash tables (from their capacities).
+    fn bytes(&self) -> usize {
+        self.visited.bytes()
+            + self.dict.capacity() * std::mem::size_of::<SleepSet>()
+            + table_bytes::<(Fingerprint, SleepSet)>(self.sleeps.capacity())
+            + table_bytes::<(Fingerprint, Fingerprint)>(self.reps.capacity())
+            + table_bytes::<(Fingerprint, u32)>(self.lens.capacity())
     }
 }
 
@@ -426,11 +492,6 @@ impl SharedTable {
         };
         let table = SharedTable::build(max, cold);
         table.unique.store(entries.len(), Ordering::SeqCst);
-        for e in entries.iter().filter(|e| e.sleep != 0) {
-            let fp = Fingerprint::from_u128(e.fp);
-            let mut shard = table.lock(fp.shard(SHARDS));
-            shard.sleeps.insert(fp, SleepSet(e.sleep));
-        }
         match &table.cold {
             None => {
                 for e in entries {
@@ -440,6 +501,7 @@ impl SharedTable {
                     if let Some(rep) = e.rep {
                         shard.reps.insert(fp, Fingerprint::from_u128(rep));
                     }
+                    shard.set_sleep(fp, Tier::Hot(0), SleepSet(e.sleep));
                 }
                 table.stored.store(stored_bytes, Ordering::SeqCst);
             }
@@ -447,6 +509,10 @@ impl SharedTable {
                 let batch = entries.iter().map(|e| (e.fp, e.rep.unwrap_or(e.fp)));
                 let mut shards: Vec<_> = (0..SHARDS).map(|i| table.lock(i)).collect();
                 cold.spill(&mut shards, batch.collect())?;
+                for e in entries.iter().filter(|e| e.sleep != 0) {
+                    let fp = Fingerprint::from_u128(e.fp);
+                    shards[fp.shard(SHARDS)].set_sleep(fp, Tier::Cold, SleepSet(e.sleep));
+                }
             }
         }
         Ok(table)
@@ -489,15 +555,29 @@ impl SharedTable {
             return Ok(());
         }
         let mut shards: Vec<_> = (0..SHARDS).map(|i| self.lock(i)).collect();
+        // The drain moves each coded key's sleep set into `sleeps`. The
+        // maps are grown to their new size first, before `batch` fills:
+        // grown while it filled, they made the spill peak higher than
+        // when `sleeps` held every set.
+        for shard in shards.iter_mut() {
+            let coded = shard.visited.iter().filter(|&(_, code)| code != 0).count();
+            shard.sleeps.reserve(coded);
+        }
         let mut batch = Vec::new();
         let mut freed = 0usize;
         for shard in shards.iter_mut() {
             let shard = &mut **shard;
-            for fp in shard.visited.drain() {
+            for (fp, code) in shard.visited.drain() {
                 freed += shard.lens.remove(&fp).unwrap_or(0) as usize;
                 let rep = shard.reps.remove(&fp).unwrap_or(fp);
                 batch.push((fp.as_u128(), rep.as_u128()));
+                if code != 0 {
+                    let sleep = shard.sleep(fp, Tier::Hot(code));
+                    shard.set_sleep(fp, Tier::Cold, sleep);
+                }
             }
+            // No hot key is left to hold a code.
+            shard.dict.clear();
         }
         let freed = freed.min(self.stored.load(Ordering::SeqCst));
         self.stored.fetch_sub(freed, Ordering::SeqCst);
@@ -529,15 +609,14 @@ impl SharedTable {
     ) -> Result<Admit, CheckerError> {
         let admitted = {
             let mut shard = self.lock(key.shard(SHARDS));
-            let visited = if shard.visited.contains(key) {
-                Some(shard.reps.get(&key).copied())
-            } else {
-                shard.cold_visited(key)?
+            let visited = match shard.visited.code(key) {
+                Some(code) => Some((shard.reps.get(&key).copied(), Tier::Hot(code))),
+                None => shard.cold_visited(key)?.map(|rep| (rep, Tier::Cold)),
             };
             match visited {
-                Some(rep) => {
+                Some((rep, tier)) => {
                     let merged = rep.unwrap_or(key) != concrete;
-                    let stored = shard.sleeps.get(&key).copied().unwrap_or_default();
+                    let stored = shard.sleep(key, tier);
                     // A sibling is covered only by ∅, the one sleep set
                     // every id permutation preserves, and widens to ∅.
                     let (covered, widened) = if merged {
@@ -548,11 +627,7 @@ impl SharedTable {
                     if covered {
                         return Ok(Admit::Covered { merged });
                     }
-                    if widened == SleepSet::empty() {
-                        shard.sleeps.remove(&key);
-                    } else {
-                        shard.sleeps.insert(key, widened);
-                    }
+                    shard.set_sleep(key, tier, widened);
                     let sleep = widened;
                     Admit::Widen { sleep, merged }
                 }
@@ -570,9 +645,7 @@ impl SharedTable {
                     if concrete != key {
                         shard.reps.insert(key, concrete);
                     }
-                    if sleep != SleepSet::empty() {
-                        shard.sleeps.insert(key, sleep);
-                    }
+                    shard.set_sleep(key, Tier::Hot(0), sleep);
                     let bytes_len = bytes();
                     self.stored.fetch_add(bytes_len, Ordering::Relaxed);
                     if self.cold.is_some() {
@@ -620,20 +693,11 @@ impl SharedTable {
     }
 
     /// Bytes of RAM the bookkeeping around those states holds: the
-    /// visited buckets and the hash tables of every shard (from their
-    /// capacities) and the blooms and fences of the cold runs.
+    /// visited buckets with their codes, the dictionaries and the hash
+    /// tables of every shard (from their capacities) and the blooms and
+    /// fences of the cold runs.
     pub(crate) fn index_bytes(&self) -> usize {
-        let shards: usize = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let shard = shard.lock();
-                shard.visited.bytes()
-                    + table_bytes::<(Fingerprint, SleepSet)>(shard.sleeps.capacity())
-                    + table_bytes::<(Fingerprint, Fingerprint)>(shard.reps.capacity())
-                    + table_bytes::<(Fingerprint, u32)>(shard.lens.capacity())
-            })
-            .sum();
+        let shards: usize = self.shards.iter().map(|shard| shard.lock().bytes()).sum();
         let runs = |cold: &SharedCold| cold.visited.lock().resident_bytes();
         shards + self.cold.as_ref().map_or(0, runs)
     }
@@ -648,30 +712,24 @@ impl SharedTable {
     /// after joining).
     pub(crate) fn snapshot(&self) -> Result<Vec<VisitedEntry>, CheckerError> {
         let mut visited = Vec::with_capacity(self.unique());
-        // Sleep sets stay in the shards even for spilled fingerprints;
-        // collect them all first so cold entries can look theirs up.
-        let mut sleeps: FpHashMap<u64> = FpHashMap::default();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (&fp, s) in &shard.sleeps {
-                sleeps.insert(fp, s.0);
-            }
-            for fp in shard.visited.iter() {
+        // A spilled key's sleep set stays in its shard: every shard is
+        // held (in the order a spill takes them) while the runs are read.
+        let shards: Vec<_> = (0..SHARDS).map(|i| self.lock(i)).collect();
+        for shard in &shards {
+            for (fp, code) in shard.visited.iter() {
                 visited.push(VisitedEntry {
                     fp: fp.as_u128(),
-                    sleep: shard.sleeps.get(&fp).map_or(0, |s| s.0),
+                    sleep: shard.sleep(fp, Tier::Hot(code)).0,
                     rep: shard.reps.get(&fp).map(|r| r.as_u128()),
                 });
             }
         }
         if let Some(cold) = &self.cold {
             for (key, rep) in cold.visited.lock().iter_all()? {
+                let fp = Fingerprint::from_u128(key);
                 visited.push(VisitedEntry {
                     fp: key,
-                    sleep: sleeps
-                        .get(&Fingerprint::from_u128(key))
-                        .copied()
-                        .unwrap_or(0),
+                    sleep: shards[fp.shard(SHARDS)].sleep(fp, Tier::Cold).0,
                     rep: (rep != key).then_some(rep),
                 });
             }
@@ -1101,6 +1159,143 @@ mod tests {
         tiered_set_symmetry_rep_survives_spill: true, false, true;
         shared_table_admit_sleep_sym_sibling_gets_an_edge: true, true, false;
         sibling_rule_runs_on_cold_states: true, true, true;
+    }
+
+    /// [`SharedTable::admit`] against a `BTreeMap` model of the module
+    /// docs' decision table, on seeded offer streams (a failure names
+    /// its seed). Three in four keys fall in shard 0, whose hot keys are
+    /// given more than 300 distinct sleep sets, so its dictionary fills
+    /// and the `ESCAPE` code is used; the visited set grows under them;
+    /// a quarter of the cases spill, often or once the codes are used
+    /// up; a quarter
+    /// bound the states; and every case snapshots and restores at random
+    /// points, the snapshot checked against the model.
+    #[test]
+    fn admit_matches_a_model_of_the_decision_table() {
+        let cases = if cfg!(debug_assertions) { 256 } else { 2_000 };
+        let escaped = (0..cases).filter(|&seed| admit_model_case(seed)).count();
+        assert!(
+            escaped >= cases as usize / 4,
+            "only {escaped} of {cases} cases used the escape code"
+        );
+    }
+
+    /// One seed of [`admit_matches_a_model_of_the_decision_table`];
+    /// whether shard 0 ended with a hot key coded `ESCAPE`.
+    fn admit_model_case(seed: u64) -> bool {
+        use std::collections::BTreeMap;
+        let d = &mut p_ast::Draws::new(seed);
+        let (symmetry, spill) = (d.one_in(2), d.one_in(4));
+        let max = if d.one_in(4) {
+            200 + d.below(400)
+        } else {
+            usize::MAX
+        };
+        // A spill every few dozen states, or one after the dictionary of
+        // shard 0 has filled.
+        let budget = 8 * if d.one_in(2) {
+            16 + d.below(64)
+        } else {
+            500 + d.below(300)
+        };
+        let dir = temp_dir(&format!("admit-model-{seed}"));
+        let mut restores = 0;
+        let open = |restores: usize, entries: &[VisitedEntry], stored: usize| {
+            let spill_dir = dir.join(restores.to_string());
+            let spill = spill.then_some((spill_dir.as_path(), budget));
+            SharedTable::restore(max, spill, entries, stored).unwrap()
+        };
+        let mut table = open(restores, &[], 0);
+        // Key 0 (held apart by the visited set), keys of shard 0, and a
+        // quarter of keys anywhere.
+        let keys: Vec<u128> = (0..1_000)
+            .map(|i| {
+                let key = u128::from(d.next()) << 64 | u128::from(d.next());
+                match i {
+                    0 => 0,
+                    _ if d.one_in(4) => key,
+                    _ => key >> 6,
+                }
+            })
+            .collect();
+        // Per key: the representative and the sleep set stored.
+        let mut model: BTreeMap<u128, (u128, u64)> = BTreeMap::new();
+        let check = |table: &SharedTable, model: &BTreeMap<u128, (u128, u64)>| {
+            let entries = table.snapshot().unwrap();
+            let listed: BTreeMap<u128, (u128, u64)> = entries
+                .iter()
+                .map(|e| (e.fp, (e.rep.unwrap_or(e.fp), e.sleep)))
+                .collect();
+            assert_eq!(
+                entries.len(),
+                listed.len(),
+                "seed {seed}: a key listed twice"
+            );
+            assert!(
+                listed == *model,
+                "seed {seed}: the snapshot differs from the model"
+            );
+            entries
+        };
+        for step in 0..4_000 {
+            let key = keys[d.below(keys.len())];
+            // With symmetry, one offer in four is of one of two siblings.
+            let concrete = match symmetry && d.one_in(4) {
+                true => key ^ (1 + d.below(2) as u128) << 100,
+                false => key,
+            };
+            let stored = model.get(&key).map_or(0, |e| e.1);
+            let offered = match d.below(16) {
+                0 => 0,
+                1 => d.next() & 0xff,
+                2..=7 => stored | d.next() & d.next(),
+                _ => d.next(),
+            };
+            let full = model.len() >= max;
+            let want = match model.get_mut(&key) {
+                None if full => Admit::OverBound,
+                None => {
+                    model.insert(key, (concrete, offered));
+                    Admit::New
+                }
+                Some((rep, stored)) => {
+                    let merged = *rep != concrete;
+                    let (covered, widened) = match merged {
+                        true => (*stored == 0, 0),
+                        false => (*stored & !offered == 0, *stored & offered),
+                    };
+                    if covered {
+                        Admit::Covered { merged }
+                    } else {
+                        *stored = widened;
+                        let sleep = SleepSet(widened);
+                        Admit::Widen { sleep, merged }
+                    }
+                }
+            };
+            let (key, concrete) = (
+                Fingerprint::from_u128(key),
+                Fingerprint::from_u128(concrete),
+            );
+            let got = table.admit(key, concrete, SleepSet(offered), || 8).unwrap();
+            assert_eq!(got, want, "seed {seed}, step {step}: offer of {key}");
+            assert_eq!(table.unique(), model.len(), "seed {seed}, step {step}");
+            if !spill {
+                assert_eq!(table.stored_bytes(), 8 * model.len(), "seed {seed}");
+            }
+            if d.one_in(1_000) {
+                let entries = check(&table, &model);
+                restores += 1;
+                table = open(restores, &entries, table.stored_bytes());
+            }
+        }
+        check(&table, &model);
+        let shard = table.shards[0].lock();
+        let escaped = shard.visited.iter().any(|(_, code)| code == ESCAPE);
+        drop(shard);
+        drop(table);
+        let _ = std::fs::remove_dir_all(&dir);
+        escaped
     }
 
     /// The markers of an annotated search share the shards, the cold

@@ -42,7 +42,7 @@ use crate::fault::FaultDecision;
 use crate::fingerprint::{prefetch_line, Fingerprint, FpHashSet};
 use crate::memo::Replay;
 use crate::phase::Phase;
-use crate::por::{Por, SleepSet};
+use crate::por::{Por, SleepSet, SleeperFootprints};
 use crate::stats::ExplorationStats;
 use crate::succ::{successors_into, SuccArena, Successor};
 use crate::trace::{Counterexample, TaskPath, TraceStep, NO_NODE};
@@ -777,6 +777,7 @@ impl<'p> Verifier<'p> {
         let mut flushed = ExplorationStats::default();
         let mut tasks = 0u64;
         let por = self.options.por.then(|| Por::new(self.program));
+        let mut sleepers = SleeperFootprints::default();
         let symmetry = self.options.symmetry;
         let granularity = self.options.granularity;
         // One task's batch: its successors, and per successor the move
@@ -855,6 +856,7 @@ impl<'p> Verifier<'p> {
             // not get past it. For liveness an error is a terminal edge:
             // counted here, and dropped from the batch.
             let mut cur_sleep = sleep;
+            sleepers.reset();
             let mut failed = None;
             for (m, mv) in moves.iter().enumerate() {
                 let start = succs.len();
@@ -969,7 +971,7 @@ impl<'p> Verifier<'p> {
                     None => SleepSet::empty(),
                     Some(por) => {
                         let taken = por.run_footprint(succ.machine, &succ.result);
-                        por.filter_sleep(&config, ran_sleep, &taken)
+                        sleepers.filter(por, &config, ran_sleep, &taken)
                     }
                 };
                 // A configuration over the bound is neither marked

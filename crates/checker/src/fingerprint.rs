@@ -113,35 +113,56 @@ const _: () = assert!(std::mem::size_of::<Bucket>() == 64);
 /// takes its top bits), doubled at 7/8 load. `0` marks an empty slot, so
 /// the fingerprint 0 is held apart. Nothing is removed but by
 /// [`VisitedSet::drain`], so a probe ends at the first empty slot.
+///
+/// Each key carries a one-byte code, 0 until [`VisitedSet::set_code`]
+/// changes it (the checker keeps a sleep set's code there, DESIGN.md
+/// §10). The codes sit in an array of their own, four bytes per bucket,
+/// allocated when the first non-zero code is stored: a set that only
+/// ever holds 0 allocates none.
 #[derive(Default)]
 pub(crate) struct VisitedSet {
     buckets: Box<[Bucket]>,
+    /// The code of each slot of `buckets`, or empty while every code is 0.
+    codes: Box<[[u8; BUCKET_KEYS]]>,
     /// Keys in `buckets`.
     len: usize,
-    zero: bool,
+    /// The code of the fingerprint 0, if held.
+    zero: Option<u8>,
 }
 
 impl VisitedSet {
     pub(crate) fn len(&self) -> usize {
-        self.len + usize::from(self.zero)
+        self.len + usize::from(self.zero.is_some())
     }
 
-    /// Bytes of the buckets.
+    /// Bytes of the buckets and the codes.
     pub(crate) fn bytes(&self) -> usize {
-        self.buckets.len() * std::mem::size_of::<Bucket>()
+        self.buckets.len() * std::mem::size_of::<Bucket>() + self.codes.len() * BUCKET_KEYS
     }
 
     pub(crate) fn contains(&self, key: Fingerprint) -> bool {
+        self.code(key).is_some()
+    }
+
+    /// The code of `key`, if held.
+    pub(crate) fn code(&self, key: Fingerprint) -> Option<u8> {
         match key.0 {
             0 => self.zero,
-            key => !self.buckets.is_empty() && self.probe(key).is_ok(),
+            _ if self.buckets.is_empty() => None,
+            key => self.probe(key).ok().map(|(b, s)| self.slot_code(b, s)),
         }
     }
 
-    /// Adds `key`; whether it was new.
+    fn slot_code(&self, b: usize, s: usize) -> u8 {
+        self.codes.get(b).map_or(0, |codes| codes[s])
+    }
+
+    /// Adds `key` with code 0; whether it was new.
     pub(crate) fn insert(&mut self, key: Fingerprint) -> bool {
         if key.0 == 0 {
-            return !std::mem::replace(&mut self.zero, true);
+            let new = self.zero.is_none();
+            self.zero.get_or_insert(0);
+            return new;
         }
         if (self.len + 1) * 8 > self.buckets.len() * BUCKET_KEYS * 7 {
             self.grow();
@@ -154,15 +175,34 @@ impl VisitedSet {
         true
     }
 
-    /// `Ok` if the non-zero `key` is held, else the empty slot it goes
-    /// to as (bucket, slot). The load bound leaves one slot empty.
-    fn probe(&self, key: u128) -> Result<(), (usize, usize)> {
+    /// Sets the code of the held `key`.
+    pub(crate) fn set_code(&mut self, key: Fingerprint, code: u8) {
+        if key.0 == 0 {
+            assert!(self.zero.is_some(), "set_code on a key not held");
+            self.zero = Some(code);
+            return;
+        }
+        let Ok((b, s)) = self.probe(key.0) else {
+            panic!("set_code on a key not held")
+        };
+        if self.codes.is_empty() {
+            if code == 0 {
+                return;
+            }
+            self.codes = vec![[0; BUCKET_KEYS]; self.buckets.len()].into();
+        }
+        self.codes[b][s] = code;
+    }
+
+    /// Where the non-zero `key` is as (bucket, slot) if held, else the
+    /// empty slot it goes to. The load bound leaves one slot empty.
+    fn probe(&self, key: u128) -> Result<(usize, usize), (usize, usize)> {
         let mask = self.buckets.len() - 1;
         let mut b = key as usize & mask;
         loop {
             for (s, &held) in self.buckets[b].0.iter().enumerate() {
                 if held == key {
-                    return Ok(());
+                    return Ok((b, s));
                 }
                 if held == 0 {
                     return Err((b, s));
@@ -175,27 +215,41 @@ impl VisitedSet {
     fn grow(&mut self) {
         let buckets = (2 * self.buckets.len()).max(1);
         let old = std::mem::replace(&mut self.buckets, vec![Bucket::default(); buckets].into());
-        for key in old.iter().flat_map(|b| b.0).filter(|&k| k != 0) {
+        let old_codes = std::mem::take(&mut self.codes);
+        if !old_codes.is_empty() {
+            self.codes = vec![[0; BUCKET_KEYS]; buckets].into();
+        }
+        for (key, code) in slots(old.iter().copied(), old_codes.iter().copied()) {
             let Err((b, s)) = self.probe(key) else {
                 unreachable!("the keys of a set are distinct")
             };
             self.buckets[b].0[s] = key;
+            if code != 0 {
+                self.codes[b][s] = code;
+            }
         }
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Fingerprint> + '_ {
-        let zero = self.zero.then_some(Fingerprint(0));
-        let held = self.buckets.iter().flat_map(|b| b.0).filter(|&k| k != 0);
-        zero.into_iter().chain(held.map(Fingerprint))
+    /// Every key with its code.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Fingerprint, u8)> + '_ {
+        let zero = self.zero.map(|code| (0, code));
+        let held = slots(self.buckets.iter().copied(), self.codes.iter().copied());
+        zero.into_iter()
+            .chain(held)
+            .map(|(k, code)| (Fingerprint(k), code))
     }
 
-    /// Every key, leaving the set empty and its buckets freed.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = Fingerprint> {
+    /// Every key with its code, leaving the set empty. The keys are read
+    /// where they lie as the iterator is consumed, not copied out first;
+    /// the buckets are freed with the iterator.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (Fingerprint, u8)> {
         let set = std::mem::take(self);
-        let zero = set.zero.then_some(Fingerprint(0));
-        let held = Vec::from(set.buckets).into_iter().flat_map(|b| b.0);
+        let zero = set.zero.map(|code| (0, code));
+        let buckets = Vec::from(set.buckets).into_iter();
+        let held = slots(buckets, Vec::from(set.codes).into_iter());
         zero.into_iter()
-            .chain(held.filter(|&k| k != 0).map(Fingerprint))
+            .chain(held)
+            .map(|(k, code)| (Fingerprint(k), code))
     }
 
     /// Where the buckets are, for [`VisitedSet::prefetch`]: their base
@@ -219,6 +273,19 @@ impl VisitedSet {
         let mask = (1usize << (hint & 63)) - 1;
         prefetch_line((hint & !63) + (key.0 as usize & mask) * std::mem::size_of::<Bucket>());
     }
+}
+
+/// The held keys of `buckets` with their codes; `codes` may be empty
+/// (every code 0).
+fn slots(
+    buckets: impl Iterator<Item = Bucket>,
+    codes: impl Iterator<Item = [u8; BUCKET_KEYS]>,
+) -> impl Iterator<Item = (u128, u8)> {
+    let codes = codes.chain(std::iter::repeat([0; BUCKET_KEYS]));
+    buckets
+        .zip(codes)
+        .flat_map(|(bucket, codes)| bucket.0.into_iter().zip(codes))
+        .filter(|&(key, _)| key != 0)
 }
 
 /// Starts loading the cache line at address `line` (the crate's one
@@ -352,14 +419,15 @@ mod tests {
         assert_eq!(canonical.to_string(), "9284045b9c214a84c5cbe8d18bf8aa35");
     }
 
-    /// The one-line-bucket set against a `BTreeSet`: random inserts and
-    /// lookups from a key mix that holds 0, keys that all name bucket 0,
-    /// keys that name the last bucket (so their probes wrap around), and
-    /// spread keys; through growth, iteration, a drain and reuse after
-    /// it. Every key is yielded once.
+    /// The one-line-bucket set against a `BTreeMap` of keys to codes:
+    /// random inserts, lookups and code changes from a key mix that holds
+    /// 0, keys that all name bucket 0, keys that name the last bucket (so
+    /// their probes wrap around), and spread keys; through growth,
+    /// iteration, a drain and reuse after it. Every key is yielded once,
+    /// with its code. The codes stay unallocated until one is non-zero.
     #[test]
-    fn visited_set_matches_a_btree_set() {
-        use std::collections::BTreeSet;
+    fn visited_set_matches_a_btree_map() {
+        use std::collections::BTreeMap;
         let mut rng = 0x243f_6a88_85a3_08d3u64;
         let mut next = || {
             rng = rng
@@ -368,8 +436,11 @@ mod tests {
             rng >> 16
         };
         let mut set = VisitedSet::default();
-        let mut model = BTreeSet::new();
+        let mut model = BTreeMap::new();
         for round in 0..4 {
+            // Odd rounds store codes; even ones start from a drained set
+            // and store none, so the code array must stay unallocated.
+            let coded = round % 2 == 1;
             for _ in 0..20_000 {
                 let n = u128::from(next() % 300 + 1);
                 let key = match next() % 8 {
@@ -378,25 +449,38 @@ mod tests {
                     2 => n << 64 | u128::from(u64::MAX),
                     _ => Fingerprint::of(&(next() % 6_000).to_le_bytes()).0,
                 };
-                if next() % 3 == 0 {
-                    let fp = Fingerprint(key);
-                    assert_eq!(set.contains(fp), model.contains(&key), "{key:#x}");
-                } else {
-                    assert_eq!(set.insert(Fingerprint(key)), model.insert(key), "{key:#x}");
+                let fp = Fingerprint(key);
+                match next() % 4 {
+                    0 => assert_eq!(set.code(fp), model.get(&key).copied(), "{key:#x}"),
+                    1 if coded && model.contains_key(&key) => {
+                        let code = (next() % 256) as u8;
+                        set.set_code(fp, code);
+                        model.insert(key, code);
+                    }
+                    _ => {
+                        let new = !model.contains_key(&key);
+                        model.entry(key).or_insert(0);
+                        assert_eq!(set.insert(fp), new, "{key:#x}");
+                    }
                 }
                 assert_eq!(set.len(), model.len());
             }
-            let mut listed: Vec<u128> = set.iter().map(Fingerprint::as_u128).collect();
+            let mut listed: Vec<(u128, u8)> = set.iter().map(|(k, c)| (k.0, c)).collect();
             listed.sort_unstable();
-            assert!(listed.iter().eq(&model), "round {round}: iter");
+            assert!(listed.into_iter().eq(model.clone()), "round {round}: iter");
             assert!(
                 set.len * 8 <= set.buckets.len() * BUCKET_KEYS * 7,
                 "over 7/8 load"
             );
-            if round % 2 == 1 {
-                let mut drained: Vec<u128> = set.drain().map(Fingerprint::as_u128).collect();
+            let codes = if coded { set.buckets.len() } else { 0 };
+            assert_eq!(set.codes.len(), codes, "round {round}: code array");
+            if coded {
+                let mut drained: Vec<(u128, u8)> = set.drain().map(|(k, c)| (k.0, c)).collect();
                 drained.sort_unstable();
-                assert!(drained.iter().eq(&model), "round {round}: drain");
+                assert!(
+                    drained.into_iter().eq(model.clone()),
+                    "round {round}: drain"
+                );
                 assert_eq!((set.len(), set.bytes(), set.hint()), (0, 0, 0));
                 assert!(!set.contains(Fingerprint(0)));
                 model.clear();

@@ -185,7 +185,7 @@ impl Por {
 
     /// The static over-approximation of any run machine `id` could take
     /// from `config`.
-    pub(crate) fn static_footprint(&self, config: &Config, id: MachineId) -> Footprint {
+    fn static_footprint(&self, config: &Config, id: MachineId) -> Footprint {
         let mut fp = Footprint::default();
         fp.add_machine(id);
         let Some(m) = config.machine(id) else {
@@ -215,21 +215,53 @@ impl Por {
         }
         fp
     }
+}
+
+/// The static footprints of one state's sleepers, each computed the
+/// first time a successor of the state asks for it. Reset per task: a
+/// sleeper's footprint is a function of the state it sleeps in.
+#[derive(Debug)]
+pub(crate) struct SleeperFootprints {
+    /// The machines whose entry of `footprints` is computed.
+    known: u64,
+    footprints: [Footprint; 64],
+}
+
+impl Default for SleeperFootprints {
+    fn default() -> SleeperFootprints {
+        SleeperFootprints {
+            known: 0,
+            footprints: [Footprint::default(); 64],
+        }
+    }
+}
+
+impl SleeperFootprints {
+    /// Forgets every footprint, for a new state.
+    pub(crate) fn reset(&mut self) {
+        self.known = 0;
+    }
 
     /// The sleep set a successor inherits: machines stay asleep only if
     /// their (statically approximated) next run is independent of the
     /// run just taken. `config` is the state the run was taken *from* —
     /// an independent sleeper's state is identical before and after, so
     /// evaluating its footprint at the parent is exact.
-    pub(crate) fn filter_sleep(
-        &self,
+    pub(crate) fn filter(
+        &mut self,
+        por: &Por,
         config: &Config,
         sleep: SleepSet,
         taken: &Footprint,
     ) -> SleepSet {
         let mut out = SleepSet::empty();
         for p in sleep.iter() {
-            if !self.static_footprint(config, p).overlaps(taken) {
+            let bit = 1u64 << p.0;
+            if self.known & bit == 0 {
+                self.footprints[p.0 as usize] = por.static_footprint(config, p);
+                self.known |= bit;
+            }
+            if !self.footprints[p.0 as usize].overlaps(taken) {
                 out.insert(p);
             }
         }

@@ -9,9 +9,14 @@
 //! Draining is final and safe at any time: it takes the records that are
 //! ready and closes the ring, so a record made afterwards is counted as
 //! dropped. Slots still being written are left to their writers.
+//!
+//! The slots are allocated in chunks of [`CHUNK`], each when the first
+//! index in it is claimed: a ring of 2¹⁸ slots that receives a few dozen
+//! records holds one chunk, not 30 MB of empty slots.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::record::Record;
 
@@ -27,9 +32,15 @@ struct Slot {
 // synchronizes with the writer's Release store.
 unsafe impl Sync for Slot {}
 
+/// Slots per chunk of a [`RingRecorder`].
+const CHUNK: usize = 1024;
+
 /// A bounded, lock-free, multi-producer record buffer.
 pub struct RingRecorder {
-    slots: Box<[Slot]>,
+    /// Slot `i` is `chunks[i / CHUNK]`'s slot `i % CHUNK`; a chunk is
+    /// allocated by the first writer to claim an index in it.
+    chunks: Box<[OnceLock<Box<[Slot]>>]>,
+    capacity: usize,
     claimed: AtomicUsize,
     dropped: AtomicU64,
 }
@@ -38,14 +49,11 @@ impl RingRecorder {
     /// Creates a recorder holding at most `capacity` records.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                ready: AtomicBool::new(false),
-                value: UnsafeCell::new(None),
-            })
-            .collect();
         RingRecorder {
-            slots,
+            chunks: (0..capacity.div_ceil(CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+            capacity,
             claimed: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -53,7 +61,23 @@ impl RingRecorder {
 
     /// Maximum number of records the recorder retains.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
+    }
+
+    /// The slot of the claimed `index`, allocating its chunk if it is
+    /// the first one claimed there (a writer racing for the same chunk
+    /// waits for that one allocation).
+    fn slot(&self, index: usize) -> &Slot {
+        let chunk = self.chunks[index / CHUNK].get_or_init(|| {
+            let len = CHUNK.min(self.capacity - index / CHUNK * CHUNK);
+            (0..len)
+                .map(|_| Slot {
+                    ready: AtomicBool::new(false),
+                    value: UnsafeCell::new(None),
+                })
+                .collect()
+        });
+        &chunk[index % CHUNK]
     }
 
     /// Takes the ready records in claim order and closes the ring: every
@@ -62,10 +86,13 @@ impl RingRecorder {
     /// Call after the instrumented run has quiesced; a record still being
     /// written when the drain passes its slot is not returned.
     pub fn drain(&self) -> Vec<Record> {
-        let capacity = self.slots.len();
+        let capacity = self.capacity;
         let claimed = self.claimed.swap(capacity, Ordering::AcqRel).min(capacity);
         let mut out = Vec::with_capacity(claimed);
-        for slot in &self.slots[..claimed] {
+        // Every ready slot was claimed before the swap; a chunk no writer
+        // has allocated holds none.
+        let chunks = self.chunks.iter().filter_map(OnceLock::get);
+        for slot in chunks.flat_map(|chunk| chunk.iter()) {
             if slot.ready.swap(false, Ordering::AcqRel) {
                 // Safety: `ready` was true, so the writer's Release
                 // store happened-before this Acquire; swapping it false
@@ -79,11 +106,13 @@ impl RingRecorder {
     }
 
     /// Stores one record, or counts it as dropped when the ring is full
-    /// or drained. Never blocks: the checker's and the runtime's hooks
-    /// call it from their hot loops.
+    /// or drained. The checker's and the runtime's hooks call it from
+    /// their hot loops, so it waits only while another writer allocates
+    /// the chunk this record goes to, once per [`CHUNK`] records.
     pub fn record(&self, record: Record) {
         let index = self.claimed.fetch_add(1, Ordering::AcqRel);
-        if let Some(slot) = self.slots.get(index) {
+        if index < self.capacity {
+            let slot = self.slot(index);
             // Safety: `index` was claimed uniquely by this call; no other
             // writer touches this slot, and readers wait for `ready`.
             unsafe {
@@ -96,7 +125,7 @@ impl RingRecorder {
             // drops don't walk it toward wraparound.
             let _ = self.claimed.compare_exchange(
                 index + 1,
-                self.slots.len(),
+                self.capacity,
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             );
@@ -139,6 +168,30 @@ mod tests {
         ring.record(gauge(9));
         assert_eq!(ring.dropped(), 1);
         assert!(ring.drain().is_empty());
+    }
+
+    /// A chunk is allocated when its first index is claimed, and a
+    /// capacity that is not a multiple of the chunk still holds exactly
+    /// that many records.
+    #[test]
+    fn chunks_are_allocated_as_records_arrive() {
+        let ring = RingRecorder::new(CHUNK * 2 + 5);
+        let allocated =
+            |ring: &RingRecorder| ring.chunks.iter().filter(|c| c.get().is_some()).count();
+        assert_eq!(allocated(&ring), 0);
+        ring.record(gauge(0));
+        assert_eq!(allocated(&ring), 1);
+        for i in 1..(CHUNK * 3) as i64 {
+            ring.record(gauge(i));
+        }
+        assert_eq!(allocated(&ring), 3);
+        assert_eq!(ring.dropped(), (CHUNK - 5) as u64);
+        let drained = ring.drain();
+        assert_eq!(drained.len(), CHUNK * 2 + 5);
+        assert!(drained
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.ts_micros == i as u64));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The memory of `p verify` on `german5.p` and on `switch_led.p` under
+//! The memory of `p verify` on `german5.p` (plain, with `--por
+//! --symmetry` and with `--profile`) and on `switch_led.p` under
 //! `--mem-limit 1m`. A test binary of its own: it reads each child's
 //! peak resident set from `wait4` (`support/peak_rss.rs`), and wants no
 //! sibling test's children in between. Linux only.
@@ -21,8 +22,8 @@ fn verify_peak_mib(name: &str, args: &[&str], expect: &[&str]) -> f64 {
     let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../corpus/programs")
         .join(name);
-    // The report is two lines: it fits the pipe, so the child never
-    // blocks on a reader that only comes after it is reaped.
+    // The report is two or three lines: it fits the pipe, so the child
+    // never blocks on a reader that only comes after it is reaped.
     let mut child = Command::new(env!("CARGO_BIN_EXE_p"))
         .arg("verify")
         .arg(file)
@@ -56,6 +57,43 @@ fn verify_on_german5_stays_under_its_measured_peak() {
     assert!(
         peak <= GERMAN5_PEAK_MIB,
         "p verify german5.p peaked at {peak:.1} MiB, above {GERMAN5_PEAK_MIB} MiB"
+    );
+}
+
+/// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
+/// 7.5 MiB in a release build and 9.4 MiB in a debug one.
+const GERMAN5_REDUCED_PEAK_MIB: f64 = if cfg!(debug_assertions) { 10.4 } else { 8.3 };
+
+/// A hot state's sleep set is a one-byte code in its visited slot, not an
+/// entry of a hash map keyed by a second copy of the fingerprint:
+/// `german5.p --por --symmetry` peaked at 8.6 MiB (release) with the
+/// map, and peaks near 7.5 MiB with the codes.
+#[test]
+fn verify_on_german5_reduced_stays_under_its_measured_peak() {
+    let args = ["--por", "--symmetry", "--jobs", "1"];
+    let counts = ["104065 states, 460477 transitions"];
+    let peak = verify_peak_mib("german5.p", &args, &counts);
+    assert!(
+        peak <= GERMAN5_REDUCED_PEAK_MIB,
+        "p verify german5.p --por --symmetry peaked at {peak:.1} MiB, above {GERMAN5_REDUCED_PEAK_MIB} MiB"
+    );
+}
+
+/// `--profile` records a few dozen telemetry records, and its ring
+/// allocates its slots as they are claimed: the run peaks within 1 MiB
+/// of the plain one (38.6 against 8.4 MiB when the ring filled all 2¹⁸
+/// slots up front).
+#[test]
+fn verify_profile_on_german5_costs_at_most_a_mebibyte() {
+    let counts = ["155967 states, 680224 transitions"];
+    let plain = verify_peak_mib("german5.p", &["--jobs", "1"], &counts);
+    let out = std::env::temp_dir().join(format!("p-verify-memory-{}.json", std::process::id()));
+    let args = ["--jobs", "1", "--profile", out.to_str().unwrap()];
+    let profiled = verify_peak_mib("german5.p", &args, &counts);
+    let _ = std::fs::remove_file(&out);
+    assert!(
+        profiled <= plain + 1.0,
+        "p verify german5.p --profile peaked at {profiled:.1} MiB, the plain run at {plain:.1}"
     );
 }
 
