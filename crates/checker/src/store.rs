@@ -11,7 +11,9 @@
 //! Each spilled batch becomes one *run*: one file of sorted records, a
 //! 16-byte key each, followed by the 16-byte orbit representative when
 //! any record of the run has one of its own (symmetry mode; a record
-//! that has none then repeats its key). What a lookup needs of a run
+//! that has none then repeats its key), followed by the key's 8-byte
+//! sleep set when any record of the run has a non-empty one
+//! (partial-order reduction; ∅ is 0). What a lookup needs of a run
 //! stays in RAM, built while the run is written: a bloom filter sized
 //! to the run ([`BLOOM_BITS_PER_KEY`] bits a record) and a *fence* —
 //! the first key of every block of [`BLOCK`] records. A lookup is
@@ -41,8 +43,14 @@ use crate::error::CheckerError;
 /// Bytes of a key, and of a representative.
 const KEY: usize = 16;
 
+/// Bytes of a sleep set.
+const SLEEP: usize = 8;
+
+/// Bytes of the widest record: key, representative and sleep set.
+const MAX_WIDTH: usize = 2 * KEY + SLEEP;
+
 /// Records per fenced block: one fence (16 B of RAM) and at most one
-/// read of `BLOCK` records (2 or 4 KiB) per run probed.
+/// read of `BLOCK` records (2 to 5 KiB) per run probed.
 const BLOCK: usize = 128;
 
 /// Run count that triggers a full k-way merge back to one run.
@@ -57,6 +65,56 @@ fn le_u128(bytes: &[u8]) -> u128 {
     let mut key = [0; KEY];
     key.copy_from_slice(&bytes[..KEY]);
     u128::from_le_bytes(key)
+}
+
+/// A record: the key, its representative (the key itself when it is its
+/// own) and the bits of its sleep set (0 = ∅).
+type Record = (u128, u128, u64);
+
+/// Which columns a run's records have besides the key.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    reps: bool,
+    sleeps: bool,
+}
+
+impl Layout {
+    fn width(self) -> usize {
+        KEY + usize::from(self.reps) * KEY + usize::from(self.sleeps) * SLEEP
+    }
+
+    /// `record` as its `width()` bytes, in `buf`.
+    fn encode(self, (key, rep, sleep): Record, buf: &mut [u8; MAX_WIDTH]) -> &[u8] {
+        buf[..KEY].copy_from_slice(&key.to_le_bytes());
+        let mut at = KEY;
+        if self.reps {
+            buf[at..at + KEY].copy_from_slice(&rep.to_le_bytes());
+            at += KEY;
+        }
+        if self.sleeps {
+            buf[at..at + SLEEP].copy_from_slice(&sleep.to_le_bytes());
+            at += SLEEP;
+        }
+        &buf[..at]
+    }
+
+    /// The record in the `width()` bytes of `bytes`.
+    fn decode(self, bytes: &[u8]) -> Record {
+        let key = le_u128(bytes);
+        let rep = if self.reps {
+            le_u128(&bytes[KEY..])
+        } else {
+            key
+        };
+        let sleep = match self.sleeps {
+            true => {
+                let at = self.width() - SLEEP;
+                u64::from_le_bytes(bytes[at..at + SLEEP].try_into().expect("8 bytes"))
+            }
+            false => 0,
+        };
+        (key, rep, sleep)
+    }
 }
 
 /// A bloom filter sized exactly to its run: probe positions come from a
@@ -106,16 +164,16 @@ struct Run {
     path: PathBuf,
     file: File,
     records: u64,
-    /// Bytes per record: [`KEY`], or twice that with representatives.
-    width: usize,
+    layout: Layout,
     /// First key of every block of [`BLOCK`] records.
     fences: Vec<u128>,
     bloom: Bloom,
 }
 
 impl Run {
-    /// The representative stored for `key`: RAM probes, then one read.
-    fn get(&self, key: u128, probes: &Probes) -> Result<Option<u128>, CheckerError> {
+    /// The representative and sleep set stored for `key`: RAM probes,
+    /// then one read.
+    fn get(&self, key: u128, probes: &Probes) -> Result<Option<(u128, u64)>, CheckerError> {
         if !self.bloom.may_contain(key) {
             return Ok(None);
         }
@@ -125,40 +183,40 @@ impl Run {
         };
         let first = block * BLOCK;
         let count = BLOCK.min(self.records as usize - first);
-        let mut buf = [0u8; BLOCK * 2 * KEY];
-        let buf = &mut buf[..count * self.width];
+        let width = self.layout.width();
+        let mut buf = [0u8; BLOCK * MAX_WIDTH];
+        let buf = &mut buf[..count * width];
         probes.reads.fetch_add(1, Ordering::Relaxed);
         self.file
-            .read_exact_at(buf, (first * self.width) as u64)
+            .read_exact_at(buf, (first * width) as u64)
             .map_err(|e| CheckerError::io(&self.path, e))?;
         let (mut lo, mut hi) = (0, count);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let record = &buf[mid * self.width..][..self.width];
+            let record = &buf[mid * width..][..width];
             match le_u128(record).cmp(&key) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => {
-                    return Ok(Some(le_u128(&record[self.width - KEY..])));
+                    let (_, rep, sleep) = self.layout.decode(record);
+                    return Ok(Some((rep, sleep)));
                 }
             }
         }
         Ok(None)
     }
 
-    /// A sequential reader over the run's records, as `(key, rep)`.
-    fn stream(
-        &self,
-    ) -> Result<impl FnMut() -> Result<(u128, u128), CheckerError> + '_, CheckerError> {
+    /// A sequential reader over the run's records.
+    fn stream(&self) -> Result<impl FnMut() -> Result<Record, CheckerError> + '_, CheckerError> {
         let file = File::open(&self.path).map_err(|e| CheckerError::io(&self.path, e))?;
         let mut reader = BufReader::new(file);
         Ok(move || {
-            let mut record = [0u8; 2 * KEY];
-            let record = &mut record[..self.width];
+            let mut record = [0u8; MAX_WIDTH];
+            let record = &mut record[..self.layout.width()];
             reader
                 .read_exact(record)
                 .map_err(|e| CheckerError::io(&self.path, e))?;
-            Ok((le_u128(record), le_u128(&record[self.width - KEY..])))
+            Ok(self.layout.decode(record))
         })
     }
 
@@ -219,15 +277,16 @@ pub(crate) struct Runs {
 }
 
 impl Runs {
-    /// The representative stored for `key`, if the key is present (a
-    /// key that is its own representative comes back as itself). Keys
-    /// are unique across runs, so the first run that has it answers.
-    pub(crate) fn get(&self, key: u128) -> Result<Option<u128>, CheckerError> {
+    /// The representative and the sleep set stored for `key`, if the
+    /// key is present (a key that is its own representative comes back
+    /// as itself, ∅ as 0). Keys are unique across runs, so the first run
+    /// that has it answers.
+    pub(crate) fn get(&self, key: u128) -> Result<Option<(u128, u64)>, CheckerError> {
         self.probes.lookups.fetch_add(1, Ordering::Relaxed);
         for run in self.runs.iter().rev() {
-            if let Some(rep) = run.get(key, &self.probes)? {
+            if let Some(found) = run.get(key, &self.probes)? {
                 self.probes.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(rep));
+                return Ok(Some(found));
             }
         }
         Ok(None)
@@ -293,8 +352,8 @@ impl RunStore {
         &mut self,
         kept: &[Arc<Run>],
         records: u64,
-        with_reps: bool,
-        mut next: impl FnMut() -> Result<(u128, u128), CheckerError>,
+        layout: Layout,
+        mut next: impl FnMut() -> Result<Record, CheckerError>,
     ) -> Result<(), CheckerError> {
         let name = format!("visited-{:06}.run", self.runs_created);
         let path = self.dir.join(name);
@@ -302,28 +361,27 @@ impl RunStore {
         // Opened for reading too: the lookups' handle. The directory is
         // this store's own, so the name is free.
         let file = File::create_new(&path).map_err(io)?;
-        let width = if with_reps { 2 * KEY } else { KEY };
         let mut fences = Vec::with_capacity((records as usize).div_ceil(BLOCK));
         let mut bloom = Bloom::for_records(records);
         let mut out = BufWriter::new(&file);
+        let mut buf = [0u8; MAX_WIDTH];
         for n in 0..records {
-            let (key, rep) = next()?;
+            let record = next()?;
             if n.is_multiple_of(BLOCK as u64) {
-                fences.push(key);
+                fences.push(record.0);
             }
-            bloom.insert(key);
-            let record = [key.to_le_bytes(), rep.to_le_bytes()];
-            out.write_all(&record.as_flattened()[..width]).map_err(io)?;
+            bloom.insert(record.0);
+            out.write_all(layout.encode(record, &mut buf)).map_err(io)?;
         }
         out.flush().map_err(io)?;
         drop(out);
         self.runs_created += 1;
-        self.bytes_written += records * width as u64;
+        self.bytes_written += records * layout.width() as u64;
         let run = Run {
             path,
             file,
             records,
-            width,
+            layout,
             fences,
             bloom,
         };
@@ -333,20 +391,33 @@ impl RunStore {
 
     /// Spills `batch` — `(key, representative)` pairs, a key that is its
     /// own representative paired with itself — as one new run, then
-    /// merges if the run count hit the fan-in. Keys must be unique (the
-    /// hot tiers guarantee a key is spilled at most once); order is
-    /// irrelevant.
-    pub(crate) fn spill(&mut self, mut batch: Vec<(u128, u128)>) -> Result<(), CheckerError> {
+    /// merges if the run count hit the fan-in. `sleeps` pairs keys of
+    /// the batch with their sleep sets; a key it does not name has ∅.
+    /// Keys must be unique (the hot tiers guarantee a key is spilled at
+    /// most once); order is irrelevant.
+    pub(crate) fn spill(
+        &mut self,
+        mut batch: Vec<(u128, u128)>,
+        mut sleeps: Vec<(u128, u64)>,
+    ) -> Result<(), CheckerError> {
         if batch.is_empty() {
             return Ok(());
         }
         batch.sort_unstable_by_key(|&(key, _)| key);
-        let with_reps = batch.iter().any(|&(key, rep)| rep != key);
+        sleeps.sort_unstable_by_key(|&(key, _)| key);
+        let layout = Layout {
+            reps: batch.iter().any(|&(key, rep)| rep != key),
+            sleeps: sleeps.iter().any(|&(_, sleep)| sleep != 0),
+        };
         let mut records = batch.iter().copied();
+        let mut sleeps = sleeps.into_iter().peekable();
         let kept = Arc::clone(&self.current.runs);
-        self.write_run(&kept, batch.len() as u64, with_reps, || {
-            Ok(records.next().expect("one per record of the batch"))
+        self.write_run(&kept, batch.len() as u64, layout, || {
+            let (key, rep) = records.next().expect("one per record of the batch");
+            let sleep = sleeps.next_if(|&(k, _)| k == key).map_or(0, |(_, s)| s);
+            Ok((key, rep, sleep))
         })?;
+        debug_assert!(sleeps.next().is_none(), "a sleep set of a key not spilled");
         if self.current.runs.len() >= MERGE_FANIN {
             self.merge_all()?;
         }
@@ -362,12 +433,15 @@ impl RunStore {
             heads.push((next()?, run.records - 1, next));
         }
         let records = old.iter().map(|run| run.records).sum();
-        let with_reps = old.iter().any(|run| run.width > KEY);
-        self.write_run(&[], records, with_reps, || {
+        let layout = Layout {
+            reps: old.iter().any(|run| run.layout.reps),
+            sleeps: old.iter().any(|run| run.layout.sleeps),
+        };
+        self.write_run(&[], records, layout, || {
             let (min_ix, _) = heads
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, ((key, _), _, _))| *key)
+                .min_by_key(|(_, ((key, _, _), _, _))| *key)
                 .expect("a head per record left");
             let (record, left, next) = &mut heads[min_ix];
             let out = *record;
@@ -386,10 +460,10 @@ impl RunStore {
         Ok(())
     }
 
-    /// Every `(key, representative)` on disk, for checkpoint
+    /// Every `(key, representative, sleep set)` on disk, for checkpoint
     /// serialization. Materializes the whole cold tier; checkpoints
     /// already hold the full visited summary in memory while writing.
-    pub(crate) fn iter_all(&self) -> Result<Vec<(u128, u128)>, CheckerError> {
+    pub(crate) fn iter_all(&self) -> Result<Vec<Record>, CheckerError> {
         let mut all = Vec::new();
         for run in self.current.runs.iter() {
             let mut next = run.stream()?;
@@ -418,8 +492,9 @@ mod tests {
         (u128::from(draws.next()) << 64) | u128::from(draws.next())
     }
 
+    /// The representative stored for `key`.
     fn get(store: &RunStore, key: u128) -> Option<u128> {
-        store.runs().get(key).unwrap()
+        store.runs().get(key).unwrap().map(|(rep, _)| rep)
     }
 
     #[test]
@@ -427,7 +502,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let mut store = RunStore::create(&dir).unwrap();
         let batch: Vec<(u128, u128)> = (0..500).map(|i| (key(i), key(i + 1000))).collect();
-        store.spill(batch.clone()).unwrap();
+        store.spill(batch.clone(), vec![]).unwrap();
         for &(k, rep) in &batch {
             assert_eq!(get(&store, k), Some(rep));
         }
@@ -445,7 +520,7 @@ mod tests {
         // 20 batches of 64: crosses the merge fan-in twice.
         for b in 0..20u64 {
             let batch = (0..64).map(|i| (key(b * 64 + i), b as u128)).collect();
-            store.spill(batch).unwrap();
+            store.spill(batch, vec![]).unwrap();
         }
         let runs = store.current.runs.len();
         assert!(runs < MERGE_FANIN, "merge must bound the run count: {runs}");
@@ -456,7 +531,7 @@ mod tests {
             }
         }
         let mut all = store.iter_all().unwrap();
-        all.sort_unstable_by_key(|&(k, _)| k);
+        all.sort_unstable_by_key(|&(k, _, _)| k);
         assert_eq!(all.len(), 20 * 64);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "duplicate keys");
         let files = fs::read_dir(&dir).unwrap().count();
@@ -469,10 +544,10 @@ mod tests {
         let dir = temp_dir("layout");
         let mut store = RunStore::create(&dir).unwrap();
         store
-            .spill((0..100).map(|i| (key(i), key(i))).collect())
+            .spill((0..100).map(|i| (key(i), key(i))).collect(), vec![])
             .unwrap();
         store
-            .spill((100..150).map(|i| (key(i), key(i) ^ 1)).collect())
+            .spill((100..150).map(|i| (key(i), key(i) ^ 1)).collect(), vec![])
             .unwrap();
         assert_eq!(get(&store, key(42)), Some(key(42)));
         assert_eq!(get(&store, key(142)), Some(key(142) ^ 1));
@@ -516,16 +591,16 @@ mod tests {
         };
         let n = 8_000u64;
         store
-            .spill((0..n).map(|i| (key(i), key(i))).collect())
+            .spill((0..n).map(|i| (key(i), key(i))).collect(), vec![])
             .unwrap();
         store
-            .spill((n..n + 10).map(|i| (key(i), key(i))).collect())
+            .spill((n..n + 10).map(|i| (key(i), key(i))).collect(), vec![])
             .unwrap();
         assert_eq!(store.current.runs.len(), 2);
         let two_runs = exact(&store);
         for b in 1..MERGE_FANIN as u64 - 1 {
             let batch = (n + 10 * b..n + 10 * (b + 1)).map(|i| (key(i), key(i)));
-            store.spill(batch.collect()).unwrap();
+            store.spill(batch.collect(), vec![]).unwrap();
         }
         assert_eq!(store.current.runs.len(), 1, "merged");
         let total = n + 10 * (MERGE_FANIN as u64 - 1);
@@ -548,20 +623,25 @@ mod tests {
     }
 
     /// Random spills (and the merges they trigger) against a `BTreeMap`
-    /// oracle: keys only, every record with a representative, and
-    /// batches of either kind in turn, so merges mix the two widths.
-    /// Batch sizes sit around the block size and span several fan-ins.
-    /// After every spill each key ever spilled is looked up together
-    /// with its two neighbours — which covers the first and last record
-    /// of every block, one below each run's first fence and one above
-    /// its last key.
+    /// oracle: keys only, every record with a representative, every
+    /// other record with a sleep set, and batches of different kinds in
+    /// turn, so merges mix the record widths. Batch sizes sit around the
+    /// block size and span several fan-ins. After every spill each key
+    /// ever spilled is looked up together with its two neighbours —
+    /// which covers the first and last record of every block, one below
+    /// each run's first fence and one above its last key.
     #[test]
     fn store_agrees_with_a_btreemap_across_spills_and_merges() {
         let sizes = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 2];
-        for (mode, reps_in) in [
-            ("keys", [false, false]),
-            ("reps", [true, true]),
-            ("mixed", [false, true]),
+        // Per mode, whether the even and the odd spills have
+        // representatives and sleep sets.
+        for (mode, reps_in, sleeps_in) in [
+            ("keys", [false, false], [false, false]),
+            ("reps", [true, true], [false, false]),
+            ("mixed", [false, true], [false, false]),
+            ("sleeps", [false, false], [true, true]),
+            ("all", [true, true], [true, true]),
+            ("mixed-sleeps", [true, false], [false, true]),
         ] {
             let dir = temp_dir(&format!("model-{mode}"));
             let mut store = RunStore::create(&dir).unwrap();
@@ -573,23 +653,36 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let size = sizes[(rng >> 33) as usize % sizes.len()];
-                let batch: Vec<(u128, u128)> = (0..size)
-                    .map(|n| {
-                        next += 1;
-                        let k = key(next);
-                        // Every third record of a batch with
-                        // representatives is its own.
-                        let own = !reps_in[spill % 2] || n % 3 == 0;
-                        (k, if own { k } else { k.rotate_left(7) })
-                    })
-                    .collect();
-                oracle.extend(batch.iter().copied());
-                store.spill(batch).unwrap();
+                let (mut batch, mut sleeps) = (Vec::new(), Vec::new());
+                for n in 0..size {
+                    next += 1;
+                    let k = key(next);
+                    // Every third record of a batch with
+                    // representatives is its own; every other record of
+                    // a batch with sleep sets has one, and every fourth
+                    // names ∅.
+                    let own = !reps_in[spill % 2] || n % 3 == 0;
+                    let rep = if own { k } else { k.rotate_left(7) };
+                    let sleep = match sleeps_in[spill % 2] {
+                        true if n % 2 == 0 => next,
+                        true if n % 4 == 1 => {
+                            sleeps.push((k, 0));
+                            0
+                        }
+                        _ => 0,
+                    };
+                    if sleep != 0 {
+                        sleeps.push((k, sleep));
+                    }
+                    batch.push((k, rep));
+                    oracle.insert(k, (rep, sleep));
+                }
+                store.spill(batch, sleeps).unwrap();
                 assert_eq!(store.counters().records, oracle.len() as u64);
                 for &k in oracle.keys() {
                     for probe in [k - 1, k, k + 1] {
                         assert_eq!(
-                            get(&store, probe),
+                            store.runs().get(probe).unwrap(),
                             oracle.get(&probe).copied(),
                             "{mode} {spill}"
                         );
@@ -599,9 +692,69 @@ mod tests {
             assert!(store.runs_created > 2 * MERGE_FANIN as u64, "merged twice");
             let mut all = store.iter_all().unwrap();
             all.sort_unstable();
-            assert_eq!(all, oracle.into_iter().collect::<Vec<_>>());
+            let want: Vec<Record> = oracle.into_iter().map(|(k, (r, s))| (k, r, s)).collect();
+            assert_eq!(all, want, "{mode}");
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A run has a sleep column, 8 bytes a record, only if one of its
+    /// records has a non-empty set; a merged run has it if one of the
+    /// runs it read had it, and every set comes through the merge.
+    #[test]
+    fn sleep_column_costs_8_bytes_a_record_only_where_a_set_is_not_empty() {
+        let dir = temp_dir("sleep-layout");
+        let mut store = RunStore::create(&dir).unwrap();
+        let own = |range: std::ops::Range<u64>| range.map(|i| (key(i), key(i))).collect();
+        store.spill(own(0..10), vec![]).unwrap();
+        store
+            .spill(own(10..20), (10..15).map(|i| (key(i), i)).collect())
+            .unwrap();
+        let reps = (20..30).map(|i| (key(i), key(i) ^ 1)).collect();
+        store.spill(reps, vec![(key(20), 1 << 63)]).unwrap();
+        store.spill(own(30..40), vec![(key(30), 0)]).unwrap();
+        let widths: Vec<usize> = store
+            .current
+            .runs
+            .iter()
+            .map(|r| r.layout.width())
+            .collect();
+        assert_eq!(widths, [16, 24, 40, 16]);
+        assert_eq!(store.counters().bytes_written, 10 * (16 + 24 + 40 + 16));
+        // What key `i` was spilled with.
+        let record = |i: u64| {
+            let rep = if (20..30).contains(&i) {
+                key(i) ^ 1
+            } else {
+                key(i)
+            };
+            let sleep = match i {
+                10..15 => i,
+                20 => 1 << 63,
+                _ => 0,
+            };
+            (key(i), rep, sleep)
+        };
+        let expect = |store: &RunStore| {
+            let spilled = store.counters().records;
+            let runs = store.runs();
+            let mut want: Vec<Record> = (0..spilled).map(record).collect();
+            for &(k, rep, sleep) in &want {
+                assert_eq!(runs.get(k).unwrap(), Some((rep, sleep)), "{k:#x}");
+            }
+            let mut all = store.iter_all().unwrap();
+            all.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(all, want);
+        };
+        expect(&store);
+        for b in 4..MERGE_FANIN as u64 {
+            store.spill(own(b * 10..b * 10 + 10), vec![]).unwrap();
+        }
+        assert_eq!(store.current.runs.len(), 1, "merged");
+        assert_eq!(store.current.runs[0].layout.width(), 40);
+        expect(&store);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A run file cut short is an I/O error naming the file — from a
@@ -612,21 +765,22 @@ mod tests {
         let dir = temp_dir("truncated");
         let mut store = RunStore::create(&dir).unwrap();
         let mut keys: Vec<u128> = (0..1_000).map(key).collect();
-        store.spill(keys.iter().map(|&k| (k, k)).collect()).unwrap();
+        let batch = keys.iter().map(|&k| (k, k)).collect();
+        store.spill(batch, vec![]).unwrap();
         keys.sort_unstable();
         let path = store.current.runs[0].path.clone();
         let file = File::options().write(true).open(&path).unwrap();
         file.set_len(500 * 16 + 7).unwrap();
         let is_io = |e: &CheckerError| matches!(e, CheckerError::Io { path: p, .. } if *p == path);
         let runs = store.runs();
-        assert_eq!(runs.get(keys[100]).unwrap(), Some(keys[100]));
+        assert_eq!(runs.get(keys[100]).unwrap(), Some((keys[100], 0)));
         // Record 500 is whole, its block is not.
         for k in [keys[500], keys[501], keys[999]] {
             assert!(runs.get(k).is_err_and(|e| is_io(&e)), "{k:#x}");
         }
         assert!(store.iter_all().is_err_and(|e| is_io(&e)));
         for b in 1..MERGE_FANIN as u64 {
-            let merged = store.spill(vec![(key(5_000 + b), 0)]);
+            let merged = store.spill(vec![(key(5_000 + b), 0)], vec![]);
             assert_eq!(
                 merged.is_err_and(|e| is_io(&e)),
                 b == MERGE_FANIN as u64 - 1
@@ -644,7 +798,7 @@ mod tests {
         let mut store = RunStore::create(&dir).unwrap();
         let n = 2_000u64;
         store
-            .spill((0..n).map(|i| (key(i), key(i) ^ 1)).collect())
+            .spill((0..n).map(|i| (key(i), key(i) ^ 1)).collect(), vec![])
             .unwrap();
         let path = store.current.runs[0].path.clone();
         let mut bytes = fs::read(&path).unwrap();

@@ -30,7 +30,7 @@
 //! [`Executor::create_machine_on`].
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -323,7 +323,11 @@ impl ExecutorBuilder {
     }
 
     /// Builds the shards, spawns one worker thread per shard, and returns
-    /// the executor handle.
+    /// the executor handle once every worker runs. A spawned thread
+    /// takes its `p-exec-shard-N` name when it first runs, and one
+    /// worker can steal and deliver a whole burst before another is
+    /// scheduled, so returning earlier could leave a worker unnamed for
+    /// as long as the host keeps it waiting.
     pub fn start(self) -> Executor {
         let shards = (0..self.shards)
             .map(|_| {
@@ -352,15 +356,20 @@ impl ExecutorBuilder {
             next_shard: AtomicUsize::new(0),
             telemetry: self.telemetry,
         });
+        let started = Arc::new(Barrier::new(inner.shards.len() + 1));
         let workers = (0..inner.shards.len())
             .map(|i| {
-                let inner = Arc::clone(&inner);
+                let (inner, started) = (Arc::clone(&inner), Arc::clone(&started));
                 std::thread::Builder::new()
                     .name(format!("p-exec-shard-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(&inner, i)
+                    })
                     .expect("spawn shard worker")
             })
             .collect();
+        started.wait();
         Executor { inner, workers }
     }
 }

@@ -1,6 +1,6 @@
 //! The memory of `p verify` on `german5.p` (plain, with `--por
-//! --symmetry` and with `--profile`) and on `switch_led.p` under
-//! `--mem-limit 1m`. A test binary of its own: it reads each child's
+//! --symmetry` without and under `--mem-limit 2m`, and with `--profile`)
+//! and on `switch_led.p` under `--mem-limit 1m`. A test binary of its own: it reads each child's
 //! peak resident set from `wait4` (`support/peak_rss.rs`), and wants no
 //! sibling test's children in between. Linux only.
 
@@ -98,14 +98,15 @@ fn verify_profile_on_german5_costs_at_most_a_mebibyte() {
 }
 
 /// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
-/// 10.6 MiB in a release build and 12.5 MiB in a debug one.
-const SWITCH_LED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 13.8 } else { 11.7 };
+/// 9.4 MiB in a release build and 11.4 MiB in a debug one.
+const SWITCH_LED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 12.6 } else { 10.4 };
 
 /// `--mem-limit` sizes the hot visited tier only, so under `1m` most of
 /// what `switch_led.p` holds is its interned machine slots: they peaked
 /// at 11.8 MiB (release) while every slot kept a 128-byte all-⊥ handler
-/// map and the spare capacity of the candidate it came from, and peak
-/// near 10.6 MiB stored at their exact size.
+/// map and the spare capacity of the candidate it came from, and at
+/// 10.6 MiB while each shard kept a map of its hot keys' encoding
+/// lengths beside them; the run peaks near 9.4 MiB without either.
 #[test]
 fn verify_on_switch_led_under_a_1m_limit_stays_under_its_measured_peak() {
     let args = ["--jobs", "1", "--mem-limit", "1m"];
@@ -114,5 +115,25 @@ fn verify_on_switch_led_under_a_1m_limit_stays_under_its_measured_peak() {
     assert!(
         peak <= SWITCH_LED_SPILL_PEAK_MIB,
         "p verify switch_led.p --mem-limit 1m peaked at {peak:.1} MiB, above {SWITCH_LED_SPILL_PEAK_MIB} MiB"
+    );
+}
+
+/// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
+/// 8.4 MiB in a release build and 10.4 MiB in a debug one.
+const GERMAN5_REDUCED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 11.4 } else { 9.3 };
+
+/// A limit saves memory: a spilled state's sleep set goes to disk in its
+/// run record. `german5.p --por --symmetry --mem-limit 2m` peaked at
+/// 11.2 MiB (release), above the 7.5 MiB of the run without a limit,
+/// while every spilled key's set stayed in a hash map in RAM, and peaks
+/// near 8.4 MiB with the sets on disk.
+#[test]
+fn verify_on_german5_reduced_under_a_2m_limit_stays_under_its_measured_peak() {
+    let args = ["--por", "--symmetry", "--jobs", "1", "--mem-limit", "2m"];
+    let counts = ["104065 states, 460477 transitions", "89041 spilled"];
+    let peak = verify_peak_mib("german5.p", &args, &counts);
+    assert!(
+        peak <= GERMAN5_REDUCED_SPILL_PEAK_MIB,
+        "p verify german5.p --por --symmetry --mem-limit 2m peaked at {peak:.1} MiB, above {GERMAN5_REDUCED_SPILL_PEAK_MIB} MiB"
     );
 }
