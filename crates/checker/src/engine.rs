@@ -113,12 +113,22 @@ pub(crate) enum Admit {
 /// to disk with the key. The floor keeps tiny limits from degenerating
 /// into a spill per handful of states.
 ///
-/// This sizes the hot visited tier and nothing else: the interned
-/// machine slots (`slot_bytes`), the per-worker slot and canonical
-/// memos and the process baseline are outside it. Under `1m`,
-/// `switch_led.p` holds 0.8 MiB of index and 3.9 MiB of slots.
+/// The interned machine slots have a quarter of their own
+/// ([`slot_budget_for`]); the per-worker slot and canonical memos and
+/// the process baseline are outside both. Under `1m`, `switch_led.p`
+/// holds 0.8 MiB of index and 0.5 MiB of slots.
 pub(crate) fn hot_budget_for(mem_limit: usize) -> usize {
     (mem_limit / 4).max(64 << 10)
+}
+
+/// Byte budget of each worker's slot interner for a `--mem-limit` of
+/// `mem_limit` bytes and `jobs` workers: a quarter of the limit split
+/// across them. Past it an interner sweeps the slots no configuration
+/// holds (DESIGN.md §15); a replayed child whose slot was swept is made
+/// by the interpreter again (`rebuilt_runs`). Without a limit there is
+/// no budget and no sweep.
+pub(crate) fn slot_budget_for(mem_limit: Option<usize>, jobs: usize) -> usize {
+    mem_limit.map_or(usize::MAX, |limit| limit / 4 / jobs.max(1))
 }
 
 /// Shared additive totals of one search.

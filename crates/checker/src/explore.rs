@@ -34,8 +34,8 @@ use p_telemetry::Telemetry;
 
 use crate::checkpoint::{self, CheckpointData, CheckpointPolicy, TaskEntry};
 use crate::engine::{
-    hot_budget_for, table_bytes, Admit, Frontier, IdBlock, SharedCounters, SharedTable, TaskId,
-    TaskIds,
+    hot_budget_for, slot_budget_for, table_bytes, Admit, Frontier, IdBlock, SharedCounters,
+    SharedTable, TaskId, TaskIds,
 };
 use crate::error::CheckerError;
 use crate::fault::FaultDecision;
@@ -569,7 +569,12 @@ impl<'p> Verifier<'p> {
         // are new: every distinct slot counts exactly once globally, so
         // `stored_bytes` depends on neither arrival order nor `jobs`.
         let slot_digests = Mutex::new(FpHashSet::default());
-        let mut interners: Vec<SlotInterner> = (0..jobs).map(|_| SlotInterner::new()).collect();
+        let slot_budget = slot_budget_for(options.mem_limit, jobs);
+        #[cfg(test)]
+        let slot_budget = TEST_SLOT_BUDGET.get().unwrap_or(slot_budget);
+        let mut interners: Vec<SlotInterner> = (0..jobs)
+            .map(|_| SlotInterner::with_budget(slot_budget))
+            .collect();
         let mut base_duration = Duration::ZERO;
         let mut base_truncated = false;
         let ids = TaskIds::default();
@@ -991,7 +996,8 @@ impl<'p> Verifier<'p> {
                         if S::ANNOTATED { key } else { succ_fp },
                         child_sleep,
                         || {
-                            arena.build(slots, replay, &config, &engine, interner);
+                            let rebuilt = arena.build(slots, replay, &config, &engine, interner);
+                            stats.rebuilt_runs += usize::from(rebuilt);
                             let built = slots.as_mut().expect("built above");
                             intern(built, interner, slot_digests)
                         },
@@ -1021,7 +1027,9 @@ impl<'p> Verifier<'p> {
                 };
                 if let Some((sleep, fresh)) = push {
                     let s = &mut *succ;
-                    arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
+                    let rebuilt =
+                        arena.build(&mut s.config, &mut s.replay, &config, &engine, interner);
+                    stats.rebuilt_runs += usize::from(rebuilt);
                     // Steps are stored packed; only an error path renders
                     // human-readable summaries.
                     let path = match S::step(mv) {
@@ -1301,7 +1309,8 @@ fn canonical_key(
     let (key, candidates) = match viewed {
         Some(viewed) => viewed,
         None => {
-            arena.build(&mut succ.config, &mut succ.replay, parent, engine, interner);
+            let rebuilt = arena.build(&mut succ.config, &mut succ.replay, parent, engine, interner);
+            stats.rebuilt_runs += usize::from(rebuilt);
             canonical_digest_counted(succ.config.as_mut().expect("built above"))
         }
     };
@@ -1448,6 +1457,15 @@ thread_local! {
 
 #[cfg(test)]
 thread_local! {
+    /// A byte budget for every worker's slot interner in the searches
+    /// this thread starts, in place of [`slot_budget_for`]'s, so that a
+    /// test sweeps without spilling.
+    pub(crate) static TEST_SLOT_BUDGET: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+thread_local! {
     /// The keys [`check_key`] confirmed on this thread: [pinned, viewed].
     pub(crate) static CHECKED_KEYS: std::cell::Cell<[usize; 2]> =
         const { std::cell::Cell::new([0; 2]) };
@@ -1510,6 +1528,59 @@ mod tests {
                 tiny_replayed < full_replayed,
                 "{name}: {tiny_replayed} !< {full_replayed}"
             );
+        }
+    }
+
+    /// Sweeping the slot interners changes no count: with a budget of a
+    /// few slots, a replayed child whose slot was swept is made by the
+    /// interpreter again (`rebuilt_runs`), and states, transitions,
+    /// stored bytes and spilled states are the unswept run's at every
+    /// worker count, with and without a spill; at one worker so are the
+    /// replayed runs, and an unswept run rebuilds none.
+    #[test]
+    fn a_swept_interner_changes_no_count() {
+        for (name, program) in [
+            ("german4", p_corpus::german4()),
+            ("switch_led", p_corpus::switch_led()),
+        ] {
+            let p = p_semantics::lower(&program).unwrap();
+            for (jobs, spill) in [(1, false), (2, false), (4, false), (1, true)] {
+                let never = crate::CheckpointPolicy {
+                    every_states: 1 << 40,
+                    ..crate::CheckpointPolicy::new(crate::tests::scratch_dir("swept"))
+                };
+                let options = CheckerOptions {
+                    mem_limit: spill.then_some(1 << 20),
+                    checkpoint: spill.then_some(never),
+                    ..CheckerOptions::default()
+                };
+                let verifier = Verifier::new(&p).with_options(options);
+                let run = |budget| {
+                    TEST_SLOT_BUDGET.set(Some(budget));
+                    let (report, _) = verifier.search(jobs).unwrap();
+                    TEST_SLOT_BUDGET.set(None);
+                    let _ = std::fs::remove_dir_all(crate::tests::scratch_dir("swept"));
+                    let mode = format!("{name} jobs={jobs} spill={spill}");
+                    assert!(report.passed() && report.complete, "{mode}");
+                    let s = report.stats;
+                    let counts = (
+                        s.unique_states,
+                        s.transitions,
+                        s.stored_bytes,
+                        s.spilled_states,
+                    );
+                    let replayed = (jobs == 1).then_some(s.replayed_runs);
+                    ((counts, replayed), s.rebuilt_runs, mode)
+                };
+                let (unswept, unswept_rebuilt, mode) = run(usize::MAX);
+                let (swept, rebuilt, _) = run(1 << 10);
+                assert_eq!(swept, unswept, "{mode}");
+                assert!(rebuilt > 0, "{mode}: nothing rebuilt");
+                if jobs == 1 {
+                    assert_eq!(unswept_rebuilt, 0, "{mode}");
+                }
+                assert_eq!(spill, unswept.0 .3 > 0, "{mode}");
+            }
         }
     }
 

@@ -81,6 +81,12 @@ pub struct ExplorationStats {
     /// Transitions answered from the kernel's slot-transition memo, not
     /// the interpreter (DESIGN.md §15); per process, like `canon_calls`.
     pub replayed_runs: usize,
+    /// Replayed transitions whose child the interpreter made again
+    /// because the worker's slot interner lacked one of its slots: it
+    /// swept it under `--mem-limit`, or never met it (another worker
+    /// interned it, or the run resumed from a checkpoint). Per process,
+    /// like `replayed_runs`.
+    pub rebuilt_runs: usize,
     /// Fault injections among those transitions.
     pub fault_transitions: usize,
     /// Deepest path (in atomic runs) reached from the initial state.
@@ -167,7 +173,7 @@ pub struct ExplorationStats {
 }
 
 /// How many counters [`ExplorationStats::sums_mut`] yields.
-pub(crate) const SUMS: usize = 11;
+pub(crate) const SUMS: usize = 12;
 
 impl ExplorationStats {
     /// The counters that add up across workers, in a fixed order: the
@@ -178,6 +184,7 @@ impl ExplorationStats {
         [
             &mut self.transitions,
             &mut self.replayed_runs,
+            &mut self.rebuilt_runs,
             &mut self.fault_transitions,
             &mut self.dedup_hits,
             &mut self.sleep_pruned,
@@ -208,6 +215,7 @@ impl ExplorationStats {
             ("states", n(self.unique_states)),
             ("transitions", n(self.transitions)),
             ("replayed_runs", n(self.replayed_runs)),
+            ("rebuilt_runs", n(self.rebuilt_runs)),
             ("scheduler_nodes", n(self.scheduler_nodes)),
             ("fault_transitions", n(self.fault_transitions)),
             ("seconds", num(self.duration.as_secs_f64())),
@@ -305,6 +313,7 @@ mod tests {
             scheduler_nodes: 0,
             transitions: 20,
             replayed_runs: 0,
+            rebuilt_runs: 0,
             fault_transitions: 0,
             max_depth: 5,
             duration: Duration::from_millis(3),

@@ -128,7 +128,7 @@ impl SuccArena {
     /// Builds the configuration of a replayed successor (a no-op for one
     /// the interpreter built): `parent` with the changed slots' states
     /// taken from `interner`, or, where `interner` lacks one, made by the
-    /// interpreter after all.
+    /// interpreter after all. Returns whether the interpreter made it.
     pub(crate) fn build(
         &mut self,
         config: &mut Option<Box<Config>>,
@@ -136,10 +136,11 @@ impl SuccArena {
         parent: &Config,
         engine: &Engine<'_>,
         interner: &SlotInterner,
-    ) {
+    ) -> bool {
         let Some(replay) = replay.take() else {
-            return;
+            return false;
         };
+        let mut rebuilt = false;
         let was = self.phases.enter(Phase::Clone);
         let mut child = self.configs.pop().unwrap_or_default();
         (*child).clone_from(parent);
@@ -158,6 +159,7 @@ impl SuccArena {
                 // Digested, as an installed child is, so its own runs can
                 // be replayed whether or not it is ever interned.
                 child.digest();
+                rebuilt = true;
                 break;
             };
             child.install_slot(id, Arc::clone(state), (digest, len));
@@ -165,6 +167,7 @@ impl SuccArena {
         debug_assert_eq!(child.digest_uncached(), replay.digest);
         *config = Some(child);
         self.phases.enter(was);
+        rebuilt
     }
 }
 

@@ -985,7 +985,7 @@ fn kernel_agrees_with_the_reference(
 }
 
 /// A directory for this test thread's files.
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
+pub(crate) fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let thread = std::thread::current().id();
     let name = format!("p-checker-{tag}-{}-{thread:?}", std::process::id());
     std::env::temp_dir().join(name)

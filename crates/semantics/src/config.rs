@@ -1607,6 +1607,15 @@ impl Config {
 /// and a configuration that changes workers is moved over whole by
 /// [`Config::rehome_slots`]; the price is one copy of a slot per worker
 /// that meets it.
+///
+/// A table with a byte budget ([`SlotInterner::with_budget`]) sweeps
+/// before a new entry would take its states past it: it drops every
+/// entry no configuration holds (an `Arc` whose only handle is the
+/// table's). A held entry is never dropped, so every configuration
+/// stays interned here; a dropped one that comes back is stored again.
+/// A sweep that leaves more than half the budget held moves the next
+/// one to twice what it left, so a held set near the budget costs one
+/// sweep per doubling, not one per entry.
 #[derive(Debug)]
 pub struct SlotInterner {
     table: HashMap<u128, Arc<MachineState>, BuildDigestHasher>,
@@ -1614,6 +1623,12 @@ pub struct SlotInterner {
     /// hit) so a pathological state space cannot turn the interner
     /// itself into the memory problem it exists to solve.
     cap: usize,
+    /// Resident bytes of the states in the table.
+    bytes: usize,
+    /// Bytes of states past which a new entry first sweeps.
+    budget: usize,
+    /// Bytes the last sweep left held.
+    kept: usize,
 }
 
 impl Default for SlotInterner {
@@ -1627,59 +1642,58 @@ impl SlotInterner {
     /// interned states themselves, which the visited set accounts).
     pub const DEFAULT_CAP: usize = 1 << 20;
 
-    /// An empty table with the default capacity limit.
+    /// An empty table with the default capacity limit and no byte
+    /// budget: it never sweeps.
     pub fn new() -> SlotInterner {
+        SlotInterner::with_budget(usize::MAX)
+    }
+
+    /// An empty table that sweeps before its states would take more
+    /// than `budget` bytes.
+    pub fn with_budget(budget: usize) -> SlotInterner {
         SlotInterner {
             table: HashMap::default(),
             cap: SlotInterner::DEFAULT_CAP,
+            bytes: 0,
+            budget,
+            kept: 0,
         }
     }
 
     /// A table that refuses to grow past `cap` entries.
     pub fn with_capacity_limit(cap: usize) -> SlotInterner {
         SlotInterner {
-            table: HashMap::default(),
             cap,
+            ..SlotInterner::new()
         }
     }
 
-    /// Interns `state` by content digest in one table probe. On a hit,
-    /// repoints `state` at the canonical `Arc` and returns the
-    /// displaced handle; on a miss, stores a clone of `state` (capacity
-    /// permitting — at the cap the state simply stays unshared), shrunk
-    /// to its exact size first when `state` is the only handle — as every
-    /// candidate the search interns is. Returns `(fresh, displaced)`:
-    /// `fresh` is true iff the content was not in the table and
-    /// `first_seen` says no other table holds it either, i.e. its bytes
-    /// are newly accounted.
+    /// Interns `state` by content digest. On a hit, repoints `state` at
+    /// the canonical `Arc` and returns the displaced handle; on a miss,
+    /// stores a clone of `state` (capacity permitting — at the cap the
+    /// state simply stays unshared), shrunk to its exact size first when
+    /// `state` is the only handle — as every candidate the search interns
+    /// is. Returns `(fresh, displaced)`: `fresh` is true iff the content
+    /// was not in the table and `first_seen` says no other table holds it
+    /// either, i.e. its bytes are newly accounted.
     fn intern(
         &mut self,
         digest: u128,
         state: &mut Arc<MachineState>,
         first_seen: &mut impl FnMut(u128) -> bool,
     ) -> (bool, Option<Arc<MachineState>>) {
-        let full = self.table.len() >= self.cap;
-        match self.table.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                if Arc::ptr_eq(state, entry.get()) {
-                    (false, None)
-                } else {
-                    (
-                        false,
-                        Some(std::mem::replace(state, Arc::clone(entry.get()))),
-                    )
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                if !full {
-                    if let Some(owned) = Arc::get_mut(state) {
-                        owned.shrink_to_fit();
-                    }
-                    entry.insert(Arc::clone(state));
-                }
-                (first_seen(digest), None)
-            }
+        if let Some(own) = self.table.get(&digest) {
+            let displaced =
+                (!Arc::ptr_eq(state, own)).then(|| std::mem::replace(state, Arc::clone(own)));
+            return (false, displaced);
         }
+        if self.table.len() < self.cap {
+            if let Some(owned) = Arc::get_mut(state) {
+                owned.shrink_to_fit();
+            }
+            self.insert(digest, Arc::clone(state));
+        }
+        (first_seen(digest), None)
     }
 
     /// Repoints `state`, an allocation interned in another table, at
@@ -1687,20 +1701,44 @@ impl SlotInterner {
     /// in when the table has none (capacity permitting — at the cap
     /// the copy simply stays unshared).
     fn adopt(&mut self, digest: u128, state: &mut Arc<MachineState>) {
-        let full = self.table.len() >= self.cap;
-        match self.table.entry(digest) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                if !Arc::ptr_eq(state, entry.get()) {
-                    *state = Arc::clone(entry.get());
-                }
+        if let Some(own) = self.table.get(&digest) {
+            if !Arc::ptr_eq(state, own) {
+                *state = Arc::clone(own);
             }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                *state = Arc::new(MachineState::clone(state));
-                if !full {
-                    entry.insert(Arc::clone(state));
-                }
-            }
+            return;
         }
+        *state = Arc::new(MachineState::clone(state));
+        if self.table.len() < self.cap {
+            self.insert(digest, Arc::clone(state));
+        }
+    }
+
+    /// Stores `state`, absent from the table, under `digest`, sweeping
+    /// first if its bytes would take the table past its budget.
+    fn insert(&mut self, digest: u128, state: Arc<MachineState>) {
+        let bytes = state.resident_bytes();
+        if self.bytes + bytes > self.budget.max(2 * self.kept) {
+            self.sweep();
+        }
+        self.bytes += bytes;
+        self.table.insert(digest, state);
+    }
+
+    /// Drops every entry no configuration holds, and the buckets they
+    /// leave empty. Only this table's worker adds handles to its
+    /// allocations; another worker can only drop one (see
+    /// [`Config::rehome_slots`]), so a count of one read here stays one.
+    fn sweep(&mut self) {
+        let bytes = &mut self.bytes;
+        self.table.retain(|_, state| {
+            let held = Arc::strong_count(state) > 1;
+            if !held {
+                *bytes -= state.resident_bytes();
+            }
+            held
+        });
+        self.table.shrink_to_fit();
+        self.kept = self.bytes;
     }
 
     /// This table's allocation of the slot content with digest
@@ -1724,7 +1762,7 @@ impl SlotInterner {
     /// state's allocation and the buffers it owns. The table's own
     /// buckets are sized from [`SlotInterner::capacity`].
     pub fn state_bytes(&self) -> usize {
-        self.table.values().map(|s| s.resident_bytes()).sum()
+        self.bytes
     }
 
     /// Entries the table has room for without growing.
@@ -2192,6 +2230,102 @@ mod tests {
         assert_eq!(third.len(), 2);
         assert!(!third.shares_allocation_with(&theirs));
         assert!(mine.shares_allocation_with(&mine));
+    }
+
+    /// A table over its byte budget drops the slots no configuration
+    /// holds and only those: a held slot stays the table's allocation,
+    /// the byte total is what the table still holds, and a dropped slot
+    /// interned again is stored again but not accounted again.
+    #[test]
+    fn a_sweep_drops_only_the_slots_no_configuration_holds() {
+        let p = tiny_program();
+        let mut seen = std::collections::HashSet::new();
+        let config = |k: i64| {
+            let mut c = Config::default();
+            let id = c.allocate(&p, p.main);
+            c.machine_mut(id).unwrap().locals[0] = Value::Int(k);
+            c
+        };
+        let mut probe = SlotInterner::new();
+        config(0).intern_slots(&mut probe);
+        let slot = probe.state_bytes();
+        // Room for two slots: the third sweeps first.
+        let mut interner = SlotInterner::with_budget(2 * slot);
+        let (mut a, mut b, mut c) = (config(1), config(2), config(3));
+        let overhead = 4 + 1;
+        let slot_len = a.canonical_bytes().len() - overhead;
+        for x in [&mut a, &mut b] {
+            assert_eq!(
+                x.intern_slots_with(&mut interner, |d| seen.insert(d)),
+                overhead + slot_len
+            );
+        }
+        let slot_digest = |x: &Config| x.cached_slot_digest(MachineId(0)).unwrap().0;
+        let dropped = slot_digest(&b);
+        drop(b);
+        assert_eq!(interner.len(), 2);
+        c.intern_slots_with(&mut interner, |d| seen.insert(d));
+        assert_eq!(interner.len(), 2, "the slot of the dropped `b` is swept");
+        assert!(interner.get(dropped).is_none());
+        for x in [&mut a, &mut c] {
+            assert!(x.is_interned_in(&interner));
+            let own = interner.get(slot_digest(x)).expect("held, so kept");
+            assert!(Arc::ptr_eq(x.machine_arc(MachineId(0)).unwrap(), own));
+        }
+        let held = |i: &SlotInterner| i.table.values().map(|s| s.resident_bytes()).sum::<usize>();
+        assert_eq!(interner.state_bytes(), held(&interner));
+        assert_eq!(interner.state_bytes(), 2 * slot);
+        // `b` again: stored again, but its bytes were counted already.
+        let mut b = config(2);
+        assert_eq!(
+            b.intern_slots_with(&mut interner, |d| seen.insert(d)),
+            overhead
+        );
+        assert!(b.is_interned_in(&interner));
+        assert_eq!(interner.len(), 3, "every slot is held: nothing to sweep");
+        assert_eq!(interner.state_bytes(), held(&interner));
+        // Without a budget nothing is ever swept.
+        let mut unbounded = SlotInterner::new();
+        for k in 0..8 {
+            config(k).intern_slots(&mut unbounded);
+        }
+        assert_eq!(unbounded.len(), 8);
+        assert_eq!(unbounded.state_bytes(), held(&unbounded));
+    }
+
+    /// A sweep that leaves more than half the budget held moves the next
+    /// sweep to twice what it left, so a held set past the budget does
+    /// not sweep at every insert.
+    #[test]
+    fn a_held_set_past_the_budget_sweeps_once_per_doubling() {
+        let p = tiny_program();
+        let config = |k: i64| {
+            let mut c = Config::default();
+            let id = c.allocate(&p, p.main);
+            c.machine_mut(id).unwrap().locals[0] = Value::Int(k);
+            c
+        };
+        let mut probe = SlotInterner::new();
+        config(0).intern_slots(&mut probe);
+        let slot = probe.state_bytes();
+        let mut interner = SlotInterner::with_budget(2 * slot);
+        let mut held: Vec<Config> = (1..=3).map(config).collect();
+        for c in &mut held {
+            c.intern_slots(&mut interner);
+        }
+        // The third slot swept and found all held: the next sweep waits
+        // for four slots' worth.
+        assert_eq!(interner.len(), 3);
+        held.remove(1);
+        config(4).intern_slots(&mut interner);
+        assert_eq!(interner.len(), 4, "no sweep at four slots");
+        config(5).intern_slots(&mut interner);
+        assert_eq!(
+            interner.len(),
+            3,
+            "the fifth sweeps the two slots nothing holds"
+        );
+        assert_eq!(interner.state_bytes(), 3 * slot);
     }
 
     /// The digest cache must never leak into equality.

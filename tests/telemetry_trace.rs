@@ -308,6 +308,7 @@ fn verify_profile_exploration_keys_are_pinned() {
             "mode",
             "name",
             "passed",
+            "rebuilt_runs",
             "replayed_runs",
             "scheduler_nodes",
             "seconds",

@@ -1,8 +1,9 @@
 //! The memory of `p verify` on `german5.p` (plain, with `--por
 //! --symmetry` without and under `--mem-limit 2m`, and with `--profile`)
-//! and on `switch_led.p` under `--mem-limit 1m`. A test binary of its own: it reads each child's
-//! peak resident set from `wait4` (`support/peak_rss.rs`), and wants no
-//! sibling test's children in between. Linux only.
+//! and on `switch_led.p` under `--mem-limit 1m` at one and two workers.
+//! A test binary of its own: it reads each child's peak resident set
+//! from `wait4` (`support/peak_rss.rs`), and wants no sibling test's
+//! children in between. Linux only.
 
 #![cfg(target_os = "linux")]
 
@@ -97,16 +98,20 @@ fn verify_profile_on_german5_costs_at_most_a_mebibyte() {
     );
 }
 
-/// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
-/// 9.4 MiB in a release build and 11.4 MiB in a debug one.
-const SWITCH_LED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 12.6 } else { 10.4 };
+/// The bound: the highest peak measured on a 2-core x86-64 Linux box
+/// plus 10 %, 6.45 MiB in a release build (median 6.1–6.3 over three
+/// sets of ten runs) and 8.33 MiB in a debug one.
+const SWITCH_LED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 9.2 } else { 7.1 };
 
-/// `--mem-limit` sizes the hot visited tier only, so under `1m` most of
-/// what `switch_led.p` holds is its interned machine slots: they peaked
-/// at 11.8 MiB (release) while every slot kept a 128-byte all-⊥ handler
-/// map and the spare capacity of the candidate it came from, and at
-/// 10.6 MiB while each shard kept a map of its hot keys' encoding
-/// lengths beside them; the run peaks near 9.4 MiB without either.
+/// `--mem-limit` sizes the hot visited tier and the interned machine
+/// slots, and under `1m` the slots were most of what `switch_led.p`
+/// held: it peaked at 11.8 MiB (release) while every slot kept a
+/// 128-byte all-⊥ handler map and the spare capacity of the candidate it
+/// came from, at 10.6 MiB while each shard kept a map of its hot keys'
+/// encoding lengths beside them, and at 9.4 MiB while the worker's
+/// interner kept every slot it met; it peaks near 6.3 MiB now that the
+/// interner drops the slots no configuration holds when it reaches its
+/// quarter of the limit.
 #[test]
 fn verify_on_switch_led_under_a_1m_limit_stays_under_its_measured_peak() {
     let args = ["--jobs", "1", "--mem-limit", "1m"];
@@ -115,6 +120,26 @@ fn verify_on_switch_led_under_a_1m_limit_stays_under_its_measured_peak() {
     assert!(
         peak <= SWITCH_LED_SPILL_PEAK_MIB,
         "p verify switch_led.p --mem-limit 1m peaked at {peak:.1} MiB, above {SWITCH_LED_SPILL_PEAK_MIB} MiB"
+    );
+}
+
+/// The bound: the highest peak measured on a 2-core x86-64 Linux box
+/// plus 10 %, 8.14 MiB in a release build (median 7.3–7.4 over two sets
+/// of ten runs; two workers' peaks spread wider than one's) and 9.39 MiB
+/// in a debug one.
+const SWITCH_LED_SPILL_JOBS2_PEAK_MIB: f64 = if cfg!(debug_assertions) { 10.4 } else { 9.0 };
+
+/// Two workers split the slots' quarter of the limit between their
+/// interners: `switch_led.p --mem-limit 1m --jobs 2` peaked at 10.8–11.5
+/// MiB (release) while each interner kept every slot it met.
+#[test]
+fn verify_on_switch_led_under_a_1m_limit_at_two_workers_stays_under_its_measured_peak() {
+    let args = ["--jobs", "2", "--mem-limit", "1m"];
+    let counts = ["180625 states, 633343 transitions"];
+    let peak = verify_peak_mib("switch_led.p", &args, &counts);
+    assert!(
+        peak <= SWITCH_LED_SPILL_JOBS2_PEAK_MIB,
+        "p verify switch_led.p --mem-limit 1m --jobs 2 peaked at {peak:.1} MiB, above {SWITCH_LED_SPILL_JOBS2_PEAK_MIB} MiB"
     );
 }
 
