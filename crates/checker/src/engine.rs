@@ -50,12 +50,11 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::checkpoint::VisitedEntry;
 use crate::error::CheckerError;
 use crate::fingerprint::{Fingerprint, FpHashMap, VisitedSet};
 use crate::por::SleepSet;
 use crate::stats::{ExplorationStats, PhaseNanos, SUMS};
-use crate::store::{RunStore, Runs, SpillCounters};
+use crate::store::{self, Layout, Record, Records, RunStore, Runs, SpillCounters};
 
 /// Outcome of offering a state to a visited store (the module docs hold
 /// the decision table).
@@ -278,24 +277,6 @@ struct SharedCold {
     spilling: Mutex<()>,
 }
 
-impl SharedCold {
-    /// Writes `batch` out as a run and hands every shard the new runs.
-    /// `shards` is every shard, locked: no lookup runs meanwhile.
-    fn spill(
-        &self,
-        shards: &mut [Locked<'_>],
-        batch: Vec<(u128, u128)>,
-        sleeps: Vec<(u128, u64)>,
-    ) -> Result<(), CheckerError> {
-        let mut store = self.visited.lock();
-        store.spill(batch, sleeps)?;
-        for shard in shards {
-            shard.runs = Some(store.runs());
-        }
-        Ok(())
-    }
-}
-
 /// A locked shard. The one place the hint is published: on release, if
 /// the visited keys moved (grown, drained by a spill, or restored).
 struct Locked<'a> {
@@ -426,6 +407,19 @@ impl Shard {
         }
     }
 
+    /// The hot keys in key order, each with its representative and
+    /// sleep set.
+    fn hot_records(&self) -> Vec<Record> {
+        let mut keys: Vec<Record> = (self.visited.iter())
+            .map(|(fp, code)| {
+                let (rep, sleep) = (self.reps.get(&fp), self.sleep(fp, Tier::Hot(code)));
+                (fp.as_u128(), rep.unwrap_or(&fp).as_u128(), sleep.0)
+            })
+            .collect();
+        keys.sort_unstable_by_key(|&(key, _, _)| key);
+        keys
+    }
+
     /// Bytes of the visited keys and their codes, the dictionary and the
     /// hash tables (from their capacities).
     fn bytes(&self) -> usize {
@@ -445,18 +439,27 @@ pub(crate) fn table_bytes<T>(capacity: usize) -> usize {
 }
 
 impl SharedTable {
-    /// An empty RAM-only table admitting at most `max` states.
-    pub(crate) fn new(max: usize) -> SharedTable {
-        SharedTable::build(max, None)
-    }
-
-    fn build(max: usize, cold: Option<SharedCold>) -> SharedTable {
+    /// An empty table admitting at most `max` states; with `spill =
+    /// Some((dir, hot_budget))` it spills its visited keys to `dir`
+    /// whenever the hot tier reaches `hot_budget` bytes.
+    pub(crate) fn open(
+        max: usize,
+        spill: Option<(&Path, usize)>,
+    ) -> Result<SharedTable, CheckerError> {
+        let cold = match spill {
+            None => None,
+            Some((dir, hot_budget)) => Some(SharedCold {
+                visited: Mutex::new(RunStore::create(dir)?),
+                hot_budget: hot_budget.max(1),
+                spilling: Mutex::new(()),
+            }),
+        };
         let runs = cold.as_ref().map(|cold| cold.visited.lock().runs());
         let shard = || Shard {
             runs: runs.clone(),
             ..Shard::default()
         };
-        SharedTable {
+        Ok(SharedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(shard())).collect(),
             hints: (0..SHARDS).map(|_| AtomicUsize::new(0)).collect(),
             unique: AtomicUsize::new(0),
@@ -466,7 +469,7 @@ impl SharedTable {
             max: max.max(1),
             max_marked: 0,
             cold,
-        }
+        })
     }
 
     fn lock(&self, shard: usize) -> Locked<'_> {
@@ -482,61 +485,37 @@ impl SharedTable {
         VisitedSet::prefetch(hint, key);
     }
 
-    fn cold_tier(dir: &Path, hot_budget: usize) -> Result<SharedCold, CheckerError> {
-        Ok(SharedCold {
-            visited: Mutex::new(RunStore::create(dir)?),
-            hot_budget: hot_budget.max(1),
-            spilling: Mutex::new(()),
-        })
-    }
-
-    /// An empty table spilling its visited keys to `dir` whenever the
-    /// hot tier reaches `hot_budget` bytes.
-    pub(crate) fn with_spill(
-        max: usize,
-        dir: &Path,
-        hot_budget: usize,
-    ) -> Result<SharedTable, CheckerError> {
-        let cold = SharedTable::cold_tier(dir, hot_budget)?;
-        Ok(SharedTable::build(max, Some(cold)))
-    }
-
-    /// Rebuilds a table from checkpointed entries. Without spilling the
-    /// entries become the hot tier and `stored_bytes` restores the
-    /// checkpointed figure; with spilling every restored key goes
-    /// straight to disk with its sleep set (the hot tier restarts empty,
-    /// and `stored_bytes` at zero).
+    /// Rebuilds a table from a checkpoint's visited `run` as it streams
+    /// in: into the hot tier, with `stored_bytes`, or with spilling onto
+    /// disk as the first run (the hot tier and `stored_bytes` empty).
     pub(crate) fn restore(
         max: usize,
         spill: Option<(&Path, usize)>,
-        entries: &[VisitedEntry],
         stored_bytes: usize,
+        run: Records<'_>,
     ) -> Result<SharedTable, CheckerError> {
-        let cold = match spill {
-            None => None,
-            Some((dir, hot_budget)) => Some(SharedTable::cold_tier(dir, hot_budget)?),
-        };
-        let table = SharedTable::build(max, cold);
-        table.unique.store(entries.len(), Ordering::SeqCst);
+        let table = SharedTable::open(max, spill)?;
+        table.unique.store(run.len as usize, Ordering::SeqCst);
         match &table.cold {
             None => {
-                for e in entries {
-                    let fp = Fingerprint::from_u128(e.fp);
+                for _ in 0..run.len {
+                    let (key, rep, sleep) = (run.next)()?;
+                    let fp = Fingerprint::from_u128(key);
                     let mut shard = table.lock(fp.shard(SHARDS));
                     shard.visited.insert(fp);
-                    if let Some(rep) = e.rep {
+                    if rep != key {
                         shard.reps.insert(fp, Fingerprint::from_u128(rep));
                     }
-                    shard.set_sleep(fp, Tier::Hot(0), SleepSet(e.sleep));
+                    shard.set_sleep(fp, Tier::Hot(0), SleepSet(sleep));
                 }
                 table.stored.store(stored_bytes, Ordering::SeqCst);
             }
             Some(cold) => {
-                let batch = entries.iter().map(|e| (e.fp, e.rep.unwrap_or(e.fp)));
-                let sleeps = entries.iter().filter(|e| e.sleep != 0);
-                let sleeps = sleeps.map(|e| (e.fp, e.sleep)).collect();
-                let mut shards: Vec<_> = (0..SHARDS).map(|i| table.lock(i)).collect();
-                cold.spill(&mut shards, batch.collect(), sleeps)?;
+                let mut store = cold.visited.lock();
+                store.spill(run)?;
+                for shard in 0..SHARDS {
+                    table.lock(shard).runs = Some(store.runs());
+                }
             }
         }
         Ok(table)
@@ -582,29 +561,25 @@ impl SharedTable {
             return Ok(());
         }
         let mut shards: Vec<_> = (0..SHARDS).map(|i| self.lock(i)).collect();
-        // Each key with a non-empty sleep set hands it to the run. Their
-        // vector is sized before the drain: grown while `batch` filled,
-        // it made the spill peak higher.
-        let coded = shards
-            .iter()
-            .map(|shard| shard.visited.iter().filter(|&(_, code)| code != 0).count());
-        let mut sleeps = Vec::with_capacity(coded.sum());
-        let mut batch = Vec::new();
-        for shard in shards.iter_mut() {
-            let shard = &mut **shard;
-            for (fp, code) in shard.visited.drain() {
-                let rep = shard.reps.remove(&fp).unwrap_or(fp);
-                batch.push((fp.as_u128(), rep.as_u128()));
-                if code != 0 {
-                    sleeps.push((fp.as_u128(), shard.sleep(fp, Tier::Hot(code)).0));
-                }
-            }
-            // No hot key is left to hold a code.
+        let (len, layout) = hot_run(&shards);
+        // A shard is a key range: its hot keys, sorted, follow the last
+        // shard's. The drained buckets are freed shard by shard.
+        let mut drained = shards.iter_mut().flat_map(|shard| {
+            let keys = shard.hot_records();
+            // No hot key is left to hold a code or a representative.
+            shard.visited = VisitedSet::default();
             shard.dict.clear();
             shard.escaped.clear();
-        }
+            shard.reps.clear();
+            keys
+        });
         self.stored.store(0, Ordering::SeqCst);
-        cold.spill(&mut shards, batch, sleeps)?;
+        let mut store = cold.visited.lock();
+        let next = &mut || Ok(drained.next().expect("a record per count"));
+        store.spill(Records { len, layout, next })?;
+        for shard in &mut shards {
+            shard.runs = Some(store.runs());
+        }
         // Given up before the shard locks, not after: a spiller preempted
         // in between would otherwise have every admit that gets in skip
         // its spill, and the hot tier grow for as long as it sleeps.
@@ -728,37 +703,47 @@ impl SharedTable {
         self.truncated.load(Ordering::SeqCst)
     }
 
-    /// Every visited entry (hot then cold), for checkpointing. Call only
-    /// while the workers are quiescent (at the checkpoint rendezvous or
-    /// after joining).
-    pub(crate) fn snapshot(&self) -> Result<Vec<VisitedEntry>, CheckerError> {
-        let mut visited = Vec::with_capacity(self.unique());
-        // A spilled key's set may be overridden in its shard: every shard
-        // is held (in the order a spill takes them) while the runs are
-        // read.
+    /// Hands `write` every visited key as one sorted run: the cold runs,
+    /// their overrides applied, merged with the hot keys a shard (a key
+    /// range) at a time. Call only while the workers are quiescent.
+    pub(crate) fn visited_run<T>(
+        &self,
+        write: impl FnOnce(Records<'_>) -> Result<T, CheckerError>,
+    ) -> Result<T, CheckerError> {
+        // Every shard is held, in the order a spill takes them, so no
+        // spill replaces the runs while they are read.
         let shards: Vec<_> = (0..SHARDS).map(|i| self.lock(i)).collect();
-        for shard in &shards {
-            for (fp, code) in shard.visited.iter() {
-                visited.push(VisitedEntry {
-                    fp: fp.as_u128(),
-                    sleep: shard.sleep(fp, Tier::Hot(code)).0,
-                    rep: shard.reps.get(&fp).map(|r| r.as_u128()),
-                });
-            }
-        }
-        if let Some(cold) = &self.cold {
-            for (key, rep, sleep) in cold.visited.lock().iter_all()? {
-                let fp = Fingerprint::from_u128(key);
-                let tier = Tier::Cold(SleepSet(sleep));
-                visited.push(VisitedEntry {
-                    fp: key,
-                    sleep: shards[fp.shard(SHARDS)].sleep(fp, tier).0,
-                    rep: (rep != key).then_some(rep),
-                });
-            }
-        }
-        Ok(visited)
+        let shards = &shards;
+        let runs = shards[0].runs.clone().unwrap_or_default();
+        let (cold, cold_len, mut sources) = runs.sources()?;
+        let (hot_len, hot) = hot_run(shards);
+        let overridden = |shard: &Locked<'_>| shard.overrides.values().any(|s| s.0 != 0);
+        let layout = Layout {
+            reps: hot.reps || cold.reps,
+            sleeps: hot.sleeps || cold.sleeps || shards.iter().any(overridden),
+        };
+        let len = hot_len + cold_len;
+        let mut hot_keys = shards.iter().flat_map(|shard| shard.hot_records());
+        sources.push(Box::new(move || Ok(hot_keys.next())));
+        let mut merged = store::merge(sources)?;
+        let next = &mut || {
+            let (key, rep, sleep) = merged()?.expect("a record per count");
+            // Only a spilled key has an override.
+            let fp = Fingerprint::from_u128(key);
+            let overrides = &shards[fp.shard(SHARDS)].overrides;
+            Ok((key, rep, overrides.get(&fp).map_or(sleep, |s| s.0)))
+        };
+        write(Records { len, layout, next })
     }
+}
+
+/// How many hot keys the shards hold, and which columns their records
+/// need.
+fn hot_run(shards: &[Locked<'_>]) -> (u64, Layout) {
+    let len = shards.iter().map(|shard| shard.visited.len() as u64).sum();
+    let reps = shards.iter().any(|shard| !shard.reps.is_empty());
+    let sleeps = (shards.iter()).any(|shard| shard.visited.iter().any(|(_, code)| code != 0));
+    (len, Layout { reps, sleeps })
 }
 
 /// Empty polls of every deque before an idle worker goes to sleep.
@@ -1054,6 +1039,55 @@ mod tests {
         dir
     }
 
+    impl SharedTable {
+        /// An empty RAM-only table admitting at most `max` states.
+        pub(crate) fn new(max: usize) -> SharedTable {
+            SharedTable::open(max, None).unwrap()
+        }
+
+        /// An empty table spilling to `dir` at `hot_budget` bytes.
+        pub(crate) fn with_spill(
+            max: usize,
+            dir: &Path,
+            hot_budget: usize,
+        ) -> Result<SharedTable, CheckerError> {
+            SharedTable::open(max, Some((dir, hot_budget)))
+        }
+    }
+
+    /// Every visited record of `table`, as a checkpoint streams them:
+    /// in key order, and in a layout with every column a record needs.
+    fn run_of(table: &SharedTable) -> Vec<Record> {
+        let all = table.visited_run(|run| {
+            let all: Vec<Record> = (0..run.len)
+                .map(|_| (run.next)())
+                .collect::<Result<_, _>>()?;
+            assert!(run.layout.reps || all.iter().all(|&(key, rep, _)| rep == key));
+            assert!(run.layout.sleeps || all.iter().all(|&(_, _, sleep)| sleep == 0));
+            Ok(all)
+        });
+        let all = all.unwrap();
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "in key order");
+        all
+    }
+
+    /// A table restored from `run`, as a resume streams it.
+    fn restore(
+        max: usize,
+        spill: Option<(&Path, usize)>,
+        run: &[Record],
+        stored: usize,
+    ) -> SharedTable {
+        let layout = Layout {
+            reps: run.iter().any(|&(key, rep, _)| rep != key),
+            sleeps: run.iter().any(|&(_, _, sleep)| sleep != 0),
+        };
+        let mut left = run.iter().copied();
+        let next = &mut || Ok(left.next().expect("a record per count"));
+        let len = run.len() as u64;
+        SharedTable::restore(max, spill, stored, Records { len, layout, next }).unwrap()
+    }
+
     /// A plain offer (no symmetry, no sleep set) of `fp(n)`.
     fn offer(table: &SharedTable, n: u32, bytes: usize) -> Admit {
         let no_sleep = SleepSet::empty();
@@ -1191,11 +1225,12 @@ mod tests {
     /// and the `ESCAPE` code is used; the visited set grows under them;
     /// a quarter of the cases spill, often or once the codes are used
     /// up, and widen spilled keys (to ∅ too) before and after the runs
-    /// are merged; a quarter bound the states; and every case snapshots
-    /// and restores at random points, the snapshot checked against the
-    /// model. `stored_bytes` is the model's hot bytes throughout; after
-    /// every spill `escaped` is empty and `overrides` holds exactly the
-    /// spilled keys widened since their spill.
+    /// are merged; a quarter bound the states; and every case streams its
+    /// visited run out and restores from it at random points, the run
+    /// checked against the model. `stored_bytes` is the model's hot
+    /// bytes throughout; after every spill `escaped` is empty and
+    /// `overrides` holds exactly the spilled keys widened since their
+    /// spill.
     #[test]
     fn admit_matches_a_model_of_the_decision_table() {
         let cases = if cfg!(debug_assertions) { 256 } else { 2_000 };
@@ -1249,10 +1284,10 @@ mod tests {
         };
         let dir = temp_dir(&format!("admit-model-{seed}"));
         let mut restores = 0;
-        let open = |restores: usize, entries: &[VisitedEntry], stored: usize| {
+        let open = |restores: usize, entries: &[Record], stored: usize| {
             let spill_dir = dir.join(restores.to_string());
             let spill = spill.then_some((spill_dir.as_path(), budget));
-            SharedTable::restore(max, spill, entries, stored).unwrap()
+            restore(max, spill, entries, stored)
         };
         let mut table = open(restores, &[], 0);
         // Key 0 (held apart by the visited set), keys of shard 0, and a
@@ -1275,19 +1310,14 @@ mod tests {
         let mut overridden: BTreeSet<u128> = BTreeSet::new();
         let mut case = ModelCase::default();
         let check = |table: &SharedTable, model: &BTreeMap<u128, (u128, u64)>| {
-            let entries = table.snapshot().unwrap();
+            let entries = run_of(table);
             let listed: BTreeMap<u128, (u128, u64)> = entries
                 .iter()
-                .map(|e| (e.fp, (e.rep.unwrap_or(e.fp), e.sleep)))
+                .map(|&(key, rep, sleep)| (key, (rep, sleep)))
                 .collect();
-            assert_eq!(
-                entries.len(),
-                listed.len(),
-                "seed {seed}: a key listed twice"
-            );
             assert!(
                 listed == *model,
-                "seed {seed}: the snapshot differs from the model"
+                "seed {seed}: the visited run differs from the model"
             );
             entries
         };
@@ -1422,11 +1452,9 @@ mod tests {
                 );
             }
 
-            let visited = table.snapshot().unwrap();
+            let visited = run_of(&table);
             assert_eq!(visited.len(), 8);
-            let restored = SharedTable::restore(2, None, &visited, 48)
-                .unwrap()
-                .annotated(table.marked());
+            let restored = restore(2, None, &visited, 48).annotated(table.marked());
             assert_eq!((restored.marked(), restored.unique()), (2, 6));
             assert_eq!(restored.mark(fp(100)).unwrap(), covered);
             assert_eq!(restored.mark(fp(102)).unwrap(), Admit::OverBound);
@@ -1744,15 +1772,14 @@ mod tests {
             offer(&table, n, 8);
         }
         assert!(table.spill_stats().records >= 6, "both tiers hold entries");
-        let mut entries = table.snapshot().unwrap();
+        let entries = run_of(&table);
         assert_eq!(entries.len(), table.unique());
-        entries.sort_by_key(|e| e.fp);
 
         // Restored to RAM everything is hot again; restored under a
         // memory limit everything lands on disk. Same behavior.
         let dir2 = temp_dir("tiered-snapshot-2");
         for (spill, stored) in [(None, 64), (Some((dir2.as_path(), 4)), 0)] {
-            let restored = SharedTable::restore(usize::MAX, spill, &entries, 64).unwrap();
+            let restored = restore(usize::MAX, spill, &entries, 64);
             assert_eq!(restored.unique(), entries.len());
             assert_eq!(restored.stored_bytes(), stored);
             let covered = Admit::Covered { merged: false };
@@ -1767,9 +1794,8 @@ mod tests {
                 Admit::Covered { merged: true },
                 "representatives survive the round trip"
             );
-            let mut again = restored.snapshot().unwrap();
-            again.sort_by_key(|e| e.fp);
-            assert_eq!(again, entries, "snapshot → restore → snapshot is lossless");
+            let again = run_of(&restored);
+            assert_eq!(again, entries, "write → restore → write is lossless");
         }
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
@@ -1863,11 +1889,10 @@ mod tests {
         for n in 1..12u32 {
             assert_eq!(offer(&table, n, 1), Admit::New);
         }
-        let mut visited = table.snapshot().unwrap();
-        visited.sort_by_key(|e| e.fp);
+        let visited = run_of(&table);
         assert_eq!(visited.len(), 12);
 
-        let restored = SharedTable::restore(usize::MAX, None, &visited, 12).unwrap();
+        let restored = restore(usize::MAX, None, &visited, 12);
         assert_eq!(restored.unique(), 12);
         assert_eq!(restored.stored_bytes(), 12);
         let covered = Admit::Covered { merged: false };
@@ -1875,7 +1900,7 @@ mod tests {
         assert_eq!(offer(&restored, 50, 1), Admit::New);
 
         let dir2 = temp_dir("shared-snapshot-2");
-        let respilled = SharedTable::restore(usize::MAX, Some((&dir2, 4)), &visited, 12).unwrap();
+        let respilled = restore(usize::MAX, Some((&dir2, 4)), &visited, 12);
         assert_eq!(respilled.unique(), 12);
         assert_eq!(respilled.stored_bytes(), 0);
         assert_eq!(offer(&respilled, 5, 1), covered);
@@ -1916,8 +1941,8 @@ mod tests {
         assert!(spilling.spill_stats().records > 0);
         assert!(hints_published(&spilling), "after spills");
 
-        let visited = table.snapshot().unwrap();
-        let restored = SharedTable::restore(usize::MAX, None, &visited, 0).unwrap();
+        let visited = run_of(&table);
+        let restored = restore(usize::MAX, None, &visited, 0);
         assert!(hints_published(&restored), "after a restore");
         assert!(restored
             .hints

@@ -32,7 +32,7 @@ use p_semantics::{
 
 use p_telemetry::Telemetry;
 
-use crate::checkpoint::{self, CheckpointData, CheckpointPolicy, TaskEntry};
+use crate::checkpoint::{self, malformed, CheckpointData, CheckpointPolicy, TaskEntry};
 use crate::engine::{
     hot_budget_for, slot_budget_for, table_bytes, Admit, Frontier, IdBlock, SharedCounters,
     SharedTable, TaskId, TaskIds,
@@ -559,7 +559,14 @@ impl<'p> Verifier<'p> {
         let spill_cfg = spill_config(options, &spill);
 
         let resumed = match &options.resume {
-            Some(dir) => Some(checkpoint::load(dir, digest)?),
+            Some(dir) => Some(checkpoint::load(dir, digest, |ckpt, visited| {
+                let stored = ckpt.stats.stored_bytes;
+                let table = SharedTable::restore(options.max_states, spill_cfg, stored, visited)?;
+                Ok(match S::ANNOTATED {
+                    true => table.annotated(ckpt.markers),
+                    false => table,
+                })
+            })?),
             None => None,
         };
 
@@ -580,12 +587,7 @@ impl<'p> Verifier<'p> {
         let ids = TaskIds::default();
         let (table, frontier) = match resumed {
             None => {
-                let table = match spill_cfg {
-                    None => SharedTable::new(options.max_states),
-                    Some((dir, budget)) => {
-                        SharedTable::with_spill(options.max_states, dir, budget)?
-                    }
-                };
+                let table = SharedTable::open(options.max_states, spill_cfg)?;
                 let table = if S::ANNOTATED {
                     table.annotated(0)
                 } else {
@@ -624,19 +626,15 @@ impl<'p> Verifier<'p> {
                 };
                 (table, Frontier::new(jobs, root))
             }
-            Some(ckpt) => {
-                let table = SharedTable::restore(
-                    options.max_states,
-                    spill_cfg,
-                    &ckpt.visited,
-                    ckpt.stats.stored_bytes,
-                )?;
-                let table = if S::ANNOTATED {
-                    table.annotated(ckpt.markers)
-                } else {
-                    table
-                };
-                let tasks = decode_frontier::<S>(ckpt.paths, &ckpt.frontier, &ids, self.program)?;
+            Some((ckpt, table)) => {
+                let mut tasks =
+                    decode_frontier::<S>(ckpt.paths, &ckpt.frontier, &ids, self.program)?;
+                // Each task's slots go to the interner of the worker whose
+                // queue `Frontier::from_tasks` puts it on, as its admit
+                // put them in an uninterrupted run.
+                for (i, task) in tasks.iter_mut().enumerate() {
+                    intern(&mut task.config, &mut interners[i % jobs], &slot_digests);
+                }
                 let mut base = ckpt.stats;
                 base_duration = base.duration;
                 base_truncated = base.truncated;
@@ -1175,7 +1173,6 @@ impl<S: Scheduler> Search<'_, S> {
     /// instantiations now share the optimizer's inlining budget for.
     #[inline(never)]
     fn write_checkpoint(&self, policy: &CheckpointPolicy) -> Result<(), CheckerError> {
-        let visited = self.table.snapshot()?;
         let tasks = self.frontier.snapshot_tasks();
         let (paths, ends) = TaskPath::flatten(tasks.iter().map(|task| &task.path));
         let mut stats = self.counters.totals();
@@ -1183,14 +1180,29 @@ impl<S: Scheduler> Search<'_, S> {
         stats.stored_bytes = self.table.stored_bytes();
         stats.truncated = self.truncated();
         stats.duration = self.base_duration + self.start.elapsed();
+        // In queue order: a one-worker run must pop identically after a
+        // resume.
+        let frontier = tasks.iter().zip(ends).map(|(task, path)| {
+            let mut note = Vec::new();
+            S::encode(&task.note, &mut note);
+            TaskEntry {
+                cfg: task.config.canonical_bytes(),
+                path,
+                depth: task.depth as u64,
+                sleep: task.sleep.0,
+                fresh: task.fresh,
+                note,
+            }
+        });
         let data = CheckpointData {
             stats,
-            visited,
             markers: self.table.marked(),
             paths,
-            frontier: encode_frontier::<S>(&tasks, ends),
+            frontier: frontier.collect(),
         };
-        checkpoint::write(&policy.dir, self.digest, &data)
+        let dir = &policy.dir;
+        self.table
+            .visited_run(|visited| checkpoint::write(dir, self.digest, &data, visited))
     }
 
     /// Whether a bound has cut the search short so far (in this process
@@ -1220,9 +1232,8 @@ fn worker_panic(payload: Box<dyn std::any::Any + Send>) -> CheckerError {
 }
 
 /// Where the spill (cold-tier) files live. Dropping the guard deletes
-/// the directory: checkpoints are self-contained (a snapshot drains the
-/// cold stores into the checkpoint file), so spill files never outlive
-/// the process that wrote them.
+/// the directory: a checkpoint holds its visited keys, cold ones too,
+/// so spill files never outlive the process that wrote them.
 #[derive(Debug)]
 struct SpillDir {
     path: PathBuf,
@@ -1325,28 +1336,6 @@ fn canonical_key(
     key
 }
 
-/// Serializes frontier tasks for a checkpoint (order-preserving: a
-/// one-worker run must pop identically after a resume); `ends` names each
-/// task's path in the checkpoint's forest.
-fn encode_frontier<S: Scheduler>(tasks: &[Task<S::Note>], ends: Vec<u32>) -> Vec<TaskEntry> {
-    tasks
-        .iter()
-        .zip(ends)
-        .map(|(task, path)| {
-            let mut note = Vec::new();
-            S::encode(&task.note, &mut note);
-            TaskEntry {
-                cfg: task.config.canonical_bytes(),
-                path,
-                depth: task.depth as u64,
-                sleep: task.sleep.0,
-                fresh: task.fresh,
-                note,
-            }
-        })
-        .collect()
-}
-
 /// Decodes checkpointed frontier tasks back into live configurations
 /// on the paths rebuilt from `forest`, numbered afresh from `ids`.
 fn decode_frontier<S: Scheduler>(
@@ -1355,24 +1344,19 @@ fn decode_frontier<S: Scheduler>(
     ids: &TaskIds,
     program: &LoweredProgram,
 ) -> Result<Vec<Task<S::Note>>, CheckerError> {
-    let n_events = program.event_count();
-    let paths = TaskPath::rebuild(forest).ok_or_else(|| {
-        CheckerError::CheckpointFormat("malformed path forest in checkpoint".to_owned())
-    })?;
+    let Some(paths) = TaskPath::rebuild(forest) else {
+        return malformed("malformed path forest");
+    };
     let mut block = IdBlock::default();
     entries
         .iter()
         .map(|t| {
-            let config = Config::from_canonical_bytes(&t.cfg, n_events).map_err(|e| {
-                CheckerError::CheckpointFormat(format!(
-                    "undecodable frontier configuration in checkpoint: {e}"
-                ))
-            })?;
-            let note = S::decode(&t.note).ok_or_else(|| {
-                CheckerError::CheckpointFormat(
-                    "undecodable scheduler annotation in checkpoint".to_owned(),
-                )
-            })?;
+            let config = Config::from_canonical_bytes(&t.cfg, program.event_count());
+            let config =
+                config.or_else(|e| malformed(format!("undecodable configuration: {e}")))?;
+            let Some(note) = S::decode(&t.note) else {
+                return malformed("undecodable scheduler annotation");
+            };
             Ok(Task {
                 config: Box::new(config),
                 id: ids.next(&mut block),

@@ -111,8 +111,8 @@ const _: () = assert!(std::mem::size_of::<Bucket>() == 64);
 /// §13): open addressing over 64-byte buckets of four keys, probed
 /// linearly from the bucket the key's low bits name (the shard router
 /// takes its top bits), doubled at 7/8 load. `0` marks an empty slot, so
-/// the fingerprint 0 is held apart. Nothing is removed but by
-/// [`VisitedSet::drain`], so a probe ends at the first empty slot.
+/// the fingerprint 0 is held apart. Nothing is removed, so a probe ends
+/// at the first empty slot.
 ///
 /// Each key carries a one-byte code, 0 until [`VisitedSet::set_code`]
 /// changes it (the checker keeps a sleep set's code there, DESIGN.md
@@ -234,19 +234,6 @@ impl VisitedSet {
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Fingerprint, u8)> + '_ {
         let zero = self.zero.map(|code| (0, code));
         let held = slots(self.buckets.iter().copied(), self.codes.iter().copied());
-        zero.into_iter()
-            .chain(held)
-            .map(|(k, code)| (Fingerprint(k), code))
-    }
-
-    /// Every key with its code, leaving the set empty. The keys are read
-    /// where they lie as the iterator is consumed, not copied out first;
-    /// the buckets are freed with the iterator.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (Fingerprint, u8)> {
-        let set = std::mem::take(self);
-        let zero = set.zero.map(|code| (0, code));
-        let buckets = Vec::from(set.buckets).into_iter();
-        let held = slots(buckets, Vec::from(set.codes).into_iter());
         zero.into_iter()
             .chain(held)
             .map(|(k, code)| (Fingerprint(k), code))
@@ -475,7 +462,8 @@ mod tests {
             let codes = if coded { set.buckets.len() } else { 0 };
             assert_eq!(set.codes.len(), codes, "round {round}: code array");
             if coded {
-                let mut drained: Vec<(u128, u8)> = set.drain().map(|(k, c)| (k.0, c)).collect();
+                let drained = std::mem::take(&mut set);
+                let mut drained: Vec<(u128, u8)> = drained.iter().map(|(k, c)| (k.0, c)).collect();
                 drained.sort_unstable();
                 assert!(
                     drained.into_iter().eq(model.clone()),

@@ -23,8 +23,14 @@
 //! costs no I/O.
 //!
 //! When the run count reaches [`MERGE_FANIN`], all runs are streamed
-//! through a k-way merge into one, keeping the blooms a lookup passes
-//! bounded instead of linear in the number of spills.
+//! through a k-way merge ([`merge`]) into one, keeping the blooms a
+//! lookup passes bounded instead of linear in the number of spills.
+//!
+//! A run is also the one on-disk form of the visited keys in a
+//! checkpoint: its visited section is records of [`Layout`], fed by the
+//! same merge over the cold runs and the hot keys
+//! (`SharedTable::visited_run`), and a resume under a limit copies the
+//! section back through [`RunStore::spill`] as the store's first run.
 //!
 //! The write side ([`RunStore`]) and the read side ([`Runs`]) are two
 //! types: a `Runs` is an immutable list of the runs as of one spill,
@@ -47,7 +53,7 @@ const KEY: usize = 16;
 const SLEEP: usize = 8;
 
 /// Bytes of the widest record: key, representative and sleep set.
-const MAX_WIDTH: usize = 2 * KEY + SLEEP;
+pub(crate) const MAX_WIDTH: usize = 2 * KEY + SLEEP;
 
 /// Records per fenced block: one fence (16 B of RAM) and at most one
 /// read of `BLOCK` records (2 to 5 KiB) per run probed.
@@ -69,22 +75,22 @@ fn le_u128(bytes: &[u8]) -> u128 {
 
 /// A record: the key, its representative (the key itself when it is its
 /// own) and the bits of its sleep set (0 = ∅).
-type Record = (u128, u128, u64);
+pub(crate) type Record = (u128, u128, u64);
 
 /// Which columns a run's records have besides the key.
-#[derive(Debug, Clone, Copy)]
-struct Layout {
-    reps: bool,
-    sleeps: bool,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Layout {
+    pub(crate) reps: bool,
+    pub(crate) sleeps: bool,
 }
 
 impl Layout {
-    fn width(self) -> usize {
+    pub(crate) fn width(self) -> usize {
         KEY + usize::from(self.reps) * KEY + usize::from(self.sleeps) * SLEEP
     }
 
     /// `record` as its `width()` bytes, in `buf`.
-    fn encode(self, (key, rep, sleep): Record, buf: &mut [u8; MAX_WIDTH]) -> &[u8] {
+    pub(crate) fn encode(self, (key, rep, sleep): Record, buf: &mut [u8; MAX_WIDTH]) -> &[u8] {
         buf[..KEY].copy_from_slice(&key.to_le_bytes());
         let mut at = KEY;
         if self.reps {
@@ -99,7 +105,7 @@ impl Layout {
     }
 
     /// The record in the `width()` bytes of `bytes`.
-    fn decode(self, bytes: &[u8]) -> Record {
+    pub(crate) fn decode(self, bytes: &[u8]) -> Record {
         let key = le_u128(bytes);
         let rep = if self.reps {
             le_u128(&bytes[KEY..])
@@ -115,6 +121,40 @@ impl Layout {
         };
         (key, rep, sleep)
     }
+}
+
+/// A run as it streams past: how many records, their layout, and their
+/// reader in ascending key order (a spill, a merge, a checkpoint's keys).
+pub(crate) struct Records<'a> {
+    pub(crate) len: u64,
+    pub(crate) layout: Layout,
+    pub(crate) next: &'a mut dyn FnMut() -> Result<Record, CheckerError>,
+}
+
+/// A stream of records in ascending key order, `None` after its last.
+pub(crate) type Sorted<'a> = Box<dyn FnMut() -> Result<Option<Record>, CheckerError> + 'a>;
+
+/// The k-way merge of `sources`, sorted streams of disjoint keys, into
+/// one: it holds one record of each.
+pub(crate) fn merge(sources: Vec<Sorted<'_>>) -> Result<Sorted<'_>, CheckerError> {
+    let mut heads = Vec::new();
+    for mut next in sources {
+        if let Some(record) = next()? {
+            heads.push((record, next));
+        }
+    }
+    Ok(Box::new(move || {
+        let Some(min_ix) = (0..heads.len()).min_by_key(|&i| heads[i].0 .0) else {
+            return Ok(None);
+        };
+        let (record, next) = &mut heads[min_ix];
+        let out = *record;
+        match next()? {
+            Some(after) => *record = after,
+            None => drop(heads.swap_remove(min_ix)),
+        }
+        Ok(Some(out))
+    }))
 }
 
 /// A bloom filter sized exactly to its run: probe positions come from a
@@ -207,17 +247,22 @@ impl Run {
     }
 
     /// A sequential reader over the run's records.
-    fn stream(&self) -> Result<impl FnMut() -> Result<Record, CheckerError> + '_, CheckerError> {
+    fn stream(&self) -> Result<Sorted<'_>, CheckerError> {
         let file = File::open(&self.path).map_err(|e| CheckerError::io(&self.path, e))?;
         let mut reader = BufReader::new(file);
-        Ok(move || {
+        let mut left = self.records;
+        Ok(Box::new(move || {
+            if left == 0 {
+                return Ok(None);
+            }
+            left -= 1;
             let mut record = [0u8; MAX_WIDTH];
             let record = &mut record[..self.layout.width()];
             reader
                 .read_exact(record)
                 .map_err(|e| CheckerError::io(&self.path, e))?;
-            Ok(self.layout.decode(record))
-        })
+            Ok(Some(self.layout.decode(record)))
+        }))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -291,6 +336,18 @@ impl Runs {
         }
         Ok(None)
     }
+
+    /// The layout, the record count and a sorted stream of each run: the
+    /// inputs of a merge.
+    pub(crate) fn sources(&self) -> Result<(Layout, u64, Vec<Sorted<'_>>), CheckerError> {
+        let layout = Layout {
+            reps: self.runs.iter().any(|run| run.layout.reps),
+            sleeps: self.runs.iter().any(|run| run.layout.sleeps),
+        };
+        let len = self.runs.iter().map(|run| run.records).sum();
+        let streams = self.runs.iter().map(|run| run.stream());
+        Ok((layout, len, streams.collect::<Result<_, _>>()?))
+    }
 }
 
 /// A log-structured store of sorted fingerprint-keyed runs: the write
@@ -345,27 +402,21 @@ impl RunStore {
             .sum()
     }
 
-    /// Writes the `records` records `next` yields in key order as a new
-    /// run, building its bloom and fences on the way, and makes `kept`
-    /// plus that run the current list.
-    fn write_run(
-        &mut self,
-        kept: &[Arc<Run>],
-        records: u64,
-        layout: Layout,
-        mut next: impl FnMut() -> Result<Record, CheckerError>,
-    ) -> Result<(), CheckerError> {
+    /// Writes `run` as a new run file, building its bloom and fences on
+    /// the way, and makes `kept` plus that run the current list.
+    fn write_run(&mut self, kept: &[Arc<Run>], run: Records<'_>) -> Result<(), CheckerError> {
+        let Records { len, layout, next } = run;
         let name = format!("visited-{:06}.run", self.runs_created);
         let path = self.dir.join(name);
         let io = |e| CheckerError::io(&path, e);
         // Opened for reading too: the lookups' handle. The directory is
         // this store's own, so the name is free.
         let file = File::create_new(&path).map_err(io)?;
-        let mut fences = Vec::with_capacity((records as usize).div_ceil(BLOCK));
-        let mut bloom = Bloom::for_records(records);
+        let mut fences = Vec::with_capacity((len as usize).div_ceil(BLOCK));
+        let mut bloom = Bloom::for_records(len);
         let mut out = BufWriter::new(&file);
         let mut buf = [0u8; MAX_WIDTH];
-        for n in 0..records {
+        for n in 0..len {
             let record = next()?;
             if n.is_multiple_of(BLOCK as u64) {
                 fences.push(record.0);
@@ -376,11 +427,11 @@ impl RunStore {
         out.flush().map_err(io)?;
         drop(out);
         self.runs_created += 1;
-        self.bytes_written += records * layout.width() as u64;
+        self.bytes_written += len * layout.width() as u64;
         let run = Run {
             path,
             file,
-            records,
+            records: len,
             layout,
             fences,
             bloom,
@@ -389,35 +440,14 @@ impl RunStore {
         Ok(())
     }
 
-    /// Spills `batch` — `(key, representative)` pairs, a key that is its
-    /// own representative paired with itself — as one new run, then
-    /// merges if the run count hit the fan-in. `sleeps` pairs keys of
-    /// the batch with their sleep sets; a key it does not name has ∅.
-    /// Keys must be unique (the hot tiers guarantee a key is spilled at
-    /// most once); order is irrelevant.
-    pub(crate) fn spill(
-        &mut self,
-        mut batch: Vec<(u128, u128)>,
-        mut sleeps: Vec<(u128, u64)>,
-    ) -> Result<(), CheckerError> {
-        if batch.is_empty() {
+    /// Writes `run` — keys not in the store yet: a drained hot tier, or a
+    /// checkpoint's — as a new run, then merges at the fan-in.
+    pub(crate) fn spill(&mut self, run: Records<'_>) -> Result<(), CheckerError> {
+        if run.len == 0 {
             return Ok(());
         }
-        batch.sort_unstable_by_key(|&(key, _)| key);
-        sleeps.sort_unstable_by_key(|&(key, _)| key);
-        let layout = Layout {
-            reps: batch.iter().any(|&(key, rep)| rep != key),
-            sleeps: sleeps.iter().any(|&(_, sleep)| sleep != 0),
-        };
-        let mut records = batch.iter().copied();
-        let mut sleeps = sleeps.into_iter().peekable();
         let kept = Arc::clone(&self.current.runs);
-        self.write_run(&kept, batch.len() as u64, layout, || {
-            let (key, rep) = records.next().expect("one per record of the batch");
-            let sleep = sleeps.next_if(|&(k, _)| k == key).map_or(0, |(_, s)| s);
-            Ok((key, rep, sleep))
-        })?;
-        debug_assert!(sleeps.next().is_none(), "a sleep set of a key not spilled");
+        self.write_run(&kept, run)?;
         if self.current.runs.len() >= MERGE_FANIN {
             self.merge_all()?;
         }
@@ -426,52 +456,17 @@ impl RunStore {
 
     /// Streams every run through a k-way merge into a single run.
     fn merge_all(&mut self) -> Result<(), CheckerError> {
-        let old = Arc::clone(&self.current.runs);
-        let mut heads = Vec::new();
-        for run in old.iter() {
-            let mut next = run.stream()?;
-            heads.push((next()?, run.records - 1, next));
-        }
-        let records = old.iter().map(|run| run.records).sum();
-        let layout = Layout {
-            reps: old.iter().any(|run| run.layout.reps),
-            sleeps: old.iter().any(|run| run.layout.sleeps),
-        };
-        self.write_run(&[], records, layout, || {
-            let (min_ix, _) = heads
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, ((key, _, _), _, _))| *key)
-                .expect("a head per record left");
-            let (record, left, next) = &mut heads[min_ix];
-            let out = *record;
-            if *left == 0 {
-                drop(heads.swap_remove(min_ix));
-            } else {
-                (*record, *left) = (next()?, *left - 1);
-            }
-            Ok(out)
-        })?;
-        for run in old.iter() {
+        let old = self.current.clone();
+        let (layout, len, sources) = old.sources()?;
+        let mut merged = merge(sources)?;
+        let next = &mut || Ok(merged()?.expect("a record per count"));
+        self.write_run(&[], Records { len, layout, next })?;
+        for run in old.runs.iter() {
             // Best-effort cleanup; a leftover file is dead weight, not
             // a correctness problem.
             let _ = fs::remove_file(&run.path);
         }
         Ok(())
-    }
-
-    /// Every `(key, representative, sleep set)` on disk, for checkpoint
-    /// serialization. Materializes the whole cold tier; checkpoints
-    /// already hold the full visited summary in memory while writing.
-    pub(crate) fn iter_all(&self) -> Result<Vec<Record>, CheckerError> {
-        let mut all = Vec::new();
-        for run in self.current.runs.iter() {
-            let mut next = run.stream()?;
-            for _ in 0..run.records {
-                all.push(next()?);
-            }
-        }
-        Ok(all)
     }
 }
 
@@ -492,6 +487,48 @@ mod tests {
         (u128::from(draws.next()) << 64) | u128::from(draws.next())
     }
 
+    /// Spills `batch` — `(key, representative)` pairs, a key that is its
+    /// own representative paired with itself, in any order — as the hot
+    /// tier does: sorted, each key with the sleep set `sleeps` pairs it
+    /// with (∅ if none), and with a column only if a record needs it.
+    fn spill_batch(
+        store: &mut RunStore,
+        mut batch: Vec<(u128, u128)>,
+        sleeps: Vec<(u128, u64)>,
+    ) -> Result<(), CheckerError> {
+        batch.sort_unstable();
+        let sleeps: BTreeMap<u128, u64> = sleeps.into_iter().collect();
+        let layout = Layout {
+            reps: batch.iter().any(|&(key, rep)| rep != key),
+            sleeps: sleeps.values().any(|&sleep| sleep != 0),
+        };
+        let mut records = batch
+            .iter()
+            .map(|&(key, rep)| (key, rep, sleeps.get(&key).map_or(0, |&s| s)));
+        let next = &mut || Ok(records.next().expect("a record per count"));
+        store.spill(Records {
+            len: batch.len() as u64,
+            layout,
+            next,
+        })
+    }
+
+    /// Every record on disk, in key order: the runs through the merge a
+    /// checkpoint reads them with.
+    fn all(store: &RunStore) -> Result<Vec<Record>, CheckerError> {
+        let runs = store.runs();
+        let (_, len, sources) = runs.sources()?;
+        let mut merged = merge(sources)?;
+        let all: Vec<Record> =
+            std::iter::from_fn(|| merged().transpose()).collect::<Result<_, _>>()?;
+        assert_eq!(all.len() as u64, len);
+        assert!(
+            all.windows(2).all(|w| w[0].0 < w[1].0),
+            "merged in key order"
+        );
+        Ok(all)
+    }
+
     /// The representative stored for `key`.
     fn get(store: &RunStore, key: u128) -> Option<u128> {
         store.runs().get(key).unwrap().map(|(rep, _)| rep)
@@ -502,7 +539,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let mut store = RunStore::create(&dir).unwrap();
         let batch: Vec<(u128, u128)> = (0..500).map(|i| (key(i), key(i + 1000))).collect();
-        store.spill(batch.clone(), vec![]).unwrap();
+        spill_batch(&mut store, batch.clone(), vec![]).unwrap();
         for &(k, rep) in &batch {
             assert_eq!(get(&store, k), Some(rep));
         }
@@ -520,7 +557,7 @@ mod tests {
         // 20 batches of 64: crosses the merge fan-in twice.
         for b in 0..20u64 {
             let batch = (0..64).map(|i| (key(b * 64 + i), b as u128)).collect();
-            store.spill(batch, vec![]).unwrap();
+            spill_batch(&mut store, batch, vec![]).unwrap();
         }
         let runs = store.current.runs.len();
         assert!(runs < MERGE_FANIN, "merge must bound the run count: {runs}");
@@ -530,10 +567,7 @@ mod tests {
                 assert_eq!(get(&store, key(b * 64 + i)), Some(b as u128), "{b}/{i}");
             }
         }
-        let mut all = store.iter_all().unwrap();
-        all.sort_unstable_by_key(|&(k, _, _)| k);
-        assert_eq!(all.len(), 20 * 64);
-        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "duplicate keys");
+        assert_eq!(all(&store).unwrap().len(), 20 * 64);
         let files = fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, runs, "a merge removes the runs it read");
         let _ = fs::remove_dir_all(&dir);
@@ -543,12 +577,18 @@ mod tests {
     fn a_spill_directory_holds_no_heap_file_and_keys_only_runs_are_16_bytes_a_record() {
         let dir = temp_dir("layout");
         let mut store = RunStore::create(&dir).unwrap();
-        store
-            .spill((0..100).map(|i| (key(i), key(i))).collect(), vec![])
-            .unwrap();
-        store
-            .spill((100..150).map(|i| (key(i), key(i) ^ 1)).collect(), vec![])
-            .unwrap();
+        spill_batch(
+            &mut store,
+            (0..100).map(|i| (key(i), key(i))).collect(),
+            vec![],
+        )
+        .unwrap();
+        spill_batch(
+            &mut store,
+            (100..150).map(|i| (key(i), key(i) ^ 1)).collect(),
+            vec![],
+        )
+        .unwrap();
         assert_eq!(get(&store, key(42)), Some(key(42)));
         assert_eq!(get(&store, key(142)), Some(key(142) ^ 1));
         let mut files: Vec<(String, u64)> = fs::read_dir(&dir)
@@ -590,17 +630,23 @@ mod tests {
             store.resident_bytes() as u64
         };
         let n = 8_000u64;
-        store
-            .spill((0..n).map(|i| (key(i), key(i))).collect(), vec![])
-            .unwrap();
-        store
-            .spill((n..n + 10).map(|i| (key(i), key(i))).collect(), vec![])
-            .unwrap();
+        spill_batch(
+            &mut store,
+            (0..n).map(|i| (key(i), key(i))).collect(),
+            vec![],
+        )
+        .unwrap();
+        spill_batch(
+            &mut store,
+            (n..n + 10).map(|i| (key(i), key(i))).collect(),
+            vec![],
+        )
+        .unwrap();
         assert_eq!(store.current.runs.len(), 2);
         let two_runs = exact(&store);
         for b in 1..MERGE_FANIN as u64 - 1 {
             let batch = (n + 10 * b..n + 10 * (b + 1)).map(|i| (key(i), key(i)));
-            store.spill(batch.collect(), vec![]).unwrap();
+            spill_batch(&mut store, batch.collect(), vec![]).unwrap();
         }
         assert_eq!(store.current.runs.len(), 1, "merged");
         let total = n + 10 * (MERGE_FANIN as u64 - 1);
@@ -677,7 +723,7 @@ mod tests {
                     batch.push((k, rep));
                     oracle.insert(k, (rep, sleep));
                 }
-                store.spill(batch, sleeps).unwrap();
+                spill_batch(&mut store, batch, sleeps).unwrap();
                 assert_eq!(store.counters().records, oracle.len() as u64);
                 for &k in oracle.keys() {
                     for probe in [k - 1, k, k + 1] {
@@ -690,10 +736,8 @@ mod tests {
                 }
             }
             assert!(store.runs_created > 2 * MERGE_FANIN as u64, "merged twice");
-            let mut all = store.iter_all().unwrap();
-            all.sort_unstable();
             let want: Vec<Record> = oracle.into_iter().map(|(k, (r, s))| (k, r, s)).collect();
-            assert_eq!(all, want, "{mode}");
+            assert_eq!(all(&store).unwrap(), want, "{mode}");
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -706,13 +750,16 @@ mod tests {
         let dir = temp_dir("sleep-layout");
         let mut store = RunStore::create(&dir).unwrap();
         let own = |range: std::ops::Range<u64>| range.map(|i| (key(i), key(i))).collect();
-        store.spill(own(0..10), vec![]).unwrap();
-        store
-            .spill(own(10..20), (10..15).map(|i| (key(i), i)).collect())
-            .unwrap();
+        spill_batch(&mut store, own(0..10), vec![]).unwrap();
+        spill_batch(
+            &mut store,
+            own(10..20),
+            (10..15).map(|i| (key(i), i)).collect(),
+        )
+        .unwrap();
         let reps = (20..30).map(|i| (key(i), key(i) ^ 1)).collect();
-        store.spill(reps, vec![(key(20), 1 << 63)]).unwrap();
-        store.spill(own(30..40), vec![(key(30), 0)]).unwrap();
+        spill_batch(&mut store, reps, vec![(key(20), 1 << 63)]).unwrap();
+        spill_batch(&mut store, own(30..40), vec![(key(30), 0)]).unwrap();
         let widths: Vec<usize> = store
             .current
             .runs
@@ -742,14 +789,12 @@ mod tests {
             for &(k, rep, sleep) in &want {
                 assert_eq!(runs.get(k).unwrap(), Some((rep, sleep)), "{k:#x}");
             }
-            let mut all = store.iter_all().unwrap();
-            all.sort_unstable();
             want.sort_unstable();
-            assert_eq!(all, want);
+            assert_eq!(all(store).unwrap(), want);
         };
         expect(&store);
         for b in 4..MERGE_FANIN as u64 {
-            store.spill(own(b * 10..b * 10 + 10), vec![]).unwrap();
+            spill_batch(&mut store, own(b * 10..b * 10 + 10), vec![]).unwrap();
         }
         assert_eq!(store.current.runs.len(), 1, "merged");
         assert_eq!(store.current.runs[0].layout.width(), 40);
@@ -766,7 +811,7 @@ mod tests {
         let mut store = RunStore::create(&dir).unwrap();
         let mut keys: Vec<u128> = (0..1_000).map(key).collect();
         let batch = keys.iter().map(|&k| (k, k)).collect();
-        store.spill(batch, vec![]).unwrap();
+        spill_batch(&mut store, batch, vec![]).unwrap();
         keys.sort_unstable();
         let path = store.current.runs[0].path.clone();
         let file = File::options().write(true).open(&path).unwrap();
@@ -778,9 +823,9 @@ mod tests {
         for k in [keys[500], keys[501], keys[999]] {
             assert!(runs.get(k).is_err_and(|e| is_io(&e)), "{k:#x}");
         }
-        assert!(store.iter_all().is_err_and(|e| is_io(&e)));
+        assert!(all(&store).is_err_and(|e| is_io(&e)));
         for b in 1..MERGE_FANIN as u64 {
-            let merged = store.spill(vec![(key(5_000 + b), 0)], vec![]);
+            let merged = spill_batch(&mut store, vec![(key(5_000 + b), 0)], vec![]);
             assert_eq!(
                 merged.is_err_and(|e| is_io(&e)),
                 b == MERGE_FANIN as u64 - 1
@@ -797,9 +842,12 @@ mod tests {
         let dir = temp_dir("flipped");
         let mut store = RunStore::create(&dir).unwrap();
         let n = 2_000u64;
-        store
-            .spill((0..n).map(|i| (key(i), key(i) ^ 1)).collect(), vec![])
-            .unwrap();
+        spill_batch(
+            &mut store,
+            (0..n).map(|i| (key(i), key(i) ^ 1)).collect(),
+            vec![],
+        )
+        .unwrap();
         let path = store.current.runs[0].path.clone();
         let mut bytes = fs::read(&path).unwrap();
         for flip in 0..400u64 {

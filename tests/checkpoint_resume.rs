@@ -467,7 +467,8 @@ fn corrupted_checkpoint_is_rejected() {
 /// A checkpoint of an earlier format — version 1's fingerprint-keyed
 /// parent records, version 2's visited keys from the canonical digest
 /// as it was before it changed representatives, version 3's tasks
-/// without a scheduler annotation, version 4's edge log — is refused by
+/// without a scheduler annotation, version 4's edge log, version 5's
+/// variable-width visited entries under one checksum — is refused by
 /// its version field, before anything in it is interpreted.
 #[test]
 fn version_1_checkpoint_is_refused() {
@@ -482,10 +483,10 @@ fn version_1_checkpoint_is_refused() {
     let mut bytes = std::fs::read(&file).unwrap();
     assert_eq!(
         bytes[4..8],
-        5u32.to_le_bytes(),
-        "this build writes version 5"
+        6u32.to_le_bytes(),
+        "this build writes version 6"
     );
-    for old in [1u32, 2, 3, 4] {
+    for old in [1u32, 2, 3, 4, 5] {
         bytes[4..8].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&file, &bytes).unwrap();
         let resumed = verify("german3.p", &["--symmetry", "--resume", dir_s]);
@@ -499,56 +500,58 @@ fn version_1_checkpoint_is_refused() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Seeded hostile bytes over a german4 checkpoint: byte flips,
-/// truncations and ranges spliced over others. Every resume ends in a
-/// typed checkpoint error and exit 2 — never a panic, never a verdict. A
-/// failure names the case's seed.
+/// Seeded hostile bytes over two german4 checkpoints, one resumed into
+/// RAM and one under `--mem-limit 256k`, whose visited keys a resume
+/// copies into the cold tier: byte flips, truncations and ranges spliced
+/// over others. Every resume ends in a typed checkpoint error and exit 2
+/// — never a panic, never a verdict. A failure names the case's seed.
 #[test]
 fn hostile_checkpoints_end_in_a_typed_error() {
-    let dir = temp_dir("hostile");
-    let dir_s = dir.to_str().unwrap();
-    let aborted = verify(
-        "german4.p",
-        &["--checkpoint", dir_s, "--abort-after", "1000"],
-    );
-    assert_eq!(exit_code(&aborted), 3, "{}", stderr(&aborted));
-    let file = dir.join("checkpoint.bin");
-    let pristine = std::fs::read(&file).unwrap();
-    let mut cases = 0;
-    for seed in 0u64.. {
-        if cases == 240 {
-            break;
-        }
-        let mut draws = p_core::ast::Draws::new(seed);
-        let mut bytes = pristine.clone();
-        match seed % 3 {
-            0 => bytes[draws.below(pristine.len())] ^= 1 << draws.below(8),
-            1 => bytes.truncate(draws.below(pristine.len())),
-            _ => {
-                let (from, to) = (draws.below(bytes.len()), draws.below(bytes.len()));
-                let len = 1 + draws.below(bytes.len() - from.max(to));
-                bytes.copy_within(from..from + len, to);
+    for limit in [&[][..], &["--mem-limit", "256k"]] {
+        let dir = temp_dir(&format!("hostile-{}", limit.len()));
+        let dir_s = dir.to_str().unwrap();
+        let abort = [&["--checkpoint", dir_s, "--abort-after", "1000"], limit].concat();
+        let aborted = verify("german4.p", &abort);
+        assert_eq!(exit_code(&aborted), 3, "{}", stderr(&aborted));
+        let file = dir.join("checkpoint.bin");
+        let pristine = std::fs::read(&file).unwrap();
+        let resume = [&["--resume", dir_s], limit].concat();
+        let mut cases = 0;
+        for seed in 0u64.. {
+            if cases == 240 {
+                break;
             }
+            let mut draws = p_core::ast::Draws::new(seed);
+            let mut bytes = pristine.clone();
+            match seed % 3 {
+                0 => bytes[draws.below(pristine.len())] ^= 1 << draws.below(8),
+                1 => bytes.truncate(draws.below(pristine.len())),
+                _ => {
+                    let (from, to) = (draws.below(bytes.len()), draws.below(bytes.len()));
+                    let len = 1 + draws.below(bytes.len() - from.max(to));
+                    bytes.copy_within(from..from + len, to);
+                }
+            }
+            if bytes == pristine {
+                continue;
+            }
+            cases += 1;
+            std::fs::write(&file, &bytes).unwrap();
+            let resumed = verify("german4.p", &resume);
+            let err = stderr(&resumed);
+            assert_eq!(
+                exit_code(&resumed),
+                2,
+                "{limit:?} seed {seed}: {}{err}",
+                stdout(&resumed)
+            );
+            assert!(
+                err.contains("invalid checkpoint") || err.contains("stale checkpoint"),
+                "{limit:?} seed {seed}: {err}"
+            );
         }
-        if bytes == pristine {
-            continue;
-        }
-        cases += 1;
-        std::fs::write(&file, &bytes).unwrap();
-        let resumed = verify("german4.p", &["--resume", dir_s]);
-        let err = stderr(&resumed);
-        assert_eq!(
-            exit_code(&resumed),
-            2,
-            "seed {seed}: {}{err}",
-            stdout(&resumed)
-        );
-        assert!(
-            err.contains("invalid checkpoint") || err.contains("stale checkpoint"),
-            "seed {seed}: {err}"
-        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The counterexamples of the three buggy corpus variants, as the checker

@@ -1,6 +1,7 @@
 //! The memory of `p verify` on `german5.p` (plain, with `--por
 //! --symmetry` without and under `--mem-limit 2m`, and with `--profile`)
-//! and on `switch_led.p` under `--mem-limit 1m` at one and two workers.
+//! and on `switch_led.p` under `--mem-limit 1m` at one and two workers,
+//! and what checkpoints and a resume add to it.
 //! A test binary of its own: it reads each child's peak resident set
 //! from `wait4` (`support/peak_rss.rs`), and wants no sibling test's
 //! children in between. Linux only.
@@ -20,6 +21,15 @@ use peak_rss::wait_with_peak_mib;
 /// it passes with each of `expect` in its report, and returns its peak
 /// in MiB.
 fn verify_peak_mib(name: &str, args: &[&str], expect: &[&str]) -> f64 {
+    let (status, stdout, peak) = verify_run(name, args);
+    assert_eq!(status, 0, "p verify {name} did not exit 0:\n{stdout}");
+    assert!(expect.iter().all(|e| stdout.contains(e)), "{stdout}");
+    peak
+}
+
+/// Runs `p verify` on the corpus program `name` with `args` and returns
+/// its wait status, its report and its peak in MiB.
+fn verify_run(name: &str, args: &[&str]) -> (i32, String, f64) {
     let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../corpus/programs")
         .join(name);
@@ -37,9 +47,7 @@ fn verify_peak_mib(name: &str, args: &[&str], expect: &[&str]) -> f64 {
     let mut stdout = String::new();
     let mut pipe = child.stdout.take().expect("stdout was piped");
     pipe.read_to_string(&mut stdout).unwrap();
-    assert_eq!(status, 0, "p verify {name} did not exit 0:\n{stdout}");
-    assert!(expect.iter().all(|e| stdout.contains(e)), "{stdout}");
-    peak
+    (status, stdout, peak)
 }
 
 /// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
@@ -160,5 +168,67 @@ fn verify_on_german5_reduced_under_a_2m_limit_stays_under_its_measured_peak() {
     assert!(
         peak <= GERMAN5_REDUCED_SPILL_PEAK_MIB,
         "p verify german5.p --por --symmetry --mem-limit 2m peaked at {peak:.1} MiB, above {GERMAN5_REDUCED_SPILL_PEAK_MIB} MiB"
+    );
+}
+
+/// A fresh directory for a checkpoint.
+fn checkpoint_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("p-verify-memory-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A checkpoint streams the visited keys from the table into the file a
+/// shard's hot keys at a time, so checkpointing every 20 000 states
+/// peaks within 1 MiB of the same run without checkpoints, in RAM and
+/// under a limit. The run peaked 15–23 MiB above it (release) while a
+/// checkpoint held the whole visited set three times: as entries, as a
+/// payload and as the file's bytes.
+#[test]
+fn checkpoints_cost_at_most_a_mebibyte() {
+    let german5 = ["155967 states, 680224 transitions"];
+    let switch_led = ["180625 states, 633343 transitions"];
+    for (name, limit, counts) in [
+        ("german5.p", &[][..], german5),
+        ("german5.p", &["--mem-limit", "2m"], german5),
+        ("switch_led.p", &["--mem-limit", "1m"], switch_led),
+    ] {
+        let args = [&["--jobs", "1"], limit].concat();
+        let plain = verify_peak_mib(name, &args, &counts);
+        let dir = checkpoint_dir("every");
+        let dir_s = dir.to_str().unwrap();
+        let every = ["--checkpoint", dir_s, "--checkpoint-every", "20000"];
+        let checkpointing = verify_peak_mib(name, &[&args, &every[..]].concat(), &counts);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            checkpointing <= plain + 1.0,
+            "p verify {name} {limit:?} peaked at {checkpointing:.1} MiB with checkpoints, at {plain:.1} without"
+        );
+    }
+}
+
+/// A resume streams the checkpoint's visited keys into the table, under
+/// a limit straight into the cold tier's first run: `german5.p` under
+/// `--mem-limit 2m`, resumed from a checkpoint of 80 000 states, peaks
+/// within 1 MiB of the uninterrupted run. It peaked about 19 MiB above
+/// it (release) while the file, its entries and their sorted batch were
+/// each held whole.
+#[test]
+fn a_resume_under_a_limit_costs_at_most_a_mebibyte() {
+    let counts = ["155967 states, 680224 transitions"];
+    let args = ["--jobs", "1", "--mem-limit", "2m"];
+    let plain = verify_peak_mib("german5.p", &args, &counts);
+    let dir = checkpoint_dir("resume");
+    let dir_s = dir.to_str().unwrap();
+    let abort = ["--checkpoint", dir_s, "--abort-after", "80000"];
+    let (status, stdout, _) = verify_run("german5.p", &[&args[..], &abort].concat());
+    // A wait status: the exit code is its second byte.
+    assert_eq!(status, 3 << 8, "the aborted run did not exit 3:\n{stdout}");
+    let resume = [&args[..], &["--resume", dir_s]].concat();
+    let resumed = verify_peak_mib("german5.p", &resume, &counts);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        resumed <= plain + 1.0,
+        "p verify german5.p --mem-limit 2m peaked at {resumed:.1} MiB resumed, at {plain:.1} uninterrupted"
     );
 }
