@@ -433,7 +433,10 @@ impl Shard {
 
 /// Bytes a std hash table with room for `capacity` entries of `T`
 /// allocates: one bucket and one control byte per slot, seven slots in
-/// eight usable.
+/// eight usable. These tables are heap memory, which the allocator may
+/// keep resident after they are freed; the visited buckets of a table
+/// past a few lines are pages of their own, and [`VisitedSet::bytes`]
+/// counts what the set uses of them.
 pub(crate) fn table_bytes<T>(capacity: usize) -> usize {
     capacity * 8 / 7 * (std::mem::size_of::<T>() + 1)
 }

@@ -107,6 +107,238 @@ struct Bucket([u128; BUCKET_KEYS]);
 
 const _: () = assert!(std::mem::size_of::<Bucket>() == 64);
 
+// SAFETY: a bucket is four `u128`s, and zero bytes are the integer 0.
+unsafe impl Zeroed for Bucket {}
+// SAFETY: zero bytes are four `u8` zeros.
+unsafe impl Zeroed for [u8; BUCKET_KEYS] {}
+
+/// Whole pages of memory of their own for the [`VisitedSet`] arrays. A
+/// module apart, so that only its functions can change what its
+/// `unsafe` blocks rely on.
+mod pages {
+    use std::ptr::NonNull;
+
+    /// The granule of [`Pages`]: a mapping is a whole number of these.
+    pub(super) const PAGE: usize = 4096;
+
+    /// A type whose all-zero bytes are a valid value, so that [`Pages`]
+    /// can hand out fresh anonymous pages as values of it.
+    ///
+    /// # Safety
+    ///
+    /// The all-zero bit pattern must be a valid value of the type.
+    pub(super) unsafe trait Zeroed {}
+
+    /// `len` values of `T` in an anonymous private mapping of their own,
+    /// made of whole pages (DESIGN.md §13): dropping it gives the pages
+    /// straight back to the kernel, so no allocator keeps them resident.
+    /// Empty, it maps nothing.
+    pub(super) struct Pages<T: Zeroed> {
+        ptr: NonNull<T>,
+        len: usize,
+        /// Bytes mapped at `ptr`, a multiple of [`PAGE`]; 0 for none.
+        mapped: usize,
+    }
+
+    impl<T: Zeroed> Pages<T> {
+        /// `len` zeroed values on pages of their own.
+        pub(super) fn zeroed(len: usize) -> Pages<T> {
+            const { assert!(std::mem::align_of::<T>() <= PAGE) };
+            let mapped = (len * std::mem::size_of::<T>()).next_multiple_of(PAGE);
+            if mapped == 0 {
+                return Pages::default();
+            }
+            let ptr = sys::map(mapped).cast();
+            Pages { ptr, len, mapped }
+        }
+
+        /// Bytes mapped, a whole number of pages.
+        #[cfg(test)]
+        pub(super) fn mapped(&self) -> usize {
+            self.mapped
+        }
+    }
+
+    impl<T: Zeroed> Default for Pages<T> {
+        fn default() -> Pages<T> {
+            Pages {
+                ptr: NonNull::dangling(),
+                len: 0,
+                mapped: 0,
+            }
+        }
+    }
+
+    impl<T: Zeroed> Drop for Pages<T> {
+        fn drop(&mut self) {
+            if self.mapped > 0 {
+                // SAFETY: `ptr` and `mapped` are what `map` returned and
+                // was asked for, and nothing borrows the values past this
+                // drop.
+                unsafe { sys::unmap(self.ptr.cast(), self.mapped) }
+            }
+        }
+    }
+
+    impl<T: Zeroed> std::ops::Deref for Pages<T> {
+        type Target = [T];
+        fn deref(&self) -> &[T] {
+            // SAFETY: `len` values fit the `mapped` bytes at `ptr`, which
+            // this owns (`zeroed` sized them so, and nothing changes
+            // either after); `ptr` is page-aligned, so aligned for `T`
+            // (`zeroed` checks it); each value is initialised, as a
+            // mapping starts zeroed and zero bytes are a `T` (`Zeroed`).
+            // Empty, `ptr` is dangling but aligned, as an empty slice's
+            // may be.
+            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    impl<T: Zeroed> std::ops::DerefMut for Pages<T> {
+        fn deref_mut(&mut self) -> &mut [T] {
+            // SAFETY: as for `deref`; `&mut self` makes the borrow unique.
+            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+        }
+    }
+
+    // SAFETY: `Pages` owns its values as a `Box<[T]>` does: `ptr` is
+    // shared with no one, and `len` and `mapped` are plain numbers.
+    unsafe impl<T: Zeroed + Send> Send for Pages<T> {}
+    // SAFETY: `&Pages` only gives out `&[T]`, as `&Box<[T]>` does.
+    unsafe impl<T: Zeroed + Sync> Sync for Pages<T> {}
+
+    /// The system side: `mmap` and `munmap`, declared here as the
+    /// repository vendors no `libc` crate.
+    #[cfg(unix)]
+    mod sys {
+        use std::alloc::{handle_alloc_error, Layout};
+        use std::ffi::{c_int, c_long, c_void};
+        use std::ptr::NonNull;
+
+        const PROT_READ: c_int = 1;
+        const PROT_WRITE: c_int = 2;
+        const MAP_PRIVATE: c_int = 2;
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        const MAP_ANONYMOUS: c_int = 0x20;
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        const MAP_ANONYMOUS: c_int = 0x1000;
+        /// Fault the pages in with the mapping: one call in place of a
+        /// fault per page, which the set would take anyway (a rehash
+        /// writes every page of its table).
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        const MAP_POPULATE: c_int = 0x8000;
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        const MAP_POPULATE: c_int = 0;
+
+        extern "C" {
+            fn mmap(
+                addr: *mut c_void,
+                len: usize,
+                prot: c_int,
+                flags: c_int,
+                fd: c_int,
+                offset: c_long,
+            ) -> *mut c_void;
+            fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        }
+
+        /// `bytes` (whole pages) of zeroed memory in a mapping of their
+        /// own; a failed mapping aborts as a failed allocation does.
+        pub(super) fn map(bytes: usize) -> NonNull<u8> {
+            // SAFETY: an anonymous private mapping at an address of the
+            // kernel's choosing aliases nothing: it reads no memory of
+            // ours and changes none.
+            let ptr = unsafe {
+                mmap(
+                    std::ptr::null_mut(),
+                    bytes,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE,
+                    -1,
+                    0,
+                )
+            };
+            // `MAP_FAILED` is the address −1.
+            if ptr as isize == -1 {
+                handle_alloc_error(Layout::from_size_align(bytes, super::PAGE).unwrap())
+            }
+            super::counted(bytes as isize);
+            NonNull::new(ptr.cast()).expect("mmap returns no null mapping")
+        }
+
+        /// Unmaps what [`map`] returned.
+        ///
+        /// # Safety
+        ///
+        /// `ptr` and `bytes` are a [`map`] call's result and argument,
+        /// and nothing reads or writes the mapping after this.
+        pub(super) unsafe fn unmap(ptr: NonNull<u8>, bytes: usize) {
+            super::counted(-(bytes as isize));
+            // SAFETY: the caller's contract: the range is one whole
+            // mapping of ours that nothing uses any more. Unmapping a
+            // whole mapping splits none, so it cannot fail for want of
+            // room, and a drop has no one to tell if it did.
+            let _ = unsafe { munmap(ptr.as_ptr().cast(), bytes) };
+        }
+    }
+
+    /// The other side, where there is no `mmap`: page-aligned zeroed
+    /// allocations.
+    #[cfg(not(unix))]
+    mod sys {
+        use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+        use std::ptr::NonNull;
+
+        fn layout(bytes: usize) -> Layout {
+            Layout::from_size_align(bytes, super::PAGE).unwrap()
+        }
+
+        pub(super) fn map(bytes: usize) -> NonNull<u8> {
+            // SAFETY: `bytes` is a non-zero multiple of the alignment.
+            let ptr = unsafe { alloc_zeroed(layout(bytes)) };
+            super::counted(bytes as isize);
+            NonNull::new(ptr).unwrap_or_else(|| handle_alloc_error(layout(bytes)))
+        }
+
+        /// # Safety
+        ///
+        /// As the `mmap` side's.
+        pub(super) unsafe fn unmap(ptr: NonNull<u8>, bytes: usize) {
+            super::counted(-(bytes as isize));
+            // SAFETY: `ptr` came from `map(bytes)`, with the same layout.
+            unsafe { dealloc(ptr.as_ptr(), layout(bytes)) }
+        }
+    }
+
+    #[cfg(test)]
+    thread_local! {
+        /// Bytes this thread has mapped and not unmapped.
+        static MAPPED: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Bytes this thread has mapped and not unmapped, in test builds.
+    #[cfg(test)]
+    pub(super) fn mapped_bytes() -> isize {
+        MAPPED.with(|mapped| mapped.get())
+    }
+
+    /// Counts `bytes` mapped (negative: unmapped) in test builds.
+    fn counted(bytes: isize) {
+        #[cfg(test)]
+        MAPPED.with(|mapped| mapped.set(mapped.get() + bytes));
+        #[cfg(not(test))]
+        let _ = bytes;
+    }
+}
+
+use pages::{Pages, Zeroed};
+
+/// Buckets a [`VisitedSet`] holds in itself before it maps pages: a
+/// search of a few thousand states (64 shards of up to 56 keys) maps
+/// none, as mapping and unmapping a page for each shard costs more than
+/// such a search.
+const INLINE: usize = 16;
+
 /// A set of fingerprints whose probe reads one cache line (DESIGN.md
 /// §13): open addressing over 64-byte buckets of four keys, probed
 /// linearly from the bucket the key's low bits name (the shard router
@@ -114,17 +346,30 @@ const _: () = assert!(std::mem::size_of::<Bucket>() == 64);
 /// the fingerprint 0 is held apart. Nothing is removed, so a probe ends
 /// at the first empty slot.
 ///
+/// A table of up to [`INLINE`] buckets is in the set itself; a larger
+/// one is on [`Pages`] of its own, not heap memory: when a grow replaces
+/// them or a spill drains the set, the old generation goes back to the
+/// kernel at once instead of staying resident in the allocator's free
+/// lists.
+///
 /// Each key carries a one-byte code, 0 until [`VisitedSet::set_code`]
 /// changes it (the checker keeps a sleep set's code there, DESIGN.md
-/// §10). The codes sit in an array of their own, four bytes per bucket,
-/// allocated when the first non-zero code is stored: a set that only
-/// ever holds 0 allocates none.
+/// §10). The codes sit beside the buckets, four bytes per bucket, from
+/// the first non-zero code on: a set that only ever holds 0 maps none.
 #[derive(Default)]
 pub(crate) struct VisitedSet {
-    buckets: Box<[Bucket]>,
-    /// The code of each slot of `buckets`, or empty while every code is 0.
-    codes: Box<[[u8; BUCKET_KEYS]]>,
-    /// Keys in `buckets`.
+    /// The buckets and codes of a table of up to [`INLINE`] buckets.
+    inline: ([Bucket; INLINE], [[u8; BUCKET_KEYS]; INLINE]),
+    /// The buckets of a larger table.
+    pages: Pages<Bucket>,
+    /// The codes of a larger table, once `coded`.
+    code_pages: Pages<[u8; BUCKET_KEYS]>,
+    /// Buckets in the table: 0 or a power of two.
+    buckets: usize,
+    /// Whether a non-zero code has been stored: before, every code is 0
+    /// and none is kept.
+    coded: bool,
+    /// Keys in the table.
     len: usize,
     /// The code of the fingerprint 0, if held.
     zero: Option<u8>,
@@ -135,9 +380,10 @@ impl VisitedSet {
         self.len + usize::from(self.zero.is_some())
     }
 
-    /// Bytes of the buckets and the codes.
+    /// Bytes of the buckets and the codes the table uses, wherever they
+    /// are and not rounded to pages: a set of one bucket counts 64.
     pub(crate) fn bytes(&self) -> usize {
-        self.buckets.len() * std::mem::size_of::<Bucket>() + self.codes.len() * BUCKET_KEYS
+        self.buckets * std::mem::size_of::<Bucket>() + self.codes().len() * BUCKET_KEYS
     }
 
     pub(crate) fn contains(&self, key: Fingerprint) -> bool {
@@ -148,13 +394,30 @@ impl VisitedSet {
     pub(crate) fn code(&self, key: Fingerprint) -> Option<u8> {
         match key.0 {
             0 => self.zero,
-            _ if self.buckets.is_empty() => None,
+            _ if self.buckets == 0 => None,
             key => self.probe(key).ok().map(|(b, s)| self.slot_code(b, s)),
         }
     }
 
     fn slot_code(&self, b: usize, s: usize) -> u8 {
-        self.codes.get(b).map_or(0, |codes| codes[s])
+        self.codes().get(b).map_or(0, |codes| codes[s])
+    }
+
+    /// The table's buckets, wherever they are.
+    fn table(&self) -> &[Bucket] {
+        match self.buckets <= INLINE {
+            true => &self.inline.0[..self.buckets],
+            false => &self.pages,
+        }
+    }
+
+    /// The table's codes; empty until `coded`.
+    fn codes(&self) -> &[[u8; BUCKET_KEYS]] {
+        match (self.coded, self.buckets <= INLINE) {
+            (false, _) => &[],
+            (true, true) => &self.inline.1[..self.buckets],
+            (true, false) => &self.code_pages,
+        }
     }
 
     /// Adds `key` with code 0; whether it was new.
@@ -164,13 +427,13 @@ impl VisitedSet {
             self.zero.get_or_insert(0);
             return new;
         }
-        if (self.len + 1) * 8 > self.buckets.len() * BUCKET_KEYS * 7 {
+        if (self.len + 1) * 8 > self.buckets * BUCKET_KEYS * 7 {
             self.grow();
         }
         let Err((b, s)) = self.probe(key.0) else {
             return false;
         };
-        self.buckets[b].0[s] = key.0;
+        self.place(b, s, key.0, 0);
         self.len += 1;
         true
     }
@@ -185,22 +448,44 @@ impl VisitedSet {
         let Ok((b, s)) = self.probe(key.0) else {
             panic!("set_code on a key not held")
         };
-        if self.codes.is_empty() {
+        if !self.coded {
             if code == 0 {
                 return;
             }
-            self.codes = vec![[0; BUCKET_KEYS]; self.buckets.len()].into();
+            self.coded = true;
+            if self.buckets > INLINE {
+                self.code_pages = Pages::zeroed(self.buckets);
+            }
         }
-        self.codes[b][s] = code;
+        self.place(b, s, key.0, code);
+    }
+
+    /// Writes `key` with `code` (0 until `coded`) into slot `s` of
+    /// bucket `b`.
+    fn place(&mut self, b: usize, s: usize, key: u128, code: u8) {
+        let small = self.buckets <= INLINE;
+        let bucket = match small {
+            true => &mut self.inline.0[b],
+            false => &mut self.pages[b],
+        };
+        bucket.0[s] = key;
+        if self.coded {
+            let codes = match small {
+                true => &mut self.inline.1[b],
+                false => &mut self.code_pages[b],
+            };
+            codes[s] = code;
+        }
     }
 
     /// Where the non-zero `key` is as (bucket, slot) if held, else the
     /// empty slot it goes to. The load bound leaves one slot empty.
     fn probe(&self, key: u128) -> Result<(usize, usize), (usize, usize)> {
-        let mask = self.buckets.len() - 1;
+        let table = self.table();
+        let mask = table.len() - 1;
         let mut b = key as usize & mask;
         loop {
-            for (s, &held) in self.buckets[b].0.iter().enumerate() {
+            for (s, &held) in table[b].0.iter().enumerate() {
                 if held == key {
                     return Ok((b, s));
                 }
@@ -212,28 +497,37 @@ impl VisitedSet {
         }
     }
 
+    /// Doubles the table: into the set itself while it stays small, else
+    /// onto new pages. The old generation is zeroed, or unmapped once it
+    /// is rehashed.
     fn grow(&mut self) {
-        let buckets = (2 * self.buckets.len()).max(1);
-        let old = std::mem::replace(&mut self.buckets, vec![Bucket::default(); buckets].into());
-        let old_codes = std::mem::take(&mut self.codes);
-        if !old_codes.is_empty() {
-            self.codes = vec![[0; BUCKET_KEYS]; buckets].into();
+        let (old, buckets) = (self.buckets, (2 * self.buckets).max(1));
+        let inline = std::mem::take(&mut self.inline);
+        let old_pages = std::mem::take(&mut self.pages);
+        let old_codes = std::mem::take(&mut self.code_pages);
+        let held: (&[Bucket], &[[u8; BUCKET_KEYS]]) = match old <= INLINE {
+            true => (&inline.0[..old], &inline.1),
+            false => (&old_pages, &old_codes),
+        };
+        if buckets > INLINE {
+            self.pages = Pages::zeroed(buckets);
+            if self.coded {
+                self.code_pages = Pages::zeroed(buckets);
+            }
         }
-        for (key, code) in slots(old.iter().copied(), old_codes.iter().copied()) {
+        self.buckets = buckets;
+        for (key, code) in slots(held.0.iter().copied(), held.1.iter().copied()) {
             let Err((b, s)) = self.probe(key) else {
                 unreachable!("the keys of a set are distinct")
             };
-            self.buckets[b].0[s] = key;
-            if code != 0 {
-                self.codes[b][s] = code;
-            }
+            self.place(b, s, key, code);
         }
     }
 
     /// Every key with its code.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Fingerprint, u8)> + '_ {
         let zero = self.zero.map(|code| (0, code));
-        let held = slots(self.buckets.iter().copied(), self.codes.iter().copied());
+        let held = slots(self.table().iter().copied(), self.codes().iter().copied());
         zero.into_iter()
             .chain(held)
             .map(|(k, code)| (Fingerprint(k), code))
@@ -243,9 +537,9 @@ impl VisitedSet {
     /// address (64-byte aligned) with log₂ of their number in the low six
     /// bits, or 0 for none.
     pub(crate) fn hint(&self) -> usize {
-        match self.buckets.len() {
+        match self.buckets {
             0 => 0,
-            n => self.buckets.as_ptr() as usize | n.trailing_zeros() as usize,
+            n => self.table().as_ptr() as usize | n.trailing_zeros() as usize,
         }
     }
 
@@ -293,7 +587,7 @@ pub(crate) fn prefetch_line(line: usize) {
 
 impl fmt::Debug for VisitedSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let buckets = self.buckets.len();
+        let buckets = self.buckets;
         write!(f, "VisitedSet({} keys, {buckets} buckets)", self.len())
     }
 }
@@ -456,11 +750,11 @@ mod tests {
             listed.sort_unstable();
             assert!(listed.into_iter().eq(model.clone()), "round {round}: iter");
             assert!(
-                set.len * 8 <= set.buckets.len() * BUCKET_KEYS * 7,
+                set.len * 8 <= set.buckets * BUCKET_KEYS * 7,
                 "over 7/8 load"
             );
-            let codes = if coded { set.buckets.len() } else { 0 };
-            assert_eq!(set.codes.len(), codes, "round {round}: code array");
+            let codes = if coded { set.buckets } else { 0 };
+            assert_eq!(set.codes().len(), codes, "round {round}: code array");
             if coded {
                 let drained = std::mem::take(&mut set);
                 let mut drained: Vec<(u128, u8)> = drained.iter().map(|(k, c)| (k.0, c)).collect();
@@ -474,6 +768,89 @@ mod tests {
                 model.clear();
             }
         }
+    }
+
+    /// The set's memory is the set itself while its table has at most
+    /// [`INLINE`] buckets, then whole pages of its own, counted as this
+    /// thread maps and unmaps them: exactly the buckets rounded up to a
+    /// page, each grow unmapping the generation it replaced, and as much
+    /// for the codes from the first non-zero one (stored while the table
+    /// was still inline). A drain and a drop give every page back.
+    #[test]
+    fn visited_pages_are_whole_and_given_back() {
+        let mapped = pages::mapped_bytes;
+        let base = mapped();
+        let pages = |bytes: usize| bytes.next_multiple_of(pages::PAGE) as isize;
+        let mut set = VisitedSet::default();
+        let key = |i: u64| Fingerprint::of(&i.to_le_bytes());
+        for i in 0..20_000 {
+            set.insert(key(i));
+            if i == 20 {
+                set.set_code(key(7), 0);
+                assert!(!set.coded, "a zero code keeps no codes");
+                set.set_code(key(7), 9);
+            }
+            let (buckets, codes) = (set.buckets, set.codes().len());
+            let want = match buckets <= INLINE {
+                true => 0,
+                false => {
+                    pages(buckets * std::mem::size_of::<Bucket>()) + pages(codes * BUCKET_KEYS)
+                }
+            };
+            assert_eq!(
+                mapped() - base,
+                want,
+                "{i}: {buckets} buckets, {codes} codes"
+            );
+            if buckets > INLINE {
+                assert_eq!(
+                    set.hint() & (pages::PAGE - 64),
+                    0,
+                    "{i}: a page-aligned base"
+                );
+            }
+            let code = if i >= 20 { 9 } else { 0 };
+            assert_eq!(set.code(key(7)), (i >= 7).then_some(code));
+        }
+        assert_eq!(set.bytes(), set.buckets * 68, "the logical bytes");
+        let drained = std::mem::take(&mut set);
+        assert!(mapped() > base && set.bytes() == 0 && set.hint() == 0);
+        assert_eq!(drained.iter().count(), 20_000);
+        drop(drained);
+        assert_eq!(mapped(), base, "a drain gives its pages back");
+        (0..100).for_each(|i| assert!(set.insert(key(i))));
+        assert_eq!((set.buckets, mapped() - base), (32, pages::PAGE as isize));
+        drop(set);
+        assert_eq!(mapped(), base, "a drop gives its pages back");
+    }
+
+    /// `Pages` on its own: no values map nothing; a mapping is whole
+    /// pages of zeroed values of either type, page-aligned, unmapped when
+    /// dropped.
+    #[test]
+    fn pages_are_whole_zeroed_and_unmapped_on_drop() {
+        use pages::PAGE;
+        let mapped = pages::mapped_bytes;
+        let base = mapped();
+        let empty = Pages::<Bucket>::zeroed(0);
+        assert_eq!((empty.len(), empty.mapped(), mapped()), (0, 0, base));
+        let mut codes = Pages::<[u8; BUCKET_KEYS]>::zeroed(3);
+        assert_eq!((codes.len(), codes.mapped()), (3, PAGE));
+        assert!(codes.iter().all(|&c| c == [0; BUCKET_KEYS]));
+        codes[2] = [1, 2, 3, 4];
+        assert_eq!(
+            codes[..],
+            [[0; BUCKET_KEYS], [0; BUCKET_KEYS], [1, 2, 3, 4]]
+        );
+        let buckets = Pages::<Bucket>::zeroed(PAGE / 64 + 1);
+        assert_eq!((buckets.len(), buckets.mapped()), (PAGE / 64 + 1, 2 * PAGE));
+        assert_eq!(buckets.as_ptr() as usize % PAGE, 0);
+        assert!(buckets.iter().all(|b| b.0 == [0; BUCKET_KEYS]));
+        assert_eq!(mapped() - base, 3 * PAGE as isize);
+        drop(codes);
+        assert_eq!(mapped() - base, 2 * PAGE as isize);
+        drop((buckets, empty));
+        assert_eq!(mapped(), base);
     }
 
     #[test]

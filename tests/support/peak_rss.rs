@@ -33,3 +33,19 @@ pub fn wait_with_peak_mib(child: &mut Child) -> (i32, f64) {
     assert_eq!(reaped, pid, "{}", std::io::Error::last_os_error());
     (status, usage.maxrss as f64 / 1024.0)
 }
+
+/// This process's own peak resident set in MiB, as a child spawned now
+/// inherits it: the child shares this address space until its `exec`,
+/// which starts the child's `ru_maxrss` from the space's high-water mark
+/// (`VmHWM`). `getrusage(RUSAGE_SELF)` is not that number: it also holds
+/// what this process inherited in turn at its own `exec` (cargo's peak,
+/// 26 MiB, under `cargo test`), which no child of ours sees.
+#[allow(dead_code)] // only the binaries with several pins check it
+pub fn own_peak_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find_map(|line| line.strip_prefix("VmHWM:"));
+    let kib = line.and_then(|kib| kib.trim().strip_suffix("kB"));
+    kib.and_then(|kib| kib.trim().parse::<f64>().ok())
+        .expect("a VmHWM line in /proc/self/status")
+        / 1024.0
+}

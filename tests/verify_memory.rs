@@ -1,10 +1,13 @@
-//! The memory of `p verify` on `german5.p` (plain, with `--por
-//! --symmetry` without and under `--mem-limit 2m`, and with `--profile`)
-//! and on `switch_led.p` under `--mem-limit 1m` at one and two workers,
-//! and what checkpoints and a resume add to it.
+//! The memory of `p verify` on `german5.p` (plain at one and two
+//! workers, with `--por --symmetry` without and under `--mem-limit 2m`,
+//! and with `--profile`) and on `switch_led.p` under `--mem-limit 1m` at
+//! one and two workers, and what checkpoints and a resume add to it.
 //! A test binary of its own: it reads each child's peak resident set
 //! from `wait4` (`support/peak_rss.rs`), and wants no sibling test's
-//! children in between. Linux only.
+//! children in between. A child's peak starts from this harness's own, so
+//! each pin first checks that the harness is under the pin's bound: a
+//! failure that raised it (a panic's backtrace does) then fails the later
+//! pins as the harness's, not as `p`'s. Linux only.
 
 #![cfg(target_os = "linux")]
 
@@ -15,7 +18,18 @@ use std::process::{Command, Stdio};
 #[path = "support/peak_rss.rs"]
 mod peak_rss;
 
-use peak_rss::wait_with_peak_mib;
+use peak_rss::{own_peak_mib, wait_with_peak_mib};
+
+/// Fails `pin` if this harness has itself peaked above `bound` MiB: a
+/// child spawned now would read the harness's peak, not its own.
+fn harness_under(bound: f64, pin: &str) {
+    let own = own_peak_mib();
+    assert!(
+        own <= bound,
+        "{pin}: the test harness itself peaked at {own:.1} MiB, above the bound of {bound:.1} MiB, \
+         so no child's peak can be read under it (an earlier failure in this binary raised it)"
+    );
+}
 
 /// Runs `p verify` on the corpus program `name` with `args`, checks that
 /// it passes with each of `expect` in its report, and returns its peak
@@ -50,22 +64,44 @@ fn verify_run(name: &str, args: &[&str]) -> (i32, String, f64) {
     (status, stdout, peak)
 }
 
-/// The bound: the peak measured on a 2-core x86-64 Linux box plus 10 %,
-/// 8.8 MiB in a release build and 10.7 MiB in a debug one (whose larger
-/// binary and unoptimised code the process maps and touches too).
-const GERMAN5_PEAK_MIB: f64 = if cfg!(debug_assertions) { 11.7 } else { 9.7 };
+/// The bound: the highest of ten peaks measured on a 2-core x86-64 Linux
+/// box plus 10 %, 7.84 MiB in a release build and 9.98 MiB in a debug one
+/// (whose larger binary and unoptimised code the process maps and
+/// touches too).
+const GERMAN5_PEAK_MIB: f64 = if cfg!(debug_assertions) { 11.0 } else { 8.7 };
 
 /// The search's trace bookkeeping is the frontier's paths, not a record
 /// per state: `german5.p` (155 967 states) peaked at 12.2 MiB (release)
-/// while an edge log held 24 bytes for every pushed task until exit, and
-/// peaks near 8.8 MiB without it.
+/// while an edge log held 24 bytes for every pushed task until exit, at
+/// 8.8 MiB while the visited buckets' freed generations stayed in the
+/// heap, and peaks near 7.8 MiB with the buckets on pages of their own.
 #[test]
 fn verify_on_german5_stays_under_its_measured_peak() {
     let counts = ["155967 states, 680224 transitions"];
+    harness_under(GERMAN5_PEAK_MIB, "p verify german5.p");
     let peak = verify_peak_mib("german5.p", &["--jobs", "1"], &counts);
     assert!(
         peak <= GERMAN5_PEAK_MIB,
         "p verify german5.p peaked at {peak:.1} MiB, above {GERMAN5_PEAK_MIB} MiB"
+    );
+}
+
+/// The bound: the highest of ten peaks measured on a 2-core x86-64 Linux
+/// box plus 10 %, 8.97 MiB in a release build and 10.98 MiB in a debug one.
+const GERMAN5_JOBS2_PEAK_MIB: f64 = if cfg!(debug_assertions) { 12.1 } else { 9.9 };
+
+/// Two workers allocate from two malloc arenas, and each kept the visited
+/// buckets' freed generations it had touched: `german5.p --jobs 2` peaked
+/// at 9.5–10.7 MiB (release) with the buckets on the heap, and peaks near
+/// 8.8 MiB with them on pages of their own, which a grow unmaps.
+#[test]
+fn verify_on_german5_at_two_workers_stays_under_its_measured_peak() {
+    let counts = ["155967 states, 680224 transitions"];
+    harness_under(GERMAN5_JOBS2_PEAK_MIB, "p verify german5.p --jobs 2");
+    let peak = verify_peak_mib("german5.p", &["--jobs", "2"], &counts);
+    assert!(
+        peak <= GERMAN5_JOBS2_PEAK_MIB,
+        "p verify german5.p --jobs 2 peaked at {peak:.1} MiB, above {GERMAN5_JOBS2_PEAK_MIB} MiB"
     );
 }
 
@@ -81,6 +117,10 @@ const GERMAN5_REDUCED_PEAK_MIB: f64 = if cfg!(debug_assertions) { 10.4 } else { 
 fn verify_on_german5_reduced_stays_under_its_measured_peak() {
     let args = ["--por", "--symmetry", "--jobs", "1"];
     let counts = ["104065 states, 460477 transitions"];
+    harness_under(
+        GERMAN5_REDUCED_PEAK_MIB,
+        "p verify german5.p --por --symmetry",
+    );
     let peak = verify_peak_mib("german5.p", &args, &counts);
     assert!(
         peak <= GERMAN5_REDUCED_PEAK_MIB,
@@ -98,6 +138,7 @@ fn verify_profile_on_german5_costs_at_most_a_mebibyte() {
     let plain = verify_peak_mib("german5.p", &["--jobs", "1"], &counts);
     let out = std::env::temp_dir().join(format!("p-verify-memory-{}.json", std::process::id()));
     let args = ["--jobs", "1", "--profile", out.to_str().unwrap()];
+    harness_under(plain + 1.0, "p verify german5.p --profile");
     let profiled = verify_peak_mib("german5.p", &args, &counts);
     let _ = std::fs::remove_file(&out);
     assert!(
@@ -124,6 +165,10 @@ const SWITCH_LED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 9.2 } else { 
 fn verify_on_switch_led_under_a_1m_limit_stays_under_its_measured_peak() {
     let args = ["--jobs", "1", "--mem-limit", "1m"];
     let counts = ["180625 states, 633343 transitions", "158860 spilled"];
+    harness_under(
+        SWITCH_LED_SPILL_PEAK_MIB,
+        "p verify switch_led.p --mem-limit 1m",
+    );
     let peak = verify_peak_mib("switch_led.p", &args, &counts);
     assert!(
         peak <= SWITCH_LED_SPILL_PEAK_MIB,
@@ -144,6 +189,8 @@ const SWITCH_LED_SPILL_JOBS2_PEAK_MIB: f64 = if cfg!(debug_assertions) { 10.4 } 
 fn verify_on_switch_led_under_a_1m_limit_at_two_workers_stays_under_its_measured_peak() {
     let args = ["--jobs", "2", "--mem-limit", "1m"];
     let counts = ["180625 states, 633343 transitions"];
+    let pin = "p verify switch_led.p --mem-limit 1m --jobs 2";
+    harness_under(SWITCH_LED_SPILL_JOBS2_PEAK_MIB, pin);
     let peak = verify_peak_mib("switch_led.p", &args, &counts);
     assert!(
         peak <= SWITCH_LED_SPILL_JOBS2_PEAK_MIB,
@@ -164,6 +211,8 @@ const GERMAN5_REDUCED_SPILL_PEAK_MIB: f64 = if cfg!(debug_assertions) { 11.4 } e
 fn verify_on_german5_reduced_under_a_2m_limit_stays_under_its_measured_peak() {
     let args = ["--por", "--symmetry", "--jobs", "1", "--mem-limit", "2m"];
     let counts = ["104065 states, 460477 transitions", "89041 spilled"];
+    let pin = "p verify german5.p --por --symmetry --mem-limit 2m";
+    harness_under(GERMAN5_REDUCED_SPILL_PEAK_MIB, pin);
     let peak = verify_peak_mib("german5.p", &args, &counts);
     assert!(
         peak <= GERMAN5_REDUCED_SPILL_PEAK_MIB,
@@ -198,6 +247,10 @@ fn checkpoints_cost_at_most_a_mebibyte() {
         let dir = checkpoint_dir("every");
         let dir_s = dir.to_str().unwrap();
         let every = ["--checkpoint", dir_s, "--checkpoint-every", "20000"];
+        harness_under(
+            plain + 1.0,
+            &format!("p verify {name} {limit:?} --checkpoint"),
+        );
         let checkpointing = verify_peak_mib(name, &[&args, &every[..]].concat(), &counts);
         let _ = std::fs::remove_dir_all(&dir);
         assert!(
@@ -225,6 +278,7 @@ fn a_resume_under_a_limit_costs_at_most_a_mebibyte() {
     // A wait status: the exit code is its second byte.
     assert_eq!(status, 3 << 8, "the aborted run did not exit 3:\n{stdout}");
     let resume = [&args[..], &["--resume", dir_s]].concat();
+    harness_under(plain + 1.0, "p verify german5.p --mem-limit 2m --resume");
     let resumed = verify_peak_mib("german5.p", &resume, &counts);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
