@@ -220,24 +220,6 @@ impl MachineDecl {
         self.foreign.iter().find(|f| f.name == name)
     }
 
-    /// `Step(m, n, e)`: the target of the step transition out of `n` on
-    /// `e`, if one is declared.
-    pub fn step_target(&self, from: Symbol, event: Symbol) -> Option<Symbol> {
-        self.transitions
-            .iter()
-            .find(|t| t.kind == TransitionKind::Step && t.from == from && t.event == event)
-            .map(|t| t.to)
-    }
-
-    /// `Call(m, n, e)`: the target of the call transition out of `n` on
-    /// `e`, if one is declared.
-    pub fn call_target(&self, from: Symbol, event: Symbol) -> Option<Symbol> {
-        self.transitions
-            .iter()
-            .find(|t| t.kind == TransitionKind::Call && t.from == from && t.event == event)
-            .map(|t| t.to)
-    }
-
     /// Total number of declared transitions plus action bindings — the
     /// "P transitions" count reported in Figure 8.
     pub fn transition_count(&self) -> usize {
@@ -261,20 +243,21 @@ pub struct MainDecl {
 ///
 /// # Examples
 ///
-/// Programs are normally produced by `p_parser::parse` or
-/// [`crate::ProgramBuilder`]:
+/// Programs come from `p_parser::parse`:
 ///
 /// ```
-/// use p_ast::ProgramBuilder;
-///
-/// let mut b = ProgramBuilder::new();
-/// b.event("ping");
-/// let mut m = b.machine("Main");
-/// m.state("Init").entry_raise("ping");
-/// m.state("Done");
-/// m.step("Init", "ping", "Done");
-/// m.finish();
-/// let program = b.finish("Main");
+/// let src = r#"
+///     event ping;
+///     machine Main {
+///         state Init {
+///             entry { raise(ping); }
+///             on ping goto Done;
+///         }
+///         state Done { }
+///     }
+///     main Main();
+/// "#;
+/// let program = p_parser::parse(src).unwrap();
 /// assert_eq!(program.machines.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -306,12 +289,6 @@ impl Program {
         self.machine(sym)
     }
 
-    /// Finds an event declaration by its string name.
-    pub fn event_named(&self, name: &str) -> Option<&EventDecl> {
-        let sym = self.interner.get(name)?;
-        self.event(sym)
-    }
-
     /// Resolves a symbol to its string.
     pub fn name(&self, sym: Symbol) -> &str {
         self.interner.resolve(sym)
@@ -338,69 +315,5 @@ impl Program {
             .iter()
             .map(MachineDecl::transition_count)
             .sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ProgramBuilder;
-
-    fn two_machine_program() -> Program {
-        let mut b = ProgramBuilder::new();
-        b.event("go");
-        b.event_with("data", Ty::Int);
-        let mut m = b.machine("Real");
-        m.state("Init");
-        m.state("Next");
-        m.step("Init", "go", "Next");
-        m.finish();
-        let mut g = b.ghost_machine("Env");
-        g.state("Idle");
-        g.finish();
-        b.finish("Real")
-    }
-
-    #[test]
-    fn lookups_by_name() {
-        let p = two_machine_program();
-        assert!(p.machine_named("Real").is_some());
-        assert!(p.machine_named("Env").unwrap().ghost);
-        assert!(p.machine_named("Missing").is_none());
-        assert_eq!(p.event_named("data").unwrap().payload, Ty::Int);
-    }
-
-    #[test]
-    fn real_and_ghost_partition() {
-        let p = two_machine_program();
-        assert_eq!(p.real_machines().count(), 1);
-        assert_eq!(p.ghost_machines().count(), 1);
-        assert_eq!(p.machines.len(), 2);
-    }
-
-    #[test]
-    fn step_lookup() {
-        let p = two_machine_program();
-        let m = p.machine_named("Real").unwrap();
-        let init = p.interner.get("Init").unwrap();
-        let go = p.interner.get("go").unwrap();
-        let next = p.interner.get("Next").unwrap();
-        assert_eq!(m.step_target(init, go), Some(next));
-        assert_eq!(m.call_target(init, go), None);
-        assert_eq!(m.step_target(next, go), None);
-    }
-
-    #[test]
-    fn counts_match_figure8_definition() {
-        let p = two_machine_program();
-        assert_eq!(p.total_states(), 3);
-        assert_eq!(p.total_transitions(), 1);
-    }
-
-    #[test]
-    fn init_state_is_first() {
-        let p = two_machine_program();
-        let m = p.machine_named("Real").unwrap();
-        assert_eq!(p.name(m.init_state().unwrap().name), "Init");
     }
 }

@@ -7,39 +7,29 @@
 //! paper describes informally: the `call n` statement, foreign functions,
 //! ghost machines/variables, and postponed-event annotations.
 //!
-//! The crate provides three ways of working with programs:
-//!
-//! * construct them with [`ProgramBuilder`] (used by the benchmark corpus),
-//! * parse them from text with the `p-parser` crate,
-//! * print them back to text with [`print_program`].
+//! Programs come from text: the `p-parser` crate parses them, and
+//! [`print_program`] prints one back in the syntax it accepts. Single
+//! statements and expressions are built with the [`Stmt`] and [`Expr`]
+//! constructors over an [`Interner`] and printed with [`print_stmt`] and
+//! [`print_expr`].
 //!
 //! # Examples
 //!
 //! ```
-//! use p_ast::{Expr, ProgramBuilder, Stmt};
+//! use p_ast::{print_stmt, Expr, Interner, Stmt};
 //!
-//! let mut b = ProgramBuilder::new();
-//! b.event("tick");
-//! let mut clock = b.machine("Clock");
-//! let tick = clock.sym("tick");
-//! clock
-//!     .state("Run")
-//!     .entry(Stmt::block(vec![
-//!         Stmt::assert(Expr::bool(true)),
-//!         Stmt::raise(tick),
-//!     ]));
-//! clock.step("Run", "tick", "Run");
-//! clock.finish();
-//! let program = b.finish("Clock");
+//! let mut names = Interner::new();
+//! let tick = names.intern("tick");
+//! let body = Stmt::block(vec![Stmt::assert(Expr::bool(true)), Stmt::raise(tick)]);
 //!
-//! let text = p_ast::print_program(&program);
-//! assert!(text.contains("state Run"));
+//! let text = print_stmt(&body, &names);
+//! assert!(text.contains("assert(true);"));
+//! assert!(text.contains("raise(tick);"));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod builder;
 mod decl;
 mod draws;
 mod expr;
@@ -49,7 +39,6 @@ mod span;
 mod stmt;
 mod types;
 
-pub use builder::{MachineBuilder, ProgramBuilder, StateBuilder};
 pub use decl::{
     ActionBinding, ActionDecl, EventDecl, ForeignFnDecl, ForeignParam, MachineDecl, MainDecl,
     Program, StateDecl, TransitionDecl, TransitionKind, VarDecl,

@@ -16,16 +16,17 @@ use crate::{
 /// # Examples
 ///
 /// ```
-/// use p_ast::ProgramBuilder;
-///
-/// let mut b = ProgramBuilder::new();
-/// b.event("tick");
-/// let mut m = b.machine("Clock");
-/// m.state("Run").entry_raise("tick");
-/// m.step("Run", "tick", "Run");
-/// m.finish();
-/// let p = b.finish("Clock");
-/// let text = p_ast::print_program(&p);
+/// let src = r#"
+///     event tick;
+///     machine Clock {
+///         state Run {
+///             entry { raise(tick); }
+///             on tick goto Run;
+///         }
+///     }
+///     main Clock();
+/// "#;
+/// let text = p_ast::print_program(&p_parser::parse(src).unwrap());
 /// assert!(text.contains("machine Clock"));
 /// assert!(text.contains("on tick goto Run;"));
 /// ```
@@ -440,41 +441,44 @@ impl<'a> Printer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProgramBuilder;
 
     #[test]
     fn prints_operators_with_precedence() {
-        let mut b = ProgramBuilder::new();
-        let x = b.sym("x");
+        let mut names = Interner::new();
+        let x = names.intern("x");
         // (x + 1) * 2 needs parens; x + 1 * 2 does not.
         let e1 = Expr::binary(
             BinOp::Mul,
             Expr::binary(BinOp::Add, Expr::name(x), Expr::int(1)),
             Expr::int(2),
         );
-        assert_eq!(print_expr(&e1, b.interner()), "(x + 1) * 2");
+        assert_eq!(print_expr(&e1, &names), "(x + 1) * 2");
         let e2 = Expr::binary(
             BinOp::Add,
             Expr::name(x),
             Expr::binary(BinOp::Mul, Expr::int(1), Expr::int(2)),
         );
-        assert_eq!(print_expr(&e2, b.interner()), "x + 1 * 2");
+        assert_eq!(print_expr(&e2, &names), "x + 1 * 2");
         // A negative literal prints as the subtraction it parses back as.
         let e3 = Expr::binary(BinOp::Sub, Expr::name(x), Expr::int(-1));
-        assert_eq!(print_expr(&e3, b.interner()), "x - (0 - 1)");
+        assert_eq!(print_expr(&e3, &names), "x - (0 - 1)");
     }
 
     #[test]
     fn prints_statements() {
-        let mut b = ProgramBuilder::new();
-        let e = b.sym("E");
-        let x = b.sym("x");
+        let mut names = Interner::new();
+        let e = names.intern("E");
+        let x = names.intern("x");
         let s = Stmt::block(vec![
             Stmt::assign(x, Expr::int(3)),
-            Stmt::send_with(Expr::this(), e, Expr::name(x)),
+            Stmt::new(StmtKind::Send {
+                target: Expr::this(),
+                event: e,
+                payload: Some(Expr::name(x)),
+            }),
             Stmt::raise(e),
         ]);
-        let text = print_stmt(&s, b.interner());
+        let text = print_stmt(&s, &names);
         assert!(text.contains("x := 3;"));
         assert!(text.contains("send(this, E, x);"));
         assert!(text.contains("raise(E);"));
@@ -482,19 +486,57 @@ mod tests {
 
     #[test]
     fn program_includes_all_sections() {
-        let mut b = ProgramBuilder::new();
-        b.event_with("evt", Ty::Int);
-        let mut m = b.ghost_machine("G");
-        m.ghost_var("t", Ty::Id);
-        m.action("drop", Stmt::skip());
-        m.state("S")
-            .defer(&["evt"])
-            .postpone(&["evt"])
-            .entry(Stmt::leave())
-            .exit(Stmt::skip());
-        m.bind("S", "evt", "drop");
-        m.finish();
-        let p = b.finish("G");
+        use crate::{ActionBinding, ActionDecl, MainDecl, Span, VarDecl};
+
+        let mut names = Interner::new();
+        let evt = names.intern("evt");
+        let g = names.intern("G");
+        let drop = names.intern("drop");
+        let s = names.intern("S");
+        let machine = MachineDecl {
+            name: g,
+            ghost: true,
+            vars: vec![VarDecl {
+                name: names.intern("t"),
+                ty: Ty::Id,
+                ghost: true,
+                span: Span::SYNTHETIC,
+            }],
+            actions: vec![ActionDecl {
+                name: drop,
+                body: Stmt::skip(),
+                span: Span::SYNTHETIC,
+            }],
+            states: vec![StateDecl {
+                deferred: vec![evt],
+                postponed: vec![evt],
+                entry: Stmt::leave(),
+                ..StateDecl::empty(s)
+            }],
+            transitions: Vec::new(),
+            bindings: vec![ActionBinding {
+                state: s,
+                event: evt,
+                action: drop,
+                span: Span::SYNTHETIC,
+            }],
+            foreign: Vec::new(),
+            span: Span::SYNTHETIC,
+        };
+        let p = Program {
+            events: vec![EventDecl {
+                name: evt,
+                payload: Ty::Int,
+                span: Span::SYNTHETIC,
+            }],
+            machines: vec![machine],
+            main: MainDecl {
+                machine: g,
+                inits: Vec::new(),
+                span: Span::SYNTHETIC,
+            },
+            interner: names,
+        };
         let text = print_program(&p);
         assert!(text.contains("event evt : int;"));
         assert!(text.contains("ghost machine G {"));

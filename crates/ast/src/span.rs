@@ -1,8 +1,8 @@
 //! Source locations.
 //!
-//! Spans are byte ranges into the original source text. AST nodes built
-//! programmatically (through [`crate::ProgramBuilder`]) carry
-//! [`Span::SYNTHETIC`].
+//! Spans are byte ranges into the original source text. Nodes that have
+//! none, made by the [`crate::Stmt`]/[`crate::Expr`] constructors or by a
+//! pass such as ghost erasure, carry [`Span::SYNTHETIC`].
 
 use std::fmt;
 
@@ -27,7 +27,7 @@ pub struct Span {
 }
 
 impl Span {
-    /// The span used for nodes that have no source text (builder-made ASTs).
+    /// The span of a node that has no source text.
     pub const SYNTHETIC: Span = Span {
         start: u32::MAX,
         end: u32::MAX,

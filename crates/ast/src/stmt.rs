@@ -142,36 +142,9 @@ impl Stmt {
         Stmt::new(StmtKind::Assign { dst, value })
     }
 
-    /// `dst := new machine(inits);`
-    pub fn new_machine(dst: Symbol, machine: Symbol, inits: Vec<Initializer>) -> Stmt {
-        Stmt::new(StmtKind::New {
-            dst,
-            machine,
-            inits,
-        })
-    }
-
     /// `delete;`
     pub fn delete() -> Stmt {
         Stmt::new(StmtKind::Delete)
-    }
-
-    /// `send(target, event);`
-    pub fn send(target: Expr, event: Symbol) -> Stmt {
-        Stmt::new(StmtKind::Send {
-            target,
-            event,
-            payload: None,
-        })
-    }
-
-    /// `send(target, event, payload);`
-    pub fn send_with(target: Expr, event: Symbol, payload: Expr) -> Stmt {
-        Stmt::new(StmtKind::Send {
-            target,
-            event,
-            payload: Some(payload),
-        })
     }
 
     /// `raise(event);`
@@ -211,39 +184,11 @@ impl Stmt {
         })
     }
 
-    /// `if (cond) { then }`
-    pub fn if_then(cond: Expr, then: Stmt) -> Stmt {
-        Stmt::if_else(cond, then, Stmt::block(Vec::new()))
-    }
-
     /// `while (cond) { body }`
     pub fn while_loop(cond: Expr, body: Stmt) -> Stmt {
         Stmt::new(StmtKind::While {
             cond,
             body: Box::new(body),
-        })
-    }
-
-    /// `call state;`
-    pub fn call_state(state: Symbol) -> Stmt {
-        Stmt::new(StmtKind::CallState(state))
-    }
-
-    /// `func(args);`
-    pub fn foreign(func: Symbol, args: Vec<Expr>) -> Stmt {
-        Stmt::new(StmtKind::ForeignCall {
-            dst: None,
-            func,
-            args,
-        })
-    }
-
-    /// `dst := func(args);`
-    pub fn foreign_into(dst: Symbol, func: Symbol, args: Vec<Expr>) -> Stmt {
-        Stmt::new(StmtKind::ForeignCall {
-            dst: Some(dst),
-            func,
-            args,
         })
     }
 
@@ -335,7 +280,7 @@ mod tests {
 
     #[test]
     fn contains_nondet_in_nested_statement() {
-        let inner = Stmt::if_then(Expr::nondet(), Stmt::skip());
+        let inner = Stmt::if_else(Expr::nondet(), Stmt::skip(), Stmt::skip());
         let outer = Stmt::while_loop(Expr::bool(true), Stmt::block(vec![inner]));
         assert!(outer.contains_nondet());
         assert!(!Stmt::skip().contains_nondet());
@@ -346,11 +291,11 @@ mod tests {
         let mut i = Interner::new();
         let x = i.intern("x");
         let e = i.intern("E");
-        let s = Stmt::send_with(
-            Expr::this(),
-            e,
-            Expr::binary(BinOp::Add, Expr::int(1), Expr::name(x)),
-        );
+        let s = Stmt::new(StmtKind::Send {
+            target: Expr::this(),
+            event: e,
+            payload: Some(Expr::binary(BinOp::Add, Expr::int(1), Expr::name(x))),
+        });
         let mut count = 0;
         s.for_each_expr(&mut |_| count += 1);
         assert_eq!(count, 2); // target + payload
@@ -359,17 +304,5 @@ mod tests {
     #[test]
     fn default_is_skip() {
         assert_eq!(Stmt::default().kind, StmtKind::Skip);
-    }
-
-    #[test]
-    fn if_then_synthesizes_empty_else() {
-        let s = Stmt::if_then(Expr::bool(true), Stmt::skip());
-        match s.kind {
-            StmtKind::If { els, .. } => match els.kind {
-                StmtKind::Block(b) => assert!(b.is_empty()),
-                other => panic!("expected empty block, got {other:?}"),
-            },
-            other => panic!("expected if, got {other:?}"),
-        }
     }
 }

@@ -1014,13 +1014,7 @@ mod tests {
     /// Any program works for rendering the steps of [`then`]: it names
     /// its events.
     fn program() -> p_semantics::LoweredProgram {
-        let mut b = p_ast::ProgramBuilder::new();
-        b.event("e0");
-        b.event("e1");
-        let mut m = b.machine("M");
-        m.state("S").entry(p_ast::Stmt::block(vec![]));
-        m.finish();
-        p_semantics::lower(&b.finish("M")).unwrap()
+        crate::tests::lowered("event e0; event e1; machine M { state S { } } main M();")
     }
 
     /// The machines along `path`, from the root.
@@ -1647,16 +1641,9 @@ mod tests {
     /// byte-accurate.
     #[test]
     fn tiered_spill_keeps_marginal_byte_accounting_exact() {
-        use p_ast::{ProgramBuilder, Ty};
-        use p_semantics::{lower, Config, SlotInterner, Value};
+        use p_semantics::{Config, SlotInterner, Value};
 
-        let mut b = ProgramBuilder::new();
-        b.event("go");
-        let mut m = b.machine("M");
-        m.var("n", Ty::Int);
-        m.state("A");
-        m.finish();
-        let p = lower(&b.finish("M")).unwrap();
+        let p = crate::tests::lowered("event go; machine M { var n : int; state A { } } main M();");
 
         // Two states over two machines that share slot 0: interning
         // must charge the shared slot's bytes to the first state only.

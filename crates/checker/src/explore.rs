@@ -1280,17 +1280,10 @@ fn spill_config<'a>(
 /// worker's own `interner` and returns its marginal stored size. The
 /// shared digest set is locked only for a slot the worker's table has
 /// not met — once per distinct slot per worker, not once per state —
-/// and it alone decides whether the slot's bytes are new, up to the
-/// interner's own capacity limit.
+/// and it alone decides whether the slot's bytes are new.
 fn intern(config: &mut Config, interner: &mut SlotInterner, digests: &Mutex<FpHashSet>) -> usize {
     config.intern_slots_with(interner, |digest| {
-        let mut digests = digests.lock();
-        let digest = Fingerprint::from_u128(digest);
-        if digests.len() >= SlotInterner::DEFAULT_CAP {
-            !digests.contains(&digest)
-        } else {
-            digests.insert(digest)
-        }
+        digests.lock().insert(Fingerprint::from_u128(digest))
     })
 }
 

@@ -209,7 +209,6 @@ mod pages {
 
     /// The system side: `mmap` and `munmap`, declared here as the
     /// repository vendors no `libc` crate.
-    #[cfg(unix)]
     mod sys {
         use std::alloc::{handle_alloc_error, Layout};
         use std::ffi::{c_int, c_long, c_void};
@@ -279,34 +278,6 @@ mod pages {
             // whole mapping splits none, so it cannot fail for want of
             // room, and a drop has no one to tell if it did.
             let _ = unsafe { munmap(ptr.as_ptr().cast(), bytes) };
-        }
-    }
-
-    /// The other side, where there is no `mmap`: page-aligned zeroed
-    /// allocations.
-    #[cfg(not(unix))]
-    mod sys {
-        use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
-        use std::ptr::NonNull;
-
-        fn layout(bytes: usize) -> Layout {
-            Layout::from_size_align(bytes, super::PAGE).unwrap()
-        }
-
-        pub(super) fn map(bytes: usize) -> NonNull<u8> {
-            // SAFETY: `bytes` is a non-zero multiple of the alignment.
-            let ptr = unsafe { alloc_zeroed(layout(bytes)) };
-            super::counted(bytes as isize);
-            NonNull::new(ptr).unwrap_or_else(|| handle_alloc_error(layout(bytes)))
-        }
-
-        /// # Safety
-        ///
-        /// As the `mmap` side's.
-        pub(super) unsafe fn unmap(ptr: NonNull<u8>, bytes: usize) {
-            super::counted(-(bytes as isize));
-            // SAFETY: `ptr` came from `map(bytes)`, with the same layout.
-            unsafe { dealloc(ptr.as_ptr(), layout(bytes)) }
         }
     }
 
@@ -656,17 +627,11 @@ mod tests {
         // same canonical key to the same orbit. A deliberate encoding
         // revision should update the constant alongside its changelog
         // entry.
-        use p_ast::{ProgramBuilder, Ty};
-        use p_semantics::{canonical_digest, lower, Config, Value};
+        use p_semantics::{canonical_digest, Config, Value};
 
-        let mut b = ProgramBuilder::new();
-        b.event_with("ping", Ty::Id);
-        let mut m = b.machine("M");
-        m.var("peer", Ty::Id);
-        m.var("n", Ty::Int);
-        m.state("A");
-        m.finish();
-        let p = lower(&b.finish("M")).unwrap();
+        let p = crate::tests::lowered(
+            "event ping : id; machine M { var peer : id, n : int; state A { } } main M();",
+        );
 
         let mut c = Config::default();
         let ids: Vec<_> = (0..3).map(|_| c.allocate(&p, p.main)).collect();

@@ -300,36 +300,27 @@ fn successors_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::successors_for;
-    use p_ast::{Expr, ProgramBuilder, Stmt, Ty};
-    use p_semantics::{lower, ForeignEnv, Value};
+    use crate::tests::{lowered, successors_for};
+    use p_semantics::{ForeignEnv, Value};
 
     #[test]
     fn enumerates_all_choice_combinations() {
         // Two sequential `*` choices → 4 successors.
-        let mut b = ProgramBuilder::new();
-        let mut g = b.ghost_machine("G");
-        g.var("x", Ty::Int);
-        let x = g.sym("x");
-        g.state("S").entry(Stmt::block(vec![
-            Stmt::assign(x, Expr::int(0)),
-            Stmt::if_then(
-                Expr::nondet(),
-                Stmt::assign(
-                    x,
-                    Expr::binary(p_ast::BinOp::Add, Expr::name(x), Expr::int(1)),
-                ),
-            ),
-            Stmt::if_then(
-                Expr::nondet(),
-                Stmt::assign(
-                    x,
-                    Expr::binary(p_ast::BinOp::Add, Expr::name(x), Expr::int(2)),
-                ),
-            ),
-        ]));
-        g.finish();
-        let program = lower(&b.finish("G")).unwrap();
+        let program = lowered(
+            r#"
+            ghost machine G {
+                var x : int;
+                state S {
+                    entry {
+                        x := 0;
+                        if (*) { x := x + 1; }
+                        if (*) { x := x + 2; }
+                    }
+                }
+            }
+            main G();
+        "#,
+        );
         let engine = Engine::new(&program, ForeignEnv::empty());
         let config = engine.initial_config();
         let succs = successors_for(&engine, &config, MachineId(0), Granularity::Atomic).unwrap();
@@ -354,13 +345,7 @@ mod tests {
 
     #[test]
     fn deterministic_machine_has_single_successor() {
-        let mut b = ProgramBuilder::new();
-        let mut m = b.machine("M");
-        m.var("x", Ty::Int);
-        let x = m.sym("x");
-        m.state("S").entry(Stmt::assign(x, Expr::int(9)));
-        m.finish();
-        let program = lower(&b.finish("M")).unwrap();
+        let program = lowered("machine M { var x : int; state S { entry { x := 9; } } } main M();");
         let engine = Engine::new(&program, ForeignEnv::empty());
         let config = engine.initial_config();
         let succs = successors_for(&engine, &config, MachineId(0), Granularity::Atomic).unwrap();
@@ -388,14 +373,9 @@ mod tests {
 
     #[test]
     fn original_config_is_untouched() {
-        let mut b = ProgramBuilder::new();
-        let mut g = b.ghost_machine("G");
-        g.var("x", Ty::Int);
-        let x = g.sym("x");
-        g.state("S")
-            .entry(Stmt::if_then(Expr::nondet(), Stmt::assign(x, Expr::int(1))));
-        g.finish();
-        let program = lower(&b.finish("G")).unwrap();
+        let program = lowered(
+            "ghost machine G { var x : int; state S { entry { if (*) { x := 1; } } } } main G();",
+        );
         let engine = Engine::new(&program, ForeignEnv::empty());
         let config = engine.initial_config();
         let before = config.canonical_bytes();

@@ -7,7 +7,8 @@ use crate::fingerprint::{Fingerprint, FpHashMap, FpHashSet};
 use crate::trace::{StepSeed, TraceStep};
 use crate::{CheckerOptions, LivenessViolation, Verifier};
 
-fn lowered(src: &str) -> LoweredProgram {
+/// `src` parsed, type-checked and lowered; any error panics.
+pub(crate) fn lowered(src: &str) -> LoweredProgram {
     let program = p_parser::parse(src).unwrap();
     p_typecheck::check(&program).unwrap();
     lower(&program).unwrap()

@@ -33,7 +33,6 @@ const EXIT_INTERRUPTED: u8 = 3;
 /// SIGINT/SIGTERM plumbing. Handlers only flip an atomic flag (the one
 /// async-signal-safe thing worth doing); the checker polls it at its
 /// control points and shuts down with a final checkpoint.
-#[cfg(unix)]
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, OnceLock};
@@ -74,18 +73,6 @@ mod signals {
             signal(SIGTERM, handler);
         }
         flag
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    pub fn default_sigpipe() {}
-
-    pub fn install_interrupt() -> Arc<AtomicBool> {
-        Arc::new(AtomicBool::new(false))
     }
 }
 

@@ -148,7 +148,7 @@ impl Compiled {
         Compiled::from_program(program)
     }
 
-    /// Checks an already-parsed (or builder-made) program.
+    /// Checks an already-parsed program.
     ///
     /// # Errors
     ///

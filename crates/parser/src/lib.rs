@@ -425,4 +425,49 @@ mod tests {
             other => panic!("expected assign, got {other:?}"),
         }
     }
+
+    const TWO_MACHINES: &str = r#"
+        event go;
+        event data : int;
+        machine Real {
+            state Init { on go goto Next; }
+            state Next { }
+        }
+        ghost machine Env {
+            state Idle { }
+        }
+        main Real();
+    "#;
+
+    #[test]
+    fn lookups_by_name() {
+        let p = parse(TWO_MACHINES).unwrap();
+        assert!(p.machine_named("Real").is_some());
+        assert!(p.machine_named("Env").unwrap().ghost);
+        assert!(p.machine_named("Missing").is_none());
+        let data = p.interner.get("data").unwrap();
+        assert_eq!(p.event(data).unwrap().payload, Ty::Int);
+    }
+
+    #[test]
+    fn real_and_ghost_partition() {
+        let p = parse(TWO_MACHINES).unwrap();
+        assert_eq!(p.real_machines().count(), 1);
+        assert_eq!(p.ghost_machines().count(), 1);
+        assert_eq!(p.machines.len(), 2);
+    }
+
+    #[test]
+    fn counts_match_figure8_definition() {
+        let p = parse(TWO_MACHINES).unwrap();
+        assert_eq!(p.total_states(), 3);
+        assert_eq!(p.total_transitions(), 1);
+    }
+
+    #[test]
+    fn init_state_is_first() {
+        let p = parse(TWO_MACHINES).unwrap();
+        let m = p.machine_named("Real").unwrap();
+        assert_eq!(p.name(m.init_state().unwrap().name), "Init");
+    }
 }

@@ -650,23 +650,16 @@ fn canonicalize(view: &View<'_>, concrete: u128, scratch: &mut Scratch) -> (u128
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::{lower, EventId};
+    use crate::lower::EventId;
+    use crate::tests::lowered;
     use crate::value::Value;
     use crate::MachineId;
-    use p_ast::{ProgramBuilder, Ty};
     use std::collections::BTreeSet;
 
     /// One machine type with an id-typed local, an int local, and a
     /// deferrable event — enough structure to build symmetric twins.
     fn program() -> crate::lower::LoweredProgram {
-        let mut b = ProgramBuilder::new();
-        b.event_with("ping", Ty::Id);
-        let mut m = b.machine("M");
-        m.var("peer", Ty::Id);
-        m.var("n", Ty::Int);
-        m.state("A");
-        m.finish();
-        lower(&b.finish("M")).unwrap()
+        lowered("event ping : id; machine M { var peer : id, n : int; state A { } } main M();")
     }
 
     fn fresh(k: usize) -> (crate::lower::LoweredProgram, Config, Vec<MachineId>) {
@@ -840,17 +833,15 @@ mod tests {
     /// Types `F` (one instance at most: fixed), `A` and `B`, each with
     /// two id locals and an int, plus an id-carrying event.
     fn three_type_program() -> crate::lower::LoweredProgram {
-        let mut b = ProgramBuilder::new();
-        b.event_with("ping", Ty::Id);
-        for name in ["F", "A", "B"] {
-            let mut m = b.machine(name);
-            m.var("p", Ty::Id);
-            m.var("q", Ty::Id);
-            m.var("n", Ty::Int);
-            m.state("S");
-            m.finish();
-        }
-        lower(&b.finish("F")).unwrap()
+        lowered(
+            r#"
+            event ping : id;
+            machine F { var p : id, q : id, n : int; state S { } }
+            machine A { var p : id, q : id, n : int; state S { } }
+            machine B { var p : id, q : id, n : int; state S { } }
+            main F();
+        "#,
+        )
     }
 
     /// A configuration of 2..=5 machines from a recipe of random words:

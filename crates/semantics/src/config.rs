@@ -1538,22 +1538,19 @@ impl Config {
     /// Whether every interned slot of this configuration is `interner`'s
     /// own allocation of that content — what holds for a configuration
     /// derived from ones interned there, or rehomed into it, and fails
-    /// for one still carrying another table's allocations. (A table at
-    /// its capacity limit holds no allocation for the slots it turned
-    /// away.)
+    /// for one still carrying another table's allocations.
     pub fn is_interned_in(&mut self, interner: &SlotInterner) -> bool {
         self.fill_digests();
         let pending = self.uninterned;
-        let full = interner.table.len() >= interner.cap;
         pending.all
             || self.machines.iter().enumerate().all(|(i, slot)| {
                 let Some(state) = slot else { return true };
                 let (digest, _) = self.digests[i].expect("cache filled");
                 pending.indices().contains(&(i as u32))
-                    || match interner.table.get(&digest) {
-                        Some(own) => Arc::ptr_eq(state, own),
-                        None => full,
-                    }
+                    || interner
+                        .table
+                        .get(&digest)
+                        .is_some_and(|own| Arc::ptr_eq(state, own))
             })
     }
 
@@ -1619,10 +1616,6 @@ impl Config {
 #[derive(Debug)]
 pub struct SlotInterner {
     table: HashMap<u128, Arc<MachineState>, BuildDigestHasher>,
-    /// Entry cap: beyond this the table stops growing (lookups still
-    /// hit) so a pathological state space cannot turn the interner
-    /// itself into the memory problem it exists to solve.
-    cap: usize,
     /// Resident bytes of the states in the table.
     bytes: usize,
     /// Bytes of states past which a new entry first sweeps.
@@ -1638,12 +1631,7 @@ impl Default for SlotInterner {
 }
 
 impl SlotInterner {
-    /// Default entry cap (~48 MiB of table at worst, ignoring the
-    /// interned states themselves, which the visited set accounts).
-    pub const DEFAULT_CAP: usize = 1 << 20;
-
-    /// An empty table with the default capacity limit and no byte
-    /// budget: it never sweeps.
+    /// An empty table with no byte budget: it never sweeps.
     pub fn new() -> SlotInterner {
         SlotInterner::with_budget(usize::MAX)
     }
@@ -1653,25 +1641,15 @@ impl SlotInterner {
     pub fn with_budget(budget: usize) -> SlotInterner {
         SlotInterner {
             table: HashMap::default(),
-            cap: SlotInterner::DEFAULT_CAP,
             bytes: 0,
             budget,
             kept: 0,
         }
     }
 
-    /// A table that refuses to grow past `cap` entries.
-    pub fn with_capacity_limit(cap: usize) -> SlotInterner {
-        SlotInterner {
-            cap,
-            ..SlotInterner::new()
-        }
-    }
-
     /// Interns `state` by content digest. On a hit, repoints `state` at
     /// the canonical `Arc` and returns the displaced handle; on a miss,
-    /// stores a clone of `state` (capacity permitting — at the cap the
-    /// state simply stays unshared), shrunk to its exact size first when
+    /// stores a clone of `state`, shrunk to its exact size first when
     /// `state` is the only handle — as every candidate the search interns
     /// is. Returns `(fresh, displaced)`: `fresh` is true iff the content
     /// was not in the table and `first_seen` says no other table holds it
@@ -1687,19 +1665,16 @@ impl SlotInterner {
                 (!Arc::ptr_eq(state, own)).then(|| std::mem::replace(state, Arc::clone(own)));
             return (false, displaced);
         }
-        if self.table.len() < self.cap {
-            if let Some(owned) = Arc::get_mut(state) {
-                owned.shrink_to_fit();
-            }
-            self.insert(digest, Arc::clone(state));
+        if let Some(owned) = Arc::get_mut(state) {
+            owned.shrink_to_fit();
         }
+        self.insert(digest, Arc::clone(state));
         (first_seen(digest), None)
     }
 
     /// Repoints `state`, an allocation interned in another table, at
     /// this table's own allocation of the same content, deep-copying it
-    /// in when the table has none (capacity permitting — at the cap
-    /// the copy simply stays unshared).
+    /// in when the table has none.
     fn adopt(&mut self, digest: u128, state: &mut Arc<MachineState>) {
         if let Some(own) = self.table.get(&digest) {
             if !Arc::ptr_eq(state, own) {
@@ -1708,9 +1683,7 @@ impl SlotInterner {
             return;
         }
         *state = Arc::new(MachineState::clone(state));
-        if self.table.len() < self.cap {
-            self.insert(digest, Arc::clone(state));
-        }
+        self.insert(digest, Arc::clone(state));
     }
 
     /// Stores `state`, absent from the table, under `digest`, sweeping
@@ -1810,8 +1783,7 @@ type BuildDigestHasher = std::hash::BuildHasherDefault<DigestHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower;
-    use p_ast::{ProgramBuilder, Ty};
+    use crate::tests::lowered;
 
     impl Config {
         /// A copy whose every frame stores its inherited map in full, ⊥
@@ -1847,16 +1819,21 @@ mod tests {
     }
 
     fn tiny_program() -> LoweredProgram {
-        let mut b = ProgramBuilder::new();
-        b.event("e");
-        b.event_with("d", Ty::Int);
-        let mut m = b.machine("M");
-        m.var("x", Ty::Int);
-        m.state("A").defer(&["d"]);
-        m.state("B");
-        m.step("A", "e", "B");
-        m.finish();
-        lower(&b.finish("M")).unwrap()
+        lowered(
+            r#"
+            event e;
+            event d : int;
+            machine M {
+                var x : int;
+                state A {
+                    defer d;
+                    on e goto B;
+                }
+                state B { }
+            }
+            main M();
+        "#,
+        )
     }
 
     #[test]
@@ -2145,35 +2122,6 @@ mod tests {
         assert_eq!(interner.len(), 2);
         // Re-interning with nothing dirty adds only overhead again.
         assert_eq!(b.intern_slots(&mut interner), overhead);
-    }
-
-    /// The interner's capacity limit stops growth but keeps lookups
-    /// serving, and a full table counts unshared bytes as fresh.
-    #[test]
-    fn intern_slots_respects_capacity_limit() {
-        let p = tiny_program();
-        let mut interner = SlotInterner::with_capacity_limit(1);
-        let mut a = Config::default();
-        a.allocate(&p, p.main);
-        let overhead = 4 + 1;
-        let slot_len = a.canonical_bytes().len() - overhead;
-        assert_eq!(a.intern_slots(&mut interner), overhead + slot_len);
-        assert_eq!(interner.len(), 1);
-        // A distinct state cannot be inserted: counted fresh each time.
-        let mut b = Config::default();
-        let id = b.allocate(&p, p.main);
-        b.machine_mut(id).unwrap().locals[0] = Value::Int(5);
-        let b_len = b.canonical_bytes().len() - overhead;
-        assert_eq!(b.intern_slots(&mut interner), overhead + b_len);
-        assert_eq!(interner.len(), 1);
-        // The existing entry still serves hits.
-        let mut c = Config::default();
-        c.allocate(&p, p.main);
-        assert_eq!(c.intern_slots(&mut interner), overhead);
-        assert!(Arc::ptr_eq(
-            a.machines[0].as_ref().unwrap(),
-            c.machines[0].as_ref().unwrap()
-        ));
     }
 
     /// Two tables that account through one `first_seen` set count a slot

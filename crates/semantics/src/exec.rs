@@ -150,17 +150,17 @@ impl<F: FnMut() -> bool> ChoiceSource for F {
 /// # Examples
 ///
 /// ```
-/// use p_ast::ProgramBuilder;
 /// use p_semantics::{lower, Engine, ForeignEnv};
 ///
-/// let mut b = ProgramBuilder::new();
-/// b.event("go");
-/// let mut m = b.machine("M");
-/// m.state("Init").entry_raise("go");
-/// m.state("Done");
-/// m.step("Init", "go", "Done");
-/// m.finish();
-/// let program = lower(&b.finish("M")).unwrap();
+/// let src = r#"
+///     event go;
+///     machine M {
+///         state Init { entry { raise(go); } on go goto Done; }
+///         state Done { }
+///     }
+///     main M();
+/// "#;
+/// let program = lower(&p_parser::parse(src).unwrap()).unwrap();
 ///
 /// let engine = Engine::new(&program, ForeignEnv::empty());
 /// let mut config = engine.initial_config();

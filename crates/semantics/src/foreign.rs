@@ -186,17 +186,20 @@ impl fmt::Debug for ForeignEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p_ast::{ProgramBuilder, Ty};
+    use crate::tests::lowered;
 
     #[test]
     fn register_and_call_through_env() {
-        let mut b = ProgramBuilder::new();
-        let mut m = b.machine("M");
-        m.foreign_fn("inc", vec![Ty::Int], Ty::Int);
-        m.foreign_fn("unimpl", vec![], Ty::Int);
-        m.state("S");
-        m.finish();
-        let program = crate::lower::lower(&b.finish("M")).unwrap();
+        let program = lowered(
+            r#"
+            machine M {
+                foreign fn inc(int) : int;
+                foreign fn unimpl() : int;
+                state S { }
+            }
+            main M();
+        "#,
+        );
 
         let mut reg = ForeignRegistry::new();
         reg.register("inc", |args| match args[0] {
@@ -236,12 +239,7 @@ mod tests {
 
     #[test]
     fn instance_functions_see_caller_id() {
-        let mut b = p_ast::ProgramBuilder::new();
-        let mut m = b.machine("M");
-        m.foreign_fn("whoami", vec![], Ty::Id);
-        m.state("S");
-        m.finish();
-        let program = crate::lower::lower(&b.finish("M")).unwrap();
+        let program = lowered("machine M { foreign fn whoami() : id; state S { } } main M();");
         let mut reg = ForeignRegistry::new();
         reg.register_with_self("whoami", |caller, _| Value::Machine(caller));
         let env = reg.resolve(&program);

@@ -7,7 +7,7 @@
 //!
 //! The pipeline is:
 //!
-//! 1. [`lower`] a `p_ast::Program` into a dense, table-driven
+//! 1. [`lower()`] a `p_ast::Program` into a dense, table-driven
 //!    [`LoweredProgram`] — the analog of the C tables the paper's compiler
 //!    generates (§4);
 //! 2. build an [`Engine`] over the lowered program (optionally with
@@ -23,24 +23,17 @@
 //! # Examples
 //!
 //! ```
-//! use p_ast::ProgramBuilder;
 //! use p_semantics::{lower, Engine, ForeignEnv, ExecOutcome};
 //!
-//! let mut b = ProgramBuilder::new();
-//! b.event("done");
-//! let mut m = b.machine("Counter");
-//! m.var("n", p_ast::Ty::Int);
-//! let n = m.sym("n");
-//! m.state("Init").entry(p_ast::Stmt::block(vec![
-//!     p_ast::Stmt::assign(n, p_ast::Expr::int(0)),
-//!     p_ast::Stmt::while_loop(
-//!         p_ast::Expr::binary(p_ast::BinOp::Lt, p_ast::Expr::name(n), p_ast::Expr::int(10)),
-//!         p_ast::Stmt::assign(n, p_ast::Expr::binary(
-//!             p_ast::BinOp::Add, p_ast::Expr::name(n), p_ast::Expr::int(1))),
-//!     ),
-//! ]));
-//! m.finish();
-//! let program = lower(&b.finish("Counter")).unwrap();
+//! let src = r#"
+//!     event done;
+//!     machine Counter {
+//!         var n : int;
+//!         state Init { entry { n := 0; while (n < 10) { n := n + 1; } } }
+//!     }
+//!     main Counter();
+//! "#;
+//! let program = lower(&p_parser::parse(src).unwrap()).unwrap();
 //! let engine = Engine::new(&program, ForeignEnv::empty());
 //! let mut config = engine.initial_config();
 //! let id = config.live_ids().next().unwrap();

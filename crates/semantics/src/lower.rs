@@ -934,29 +934,42 @@ impl<'p> Lowering<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p_ast::{Expr as AExpr, ProgramBuilder, Stmt as AStmt};
+    use crate::tests::lowered;
 
-    fn sample() -> Program {
-        let mut b = ProgramBuilder::new();
-        b.event("go");
-        b.event_with("data", Ty::Int);
-        let mut m = b.machine("M");
-        m.var("x", Ty::Int);
-        let x = m.sym("x");
-        let go = m.sym("go");
-        m.action("bump", AStmt::assign(x, AExpr::int(1)));
-        m.state("A").defer(&["data"]).entry(AStmt::raise(go));
-        m.state("B").postpone(&["go"]);
-        m.step("A", "go", "B");
-        m.call("B", "data", "A");
-        m.bind("B", "go", "bump");
-        m.finish();
-        b.finish("M")
+    /// `lower` on `tests/refused/NAME`, a source it must refuse (the
+    /// type checker must refuse each of them too: `tests/pipeline.rs`).
+    fn refused(name: &str) -> Result<LoweredProgram, LowerError> {
+        let path = format!("{}/../../tests/refused/{name}", env!("CARGO_MANIFEST_DIR"));
+        lower(&p_parser::parse(&std::fs::read_to_string(path).unwrap()).unwrap())
+    }
+
+    fn sample() -> LoweredProgram {
+        lowered(
+            r#"
+            event go;
+            event data : int;
+            machine M {
+                var x : int;
+                action bump { x := 1; }
+                state A {
+                    defer data;
+                    entry { raise(go); }
+                    on go goto B;
+                }
+                state B {
+                    postpone go;
+                    on data push A;
+                    on go do bump;
+                }
+            }
+            main M();
+        "#,
+        )
     }
 
     #[test]
     fn lowers_tables() {
-        let lowered = lower(&sample()).unwrap();
+        let lowered = sample();
         assert_eq!(lowered.event_count(), 2);
         let m = lowered.machine(MachineTypeId(0));
         assert_eq!(m.states.len(), 2);
@@ -974,7 +987,7 @@ mod tests {
 
     #[test]
     fn handles_accounts_for_all_tables() {
-        let lowered = lower(&sample()).unwrap();
+        let lowered = sample();
         let m = lowered.machine(MachineTypeId(0));
         let go = lowered.event_id_named("go").unwrap();
         let data = lowered.event_id_named("data").unwrap();
@@ -986,51 +999,38 @@ mod tests {
 
     #[test]
     fn rejects_duplicate_transition() {
-        let mut b = ProgramBuilder::new();
-        b.event("e");
-        let mut m = b.machine("M");
-        m.state("A");
-        m.state("B");
-        m.step("A", "e", "B");
-        m.step("A", "e", "A");
-        m.finish();
-        let err = lower(&b.finish("M")).unwrap_err();
+        let err = refused("duplicate_transition.p").unwrap_err();
         assert!(err.message().contains("nondeterministic"));
     }
 
     #[test]
     fn rejects_unknown_event() {
-        let mut b = ProgramBuilder::new();
-        let mut m = b.machine("M");
-        m.state("A");
-        m.state("B");
-        m.step("A", "phantom", "B");
-        m.finish();
-        assert!(lower(&b.finish("M")).is_err());
+        assert!(refused("unknown_event.p").is_err());
     }
 
     #[test]
     fn rejects_machine_without_states() {
-        let mut b = ProgramBuilder::new();
-        let m = b.machine("M");
-        m.finish();
-        let err = lower(&b.finish("M")).unwrap_err();
+        let err = refused("no_states.p").unwrap_err();
         assert!(err.message().contains("no states"));
     }
 
     #[test]
     fn variables_shadow_events_in_expressions() {
-        let mut b = ProgramBuilder::new();
-        b.event("x");
-        let mut m = b.machine("M");
-        m.var("x", Ty::Int);
-        let x = m.sym("x");
-        m.state("A").entry(AStmt::assign(x, AExpr::name(x)));
-        m.finish();
-        let lowered = lower(&b.finish("M")).unwrap();
+        let lowered = lowered(
+            r#"
+            event x;
+            machine M {
+                var x : int;
+                state A { entry { x := x; } }
+            }
+            main M();
+        "#,
+        );
         let mt = lowered.machine(MachineTypeId(0));
-        let entry = lowered.code.stmt(mt.states[0].entry);
-        match entry {
+        let LStmt::Block(entry) = lowered.code.stmt(mt.states[0].entry) else {
+            panic!("an entry block lowers to a block");
+        };
+        match lowered.code.stmt(entry[0]) {
             LStmt::Assign(var, value) => {
                 assert_eq!(*var, VarId(0));
                 assert_eq!(lowered.code.expr(*value), &LExpr::Var(VarId(0)));
@@ -1053,20 +1053,7 @@ mod tests {
 
     #[test]
     fn main_inits_resolved() {
-        let mut b = ProgramBuilder::new();
-        let mut m = b.machine("M");
-        m.var("x", Ty::Int);
-        m.state("A");
-        m.finish();
-        let x = b.sym("x");
-        let p = b.finish_with(
-            "M",
-            vec![p_ast::Initializer {
-                var: x,
-                value: AExpr::int(7),
-            }],
-        );
-        let lowered = lower(&p).unwrap();
+        let lowered = lowered("machine M { var x : int; state A { } } main M(x = 7);");
         assert_eq!(lowered.main_inits.len(), 1);
         assert_eq!(lowered.main_inits[0].0, VarId(0));
     }

@@ -1,12 +1,15 @@
 //! Behavioral tests for the execution engine: one test per operational
 //! rule or rule interaction of Figures 4–6.
 
-use p_ast::{BinOp, Expr, ProgramBuilder, Stmt, Ty};
-
 use crate::{
     lower, Config, Engine, ErrorKind, ExecOutcome, ForeignEnv, ForeignRegistry, Granularity,
-    MachineId, Script, Value, YieldKind,
+    LoweredProgram, MachineId, Script, Value, YieldKind,
 };
+
+/// `src` parsed and lowered; a parse or lowering error panics.
+pub(crate) fn lowered(src: &str) -> LoweredProgram {
+    lower(&p_parser::parse(src).unwrap()).unwrap()
+}
 
 fn no_choices() -> impl FnMut() -> bool {
     || panic!("unexpected nondeterministic choice in a real machine")
@@ -39,13 +42,15 @@ fn state_name(engine: &Engine<'_>, config: &Config, id: MachineId) -> String {
 
 #[test]
 fn entry_statement_runs_and_machine_blocks() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    m.state("Init").entry(Stmt::assign(x, Expr::int(41)));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        machine M {
+            var x : int;
+            state Init { entry { x := 41; } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     assert_eq!(
@@ -56,33 +61,22 @@ fn entry_statement_runs_and_machine_blocks() {
 
 #[test]
 fn raise_takes_step_transition_and_runs_exit_entry() {
-    let mut b = ProgramBuilder::new();
-    b.event("go");
-    let mut m = b.machine("M");
-    m.var("trace", Ty::Int);
-    let trace = m.sym("trace");
-    let go = m.sym("go");
-    // trace records the order: entry A (+1), exit A (*10 then +2), entry B (*10+3)
-    let bump = |mul: i64, add: i64| {
-        Stmt::assign(
-            trace,
-            Expr::binary(
-                BinOp::Add,
-                Expr::binary(BinOp::Mul, Expr::name(trace), Expr::int(mul)),
-                Expr::int(add),
-            ),
-        )
-    };
-    m.state("A")
-        .entry(Stmt::block(vec![
-            Stmt::assign(trace, Expr::int(1)),
-            Stmt::raise(go),
-        ]))
-        .exit(bump(10, 2));
-    m.state("B").entry(bump(10, 3));
-    m.step("A", "go", "B");
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event go;
+        machine M {
+            var trace : int;
+            // trace records the order: entry A (+1), exit A (*10 then +2), entry B (*10+3)
+            state A {
+                entry { trace := 1; raise(go); }
+                exit { trace := trace * 10 + 2; }
+                on go goto B;
+            }
+            state B { entry { trace := trace * 10 + 3; } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     // 1 → exit: 12 → entry B: 123.
@@ -95,20 +89,23 @@ fn raise_takes_step_transition_and_runs_exit_entry() {
 
 #[test]
 fn raise_discards_rest_of_statement() {
-    let mut b = ProgramBuilder::new();
-    b.event("go");
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    let go = m.sym("go");
-    m.state("A").entry(Stmt::block(vec![
-        Stmt::raise(go),
-        Stmt::assign(x, Expr::int(99)), // must never run
-    ]));
-    m.state("B");
-    m.step("A", "go", "B");
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event go;
+        machine M {
+            var x : int;
+            state A {
+                entry {
+                    raise(go);
+                    x := 99; // must never run
+                }
+                on go goto B;
+            }
+            state B { }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     assert_eq!(config.machine(MachineId(0)).unwrap().locals[0], Value::Null);
@@ -116,13 +113,15 @@ fn raise_discards_rest_of_statement() {
 
 #[test]
 fn unhandled_event_error_on_empty_stack() {
-    let mut b = ProgramBuilder::new();
-    b.event("boom");
-    let mut m = b.machine("M");
-    let boom = m.sym("boom");
-    m.state("A").entry(Stmt::raise(boom));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event boom;
+        machine M {
+            state A { entry { raise(boom); } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let r = engine
@@ -143,21 +142,21 @@ fn unhandled_event_error_on_empty_stack() {
 
 #[test]
 fn call_transition_pushes_and_return_pops() {
-    let mut b = ProgramBuilder::new();
-    b.event("enterSub");
-    b.event("done");
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    let enter = m.sym("enterSub");
-    m.state("Main").entry(Stmt::raise(enter));
-    m.state("Sub").entry(Stmt::block(vec![
-        Stmt::assign(x, Expr::int(7)),
-        Stmt::ret(),
-    ]));
-    m.call("Main", "enterSub", "Sub");
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event enterSub;
+        event done;
+        machine M {
+            var x : int;
+            state Main {
+                entry { raise(enterSub); }
+                on enterSub push Sub;
+            }
+            state Sub { entry { x := 7; return; } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     let machine = config.machine(MachineId(0)).unwrap();
@@ -172,30 +171,25 @@ fn callee_inherits_deferred_and_actions_from_caller() {
     // Caller defers `d` and binds `a` to an action; callee handles
     // neither, so both must be inherited: `d` stays deferred, `a` runs the
     // caller's action without leaving the callee state.
-    let mut b = ProgramBuilder::new();
-    b.event("enterSub");
-    b.event("d");
-    b.event("a");
-    let mut m = b.machine("M");
-    m.var("hits", Ty::Int);
-    let hits = m.sym("hits");
-    let enter = m.sym("enterSub");
-    m.action(
-        "count",
-        Stmt::assign(
-            hits,
-            Expr::binary(BinOp::Add, Expr::name(hits), Expr::int(1)),
-        ),
+    let program = lowered(
+        r#"
+        event enterSub;
+        event d;
+        event a;
+        machine M {
+            var hits : int;
+            action count { hits := hits + 1; }
+            state Main {
+                defer d;
+                entry { hits := 0; raise(enterSub); }
+                on a do count;
+                on enterSub push Sub;
+            }
+            state Sub { }
+        }
+        main M();
+    "#,
     );
-    m.state("Main").defer(&["d"]).entry(Stmt::block(vec![
-        Stmt::assign(hits, Expr::int(0)),
-        Stmt::raise(enter),
-    ]));
-    m.bind("Main", "a", "count");
-    m.state("Sub");
-    m.call("Main", "enterSub", "Sub");
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = run_main_to_block(&engine);
     let d = program.event_id_named("d").unwrap();
@@ -227,18 +221,22 @@ fn callee_inherits_deferred_and_actions_from_caller() {
 fn transition_in_callee_overrides_inherited_deferral() {
     // The DEQUEUE rule: d' = (d ∪ Deferred(m,n)) - t. An event deferred by
     // the caller but with a transition in the callee is dequeuable.
-    let mut b = ProgramBuilder::new();
-    b.event("enterSub");
-    b.event("d");
-    let mut m = b.machine("M");
-    let enter = m.sym("enterSub");
-    m.state("Main").defer(&["d"]).entry(Stmt::raise(enter));
-    m.state("Sub");
-    m.state("Handled");
-    m.call("Main", "enterSub", "Sub");
-    m.step("Sub", "d", "Handled");
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event enterSub;
+        event d;
+        machine M {
+            state Main {
+                defer d;
+                entry { raise(enterSub); }
+                on enterSub push Sub;
+            }
+            state Sub { on d goto Handled; }
+            state Handled { }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = run_main_to_block(&engine);
     let d = program.event_id_named("d").unwrap();
@@ -257,18 +255,22 @@ fn transition_in_callee_overrides_inherited_deferral() {
 #[test]
 fn pop_redispatches_unhandled_event_in_caller() {
     // Callee does not handle `u`; caller has a step for it. POP1 then STEP.
-    let mut b = ProgramBuilder::new();
-    b.event("enterSub");
-    b.event("u");
-    let mut m = b.machine("M");
-    let enter = m.sym("enterSub");
-    m.state("Main").entry(Stmt::raise(enter));
-    m.state("Sub");
-    m.state("After");
-    m.call("Main", "enterSub", "Sub");
-    m.step("Main", "u", "After");
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event enterSub;
+        event u;
+        machine M {
+            state Main {
+                entry { raise(enterSub); }
+                on enterSub push Sub;
+                on u goto After;
+            }
+            state Sub { }
+            state After { }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = run_main_to_block(&engine);
     let u = program.event_id_named("u").unwrap();
@@ -288,23 +290,25 @@ fn pop_redispatches_unhandled_event_in_caller() {
 
 #[test]
 fn send_yields_and_enqueues_with_dedup() {
-    let mut b = ProgramBuilder::new();
-    b.event("ping");
-    let mut m = b.machine("Sender");
-    m.var("peer", Ty::Id);
-    let peer = m.sym("peer");
-    let ping = m.sym("ping");
-    let receiver = m.sym("Receiver");
-    m.state("Init").entry(Stmt::block(vec![
-        Stmt::new_machine(peer, receiver, vec![]),
-        Stmt::send(Expr::name(peer), ping),
-        Stmt::send(Expr::name(peer), ping), // duplicate: ⊕ drops it
-    ]));
-    m.finish();
-    let mut r = b.machine("Receiver");
-    r.state("Idle").defer(&["ping"]);
-    r.finish();
-    let program = lower(&b.finish("Sender")).unwrap();
+    let program = lowered(
+        r#"
+        event ping;
+        machine Sender {
+            var peer : id;
+            state Init {
+                entry {
+                    peer := new Receiver();
+                    send(peer, ping);
+                    send(peer, ping); // duplicate: ⊕ drops it
+                }
+            }
+        }
+        machine Receiver {
+            state Idle { defer ping; }
+        }
+        main Sender();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let mut choices = no_choices();
@@ -338,15 +342,16 @@ fn send_yields_and_enqueues_with_dedup() {
 
 #[test]
 fn send_to_null_is_an_error() {
-    let mut b = ProgramBuilder::new();
-    b.event("ping");
-    let mut m = b.machine("M");
-    m.var("peer", Ty::Id);
-    let peer = m.sym("peer");
-    let ping = m.sym("ping");
-    m.state("Init").entry(Stmt::send(Expr::name(peer), ping));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event ping;
+        machine M {
+            var peer : id;
+            state Init { entry { send(peer, ping); } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let r = engine
@@ -365,22 +370,24 @@ fn send_to_null_is_an_error() {
 
 #[test]
 fn send_to_deleted_machine_is_an_error() {
-    let mut b = ProgramBuilder::new();
-    b.event("ping");
-    let mut victim = b.machine("Victim");
-    victim.state("Init").entry(Stmt::delete());
-    victim.finish();
-    let mut m = b.machine("Main");
-    m.var("peer", Ty::Id);
-    let peer = m.sym("peer");
-    let ping = m.sym("ping");
-    let victim_sym = m.sym("Victim");
-    m.state("Init").entry(Stmt::block(vec![
-        Stmt::new_machine(peer, victim_sym, vec![]),
-        Stmt::send(Expr::name(peer), ping),
-    ]));
-    m.finish();
-    let program = lower(&b.finish("Main")).unwrap();
+    let program = lowered(
+        r#"
+        event ping;
+        machine Victim {
+            state Init { entry { delete; } }
+        }
+        machine Main {
+            var peer : id;
+            state Init {
+                entry {
+                    peer := new Victim();
+                    send(peer, ping);
+                }
+            }
+        }
+        main Main();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let mut choices = no_choices();
@@ -415,15 +422,13 @@ fn send_to_deleted_machine_is_an_error() {
 #[test]
 fn assert_failure_and_undefined() {
     for (expr, kind) in [
-        (Expr::bool(false), ErrorKind::AssertionFailure),
-        (Expr::null(), ErrorKind::AssertionUndefined),
-        (Expr::int(1), ErrorKind::AssertionUndefined),
+        ("false", ErrorKind::AssertionFailure),
+        ("null", ErrorKind::AssertionUndefined),
+        ("1", ErrorKind::AssertionUndefined),
     ] {
-        let mut b = ProgramBuilder::new();
-        let mut m = b.machine("M");
-        m.state("Init").entry(Stmt::assert(expr.clone()));
-        m.finish();
-        let program = lower(&b.finish("M")).unwrap();
+        let program = lowered(&format!(
+            "machine M {{ state Init {{ entry {{ assert({expr}); }} }} }} main M();"
+        ));
         let engine = Engine::new(&program, ForeignEnv::empty());
         let mut config = engine.initial_config();
         let r = engine
@@ -443,23 +448,23 @@ fn assert_failure_and_undefined() {
 
 #[test]
 fn call_statement_saves_and_resumes_continuation() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    let sub = m.sym("Sub");
-    m.state("Main").entry(Stmt::block(vec![
-        Stmt::assign(x, Expr::int(1)),
-        Stmt::call_state(sub),
-        // Must resume here after Sub returns:
-        Stmt::assign(x, Expr::binary(BinOp::Add, Expr::name(x), Expr::int(100))),
-    ]));
-    m.state("Sub").entry(Stmt::block(vec![
-        Stmt::assign(x, Expr::binary(BinOp::Mul, Expr::name(x), Expr::int(10))),
-        Stmt::ret(),
-    ]));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        machine M {
+            var x : int;
+            state Main {
+                entry {
+                    x := 1;
+                    call Sub;
+                    // Must resume here after Sub returns:
+                    x := x + 100;
+                }
+            }
+            state Sub { entry { x := x * 10; return; } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     // 1 → ×10 = 10 → +100 = 110.
@@ -472,17 +477,21 @@ fn call_statement_saves_and_resumes_continuation() {
 
 #[test]
 fn leave_jumps_to_event_loop() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    m.state("Init").entry(Stmt::block(vec![
-        Stmt::assign(x, Expr::int(1)),
-        Stmt::leave(),
-        Stmt::assign(x, Expr::int(2)), // unreachable
-    ]));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        machine M {
+            var x : int;
+            state Init {
+                entry {
+                    x := 1;
+                    leave;
+                    x := 2; // unreachable
+                }
+            }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     assert_eq!(
@@ -493,11 +502,7 @@ fn leave_jumps_to_event_loop() {
 
 #[test]
 fn return_from_bottom_frame_underflows() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.state("Init").entry(Stmt::ret());
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered("machine M { state Init { entry { return; } } } main M();");
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let r = engine
@@ -516,12 +521,8 @@ fn return_from_bottom_frame_underflows() {
 
 #[test]
 fn infinite_private_loop_exhausts_fuel() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.state("Init")
-        .entry(Stmt::while_loop(Expr::bool(true), Stmt::skip()));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program =
+        lowered("machine M { state Init { entry { while (true) { skip; } } } } main M();");
     let engine = Engine::new(&program, ForeignEnv::empty()).with_fuel(1000);
     let mut config = engine.initial_config();
     let r = engine
@@ -540,17 +541,15 @@ fn infinite_private_loop_exhausts_fuel() {
 
 #[test]
 fn nondet_consumes_script_and_requests_more() {
-    let mut b = ProgramBuilder::new();
-    let mut g = b.ghost_machine("G");
-    g.var("x", Ty::Int);
-    let x = g.sym("x");
-    g.state("Init").entry(Stmt::if_else(
-        Expr::nondet(),
-        Stmt::assign(x, Expr::int(1)),
-        Stmt::assign(x, Expr::int(2)),
-    ));
-    g.finish();
-    let program = lower(&b.finish("G")).unwrap();
+    let program = lowered(
+        r#"
+        ghost machine G {
+            var x : int;
+            state Init { entry { if (*) { x := 1; } else { x := 2; } } }
+        }
+        main G();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
 
     // Empty script: the engine must ask for a choice.
@@ -589,15 +588,16 @@ fn nondet_consumes_script_and_requests_more() {
 
 #[test]
 fn foreign_function_called_with_values() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    let f = m.foreign_fn("triple", vec![Ty::Int], Ty::Int);
-    m.state("Init")
-        .entry(Stmt::foreign_into(x, f, vec![Expr::int(14)]));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        machine M {
+            var x : int;
+            foreign fn triple(int) : int;
+            state Init { entry { x := triple(14); } }
+        }
+        main M();
+    "#,
+    );
     let mut reg = ForeignRegistry::new();
     reg.register("triple", |args| match args[0] {
         Value::Int(i) => Value::Int(i * 3),
@@ -614,16 +614,17 @@ fn foreign_function_called_with_values() {
 
 #[test]
 fn msg_and_arg_visible_to_handler() {
-    let mut b = ProgramBuilder::new();
-    b.event_with("data", Ty::Int);
-    let mut m = b.machine("M");
-    m.var("got", Ty::Int);
-    let got = m.sym("got");
-    m.state("Wait");
-    m.state("Got").entry(Stmt::assign(got, Expr::arg()));
-    m.step("Wait", "data", "Got");
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event data : int;
+        machine M {
+            var got : int;
+            state Wait { on data goto Got; }
+            state Got { entry { got := arg; } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let data = program.event_id_named("data").unwrap();
@@ -643,16 +644,15 @@ fn msg_and_arg_visible_to_handler() {
 
 #[test]
 fn fine_granularity_yields_every_step() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    m.state("Init").entry(Stmt::block(vec![
-        Stmt::assign(x, Expr::int(1)),
-        Stmt::assign(x, Expr::int(2)),
-    ]));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        machine M {
+            var x : int;
+            state Init { entry { x := 1; x := 2; } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let mut choices = no_choices();
@@ -680,11 +680,7 @@ fn fine_granularity_yields_every_step() {
 
 #[test]
 fn deleted_machine_is_not_enabled() {
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.state("Init").entry(Stmt::delete());
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered("machine M { state Init { entry { delete; } } } main M();");
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     assert_eq!(engine.enabled_machines(&config), vec![MachineId(0)]);
@@ -702,14 +698,16 @@ fn deleted_machine_is_not_enabled() {
 
 #[test]
 fn canonical_bytes_stable_across_identical_runs() {
-    let mut b = ProgramBuilder::new();
-    b.event("tick");
-    let mut m = b.machine("M");
-    m.var("x", Ty::Int);
-    let x = m.sym("x");
-    m.state("Init").entry(Stmt::assign(x, Expr::int(5)));
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered(
+        r#"
+        event tick;
+        machine M {
+            var x : int;
+            state Init { entry { x := 5; } }
+        }
+        main M();
+    "#,
+    );
     let engine = Engine::new(&program, ForeignEnv::empty());
     let c1 = run_main_to_block(&engine);
     let c2 = run_main_to_block(&engine);
@@ -730,8 +728,7 @@ fn model_body_interpreted_when_no_native_impl() {
         }
         main M();
     "#;
-    let parsed = p_parser::parse(src).unwrap();
-    let program = lower(&parsed).unwrap();
+    let program = lowered(src);
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     assert_eq!(
@@ -750,8 +747,7 @@ fn native_impl_overrides_model_body() {
         }
         main M();
     "#;
-    let parsed = p_parser::parse(src).unwrap();
-    let program = lower(&parsed).unwrap();
+    let program = lowered(src);
     let mut reg = ForeignRegistry::new();
     reg.register("f", |args| match args[0] {
         Value::Int(i) => Value::Int(i * 100),
@@ -777,8 +773,7 @@ fn model_body_reads_machine_ghost_vars() {
         }
         main M();
     "#;
-    let parsed = p_parser::parse(src).unwrap();
-    let program = lower(&parsed).unwrap();
+    let program = lowered(src);
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     // locals: x at 0, g at 1.
@@ -801,8 +796,7 @@ fn model_body_nondet_requests_choices() {
         }
         main G();
     "#;
-    let parsed = p_parser::parse(src).unwrap();
-    let program = lower(&parsed).unwrap();
+    let program = lowered(src);
     let engine = Engine::new(&program, ForeignEnv::empty());
 
     let mut config = engine.initial_config();
@@ -850,8 +844,7 @@ fn model_body_while_loop_computes() {
         "result := 0;\n                while (n > 0) {\n                    result := result + n;\n                    n := n - 1;\n                }",
         "result := n * (n + 1) / 2;",
     );
-    let parsed = p_parser::parse(&src).unwrap();
-    let program = lower(&parsed).unwrap();
+    let program = lowered(&src);
     let engine = Engine::new(&program, ForeignEnv::empty());
     let config = run_main_to_block(&engine);
     assert_eq!(
@@ -874,7 +867,7 @@ fn model_body_runs_on_the_engines_fuel() {
         }
         main M();
     "#;
-    let program = lower(&p_parser::parse(src).unwrap()).unwrap();
+    let program = lowered(src);
     let run = |engine: Engine<'_>| {
         let mut config = engine.initial_config();
         let r = engine
@@ -907,11 +900,7 @@ fn dead_machine_step_is_a_typed_error_not_a_panic() {
     // Asking the engine to run a machine that was never allocated (or
     // was deleted) must surface as `ExecError::DeadMachine`, not abort
     // the process: the checker propagates it as a `CheckerError`.
-    let mut b = ProgramBuilder::new();
-    let mut m = b.machine("M");
-    m.state("S").entry(Stmt::skip());
-    m.finish();
-    let program = lower(&b.finish("M")).unwrap();
+    let program = lowered("machine M { state S { entry { skip; } } } main M();");
     let engine = Engine::new(&program, ForeignEnv::empty());
     let mut config = engine.initial_config();
     let dead = MachineId(99);

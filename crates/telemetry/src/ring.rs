@@ -108,7 +108,7 @@ impl RingRecorder {
     /// Stores one record, or counts it as dropped when the ring is full
     /// or drained. The checker's and the runtime's hooks call it from
     /// their hot loops, so it waits only while another writer allocates
-    /// the chunk this record goes to, once per [`CHUNK`] records.
+    /// the chunk this record goes to, once per `CHUNK` records.
     pub fn record(&self, record: Record) {
         let index = self.claimed.fetch_add(1, Ordering::AcqRel);
         if index < self.capacity {

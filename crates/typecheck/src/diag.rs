@@ -22,7 +22,7 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Human-readable description.
     pub message: String,
-    /// Source location (synthetic for builder-made programs).
+    /// Source location ([`Span::SYNTHETIC`] for a node with no source text).
     pub span: Span,
 }
 

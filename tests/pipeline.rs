@@ -41,6 +41,39 @@ fn every_corpus_program_flows_through_the_whole_pipeline() {
     }
 }
 
+/// Each source under `tests/refused/` is one `lower`'s unit tests expect
+/// refused; the type checker, which runs first, must refuse it too, and
+/// point into the source.
+#[test]
+fn lowering_refuses_nothing_the_checker_lets_through() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/refused");
+    let mut sources: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    sources.sort();
+    assert!(sources.len() >= 3, "{sources:?}");
+    for path in sources {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let program = p_core::parser::parse(&src).unwrap();
+        let name = path.display();
+        assert!(
+            p_core::semantics::lower(&program).is_err(),
+            "{name}: lowered"
+        );
+        let errors = p_core::typecheck::check(&program)
+            .map(|_| panic!("{name}: the checker lets it through"))
+            .unwrap_err();
+        let inside = |span: p_core::ast::Span| {
+            !span.is_synthetic() && span.start <= span.end && span.end as usize <= src.len()
+        };
+        assert!(
+            errors.errors().any(|d| inside(d.span)),
+            "{name}: no error points into the source: {errors:?}"
+        );
+    }
+}
+
 #[test]
 fn erased_programs_have_no_ghosts() {
     for (name, program) in corpus::all() {

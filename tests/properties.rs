@@ -3,7 +3,7 @@
 //! and runtime execution against a reference fold. Each runs on the seeds
 //! `0..CASES`, and a failure names its seed.
 
-use p_core::ast::{Draws, ProgramBuilder, Ty};
+use p_core::ast::Draws;
 use p_core::corpus::{generated_family_program, generated_program};
 use p_core::semantics::{lower, Config, EventId, Value};
 use p_core::{Runtime, Value as V};
@@ -38,14 +38,15 @@ fn generated_programs_typecheck_and_lower() {
 #[test]
 fn queue_append_deduplicates_and_preserves_order() {
     // A tiny machine to host a queue.
-    let mut b = ProgramBuilder::new();
-    for e in 0..4 {
-        b.event_with(&format!("q{e}"), Ty::Int);
-    }
-    let mut m = b.machine("M");
-    m.state("S");
-    m.finish();
-    let lowered = lower(&b.finish("M")).unwrap();
+    let src = r#"
+        event q0 : int;
+        event q1 : int;
+        event q2 : int;
+        event q3 : int;
+        machine M { state S { } }
+        main M();
+    "#;
+    let lowered = lower(&p_core::parser::parse(src).unwrap()).unwrap();
     for seed in 0..CASES {
         let d = &mut Draws::new(seed);
         let mut config = Config::default();
