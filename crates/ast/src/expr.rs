@@ -86,14 +86,6 @@ impl BinOp {
         }
     }
 
-    /// Whether the operator compares values (result type `bool`).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// Whether the operator is arithmetic (`int × int → int`).
     pub fn is_arithmetic(self) -> bool {
         matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
@@ -177,16 +169,6 @@ impl Expr {
         Expr::new(ExprKind::Msg)
     }
 
-    /// `arg`
-    pub fn arg() -> Expr {
-        Expr::new(ExprKind::Arg)
-    }
-
-    /// `null` (⊥)
-    pub fn null() -> Expr {
-        Expr::new(ExprKind::Null)
-    }
-
     /// A boolean literal.
     pub fn bool(b: bool) -> Expr {
         Expr::new(ExprKind::Bool(b))
@@ -200,11 +182,6 @@ impl Expr {
     /// A variable or event reference.
     pub fn name(sym: Symbol) -> Expr {
         Expr::new(ExprKind::Name(sym))
-    }
-
-    /// The nondeterministic choice `*`.
-    pub fn nondet() -> Expr {
-        Expr::new(ExprKind::Nondet)
     }
 
     /// A unary operation.
@@ -229,36 +206,11 @@ impl Expr {
             _ => false,
         }
     }
-
-    /// All `Name` symbols mentioned in the expression, in evaluation order.
-    pub fn names(&self) -> Vec<Symbol> {
-        let mut out = Vec::new();
-        self.collect_names(&mut out);
-        out
-    }
-
-    fn collect_names(&self, out: &mut Vec<Symbol>) {
-        match &self.kind {
-            ExprKind::Name(s) => out.push(*s),
-            ExprKind::Unary(_, e) => e.collect_names(out),
-            ExprKind::Binary(_, a, b) => {
-                a.collect_names(out);
-                b.collect_names(out);
-            }
-            ExprKind::ForeignCall(_, args) => {
-                for a in args {
-                    a.collect_names(out);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Interner;
 
     #[test]
     fn precedence_orders_operators() {
@@ -285,7 +237,11 @@ mod tests {
             BinOp::And,
             BinOp::Or,
         ] {
-            let classes = [op.is_comparison(), op.is_arithmetic(), op.is_logical()];
+            let comparison = matches!(
+                op,
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+            );
+            let classes = [comparison, op.is_arithmetic(), op.is_logical()];
             assert_eq!(classes.iter().filter(|&&c| c).count(), 1, "{op:?}");
         }
     }
@@ -295,17 +251,9 @@ mod tests {
         let e = Expr::binary(
             BinOp::And,
             Expr::bool(true),
-            Expr::unary(UnOp::Not, Expr::nondet()),
+            Expr::unary(UnOp::Not, Expr::new(ExprKind::Nondet)),
         );
         assert!(e.contains_nondet());
         assert!(!Expr::bool(true).contains_nondet());
-    }
-
-    #[test]
-    fn names_in_order() {
-        let mut i = Interner::new();
-        let (a, b) = (i.intern("a"), i.intern("b"));
-        let e = Expr::binary(BinOp::Add, Expr::name(a), Expr::name(b));
-        assert_eq!(e.names(), vec![a, b]);
     }
 }

@@ -510,7 +510,7 @@ mod tests {
             states: vec![StateDecl {
                 deferred: vec![evt],
                 postponed: vec![evt],
-                entry: Stmt::leave(),
+                entry: Stmt::new(StmtKind::Leave),
                 ..StateDecl::empty(s)
             }],
             transitions: Vec::new(),

@@ -142,27 +142,12 @@ impl Stmt {
         Stmt::new(StmtKind::Assign { dst, value })
     }
 
-    /// `delete;`
-    pub fn delete() -> Stmt {
-        Stmt::new(StmtKind::Delete)
-    }
-
     /// `raise(event);`
     pub fn raise(event: Symbol) -> Stmt {
         Stmt::new(StmtKind::Raise {
             event,
             payload: None,
         })
-    }
-
-    /// `leave;`
-    pub fn leave() -> Stmt {
-        Stmt::new(StmtKind::Leave)
-    }
-
-    /// `return;`
-    pub fn ret() -> Stmt {
-        Stmt::new(StmtKind::Return)
     }
 
     /// `assert(cond);`
@@ -173,23 +158,6 @@ impl Stmt {
     /// A block of statements.
     pub fn block(stmts: Vec<Stmt>) -> Stmt {
         Stmt::new(StmtKind::Block(stmts))
-    }
-
-    /// `if (cond) { then } else { els }`
-    pub fn if_else(cond: Expr, then: Stmt, els: Stmt) -> Stmt {
-        Stmt::new(StmtKind::If {
-            cond,
-            then: Box::new(then),
-            els: Box::new(els),
-        })
-    }
-
-    /// `while (cond) { body }`
-    pub fn while_loop(cond: Expr, body: Stmt) -> Stmt {
-        Stmt::new(StmtKind::While {
-            cond,
-            body: Box::new(body),
-        })
     }
 
     /// Returns the statements of a block, or a one-element slice view of
@@ -269,19 +237,30 @@ impl Default for Stmt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BinOp, Interner};
+    use crate::{BinOp, ExprKind, Interner};
 
     #[test]
     fn flatten_block_vs_single() {
-        let s = Stmt::block(vec![Stmt::skip(), Stmt::leave(), Stmt::ret()]);
+        let s = Stmt::block(vec![
+            Stmt::skip(),
+            Stmt::new(StmtKind::Leave),
+            Stmt::new(StmtKind::Return),
+        ]);
         assert_eq!(s.flatten().len(), 3);
-        assert_eq!(Stmt::delete().flatten().len(), 1);
+        assert_eq!(Stmt::new(StmtKind::Delete).flatten().len(), 1);
     }
 
     #[test]
     fn contains_nondet_in_nested_statement() {
-        let inner = Stmt::if_else(Expr::nondet(), Stmt::skip(), Stmt::skip());
-        let outer = Stmt::while_loop(Expr::bool(true), Stmt::block(vec![inner]));
+        let inner = Stmt::new(StmtKind::If {
+            cond: Expr::new(ExprKind::Nondet),
+            then: Box::new(Stmt::skip()),
+            els: Box::new(Stmt::skip()),
+        });
+        let outer = Stmt::new(StmtKind::While {
+            cond: Expr::bool(true),
+            body: Box::new(Stmt::block(vec![inner])),
+        });
         assert!(outer.contains_nondet());
         assert!(!Stmt::skip().contains_nondet());
     }

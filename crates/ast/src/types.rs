@@ -14,7 +14,7 @@ use std::fmt;
 /// use p_ast::Ty;
 ///
 /// assert_eq!(Ty::Int.to_string(), "int");
-/// assert!(Ty::Id.is_machine_ref());
+/// assert_eq!(Ty::from_keyword("id"), Some(Ty::Id));
 /// assert!(Ty::Void.accepts(Ty::Void));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -37,11 +37,6 @@ pub enum Ty {
 impl Ty {
     /// All types, in declaration order of the grammar.
     pub const ALL: [Ty; 5] = [Ty::Void, Ty::Bool, Ty::Int, Ty::Event, Ty::Id];
-
-    /// Whether this is the machine-identifier type `id`.
-    pub fn is_machine_ref(self) -> bool {
-        self == Ty::Id
-    }
 
     /// Whether a value of type `other` may be stored where `self` is
     /// expected.

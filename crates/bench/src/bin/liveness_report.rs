@@ -21,7 +21,7 @@ fn main() {
 
     for (name, program) in programs {
         let compiled = Compiled::from_program(program).unwrap();
-        let report = compiled.verify_liveness();
+        let report = compiled.verifier().try_check_liveness().unwrap();
         println!(
             "{name}: {} ({} states, complete = {})",
             if report.passed() {
@@ -63,7 +63,7 @@ fn main() {
         ("event-starved", starved),
     ] {
         let compiled = Compiled::from_source(src).unwrap();
-        let report = compiled.verify_liveness();
+        let report = compiled.verifier().try_check_liveness().unwrap();
         println!("{name}: {} violation(s)", report.violations.len());
         for v in &report.violations {
             println!("    - {v}");

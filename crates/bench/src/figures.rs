@@ -41,7 +41,7 @@ pub fn fig7_programs() -> Vec<(&'static str, Compiled)> {
 pub fn fig7_series(compiled: &Compiled, max_delay: usize) -> Vec<Fig7Point> {
     (0..=max_delay)
         .map(|d| {
-            let r = compiled.verify_delay_bounded(d);
+            let r = compiled.verifier().try_check_delay_bounded(d).unwrap();
             assert!(r.passed(), "fig7 programs are bug-free");
             Fig7Point {
                 delay_bound: d,
@@ -55,7 +55,7 @@ pub fn fig7_series(compiled: &Compiled, max_delay: usize) -> Vec<Fig7Point> {
 
 /// The exhaustive state count (the plateau the Figure 7 curves approach).
 pub fn exhaustive_states(compiled: &Compiled) -> usize {
-    let report = compiled.verify();
+    let report = compiled.verifier().try_check_exhaustive().unwrap();
     assert!(report.passed() && report.complete);
     report.stats.unique_states
 }
@@ -70,7 +70,7 @@ pub fn bug_bounds(max_delay: usize) -> Vec<(&'static str, Option<usize>, usize)>
             let mut found = None;
             let mut trace_len = 0;
             for d in 0..=max_delay {
-                let r = compiled.verify_delay_bounded(d);
+                let r = compiled.verifier().try_check_delay_bounded(d).unwrap();
                 if let Some(cx) = r.counterexample {
                     found = Some(d);
                     trace_len = cx.trace.len();
@@ -108,7 +108,7 @@ pub fn fig8_rows() -> Vec<Fig8Row> {
             let p_states = real.states.len();
             let p_transitions = real.transition_count();
             let compiled = Compiled::from_program(program).unwrap();
-            let report = compiled.verify();
+            let report = compiled.verifier().try_check_exhaustive().unwrap();
             assert!(report.passed(), "{name} must verify");
             Fig8Row {
                 name,
@@ -214,13 +214,14 @@ pub fn ablation_rows() -> Vec<AblationRow> {
         .into_iter()
         .map(|(name, program)| {
             let lowered = p_core::semantics::lower(&program).unwrap();
-            let atomic = Verifier::new(&lowered).check_exhaustive();
+            let atomic = Verifier::new(&lowered).try_check_exhaustive().unwrap();
             let fine = Verifier::new(&lowered)
                 .with_options(CheckerOptions {
                     granularity: Granularity::Fine,
                     ..CheckerOptions::default()
                 })
-                .check_exhaustive();
+                .try_check_exhaustive()
+                .unwrap();
             AblationRow {
                 name,
                 atomic_states: atomic.stats.unique_states,
@@ -284,7 +285,8 @@ pub fn perf_rows_for(only: Option<&[String]>) -> Vec<JsonValue> {
                     symmetry,
                     ..CheckerOptions::default()
                 })
-                .check_exhaustive()
+                .try_check_exhaustive()
+                .unwrap()
         })
     };
     let mut rows = Vec::new();
@@ -293,7 +295,7 @@ pub fn perf_rows_for(only: Option<&[String]>) -> Vec<JsonValue> {
             continue;
         }
         let compiled = Compiled::from_program(program).unwrap();
-        let full = best_of_three(|| compiled.verify());
+        let full = best_of_three(|| compiled.verifier().try_check_exhaustive().unwrap());
         let por = run_mode(&compiled, true, false);
         let sym = run_mode(&compiled, false, true);
         let por_sym = run_mode(&compiled, true, true);

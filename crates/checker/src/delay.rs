@@ -24,7 +24,7 @@ use crate::explore::{Report, Scheduler, Step, Verifier, SLOT_MEMO_ENTRIES};
 /// The scheduler stack `S` plus the delay score, as one explorable node
 /// component.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SchedulerState {
+pub(crate) struct SchedulerState {
     /// The machine stack; front is the top (the machine scheduled next).
     pub stack: VecDeque<MachineId>,
     /// Delays spent so far.
@@ -157,18 +157,9 @@ impl Verifier<'_> {
     /// unique *configurations* (the Figure 7 quantity) and
     /// `stats.scheduler_nodes` the (configuration, scheduler state) pairs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the search fails with a [`CheckerError`], as
-    /// [`Verifier::check_exhaustive`] does. Use
-    /// [`Verifier::try_check_delay_bounded`] to handle those errors.
-    pub fn check_delay_bounded(&self, delay_bound: usize) -> Report {
-        self.try_check_delay_bounded(delay_bound)
-            .expect("delay-bounded search failed; use try_check_delay_bounded to handle errors")
-    }
-
-    /// [`Verifier::check_delay_bounded`], surfacing errors instead of
-    /// panicking: those of [`Verifier::try_check_exhaustive`], and
+    /// Those of [`Verifier::try_check_exhaustive`], and
     /// [`CheckerError::Unsupported`] for `por` or `symmetry`.
     pub fn try_check_delay_bounded(&self, delay_bound: usize) -> Result<Report, CheckerError> {
         let jobs = self.options().jobs;

@@ -354,7 +354,7 @@ impl Report {
 /// let program = p_parser::parse(src).unwrap();
 /// let lowered = p_semantics::lower(&program).unwrap();
 /// let verifier = p_checker::Verifier::new(&lowered);
-/// let report = verifier.check_exhaustive();
+/// let report = verifier.try_check_exhaustive().unwrap();
 /// assert!(report.passed());
 /// assert!(report.complete);
 /// ```
@@ -420,68 +420,29 @@ impl<'p> Verifier<'p> {
         Engine::new(self.program, self.foreign.clone()).with_fuel(self.options.fuel)
     }
 
-    /// Exhaustive search truncated at `max_depth` scheduler decisions —
-    /// the plain depth-bounding baseline the paper contrasts with delay
-    /// bounding (§1, §5).
-    pub fn check_exhaustive_with_depth(&self, max_depth: usize) -> Report {
-        let options = CheckerOptions {
-            max_depth,
-            ..self.options.clone()
-        };
-        Verifier {
-            program: self.program,
-            foreign: self.foreign.clone(),
-            options,
-            telemetry: self.telemetry.clone(),
-        }
-        .check_exhaustive()
-    }
-
     /// Exhaustive search over all schedules and ghost choices,
     /// deduplicating states, up to the configured bounds.
     ///
     /// This enumerates *all* interleavings at send/create scheduling
     /// points — the baseline the delay-bounded scheduler is measured
-    /// against. [`CheckerOptions::jobs`] sets the number of workers.
+    /// against. [`CheckerOptions::jobs`] sets the number of workers:
+    /// for a complete run, `unique_states`, the verdict and
+    /// `transitions` are independent of it; with more than one worker
+    /// the counterexample returned for a buggy program may differ
+    /// between runs, but is always valid and replayable.
+    /// [`CheckerOptions::max_depth`] truncates every path at that many
+    /// scheduler decisions — the plain depth-bounding baseline the paper
+    /// contrasts with delay bounding (§1, §5).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the search fails with a [`CheckerError`]: the fallible
-    /// options ([`CheckerOptions::checkpoint`], [`CheckerOptions::resume`],
-    /// [`CheckerOptions::mem_limit`]), or a fatal semantics error (a
-    /// corrupt lowering — an engine bug, not a property violation). Use
-    /// [`Verifier::try_check_exhaustive`] to handle those errors.
-    pub fn check_exhaustive(&self) -> Report {
-        self.try_check_exhaustive()
-            .expect("exhaustive search failed; use try_check_exhaustive to handle errors")
-    }
-
-    /// [`Verifier::check_exhaustive`], surfacing I/O, checkpoint, and
-    /// semantics errors instead of panicking. The `Err` cases are rooted
-    /// in the fallible options — checkpoint directory I/O, a corrupt or
-    /// mismatched checkpoint on resume, spill-store I/O under a memory
-    /// limit — or in a fatal [`CheckerError::Semantics`] engine error.
+    /// The `Err` cases are rooted in the fallible options — checkpoint
+    /// directory I/O, a corrupt or mismatched checkpoint on resume,
+    /// spill-store I/O under a memory limit — or in a fatal
+    /// [`CheckerError::Semantics`] engine error (a corrupt lowering — an
+    /// engine bug, not a property violation).
     pub fn try_check_exhaustive(&self) -> Result<Report, CheckerError> {
         self.search(self.options.jobs).map(|(report, _)| report)
-    }
-
-    /// [`Verifier::check_exhaustive`] with `jobs` workers, whatever
-    /// [`CheckerOptions::jobs`] says.
-    ///
-    /// For a complete (non-truncated) run, `unique_states`, the
-    /// verdict, and `transitions` are independent of `jobs`; with more
-    /// than one worker the specific counterexample returned for a buggy
-    /// program may differ between runs, but is always valid and
-    /// replayable.
-    ///
-    /// # Panics
-    ///
-    /// As [`Verifier::check_exhaustive`]: only the fallible options can
-    /// make the search fail.
-    pub fn check_exhaustive_parallel(&self, jobs: usize) -> Report {
-        self.search(jobs)
-            .expect("exhaustive search failed; use try_check_exhaustive to handle errors")
-            .0
     }
 
     /// Digest of everything a checkpoint must agree on to be resumable:
@@ -1571,7 +1532,7 @@ mod tests {
         let p = p_semantics::lower(&p_corpus::german4()).unwrap();
         let (before, _) = LIVE_LINKS.get();
         LIVE_LINKS.set((before, before));
-        let report = Verifier::new(&p).check_exhaustive();
+        let report = Verifier::new(&p).try_check_exhaustive().unwrap();
         assert!(report.passed() && report.complete);
         let (after, peak) = LIVE_LINKS.get();
         assert_eq!(after, before, "links alive after the search");
@@ -1596,7 +1557,10 @@ mod tests {
             ..CheckerOptions::default()
         };
         let before = CHECKED_KEYS.get();
-        let report = Verifier::new(&p).with_options(options).check_exhaustive();
+        let report = Verifier::new(&p)
+            .with_options(options)
+            .try_check_exhaustive()
+            .unwrap();
         assert!(report.passed() && report.complete);
         let after = CHECKED_KEYS.get();
         assert_eq!(after[0] - before[0], report.stats.canon_pinned);

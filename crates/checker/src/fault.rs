@@ -85,7 +85,7 @@ impl fmt::Display for FaultKind {
 /// machine's queue, at which index. The event id at that index is
 /// recorded so replay can detect a stale or tampered trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultDecision {
+pub(crate) struct FaultDecision {
     /// What was done to the queue entry.
     pub kind: FaultKind,
     /// The machine whose input queue was tampered with.
@@ -98,7 +98,7 @@ pub struct FaultDecision {
 
 /// Enumerates and applies environment faults, bounded by a budget.
 #[derive(Debug, Clone)]
-pub struct FaultScheduler {
+pub(crate) struct FaultScheduler {
     budget: usize,
     kinds: Vec<FaultKind>,
 }
@@ -113,16 +113,6 @@ impl FaultScheduler {
             kinds.to_vec()
         };
         FaultScheduler { budget, kinds }
-    }
-
-    /// The fault budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// The fault kinds in play.
-    pub fn kinds(&self) -> &[FaultKind] {
-        &self.kinds
     }
 
     /// All faults injectable in `config` given `used` faults already
@@ -270,7 +260,8 @@ impl Verifier<'_> {
     /// checker may spend one unit of `budget` to drop, duplicate or
     /// delay any queued event (restricted to `kinds`; empty = all).
     ///
-    /// With `budget = 0` this coincides with [`Verifier::check_exhaustive`].
+    /// With `budget = 0` this coincides with
+    /// [`Verifier::try_check_exhaustive`].
     /// Fault injections appear in counterexample traces as dedicated
     /// steps and replay deterministically. Every [`crate::CheckerOptions`]
     /// field but `por`/`symmetry` applies as to the exhaustive search.
@@ -278,18 +269,9 @@ impl Verifier<'_> {
     /// `stats.scheduler_nodes` the (configuration, faults-used) pairs and
     /// `stats.fault_transitions` the injections explored.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the search fails with a [`CheckerError`], as
-    /// [`Verifier::check_exhaustive`] does. Use
-    /// [`Verifier::try_check_with_faults`] to handle those errors.
-    pub fn check_with_faults(&self, budget: usize, kinds: &[FaultKind]) -> Report {
-        self.try_check_with_faults(budget, kinds)
-            .expect("fault-injecting search failed; use try_check_with_faults to handle errors")
-    }
-
-    /// [`Verifier::check_with_faults`], surfacing errors instead of
-    /// panicking: those of [`Verifier::try_check_exhaustive`], and
+    /// Those of [`Verifier::try_check_exhaustive`], and
     /// [`CheckerError::Unsupported`] for `por` or `symmetry`.
     pub fn try_check_with_faults(
         &self,
@@ -500,12 +482,14 @@ mod tests {
         let p = compiled(LOSSY);
         let verifier = Verifier::new(&p);
         // Fault-free search (budget 0) sees only FIFO delivery: correct.
-        let clean = verifier.check_with_faults(0, &[]);
+        let clean = verifier.try_check_with_faults(0, &[]).unwrap();
         assert!(clean.passed(), "{:?}", clean.counterexample);
         assert!(clean.complete);
         assert_eq!(clean.stats.fault_transitions, 0);
         // One dropped event breaks it.
-        let faulty = verifier.check_with_faults(1, &[FaultKind::Drop]);
+        let faulty = verifier
+            .try_check_with_faults(1, &[FaultKind::Drop])
+            .unwrap();
         let cx = faulty.counterexample.expect("drop fault finds the bug");
         assert!(matches!(cx.error.kind, ErrorKind::UnhandledEvent { .. }));
         assert!(cx.trace.iter().any(|s| s.fault.is_some()));
@@ -516,7 +500,9 @@ mod tests {
     fn delay_fault_reorders_past_fifo() {
         let p = compiled(LOSSY);
         let verifier = Verifier::new(&p);
-        let report = verifier.check_with_faults(1, &[FaultKind::Delay]);
+        let report = verifier
+            .try_check_with_faults(1, &[FaultKind::Delay])
+            .unwrap();
         let cx = report.counterexample.expect("delay fault finds the bug");
         assert!(matches!(cx.error.kind, ErrorKind::UnhandledEvent { .. }));
         let fault = cx
@@ -532,9 +518,14 @@ mod tests {
         let p = compiled(AT_MOST_ONCE);
         let verifier = Verifier::new(&p);
         // Dropping the only event cannot violate the ≤1 assertion.
-        assert!(verifier.check_with_faults(3, &[FaultKind::Drop]).passed());
+        assert!(verifier
+            .try_check_with_faults(3, &[FaultKind::Drop])
+            .unwrap()
+            .passed());
         // Re-delivery does.
-        let report = verifier.check_with_faults(1, &[FaultKind::Dup]);
+        let report = verifier
+            .try_check_with_faults(1, &[FaultKind::Dup])
+            .unwrap();
         let cx = report.counterexample.expect("dup fault finds the bug");
         assert_eq!(cx.error.kind, ErrorKind::AssertionFailure);
     }
@@ -543,7 +534,7 @@ mod tests {
     fn fault_counterexamples_replay_deterministically() {
         let p = compiled(LOSSY);
         let verifier = Verifier::new(&p);
-        let report = verifier.check_with_faults(1, &[]);
+        let report = verifier.try_check_with_faults(1, &[]).unwrap();
         let cx = report.counterexample.expect("bug found");
         assert!(verifier.replay(&cx).reproduced());
         // The last-good state replays the fault prefix too.
@@ -556,7 +547,8 @@ mod tests {
         let p = compiled(LOSSY);
         let verifier = Verifier::new(&p);
         let cx = verifier
-            .check_with_faults(1, &[FaultKind::Drop])
+            .try_check_with_faults(1, &[FaultKind::Drop])
+            .unwrap()
             .counterexample
             .unwrap();
         let fault_at = cx.trace.iter().position(|s| s.fault.is_some()).unwrap();
@@ -572,8 +564,8 @@ mod tests {
     fn budget_zero_matches_exhaustive() {
         let p = compiled(LOSSY);
         let verifier = Verifier::new(&p);
-        let plain = verifier.check_exhaustive();
-        let faultless = verifier.check_with_faults(0, &[]);
+        let plain = verifier.try_check_exhaustive().unwrap();
+        let faultless = verifier.try_check_with_faults(0, &[]).unwrap();
         assert_eq!(plain.passed(), faultless.passed());
         assert_eq!(plain.stats.unique_states, faultless.stats.unique_states);
     }

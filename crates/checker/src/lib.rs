@@ -11,26 +11,29 @@
 //! (assertion failures, sends to ⊥, sends to deleted machines, and
 //! unhandled events).
 //!
-//! Strategies:
+//! Strategies, one fallible call each:
 //!
-//! * [`Verifier::check_exhaustive`] — full depth-first search (with depth
-//!   and state bounds), optionally with sleep-set partial-order reduction
-//!   ([`CheckerOptions::por`]): same states and verdict, fewer redundant
-//!   transitions between independent machine runs;
-//! * [`Verifier::check_exhaustive_parallel`] — that search with the
-//!   worker count as an argument;
-//! * [`Verifier::check_delay_bounded`] — the paper's novel *delay-bounded
-//!   causal scheduler* (§5): with budget `d = 0` it explores exactly the
-//!   causal schedule the runtime executes, and increasing `d` adds
-//!   schedules that diverge from causal order in at most `d` places;
-//! * [`Verifier::check_random`] — seeded random walks;
-//! * [`Verifier::check_with_faults`] — exhaustive search plus a bounded
-//!   *environment-fault scheduler* that may drop, duplicate, or delay
-//!   queued events (this reproduction's robustness extension: budget 0
-//!   coincides with the fault-free search);
-//! * [`Verifier::check_liveness`] — a bounded check of the two liveness
-//!   properties of §3.2 (this reproduction's extension; the paper lists
-//!   liveness verification as future work).
+//! * [`Verifier::try_check_exhaustive`] — the search over every schedule
+//!   and ghost choice, deduplicating states (with the depth and state
+//!   bounds of [`CheckerOptions`]), optionally with sleep-set
+//!   partial-order reduction ([`CheckerOptions::por`]): same states and
+//!   verdict, fewer redundant transitions between independent machine
+//!   runs;
+//! * [`Verifier::try_check_delay_bounded`] — the paper's novel
+//!   *delay-bounded causal scheduler* (§5): with budget `d = 0` it
+//!   explores exactly the causal schedule the runtime executes, and
+//!   increasing `d` adds schedules that diverge from causal order in at
+//!   most `d` places;
+//! * [`Verifier::try_check_random`] — seeded random walks;
+//! * [`Verifier::try_check_with_faults`] — the exhaustive search plus a
+//!   bounded *environment-fault scheduler* that may drop, duplicate, or
+//!   delay queued events (this reproduction's robustness extension:
+//!   budget 0 coincides with the fault-free search);
+//! * [`Verifier::try_check_liveness`] — a bounded check of the two
+//!   liveness properties of §3.2 (this reproduction's extension; the
+//!   paper lists liveness verification as future work).
+//!
+//! [`Verifier::replay`] re-runs a counterexample's schedule.
 //!
 //! The exhaustive, delay-bounded, fault and liveness strategies are
 //! schedulers of one search kernel: for every [`CheckerOptions::jobs`]
@@ -59,7 +62,7 @@
 //! let lowered = p_semantics::lower(&program).unwrap();
 //! let verifier = p_checker::Verifier::new(&lowered);
 //! // `Server.Idle` never handles `req` → unhandled-event violation.
-//! let report = verifier.check_exhaustive();
+//! let report = verifier.try_check_exhaustive().unwrap();
 //! assert!(!report.passed());
 //! ```
 
@@ -85,10 +88,9 @@ mod succ;
 mod trace;
 
 pub use checkpoint::CheckpointPolicy;
-pub use delay::SchedulerState;
 pub use error::CheckerError;
 pub use explore::{CheckerOptions, Report, Verifier};
-pub use fault::{FaultDecision, FaultKind, FaultScheduler};
+pub use fault::FaultKind;
 pub use fingerprint::Fingerprint;
 pub use liveness::{LivenessReport, LivenessViolation};
 pub use replay::ReplayOutcome;

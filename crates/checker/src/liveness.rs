@@ -81,7 +81,7 @@ impl fmt::Display for LivenessViolation {
     }
 }
 
-/// Result of [`Verifier::check_liveness`].
+/// Result of [`Verifier::try_check_liveness`].
 #[derive(Debug, Clone)]
 pub struct LivenessReport {
     /// All violations found, deduplicated.
@@ -214,16 +214,9 @@ impl Verifier<'_> {
     /// Safety errors encountered while building the graph are treated as
     /// terminal states (run a safety check first).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a [`CheckerError`]: see [`Verifier::try_check_liveness`].
-    pub fn check_liveness(&self) -> LivenessReport {
-        self.try_check_liveness()
-            .expect("liveness search failed; use try_check_liveness to handle errors")
-    }
-
-    /// [`Verifier::check_liveness`], surfacing errors instead of
-    /// panicking: those of [`Verifier::try_check_exhaustive`], and
+    /// Those of [`Verifier::try_check_exhaustive`], and
     /// [`CheckerError::Unsupported`] for `por`, `symmetry`, `checkpoint`
     /// or `resume`.
     pub fn try_check_liveness(&self) -> Result<LivenessReport, CheckerError> {

@@ -24,18 +24,10 @@ impl Verifier<'_> {
     /// touched. Random walks are *not* exhaustive — `complete` is always
     /// `false` unless a walk ends with no enabled machines everywhere.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a fatal [`CheckerError`] (a corrupt lowering — an engine
-    /// bug, not a property violation). Use [`Verifier::try_check_random`]
-    /// to handle it.
-    pub fn check_random(&self, seed: u64, walks: usize, max_steps: usize) -> Report {
-        self.try_check_random(seed, walks, max_steps)
-            .expect("random-walk search failed; use try_check_random to handle errors")
-    }
-
-    /// [`Verifier::check_random`], surfacing fatal semantics errors
-    /// instead of panicking.
+    /// A fatal [`CheckerError::Semantics`] (a corrupt lowering — an
+    /// engine bug, not a property violation).
     pub fn try_check_random(
         &self,
         seed: u64,

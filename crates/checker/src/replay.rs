@@ -130,18 +130,6 @@ impl Verifier<'_> {
         ReplayOutcome::NoError
     }
 
-    /// Convenience: checks the program and, if a violation is found,
-    /// immediately replays it; returns the report plus whether the replay
-    /// reproduced the error (`None` when the program passed).
-    pub fn check_exhaustive_and_replay(&self) -> (crate::Report, Option<bool>) {
-        let report = self.check_exhaustive();
-        let replay = report
-            .counterexample
-            .as_ref()
-            .map(|cx| self.replay(cx).reproduced());
-        (report, replay)
-    }
-
     /// Runs the recorded schedule and returns the configuration just
     /// before the final (erroneous) step — the "last good state", useful
     /// for debugging.
@@ -214,16 +202,16 @@ mod tests {
     fn exhaustive_counterexamples_replay() {
         let p = compiled(RACY);
         let verifier = Verifier::new(&p);
-        let (report, replayed) = verifier.check_exhaustive_and_replay();
-        assert!(!report.passed());
-        assert_eq!(replayed, Some(true));
+        let report = verifier.try_check_exhaustive().unwrap();
+        let cx = report.counterexample.expect("bug found");
+        assert!(verifier.replay(&cx).reproduced());
     }
 
     #[test]
     fn delay_bounded_counterexamples_replay() {
         let p = compiled(RACY);
         let verifier = Verifier::new(&p);
-        let report = verifier.check_delay_bounded(2);
+        let report = verifier.try_check_delay_bounded(2).unwrap();
         let cx = report.counterexample.expect("bug found");
         assert!(verifier.replay(&cx).reproduced());
     }
@@ -232,7 +220,7 @@ mod tests {
     fn random_counterexamples_replay() {
         let p = compiled(RACY);
         let verifier = Verifier::new(&p);
-        let report = verifier.check_random(3, 100, 64);
+        let report = verifier.try_check_random(3, 100, 64).unwrap();
         let cx = report.counterexample.expect("bug found randomly");
         assert!(verifier.replay(&cx).reproduced());
     }
@@ -241,7 +229,11 @@ mod tests {
     fn tampered_trace_diverges() {
         let p = compiled(RACY);
         let verifier = Verifier::new(&p);
-        let cx = verifier.check_exhaustive().counterexample.unwrap();
+        let cx = verifier
+            .try_check_exhaustive()
+            .unwrap()
+            .counterexample
+            .unwrap();
 
         // Drop the final step: no error is reached.
         let mut truncated = cx.clone();
@@ -261,7 +253,11 @@ mod tests {
     fn last_good_state_is_error_free() {
         let p = compiled(RACY);
         let verifier = Verifier::new(&p);
-        let cx = verifier.check_exhaustive().counterexample.unwrap();
+        let cx = verifier
+            .try_check_exhaustive()
+            .unwrap()
+            .counterexample
+            .unwrap();
         let config = verifier.replay_to_last_good(&cx).expect("prefix replays");
         // The configuration is a real, live state.
         assert!(config.live_ids().count() >= 1);

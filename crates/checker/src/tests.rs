@@ -50,7 +50,7 @@ const RACE: &str = r#"
 #[test]
 fn exhaustive_finds_race_assertion() {
     let p = lowered(RACE);
-    let report = Verifier::new(&p).check_exhaustive();
+    let report = Verifier::new(&p).try_check_exhaustive().unwrap();
     let cx = report.counterexample.expect("race must be found");
     assert_eq!(cx.error.kind, ErrorKind::AssertionFailure);
     assert!(!cx.trace.is_empty());
@@ -62,7 +62,7 @@ fn exhaustive_finds_race_assertion() {
 #[test]
 fn delay_zero_is_causal_and_misses_the_race() {
     let p = lowered(RACE);
-    let report = Verifier::new(&p).check_delay_bounded(0);
+    let report = Verifier::new(&p).try_check_delay_bounded(0).unwrap();
     assert!(
         report.passed(),
         "d=0 must follow the causal schedule: {:?}",
@@ -74,7 +74,7 @@ fn delay_zero_is_causal_and_misses_the_race() {
 #[test]
 fn delay_one_finds_the_race() {
     let p = lowered(RACE);
-    let report = Verifier::new(&p).check_delay_bounded(1);
+    let report = Verifier::new(&p).try_check_delay_bounded(1).unwrap();
     let cx = report.counterexample.expect("d=1 must find the race");
     assert_eq!(cx.error.kind, ErrorKind::AssertionFailure);
 }
@@ -87,7 +87,7 @@ fn delay_bound_coverage_is_monotone() {
     let verifier = Verifier::new(&p);
     let mut last = 0;
     for d in 0..6 {
-        let report = verifier.check_delay_bounded(d);
+        let report = verifier.try_check_delay_bounded(d).unwrap();
         assert!(report.passed());
         let states = report.stats.unique_states;
         assert!(
@@ -103,10 +103,10 @@ fn high_delay_bound_matches_exhaustive_coverage() {
     let src = RACE.replace("assert(arg == 1)", "assert(arg > 0)");
     let p = lowered(&src);
     let verifier = Verifier::new(&p);
-    let exhaustive = verifier.check_exhaustive();
+    let exhaustive = verifier.try_check_exhaustive().unwrap();
     assert!(exhaustive.passed());
     assert!(exhaustive.complete);
-    let delayed = verifier.check_delay_bounded(16);
+    let delayed = verifier.try_check_delay_bounded(16).unwrap();
     assert_eq!(
         delayed.stats.unique_states, exhaustive.stats.unique_states,
         "a large delay budget must cover the full state space"
@@ -116,7 +116,7 @@ fn high_delay_bound_matches_exhaustive_coverage() {
 #[test]
 fn random_walks_find_the_race() {
     let p = lowered(RACE);
-    let report = Verifier::new(&p).check_random(42, 200, 64);
+    let report = Verifier::new(&p).try_check_random(42, 200, 64).unwrap();
     let cx = report
         .counterexample
         .expect("random walks should stumble on it");
@@ -137,7 +137,7 @@ fn unhandled_event_detected_with_trace() {
         main Env();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_exhaustive();
+    let report = Verifier::new(&p).try_check_exhaustive().unwrap();
     let cx = report.counterexample.expect("unhandled event");
     assert!(matches!(cx.error.kind, ErrorKind::UnhandledEvent { .. }));
 }
@@ -156,7 +156,7 @@ fn deferred_event_is_not_an_unhandled_violation() {
         main Env();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_exhaustive();
+    let report = Verifier::new(&p).try_check_exhaustive().unwrap();
     assert!(report.passed());
     assert!(report.complete);
 }
@@ -184,7 +184,7 @@ fn ghost_choice_branches_are_both_explored() {
         main Env();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_exhaustive();
+    let report = Verifier::new(&p).try_check_exhaustive().unwrap();
     let cx = report.counterexample.expect("choice true must be explored");
     assert_eq!(cx.error.kind, ErrorKind::AssertionFailure);
     // The trace records the ghost choice that triggered it.
@@ -212,7 +212,10 @@ fn state_bound_truncates() {
         max_states: 50,
         ..CheckerOptions::default()
     };
-    let report = Verifier::new(&p).with_options(options).check_exhaustive();
+    let report = Verifier::new(&p)
+        .with_options(options)
+        .try_check_exhaustive()
+        .unwrap();
     assert!(report.passed());
     assert!(!report.complete);
     assert!(report.stats.truncated);
@@ -231,7 +234,7 @@ fn liveness_flags_machine_running_forever() {
         main Loop();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_liveness();
+    let report = Verifier::new(&p).try_check_liveness().unwrap();
     assert!(!report.passed());
     assert!(report
         .violations
@@ -261,7 +264,7 @@ const STARVATION: &str = r#"
 #[test]
 fn liveness_flags_forever_deferred_event() {
     let p = lowered(STARVATION);
-    let report = Verifier::new(&p).check_liveness();
+    let report = Verifier::new(&p).try_check_liveness().unwrap();
     assert!(
         report.violations.iter().any(|v| matches!(
             v,
@@ -276,7 +279,7 @@ fn liveness_flags_forever_deferred_event() {
 fn postpone_annotation_silences_starvation() {
     let src = STARVATION.replace("defer work;", "defer work; postpone work;");
     let p = lowered(&src);
-    let report = Verifier::new(&p).check_liveness();
+    let report = Verifier::new(&p).try_check_liveness().unwrap();
     assert!(
         !report
             .violations
@@ -298,7 +301,7 @@ fn liveness_passes_on_quiescent_program() {
         main M();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_liveness();
+    let report = Verifier::new(&p).try_check_liveness().unwrap();
     assert!(report.passed(), "{:?}", report.violations);
     assert!(report.complete);
 }
@@ -306,13 +309,14 @@ fn liveness_passes_on_quiescent_program() {
 #[test]
 fn fine_granularity_finds_same_race_with_more_states() {
     let p = lowered(RACE);
-    let atomic = Verifier::new(&p).check_exhaustive();
+    let atomic = Verifier::new(&p).try_check_exhaustive().unwrap();
     let fine = Verifier::new(&p)
         .with_options(CheckerOptions {
             granularity: p_semantics::Granularity::Fine,
             ..CheckerOptions::default()
         })
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     // Same verdict (atomicity reduction is sound)…
     assert_eq!(atomic.passed(), fine.passed());
     assert!(!fine.passed());
@@ -326,13 +330,14 @@ fn fine_granularity_finds_same_race_with_more_states() {
 fn atomicity_reduction_shrinks_passing_state_space() {
     let src = RACE.replace("assert(arg == 1)", "assert(arg > 0)");
     let p = lowered(&src);
-    let atomic = Verifier::new(&p).check_exhaustive();
+    let atomic = Verifier::new(&p).try_check_exhaustive().unwrap();
     let fine = Verifier::new(&p)
         .with_options(CheckerOptions {
             granularity: p_semantics::Granularity::Fine,
             ..CheckerOptions::default()
         })
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     assert!(atomic.passed() && fine.passed());
     assert!(
         atomic.stats.unique_states < fine.stats.unique_states,
@@ -345,8 +350,8 @@ fn atomicity_reduction_shrinks_passing_state_space() {
 #[test]
 fn exploration_is_deterministic() {
     let p = lowered(RACE);
-    let r1 = Verifier::new(&p).check_exhaustive();
-    let r2 = Verifier::new(&p).check_exhaustive();
+    let r1 = Verifier::new(&p).try_check_exhaustive().unwrap();
+    let r2 = Verifier::new(&p).try_check_exhaustive().unwrap();
     assert_eq!(r1.stats.unique_states, r2.stats.unique_states);
     assert_eq!(r1.stats.transitions, r2.stats.transitions);
     assert_eq!(
@@ -381,7 +386,7 @@ fn delete_and_send_race_detected() {
         main Env();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_exhaustive();
+    let report = Verifier::new(&p).try_check_exhaustive().unwrap();
     let cx = report.counterexample.expect("send after delete");
     assert!(matches!(cx.error.kind, ErrorKind::SendToDeleted { .. }));
 }
@@ -400,7 +405,7 @@ fn stuck_state_diagnostics_are_reported() {
         main Env();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_exhaustive();
+    let report = Verifier::new(&p).try_check_exhaustive().unwrap();
     assert!(report.passed());
     assert!(report.stats.stuck_states >= 1, "{:?}", report.stats);
     assert!(report.stats.quiescent_states >= 1);
@@ -418,7 +423,7 @@ fn clean_termination_is_quiescent_but_not_stuck() {
         main M();
     "#;
     let p = lowered(src);
-    let report = Verifier::new(&p).check_exhaustive();
+    let report = Verifier::new(&p).try_check_exhaustive().unwrap();
     assert!(report.passed());
     assert!(report.stats.quiescent_states >= 1);
     assert_eq!(report.stats.stuck_states, 0);
@@ -428,9 +433,15 @@ fn clean_termination_is_quiescent_but_not_stuck() {
 fn parallel_agrees_with_sequential_on_buggy_program() {
     let p = lowered(RACE);
     let verifier = Verifier::new(&p);
-    let sequential = verifier.check_exhaustive();
+    let sequential = verifier.try_check_exhaustive().unwrap();
     for jobs in [2, 4] {
-        let parallel = verifier.check_exhaustive_parallel(jobs);
+        let parallel = Verifier::new(&p)
+            .with_options(CheckerOptions {
+                jobs,
+                ..CheckerOptions::default()
+            })
+            .try_check_exhaustive()
+            .unwrap();
         assert_eq!(sequential.passed(), parallel.passed(), "jobs={jobs}");
         let cx = parallel.counterexample.expect("race found in parallel");
         assert_eq!(cx.error.kind, ErrorKind::AssertionFailure);
@@ -446,11 +457,16 @@ fn parallel_agrees_with_sequential_on_buggy_program() {
 fn parallel_agrees_with_sequential_on_passing_program() {
     let src = RACE.replace("assert(arg == 1)", "assert(arg > 0)");
     let p = lowered(&src);
-    let verifier = Verifier::new(&p);
-    let sequential = verifier.check_exhaustive();
+    let sequential = Verifier::new(&p).try_check_exhaustive().unwrap();
     assert!(sequential.passed() && sequential.complete);
     for jobs in [2, 4] {
-        let parallel = verifier.check_exhaustive_parallel(jobs);
+        let parallel = Verifier::new(&p)
+            .with_options(CheckerOptions {
+                jobs,
+                ..CheckerOptions::default()
+            })
+            .try_check_exhaustive()
+            .unwrap();
         assert!(parallel.passed() && parallel.complete, "jobs={jobs}");
         assert_eq!(
             sequential.stats.unique_states, parallel.stats.unique_states,
@@ -468,13 +484,14 @@ fn parallel_agrees_with_sequential_on_passing_program() {
 fn options_jobs_selects_the_parallel_engine() {
     let src = RACE.replace("assert(arg == 1)", "assert(arg > 0)");
     let p = lowered(&src);
-    let sequential = Verifier::new(&p).check_exhaustive();
+    let sequential = Verifier::new(&p).try_check_exhaustive().unwrap();
     let via_options = Verifier::new(&p)
         .with_options(CheckerOptions {
             jobs: 4,
             ..CheckerOptions::default()
         })
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     assert!(via_options.passed() && via_options.complete);
     assert_eq!(
         sequential.stats.unique_states,
@@ -503,15 +520,20 @@ fn parallel_respects_state_bound_without_poisoning() {
         max_states: 50,
         ..CheckerOptions::default()
     };
-    let verifier = Verifier::new(&p).with_options(options);
-    let sequential = verifier.check_exhaustive();
+    let sequential = Verifier::new(&p)
+        .with_options(options.clone())
+        .try_check_exhaustive()
+        .unwrap();
     assert!(sequential.stats.truncated);
     assert!(
         sequential.stats.unique_states <= 50,
         "retained-state count must respect the bound: {}",
         sequential.stats.unique_states
     );
-    let parallel = verifier.check_exhaustive_parallel(4);
+    let parallel = Verifier::new(&p)
+        .with_options(CheckerOptions { jobs: 4, ..options })
+        .try_check_exhaustive()
+        .unwrap();
     assert!(parallel.passed());
     assert!(!parallel.complete);
     assert!(parallel.stats.truncated);
@@ -560,7 +582,7 @@ fn fingerprints_never_merge_distinct_canonical_bytes() {
         by_fingerprint.len(),
         "distinct canonical encodings must have distinct fingerprints"
     );
-    let report = verifier.check_exhaustive();
+    let report = verifier.try_check_exhaustive().unwrap();
     assert_eq!(
         report.stats.unique_states,
         by_bytes.len(),
@@ -572,7 +594,7 @@ fn fingerprints_never_merge_distinct_canonical_bytes() {
 fn replayed_delay_traces_match_recorded_length() {
     let p = lowered(RACE);
     let verifier = Verifier::new(&p);
-    let r = verifier.check_delay_bounded(2);
+    let r = verifier.try_check_delay_bounded(2).unwrap();
     let cx = r.counterexample.expect("race found at d<=2");
     // replay() must accept traces produced by the delay-bounded explorer.
     assert!(verifier.replay(&cx).reproduced());
@@ -628,10 +650,11 @@ fn por_options() -> CheckerOptions {
 #[test]
 fn por_visits_every_state_with_fewer_transitions() {
     let p = lowered(INDEPENDENT_WORKERS);
-    let full = Verifier::new(&p).check_exhaustive();
+    let full = Verifier::new(&p).try_check_exhaustive().unwrap();
     let reduced = Verifier::new(&p)
         .with_options(por_options())
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     assert!(full.passed() && full.complete);
     assert!(reduced.passed() && reduced.complete);
     // Sleep sets prune transitions, never states.
@@ -656,10 +679,11 @@ fn por_agrees_with_full_exploration_on_racy_program() {
     // match exactly; transitions may only shrink.
     let src = RACE.replace("assert(arg == 1)", "assert(arg > 0)");
     let p = lowered(&src);
-    let full = Verifier::new(&p).check_exhaustive();
+    let full = Verifier::new(&p).try_check_exhaustive().unwrap();
     let reduced = Verifier::new(&p)
         .with_options(por_options())
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     assert!(full.passed() && full.complete && reduced.passed() && reduced.complete);
     assert_eq!(full.stats.unique_states, reduced.stats.unique_states);
     assert!(reduced.stats.transitions <= full.stats.transitions);
@@ -689,10 +713,11 @@ fn por_is_exact_when_only_one_machine_is_ever_enabled() {
         main Solo();
     "#;
     let p = lowered(src);
-    let full = Verifier::new(&p).check_exhaustive();
+    let full = Verifier::new(&p).try_check_exhaustive().unwrap();
     let reduced = Verifier::new(&p)
         .with_options(por_options())
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     assert!(full.passed() && full.complete && reduced.passed() && reduced.complete);
     assert_eq!(full.stats.unique_states, reduced.stats.unique_states);
     assert_eq!(full.stats.transitions, reduced.stats.transitions);
@@ -702,7 +727,7 @@ fn por_is_exact_when_only_one_machine_is_ever_enabled() {
 fn por_preserves_the_race_and_its_trace_replays() {
     let p = lowered(RACE);
     let verifier = Verifier::new(&p).with_options(por_options());
-    let report = verifier.check_exhaustive();
+    let report = verifier.try_check_exhaustive().unwrap();
     let cx = report
         .counterexample
         .expect("race must survive the reduction");
@@ -715,13 +740,17 @@ fn por_parallel_matches_por_sequential() {
     let p = lowered(INDEPENDENT_WORKERS);
     let sequential = Verifier::new(&p)
         .with_options(por_options())
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     for jobs in [2, 4] {
         let options = CheckerOptions {
             jobs,
             ..por_options()
         };
-        let parallel = Verifier::new(&p).with_options(options).check_exhaustive();
+        let parallel = Verifier::new(&p)
+            .with_options(options)
+            .try_check_exhaustive()
+            .unwrap();
         assert!(parallel.passed() && parallel.complete, "jobs={jobs}");
         assert_eq!(
             sequential.stats.unique_states, parallel.stats.unique_states,
@@ -783,7 +812,7 @@ fn stolen_tasks_share_no_arcs() {
     );
     assert!(!tables[0].shares_allocation_with(&tables[1]));
     assert!(!tables[1].shares_allocation_with(&tables[0]));
-    let one_worker = verifier.check_exhaustive();
+    let one_worker = verifier.try_check_exhaustive().unwrap();
     assert_eq!(report.stats.stored_bytes, one_worker.stats.stored_bytes);
 }
 
@@ -867,7 +896,10 @@ fn exhaustive_matches_the_naive_reachability_oracle() {
                 por,
                 ..CheckerOptions::default()
             };
-            let report = Verifier::new(&p).with_options(options).check_exhaustive();
+            let report = Verifier::new(&p)
+                .with_options(options)
+                .try_check_exhaustive()
+                .unwrap();
             assert_eq!(report.passed(), error_free, "{name} por={por}: verdict");
             if error_free {
                 assert!(report.complete, "{name} por={por}");
@@ -1005,13 +1037,19 @@ fn abort_and_resume(p: &LoweredProgram, abort_after: usize) -> crate::Report {
         checkpoint: Some(policy),
         ..CheckerOptions::default()
     };
-    let aborted = Verifier::new(p).with_options(aborting).check_exhaustive();
+    let aborted = Verifier::new(p)
+        .with_options(aborting)
+        .try_check_exhaustive()
+        .unwrap();
     assert!(aborted.interrupted, "no abort at {abort_after} states");
     let resuming = CheckerOptions {
         resume: Some(dir.clone()),
         ..CheckerOptions::default()
     };
-    let resumed = Verifier::new(p).with_options(resuming).check_exhaustive();
+    let resumed = Verifier::new(p)
+        .with_options(resuming)
+        .try_check_exhaustive()
+        .unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(resumed.passed() && resumed.complete);
     resumed
@@ -1095,7 +1133,7 @@ fn generated_programs_agree_under_delay_and_faults() {
         let program = p_corpus::generated_program(seed);
         let p = lower(&program).unwrap();
         let verifier = Verifier::new(&p);
-        let full = verifier.check_exhaustive();
+        let full = verifier.try_check_exhaustive().unwrap();
         if full.stats.unique_states > 300 {
             skipped += 1;
             continue;
@@ -1104,7 +1142,7 @@ fn generated_programs_agree_under_delay_and_faults() {
         let text = || p_ast::print_program(&program);
         let name = format!("generated_src({seed})");
         let counts = |r: &crate::Report| (r.passed(), r.stats.unique_states, r.stats.transitions);
-        let faultless = verifier.check_with_faults(0, &[]);
+        let faultless = verifier.try_check_with_faults(0, &[]).unwrap();
         assert_eq!(
             counts(&faultless),
             counts(&full),
@@ -1118,7 +1156,7 @@ fn generated_programs_agree_under_delay_and_faults() {
         bounds.dedup();
         let mut last = 0;
         for d in bounds {
-            let delayed = verifier.check_delay_bounded(d);
+            let delayed = verifier.try_check_delay_bounded(d).unwrap();
             let mode = format!("{name} --delay {d}");
             assert!(
                 delayed.passed() || !full.passed(),
@@ -1488,7 +1526,11 @@ fn memo_bypasses_match_the_interpreter() {
         matches!(&failed[0].result.outcome, ExecOutcome::Error(e) if matches!(e.kind, ErrorKind::SendToDeleted { .. }))
     );
     // And the counterexample is the one the interpreter alone gave.
-    let cx = Verifier::new(&p).check_exhaustive().counterexample.unwrap();
+    let cx = Verifier::new(&p)
+        .try_check_exhaustive()
+        .unwrap()
+        .counterexample
+        .unwrap();
     assert_eq!(
         cx.to_string(),
         "error: machine #0: send to deleted machine #1\ntrace (5 steps):\n    1. machine #0: created #1 of type Worker\n    2. machine #1: ran to quiescence\n    3. machine #0: sent die to #1\n    4. machine #1: deleted itself\n    5. machine #0: ERROR: machine #0: send to deleted machine #1\n"
@@ -1798,7 +1840,7 @@ fn reference_with_faults(
     budget: usize,
     kinds: &[crate::FaultKind],
 ) -> Outcome {
-    use crate::FaultScheduler;
+    use crate::fault::FaultScheduler;
     let scheduler = FaultScheduler::new(budget, kinds);
     let engine = verifier.engine();
     let options = verifier.options();
@@ -1897,12 +1939,12 @@ fn kernel_matches_the_reference_loops() {
         compared += 1;
         let verifier = Verifier::new(&p);
         for d in 0..=3 {
-            let kernel = verifier.check_delay_bounded(d);
+            let kernel = verifier.try_check_delay_bounded(d).unwrap();
             let reference = reference_delay_bounded(&verifier, d);
             assert_eq!(Outcome::of(kernel), reference, "{name} --delay {d}");
         }
         for budget in 0..=1 {
-            let kernel = verifier.check_with_faults(budget, &[]);
+            let kernel = verifier.try_check_with_faults(budget, &[]).unwrap();
             let reference = reference_with_faults(&verifier, budget, &[]);
             assert_eq!(Outcome::of(kernel), reference, "{name} --faults {budget}");
         }
@@ -1925,18 +1967,20 @@ fn annotated_searches_respect_the_state_bound() {
         ..CheckerOptions::default()
     };
     let verifier = Verifier::new(&p).with_options(options(1));
-    let delayed = verifier.check_delay_bounded(2);
+    let delayed = verifier.try_check_delay_bounded(2).unwrap();
     assert!(delayed.stats.truncated && !delayed.complete);
     assert_eq!(delayed.stats.unique_states, 500);
     assert_eq!(Outcome::of(delayed), reference_delay_bounded(&verifier, 2));
-    let faulty = verifier.check_with_faults(1, &[crate::FaultKind::Dup]);
+    let faulty = verifier
+        .try_check_with_faults(1, &[crate::FaultKind::Dup])
+        .unwrap();
     assert!(faulty.stats.truncated);
     assert_eq!(
         Outcome::of(faulty),
         reference_with_faults(&verifier, 1, &[crate::FaultKind::Dup])
     );
     let parallel = Verifier::new(&p).with_options(options(4));
-    let delayed = parallel.check_delay_bounded(2);
+    let delayed = parallel.try_check_delay_bounded(2).unwrap();
     assert!(delayed.stats.truncated && delayed.passed());
     assert_eq!(delayed.stats.unique_states, 500);
 }
@@ -2224,7 +2268,10 @@ fn liveness_agrees(
         return None;
     }
     let counts = |r: &crate::LivenessReport| (r.stats.unique_states, r.stats.transitions);
-    let kernel = Verifier::new(p).with_options(options(1)).check_liveness();
+    let kernel = Verifier::new(p)
+        .with_options(options(1))
+        .try_check_liveness()
+        .unwrap();
     assert_eq!(
         kernel.violations, reference.violations,
         "{name}: violations"
@@ -2235,7 +2282,10 @@ fn liveness_agrees(
         "{name}: states, transitions"
     );
     assert!(kernel.complete, "{name}");
-    let parallel = Verifier::new(p).with_options(options(4)).check_liveness();
+    let parallel = Verifier::new(p)
+        .with_options(options(4))
+        .try_check_liveness()
+        .unwrap();
     let keys = |r: &crate::LivenessReport| {
         let keys: std::collections::BTreeSet<_> = r.violations.iter().map(violation_key).collect();
         assert_eq!(keys.len(), r.violations.len(), "{name}: a violation twice");
@@ -2291,7 +2341,7 @@ fn generated_programs_agree_on_liveness() {
         starved += usize::from(!starves(&report).is_empty());
         let bare = no_postpone(&src);
         if bare != src {
-            let without = Verifier::new(&lowered(&bare)).check_liveness();
+            let without = Verifier::new(&lowered(&bare)).try_check_liveness().unwrap();
             silenced += usize::from(!starves(&without).is_subset(&starves(&report)));
         }
     }

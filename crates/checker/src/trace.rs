@@ -24,7 +24,7 @@ pub struct TraceStep {
     pub choices: Vec<bool>,
     /// The environment fault this step applied, if it is a fault step
     /// rather than a machine run.
-    pub fault: Option<FaultDecision>,
+    pub(crate) fault: Option<FaultDecision>,
 }
 
 impl TraceStep {
@@ -45,16 +45,6 @@ impl TraceStep {
             summary,
             choices,
             fault: None,
-        }
-    }
-
-    /// Builds the step recording an injected environment fault.
-    pub fn from_fault(program: &LoweredProgram, decision: &FaultDecision) -> TraceStep {
-        TraceStep {
-            machine: decision.machine,
-            summary: StepKind::Fault(*decision).summary(program),
-            choices: Vec::new(),
-            fault: Some(*decision),
         }
     }
 }

@@ -19,8 +19,7 @@
 use std::fs;
 use std::process::ExitCode;
 
-use p_core::checker::FaultScheduler;
-use p_core::{CheckerOptions, Compiled, Value};
+use p_core::{CheckerOptions, Compiled, FaultKind, Value};
 
 /// Exit code for a property violation (counterexample found).
 const EXIT_VIOLATION: u8 = 1;
@@ -233,7 +232,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
 
     let mut delay: Option<usize> = None;
     let mut faults: Option<usize> = None;
-    let mut fault_kinds: Vec<p_core::FaultKind> = Vec::new();
+    let mut fault_kinds: Vec<FaultKind> = Vec::new();
     let mut profile: Option<String> = None;
     let mut progress = false;
     let mut checkpoint_dir: Option<String> = None;
@@ -283,8 +282,8 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 let list = args
                     .get(i + 1)
                     .ok_or("--fault-kinds needs a value".to_owned())?;
-                fault_kinds = p_core::FaultKind::parse_list(list)
-                    .map_err(|e| format!("--fault-kinds: {e}"))?;
+                fault_kinds =
+                    FaultKind::parse_list(list).map_err(|e| format!("--fault-kinds: {e}"))?;
                 i += 2;
             }
             "--max-states" => {
@@ -316,6 +315,9 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     }
     if faults.is_none() && !fault_kinds.is_empty() {
         return Err("--fault-kinds needs --faults N".to_owned());
+    }
+    if fault_kinds.is_empty() {
+        fault_kinds = FaultKind::ALL.to_vec();
     }
     if options.por && (delay.is_some() || faults.is_some()) {
         return Err(
@@ -384,8 +386,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
         ),
         (None, Some(budget)) => println!(
             "fault budget {budget} ({}), {} fault node(s), {} injection(s) explored",
-            FaultScheduler::new(budget, &fault_kinds)
-                .kinds()
+            fault_kinds
                 .iter()
                 .map(|k| k.tag())
                 .collect::<Vec<_>>()

@@ -35,7 +35,7 @@
 //! let compiled = Compiled::from_source(src).unwrap();
 //!
 //! // Systematic testing (§5): explore all schedules.
-//! let report = compiled.verify();
+//! let report = compiled.verifier().try_check_exhaustive().unwrap();
 //! assert!(report.passed());
 //!
 //! // Execution (§4): erase ghosts and run under the driver runtime.
@@ -183,37 +183,6 @@ impl Compiled {
         Verifier::new(&self.lowered)
     }
 
-    /// Exhaustive systematic testing with default bounds (§5).
-    pub fn verify(&self) -> Report {
-        self.verifier().check_exhaustive()
-    }
-
-    /// Exhaustive systematic testing with `jobs` workers over one
-    /// sharded visited set. Explores the same states and returns the
-    /// same verdict as [`Compiled::verify`]; `jobs <= 1` is one worker
-    /// on the calling thread, which is what [`Compiled::verify`] runs.
-    pub fn verify_parallel(&self, jobs: usize) -> Report {
-        self.verifier().check_exhaustive_parallel(jobs)
-    }
-
-    /// Delay-bounded systematic testing with the causal scheduler (§5).
-    pub fn verify_delay_bounded(&self, delay_bound: usize) -> Report {
-        self.verifier().check_delay_bounded(delay_bound)
-    }
-
-    /// Bounded liveness checking (§3.2; the paper's future work).
-    pub fn verify_liveness(&self) -> LivenessReport {
-        self.verifier().check_liveness()
-    }
-
-    /// Systematic testing under environment-fault injection: the checker
-    /// may drop, duplicate, or delay queued events, at most `budget`
-    /// times per path (empty `kinds` = all fault kinds). Budget 0
-    /// coincides with [`Compiled::verify`].
-    pub fn verify_with_faults(&self, budget: usize, kinds: &[FaultKind]) -> Report {
-        self.verifier().check_with_faults(budget, kinds)
-    }
-
     /// An execution runtime builder over the erased program (§4).
     ///
     /// # Errors
@@ -241,7 +210,7 @@ mod tests {
     fn pipeline_end_to_end() {
         let compiled = Compiled::from_source(p_corpus::PING_PONG_SRC).unwrap();
         assert!(compiled.warnings().is_empty());
-        let report = compiled.verify();
+        let report = compiled.verifier().try_check_exhaustive().unwrap();
         assert!(report.passed());
         let c = compiled.emit_c().unwrap();
         assert!(c.code.contains("PDriverDecl"));
@@ -267,8 +236,15 @@ mod tests {
     #[test]
     fn fault_injection_via_facade() {
         let compiled = Compiled::from_source(p_corpus::LOSSY_LINK_SRC).unwrap();
-        assert!(compiled.verify_with_faults(0, &[]).passed());
-        let faulty = compiled.verify_with_faults(1, &[FaultKind::Drop]);
+        assert!(compiled
+            .verifier()
+            .try_check_with_faults(0, &[])
+            .unwrap()
+            .passed());
+        let faulty = compiled
+            .verifier()
+            .try_check_with_faults(1, &[FaultKind::Drop])
+            .unwrap();
         assert!(!faulty.passed(), "dropping cfg must break the handshake");
         // The fault trace replays on a fresh verifier.
         let cx = faulty.counterexample.unwrap();
@@ -279,7 +255,7 @@ mod tests {
     fn facade_reexports_are_usable() {
         let program = corpus::elevator();
         let compiled = Compiled::from_program(program).unwrap();
-        let d0 = compiled.verify_delay_bounded(0);
+        let d0 = compiled.verifier().try_check_delay_bounded(0).unwrap();
         assert!(d0.passed());
     }
 }

@@ -14,7 +14,8 @@ fn verify_ok(program: &Program, name: &str) -> p_checker::Report {
             max_states: 500_000,
             ..CheckerOptions::default()
         })
-        .check_exhaustive();
+        .try_check_exhaustive()
+        .unwrap();
     if let Some(cx) = &report.counterexample {
         panic!("{name} has a safety violation:\n{cx}");
     }
@@ -71,8 +72,8 @@ fn lossy_link_verifies_fault_free_but_breaks_under_faults() {
     verify_ok(&program, "lossy_link");
     let lowered = lower(&program).unwrap();
     let verifier = Verifier::new(&lowered);
-    assert!(verifier.check_with_faults(0, &[]).passed());
-    let faulty = verifier.check_with_faults(1, &[]);
+    assert!(verifier.try_check_with_faults(0, &[]).unwrap().passed());
+    let faulty = verifier.try_check_with_faults(1, &[]).unwrap();
     assert!(
         !faulty.passed(),
         "one environment fault must break the handshake"
@@ -90,7 +91,7 @@ fn all_programs_typecheck() {
 fn buggy_variants_fail_exhaustive_search() {
     for (name, _, buggy) in figure7_benchmarks() {
         let lowered = lower(&buggy).unwrap();
-        let report = Verifier::new(&lowered).check_exhaustive();
+        let report = Verifier::new(&lowered).try_check_exhaustive().unwrap();
         assert!(
             !report.passed(),
             "{name} buggy variant was not caught by exhaustive search"
@@ -104,7 +105,7 @@ fn bugs_found_within_delay_bound_two() {
     for (name, _, buggy) in figure7_benchmarks() {
         let lowered = lower(&buggy).unwrap();
         let verifier = Verifier::new(&lowered);
-        let found_at = (0..=2).find(|&d| !verifier.check_delay_bounded(d).passed());
+        let found_at = (0..=2).find(|&d| !verifier.try_check_delay_bounded(d).unwrap().passed());
         assert!(
             found_at.is_some(),
             "{name} bug not found within delay bound 2"
@@ -118,7 +119,7 @@ fn correct_programs_pass_delay_bounded_checking() {
         let lowered = lower(&correct).unwrap();
         let verifier = Verifier::new(&lowered);
         for d in 0..=2 {
-            let report = verifier.check_delay_bounded(d);
+            let report = verifier.try_check_delay_bounded(d).unwrap();
             assert!(
                 report.passed(),
                 "{name} false positive at delay bound {d}: {:?}",
@@ -132,8 +133,16 @@ fn correct_programs_pass_delay_bounded_checking() {
 fn elevator_budget_scales_state_space() {
     let small = lower(&elevator_with_budget(1)).unwrap();
     let large = lower(&elevator_with_budget(3)).unwrap();
-    let small_states = Verifier::new(&small).check_exhaustive().stats.unique_states;
-    let large_states = Verifier::new(&large).check_exhaustive().stats.unique_states;
+    let small_states = Verifier::new(&small)
+        .try_check_exhaustive()
+        .unwrap()
+        .stats
+        .unique_states;
+    let large_states = Verifier::new(&large)
+        .try_check_exhaustive()
+        .unwrap()
+        .stats
+        .unique_states;
     assert!(
         large_states > small_states,
         "budget must scale exploration: {small_states} vs {large_states}"
@@ -175,7 +184,7 @@ fn machine_shapes_match_the_paper() {
 fn elevator_liveness_passes_with_postpone_annotations() {
     let program = elevator_with_budget(1);
     let lowered = lower(&program).unwrap();
-    let report = Verifier::new(&lowered).check_liveness();
+    let report = Verifier::new(&lowered).try_check_liveness().unwrap();
     let starved: Vec<_> = report
         .violations
         .iter()
@@ -334,7 +343,8 @@ fn generated_programs_check_lower_and_stay_small() {
         };
         let report = Verifier::new(&lowered)
             .with_options(options)
-            .check_exhaustive();
+            .try_check_exhaustive()
+            .unwrap();
         small += usize::from(!report.stats.truncated);
     }
     assert!(

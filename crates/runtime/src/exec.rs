@@ -390,7 +390,6 @@ struct ExecInner {
     active: AtomicUsize,
     first_error: Mutex<Option<RuntimeError>>,
     next_shard: AtomicUsize,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
     telemetry: Telemetry,
 }
 
@@ -539,7 +538,6 @@ fn work_round(inner: &ExecInner, me: usize, batch: &mut Vec<Envelope>) -> bool {
                 let steals = &inner.shards[me].counters.steals;
                 steals.fetch_add(1, Ordering::Relaxed);
             }
-            #[cfg(feature = "telemetry")]
             if inner.telemetry.enabled() {
                 inner
                     .telemetry

@@ -341,7 +341,7 @@ impl<'r> Session<'r> {
     fn over(inner: &'r Inner, shared: MutexGuard<'r, Shared>) -> Session<'r> {
         // Run logs (dequeue/raise/defer lists) cost an allocation per
         // occurrence and only tracing reads them.
-        let tracing = cfg!(feature = "telemetry") && inner.telemetry.enabled();
+        let tracing = inner.telemetry.enabled();
         let engine = Engine::new(&inner.program, inner.foreign.clone())
             .with_fuel(inner.fuel)
             .with_dequeue_log(tracing)
@@ -380,7 +380,6 @@ impl<'r> Session<'r> {
         let slot = inner.meta.slot(id.0 as usize);
         bump(&slot.delivered);
         slot.queue_depth.store(depth, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         inner.telemetry.instant(id.0, "inject", || {
             vec![("event", inner.program.event_name(event).into())]
         });
@@ -419,7 +418,6 @@ impl<'r> Session<'r> {
             let mut machine = machines.0[id.0 as usize]
                 .take()
                 .expect("checked live above");
-            #[cfg(feature = "telemetry")]
             inner.telemetry.span_begin(id.0, "run", || {
                 vec![("machine", inner.program.machine_name(machine.ty).into())]
             });
@@ -449,23 +447,19 @@ impl<'r> Session<'r> {
             let run = match run {
                 Ok(run) => run,
                 Err(message) => {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        let reason = message.as_str();
-                        inner
-                            .telemetry
-                            .instant(id.0, "quarantine", || vec![("reason", reason.into())]);
-                        inner.telemetry.span_end(id.0, "run");
-                        if let Some(metrics) = inner.telemetry.metrics() {
-                            metrics.counter("runtime.quarantines").inc();
-                        }
+                    let reason = message.as_str();
+                    inner
+                        .telemetry
+                        .instant(id.0, "quarantine", || vec![("reason", reason.into())]);
+                    inner.telemetry.span_end(id.0, "run");
+                    if let Some(metrics) = inner.telemetry.metrics() {
+                        metrics.counter("runtime.quarantines").inc();
                     }
                     let _ = slot(id).cause.set(Box::new(Cause::Fault(message)));
                     first_err.get_or_insert(RuntimeError::MachineQuarantined(id));
                     continue;
                 }
             };
-            #[cfg(feature = "telemetry")]
             inner.trace_run(id, (!deleted).then_some(depth), &run);
             match run.outcome {
                 ExecOutcome::Yield(YieldKind::Sent { to, .. }) => {
@@ -805,12 +799,9 @@ impl Runtime {
     pub(crate) fn note_dropped(&self, id: MachineId) {
         let slot = self.inner.meta.slot(id.0 as usize);
         slot.dropped.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.telemetry.instant(id.0, "drop", Vec::new);
-            if let Some(metrics) = self.inner.telemetry.metrics() {
-                metrics.counter("runtime.events.dropped").inc();
-            }
+        self.inner.telemetry.instant(id.0, "drop", Vec::new);
+        if let Some(metrics) = self.inner.telemetry.metrics() {
+            metrics.counter("runtime.events.dropped").inc();
         }
     }
 
@@ -826,7 +817,6 @@ impl Inner {
     /// machine's events in run order, the closing span, a queue-depth
     /// gauge (`queue`: what is left in its queue, `None` once deleted),
     /// and the aggregate counters/histograms.
-    #[cfg(feature = "telemetry")]
     fn trace_run(&self, id: MachineId, queue: Option<usize>, run: &p_semantics::RunResult) {
         let telemetry = &self.telemetry;
         if !telemetry.enabled() {

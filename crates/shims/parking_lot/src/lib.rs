@@ -3,8 +3,8 @@
 //! This workspace builds in hermetic environments with no crates.io
 //! access, so the external dependencies are replaced by local shims that
 //! implement exactly the API surface the workspace uses. This shim
-//! provides [`Mutex`], [`Condvar`] and [`RwLock`] with `parking_lot`'s
-//! two observable differences from their `std::sync` counterparts:
+//! provides [`Mutex`] and [`Condvar`] with `parking_lot`'s two
+//! observable differences from their `std::sync` counterparts:
 //!
 //! * locking returns the guard directly (no `Result`);
 //! * a panic while a lock is held does **not** poison it — the next
@@ -190,99 +190,6 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// A reader-writer lock with non-poisoning semantics.
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared-access guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-access guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the underlying data.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared access, blocking until no writer holds the lock.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let guard = self
-            .inner
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        RwLockReadGuard { inner: guard }
-    }
-
-    /// Acquires exclusive access, blocking until the lock is free.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let guard = self
-            .inner
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        RwLockWriteGuard { inner: guard }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> RwLock<T> {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_read() {
-            Ok(guard) => f.debug_struct("RwLock").field("data", &&*guard).finish(),
-            Err(_) => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,16 +256,5 @@ mod tests {
         assert!(cv
             .wait_until(&mut g, Instant::now() - Duration::from_millis(1))
             .timed_out());
-    }
-
-    #[test]
-    fn rwlock_allows_parallel_readers() {
-        let l = RwLock::new(5);
-        let r1 = l.read();
-        let r2 = l.read();
-        assert_eq!(*r1 + *r2, 10);
-        drop((r1, r2));
-        *l.write() += 1;
-        assert_eq!(*l.read(), 6);
     }
 }

@@ -11,10 +11,10 @@
 //! closures only run when enabled, so the disabled path allocates
 //! nothing.
 //!
-//! Consumers that want the hooks compiled out entirely (overhead
-//! measurement, embedded builds) disable the `telemetry` cargo feature
-//! on `p-checker`/`p-runtime`; those crates `#[cfg]`-gate their hook
-//! sites on it. This crate itself is always buildable.
+//! Consumers that want the checker's hooks compiled out entirely
+//! (overhead measurement) disable the `telemetry` cargo feature on
+//! `p-checker`, which `#[cfg]`-gates its hook sites on it. This crate
+//! itself is always buildable.
 //!
 //! Pipeline: hooks → [`RingRecorder`] → drain after quiescence →
 //! [`chrome::chrome_document`] for a Chrome/Perfetto-loadable trace, and

@@ -51,11 +51,11 @@ mod tests {
         for e in [
             Expr::this(),
             Expr::msg(),
-            Expr::arg(),
-            Expr::null(),
+            Expr::new(ExprKind::Arg),
+            Expr::new(ExprKind::Null),
             Expr::bool(true),
             Expr::int(0),
-            Expr::nondet(),
+            Expr::new(ExprKind::Nondet),
         ] {
             assert!(!expr_is_tainted(&e, &ghost));
         }

@@ -21,9 +21,11 @@ fn main() {
     // Show the driver tables — the part the paper describes as "indexed
     // and statically-allocated data structures examined by the runtime".
     let marker = "/* ==== driver declaration ==== */";
-    if let Some(pos) = out.code.find(marker) {
-        println!("{}", &out.code[pos..]);
-    }
+    let pos = out
+        .code
+        .find(marker)
+        .expect("the driver tables are emitted");
+    println!("{}", &out.code[pos..]);
 
     let path = std::env::temp_dir().join("elevator_generated.c");
     fs::write(&path, &out.code).expect("write generated C");

@@ -20,14 +20,15 @@ fn main() {
     );
 
     // Exhaustive baseline.
-    let full = compiled.verify();
+    let full = compiled.verifier().try_check_exhaustive().unwrap();
     println!("exhaustive: {} — {}", verdict(full.passed()), full.stats);
+    assert!(full.passed(), "the correct elevator must pass");
 
     // Figure 7: states explored as the delay bound grows.
     println!("\ndelay-bound sweep (Figure 7 series):");
     println!("{:>6} {:>12} {:>14}", "d", "states", "sched. nodes");
     for d in 0..=6 {
-        let r = compiled.verify_delay_bounded(d);
+        let r = compiled.verifier().try_check_delay_bounded(d).unwrap();
         println!(
             "{d:>6} {:>12} {:>14}",
             r.stats.unique_states, r.stats.scheduler_nodes
@@ -36,16 +37,15 @@ fn main() {
 
     // The buggy variant: Opening no longer ignores a second OpenDoor.
     let buggy = Compiled::from_program(corpus::elevator_buggy()).expect("buggy compiles");
-    for d in 0..=2 {
-        let r = buggy.verify_delay_bounded(d);
-        match r.counterexample {
+    let caught = (0..=2).any(|d| {
+        let r = buggy.verifier().try_check_delay_bounded(d).unwrap();
+        match &r.counterexample {
             None => println!("\nbuggy elevator, delay bound {d}: no violation"),
-            Some(cx) => {
-                println!("\nbuggy elevator, delay bound {d}: VIOLATION\n{cx}");
-                break;
-            }
+            Some(cx) => println!("\nbuggy elevator, delay bound {d}: VIOLATION\n{cx}"),
         }
-    }
+        !r.passed()
+    });
+    assert!(caught, "delay bound 2 must catch the buggy elevator");
 }
 
 fn verdict(passed: bool) -> &'static str {

@@ -61,12 +61,13 @@ fn main() {
 
     // Verification interprets the model body, exploring all three sensor
     // outcomes per sample.
-    let report = compiled.verify();
+    let report = compiled.verifier().try_check_exhaustive().unwrap();
     println!(
         "verification against the model body: {} — {}",
         if report.passed() { "PASSED" } else { "FAILED" },
         report.stats
     );
+    assert!(report.passed(), "the model body keeps the sensor in 0..=2");
 
     // Execution uses the real implementation; the model body was erased.
     let mut builder = compiled.runtime().expect("erases");
@@ -82,9 +83,9 @@ fn main() {
     for _ in 0..4 {
         runtime.add_event(monitor, "sample", Value::Null).unwrap();
     }
-    println!(
-        "execution against the native sensor: last = {}, alarms = {}",
-        runtime.read_var(monitor, "last").unwrap(),
-        runtime.read_var(monitor, "alarms").unwrap()
-    );
+    let last = runtime.read_var(monitor, "last").unwrap();
+    let alarms = runtime.read_var(monitor, "alarms").unwrap();
+    println!("execution against the native sensor: last = {last}, alarms = {alarms}");
+    // The readings pop as 1, 2, 0, 2: two of them raise the alarm.
+    assert_eq!((last, alarms), (Value::Int(2), Value::Int(2)));
 }

@@ -52,16 +52,17 @@ fn main() {
     );
 
     // 1. Systematic testing (§5): every schedule, every ghost choice.
-    let report = compiled.verify();
+    let report = compiled.verifier().try_check_exhaustive().unwrap();
     println!(
         "verification: {} — {}",
         if report.passed() { "PASSED" } else { "FAILED" },
         report.stats
     );
+    assert!(report.passed() && report.complete);
 
     // 2. The delay-bounded causal scheduler at increasing budgets.
     for d in 0..3 {
-        let r = compiled.verify_delay_bounded(d);
+        let r = compiled.verifier().try_check_delay_bounded(d).unwrap();
         println!(
             "  delay bound {d}: {} states explored",
             r.stats.unique_states
@@ -74,11 +75,12 @@ fn main() {
     for _ in 0..5 {
         runtime.add_event(counter, "bump", Value::Null).unwrap();
     }
+    let n = runtime.read_var(counter, "n").unwrap();
     println!(
-        "runtime: n = {} after 5 bumps (state {})",
-        runtime.read_var(counter, "n").unwrap(),
+        "runtime: n = {n} after 5 bumps (state {})",
         runtime.current_state(counter).unwrap()
     );
+    assert_eq!(n, Value::Int(5));
 
     // 4. Code generation (§4): the table-driven C translation unit.
     let c = compiled.emit_c().expect("codegen succeeds");

@@ -73,17 +73,15 @@ fn main() {
     runtime
         .add_event(driver, "SwitchStateChange", Value::Int(1))
         .unwrap();
-    println!(
-        "interrupt during transfer deferred: queue length = {}",
-        runtime.queue_len(driver).unwrap()
-    );
+    let queued = runtime.queue_len(driver).unwrap();
+    println!("interrupt during transfer deferred: queue length = {queued}");
+    assert_eq!(queued, 1, "the switch interrupt waits out the transfer");
     runtime
         .add_event(driver, "TransferComplete", Value::Null)
         .unwrap();
-    println!(
-        "after completion the deferred interrupt is handled: switchState = {}",
-        runtime.read_var(driver, "switchState").unwrap()
-    );
+    let switch_state = runtime.read_var(driver, "switchState").unwrap();
+    println!("after completion the deferred interrupt is handled: switchState = {switch_state}");
+    assert_eq!(switch_state, Value::Int(1));
 
     // Power down: the driver disarms the switch and waits for the ack.
     runtime
@@ -92,10 +90,9 @@ fn main() {
     runtime
         .add_event(driver, "SwitchDisarmed", Value::Null)
         .unwrap();
-    println!(
-        "after power down: {}",
-        runtime.current_state(driver).unwrap()
-    );
+    let state = runtime.current_state(driver).unwrap();
+    println!("after power down: {state}");
+    assert_eq!(state, "PoweredOff");
 
     println!(
         "\nprocessed {} events in {} machine runs",

@@ -20,7 +20,7 @@ fn main() {
         let p_states = real.states.len();
         let p_transitions = real.transition_count();
         let compiled = Compiled::from_program(program).expect("usb machine compiles");
-        let report = compiled.verify();
+        let report = compiled.verifier().try_check_exhaustive().unwrap();
         assert!(
             report.passed(),
             "{name} has a violation: {:?}",

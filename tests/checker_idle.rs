@@ -55,7 +55,7 @@ fn a_linear_search_at_four_workers_uses_one_core() {
     };
     let verifier = Verifier::new(&lowered).with_options(options);
     let (cpu, wall) = (cpu_seconds(), Instant::now());
-    let report = verifier.check_exhaustive();
+    let report = verifier.try_check_exhaustive().unwrap();
     let (cpu, wall) = (cpu_seconds() - cpu, wall.elapsed().as_secs_f64());
     assert!(report.passed() && report.complete);
     assert_eq!(report.stats.unique_states, 300_001);

@@ -212,6 +212,19 @@ fn verify_fault_flags() {
     assert!(text.contains("FAULT: dropped cfg"), "{text}");
     assert!(text.contains("replay: reproduced"), "{text}");
 
+    // Without `--fault-kinds` every kind is in play, in canonical order.
+    let out = p_bin()
+        .args(["verify", lossy.to_str().unwrap(), "--faults", "1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.starts_with("fault budget 1 (drop,dup,delay), "),
+        "{text}"
+    );
+    assert!(text.contains("FAILED"), "{text}");
+
     // Flag validation.
     let out = p_bin()
         .args([

@@ -61,7 +61,8 @@ fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
                     let r = compiled
                         .verifier()
                         .with_options(options)
-                        .check_delay_bounded(d);
+                        .try_check_delay_bounded(d)
+                        .unwrap();
                     let cell = format!("{name} d={d} jobs={jobs} mem_limit={mem_limit:?}");
                     assert!(r.passed() && r.complete, "{cell}");
                     let stats = &r.stats;
@@ -85,7 +86,7 @@ fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
         // The last pinned bound of german and elevator saturates: it
         // covers what the exhaustive search covers.
         if name != "switch_led" {
-            let exhaustive = compiled.verify();
+            let exhaustive = compiled.verifier().try_check_exhaustive().unwrap();
             assert!(exhaustive.passed() && exhaustive.complete);
             let saturated = pinned.last().unwrap().1;
             assert_eq!(saturated, exhaustive.stats.unique_states, "{name}");
@@ -96,13 +97,13 @@ fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
 #[test]
 fn coverage_grows_with_delay_bound_on_elevator() {
     let compiled = Compiled::from_program(corpus::elevator_with_budget(2)).unwrap();
-    let exhaustive = compiled.verify();
+    let exhaustive = compiled.verifier().try_check_exhaustive().unwrap();
     assert!(exhaustive.passed() && exhaustive.complete);
 
     let mut last = 0;
     let mut reached_full = false;
     for d in 0..=12 {
-        let r = compiled.verify_delay_bounded(d);
+        let r = compiled.verifier().try_check_delay_bounded(d).unwrap();
         assert!(r.passed());
         let states = r.stats.unique_states;
         assert!(states >= last, "coverage shrank at d={d}");
@@ -136,8 +137,8 @@ fn delay_zero_matches_runtime_schedule_count() {
         main M();
     "#;
     let compiled = Compiled::from_source(src).unwrap();
-    let r1 = compiled.verify_delay_bounded(0);
-    let r2 = compiled.verify_delay_bounded(0);
+    let r1 = compiled.verifier().try_check_delay_bounded(0).unwrap();
+    let r2 = compiled.verifier().try_check_delay_bounded(0).unwrap();
     assert!(r1.passed());
     assert_eq!(r1.stats.scheduler_nodes, r2.stats.scheduler_nodes);
     assert_eq!(
@@ -156,13 +157,20 @@ fn delayed_coverage_dominates_depth_bounded_at_same_transition_budget() {
     let buggy = corpus::elevator_buggy();
     let compiled = Compiled::from_program(buggy).unwrap();
 
-    let shallow = compiled.verifier().check_exhaustive_with_depth(6);
+    let shallow = compiled
+        .verifier()
+        .with_options(CheckerOptions {
+            max_depth: 6,
+            ..CheckerOptions::default()
+        })
+        .try_check_exhaustive()
+        .unwrap();
     assert!(
         shallow.passed(),
         "the seeded bug needs more than 6 scheduler decisions"
     );
 
-    let delayed = compiled.verify_delay_bounded(2);
+    let delayed = compiled.verifier().try_check_delay_bounded(2).unwrap();
     assert!(
         !delayed.passed(),
         "delay bound 2 reaches the bug at arbitrary depth"
@@ -173,7 +181,7 @@ fn delayed_coverage_dominates_depth_bounded_at_same_transition_budget() {
 fn all_figure7_bugs_found_by_delay_two_with_larger_budgets() {
     for (name, _, buggy) in corpus::figure7_benchmarks() {
         let compiled = Compiled::from_program(buggy).unwrap();
-        let r = compiled.verify_delay_bounded(2);
+        let r = compiled.verifier().try_check_delay_bounded(2).unwrap();
         assert!(!r.passed(), "{name}: bug not found at d=2");
         let cx = r.counterexample.unwrap();
         assert!(!cx.trace.is_empty(), "{name}: counterexample has a trace");

@@ -163,7 +163,7 @@ fn erased_worker_behaves_like_the_closed_one() {
 #[test]
 fn closed_verification_also_passes() {
     let compiled = Compiled::from_source(SRC).unwrap();
-    let report = compiled.verify();
+    let report = compiled.verifier().try_check_exhaustive().unwrap();
     assert!(report.passed(), "{:?}", report.counterexample);
     assert!(report.complete);
 }

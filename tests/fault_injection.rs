@@ -15,19 +15,24 @@ fn drop_sensitive_bug_found_at_budget_one_missed_at_zero() {
     let compiled = lossy_link();
 
     // Fault-free exploration covers every schedule and passes.
-    let clean = compiled.verify_with_faults(0, &[]);
+    let clean = compiled.verifier().try_check_with_faults(0, &[]).unwrap();
     assert!(clean.passed(), "{:?}", clean.counterexample);
     assert!(clean.complete, "fault-free exploration truncated");
     assert_eq!(clean.stats.fault_transitions, 0);
 
     // Budget 1 exposes the lost configuration message.
-    let faulty = compiled.verify_with_faults(1, &[FaultKind::Drop]);
+    let faulty = compiled
+        .verifier()
+        .try_check_with_faults(1, &[FaultKind::Drop])
+        .unwrap();
     let cx = faulty
         .counterexample
         .as_ref()
         .expect("a single drop fault must break the handshake");
     assert!(
-        cx.trace.iter().any(|s| s.fault.is_some()),
+        cx.trace
+            .iter()
+            .any(|s| s.summary.starts_with("FAULT: dropped")),
         "the counterexample must record the injected fault:\n{cx}"
     );
 }
@@ -40,7 +45,10 @@ fn fault_traces_replay_round_trip() {
         vec![FaultKind::Delay],
         vec![], // all kinds
     ] {
-        let report = compiled.verify_with_faults(1, &kinds);
+        let report = compiled
+            .verifier()
+            .try_check_with_faults(1, &kinds)
+            .unwrap();
         let cx = report
             .counterexample
             .expect("one fault breaks the handshake");
@@ -63,7 +71,10 @@ fn dup_tolerant_program_passes_dup_faults() {
     // counts duplicated data without asserting, so dup-only injection
     // finds nothing even with budget 2.
     let compiled = lossy_link();
-    let report = compiled.verify_with_faults(2, &[FaultKind::Dup]);
+    let report = compiled
+        .verifier()
+        .try_check_with_faults(2, &[FaultKind::Dup])
+        .unwrap();
     assert!(
         report.passed(),
         "dup faults are tolerated by design: {:?}",
@@ -78,9 +89,18 @@ fn dup_tolerant_program_passes_dup_faults() {
 #[test]
 fn fault_budget_scales_exploration() {
     let compiled = lossy_link();
-    let b0 = compiled.verify_with_faults(0, &[FaultKind::Dup]);
-    let b1 = compiled.verify_with_faults(1, &[FaultKind::Dup]);
-    let b2 = compiled.verify_with_faults(2, &[FaultKind::Dup]);
+    let b0 = compiled
+        .verifier()
+        .try_check_with_faults(0, &[FaultKind::Dup])
+        .unwrap();
+    let b1 = compiled
+        .verifier()
+        .try_check_with_faults(1, &[FaultKind::Dup])
+        .unwrap();
+    let b2 = compiled
+        .verifier()
+        .try_check_with_faults(2, &[FaultKind::Dup])
+        .unwrap();
     assert!(b1.stats.scheduler_nodes > b0.stats.scheduler_nodes);
     assert!(b2.stats.scheduler_nodes > b1.stats.scheduler_nodes);
 }
@@ -91,7 +111,10 @@ fn correct_corpus_programs_pass_one_dropped_stimulus() {
     // protocol but violates no safety property, so fault injection must
     // not raise a false alarm on it.
     let compiled = Compiled::from_source(p_core::corpus::PING_PONG_SRC).unwrap();
-    let report = compiled.verify_with_faults(1, &[FaultKind::Drop]);
+    let report = compiled
+        .verifier()
+        .try_check_with_faults(1, &[FaultKind::Drop])
+        .unwrap();
     assert!(
         report.passed(),
         "dropping one message must not violate ping_pong safety: {:?}",
@@ -137,7 +160,7 @@ fn pinned_counts_hold_at_every_worker_count_and_under_a_memory_limit() {
                     ..p_core::CheckerOptions::default()
                 };
                 let verifier = compiled.verifier().with_options(options);
-                let r = verifier.check_with_faults(budget, &[kind]);
+                let r = verifier.try_check_with_faults(budget, &[kind]).unwrap();
                 let cell = format!("{name} jobs={jobs} mem_limit={mem_limit:?}");
                 assert!(r.passed() && r.complete, "{cell}");
                 let stats = &r.stats;
@@ -179,7 +202,9 @@ fn fault_counterexample_is_reconstructed_through_its_path() {
                 ..p_core::CheckerOptions::default()
             };
             let verifier = compiled.verifier().with_options(options);
-            let report = verifier.check_with_faults(1, &[FaultKind::Drop]);
+            let report = verifier
+                .try_check_with_faults(1, &[FaultKind::Drop])
+                .unwrap();
             let cx = report.counterexample.expect("one drop breaks it");
             if jobs == 1 {
                 assert_eq!(cx.to_string(), expected, "mem_limit={mem_limit:?}");
@@ -189,7 +214,12 @@ fn fault_counterexample_is_reconstructed_through_its_path() {
                     (10, 1)
                 );
             }
-            assert!(cx.trace.iter().any(|s| s.fault.is_some()), "{cx}");
+            assert!(
+                cx.trace
+                    .iter()
+                    .any(|s| s.summary.starts_with("FAULT: dropped")),
+                "{cx}"
+            );
             match compiled.verifier().replay(&cx) {
                 ReplayOutcome::Reproduced(e) => assert_eq!(e, cx.error),
                 other => panic!("jobs={jobs} mem_limit={mem_limit:?}: {other:?}\n{cx}"),

@@ -7,13 +7,13 @@ use p_core::{Compiled, Verifier};
 
 fn liveness(src: &str) -> p_core::LivenessReport {
     let compiled = Compiled::from_source(src).unwrap();
-    let safety = compiled.verify();
+    let safety = compiled.verifier().try_check_exhaustive().unwrap();
     assert!(
         safety.passed(),
         "liveness programs must be safe first: {:?}",
         safety.counterexample
     );
-    compiled.verify_liveness()
+    compiled.verifier().try_check_liveness().unwrap()
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn unfair_cycles_are_not_reported() {
 fn liveness_report_on_elevator_with_budget_one() {
     let program = p_core::corpus::elevator_with_budget(1);
     let lowered = p_core::semantics::lower(&program).unwrap();
-    let report = Verifier::new(&lowered).check_liveness();
+    let report = Verifier::new(&lowered).try_check_liveness().unwrap();
     assert!(report.complete);
     // All legitimate deferrals are postponed in the corpus elevator.
     assert!(

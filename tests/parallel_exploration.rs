@@ -4,7 +4,7 @@
 //! counterexample that replays — the checker's answer is a function of
 //! the program, not of the worker count.
 
-use p_core::{corpus, CheckerOptions, Compiled};
+use p_core::{corpus, CheckerOptions, Compiled, Report};
 
 /// Every corpus program, compiled (their committed budgets keep full
 /// exhaustive verification fast enough for CI).
@@ -20,12 +20,25 @@ fn verification_corpus() -> Vec<(&'static str, Compiled)> {
         .collect()
 }
 
+/// The exhaustive search of `compiled` with `jobs` workers and every
+/// other option at its default.
+fn verify_with_jobs(compiled: &Compiled, jobs: usize) -> Report {
+    compiled
+        .verifier()
+        .with_options(CheckerOptions {
+            jobs,
+            ..CheckerOptions::default()
+        })
+        .try_check_exhaustive()
+        .unwrap()
+}
+
 #[test]
 fn corpus_agrees_across_job_counts() {
     for (name, compiled) in verification_corpus() {
-        let sequential = compiled.verify();
+        let sequential = compiled.verifier().try_check_exhaustive().unwrap();
         for jobs in [2, 4] {
-            let parallel = compiled.verify_parallel(jobs);
+            let parallel = verify_with_jobs(&compiled, jobs);
             assert_eq!(
                 sequential.passed(),
                 parallel.passed(),
@@ -53,7 +66,7 @@ fn corpus_agrees_across_job_counts() {
 fn buggy_benchmarks_fail_in_parallel_with_replayable_traces() {
     for (name, _correct, buggy) in corpus::figure7_benchmarks() {
         let compiled = Compiled::from_program(buggy).expect("buggy corpus program compiles");
-        let report = compiled.verify_parallel(4);
+        let report = verify_with_jobs(&compiled, 4);
         let cx = report
             .counterexample
             .unwrap_or_else(|| panic!("{name}: seeded bug must be found in parallel"));
@@ -72,7 +85,11 @@ fn parallel_state_bound_is_respected() {
         jobs: 4,
         ..CheckerOptions::default()
     };
-    let report = compiled.verifier().with_options(options).check_exhaustive();
+    let report = compiled
+        .verifier()
+        .with_options(options)
+        .try_check_exhaustive()
+        .unwrap();
     assert!(report.stats.truncated);
     assert!(!report.complete);
     assert!(
@@ -118,13 +135,13 @@ const SINGLE_CHAIN_BUGGY_SRC: &str = r#"
 #[test]
 fn aborted_search_counters_match_sequential_exactly() {
     let compiled = Compiled::from_source(SINGLE_CHAIN_BUGGY_SRC).unwrap();
-    let sequential = compiled.verify();
+    let sequential = compiled.verifier().try_check_exhaustive().unwrap();
     assert!(
         !sequential.passed(),
         "the chain must trip its assert at n = 6"
     );
     for jobs in [2, 4] {
-        let parallel = compiled.verify_parallel(jobs);
+        let parallel = verify_with_jobs(&compiled, jobs);
         assert!(!parallel.passed(), "jobs={jobs}: verdict diverged");
         assert_eq!(
             sequential.stats.unique_states, parallel.stats.unique_states,
@@ -148,8 +165,8 @@ fn aborted_search_counters_match_sequential_exactly() {
 #[test]
 fn jobs_one_through_options_matches_plain_verify() {
     let compiled = Compiled::from_program(corpus::ping_pong()).unwrap();
-    let plain = compiled.verify();
-    let one = compiled.verify_parallel(1);
+    let plain = compiled.verifier().try_check_exhaustive().unwrap();
+    let one = verify_with_jobs(&compiled, 1);
     assert_eq!(plain.passed(), one.passed());
     assert_eq!(plain.stats.unique_states, one.stats.unique_states);
     assert_eq!(plain.stats.transitions, one.stats.transitions);
@@ -160,22 +177,13 @@ fn jobs_one_through_options_matches_plain_verify() {
 #[test]
 fn jobs_zero_is_one_worker() {
     let compiled = Compiled::from_program(corpus::elevator()).unwrap();
-    let one = compiled.verify();
+    let one = compiled.verifier().try_check_exhaustive().unwrap();
     assert!(one.complete && one.stats.unique_states > 1);
-    let zero_options = CheckerOptions {
-        jobs: 0,
-        ..CheckerOptions::default()
-    };
-    let via_options = compiled
-        .verifier()
-        .with_options(zero_options)
-        .check_exhaustive();
-    for zero in [via_options, compiled.verify_parallel(0)] {
-        assert!(zero.complete);
-        assert_eq!(zero.stats.unique_states, one.stats.unique_states);
-        assert_eq!(zero.stats.transitions, one.stats.transitions);
-        assert_eq!(zero.stats.dedup_hits, one.stats.dedup_hits);
-    }
+    let zero = verify_with_jobs(&compiled, 0);
+    assert!(zero.complete);
+    assert_eq!(zero.stats.unique_states, one.stats.unique_states);
+    assert_eq!(zero.stats.transitions, one.stats.transitions);
+    assert_eq!(zero.stats.dedup_hits, one.stats.dedup_hits);
 }
 
 /// The `jobs = 1` contract: one worker on the calling thread explores in
@@ -187,7 +195,7 @@ fn one_worker_runs_are_deterministic() {
     for (name, _correct, buggy) in corpus::figure7_benchmarks() {
         let compiled = Compiled::from_program(buggy).unwrap();
         let run = || {
-            let mut report = compiled.verify_parallel(1);
+            let mut report = verify_with_jobs(&compiled, 1);
             report.stats.duration = Default::default();
             report.stats.phases = Default::default();
             (report.counterexample.expect("seeded bug"), report.stats)
@@ -212,7 +220,11 @@ fn cold_tier_counters_repeat_and_a_cold_hit_costs_one_read() {
             mem_limit: Some(256 << 10),
             ..CheckerOptions::default()
         };
-        let report = compiled.verifier().with_options(options).check_exhaustive();
+        let report = compiled
+            .verifier()
+            .with_options(options)
+            .try_check_exhaustive()
+            .unwrap();
         assert!(report.passed() && report.complete, "jobs={jobs}");
         report.stats
     };

@@ -17,7 +17,7 @@ fn every_corpus_program_flows_through_the_whole_pipeline() {
         );
 
         // The delay-0 causal schedule must be clean for all of them.
-        let d0 = compiled.verify_delay_bounded(0);
+        let d0 = compiled.verifier().try_check_delay_bounded(0).unwrap();
         assert!(
             d0.passed(),
             "{name} fails at delay bound 0: {:?}",
@@ -108,7 +108,7 @@ fn compiled_program_reports_paper_scale_shapes() {
 #[test]
 fn verifier_statistics_are_populated() {
     let compiled = Compiled::from_program(corpus::ping_pong()).unwrap();
-    let report = compiled.verify();
+    let report = compiled.verifier().try_check_exhaustive().unwrap();
     assert!(report.passed());
     assert!(report.complete);
     assert!(report.stats.unique_states > 0);
@@ -124,7 +124,7 @@ fn exhaustive_and_random_agree_on_corpus_verdicts() {
         ("german", corpus::german()),
     ] {
         let compiled = Compiled::from_program(program).unwrap();
-        let random = compiled.verifier().check_random(7, 50, 200);
+        let random = compiled.verifier().try_check_random(7, 50, 200).unwrap();
         assert!(
             random.passed(),
             "{name}: random walk found a violation exhaustive search must also find"
@@ -132,7 +132,7 @@ fn exhaustive_and_random_agree_on_corpus_verdicts() {
     }
     // And on a buggy program random walks usually find the bug too.
     let buggy = Compiled::from_program(corpus::german_buggy()).unwrap();
-    let random = buggy.verifier().check_random(7, 500, 400);
+    let random = buggy.verifier().try_check_random(7, 500, 400).unwrap();
     assert!(!random.passed(), "german bug should be findable randomly");
 }
 
@@ -159,7 +159,11 @@ fn plain_search_keeps_its_counts_and_its_counterexamples_replay() {
     let counted: Vec<_> = corpus::all()
         .into_iter()
         .map(|(name, program)| {
-            let report = Compiled::from_program(program).unwrap().verify();
+            let report = Compiled::from_program(program)
+                .unwrap()
+                .verifier()
+                .try_check_exhaustive()
+                .unwrap();
             assert!(report.passed() && report.complete, "{name}");
             (name, report.stats.unique_states, report.stats.transitions)
         })
@@ -168,7 +172,9 @@ fn plain_search_keeps_its_counts_and_its_counterexamples_replay() {
     for (name, _correct, buggy) in corpus::figure7_benchmarks() {
         let compiled = Compiled::from_program(buggy).unwrap();
         let cx = compiled
-            .verify()
+            .verifier()
+            .try_check_exhaustive()
+            .unwrap()
             .counterexample
             .unwrap_or_else(|| panic!("{name}: seeded bug not found"));
         assert!(compiled.verifier().replay(&cx).reproduced(), "{name}");

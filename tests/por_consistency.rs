@@ -20,11 +20,12 @@ fn por_options(jobs: usize) -> CheckerOptions {
 fn corpus_agrees_with_and_without_por() {
     for (name, program) in corpus::all() {
         let compiled = Compiled::from_program(program).expect("corpus program compiles");
-        let full = compiled.verify();
+        let full = compiled.verifier().try_check_exhaustive().unwrap();
         let por = compiled
             .verifier()
             .with_options(por_options(1))
-            .check_exhaustive();
+            .try_check_exhaustive()
+            .unwrap();
         assert_eq!(
             full.passed(),
             por.passed(),
@@ -55,12 +56,13 @@ fn corpus_agrees_with_and_without_por() {
 fn buggy_benchmarks_fail_under_por_with_replayable_traces() {
     for (name, _correct, buggy) in corpus::figure7_benchmarks() {
         let compiled = Compiled::from_program(buggy).expect("buggy corpus program compiles");
-        let full = compiled.verify();
+        let full = compiled.verifier().try_check_exhaustive().unwrap();
         assert!(!full.passed(), "{name}: seeded bug missing without POR");
         let por = compiled
             .verifier()
             .with_options(por_options(1))
-            .check_exhaustive();
+            .try_check_exhaustive()
+            .unwrap();
         assert!(!por.passed(), "{name}: POR hid the seeded bug");
         let cx = por
             .counterexample
@@ -80,11 +82,12 @@ fn buggy_benchmarks_fail_under_por_with_replayable_traces() {
 fn por_agrees_across_job_counts() {
     for (name, program) in corpus::all() {
         let compiled = Compiled::from_program(program).expect("corpus program compiles");
-        let sequential = compiled.verify();
+        let sequential = compiled.verifier().try_check_exhaustive().unwrap();
         let por_parallel = compiled
             .verifier()
             .with_options(por_options(4))
-            .check_exhaustive_parallel(4);
+            .try_check_exhaustive()
+            .unwrap();
         assert_eq!(
             sequential.passed(),
             por_parallel.passed(),

@@ -63,15 +63,17 @@ fn corpus_agrees_with_and_without_symmetry() {
     for ((name, program), (_, pinned_sym, pinned_sym_por)) in corpus::all().into_iter().zip(PINNED)
     {
         let compiled = Compiled::from_program(program).expect("corpus program compiles");
-        let full = compiled.verify();
+        let full = compiled.verifier().try_check_exhaustive().unwrap();
         let sym = compiled
             .verifier()
             .with_options(sym_options(false, 1))
-            .check_exhaustive();
+            .try_check_exhaustive()
+            .unwrap();
         let sym_por = compiled
             .verifier()
             .with_options(sym_options(true, 1))
-            .check_exhaustive();
+            .try_check_exhaustive()
+            .unwrap();
         for (mode, run, pinned) in [
             ("--symmetry", &sym, pinned_sym),
             ("--symmetry --por", &sym_por, pinned_sym_por),
@@ -128,7 +130,8 @@ fn german_family_scales_without_enumeration() {
         let run = compiled
             .verifier()
             .with_options(sym_options(false, 1))
-            .check_exhaustive();
+            .try_check_exhaustive()
+            .unwrap();
         assert!(run.passed() && run.complete, "german{clients}");
         assert_eq!(
             (run.stats.unique_states, run.stats.transitions),
@@ -156,7 +159,8 @@ fn buggy_benchmarks_fail_under_symmetry_with_replayable_traces() {
             let run = compiled
                 .verifier()
                 .with_options(sym_options(por, 1))
-                .check_exhaustive();
+                .try_check_exhaustive()
+                .unwrap();
             assert!(!run.passed(), "{name}: {mode} hid the seeded bug");
             let cx = run
                 .counterexample
@@ -181,11 +185,13 @@ fn symmetry_agrees_across_job_counts() {
         let sequential = compiled
             .verifier()
             .with_options(sym_options(false, 1))
-            .check_exhaustive();
+            .try_check_exhaustive()
+            .unwrap();
         let parallel = compiled
             .verifier()
             .with_options(sym_options(false, 4))
-            .check_exhaustive_parallel(4);
+            .try_check_exhaustive()
+            .unwrap();
         assert_eq!(
             sequential.passed(),
             parallel.passed(),

@@ -57,12 +57,14 @@ fn telemetry_never_changes_checker_results() {
             let plain = compiled
                 .verifier()
                 .with_options(options.clone())
-                .check_exhaustive();
+                .try_check_exhaustive()
+                .unwrap();
             let traced = compiled
                 .verifier()
                 .with_options(options)
                 .with_telemetry(hot_telemetry())
-                .check_exhaustive();
+                .try_check_exhaustive()
+                .unwrap();
             assert_eq!(
                 plain.passed(),
                 traced.passed(),
