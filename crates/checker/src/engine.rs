@@ -21,10 +21,16 @@
 //! * a stored sleep set only ever shrinks (so a state is re-expanded at
 //!   most 64 times and the search terminates);
 //! * visited keys are canonical; tasks and their paths are concrete;
-//! * an admit holds exactly one shard and looks cold keys up in that
-//!   shard's [`Runs`], which takes no lock; a spill holds *every* shard
-//!   (taken in ascending order) and only then the run store, and hands
-//!   every shard the new runs before it lets go.
+//! * a locked admit holds exactly one shard and looks cold keys up in
+//!   that shard's [`Runs`], which takes no lock; a covered offer may
+//!   hold none (an open shard's hot keys are read without its lock,
+//!   [`SharedTable::admit`]); a spill holds *every* shard (taken in
+//!   ascending order) and only then the run store, and hands every shard
+//!   the new runs before it lets go;
+//! * a shard is open to a probe without its lock only while its hot
+//!   keys are on pages, hold no sleep set and no representative, and it
+//!   is closed before its buckets move or take a key a probe must not
+//!   find.
 //!
 //! The decision table of the admit rule, for an offer `(key, concrete,
 //! sleep)`; `rep` is the concrete state first admitted under `key`:
@@ -45,7 +51,7 @@
 
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -158,7 +164,7 @@ pub(crate) struct SharedCounters {
     max_depth: AtomicUsize,
     max_queue_seen: AtomicUsize,
     /// Sampled phase nanoseconds, in [`PhaseNanos::to_array`] order.
-    phase_nanos: [AtomicU64; 5],
+    phase_nanos: [AtomicU64; 6],
 }
 
 impl SharedCounters {
@@ -241,6 +247,20 @@ impl TaskIds {
 /// for any plausible worker count while costing only 64 mutexes.
 const SHARDS: usize = 64;
 
+/// A value on cache lines of its own, so that writing it does not take
+/// the lines of its neighbours away from the cores reading them: two
+/// lines, as x86 cores fetch lines in adjacent pairs.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// The visited store of the search kernel: the visited keys sharded by
 /// fingerprint prefix, one mutex per shard, with global retained-state
 /// accounting kept in atomics so the `max_states` bound holds across
@@ -249,14 +269,14 @@ const SHARDS: usize = 64;
 #[derive(Debug)]
 pub(crate) struct SharedTable {
     shards: Vec<Mutex<Shard>>,
-    /// Per shard, the [`VisitedSet::hint`] of its visited keys, which
-    /// [`SharedTable::prefetch`] reads without the lock.
-    hints: Vec<AtomicUsize>,
-    unique: AtomicUsize,
-    /// Configurations [`SharedTable::mark`]ed, bounded by `max_marked`.
-    marked: AtomicUsize,
-    /// Canonical-encoding bytes of the RAM-resident states.
-    stored: AtomicUsize,
+    /// Per shard, what it publishes for readers without the lock.
+    published: Vec<Published>,
+    /// Written by every new admit, so on lines apart from the fields
+    /// every offer reads.
+    retained: Padded<Retained>,
+    /// Configurations [`SharedTable::mark`]ed, bounded by `max_marked`;
+    /// written by every new mark.
+    marked: Padded<AtomicUsize>,
     truncated: AtomicBool,
     max: usize,
     max_marked: usize,
@@ -277,11 +297,64 @@ struct SharedCold {
     spilling: Mutex<()>,
 }
 
-/// A locked shard. The one place the hint is published: on release, if
-/// the visited keys moved (grown, drained by a spill, or restored).
+/// The states a [`SharedTable`] retains, which every new admit counts:
+/// together, so that an admit takes one line from another core, not two.
+#[derive(Debug, Default)]
+struct Retained {
+    /// Retained states (nodes, if annotated) across all shards and tiers.
+    unique: AtomicUsize,
+    /// Canonical-encoding bytes of the RAM-resident states.
+    stored: AtomicUsize,
+}
+
+/// What a shard publishes for readers without its lock, written only
+/// under it (DESIGN.md §13).
+#[derive(Debug, Default)]
+struct Published {
+    /// The [`VisitedSet::hint`] of its visited keys, which
+    /// [`SharedTable::prefetch`] and an open shard's probes read.
+    hint: AtomicUsize,
+    /// 0 while the shard is closed; open, a number it never published
+    /// before, so that a probe that reads the same word before and after
+    /// knows the buckets did not move in between.
+    word: AtomicU64,
+}
+
+/// A locked shard. The one place the hint is published and a shard
+/// opened: on release, if the visited keys moved (grown, drained by a
+/// spill, or restored), or the shard may open.
 struct Locked<'a> {
     shard: MutexGuard<'a, Shard>,
-    hint: &'a AtomicUsize,
+    published: &'a Published,
+}
+
+impl Locked<'_> {
+    /// Closes the shard to probes without the lock, ahead of a write to
+    /// its buckets that such a probe must not act on: a move of the
+    /// buckets, or a key stored with a sleep set or a representative. A
+    /// probe that reads a word written after the fence reads a changed
+    /// word after its own (DESIGN.md §13).
+    fn close(&mut self) {
+        if self.shard.word != 0 {
+            self.shard.word = 0;
+            self.published.word.store(0, Ordering::Relaxed);
+        }
+        fence(Ordering::Release);
+    }
+
+    /// Adds the `key` not visited to the hot tier, its state `concrete`
+    /// to be expanded with `sleep`; closes the shard first if the key is
+    /// not one an open shard may hold, or the buckets grow.
+    fn insert(&mut self, key: Fingerprint, concrete: Fingerprint, sleep: SleepSet) {
+        if concrete != key || sleep != SleepSet::empty() || self.visited.full() {
+            self.close();
+        }
+        self.visited.insert(key);
+        if concrete != key {
+            self.reps.insert(key, concrete);
+        }
+        self.set_sleep(key, Tier::Hot(0), sleep);
+    }
 }
 
 impl std::ops::Deref for Locked<'_> {
@@ -299,9 +372,21 @@ impl std::ops::DerefMut for Locked<'_> {
 
 impl Drop for Locked<'_> {
     fn drop(&mut self) {
-        let hint = self.shard.visited.hint();
-        if self.hint.load(Ordering::Relaxed) != hint {
-            self.hint.store(hint, Ordering::Relaxed);
+        let shard = &mut *self.shard;
+        let hint = shard.visited.hint();
+        let open = shard.visited.paged_and_uncoded() && shard.reps.is_empty();
+        debug_assert!(
+            shard.word == 0 || open,
+            "an open shard is off pages, coded or keyed"
+        );
+        if self.published.hint.load(Ordering::Relaxed) != hint {
+            debug_assert_eq!(shard.word, 0, "buckets moved in an open shard");
+            self.published.hint.store(hint, Ordering::Relaxed);
+        }
+        if open && shard.word == 0 {
+            shard.generations += 1;
+            shard.word = shard.generations;
+            self.published.word.store(shard.word, Ordering::Release);
         }
     }
 }
@@ -345,6 +430,10 @@ struct Shard {
     /// shard, replaced in all of them by whoever spills, under all
     /// their locks. `None` without a cold tier.
     runs: Option<Runs>,
+    /// The word published while the shard is open, 0 while closed.
+    word: u64,
+    /// Words published so far: the next one is this plus one.
+    generations: u64,
 }
 
 impl Shard {
@@ -464,10 +553,9 @@ impl SharedTable {
         };
         Ok(SharedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(shard())).collect(),
-            hints: (0..SHARDS).map(|_| AtomicUsize::new(0)).collect(),
-            unique: AtomicUsize::new(0),
-            marked: AtomicUsize::new(0),
-            stored: AtomicUsize::new(0),
+            published: (0..SHARDS).map(|_| Published::default()).collect(),
+            retained: Padded::default(),
+            marked: Padded::default(),
             truncated: AtomicBool::new(false),
             max: max.max(1),
             max_marked: 0,
@@ -478,14 +566,39 @@ impl SharedTable {
     fn lock(&self, shard: usize) -> Locked<'_> {
         Locked {
             shard: self.shards[shard].lock(),
-            hint: &self.hints[shard],
+            published: &self.published[shard],
         }
     }
 
     /// Starts loading the visited bucket an offer of `key` probes first.
     pub(crate) fn prefetch(&self, key: Fingerprint) {
-        let hint = self.hints[key.shard(SHARDS)].load(Ordering::Relaxed);
+        let hint = self.published[key.shard(SHARDS)]
+            .hint
+            .load(Ordering::Relaxed);
         VisitedSet::prefetch(hint, key);
+    }
+
+    /// Whether `key` is a hot key of its shard, read without the lock:
+    /// `true` only while the shard is open, and then every hot key has
+    /// ∅ and no representative, so the locked rule would answer
+    /// `Covered { merged: false }` to an offer of `key` as itself, and a
+    /// key is never unvisited again (a spill moves it to the cold tier).
+    /// `false` is "not known". The word read before and after the probe
+    /// is the same only if the buckets did not move in between
+    /// (DESIGN.md §13).
+    fn held_unlocked(&self, key: Fingerprint) -> bool {
+        let published = &self.published[key.shard(SHARDS)];
+        let word = published.word.load(Ordering::Acquire);
+        if word == 0 {
+            return false;
+        }
+        let hint = published.hint.load(Ordering::Relaxed);
+        // SAFETY: `hint` is a hint of this shard's `VisitedSet`, which
+        // lives as long as the table: no shard's set is replaced, a
+        // spill clears it.
+        let held = unsafe { VisitedSet::holds(hint, key) };
+        fence(Ordering::Acquire);
+        held && published.word.load(Ordering::Relaxed) == word
     }
 
     /// Rebuilds a table from a checkpoint's visited `run` as it streams
@@ -498,20 +611,19 @@ impl SharedTable {
         run: Records<'_>,
     ) -> Result<SharedTable, CheckerError> {
         let table = SharedTable::open(max, spill)?;
-        table.unique.store(run.len as usize, Ordering::SeqCst);
+        table
+            .retained
+            .unique
+            .store(run.len as usize, Ordering::SeqCst);
         match &table.cold {
             None => {
                 for _ in 0..run.len {
                     let (key, rep, sleep) = (run.next)()?;
                     let fp = Fingerprint::from_u128(key);
                     let mut shard = table.lock(fp.shard(SHARDS));
-                    shard.visited.insert(fp);
-                    if rep != key {
-                        shard.reps.insert(fp, Fingerprint::from_u128(rep));
-                    }
-                    shard.set_sleep(fp, Tier::Hot(0), SleepSet(sleep));
+                    shard.insert(fp, Fingerprint::from_u128(rep), SleepSet(sleep));
                 }
-                table.stored.store(stored_bytes, Ordering::SeqCst);
+                table.retained.stored.store(stored_bytes, Ordering::SeqCst);
             }
             Some(cold) => {
                 let mut store = cold.visited.lock();
@@ -530,8 +642,8 @@ impl SharedTable {
     /// annotation). `marked` of a restored table's entries are markers.
     pub(crate) fn annotated(mut self, marked: usize) -> SharedTable {
         (self.max_marked, self.max) = (self.max, usize::MAX);
-        *self.marked.get_mut() = marked;
-        *self.unique.get_mut() -= marked;
+        *self.marked.0.get_mut() = marked;
+        *self.retained.0.unique.get_mut() -= marked;
         self
     }
 
@@ -542,10 +654,11 @@ impl SharedTable {
     }
 
     /// Stop-the-world spill: when the hot tier is over its budget, take
-    /// every shard lock (ascending — admits hold exactly one, so the same
-    /// order prevents deadlock), drain the tier, and write it out while
-    /// still holding the shard locks, so no admit can observe a
-    /// drained-but-not-yet-spilled fingerprint as unvisited.
+    /// every shard lock (ascending — locked admits hold exactly one, so
+    /// the same order prevents deadlock), close every shard, drain the
+    /// tier, and write it out while still holding the shard locks, so no
+    /// admit can observe a drained-but-not-yet-spilled fingerprint as
+    /// unvisited.
     ///
     /// Every byte in `stored` was added by an admit of a key it drains,
     /// under that key's shard lock, so the spill frees all of them.
@@ -553,7 +666,7 @@ impl SharedTable {
         let Some(cold) = &self.cold else {
             return Ok(());
         };
-        let due = || self.stored.load(Ordering::Relaxed) >= cold.hot_budget;
+        let due = || self.retained.stored.load(Ordering::Relaxed) >= cold.hot_budget;
         if !due() {
             return Ok(());
         }
@@ -570,13 +683,14 @@ impl SharedTable {
         let mut drained = shards.iter_mut().flat_map(|shard| {
             let keys = shard.hot_records();
             // No hot key is left to hold a code or a representative.
-            shard.visited = VisitedSet::default();
+            shard.close();
+            shard.visited.clear();
             shard.dict.clear();
             shard.escaped.clear();
             shard.reps.clear();
             keys
         });
-        self.stored.store(0, Ordering::SeqCst);
+        self.retained.stored.store(0, Ordering::SeqCst);
         let mut store = cold.visited.lock();
         let next = &mut || Ok(drained.next().expect("a record per count"));
         store.spill(Records { len, layout, next })?;
@@ -596,11 +710,14 @@ impl SharedTable {
     /// The module docs hold the decision table; the caller pushes a task
     /// for [`Admit::New`] and [`Admit::Widen`].
     ///
-    /// The whole decision happens under the key's shard lock, so
-    /// concurrent offers of one key serialize: exactly one caller gets
-    /// [`Admit::New`] and must expand the state. `bytes` runs only for
-    /// that caller, so the `Covered` fast path — the overwhelming
-    /// majority of offers — builds nothing.
+    /// An offer of a state as itself (`key == concrete`) that an open
+    /// shard holds among its hot keys is answered
+    /// `Covered { merged: false }` without the lock. Every other
+    /// decision happens under the key's shard lock, so concurrent offers
+    /// of one key serialize: exactly one caller gets [`Admit::New`] and
+    /// must expand the state. `bytes` runs only for that caller, so the
+    /// `Covered` path — the overwhelming majority of offers — builds
+    /// nothing.
     pub(crate) fn admit(
         &self,
         key: Fingerprint,
@@ -608,6 +725,21 @@ impl SharedTable {
         sleep: SleepSet,
         bytes: impl FnOnce() -> usize,
     ) -> Result<Admit, CheckerError> {
+        Ok(self.offer(key, concrete, sleep, bytes)?.0)
+    }
+
+    /// [`SharedTable::admit`], and whether its answer came without the
+    /// lock.
+    pub(crate) fn offer(
+        &self,
+        key: Fingerprint,
+        concrete: Fingerprint,
+        sleep: SleepSet,
+        bytes: impl FnOnce() -> usize,
+    ) -> Result<(Admit, bool), CheckerError> {
+        if key == concrete && self.held_unlocked(key) {
+            return Ok((Admit::Covered { merged: false }, true));
+        }
         let admitted = {
             let mut shard = self.lock(key.shard(SHARDS));
             let visited = match shard.visited.code(key) {
@@ -628,7 +760,7 @@ impl SharedTable {
                         (stored.is_subset_of(sleep), stored.intersect(sleep))
                     };
                     if covered {
-                        return Ok(Admit::Covered { merged });
+                        return Ok((Admit::Covered { merged }, false));
                     }
                     shard.set_sleep(key, tier, widened);
                     let sleep = widened;
@@ -639,23 +771,19 @@ impl SharedTable {
                     // overflow. The shard lock is held, so a concurrent
                     // duplicate of *this* key cannot slip in between
                     // the check and the insert.
-                    if self.unique.fetch_add(1, Ordering::SeqCst) >= self.max {
-                        self.unique.fetch_sub(1, Ordering::SeqCst);
+                    if self.retained.unique.fetch_add(1, Ordering::SeqCst) >= self.max {
+                        self.retained.unique.fetch_sub(1, Ordering::SeqCst);
                         self.truncated.store(true, Ordering::SeqCst);
-                        return Ok(Admit::OverBound);
+                        return Ok((Admit::OverBound, false));
                     }
-                    shard.visited.insert(key);
-                    if concrete != key {
-                        shard.reps.insert(key, concrete);
-                    }
-                    shard.set_sleep(key, Tier::Hot(0), sleep);
-                    self.stored.fetch_add(bytes(), Ordering::Relaxed);
+                    shard.insert(key, concrete, sleep);
+                    self.retained.stored.fetch_add(bytes(), Ordering::Relaxed);
                     Admit::New
                 }
             }
         };
         self.maybe_spill()?;
-        Ok(admitted)
+        Ok((admitted, false))
     }
 
     /// Marks `config` as reached by an annotated search: [`Admit::New`]
@@ -672,7 +800,7 @@ impl SharedTable {
             self.truncated.store(true, Ordering::SeqCst);
             return Ok(Admit::OverBound);
         }
-        shard.visited.insert(config);
+        shard.insert(config, config, SleepSet::empty());
         Ok(Admit::New)
     }
 
@@ -683,12 +811,12 @@ impl SharedTable {
 
     /// Retained states (nodes, if annotated) across all shards and tiers.
     pub(crate) fn unique(&self) -> usize {
-        self.unique.load(Ordering::SeqCst)
+        self.retained.unique.load(Ordering::SeqCst)
     }
 
     /// Canonical-encoding bytes of the RAM-resident states.
     pub(crate) fn stored_bytes(&self) -> usize {
-        self.stored.load(Ordering::SeqCst)
+        self.retained.stored.load(Ordering::SeqCst)
     }
 
     /// Bytes of RAM the bookkeeping around those states holds: the
@@ -766,10 +894,13 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 /// the search ends, or a rendezvous is called.
 #[derive(Debug)]
 pub(crate) struct Frontier<T> {
-    queues: Vec<Mutex<VecDeque<T>>>,
+    /// Each worker's deque, on lines of its own: its owner locks it
+    /// twice a task.
+    queues: Vec<Padded<Mutex<VecDeque<T>>>>,
     /// Tasks queued or currently being expanded. The exploration is done
-    /// when this reaches zero: nothing queued, nothing in flight.
-    pending: AtomicUsize,
+    /// when this reaches zero: nothing queued, nothing in flight. Every
+    /// task writes it, so it has lines of its own.
+    pending: Padded<AtomicUsize>,
     stop: AtomicBool,
     /// Checkpoint rendezvous: when set, workers park in
     /// [`Frontier::next`] instead of taking tasks, until cleared.
@@ -801,15 +932,16 @@ impl<T> Frontier<T> {
     /// round-robin across the per-worker deques (checkpoint resume).
     pub(crate) fn from_tasks(workers: usize, tasks: Vec<T>) -> Frontier<T> {
         let workers = workers.max(1);
-        let queues: Vec<Mutex<VecDeque<T>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+        let queues: Vec<Padded<Mutex<VecDeque<T>>>> = (0..workers)
+            .map(|_| Padded(Mutex::new(VecDeque::new())))
+            .collect();
         let pending = tasks.len();
         for (i, task) in tasks.into_iter().enumerate() {
             queues[i % workers].lock().push_back(task);
         }
         Frontier {
             queues,
-            pending: AtomicUsize::new(pending),
+            pending: Padded(AtomicUsize::new(pending)),
             stop: AtomicBool::new(false),
             pause: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
@@ -1900,7 +2032,7 @@ mod tests {
 
     /// Whether every shard's published hint is its visited keys' own.
     fn hints_published(table: &SharedTable) -> bool {
-        let published = |i: usize| table.hints[i].load(Ordering::Relaxed);
+        let published = |i: usize| table.published[i].hint.load(Ordering::Relaxed);
         let own = |i: usize| table.shards[i].lock().visited.hint();
         (0..SHARDS).all(|i| published(i) == own(i))
     }
@@ -1935,15 +2067,19 @@ mod tests {
         let restored = restore(usize::MAX, None, &visited, 0);
         assert!(hints_published(&restored), "after a restore");
         assert!(restored
-            .hints
+            .published
             .iter()
-            .all(|h| h.load(Ordering::Relaxed) != 0));
+            .all(|p| p.hint.load(Ordering::Relaxed) != 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A prefetch through a hint taken before the buckets moved — grown
     /// over and over, and freed by the drains of spills — fetches a
-    /// useless line and nothing else: every lookup is still right.
+    /// useless line and nothing else: every lookup is still right. A
+    /// probe without the lock through a stale hint of buckets on pages —
+    /// replaced by a grow, given back by a spill's drain, taken up again
+    /// by a later table — reads mapped memory and answers "held" only
+    /// for keys the table admitted.
     #[test]
     fn visited_prefetch_through_a_stale_hint_is_harmless() {
         let dir = temp_dir("hints-stale");
@@ -1953,9 +2089,9 @@ mod tests {
             offer(&table, n, 1);
         }
         let stale: Vec<usize> = table
-            .hints
+            .published
             .iter()
-            .map(|h| h.load(Ordering::Relaxed))
+            .map(|p| p.hint.load(Ordering::Relaxed))
             .collect();
         let prefetch_stale = |keys: std::ops::Range<u32>| {
             for n in keys {
@@ -1973,7 +2109,167 @@ mod tests {
         for n in 0..4_000u32 {
             assert_eq!(offer(&table, n, 1), covered, "{n}");
         }
+
+        // A spill every 8 192 admits: each shard grows to 64 buckets on
+        // pages in between.
+        let paged_dir = temp_dir("hints-stale-paged");
+        let paged = SharedTable::with_spill(usize::MAX, &paged_dir, 1 << 13).unwrap();
+        let hints = |table: &SharedTable| -> Vec<usize> {
+            let hint = |p: &Published| p.hint.load(Ordering::Relaxed);
+            table.published.iter().map(hint).collect()
+        };
+        let mut stale = Vec::new();
+        for n in 0..40_000u32 {
+            offer(&paged, n, 1);
+            if n % 1_000 == 999 {
+                stale.push(hints(&paged));
+            }
+        }
+        assert!(
+            paged.spill_stats().runs_created >= 4,
+            "the buckets were drained"
+        );
+        let on_pages = |hint: &usize| hint & 63 > INLINE_LOG2;
+        assert!(stale.iter().flatten().filter(|h| on_pages(h)).count() > 1_000);
+        // A key's twin differs in one bit of its low word above any
+        // bucket mask: same shard, same home bucket, same high word.
+        let twin = |n: u32| Fingerprint::from_u128(fp(n).as_u128() ^ 1 << 40);
+        let mut held = 0;
+        for hints in &stale {
+            for n in 0..50_000u32 {
+                let hint = hints[fp(n).shard(SHARDS)];
+                // SAFETY: `paged` is alive, and a hint is one of its sets'.
+                if unsafe { VisitedSet::holds(hint, fp(n)) } {
+                    assert!(n < 40_000, "{n} was never admitted");
+                    held += 1;
+                }
+                // SAFETY: as above.
+                assert!(!unsafe { VisitedSet::holds(hint, twin(n)) }, "twin of {n}");
+            }
+        }
+        assert!(held > 0, "no probe found a key");
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&paged_dir);
+    }
+
+    /// A shard is open to probes without its lock only while its hot
+    /// keys are on pages with ∅ and no representative: a key stored with
+    /// a sleep set or a representative closes it first, so the locked
+    /// rule answers every later offer of that key, and a spill's drain
+    /// lets it open again. An open shard answers only an offer of a key
+    /// as itself without the lock; a sibling's offer is the locked
+    /// rule's.
+    #[test]
+    fn a_shard_is_open_only_while_its_hot_keys_need_no_lock() {
+        let dir = temp_dir("open-shards");
+        let table = SharedTable::with_spill(usize::MAX, &dir, 20_000).unwrap();
+        let open = |table: &SharedTable| {
+            let open = |p: &Published| p.word.load(Ordering::Relaxed) != 0;
+            table.published.iter().filter(|p| open(p)).count()
+        };
+        for n in 0..10_000u32 {
+            offer(&table, n, 1);
+        }
+        assert_eq!(open(&table), SHARDS, "every shard on pages opens");
+        let none = SleepSet::empty();
+        let offered =
+            |n: u32, concrete: u32, sleep| table.offer(fp(n), fp(concrete), sleep, || 1).unwrap();
+        let covered = Admit::Covered { merged: false };
+        assert_eq!(offered(5, 5, sleep(&[2])), (covered, true));
+        let sibling = Admit::Covered { merged: true };
+        assert_eq!(offered(5, 6, none), (sibling, false));
+        let in_shard = |shard: usize| (10_000..).find(|&n| fp(n).shard(SHARDS) == shard).unwrap();
+        let (coded, keyed) = (in_shard(0), in_shard(1));
+        assert_eq!(offered(coded, coded, sleep(&[1])), (Admit::New, false));
+        assert_eq!(offered(keyed, 7, none), (Admit::New, false));
+        assert_eq!(open(&table), SHARDS - 2, "the two shards closed");
+        let widen = Admit::Widen {
+            sleep: none,
+            merged: false,
+        };
+        assert_eq!(offered(coded, coded, none), (widen, false));
+        assert_eq!(offered(keyed, keyed, none), (sibling, false));
+        // One spill, at 20 000 bytes, then 10 000 hot keys again.
+        for n in 20_000..40_000u32 {
+            offer(&table, n, 1);
+        }
+        assert!(
+            table.spill_stats().records > 0,
+            "a spill drained the shards"
+        );
+        assert_eq!(open(&table), SHARDS, "the drained shards open again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Log₂ of the buckets a visited set holds in itself: a hint with
+    /// more names pages.
+    const INLINE_LOG2: usize = 4;
+
+    /// Four threads offer overlapping streams of the same keys, and after
+    /// each offer re-offer a key some offer already admitted, which must
+    /// come back `Covered` every time — from an open shard without the
+    /// lock, or under it. Every key comes back `New` exactly once and
+    /// `unique` counts the distinct keys; the keys come in pairs that
+    /// share their high word and home bucket, so a probe that compared
+    /// half a key would cover a key never admitted. Plain, every shard grows from
+    /// its inline buckets to at least 512 on pages while the others probe
+    /// it; with a 64-byte hot budget a spill drains every shard each 64
+    /// admits.
+    #[test]
+    fn covered_offers_stay_covered_while_shards_grow_and_spill() {
+        for spill in [false, true] {
+            const THREADS: u32 = 4;
+            let keys: u32 = if spill { 8_000 } else { 80_000 };
+            let dir = temp_dir("covered-stress");
+            let table = match spill {
+                true => SharedTable::with_spill(usize::MAX, &dir, 64).unwrap(),
+                false => SharedTable::new(usize::MAX),
+            };
+            let news: Vec<AtomicUsize> = (0..keys).map(|_| AtomicUsize::new(0)).collect();
+            let admitted: Vec<AtomicBool> = (0..keys).map(|_| AtomicBool::new(false)).collect();
+            let unlocked = AtomicUsize::new(0);
+            let covered = Admit::Covered { merged: false };
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let (table, news, admitted) = (&table, &news, &admitted);
+                    let unlocked = &unlocked;
+                    scope.spawn(move || {
+                        let offer = |n: u32| {
+                            let key = fp(n / 2).as_u128() ^ u128::from(n % 2) << 40;
+                            let (key, none) = (Fingerprint::from_u128(key), SleepSet::empty());
+                            table.offer(key, key, none, || 1).unwrap()
+                        };
+                        let mut draw = u64::from(t) + 1;
+                        for i in 0..keys {
+                            let n = (i + t * keys / THREADS) % keys;
+                            match offer(n).0 {
+                                Admit::New => _ = news[n as usize].fetch_add(1, Ordering::SeqCst),
+                                got => assert_eq!(got, covered, "key {n}"),
+                            }
+                            admitted[n as usize].store(true, Ordering::Release);
+                            draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            let m = (draw >> 33) as u32 % keys;
+                            if admitted[m as usize].load(Ordering::Acquire) {
+                                let (again, without_lock) = offer(m);
+                                assert_eq!(again, covered, "re-offer of key {m}");
+                                unlocked.fetch_add(usize::from(without_lock), Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+            });
+            let mode = if spill { "spilled" } else { "plain" };
+            assert!(news.iter().all(|n| n.load(Ordering::SeqCst) == 1), "{mode}");
+            assert_eq!(table.unique(), keys as usize, "{mode}");
+            if spill {
+                assert!(table.spill_stats().runs_created >= 100, "{mode}");
+            } else {
+                let grown = |shard: &Mutex<Shard>| shard.lock().visited.bytes() >= 512 * 64;
+                assert!(table.shards.iter().all(grown), "{mode}");
+                assert!(unlocked.load(Ordering::Relaxed) > 0, "{mode}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

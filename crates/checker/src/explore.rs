@@ -442,7 +442,7 @@ impl<'p> Verifier<'p> {
     /// [`CheckerError::Semantics`] engine error (a corrupt lowering — an
     /// engine bug, not a property violation).
     pub fn try_check_exhaustive(&self) -> Result<Report, CheckerError> {
-        self.search(self.options.jobs).map(|(report, _)| report)
+        self.search().map(|(report, _)| report)
     }
 
     /// Digest of everything a checkpoint must agree on to be resumable:
@@ -482,9 +482,10 @@ impl<'p> Verifier<'p> {
         self.telemetry.finish_progress();
     }
 
-    /// [`Verifier::search_with`] the [`Exhaustive`] scheduler.
-    pub(crate) fn search(&self, jobs: usize) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
-        let searched = self.search_with(&Exhaustive, jobs, SLOT_MEMO_ENTRIES);
+    /// [`Verifier::search_with`] the [`Exhaustive`] scheduler, with
+    /// [`CheckerOptions::jobs`] workers.
+    pub(crate) fn search(&self) -> Result<(Report, Vec<SlotInterner>), CheckerError> {
+        let searched = self.search_with(&Exhaustive, self.options.jobs, SLOT_MEMO_ENTRIES);
         searched.map(|(report, interners, _)| (report, interners))
     }
 
@@ -950,7 +951,8 @@ impl<'p> Verifier<'p> {
                     };
                 let (slots, replay) = (&mut succ.config, &mut succ.replay);
                 let admitted = if in_bound {
-                    table.admit(
+                    arena.phases.enter(Phase::Admit);
+                    let offered = table.offer(
                         key,
                         if S::ANNOTATED { key } else { succ_fp },
                         child_sleep,
@@ -960,7 +962,12 @@ impl<'p> Verifier<'p> {
                             let built = slots.as_mut().expect("built above");
                             intern(built, interner, slot_digests)
                         },
-                    )
+                    );
+                    arena.phases.enter(Phase::Table);
+                    offered.map(|(admitted, unlocked)| {
+                        stats.unlocked_covers += usize::from(unlocked);
+                        admitted
+                    })
                 } else {
                     Ok(Admit::OverBound)
                 };
@@ -1488,6 +1495,7 @@ mod tests {
                     ..crate::CheckpointPolicy::new(crate::tests::scratch_dir("swept"))
                 };
                 let options = CheckerOptions {
+                    jobs,
                     mem_limit: spill.then_some(1 << 20),
                     checkpoint: spill.then_some(never),
                     ..CheckerOptions::default()
@@ -1495,7 +1503,7 @@ mod tests {
                 let verifier = Verifier::new(&p).with_options(options);
                 let run = |budget| {
                     TEST_SLOT_BUDGET.set(Some(budget));
-                    let (report, _) = verifier.search(jobs).unwrap();
+                    let (report, _) = verifier.search().unwrap();
                     TEST_SLOT_BUDGET.set(None);
                     let _ = std::fs::remove_dir_all(crate::tests::scratch_dir("swept"));
                     let mode = format!("{name} jobs={jobs} spill={spill}");
@@ -1520,6 +1528,47 @@ mod tests {
                 assert_eq!(spill, unswept.0 .3 > 0, "{mode}");
             }
         }
+    }
+
+    /// The page mappings of the visited sets stay bounded however often
+    /// the hot tier spills (DESIGN.md §13): a set keeps the mapping of
+    /// each table it replaced or drained, one per size, and takes it up
+    /// again when a later table reaches that size. `switch_led` at one
+    /// worker under 1 MiB and under 256 KiB, which spills several times
+    /// as often: at most one mapping per shard for the codes and one for
+    /// each size of table on pages it reaches, no more under the smaller
+    /// limit, and none left once the search is over.
+    #[test]
+    fn visited_mappings_stay_bounded_whatever_the_spill_count() {
+        let p = p_semantics::lower(&p_corpus::switch_led()).unwrap();
+        let mut runs = Vec::new();
+        for limit in [1 << 20, 256 << 10] {
+            let never = crate::CheckpointPolicy {
+                every_states: 1 << 40,
+                ..crate::CheckpointPolicy::new(crate::tests::scratch_dir("mappings"))
+            };
+            let options = CheckerOptions {
+                mem_limit: Some(limit),
+                checkpoint: Some(never),
+                ..CheckerOptions::default()
+            };
+            let (before, _) = crate::fingerprint::mappings_peak();
+            let report = Verifier::new(&p)
+                .with_options(options)
+                .try_check_exhaustive();
+            let (after, peak) = crate::fingerprint::mappings_peak();
+            let _ = std::fs::remove_dir_all(crate::tests::scratch_dir("mappings"));
+            let s = report.unwrap().stats;
+            assert_eq!(after, before, "{limit}: a mapping outlived the search");
+            runs.push((peak - before, s.spill_bytes));
+        }
+        let [(peak_1m, spilled_1m), (peak_256k, spilled_256k)] = runs[..] else {
+            unreachable!("two limits")
+        };
+        assert!(spilled_256k > 2 * spilled_1m, "{runs:?}");
+        // Under 1 MiB a shard's table reaches 128 buckets: pages of
+        // three sizes, and no codes without `--por`.
+        assert!(peak_1m <= 3 * 64 && peak_256k <= peak_1m, "{runs:?}");
     }
 
     /// A path link lives as long as a queued or running task descends

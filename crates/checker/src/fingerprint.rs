@@ -25,6 +25,7 @@
 //! composite node keys (scheduler or fault annotations) and tests.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use p_semantics::hash::fingerprint128;
 
@@ -100,14 +101,41 @@ pub(crate) type FpHashSet = std::collections::HashSet<Fingerprint, FpBuildHasher
 /// Keys per [`VisitedSet`] bucket: four 16-byte keys fill one line.
 const BUCKET_KEYS: usize = 4;
 
+/// One key of a bucket as two words, each written atomically, so that
+/// a probe without the lock may read the slot while its owner writes it
+/// (DESIGN.md §13): `lo` is stored first and `hi` is published after it,
+/// so whoever reads a key's `hi` reads its `lo` too.
+#[derive(Default)]
+#[repr(C)]
+struct Slot {
+    lo: AtomicU64,
+    hi: AtomicU64,
+}
+
+impl Slot {
+    /// The key held, `0` for none, as the holder of the set sees it.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(self.hi.load(Ordering::Relaxed)) << 64
+            | u128::from(self.lo.load(Ordering::Relaxed))
+    }
+
+    /// Writes `key`: the low word, then the high word published.
+    #[inline]
+    fn set(&self, key: u128) {
+        self.lo.store(key as u64, Ordering::Relaxed);
+        self.hi.store((key >> 64) as u64, Ordering::Release);
+    }
+}
+
 /// One cache line of keys; `0` marks an empty slot.
-#[derive(Clone, Copy, Default)]
+#[derive(Default)]
 #[repr(C, align(64))]
-struct Bucket([u128; BUCKET_KEYS]);
+struct Bucket([Slot; BUCKET_KEYS]);
 
 const _: () = assert!(std::mem::size_of::<Bucket>() == 64);
 
-// SAFETY: a bucket is four `u128`s, and zero bytes are the integer 0.
+// SAFETY: a bucket is eight `AtomicU64`s, and zero bytes are the integer 0.
 unsafe impl Zeroed for Bucket {}
 // SAFETY: zero bytes are four `u8` zeros.
 unsafe impl Zeroed for [u8; BUCKET_KEYS] {}
@@ -131,13 +159,17 @@ mod pages {
 
     /// `len` values of `T` in an anonymous private mapping of their own,
     /// made of whole pages (DESIGN.md §13): dropping it gives the pages
-    /// straight back to the kernel, so no allocator keeps them resident.
-    /// Empty, it maps nothing.
+    /// straight back to the kernel, so no allocator keeps them resident,
+    /// and so does [`Pages::give_back`], which keeps them mapped. Empty,
+    /// it maps nothing.
     pub(super) struct Pages<T: Zeroed> {
         ptr: NonNull<T>,
         len: usize,
         /// Bytes mapped at `ptr`, a multiple of [`PAGE`]; 0 for none.
         mapped: usize,
+        /// Whether the pages went back to the kernel and nothing was
+        /// written to them since.
+        given_back: bool,
     }
 
     impl<T: Zeroed> Pages<T> {
@@ -149,7 +181,38 @@ mod pages {
                 return Pages::default();
             }
             let ptr = sys::map(mapped).cast();
-            Pages { ptr, len, mapped }
+            counted(mapped as isize);
+            Pages {
+                ptr,
+                len,
+                mapped,
+                given_back: false,
+            }
+        }
+
+        /// Hands the pages' memory back to the kernel at once but keeps
+        /// them mapped: every value reads as zero bytes from here on (a
+        /// valid `T`), and a page takes memory again only when written.
+        /// A thread that still holds their address reads zeros, never
+        /// an unmapped page.
+        pub(super) fn give_back(&mut self) {
+            if self.mapped > 0 && !self.given_back {
+                // SAFETY: `ptr` and `mapped` are what `map` returned and
+                // was asked for; `&mut self` leaves no value borrowed, and
+                // zero bytes are a `T` (`Zeroed`).
+                unsafe { sys::zero(self.ptr.cast(), self.mapped) }
+                counted(-(self.mapped as isize));
+                self.given_back = true;
+            }
+        }
+
+        /// Counts given-back pages as held again, ahead of the writes
+        /// that fault them back in.
+        pub(super) fn take_back(&mut self) {
+            if self.given_back {
+                counted(self.mapped as isize);
+                self.given_back = false;
+            }
         }
 
         /// Bytes mapped, a whole number of pages.
@@ -165,6 +228,7 @@ mod pages {
                 ptr: NonNull::dangling(),
                 len: 0,
                 mapped: 0,
+                given_back: false,
             }
         }
     }
@@ -172,6 +236,9 @@ mod pages {
     impl<T: Zeroed> Drop for Pages<T> {
         fn drop(&mut self) {
             if self.mapped > 0 {
+                if !self.given_back {
+                    counted(-(self.mapped as isize));
+                }
                 // SAFETY: `ptr` and `mapped` are what `map` returned and
                 // was asked for, and nothing borrows the values past this
                 // drop.
@@ -187,9 +254,9 @@ mod pages {
             // this owns (`zeroed` sized them so, and nothing changes
             // either after); `ptr` is page-aligned, so aligned for `T`
             // (`zeroed` checks it); each value is initialised, as a
-            // mapping starts zeroed and zero bytes are a `T` (`Zeroed`).
-            // Empty, `ptr` is dangling but aligned, as an empty slice's
-            // may be.
+            // mapping starts zeroed, `give_back` zeroes it, and zero
+            // bytes are a `T` (`Zeroed`). Empty, `ptr` is dangling but
+            // aligned, as an empty slice's may be.
             unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
         }
     }
@@ -202,13 +269,14 @@ mod pages {
     }
 
     // SAFETY: `Pages` owns its values as a `Box<[T]>` does: `ptr` is
-    // shared with no one, and `len` and `mapped` are plain numbers.
+    // shared with no one, and `len`, `mapped` and `given_back` are plain
+    // values.
     unsafe impl<T: Zeroed + Send> Send for Pages<T> {}
     // SAFETY: `&Pages` only gives out `&[T]`, as `&Box<[T]>` does.
     unsafe impl<T: Zeroed + Sync> Sync for Pages<T> {}
 
-    /// The system side: `mmap` and `munmap`, declared here as the
-    /// repository vendors no `libc` crate.
+    /// The system side: `mmap`, `munmap` and `madvise`, declared here as
+    /// the repository vendors no `libc` crate.
     mod sys {
         use std::alloc::{handle_alloc_error, Layout};
         use std::ffi::{c_int, c_long, c_void};
@@ -217,6 +285,8 @@ mod pages {
         const PROT_READ: c_int = 1;
         const PROT_WRITE: c_int = 2;
         const MAP_PRIVATE: c_int = 2;
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        const MAP_FIXED: c_int = 0x10;
         #[cfg(any(target_os = "linux", target_os = "android"))]
         const MAP_ANONYMOUS: c_int = 0x20;
         #[cfg(not(any(target_os = "linux", target_os = "android")))]
@@ -228,6 +298,9 @@ mod pages {
         const MAP_POPULATE: c_int = 0x8000;
         #[cfg(not(any(target_os = "linux", target_os = "android")))]
         const MAP_POPULATE: c_int = 0;
+        /// Drop the pages: a private anonymous page reads as zeros after.
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        const MADV_DONTNEED: c_int = 4;
 
         extern "C" {
             fn mmap(
@@ -239,6 +312,8 @@ mod pages {
                 offset: c_long,
             ) -> *mut c_void;
             fn munmap(addr: *mut c_void, len: usize) -> c_int;
+            #[cfg(any(target_os = "linux", target_os = "android"))]
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
         }
 
         /// `bytes` (whole pages) of zeroed memory in a mapping of their
@@ -261,8 +336,37 @@ mod pages {
             if ptr as isize == -1 {
                 handle_alloc_error(Layout::from_size_align(bytes, super::PAGE).unwrap())
             }
-            super::counted(bytes as isize);
+            super::mapping(1);
             NonNull::new(ptr.cast()).expect("mmap returns no null mapping")
+        }
+
+        /// Frees the memory of what [`map`] returned and leaves it mapped
+        /// and reading as zeros.
+        ///
+        /// # Safety
+        ///
+        /// `ptr` and `bytes` are a [`map`] call's result and argument,
+        /// and every value there is one that zero bytes may replace.
+        pub(super) unsafe fn zero(ptr: NonNull<u8>, bytes: usize) {
+            // SAFETY: the caller's contract: the range is one whole
+            // mapping of ours. Dropping the pages of a private anonymous
+            // mapping leaves it mapped, zero-filled on the next touch.
+            #[cfg(any(target_os = "linux", target_os = "android"))]
+            let done = unsafe { madvise(ptr.as_ptr().cast(), bytes, MADV_DONTNEED) } == 0;
+            // SAFETY: as above; a fixed anonymous mapping over the range
+            // replaces its pages with fresh zeroed ones in one call.
+            #[cfg(not(any(target_os = "linux", target_os = "android")))]
+            let done = unsafe {
+                mmap(
+                    ptr.as_ptr().cast(),
+                    bytes,
+                    PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED,
+                    -1,
+                    0,
+                )
+            } == ptr.as_ptr().cast();
+            assert!(done, "the kernel kept pages it was handed back");
         }
 
         /// Unmaps what [`map`] returned.
@@ -272,7 +376,7 @@ mod pages {
         /// `ptr` and `bytes` are a [`map`] call's result and argument,
         /// and nothing reads or writes the mapping after this.
         pub(super) unsafe fn unmap(ptr: NonNull<u8>, bytes: usize) {
-            super::counted(-(bytes as isize));
+            super::mapping(-1);
             // SAFETY: the caller's contract: the range is one whole
             // mapping of ours that nothing uses any more. Unmapping a
             // whole mapping splits none, so it cannot fail for want of
@@ -281,25 +385,84 @@ mod pages {
         }
     }
 
+    /// What this thread's mappings hold, in test builds.
+    #[cfg(test)]
+    #[derive(Clone, Copy, Default)]
+    struct Held {
+        /// Bytes mapped and not unmapped or given back.
+        bytes: isize,
+        /// Mappings made and not unmapped.
+        mappings: isize,
+        /// The most `mappings` has been since [`mappings_peak`] last
+        /// read it.
+        peak: isize,
+    }
+
     #[cfg(test)]
     thread_local! {
-        /// Bytes this thread has mapped and not unmapped.
-        static MAPPED: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
+        static HELD: std::cell::Cell<Held> = const {
+            std::cell::Cell::new(Held { bytes: 0, mappings: 0, peak: 0 })
+        };
     }
 
-    /// Bytes this thread has mapped and not unmapped, in test builds.
+    /// Bytes this thread has mapped and not unmapped or given back, in
+    /// test builds: the memory its mappings hold.
     #[cfg(test)]
     pub(super) fn mapped_bytes() -> isize {
-        MAPPED.with(|mapped| mapped.get())
+        HELD.with(|held| held.get().bytes)
     }
 
-    /// Counts `bytes` mapped (negative: unmapped) in test builds.
+    /// The mappings this thread holds, and the most it has held since
+    /// the last call (which starts the next such span), in test builds.
+    #[cfg(test)]
+    pub(super) fn mappings_peak() -> (isize, isize) {
+        HELD.with(|held| {
+            let now = held.get();
+            held.set(Held {
+                peak: now.mappings,
+                ..now
+            });
+            (now.mappings, now.peak)
+        })
+    }
+
+    /// Counts `bytes` held (negative: handed back) in test builds.
     fn counted(bytes: isize) {
         #[cfg(test)]
-        MAPPED.with(|mapped| mapped.set(mapped.get() + bytes));
+        HELD.with(|held| {
+            let now = held.get();
+            held.set(Held {
+                bytes: now.bytes + bytes,
+                ..now
+            })
+        });
         #[cfg(not(test))]
         let _ = bytes;
     }
+
+    /// Counts `n` mappings made (negative: unmapped) in test builds.
+    fn mapping(n: isize) {
+        #[cfg(test)]
+        HELD.with(|held| {
+            let now = held.get();
+            let mappings = now.mappings + n;
+            let peak = now.peak.max(mappings);
+            held.set(Held {
+                mappings,
+                peak,
+                ..now
+            })
+        });
+        #[cfg(not(test))]
+        let _ = n;
+    }
+}
+
+/// The page mappings this thread's visited sets hold, and the most they
+/// held since the last call, in test builds.
+#[cfg(test)]
+pub(crate) fn mappings_peak() -> (isize, isize) {
+    pages::mappings_peak()
 }
 
 use pages::{Pages, Zeroed};
@@ -319,9 +482,12 @@ const INLINE: usize = 16;
 ///
 /// A table of up to [`INLINE`] buckets is in the set itself; a larger
 /// one is on [`Pages`] of its own, not heap memory: when a grow replaces
-/// them or a spill drains the set, the old generation goes back to the
-/// kernel at once instead of staying resident in the allocator's free
-/// lists.
+/// them or a spill drains the set, the old generation's memory goes back
+/// to the kernel at once instead of staying resident in the allocator's
+/// free lists. Its mapping stays, reading zeros, for as long as the set
+/// lives, so that [`VisitedSet::holds`] through a stale hint reads
+/// mapped memory; a later table of the same size takes it up again, so
+/// a set keeps at most one mapping per size.
 ///
 /// Each key carries a one-byte code, 0 until [`VisitedSet::set_code`]
 /// changes it (the checker keeps a sleep set's code there, DESIGN.md
@@ -335,6 +501,9 @@ pub(crate) struct VisitedSet {
     pages: Pages<Bucket>,
     /// The codes of a larger table, once `coded`.
     code_pages: Pages<[u8; BUCKET_KEYS]>,
+    /// The buckets of the tables this set replaced or drained, their
+    /// memory given back: at most one mapping per size.
+    retired: Vec<Pages<Bucket>>,
     /// Buckets in the table: 0 or a power of two.
     buckets: usize,
     /// Whether a non-zero code has been stored: before, every code is 0
@@ -374,6 +543,17 @@ impl VisitedSet {
         self.codes().get(b).map_or(0, |codes| codes[s])
     }
 
+    /// Whether the table is on pages and every code is 0: then a key
+    /// [`VisitedSet::holds`] finds through [`VisitedSet::hint`] has code 0.
+    pub(crate) fn paged_and_uncoded(&self) -> bool {
+        self.buckets > INLINE && !self.coded
+    }
+
+    /// Whether the next insert of a key not held moves the table.
+    pub(crate) fn full(&self) -> bool {
+        (self.len + 1) * 8 > self.buckets * BUCKET_KEYS * 7
+    }
+
     /// The table's buckets, wherever they are.
     fn table(&self) -> &[Bucket] {
         match self.buckets <= INLINE {
@@ -398,7 +578,7 @@ impl VisitedSet {
             self.zero.get_or_insert(0);
             return new;
         }
-        if (self.len + 1) * 8 > self.buckets * BUCKET_KEYS * 7 {
+        if self.full() {
             self.grow();
         }
         let Err((b, s)) = self.probe(key.0) else {
@@ -434,14 +614,9 @@ impl VisitedSet {
     /// Writes `key` with `code` (0 until `coded`) into slot `s` of
     /// bucket `b`.
     fn place(&mut self, b: usize, s: usize, key: u128, code: u8) {
-        let small = self.buckets <= INLINE;
-        let bucket = match small {
-            true => &mut self.inline.0[b],
-            false => &mut self.pages[b],
-        };
-        bucket.0[s] = key;
+        self.table()[b].0[s].set(key);
         if self.coded {
-            let codes = match small {
+            let codes = match self.buckets <= INLINE {
                 true => &mut self.inline.1[b],
                 false => &mut self.code_pages[b],
             };
@@ -456,7 +631,8 @@ impl VisitedSet {
         let mask = table.len() - 1;
         let mut b = key as usize & mask;
         loop {
-            for (s, &held) in table[b].0.iter().enumerate() {
+            for (s, slot) in table[b].0.iter().enumerate() {
+                let held = slot.key();
                 if held == key {
                     return Ok((b, s));
                 }
@@ -469,8 +645,8 @@ impl VisitedSet {
     }
 
     /// Doubles the table: into the set itself while it stays small, else
-    /// onto new pages. The old generation is zeroed, or unmapped once it
-    /// is rehashed.
+    /// onto pages, a retired mapping of that size if there is one. The
+    /// old generation is zeroed, or retired once it is rehashed.
     fn grow(&mut self) {
         let (old, buckets) = (self.buckets, (2 * self.buckets).max(1));
         let inline = std::mem::take(&mut self.inline);
@@ -481,36 +657,71 @@ impl VisitedSet {
             false => (&old_pages, &old_codes),
         };
         if buckets > INLINE {
-            self.pages = Pages::zeroed(buckets);
+            self.pages = self.unretire(buckets);
             if self.coded {
                 self.code_pages = Pages::zeroed(buckets);
             }
         }
         self.buckets = buckets;
-        for (key, code) in slots(held.0.iter().copied(), held.1.iter().copied()) {
+        for (key, code) in slots(held.0, held.1) {
             let Err((b, s)) = self.probe(key) else {
                 unreachable!("the keys of a set are distinct")
             };
             self.place(b, s, key, code);
         }
+        self.retire(old_pages);
+    }
+
+    /// Zeroed pages for a table of `buckets`: the retired mapping of that
+    /// size, taken back, or a new one.
+    fn unretire(&mut self, buckets: usize) -> Pages<Bucket> {
+        match self.retired.iter().position(|pages| pages.len() == buckets) {
+            Some(i) => {
+                let mut pages = self.retired.swap_remove(i);
+                pages.take_back();
+                pages
+            }
+            None => Pages::zeroed(buckets),
+        }
+    }
+
+    /// Gives the memory of a replaced table's `pages` back and keeps
+    /// their mapping for a later table of their size.
+    fn retire(&mut self, mut pages: Pages<Bucket>) {
+        if !pages.is_empty() {
+            pages.give_back();
+            self.retired.push(pages);
+        }
+    }
+
+    /// Empties the set, as a spill drains it: the table's memory goes
+    /// back to the kernel, its mapping stays retired, and the codes are
+    /// unmapped.
+    pub(crate) fn clear(&mut self) {
+        let pages = std::mem::take(&mut self.pages);
+        self.retire(pages);
+        let retired = std::mem::take(&mut self.retired);
+        *self = VisitedSet {
+            retired,
+            ..VisitedSet::default()
+        };
     }
 
     /// Every key with its code.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (Fingerprint, u8)> + '_ {
         let zero = self.zero.map(|code| (0, code));
-        let held = slots(self.table().iter().copied(), self.codes().iter().copied());
         zero.into_iter()
-            .chain(held)
+            .chain(slots(self.table(), self.codes()))
             .map(|(k, code)| (Fingerprint(k), code))
     }
 
-    /// Where the buckets are, for [`VisitedSet::prefetch`]: their base
-    /// address (64-byte aligned) with log₂ of their number in the low six
-    /// bits, or 0 for none.
+    /// Where the buckets are, for [`VisitedSet::prefetch`] and
+    /// [`VisitedSet::holds`]: their base address (64-byte aligned) with
+    /// log₂ of their number in the low six bits, or 0 for none.
     pub(crate) fn hint(&self) -> usize {
         match self.buckets {
             0 => 0,
-            n => self.table().as_ptr() as usize | n.trailing_zeros() as usize,
+            n => self.table().as_ptr().expose_provenance() | n.trailing_zeros() as usize,
         }
     }
 
@@ -525,18 +736,68 @@ impl VisitedSet {
         let mask = (1usize << (hint & 63)) - 1;
         prefetch_line((hint & !63) + (key.0 as usize & mask) * std::mem::size_of::<Bucket>());
     }
+
+    /// Whether the buckets `hint` describes hold `key`, read without the
+    /// set's lock while its owner may write them: `true` is "held",
+    /// `false` "not known" — an empty slot, a slot half written, a table
+    /// on no pages, or a key with a zero word, which the reader cannot
+    /// tell from an empty slot's. Each slot's high word is read
+    /// `Acquire` and then its low word, so a key seen whole was written
+    /// whole by one [`Slot::set`] — or, if the pages were given back and
+    /// taken up again meanwhile, its words came from two writes, which
+    /// the caller rules out (DESIGN.md §13). The probe stops after one
+    /// pass over the buckets.
+    ///
+    /// # Safety
+    ///
+    /// `hint` is a [`VisitedSet::hint`] of a set that is still alive, so
+    /// that every mapping it ever had is still mapped.
+    #[inline]
+    pub(crate) unsafe fn holds(hint: usize, key: Fingerprint) -> bool {
+        let (lo, hi) = (key.0 as u64, (key.0 >> 64) as u64);
+        let log2 = hint & 63;
+        if lo == 0 || hi == 0 || log2 <= INLINE.trailing_zeros() as usize {
+            return false;
+        }
+        let buckets = 1usize << log2;
+        let base = std::ptr::with_exposed_provenance::<Bucket>(hint & !63);
+        // SAFETY: a hint with more than `INLINE` buckets names the pages
+        // of one of the set's tables — its buckets, page-aligned and
+        // initialised — and the caller's contract keeps that mapping
+        // mapped: a set gives its retired tables' memory back but unmaps
+        // them only when it is dropped. The set writes buckets only
+        // through their atomics, and giving the pages back only turns
+        // their words into zeros, so a shared view of them is sound.
+        let table = unsafe { std::slice::from_raw_parts(base, buckets) };
+        let mut b = lo as usize & (buckets - 1);
+        for _ in 0..buckets {
+            for slot in &table[b].0 {
+                match slot.hi.load(Ordering::Acquire) {
+                    0 => return false,
+                    held if held == hi && slot.lo.load(Ordering::Relaxed) == lo => return true,
+                    _ => {}
+                }
+            }
+            b = (b + 1) & (buckets - 1);
+        }
+        false
+    }
 }
 
 /// The held keys of `buckets` with their codes; `codes` may be empty
 /// (every code 0).
-fn slots(
-    buckets: impl Iterator<Item = Bucket>,
-    codes: impl Iterator<Item = [u8; BUCKET_KEYS]>,
-) -> impl Iterator<Item = (u128, u8)> {
-    let codes = codes.chain(std::iter::repeat([0; BUCKET_KEYS]));
+fn slots<'a>(
+    buckets: &'a [Bucket],
+    codes: &'a [[u8; BUCKET_KEYS]],
+) -> impl Iterator<Item = (u128, u8)> + 'a {
+    let codes = codes
+        .iter()
+        .copied()
+        .chain(std::iter::repeat([0; BUCKET_KEYS]));
     buckets
+        .iter()
         .zip(codes)
-        .flat_map(|(bucket, codes)| bucket.0.into_iter().zip(codes))
+        .flat_map(|(bucket, codes)| bucket.0.iter().map(Slot::key).zip(codes))
         .filter(|&(key, _)| key != 0)
 }
 
@@ -810,7 +1071,7 @@ mod tests {
         let buckets = Pages::<Bucket>::zeroed(PAGE / 64 + 1);
         assert_eq!((buckets.len(), buckets.mapped()), (PAGE / 64 + 1, 2 * PAGE));
         assert_eq!(buckets.as_ptr() as usize % PAGE, 0);
-        assert!(buckets.iter().all(|b| b.0 == [0; BUCKET_KEYS]));
+        assert!(buckets.iter().all(|b| b.0.iter().all(|s| s.key() == 0)));
         assert_eq!(mapped() - base, 3 * PAGE as isize);
         drop(codes);
         assert_eq!(mapped() - base, 2 * PAGE as isize);

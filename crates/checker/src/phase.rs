@@ -43,6 +43,8 @@ pub(crate) enum Phase {
     /// Everything else; not reported.
     #[default]
     Other,
+    /// The visited table's admit call, reported inside [`Phase::Table`].
+    Admit,
 }
 
 /// The per-loop sampler: armed for 1-in-[`SAMPLE_EVERY`] tasks, a
@@ -50,7 +52,7 @@ pub(crate) enum Phase {
 /// scaled totals via [`PhaseTimes::drain_into`].
 #[derive(Debug, Default)]
 pub(crate) struct PhaseTimes {
-    nanos: [u64; 6],
+    nanos: [u64; 7],
     /// The phase running now.
     current: Phase,
     /// When it started; `None` while disarmed.
@@ -114,15 +116,16 @@ impl PhaseTimes {
     pub(crate) fn drain_into(&mut self, out: &mut PhaseNanos) {
         self.enter(Phase::Other);
         self.since = None;
-        let [exec, digest, clone, canon, table, _other] = self.nanos;
+        let [exec, digest, clone, canon, table, _other, admit] = self.nanos;
         out.add(&PhaseNanos {
             exec: exec * SAMPLE_EVERY,
             digest: digest * SAMPLE_EVERY,
             clone: clone * SAMPLE_EVERY,
             canon: canon * SAMPLE_EVERY,
-            table: table * SAMPLE_EVERY,
+            table: (table + admit) * SAMPLE_EVERY,
+            admit: admit * SAMPLE_EVERY,
         });
-        self.nanos = [0; 6];
+        self.nanos = [0; 7];
     }
 }
 

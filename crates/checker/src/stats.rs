@@ -16,7 +16,8 @@ use p_telemetry::json::{num, obj, JsonValue};
 /// incremental fingerprint maintenance, `clone` the candidate
 /// configuration derivation (arena priming) and child builds, `canon`
 /// the symmetry canonicalization, and `table` the visited-set admission
-/// (with the slot interning and frontier pushes it triggers). The
+/// (with the slot interning and frontier pushes it triggers), of which
+/// `admit` is the visited table's admit call itself. The
 /// phases are laps of one clock, so no interval counts twice and their
 /// sum stays below the run duration — enabled-set computation,
 /// scheduling and bookkeeping are unattributed.
@@ -33,22 +34,35 @@ pub struct PhaseNanos {
     /// Visited-table admission and the bookkeeping it triggers (slot
     /// interning, task paths, frontier pushes), child builds excluded.
     pub table: u64,
+    /// The part of `table` spent in the visited table's admit call: its
+    /// probe, its lock and, for a new state, the slot interning its byte
+    /// count takes (the child build inside it is `clone`'s). Not counted
+    /// again in [`PhaseNanos::total`].
+    pub admit: u64,
 }
 
 impl PhaseNanos {
     /// The phases in the fixed order positional storage uses.
-    pub(crate) fn to_array(self) -> [u64; 5] {
-        [self.exec, self.digest, self.clone, self.canon, self.table]
+    pub(crate) fn to_array(self) -> [u64; 6] {
+        [
+            self.exec,
+            self.digest,
+            self.clone,
+            self.canon,
+            self.table,
+            self.admit,
+        ]
     }
 
     /// Inverse of [`PhaseNanos::to_array`].
-    pub(crate) fn from_array([exec, digest, clone, canon, table]: [u64; 5]) -> PhaseNanos {
+    pub(crate) fn from_array([exec, digest, clone, canon, table, admit]: [u64; 6]) -> PhaseNanos {
         PhaseNanos {
             exec,
             digest,
             clone,
             canon,
             table,
+            admit,
         }
     }
 
@@ -59,9 +73,11 @@ impl PhaseNanos {
         self.clone += other.clone;
         self.canon += other.canon;
         self.table += other.table;
+        self.admit += other.admit;
     }
 
-    /// Total attributed nanoseconds across all phases.
+    /// Total attributed nanoseconds across all phases (`admit` is inside
+    /// `table`).
     pub fn total(&self) -> u64 {
         self.exec + self.digest + self.clone + self.canon + self.table
     }
@@ -125,6 +141,10 @@ pub struct ExplorationStats {
     /// dedup hit count. `dedup_hits / transitions` is the share of
     /// exploration effort spent re-deriving known states.
     pub dedup_hits: usize,
+    /// The dedup hits the visited table answered without taking a lock
+    /// (DESIGN.md §13). Per process, like `canon_calls`; it repeats
+    /// exactly at one worker.
+    pub unlocked_covers: usize,
     /// Machine runs skipped by sleep-set POR (counted per skipped
     /// enabled machine at a state, zero with POR off).
     pub sleep_pruned: usize,
@@ -173,7 +193,7 @@ pub struct ExplorationStats {
 }
 
 /// How many counters [`ExplorationStats::sums_mut`] yields.
-pub(crate) const SUMS: usize = 12;
+pub(crate) const SUMS: usize = 13;
 
 impl ExplorationStats {
     /// The counters that add up across workers, in a fixed order: the
@@ -194,6 +214,7 @@ impl ExplorationStats {
             &mut self.canon_calls,
             &mut self.canon_candidates,
             &mut self.canon_pinned,
+            &mut self.unlocked_covers,
         ]
     }
 
@@ -226,6 +247,7 @@ impl ExplorationStats {
             ("bytes_per_state", num(bytes_per_state)),
             ("max_depth", n(self.max_depth)),
             ("dedup_hits", n(self.dedup_hits)),
+            ("unlocked_covers", n(self.unlocked_covers)),
             ("sleep_pruned", n(self.sleep_pruned)),
             ("symmetry_merges", n(self.symmetry_merges)),
             ("canon_calls", n(self.canon_calls)),
@@ -242,6 +264,7 @@ impl ExplorationStats {
             ("clone_seconds", secs(self.phases.clone)),
             ("canon_seconds", secs(self.phases.canon)),
             ("table_seconds", secs(self.phases.table)),
+            ("admit_seconds", secs(self.phases.admit)),
         ])
     }
 
@@ -323,6 +346,7 @@ mod tests {
             quiescent_states: 1,
             stuck_states: 0,
             dedup_hits: 6,
+            unlocked_covers: 0,
             sleep_pruned: 2,
             symmetry_merges: 0,
             canon_calls: 0,

@@ -783,9 +783,14 @@ fn a_panicking_worker_stops_the_search_with_a_typed_error() {
         p_semantics::Value::Int(n) if n >= 200 => panic!("simulated foreign-function crash"),
         _ => p_semantics::Value::Int(1),
     });
-    let verifier = Verifier::new(&p).with_foreign(registry.resolve(&p));
+    let foreign = registry.resolve(&p);
     for jobs in [2, 4] {
-        match verifier.search(jobs) {
+        let options = CheckerOptions {
+            jobs,
+            ..CheckerOptions::default()
+        };
+        let verifier = Verifier::new(&p).with_foreign(foreign.clone());
+        match verifier.with_options(options).search() {
             Err(crate::CheckerError::WorkerPanic(why)) => {
                 assert!(why.contains("simulated"), "{why}")
             }
@@ -802,8 +807,12 @@ fn a_panicking_worker_stops_the_search_with_a_typed_error() {
 #[test]
 fn stolen_tasks_share_no_arcs() {
     let p = lower(&p_corpus::german4()).unwrap();
+    let two = CheckerOptions {
+        jobs: 2,
+        ..CheckerOptions::default()
+    };
+    let (report, tables) = Verifier::new(&p).with_options(two).search().unwrap();
     let verifier = Verifier::new(&p);
-    let (report, tables) = verifier.search(2).unwrap();
     assert!(report.passed() && report.complete);
     assert_eq!(tables.len(), 2);
     assert!(
@@ -958,6 +967,7 @@ fn kernel_agrees_with_the_reference(
         let options = CheckerOptions {
             por,
             symmetry,
+            jobs,
             mem_limit: spill.then_some(64 << 10),
             checkpoint: spill.then_some(never),
             ..CheckerOptions::default()
@@ -967,7 +977,7 @@ fn kernel_agrees_with_the_reference(
         // A hot tier of 4 KiB holds a few hundred states: every program
         // of a thousand spills (`--mem-limit` floors its budget at 64 KiB).
         crate::explore::TEST_HOT_BUDGET.set(spill.then_some(4 << 10));
-        let (report, _) = verifier.search(jobs).unwrap();
+        let (report, _) = verifier.search().unwrap();
         crate::explore::TEST_HOT_BUDGET.set(None);
         let _ = std::fs::remove_dir_all(scratch_dir("spill"));
         assert_eq!(report.passed(), error_free, "{mode}: verdict\n{}", text());
@@ -1270,12 +1280,10 @@ fn generated_families_match_the_orbit_oracle() {
             let options = CheckerOptions {
                 por,
                 symmetry: true,
+                jobs,
                 ..CheckerOptions::default()
             };
-            let (report, _) = Verifier::new(&p)
-                .with_options(options)
-                .search(jobs)
-                .unwrap();
+            let (report, _) = Verifier::new(&p).with_options(options).search().unwrap();
             let mode = format!("generated_family_src({seed}) por={por} jobs={jobs}");
             assert_eq!(report.passed(), error_free, "{mode}: verdict\n{}", text());
             if error_free {

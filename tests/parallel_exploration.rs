@@ -256,3 +256,49 @@ fn cold_tier_counters_repeat_and_a_cold_hit_costs_one_read() {
         );
     }
 }
+
+/// German4 at one, two and four workers, in RAM and under a 256 KiB
+/// limit that spills its hot tier over and over: states, transitions
+/// and dedup hits are the same in every run, whether the visited table
+/// answered an offer without its lock, under it, or from disk.
+#[test]
+fn german4_counts_agree_across_workers_and_spills() {
+    let compiled = Compiled::from_program(corpus::german4()).unwrap();
+    let mut counts = Vec::new();
+    for mem_limit in [None, Some(256 << 10)] {
+        for jobs in [1, 2, 4] {
+            let options = CheckerOptions {
+                jobs,
+                mem_limit,
+                ..CheckerOptions::default()
+            };
+            let report = compiled
+                .verifier()
+                .with_options(options)
+                .try_check_exhaustive()
+                .unwrap();
+            let mode = format!("jobs={jobs} mem_limit={mem_limit:?}");
+            assert!(report.complete && report.passed(), "{mode}");
+            let s = report.stats;
+            assert_eq!(mem_limit.is_some(), s.spilled_states > 0, "{mode}");
+            counts.push(((s.unique_states, s.transitions, s.dedup_hits), mode));
+        }
+    }
+    for (count, mode) in &counts {
+        assert_eq!(*count, counts[0].0, "{mode} against {}", counts[0].1);
+    }
+}
+
+/// The covered offers the visited table answered without its lock are
+/// counted, and at one worker the count repeats exactly: switch_led's
+/// shards grow onto pages and stay open, so most of its dedup hits are
+/// among them, and no more than all of them.
+#[test]
+fn unlocked_covers_repeat_at_one_worker() {
+    let compiled = Compiled::from_program(corpus::switch_led()).unwrap();
+    let run = || compiled.verifier().try_check_exhaustive().unwrap().stats;
+    let (first, again) = (run(), run());
+    assert_eq!(first.unlocked_covers, again.unlocked_covers);
+    assert!(first.unlocked_covers > 0, "{first:?}");
+    assert!(first.unlocked_covers <= first.dedup_hits, "{first:?}");
+}

@@ -289,6 +289,7 @@ fn verify_profile_exploration_keys_are_pinned() {
     assert_eq!(
         keys,
         [
+            "admit_seconds",
             "bound",
             "bytes_per_state",
             "canon_calls",
@@ -325,6 +326,7 @@ fn verify_profile_exploration_keys_are_pinned() {
             "symmetry_merges",
             "table_seconds",
             "transitions",
+            "unlocked_covers",
             "workers",
         ]
     );
