@@ -2262,7 +2262,10 @@ mod tests {
             assert!(news.iter().all(|n| n.load(Ordering::SeqCst) == 1), "{mode}");
             assert_eq!(table.unique(), keys as usize, "{mode}");
             if spill {
-                assert!(table.spill_stats().runs_created >= 100, "{mode}");
+                // A spill per 64 admits at most: one in progress lets the
+                // other threads' admits pile up for the next.
+                let runs = table.spill_stats().runs_created;
+                assert!(runs >= 25, "{mode}: {runs} runs");
             } else {
                 let grown = |shard: &Mutex<Shard>| shard.lock().visited.bytes() >= 512 * 64;
                 assert!(table.shards.iter().all(grown), "{mode}");
