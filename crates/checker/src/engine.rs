@@ -274,9 +274,8 @@ pub(crate) struct SharedTable {
     /// Written by every new admit, so on lines apart from the fields
     /// every offer reads.
     retained: Padded<Retained>,
-    /// Configurations [`SharedTable::mark`]ed, bounded by `max_marked`;
-    /// written by every new mark.
-    marked: Padded<AtomicUsize>,
+    /// Configurations [`SharedTable::mark`]ed, bounded by `max_marked`.
+    marked: AtomicUsize,
     truncated: AtomicBool,
     max: usize,
     max_marked: usize,
@@ -555,7 +554,7 @@ impl SharedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(shard())).collect(),
             published: (0..SHARDS).map(|_| Published::default()).collect(),
             retained: Padded::default(),
-            marked: Padded::default(),
+            marked: AtomicUsize::new(0),
             truncated: AtomicBool::new(false),
             max: max.max(1),
             max_marked: 0,
@@ -642,7 +641,7 @@ impl SharedTable {
     /// annotation). `marked` of a restored table's entries are markers.
     pub(crate) fn annotated(mut self, marked: usize) -> SharedTable {
         (self.max_marked, self.max) = (self.max, usize::MAX);
-        *self.marked.0.get_mut() = marked;
+        *self.marked.get_mut() = marked;
         *self.retained.0.unique.get_mut() -= marked;
         self
     }
@@ -894,9 +893,7 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 /// the search ends, or a rendezvous is called.
 #[derive(Debug)]
 pub(crate) struct Frontier<T> {
-    /// Each worker's deque, on lines of its own: its owner locks it
-    /// twice a task.
-    queues: Vec<Padded<Mutex<VecDeque<T>>>>,
+    queues: Vec<Mutex<VecDeque<T>>>,
     /// Tasks queued or currently being expanded. The exploration is done
     /// when this reaches zero: nothing queued, nothing in flight. Every
     /// task writes it, so it has lines of its own.
@@ -932,9 +929,8 @@ impl<T> Frontier<T> {
     /// round-robin across the per-worker deques (checkpoint resume).
     pub(crate) fn from_tasks(workers: usize, tasks: Vec<T>) -> Frontier<T> {
         let workers = workers.max(1);
-        let queues: Vec<Padded<Mutex<VecDeque<T>>>> = (0..workers)
-            .map(|_| Padded(Mutex::new(VecDeque::new())))
-            .collect();
+        let queues: Vec<Mutex<VecDeque<T>>> =
+            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         let pending = tasks.len();
         for (i, task) in tasks.into_iter().enumerate() {
             queues[i % workers].lock().push_back(task);

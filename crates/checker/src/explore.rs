@@ -1536,8 +1536,9 @@ mod tests {
     /// again when a later table reaches that size. `switch_led` at one
     /// worker under 1 MiB and under 256 KiB, which spills several times
     /// as often: at most one mapping per shard for the codes and one for
-    /// each size of table on pages it reaches, no more under the smaller
-    /// limit, and none left once the search is over.
+    /// each size of table on pages it reaches (three sizes for every
+    /// shard under 1 MiB), no more under the smaller limit, and none
+    /// left once the search is over.
     #[test]
     fn visited_mappings_stay_bounded_whatever_the_spill_count() {
         let p = p_semantics::lower(&p_corpus::switch_led()).unwrap();
@@ -1566,9 +1567,10 @@ mod tests {
             unreachable!("two limits")
         };
         assert!(spilled_256k > 2 * spilled_1m, "{runs:?}");
-        // Under 1 MiB a shard's table reaches 128 buckets: pages of
+        // Under 1 MiB every shard's table reaches 128 buckets: pages of
         // three sizes, and no codes without `--por`.
-        assert!(peak_1m <= 3 * 64 && peak_256k <= peak_1m, "{runs:?}");
+        assert_eq!(peak_1m, 3 * 64, "{runs:?}");
+        assert!(0 < peak_256k && peak_256k <= peak_1m, "{runs:?}");
     }
 
     /// A path link lives as long as a queued or running task descends

@@ -167,9 +167,6 @@ mod pages {
         len: usize,
         /// Bytes mapped at `ptr`, a multiple of [`PAGE`]; 0 for none.
         mapped: usize,
-        /// Whether the pages went back to the kernel and nothing was
-        /// written to them since.
-        given_back: bool,
     }
 
     impl<T: Zeroed> Pages<T> {
@@ -182,12 +179,7 @@ mod pages {
             }
             let ptr = sys::map(mapped).cast();
             counted(mapped as isize);
-            Pages {
-                ptr,
-                len,
-                mapped,
-                given_back: false,
-            }
+            Pages { ptr, len, mapped }
         }
 
         /// Hands the pages' memory back to the kernel at once but keeps
@@ -196,22 +188,11 @@ mod pages {
         /// A thread that still holds their address reads zeros, never
         /// an unmapped page.
         pub(super) fn give_back(&mut self) {
-            if self.mapped > 0 && !self.given_back {
+            if self.mapped > 0 {
                 // SAFETY: `ptr` and `mapped` are what `map` returned and
                 // was asked for; `&mut self` leaves no value borrowed, and
                 // zero bytes are a `T` (`Zeroed`).
                 unsafe { sys::zero(self.ptr.cast(), self.mapped) }
-                counted(-(self.mapped as isize));
-                self.given_back = true;
-            }
-        }
-
-        /// Counts given-back pages as held again, ahead of the writes
-        /// that fault them back in.
-        pub(super) fn take_back(&mut self) {
-            if self.given_back {
-                counted(self.mapped as isize);
-                self.given_back = false;
             }
         }
 
@@ -228,7 +209,6 @@ mod pages {
                 ptr: NonNull::dangling(),
                 len: 0,
                 mapped: 0,
-                given_back: false,
             }
         }
     }
@@ -236,9 +216,7 @@ mod pages {
     impl<T: Zeroed> Drop for Pages<T> {
         fn drop(&mut self) {
             if self.mapped > 0 {
-                if !self.given_back {
-                    counted(-(self.mapped as isize));
-                }
+                counted(-(self.mapped as isize));
                 // SAFETY: `ptr` and `mapped` are what `map` returned and
                 // was asked for, and nothing borrows the values past this
                 // drop.
@@ -269,8 +247,7 @@ mod pages {
     }
 
     // SAFETY: `Pages` owns its values as a `Box<[T]>` does: `ptr` is
-    // shared with no one, and `len`, `mapped` and `given_back` are plain
-    // values.
+    // shared with no one, and `len` and `mapped` are plain values.
     unsafe impl<T: Zeroed + Send> Send for Pages<T> {}
     // SAFETY: `&Pages` only gives out `&[T]`, as `&Box<[T]>` does.
     unsafe impl<T: Zeroed + Sync> Sync for Pages<T> {}
@@ -405,8 +382,7 @@ mod pages {
         };
     }
 
-    /// Bytes this thread has mapped and not unmapped or given back, in
-    /// test builds: the memory its mappings hold.
+    /// Bytes this thread has mapped and not unmapped, in test builds.
     #[cfg(test)]
     pub(super) fn mapped_bytes() -> isize {
         HELD.with(|held| held.get().bytes)
@@ -676,11 +652,7 @@ impl VisitedSet {
     /// size, taken back, or a new one.
     fn unretire(&mut self, buckets: usize) -> Pages<Bucket> {
         match self.retired.iter().position(|pages| pages.len() == buckets) {
-            Some(i) => {
-                let mut pages = self.retired.swap_remove(i);
-                pages.take_back();
-                pages
-            }
+            Some(i) => self.retired.swap_remove(i),
             None => Pages::zeroed(buckets),
         }
     }
@@ -999,15 +971,17 @@ mod tests {
     /// The set's memory is the set itself while its table has at most
     /// [`INLINE`] buckets, then whole pages of its own, counted as this
     /// thread maps and unmaps them: exactly the buckets rounded up to a
-    /// page, each grow unmapping the generation it replaced, and as much
-    /// for the codes from the first non-zero one (stored while the table
-    /// was still inline). A drain and a drop give every page back.
+    /// page, and as much for the codes from the first non-zero one
+    /// (stored while the table was still inline), besides the mappings
+    /// of the generations grows replaced, which stay mapped but read as
+    /// zeros (their memory given back). A drop unmaps every page.
     #[test]
     fn visited_pages_are_whole_and_given_back() {
         let mapped = pages::mapped_bytes;
         let base = mapped();
         let pages = |bytes: usize| bytes.next_multiple_of(pages::PAGE) as isize;
         let mut set = VisitedSet::default();
+        let mut grown = 0;
         let key = |i: u64| Fingerprint::of(&i.to_le_bytes());
         for i in 0..20_000 {
             set.insert(key(i));
@@ -1023,8 +997,18 @@ mod tests {
                     pages(buckets * std::mem::size_of::<Bucket>()) + pages(codes * BUCKET_KEYS)
                 }
             };
+            if buckets != grown {
+                grown = buckets;
+                assert!(
+                    set.retired
+                        .iter()
+                        .all(|old| old.iter().all(|b| b.0.iter().all(|s| s.key() == 0))),
+                    "{i}: a replaced generation reads as zeros"
+                );
+            }
+            let retired: isize = set.retired.iter().map(|old| old.mapped() as isize).sum();
             assert_eq!(
-                mapped() - base,
+                mapped() - base - retired,
                 want,
                 "{i}: {buckets} buckets, {codes} codes"
             );
@@ -1043,7 +1027,7 @@ mod tests {
         assert!(mapped() > base && set.bytes() == 0 && set.hint() == 0);
         assert_eq!(drained.iter().count(), 20_000);
         drop(drained);
-        assert_eq!(mapped(), base, "a drain gives its pages back");
+        assert_eq!(mapped(), base, "a dropped set unmaps its pages");
         (0..100).for_each(|i| assert!(set.insert(key(i))));
         assert_eq!((set.buckets, mapped() - base), (32, pages::PAGE as isize));
         drop(set);
